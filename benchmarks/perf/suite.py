@@ -167,8 +167,22 @@ def bench_scheduler(quick: bool) -> Dict[str, Metric]:
                 timer.cancel()
         sched.run_until_idle()
 
+    def churn_args() -> None:
+        # The same storm scheduled the way the protocol code does it:
+        # a plain callable plus its arguments riding on the event.
+        sched = Scheduler()
+        noop = lambda _i: None  # noqa: E731
+        timers = [sched.call_later(float(i % 97) + 1.0, noop, i) for i in range(n)]
+        for i, timer in enumerate(timers):
+            if i % 4:
+                timer.cancel()
+        sched.run_until_idle()
+
     return {
-        f"churn_timers_per_sec_n{n}": _metric(_time_ops(churn) * n, "timers/s")
+        f"churn_timers_per_sec_n{n}": _metric(_time_ops(churn) * n, "timers/s"),
+        f"churn_timers_with_args_per_sec_n{n}": _metric(
+            _time_ops(churn_args) * n, "timers/s"
+        ),
     }
 
 
@@ -242,11 +256,22 @@ def bench_scale_smoke(quick: bool) -> Dict[str, Metric]:
     generation) must keep a whole-scenario n=1000 run inside the gated
     event budget.  Runs the single cell in quick mode too, so every CI
     tier that benches also exercises the bulk path."""
+    import gc
+
     from benchmarks.bench_scale import scale_run
 
+    gc.collect()
+    tracked_before = len(gc.get_objects())
+    collections_before = sum(gen["collections"] for gen in gc.get_stats())
     t0 = time.perf_counter()
     row = scale_run(1000)
     wall = time.perf_counter() - t0
+    # Informational: how much the cell leaves for the cyclic collector
+    # to walk (objects tracked when the run returns, garbage included)
+    # and how often it ran — the allocation side of the same cell
+    # (docs/PERFORMANCE.md, "Allocation and the collector").
+    tracked = len(gc.get_objects()) - tracked_before
+    collections = sum(gen["collections"] for gen in gc.get_stats())
     events, eps = row[5], row[6]
     return {
         "events_per_sec_n1000": _metric(eps, "events/s"),
@@ -254,6 +279,12 @@ def bench_scale_smoke(quick: bool) -> Dict[str, Metric]:
             events, "events", higher_is_better=False, gated=True
         ),
         "wall_seconds_n1000": _metric(wall, "s", higher_is_better=False),
+        "tracked_objects_n1000": _metric(
+            tracked, "objects", higher_is_better=False
+        ),
+        "gc_collections_n1000": _metric(
+            collections - collections_before, "collections", higher_is_better=False
+        ),
     }
 
 
@@ -426,6 +457,7 @@ def bench_telemetry(quick: bool) -> Dict[str, Metric]:
     snapshot_per_sec = _time_ops(registry.snapshot, min_seconds=0.1)
     instruments = len(registry.snapshot())
     return {
+        **_pattern_total_metrics(),
         "overhead_ratio": _metric(
             overhead, "ratio", higher_is_better=False, gated=True
         ),
@@ -434,6 +466,54 @@ def bench_telemetry(quick: bool) -> Dict[str, Metric]:
         "snapshots_per_sec": _metric(snapshot_per_sec, "snapshots/s"),
         "snapshot_instruments": _metric(
             instruments, "instruments", gated=True
+        ),
+    }
+
+
+def _pattern_total_metrics() -> Dict[str, Metric]:
+    """Mid-wildcard ``total()`` on a registry the size of an n=1000
+    domain's (~50k instruments), against the linear ``fnmatchcase``
+    scan written out here — the registry twin of
+    ``indexed_vs_linear_ratio_n4096``."""
+    from fnmatch import fnmatchcase
+
+    from repro.telemetry import MetricsRegistry
+
+    registry = MetricsRegistry()
+    kinds = [f"{way}.{kind}" for way in ("tx", "rx") for kind in range(16)]
+    for router in range(1000):
+        for kind in kinds:
+            registry.counter(f"cbt.router.N{router}.{kind}").inc(router)
+    stats = ("attempts", "tx_packets", "tx_bytes", "fanout", "rx_packets", "queued_time")
+    for link in range(3000):
+        for stat in stats:
+            registry.gauge(f"netsim.link.L{link}.{stat}").set(link)
+    patterns = ["cbt.router.*.tx.3", "cbt.router.*.rx.12", "netsim.link.*.attempts"]
+    counters, gauges = registry._counters, registry._gauges
+
+    def indexed() -> List[float]:
+        return [registry.total(pattern) for pattern in patterns]
+
+    def linear() -> List[float]:
+        return [
+            sum(c.value for n, c in counters.items() if fnmatchcase(n, pattern))
+            + sum(g.read() for n, g in gauges.items() if fnmatchcase(n, pattern))
+            for pattern in patterns
+        ]
+
+    if indexed() != linear():
+        raise AssertionError("indexed total() disagrees with the linear scan")
+    per_call = len(patterns)
+    indexed_ops = _time_ops(indexed, min_seconds=0.1) * per_call
+    linear_ops = _time_ops(linear, min_seconds=0.1) * per_call
+    return {
+        "pattern_totals_per_sec": _metric(indexed_ops, "totals/s"),
+        "pattern_total_instruments": _metric(
+            len(counters) + len(gauges), "instruments", gated=True
+        ),
+        # Paired, back to back on one host: drift cancels, so gated.
+        "pattern_total_indexed_vs_linear_ratio": _metric(
+            indexed_ops / linear_ops, "x", gated=True
         ),
     }
 

@@ -21,7 +21,7 @@ Data-plane behaviour (§4, §5, §7) lives in
 from __future__ import annotations
 
 from ipaddress import IPv4Address
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.constants import (
     CBT_AUX_PORT,
@@ -586,52 +586,47 @@ class CBTProtocol:
         if originator:
             pend.retransmit_timer = scheduler.call_later(
                 self.timers.pend_join_interval,
-                self._make_retransmit(pend.group),
+                self._retransmit_join,
+                pend.group,
             )
         pend.expiry_timer = scheduler.call_later(
             self.timers.pend_join_timeout
             if originator
             else self.timers.expire_pending_join,
-            self._make_pending_expiry(pend.group, originator),
+            self._expire_pending,
+            pend.group,
+            originator,
         )
 
-    def _make_retransmit(self, group: IPv4Address) -> Callable[[], None]:
-        def retransmit() -> None:
-            pend = self.pending.get(group)
-            if pend is None:
-                return
-            pend.retransmissions += 1
-            message = CBTControlMessage(
-                msg_type=MessageType.JOIN_REQUEST,
-                code=int(pend.subcode),
-                group=group,
-                origin=pend.origin,
-                target_core=pend.target_core,
-                cores=pend.cores,
-            )
-            self._send_control(message, pend.upstream_address)
-            pend.retransmit_timer = self.router.scheduler.call_later(
-                self.timers.pend_join_interval, retransmit
-            )
+    def _retransmit_join(self, group: IPv4Address) -> None:
+        pend = self.pending.get(group)
+        if pend is None:
+            return
+        pend.retransmissions += 1
+        message = CBTControlMessage(
+            msg_type=MessageType.JOIN_REQUEST,
+            code=int(pend.subcode),
+            group=group,
+            origin=pend.origin,
+            target_core=pend.target_core,
+            cores=pend.cores,
+        )
+        self._send_control(message, pend.upstream_address)
+        pend.retransmit_timer = self.router.scheduler.call_later(
+            self.timers.pend_join_interval, self._retransmit_join, group
+        )
 
-        return retransmit
-
-    def _make_pending_expiry(
-        self, group: IPv4Address, originator: bool
-    ) -> Callable[[], None]:
-        def expire() -> None:
-            pend = self.pending.get(group)
-            if pend is None:
-                return
-            if originator:
-                self._join_attempt_failed(group)
-            else:
-                # Transit router: silently drop the transient state
-                # (spec §9 EXPIRE-PENDING-JOIN).
-                pend.cancel_timers()
-                del self.pending[group]
-
-        return expire
+    def _expire_pending(self, group: IPv4Address, originator: bool) -> None:
+        pend = self.pending.get(group)
+        if pend is None:
+            return
+        if originator:
+            self._join_attempt_failed(group)
+        else:
+            # Transit router: silently drop the transient state
+            # (spec §9 EXPIRE-PENDING-JOIN).
+            pend.cancel_timers()
+            del self.pending[group]
 
     def _join_attempt_failed(self, group: IPv4Address) -> None:
         """A join attempt timed out or was NACKed: try an alternate core."""
@@ -686,19 +681,16 @@ class CBTProtocol:
             # after a retransmission interval rather than recursing.
             self._rejoin_timers[group] = self.router.scheduler.call_later(
                 self.timers.pend_join_interval,
-                self._make_failed_retry(group, pend, attempt),
+                self._retry_failed_join,
+                group,
+                pend,
             )
 
-    def _make_failed_retry(
-        self, group: IPv4Address, pend: PendingJoin, attempt: RejoinAttempt
-    ) -> Callable[[], None]:
-        def retry() -> None:
-            if group in self.pending or group not in self.rejoins:
-                return
-            self.pending[group] = pend  # re-seed so failure logic re-runs
-            self._join_attempt_failed(group)
-
-        return retry
+    def _retry_failed_join(self, group: IPv4Address, pend: PendingJoin) -> None:
+        if group in self.pending or group not in self.rejoins:
+            return
+        self.pending[group] = pend  # re-seed so failure logic re-runs
+        self._join_attempt_failed(group)
 
     def _cancel_rejoin_timer(self, group: IPv4Address) -> None:
         timer = self._rejoin_timers.pop(group, None)
@@ -737,7 +729,7 @@ class CBTProtocol:
                 )
             self._cancel_rejoin_timer(group)
             self._rejoin_timers[group] = self.router.scheduler.call_later(
-                self.timers.pend_join_interval, self._make_rejoin_retry(group)
+                self.timers.pend_join_interval, self._retry_rejoin, group
             )
         return started
 
@@ -774,27 +766,24 @@ class CBTProtocol:
         # a later fresh join usually succeeds; schedule one if local
         # members still need the group.
         self.router.scheduler.call_later(
-            self.timers.pend_join_timeout, self._make_fresh_join(group)
+            self.timers.pend_join_timeout, self._fresh_join, group
         )
 
-    def _make_fresh_join(self, group: IPv4Address) -> Callable[[], None]:
-        def retry() -> None:
-            if group in self.fib or group in self.pending:
-                return
-            member_vifs = self.igmp.database.interfaces_with(group)
-            cores = self.cores_for(group)
-            if not member_vifs or not cores:
-                return
-            origin = self.router.interface_for_vif(member_vifs[0]).address
-            self._join_or_arm_retry(
-                group,
-                cores=cores,
-                target_core=cores[0],
-                subcode=JoinSubcode.ACTIVE_JOIN,
-                origin=origin,
-            )
-
-        return retry
+    def _fresh_join(self, group: IPv4Address) -> None:
+        if group in self.fib or group in self.pending:
+            return
+        member_vifs = self.igmp.database.interfaces_with(group)
+        cores = self.cores_for(group)
+        if not member_vifs or not cores:
+            return
+        origin = self.router.interface_for_vif(member_vifs[0]).address
+        self._join_or_arm_retry(
+            group,
+            cores=cores,
+            target_core=cores[0],
+            subcode=JoinSubcode.ACTIVE_JOIN,
+            origin=origin,
+        )
 
     def _flush_child_on_path(self, group: IPv4Address, core: IPv4Address) -> None:
         """§2.7: tear down a downstream branch that lies on the join path."""
@@ -1178,8 +1167,7 @@ class CBTProtocol:
                     )
                 self._cancel_rejoin_timer(group)
                 self._rejoin_timers[group] = self.router.scheduler.call_later(
-                    self.timers.pend_join_interval,
-                    self._make_rejoin_retry(group),
+                    self.timers.pend_join_interval, self._retry_rejoin, group
                 )
                 return
             # Childless: the G-DR covers our LAN members; any leftover
@@ -1396,63 +1384,60 @@ class CBTProtocol:
             self._give_up(group)
             return
         self._rejoin_timers[group] = self.router.scheduler.call_later(
-            self.timers.pend_join_interval, self._make_rejoin_retry(group)
+            self.timers.pend_join_interval, self._retry_rejoin, group
         )
 
-    def _make_rejoin_retry(self, group: IPv4Address) -> Callable[[], None]:
-        def retry() -> None:
-            attempt = self.rejoins.get(group)
-            if attempt is None or group in self.pending:
-                return
-            entry = self.fib.get(group)
-            if entry is not None and entry.has_parent:
-                return  # already reattached
-            if self.is_primary_core_for(group):
-                # A core-list re-announcement can promote us to primary
-                # while a rejoin attempt (seeded when we were ordinary)
-                # is still armed.  The primary is the root: cycling on
-                # to a foreign core would graft the root under its own
-                # tree.  Stand as root and drop the attempt.
-                self.rejoins.pop(group, None)
-                self._cancel_rejoin_timer(group)
-                self.fib.get_or_create(group)
-                return
-            if attempt.expired(
-                self.router.scheduler.now, self.timers.reconnect_timeout
-            ) and not self.is_core_for(group):
-                # Non-core: flush and let descendants re-home.  A core
-                # stays a legitimate root for its partition and keeps
-                # retrying until the topology heals (§6.1).
-                self._give_up(group)
-                return
-            core = self._next_foreign_core(attempt)
-            if core is None:
-                self.rejoins.pop(group, None)
-                self._cancel_rejoin_timer(group)
-                return  # we are the only core: nothing to rejoin to
-            subcode = (
-                JoinSubcode.REJOIN_ACTIVE
-                if entry is not None and entry.has_children
-                else JoinSubcode.ACTIVE_JOIN
+    def _retry_rejoin(self, group: IPv4Address) -> None:
+        attempt = self.rejoins.get(group)
+        if attempt is None or group in self.pending:
+            return
+        entry = self.fib.get(group)
+        if entry is not None and entry.has_parent:
+            return  # already reattached
+        if self.is_primary_core_for(group):
+            # A core-list re-announcement can promote us to primary
+            # while a rejoin attempt (seeded when we were ordinary)
+            # is still armed.  The primary is the root: cycling on
+            # to a foreign core would graft the root under its own
+            # tree.  Stand as root and drop the attempt.
+            self.rejoins.pop(group, None)
+            self._cancel_rejoin_timer(group)
+            self.fib.get_or_create(group)
+            return
+        if attempt.expired(
+            self.router.scheduler.now, self.timers.reconnect_timeout
+        ) and not self.is_core_for(group):
+            # Non-core: flush and let descendants re-home.  A core
+            # stays a legitimate root for its partition and keeps
+            # retrying until the topology heals (§6.1).
+            self._give_up(group)
+            return
+        core = self._next_foreign_core(attempt)
+        if core is None:
+            self.rejoins.pop(group, None)
+            self._cancel_rejoin_timer(group)
+            return  # we are the only core: nothing to rejoin to
+        subcode = (
+            JoinSubcode.REJOIN_ACTIVE
+            if entry is not None and entry.has_children
+            else JoinSubcode.ACTIVE_JOIN
+        )
+        self._flush_child_on_path(group, core)
+        started = self._originate_join(
+            group,
+            cores=attempt.cores,
+            target_core=core,
+            subcode=subcode,
+            origin=self.address,
+        )
+        if not started:
+            # No route to this core right now (e.g. mid-partition):
+            # keep the retry chain alive instead of stranding the
+            # group in rejoin state forever; the reconnect deadline
+            # above still bounds the loop.
+            self._rejoin_timers[group] = self.router.scheduler.call_later(
+                self.timers.pend_join_interval, self._retry_rejoin, group
             )
-            self._flush_child_on_path(group, core)
-            started = self._originate_join(
-                group,
-                cores=attempt.cores,
-                target_core=core,
-                subcode=subcode,
-                origin=self.address,
-            )
-            if not started:
-                # No route to this core right now (e.g. mid-partition):
-                # keep the retry chain alive instead of stranding the
-                # group in rejoin state forever; the reconnect deadline
-                # above still bounds the loop.
-                self._rejoin_timers[group] = self.router.scheduler.call_later(
-                    self.timers.pend_join_interval, retry
-                )
-
-        return retry
 
     # -- QUIT (§2.7) -------------------------------------------------------------------
 
@@ -1835,7 +1820,7 @@ class CBTProtocol:
             # failure itself): without a live retry the group would be
             # stranded in rejoin state forever.
             self._rejoin_timers[group] = self.router.scheduler.call_later(
-                self.timers.pend_join_interval, self._make_rejoin_retry(group)
+                self.timers.pend_join_interval, self._retry_rejoin, group
             )
 
     # -- HELLO / neighbour discovery ----------------------------------------

@@ -93,7 +93,7 @@ INVERSE_RULES: Tuple[InverseRule, ...] = (
     ),
     InverseRule(
         predicate="member-stranded",
-        transition="_forward_join / _make_retransmit",
+        transition="_forward_join / _retransmit_join",
         precondition=(
             "no join ever reached an on-tree router: the hop-by-hop "
             "JOIN_REQUEST chain (including its §9 retransmissions) "

@@ -114,7 +114,7 @@ class IGMPHostAgent:
             return  # a response is already queued
         delay = _response_delay(self.host.interface.address, max_response_time)
         self._pending_responses[group] = self.host.scheduler.call_later(
-            delay, lambda: self._respond(group)
+            delay, self._respond, group
         )
 
     def _respond(self, group: IPv4Address) -> None:

@@ -143,25 +143,22 @@ class IGMPRouterAgent:
             for i in range(self.config.startup_query_count):
                 self.router.scheduler.call_later(
                     i * self.config.startup_query_interval,
-                    self._make_startup_query(interface),
+                    self._send_query,
+                    interface,
+                    None,
                 )
             ticker = PeriodicTimer(
                 self.router.scheduler,
                 self.config.query_interval,
-                self._make_periodic_query(interface),
+                self._periodic_query,
+                interface,
             )
             state.query_timer = ticker
             ticker.start()
 
-    def _make_startup_query(self, interface: Interface) -> Callable[[], None]:
-        return lambda: self._send_query(interface, group=None)
-
-    def _make_periodic_query(self, interface: Interface) -> Callable[[], None]:
-        def tick() -> None:
-            if self._state_for(interface).querier:
-                self._send_query(interface, group=None)
-
-        return tick
+    def _periodic_query(self, interface: Interface) -> None:
+        if self._state_for(interface).querier:
+            self._send_query(interface, group=None)
 
     # -- subscriptions ---------------------------------------------------------
 
@@ -224,18 +221,16 @@ class IGMPRouterAgent:
                     state.other_querier_timer.cancel()
                 state.other_querier_timer = self.router.scheduler.call_later(
                     self.config.other_querier_timeout,
-                    self._make_querier_resume(interface),
+                    self._resume_querier,
+                    interface,
                 )
 
-    def _make_querier_resume(self, interface: Interface) -> Callable[[], None]:
-        def resume() -> None:
-            state = self._state_for(interface)
-            if not state.querier:
-                self._c_querier_transitions.inc()
-            state.querier = True
-            state.querier_address = None
-
-        return resume
+    def _resume_querier(self, interface: Interface) -> None:
+        state = self._state_for(interface)
+        if not state.querier:
+            self._c_querier_transitions.inc()
+        state.querier = True
+        state.querier_address = None
 
     def _handle_report(self, interface: Interface, group: IPv4Address) -> None:
         if not group.is_multicast:
@@ -257,7 +252,9 @@ class IGMPRouterAgent:
             for i in range(self.config.last_member_query_count):
                 self.router.scheduler.call_later(
                     i * self.config.last_member_query_interval,
-                    self._make_group_query(interface, group),
+                    self._send_query,
+                    interface,
+                    group,
                 )
         timeout = (
             self.config.last_member_query_count
@@ -265,9 +262,6 @@ class IGMPRouterAgent:
             + self.config.query_response_interval
         )
         self._restart_expiry(interface, group, timeout)
-
-    def _make_group_query(self, interface: Interface, group: IPv4Address) -> Callable[[], None]:
-        return lambda: self._send_query(interface, group=group)
 
     def _handle_core_report(self, interface: Interface, report: CoreReport) -> None:
         for listener in self._core_report_listeners:
@@ -307,24 +301,21 @@ class IGMPRouterAgent:
         if existing is not None:
             existing.cancel()
         state.expiry_timers[group] = self.router.scheduler.call_later(
-            timeout, self._make_expiry(interface, group, timeout)
+            timeout, self._expire_membership, interface, group, timeout
         )
 
-    def _make_expiry(
+    def _expire_membership(
         self, interface: Interface, group: IPv4Address, timeout: float
-    ) -> Callable[[], None]:
-        def expire() -> None:
-            state = self._state_for(interface)
-            last_heard = state.members.get(group)
-            if last_heard is None:
-                return
-            if self.router.scheduler.now - last_heard < timeout - 1e-9:
-                return  # a report arrived since this timer was armed
-            state.members.pop(group, None)
-            if self.database._remove(interface, group):
-                self._notify_membership(interface, group, present=False)
-
-        return expire
+    ) -> None:
+        state = self._state_for(interface)
+        last_heard = state.members.get(group)
+        if last_heard is None:
+            return
+        if self.router.scheduler.now - last_heard < timeout - 1e-9:
+            return  # a report arrived since this timer was armed
+        state.members.pop(group, None)
+        if self.database._remove(interface, group):
+            self._notify_membership(interface, group, present=False)
 
     def _notify_membership(self, interface: Interface, group: IPv4Address, present: bool) -> None:
         (self._c_gains if present else self._c_losses).inc()

@@ -29,6 +29,14 @@ Performance notes (see docs/PERFORMANCE.md):
   same sequence.
 * ``pending_events`` is a live counter and ``pending_tags()`` reads a
   live tag index — neither scans the heap.
+* An event carries its callback's arguments (``call_later(delay, f,
+  *args)``; the loop calls ``f(*args)``), so callers schedule a bound
+  method plus a tuple instead of building a closure per event.  What
+  is pending is what the cyclic collector walks: at n=1000 tens of
+  thousands of deliveries and timers are in flight, and a closure is
+  a function, a cell per variable and a tuple where an args tuple is
+  one object.  ``_free_event`` clears ``args`` so the slab never pins
+  a delivered datagram.
 
 Choice-point hook layer (systematic exploration):
 
@@ -73,13 +81,20 @@ class SchedulerError(Exception):
 
 
 class _Event:
-    __slots__ = ("time", "callback", "cancelled", "fired", "tag", "gen", "parked")
+    __slots__ = (
+        "time", "callback", "args", "cancelled", "fired", "tag", "gen", "parked"
+    )
 
     def __init__(
-        self, time: float, callback: Callable[[], None], tag: Optional[Tuple] = None
+        self,
+        time: float,
+        callback: Callable[..., None],
+        args: Tuple,
+        tag: Optional[Tuple] = None,
     ) -> None:
         self.time = time
         self.callback = callback
+        self.args = args
         self.cancelled = False
         self.fired = False
         self.tag = tag
@@ -94,18 +109,23 @@ class Timer:
     an already-fired or already-cancelled timer is a no-op, which keeps
     protocol code free of "is it still pending?" bookkeeping.
 
-    The handle snapshots the callback and firing time at creation:
-    event records are slab-recycled after they fire, so the handle must
-    not read them back from a possibly-reused record.
+    The handle snapshots the callback, its arguments, the tag and the
+    firing time at creation: event records are slab-recycled after they
+    fire, so the handle must not read them back from a possibly-reused
+    record.
     """
 
-    __slots__ = ("_scheduler", "_event", "_gen", "_callback", "_fires_at")
+    __slots__ = (
+        "_scheduler", "_event", "_gen", "_callback", "_args", "_tag", "_fires_at"
+    )
 
     def __init__(self, scheduler: "Scheduler", event: _Event) -> None:
         self._scheduler = scheduler
         self._event = event
         self._gen = event.gen
         self._callback = event.callback
+        self._args = event.args
+        self._tag = event.tag
         self._fires_at = event.time
 
     @property
@@ -128,9 +148,12 @@ class Timer:
             self._scheduler._cancel(event)
 
     def restart(self, delay: float) -> "Timer":
-        """Cancel this timer and schedule its callback again after ``delay``."""
+        """Cancel this timer and schedule its callback (same arguments,
+        same tag) again after ``delay``."""
         self.cancel()
-        return self._scheduler.call_later(delay, self._callback)
+        return self._scheduler.call_later(
+            delay, self._callback, *self._args, tag=self._tag
+        )
 
 
 class Scheduler:
@@ -139,7 +162,7 @@ class Scheduler:
     Usage::
 
         sched = Scheduler()
-        sched.call_later(1.5, lambda: print("fires at t=1.5"))
+        sched.call_later(1.5, print, "fires at t=1.5")
         sched.run(until=10.0)
     """
 
@@ -178,11 +201,14 @@ class Scheduler:
         #: scheduler (links, routers, protocols, IGMP agents).
         self.telemetry = Telemetry(enabled=telemetry_enabled)
         registry = self.telemetry.registry
-        registry.gauge("netsim.scheduler.events_scheduled", lambda: self.events_scheduled)
-        registry.gauge("netsim.scheduler.events_processed", lambda: self._events_processed)
-        registry.gauge("netsim.scheduler.events_cancelled", lambda: self.events_cancelled)
-        registry.gauge("netsim.scheduler.pending_events", lambda: self._pending)
-        registry.gauge("netsim.scheduler.sim_time", lambda: self._now)
+        for metric, attr in (
+            ("events_scheduled", "events_scheduled"),
+            ("events_processed", "_events_processed"),
+            ("events_cancelled", "events_cancelled"),
+            ("pending_events", "_pending"),
+            ("sim_time", "_now"),
+        ):
+            registry.gauge_attr(f"netsim.scheduler.{metric}", self, attr)
         #: When set, same-instant tie groups of size >= 2 are resolved
         #: by this callable instead of FIFO order.  It receives
         #: ``(time, [tag, ...])`` — one entry per tied event, in FIFO
@@ -210,50 +236,53 @@ class Scheduler:
     def call_later(
         self,
         delay: float,
-        callback: Callable[[], None],
+        callback: Callable[..., None],
+        *args: Any,
         tag: Optional[Tuple] = None,
     ) -> Timer:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
+
+        Pass what the callback needs as ``args`` rather than binding it
+        in a closure: an args tuple is one object, a closure is a
+        function plus a cell per variable, and pending events are what
+        the collector has to keep walking (docs/PERFORMANCE.md)."""
         if delay < 0:
             raise SchedulerError(f"cannot schedule {delay}s in the past")
-        return self.call_at(self._now + delay, callback, tag=tag)
+        return self._schedule(self._now + delay, callback, args, tag)
 
-    def _alloc_event(
-        self, time: float, callback: Callable[[], None], tag: Optional[Tuple]
-    ) -> _Event:
+    def call_at(
+        self,
+        time: float,
+        callback: Callable[..., None],
+        *args: Any,
+        tag: Optional[Tuple] = None,
+    ) -> Timer:
+        """Schedule ``callback(*args)`` to run at absolute simulation ``time``."""
+        if time < self._now:
+            raise SchedulerError(
+                f"cannot schedule at t={time}; current time is t={self._now}"
+            )
+        return self._schedule(time, callback, args, tag)
+
+    def _schedule(
+        self,
+        time: float,
+        callback: Callable[..., None],
+        args: Tuple,
+        tag: Optional[Tuple],
+    ) -> Timer:
         slab = self._slab
         if slab:
             event = slab.pop()
             event.time = time
             event.callback = callback
+            event.args = args
             event.cancelled = False
             event.fired = False
             event.tag = tag
             event.parked = False
-            return event
-        return _Event(time, callback, tag)
-
-    def _free_event(self, event: _Event) -> None:
-        # Bump the generation so outstanding Timer handles see the
-        # record as spent, then drop references for the GC.
-        event.gen += 1
-        event.callback = None  # type: ignore[assignment]
-        event.tag = None
-        if len(self._slab) < _SLAB_MAX:
-            self._slab.append(event)
-
-    def call_at(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        tag: Optional[Tuple] = None,
-    ) -> Timer:
-        """Schedule ``callback`` to run at absolute simulation ``time``."""
-        if time < self._now:
-            raise SchedulerError(
-                f"cannot schedule at t={time}; current time is t={self._now}"
-            )
-        event = self._alloc_event(time, callback, tag)
+        else:
+            event = _Event(time, callback, args, tag)
         bucket = int(time * _INV_GRANULARITY)
         if bucket > int(self._now * _INV_GRANULARITY) + 1:
             # Far enough out to park in the wheel: the bucket's start
@@ -276,6 +305,17 @@ class Scheduler:
         if tag is not None:
             self._tagged[event] = tag
         return Timer(self, event)
+
+    def _free_event(self, event: _Event) -> None:
+        # Bump the generation so outstanding Timer handles see the
+        # record as spent, then drop references for the GC — the slab
+        # must never pin a delivered datagram through ``args``.
+        event.gen += 1
+        event.callback = None  # type: ignore[assignment]
+        event.args = ()
+        event.tag = None
+        if len(self._slab) < _SLAB_MAX:
+            self._slab.append(event)
 
     def _flush_wheel(self, head_time: float) -> None:
         """Move wheel buckets whose span could precede ``head_time``
@@ -370,7 +410,7 @@ class Scheduler:
             self._now = time
             if event.tag is not None:
                 self._tagged.pop(event, None)
-            event.callback()
+            event.callback(*event.args)
             self._free_event(event)
             self._events_processed += 1
             processed += 1
@@ -441,14 +481,16 @@ class PeriodicTimer:
 
     Protocol keepalives (CBT echo requests, IGMP queries, DVMRP
     re-floods) are all periodic; this wrapper owns the re-arming so the
-    protocol code only supplies the tick callback.
+    protocol code only supplies the tick callback (called as
+    ``callback(*args)``).
     """
 
     def __init__(
         self,
         scheduler: Scheduler,
         interval: float,
-        callback: Callable[[], None],
+        callback: Callable[..., None],
+        *args: Any,
         jitter: Callable[[], float] = lambda: 0.0,
     ) -> None:
         if interval <= 0:
@@ -456,6 +498,7 @@ class PeriodicTimer:
         self._scheduler = scheduler
         self._interval = interval
         self._callback = callback
+        self._args = args
         self._jitter = jitter
         self._timer: Optional[Timer] = None
         self._running = False
@@ -489,7 +532,7 @@ class PeriodicTimer:
     def _tick(self) -> None:
         if not self._running:
             return
-        self._callback()
+        self._callback(*self._args)
         if self._running:
             self._timer = self._scheduler.call_later(
                 self._interval + self._jitter(), self._tick

@@ -7,6 +7,14 @@ destination (or, for forwarding through the LAN, the named next hop).
 A :class:`PointToPointLink` is a two-interface subnet with a /30-style
 prefix; the spec treats tunnels and point-to-point links identically
 for forwarding purposes (§5).
+
+A transmission schedules the bound :meth:`Link.deliver` (or
+:meth:`Link.deliver_batch` for a LAN fan-out) with ``(receiver(s),
+datagram, counters)`` as the event's arguments, and the wire statistics
+are plain attributes exposed through attribute-bound gauges: deliveries
+in flight and per-link instruments are the two largest object
+populations at n=1000, so neither gets a closure
+(docs/PERFORMANCE.md, "Allocation and the collector").
 """
 
 from __future__ import annotations
@@ -88,10 +96,10 @@ class Link:
         # repro.telemetry.conservation): attempts == tx_packets +
         # pre-wire drops; fanout >= rx_packets + late drops.  The wire
         # statistics are counted natively (plain int attributes, same
-        # cost with telemetry on or off) and exposed through callback
-        # gauges, so the hot path pays nothing extra for them; only the
-        # per-payload-label counters cost an add, behind one enabled
-        # check.
+        # cost with telemetry on or off) and exposed through
+        # attribute-bound gauges, so the hot path pays nothing extra
+        # for them; only the per-payload-label counters cost an add,
+        # behind one enabled check.
         self._telemetry = scheduler.telemetry
         self._registry = scheduler.telemetry.registry
         # Shared label-> and msg_type->MsgCounters caches (disable()
@@ -99,14 +107,15 @@ class Link:
         self._msg_map = scheduler.telemetry._msg
         self._msg_by_type = scheduler.telemetry._msg_by_type
         self._drop_counters: Dict[str, Counter] = {}
-        registry = self._registry
-        base = f"netsim.link.{name}"
-        registry.gauge(f"{base}.attempts", lambda: self.attempt_count)
-        registry.gauge(f"{base}.tx_packets", lambda: self.tx_count)
-        registry.gauge(f"{base}.tx_bytes", lambda: self.tx_bytes)
-        registry.gauge(f"{base}.fanout", lambda: self.fanout_count)
-        registry.gauge(f"{base}.rx_packets", lambda: self.rx_count)
-        registry.gauge(f"{base}.queued_time", lambda: self.queued_time)
+        for metric, attr in (
+            ("attempts", "attempt_count"),
+            ("tx_packets", "tx_count"),
+            ("tx_bytes", "tx_bytes"),
+            ("fanout", "fanout_count"),
+            ("rx_packets", "rx_count"),
+            ("queued_time", "queued_time"),
+        ):
+            self._registry.gauge_attr(f"netsim.link.{name}.{metric}", self, attr)
         #: Callbacks fired when this link's topology-relevant state
         #: changes (attachment, up/down, interface flips).  Link-state
         #: routing registers here to invalidate its caches.
@@ -236,13 +245,15 @@ class Link:
             for receiver in receivers:
                 self.scheduler.call_later(
                     self.delay + extra_delay,
-                    _make_delivery(self, receiver, datagram, msg),
+                    self.deliver,
+                    receiver,
+                    datagram,
+                    msg,
                     tag=delivery_tag(self, receiver, datagram),
                 )
         elif len(receivers) == 1:
             self.scheduler.call_later(
-                self.delay + extra_delay,
-                _make_delivery(self, receivers[0], datagram, msg),
+                self.delay + extra_delay, self.deliver, receivers[0], datagram, msg
             )
         elif receivers:
             # Batched fan-out: one scheduled event delivers to every
@@ -252,8 +263,7 @@ class Link:
             # exactly like one loop body — but the scheduler handles a
             # LAN-wide broadcast as a single event instead of N.
             self.scheduler.call_later(
-                self.delay + extra_delay,
-                _make_batch_delivery(self, receivers, datagram, msg),
+                self.delay + extra_delay, self.deliver_batch, receivers, datagram, msg
             )
 
     def deliver(
@@ -262,6 +272,9 @@ class Link:
         datagram: IPDatagram,
         msg: Optional[MsgCounters] = None,
     ) -> None:
+        """Scheduled by :meth:`transmit` with its arguments riding on
+        the event; the counter bundle resolved at transmit time comes
+        along so delivery accounting is a single attribute add."""
         if not self.up or not receiver._up:
             self._record("drop", receiver, datagram, note="down at delivery")
             if msg is not None:
@@ -329,28 +342,6 @@ class Link:
                 note=note,
             )
         )
-
-
-def _make_delivery(
-    link: Link,
-    receiver: Interface,
-    datagram: IPDatagram,
-    msg: Optional[MsgCounters] = None,
-) -> Callable[[], None]:
-    """Bind loop variables for the delayed delivery callback.  The
-    counter bundle resolved at transmit time rides along so delivery
-    accounting is a single attribute add."""
-    return lambda: link.deliver(receiver, datagram, msg)
-
-
-def _make_batch_delivery(
-    link: Link,
-    receivers: List[Interface],
-    datagram: IPDatagram,
-    msg: Optional[MsgCounters] = None,
-) -> Callable[[], None]:
-    """One event for a whole broadcast fan-out (see Link.transmit)."""
-    return lambda: link.deliver_batch(receivers, datagram, msg)
 
 
 #: Short protocol-aware label for a datagram (duck-typed so netsim

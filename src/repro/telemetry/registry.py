@@ -5,16 +5,23 @@ split real router implementations expose:
 
 * :class:`Counter` — monotonically increasing event count (messages
   sent, FIB adds, drops by reason).
-* :class:`Gauge` — point-in-time value, either set explicitly or read
-  lazily through a callback at snapshot time (queue depths, live FIB
-  size).  Callback gauges cost nothing on the hot path.
+* :class:`Gauge` — point-in-time value: set explicitly, read lazily
+  through a callable (live FIB size), or bound to ``(object,
+  attribute)`` and read with ``getattr`` (natively counted link and
+  scheduler statistics).  Lazy gauges cost nothing on the hot path;
+  the attribute-bound form also costs no closure per gauge, which
+  matters when there are six per link.
 * :class:`Histogram` — fixed bucket boundaries chosen at creation
   (join latencies).  Fixed boundaries keep snapshots mergeable:
   bucket-wise addition is exact, unlike quantile sketches.
 
 Names are hierarchical dotted paths (``cbt.router.R4.tx.join_request``)
 so snapshots group naturally and :meth:`MetricsRegistry.total` can
-aggregate with shell-style wildcards.
+aggregate with shell-style wildcards.  Pattern queries are indexed by
+shape (:class:`_NameIndex`): a pure prefix bisects the sorted names, a
+pattern whose last dotted segment is literal — every pattern the
+conservation laws use — matches only the names sharing that segment,
+and only the remaining shapes scan the whole registry.
 
 Determinism: nothing here reads wall-clock time or has any other
 hidden input — every value is a pure function of the simulation, so a
@@ -32,7 +39,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fnmatch import fnmatchcase
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from itertools import islice
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 Number = Union[int, float]
 
@@ -42,16 +50,79 @@ def _plain_prefix(pattern: str) -> Optional[str]:
     (a single trailing ``*`` and no other wildcard), else ``None``.
 
     ``cbt.router.R4.tx.*`` qualifies; ``cbt.router.*.tx.join`` does
-    not.  Pure prefix queries dominate the hot aggregation paths
-    (per-router control-cost sums call one per router), and they can be
-    answered from a sorted-key index in O(log n + matches) instead of
-    fnmatching every instrument in the registry.
+    not.
     """
     if pattern.endswith("*"):
         head = pattern[:-1]
         if not any(ch in head for ch in "*?["):
             return head
     return None
+
+
+def _literal_tail(pattern: str) -> Optional[str]:
+    """The last dotted segment of ``pattern`` if it is literal, else
+    ``None``.  ``cbt.router.*.tx.join_request`` gives ``join_request``:
+    whatever the wildcards before it match, a matching name must end in
+    ``.join_request``, so only names with that last segment need an
+    ``fnmatchcase``.  A ``]`` disqualifies the tail too — the last dot
+    may then sit inside a ``[...]`` set.
+    """
+    tail = pattern.rpartition(".")[2]
+    if any(ch in tail for ch in "*?[]"):
+        return None
+    return tail
+
+
+class _NameIndex:
+    """Query indexes over one ``name -> instrument`` dict.
+
+    Two lazily maintained views, so the three query shapes cost:
+
+    * pure prefix (``cbt.router.R4.*``) — bisect into the sorted names,
+      O(log n + matches);
+    * literal last segment (``cbt.router.*.tx.join_request``) —
+      ``fnmatchcase`` over the names sharing that last segment only (a
+      dict of lists, one reference per name);
+    * anything else — ``fnmatchcase`` over every name.
+
+    Instruments are never deleted and dicts keep insertion order, so a
+    length check detects staleness and the names added since the last
+    query are exactly the dict's tail.
+    """
+
+    __slots__ = ("_source", "_sorted", "_tails", "_tailed")
+
+    def __init__(self, source: Mapping[str, Any]) -> None:
+        self._source = source
+        self._sorted: List[str] = []
+        self._tails: Dict[str, List[str]] = {}
+        self._tailed = 0
+
+    def select(self, pattern: str) -> List[str]:
+        """Names matching the shell-style ``pattern``: sorted for a
+        pure prefix pattern, in creation order otherwise."""
+        source = self._source
+        prefix = _plain_prefix(pattern)
+        if prefix is not None:
+            if len(self._sorted) != len(source):
+                self._sorted = sorted(source)
+            keys = self._sorted
+            start = stop = bisect_left(keys, prefix)
+            while stop < len(keys) and keys[stop].startswith(prefix):
+                stop += 1
+            return keys[start:stop]
+        tail = _literal_tail(pattern)
+        if tail is None:
+            return [name for name in source if fnmatchcase(name, pattern)]
+        if self._tailed != len(source):
+            tails = self._tails
+            for name in islice(source, self._tailed, None):
+                tails.setdefault(name.rpartition(".")[2], []).append(name)
+            self._tailed = len(source)
+        return [
+            name for name in self._tails.get(tail, ()) if fnmatchcase(name, pattern)
+        ]
+
 
 #: Default histogram bucket upper bounds, in simulation seconds.
 #: Chosen for control-plane latencies: LAN joins land in the first few
@@ -88,9 +159,12 @@ class Counter:
 
 
 class Gauge:
-    """Point-in-time value; explicit via :meth:`set` or lazy via callback."""
+    """Point-in-time value: explicit via :meth:`set`, lazy via a
+    callback, or bound to ``(object, attribute)`` and read with
+    ``getattr`` — the form for exposing a natively counted statistic
+    (one reference, no closure per gauge)."""
 
-    __slots__ = ("name", "_value", "callback")
+    __slots__ = ("name", "_value", "callback", "_obj", "_attr")
 
     def __init__(
         self, name: str, callback: Optional[Callable[[], Number]] = None
@@ -98,11 +172,19 @@ class Gauge:
         self.name = name
         self._value: Number = 0
         self.callback = callback
+        self._obj: Any = None
+        self._attr: Optional[str] = None
 
     def set(self, value: Number) -> None:
         self._value = value
 
+    def bind(self, obj: Any, attr: str) -> None:
+        self._obj = obj
+        self._attr = attr
+
     def read(self) -> Number:
+        if self._attr is not None:
+            return getattr(self._obj, self._attr)
         if self.callback is not None:
             return self.callback()
         return self._value
@@ -165,6 +247,9 @@ class _NullGauge:
     def set(self, value: Number) -> None:
         pass
 
+    def bind(self, obj: Any, attr: str) -> None:
+        pass
+
     def read(self) -> Number:
         return 0
 
@@ -200,31 +285,9 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        # Sorted-name indexes for prefix range queries; rebuilt lazily
-        # whenever instruments were created since the last build
-        # (instruments are never deleted, so a length check suffices).
-        self._counter_keys: List[str] = []
-        self._gauge_keys: List[str] = []
-
-    def _counter_index(self) -> List[str]:
-        if len(self._counter_keys) != len(self._counters):
-            self._counter_keys = sorted(self._counters)
-        return self._counter_keys
-
-    def _gauge_index(self) -> List[str]:
-        if len(self._gauge_keys) != len(self._gauges):
-            self._gauge_keys = sorted(self._gauges)
-        return self._gauge_keys
-
-    def _prefix_range(self, keys: List[str], prefix: str) -> List[str]:
-        start = bisect_left(keys, prefix)
-        out = []
-        for i in range(start, len(keys)):
-            name = keys[i]
-            if not name.startswith(prefix):
-                break
-            out.append(name)
-        return out
+        self._counter_names = _NameIndex(self._counters)
+        self._gauge_names = _NameIndex(self._gauges)
+        self._histogram_names = _NameIndex(self._histograms)
 
     def disable(self) -> None:
         """Hand out null instruments from now on (existing ones keep
@@ -253,6 +316,12 @@ class MetricsRegistry:
             self._gauges[name] = gauge
         elif callback is not None:
             gauge.callback = callback
+        return gauge
+
+    def gauge_attr(self, name: str, obj: Any, attr: str) -> Gauge:
+        """Gauge ``name`` reading ``getattr(obj, attr)`` at query time."""
+        gauge = self.gauge(name)
+        gauge.bind(obj, attr)
         return gauge
 
     def histogram(
@@ -286,55 +355,33 @@ class MetricsRegistry:
     def total(self, pattern: str) -> Number:
         """Sum of counter and gauge values whose names match the
         shell-style ``pattern`` (``fnmatch``; ``*`` does cross ``.``
-        boundaries).  Pure prefix patterns (single trailing ``*``) are
-        answered from the sorted-name index without scanning."""
-        prefix = _plain_prefix(pattern)
-        if prefix is not None:
-            return self.total_prefix(prefix)
-        return sum(
-            c.value for name, c in self._counters.items() if fnmatchcase(name, pattern)
-        ) + sum(
-            g.read() for name, g in self._gauges.items() if fnmatchcase(name, pattern)
-        )
-
-    def total_prefix(self, prefix: str) -> Number:
-        """Sum of counter and gauge values whose names start with
-        ``prefix`` — O(log instruments + matches)."""
+        boundaries).  Only a pattern whose last dotted segment holds a
+        wildcard (other than a pure prefix ``a.b.*``) scans every name
+        — see :class:`_NameIndex`."""
         counters = self._counters
         gauges = self._gauges
         return sum(
-            counters[name].value
-            for name in self._prefix_range(self._counter_index(), prefix)
-        ) + sum(
-            gauges[name].read()
-            for name in self._prefix_range(self._gauge_index(), prefix)
-        )
+            counters[name].value for name in self._counter_names.select(pattern)
+        ) + sum(gauges[name].read() for name in self._gauge_names.select(pattern))
 
     def matching(self, pattern: str) -> Dict[str, Number]:
         """Counter and gauge values whose names match ``pattern``,
-        sorted by name."""
-        prefix = _plain_prefix(pattern)
-        if prefix is not None:
-            out: Dict[str, Number] = {}
-            for name in self._prefix_range(self._counter_index(), prefix):
-                out[name] = self._counters[name].value
-            for name in self._prefix_range(self._gauge_index(), prefix):
-                out.setdefault(name, self._gauges[name].read())
-            return dict(sorted(out.items()))
-        merged = {name: c.value for name, c in self._counters.items()}
-        for name, gauge in self._gauges.items():
-            merged.setdefault(name, gauge.read())
-        return {
-            name: merged[name]
-            for name in sorted(merged)
-            if fnmatchcase(name, pattern)
+        sorted by name (the counter wins a shared name)."""
+        counters = self._counters
+        gauges = self._gauges
+        out: Dict[str, Number] = {
+            name: gauges[name].read() for name in self._gauge_names.select(pattern)
         }
+        for name in self._counter_names.select(pattern):
+            out[name] = counters[name].value
+        return dict(sorted(out.items()))
 
     def histograms_matching(self, pattern: str) -> List[Histogram]:
+        """Histograms whose names match ``pattern``, sorted by name."""
+        histograms = self._histograms
         return [
-            self._histograms[name]
-            for name in sorted(self._histograms)
-            if fnmatchcase(name, pattern)
+            histograms[name]
+            for name in sorted(self._histogram_names.select(pattern))
         ]
 
     # -- snapshots -------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tests for the discrete-event scheduler."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.netsim.engine import (
@@ -8,6 +11,9 @@ from repro.netsim.engine import (
     SchedulerError,
     run_phases,
 )
+from repro.netsim.node import Node
+from repro.netsim.packet import IPDatagram, PROTO_UDP
+from repro.topology.builder import Network
 
 
 class TestScheduler:
@@ -133,6 +139,33 @@ class TestTimer:
         sched.run_until_idle()
         assert fired == [5.0]
 
+    def test_restart_keeps_args_and_tag(self):
+        sched = Scheduler()
+        fired = []
+        tag = ("deliver", "x")
+        timer = sched.call_later(1.0, fired.append, "payload", tag=tag)
+        again = timer.restart(5.0)
+        # The cancelled original leaves the tag index; the restarted
+        # event is back in it.
+        assert sched.pending_tags() == [tag]
+        assert again.fires_at == 5.0
+        sched.run_until_idle()
+        assert fired == ["payload"]
+        assert sched.pending_tags() == []
+
+    def test_restart_after_firing_reuses_the_snapshot(self):
+        # The event record is recycled once it fires; the handle's own
+        # snapshot of (callback, args, tag) is what restart re-arms.
+        sched = Scheduler()
+        fired = []
+        timer = sched.call_later(1.0, fired.append, "again", tag=("t",))
+        sched.run_until_idle()
+        sched.call_later(0.5, fired.append, "other")  # reuses the slab record
+        timer.restart(2.0)
+        assert sched.pending_tags() == [("t",)]
+        sched.run_until_idle()
+        assert fired == ["again", "other", "again"]
+
     def test_pending_false_after_firing(self):
         sched = Scheduler()
         timer = sched.call_later(1.0, lambda: None)
@@ -189,6 +222,13 @@ class TestPeriodicTimer:
     def test_invalid_interval_rejected(self):
         with pytest.raises(SchedulerError):
             PeriodicTimer(Scheduler(), 0.0, lambda: None)
+
+    def test_tick_callback_receives_args(self):
+        sched = Scheduler()
+        ticks = []
+        PeriodicTimer(sched, 2.0, ticks.append, "tick").start()
+        sched.run(until=5.0)
+        assert ticks == ["tick", "tick"]
 
     def test_reschedule_changes_future_interval(self):
         sched = Scheduler()
@@ -255,6 +295,95 @@ class TestSchedulerInternals:
         sched.run_until_idle()
         assert fired == ["late"]
         assert sched.pending_events == 0
+
+
+class TestEventArgs:
+    """``call_later(delay, f, *args, tag=t)``: args ride on the event
+    record and behave, in every queue state, as an arg-less callback
+    closing over the same values would."""
+
+    def test_args_and_tag_are_passed_through(self):
+        sched = Scheduler()
+        fired = []
+        tag = ("deliver", "L", 7)
+        sched.call_later(1.0, lambda a, b: fired.append((a, b)), 1, 2, tag=tag)
+        sched.call_at(2.0, fired.append, "at")
+        assert sched.pending_tags() == [tag]
+        sched.run_until_idle()
+        assert fired == [(1, 2), "at"]
+        assert sched.pending_tags() == []
+
+    def test_cancelled_event_with_args_never_fires(self):
+        sched = Scheduler()
+        fired = []
+        near = sched.call_later(0.1, fired.append, "near")  # heap resident
+        far = sched.call_later(30.0, fired.append, "far")  # wheel resident
+        sched.call_later(0.2, fired.append, "kept")
+        near.cancel()
+        far.cancel()
+        sched.run_until_idle()
+        assert fired == ["kept"]
+        assert sched.pending_events == 0
+
+    def test_parked_event_keeps_its_args_through_the_wheel(self):
+        sched = Scheduler()
+        fired = []
+        for i in range(5):
+            sched.call_later(10.0 + i, fired.append, i)
+        sched.run_until_idle()
+        assert fired == [0, 1, 2, 3, 4]
+
+    def test_compaction_preserves_args_and_order(self):
+        sched = Scheduler()
+        fired = []
+        timers = [
+            sched.call_later(0.001 * (i % 50) + 0.001, fired.append, i)
+            for i in range(500)
+        ]
+        for i, timer in enumerate(timers):
+            if i % 5:
+                timer.cancel()
+        sched.run_until_idle()
+        survivors = [i for i in range(500) if i % 5 == 0]
+        assert fired == sorted(survivors, key=lambda i: (i % 50, i))
+
+    def test_recycled_event_records_hold_no_args(self):
+        sched = Scheduler()
+        fired = []
+        cancelled = sched.call_later(0.1, fired.append, object())
+        sched.call_later(0.2, fired.append, object())
+        cancelled.cancel()
+        sched.run_until_idle()
+        assert sched._slab
+        assert all(
+            event.args == () and event.callback is None and event.tag is None
+            for event in sched._slab
+        )
+
+    def test_delivered_datagram_is_not_pinned_by_the_event_slab(self):
+        net = Network(trace_enabled=False)
+        subnet = net.add_subnet("LAN")
+        nodes = [Node(f"n{i}", net.scheduler) for i in range(2)]
+        seen = []
+        for node in nodes:
+            node.register_default_handler(lambda n, iface, d: seen.append(d.uid))
+            net.attach(node, subnet)
+        sender = nodes[0].interfaces[0]
+        datagram = IPDatagram(
+            src=sender.address,
+            dst=nodes[1].interfaces[0].address,
+            proto=PROTO_UDP,
+            payload=b"x",
+        )
+        uid = datagram.uid
+        ref = weakref.ref(datagram)
+        sender.send(datagram)
+        del datagram
+        assert ref() is not None  # in flight: the pending event holds it
+        net.run(until=1.0)
+        gc.collect()
+        assert seen == [uid]
+        assert ref() is None
 
 
 def test_run_phases_schedules_and_runs():

@@ -1,6 +1,9 @@
 """Unit tests for the zero-dependency metrics registry."""
 
+from fnmatch import fnmatchcase
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.telemetry import (
     DEFAULT_BUCKETS,
@@ -126,3 +129,133 @@ class TestDisabledRegistry:
         assert registry.counter("y") is NULL_COUNTER
         live.inc()  # pre-existing instruments keep counting
         assert live.value == 1
+
+
+class TestAttributeBoundGauge:
+    def test_reads_the_live_attribute(self):
+        class Wire:
+            tx_count = 0
+
+        wire = Wire()
+        registry = MetricsRegistry()
+        gauge = registry.gauge_attr("netsim.link.L.tx_packets", wire, "tx_count")
+        assert gauge is registry.gauge("netsim.link.L.tx_packets")
+        wire.tx_count = 5
+        assert gauge.read() == 5
+        assert registry.value("netsim.link.L.tx_packets") == 5
+        assert registry.total("netsim.link.*.tx_packets") == 5
+        assert registry.snapshot()["netsim.link.L.tx_packets"] == 5
+
+    def test_disabled_registry_binds_nothing(self):
+        registry = MetricsRegistry(enabled=False)
+        assert registry.gauge_attr("g", object(), "missing") is NULL_GAUGE
+        assert NULL_GAUGE.read() == 0
+
+
+# -- indexed reads against a linear oracle ---------------------------------
+
+
+def oracle_total(counters, gauges, pattern):
+    """What ``total`` means: every counter and every gauge whose name
+    ``fnmatchcase``-matches, a shared name counted twice."""
+    return sum(v for n, v in counters.items() if fnmatchcase(n, pattern)) + sum(
+        v for n, v in gauges.items() if fnmatchcase(n, pattern)
+    )
+
+
+def oracle_matching(counters, gauges, pattern):
+    merged = dict(gauges)
+    merged.update(counters)  # the counter wins a shared name
+    return {n: merged[n] for n in sorted(merged) if fnmatchcase(n, pattern)}
+
+
+def oracle_histograms(histograms, pattern):
+    return [n for n in sorted(histograms) if fnmatchcase(n, pattern)]
+
+
+SEGMENTS = ["a", "b", "ab", "tx", "rx", "R1", "R2", "join", "x]y", ""]
+
+
+def _names():
+    return st.lists(st.sampled_from(SEGMENTS), min_size=1, max_size=4).map(".".join)
+
+
+def _patterns():
+    """Every query shape: pure prefix, literal last segment behind
+    wildcards, ``?``/``[..]`` (also spanning a dot), a wildcard last
+    segment, and no dot at all."""
+    piece = st.sampled_from(SEGMENTS + ["*", "?", "R?", "[ab]", "[!a]*", "a*", "[.x]"])
+    dotted = st.lists(piece, min_size=1, max_size=4).map(".".join)
+    prefix = _names().map(lambda name: name + "*")
+    spanning = st.sampled_from(["a[.]b", "*[.]tx", "a[.b", "*]y", "*.x]y", "*"])
+    return st.one_of(dotted, prefix, _names(), spanning)
+
+
+class TestIndexedReadsMatchLinearOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        first=st.lists(st.tuples(_names(), st.sampled_from("cgh")), max_size=12),
+        later=st.lists(st.tuples(_names(), st.sampled_from("cgh")), max_size=12),
+        patterns=st.lists(_patterns(), min_size=1, max_size=6),
+    )
+    def test_total_matching_histograms(self, first, later, patterns):
+        registry = MetricsRegistry()
+        counters, gauges, histograms = {}, {}, set()
+
+        def create(batch):
+            for name, kind in batch:
+                value = len(counters) + len(gauges) + 1
+                if kind == "h":
+                    registry.histogram(name)
+                    histograms.add(name)
+                else:
+                    # A counter and a gauge deliberately share names.
+                    registry.counter(name).inc(value)
+                    counters[name] = counters.get(name, 0) + value
+                    if kind == "g":
+                        registry.gauge(name).set(value * 1000)
+                        gauges[name] = value * 1000
+
+        def check():
+            for pattern in patterns:
+                assert registry.total(pattern) == oracle_total(
+                    counters, gauges, pattern
+                ), pattern
+                got = registry.matching(pattern)
+                assert got == oracle_matching(counters, gauges, pattern), pattern
+                assert list(got) == sorted(got), pattern
+                assert [
+                    h.name for h in registry.histograms_matching(pattern)
+                ] == oracle_histograms(histograms, pattern), pattern
+
+        create(first)
+        check()  # builds every index the patterns need
+        create(later)  # instruments created after the indexes exist
+        check()
+
+
+class TestConservationThroughTheIndex:
+    def test_same_findings_as_a_linear_registry(self, monkeypatch):
+        from repro.core.bootstrap import CBTDomain
+        from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS
+        from repro.telemetry import registry as registry_module
+        from repro.telemetry.conservation import check_conservation
+        from repro.topology.generators import waxman_network
+
+        net = waxman_network(120, seed=5)
+        net.trace.enabled = False
+        domain = CBTDomain(net, timers=FAST_TIMERS, igmp_config=FAST_IGMP)
+        domain.start()
+        net.run(until=3.0)
+        registry = net.telemetry.registry
+        assert check_conservation(net, domain) == []
+        # Break two laws so the list compared below is not empty.
+        registry.counter("cbt.router.N7.tx.join_request").inc()
+        registry.counter("igmp.router.N9.rx.report").inc(10_000)
+        indexed = check_conservation(net, domain)
+        assert len(indexed) >= 2
+        # The same registry with both indexes switched off: every
+        # pattern query falls through to the full fnmatchcase scan.
+        monkeypatch.setattr(registry_module, "_plain_prefix", lambda pattern: None)
+        monkeypatch.setattr(registry_module, "_literal_tail", lambda pattern: None)
+        assert check_conservation(net, domain) == indexed
