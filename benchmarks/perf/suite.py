@@ -251,11 +251,11 @@ def bench_scale(quick: bool) -> Dict[str, Metric]:
 
 
 def bench_scale_smoke(quick: bool) -> Dict[str, Metric]:
-    """n=1000 scale smoke: the bulk fast paths (flat int-ID plane,
-    timer wheel, on-demand reverse-SPF routing, sparse Waxman
-    generation) must keep a whole-scenario n=1000 run inside the gated
-    event budget.  Runs the single cell in quick mode too, so every CI
-    tier that benches also exercises the bulk path."""
+    """n=1000 scale smoke: the bulk fast paths (timer wheel,
+    on-demand reverse-SPF routing, sparse Waxman generation) must keep
+    a whole-scenario n=1000 run inside the gated event budget.  Runs
+    the single cell in quick mode too, so every CI tier that benches
+    also exercises the bulk path."""
     import gc
 
     from benchmarks.bench_scale import scale_run

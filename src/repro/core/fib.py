@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from ipaddress import IPv4Address
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.netsim.ids import FLAT_ENABLED, AddressInterner
 from repro.telemetry import Counter, NULL_COUNTER
 
 
@@ -91,33 +90,11 @@ class FIB:
         self._entries: Dict[IPv4Address, FIBEntry] = {}
         self._adds: Counter = NULL_COUNTER
         self._removes: Counter = NULL_COUNTER
-        # Flat int-ID fast path: rows indexed by the network-wide dense
-        # group ID (group ID space is tiny — one per group, not one per
-        # address — so the row list stays short).
-        self._gids: Optional[AddressInterner] = None
-        self._rows: List[Optional[FIBEntry]] = []
 
     def bind_counters(self, adds: Counter, removes: Counter) -> None:
         """Attach add/remove counters (the owning protocol does this)."""
         self._adds = adds
         self._removes = removes
-
-    def bind_ids(self, group_interner: AddressInterner) -> None:
-        """Activate dense group-ID row lookups (data-plane fast path).
-
-        No-op under the ``REPRO_FLAT=0`` equivalence shim.
-        """
-        if not FLAT_ENABLED:
-            return
-        self._gids = group_interner
-        for group, entry in self._entries.items():
-            self._set_row(group_interner.intern(group), entry)
-
-    def _set_row(self, gid: int, entry: Optional[FIBEntry]) -> None:
-        rows = self._rows
-        if gid >= len(rows):
-            rows.extend([None] * (gid + 1 - len(rows)))
-        rows[gid] = entry
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -129,11 +106,6 @@ class FIB:
         return group in self._entries
 
     def get(self, group: IPv4Address) -> Optional[FIBEntry]:
-        gids = self._gids
-        if gids is not None:
-            gid = gids.intern(group)
-            rows = self._rows
-            return rows[gid] if gid < len(rows) else None
         return self._entries.get(group)
 
     def get_or_create(self, group: IPv4Address) -> FIBEntry:
@@ -141,15 +113,11 @@ class FIB:
         if entry is None:
             entry = FIBEntry(group=group)
             self._entries[group] = entry
-            if self._gids is not None:
-                self._set_row(self._gids.intern(group), entry)
             self._adds.inc()
         return entry
 
     def remove(self, group: IPv4Address) -> None:
         if self._entries.pop(group, None) is not None:
-            if self._gids is not None:
-                self._set_row(self._gids.intern(group), None)
             self._removes.inc()
 
     def groups(self) -> List[IPv4Address]:

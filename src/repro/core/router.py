@@ -151,7 +151,6 @@ class CBTProtocol:
         self.decode_errors = 0
 
         self.fib = FIB()
-        self.fib.bind_ids(router.scheduler.group_ids)
         self.igmp = IGMPRouterAgent(router, config=igmp_config)
         self.neighbours = NeighbourTable()
         self.dr_election = DRElection(self.igmp, self.neighbours)

@@ -21,13 +21,11 @@ Format (``repro-explore-schedule/2``)::
       "predicate": "member-stranded" | ""
     }
 
-Version 2 adds the provenance trio (``source``, ``seed``,
-``predicate``) so a schedule exported by one shard of a parallel run
-— or by the backward search — names which engine produced it, under
-which pinned sub-seed, chasing which goal predicate.  Version-1
-documents (no provenance keys) still load: :func:`load_schedule`
-upgrades them in memory with the defaults ``source="forward"``,
-``seed=None``, ``predicate=""``.
+The provenance trio (``source``, ``seed``, ``predicate``) lets a
+schedule exported by one shard of a parallel run — or by the backward
+search — name which engine produced it, under which pinned sub-seed,
+chasing which goal predicate.  This is the only accepted format: any
+other ``format`` value is rejected with :class:`ScheduleFormatError`.
 
 ``expect`` is what the *pinned* behaviour is: regression schedules
 exported after a fix carry ``"clean"`` (replaying them must produce
@@ -43,15 +41,7 @@ from typing import Dict, Optional, Tuple
 from repro.explore.engine import ExploreOptions, RunOutcome, run_schedule
 from repro.explore.scenarios import get_scenario
 
-FORMAT_V1 = "repro-explore-schedule/1"
 FORMAT = "repro-explore-schedule/2"
-
-#: Provenance fields added by format v2 and their v1-reader defaults.
-_V2_DEFAULTS: Dict[str, object] = {
-    "source": "forward",
-    "seed": None,
-    "predicate": "",
-}
 
 _SOURCES = ("forward", "backward", "frontier")
 
@@ -101,9 +91,9 @@ def load_schedule(text: str) -> Dict[str, object]:
     if not isinstance(payload, dict):
         raise ScheduleFormatError("schedule document must be a JSON object")
     version = payload.get("format")
-    if version not in (FORMAT, FORMAT_V1):
+    if version != FORMAT:
         raise ScheduleFormatError(
-            f"unknown format {version!r}; expected {FORMAT!r} (or {FORMAT_V1!r})"
+            f"unknown format {version!r}; expected {FORMAT!r}"
         )
     for key in ("scenario", "options", "schedule"):
         if key not in payload:
@@ -113,19 +103,14 @@ def load_schedule(text: str) -> Dict[str, object]:
         isinstance(value, int) and value >= 0 for value in schedule
     ):
         raise ScheduleFormatError("schedule must be a list of non-negative ints")
-    if version == FORMAT_V1:
-        # v1 reader: upgrade in memory; on-disk document stays v1.
-        for key, default in _V2_DEFAULTS.items():
-            payload.setdefault(key, default)
-    else:
-        source = payload.get("source", "forward")
-        if source not in _SOURCES:
-            raise ScheduleFormatError(
-                f"source must be one of {_SOURCES}, got {source!r}"
-            )
-        seed = payload.get("seed")
-        if seed is not None and not isinstance(seed, int):
-            raise ScheduleFormatError("seed must be an int or null")
+    source = payload.get("source", "forward")
+    if source not in _SOURCES:
+        raise ScheduleFormatError(
+            f"source must be one of {_SOURCES}, got {source!r}"
+        )
+    seed = payload.get("seed")
+    if seed is not None and not isinstance(seed, int):
+        raise ScheduleFormatError("seed must be an int or null")
     return payload
 
 

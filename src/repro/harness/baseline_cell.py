@@ -18,7 +18,8 @@ to a relative-time signature whose digest must match the CBT leg's —
 the digest travels in the cell fingerprint, so the parallel CI layer's
 byte-identity audit also proves the schedules never drifted apart.
 
-Per-protocol quiescence mirrors the campaign runner: run to the last
+Every leg quiesces through the campaign runner's own loop
+(:func:`repro.harness.campaign.run_to_quiescence`): run to the last
 fault action, then count fixed windows in which the protocol's
 activity counter stays flat and its own settledness oracle holds
 (CBT: the invariant sweep; HPIM-DM: election census clean and every
@@ -35,10 +36,9 @@ from typing import Callable, List, Optional, Tuple
 from repro.core.audit import check_invariants
 from repro.core.timers import CBTTimers
 from repro.harness.campaign import (
-    MAX_WINDOWS,
-    QUIET_WINDOWS,
     TOPOLOGIES,
     _probe_delivery,
+    run_to_quiescence,
 )
 from repro.harness.parallel import stable_digest
 from repro.harness.scenarios import (
@@ -176,34 +176,6 @@ def _shift_schedule(schedule: FaultSchedule, base: float, new_base: float) -> Fa
     return shifted
 
 
-def _run_to_quiescence(
-    network,
-    faults_end: float,
-    window: float,
-    activity: Callable[[], int],
-    settled: Callable[[], bool],
-) -> Tuple[bool, float]:
-    """Shared quiescence loop: identical windows for every protocol."""
-    network.run(until=faults_end + 1e-6)
-    quiet = 0
-    last = activity()
-    for _ in range(MAX_WINDOWS):
-        network.run(until=network.scheduler.now + window)
-        count = activity()
-        if count == last and settled():
-            quiet += 1
-            if quiet >= QUIET_WINDOWS:
-                # The quiet windows are settle margin, not recovery work.
-                return True, max(
-                    0.0,
-                    network.scheduler.now - QUIET_WINDOWS * window - faults_end,
-                )
-        else:
-            quiet = 0
-        last = count
-    return False, float("inf")
-
-
 def run_baseline_compare_cell(
     scenario: str,
     topology: str = "figure1",
@@ -242,7 +214,8 @@ def run_baseline_compare_cell(
     digest = stable_digest(scenario, topology, seed, signature)
     schedule.apply(network)
     control_start = domain.control_messages_sent()
-    recovered, recovery_time = _run_to_quiescence(
+    network.run(until=schedule.last_time + 1e-6)
+    recovered, recovery_time = run_to_quiescence(
         network,
         schedule.last_time,
         window,
@@ -340,7 +313,8 @@ def _run_comparator_leg(
         )
     replayed.apply(network)
     control_start = domain.control_messages()
-    recovered, recovery_time = _run_to_quiescence(
+    network.run(until=replayed.last_time + 1e-6)
+    recovered, recovery_time = run_to_quiescence(
         network, replayed.last_time, window, activity=activity, settled=settled
     )
     return ProtocolOutcome(

@@ -42,6 +42,39 @@ QUIET_WINDOWS = 2
 MAX_WINDOWS = 40
 
 
+def run_to_quiescence(
+    network: Network,
+    since: float,
+    window: float,
+    activity: Callable[[], int],
+    settled: Callable[[], bool],
+) -> Tuple[bool, float]:
+    """The one quiescence loop every cell runner and protocol leg uses.
+
+    Runs ``network`` in fixed ``window`` steps until ``activity()``
+    stays flat and ``settled()`` holds for :data:`QUIET_WINDOWS`
+    consecutive windows.  Returns ``(recovered, recovery_time)``:
+    sim seconds from ``since`` to the start of the quiet windows, or
+    ``(False, inf)`` after :data:`MAX_WINDOWS`.
+    """
+    quiet = 0
+    last = activity()
+    for _ in range(MAX_WINDOWS):
+        network.run(until=network.scheduler.now + window)
+        count = activity()
+        if count == last and settled():
+            quiet += 1
+            if quiet >= QUIET_WINDOWS:
+                # The quiet windows are settle margin, not recovery work.
+                return True, max(
+                    0.0, network.scheduler.now - QUIET_WINDOWS * window - since
+                )
+        else:
+            quiet = 0
+        last = count
+    return False, float("inf")
+
+
 @dataclass
 class Topology:
     """A named topology recipe: network plus member/core choices."""
@@ -199,9 +232,6 @@ def run_scenario(
     control_before = domain.control_messages_sent()
     faults_end = schedule.last_time
 
-    def event_count() -> int:
-        return sum(len(p.events) for p in domain.protocols.values())
-
     window = max(timers.echo_interval, timers.pend_join_interval * 2)
     recovered = False
     recovery_time = float("inf")
@@ -209,25 +239,13 @@ def run_scenario(
     trace: List[str] = []
     try:
         network.run(until=faults_end + 1e-6)
-        quiet = 0
-        last_events = event_count()
-        for _ in range(MAX_WINDOWS):
-            network.run(until=network.scheduler.now + window)
-            events_now = event_count()
-            if events_now == last_events and not check_invariants(domain):
-                quiet += 1
-                if quiet >= QUIET_WINDOWS:
-                    recovered = True
-                    # The quiet windows themselves are settle margin,
-                    # not recovery work.
-                    recovery_time = max(
-                        0.0,
-                        network.scheduler.now - QUIET_WINDOWS * window - faults_end,
-                    )
-                    break
-            else:
-                quiet = 0
-            last_events = events_now
+        recovered, recovery_time = run_to_quiescence(
+            network,
+            faults_end,
+            window,
+            activity=lambda: sum(len(p.events) for p in domain.protocols.values()),
+            settled=lambda: not check_invariants(domain),
+        )
     except InvariantViolation as violation:
         violations = [str(f) for f in violation.findings]
         trace = list(violation.trace)

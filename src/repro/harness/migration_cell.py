@@ -28,10 +28,9 @@ from repro.core.migration import (
 )
 from repro.core.timers import CBTTimers
 from repro.harness.campaign import (
-    MAX_WINDOWS,
-    QUIET_WINDOWS,
     TOPOLOGIES,
     _probe_delivery,
+    run_to_quiescence,
 )
 from repro.harness.scenarios import FAST_TIMERS, build_cbt_group
 from repro.netsim.faults import derive_seed
@@ -172,23 +171,14 @@ def run_migration_cell(
     recovered = False
     violations: List[str] = []
 
-    def event_count() -> int:
-        return sum(len(p.events) for p in domain.protocols.values())
-
     try:
-        quiet = 0
-        last_events = event_count()
-        for _ in range(MAX_WINDOWS):
-            network.run(until=network.scheduler.now + window)
-            events_now = event_count()
-            if events_now == last_events and not check_invariants(domain):
-                quiet += 1
-                if quiet >= QUIET_WINDOWS:
-                    recovered = True
-                    break
-            else:
-                quiet = 0
-            last_events = events_now
+        recovered, _ = run_to_quiescence(
+            network,
+            network.scheduler.now,
+            window,
+            activity=lambda: sum(len(p.events) for p in domain.protocols.values()),
+            settled=lambda: not check_invariants(domain),
+        )
     except InvariantViolation as violation:
         violations = [str(f) for f in violation.findings]
 

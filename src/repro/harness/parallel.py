@@ -1,13 +1,14 @@
-"""Parallel sharded run orchestration (the ISSUE-5 tentpole).
+"""Parallel run orchestration: whole work units across worker processes.
 
-The repository's heavy workloads — chaos campaign cells, explorer
-scenario/depth/drop-budget cells, perf-benchmark modules, and pytest
-test groups — are all *independent deterministic work units*: each one
-derives every bit of randomness from its own pinned seed (via
+The repository's heavy workloads — chaos, comparator, migration and
+workload cells, explorer cells and frontier shards, perf-benchmark
+modules, and pytest test groups — are all *independent deterministic
+work units* (one executor per kind in :data:`EXECUTORS`): each derives
+every bit of randomness from its own pinned seed (via
 :func:`repro.netsim.faults.derive_seed`), touches no shared state, and
-produces a machine-checkable result.  This module fans such units
-across N worker processes and folds the results back together
-deterministically:
+produces a machine-checkable result; no unit is a part of a simulation.
+This module fans such units across N worker processes and folds the
+results back together deterministically:
 
 * **unit identity** — every :class:`WorkUnit` carries a stable
   ``unit_id`` and fully pinned parameters (including its derived
@@ -72,7 +73,6 @@ DEFAULT_TIMEOUTS: Dict[str, float] = {
     "lint": 600.0,
     "coverage": 2400.0,
     "selftest": 60.0,
-    "shard": 900.0,
 }
 
 #: Statuses that count as success for gating purposes.
@@ -151,9 +151,9 @@ class UnitResult:
     fingerprint: str = ""
     detail: List[str] = field(default_factory=list)
     metrics: Dict[str, float] = field(default_factory=dict)
-    #: Structured executor payload (e.g. shard boundary emissions);
-    #: passed back to in-process drivers, never serialised into the
-    #: ``repro-ci-report/1`` document.
+    #: Structured executor payload (an explore-frontier shard's visited
+    #: map); passed back to in-process drivers, never serialised into
+    #: the ``repro-ci-report/1`` document.
     extra: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -711,12 +711,6 @@ def _execute_selftest(params: Dict[str, object]) -> Dict[str, object]:
     }
 
 
-def _execute_shard(params: Dict[str, object]) -> Dict[str, object]:
-    from repro.harness.sharding import execute_shard
-
-    return execute_shard(params)
-
-
 EXECUTORS: Dict[str, Callable[[Dict[str, object]], Dict[str, object]]] = {
     "chaos": _execute_chaos,
     "baseline-compare": _execute_baseline_compare,
@@ -730,7 +724,6 @@ EXECUTORS: Dict[str, Callable[[Dict[str, object]], Dict[str, object]]] = {
     "lint": _execute_lint,
     "coverage": _execute_coverage,
     "selftest": _execute_selftest,
-    "shard": _execute_shard,
 }
 
 

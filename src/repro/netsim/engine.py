@@ -58,7 +58,6 @@ import heapq
 import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.netsim.ids import AddressInterner
 from repro.telemetry import Telemetry
 
 #: Compact the heap only once at least this many cancelled events have
@@ -190,13 +189,6 @@ class Scheduler:
         #: by :mod:`repro.telemetry.conservation`.
         self.events_scheduled = 0
         self.events_cancelled = 0
-        #: Shared dense-ID spaces for the flat int-ID data plane: every
-        #: component of one simulated network holds this scheduler, so
-        #: these interners give network-wide consistent IDs.  Unicast
-        #: addresses and multicast groups intern separately — group ID
-        #: space stays tiny, so per-router FIB rows stay tiny.
-        self.ids = AddressInterner()
-        self.group_ids = AddressInterner()
         #: Observability bundle shared by everything holding this
         #: scheduler (links, routers, protocols, IGMP agents).
         self.telemetry = Telemetry(enabled=telemetry_enabled)

@@ -25,7 +25,6 @@ from typing import (
 
 from repro.netsim.address import is_link_local_multicast
 from repro.netsim.engine import Scheduler
-from repro.netsim.ids import FLAT_ENABLED, AddressInterner, IntSlotMap
 from repro.netsim.nic import Interface
 from repro.netsim.node import Node
 from repro.netsim.packet import IPDatagram, PROTO_CBT, PROTO_IGMP
@@ -95,14 +94,6 @@ class RoutingTable:
     of a scan over every route — fronted by a per-destination memo
     cache.  Both structures are maintained by ``install``/``remove``/
     ``clear``; any mutation invalidates the memo cache.
-
-    Flat fast path: when the owning node binds the network-wide
-    :class:`AddressInterner` (see :meth:`bind_ids`), memoised results
-    are served from a dense-ID slot array instead of the dict cache —
-    an array index per lookup, no hashing.  ``REPRO_FLAT=0`` disables
-    binding, restoring the legacy dict path; results are identical
-    (property-tested), since both are pure memo layers over the same
-    prefix index.
     """
 
     __slots__ = (
@@ -112,9 +103,6 @@ class RoutingTable:
         "_lookup_cache",
         "_provider",
         "_resolver",
-        "_ids",
-        "_flat_map",
-        "_flat_slots",
     )
 
     def __init__(self) -> None:
@@ -129,18 +117,6 @@ class RoutingTable:
         self._provider: Optional[Callable[[], None]] = None
         # Per-destination resolution hook; see set_resolver().
         self._resolver: Optional[Callable[[int], Optional[Route]]] = None
-        # Flat int-ID memo layer (active once bind_ids() is called).
-        self._ids: Optional[AddressInterner] = None
-        self._flat_map = IntSlotMap()
-        self._flat_slots: List[Optional[Route]] = []
-
-    def bind_ids(self, interner: AddressInterner) -> None:
-        """Activate the flat fast path using network-wide dense IDs.
-
-        No-op when the ``REPRO_FLAT=0`` equivalence shim is set.
-        """
-        if FLAT_ENABLED:
-            self._ids = interner
 
     def set_provider(self, provider: Callable[[], None]) -> None:
         """Defer population: drop current contents and run ``provider``
@@ -165,7 +141,7 @@ class RoutingTable:
         The large-topology SPF mode uses this so a router only ever pays
         for the destinations it actually forwards toward (typically just
         the core), instead of a full table install.  Resolved routes are
-        held by the memo layers, not ``_routes``, so ``routes()`` /
+        held by the memo cache, not ``_routes``, so ``routes()`` /
         iteration reflect only explicitly installed entries — acceptable
         because this mode is reserved for bulk topologies where nothing
         audits full tables.  Like providers, the resolver must snapshot
@@ -179,12 +155,8 @@ class RoutingTable:
         self._invalidate_memo()
 
     def _invalidate_memo(self) -> None:
-        """Drop both memo layers (dict cache and flat slot array)."""
         if self._lookup_cache:
             self._lookup_cache = {}
-        if self._flat_slots:
-            self._flat_map.clear()
-            self._flat_slots = []
 
     def _materialise(self) -> None:
         provider = self._provider
@@ -260,17 +232,6 @@ class RoutingTable:
 
     def lookup(self, destination: IPv4Address) -> Optional[Route]:
         """Best route for ``destination`` (longest prefix wins)."""
-        ids = self._ids
-        if ids is not None:
-            # Flat int-ID fast path: dense-ID array probe, no hashing.
-            dest_id = ids.intern(destination)
-            slot = self._flat_map.get(dest_id)
-            if slot >= 0:
-                return self._flat_slots[slot]
-            best = self._lookup_index(int(destination))
-            self._flat_slots.append(best)
-            self._flat_map.put(dest_id, len(self._flat_slots) - 1)
-            return best
         dest_int = int(destination)
         cached = self._lookup_cache.get(dest_int, _MISS)
         if cached is not _MISS:
@@ -318,7 +279,6 @@ class RoutedNode(Node):
     def __init__(self, name: str, scheduler: Scheduler) -> None:
         super().__init__(name, scheduler)
         self.table = RoutingTable()
-        self.table.bind_ids(scheduler.ids)
         self.local_rx: List[IPDatagram] = []
 
     # -- origination -----------------------------------------------------

@@ -32,7 +32,7 @@ from repro.core.audit import (
     check_invariants,
 )
 from repro.core.timers import CBTTimers
-from repro.harness.campaign import MAX_WINDOWS, QUIET_WINDOWS, TOPOLOGIES
+from repro.harness.campaign import TOPOLOGIES, run_to_quiescence
 from repro.harness.scenarios import FAST_TIMERS, build_cbt_group, pick_members
 from repro.harness.workload import ChurnSchedule
 from repro.netsim.faults import derive_seed
@@ -81,28 +81,18 @@ def _build_topology(name: str, seed: int):
 
 
 def _quiesce(network, domain, timers) -> Tuple[bool, List[str]]:
-    """Campaign-style quiescence loop; ``(recovered, violations)``."""
-    window = max(timers.echo_interval, timers.pend_join_interval * 2)
-
-    def event_count() -> int:
-        return sum(len(p.events) for p in domain.protocols.values())
-
+    """Campaign-style quiescence; ``(recovered, violations)``."""
     try:
-        quiet = 0
-        last_events = event_count()
-        for _ in range(MAX_WINDOWS):
-            network.run(until=network.scheduler.now + window)
-            events_now = event_count()
-            if events_now == last_events and not check_invariants(domain):
-                quiet += 1
-                if quiet >= QUIET_WINDOWS:
-                    return True, []
-            else:
-                quiet = 0
-            last_events = events_now
+        recovered, _ = run_to_quiescence(
+            network,
+            network.scheduler.now,
+            max(timers.echo_interval, timers.pend_join_interval * 2),
+            activity=lambda: sum(len(p.events) for p in domain.protocols.values()),
+            settled=lambda: not check_invariants(domain),
+        )
     except InvariantViolation as violation:
         return False, [str(f) for f in violation.findings]
-    return False, []
+    return recovered, []
 
 
 def _schedule_membership(network, domain, group, schedule, probe) -> None:

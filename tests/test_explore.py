@@ -217,17 +217,15 @@ def test_v2_payload_carries_provenance():
     assert loaded["predicate"] == "member-stranded"
 
 
-def test_v1_documents_still_load_with_default_provenance():
-    """The v1 reader: pre-ISSUE-8 golden schedules load unchanged and
-    gain in-memory provenance defaults."""
+def test_v1_documents_rejected_naming_the_supported_format():
+    """There is one schedule format: a well-formed ``/1`` document fails
+    typed, and the error says which format is read."""
     text = (
         '{"format": "repro-explore-schedule/1", "scenario": "joins-race", '
         '"options": {}, "schedule": [0, 1], "expect": "clean"}'
     )
-    loaded = load_schedule(text)
-    assert loaded["source"] == "forward"
-    assert loaded["seed"] is None
-    assert loaded["predicate"] == ""
+    with pytest.raises(ScheduleFormatError, match=FORMAT):
+        load_schedule(text)
 
 
 @pytest.mark.parametrize(
@@ -236,9 +234,13 @@ def test_v1_documents_still_load_with_default_provenance():
         "not json at all {",
         "[1, 2, 3]",
         '{"format": "something-else/9"}',
-        '{"format": "repro-explore-schedule/1", "scenario": "x"}',
         (
             '{"format": "repro-explore-schedule/1", "scenario": "x", '
+            '"options": {}, "schedule": [1]}'
+        ),
+        '{"format": "repro-explore-schedule/2", "scenario": "x"}',
+        (
+            '{"format": "repro-explore-schedule/2", "scenario": "x", '
             '"options": {}, "schedule": [1, -2]}'
         ),
         (

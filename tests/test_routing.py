@@ -229,8 +229,9 @@ class TestRoutingTable:
 
 class TestLookupAgreesWithLinearScan:
     """Property: the indexed + memoized lookup is observably identical to
-    a naive longest-prefix linear scan, across installs, removes, and
-    clears (which must all invalidate the memo cache)."""
+    a naive longest-prefix linear scan, across installs, removes, bulk
+    replacement, deferred providers/resolvers and clears (which must all
+    invalidate the memo cache)."""
 
     @staticmethod
     def _iface():
@@ -255,9 +256,14 @@ class TestLookupAgreesWithLinearScan:
             )
         return probes
 
-    def _check_agreement(self, table, prefixes):
+    def _check_agreement(self, table, prefixes, reference=None):
+        if reference is None:
+            reference = table
         for address in self._probes(prefixes):
-            assert table.lookup(address) is table.lookup_linear(address), address
+            first = table.lookup(address)
+            assert first is reference.lookup_linear(address), address
+            # The memoised answer is the same object, not an equal one.
+            assert table.lookup(address) is first, address
 
     def test_randomized_tables(self):
         from hypothesis import given, settings
@@ -301,11 +307,66 @@ class TestLookupAgreesWithLinearScan:
                 table.install(Route(back, iface, None, 99.0))
                 self._check_agreement(table, prefixes)
 
+            # Bulk replacement (the SPF path) drops every memoised hit.
+            kept = data.draw(
+                st.lists(st.sampled_from(prefixes), unique=True),
+                label="replaced with",
+            )
+            routes = [Route(prefix, iface, None, 7.0) for prefix in kept]
+
+            def triples():
+                return [
+                    (int(r.prefix.network_address), r.prefix.prefixlen, r)
+                    for r in routes
+                ]
+
+            table.replace_all(triples())
+            self._check_agreement(table, prefixes)
+
+            # A deferred provider empties the table until first access.
+            table.set_provider(lambda: table.replace_all(triples()[:1]))
+            self._check_agreement(table, prefixes)
+
+            # A per-destination resolver answers index misses, and each
+            # answer is memoised: one resolver call per destination.
+            reference = RoutingTable()
+            reference.replace_all(triples())
+            asked = []
+
+            def resolve(dest_int):
+                asked.append(dest_int)
+                return reference.lookup_linear(IPv4Address(dest_int))
+
+            table.set_resolver(resolve)
+            self._check_agreement(table, prefixes, reference)
+            assert len(asked) == len(set(asked))
+
             table.clear()
             for address in self._probes(prefixes):
                 assert table.lookup(address) is None
 
         run()
+
+    def test_memo_overflow_still_agrees(self, monkeypatch):
+        """The memo is bounded: past ``_LOOKUP_CACHE_MAX`` it is dropped
+        wholesale, and answers before, at and after the wrap are right."""
+        from ipaddress import IPv4Network
+
+        from repro.routing import table as table_module
+        from repro.routing.table import Route, RoutingTable
+
+        monkeypatch.setattr(table_module, "_LOOKUP_CACHE_MAX", 8)
+        iface = self._iface()
+        table = RoutingTable()
+        prefixes = [IPv4Network(f"10.{i}.0.0/16") for i in range(6)]
+        prefixes.append(IPv4Network("10.3.128.0/17"))
+        for prefix in prefixes:
+            table.install(Route(prefix, iface, None, 1.0))
+        probes = self._probes(prefixes)
+        assert len(set(probes)) > 2 * 8  # the memo wraps at least twice a pass
+        for _ in range(2):
+            self._check_agreement(table, prefixes)
+            assert len(table._lookup_cache) <= 8
 
     def test_lookup_linear_reference_semantics(self):
         # Sanity-check the reference itself: longest prefix wins.
