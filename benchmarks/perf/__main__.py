@@ -1,9 +1,9 @@
 """Entry point: ``python -m benchmarks.perf [--quick] [--only NAME ...]``.
 
 Runs the perf-regression suite, writes ``BENCH_<name>.json`` artifacts
-under ``bench-artifacts/`` (or ``--output-dir``), and exits 1 when any
-gated metric is more than 3x worse than its stored baseline (see
-docs/PERFORMANCE.md).
+under ``bench-artifacts/`` (or ``--output-dir``), and exits 1 when an
+exact count differs from its stored baseline or a gated paired ratio
+is more than 3x worse than it (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-check",
         action="store_true",
-        help="skip the >3x regression gate against stored artifacts",
+        help="skip the regression gate against stored artifacts",
     )
     parser.add_argument(
         "--output-dir",

@@ -12,18 +12,21 @@ metrics a run did not measure are preserved from the existing artifact
 so the full-run baselines (e.g. the largest scale-sweep size) survive
 quick gate runs.
 
-Regressions: a *gated* metric regresses when it is more than
-:data:`REGRESSION_FACTOR` times worse than the stored baseline.  The
-factor is deliberately wide (3x) so the gate trips on real algorithmic
-regressions, not machine noise — and only drift-immune quantities are
-gated: deterministic sim-time counts (event totals, search-state
-counts, sim-second recovery latencies) and paired ratios measured
+Regressions: only drift-immune quantities can fail the gate, and each
+kind is held to what it can promise.  An *exact* metric — a
+deterministic sim-time count (event totals, search-state counts,
+control messages, sim-second recovery latencies) — must equal the
+stored baseline: any difference, up or down, zero included, means
+simulated behaviour changed.  A *gated* paired ratio measured
 back-to-back on the same host (indexed-vs-linear lookup, telemetry
-on-vs-off).  Raw wall-clock throughput metrics are recorded for
-trajectory reading but never fail the gate: CI runners and shared
-hosts drift far more than 3x across hardware generations, and the
-parallel CI layer (``repro ci``) runs benchmarks concurrently with
-other work.  See docs/PERFORMANCE.md.
+on-vs-off) regresses when it is more than :data:`REGRESSION_FACTOR`
+times worse than the baseline; the factor is deliberately wide (3x) so
+it trips on real algorithmic regressions, not machine noise.  Raw
+wall-clock throughput metrics are recorded for trajectory reading but
+never fail the gate: CI runners and shared hosts drift far more than
+3x across hardware generations, and the parallel CI layer (``repro
+ci``) runs benchmarks concurrently with other work.  See
+docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
@@ -56,14 +59,17 @@ def _metric(
     unit: str,
     higher_is_better: bool = True,
     gated: bool = False,
+    exact: bool = False,
 ) -> Metric:
-    """``gated=True`` only for drift-immune quantities: deterministic
-    sim-time counts or same-host paired ratios (docs/PERFORMANCE.md)."""
+    """``exact=True`` for deterministic sim-time counts (compared for
+    equality), ``gated=True`` for same-host paired ratios (held to the
+    3x band); everything else is informational (docs/PERFORMANCE.md)."""
     return {
         "value": round(float(value), 3),
         "unit": unit,
         "higher_is_better": higher_is_better,
-        "gated": gated,
+        "gated": gated or exact,
+        "exact": exact,
     }
 
 
@@ -161,7 +167,8 @@ def bench_scheduler(quick: bool) -> Dict[str, Metric]:
         sched = Scheduler()
         noop = lambda: None  # noqa: E731
         timers = [sched.call_later(float(i % 97) + 1.0, noop) for i in range(n)]
-        # Cancel 75% — the compaction path — then drain the rest.
+        # Delays of 1-97 s park every timer in the wheel: cancelling
+        # 75% is a flag each, and the flush drops them on the drain.
         for i, timer in enumerate(timers):
             if i % 4:
                 timer.cancel()
@@ -242,7 +249,7 @@ def bench_scale(quick: bool) -> Dict[str, Metric]:
         events, eps = row[5], row[6]
         metrics[f"events_per_sec_n{size}"] = _metric(eps, "events/s")
         metrics[f"sim_events_n{size}"] = _metric(
-            events, "events", higher_is_better=False, gated=True
+            events, "events", higher_is_better=False, exact=True
         )
         metrics[f"wall_seconds_n{size}"] = _metric(
             wall, "s", higher_is_better=False
@@ -276,7 +283,7 @@ def bench_scale_smoke(quick: bool) -> Dict[str, Metric]:
     return {
         "events_per_sec_n1000": _metric(eps, "events/s"),
         "sim_events_n1000": _metric(
-            events, "events", higher_is_better=False, gated=True
+            events, "events", higher_is_better=False, exact=True
         ),
         "wall_seconds_n1000": _metric(wall, "s", higher_is_better=False),
         "tracked_objects_n1000": _metric(
@@ -319,13 +326,13 @@ def bench_chaos(quick: bool) -> Dict[str, Metric]:
             max(r.recovery_time for r in cells),
             "sim s",
             higher_is_better=False,
-            gated=True,
+            exact=True,
         ),
         f"control_msgs_per_cell_{tag}": _metric(
             sum(r.control_cost for r in cells) / len(cells),
             "msgs",
             higher_is_better=False,
-            gated=True,
+            exact=True,
         ),
     }
 
@@ -356,10 +363,10 @@ def bench_explore(quick: bool) -> Dict[str, Metric]:
     return {
         f"runs_per_sec_{tag}": _metric(result.stats.runs / wall, "runs/s"),
         f"states_visited_{tag}": _metric(
-            result.stats.states_visited, "states", gated=True
+            result.stats.states_visited, "states", exact=True
         ),
         f"states_pruned_{tag}": _metric(
-            result.stats.states_pruned, "states", gated=True
+            result.stats.states_pruned, "states", exact=True
         ),
     }
 
@@ -465,7 +472,7 @@ def bench_telemetry(quick: bool) -> Dict[str, Metric]:
         "run_off_seconds": _metric(off_seconds, "s", higher_is_better=False),
         "snapshots_per_sec": _metric(snapshot_per_sec, "snapshots/s"),
         "snapshot_instruments": _metric(
-            instruments, "instruments", gated=True
+            instruments, "instruments", exact=True
         ),
     }
 
@@ -509,7 +516,7 @@ def _pattern_total_metrics() -> Dict[str, Metric]:
     return {
         "pattern_totals_per_sec": _metric(indexed_ops, "totals/s"),
         "pattern_total_instruments": _metric(
-            len(counters) + len(gauges), "instruments", gated=True
+            len(counters) + len(gauges), "instruments", exact=True
         ),
         # Paired, back to back on one host: drift cancels, so gated.
         "pattern_total_indexed_vs_linear_ratio": _metric(
@@ -555,22 +562,22 @@ def bench_workloads(quick: bool) -> Dict[str, Metric]:
     tag = "quick" if quick else "full"
     return {
         f"flash_sim_events_{tag}": _metric(
-            flash.sim_events, "events", higher_is_better=False, gated=True
+            flash.sim_events, "events", higher_is_better=False, exact=True
         ),
         f"flash_expected_pairs_{tag}": _metric(
-            flash.expected_pairs, "pairs", gated=True
+            flash.expected_pairs, "pairs", exact=True
         ),
         f"flash_continuity_{tag}": _metric(
-            flash.continuity, "ratio", gated=True
+            flash.continuity, "ratio", exact=True
         ),
         f"flash_control_msgs_{tag}": _metric(
-            flash.control_cbt, "msgs", higher_is_better=False, gated=True
+            flash.control_cbt, "msgs", higher_is_better=False, exact=True
         ),
         f"flash_wall_seconds_{tag}": _metric(
             flash_wall, "s", higher_is_better=False
         ),
         f"churn_sim_events_{tag}": _metric(
-            churn_events, "events", higher_is_better=False, gated=True
+            churn_events, "events", higher_is_better=False, exact=True
         ),
         f"churn_wall_seconds_{tag}": _metric(
             churn_wall, "s", higher_is_better=False
@@ -594,31 +601,29 @@ def bench_hpimdm(quick: bool) -> Dict[str, Metric]:
     wall = time.perf_counter() - t0
     metrics = {
         "figure1_convergence_control_msgs": _metric(
-            converge, "msgs", higher_is_better=False, gated=True
+            converge, "msgs", higher_is_better=False, exact=True
         ),
         "figure1_convergence_events": _metric(
-            events, "events", higher_is_better=False, gated=True
+            events, "events", higher_is_better=False, exact=True
         ),
-        # Asserted to be exactly zero inside figure1_run; recorded for
-        # the trajectory (a zero can never trip the ratio gate).
         "figure1_quiescent_control_msgs": _metric(
-            quiet, "msgs", higher_is_better=False
+            quiet, "msgs", higher_is_better=False, exact=True
         ),
         "figure1_recovery_control_msgs": _metric(
-            recovery, "msgs", higher_is_better=False, gated=True
+            recovery, "msgs", higher_is_better=False, exact=True
         ),
         "figure1_sim_events": _metric(
-            sim_events, "events", higher_is_better=False, gated=True
+            sim_events, "events", higher_is_better=False, exact=True
         ),
         "figure1_wall_seconds": _metric(wall, "s", higher_is_better=False),
     }
     if not quick:
         control, wax_events = waxman_run()
         metrics["waxman16_control_msgs"] = _metric(
-            control, "msgs", higher_is_better=False, gated=True
+            control, "msgs", higher_is_better=False, exact=True
         )
         metrics["waxman16_sim_events"] = _metric(
-            wax_events, "events", higher_is_better=False, gated=True
+            wax_events, "events", higher_is_better=False, exact=True
         )
     return metrics
 
@@ -702,11 +707,11 @@ def check_regressions(
     """Compare freshly measured ``metrics`` against a stored artifact.
 
     Returns a list of human-readable regression descriptions; empty
-    means no gated metric is more than ``factor`` times worse than
-    baseline.  Only metrics present in both are compared, so quick runs
-    check the subset they measured — and only metrics marked
-    ``gated`` (drift-immune sim-time counts and paired ratios) can
-    fail; raw wall-clock throughputs are informational.
+    means every ``exact`` metric equals its baseline and no other
+    ``gated`` metric is more than ``factor`` times worse than it.
+    Only metrics present in both are compared, so quick runs check the
+    subset they measured; raw wall-clock throughputs are informational
+    and cannot fail.
     """
     if not baseline:
         return []
@@ -720,6 +725,14 @@ def check_regressions(
             continue
         old_value = float(old.get("value", 0.0))
         new_value = float(new["value"])
+        if new.get("exact", False):
+            if new_value != old_value:
+                failures.append(
+                    f"{key}: {new_value:.12g} {new['unit']} vs baseline "
+                    f"{old_value:.12g} (CHANGED: a deterministic count "
+                    "must equal its baseline)"
+                )
+            continue
         if old_value <= 0 or new_value <= 0:
             continue
         if new.get("higher_is_better", True):
@@ -785,10 +798,14 @@ def run_suite(
             stats.print_stats(15)
     if all_failures:
         print(
-            f"\nFAIL: {len(all_failures)} metric(s) regressed more than "
-            f"{REGRESSION_FACTOR:g}x — see above.",
+            f"\nFAIL: {len(all_failures)} metric(s) changed an exact count "
+            f"or regressed more than {REGRESSION_FACTOR:g}x — see above.",
             file=out,
         )
         return 1
-    print("\nOK: no metric regressed beyond the 3x gate.", file=out)
+    print(
+        "\nOK: every exact count equals its baseline; no paired ratio "
+        "regressed beyond the 3x gate.",
+        file=out,
+    )
     return 0

@@ -168,7 +168,7 @@ class MulticastReceiver:
     def handle(self, node, interface, datagram: IPDatagram) -> None:
         if datagram.dst != self.group:
             if self._next is not None:
-                self._next.handle(node, interface, datagram)
+                self._next(node, interface, datagram)
             return
         udp = datagram.payload
         if not isinstance(udp, UDPDatagram) or udp.dport != APP_PORT:

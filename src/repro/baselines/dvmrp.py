@@ -95,6 +95,9 @@ class ForwardingEntry:
     def clear_prune(self, vif: int, neighbour: IPv4Address) -> None:
         self.prunes.get(vif, {}).pop(neighbour, None)
 
+    def unprune(self) -> None:
+        self.pruned_upstream = False
+
     def active_prunes(self, vif: int, now: float) -> Set[IPv4Address]:
         table = self.prunes.get(vif, {})
         expired = [a for a, t in table.items() if t <= now]
@@ -321,15 +324,7 @@ class DVMRPProtocol:
             upstream_neighbour,
         )
         # Prune state decays; after the lifetime we are floodable again.
-        self.router.scheduler.call_later(
-            self.prune_lifetime, self._make_unprune(entry)
-        )
-
-    def _make_unprune(self, entry: ForwardingEntry):
-        def unprune() -> None:
-            entry.pruned_upstream = False
-
-        return unprune
+        self.router.scheduler.call_later(self.prune_lifetime, entry.unprune)
 
     def _send_graft_upstream(self, entry: ForwardingEntry) -> None:
         upstream_neighbour = self._upstream_neighbour(entry)

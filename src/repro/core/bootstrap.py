@@ -217,6 +217,10 @@ class CBTDomain:
                 total -= registry.value(prefix + "hello")
         return int(total)
 
+    def events_total(self) -> int:
+        """Length of all state-change logs; the quiescence counter."""
+        return sum(len(p.events) for p in self.protocols.values())
+
     def control_messages_sent_legacy(self, exclude_hello: bool = True) -> int:
         """Historical code path: sum each protocol's ControlStats.
 

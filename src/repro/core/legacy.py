@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from ipaddress import IPv4Address
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.constants import CBT_AUX_PORT, JoinSubcode
 from repro.netsim.address import ALL_CBT_ROUTERS, ALL_SYSTEMS
@@ -245,8 +245,7 @@ class LegacyDRExtension:
             ttl=1,
         )
         self.router.scheduler.call_later(
-            ADV_NOTIFICATION_WINDOW,
-            self._make_election_close(interface, message.group),
+            ADV_NOTIFICATION_WINDOW, self._close_election, interface, message.group
         )
 
     def _recv_adv_notification(
@@ -259,23 +258,17 @@ class LegacyDRExtension:
         if src < election["lowest"]:
             election["lowest"] = src
 
-    def _make_election_close(
-        self, interface: Interface, group: IPv4Address
-    ) -> Callable[[], None]:
-        def close() -> None:
-            key = (group, interface.vif)
-            election = self._elections.get(key)
-            if election is None or election.get("settled"):
-                return
-            election["settled"] = True
-            election["winner_is_me"] = election["lowest"] == interface.address
-            if election["winner_is_me"]:
-                self.router.scheduler.call_later(
-                    ADVERTISEMENT_DELAY,
-                    lambda: self._advertise(interface, group),
-                )
-
-        return close
+    def _close_election(self, interface: Interface, group: IPv4Address) -> None:
+        key = (group, interface.vif)
+        election = self._elections.get(key)
+        if election is None or election.get("settled"):
+            return
+        election["settled"] = True
+        election["winner_is_me"] = election["lowest"] == interface.address
+        if election["winner_is_me"]:
+            self.router.scheduler.call_later(
+                ADVERTISEMENT_DELAY, self._advertise, interface, group
+            )
 
     def _advertise(self, interface: Interface, group: IPv4Address) -> None:
         self._send(
@@ -403,9 +396,7 @@ class LegacyHostAgent:
             ALL_CBT_ROUTERS,
             DRSolicitation(group=group, core=state["cores"][0]),
         )
-        self.host.scheduler.call_later(
-            SOLICIT_RETRY, lambda: self._retry_solicit(group)
-        )
+        self.host.scheduler.call_later(SOLICIT_RETRY, self._retry_solicit, group)
 
     def _retry_solicit(self, group: IPv4Address) -> None:
         state = self._states.get(group)
@@ -422,7 +413,7 @@ class LegacyHostAgent:
         elif isinstance(message, HostJoinAck):
             self._recv_host_join_ack(message)
         elif self._saved is not None:
-            self._saved.handle(node, interface, datagram)
+            self._saved(node, interface, datagram)
 
     def _recv_core_ack(self, message: CoreNotificationAck) -> None:
         state = self._states.get(message.group)

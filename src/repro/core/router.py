@@ -1483,26 +1483,26 @@ class CBTProtocol:
         )
 
     def _arm_quit_retry(self, group: IPv4Address, parent: IPv4Address) -> None:
-        def retry() -> None:
-            remaining = self._quitting.get(group)
-            if remaining is None:
-                return
-            if self._quit_parent.get(group) != parent:
-                return  # quit re-targeted since this timer was armed
-            if remaining <= 1:
-                # Parent unresponsive: drop parent state unilaterally.
-                self._cancel_quit(group)
-                self._clear_group(group)
-                self._record("quit_forced", group)
-                return
-            self._quitting[group] = remaining - 1
-            self._c_quit_retries.inc()
-            self._send_quit_to(group, parent)
-            self._arm_quit_retry(group, parent)
-
         self._quit_timers[group] = self.router.scheduler.call_later(
-            self.timers.pend_join_interval, retry
+            self.timers.pend_join_interval, self._quit_retry, group, parent
         )
+
+    def _quit_retry(self, group: IPv4Address, parent: IPv4Address) -> None:
+        remaining = self._quitting.get(group)
+        if remaining is None:
+            return
+        if self._quit_parent.get(group) != parent:
+            return  # quit re-targeted since this timer was armed
+        if remaining <= 1:
+            # Parent unresponsive: drop parent state unilaterally.
+            self._cancel_quit(group)
+            self._clear_group(group)
+            self._record("quit_forced", group)
+            return
+        self._quitting[group] = remaining - 1
+        self._c_quit_retries.inc()
+        self._send_quit_to(group, parent)
+        self._arm_quit_retry(group, parent)
 
     def _recv_quit_request(
         self, arrival: Interface, src: IPv4Address, message: CBTControlMessage

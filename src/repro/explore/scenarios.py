@@ -89,7 +89,7 @@ def _stand_up(pre_members: List[str]) -> Tuple[Network, CBTDomain, IPv4Address]:
         start = network.scheduler.now
         for index, member in enumerate(pre_members):
             network.scheduler.call_at(
-                start + index * 0.05, _join(domain, member, group)
+                start + index * 0.05, domain.join_host, member, group
             )
         network.run(until=start + len(pre_members) * 0.05 + 2.0)
     return network, domain, group

@@ -219,7 +219,7 @@ def run_baseline_compare_cell(
         network,
         schedule.last_time,
         window,
-        activity=lambda: sum(len(p.events) for p in domain.protocols.values()),
+        activity=domain.events_total,
         settled=lambda: not check_invariants(domain),
     )
     result = BaselineCompareResult(

@@ -243,7 +243,7 @@ def run_scenario(
             network,
             faults_end,
             window,
-            activity=lambda: sum(len(p.events) for p in domain.protocols.values()),
+            activity=domain.events_total,
             settled=lambda: not check_invariants(domain),
         )
     except InvariantViolation as violation:

@@ -150,11 +150,11 @@ def run_migration_cell(
     now = network.scheduler.now
     for offset, host in enumerate(leave):
         network.scheduler.call_at(
-            now + 0.1 + offset * 0.05, _leaver(domain, host, group)
+            now + 0.1 + offset * 0.05, domain.leave_host, host, group
         )
     for offset, host in enumerate(join):
         network.scheduler.call_at(
-            now + 0.3 + offset * 0.05, _joiner(domain, host, group)
+            now + 0.3 + offset * 0.05, domain.join_host, host, group
         )
     current_members = [m for m in members if m not in leave] + list(join)
     network.run(until=now + 3.0)
@@ -176,7 +176,7 @@ def run_migration_cell(
             network,
             network.scheduler.now,
             window,
-            activity=lambda: sum(len(p.events) for p in domain.protocols.values()),
+            activity=domain.events_total,
             settled=lambda: not check_invariants(domain),
         )
     except InvariantViolation as violation:
@@ -211,11 +211,3 @@ def run_migration_cell(
         violations=violations,
         metrics=dict(network.telemetry.registry.snapshot()),
     )
-
-
-def _leaver(domain, host: str, group):
-    return lambda: domain.leave_host(host, group)
-
-
-def _joiner(domain, host: str, group):
-    return lambda: domain.join_host(host, group)

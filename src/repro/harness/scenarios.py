@@ -17,6 +17,7 @@ from repro.baselines.dvmrp import DVMRPDomain
 from repro.baselines.hpimdm import HPIMDMDomain
 from repro.igmp.router_side import IGMPConfig
 from repro.netsim.address import group_address
+from repro.netsim.packet import IPDatagram, PROTO_UDP, UDPDatagram
 from repro.topology.builder import Network
 
 #: Time (s) given to querier/DR elections and HELLOs before joins start.
@@ -76,15 +77,10 @@ def build_cbt_group(
     start = network.scheduler.now
     for offset, member in enumerate(members):
         network.scheduler.call_at(
-            start + offset * join_spacing,
-            _make_join(domain, member, group),
+            start + offset * join_spacing, domain.join_host, member, group
         )
     network.run(until=start + len(members) * join_spacing + 2.0)
     return domain, group
-
-
-def _make_join(domain: CBTDomain, member: str, group: IPv4Address):
-    return lambda: domain.join_host(member, group)
 
 
 def build_dvmrp_group(
@@ -107,15 +103,10 @@ def build_dvmrp_group(
     start = network.scheduler.now
     for offset, member in enumerate(members):
         network.scheduler.call_at(
-            start + offset * 0.05,
-            _make_dvmrp_join(domain, member, group),
+            start + offset * 0.05, domain.join_host, member, group
         )
     network.run(until=start + len(members) * 0.05 + 2.0)
     return domain, group
-
-
-def _make_dvmrp_join(domain: DVMRPDomain, member: str, group: IPv4Address):
-    return lambda: domain.join_host(member, group)
 
 
 def build_hpimdm_group(
@@ -149,15 +140,10 @@ def build_hpimdm_group(
     start = network.scheduler.now
     for offset, member in enumerate(members):
         network.scheduler.call_at(
-            start + offset * 0.05,
-            _make_hpimdm_join(domain, member, group),
+            start + offset * 0.05, domain.join_host, member, group
         )
     network.run(until=start + len(members) * 0.05 + 2.0)
     return domain, group
-
-
-def _make_hpimdm_join(domain: HPIMDMDomain, member: str, group: IPv4Address):
-    return lambda: domain.join_host(member, group)
 
 
 def send_data(
@@ -169,27 +155,24 @@ def send_data(
     ttl: int = 64,
 ) -> List[int]:
     """Have a host multicast ``count`` data packets; returns their uids."""
-    from repro.netsim.packet import IPDatagram, PROTO_UDP, UDPDatagram
-
     host = network.host(sender_host)
     uids: List[int] = []
     start = network.scheduler.now
-
-    def make_send(index: int):
-        def do_send() -> None:
-            datagram = IPDatagram(
-                src=host.interface.address,
-                dst=group,
-                proto=PROTO_UDP,
-                payload=UDPDatagram(sport=40000, dport=5000, payload=b"x" * 64),
-                ttl=ttl,
-            )
-            uids.append(datagram.uid)
-            host.originate(datagram)
-
-        return do_send
-
     for i in range(count):
-        network.scheduler.call_at(start + i * spacing, make_send(i))
+        network.scheduler.call_at(
+            start + i * spacing, _send_one, host, group, ttl, uids
+        )
     network.run(until=start + count * spacing + 2.0)
     return uids
+
+
+def _send_one(host, group: IPv4Address, ttl: int, uids: List[int]) -> None:
+    datagram = IPDatagram(
+        src=host.interface.address,
+        dst=group,
+        proto=PROTO_UDP,
+        payload=UDPDatagram(sport=40000, dport=5000, payload=b"x" * 64),
+        ttl=ttl,
+    )
+    uids.append(datagram.uid)
+    host.originate(datagram)

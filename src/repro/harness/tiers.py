@@ -470,7 +470,8 @@ def evaluate_gates(results: Sequence[UnitResult]) -> List[Gate]:
                 passed=not bad,
                 skipped=False,
                 detail=(
-                    "no gated metric regressed beyond the 3x factor"
+                    "every exact count equals its baseline; no paired "
+                    "ratio regressed beyond the 3x factor"
                     if not bad
                     else "; ".join(regressions[:10])
                     or "bench unit failed: "

@@ -130,14 +130,6 @@ def apply_churn(
     last = 0.0
     for event in schedule.events:
         last = max(last, event.time)
-        if event.action == "join":
-            network.scheduler.call_at(
-                event.time,
-                (lambda h: (lambda: domain.join_host(h, group)))(event.host),
-            )
-        else:
-            network.scheduler.call_at(
-                event.time,
-                (lambda h: (lambda: domain.leave_host(h, group)))(event.host),
-            )
+        action = domain.join_host if event.action == "join" else domain.leave_host
+        network.scheduler.call_at(event.time, action, event.host, group)
     network.run(until=last + settle_after)

@@ -30,7 +30,7 @@ from repro.netsim.faults import (
 )
 from repro.netsim.link import Link, PointToPointLink, Subnet
 from repro.netsim.nic import Interface
-from repro.netsim.node import Node, ProtocolHandler
+from repro.netsim.node import Node
 from repro.netsim.packet import (
     PROTO_CBT,
     PROTO_IGMP,
@@ -64,7 +64,6 @@ __all__ = [
     "PROTO_UDP",
     "PacketTrace",
     "PointToPointLink",
-    "ProtocolHandler",
     "Scheduler",
     "Subnet",
     "Timer",

@@ -7,26 +7,25 @@ must be byte-for-byte reproducible across runs.
 
 Performance notes (see docs/PERFORMANCE.md):
 
-* ``_Event`` uses ``__slots__`` and records are slab-allocated: fired
-  and dropped events return to a free list and are reused, so steady
-  state allocates no event objects at all.  A per-event ``gen``
-  (generation) counter keeps outstanding :class:`Timer` handles safe —
-  a handle whose generation no longer matches its event is simply
-  spent.
+* One object per scheduled event: the :class:`Timer` that
+  ``call_later`` returns *is* the record in the queue (``__slots__``,
+  queued as ``(time, seq, timer)``).  Nothing is recycled, so a handle
+  can never observe another event's state and a fired or cancelled
+  record is freed by refcount as soon as its caller lets go of it.
 * Far-future events (keepalive, retry, and hello timers — the bulk of
   the pending population at scale) park in a coarse timer wheel
   instead of the heap.  Wheel entries keep their original
   ``(time, seq)`` keys and every bucket is flushed into the heap
   strictly before it can contain the head event, so pop order is
   *identical* to the pure-heap engine — the wheel is invisible to
-  traces.  Cancelling a parked timer is an O(1) flag; the event never
-  touches the heap, which is the win for churny keepalives that re-arm
-  and cancel far more often than they fire.
-* Cancelled events that did reach the heap are compacted out once they
-  exceed both ``_COMPACT_MIN`` and half the queue.  Compaction cannot
-  change firing order: entries are totally ordered by the unique
-  ``(time, seq)`` key, so a re-heapified queue pops in exactly the
-  same sequence.
+  traces.  The flush drops cancelled entries, so a cancelled parked
+  timer never touches the heap, which is the win for churny keepalives
+  that re-arm and cancel far more often than they fire.
+* Cancelling is one flag wherever the event lives.  Only events fewer
+  than two wheel buckets (0.5 s) ahead are heap-pushed directly, so a
+  cancelled heap resident is popped and skipped within 0.5 simulated
+  seconds by construction: lazy deletion at pop is the only cancel
+  path the heap needs.
 * ``pending_events`` is a live counter and ``pending_tags()`` reads a
   live tag index — neither scans the heap.
 * An event carries its callback's arguments (``call_later(delay, f,
@@ -35,8 +34,7 @@ Performance notes (see docs/PERFORMANCE.md):
   is pending is what the cyclic collector walks: at n=1000 tens of
   thousands of deliveries and timers are in flight, and a closure is
   a function, a cell per variable and a tuple where an args tuple is
-  one object.  ``_free_event`` clears ``args`` so the slab never pins
-  a delivered datagram.
+  one object.
 
 Choice-point hook layer (systematic exploration):
 
@@ -60,98 +58,62 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.telemetry import Telemetry
 
-#: Compact the heap only once at least this many cancelled events have
-#: accumulated (and they make up more than half the queue).
-_COMPACT_MIN = 64
-
 #: Timer-wheel bucket width in simulation seconds.  Events at least two
 #: buckets in the future park in the wheel; nearer events (packet
 #: deliveries are milliseconds) go straight to the heap.
 _WHEEL_GRANULARITY = 0.25
 _INV_GRANULARITY = 1.0 / _WHEEL_GRANULARITY
 
-#: Cap on the event free list; beyond this, spent events are left to
-#: the garbage collector (bounds memory after a burst).
-_SLAB_MAX = 8192
-
 
 class SchedulerError(Exception):
     """Raised on invalid scheduler operations (e.g. scheduling in the past)."""
 
 
-class _Event:
-    __slots__ = (
-        "time", "callback", "args", "cancelled", "fired", "tag", "gen", "parked"
-    )
-
-    def __init__(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        args: Tuple,
-        tag: Optional[Tuple] = None,
-    ) -> None:
-        self.time = time
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.fired = False
-        self.tag = tag
-        self.gen = 0
-        self.parked = False
-
-
 class Timer:
-    """Handle for a scheduled event that can be cancelled or restarted.
+    """A scheduled event: the record the scheduler queues and the
+    handle its caller cancels or restarts are the same object.
 
     A ``Timer`` is returned by :meth:`Scheduler.call_later`.  Cancelling
     an already-fired or already-cancelled timer is a no-op, which keeps
     protocol code free of "is it still pending?" bookkeeping.
-
-    The handle snapshots the callback, its arguments, the tag and the
-    firing time at creation: event records are slab-recycled after they
-    fire, so the handle must not read them back from a possibly-reused
-    record.
     """
 
     __slots__ = (
-        "_scheduler", "_event", "_gen", "_callback", "_args", "_tag", "_fires_at"
+        "fires_at", "callback", "args", "tag", "cancelled", "fired", "_scheduler"
     )
 
-    def __init__(self, scheduler: "Scheduler", event: _Event) -> None:
+    def __init__(
+        self,
+        scheduler: "Scheduler",
+        fires_at: float,
+        callback: Callable[..., None],
+        args: Tuple,
+        tag: Optional[Tuple],
+    ) -> None:
         self._scheduler = scheduler
-        self._event = event
-        self._gen = event.gen
-        self._callback = event.callback
-        self._args = event.args
-        self._tag = event.tag
-        self._fires_at = event.time
-
-    @property
-    def fires_at(self) -> float:
-        """Absolute simulation time at which the timer fires."""
-        return self._fires_at
+        #: Absolute simulation time at which the timer fires.
+        self.fires_at = fires_at
+        self.callback = callback
+        self.args = args
+        self.tag = tag
+        self.cancelled = False
+        self.fired = False
 
     @property
     def pending(self) -> bool:
         """True while the timer has neither fired nor been cancelled."""
-        event = self._event
-        return (
-            event.gen == self._gen and not event.cancelled and not event.fired
-        )
+        return not self.cancelled and not self.fired
 
     def cancel(self) -> None:
         """Cancel the timer; safe to call at any time."""
-        event = self._event
-        if event.gen == self._gen:
-            self._scheduler._cancel(event)
+        self._scheduler._cancel(self)
 
     def restart(self, delay: float) -> "Timer":
         """Cancel this timer and schedule its callback (same arguments,
         same tag) again after ``delay``."""
         self.cancel()
         return self._scheduler.call_later(
-            delay, self._callback, *self._args, tag=self._tag
+            delay, self.callback, *self.args, tag=self.tag
         )
 
 
@@ -166,24 +128,21 @@ class Scheduler:
     """
 
     def __init__(self, telemetry_enabled: bool = True) -> None:
-        self._queue: List[Tuple[float, int, _Event]] = []
+        self._queue: List[Tuple[float, int, Timer]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._events_processed = 0
         self._pending = 0
-        self._cancelled_in_heap = 0
         # Timer wheel: bucket index -> unsorted entry list, plus a
         # bucket-index heap for "earliest bucket" and a cached start
         # time of that bucket (inf when the wheel is empty) so the run
         # loop pays one float compare per event in the common case.
-        self._wheel: Dict[int, List[Tuple[float, int, _Event]]] = {}
+        self._wheel: Dict[int, List[Tuple[float, int, Timer]]] = {}
         self._wheel_buckets: List[int] = []
         self._wheel_next_start = float("inf")
-        # Event slab (free list) for reuse.
-        self._slab: List[_Event] = []
         # Live index of pending tagged events (tag lookups must not
-        # scan the heap): event -> tag.
-        self._tagged: Dict[_Event, Tuple] = {}
+        # scan the heap): timer -> tag.
+        self._tagged: Dict[Timer, Tuple] = {}
         #: Engine accounting (always on — plain integer bumps): these
         #: obey scheduled == processed + cancelled + pending, checked
         #: by :mod:`repro.telemetry.conservation`.
@@ -263,25 +222,13 @@ class Scheduler:
         args: Tuple,
         tag: Optional[Tuple],
     ) -> Timer:
-        slab = self._slab
-        if slab:
-            event = slab.pop()
-            event.time = time
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event.fired = False
-            event.tag = tag
-            event.parked = False
-        else:
-            event = _Event(time, callback, args, tag)
+        timer = Timer(self, time, callback, args, tag)
         bucket = int(time * _INV_GRANULARITY)
         if bucket > int(self._now * _INV_GRANULARITY) + 1:
             # Far enough out to park in the wheel: the bucket's start
             # lies strictly in the future, so it will be flushed into
             # the heap before simulation time can reach any of its
             # events.
-            event.parked = True
             entries = self._wheel.get(bucket)
             if entries is None:
                 entries = self._wheel[bucket] = []
@@ -289,25 +236,14 @@ class Scheduler:
                 start = bucket * _WHEEL_GRANULARITY
                 if start < self._wheel_next_start:
                     self._wheel_next_start = start
-            entries.append((time, next(self._seq), event))
+            entries.append((time, next(self._seq), timer))
         else:
-            heapq.heappush(self._queue, (time, next(self._seq), event))
+            heapq.heappush(self._queue, (time, next(self._seq), timer))
         self._pending += 1
         self.events_scheduled += 1
         if tag is not None:
-            self._tagged[event] = tag
-        return Timer(self, event)
-
-    def _free_event(self, event: _Event) -> None:
-        # Bump the generation so outstanding Timer handles see the
-        # record as spent, then drop references for the GC — the slab
-        # must never pin a delivered datagram through ``args``.
-        event.gen += 1
-        event.callback = None  # type: ignore[assignment]
-        event.args = ()
-        event.tag = None
-        if len(self._slab) < _SLAB_MAX:
-            self._slab.append(event)
+            self._tagged[timer] = tag
+        return timer
 
     def _flush_wheel(self, head_time: float) -> None:
         """Move wheel buckets whose span could precede ``head_time``
@@ -322,11 +258,7 @@ class Scheduler:
         while buckets and buckets[0] * _WHEEL_GRANULARITY <= head_time:
             bucket = heapq.heappop(buckets)
             for entry in wheel.pop(bucket):
-                event = entry[2]
-                if event.cancelled:
-                    self._free_event(event)
-                else:
-                    event.parked = False
+                if not entry[2].cancelled:
                     heappush(queue, entry)
         self._wheel_next_start = (
             buckets[0] * _WHEEL_GRANULARITY if buckets else float("inf")
@@ -336,33 +268,16 @@ class Scheduler:
         """Sorted tags of pending tagged events (exploration fingerprints)."""
         return sorted(self._tagged.values())
 
-    def _cancel(self, event: _Event) -> None:
-        """Mark an event cancelled and compact the heap when it's mostly dead."""
-        if event.cancelled or event.fired:
+    def _cancel(self, timer: Timer) -> None:
+        """Flag ``timer`` cancelled; the wheel flush or the heap pop
+        that next meets it drops it."""
+        if timer.cancelled or timer.fired:
             return
-        event.cancelled = True
+        timer.cancelled = True
         self._pending -= 1
         self.events_cancelled += 1
-        if event.tag is not None:
-            self._tagged.pop(event, None)
-        if event.parked:
-            # Wheel residents never reach the heap: the flush drops
-            # them, so heap compaction accounting must not see them.
-            return
-        self._cancelled_in_heap += 1
-        if (
-            self._cancelled_in_heap >= _COMPACT_MIN
-            and self._cancelled_in_heap * 2 > len(self._queue)
-        ):
-            live = []
-            for entry in self._queue:
-                if entry[2].cancelled:
-                    self._free_event(entry[2])
-                else:
-                    live.append(entry)
-            self._queue = live
-            heapq.heapify(self._queue)
-            self._cancelled_in_heap = 0
+        if timer.tag is not None:
+            self._tagged.pop(timer, None)
 
     def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> float:
         """Run events in time order.
@@ -380,57 +295,49 @@ class Scheduler:
                 if self._wheel_next_start == float("inf"):
                     break
                 self._flush_wheel(self._wheel_next_start)
-                queue = self._queue
                 continue
-            time, _seq, event = queue[0]
+            time, _seq, timer = queue[0]
             if time >= self._wheel_next_start:
                 self._flush_wheel(time)
                 continue
-            if event.cancelled:
+            if timer.cancelled:
                 heappop(queue)
-                self._cancelled_in_heap -= 1
-                self._free_event(event)
                 continue
             if until is not None and time > until:
                 break
             if self.choice_hook is not None:
-                event = self._pop_tied(time)
+                timer = self._pop_tied(time)
             else:
                 heappop(queue)
-            event.fired = True
+            timer.fired = True
             self._pending -= 1
             self._now = time
-            if event.tag is not None:
-                self._tagged.pop(event, None)
-            event.callback(*event.args)
-            self._free_event(event)
+            if timer.tag is not None:
+                self._tagged.pop(timer, None)
+            timer.callback(*timer.args)
             self._events_processed += 1
             processed += 1
             if processed >= max_events:
                 raise SchedulerError(
                     f"exceeded max_events={max_events}; likely a protocol loop"
                 )
-            queue = self._queue  # compaction may have replaced the list
         if until is not None and until > self._now:
             self._now = until
         return self._now
 
-    def _pop_tied(self, time: float) -> _Event:
+    def _pop_tied(self, time: float) -> Timer:
         """Remove and return the event to fire at ``time``, consulting
         ``choice_hook`` when several pending events tie at that instant.
 
         The unchosen events keep their original ``(time, seq)`` keys,
         so FIFO order among them is preserved for the next round.
         """
-        tied: List[Tuple[float, int, _Event]] = []
+        tied: List[Tuple[float, int, Timer]] = []
         queue = self._queue
         while queue and queue[0][0] == time:
             entry = heapq.heappop(queue)
-            if entry[2].cancelled:
-                self._cancelled_in_heap -= 1
-                self._free_event(entry[2])
-                continue
-            tied.append(entry)
+            if not entry[2].cancelled:
+                tied.append(entry)
         if len(tied) == 1:
             return tied[0][2]
         index = self.choice_hook(time, [entry[2].tag for entry in tied])
@@ -447,26 +354,6 @@ class Scheduler:
         """Run until no events remain; returns the final simulation time."""
         return self.run(until=None, max_events=max_events)
 
-    def peek_next_time(self) -> Optional[float]:
-        """Time of the next pending event, or None if the queue is empty."""
-        while True:
-            queue = self._queue
-            if not queue:
-                if self._wheel_next_start == float("inf"):
-                    return None
-                self._flush_wheel(self._wheel_next_start)
-                continue
-            head_time = queue[0][0]
-            if head_time >= self._wheel_next_start:
-                self._flush_wheel(head_time)
-                continue
-            if queue[0][2].cancelled:
-                event = heapq.heappop(queue)[2]
-                self._cancelled_in_heap -= 1
-                self._free_event(event)
-                continue
-            return head_time
-
 
 class PeriodicTimer:
     """Re-arming timer that invokes a callback every ``interval`` seconds.
@@ -475,6 +362,11 @@ class PeriodicTimer:
     re-floods) are all periodic; this wrapper owns the re-arming so the
     protocol code only supplies the tick callback (called as
     ``callback(*args)``).
+
+    ``_timer`` is the one arm the ticker owns: ``start`` and ``stop``
+    cancel it before replacing it and a tick re-arms only if the arm
+    that fired is still the current one, so no sequence of calls —
+    from inside the callback or not — leaves two chains ticking.
     """
 
     def __init__(
@@ -483,7 +375,6 @@ class PeriodicTimer:
         interval: float,
         callback: Callable[..., None],
         *args: Any,
-        jitter: Callable[[], float] = lambda: 0.0,
     ) -> None:
         if interval <= 0:
             raise SchedulerError(f"interval must be positive, got {interval}")
@@ -491,52 +382,22 @@ class PeriodicTimer:
         self._interval = interval
         self._callback = callback
         self._args = args
-        self._jitter = jitter
         self._timer: Optional[Timer] = None
-        self._running = False
-
-    @property
-    def running(self) -> bool:
-        return self._running
-
-    @property
-    def interval(self) -> float:
-        return self._interval
 
     def start(self, immediately: bool = False) -> None:
-        """Begin ticking; with ``immediately`` the first tick is at t+0."""
-        self._running = True
-        delay = 0.0 if immediately else self._interval + self._jitter()
+        """Begin ticking (afresh if already ticking); with
+        ``immediately`` the first tick is at t+0."""
+        self.stop()
+        delay = 0.0 if immediately else self._interval
         self._timer = self._scheduler.call_later(delay, self._tick)
 
     def stop(self) -> None:
-        self._running = False
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
 
-    def reschedule(self, interval: float) -> None:
-        """Change the tick interval; takes effect from the next arming."""
-        if interval <= 0:
-            raise SchedulerError(f"interval must be positive, got {interval}")
-        self._interval = interval
-
     def _tick(self) -> None:
-        if not self._running:
-            return
+        arm = self._timer
         self._callback(*self._args)
-        if self._running:
-            self._timer = self._scheduler.call_later(
-                self._interval + self._jitter(), self._tick
-            )
-
-
-def run_phases(scheduler: Scheduler, phases: List[Tuple[float, Callable[[], Any]]]) -> None:
-    """Schedule a list of ``(at_time, action)`` pairs and run to idle.
-
-    Convenience for tests and examples that script a scenario:
-    "at t=1 host A joins, at t=5 host B leaves, ...".
-    """
-    for at_time, action in phases:
-        scheduler.call_at(at_time, action)
-    scheduler.run_until_idle()
+        if self._timer is arm:
+            self._timer = self._scheduler.call_later(self._interval, self._tick)

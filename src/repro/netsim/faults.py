@@ -293,21 +293,14 @@ class FaultSchedule:
         scheduler = network.scheduler
         for event in self.events:
             for at, description, action in event.actions(network):
-                scheduler.call_at(
-                    at, self._make_applied(scheduler, at, description, action)
-                )
+                scheduler.call_at(at, self._fire, scheduler, description, action)
 
-    def _make_applied(self, scheduler, at, description, action):
-        def fire() -> None:
-            self.applied.append((scheduler.now, description))
-            bus = scheduler.telemetry.bus
-            if bus.enabled:
-                bus.publish(
-                    TraceFaultEvent(time=scheduler.now, description=description)
-                )
-            action()
-
-        return fire
+    def _fire(self, scheduler, description: str, action) -> None:
+        self.applied.append((scheduler.now, description))
+        bus = scheduler.telemetry.bus
+        if bus.enabled:
+            bus.publish(TraceFaultEvent(time=scheduler.now, description=description))
+        action()
 
 
 class _DescribeOnly:

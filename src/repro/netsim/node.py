@@ -1,7 +1,10 @@
 """Nodes: the base class shared by hosts and routers.
 
 A node owns interfaces and dispatches received datagrams to protocol
-handlers registered per IP protocol number.  Routing/forwarding policy
+handlers registered per IP protocol number.  A handler is a plain
+callable ``handler(node, interface, datagram)``; registering an object
+with a ``handle`` method stores that bound method, so the receive path
+makes one call whatever was registered.  Routing/forwarding policy
 lives in subclasses (:class:`repro.routing.table.RoutedNode`,
 :class:`repro.core.router.CBTRouter`, ...), keeping this base minimal.
 """
@@ -9,30 +12,12 @@ lives in subclasses (:class:`repro.routing.table.RoutedNode`,
 from __future__ import annotations
 
 from ipaddress import IPv4Address, IPv4Network
-from typing import Callable, Dict, List, Optional, Protocol
+from typing import Callable, Dict, List, Optional
 
 from repro.netsim.engine import Scheduler
 from repro.netsim.link import Link
 from repro.netsim.nic import Interface
 from repro.netsim.packet import IPDatagram
-
-
-class ProtocolHandler(Protocol):
-    """Anything that can consume a datagram delivered to a node."""
-
-    def handle(self, node: "Node", interface: Interface, datagram: IPDatagram) -> None:
-        """Process ``datagram`` received on ``interface``."""
-        ...  # pragma: no cover
-
-
-class _CallableHandler:
-    """Adapts a bare function to the ProtocolHandler protocol."""
-
-    def __init__(self, fn: Callable[["Node", Interface, IPDatagram], None]) -> None:
-        self._fn = fn
-
-    def handle(self, node: "Node", interface: Interface, datagram: IPDatagram) -> None:
-        self._fn(node, interface, datagram)
 
 
 class Node:
@@ -42,8 +27,8 @@ class Node:
         self.name = name
         self.scheduler = scheduler
         self.interfaces: List[Interface] = []
-        self._handlers: Dict[int, ProtocolHandler] = {}
-        self._default_handler: Optional[ProtocolHandler] = None
+        self._handlers: Dict[int, Callable[..., None]] = {}
+        self._default_handler: Optional[Callable[..., None]] = None
         self.rx_count = 0
         # Memo caches over the interface list (hot on every unicast
         # transmit/receive); interface addresses and networks are fixed
@@ -118,25 +103,18 @@ class Node:
 
     # -- protocol dispatch ------------------------------------------------
 
-    def register_handler(
-        self,
-        proto: int,
-        handler,
-    ) -> None:
-        """Register a handler for IP protocol ``proto``."""
-        if callable(handler) and not hasattr(handler, "handle"):
-            handler = _CallableHandler(handler)
-        self._handlers[proto] = handler
+    def register_handler(self, proto: int, handler) -> None:
+        """Register a handler (a callable, or an object whose ``handle``
+        method is one) for IP protocol ``proto``."""
+        self._handlers[proto] = getattr(handler, "handle", handler)
 
     def register_default_handler(self, handler) -> None:
         """Handler for protocols without a specific registration."""
-        if callable(handler) and not hasattr(handler, "handle"):
-            handler = _CallableHandler(handler)
-        self._default_handler = handler
+        self._default_handler = getattr(handler, "handle", handler)
 
     def receive(self, interface: Interface, datagram: IPDatagram) -> None:
         """Entry point invoked by links on delivery."""
         self.rx_count += 1
         handler = self._handlers.get(datagram.proto, self._default_handler)
         if handler is not None:
-            handler.handle(self, interface, datagram)
+            handler(self, interface, datagram)

@@ -398,7 +398,7 @@ class Router(RoutedNode):
             # Link-local control multicasts are consumed, not forwarded.
             handler = self._handlers.get(datagram.proto, self._default_handler)
             if handler is not None:
-                handler.handle(self, interface, datagram)
+                handler(self, interface, datagram)
             if (
                 not is_link_local_multicast(datagram.dst)
                 and self.multicast_forwarder is not None
@@ -409,7 +409,7 @@ class Router(RoutedNode):
             self.local_rx.append(datagram)
             handler = self._handlers.get(datagram.proto, self._default_handler)
             if handler is not None:
-                handler.handle(self, interface, datagram)
+                handler(self, interface, datagram)
             return
         self._forward(interface, datagram)
 

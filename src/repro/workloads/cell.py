@@ -87,7 +87,7 @@ def _quiesce(network, domain, timers) -> Tuple[bool, List[str]]:
             network,
             network.scheduler.now,
             max(timers.echo_interval, timers.pend_join_interval * 2),
-            activity=lambda: sum(len(p.events) for p in domain.protocols.values()),
+            activity=domain.events_total,
             settled=lambda: not check_invariants(domain),
         )
     except InvariantViolation as violation:
@@ -98,26 +98,20 @@ def _quiesce(network, domain, timers) -> Tuple[bool, List[str]]:
 def _schedule_membership(network, domain, group, schedule, probe) -> None:
     """Schedule every join/leave, keeping the probe's books in step."""
     for event in schedule.events:
-        if event.action == "join":
-            network.scheduler.call_at(
-                event.time,
-                (
-                    lambda h: lambda: (
-                        probe.note_join(h),
-                        domain.join_host(h, group),
-                    )
-                )(event.host),
-            )
-        else:
-            network.scheduler.call_at(
-                event.time,
-                (
-                    lambda h: lambda: (
-                        probe.note_leave(h),
-                        domain.leave_host(h, group),
-                    )
-                )(event.host),
-            )
+        action = _member_join if event.action == "join" else _member_leave
+        network.scheduler.call_at(
+            event.time, action, probe, domain, event.host, group
+        )
+
+
+def _member_join(probe, domain, host: str, group) -> None:
+    probe.note_join(host)
+    domain.join_host(host, group)
+
+
+def _member_leave(probe, domain, host: str, group) -> None:
+    probe.note_leave(host)
+    domain.leave_host(host, group)
 
 
 def _make_segment_sender(network, source_host: str, group, sent, probe):

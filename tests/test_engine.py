@@ -4,13 +4,9 @@ import gc
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.netsim.engine import (
-    PeriodicTimer,
-    Scheduler,
-    SchedulerError,
-    run_phases,
-)
+from repro.netsim.engine import PeriodicTimer, Scheduler, SchedulerError
 from repro.netsim.node import Node
 from repro.netsim.packet import IPDatagram, PROTO_UDP
 from repro.topology.builder import Network
@@ -95,19 +91,6 @@ class TestScheduler:
         sched.run_until_idle()
         assert sched.events_processed == 4
 
-    def test_peek_next_time(self):
-        sched = Scheduler()
-        assert sched.peek_next_time() is None
-        sched.call_later(2.5, lambda: None)
-        assert sched.peek_next_time() == 2.5
-
-    def test_peek_skips_cancelled(self):
-        sched = Scheduler()
-        timer = sched.call_later(1.0, lambda: None)
-        sched.call_later(2.0, lambda: None)
-        timer.cancel()
-        assert sched.peek_next_time() == 2.0
-
 
 class TestTimer:
     def test_cancel_prevents_firing(self):
@@ -153,14 +136,14 @@ class TestTimer:
         assert fired == ["payload"]
         assert sched.pending_tags() == []
 
-    def test_restart_after_firing_reuses_the_snapshot(self):
-        # The event record is recycled once it fires; the handle's own
-        # snapshot of (callback, args, tag) is what restart re-arms.
+    def test_restart_after_firing_rearms_the_same_call(self):
+        # A fired record keeps its (callback, args, tag), and a later
+        # event is a record of its own, so restart re-arms what fired.
         sched = Scheduler()
         fired = []
         timer = sched.call_later(1.0, fired.append, "again", tag=("t",))
         sched.run_until_idle()
-        sched.call_later(0.5, fired.append, "other")  # reuses the slab record
+        sched.call_later(0.5, fired.append, "other")
         timer.restart(2.0)
         assert sched.pending_tags() == [("t",)]
         sched.run_until_idle()
@@ -230,14 +213,33 @@ class TestPeriodicTimer:
         sched.run(until=5.0)
         assert ticks == ["tick", "tick"]
 
-    def test_reschedule_changes_future_interval(self):
+    def test_double_start_leaves_one_tick_chain(self):
         sched = Scheduler()
         ticks = []
-        ticker = PeriodicTimer(sched, 1.0, lambda: ticks.append(sched.now))
+        ticker = PeriodicTimer(sched, 2.0, lambda: ticks.append(sched.now))
         ticker.start()
-        sched.call_later(1.5, lambda: ticker.reschedule(3.0))
-        sched.run(until=8.0)
-        assert ticks == [1.0, 2.0, 5.0, 8.0]
+        ticker.start()
+        sched.run(until=7.0)
+        assert ticks == [2.0, 4.0, 6.0]
+        ticker.stop()
+        assert sched.pending_events == 0
+
+    def test_restart_from_the_callback_leaves_one_tick_chain(self):
+        sched = Scheduler()
+        ticks = []
+
+        def tick():
+            ticks.append(sched.now)
+            if len(ticks) == 1:
+                ticker.stop()
+                ticker.start()
+
+        ticker = PeriodicTimer(sched, 2.0, tick)
+        ticker.start()
+        sched.run(until=7.0)
+        assert ticks == [2.0, 4.0, 6.0]
+        ticker.stop()
+        assert sched.pending_events == 0
 
 
 class TestSchedulerInternals:
@@ -261,9 +263,9 @@ class TestSchedulerInternals:
         timer.cancel()
         assert sched.pending_events == 1
 
-    def test_mass_cancel_compaction_preserves_order(self):
-        # Cancel enough timers to trigger heap compaction, then check
-        # survivors still fire in exact (time, FIFO) order.
+    def test_mass_cancel_of_parked_timers_preserves_order(self):
+        # Cancel four fifths of the wheel's residents (delays 1-50 s),
+        # then check survivors still fire in exact (time, FIFO) order.
         sched = Scheduler()
         fired = []
         timers = []
@@ -281,7 +283,7 @@ class TestSchedulerInternals:
         expected = sorted(survivors, key=lambda i: (float(i % 50) + 1.0, i))
         assert fired == expected
 
-    def test_cancel_during_run_with_compaction(self):
+    def test_cancel_of_parked_timers_during_run(self):
         sched = Scheduler()
         fired = []
         later = [sched.call_later(10.0 + i * 0.01, lambda: fired.append("late"))
@@ -333,7 +335,9 @@ class TestEventArgs:
         sched.run_until_idle()
         assert fired == [0, 1, 2, 3, 4]
 
-    def test_compaction_preserves_args_and_order(self):
+    def test_mass_cancel_of_heap_residents_preserves_args_and_order(self):
+        # Delays of 1-50 ms are heap-pushed directly; the cancelled
+        # four fifths are skipped as they are popped, none is left over.
         sched = Scheduler()
         fired = []
         timers = [
@@ -346,21 +350,37 @@ class TestEventArgs:
         sched.run_until_idle()
         survivors = [i for i in range(500) if i % 5 == 0]
         assert fired == sorted(survivors, key=lambda i: (i % 50, i))
+        assert sched._queue == []
 
-    def test_recycled_event_records_hold_no_args(self):
+    def test_handle_is_the_queued_record_and_spent_records_are_freed(self):
+        class Payload:
+            pass
+
         sched = Scheduler()
-        fired = []
-        cancelled = sched.call_later(0.1, fired.append, object())
-        sched.call_later(0.2, fired.append, object())
-        cancelled.cancel()
+        payloads = [Payload() for _ in range(4)]
+        refs = [weakref.ref(payload) for payload in payloads]
+        ignore = lambda payload: None
+        near = sched.call_later(0.1, ignore, payloads[0])
+        far = sched.call_later(30.0, ignore, payloads[1])
+        dropped_near = sched.call_later(0.2, ignore, payloads[2])
+        dropped_far = sched.call_later(40.0, ignore, payloads[3])
+        assert [entry[2] for entry in sorted(sched._queue)] == [near, dropped_near]
+        assert [
+            entry[2] for bucket in sorted(sched._wheel) for entry in sched._wheel[bucket]
+        ] == [far, dropped_far]
+        dropped_near.cancel()
+        dropped_far.cancel()
+        del payloads[:]
         sched.run_until_idle()
-        assert sched._slab
-        assert all(
-            event.args == () and event.callback is None and event.tag is None
-            for event in sched._slab
-        )
+        assert sched.events_processed == 2
+        # The caller's handle is all that keeps a spent record (and its
+        # args) alive; it sits in no cycle, so dropping the handle
+        # frees it without the collector.
+        assert all(ref() is not None for ref in refs)
+        del near, far, dropped_near, dropped_far
+        assert all(ref() is None for ref in refs)
 
-    def test_delivered_datagram_is_not_pinned_by_the_event_slab(self):
+    def test_delivered_datagram_is_not_pinned_after_delivery(self):
         net = Network(trace_enabled=False)
         subnet = net.add_subnet("LAN")
         nodes = [Node(f"n{i}", net.scheduler) for i in range(2)]
@@ -386,8 +406,157 @@ class TestEventArgs:
         assert ref() is None
 
 
-def test_run_phases_schedules_and_runs():
-    sched = Scheduler()
-    fired = []
-    run_phases(sched, [(2.0, lambda: fired.append("b")), (1.0, lambda: fired.append("a"))])
-    assert fired == ["a", "b"]
+# -- the fast path against a slow reference -----------------------------------
+
+
+class ReferenceTimer:
+    def __init__(self, model, key, callback, args):
+        self.model, self.key, self.callback, self.args = model, key, callback, args
+
+    @property
+    def pending(self):
+        return self in self.model.queue
+
+    def cancel(self):
+        if self.pending:
+            self.model.queue.remove(self)
+            self.model.events_cancelled += 1
+
+    def restart(self, delay):
+        self.cancel()
+        return self.model.call_later(delay, self.callback, *self.args)
+
+
+class ReferenceScheduler:
+    """What the engine must be indistinguishable from: every pending
+    event in one list sorted by ``(time, seq)``, a cancel removes the
+    event on the spot — no wheel, no lazy deletion."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.queue = []
+        self.events_scheduled = self.events_cancelled = self.events_processed = 0
+
+    @property
+    def pending_events(self):
+        return len(self.queue)
+
+    def call_at(self, time, callback, *args):
+        timer = ReferenceTimer(self, (time, self.events_scheduled), callback, args)
+        self.events_scheduled += 1
+        self.queue.append(timer)
+        self.queue.sort(key=lambda t: t.key)
+        return timer
+
+    def call_later(self, delay, callback, *args):
+        return self.call_at(self.now + delay, callback, *args)
+
+    def run(self, until):
+        while self.queue and self.queue[0].key[0] <= until:
+            timer = self.queue.pop(0)
+            self.now = timer.key[0]
+            timer.callback(*timer.args)
+            self.events_processed += 1
+        self.now = max(self.now, until)
+
+
+class ScriptedWorld:
+    """Applies one script of operations to a scheduler and records
+    everything observable; an event's callback logs ``(label, now)``
+    and then performs its own follow-up operation, so cancels,
+    restarts and schedules also happen from inside callbacks."""
+
+    def __init__(self, scheduler):
+        self.scheduler = scheduler
+        self.timers = []
+        self.fired = []
+
+    def fire(self, label, then):
+        self.fired.append((label, self.scheduler.now))
+        # A restarted event carries its follow-up along, so a chain of
+        # restarts need never end; both worlds cut it at the same point.
+        if then is not None and len(self.fired) <= 100:
+            self.apply(then)
+
+    def apply(self, op):
+        """``(kind, value, extra)``: ``later``/``at`` take a span and
+        the new event's follow-up op, ``run`` a span, ``cancel`` and
+        ``restart`` an index into the handles made so far (``restart``
+        with its delay as ``extra``)."""
+        kind, value, extra = op
+        scheduler = self.scheduler
+        if kind == "run":
+            scheduler.run(until=scheduler.now + value)
+        elif kind == "later":
+            self.timers.append(
+                scheduler.call_later(value, self.fire, len(self.timers), extra)
+            )
+        elif kind == "at":
+            self.timers.append(
+                scheduler.call_at(
+                    max(value, scheduler.now), self.fire, len(self.timers), extra
+                )
+            )
+        elif self.timers:
+            timer = self.timers[value % len(self.timers)]
+            if kind == "cancel":
+                timer.cancel()
+            else:
+                self.timers.append(timer.restart(extra))
+
+    def observed(self):
+        scheduler = self.scheduler
+        return (
+            self.fired,
+            scheduler.now,
+            scheduler.pending_events,
+            scheduler.events_scheduled,
+            scheduler.events_cancelled,
+            scheduler.events_processed,
+            [timer.pending for timer in self.timers],
+        )
+
+
+#: Both sides of the 0.5 s heap/wheel boundary, exact 0.25 s bucket
+#: edges, and values that leave ``now`` off the bucket grid.
+_SPANS = st.sampled_from(
+    [0.0, 0.001, 0.1, 0.25, 0.3, 0.4999, 0.5, 0.5001, 0.75, 1.0, 1.7, 2.5, 7.0]
+) | st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
+_INDEX = st.integers(min_value=0, max_value=63)
+_FOLLOW_UP = st.none() | st.one_of(
+    st.tuples(st.just("later"), _SPANS, st.none()),
+    st.tuples(st.just("at"), _SPANS, st.none()),
+    st.tuples(st.just("cancel"), _INDEX, st.none()),
+    st.tuples(st.just("restart"), _INDEX, _SPANS),
+)
+_OPERATION = st.one_of(
+    st.tuples(st.just("later"), _SPANS, _FOLLOW_UP),
+    st.tuples(st.just("at"), _SPANS.map(lambda span: span * 4), _FOLLOW_UP),
+    st.tuples(st.just("cancel"), _INDEX, st.none()),
+    st.tuples(st.just("restart"), _INDEX, _SPANS),
+    st.tuples(st.just("run"), _SPANS, st.none()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_OPERATION, max_size=40))
+def test_engine_is_indistinguishable_from_a_sorted_list(script):
+    real = ScriptedWorld(Scheduler(telemetry_enabled=False))
+    model = ScriptedWorld(ReferenceScheduler())
+    # Run on, then cancel whatever is still re-arming itself and drain.
+    drain = [("run", 20.0, None)]
+    drain += [("cancel", index, None) for index in range(64)]
+    drain += [("run", 20.0, None)]
+    for op in script + drain:
+        real.apply(op)
+        model.apply(op)
+        assert real.observed() == model.observed()
+        scheduler = real.scheduler
+        assert scheduler.events_scheduled == (
+            scheduler.events_processed
+            + scheduler.events_cancelled
+            + scheduler.pending_events
+        )
+    if len(real.timers) <= 64:  # every handle was reachable by the cancels
+        assert scheduler.pending_events == 0
+        assert scheduler._queue == [] and scheduler._wheel == {}

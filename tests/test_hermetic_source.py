@@ -82,3 +82,70 @@ def test_no_module_imports_an_installed_package(sources):
         for package in packages - FIRST_PARTY - sys.stdlib_module_names
     }
     assert found == set(THIRD_PARTY_ALLOWED)
+
+
+# -- scheduled callbacks are methods or functions plus args -------------------
+#
+# ``call_later(delay, cb, *args)`` carries the arguments, so a closure
+# built only to bind them is a second object per event that the
+# collector has to walk (docs/PERFORMANCE.md, "Allocation and the
+# collector").  The callback handed to the scheduler is therefore an
+# attribute or a name — never a lambda, never the result of a factory
+# call, never a function defined inside the scheduling function.
+
+#: Position of the callback among the positional arguments.
+_CALLBACK_POSITION = {"call_later": 1, "call_at": 1, "PeriodicTimer": 2}
+
+
+def _scheduled_closures(path):
+    """``file::function: reason`` for every scheduling call whose
+    callback is not a plain attribute or outer-scope name."""
+    rel = path.relative_to(SRC).as_posix()
+    found = set()
+
+    def nested_callables(function):
+        """Names a ``def`` or ``name = lambda`` binds inside ``function``."""
+        names = set()
+        for node in ast.walk(function):
+            if node is function:
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda):
+                names.update(
+                    target.id for target in node.targets
+                    if isinstance(target, ast.Name)
+                )
+        return names
+
+    def visit(node, function, local_callables):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+            local_callables = local_callables | nested_callables(node)
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+            position = _CALLBACK_POSITION.get(callee)
+            callback = None
+            if position is not None:
+                if len(node.args) > position:
+                    callback = node.args[position]
+                for keyword in node.keywords:
+                    if keyword.arg == "callback":
+                        callback = keyword.value
+            if isinstance(callback, ast.Name):
+                if callback.id in local_callables:
+                    found.add(f"{rel}::{function}: nested def")
+            elif not isinstance(callback, (ast.Attribute, type(None))):
+                found.add(f"{rel}::{function}: {type(callback).__name__}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, local_callables)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>", frozenset())
+    return found
+
+
+def test_scheduled_callbacks_are_not_closures():
+    found = set().union(
+        *(_scheduled_closures(path) for path in sorted(SRC.rglob("*.py")))
+    )
+    assert found == set()

@@ -19,8 +19,13 @@ from benchmarks.perf.suite import (  # noqa: E402
 )
 
 
-def metric(value, unit="ops/s", higher_is_better=True):
-    return {"value": value, "unit": unit, "higher_is_better": higher_is_better}
+def metric(value, unit="ops/s", higher_is_better=True, exact=False):
+    return {
+        "value": value,
+        "unit": unit,
+        "higher_is_better": higher_is_better,
+        "exact": exact,
+    }
 
 
 class TestArtifacts:
@@ -88,6 +93,48 @@ class TestCheckRegressions:
 
     def test_factor_is_wide(self):
         assert REGRESSION_FACTOR == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("higher_is_better", [True, False])
+    @pytest.mark.parametrize(
+        "old, new, changed",
+        [
+            (117341, 117341, False),
+            (117341, 234682, True),  # doubling is inside the 3x band
+            (117341, 58670, True),  # so is halving, in the "better" direction
+            (117341, 117342, True),
+            (0, 0, False),
+            (0, 3, True),  # a zero baseline is still a baseline
+            (3, 0, True),
+        ],
+    )
+    def test_exact_metric_must_equal_baseline(
+        self, old, new, changed, higher_is_better
+    ):
+        def count(value):
+            return metric(value, "events", higher_is_better, exact=True)
+
+        failures = check_regressions(
+            {"metrics": {"sim_events": count(old)}}, {"sim_events": count(new)}
+        )
+        assert len(failures) == (1 if changed else 0)
+        if changed:
+            assert "sim_events" in failures[0] and "CHANGED" in failures[0]
+            assert f"{new:d}" in failures[0] and f"{old:d}" in failures[0]
+
+    def test_exactness_is_read_from_the_fresh_metric(self):
+        # A baseline written before the flag existed still gates a
+        # count the suite now declares exact.
+        baseline = {"metrics": {"n": {"value": 10, "unit": "events"}}}
+        assert check_regressions(baseline, {"n": metric(20, "events", exact=True)})
+
+    def test_suite_marks_every_deterministic_count_exact(self):
+        for name in ("chaos", "explore", "hpimdm"):
+            for key, value in suite.BENCHMARKS[name](True).items():
+                deterministic = not any(
+                    word in key for word in ("per_sec", "seconds")
+                )
+                assert value["exact"] == deterministic, key
+                assert value["gated"] == deterministic, key
 
 
 class TestRunSuite:
