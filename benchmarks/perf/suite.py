@@ -273,10 +273,12 @@ def bench_scale_smoke(quick: bool) -> Dict[str, Metric]:
     t0 = time.perf_counter()
     row = scale_run(1000)
     wall = time.perf_counter() - t0
-    # Informational: how much the cell leaves for the cyclic collector
-    # to walk (objects tracked when the run returns, garbage included)
-    # and how often it ran — the allocation side of the same cell
-    # (docs/PERFORMANCE.md, "Allocation and the collector").
+    # Informational: how much the cell keeps resident (objects tracked
+    # when the run returns, garbage included) and how many collections
+    # ran *outside* the event loop — during the build and between
+    # ``run()`` calls; ``Scheduler.run`` pauses the collector, so none
+    # starts inside it (docs/PERFORMANCE.md, "Allocation and the
+    # collector").
     tracked = len(gc.get_objects()) - tracked_before
     collections = sum(gen["collections"] for gen in gc.get_stats())
     events, eps = row[5], row[6]

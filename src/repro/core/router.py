@@ -829,19 +829,9 @@ class CBTProtocol:
         if not isinstance(message, CBTControlMessage):
             return
         self.stats.count_received(message.msg_type)
-        handler = {
-            MessageType.JOIN_REQUEST: self._recv_join_request,
-            MessageType.JOIN_ACK: self._recv_join_ack,
-            MessageType.JOIN_NACK: self._recv_join_nack,
-            MessageType.QUIT_REQUEST: self._recv_quit_request,
-            MessageType.QUIT_ACK: self._recv_quit_ack,
-            MessageType.FLUSH_TREE: self._recv_flush,
-            MessageType.ECHO_REQUEST: self._recv_echo_request,
-            MessageType.ECHO_REPLY: self._recv_echo_reply,
-            MessageType.HELLO: self._recv_hello,
-        }.get(message.msg_type)
+        handler = _CONTROL_HANDLERS.get(message.msg_type)
         if handler is not None:
-            handler(interface, datagram.src, message)
+            handler(self, interface, datagram.src, message)
 
     def _handle_proto_cbt(self, node: Node, interface: Interface, datagram: IPDatagram) -> None:
         if datagram.is_multicast:
@@ -1956,3 +1946,19 @@ class CBTProtocol:
             )
             self._event_counters[kind] = counter
         counter.inc()
+
+
+#: What :meth:`CBTProtocol._handle_udp` calls per received message type
+#: (as ``handler(protocol, arrival, src, message)``): built once, not a
+#: dict of nine freshly bound methods per message.
+_CONTROL_HANDLERS = {
+    MessageType.JOIN_REQUEST: CBTProtocol._recv_join_request,
+    MessageType.JOIN_ACK: CBTProtocol._recv_join_ack,
+    MessageType.JOIN_NACK: CBTProtocol._recv_join_nack,
+    MessageType.QUIT_REQUEST: CBTProtocol._recv_quit_request,
+    MessageType.QUIT_ACK: CBTProtocol._recv_quit_ack,
+    MessageType.FLUSH_TREE: CBTProtocol._recv_flush,
+    MessageType.ECHO_REQUEST: CBTProtocol._recv_echo_request,
+    MessageType.ECHO_REPLY: CBTProtocol._recv_echo_reply,
+    MessageType.HELLO: CBTProtocol._recv_hello,
+}

@@ -31,10 +31,14 @@ Performance notes (see docs/PERFORMANCE.md):
 * An event carries its callback's arguments (``call_later(delay, f,
   *args)``; the loop calls ``f(*args)``), so callers schedule a bound
   method plus a tuple instead of building a closure per event.  What
-  is pending is what the cyclic collector walks: at n=1000 tens of
-  thousands of deliveries and timers are in flight, and a closure is
-  a function, a cell per variable and a tuple where an args tuple is
-  one object.
+  is pending costs RSS and the collections the *build* runs: at
+  n=1000 tens of thousands of deliveries and timers are in flight,
+  and a closure is a function, a cell per variable and a tuple where
+  an args tuple is one object.
+* ``run()`` pauses the cyclic collector and hands it back as found:
+  the loop leaves nothing unreachable (``tests/test_alloc_budget.py``)
+  and the pending population is middle-aged, the shape a generational
+  collector re-walks at a per-event cost no heap diet lowers.
 
 Choice-point hook layer (systematic exploration):
 
@@ -52,6 +56,7 @@ timer callbacks.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -195,8 +200,8 @@ class Scheduler:
 
         Pass what the callback needs as ``args`` rather than binding it
         in a closure: an args tuple is one object, a closure is a
-        function plus a cell per variable, and pending events are what
-        the collector has to keep walking (docs/PERFORMANCE.md)."""
+        function plus a cell per variable, and pending events are
+        resident memory the build's collections walk (docs/PERFORMANCE.md)."""
         if delay < 0:
             raise SchedulerError(f"cannot schedule {delay}s in the past")
         return self._schedule(self._now + delay, callback, args, tag)
@@ -286,41 +291,55 @@ class Scheduler:
         ``until`` (time advances to ``until`` in that case), or after
         ``max_events`` events as a runaway guard.  Returns the final
         simulation time.
+
+        The cyclic collector is paused for the duration and handed back
+        as it was found: the loop and the protocols it drives free
+        everything by refcount, so a collection started in here only
+        walks the pending population and finds nothing
+        (docs/PERFORMANCE.md, PR 18).  A caller whose own callbacks
+        build reference cycles per event keeps them until ``run``
+        returns, so such a caller steps ``run(until=...)``.
         """
         processed = 0
         heappop = heapq.heappop
         queue = self._queue
-        while True:
-            if not queue:
-                if self._wheel_next_start == float("inf"):
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            while True:
+                if not queue:
+                    if self._wheel_next_start == float("inf"):
+                        break
+                    self._flush_wheel(self._wheel_next_start)
+                    continue
+                time, _seq, timer = queue[0]
+                if time >= self._wheel_next_start:
+                    self._flush_wheel(time)
+                    continue
+                if timer.cancelled:
+                    heappop(queue)
+                    continue
+                if until is not None and time > until:
                     break
-                self._flush_wheel(self._wheel_next_start)
-                continue
-            time, _seq, timer = queue[0]
-            if time >= self._wheel_next_start:
-                self._flush_wheel(time)
-                continue
-            if timer.cancelled:
-                heappop(queue)
-                continue
-            if until is not None and time > until:
-                break
-            if self.choice_hook is not None:
-                timer = self._pop_tied(time)
-            else:
-                heappop(queue)
-            timer.fired = True
-            self._pending -= 1
-            self._now = time
-            if timer.tag is not None:
-                self._tagged.pop(timer, None)
-            timer.callback(*timer.args)
-            self._events_processed += 1
-            processed += 1
-            if processed >= max_events:
-                raise SchedulerError(
-                    f"exceeded max_events={max_events}; likely a protocol loop"
-                )
+                if self.choice_hook is not None:
+                    timer = self._pop_tied(time)
+                else:
+                    heappop(queue)
+                timer.fired = True
+                self._pending -= 1
+                self._events_processed += 1
+                self._now = time
+                if timer.tag is not None:
+                    self._tagged.pop(timer, None)
+                timer.callback(*timer.args)
+                processed += 1
+                if processed >= max_events:
+                    raise SchedulerError(
+                        f"exceeded max_events={max_events}; likely a protocol loop"
+                    )
+        finally:
+            if collecting:
+                gc.enable()
         if until is not None and until > self._now:
             self._now = until
         return self._now

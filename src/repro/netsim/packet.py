@@ -63,14 +63,13 @@ class IPDatagram:
     payload: Any
     ttl: int = DEFAULT_TTL
     uid: int = field(default_factory=lambda: next(_packet_ids))
+    #: Whether ``dst`` is class D (224.0.0.0/4); derived, read on every hop.
+    is_multicast: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.ttl <= 255:
             raise ValueError(f"TTL out of range: {self.ttl}")
-
-    @property
-    def is_multicast(self) -> bool:
-        return self.dst.is_multicast
+        object.__setattr__(self, "is_multicast", int(self.dst) >> 28 == 0xE)
 
     def decremented(self) -> "IPDatagram":
         """Copy with TTL reduced by one (same uid)."""

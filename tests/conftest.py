@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro import CBTDomain, build_figure1, group_address
 from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS
 from repro.topology.figures import FIGURE1_MEMBERS
+
+
+@pytest.fixture(autouse=True)
+def collector_handed_back():
+    """``Scheduler.run`` pauses the cyclic collector; a pause that leaks
+    fails the test that leaked it, not a slow test three files later."""
+    yield
+    leaked = not gc.isenabled()
+    gc.enable()
+    assert not leaked, "test left the cyclic collector disabled"
 
 
 @pytest.fixture

@@ -1,23 +1,40 @@
 """Allocation budget of the event path (docs/PERFORMANCE.md,
 "Allocation and the collector").
 
-What is pending at scale is what the cyclic collector keeps walking, so
-the rule is: schedule with args, bind gauges by attribute, never a
-per-event (or per-link) closure.  These tests are the guard that keeps
-the next ``_make_*`` lambda out of the event path: they look at the
-live heap of a started 120-router domain rather than at the source.
+``Scheduler.run`` pauses the cyclic collector, so what is pending at
+scale costs resident memory and the collections the *build* runs, not
+collections inside the loop.  Two guards live here.  The closure rule
+— schedule with args, bind gauges by attribute, never a per-event (or
+per-link) closure — is checked on the live heap of a started
+120-router domain rather than in the source.  And the pause is safe
+only while the loop and every protocol it drives free what they drop
+by refcount: the last two tests drive each protocol leg with the
+collector off and require that a full collection afterwards finds
+nothing, and that no collection starts inside ``run()`` at all.
 """
 
+import collections
 import gc
 import types
 
 import pytest
 
 from repro.core.bootstrap import CBTDomain
-from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS, pick_members
+from repro.core.legacy import LegacyDRExtension, LegacyHostAgent
+from repro.harness.scenarios import (
+    FAST_IGMP,
+    FAST_TIMERS,
+    build_dvmrp_group,
+    build_hpimdm_group,
+    pick_members,
+    send_data,
+)
 from repro.netsim.address import group_address
+from repro.netsim.engine import Scheduler
 from repro.netsim.link import Link
+from repro.topology.figures import build_figure1
 from repro.topology.generators import waxman_network
+from tests.test_wire_format import make_wire_domain
 
 #: Modules whose code runs per event or per link and must therefore
 #: build no closures (``repro.telemetry`` covers its submodules).
@@ -99,3 +116,171 @@ def test_tracked_objects_per_link_under_ceiling(world):
     net, _, tracked = world
     per_link = tracked / len(net.links)
     assert per_link < TRACKED_PER_LINK_CEILING, per_link
+
+
+# -- the loop runs with the collector paused: it must leave it no work ----------
+#
+# Each leg builds its world, then returns the callable that drives it;
+# only the drive is held to "no cyclic garbage".
+
+
+def _run_for(net, seconds):
+    net.run(until=net.scheduler.now + seconds)
+
+
+def _cbt_leg(net, domain):
+    """Joins, data, leaves, and a tree link and an on-tree router each
+    down for longer than the echo timeout (then repaired), on a
+    started CBT domain."""
+    group = group_address(1)
+    members = pick_members(net, 6, seed=5)
+    core = sorted(net.routers)[0]
+    domain.create_group(group, cores=[core])
+
+    def kinds():
+        return {e.kind for p in domain.protocols.values() for e in p.events}
+
+    def drive():
+        for member in members[:5]:
+            domain.join_host(member, group)
+        _run_for(net, 3.0)
+        send_data(net, members[5], group, count=3)
+        child, parent = domain.tree_edges(group)[0]
+        link = next(
+            name
+            for name, link in sorted(net.links.items())
+            if {child, parent} <= {i.node.name for i in link.interfaces}
+        )
+        net.fail_link(link)
+        _run_for(net, 2 * FAST_TIMERS.echo_timeout)
+        net.restore_link(link)
+        _run_for(net, 3.0)
+        assert "parent_lost" in kinds()
+        crashed = next(p for _, p in domain.tree_edges(group) if p != core)
+        net.fail_router(crashed)
+        _run_for(net, 2 * FAST_TIMERS.echo_timeout)
+        net.restore_router(crashed)
+        _run_for(net, 3.0)
+        send_data(net, members[5], group, count=2)
+        for member in members[:3]:
+            domain.leave_host(member, group)
+        _run_for(net, 6.0)
+        assert "quit" in kinds() and domain.on_tree_routers(group)
+
+    return drive
+
+
+def cbt_n120():
+    return _cbt_leg(*started_domain(120))
+
+
+def cbt_wire_format_figure1():
+    net = build_figure1()
+    domain, _ = make_wire_domain(net)
+    return _cbt_leg(net, domain)
+
+
+def dvmrp_prune_graft():
+    net = waxman_network(12, seed=24)
+    domain, group = build_dvmrp_group(net, ["H_N3"], prune_lifetime=600.0)
+
+    def drive():
+        send_data(net, "H_N5", group, count=2)
+        assert sum(p.stats.prunes_sent for p in domain.protocols.values()) > 0
+        domain.join_host("H_N9", group)  # grafts a pruned branch back
+        _run_for(net, 5.0)
+        uid = send_data(net, "H_N5", group, count=1)[0]
+        assert any(d.uid == uid for d in net.host("H_N9").delivered)
+        domain.leave_host("H_N9", group)
+        _run_for(net, 5.0)
+
+    return drive
+
+
+def hpimdm_election():
+    net = build_figure1()
+    domain, group = build_hpimdm_group(net, ["B", "G"])
+
+    def drive():
+        # S4 attaches R2, R5 and R6: data from A makes all three assert.
+        send_data(net, "A", group, count=2, spacing=0.05)
+        _run_for(net, 12.0)
+        source = net.host("A").interface.address
+        assert len(domain.upstream_winners(source, group)["S4"]) == 1
+        domain.leave_host("G", group)
+        _run_for(net, 12.0)
+        domain.join_host("G", group)
+        _run_for(net, 12.0)
+        assert domain.election_findings() == []
+
+    return drive
+
+
+def legacy_join_path():
+    net = build_figure1()
+    domain = CBTDomain(net, timers=FAST_TIMERS, igmp_config=FAST_IGMP)
+    for protocol in domain.protocols.values():
+        LegacyDRExtension(protocol)  # registers itself on the protocol
+    agents = {
+        name: LegacyHostAgent(net.host(name), igmp_agent=domain.agent(name))
+        for name in ("A", "B")
+    }
+    domain.start()
+    net.run(until=3.0)
+    group = group_address(0)
+    cores = (net.router("R4").primary_address, net.router("R9").primary_address)
+
+    def drive():
+        agents["A"].join(group, cores, initiator=True)
+        _run_for(net, 5.0)
+        agents["B"].join(group, cores[:1])  # R2/R5 hold a DR election
+        _run_for(net, 8.0)
+        assert all(agent.is_complete(group) for agent in agents.values())
+
+    return drive
+
+
+@pytest.mark.parametrize(
+    "leg",
+    [
+        cbt_n120,
+        cbt_wire_format_figure1,
+        dvmrp_prune_graft,
+        hpimdm_election,
+        legacy_join_path,
+    ],
+    ids=lambda leg: leg.__name__,
+)
+def test_event_loop_makes_no_cyclic_garbage(leg):
+    drive = leg()
+    flags = gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        drive()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        unreachable = gc.collect()
+        census = collections.Counter(type(obj).__name__ for obj in gc.garbage)
+        assert unreachable == 0, census.most_common(12)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        gc.enable()
+
+
+def test_no_collection_starts_inside_run():
+    sched = Scheduler(telemetry_enabled=False)
+    live = []
+    totals = []  # read by the first and the last event, so inside run()
+
+    def step(remaining):
+        if remaining in (19_999, 0):
+            totals.append([g["collections"] for g in gc.get_stats()])
+        live.append([remaining])  # a fresh GC-tracked object that survives
+        if remaining:
+            sched.call_later(0.001, step, remaining - 1)
+
+    sched.call_later(0.0, step, 19_999)
+    sched.run_until_idle()
+    assert len(live) == 20_000
+    assert totals[0] == totals[1]

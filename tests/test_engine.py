@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.netsim.engine import PeriodicTimer, Scheduler, SchedulerError
 from repro.netsim.node import Node
 from repro.netsim.packet import IPDatagram, PROTO_UDP
+from repro.telemetry.conservation import scheduler_conservation
 from repro.topology.builder import Network
 
 
@@ -406,6 +407,58 @@ class TestEventArgs:
         assert ref() is None
 
 
+class TestCollectorHandBack:
+    """``run()`` pauses the cyclic collector and hands it back as it
+    found it, however the loop ends."""
+
+    def test_enabled_before_paused_inside_enabled_after(self):
+        sched = Scheduler()
+        seen = []
+        sched.call_later(1.0, lambda: seen.append(gc.isenabled()))
+        assert gc.isenabled()
+        sched.run_until_idle()
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_disabled_before_stays_disabled_after(self):
+        sched = Scheduler()
+        sched.call_later(1.0, lambda: None)
+        gc.disable()
+        try:
+            sched.run_until_idle()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_restored_when_a_callback_raises(self):
+        sched = Scheduler()
+        sched.call_later(1.0, lambda: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            sched.run_until_idle()
+        assert gc.isenabled()
+
+    def test_restored_when_max_events_trips(self):
+        sched = Scheduler()
+
+        def loop():
+            sched.call_later(0.0, loop)
+
+        sched.call_later(0.0, loop)
+        with pytest.raises(SchedulerError):
+            sched.run_until_idle(max_events=10)
+        assert gc.isenabled()
+
+    def test_nested_run_returns_to_a_still_paused_outer_loop(self):
+        outer, inner = Scheduler(), Scheduler()
+        seen = []
+        inner.call_later(1.0, lambda: seen.append(("inner", gc.isenabled())))
+        outer.call_later(1.0, inner.run_until_idle)
+        outer.call_later(2.0, lambda: seen.append(("outer", gc.isenabled())))
+        outer.run_until_idle()
+        assert seen == [("inner", False), ("outer", False)]
+        assert gc.isenabled()
+
+
 # -- the fast path against a slow reference -----------------------------------
 
 
@@ -538,6 +591,14 @@ _OPERATION = st.one_of(
 )
 
 
+def conservation_gap(scheduler):
+    return scheduler.events_scheduled - (
+        scheduler.events_processed
+        + scheduler.events_cancelled
+        + scheduler.pending_events
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_OPERATION, max_size=40))
 def test_engine_is_indistinguishable_from_a_sorted_list(script):
@@ -552,11 +613,39 @@ def test_engine_is_indistinguishable_from_a_sorted_list(script):
         model.apply(op)
         assert real.observed() == model.observed()
         scheduler = real.scheduler
-        assert scheduler.events_scheduled == (
-            scheduler.events_processed
-            + scheduler.events_cancelled
-            + scheduler.pending_events
-        )
+        assert conservation_gap(scheduler) == 0
     if len(real.timers) <= 64:  # every handle was reachable by the cancels
         assert scheduler.pending_events == 0
         assert scheduler._queue == [] and scheduler._wheel == {}
+
+
+def test_conservation_law_holds_when_read_from_inside_a_callback():
+    sched = Scheduler()
+    gaps = []
+    doomed = sched.call_later(5.0, lambda: None)
+
+    def read():
+        gaps.append(conservation_gap(sched))
+        doomed.cancel()
+        sched.call_later(1.0, lambda: gaps.append(conservation_gap(sched)))
+        gaps.append(conservation_gap(sched))
+        assert scheduler_conservation(sched) == []
+
+    sched.call_later(1.0, read)
+    sched.run_until_idle()
+    assert gaps == [0, 0, 0]
+
+
+def test_conservation_law_survives_a_callback_that_raises():
+    sched = Scheduler()
+    fired = []
+    sched.call_later(1.0, lambda: 1 / 0)
+    sched.call_later(2.0, fired.append, "second")
+    with pytest.raises(ZeroDivisionError):
+        sched.run_until_idle()
+    assert (sched.events_scheduled, sched.events_processed) == (2, 1)
+    assert (sched.events_cancelled, sched.pending_events) == (0, 1)
+    assert scheduler_conservation(sched) == []
+    sched.run_until_idle()
+    assert fired == ["second"]
+    assert scheduler_conservation(sched) == []

@@ -1,8 +1,10 @@
 """Tests for the IP/UDP datagram model."""
 
+from dataclasses import replace
 from ipaddress import IPv4Address
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.netsim.packet import (
     DEFAULT_TTL,
@@ -46,6 +48,36 @@ class TestIPDatagram:
     def test_multicast_detection(self):
         assert IPDatagram(src=SRC, dst=GROUP, proto=PROTO_UDP, payload=b"").is_multicast
         assert not IPDatagram(src=SRC, dst=DST, proto=PROTO_UDP, payload=b"").is_multicast
+
+    @given(st.integers(min_value=0, max_value=0xFFFFFFFF))
+    @example(int(IPv4Address("223.255.255.255")))
+    @example(int(IPv4Address("224.0.0.0")))
+    @example(int(IPv4Address("239.255.255.255")))
+    @example(int(IPv4Address("240.0.0.0")))
+    def test_multicast_detection_agrees_with_ipaddress(self, value):
+        dst = IPv4Address(value)
+        datagram = IPDatagram(src=SRC, dst=dst, proto=PROTO_UDP, payload=b"")
+        assert datagram.is_multicast is dst.is_multicast
+
+    def test_multicast_flag_survives_copies(self):
+        for dst in (GROUP, DST):
+            a = IPDatagram(src=SRC, dst=dst, proto=PROTO_UDP, payload=b"")
+            copies = [a.decremented(), a.with_ttl(1), make_udp(SRC, dst, 1, 2, b"", uid=7)]
+            assert [c.is_multicast for c in copies] == [dst.is_multicast] * 3
+        assert replace(a, dst=GROUP).is_multicast  # recomputed, not copied
+
+    def test_multicast_flag_is_derived_not_identity(self):
+        a = IPDatagram(src=SRC, dst=GROUP, proto=PROTO_UDP, payload=b"", uid=7)
+        b = IPDatagram(src=SRC, dst=GROUP, proto=PROTO_UDP, payload=b"", uid=7)
+        object.__setattr__(b, "is_multicast", False)  # differ in nothing else
+        assert a == b and hash(a) == hash(b)
+        assert "is_multicast" not in repr(a)
+        with pytest.raises(ValueError):
+            replace(a, is_multicast=False)
+        with pytest.raises(TypeError):
+            IPDatagram(
+                src=SRC, dst=GROUP, proto=PROTO_UDP, payload=b"", is_multicast=False
+            )
 
     def test_default_ttl(self):
         assert IPDatagram(src=SRC, dst=DST, proto=PROTO_UDP, payload=b"").ttl == DEFAULT_TTL

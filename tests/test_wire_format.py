@@ -157,3 +157,65 @@ class TestCorruptionHandling:
         p3._handle_udp(r3, r3.interfaces[0], datagram)
         assert p3.decode_errors == before + 1
         assert group not in p3.pending
+
+    def test_dispatch_table_maps_each_message_type_to_its_method(self):
+        from repro.core import router
+        from repro.core.constants import MessageType
+
+        expected = {
+            MessageType.JOIN_REQUEST: "_recv_join_request",
+            MessageType.JOIN_ACK: "_recv_join_ack",
+            MessageType.JOIN_NACK: "_recv_join_nack",
+            MessageType.QUIT_REQUEST: "_recv_quit_request",
+            MessageType.QUIT_ACK: "_recv_quit_ack",
+            MessageType.FLUSH_TREE: "_recv_flush",
+            MessageType.ECHO_REQUEST: "_recv_echo_request",
+            MessageType.ECHO_REPLY: "_recv_echo_reply",
+            MessageType.HELLO: "_recv_hello",
+        }
+        assert set(router._CONTROL_HANDLERS) == set(expected)
+        for msg_type, name in expected.items():
+            assert router._CONTROL_HANDLERS[msg_type] is getattr(
+                router.CBTProtocol, name
+            )
+
+    def test_message_type_outside_the_table_is_counted_and_ignored(
+        self, figure1_network
+    ):
+        import enum
+        from ipaddress import IPv4Address
+
+        from repro.core.messages import CBTControlMessage
+        from repro.netsim.packet import make_udp
+
+        class FutureType(enum.IntEnum):
+            REDIRECT = 9
+
+        domain, group = make_wire_domain(figure1_network)
+        p3 = domain.protocol("R3")
+        r3 = figure1_network.router("R3")
+        datagram = make_udp(
+            IPv4Address("10.0.0.1"),
+            r3.primary_address,
+            CBT_PORT,
+            CBT_PORT,
+            CBTControlMessage(
+                msg_type=FutureType.REDIRECT,
+                code=0,
+                group=group,
+                origin=IPv4Address("10.0.0.1"),
+            ),
+        )
+
+        def state():
+            return (
+                p3.decode_errors,
+                len(p3.events),
+                dict(p3.stats.sent),
+                figure1_network.scheduler.events_scheduled,
+            )
+
+        before = state()
+        p3._handle_udp(r3, r3.interfaces[0], datagram)
+        assert p3.stats.received["REDIRECT"] == 1
+        assert state() == before
