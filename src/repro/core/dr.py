@@ -56,15 +56,19 @@ class NeighbourTable:
         address: IPv4Address,
         now: float,
         groups: tuple = (),
-    ) -> None:
-        self._neighbours.setdefault(vif, {})[address] = now
+    ) -> bool:
+        """Record a HELLO; True when the neighbour was not known before."""
+        try:  # per HELLO: no throwaway dict, no method call
+            table = self._neighbours[vif]
+        except KeyError:
+            table = self._neighbours[vif] = {}
+        known = len(table)
+        table[address] = now
         if groups:
-            table = self._announced.setdefault(vif, {}).setdefault(address, {})
+            announced = self._announced.setdefault(vif, {}).setdefault(address, {})
             for group in groups:
-                table[group] = now
-
-    def is_new(self, vif: int, address: IPv4Address) -> bool:
-        return address not in self._neighbours.get(vif, {})
+                announced[group] = now
+        return len(table) > known
 
     def expire(self, now: float, hold_time: float = HELLO_HOLD_TIME) -> None:
         for vif, table in self._neighbours.items():

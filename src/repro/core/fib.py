@@ -7,9 +7,9 @@ member subnets live in :class:`repro.igmp.router_side.MembershipDatabase`,
 not here.
 
 The spec's user-space/kernel split (user-space tree building downloads
-FIB entries into the kernel, §3) is modelled by keeping the FIB as its
-own object that the forwarding module reads — changes are "downloaded"
-simply by being visible immediately.
+FIB entries into the kernel, §3): every mutator of a :class:`FIBEntry`
+recompiles, as it occurs, the immutable
+:class:`repro.core.kernel.KernelEntry` the forwarding module reads.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from ipaddress import IPv4Address
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.core.kernel import KernelEntry
 from repro.telemetry import Counter, NULL_COUNTER
 
 
@@ -33,6 +34,21 @@ class FIBEntry:
     parent_vif: Optional[int] = None
     #: child address -> vif index of the interface leading to it.
     children: Dict[IPv4Address, int] = field(default_factory=dict)
+    #: The downloaded entry (§3).  ``children`` / ``parent_*`` are
+    #: written only by the four mutators below, each of which
+    #: recompiles it.
+    kernel: KernelEntry = field(init=False, repr=False, compare=False)
+    #: The owning table, which counts the downloads (none yet while
+    #: the entry is being constructed).
+    _fib: Optional["FIB"] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._download()
+
+    def _download(self) -> None:
+        self.kernel = KernelEntry.from_user_entry(self)
+        if self._fib is not None:
+            self._fib.downloads += 1
 
     @property
     def has_parent(self) -> bool:
@@ -43,18 +59,27 @@ class FIBEntry:
         return bool(self.children)
 
     def add_child(self, address: IPv4Address, vif: int) -> None:
-        self.children[address] = vif
+        if self.children.get(address) != vif:
+            self.children[address] = vif
+            self._download()
 
     def remove_child(self, address: IPv4Address) -> bool:
-        return self.children.pop(address, None) is not None
+        if self.children.pop(address, None) is None:
+            return False
+        self._download()
+        return True
 
     def set_parent(self, address: IPv4Address, vif: int) -> None:
-        self.parent_address = address
-        self.parent_vif = vif
+        if (self.parent_address, self.parent_vif) != (address, vif):
+            self.parent_address = address
+            self.parent_vif = vif
+            self._download()
 
     def clear_parent(self) -> None:
-        self.parent_address = None
-        self.parent_vif = None
+        if self.parent_address is not None:
+            self.parent_address = None
+            self.parent_vif = None
+            self._download()
 
     def child_vifs(self) -> List[int]:
         """Distinct vif indices with at least one child behind them."""
@@ -65,13 +90,10 @@ class FIBEntry:
 
     def tree_vifs(self) -> List[int]:
         """All on-tree vif indices (parent + children)."""
-        vifs = set(self.children.values())
-        if self.parent_vif is not None:
-            vifs.add(self.parent_vif)
-        return sorted(vifs)
+        return sorted(self.kernel.tree_vifs)
 
     def is_tree_interface(self, vif: int) -> bool:
-        return vif in self.tree_vifs()
+        return vif in self.kernel.tree_vifs
 
     def state_size(self) -> int:
         """Number of stored (address, vif) pairs — the E1 state metric."""
@@ -83,11 +105,15 @@ class FIB:
 
     Entry creation/removal is counted against telemetry counters bound
     via :meth:`bind_counters`, so ``adds - removes == len(fib)`` is a
-    checkable conservation law.
+    checkable conservation law.  ``downloads`` / ``deletions`` count
+    the §3 kernel updates: one download per entry change, one deletion
+    per removed entry.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[IPv4Address, FIBEntry] = {}
+        self.downloads = 0
+        self.deletions = 0
         self._adds: Counter = NULL_COUNTER
         self._removes: Counter = NULL_COUNTER
 
@@ -112,13 +138,17 @@ class FIB:
         entry = self._entries.get(group)
         if entry is None:
             entry = FIBEntry(group=group)
+            entry._fib = self
             self._entries[group] = entry
             self._adds.inc()
         return entry
 
     def remove(self, group: IPv4Address) -> None:
-        if self._entries.pop(group, None) is not None:
+        entry = self._entries.pop(group, None)
+        if entry is not None:
+            entry._fib = None
             self._removes.inc()
+            self.deletions += 1
 
     def groups(self) -> List[IPv4Address]:
         return sorted(self._entries, key=int)

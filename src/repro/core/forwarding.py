@@ -25,12 +25,12 @@ it entirely (the forwarding benchmark measures both).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from ipaddress import IPv4Address
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Optional
 
 from repro.core.constants import OFF_TREE
-from repro.core.fib import FIBEntry
+from repro.core.kernel import KernelEntry
 from repro.core.messages import CBTDataPacket
 from repro.netsim.nic import Interface
 from repro.netsim.packet import (
@@ -72,31 +72,17 @@ class ForwardingStats:
 class DataPlane:
     """The forwarding engine for one CBT router.
 
-    Reads the FIB and the IGMP membership database that the control
-    plane (:class:`repro.core.router.CBTProtocol`) maintains; never
-    mutates either.
+    Forwards from the :class:`KernelEntry` each FIB change downloads
+    (spec §3) and the IGMP membership database that the control plane
+    (:class:`repro.core.router.CBTProtocol`) maintains; never mutates
+    either.
     """
 
     def __init__(self, protocol) -> None:
         self.protocol = protocol
+        self.router = protocol.router
+        self.fib = protocol.fib
         self.stats = ForwardingStats()
-
-    # convenience accessors --------------------------------------------------
-
-    @property
-    def router(self):
-        return self.protocol.router
-
-    @property
-    def fib(self):
-        return self.protocol.fib
-
-    @property
-    def mode(self) -> str:
-        return self.protocol.mode
-
-    def _member_vifs(self, group: IPv4Address) -> List[int]:
-        return self.protocol.igmp.database.interfaces_with(group)
 
     # -- entry points ----------------------------------------------------------
 
@@ -113,8 +99,10 @@ class DataPlane:
             return
         self._handle_native(arrival, datagram)
 
-    def handle_cbt_unicast(self, arrival: Interface, datagram: IPDatagram) -> None:
-        """PROTO_CBT datagram addressed to this router."""
+    def handle_cbt_unicast(self, router, arrival: Interface, datagram: IPDatagram) -> None:
+        """The router's PROTO_CBT handler: a datagram addressed to it."""
+        if datagram.is_multicast:
+            return  # :meth:`forward_multicast` handles these
         packet = datagram.payload
         if isinstance(packet, CBTDataPacket):
             self._receive_cbt(
@@ -169,31 +157,31 @@ class DataPlane:
             if not self._responsible_for(arrival, group):
                 return  # another attached router owns this LAN's forwarding
             self._span(
-                entry,
+                entry.kernel,
                 inner=datagram,
                 exclude_vif=arrival.vif,
                 exclude_address=None,
-                exclude_member_vifs={arrival.vif},
+                exclude_member_vif=arrival.vif,
             )
             return
 
         # Not locally originated: only legitimate in native mode over a
         # tree interface (§7); everything else is discarded (§5 rule 1).
-        if entry is None or not entry.is_tree_interface(arrival.vif):
+        if entry is None or arrival.vif not in entry.kernel.tree_vifs:
             self.stats.discards_not_local += 1
             return
-        if self.mode != "native" and not tunnel_arrival:
+        if self.protocol.mode != "native" and not tunnel_arrival:
             self.stats.discards_not_local += 1
             return
         if datagram.ttl <= 1:
             self.stats.discards_ttl += 1
             return
         self._span(
-            entry,
+            entry.kernel,
             inner=datagram.decremented(),
             exclude_vif=arrival.vif,
             exclude_address=None,
-            exclude_member_vifs={arrival.vif},
+            exclude_member_vif=arrival.vif,
         )
 
     def _responsible_for(self, arrival: Interface, group: IPv4Address) -> bool:
@@ -225,19 +213,20 @@ class DataPlane:
             # target core of a non-member sender but have no tree yet.
             self.stats.discards_offtree += 1
             return
+        kernel = entry.kernel
         if packet.is_on_tree:
-            if not entry.is_tree_interface(arrival.vif):
+            if arrival.vif not in kernel.tree_vifs:
                 self.stats.discards_offtree += 1
                 return
             # A CBT multicast reached every tree neighbour on the
             # arrival interface; a CBT unicast reached only us, so
             # other neighbours on that interface still need a copy.
             self._span(
-                entry,
+                kernel,
                 inner=packet.inner,
                 exclude_vif=arrival.vif if was_multicast else None,
                 exclude_address=outer_src,
-                exclude_member_vifs={arrival.vif},
+                exclude_member_vif=arrival.vif,
                 cbt_packet=packet,
                 no_multicast_vif=arrival.vif,
             )
@@ -245,11 +234,11 @@ class DataPlane:
             # First on-tree router: set the on-tree field (§7) and span
             # the whole tree; nobody has delivered anywhere yet.
             self._span(
-                entry,
+                kernel,
                 inner=packet.inner,
                 exclude_vif=None,
                 exclude_address=None,
-                exclude_member_vifs=set(),
+                exclude_member_vif=None,
                 cbt_packet=packet.marked_on_tree(),
             )
 
@@ -289,11 +278,11 @@ class DataPlane:
 
     def _span(
         self,
-        entry: FIBEntry,
+        kernel: KernelEntry,
         inner: IPDatagram,
         exclude_vif: Optional[int],
         exclude_address: Optional[IPv4Address],
-        exclude_member_vifs: Set[int],
+        exclude_member_vif: Optional[int],
         cbt_packet: Optional[CBTDataPacket] = None,
         no_multicast_vif: Optional[int] = None,
     ) -> None:
@@ -305,56 +294,45 @@ class DataPlane:
         one interface (the arrival interface: a multicast there would
         hand the packet back to its sender).
         """
-        targets = self._tree_targets(entry, exclude_vif, exclude_address)
-        if self.mode == "cbt" or cbt_packet is not None:
+        if self.protocol.mode == "cbt" or cbt_packet is not None:
             packet = cbt_packet
             if packet is None:
                 packet = CBTDataPacket(
-                    group=entry.group,
-                    core=self._core_hint(entry.group),
+                    group=kernel.group,
+                    core=self._core_hint(kernel.group),
                     origin=inner.src,
                     inner=inner,
                     ip_ttl=inner.ttl,
                 ).marked_on_tree()
                 self.stats.encapsulations += 1
-            self._send_cbt_targets(entry.group, packet, targets, no_multicast_vif)
+            self._send_cbt(
+                kernel, packet, exclude_vif, exclude_address, no_multicast_vif
+            )
         else:
-            self._send_native_targets(entry.group, inner, targets)
-        self._deliver_members(entry.group, inner, exclude_member_vifs)
+            # Native arrivals name no sending neighbour (both callers
+            # pass ``exclude_address=None``): exclusion is per interface.
+            self._send_native_targets(kernel, inner, exclude_vif)
+        self._deliver_members(kernel.group, inner, exclude_member_vif)
 
-    def _tree_targets(
+    def _send_cbt(
         self,
-        entry: FIBEntry,
+        kernel: KernelEntry,
+        packet: CBTDataPacket,
         exclude_vif: Optional[int],
         exclude_address: Optional[IPv4Address],
-    ) -> List[Tuple[IPv4Address, int]]:
-        targets: List[Tuple[IPv4Address, int]] = []
-        if entry.has_parent:
-            targets.append((entry.parent_address, entry.parent_vif))
-        for address, vif in sorted(entry.children.items(), key=lambda kv: int(kv[0])):
-            targets.append((address, vif))
-        return [
-            (address, vif)
-            for address, vif in targets
-            if address != exclude_address and vif != exclude_vif
-        ]
-
-    def _send_cbt_targets(
-        self,
-        group: IPv4Address,
-        packet: CBTDataPacket,
-        targets: List[Tuple[IPv4Address, int]],
-        no_multicast_vif: Optional[int] = None,
+        no_multicast_vif: Optional[int],
     ) -> None:
-        by_vif: Dict[int, List[IPv4Address]] = {}
-        for address, vif in targets:
-            by_vif.setdefault(vif, []).append(address)
-        for vif, addresses in sorted(by_vif.items()):
-            interface = self.router.interface_for_vif(vif)
+        interfaces = self.router.interfaces
+        multicast = self.protocol.use_cbt_multicast
+        for vif, addresses in kernel.fanout:
+            if vif == exclude_vif:
+                continue
+            interface = interfaces[vif]
             if (
-                self.protocol.use_cbt_multicast
-                and len(addresses) > 1
+                multicast
                 and vif != no_multicast_vif
+                and len(addresses) > 1  # the usual lone neighbour: no count()
+                and len(addresses) - addresses.count(exclude_address) > 1
             ):
                 # CBT multicast: one transmission reaches every tree
                 # neighbour on this interface (§5).  Hosts discard it
@@ -363,7 +341,7 @@ class DataPlane:
                 interface.send(
                     IPDatagram(
                         src=interface.address,
-                        dst=group,
+                        dst=kernel.group,
                         proto=PROTO_CBT,
                         payload=packet,
                         ttl=1,
@@ -371,6 +349,8 @@ class DataPlane:
                 )
                 continue
             for address in addresses:
+                if address == exclude_address:
+                    continue
                 self.stats.cbt_unicasts += 1
                 interface.send(
                     IPDatagram(
@@ -384,13 +364,16 @@ class DataPlane:
 
     def _send_native_targets(
         self,
-        group: IPv4Address,
+        kernel: KernelEntry,
         inner: IPDatagram,
-        targets: List[Tuple[IPv4Address, int]],
+        exclude_vif: Optional[int],
     ) -> None:
-        sent_vifs: Set[int] = set()
-        for address, vif in targets:
-            interface = self.router.interface_for_vif(vif)
+        interfaces = self.router.interfaces
+        sent_vifs = 0  # one bit per vif already multicast onto
+        for address, vif in kernel.targets:
+            if vif == exclude_vif:
+                continue
+            interface = interfaces[vif]
             if interface.mode == "cbt":
                 # Tunnel inside a native-mode cloud: IP-over-IP (§4).
                 self.stats.encapsulations += 1
@@ -404,19 +387,19 @@ class DataPlane:
                     link_dst=address,
                 )
                 continue
-            if vif in sent_vifs:
+            if sent_vifs >> vif & 1:
                 continue  # one native multicast covers the whole LAN
-            sent_vifs.add(vif)
+            sent_vifs |= 1 << vif
             self.stats.native_forwards += 1
             interface.send(inner)
 
     def _deliver_members(
-        self, group: IPv4Address, inner: IPDatagram, exclude_vifs: Set[int]
+        self, group: IPv4Address, inner: IPDatagram, exclude_vif: Optional[int]
     ) -> None:
-        for vif in self._member_vifs(group):
-            if vif in exclude_vifs:
+        for vif in self.protocol.igmp.database.interfaces_with(group):
+            if vif == exclude_vif:
                 continue
-            interface = self.router.interface_for_vif(vif)
+            interface = self.router.interfaces[vif]
             if interface.on_same_network(inner.src):
                 continue  # the origin subnet had the packet first (§5)
             self.stats.member_deliveries += 1

@@ -7,101 +7,54 @@ kernel-space for fast and efficient data packet forwarding.  Any
 changes in FIB entries are communicated to the kernel as they occur,
 so that the kernel FIB always reflects the current state."
 
-:class:`KernelFIB` models the kernel side: an immutable snapshot per
-group, refreshed by diffing against the user-space FIB.  ``sync``
-counts *downloads* (changed entries communicated to the kernel), which
-is the spec's update-traffic quantity; the mirror also lets tests
-assert the two views never diverge.
+:class:`KernelEntry` is the kernel side: an immutable per-group entry
+compiled from the user-space :class:`repro.core.fib.FIBEntry` by each
+of its mutators, as they occur.  The data plane
+(:mod:`repro.core.forwarding`) forwards from it and from nothing else;
+:class:`repro.core.fib.FIB` counts the downloads and deletions, the
+spec's update-traffic quantity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from ipaddress import IPv4Address
-from typing import Dict, Optional, Tuple
-
-from repro.core.fib import FIB
-from repro.netsim.packet import PROTO_UDP
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
 class KernelEntry:
-    """Immutable kernel-side snapshot of one group's forwarding state."""
+    """Immutable kernel-side forwarding state of one group."""
 
     group: IPv4Address
     parent_address: Optional[IPv4Address]
     parent_vif: Optional[int]
+    #: (address, vif) pairs by ascending ``int(address)``.
     children: Tuple[Tuple[IPv4Address, int], ...]
+    #: Every on-tree vif (parent + children).
+    tree_vifs: FrozenSet[int]
+    #: Every tree neighbour as (address, vif): the parent first, then
+    #: ``children`` — the order native mode transmits in.
+    targets: Tuple[Tuple[IPv4Address, int], ...]
+    #: ``targets`` grouped per interface, ascending vif — the order
+    #: CBT mode transmits in.
+    fanout: Tuple[Tuple[int, Tuple[IPv4Address, ...]], ...]
 
     @classmethod
     def from_user_entry(cls, entry) -> "KernelEntry":
+        children = tuple(sorted(entry.children.items(), key=lambda kv: int(kv[0])))
+        targets = children
+        if entry.parent_address is not None:
+            targets = ((entry.parent_address, entry.parent_vif),) + children
+        by_vif: Dict[int, List[IPv4Address]] = {}
+        for address, vif in targets:
+            by_vif.setdefault(vif, []).append(address)
         return cls(
             group=entry.group,
             parent_address=entry.parent_address,
             parent_vif=entry.parent_vif,
-            children=tuple(sorted(entry.children.items(), key=lambda kv: int(kv[0]))),
+            children=children,
+            tree_vifs=frozenset(by_vif),
+            targets=targets,
+            fanout=tuple((vif, tuple(by_vif[vif])) for vif in sorted(by_vif)),
         )
-
-
-class KernelFIB:
-    """Kernel-space mirror of a router's user-space FIB."""
-
-    def __init__(self) -> None:
-        self._entries: Dict[IPv4Address, KernelEntry] = {}
-        self.downloads = 0
-        self.deletions = 0
-        self.syncs = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, group: IPv4Address) -> Optional[KernelEntry]:
-        return self._entries.get(group)
-
-    def sync(self, user_fib: FIB) -> int:
-        """Mirror ``user_fib``; returns the number of changes downloaded."""
-        self.syncs += 1
-        changes = 0
-        seen = set()
-        for entry in user_fib:
-            seen.add(entry.group)
-            snapshot = KernelEntry.from_user_entry(entry)
-            if self._entries.get(entry.group) != snapshot:
-                self._entries[entry.group] = snapshot
-                self.downloads += 1
-                changes += 1
-        for group in [g for g in self._entries if g not in seen]:
-            del self._entries[group]
-            self.deletions += 1
-            changes += 1
-        return changes
-
-    def matches(self, user_fib: FIB) -> bool:
-        """True when kernel and user views agree entry-for-entry."""
-        if len(self._entries) != len(user_fib):
-            return False
-        for entry in user_fib:
-            if self._entries.get(entry.group) != KernelEntry.from_user_entry(entry):
-                return False
-        return True
-
-
-def attach_kernel_fib(protocol) -> KernelFIB:
-    """Wire a :class:`KernelFIB` to a protocol instance.
-
-    The kernel view is refreshed after every control message the
-    router processes — the spec's "changes communicated to the kernel
-    as they occur".
-    """
-    kernel = KernelFIB()
-    protocol.kernel_fib = kernel
-    original = protocol._handle_udp
-
-    def syncing_handle(node, interface, datagram):
-        original(node, interface, datagram)
-        kernel.sync(protocol.fib)
-
-    protocol._handle_udp = syncing_handle
-    protocol.router.register_handler(PROTO_UDP, syncing_handle)
-    kernel.sync(protocol.fib)
-    return kernel

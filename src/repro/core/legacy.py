@@ -144,7 +144,6 @@ class LegacyDRExtension:
         self.messages_sent = 0
         self._saved_handler = protocol._handle_udp
         protocol.router.register_handler(PROTO_UDP, self._handle_udp)
-        protocol._handle_udp = self._handle_udp  # keep kernel hooks working
 
     # -- dispatch ----------------------------------------------------------
 

@@ -237,13 +237,19 @@ class CBTDataPacket:
 
     def marked_on_tree(self) -> "CBTDataPacket":
         """Copy with the on-tree field set (first on-tree router does this)."""
-        return replace(self, on_tree=ON_TREE)
+        return CBTDataPacket(
+            self.group, self.core, self.origin, self.inner,
+            ON_TREE, self.ip_ttl, self.flow_id, self.version,
+        )
 
     def decremented(self) -> "CBTDataPacket":
         """Copy with the carried IP TTL reduced by one (spec §5)."""
         if self.ip_ttl <= 0:
             raise ValueError("cannot decrement TTL below zero")
-        return replace(self, ip_ttl=self.ip_ttl - 1)
+        return CBTDataPacket(
+            self.group, self.core, self.origin, self.inner,
+            self.on_tree, self.ip_ttl - 1, self.flow_id, self.version,
+        )
 
     def size_bytes(self) -> int:
         inner_size = getattr(self.inner, "size_bytes", lambda: 512)()

@@ -228,7 +228,7 @@ class CBTProtocol:
 
         # Wire ourselves into the router.
         router.register_handler(PROTO_UDP, self._handle_udp)
-        router.register_handler(PROTO_CBT, self._handle_proto_cbt)
+        router.register_handler(PROTO_CBT, self.data_plane.handle_cbt_unicast)
         router.register_handler(PROTO_IPIP, self._handle_ipip)
         router.multicast_forwarder = self.data_plane
         router.unicast_interceptor = self.data_plane.intercept_unicast
@@ -832,11 +832,6 @@ class CBTProtocol:
         handler = _CONTROL_HANDLERS.get(message.msg_type)
         if handler is not None:
             handler(self, interface, datagram.src, message)
-
-    def _handle_proto_cbt(self, node: Node, interface: Interface, datagram: IPDatagram) -> None:
-        if datagram.is_multicast:
-            return  # the multicast forwarder path handles these
-        self.data_plane.handle_cbt_unicast(interface, datagram)
 
     def _handle_ipip(self, node: Node, interface: Interface, datagram: IPDatagram) -> None:
         self.data_plane.handle_ipip(interface, datagram)
@@ -1887,9 +1882,7 @@ class CBTProtocol:
         self, arrival: Interface, src: IPv4Address, message: CBTControlMessage
     ) -> None:
         now = self.router.scheduler.now
-        is_new = self.neighbours.is_new(arrival.vif, src)
-        self.neighbours.heard(arrival.vif, src, now, groups=message.cores)
-        if is_new:
+        if self.neighbours.heard(arrival.vif, src, now, groups=message.cores):
             # Introduce ourselves (and our tree announcements) right
             # away so a restarted neighbour learns the LAN state fast.
             self._send_hello_on(arrival)

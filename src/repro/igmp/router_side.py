@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from ipaddress import IPv4Address
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.netsim.address import ALL_SYSTEMS
 from repro.netsim.engine import PeriodicTimer, Timer
@@ -79,6 +79,9 @@ class MembershipDatabase:
 
     def __init__(self) -> None:
         self._by_interface: Dict[int, set] = {}
+        #: int(group) -> vifs with presence, in ``_by_interface`` order;
+        #: rebuilt for one group by each write, read per data packet.
+        self._by_group: Dict[int, Tuple[int, ...]] = {}
 
     def groups_on(self, interface: Interface) -> set:
         return set(self._by_interface.get(interface.vif, set()))
@@ -86,14 +89,20 @@ class MembershipDatabase:
     def has_members(self, interface: Interface, group: IPv4Address) -> bool:
         return group in self._by_interface.get(interface.vif, set())
 
-    def interfaces_with(self, group: IPv4Address) -> List[int]:
-        return [vif for vif, groups in self._by_interface.items() if group in groups]
+    def interfaces_with(self, group: IPv4Address) -> Tuple[int, ...]:
+        return self._by_group.get(int(group), ())
+
+    def _index(self, group: IPv4Address) -> None:
+        self._by_group[int(group)] = tuple(
+            vif for vif, groups in self._by_interface.items() if group in groups
+        )
 
     def _add(self, interface: Interface, group: IPv4Address) -> bool:
         groups = self._by_interface.setdefault(interface.vif, set())
         if group in groups:
             return False
         groups.add(group)
+        self._index(group)
         return True
 
     def _remove(self, interface: Interface, group: IPv4Address) -> bool:
@@ -101,6 +110,7 @@ class MembershipDatabase:
         if group not in groups:
             return False
         groups.discard(group)
+        self._index(group)
         return True
 
 

@@ -10,7 +10,7 @@ paying serialisation cost on every simulated hop.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from ipaddress import IPv4Address
 from typing import Any, Optional
 
@@ -75,11 +75,13 @@ class IPDatagram:
         """Copy with TTL reduced by one (same uid)."""
         if self.ttl <= 0:
             raise ValueError("cannot decrement TTL below zero")
-        return replace(self, ttl=self.ttl - 1)
+        return IPDatagram(
+            self.src, self.dst, self.proto, self.payload, self.ttl - 1, self.uid
+        )
 
     def with_ttl(self, ttl: int) -> "IPDatagram":
         """Copy with TTL replaced (same uid)."""
-        return replace(self, ttl=ttl)
+        return IPDatagram(self.src, self.dst, self.proto, self.payload, ttl, self.uid)
 
     def size_bytes(self) -> int:
         """Approximate on-wire size, for bandwidth accounting.
@@ -112,13 +114,7 @@ def make_udp(
     uid: Optional[int] = None,
 ) -> IPDatagram:
     """Convenience constructor for a UDP-in-IP datagram."""
-    datagram = IPDatagram(
-        src=src,
-        dst=dst,
-        proto=PROTO_UDP,
-        payload=UDPDatagram(sport=sport, dport=dport, payload=payload),
-        ttl=ttl,
-    )
-    if uid is not None:
-        datagram = replace(datagram, uid=uid)
-    return datagram
+    payload = UDPDatagram(sport=sport, dport=dport, payload=payload)
+    if uid is None:
+        return IPDatagram(src=src, dst=dst, proto=PROTO_UDP, payload=payload, ttl=ttl)
+    return IPDatagram(src, dst, PROTO_UDP, payload, ttl, uid)

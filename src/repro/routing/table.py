@@ -279,7 +279,6 @@ class RoutedNode(Node):
     def __init__(self, name: str, scheduler: Scheduler) -> None:
         super().__init__(name, scheduler)
         self.table = RoutingTable()
-        self.local_rx: List[IPDatagram] = []
 
     # -- origination -----------------------------------------------------
 
@@ -314,11 +313,6 @@ class RoutedNode(Node):
         link_dst = route.next_hop if route.next_hop is not None else datagram.dst
         route.interface.send(datagram, link_dst=link_dst)
 
-    def deliver_locally(self, interface: Interface, datagram: IPDatagram) -> None:
-        """Record and dispatch a datagram addressed to this node."""
-        self.local_rx.append(datagram)
-        super().receive(interface, datagram)
-
 
 class Host(RoutedNode):
     """End system: one interface, multicast + default-gateway unicast.
@@ -333,12 +327,18 @@ class Host(RoutedNode):
         self.default_gateway: Optional[IPv4Address] = None
         self.joined_groups: Set[IPv4Address] = set()
         self.delivered: List[IPDatagram] = []
+        self.local_rx: List[IPDatagram] = []
 
     @property
     def interface(self) -> Interface:
         if not self.interfaces:
             raise RuntimeError(f"host {self.name} has no interface")
         return self.interfaces[0]
+
+    def deliver_locally(self, interface: Interface, datagram: IPDatagram) -> None:
+        """Record and dispatch a datagram addressed to this host."""
+        self.local_rx.append(datagram)
+        super().receive(interface, datagram)
 
     def _originate_multicast(self, datagram: IPDatagram) -> None:
         self.interface.send(datagram)
@@ -406,7 +406,6 @@ class Router(RoutedNode):
                 self.multicast_forwarder.forward_multicast(self, interface, datagram)
             return
         if self.owns_address(datagram.dst):
-            self.local_rx.append(datagram)
             handler = self._handlers.get(datagram.proto, self._default_handler)
             if handler is not None:
                 handler(self, interface, datagram)

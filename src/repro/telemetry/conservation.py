@@ -194,8 +194,10 @@ def igmp_conservation(registry: MetricsRegistry) -> List[str]:
 
 
 def fib_conservation(registry: MetricsRegistry, protocols: Dict) -> List[str]:
-    """Per router: FIB adds − removes == live entries (CBT protocols
-    only — comparator engines keep their own non-FIB state)."""
+    """Per router: FIB adds − removes == live entries, and every live
+    entry's downloaded kernel entry equals a fresh compile of it — a
+    write that bypassed the mutators shows here (CBT protocols only —
+    comparator engines keep their own non-FIB state)."""
     violations = []
     for name, protocol in sorted(protocols.items()):
         if not hasattr(protocol, "fib"):
@@ -208,6 +210,12 @@ def fib_conservation(registry: MetricsRegistry, protocols: Dict) -> List[str]:
                 f"router {name}: fib adds {adds} - removes {removes} "
                 f"!= live entries {live}"
             )
+        for entry in protocol.fib:
+            if entry.kernel != type(entry.kernel).from_user_entry(entry):
+                violations.append(
+                    f"router {name}: group {entry.group} forwards from a "
+                    f"stale download ({entry.kernel} for {entry})"
+                )
     return violations
 
 
@@ -233,7 +241,8 @@ def histogram_conservation(registry: MetricsRegistry) -> List[str]:
 
 
 def membership_conservation(registry: MetricsRegistry, protocols: Dict) -> List[str]:
-    """Per router: membership gains − losses == live (vif, group) pairs."""
+    """Per router: membership gains − losses == live (vif, group) pairs,
+    and the group index the data plane reads agrees with them."""
     violations = []
     for name, protocol in sorted(protocols.items()):
         agent = getattr(protocol, "igmp", None)
@@ -249,6 +258,17 @@ def membership_conservation(registry: MetricsRegistry, protocols: Dict) -> List[
                 f"router {name}: membership gains {gains} - losses {losses} "
                 f"!= live memberships {live}"
             )
+        database = agent.database
+        by_interface = database._by_interface
+        for group in sorted(set().union(*by_interface.values())):
+            scan = tuple(vif for vif, on in by_interface.items() if group in on)
+            if database.interfaces_with(group) != scan:
+                violations.append(
+                    f"router {name}: group {group} member index "
+                    f"{database.interfaces_with(group)} != {scan}"
+                )
+        if sum(map(len, database._by_group.values())) != live:
+            violations.append(f"router {name}: member index holds a dead group")
     return violations
 
 

@@ -15,11 +15,13 @@ nothing, and that no collection starts inside ``run()`` at all.
 
 import collections
 import gc
+import sys
 import types
 
 import pytest
 
 from repro.core.bootstrap import CBTDomain
+from repro.core.forwarding import DataPlane
 from repro.core.legacy import LegacyDRExtension, LegacyHostAgent
 from repro.harness.scenarios import (
     FAST_IGMP,
@@ -32,7 +34,7 @@ from repro.harness.scenarios import (
 from repro.netsim.address import group_address
 from repro.netsim.engine import Scheduler
 from repro.netsim.link import Link
-from repro.topology.figures import build_figure1
+from repro.topology.figures import FIGURE1_MEMBERS, build_figure1
 from repro.topology.generators import waxman_network
 from tests.test_wire_format import make_wire_domain
 
@@ -53,6 +55,15 @@ CLOSURE_FREE = (
 #: (seeds 5 / 17; 75.2 with an event record plus a handle); the
 #: ceiling is that plus 10 %.
 TRACKED_PER_LINK_CEILING = 73.0
+
+#: Python calls the data plane may make per transmission (a tree
+#: forward or a member-LAN delivery), counted from its entry points
+#: down through the link and the scheduler.  Forwarding from the
+#: downloaded kernel entry this tree measures 26.1 in CBT mode and 24.7
+#: native (35.6 / 34.8 when every packet re-derived its fan-out and
+#: copied headers through ``dataclasses.replace``); the ceiling is that
+#: plus 10 %.
+DATA_PATH_CALLS_PER_TRANSMISSION_CEILING = {"cbt": 28.8, "native": 27.1}
 
 
 def started_domain(size, seed=5):
@@ -284,3 +295,62 @@ def test_no_collection_starts_inside_run():
     sched.run_until_idle()
     assert len(live) == 20_000
     assert totals[0] == totals[1]
+
+
+# -- the data path's call budget ------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", sorted(DATA_PATH_CALLS_PER_TRANSMISSION_CEILING))
+def test_data_path_calls_per_transmission_under_ceiling(mode):
+    net = build_figure1()
+    domain = CBTDomain(net, timers=FAST_TIMERS, igmp_config=FAST_IGMP, mode=mode)
+    group = group_address(0)
+    domain.create_group(group, cores=["R4", "R9"])
+    domain.start()
+    net.run(until=3.0)
+    for member in FIGURE1_MEMBERS:
+        domain.join_host(member, group)
+    net.run(until=net.scheduler.now + 3.0)
+
+    entries = {
+        entry.__code__
+        for entry in (
+            DataPlane.forward_multicast,
+            DataPlane.handle_cbt_unicast,
+            DataPlane.handle_ipip,
+            DataPlane.intercept_unicast,
+        )
+    }
+    depth = calls = 0
+
+    def count(frame, event, _arg):
+        nonlocal depth, calls
+        if event == "call":
+            if depth or frame.f_code in entries:
+                depth += 1
+                calls += 1
+        elif event == "return" and depth:
+            depth -= 1
+
+    def work():
+        return sum(
+            p.data_plane.stats.total_router_work() for p in domain.protocols.values()
+        )
+
+    before = work()
+    sys.setprofile(count)
+    try:
+        uids = send_data(net, "A", group, count=10)
+    finally:
+        sys.setprofile(None)
+    transmissions = work() - before
+    assert all(
+        sum(d.uid == uid for d in net.host(member).delivered) == (member != "A")
+        for uid in uids
+        for member in FIGURE1_MEMBERS
+    )
+    assert transmissions >= 10 * len(FIGURE1_MEMBERS)
+    per_transmission = calls / transmissions
+    assert per_transmission < DATA_PATH_CALLS_PER_TRANSMISSION_CEILING[mode], (
+        per_transmission
+    )

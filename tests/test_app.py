@@ -208,41 +208,49 @@ class TestBandwidthModel:
 
 
 class TestKernelFIB:
-    def test_kernel_mirrors_user_fib(self, figure1_domain, figure1_network):
-        from repro.core.kernel import attach_kernel_fib
+    """Spec §3: the FIB's mutators download the entry the data plane reads."""
 
-        domain, group = figure1_domain
-        kernels = {
-            name: attach_kernel_fib(domain.protocol(name))
-            for name in domain.protocols
-        }
+    def test_kernel_mirrors_user_fib(self, figure1_domain, figure1_network):
+        from repro.core.kernel import KernelEntry
         from tests.conftest import join_members
 
+        domain, group = figure1_domain
         join_members(figure1_network, domain, group, ["A", "B", "H"])
+        on_tree = 0
         for name, protocol in domain.protocols.items():
-            assert kernels[name].matches(protocol.fib), name
+            for entry in protocol.fib:
+                on_tree += 1
+                kernel = entry.kernel
+                assert kernel == KernelEntry.from_user_entry(entry), name
+                assert kernel.parent_address == entry.parent_address, name
+                assert kernel.parent_vif == entry.parent_vif, name
+                assert dict(kernel.children) == entry.children, name
+                assert sorted(kernel.tree_vifs) == entry.tree_vifs(), name
+        assert on_tree >= 4
 
     def test_downloads_counted_per_change(self, figure1_domain, figure1_network):
-        from repro.core.kernel import attach_kernel_fib
         from tests.conftest import join_members
 
         domain, group = figure1_domain
-        kernel = attach_kernel_fib(domain.protocol("R3"))
+        fib = domain.protocol("R3").fib
+        assert fib.downloads == 0
         join_members(figure1_network, domain, group, ["A"])
-        joins = kernel.downloads
+        joins = fib.downloads
         assert joins >= 1  # parent + child arrived
+        children = len(fib.get(group).children)
         join_members(figure1_network, domain, group, ["B"])
-        assert kernel.downloads > joins  # new child downloaded
+        assert len(fib.get(group).children) == children + 1
+        assert fib.downloads == joins + 1  # the new child is one more download
 
     def test_deletion_synced(self, figure1_domain, figure1_network):
-        from repro.core.kernel import attach_kernel_fib
         from tests.conftest import join_members
 
         domain, group = figure1_domain
-        kernel = attach_kernel_fib(domain.protocol("R10"))
+        fib = domain.protocol("R10").fib
         join_members(figure1_network, domain, group, ["H"])
-        assert len(kernel) == 1
+        assert len(fib) == 1
+        assert fib.deletions == 0
         domain.leave_host("H", group)
         figure1_network.run(until=figure1_network.scheduler.now + 30.0)
-        assert len(kernel) == 0
-        assert kernel.deletions >= 1
+        assert len(fib) == 0
+        assert fib.deletions == 1

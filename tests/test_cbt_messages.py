@@ -1,5 +1,6 @@
 """Tests for CBT packet codecs (spec §8), including property roundtrips."""
 
+from dataclasses import replace
 from ipaddress import IPv4Address
 
 import pytest
@@ -234,3 +235,33 @@ class TestDataCodec:
         assert decoded.flow_id == flow
         assert decoded.on_tree == on_tree
         assert decoded.inner == payload
+
+    @given(
+        group=addresses,
+        core=addresses,
+        origin=addresses,
+        ttl=st.integers(min_value=0, max_value=255),
+        flow=st.integers(min_value=0, max_value=2**32 - 1),
+        on_tree=st.sampled_from([ON_TREE, OFF_TREE]),
+        version=st.integers(min_value=0, max_value=15),
+    )
+    def test_copies_equal_dataclasses_replace(
+        self, group, core, origin, ttl, flow, on_tree, version
+    ):
+        """The per-hop copies call the constructor directly; ``replace``
+        stays here as the reference for what they must return."""
+        inner = object()  # carried by identity, whatever it is
+        packet = CBTDataPacket(
+            group=group, core=core, origin=origin, inner=inner,
+            on_tree=on_tree, ip_ttl=ttl, flow_id=flow, version=version,
+        )
+        marked = packet.marked_on_tree()
+        assert marked == replace(packet, on_tree=ON_TREE)
+        assert marked.inner is inner and marked.is_on_tree
+        if ttl == 0:
+            with pytest.raises(ValueError):
+                packet.decremented()
+        else:
+            hop = packet.decremented()
+            assert hop == replace(packet, ip_ttl=ttl - 1)
+            assert hop.inner is inner and hop.on_tree == on_tree

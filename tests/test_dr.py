@@ -163,3 +163,21 @@ class TestNeighbourTable:
         addr = IPv4Address("10.0.0.9")
         table.heard(0, addr, now=0.0)
         assert not table.is_cbt_capable(1, addr)
+
+    def test_heard_returns_whether_the_neighbour_was_new(self):
+        """``_recv_hello`` introduces itself back to exactly the
+        neighbours ``heard`` reports as new."""
+        table = NeighbourTable()
+        addr, other = IPv4Address("10.0.0.9"), IPv4Address("10.0.0.7")
+        group = IPv4Address("239.0.0.1")
+        assert table.heard(0, addr, now=0.0) is True  # first HELLO
+        assert table.heard(0, addr, now=60.0) is False  # refresh
+        assert table.heard(0, addr, now=61.0, groups=(group,)) is False
+        assert table.on_vif(0) == {addr: 61.0}  # ... and it did refresh
+        assert table.heard(1, addr, now=61.0) is True  # per-vif independence
+        assert table.heard(0, other, now=61.0, groups=(group,)) is True
+        table.expire(now=61.0 + 200.0, hold_time=180.0)
+        assert table.heard(0, addr, now=262.0) is True  # new again after expiry
+        table.forget(0, addr)
+        assert table.heard(0, addr, now=263.0) is True  # ... and after forget
+        assert table.heard(0, addr, now=264.0) is False

@@ -10,6 +10,7 @@ from ipaddress import IPv4Address
 from hypothesis import given, settings, strategies as st
 
 from repro.core.fib import FIB
+from repro.core.kernel import KernelEntry
 from repro.netsim.address import group_address
 
 GROUPS = [group_address(i) for i in range(4)]
@@ -42,13 +43,38 @@ operations = st.lists(
 )
 
 
+def reference_kernel_entry(group, record):
+    """What the data plane derived per packet before the download
+    existed: the parent first, then children by ``int(address)``;
+    for CBT mode grouped by ascending vif."""
+    children = sorted(record["children"].items(), key=lambda kv: int(kv[0]))
+    parent = record["parent"] or (None, None)
+    targets = ([record["parent"]] if record["parent"] else []) + children
+    by_vif = {}
+    for address, vif in targets:
+        by_vif.setdefault(vif, []).append(address)
+    return KernelEntry(
+        group=group,
+        parent_address=parent[0],
+        parent_vif=parent[1],
+        children=tuple(children),
+        tree_vifs=frozenset(vif for _, vif in targets),
+        targets=tuple(targets),
+        fanout=tuple((vif, tuple(by_vif[vif])) for vif in sorted(by_vif)),
+    )
+
+
 @given(ops=operations)
 @settings(max_examples=100, deadline=None)
 def test_fib_matches_reference_model(ops):
     fib = FIB()
     model = {}  # group -> {"parent": (addr, vif) | None, "children": {addr: vif}}
+    downloads = deletions = 0  # state-changing operations, per the model
 
     for op in ops:
+        snapshot = {
+            g: (r["parent"], dict(r["children"])) for g, r in model.items()
+        }
         kind = op[0]
         group = op[1]
         if kind == "add_child":
@@ -79,6 +105,19 @@ def test_fib_matches_reference_model(ops):
         elif kind == "remove_group":
             fib.remove(group)
             model.pop(group, None)
+
+        # The download follows every operation, as it occurs (spec §3).
+        if group in model:
+            record = model[group]
+            downloads += snapshot.get(group, (None, {})) != (
+                record["parent"],
+                record["children"],
+            )
+        else:
+            deletions += group in snapshot
+        assert (fib.downloads, fib.deletions) == (downloads, deletions), op
+        for live, record in model.items():
+            assert fib.get(live).kernel == reference_kernel_entry(live, record), op
 
     # Equivalence checks.
     assert set(fib.groups()) == set(model)

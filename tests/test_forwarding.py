@@ -1,8 +1,10 @@
 """Data-plane tests: CBT mode, native mode, loops, TTL (spec §4, §5, §7)."""
 
+from dataclasses import asdict
+
 import pytest
 
-from repro import CBTDomain, group_address
+from repro import CBTDomain, build_figure1, group_address
 from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS, send_data
 from repro.netsim.packet import PROTO_CBT
 from repro.topology.figures import FIGURE1_MEMBERS
@@ -226,3 +228,87 @@ class TestNativeMode:
             p.data_plane.stats.native_forwards for p in domain.protocols.values()
         )
         assert total_native > 0
+
+
+# -- the data plane forwards from the downloaded entry (spec §3) ------------------
+#
+# The FIB's mutators compile the entry the data plane reads, so what a
+# packet sees must not depend on whether an earlier packet flowed: each
+# schedule runs twice on fresh networks, with and without a packet
+# before the change, and the packet after it must be forwarded alike.
+
+
+def _members_join(network, domain, group):
+    join_members(network, domain, group, ["J", "B"])
+    return {"A", "G", "H", "J", "B"}
+
+
+def _branch_quits(network, domain, group):
+    domain.leave_host("H", group)  # R10, then memberless R9, quit
+    network.run(until=network.scheduler.now + 30.0)
+    assert group not in domain.protocol("R10").fib
+    return {"A", "G"}
+
+
+def _parent_lost_and_rejoined(network, domain, group):
+    r3 = domain.protocol("R3")
+    network.fail_link("L_R3_R4")
+    network.run(until=network.scheduler.now + 2 * FAST_TIMERS.echo_timeout)
+    assert "parent_lost" in {event.kind for event in r3.events}
+    network.restore_link("L_R3_R4")
+    network.run(until=network.scheduler.now + 5.0)
+    assert r3.tree_parent(group) is not None
+    return {"A", "G", "H"}
+
+
+def _second_packet(mode, multicast, change, first_packet):
+    """Per-host copies and per-router stats of the packet sent after
+    ``change``, plus how many downloads the change made."""
+    network = build_figure1()
+    domain = CBTDomain(
+        network,
+        timers=FAST_TIMERS,
+        igmp_config=FAST_IGMP,
+        mode=mode,
+        use_cbt_multicast=multicast,
+    )
+    group = group_address(0)
+    domain.create_group(group, cores=["R4", "R9"])
+    domain.start()
+    network.run(until=3.0)
+    join_members(network, domain, group, ["A", "G", "H"])
+    if first_packet:
+        uid = send_data(network, "A", group, count=1)[0]
+        assert copies(network, "G", uid) == copies(network, "H", uid) == 1
+    else:
+        network.run(until=network.scheduler.now + 0.01 + 2.0)  # what send_data runs
+    downloads = sum(p.fib.downloads for p in domain.protocols.values())
+    members = change(network, domain, group)
+    downloads = sum(p.fib.downloads for p in domain.protocols.values()) - downloads
+    before = {n: asdict(p.data_plane.stats) for n, p in domain.protocols.items()}
+    uid = send_data(network, "A", group, count=1)[0]
+    stats = {
+        name: {
+            field: value - before[name][field]
+            for field, value in asdict(protocol.data_plane.stats).items()
+        }
+        for name, protocol in domain.protocols.items()
+    }
+    received = {name: copies(network, name, uid) for name in network.hosts}
+    assert received == {
+        name: int(name in members and name != "A") for name in network.hosts
+    }
+    return received, stats, downloads
+
+
+@pytest.mark.parametrize("multicast", [False, True], ids=["unicast", "cbt_multicast"])
+@pytest.mark.parametrize("mode", ["cbt", "native"])
+@pytest.mark.parametrize(
+    "change", [_members_join, _branch_quits, _parent_lost_and_rejoined]
+)
+def test_fib_change_between_two_packets_is_seen_by_the_second(mode, multicast, change):
+    seen = _second_packet(mode, multicast, change, first_packet=True)
+    scratch = _second_packet(mode, multicast, change, first_packet=False)
+    assert seen == scratch
+    assert seen[2] > 0  # the change went through the mutators
+    assert sum(s["member_deliveries"] for s in seen[1].values()) == sum(seen[0].values())

@@ -149,3 +149,78 @@ def test_scheduled_callbacks_are_not_closures():
         *(_scheduled_closures(path) for path in sorted(SRC.rglob("*.py")))
     )
     assert found == set()
+
+
+# -- the per-packet path copies and fans out without re-deriving ------------------
+#
+# A forwarded packet is copied once per hop and fanned out from the
+# kernel entry its FIB entry downloaded (docs/PERFORMANCE.md, "Decision
+# record: the data plane forwards from the downloaded entry").
+# ``dataclasses.replace`` re-reads ``fields()`` and builds a kwargs
+# dict per copy, and a ``sorted`` / ``set`` / dict per packet re-derives
+# what only a JOIN_ACK, QUIT or FLUSH changes; together they were 19 of
+# the streaming workload's 79 profiled calls per event, so neither
+# comes back unnoticed.
+
+#: ``file`` -> class whose body is held to the rule (``None``: all of it).
+_NO_REPLACE = {
+    "netsim/packet.py": None,
+    "core/forwarding.py": None,
+    "core/messages.py": "CBTDataPacket",
+}
+
+#: ``DataPlane`` methods that run for every forwarded packet.
+_PER_PACKET = {
+    "_receive_cbt",
+    "_span",
+    "_handle_native",
+    "_send_cbt",
+    "_send_native_targets",
+    "_deliver_members",
+}
+
+_CONTAINER_BUILDERS = {"sorted", "set", "frozenset", "dict", "list"}
+_CONTAINER_NODES = (ast.Set, ast.Dict, ast.SetComp, ast.DictComp, ast.ListComp)
+
+
+def _callee(node):
+    return getattr(node.func, "attr", getattr(node.func, "id", None))
+
+
+def _class_body(tree, name):
+    return next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == name
+    )
+
+
+def test_per_hop_copies_do_not_go_through_dataclasses_replace():
+    found = set()
+    for rel, class_name in _NO_REPLACE.items():
+        tree = ast.parse((SRC / rel).read_text(encoding="utf-8"))
+        scope = tree if class_name is None else _class_body(tree, class_name)
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Call) and _callee(node) == "replace":
+                found.add(f"{rel}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                if class_name is None and any(a.name == "replace" for a in node.names):
+                    found.add(f"{rel}:{node.lineno} import")
+    assert found == set()
+
+
+def test_per_packet_methods_build_no_containers():
+    tree = ast.parse((SRC / "core/forwarding.py").read_text(encoding="utf-8"))
+    methods = {
+        node.name: node
+        for node in _class_body(tree, "DataPlane").body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert _PER_PACKET <= set(methods)  # a rename must rename it here too
+    found = set()
+    for name in sorted(_PER_PACKET):
+        for node in ast.walk(methods[name]):
+            if isinstance(node, ast.Call) and _callee(node) in _CONTAINER_BUILDERS:
+                found.add(f"{name}:{node.lineno} {_callee(node)}()")
+            elif isinstance(node, _CONTAINER_NODES):
+                found.add(f"{name}:{node.lineno} {type(node).__name__}")
+    assert found == set()

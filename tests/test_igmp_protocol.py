@@ -2,6 +2,7 @@
 
 from ipaddress import IPv4Address
 
+from hypothesis import given, settings, strategies as st
 
 from repro.igmp.host import IGMPHostAgent
 from repro.igmp.router_side import IGMPConfig, IGMPRouterAgent
@@ -138,9 +139,58 @@ class TestDatabaseQueries:
         host_agents[0].join(GROUP)
         net.run(until=2.0)
         iface = routers[0].interfaces[0]
-        assert agents[0].database.interfaces_with(GROUP) == [iface.vif]
+        assert agents[0].database.interfaces_with(GROUP) == (iface.vif,)
         assert GROUP in agents[0].groups_on(iface)
         assert agents[0].any_member_subnet(GROUP)
+
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.sampled_from(["report", "leave"]),
+                    st.integers(min_value=0, max_value=2),
+                    st.integers(min_value=0, max_value=2).map(group_address),
+                ),
+                # Past the leave timeout (3 s) and the membership
+                # timeout (22 s) of ``FAST``, and short of both.
+                st.tuples(st.just("wait"), st.sampled_from([0.5, 4.0, 25.0])),
+            ),
+            max_size=25,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_group_index_equals_the_interface_scan(self, ops):
+        """``interfaces_with`` reads an index its two writers maintain;
+        the scan it replaced stays here as the reference."""
+        net = Network()
+        router = net.add_router("r")
+        for index in range(3):
+            net.add_subnet(f"lan{index}", [router])
+        net.converge()
+        agent = IGMPRouterAgent(router, config=FAST)
+        agent.start()
+        database = agent.database
+        expired = 0
+        for op in ops:
+            if op[0] == "wait":
+                before = sum(map(len, database._by_interface.values()))
+                net.run(until=net.scheduler.now + op[1])
+                expired += before - sum(map(len, database._by_interface.values()))
+            elif op[0] == "report":
+                agent._handle_report(router.interfaces[op[1]], op[2])
+            else:
+                agent._handle_leave(router.interfaces[op[1]], op[2])
+            for group in map(group_address, range(3)):
+                scan = tuple(
+                    vif
+                    for vif, groups in database._by_interface.items()
+                    if group in groups
+                )
+                assert database.interfaces_with(group) == scan, (op, group)
+                assert agent.any_member_subnet(group) is bool(scan)
+        if ops and ops[-1] == ("wait", 25.0):  # every membership timed out
+            assert not any(database._by_interface.values())
+            assert expired > 0 or not any(op[0] == "report" for op in ops)
 
     def test_second_group_tracked_independently(self):
         other = group_address(1)

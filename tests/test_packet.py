@@ -79,6 +79,38 @@ class TestIPDatagram:
                 src=SRC, dst=GROUP, proto=PROTO_UDP, payload=b"", is_multicast=False
             )
 
+    @given(
+        src=st.integers(min_value=0, max_value=0xFFFFFFFF).map(IPv4Address),
+        dst=st.integers(min_value=0, max_value=0xFFFFFFFF).map(IPv4Address),
+        proto=st.sampled_from([2, 4, 7, 17]),
+        ttl=st.integers(min_value=0, max_value=255),
+        new_ttl=st.integers(min_value=-3, max_value=258),
+        uid=st.integers(min_value=1, max_value=2**40),
+    )
+    def test_copies_equal_dataclasses_replace(self, src, dst, proto, ttl, new_ttl, uid):
+        """``decremented`` / ``with_ttl`` / ``make_udp(uid=...)`` call the
+        constructor directly; ``replace`` stays here as the reference."""
+        payload = object()  # carried by identity, whatever it is
+        a = IPDatagram(src=src, dst=dst, proto=proto, payload=payload, ttl=ttl, uid=uid)
+        if 0 <= new_ttl <= 255:
+            copy = a.with_ttl(new_ttl)
+            assert copy == replace(a, ttl=new_ttl)
+            assert (copy.uid, copy.payload, copy.is_multicast) == (
+                uid, payload, dst.is_multicast
+            )
+        else:
+            with pytest.raises(ValueError):
+                a.with_ttl(new_ttl)
+        if ttl == 0:
+            with pytest.raises(ValueError):
+                a.decremented()
+        else:
+            assert a.decremented() == replace(a, ttl=ttl - 1)
+            assert a.decremented().is_multicast is dst.is_multicast
+        made = make_udp(src, dst, 1, 2, payload, ttl=ttl, uid=uid)
+        assert made == replace(make_udp(src, dst, 1, 2, payload, ttl=ttl), uid=uid)
+        assert made.uid == uid and made.is_multicast is dst.is_multicast
+
     def test_default_ttl(self):
         assert IPDatagram(src=SRC, dst=DST, proto=PROTO_UDP, payload=b"").ttl == DEFAULT_TTL
 

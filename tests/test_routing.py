@@ -4,7 +4,7 @@ from ipaddress import IPv4Address
 
 import pytest
 
-from repro.netsim.packet import make_udp
+from repro.netsim.packet import PROTO_UDP, make_udp
 from repro.topology.builder import Network
 
 
@@ -166,9 +166,14 @@ class TestUnicastForwarding:
         net, routers, hosts = line_of_routers(2)
         target = routers[1].interfaces[0].address
         d = make_udp(hosts[0].interface.address, target, 1, 1, b"")
+        handled = []
+        routers[1].register_handler(
+            PROTO_UDP, lambda node, interface, datagram: handled.append(datagram.uid)
+        )
         hosts[0].originate(d)
         net.run()
-        assert any(r.uid == d.uid for r in routers[1].local_rx)
+        assert handled == [d.uid]
+        assert routers[1].forwarded_count == 0
 
     def test_no_route_drops_silently(self):
         net, routers, hosts = line_of_routers(2)

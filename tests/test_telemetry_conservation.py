@@ -81,6 +81,29 @@ class TestWalkthroughConservation:
         net, domain, _group, _members = _run_figure1(all_members=True)
         assert check_conservation(net, domain) == []
 
+    def test_write_behind_the_mutators_is_a_finding(self):
+        """The data plane forwards from the entry the four ``FIBEntry``
+        mutators download; a write that bypasses them is the one way
+        that entry goes stale, and the FIB law reports it."""
+        from repro.cli import _run_figure1
+
+        net, domain, group, _members = _run_figure1(all_members=True)
+        entry = domain.protocol("R4").fib.get(group)
+        child, vif = next(iter(entry.children.items()))
+        del entry.children[child]  # not entry.remove_child(child)
+        findings = check_conservation(net, domain)
+        assert len(findings) == 1
+        assert "router R4" in findings[0] and "stale download" in findings[0]
+        entry.children[child] = vif
+        assert check_conservation(net, domain) == []
+        database = domain.protocol("R4").igmp.database
+        member_vif = database.interfaces_with(group)[0]
+        database._by_interface[member_vif].discard(group)  # not database._remove(...)
+        assert any(
+            "router R4" in finding and "member index" in finding
+            for finding in check_conservation(net, domain)
+        )
+
     def test_telemetry_off_is_vacuous(self):
         from repro.topology.builder import Network
 
