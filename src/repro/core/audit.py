@@ -40,26 +40,22 @@ class Finding:
 def audit_domain(domain, now: Optional[float] = None) -> List[Finding]:
     """Audit every group on every router of a CBT domain."""
     findings: List[Finding] = []
-    address_owner: Dict[IPv4Address, str] = {}
-    for name, protocol in domain.protocols.items():
-        for interface in protocol.router.interfaces:
-            address_owner[interface.address] = name
     if now is None:
         now = domain.network.scheduler.now
 
-    findings.extend(_check_relationships(domain, address_owner))
-    findings.extend(_check_loops(domain, address_owner))
+    findings.extend(_check_relationships(domain))
+    findings.extend(_check_loops(domain))
     findings.extend(_check_transients(domain, now))
     findings.extend(_check_lan_service(domain))
     return findings
 
 
-def _check_relationships(domain, address_owner) -> List[Finding]:
+def _check_relationships(domain) -> List[Finding]:
     out: List[Finding] = []
     for name, protocol in domain.protocols.items():
         for entry in protocol.fib:
             if entry.has_parent:
-                parent_name = address_owner.get(entry.parent_address)
+                parent_name = domain.router_of(entry.parent_address)
                 if parent_name is None:
                     out.append(
                         Finding(
@@ -86,7 +82,7 @@ def _check_relationships(domain, address_owner) -> List[Finding]:
                         )
                     )
             for child_address in entry.children:
-                child_name = address_owner.get(child_address)
+                child_name = domain.router_of(child_address)
                 if child_name is None:
                     out.append(
                         Finding(
@@ -111,7 +107,7 @@ def _check_relationships(domain, address_owner) -> List[Finding]:
     return out
 
 
-def _check_loops(domain, address_owner) -> List[Finding]:
+def _check_loops(domain) -> List[Finding]:
     out: List[Finding] = []
     groups = {
         entry.group
@@ -128,7 +124,7 @@ def _check_loops(domain, address_owner) -> List[Finding]:
                 if entry is None or not entry.has_parent:
                     current = None
                 else:
-                    current = address_owner.get(entry.parent_address)
+                    current = domain.router_of(entry.parent_address)
             if current is not None:
                 out.append(
                     Finding(
@@ -243,37 +239,35 @@ def check_invariants(domain, now: Optional[float] = None) -> List[Finding]:
     if now is None:
         now = domain.network.scheduler.now
     findings: List[Finding] = []
-    address_owner: Dict[IPv4Address, str] = {}
-    live: Dict[str, object] = {}
-    crashed_names: Set[str] = set()
-    for name, protocol in domain.protocols.items():
-        for interface in protocol.router.interfaces:
-            address_owner[interface.address] = name
-        if _crashed(protocol):
-            crashed_names.add(name)
-        else:
-            live[name] = protocol
+    # Only a router holding state can break an invariant; the rest of
+    # the domain costs one emptiness test each.
+    live: Dict[str, object] = {
+        name: protocol
+        for name, protocol in domain.protocols.items()
+        if (protocol.fib or protocol.pending or protocol._quitting)
+        and not _crashed(protocol)
+    }
 
     for name, protocol in live.items():
         timers = protocol.timers
-        own_addresses = {i.address for i in protocol.router.interfaces}
+        owns = protocol.router.owns_address
         for entry in protocol.fib:
             group = entry.group
             # Self-references satisfy the symmetry check below (the
             # router vouches for itself), so reject them explicitly: a
             # join delivered back to its sender welds exactly this.
-            if entry.has_parent and entry.parent_address in own_addresses:
+            if entry.has_parent and owns(entry.parent_address):
                 findings.append(
                     Finding("error", name, group, "lists itself as parent")
                 )
-            for child in own_addresses & set(entry.children):
+            for child in filter(owns, entry.children):
                 findings.append(
                     Finding(
                         "error", name, group, f"lists itself ({child}) as a child"
                     )
                 )
             if entry.has_parent:
-                parent_name = address_owner.get(entry.parent_address)
+                parent_name = domain.router_of(entry.parent_address)
                 if parent_name is None:
                     findings.append(
                         Finding(
@@ -284,10 +278,12 @@ def check_invariants(domain, now: Optional[float] = None) -> List[Finding]:
                             "CBT router",
                         )
                     )
-                elif parent_name not in crashed_names:
+                elif parent_name in live or not _crashed(
+                    domain.protocols[parent_name]
+                ):
                     parent_entry = domain.protocols[parent_name].fib.get(group)
-                    if parent_entry is None or not (
-                        own_addresses & set(parent_entry.children)
+                    if parent_entry is None or not any(
+                        map(owns, parent_entry.children)
                     ):
                         findings.append(
                             Finding(
@@ -362,30 +358,41 @@ def check_invariants(domain, now: Optional[float] = None) -> List[Finding]:
                     )
                 )
 
-    findings.extend(_check_live_loops(domain, address_owner, live))
+    findings.extend(_check_live_loops(domain, live))
     return findings
 
 
-def _check_live_loops(domain, address_owner, live) -> List[Finding]:
-    """Parent-pointer loop detection restricted to live routers."""
+def _check_live_loops(domain, live) -> List[Finding]:
+    """Parent-pointer loop detection restricted to live routers.
+
+    ``live`` holds the live routers with state.  Walks start only
+    there — a router with no entry for the group ends its own walk at
+    once — and stop where an earlier walk already went on to a root.
+    A walk that runs into a crashed router is reported at that router.
+    """
     out: List[Finding] = []
     groups = {
         entry.group for protocol in live.values() for entry in protocol.fib
     }
     for group in sorted(groups, key=int):
+        rooted: Set[str] = set()
         for start in live:
             seen = set()
             current = start
-            while current is not None and current not in seen:
+            while (
+                current is not None
+                and current not in seen
+                and current not in rooted
+            ):
                 seen.add(current)
                 protocol = live.get(current)
-                if protocol is None:
-                    break  # walk reached a crashed router: frozen, not a loop
-                entry = protocol.fib.get(group)
+                if protocol is None and _crashed(domain.protocols[current]):
+                    break
+                entry = protocol.fib.get(group) if protocol is not None else None
                 if entry is None or not entry.has_parent:
                     current = None
                 else:
-                    current = address_owner.get(entry.parent_address)
+                    current = domain.router_of(entry.parent_address)
             if current is not None and current in seen:
                 out.append(
                     Finding(
@@ -393,6 +400,7 @@ def _check_live_loops(domain, address_owner, live) -> List[Finding]:
                     )
                 )
                 break
+            rooted |= seen
     return out
 
 

@@ -131,6 +131,8 @@ class CBTDomain:
             )
         for name in host_names:
             self.host_agents[name] = IGMPHostAgent(network.hosts[name])
+        self._router_of: Dict[IPv4Address, str] = {}
+        self._indexed_interfaces = 0
 
     def start(self) -> None:
         """Start every protocol instance (IGMP elections, HELLOs, timers)."""
@@ -180,20 +182,35 @@ class CBTDomain:
         return sorted(
             name
             for name, protocol in self.protocols.items()
-            if protocol.is_on_tree(group)
+            if protocol.fib and protocol.is_on_tree(group)
         )
+
+    def router_of(self, address: IPv4Address) -> Optional[str]:
+        """Name of the domain router owning interface ``address``.
+
+        The one address index every observer reads.  Interfaces are
+        only ever added and keep their address, so an indexed answer
+        stays right; a miss re-counts the interfaces and re-indexes if
+        one was added since.
+        """
+        owner = self._router_of.get(address)
+        if owner is None:
+            count = sum(len(p.router.interfaces) for p in self.protocols.values())
+            if count != self._indexed_interfaces:
+                self._indexed_interfaces = count
+                for name, protocol in self.protocols.items():
+                    for interface in protocol.router.interfaces:
+                        self._router_of[interface.address] = name
+                owner = self._router_of.get(address)
+        return owner
 
     def tree_edges(self, group: IPv4Address) -> List[Tuple[str, str]]:
         """(child, parent) router-name pairs for the group's tree."""
-        by_address = {}
-        for name, protocol in self.protocols.items():
-            for interface in protocol.router.interfaces:
-                by_address[interface.address] = name
         edges = []
         for name, protocol in self.protocols.items():
-            parent = protocol.tree_parent(group)
+            parent = protocol.tree_parent(group) if protocol.fib else None
             if parent is not None:
-                edges.append((name, by_address.get(parent, str(parent))))
+                edges.append((name, self.router_of(parent) or str(parent)))
         return sorted(edges)
 
     def total_fib_state(self) -> int:
@@ -201,36 +218,22 @@ class CBTDomain:
         return sum(p.fib.total_state() for p in self.protocols.values())
 
     def control_messages_sent(self, exclude_hello: bool = True) -> int:
-        """Total CBT control messages sent domain-wide, from the registry.
+        """Total CBT control messages sent domain-wide.
 
-        Derived from the ``cbt.router.<name>.tx.*`` counters so every
-        consumer (campaign control-cost, E2 overhead, ``repro stats``)
-        reads the same numbers.  :meth:`control_messages_sent_legacy`
-        keeps the historical per-protocol summation for agreement tests.
+        Sums the counters each protocol's ``ControlStats`` holds —
+        they *are* the registry's ``cbt.router.<name>.tx.*``
+        instruments, so every consumer (campaign control-cost, E2
+        overhead, ``repro stats``) reads the same numbers without a
+        pattern query per router.
         """
-        registry = self.telemetry.registry
         total = 0
-        for name in self.protocols:
-            prefix = f"cbt.router.{name}.tx."
-            total += registry.total(prefix + "*")
-            if exclude_hello:
-                total -= registry.value(prefix + "hello")
-        return int(total)
+        for protocol in self.protocols.values():
+            total += protocol.stats.total_sent(exclude_hello)
+        return total
 
     def events_total(self) -> int:
         """Length of all state-change logs; the quiescence counter."""
         return sum(len(p.events) for p in self.protocols.values())
-
-    def control_messages_sent_legacy(self, exclude_hello: bool = True) -> int:
-        """Historical code path: sum each protocol's ControlStats.
-
-        Retained so tests can pin that the registry-derived count and
-        the stats-derived count agree (the double-counting guard).
-        """
-        return sum(
-            p.stats.total_sent(exclude_hello=exclude_hello)
-            for p in self.protocols.values()
-        )
 
     def assert_tree_consistent(self, group: IPv4Address) -> None:
         """Raise AssertionError if parent/child views disagree or loop.
@@ -239,15 +242,14 @@ class CBTDomain:
         every non-root on-tree router has a parent that lists it as a
         child, and following parent links never revisits a router.
         """
-        by_address = {}
-        for name, protocol in self.protocols.items():
-            for interface in protocol.router.interfaces:
-                by_address[interface.address] = name
-        for name, protocol in self.protocols.items():
+        holding = {
+            name: protocol for name, protocol in self.protocols.items() if protocol.fib
+        }
+        for name, protocol in holding.items():
             entry = protocol.fib.get(group)
             if entry is None or not entry.has_parent:
                 continue
-            parent_name = by_address.get(entry.parent_address)
+            parent_name = self.router_of(entry.parent_address)
             assert parent_name is not None, (
                 f"{name}: parent {entry.parent_address} is not a CBT router"
             )
@@ -262,7 +264,7 @@ class CBTDomain:
                 f"{name}: parent {parent_name} does not list it as a child"
             )
         # Loop check: walk parent pointers from every on-tree router.
-        for name, protocol in self.protocols.items():
+        for name in holding:
             seen = set()
             current = name
             while current is not None:
@@ -271,4 +273,4 @@ class CBTDomain:
                 entry = self.protocols[current].fib.get(group)
                 if entry is None or not entry.has_parent:
                     break
-                current = by_address.get(entry.parent_address)
+                current = self.router_of(entry.parent_address)

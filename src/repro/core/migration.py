@@ -84,7 +84,7 @@ def protocol_tree(domain, graph: Graph, group) -> Optional[Tree]:
     cores = domain.coordinator.cores_for(group)
     if not cores:
         return None
-    root = _router_owning(domain, cores[0])
+    root = domain.router_of(cores[0])
     if root is None:
         return None
     tree = Tree(graph=graph, root=root)
@@ -129,13 +129,6 @@ def tree_quality(
         "concentration_max": float(conc_max),
         "concentration_mean": conc_mean,
     }
-
-
-def _router_owning(domain, address: IPv4Address) -> Optional[str]:
-    for name, protocol in domain.protocols.items():
-        if protocol.router.owns_address(address):
-            return name
-    return None
 
 
 @dataclass(frozen=True)
@@ -262,7 +255,7 @@ class MigrationCoordinator:
         """Current announced core list, as router names (primary first)."""
         names = []
         for address in self.domain.coordinator.cores_for(self.group):
-            name = _router_owning(self.domain, address)
+            name = self.domain.router_of(address)
             if name is not None:
                 names.append(name)
         return names

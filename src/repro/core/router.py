@@ -114,11 +114,11 @@ class ControlStats:
         return {k.name: c.value for k, c in self._rx.items() if c.value}
 
     def total_sent(self, exclude_hello: bool = True) -> int:
-        return sum(
-            count
-            for name, count in self.sent.items()
-            if not (exclude_hello and name == "HELLO")
-        )
+        total = 0
+        for msg_type, counter in self._tx.items():
+            if not (exclude_hello and msg_type is MessageType.HELLO):
+                total += counter.value
+        return total
 
 
 class CBTProtocol:

@@ -49,10 +49,6 @@ def transition_findings(domain, check_loops: bool = True) -> List[Finding]:
     """Hard invariants that must hold between any two events."""
     findings: List[Finding] = []
     live = _live_protocols(domain)
-    address_owner = {}
-    for name, protocol in domain.protocols.items():
-        for interface in protocol.router.interfaces:
-            address_owner[interface.address] = name
 
     groups_in_repair: Set = set()
     for protocol in live.values():
@@ -100,12 +96,12 @@ def transition_findings(domain, check_loops: bool = True) -> List[Finding]:
 
     if check_loops:
         findings.extend(
-            _loop_findings(live, address_owner, exclude=groups_in_repair)
+            _loop_findings(live, domain.router_of, exclude=groups_in_repair)
         )
     return findings
 
 
-def _loop_findings(live, address_owner, exclude) -> List[Finding]:
+def _loop_findings(live, router_of, exclude) -> List[Finding]:
     """Parent-pointer loops among live routers; groups with an active
     repair (pending join / rejoin anywhere) are excluded because a §6.3
     loop may legitimately exist until detection breaks it."""
@@ -129,7 +125,7 @@ def _loop_findings(live, address_owner, exclude) -> List[Finding]:
                 if entry is None or not entry.has_parent:
                     current = None
                 else:
-                    current = address_owner.get(entry.parent_address)
+                    current = router_of(entry.parent_address)
             if current is not None and current in seen:
                 out.append(
                     Finding("error", current, group, "parent pointers form a loop")
@@ -142,10 +138,6 @@ def convergence_findings(domain, group, members) -> List[Finding]:
     """End-state oracle: invariants + member service + core-rooted tree."""
     findings = list(check_invariants(domain))
     live = _live_protocols(domain)
-    address_owner = {}
-    for name, protocol in domain.protocols.items():
-        for interface in protocol.router.interfaces:
-            address_owner[interface.address] = name
 
     # Every member host's LAN must have an attached on-tree router.
     for member in members:
@@ -192,21 +184,17 @@ def convergence_findings(domain, group, members) -> List[Finding]:
                     )
                 )
                 break
-            nxt = address_owner.get(entry.parent_address)
+            nxt = domain.router_of(entry.parent_address)
             hops += 1
             if nxt is None or hops > len(domain.protocols):
                 break  # unknown parent / loop: already reported above
             current = nxt
 
-    findings.extend(
-        _delivery_findings(domain, group, members, live, address_owner)
-    )
+    findings.extend(_delivery_findings(domain, group, members, live))
     return findings
 
 
-def _delivery_findings(
-    domain, group, members, live, address_owner
-) -> List[Finding]:
+def _delivery_findings(domain, group, members, live) -> List[Finding]:
     """Members to whom data can never arrive.
 
     Data flows *down* the tree: a core forwards over its child
@@ -230,7 +218,7 @@ def _delivery_findings(
     while queue:
         entry = live[queue.pop()].fib.get(group)
         for child_address in entry.children:
-            child = address_owner.get(child_address)
+            child = domain.router_of(child_address)
             if (
                 child in live
                 and child not in reachable

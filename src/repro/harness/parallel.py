@@ -806,6 +806,16 @@ def _start_worker(ctx, unit: WorkUnit, index: int, attempt: int) -> _Running:
     )
 
 
+def _reported(conn) -> Optional[Dict[str, object]]:
+    """The payload waiting in a worker's pipe, if there is one."""
+    if conn.poll(0):
+        try:
+            return conn.recv()
+        except (EOFError, OSError):
+            pass
+    return None
+
+
 def run_units(
     units: Sequence[WorkUnit],
     workers: int = 1,
@@ -880,19 +890,19 @@ def run_units(
                 )
             made_progress = False
             for handle in list(running):
-                payload = None
-                if handle.conn.poll(0):
-                    try:
-                        payload = handle.conn.recv()
-                    except (EOFError, OSError):
-                        payload = None
+                payload = _reported(handle.conn)
+                exited = payload is None and not handle.process.is_alive()
+                if exited:
+                    # A worker that reported and exited between the two
+                    # tests above left its result in the pipe.
+                    payload = _reported(handle.conn)
                 if payload is not None:
                     handle.process.join()
                     handle.conn.close()
                     running.remove(handle)
                     finish(handle.index, payload)
                     made_progress = True
-                elif not handle.process.is_alive():
+                elif exited:
                     handle.conn.close()
                     running.remove(handle)
                     infra_failure(

@@ -327,6 +327,7 @@ class Host(RoutedNode):
         self.default_gateway: Optional[IPv4Address] = None
         self.joined_groups: Set[IPv4Address] = set()
         self.delivered: List[IPDatagram] = []
+        #: Unicast datagrams addressed to this host.
         self.local_rx: List[IPDatagram] = []
 
     @property
@@ -334,11 +335,6 @@ class Host(RoutedNode):
         if not self.interfaces:
             raise RuntimeError(f"host {self.name} has no interface")
         return self.interfaces[0]
-
-    def deliver_locally(self, interface: Interface, datagram: IPDatagram) -> None:
-        """Record and dispatch a datagram addressed to this host."""
-        self.local_rx.append(datagram)
-        super().receive(interface, datagram)
 
     def _originate_multicast(self, datagram: IPDatagram) -> None:
         self.interface.send(datagram)
@@ -357,10 +353,14 @@ class Host(RoutedNode):
             ):
                 self.delivered.append(datagram)
             if datagram.dst in self.joined_groups or is_link_local_multicast(datagram.dst):
-                self.deliver_locally(interface, datagram)
+                # Dispatched, not retained: joined-group data is already
+                # in ``delivered`` and a host hears a HELLO or an IGMP
+                # query on its LAN for as long as the network runs.
+                super().receive(interface, datagram)
             return
         if self.owns_address(datagram.dst):
-            self.deliver_locally(interface, datagram)
+            self.local_rx.append(datagram)
+            super().receive(interface, datagram)
         # Hosts never forward.
 
 

@@ -88,21 +88,30 @@ def msg_in_flight(registry: MetricsRegistry, label: str) -> Number:
     )
 
 
+def _per_link(registry: MetricsRegistry, metric: str) -> Dict[str, Number]:
+    """``link -> value`` over the links that have the instrument
+    ``netsim.link.<link>.<metric>`` (a drop counter exists only on a
+    link that dropped for that reason)."""
+    return {
+        name.split(".")[2]: value
+        for name, value in registry.matching(f"netsim.link.*.{metric}").items()
+    }
+
+
 def link_conservation(registry: MetricsRegistry) -> List[str]:
     """Per link: every transmit attempt is a wire tx or a reasoned drop,
     and every scheduled delivery is delivered, late-dropped, or still
     in flight (never negative)."""
     violations = []
-    links = set()
-    for name in registry.matching("netsim.link.*.attempts"):
-        links.add(name.split(".")[2])
-    for link in sorted(links):
+    pre_wire: Dict[str, Number] = {}
+    for reason in PRE_WIRE_REASONS:
+        for link, count in _per_link(registry, f"drop.{reason}").items():
+            pre_wire[link] = pre_wire.get(link, 0) + count
+    late_drops = _per_link(registry, f"drop.{LATE_REASON}")
+    for link, attempts in sorted(_per_link(registry, "attempts").items()):
         base = f"netsim.link.{link}"
-        attempts = registry.value(f"{base}.attempts")
         tx = registry.value(f"{base}.tx_packets")
-        pre_drops = registry.total(f"{base}.drop.*") - registry.value(
-            f"{base}.drop.{LATE_REASON}"
-        )
+        pre_drops = pre_wire.get(link, 0)
         if attempts != tx + pre_drops:
             violations.append(
                 f"link {link}: attempts {attempts} != "
@@ -110,7 +119,7 @@ def link_conservation(registry: MetricsRegistry) -> List[str]:
             )
         fanout = registry.value(f"{base}.fanout")
         rx = registry.value(f"{base}.rx_packets")
-        late = registry.value(f"{base}.drop.{LATE_REASON}")
+        late = late_drops.get(link, 0)
         in_flight = fanout - rx - late
         if in_flight < 0:
             violations.append(

@@ -40,16 +40,24 @@ class Edge:
         return (self.u, self.v) if self.u <= self.v else (self.v, self.u)
 
 
+#: Shortest-path maps a graph keeps (one per ``(source, weight)``).
+_MEMO_SOURCES = 8
+
+
 class Graph:
     """Undirected weighted multigraph-free graph."""
 
     def __init__(self) -> None:
         self._adjacency: Dict[str, Dict[str, Edge]] = {}
+        # (source, weight) -> (dist, prev) of the last few Dijkstra runs;
+        # construction clears it and callers only ever get copies.
+        self._paths: Dict[Tuple[str, str], Tuple[Dict, Dict]] = {}
 
     # -- construction ----------------------------------------------------
 
     def add_node(self, node: str) -> None:
         self._adjacency.setdefault(node, {})
+        self._paths.clear()
 
     def add_edge(self, u: str, v: str, cost: float = 1.0, delay: float = 1.0) -> Edge:
         if u == v:
@@ -59,6 +67,7 @@ class Graph:
         self.add_node(v)
         self._adjacency[u][v] = edge
         self._adjacency[v][u] = edge
+        self._paths.clear()
         return edge
 
     # -- queries -------------------------------------------------------------
@@ -106,6 +115,9 @@ class Graph:
         """
         if source not in self._adjacency:
             raise KeyError(source)
+        memo = self._paths.get((source, weight))
+        if memo is not None:
+            return dict(memo[0]), dict(memo[1])
         dist: Dict[str, float] = {source: 0.0}
         prev: Dict[str, str] = {}
         heap: List[Tuple[float, str]] = [(0.0, source)]
@@ -122,7 +134,10 @@ class Graph:
                     dist[neighbour] = nd
                     prev[neighbour] = node
                     heapq.heappush(heap, (nd, neighbour))
-        return dist, prev
+        if len(self._paths) >= _MEMO_SOURCES:
+            self._paths.clear()  # a sweep over every source must not keep n maps
+        self._paths[(source, weight)] = (dist, prev)
+        return dict(dist), dict(prev)
 
     def shortest_path(
         self, source: str, target: str, weight: str = "cost"

@@ -295,11 +295,7 @@ def run_flash_crowd_cell(
                 else:
                     missing.append((host, round(sent_at, 6)))
 
-    on_tree = sum(
-        1
-        for protocol in domain.protocols.values()
-        if protocol.fib.get(group) is not None
-    )
+    on_tree = len(domain.on_tree_routers(group))
     drained = recovered and not probe.members and on_tree <= len(cores)
     last = probe.samples[-1] if probe.samples else None
     sim_events = network.scheduler.events_processed

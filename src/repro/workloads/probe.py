@@ -226,11 +226,7 @@ class QualityProbe:
         domain, group = self.domain, self.group
         now = domain.network.scheduler.now
         member_routers = self.member_routers()
-        on_tree = sum(
-            1
-            for protocol in domain.protocols.values()
-            if protocol.fib.get(group) is not None
-        )
+        on_tree = len(domain.on_tree_routers(group))
 
         tree = protocol_tree(domain, self.graph, group)
         cost_cbt = tree.cost() if tree is not None else 0.0

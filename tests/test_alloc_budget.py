@@ -11,6 +11,12 @@ only while the loop and every protocol it drives free what they drop
 by refcount: the last two tests drive each protocol leg with the
 collector off and require that a full collection afterwards finds
 nothing, and that no collection starts inside ``run()`` at all.
+
+Beside the heap, two call budgets counted with ``sys.setprofile``: what
+the data plane may spend per transmission, and what one look by each
+periodic observer — the invariant sweep, the quality probe, the
+conservation laws — may spend on a settled domain, with the sweep also
+held to the size of the tree rather than of the domain.
 """
 
 import collections
@@ -20,12 +26,14 @@ import types
 
 import pytest
 
+from repro.core.audit import check_invariants
 from repro.core.bootstrap import CBTDomain
 from repro.core.forwarding import DataPlane
 from repro.core.legacy import LegacyDRExtension, LegacyHostAgent
 from repro.harness.scenarios import (
     FAST_IGMP,
     FAST_TIMERS,
+    build_cbt_group,
     build_dvmrp_group,
     build_hpimdm_group,
     pick_members,
@@ -34,8 +42,10 @@ from repro.harness.scenarios import (
 from repro.netsim.address import group_address
 from repro.netsim.engine import Scheduler
 from repro.netsim.link import Link
+from repro.telemetry.conservation import check_conservation
 from repro.topology.figures import FIGURE1_MEMBERS, build_figure1
 from repro.topology.generators import waxman_network
+from repro.workloads.probe import QualityProbe
 from tests.test_wire_format import make_wire_domain
 
 #: Modules whose code runs per event or per link and must therefore
@@ -64,6 +74,26 @@ TRACKED_PER_LINK_CEILING = 73.0
 #: copied headers through ``dataclasses.replace``); the ceiling is that
 #: plus 10 %.
 DATA_PATH_CALLS_PER_TRANSMISSION_CEILING = {"cbt": 28.8, "native": 27.1}
+
+#: Python calls one look may cost on a settled 120-router domain
+#: (``waxman_network(120, alpha=0.1)``, 398 links) carrying one
+#: 15-member group on a 28-router tree.  Reading the domain's address
+#: index, visiting only routers that hold state and summing the
+#: counters ``ControlStats`` holds, this tree measures 839 / 971 /
+#: 10,362 (2,948 / 3,872 / 17,812 when every look re-walked every
+#: interface, re-ran Dijkstra and pattern-queried the registry per
+#: router and per link); the ceiling is that plus 10 %.
+OBSERVER_CALLS_CEILING = {
+    "check_invariants": 923,
+    "sample": 1068,
+    "check_conservation": 11398,
+}
+
+#: ``check_invariants`` on 240 routers (1,439 links, a 36-router tree
+#: for the same 15 members) against the 120-router count: the cost
+#: follows the tree, not the domain (measured 1,213 / 839 = 1.45, of
+#: which 1.29 is the tree itself; 8,024 / 2,948 = 2.72 before).
+OBSERVER_CALLS_DOUBLING_CEILING = 1.5
 
 
 def started_domain(size, seed=5):
@@ -354,3 +384,67 @@ def test_data_path_calls_per_transmission_under_ceiling(mode):
     assert per_transmission < DATA_PATH_CALLS_PER_TRANSMISSION_CEILING[mode], (
         per_transmission
     )
+
+
+# -- the observers' call budget -----------------------------------------------------
+#
+# What a look costs bounds how often the verification line can afford
+# to look (docs/PERFORMANCE.md, "Decision record: observers read what
+# exists").  Counted warm — the address index, the registry's name
+# indexes and the shortest-path memo are built by the first look.
+
+
+def _python_calls(work):
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        work()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _observed_domain(size):
+    """The three periodic looks at a settled domain with one 15-member
+    group, each already taken once."""
+    net = waxman_network(size, alpha=0.1, seed=5)
+    net.trace.enabled = False
+    members = pick_members(net, 15, seed=5)
+    domain, group = build_cbt_group(
+        net, members, [sorted(net.routers)[0]], timers=FAST_TIMERS
+    )
+    net.run(until=net.scheduler.now + 2.0)
+    probe = QualityProbe(domain, group, source_host=members[0])
+    for member in members:
+        probe.note_join(member)
+    looks = {
+        "check_invariants": lambda: check_invariants(domain),
+        "sample": probe.sample,
+        "check_conservation": lambda: check_conservation(net, domain),
+    }
+    assert looks["check_invariants"]() == [] == looks["check_conservation"]()
+    assert looks["sample"]().members == 15
+    return looks
+
+
+@pytest.fixture(scope="module")
+def looks_n120():
+    return _observed_domain(120)
+
+
+@pytest.mark.parametrize("look", sorted(OBSERVER_CALLS_CEILING))
+def test_observer_calls_under_ceiling(looks_n120, look):
+    calls = _python_calls(looks_n120[look])
+    assert calls < OBSERVER_CALLS_CEILING[look], calls
+
+
+def test_invariant_sweep_costs_the_tree_not_the_domain(looks_n120):
+    small = _python_calls(looks_n120["check_invariants"])
+    large = _python_calls(_observed_domain(240)["check_invariants"])
+    assert large < OBSERVER_CALLS_DOUBLING_CEILING * small, (small, large)

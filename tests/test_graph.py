@@ -1,5 +1,6 @@
 """Tests for the abstract graph and tree types, with hypothesis checks."""
 
+import copy
 import random
 
 import pytest
@@ -155,3 +156,59 @@ class TestGraphProperties:
         assert path[0] == a and path[-1] == b
         for u, v in zip(path, path[1:]):
             assert g.has_edge(u, v)
+
+
+def _rebuilt(graph):
+    """The same graph, adjacency order included (ties break by it),
+    having answered nothing."""
+    fresh = copy.deepcopy(graph)
+    fresh._paths.clear()
+    return fresh
+
+
+class TestShortestPathMemo:
+    """``Graph.dijkstra`` remembers its last few answers (a probe asks
+    the same two sources every sample); the memo must be invisible."""
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_equals_a_fresh_computation_after_construction(self, seed):
+        g = waxman_graph(12, seed=seed)
+        rng = random.Random(seed)
+        source = rng.choice(g.nodes)
+        for weight in ("cost", "delay"):
+            g.dijkstra(source, weight=weight)  # warm
+        a, b = rng.sample(g.nodes, 2)
+        g.add_edge(a, b, cost=0.25, delay=0.125)  # a shortcut (or a cheaper edge)
+        g.add_node("late")
+        g.add_edge("late", source, cost=2.0, delay=3.0)
+        for weight in ("cost", "delay"):
+            assert g.dijkstra(source, weight=weight) == _rebuilt(g).dijkstra(
+                source, weight=weight
+            )
+            assert "late" in g.dijkstra(source, weight=weight)[0]
+
+    def test_a_new_isolated_node_is_noticed(self):
+        g = diamond()
+        assert g.is_connected()
+        g.add_node("island")
+        assert not g.is_connected()
+        assert g.eccentricity("a") == float("inf")
+
+    def test_callers_cannot_corrupt_it(self):
+        g = diamond()
+        first = g.dijkstra("a")
+        dist, prev = g.dijkstra("a")
+        dist.clear()
+        prev["d"] = "nowhere"
+        assert g.dijkstra("a") == first
+        assert g.shortest_path("a", "d") == _rebuilt(g).shortest_path("a", "d")
+
+    def test_a_sweep_over_every_source_keeps_a_few_maps(self):
+        g = waxman_graph(40, seed=3)
+        fresh = _rebuilt(g)
+        for weight in ("cost", "delay"):
+            assert g.center(weight) == fresh.center(weight)
+        assert 0 < len(g._paths) <= 8
+        for node in g.nodes:
+            assert g.dijkstra(node) == _rebuilt(g).dijkstra(node)

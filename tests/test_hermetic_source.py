@@ -224,3 +224,55 @@ def test_per_packet_methods_build_no_containers():
             elif isinstance(node, _CONTAINER_NODES):
                 found.add(f"{name}:{node.lineno} {type(node).__name__}")
     assert found == set()
+
+
+# -- one interface-address -> router index ------------------------------------------
+#
+# ``CBTDomain.router_of`` owns the map from an interface address to the
+# router that has it.  Seven readers used to rebuild it per call — a
+# loop over ``protocols`` storing ``[interface.address] = name`` — which
+# at n=1000 was 9,642 address hashes per auditor tick and per probe
+# sample (docs/PERFORMANCE.md, "Decision record: observers read what
+# exists").  Only the index's own builder may contain that loop.
+
+ADDRESS_INDEX_BUILDERS = {"core/bootstrap.py::router_of"}
+
+
+def _mentions_protocols(node):
+    return any(
+        isinstance(part, ast.Attribute) and part.attr == "protocols"
+        or isinstance(part, ast.Name) and part.id == "protocols"
+        for part in ast.walk(node)
+    )
+
+
+def _address_index_rebuilds(path):
+    """``file::function`` for every loop over ``protocols`` that stores
+    into a subscript keyed by an ``.address`` attribute."""
+    rel = path.relative_to(SRC).as_posix()
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.For) and _mentions_protocols(node.iter):
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Assign) and any(
+                    isinstance(target, ast.Subscript)
+                    and isinstance(target.slice, ast.Attribute)
+                    and target.slice.attr == "address"
+                    for target in inner.targets
+                ):
+                    found.add(f"{rel}::{function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_only_the_domain_builds_the_address_index():
+    found = set().union(
+        *(_address_index_rebuilds(path) for path in sorted(SRC.rglob("*.py")))
+    )
+    assert found == ADDRESS_INDEX_BUILDERS

@@ -1,0 +1,342 @@
+"""The O(tree) observers against the full sweeps they replaced.
+
+``check_invariants``, ``CBTDomain.tree_edges`` / ``assert_tree_consistent``,
+``audit_domain``, the explorer's two oracles and ``link_conservation``
+read one domain-owned address index and visit only routers that hold
+state (docs/PERFORMANCE.md, "Decision record: observers read what
+exists").  Findings are the contract: on every state visited here the
+lists they return equal — texts and order — what
+``tests/reference_sweeps.py`` returns, which is the code they replaced.
+
+States visited: every auditor tick of every chaos scenario on three
+topologies (crashed routers, flapped links and half-finished repairs
+are where skipping a router could hide a finding), the two open
+findings' schedules, hand-corrupted trees with the offender live and
+crashed, and a live domain that gains interfaces.
+"""
+
+from ipaddress import IPv4Address
+
+import pytest
+
+from repro.chaos import SCENARIOS, run_scenario
+from repro.core import audit
+from repro.core.audit import audit_domain, check_invariants
+from repro.core.constants import JoinSubcode
+from repro.core.state import PendingJoin
+from repro.explore.oracle import convergence_findings, transition_findings
+from repro.harness import campaign
+from repro.telemetry.conservation import check_conservation, link_conservation
+from tests import reference_sweeps
+from tests.reference_sweeps import FromScratchIndex
+
+
+def _tree_consistency(check, *args):
+    try:
+        check(*args)
+    except AssertionError as error:
+        return str(error)
+    return None
+
+
+def assert_matches_reference(domain, now=None):
+    """Every changed reader against its reference on ``domain`` as it
+    stands; returns the invariant findings."""
+    findings = check_invariants(domain, now=now)
+    assert findings == reference_sweeps.check_invariants(domain, now=now)
+    from_scratch = reference_sweeps.from_scratch_index(domain)
+    assert {a: domain.router_of(a) for a in from_scratch} == from_scratch
+    reference = FromScratchIndex(domain)
+    assert audit_domain(domain, now=now) == audit_domain(reference, now=now)
+    for check_loops in (True, False):
+        assert transition_findings(domain, check_loops) == transition_findings(
+            reference, check_loops
+        )
+    for group in domain.coordinator.groups():
+        assert domain.tree_edges(group) == reference_sweeps.tree_edges(domain, group)
+        assert _tree_consistency(
+            domain.assert_tree_consistent, group
+        ) == _tree_consistency(
+            reference_sweeps.assert_tree_consistent, domain, group
+        )
+        members = sorted(
+            name
+            for name, agent in domain.host_agents.items()
+            if agent.is_member(group)
+        )
+        assert convergence_findings(domain, group, members) == (
+            convergence_findings(reference, group, members)
+        )
+    registry = domain.telemetry.registry
+    assert link_conservation(registry) == reference_sweeps.link_conservation(registry)
+    for exclude_hello in (True, False):
+        assert domain.control_messages_sent(exclude_hello) == (
+            reference_sweeps.control_messages_sent(domain, exclude_hello)
+        )
+    return findings
+
+
+@pytest.fixture
+def ticks(monkeypatch):
+    """Shadow every ``check_invariants`` the campaign makes — auditor
+    ticks and the quiescence test — with the reference comparison.
+    Yields one ``(crashed routers holding state, findings)`` per call."""
+    seen = []
+
+    def shadowed(domain, now=None):
+        findings = assert_matches_reference(domain, now=now)
+        crashed = sum(
+            1
+            for protocol in domain.protocols.values()
+            if len(protocol.fib) and reference_sweeps._crashed(protocol)
+        )
+        seen.append((crashed, findings))
+        return findings
+
+    monkeypatch.setattr(audit, "check_invariants", shadowed)
+    monkeypatch.setattr(campaign, "check_invariants", shadowed)
+    return seen
+
+
+class TestEveryAuditorTick:
+    @pytest.mark.parametrize("topology", ["figure1", "grid9", "waxman16"])
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_chaos_cell(self, ticks, scenario, topology):
+        result = run_scenario(scenario, topology=topology, seed=0)
+        assert len(ticks) >= result.audit_checks > 0
+        if scenario in ("router_crash", "core_crash"):
+            # The ticks that matter most: state frozen in a dead router.
+            assert any(crashed for crashed, _ in ticks)
+
+    def test_open_finding_parent_loop(self, ticks):
+        """core_crash / waxman16 seed 17 (docs/ROBUSTNESS.md, "Open
+        findings"): what it reports must not change."""
+        result = run_scenario("core_crash", topology="waxman16", seed=17)
+        assert result.violations == [
+            "[error] N1 group=239.0.0.1: parent pointers form a loop"
+        ]
+        assert any(findings for _, findings in ticks)
+
+    def test_open_finding_never_quiescent(self, ticks):
+        result = run_scenario("core_crash", topology="waxman16", seed=29)
+        assert not result.recovered and not result.violations
+        assert any(findings for _, findings in ticks)
+
+
+def _neighbour_pair(network, domain, group, on_tree):
+    """A router holding no state for ``group`` and a neighbour of it
+    (on-tree or not, as asked), with the addresses they share a link on."""
+    for name, protocol in sorted(domain.protocols.items()):
+        if len(protocol.fib):
+            continue
+        for interface in protocol.router.interfaces:
+            for peer in interface.link.interfaces:
+                other = peer.node.name
+                if other == name or other not in domain.protocols:
+                    continue
+                if domain.protocol(other).is_on_tree(group) == on_tree:
+                    return name, interface, other, peer
+    raise AssertionError("no such pair in this topology")
+
+
+def _self_parent(network, domain, group):
+    protocol = domain.protocol("R8")
+    own = protocol.router.interfaces[0]
+    protocol.fib.get(group).set_parent(own.address, own.vif)
+    return "R8"
+
+
+def _parent_forgets_child(network, domain, group):
+    entry = domain.protocol("R3").fib.get(group)
+    for child in list(entry.children):
+        if domain.router_of(child) == "R1":
+            entry.remove_child(child)
+    return "R1"
+
+
+def _loop_with_stateless_neighbour(network, domain, group):
+    name, mine, other, theirs = _neighbour_pair(network, domain, group, on_tree=False)
+    domain.protocol(name).fib.get_or_create(group).set_parent(theirs.address, mine.vif)
+    domain.protocol(other).fib.get_or_create(group).set_parent(mine.address, theirs.vif)
+    return name
+
+
+def _parent_is_a_stateless_router(network, domain, group):
+    name, mine, other, theirs = _neighbour_pair(network, domain, group, on_tree=True)
+    domain.protocol(other).fib.get(group).set_parent(mine.address, theirs.vif)
+    return name
+
+
+def _parent_is_not_a_router(network, domain, group):
+    host = network.host("A").interface.address
+    domain.protocol("R12").fib.get(group).set_parent(host, 0)
+    return "R12"
+
+
+def _stale_pending_join(network, domain, group):
+    name, *_ = _neighbour_pair(network, domain, group, on_tree=True)
+    domain.protocol(name).pending[group] = PendingJoin(
+        group=group,
+        origin=IPv4Address("10.0.0.1"),
+        subcode=JoinSubcode.ACTIVE_JOIN,
+        target_core=IPv4Address("10.0.3.1"),
+        cores=(IPv4Address("10.0.3.1"),),
+        upstream_address=IPv4Address("10.0.13.3"),
+        upstream_vif=0,
+        created_at=-1000.0,
+    )
+    return name
+
+
+def _quit_with_no_timer(network, domain, group):
+    name, *_ = _neighbour_pair(network, domain, group, on_tree=True)
+    domain.protocol(name)._quitting[group] = 1
+    return name
+
+
+def _child_of_a_crashed_parent(network, domain, group):
+    return "R3"  # R1 and R2 point at it; crashing it is the corruption
+
+
+CORRUPTIONS = [
+    _self_parent,
+    _parent_forgets_child,
+    _loop_with_stateless_neighbour,
+    _parent_is_a_stateless_router,
+    _parent_is_not_a_router,
+    _stale_pending_join,
+    _quit_with_no_timer,
+    _child_of_a_crashed_parent,
+]
+
+
+class TestHandCorruptedDomains:
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__[1:])
+    def test_offender_live_then_crashed(
+        self, figure1_full_tree, figure1_network, corrupt
+    ):
+        domain, group = figure1_full_tree
+        assert assert_matches_reference(domain) == []
+        offender = corrupt(figure1_network, domain, group)
+        live = assert_matches_reference(domain)
+        if corrupt is not _child_of_a_crashed_parent:
+            assert live, "the corruption is a finding while its router is up"
+        figure1_network.fail_router(offender, reconverge=False)
+        crashed = assert_matches_reference(domain)
+        assert crashed != live
+        figure1_network.restore_router(offender, reconverge=False)
+        assert assert_matches_reference(domain) == live
+
+    def test_every_router_crashed(self, figure1_full_tree, figure1_network):
+        domain, group = figure1_full_tree
+        for name in figure1_network.routers:
+            figure1_network.fail_router(name, reconverge=False)
+        assert assert_matches_reference(domain) == []
+
+
+class TestIndexSeesNewInterfaces:
+    """``Network.attach`` is the only caller of ``add_interface`` in
+    ``src/``; an interface it adds to a router of a live domain must
+    be in the index the next time anything asks."""
+
+    def test_p2p_and_lan(self, figure1_full_tree, figure1_network):
+        domain, group = figure1_full_tree
+        network = figure1_network
+        assert_matches_reference(domain)  # the index is built and warm
+        before = dict(reference_sweeps.from_scratch_index(domain))
+
+        r5, r11 = network.router("R5"), network.router("R11")
+        link = network.add_p2p("late-p2p", r5, r11)
+        lan = next(iter(network.all_subnets()))
+        outsider = next(
+            router for router in network.all_routers()
+            if router.interface_on(lan.network) is None
+        )
+        joined = network.attach(outsider, lan)
+
+        for interface in link.interfaces:
+            assert interface.address not in before
+            assert domain.router_of(interface.address) == interface.node.name
+        assert domain.router_of(joined.address) == outsider.name
+        assert len(reference_sweeps.from_scratch_index(domain)) == len(before) + 3
+        assert_matches_reference(domain)
+
+        # A tree edge over the late link resolves to a name, not to the
+        # ``str(address)`` fallback of an unknown parent.
+        mine, theirs = link.interfaces
+        domain.protocol("R5").fib.get_or_create(group).set_parent(
+            theirs.address, mine.vif
+        )
+        assert ("R5", "R11") in domain.tree_edges(group)
+        assert_matches_reference(domain)
+
+    def test_an_address_nobody_owns_is_none_every_time(self, figure1_domain):
+        domain, _ = figure1_domain
+        stranger = IPv4Address("203.0.113.7")
+        assert domain.router_of(stranger) is None
+        assert domain.router_of(stranger) is None
+
+
+def _first_link(network):
+    return network.links[sorted(network.links)[0]]
+
+
+def _bump(attr):
+    def plant(network, domain):
+        link = _first_link(network)
+        setattr(link, attr, getattr(link, attr) + 1)
+        return f"link {link.name}:"
+
+    plant.__name__ = f"bumped_{attr}"
+    return plant
+
+
+def _drop_counter(reason):
+    def plant(network, domain):
+        link = _first_link(network)
+        network.telemetry.registry.counter(
+            f"netsim.link.{link.name}.drop.{reason}"
+        ).inc(10_000)
+        return f"link {link.name}:"
+
+    plant.__name__ = f"planted_drop_{reason}"
+    return plant
+
+
+def _tx_behind_control_stats(network, domain):
+    network.telemetry.registry.counter("cbt.router.R4.tx.join_request").inc()
+    return "JOIN_REQUEST: protocol tx"
+
+
+PLANTS = [
+    _bump("attempt_count"),
+    _bump("rx_count"),
+    *(_drop_counter(reason) for reason in ("link_down", "gate", "loss", "no_host", "late")),
+    _tx_behind_control_stats,
+]
+
+
+class TestConservationStillFinds:
+    """Reading fewer instruments must not mean seeing fewer faults."""
+
+    @pytest.mark.parametrize("plant", PLANTS, ids=lambda f: f.__name__)
+    def test_planted_violation(self, figure1_full_tree, figure1_network, plant):
+        domain, _ = figure1_full_tree
+        assert check_conservation(figure1_network, domain) == []
+        expected = plant(figure1_network, domain)
+        violations = check_conservation(figure1_network, domain)
+        assert any(v.startswith(expected) for v in violations), violations
+        registry = figure1_network.telemetry.registry
+        assert link_conservation(registry) == reference_sweeps.link_conservation(registry)
+
+    def test_planted_tx_is_what_the_agreement_test_guards(
+        self, figure1_full_tree, figure1_network
+    ):
+        """``control_messages_sent`` no longer reads the registry, so a
+        count added there behind ``ControlStats``' back shows as the
+        two sides disagreeing (and as a conservation violation above)."""
+        domain, _ = figure1_full_tree
+        _tx_behind_control_stats(figure1_network, domain)
+        assert reference_sweeps.control_messages_sent(domain) == (
+            domain.control_messages_sent() + 1
+        )

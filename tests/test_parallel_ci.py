@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.harness import parallel
 from repro.harness.parallel import (
     UnitResult,
     WorkUnit,
@@ -123,6 +124,80 @@ class TestCrashContainment:
         assert result.status == "error"
         assert result.attempts == 1  # deterministic failures never retry
         assert any("selftest asked to raise" in line for line in result.detail)
+
+
+class _ExitedWorker:
+    """A worker process that is already gone when the loop looks."""
+
+    exitcode = 0
+
+    def is_alive(self):
+        return False
+
+    def join(self, timeout=None):
+        pass
+
+    def terminate(self):
+        pass
+
+
+class _Pipe:
+    """A parent-side pipe end whose ``poll`` answers from a script;
+    ``payload`` is what ``recv`` hands over once a poll said yes."""
+
+    def __init__(self, polls, payload):
+        self.polls = list(polls)
+        self.payload = payload
+
+    def poll(self, timeout=0):
+        return self.polls.pop(0)
+
+    def recv(self):
+        return self.payload
+
+    def close(self):
+        pass
+
+
+class TestReportThenExitRace:
+    """``run_units`` reads the pipe, then asks whether the process is
+    alive.  A worker that sends its result and exits between the two
+    was reported ``crashed`` with the result sitting in the pipe —
+    seen as ``test_crash_once_recovers_on_retry`` failing once in four
+    full-suite runs.  Driven here with scripted handles, so the
+    interleaving is the test's, not the scheduler's."""
+
+    def _run(self, monkeypatch, polls, payload):
+        handles = []
+
+        def start_worker(ctx, unit, index, attempt):
+            handle = parallel._Running(
+                process=_ExitedWorker(),
+                conn=_Pipe(polls, payload),
+                index=index,
+                started=0.0,
+            )
+            handles.append(handle)
+            return handle
+
+        monkeypatch.setattr(parallel, "_start_worker", start_worker)
+        (result,) = run_units([selftest("raced", retries=0)], workers=1)
+        return result, handles
+
+    def test_result_sent_just_before_exit_is_not_a_crash(self, monkeypatch):
+        payload = {"status": "ok", "fingerprint": "f", "detail": [], "metrics": {}}
+        result, handles = self._run(monkeypatch, [False, True], payload)
+        assert result.status == "ok"
+        assert result.attempts == 1
+        assert result.fingerprint == "f"
+        assert len(handles) == 1 and handles[0].conn.polls == []
+
+    def test_exit_without_a_result_is_still_a_crash(self, monkeypatch):
+        result, handles = self._run(monkeypatch, [False, False], None)
+        assert result.status == "crashed"
+        assert result.attempts == 1
+        assert "without reporting a result" in result.detail[0]
+        assert handles[0].conn.polls == []  # the pipe was read once more
 
 
 class TestTimeouts:

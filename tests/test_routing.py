@@ -6,6 +6,7 @@ import pytest
 
 from repro.netsim.packet import PROTO_UDP, make_udp
 from repro.topology.builder import Network
+from repro.topology.figures import FIGURE1_MEMBERS
 
 
 def line_of_routers(n, lan_tails=True):
@@ -190,6 +191,25 @@ class TestUnicastForwarding:
         hosts[0].originate(d)
         net.run()
         assert not hosts[1].local_rx
+
+    def test_hosts_do_not_retain_the_multicast_they_hear(
+        self, figure1_full_tree, figure1_network
+    ):
+        """A host hears every HELLO and IGMP query on its LAN for as
+        long as the network runs; it dispatches them and keeps none
+        (``local_rx`` is for unicast addressed to the host)."""
+        domain, group = figure1_full_tree
+        # Past the next general query (FAST_IGMP asks every 30 s).
+        figure1_network.run(until=figure1_network.scheduler.now + 35.0)
+        registry = figure1_network.telemetry.registry
+        for name, host in figure1_network.hosts.items():
+            assert host.rx_count > 0, name
+            assert not [d for d in host.local_rx if d.is_multicast], name
+            # ... and the handlers still ran: the agent counted the
+            # queries, and a member answered them.
+            assert registry.value(f"igmp.host.{name}.rx.query") > 0, name
+        for name in FIGURE1_MEMBERS:
+            assert domain.agent(name).reports_sent > 1, name
 
     def test_forwarded_count_increments(self):
         net, routers, hosts = line_of_routers(3)

@@ -19,6 +19,7 @@ from repro.harness.campaign import TOPOLOGIES
 from repro.harness.scenarios import FAST_TIMERS, build_cbt_group
 from repro.metrics.overhead import cbt_control_overhead, registry_control_overhead
 from repro.telemetry.conservation import check_conservation
+from tests import reference_sweeps
 
 
 def _chaos_cell(scenario_name: str, seed: int = 0, topology: str = "figure1"):
@@ -122,8 +123,9 @@ class TestWalkthroughConservation:
 
 
 class TestControlCountAgreement:
-    """The registry-derived control counts must agree with the
-    historical ControlStats summation (the double-counting guard)."""
+    """The control counts summed from the ``ControlStats`` counters
+    must agree with the registry's own pattern read (the
+    double-counting guard)."""
 
     def _domain_after_faults(self):
         network, domain, schedule = _chaos_cell("link_flap")
@@ -135,7 +137,7 @@ class TestControlCountAgreement:
         for exclude_hello in (True, False):
             assert domain.control_messages_sent(
                 exclude_hello=exclude_hello
-            ) == domain.control_messages_sent_legacy(exclude_hello=exclude_hello)
+            ) == reference_sweeps.control_messages_sent(domain, exclude_hello)
         assert domain.control_messages_sent() > 0
 
     def test_per_type_overheads_agree(self):

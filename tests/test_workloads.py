@@ -127,6 +127,48 @@ class TestQualityProbe:
             QualityProbe(domain, group, source_host=hosts[0], interval=0.0)
 
 
+#: Every ``QualitySample.fingerprint()`` of two cells, as the probe
+#: reported them when it re-walked every router, rebuilt the address
+#: map and re-ran Dijkstra per sample (PR 19).  The probe now reads
+#: ``CBTDomain.router_of``, the ``Graph`` shortest-path memo and the
+#: ``ControlStats`` counters; what it reports may not move.
+FLASH_WAXMAN16_SEED3_SAMPLES = (
+    (7.0, 2, 7, 6.0, 11.0, 1.0, 1.0, 25, 30, 32, 0.25, 0.25, 0.25),
+    (9.0, 8, 14, 13.0, 14.0, 1.0, 1.0, 65, 56, 128, 0.25, 0.5, 0.5),
+    (11.0, 8, 14, 13.0, 14.0, 1.0, 1.0, 78, 56, 128, 0.25, 0.5, 0.5),
+    (13.0, 1, 14, 13.0, 5.0, 1.0, 1.0, 104, 91, 240, 0.25, 0.5, 0.5),
+    (15.0, 0, 14, 13.0, 0.0, 0.0, 0.0, 117, 96, 256, 0.25, 0.5, 0.5),
+    (17.0, 0, 6, 5.0, 0.0, 0.0, 0.0, 147, 96, 256, 0.25, 0.5, 0.5),
+    (19.0, 0, 1, 0.0, 0.0, 0.0, 0.0, 156, 96, 256, 0.25, 0.5, 0.5),
+    (21.0, 0, 1, 0.0, 0.0, 0.0, 0.0, 156, 96, 256, 0.25, 0.5, 0.5),
+    (23.0, 0, 1, 0.0, 0.0, 0.0, 0.0, 156, 96, 256, 0.25, 0.5, 0.5),
+    (25.0, 0, 1, 0.0, 0.0, 0.0, 0.0, 156, 96, 256, 0.25, 0.5, 0.5),
+)
+POISSON_FIGURE1_SEED3_SAMPLES = (
+    (7.0, 4, 6, 5.0, 6.0, 1.0, 1.0, 26, 31, 72, 0.025, 0.05, 0.05),
+    (9.0, 6, 6, 5.0, 6.0, 1.0, 1.0, 31, 36, 96, 0.025, 0.05, 0.05),
+    (11.0, 6, 6, 5.0, 6.0, 1.0, 1.0, 36, 46, 144, 0.025, 0.05, 0.05),
+    (13.0, 6, 6, 5.0, 6.0, 1.0, 1.0, 46, 52, 168, 0.025, 0.05, 0.05),
+    (15.0, 6, 8, 7.0, 7.0, 1.0, 1.0, 61, 65, 216, 0.05, 0.05, 0.05),
+    (17.0, 6, 9, 8.0, 6.0, 1.0, 1.0, 72, 79, 264, 0.025, 0.05, 0.05),
+    (19.0, 6, 9, 8.0, 6.0, 1.0, 1.0, 88, 83, 288, 0.025, 0.05, 0.05),
+    (21.0, 9, 9, 8.0, 8.0, 1.0, 1.0, 102, 98, 372, 0.025, 0.05, 0.05),
+    (23.0, 9, 9, 8.0, 7.0, 1.0, 1.0, 110, 107, 396, 0.025, 0.05, 0.05),
+    (25.0, 7, 9, 8.0, 7.0, 1.0, 1.0, 126, 114, 420, 0.025, 0.05, 0.05),
+    (27.0, 8, 9, 8.0, 8.0, 1.0, 1.0, 134, 123, 456, 0.025, 0.05, 0.05),
+    (29.0, 6, 9, 8.0, 6.0, 1.0, 1.0, 142, 135, 504, 0.025, 0.05, 0.05),
+    (31.0, 6, 9, 8.0, 6.0, 1.0, 1.0, 158, 142, 528, 0.025, 0.05, 0.05),
+    (33.0, 6, 9, 8.0, 7.0, 1.0, 1.0, 166, 149, 576, 0.025, 0.05, 0.05),
+    (35.0, 6, 9, 8.0, 7.0, 1.0, 1.0, 174, 154, 600, 0.025, 0.05, 0.05),
+    (37.0, 0, 8, 7.0, 0.0, 0.0, 0.0, 190, 170, 672, 0.025, 0.05, 0.05),
+    (39.0, 0, 8, 7.0, 0.0, 0.0, 0.0, 197, 170, 672, 0.025, 0.05, 0.05),
+    (41.0, 0, 1, 0.0, 0.0, 0.0, 0.0, 218, 170, 672, 0.025, 0.05, 0.05),
+    (43.0, 0, 1, 0.0, 0.0, 0.0, 0.0, 218, 170, 672, 0.025, 0.05, 0.05),
+    (45.0, 0, 1, 0.0, 0.0, 0.0, 0.0, 218, 170, 672, 0.025, 0.05, 0.05),
+    (47.0, 0, 1, 0.0, 0.0, 0.0, 0.0, 218, 170, 672, 0.025, 0.05, 0.05),
+)
+
+
 class TestWorkloadCells:
     def test_flash_crowd_small_topology_clean(self):
         result = run_flash_crowd_cell(
@@ -142,7 +184,7 @@ class TestWorkloadCells:
         assert result.final_on_tree <= result.cores
         assert set(result.snapshots) == {"mid-burst", "drain"}
         assert all(not f for f in result.snapshots.values())
-        assert result.sample_fingerprints
+        assert result.sample_fingerprints == FLASH_WAXMAN16_SEED3_SAMPLES
 
     @pytest.mark.parametrize("process", ["poisson", "pareto"])
     def test_churn_cells_clean(self, process):
@@ -154,6 +196,8 @@ class TestWorkloadCells:
         assert result.recovered
         assert result.control_cbt > 0
         assert result.control_mospf_model > 0
+        if process == "poisson":
+            assert result.sample_fingerprints == POISSON_FIGURE1_SEED3_SAMPLES
 
     def test_cells_deterministic(self):
         a = run_flash_crowd_cell(
