@@ -3,7 +3,9 @@
 Runs the perf-regression suite, writes ``BENCH_<name>.json`` artifacts
 under ``bench-artifacts/`` (or ``--output-dir``), and exits 1 when an
 exact count differs from its stored baseline or a gated paired ratio
-is more than 3x worse than it (see docs/PERFORMANCE.md).
+is more than 3x worse than it (see docs/PERFORMANCE.md).  With
+``--rebaseline --only NAME`` it rewrites the committed baseline of each
+named benchmark instead.
 """
 
 from __future__ import annotations
@@ -45,6 +47,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--output-dir",
         help="write BENCH_*.json here instead of bench-artifacts/",
     )
+    parser.add_argument(
+        "--rebaseline",
+        action="store_true",
+        help="rewrite the committed baselines of the --only benchmarks "
+        "(benchmarks/baselines/), printing old -> new per changed value",
+    )
     return parser
 
 
@@ -56,6 +64,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         profile=args.profile,
         check=not args.no_check,
         output_dir=args.output_dir,
+        rebaseline=args.rebaseline,
     )
 
 

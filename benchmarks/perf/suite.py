@@ -236,6 +236,92 @@ def bench_codec(quick: bool) -> Dict[str, Metric]:
     }
 
 
+def bench_records(quick: bool) -> Dict[str, Metric]:
+    """Per-packet records: what building the two keepalives and copying
+    a data packet for its next hop costs, each against the frozen
+    dataclasses the tuple records replaced (``tests/reference_records``)
+    built the way the code built them then."""
+    from repro.core.constants import CBT_PORT, MessageType
+    from repro.core.messages import CBTControlMessage, CBTDataPacket
+    from repro.igmp.messages import MembershipQuery
+    from repro.netsim.address import ALL_CBT_ROUTERS, ALL_SYSTEMS
+    from repro.netsim.packet import (
+        PROTO_CBT,
+        PROTO_IGMP,
+        PROTO_UDP,
+        IPDatagram,
+        UDPDatagram,
+    )
+    from tests import reference_records as was
+
+    here, there = IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2")
+    any_group, group = IPv4Address("0.0.0.0"), IPv4Address("239.0.0.1")
+
+    def hello() -> None:  # CBTProtocol._send_hello
+        message = CBTControlMessage(MessageType.HELLO, 0, any_group, here, cores=())
+        IPDatagram(
+            here, ALL_CBT_ROUTERS, PROTO_UDP, UDPDatagram(CBT_PORT, CBT_PORT, message), 1
+        )
+
+    def hello_was() -> None:
+        was.make_udp(
+            src=here,
+            dst=ALL_CBT_ROUTERS,
+            sport=CBT_PORT,
+            dport=CBT_PORT,
+            payload=was.CBTControlMessage(
+                msg_type=MessageType.HELLO, code=0, group=any_group, origin=here, cores=()
+            ),
+            ttl=1,
+        )
+
+    def query() -> None:  # IGMPRouterAgent._send_query
+        IPDatagram(here, ALL_SYSTEMS, PROTO_IGMP, MembershipQuery(None, 3.0), 1)
+
+    def query_was() -> None:
+        was.IPDatagram(
+            src=here,
+            dst=ALL_SYSTEMS,
+            proto=PROTO_IGMP,
+            payload=was.MembershipQuery(group=None, max_response_time=3.0),
+            ttl=1,
+        )
+
+    packet = CBTDataPacket(group, there, here, b"x" * 64, ip_ttl=32)
+    packet_was = was.CBTDataPacket(group, there, here, b"x" * 64, ip_ttl=32)
+
+    def hop_copy() -> None:  # DataPlane._receive_cbt + _send_cbt
+        IPDatagram(here, there, PROTO_CBT, packet.decremented())
+
+    def hop_copy_was() -> None:
+        was.IPDatagram(
+            src=here, dst=there, proto=PROTO_CBT, payload=packet_was.decremented()
+        )
+
+    pairs = {
+        "hello_build": (hello, hello_was),
+        "query_build": (query, query_was),
+        "hop_copy": (hop_copy, hop_copy_was),
+    }
+
+    def per_call_ns(build: Callable[[], None]) -> float:
+        def burst() -> None:  # amortises _time_ops' clock read per call
+            for _ in range(200):
+                build()
+
+        return 1e9 / (_time_ops(burst, min_seconds=0.1) * 200)
+
+    metrics: Dict[str, Metric] = {}
+    for name, (now, before) in pairs.items():
+        now_ns, before_ns = per_call_ns(now), per_call_ns(before)
+        metrics[f"{name}_ns"] = _metric(now_ns, "ns", higher_is_better=False)
+        # Paired, back to back on one host: drift cancels, so gated.
+        metrics[f"{name}_vs_dataclass_ratio"] = _metric(
+            now_ns / before_ns, "x", higher_is_better=False, gated=True
+        )
+    return metrics
+
+
 def bench_scale(quick: bool) -> Dict[str, Metric]:
     """E14 scale sweep: whole-scenario simulator throughput."""
     from benchmarks.bench_scale import scale_run
@@ -246,10 +332,8 @@ def bench_scale(quick: bool) -> Dict[str, Metric]:
         t0 = time.perf_counter()
         row = scale_run(size)
         wall = time.perf_counter() - t0
-        events, eps = row[5], row[6]
-        metrics[f"events_per_sec_n{size}"] = _metric(eps, "events/s")
         metrics[f"sim_events_n{size}"] = _metric(
-            events, "events", higher_is_better=False, exact=True
+            row[5], "events", higher_is_better=False, exact=True
         )
         metrics[f"wall_seconds_n{size}"] = _metric(
             wall, "s", higher_is_better=False
@@ -281,11 +365,9 @@ def bench_scale_smoke(quick: bool) -> Dict[str, Metric]:
     # collector").
     tracked = len(gc.get_objects()) - tracked_before
     collections = sum(gen["collections"] for gen in gc.get_stats())
-    events, eps = row[5], row[6]
     return {
-        "events_per_sec_n1000": _metric(eps, "events/s"),
         "sim_events_n1000": _metric(
-            events, "events", higher_is_better=False, exact=True
+            row[5], "events", higher_is_better=False, exact=True
         ),
         "wall_seconds_n1000": _metric(wall, "s", higher_is_better=False),
         "tracked_objects_n1000": _metric(
@@ -635,6 +717,7 @@ BENCHMARKS: Dict[str, Callable[[bool], Dict[str, Metric]]] = {
     "recompute": bench_recompute,
     "scheduler": bench_scheduler,
     "codec": bench_codec,
+    "records": bench_records,
     "scale": bench_scale,
     "scale_smoke": bench_scale_smoke,
     "chaos": bench_chaos,
@@ -759,8 +842,19 @@ def run_suite(
     check: bool = True,
     output_dir: Optional[str] = None,
     out=sys.stdout,
+    rebaseline: bool = False,
 ) -> int:
-    """Run the suite; returns a process exit code (1 on regression)."""
+    """Run the suite; returns a process exit code (1 on regression).
+
+    ``rebaseline`` writes what the named benchmarks measure over their
+    committed baselines instead of checking against them, printing
+    old -> new for every value that changed (a metric this run did not
+    measure — the other mode's sizes — is kept)."""
+    if rebaseline:
+        if not only:
+            print("--rebaseline needs --only NAME: name what to rewrite", file=out)
+            return 2
+        check, output_dir = False, BASELINE_DIR
     selected = only or list(BENCHMARKS)
     unknown = [name for name in selected if name not in BENCHMARKS]
     if unknown:
@@ -788,16 +882,22 @@ def run_suite(
             else None
         )
         failures = check_regressions(baseline, metrics)
+        stored = (load_baseline(name) or {}).get("metrics", {}) if rebaseline else {}
         path = write_artifact(name, metrics, quick, output_dir)
         print(f"[{name}] ({wall:.1f}s) -> {os.path.relpath(path)}", file=out)
         for key, metric in sorted(metrics.items()):
             print(f"    {key:40s} {metric['value']:>14g} {metric['unit']}", file=out)
+            old = stored.get(key, {}).get("value")
+            if rebaseline and old != metric["value"]:
+                print(f"    REBASELINED {key}: {old} -> {metric['value']}", file=out)
         for failure in failures:
             print(f"    REGRESSION {failure}", file=out)
         all_failures.extend(failures)
         if profile:
             stats = pstats.Stats(profiler, stream=out).sort_stats("cumulative")
             stats.print_stats(15)
+    if rebaseline:
+        return 0
     if all_failures:
         print(
             f"\nFAIL: {len(all_failures)} metric(s) changed an exact count "

@@ -32,7 +32,7 @@ from repro.igmp.router_side import IGMPConfig, IGMPRouterAgent
 from repro.netsim.engine import PeriodicTimer
 from repro.netsim.nic import Interface
 from repro.netsim.node import Node
-from repro.netsim.packet import IPDatagram, PROTO_IGMP
+from repro.netsim.packet import IPDatagram, PROTO_IGMP, Record
 from repro.routing.table import Router
 from repro.topology.builder import Network
 
@@ -50,16 +50,14 @@ PROBE_INTERVAL = 10.0
 NEIGHBOUR_HOLD = 35.0
 
 
-@dataclass(frozen=True)
-class Probe:
+class Probe(Record):
     """Neighbour discovery beacon."""
 
     def size_bytes(self) -> int:
         return 8
 
 
-@dataclass(frozen=True)
-class Prune:
+class Prune(Record):
     source: IPv4Address
     group: IPv4Address
     lifetime: float
@@ -68,8 +66,7 @@ class Prune:
         return 16
 
 
-@dataclass(frozen=True)
-class Graft:
+class Graft(Record):
     source: IPv4Address
     group: IPv4Address
 

@@ -58,7 +58,7 @@ from repro.igmp.router_side import IGMPConfig, IGMPRouterAgent
 from repro.netsim.engine import PeriodicTimer
 from repro.netsim.nic import Interface
 from repro.netsim.node import Node
-from repro.netsim.packet import IPDatagram, PROTO_IGMP
+from repro.netsim.packet import IPDatagram, PROTO_IGMP, Record
 from repro.routing.table import Router
 from repro.topology.builder import Network
 
@@ -83,8 +83,7 @@ DEFAULT_RTX_INTERVAL = 1.0
 # falls back to the class name), so they are prefixed and CamelCased.
 
 
-@dataclass(frozen=True)
-class HpimHello:
+class HpimHello(Record):
     """Neighbour keepalive; ``gen_id`` changes on restart."""
 
     gen_id: int
@@ -93,8 +92,7 @@ class HpimHello:
         return 12
 
 
-@dataclass(frozen=True)
-class HpimAssert:
+class HpimAssert(Record):
     """Sequence-numbered upstream-election claim for one (S, G) link."""
 
     source: IPv4Address
@@ -106,8 +104,7 @@ class HpimAssert:
         return 24
 
 
-@dataclass(frozen=True)
-class HpimInterest:
+class HpimInterest(Record):
     """Sequence-numbered downstream interest (graft/prune) for (S, G)."""
 
     source: IPv4Address
@@ -119,8 +116,7 @@ class HpimInterest:
         return 20
 
 
-@dataclass(frozen=True)
-class HpimAck:
+class HpimAck(Record):
     """Per-neighbour acknowledgement of an Assert or Interest."""
 
     source: IPv4Address

@@ -339,13 +339,7 @@ class DataPlane:
                 # because they do not recognise protocol 7.
                 self.stats.cbt_multicasts += 1
                 interface.send(
-                    IPDatagram(
-                        src=interface.address,
-                        dst=kernel.group,
-                        proto=PROTO_CBT,
-                        payload=packet,
-                        ttl=1,
-                    )
+                    IPDatagram(interface.address, kernel.group, PROTO_CBT, packet, 1)
                 )
                 continue
             for address in addresses:
@@ -353,13 +347,7 @@ class DataPlane:
                     continue
                 self.stats.cbt_unicasts += 1
                 interface.send(
-                    IPDatagram(
-                        src=interface.address,
-                        dst=address,
-                        proto=PROTO_CBT,
-                        payload=packet,
-                    ),
-                    link_dst=address,
+                    IPDatagram(interface.address, address, PROTO_CBT, packet), address
                 )
 
     def _send_native_targets(
@@ -378,13 +366,7 @@ class DataPlane:
                 # Tunnel inside a native-mode cloud: IP-over-IP (§4).
                 self.stats.encapsulations += 1
                 interface.send(
-                    IPDatagram(
-                        src=interface.address,
-                        dst=address,
-                        proto=PROTO_IPIP,
-                        payload=inner,
-                    ),
-                    link_dst=address,
+                    IPDatagram(interface.address, address, PROTO_IPIP, inner), address
                 )
                 continue
             if sent_vifs >> vif & 1:

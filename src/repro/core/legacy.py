@@ -25,20 +25,19 @@ The -02 flow (its §2.2):
    HOST_JOIN_ACK so the host knows it may send.
 
 The messages carry no wire format in the -02 text beyond the generic
-control header, so they are modelled as dataclasses on the auxiliary
+control header, so they are modelled as records on the auxiliary
 UDP port.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from ipaddress import IPv4Address
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.constants import CBT_AUX_PORT, JoinSubcode
 from repro.netsim.address import ALL_CBT_ROUTERS, ALL_SYSTEMS
 from repro.netsim.nic import Interface
-from repro.netsim.packet import IPDatagram, PROTO_UDP, make_udp
+from repro.netsim.packet import IPDatagram, PROTO_UDP, Record, make_udp
 
 #: Tie-break window: how long a candidate collects rival notifications.
 ADV_NOTIFICATION_WINDOW = 0.1
@@ -51,8 +50,7 @@ ADVERTISEMENT_DELAY = 0.5
 SOLICIT_RETRY = 2.0
 
 
-@dataclass(frozen=True)
-class CoreNotification:
+class CoreNotification(Record):
     group: IPv4Address
     cores: Tuple[IPv4Address, ...]
 
@@ -60,8 +58,7 @@ class CoreNotification:
         return 56
 
 
-@dataclass(frozen=True)
-class CoreNotificationAck:
+class CoreNotificationAck(Record):
     group: IPv4Address
     core: IPv4Address
 
@@ -69,8 +66,7 @@ class CoreNotificationAck:
         return 56
 
 
-@dataclass(frozen=True)
-class DRSolicitation:
+class DRSolicitation(Record):
     group: IPv4Address
     core: IPv4Address
 
@@ -78,8 +74,7 @@ class DRSolicitation:
         return 56
 
 
-@dataclass(frozen=True)
-class DRAdvNotification:
+class DRAdvNotification(Record):
     group: IPv4Address
     core: IPv4Address
 
@@ -87,8 +82,7 @@ class DRAdvNotification:
         return 56
 
 
-@dataclass(frozen=True)
-class DRAdvertisement:
+class DRAdvertisement(Record):
     group: IPv4Address
     dr_address: IPv4Address
 
@@ -96,8 +90,7 @@ class DRAdvertisement:
         return 56
 
 
-@dataclass(frozen=True)
-class TagReport:
+class TagReport(Record):
     group: IPv4Address
     core: IPv4Address
     cores: Tuple[IPv4Address, ...]
@@ -106,8 +99,7 @@ class TagReport:
         return 56
 
 
-@dataclass(frozen=True)
-class HostJoinAck:
+class HostJoinAck(Record):
     group: IPv4Address
     core: IPv4Address
 

@@ -11,8 +11,9 @@ Two wire formats are implemented byte-for-byte:
   variable-sized packet"), reinterpreted per Figure 9 for the
   auxiliary echo messages (aggregate flag + group mask).
 
-Inside the simulator, packets carry these dataclasses directly (the
-engine does not serialise on every hop), but ``encode``/``decode`` are
+Inside the simulator, packets carry these records directly (the engine
+does not serialise on every hop) — tuple-backed like every packet, see
+:class:`repro.netsim.packet.Record` — but ``encode``/``decode`` are
 used by the codec tests, the codec benchmark (E9), and anywhere byte
 sizes feed bandwidth accounting.
 """
@@ -20,7 +21,6 @@ sizes feed bandwidth accounting.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
 from ipaddress import IPv4Address
 from typing import Any, Optional, Sequence, Tuple
 
@@ -34,12 +34,15 @@ from repro.core.constants import (
     ON_TREE,
 )
 from repro.igmp.messages import internet_checksum
+from repro.netsim.packet import Record, nominal_size
 
 #: Byte sizes of the two headers.
 CONTROL_HEADER_SIZE = 56
 DATA_HEADER_SIZE = 32
 
 _ZERO = IPv4Address("0.0.0.0")
+
+_new = tuple.__new__
 
 
 class CBTDecodeError(ValueError):
@@ -76,8 +79,7 @@ def in_masked_range(
     return (int(group) & int(mask)) == (int(base) & int(mask))
 
 
-@dataclass(frozen=True)
-class CBTControlMessage:
+class CBTControlMessage(Record):
     """A CBT control packet (Figure 8; Figure 9 for auxiliary types).
 
     ``cores`` is the ordered core list for the group — primary core
@@ -92,20 +94,35 @@ class CBTControlMessage:
     code: int
     group: IPv4Address
     origin: IPv4Address
-    target_core: IPv4Address = _ZERO
-    cores: Tuple[IPv4Address, ...] = ()
-    aggregate: bool = False
-    group_mask: Optional[IPv4Address] = None
-    version: int = CBT_VERSION
+    target_core: IPv4Address
+    cores: Tuple[IPv4Address, ...]
+    aggregate: bool
+    group_mask: Optional[IPv4Address]
+    version: int
 
-    def __post_init__(self) -> None:
-        if len(self.cores) > MAX_CORES:
+    def __new__(
+        cls,
+        msg_type: MessageType,
+        code: int,
+        group: IPv4Address,
+        origin: IPv4Address,
+        target_core: IPv4Address = _ZERO,
+        cores: Tuple[IPv4Address, ...] = (),
+        aggregate: bool = False,
+        group_mask: Optional[IPv4Address] = None,
+        version: int = CBT_VERSION,
+    ) -> "CBTControlMessage":
+        if len(cores) > MAX_CORES:
             raise ValueError(
-                f"at most {MAX_CORES} cores fit a control packet, "
-                f"got {len(self.cores)}"
+                f"at most {MAX_CORES} cores fit a control packet, got {len(cores)}"
             )
-        if not 0 <= self.code <= 0xFF:
-            raise ValueError(f"code out of range: {self.code}")
+        if not 0 <= code <= 0xFF:
+            raise ValueError(f"code out of range: {code}")
+        return _new(
+            cls,
+            (msg_type, code, group, origin, target_core, cores, aggregate,
+             group_mask, version),
+        )
 
     # -- semantic helpers ---------------------------------------------------
 
@@ -117,8 +134,7 @@ class CBTControlMessage:
     def is_auxiliary(self) -> bool:
         return self.msg_type in (MessageType.ECHO_REQUEST, MessageType.ECHO_REPLY)
 
-    def with_fields(self, **kwargs: Any) -> "CBTControlMessage":
-        return replace(self, **kwargs)
+    with_fields = Record._replace
 
     def size_bytes(self) -> int:
         return CONTROL_HEADER_SIZE
@@ -202,8 +218,7 @@ def decode_control(data: bytes) -> CBTControlMessage:
     )
 
 
-@dataclass(frozen=True)
-class CBTDataPacket:
+class CBTDataPacket(Record):
     """CBT-mode data packet: the Figure-7 header plus the original datagram.
 
     ``inner`` is the encapsulated original IP datagram (an
@@ -218,18 +233,31 @@ class CBTDataPacket:
     core: IPv4Address
     origin: IPv4Address
     inner: Any
-    on_tree: int = OFF_TREE
-    ip_ttl: int = 64
-    flow_id: int = 0
-    version: int = CBT_VERSION
+    on_tree: int
+    ip_ttl: int
+    flow_id: int
+    version: int
 
-    def __post_init__(self) -> None:
-        if self.on_tree not in (ON_TREE, OFF_TREE):
-            raise ValueError(f"on_tree must be 0x00 or 0xff, got {self.on_tree:#x}")
-        if not 0 <= self.ip_ttl <= 255:
-            raise ValueError(f"ip_ttl out of range: {self.ip_ttl}")
-        if not 0 <= self.flow_id <= 0xFFFFFFFF:
-            raise ValueError(f"flow_id exceeds the 32-bit field: {self.flow_id}")
+    def __new__(
+        cls,
+        group: IPv4Address,
+        core: IPv4Address,
+        origin: IPv4Address,
+        inner: Any,
+        on_tree: int = OFF_TREE,
+        ip_ttl: int = 64,
+        flow_id: int = 0,
+        version: int = CBT_VERSION,
+    ) -> "CBTDataPacket":
+        if on_tree != ON_TREE and on_tree != OFF_TREE:
+            raise ValueError(f"on_tree must be 0x00 or 0xff, got {on_tree:#x}")
+        if not 0 <= ip_ttl <= 255:
+            raise ValueError(f"ip_ttl out of range: {ip_ttl}")
+        if not 0 <= flow_id <= 0xFFFFFFFF:
+            raise ValueError(f"flow_id exceeds the 32-bit field: {flow_id}")
+        return _new(
+            cls, (group, core, origin, inner, on_tree, ip_ttl, flow_id, version)
+        )
 
     @property
     def is_on_tree(self) -> bool:
@@ -252,10 +280,11 @@ class CBTDataPacket:
         )
 
     def size_bytes(self) -> int:
-        inner_size = getattr(self.inner, "size_bytes", lambda: 512)()
-        if isinstance(self.inner, (bytes, bytearray)):
-            inner_size = len(self.inner)
-        return DATA_HEADER_SIZE + inner_size
+        inner = self.inner
+        try:
+            return DATA_HEADER_SIZE + inner.size_bytes()
+        except AttributeError:
+            return DATA_HEADER_SIZE + nominal_size(inner)
 
     def encode_header(self) -> bytes:
         """Serialise the 32-byte Figure-7 header."""
@@ -314,5 +343,5 @@ def decode_data_header(data: bytes) -> CBTDataPacket:
     except ValueError as exc:
         # A checksum-valid header can still carry an on-tree marker that
         # is neither 0x00 nor 0xff; report it as a decode error rather
-        # than leaking the dataclass validation error.
+        # than leaking the constructor's validation error.
         raise CBTDecodeError(f"invalid data header: {exc}") from exc

@@ -50,7 +50,7 @@ from repro.netsim.address import ALL_CBT_ROUTERS
 from repro.netsim.engine import PeriodicTimer, Timer
 from repro.netsim.nic import Interface
 from repro.netsim.node import Node
-from repro.netsim.packet import IPDatagram, PROTO_CBT, PROTO_IPIP, PROTO_UDP, make_udp
+from repro.netsim.packet import IPDatagram, PROTO_CBT, PROTO_IPIP, PROTO_UDP, UDPDatagram
 from repro.telemetry import Counter, EventLog, MetricsRegistry, ProtocolEvent
 
 _ANY_GROUP = IPv4Address("0.0.0.0")
@@ -67,7 +67,7 @@ class ControlStats:
     order, zero counts omitted) are preserved as properties.
     """
 
-    __slots__ = ("_registry", "_prefix", "_tx", "_rx")
+    __slots__ = ("_registry", "_prefix", "tx", "rx")
 
     def __init__(
         self,
@@ -78,44 +78,48 @@ class ControlStats:
             registry = MetricsRegistry()
         self._registry = registry
         self._prefix = prefix
-        self._tx: Dict[MessageType, Counter] = {}
-        self._rx: Dict[MessageType, Counter] = {}
+        #: msg_type -> its resolved counter, in first-use order.  A hot
+        #: sender or receiver adds to a hit's ``.value`` itself and
+        #: calls ``count_*`` only on a miss: the first message of a type
+        #: — or every one while telemetry is off, when nothing is cached.
+        self.tx: Dict[MessageType, Counter] = {}
+        self.rx: Dict[MessageType, Counter] = {}
 
     def count_sent(self, msg_type: MessageType) -> None:
-        # Keyed by enum member (identity hash, no ``.name`` descriptor
-        # lookup) with a direct attribute add: safe because a cached
-        # counter is only real if the registry was enabled when it was
-        # resolved, and a registry never re-enables after disable().
+        # Keyed by enum member with a direct attribute add: safe
+        # because a cached counter is only real if the registry was
+        # enabled when it was resolved, and a registry never re-enables
+        # after disable().
         if self._registry.enabled:
-            counter = self._tx.get(msg_type)
+            counter = self.tx.get(msg_type)
             if counter is None:
                 counter = self._registry.counter(
-                    f"{self._prefix}.tx.{msg_type.name.lower()}"
+                    f"{self._prefix}.tx.{msg_type._name_.lower()}"
                 )
-                self._tx[msg_type] = counter
+                self.tx[msg_type] = counter
             counter.value += 1
 
     def count_received(self, msg_type: MessageType) -> None:
         if self._registry.enabled:
-            counter = self._rx.get(msg_type)
+            counter = self.rx.get(msg_type)
             if counter is None:
                 counter = self._registry.counter(
-                    f"{self._prefix}.rx.{msg_type.name.lower()}"
+                    f"{self._prefix}.rx.{msg_type._name_.lower()}"
                 )
-                self._rx[msg_type] = counter
+                self.rx[msg_type] = counter
             counter.value += 1
 
     @property
     def sent(self) -> Dict[str, int]:
-        return {k.name: c.value for k, c in self._tx.items() if c.value}
+        return {k.name: c.value for k, c in self.tx.items() if c.value}
 
     @property
     def received(self) -> Dict[str, int]:
-        return {k.name: c.value for k, c in self._rx.items() if c.value}
+        return {k.name: c.value for k, c in self.rx.items() if c.value}
 
     def total_sent(self, exclude_hello: bool = True) -> int:
         total = 0
-        for msg_type, counter in self._tx.items():
+        for msg_type, counter in self.tx.items():
             if not (exclude_hello and msg_type is MessageType.HELLO):
                 total += counter.value
         return total
@@ -814,10 +818,14 @@ class CBTProtocol:
 
     def _handle_udp(self, node: Node, interface: Interface, datagram: IPDatagram) -> None:
         udp = datagram.payload
-        if udp.dport not in (CBT_PORT, CBT_AUX_PORT):
-            return
+        if type(udp) is not UDPDatagram or (
+            udp.dport != CBT_PORT and udp.dport != CBT_AUX_PORT
+        ):
+            return  # raw application bytes or another port: not ours
         message = udp.payload
-        if isinstance(message, (bytes, bytearray)):
+        if type(message) is not CBTControlMessage:
+            if not isinstance(message, (bytes, bytearray)):
+                return
             try:
                 message = decode_control(bytes(message))
             except CBTDecodeError:
@@ -826,19 +834,18 @@ class CBTProtocol:
             if message.version != CBT_VERSION:
                 self.decode_errors += 1
                 return
-        if not isinstance(message, CBTControlMessage):
-            return
-        self.stats.count_received(message.msg_type)
-        handler = _CONTROL_HANDLERS.get(message.msg_type)
+        msg_type = message.msg_type
+        counter = self.stats.rx.get(msg_type)
+        if counter is not None:
+            counter.value += 1
+        else:
+            self.stats.count_received(msg_type)
+        handler = _CONTROL_HANDLERS.get(msg_type)
         if handler is not None:
             handler(self, interface, datagram.src, message)
 
     def _handle_ipip(self, node: Node, interface: Interface, datagram: IPDatagram) -> None:
         self.data_plane.handle_ipip(interface, datagram)
-
-    def _wire(self, message: CBTControlMessage):
-        """Encode to §8 bytes when wire-format mode is on."""
-        return message.encode() if self.wire_format else message
 
     def _send_control(
         self,
@@ -846,6 +853,7 @@ class CBTProtocol:
         destination: IPv4Address,
         port: int = CBT_PORT,
     ) -> None:
+        """Unicast ``message`` (as §8 bytes in wire-format mode)."""
         # Source the datagram from the egress interface, as a real UDP
         # stack would: peers record us (as child, parent, or join
         # downstream hop) under the address they can reach on the
@@ -855,13 +863,7 @@ class CBTProtocol:
         self.stats.count_sent(message.msg_type)
         payload = message.encode() if self.wire_format else message
         self.router.originate(
-            make_udp(
-                src=src,
-                dst=destination,
-                sport=port,
-                dport=port,
-                payload=payload,
-            )
+            IPDatagram(src, destination, PROTO_UDP, UDPDatagram(port, port, payload))
         )
 
     # -- JOIN_REQUEST ------------------------------------------------------
@@ -1635,26 +1637,17 @@ class CBTProtocol:
         aggregate: bool = False,
         mask: Optional[IPv4Address] = None,
     ) -> None:
-        route = self.router.best_route(parent)
-        src = route.interface.address if route is not None else self.address
-        self.stats.count_sent(MessageType.ECHO_REQUEST)
-        self.router.originate(
-            make_udp(
-                src=src,
-                dst=parent,
-                sport=CBT_AUX_PORT,
-                dport=CBT_AUX_PORT,
-                payload=self._wire(
-                    CBTControlMessage(
-                        msg_type=MessageType.ECHO_REQUEST,
-                        code=0,
-                        group=group,
-                        origin=self.address,
-                        aggregate=aggregate,
-                        group_mask=mask,
-                    )
-                ),
-            )
+        self._send_control(
+            CBTControlMessage(
+                msg_type=MessageType.ECHO_REQUEST,
+                code=0,
+                group=group,
+                origin=self.address,
+                aggregate=aggregate,
+                group_mask=mask,
+            ),
+            parent,
+            CBT_AUX_PORT,
         )
 
     def _recv_echo_request(
@@ -1689,28 +1682,17 @@ class CBTProtocol:
                 )
                 return
             self._child_last_heard[(message.group, src)] = now
-        reply_route = self.router.best_route(src)
-        reply_src = (
-            reply_route.interface.address if reply_route is not None else self.address
-        )
-        self.stats.count_sent(MessageType.ECHO_REPLY)
-        self.router.originate(
-            make_udp(
-                src=reply_src,
-                dst=src,
-                sport=CBT_AUX_PORT,
-                dport=CBT_AUX_PORT,
-                payload=self._wire(
-                    CBTControlMessage(
-                        msg_type=MessageType.ECHO_REPLY,
-                        code=0,
-                        group=message.group,
-                        origin=self.address,
-                        aggregate=message.aggregate,
-                        group_mask=message.group_mask,
-                    )
-                ),
-            )
+        self._send_control(
+            CBTControlMessage(
+                msg_type=MessageType.ECHO_REPLY,
+                code=0,
+                group=message.group,
+                origin=self.address,
+                aggregate=message.aggregate,
+                group_mask=message.group_mask,
+            ),
+            src,
+            CBT_AUX_PORT,
         )
 
     def _recv_echo_reply(
@@ -1831,62 +1813,39 @@ class CBTProtocol:
             for i in range(0, len(on_tree_groups), 5)
         ] or [()]
         for interface in self.router.interfaces:
-            if not interface.up:
-                continue
-            for chunk in chunks:
-                self.stats.count_sent(MessageType.HELLO)
-                interface.send(
-                    make_udp(
-                        src=interface.address,
-                        dst=ALL_CBT_ROUTERS,
-                        sport=CBT_PORT,
-                        dport=CBT_PORT,
-                        payload=self._wire(
-                            CBTControlMessage(
-                                msg_type=MessageType.HELLO,
-                                code=0,
-                                group=_ANY_GROUP,
-                                origin=interface.address,
-                                cores=chunk,
-                            )
-                        ),
-                        ttl=1,
-                    )
-                )
+            if interface._up:
+                for chunk in chunks:
+                    self._send_hello(interface, chunk)
 
     def _send_hello_on(self, interface: Interface) -> None:
         """Immediate single-interface HELLO (new-neighbour introduction)."""
-        if not interface.up:
-            return
-        self.stats.count_sent(MessageType.HELLO)
-        interface.send(
-            make_udp(
-                src=interface.address,
-                dst=ALL_CBT_ROUTERS,
-                sport=CBT_PORT,
-                dport=CBT_PORT,
-                payload=self._wire(
-                    CBTControlMessage(
-                        msg_type=MessageType.HELLO,
-                        code=0,
-                        group=_ANY_GROUP,
-                        origin=interface.address,
-                        cores=tuple(self.fib.groups()[:5]),
-                    )
-                ),
-                ttl=1,
-            )
-        )
+        if interface._up:
+            self._send_hello(interface, tuple(self.fib.groups()[:5]))
+
+    def _send_hello(self, interface: Interface, groups: Tuple[IPv4Address, ...]) -> None:
+        """One HELLO out of ``interface`` (which is up), built field by
+        field: this is the protocol's most frequent message."""
+        counter = self.stats.tx.get(MessageType.HELLO)
+        if counter is not None:
+            counter.value += 1
+        else:
+            self.stats.count_sent(MessageType.HELLO)
+        address = interface.address
+        message = CBTControlMessage(MessageType.HELLO, 0, _ANY_GROUP, address, cores=groups)
+        payload = message.encode() if self.wire_format else message
+        udp = UDPDatagram(CBT_PORT, CBT_PORT, payload)
+        interface.send(IPDatagram(address, ALL_CBT_ROUTERS, PROTO_UDP, udp, 1))
 
     def _recv_hello(
         self, arrival: Interface, src: IPv4Address, message: CBTControlMessage
     ) -> None:
-        now = self.router.scheduler.now
-        if self.neighbours.heard(arrival.vif, src, now, groups=message.cores):
+        groups = message.cores
+        if self.neighbours.heard(arrival.vif, src, self.router.scheduler._now, groups):
             # Introduce ourselves (and our tree announcements) right
             # away so a restarted neighbour learns the LAN state fast.
             self._send_hello_on(arrival)
-        self._maybe_yield_lan(arrival, src, message.cores)
+        if groups:
+            self._maybe_yield_lan(arrival, src, groups)
 
     def _maybe_yield_lan(
         self,
@@ -1901,8 +1860,6 @@ class CBTProtocol:
         are redundant: both of us would deliver onto the LAN.  The
         leaf (us) quits; the D-DR serves the LAN.
         """
-        if not groups:
-            return
         if announcer != self.dr_election.default_dr_address(arrival):
             return
         if self.dr_election.is_default_dr(arrival):

@@ -14,9 +14,10 @@ corrupted bytes — tests exercise both directions.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from ipaddress import IPv4Address
 from typing import Optional, Tuple, Union
+
+from repro.netsim.packet import Record
 
 IGMP_QUERY = 0x11
 IGMP_REPORT = 0x16  # v2-style membership report
@@ -29,6 +30,8 @@ CORE_REPORT_CODE_PIM = 0
 
 #: Default max response delay (seconds) advertised in queries.
 DEFAULT_MAX_RESPONSE_TIME = 10.0
+
+_new = tuple.__new__
 
 
 class IGMPDecodeError(ValueError):
@@ -46,8 +49,7 @@ def internet_checksum(data: bytes) -> int:
     return (~total) & 0xFFFF
 
 
-@dataclass(frozen=True)
-class MembershipQuery:
+class MembershipQuery(Record):
     """General (group 0.0.0.0) or group-specific membership query."""
 
     group: Optional[IPv4Address] = None
@@ -67,8 +69,7 @@ class MembershipQuery:
         return _encode_simple(IGMP_QUERY, code, group)
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(Record):
     """Host membership report for one group."""
 
     group: IPv4Address
@@ -80,8 +81,7 @@ class MembershipReport:
         return _encode_simple(IGMP_REPORT, 0, int(self.group))
 
 
-@dataclass(frozen=True)
-class Leave:
+class Leave(Record):
     """Leave-group message, multicast to ALL-ROUTERS (224.0.0.2)."""
 
     group: IPv4Address
@@ -93,8 +93,7 @@ class Leave:
         return _encode_simple(IGMP_LEAVE, 0, int(self.group))
 
 
-@dataclass(frozen=True)
-class CoreReport:
+class CoreReport(Record):
     """IGMPv3 RP/Core-Report (spec appendix Figure 10, CBT amendments).
 
     ``cores`` is the ordered core list for the group — the first entry
@@ -104,18 +103,25 @@ class CoreReport:
 
     group: IPv4Address
     cores: Tuple[IPv4Address, ...]
-    target_core: int = 0
-    code: int = CORE_REPORT_CODE_CBT
-    version: int = 3
+    target_core: int
+    code: int
+    version: int
 
-    def __post_init__(self) -> None:
-        if not self.cores:
+    def __new__(
+        cls,
+        group: IPv4Address,
+        cores: Tuple[IPv4Address, ...],
+        target_core: int = 0,
+        code: int = CORE_REPORT_CODE_CBT,
+        version: int = 3,
+    ) -> "CoreReport":
+        if not cores:
             raise ValueError("a core report must list at least one core")
-        if not 0 <= self.target_core < len(self.cores):
+        if not 0 <= target_core < len(cores):
             raise ValueError(
-                f"target_core {self.target_core} out of range for "
-                f"{len(self.cores)} cores"
+                f"target_core {target_core} out of range for {len(cores)} cores"
             )
+        return _new(cls, (group, cores, target_core, code, version))
 
     @property
     def target_core_address(self) -> IPv4Address:
@@ -195,6 +201,6 @@ def decode_igmp(data: bytes) -> IGMPMessage:
         except ValueError as exc:
             # Checksum-valid bytes can still carry an inconsistent core
             # list (count=0, target index past the list); surface those
-            # as decode errors, not dataclass validation errors.
+            # as decode errors, not constructor validation errors.
             raise IGMPDecodeError(f"invalid core report: {exc}") from exc
     raise IGMPDecodeError(f"unknown IGMP type 0x{msg_type:02x}")

@@ -133,6 +133,10 @@ class IGMPRouterAgent:
         # per IGMP message kind plus membership/querier transitions.
         self.telemetry = router.scheduler.telemetry
         registry = self.telemetry.registry
+        #: Whether the counters below are real: the two a query bumps
+        #: are added to directly, which the shared null counter of a
+        #: registry that was off from the start does not take.
+        self._counting = registry.enabled
         prefix = f"igmp.router.{router.name}"
         self._c_tx_query = registry.counter(f"{prefix}.tx.query")
         self._c_rx_query = registry.counter(f"{prefix}.rx.query")
@@ -202,16 +206,18 @@ class IGMPRouterAgent:
 
     def handle(self, node: Node, interface: Interface, datagram: IPDatagram) -> None:
         message = datagram.payload
-        if isinstance(message, MembershipQuery):
-            self._c_rx_query.inc()
+        kind = type(message)
+        if kind is MembershipQuery:
+            if self._counting:
+                self._c_rx_query.value += 1
             self._handle_query(interface, datagram.src)
-        elif isinstance(message, MembershipReport):
+        elif kind is MembershipReport:
             self._c_rx_report.inc()
             self._handle_report(interface, message.group)
-        elif isinstance(message, Leave):
+        elif kind is Leave:
             self._c_rx_leave.inc()
             self._handle_leave(interface, message.group)
-        elif isinstance(message, CoreReport):
+        elif kind is CoreReport:
             self._c_rx_core_report.inc()
             self._handle_core_report(interface, message)
 
@@ -288,22 +294,16 @@ class IGMPRouterAgent:
 
     def _send_query(self, interface: Interface, group: Optional[IPv4Address]) -> None:
         self.queries_sent += 1
-        self._c_tx_query.inc()
-        max_response = (
-            self.config.query_response_interval
-            if group is None
-            else self.config.last_member_query_interval
-        )
-        destination = ALL_SYSTEMS if group is None else group
-        interface.send(
-            IPDatagram(
-                src=interface.address,
-                dst=destination,
-                proto=PROTO_IGMP,
-                payload=MembershipQuery(group=group, max_response_time=max_response),
-                ttl=1,
-            )
-        )
+        if self._counting:
+            self._c_tx_query.value += 1
+        if group is None:
+            destination = ALL_SYSTEMS
+            max_response = self.config.query_response_interval
+        else:
+            destination = group
+            max_response = self.config.last_member_query_interval
+        query = MembershipQuery(group, max_response)
+        interface.send(IPDatagram(interface.address, destination, PROTO_IGMP, query, 1))
 
     def _restart_expiry(self, interface: Interface, group: IPv4Address, timeout: float) -> None:
         state = self._state_for(interface)

@@ -33,12 +33,12 @@ def is_multicast(address: IPv4Address) -> bool:
 
 
 #: int(224.0.0.0) >> 8 — used for a constant-time link-local check.
-_LINK_LOCAL_HIGH_BITS = int(IPv4Address("224.0.0.0")) >> 8
+LINK_LOCAL_HIGH_BITS = int(IPv4Address("224.0.0.0")) >> 8
 
 
 def is_link_local_multicast(address: IPv4Address) -> bool:
     """True for 224.0.0.0/24 groups, which routers never forward."""
-    return (int(address) >> 8) == _LINK_LOCAL_HIGH_BITS
+    return (int(address) >> 8) == LINK_LOCAL_HIGH_BITS
 
 
 def group_address(index: int) -> IPv4Address:

@@ -156,15 +156,17 @@ class Scheduler:
         #: Observability bundle shared by everything holding this
         #: scheduler (links, routers, protocols, IGMP agents).
         self.telemetry = Telemetry(enabled=telemetry_enabled)
-        registry = self.telemetry.registry
-        for metric, attr in (
-            ("events_scheduled", "events_scheduled"),
-            ("events_processed", "_events_processed"),
-            ("events_cancelled", "events_cancelled"),
-            ("pending_events", "_pending"),
-            ("sim_time", "_now"),
-        ):
-            registry.gauge_attr(f"netsim.scheduler.{metric}", self, attr)
+        self.telemetry.registry.gauge_attrs(
+            "netsim.scheduler.",
+            self,
+            (
+                ("events_scheduled", "events_scheduled"),
+                ("events_processed", "_events_processed"),
+                ("events_cancelled", "events_cancelled"),
+                ("pending_events", "_pending"),
+                ("sim_time", "_now"),
+            ),
+        )
         #: When set, same-instant tie groups of size >= 2 are resolved
         #: by this callable instead of FIFO order.  It receives
         #: ``(time, [tag, ...])`` — one entry per tied event, in FIFO

@@ -20,13 +20,23 @@ populations at n=1000, so neither gets a closure
 from __future__ import annotations
 
 from ipaddress import IPv4Address, IPv4Network
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
-from repro.netsim.engine import Scheduler
+from repro.netsim.engine import Scheduler, SchedulerError
 from repro.netsim.nic import Interface
-from repro.netsim.packet import IPDatagram
+from repro.netsim.packet import IPDatagram, UDPDatagram
 from repro.netsim.trace import PacketTrace, TraceRecord
 from repro.telemetry import Counter, MsgCounters, payload_label
+
+#: ``netsim.link.<name>.<metric>`` gauge -> the attribute it reads.
+_WIRE_GAUGES = (
+    ("attempts", "attempt_count"),
+    ("tx_packets", "tx_count"),
+    ("tx_bytes", "tx_bytes"),
+    ("fanout", "fanout_count"),
+    ("rx_packets", "rx_count"),
+    ("queued_time", "queued_time"),
+)
 
 #: Default propagation delay in seconds for LAN segments.
 DEFAULT_LAN_DELAY = 0.001
@@ -102,20 +112,13 @@ class Link:
         # behind one enabled check.
         self._telemetry = scheduler.telemetry
         self._registry = scheduler.telemetry.registry
-        # Shared label-> and msg_type->MsgCounters caches (disable()
-        # clears them in place, so the references never go stale).
-        self._msg_map = scheduler.telemetry._msg
-        self._msg_by_type = scheduler.telemetry._msg_by_type
+        # Shared (msg_type or payload class) -> and protocol number ->
+        # MsgCounters caches (disable() clears them in place, so the
+        # references never go stale).
+        self._msg_by_key = scheduler.telemetry._msg_by_key
+        self._msg_by_proto = scheduler.telemetry._msg_by_proto
         self._drop_counters: Dict[str, Counter] = {}
-        for metric, attr in (
-            ("attempts", "attempt_count"),
-            ("tx_packets", "tx_count"),
-            ("tx_bytes", "tx_bytes"),
-            ("fanout", "fanout_count"),
-            ("rx_packets", "rx_count"),
-            ("queued_time", "queued_time"),
-        ):
-            self._registry.gauge_attr(f"netsim.link.{name}.{metric}", self, attr)
+        self._registry.gauge_attrs(f"netsim.link.{name}.", self, _WIRE_GAUGES)
         #: Callbacks fired when this link's topology-relevant state
         #: changes (attachment, up/down, interface flips).  Link-state
         #: routing registers here to invalidate its caches.
@@ -201,32 +204,36 @@ class Link:
                 self._count_drop(datagram, "no_host")
                 return
         size = datagram.size_bytes()
+        fanout = len(receivers)
         self.tx_count += 1
         self.tx_bytes += size
-        if receivers:
-            self.fanout_count += len(receivers)
+        self.fanout_count += fanout
         msg: Optional[MsgCounters] = None
         if self._registry.enabled:
-            # Inlined fast path of payload_label(): most traffic
-            # carries a msg_type-bearing payload, resolved through one
-            # identity-hash dict lookup.
-            payload = datagram.payload
-            inner = getattr(payload, "payload", payload)
-            msg_type = getattr(inner, "msg_type", None)
-            if msg_type is not None:
-                msg = self._msg_by_type.get(msg_type)
-                if msg is None:
-                    msg = self._telemetry.msg(payload_label(datagram))
-                    self._msg_by_type[msg_type] = msg
-            else:
+            # One lookup by what decides the payload label: a control
+            # message's ``msg_type``, the protocol number over raw
+            # bytes, else the payload's class (every IGMP message,
+            # CBTDataPacket).
+            inner = datagram.payload
+            if type(inner) is UDPDatagram:
+                inner = inner.payload
+            cache = self._msg_by_key
+            key = getattr(inner, "msg_type", None)
+            if key is None:
+                key = type(inner)
+                if key is bytes:
+                    cache, key = self._msg_by_proto, datagram.proto
+            msg = cache.get(key)
+            if msg is None:
                 label = payload_label(datagram)
-                msg = self._msg_map.get(label)
-                if msg is None:
-                    msg = self._telemetry.msg(label)
+                msg = self._telemetry.msg(label)
+                if key is not type(inner) or label == key.__name__:
+                    # (A tunnelled datagram labels by what it carries.)
+                    cache[key] = msg
             msg.tx.value += 1
-            if receivers:
-                msg.sched.value += len(receivers)
-        self._record("tx", sender, datagram)
+            msg.sched.value += fanout
+        if self.trace.enabled:
+            self._record("tx", sender, datagram)
         extra_delay = 0.0
         if self.bandwidth_bps is not None:
             # FIFO serialisation: wait for the link to free up, then
@@ -239,31 +246,36 @@ class Link:
             extra_delay = (start - now) + serialisation
         if self.jitter is not None:
             extra_delay += self.jitter(datagram)
-        if self.scheduler.choice_hook is not None:
+            if self.delay + extra_delay < 0:
+                raise SchedulerError(
+                    f"cannot schedule {self.delay + extra_delay}s in the past"
+                )
+        # Straight to the queue: only jitter could make the delay
+        # negative, and that is checked where it is applied.
+        scheduler = self.scheduler
+        when = scheduler._now + (self.delay + extra_delay)
+        if scheduler.choice_hook is not None:
             # Exploration mode: every delivery is its own tagged choice
             # point, so the resolver can interleave them.
+            label = payload_label(datagram)
             for receiver in receivers:
-                self.scheduler.call_later(
-                    self.delay + extra_delay,
+                scheduler._schedule(
+                    when,
                     self.deliver,
-                    receiver,
-                    datagram,
-                    msg,
-                    tag=delivery_tag(self, receiver, datagram),
+                    (receiver, datagram, msg),
+                    ("deliver", label, self.name, receiver.node.name, datagram.uid),
                 )
-        elif len(receivers) == 1:
-            self.scheduler.call_later(
-                self.delay + extra_delay, self.deliver, receivers[0], datagram, msg
-            )
-        elif receivers:
+        elif fanout == 1:
+            scheduler._schedule(when, self.deliver, (receivers[0], datagram, msg), None)
+        elif fanout:
             # Batched fan-out: one scheduled event delivers to every
             # receiver, in attach order.  Order is indistinguishable
             # from per-receiver events — those would occupy consecutive
             # (time, seq) slots with nothing able to fire between them,
             # exactly like one loop body — but the scheduler handles a
             # LAN-wide broadcast as a single event instead of N.
-            self.scheduler.call_later(
-                self.delay + extra_delay, self.deliver_batch, receivers, datagram, msg
+            scheduler._schedule(
+                when, self.deliver_batch, (receivers, datagram, msg), None
             )
 
     def deliver(
@@ -294,11 +306,7 @@ class Link:
         if self.trace.enabled:
             self.trace.record(
                 TraceRecord(
-                    time=self.scheduler.now,
-                    kind="rx",
-                    link_name=self.name,
-                    node_name=receiver.node.name,
-                    datagram=datagram,
+                    self.scheduler._now, "rx", self.name, receiver.node.name, datagram
                 )
             )
         receiver.node.receive(receiver, datagram)
@@ -334,12 +342,7 @@ class Link:
             return
         self.trace.record(
             TraceRecord(
-                time=self.scheduler.now,
-                kind=kind,
-                link_name=self.name,
-                node_name=interface.node.name,
-                datagram=datagram,
-                note=note,
+                self.scheduler._now, kind, self.name, interface.node.name, datagram, note
             )
         )
 
@@ -348,22 +351,6 @@ class Link:
 #: needs no knowledge of the CBT/IGMP message classes); now lives in
 #: the telemetry layer, kept under its historical name here.
 describe_payload = payload_label
-
-
-def delivery_tag(
-    link: Link, receiver: Interface, datagram: IPDatagram
-) -> Tuple[str, str, str, str, int]:
-    """Choice-point tag for a scheduled delivery: what the explorer (and
-    narrative) see when this event ties with others.  Carries the
-    datagram uid so resolvers can recognise pure broadcast fan-out of a
-    single transmission."""
-    return (
-        "deliver",
-        describe_payload(datagram),
-        link.name,
-        receiver.node.name,
-        datagram.uid,
-    )
 
 
 class Subnet(Link):

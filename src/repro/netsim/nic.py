@@ -97,4 +97,4 @@ class Interface:
                     f"netsim.node.{self.node.name}.drop.iface_down"
                 ).inc()
             return
-        self.link.transmit(self, datagram, link_dst=link_dst)
+        self.link.transmit(self, datagram, link_dst)

@@ -1,16 +1,24 @@
-"""IP and UDP datagram model.
+"""IP and UDP datagram model, and the record type every packet is.
 
-Packets in the simulator are immutable dataclasses rather than raw
-bytes; the CBT/IGMP message payloads they carry do, however, provide
-byte-accurate ``encode``/``decode`` per the spec (see
-:mod:`repro.core.messages`), so wire formats remain testable without
-paying serialisation cost on every simulated hop.
+Packets in the simulator are immutable tuple-backed records
+(:class:`Record`) rather than raw bytes; the CBT/IGMP message payloads
+they carry do, however, provide byte-accurate ``encode``/``decode`` per
+the spec (see :mod:`repro.core.messages`), so wire formats remain
+testable without paying serialisation cost on every simulated hop.
+
+A record is built in one Python frame — ``tuple.__new__`` over the
+constructor's arguments — and read through C-level field getters;
+building the frozen dataclasses these replaced cost one slot-wrapper
+``__setattr__`` call per field, more than the protocol work a HELLO
+triggers (docs/PERFORMANCE.md, "Decision record: packets are
+tuple records").  Build one through its constructor (``_replace`` does),
+never compare one with a bare tuple, and take no weak reference to one.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from ipaddress import IPv4Address
 from typing import Any, Optional
 
@@ -26,25 +34,78 @@ DEFAULT_TTL = 64
 #: TTL used when a CBT router multicasts onto a member subnet (spec §5).
 LOCAL_DELIVERY_TTL = 1
 
-_packet_ids = itertools.count(1)
+_new = tuple.__new__
+_next_packet_id = itertools.count(1).__next__
 
 
-@dataclass(frozen=True)
-class UDPDatagram:
+class _RecordMeta(type):
+    """Turns a class body's annotations into tuple storage: a
+    ``namedtuple`` base supplies the field getters and, unless the body
+    validates in a ``__new__`` of its own, the constructor."""
+
+    def __new__(mcls, name, bases, namespace):
+        if bases != (tuple,):
+            fields = tuple(namespace.get("__annotations__", ()))
+            defaults = [namespace.pop(f) for f in fields if f in namespace]
+            bases += (namedtuple(name, fields, defaults=defaults),)
+            namespace.setdefault("__slots__", ())
+        return super().__new__(mcls, name, bases, namespace)
+
+
+class Record(tuple, metaclass=_RecordMeta):
+    """Immutable value type: annotated fields, stored as a tuple.
+
+    ``_fields`` names what the constructor takes; ``repr``, ``==``,
+    ``hash``, pickling and :meth:`_replace` cover exactly those, so a
+    slot a ``__new__`` derives past them (``IPDatagram.is_multicast``)
+    is recomputed by every copy, never carried.  Equality is
+    class-aware: records of different classes, or a record and a bare
+    tuple, are unequal whatever they hold.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self))
+        return f"{type(self).__name__}({body})"
+
+    def __eq__(self, other: object) -> bool:
+        n = len(self._fields)
+        return type(other) is type(self) and self[:n] == other[:n]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[: len(self._fields)])
+
+    def __bool__(self) -> bool:
+        return True  # a message, even a fieldless one: not an empty tuple
+
+    def __getnewargs__(self) -> tuple:
+        return self[: len(self._fields)]
+
+    def _replace(self, **changes: Any) -> "Record":
+        """Copy with ``changes`` applied, through the constructor."""
+        return type(self)(**{**dict(zip(self._fields, self)), **changes})
+
+
+class UDPDatagram(Record):
     """UDP payload carried inside an :class:`IPDatagram`."""
 
     sport: int
     dport: int
     payload: Any
 
-    def __post_init__(self) -> None:
-        for name, port in (("sport", self.sport), ("dport", self.dport)):
-            if not 0 < port <= 0xFFFF:
-                raise ValueError(f"{name} out of range: {port}")
+    def __new__(cls, sport: int, dport: int, payload: Any) -> "UDPDatagram":
+        if not 0 < sport <= 0xFFFF:
+            raise ValueError(f"sport out of range: {sport}")
+        if not 0 < dport <= 0xFFFF:
+            raise ValueError(f"dport out of range: {dport}")
+        return _new(cls, (sport, dport, payload))
 
 
-@dataclass(frozen=True)
-class IPDatagram:
+class IPDatagram(Record):
     """An IPv4 datagram travelling through the simulator.
 
     ``payload`` is protocol-dependent: a :class:`UDPDatagram` for
@@ -54,22 +115,34 @@ class IPDatagram:
     bytes.
 
     ``uid`` identifies the original datagram across encapsulations and
-    hops — metrics use it to count distinct deliveries of one packet.
+    hops — metrics use it to count distinct deliveries of one packet;
+    left out, the constructor draws a fresh one.
     """
 
     src: IPv4Address
     dst: IPv4Address
     proto: int
     payload: Any
-    ttl: int = DEFAULT_TTL
-    uid: int = field(default_factory=lambda: next(_packet_ids))
+    ttl: int
+    uid: int
     #: Whether ``dst`` is class D (224.0.0.0/4); derived, read on every hop.
-    is_multicast: bool = field(init=False, repr=False, compare=False)
+    is_multicast: bool
+    _fields = ("src", "dst", "proto", "payload", "ttl", "uid")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.ttl <= 255:
-            raise ValueError(f"TTL out of range: {self.ttl}")
-        object.__setattr__(self, "is_multicast", int(self.dst) >> 28 == 0xE)
+    def __new__(
+        cls,
+        src: IPv4Address,
+        dst: IPv4Address,
+        proto: int,
+        payload: Any,
+        ttl: int = DEFAULT_TTL,
+        uid: Optional[int] = None,
+    ) -> "IPDatagram":
+        if not 0 <= ttl <= 255:
+            raise ValueError(f"TTL out of range: {ttl}")
+        if uid is None:
+            uid = _next_packet_id()
+        return _new(cls, (src, dst, proto, payload, ttl, uid, int(dst) >> 28 == 0xE))
 
     def decremented(self) -> "IPDatagram":
         """Copy with TTL reduced by one (same uid)."""
@@ -86,22 +159,25 @@ class IPDatagram:
     def size_bytes(self) -> int:
         """Approximate on-wire size, for bandwidth accounting.
 
-        20 bytes of IP header plus the payload's own estimate; payloads
-        lacking a ``size_bytes`` method count a nominal 512 bytes of
+        20 bytes of IP header (plus 8 of UDP) and the payload's own
+        estimate; payloads lacking a ``size_bytes`` method count their
+        length if they are bytes, else a nominal 512 bytes of
         application data.
         """
-        header = 20
         payload = self.payload
-        if isinstance(payload, UDPDatagram):
-            inner = payload.payload
-            if isinstance(inner, (bytes, bytearray)):
-                return header + 8 + len(inner)
-            return header + 8 + getattr(inner, "size_bytes", lambda: 512)()
-        if isinstance(payload, IPDatagram):
+        header = 20
+        if type(payload) is UDPDatagram:
+            payload = payload.payload
+            header = 28
+        try:
             return header + payload.size_bytes()
-        if isinstance(payload, (bytes, bytearray)):
-            return header + len(payload)
-        return header + getattr(payload, "size_bytes", lambda: 512)()
+        except AttributeError:
+            return header + nominal_size(payload)
+
+
+def nominal_size(payload: Any) -> int:
+    """Bytes to count for a payload that has no ``size_bytes``."""
+    return len(payload) if isinstance(payload, (bytes, bytearray)) else 512
 
 
 def make_udp(
@@ -114,7 +190,4 @@ def make_udp(
     uid: Optional[int] = None,
 ) -> IPDatagram:
     """Convenience constructor for a UDP-in-IP datagram."""
-    payload = UDPDatagram(sport=sport, dport=dport, payload=payload)
-    if uid is None:
-        return IPDatagram(src=src, dst=dst, proto=PROTO_UDP, payload=payload, ttl=ttl)
-    return IPDatagram(src, dst, PROTO_UDP, payload, ttl, uid)
+    return IPDatagram(src, dst, PROTO_UDP, UDPDatagram(sport, dport, payload), ttl, uid)

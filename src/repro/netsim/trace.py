@@ -8,14 +8,12 @@ latencies from the same records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional
 
-from repro.netsim.packet import IPDatagram
+from repro.netsim.packet import IPDatagram, Record
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(Record):
     """One transmission event.
 
     ``kind`` is ``"tx"`` for a transmission onto a link, ``"rx"`` for a

@@ -23,7 +23,7 @@ from typing import (
     Tuple,
 )
 
-from repro.netsim.address import is_link_local_multicast
+from repro.netsim.address import LINK_LOCAL_HIGH_BITS, is_link_local_multicast
 from repro.netsim.engine import Scheduler
 from repro.netsim.nic import Interface
 from repro.netsim.node import Node
@@ -399,8 +399,8 @@ class Router(RoutedNode):
             handler = self._handlers.get(datagram.proto, self._default_handler)
             if handler is not None:
                 handler(self, interface, datagram)
-            if (
-                not is_link_local_multicast(datagram.dst)
+            if (  # is_link_local_multicast(), inlined: one per HELLO and query heard
+                int(datagram.dst) >> 8 != LINK_LOCAL_HIGH_BITS
                 and self.multicast_forwarder is not None
             ):
                 self.multicast_forwarder.forward_multicast(self, interface, datagram)

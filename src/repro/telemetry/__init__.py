@@ -71,16 +71,21 @@ _NULL_MSG = MsgCounters("", NULL_COUNTER, NULL_COUNTER, NULL_COUNTER)
 class Telemetry:
     """Per-scheduler observability bundle (registry + trace bus)."""
 
-    __slots__ = ("registry", "bus", "_msg", "_msg_by_type", "_msg_drops")
+    __slots__ = (
+        "registry", "bus", "_msg", "_msg_by_key", "_msg_by_proto", "_msg_drops"
+    )
 
     def __init__(self, enabled: bool = True) -> None:
         self.registry = MetricsRegistry(enabled=enabled)
         self.bus = TraceBus()
         self.bus.enabled = enabled
         self._msg: Dict[str, MsgCounters] = {}
-        #: msg_type enum member -> bundle shortcut for the transmit hot
-        #: path (identity-hash lookup, no label string resolution).
-        self._msg_by_type: Dict[object, MsgCounters] = {}
+        #: Shortcuts for the transmit hot path (no label string
+        #: resolution): the bundle by what decides a payload's label —
+        #: its ``msg_type`` member or else its class, and for raw bytes
+        #: the datagram's protocol number.
+        self._msg_by_key: Dict[object, MsgCounters] = {}
+        self._msg_by_proto: Dict[int, MsgCounters] = {}
         self._msg_drops: Dict[tuple, Counter] = {}
 
     @property
@@ -95,7 +100,8 @@ class Telemetry:
         self.registry.disable()
         self.bus.enabled = False
         self._msg.clear()
-        self._msg_by_type.clear()
+        self._msg_by_key.clear()
+        self._msg_by_proto.clear()
         self._msg_drops.clear()
 
     def msg(self, label: str) -> MsgCounters:

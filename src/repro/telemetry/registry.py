@@ -167,13 +167,17 @@ class Gauge:
     __slots__ = ("name", "_value", "callback", "_obj", "_attr")
 
     def __init__(
-        self, name: str, callback: Optional[Callable[[], Number]] = None
+        self,
+        name: str,
+        callback: Optional[Callable[[], Number]] = None,
+        obj: Any = None,
+        attr: Optional[str] = None,
     ) -> None:
         self.name = name
         self._value: Number = 0
         self.callback = callback
-        self._obj: Any = None
-        self._attr: Optional[str] = None
+        self._obj = obj
+        self._attr = attr
 
     def set(self, value: Number) -> None:
         self._value = value
@@ -206,7 +210,9 @@ class Histogram:
     __slots__ = ("name", "bounds", "bucket_counts", "count", "sum")
 
     def __init__(self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        if not bounds or list(bounds) != sorted(bounds):
+        if bounds is not DEFAULT_BUCKETS and (
+            not bounds or list(bounds) != sorted(bounds)
+        ):
             raise ValueError(f"histogram bounds must be sorted and non-empty: {bounds}")
         self.name = name
         self.bounds: Tuple[float, ...] = tuple(bounds)
@@ -288,10 +294,14 @@ class MetricsRegistry:
         self._counter_names = _NameIndex(self._counters)
         self._gauge_names = _NameIndex(self._gauges)
         self._histogram_names = _NameIndex(self._histograms)
+        #: prefix -> (object, metrics) of each family :meth:`gauge_attrs`
+        #: noted that no read has built yet.
+        self._unbuilt: Dict[str, Tuple[Any, Sequence[Tuple[str, str]]]] = {}
 
     def disable(self) -> None:
         """Hand out null instruments from now on (existing ones keep
         counting; disable before wiring for a true zero-cost run)."""
+        self._built_gauges()
         self.enabled = False
 
     # -- instrument factories -------------------------------------------
@@ -310,7 +320,7 @@ class MetricsRegistry:
     ) -> Gauge:
         if not self.enabled:
             return NULL_GAUGE  # type: ignore[return-value]
-        gauge = self._gauges.get(name)
+        gauge = self._find_gauge(name)
         if gauge is None:
             gauge = Gauge(name, callback)
             self._gauges[name] = gauge
@@ -320,9 +330,44 @@ class MetricsRegistry:
 
     def gauge_attr(self, name: str, obj: Any, attr: str) -> Gauge:
         """Gauge ``name`` reading ``getattr(obj, attr)`` at query time."""
-        gauge = self.gauge(name)
-        gauge.bind(obj, attr)
+        if not self.enabled:
+            return NULL_GAUGE  # type: ignore[return-value]
+        gauge = self._find_gauge(name)
+        if gauge is None:
+            gauge = self._gauges[name] = Gauge(name, None, obj, attr)
+        else:
+            gauge.bind(obj, attr)
         return gauge
+
+    def gauge_attrs(
+        self, prefix: str, obj: Any, metrics: Sequence[Tuple[str, str]]
+    ) -> None:
+        """One :meth:`gauge_attr` ``prefix + metric`` (``prefix`` ends in
+        a dot, ``metric`` holds none) per ``(metric, attr)`` pair,
+        deferred: one dict entry until a gauge of the family is read or
+        looked up, or a pattern queried.  A link has six and most runs
+        read none; built eagerly they were the dearest part of wiring
+        it (docs/PERFORMANCE.md, "The telemetry overhead budget")."""
+        if self.enabled:
+            self._unbuilt[prefix] = (obj, metrics)
+
+    def _build(self, prefix: str) -> None:
+        obj, metrics = self._unbuilt.pop(prefix)
+        for metric, attr in metrics:
+            self.gauge_attr(prefix + metric, obj, attr)
+
+    def _find_gauge(self, name: str) -> Optional[Gauge]:
+        """Gauge ``name``, its noted family built first."""
+        if self._unbuilt and name[: name.rfind(".") + 1] in self._unbuilt:
+            self._build(name[: name.rfind(".") + 1])
+        return self._gauges.get(name)
+
+    def _built_gauges(self) -> Dict[str, Gauge]:
+        """``_gauges`` with every noted family built: what a pattern
+        query or a snapshot reads."""
+        for prefix in list(self._unbuilt):
+            self._build(prefix)
+        return self._gauges
 
     def histogram(
         self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS
@@ -350,6 +395,8 @@ class MetricsRegistry:
         if counter is not None:
             return counter.value
         gauge = self._gauges.get(name)
+        if gauge is None and self._unbuilt:
+            gauge = self._find_gauge(name)
         return gauge.read() if gauge is not None else 0
 
     def total(self, pattern: str) -> Number:
@@ -359,7 +406,7 @@ class MetricsRegistry:
         wildcard (other than a pure prefix ``a.b.*``) scans every name
         — see :class:`_NameIndex`."""
         counters = self._counters
-        gauges = self._gauges
+        gauges = self._built_gauges()
         return sum(
             counters[name].value for name in self._counter_names.select(pattern)
         ) + sum(gauges[name].read() for name in self._gauge_names.select(pattern))
@@ -368,7 +415,7 @@ class MetricsRegistry:
         """Counter and gauge values whose names match ``pattern``,
         sorted by name (the counter wins a shared name)."""
         counters = self._counters
-        gauges = self._gauges
+        gauges = self._built_gauges()
         out: Dict[str, Number] = {
             name: gauges[name].read() for name in self._gauge_names.select(pattern)
         }
@@ -396,7 +443,7 @@ class MetricsRegistry:
         out: Dict[str, Number] = {}
         for name, counter in self._counters.items():
             out[name] = counter.value
-        for name, gauge in self._gauges.items():
+        for name, gauge in self._built_gauges().items():
             out[name] = gauge.read()
         for name, histogram in self._histograms.items():
             out[f"{name}.count"] = histogram.count

@@ -12,8 +12,10 @@ by refcount: the last two tests drive each protocol leg with the
 collector off and require that a full collection afterwards finds
 nothing, and that no collection starts inside ``run()`` at all.
 
-Beside the heap, two call budgets counted with ``sys.setprofile``: what
-the data plane may spend per transmission, and what one look by each
+Beside the heap, three call budgets counted with ``sys.setprofile``:
+what the data plane may spend per transmission, what the two messages
+an idle control plane consists of — the HELLO and the IGMP general
+query — may spend from send to handler, and what one look by each
 periodic observer — the invariant sweep, the quality probe, the
 conservation laws — may spend on a settled domain, with the sweep also
 held to the size of the tree rather than of the domain.
@@ -61,19 +63,36 @@ CLOSURE_FREE = (
 )
 
 #: GC-tracked objects a started n=120 domain may cost per link.  With
-#: one record per scheduled event this tree measures 66.8 / 66.6
-#: (seeds 5 / 17; 75.2 with an event record plus a handle); the
-#: ceiling is that plus 10 %.
-TRACKED_PER_LINK_CEILING = 73.0
+#: one record per scheduled event, and a link's six wire gauges one
+#: ``gauge_attrs`` entry until something reads them, this tree measures
+#: 60.0 / 59.9 (seeds 5 / 17; 65.0 / 64.9 with six ``Gauge`` objects
+#: per link from the start, 75.2 with an event record plus a handle;
+#: packets in flight are tracked tuples where they were tracked
+#: instances, so the tuple records did not move it); the ceiling is
+#: that plus 10 %.
+TRACKED_PER_LINK_CEILING = 66.0
 
 #: Python calls the data plane may make per transmission (a tree
 #: forward or a member-LAN delivery), counted from its entry points
 #: down through the link and the scheduler.  Forwarding from the
-#: downloaded kernel entry this tree measures 26.1 in CBT mode and 24.7
-#: native (35.6 / 34.8 when every packet re-derived its fan-out and
-#: copied headers through ``dataclasses.replace``); the ceiling is that
+#: downloaded kernel entry, copying tuple records and scheduling
+#: straight from ``Link.transmit``, this tree measures 22.2 in CBT mode
+#: and 20.7 native (26.1 / 24.7 with dataclass packets and a
+#: ``call_later`` / ``_record`` frame per transmission; 35.6 / 34.8 when
+#: every packet also re-derived its fan-out and copied headers through
+#: ``dataclasses.replace``); the ceiling is that plus 10 %.
+DATA_PATH_CALLS_PER_TRANSMISSION_CEILING = {"cbt": 24.4, "native": 22.8}
+
+#: Python calls one keepalive may make from its sender's tick to its
+#: receivers' handlers (tick -> ``transmit`` -> ``deliver`` ->
+#: ``_recv_hello`` / ``_handle_query``), per message sent, on the
+#: 120-router world below with every neighbour already known.  Built as
+#: tuple records and sent without pass-through frames this tree
+#: measures 20.9 per HELLO and 23.2 per general query (33.2 / 30.9 when
+#: each was three frozen dataclasses built through ``make_udp`` /
+#: keywords and scheduled through ``call_later``); the ceiling is that
 #: plus 10 %.
-DATA_PATH_CALLS_PER_TRANSMISSION_CEILING = {"cbt": 28.8, "native": 27.1}
+CONTROL_CALLS_PER_MESSAGE_CEILING = {"hello": 23.0, "query": 25.6}
 
 #: Python calls one look may cost on a settled 120-router domain
 #: (``waxman_network(120, alpha=0.1)``, 398 links) carrying one
@@ -384,6 +403,66 @@ def test_data_path_calls_per_transmission_under_ceiling(mode):
     assert per_transmission < DATA_PATH_CALLS_PER_TRANSMISSION_CEILING[mode], (
         per_transmission
     )
+
+
+# -- the keepalives' call budget -------------------------------------------------------
+#
+# Most events of a converging or idle domain are these two messages
+# (docs/PERFORMANCE.md, "Decision record: packets are tuple records").
+# The domain is never started, so the only events are the ones a round
+# sends; two unmeasured rounds first, so every HELLO is from a known
+# neighbour and every querier election is settled.
+
+
+@pytest.fixture(scope="module")
+def idle_n120():
+    net = waxman_network(120, alpha=0.1, seed=5)
+    net.trace.enabled = False
+    domain = CBTDomain(net, timers=FAST_TIMERS, igmp_config=FAST_IGMP)
+    return net, list(domain.protocols.values())
+
+
+def _hello_round(protocols):
+    for protocol in protocols:
+        protocol._hello_tick()
+
+
+def _query_round(protocols):
+    for protocol in protocols:
+        for interface in protocol.router.interfaces:
+            protocol.igmp._send_query(interface, None)
+
+
+#: kind -> (send one round, messages sent so far).
+_CONTROL_ROUNDS = {
+    "hello": (
+        _hello_round,
+        lambda protocols: sum(p.stats.sent.get("HELLO", 0) for p in protocols),
+    ),
+    "query": (
+        _query_round,
+        lambda protocols: sum(p.igmp.queries_sent for p in protocols),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONTROL_CALLS_PER_MESSAGE_CEILING))
+def test_control_calls_per_message_under_ceiling(idle_n120, kind):
+    net, protocols = idle_n120
+    send, sent = _CONTROL_ROUNDS[kind]
+
+    def one_round():
+        send(protocols)
+        net.run(until=net.scheduler.now + 0.1)  # past every link's delay
+
+    one_round()
+    one_round()
+    before = sent(protocols)
+    calls = _python_calls(one_round)
+    messages = sent(protocols) - before
+    assert messages == sum(len(p.router.interfaces) for p in protocols)
+    per_message = calls / messages
+    assert per_message < CONTROL_CALLS_PER_MESSAGE_CEILING[kind], per_message
 
 
 # -- the observers' call budget -----------------------------------------------------

@@ -1,6 +1,5 @@
 """Tests for CBT packet codecs (spec §8), including property roundtrips."""
 
-from dataclasses import replace
 from ipaddress import IPv4Address
 
 import pytest
@@ -248,20 +247,28 @@ class TestDataCodec:
     def test_copies_equal_dataclasses_replace(
         self, group, core, origin, ttl, flow, on_tree, version
     ):
-        """The per-hop copies call the constructor directly; ``replace``
-        stays here as the reference for what they must return."""
+        """The per-hop copies against a packet built field by field
+        (``dataclasses.replace`` was the reference while packets were
+        dataclasses; ``_replace`` is what is left of it and must
+        agree)."""
         inner = object()  # carried by identity, whatever it is
         packet = CBTDataPacket(
             group=group, core=core, origin=origin, inner=inner,
             on_tree=on_tree, ip_ttl=ttl, flow_id=flow, version=version,
         )
         marked = packet.marked_on_tree()
-        assert marked == replace(packet, on_tree=ON_TREE)
+        assert marked == CBTDataPacket(
+            group, core, origin, inner, ON_TREE, ttl, flow, version
+        )
+        assert marked == packet._replace(on_tree=ON_TREE)
         assert marked.inner is inner and marked.is_on_tree
         if ttl == 0:
             with pytest.raises(ValueError):
                 packet.decremented()
         else:
             hop = packet.decremented()
-            assert hop == replace(packet, ip_ttl=ttl - 1)
+            assert hop == CBTDataPacket(
+                group, core, origin, inner, on_tree, ttl - 1, flow, version
+            )
+            assert hop == packet._replace(ip_ttl=ttl - 1)
             assert hop.inner is inner and hop.on_tree == on_tree

@@ -1,6 +1,7 @@
 """Tests for the discrete-event scheduler."""
 
 import gc
+import sys
 import weakref
 
 import pytest
@@ -397,14 +398,22 @@ class TestEventArgs:
             payload=b"x",
         )
         uid = datagram.uid
-        ref = weakref.ref(datagram)
+        # A tuple record takes no weak reference: watch its reference
+        # count, and afterwards ask the collector whether it still exists.
+        held = sys.getrefcount(datagram)
         sender.send(datagram)
+        # In flight: the pending event's args hold it, and nothing else.
+        assert sys.getrefcount(datagram) == held + 1
+        assert [
+            r[1] is datagram for r in gc.get_referrers(datagram) if type(r) is tuple
+        ] == [True]
         del datagram
-        assert ref() is not None  # in flight: the pending event holds it
         net.run(until=1.0)
         gc.collect()
         assert seen == [uid]
-        assert ref() is None
+        assert not any(
+            type(obj) is IPDatagram and obj.uid == uid for obj in gc.get_objects()
+        )
 
 
 class TestCollectorHandBack:

@@ -6,7 +6,7 @@ import pytest
 
 from repro import CBTDomain, build_figure1, group_address
 from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS, send_data
-from repro.netsim.packet import PROTO_CBT
+from repro.netsim.packet import IPDatagram, PROTO_CBT, PROTO_UDP
 from repro.topology.figures import FIGURE1_MEMBERS
 from tests.conftest import join_members
 
@@ -190,6 +190,35 @@ class TestNonMemberSending:
         send_data(figure1_network, "B", unknown, count=1)
         p6 = domain.protocol("R6")
         assert p6.data_plane.stats.discards_no_mapping >= 1
+
+
+class TestRawUdpPayload:
+    def test_proto17_datagram_carrying_bytes_is_not_control(
+        self, figure1_domain, figure1_network
+    ):
+        """``IPDatagram`` allows opaque application bytes under any
+        protocol number; ``_handle_udp`` used to read ``.dport`` off
+        them and raise inside ``Scheduler.run()`` at the first CBT
+        router that heard the datagram."""
+        domain, group = figure1_domain
+        join_members(figure1_network, domain, group, ["A", "H"])
+        sender = figure1_network.host("A")
+        to_group = IPDatagram(
+            src=sender.interface.address, dst=group, proto=PROTO_UDP, payload=b"raw"
+        )
+        to_router = IPDatagram(
+            src=sender.interface.address,
+            dst=figure1_network.router("R4").primary_address,
+            proto=PROTO_UDP,
+            payload=b"raw",
+        )
+        sender.originate(to_group)
+        sender.originate(to_router)
+        figure1_network.run(until=figure1_network.scheduler.now + 2.0)
+        assert copies(figure1_network, "H", to_group.uid) == 1
+        assert copies(figure1_network, "H", to_router.uid) == 0
+        assert not any(p.decode_errors for p in domain.protocols.values())
+        domain.assert_tree_consistent(group)
 
 
 class TestNativeMode:

@@ -276,3 +276,79 @@ def test_only_the_domain_builds_the_address_index():
         *(_address_index_rebuilds(path) for path in sorted(SRC.rglob("*.py")))
     )
     assert found == ADDRESS_INDEX_BUILDERS
+
+
+# -- a packet is a tuple record, a transmission one frame per layer -----------------
+#
+# Building a frozen dataclass is one ``object.__setattr__`` slot-wrapper
+# call per field, which cProfile does not even see; a HELLO was three of
+# them and cost more than the protocol work it triggers
+# (docs/PERFORMANCE.md, "Decision record: packets are tuple records").
+# ``tests/test_records.py`` holds the records to the dataclasses'
+# behaviour; this holds the source to the records.
+
+#: Files in which every class is a per-packet record or its codec.
+_RECORD_FILES = (
+    "netsim/packet.py",
+    "netsim/trace.py",
+    "igmp/messages.py",
+    "core/messages.py",
+)
+
+#: Files whose message classes (the ones with a ``size_bytes``) are
+#: records, beside protocol state that may stay a dataclass.
+_MESSAGE_FILES = ("baselines/dvmrp.py", "baselines/hpimdm.py", "core/legacy.py")
+
+
+def _is_dataclass(class_node):
+    return any(
+        getattr(d, "id", None) == "dataclass"
+        or isinstance(d, ast.Call) and _callee(d) == "dataclass"
+        for d in class_node.decorator_list
+    )
+
+
+def test_packet_records_are_not_dataclasses():
+    found = set()
+    for rel in _RECORD_FILES + _MESSAGE_FILES:
+        tree = ast.parse((SRC / rel).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                is_message = any(
+                    isinstance(item, ast.FunctionDef) and item.name == "size_bytes"
+                    for item in node.body
+                )
+                if rel in _RECORD_FILES or is_message:
+                    found.add(f"{rel}::{node.name}")
+    assert found == set()
+
+
+def test_no_per_field_setattr_where_packets_are_built():
+    paths = [SRC / rel for rel in _RECORD_FILES + _MESSAGE_FILES]
+    paths += sorted((SRC / "netsim").glob("*.py")) + sorted((SRC / "igmp").glob("*.py"))
+    found = {
+        f"{path.relative_to(SRC).as_posix()}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__setattr__"
+        and getattr(node.value, "id", None) == "object"
+    }
+    assert found == set()
+
+
+def test_link_transmit_schedules_directly_and_builds_no_closure():
+    tree = ast.parse((SRC / "netsim/link.py").read_text(encoding="utf-8"))
+    transmit = next(
+        node for node in _class_body(tree, "Link").body
+        if isinstance(node, ast.FunctionDef) and node.name == "transmit"
+    )
+    callees = {
+        _callee(node) for node in ast.walk(transmit) if isinstance(node, ast.Call)
+    }
+    assert "_schedule" in callees
+    assert not callees & {"call_later", "call_at"}
+    assert not [
+        node for node in ast.walk(transmit)
+        if isinstance(node, (ast.Lambda, ast.FunctionDef)) and node is not transmit
+    ]

@@ -212,6 +212,23 @@ class TestSubnetDelivery:
             assert subnet.delay <= net.scheduler.now <= subnet.delay + 0.5
         assert arrivals[0] == arrivals[1]
 
+    def test_jitter_cannot_schedule_a_delivery_in_the_past(self):
+        """``transmit`` queues its deliveries without ``call_later``'s
+        check, so it keeps the check where a delay can go negative."""
+        from repro.netsim.engine import SchedulerError
+
+        net, subnet, nodes = build_lan(2)
+        subnet.jitter = lambda datagram: -2 * subnet.delay
+        d = IPDatagram(
+            src=nodes[0].interfaces[0].address, dst=GROUP, proto=PROTO_UDP, payload=b""
+        )
+        with pytest.raises(SchedulerError, match="in the past"):
+            nodes[0].interfaces[0].send(d)
+        subnet.jitter = lambda datagram: -subnet.delay  # delivered at once
+        nodes[0].interfaces[0].send(d)
+        net.run()
+        assert len(nodes[1].received) == 1 and net.scheduler.now == 0.0
+
     def test_duplicate_address_rejected(self):
         net, subnet, nodes = build_lan(1)
         clone = Node("clone", net.scheduler)

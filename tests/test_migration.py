@@ -100,15 +100,9 @@ class TestPromotionToRoot:
 
 class TestMalformedCoreReport:
     def _malformed_report(self, group, cores, target_core):
-        # The constructor validates, so forge the frozen dataclass the
-        # way a hostile/buggy wire peer would: bypass __init__.
-        report = object.__new__(CoreReport)
-        object.__setattr__(report, "group", group)
-        object.__setattr__(report, "cores", cores)
-        object.__setattr__(report, "target_core", target_core)
-        object.__setattr__(report, "code", 0)
-        object.__setattr__(report, "version", 3)
-        return report
+        # The constructor validates, so forge the record the way a
+        # hostile/buggy wire peer would: bypass ``CoreReport.__new__``.
+        return tuple.__new__(CoreReport, (group, cores, target_core, 0, 3))
 
     def test_out_of_range_target_core_rejected(self):
         network, domain, group = _stand_up(["A"], ["R4", "R9"])

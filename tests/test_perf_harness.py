@@ -137,18 +137,19 @@ class TestCheckRegressions:
                 assert value["gated"] == deterministic, key
 
 
+@pytest.fixture
+def fake_bench(monkeypatch):
+    calls = []
+
+    def bench(quick):
+        calls.append(quick)
+        return {"fake_ops_per_sec": metric(1000.0)}
+
+    monkeypatch.setitem(suite.BENCHMARKS, "fake", bench)
+    return calls
+
+
 class TestRunSuite:
-    @pytest.fixture
-    def fake_bench(self, monkeypatch):
-        calls = []
-
-        def bench(quick):
-            calls.append(quick)
-            return {"fake_ops_per_sec": metric(1000.0)}
-
-        monkeypatch.setitem(suite.BENCHMARKS, "fake", bench)
-        return calls
-
     def test_runs_and_writes_artifact(self, tmp_path, fake_bench):
         out = io.StringIO()
         code = run_suite(
@@ -188,3 +189,68 @@ class TestRunSuite:
         code = run_suite(only=["nope"], output_dir=str(tmp_path), out=out)
         assert code == 2
         assert "unknown" in out.getvalue()
+
+
+class TestRebaseline:
+    """``--rebaseline --only NAME`` rewrites the committed baseline of
+    each named benchmark (here a scratch directory standing in for
+    ``benchmarks/baselines``) and says what it changed."""
+
+    @pytest.fixture
+    def baselines(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(suite, "BASELINE_DIR", str(tmp_path))
+        write_artifact(
+            "fake",
+            {"fake_ops_per_sec": metric(5.0), "other_mode_size": metric(7.0)},
+            quick=False,
+            output_dir=str(tmp_path),
+        )
+        return tmp_path
+
+    def stored(self, baselines):
+        payload = json.loads((baselines / "BENCH_fake.json").read_text())
+        return {key: m["value"] for key, m in payload["metrics"].items()}
+
+    def test_rewrites_named_baseline_and_prints_old_to_new(
+        self, baselines, fake_bench
+    ):
+        out = io.StringIO()
+        code = run_suite(quick=True, only=["fake"], rebaseline=True, out=out)
+        assert code == 0 and fake_bench == [True]
+        # What this run did not measure (the other mode's sizes) is kept.
+        assert self.stored(baselines) == {
+            "fake_ops_per_sec": 1000.0, "other_mode_size": 7.0
+        }
+        assert "REBASELINED fake_ops_per_sec: 5.0 -> 1000.0" in out.getvalue()
+        assert "other_mode_size" not in out.getvalue()
+
+    def test_a_value_that_did_not_move_is_not_reported(self, baselines, fake_bench):
+        run_suite(only=["fake"], rebaseline=True, out=io.StringIO())
+        out = io.StringIO()
+        assert run_suite(only=["fake"], rebaseline=True, out=out) == 0
+        assert "REBASELINED" not in out.getvalue()
+
+    def test_never_fails_on_the_difference_it_is_asked_to_store(
+        self, baselines, fake_bench
+    ):
+        write_artifact(
+            "fake", {"fake_ops_per_sec": metric(1e9)}, quick=False,
+            output_dir=str(baselines),
+        )
+        assert run_suite(only=["fake"], rebaseline=True, out=io.StringIO()) == 0
+        assert self.stored(baselines)["fake_ops_per_sec"] == 1000.0
+
+    def test_refuses_without_only(self, baselines, fake_bench):
+        out = io.StringIO()
+        assert run_suite(rebaseline=True, out=out) == 2
+        assert "--only" in out.getvalue()
+        assert fake_bench == []
+        assert self.stored(baselines)["fake_ops_per_sec"] == 5.0
+
+    def test_command_line_flag(self, baselines, fake_bench):
+        from benchmarks.perf.__main__ import main
+
+        assert main(["--rebaseline"]) == 2
+        assert self.stored(baselines)["fake_ops_per_sec"] == 5.0
+        assert main(["--rebaseline", "--only", "fake", "--quick"]) == 0
+        assert self.stored(baselines)["fake_ops_per_sec"] == 1000.0

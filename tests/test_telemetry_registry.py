@@ -152,6 +152,93 @@ class TestAttributeBoundGauge:
         assert NULL_GAUGE.read() == 0
 
 
+class TestDeferredGaugeFamilies:
+    """``gauge_attrs`` notes a family of attribute gauges and builds it
+    when first read; a registry wired that way must answer every read
+    exactly as one wired with ``gauge_attr`` per gauge, which stays
+    here as the reference."""
+
+    METRICS = (("attempts", "attempt_count"), ("tx_packets", "tx_count"))
+
+    class Wire:
+        def __init__(self, seed):
+            self.attempt_count = seed
+            self.tx_count = seed * 10
+
+    def test_nothing_is_built_until_read_and_then_only_that_family(self):
+        registry = MetricsRegistry()
+        first, second = self.Wire(1), self.Wire(2)
+        registry.gauge_attrs("netsim.link.A.", first, self.METRICS)
+        registry.gauge_attrs("netsim.link.B.", second, self.METRICS)
+        assert registry._gauges == {}
+        first.tx_count = 7
+        assert registry.value("netsim.link.A.tx_packets") == 7
+        assert sorted(registry._gauges) == [
+            "netsim.link.A.attempts", "netsim.link.A.tx_packets"
+        ]
+        assert registry.value("netsim.link.A.no_such_metric") == 0
+        assert registry.value("netsim.link.C.attempts") == 0
+        assert len(registry._gauges) == 2
+        assert registry.total("netsim.link.*.attempts") == 3  # builds the rest
+        assert len(registry._gauges) == 4 and not registry._unbuilt
+
+    def test_lookup_by_name_returns_the_bound_gauge(self):
+        registry = MetricsRegistry()
+        wire = self.Wire(4)
+        registry.gauge_attrs("netsim.link.A.", wire, self.METRICS)
+        gauge = registry.gauge("netsim.link.A.attempts")
+        assert gauge.read() == 4 and gauge is registry.gauge("netsim.link.A.attempts")
+        assert registry.gauge("netsim.link.A.elsewhere").read() == 0  # a new gauge
+
+    def test_disabled_registry_notes_nothing(self):
+        registry = MetricsRegistry(enabled=False)
+        registry.gauge_attrs("netsim.link.A.", self.Wire(1), self.METRICS)
+        assert registry.snapshot() == {} and not registry._unbuilt
+
+    def test_families_noted_before_disable_keep_reading(self):
+        registry = MetricsRegistry()
+        wire = self.Wire(1)
+        registry.gauge_attrs("netsim.link.A.", wire, self.METRICS)
+        registry.disable()
+        wire.attempt_count = 9
+        assert registry.value("netsim.link.A.attempts") == 9
+        assert registry.snapshot() == {
+            "netsim.link.A.attempts": 9, "netsim.link.A.tx_packets": 10
+        }
+
+    @given(
+        families=st.lists(st.integers(0, 5), max_size=8),
+        reads=st.lists(
+            st.tuples(
+                st.sampled_from(["value", "total", "matching", "snapshot", "gauge"]),
+                st.integers(0, 6),
+                st.sampled_from(["attempts", "tx_packets", "other", "*"]),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_every_read_agrees_with_eager_wiring(self, families, reads):
+        deferred, eager = MetricsRegistry(), MetricsRegistry()
+        wires = [self.Wire(seed) for seed in range(6)]
+        for index in families:  # a repeated index re-binds, both ways
+            prefix = f"netsim.link.L{index}."
+            deferred.gauge_attrs(prefix, wires[index], self.METRICS)
+            for metric, attr in self.METRICS:
+                eager.gauge_attr(prefix + metric, wires[index], attr)
+        for kind, index, metric in reads:
+            name = f"netsim.link.L{index}.{metric}"
+            if kind == "gauge":
+                if metric == "*":
+                    continue
+                assert deferred.gauge(name).read() == eager.gauge(name).read()
+            elif kind == "snapshot":
+                assert deferred.snapshot() == eager.snapshot()
+            else:
+                assert getattr(deferred, kind)(name) == getattr(eager, kind)(name)
+        assert deferred.snapshot() == eager.snapshot()
+        assert sorted(deferred._gauges) == sorted(eager._gauges)
+
+
 # -- indexed reads against a linear oracle ---------------------------------
 
 

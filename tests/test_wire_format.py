@@ -104,17 +104,19 @@ class TestCorruptionHandling:
                 and len(corrupted) < 1
             ):
                 corrupted.append(datagram)
-                from dataclasses import replace
+                from repro.netsim.packet import IPDatagram, UDPDatagram
 
-                from repro.netsim.packet import UDPDatagram
-
-                datagram = replace(
-                    datagram,
+                datagram = IPDatagram(
+                    src=datagram.src,
+                    dst=datagram.dst,
+                    proto=datagram.proto,
                     payload=UDPDatagram(
                         sport=datagram.payload.sport,
                         dport=datagram.payload.dport,
                         payload=self.flip_byte(payload),
                     ),
+                    ttl=datagram.ttl,
+                    uid=datagram.uid,
                 )
             original_transmit(sender, datagram, link_dst=link_dst)
 
