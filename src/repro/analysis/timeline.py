@@ -20,28 +20,17 @@ def event_timeline(
     truncated to ``limit`` lines with a trailing note.
     """
     merged = []
-    bus = domain.network.scheduler.telemetry.bus
-    if bus.enabled:
-        # The trace bus carries every router's ProtocolEvents (each
-        # tagged with its emitting router), already in publish order.
-        names = set(domain.protocols)
-        for event in bus.records("protocol"):
-            if event.router not in names:
-                continue
-            if group is not None and event.group != group:
-                continue
-            if kinds is not None and event.kind not in kinds:
-                continue
-            merged.append((event.time, event.router, event))
-    else:
-        # Telemetry off: fall back to the per-protocol event logs.
-        for name, protocol in domain.protocols.items():
-            for event in protocol.events:
-                if group is not None and event.group != group:
-                    continue
-                if kinds is not None and event.kind not in kinds:
-                    continue
-                merged.append((event.time, name, event))
+    # The trace bus carries every router's ProtocolEvents (each tagged
+    # with its emitting router), already in publish order.
+    names = set(domain.protocols)
+    for event in domain.network.scheduler.telemetry.bus.records("protocol"):
+        if event.router not in names:
+            continue
+        if group is not None and event.group != group:
+            continue
+        if kinds is not None and event.kind not in kinds:
+            continue
+        merged.append((event.time, event.router, event))
     merged.sort(key=lambda item: (item[0], item[1]))
     lines: List[str] = []
     for time, name, event in merged[:limit]:

@@ -19,7 +19,7 @@ from ipaddress import IPv4Address
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.kernel import KernelEntry
-from repro.telemetry import Counter, NULL_COUNTER
+from repro.telemetry import Counter
 
 
 @dataclass
@@ -103,8 +103,9 @@ class FIBEntry:
 class FIB:
     """All of one router's group entries.
 
-    Entry creation/removal is counted against telemetry counters bound
-    via :meth:`bind_counters`, so ``adds - removes == len(fib)`` is a
+    Entry creation/removal is counted — against the registry counters
+    the owning protocol binds via :meth:`bind_counters`, private ones
+    until then — so ``adds - removes == len(fib)`` is a
     checkable conservation law.  ``downloads`` / ``deletions`` count
     the §3 kernel updates: one download per entry change, one deletion
     per removed entry.
@@ -114,8 +115,8 @@ class FIB:
         self._entries: Dict[IPv4Address, FIBEntry] = {}
         self.downloads = 0
         self.deletions = 0
-        self._adds: Counter = NULL_COUNTER
-        self._removes: Counter = NULL_COUNTER
+        self._adds = Counter("fib_adds")
+        self._removes = Counter("fib_removes")
 
     def bind_counters(self, adds: Counter, removes: Counter) -> None:
         """Attach add/remove counters (the owning protocol does this)."""

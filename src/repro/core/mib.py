@@ -67,8 +67,8 @@ def router_mib(protocol: CBTProtocol) -> Dict[str, Any]:
             },
         },
         "events": len(protocol.events),
-        # Raw registry counters for this router (empty when telemetry
-        # is disabled) — the machine-readable face of everything above.
+        # Raw registry counters for this router — the machine-readable
+        # face of everything above.
         "counters": protocol.telemetry.registry.matching(
             f"cbt.router.{protocol.router.name}.*"
         ),

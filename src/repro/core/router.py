@@ -51,7 +51,7 @@ from repro.netsim.engine import PeriodicTimer, Timer
 from repro.netsim.nic import Interface
 from repro.netsim.node import Node
 from repro.netsim.packet import IPDatagram, PROTO_CBT, PROTO_IPIP, PROTO_UDP, UDPDatagram
-from repro.telemetry import Counter, EventLog, MetricsRegistry, ProtocolEvent
+from repro.telemetry import Counter, MetricsRegistry, ProtocolEvent
 
 _ANY_GROUP = IPv4Address("0.0.0.0")
 
@@ -80,34 +80,25 @@ class ControlStats:
         self._prefix = prefix
         #: msg_type -> its resolved counter, in first-use order.  A hot
         #: sender or receiver adds to a hit's ``.value`` itself and
-        #: calls ``count_*`` only on a miss: the first message of a type
-        #: — or every one while telemetry is off, when nothing is cached.
+        #: calls ``count_*`` only on a miss: the first message of a type.
         self.tx: Dict[MessageType, Counter] = {}
         self.rx: Dict[MessageType, Counter] = {}
 
     def count_sent(self, msg_type: MessageType) -> None:
-        # Keyed by enum member with a direct attribute add: safe
-        # because a cached counter is only real if the registry was
-        # enabled when it was resolved, and a registry never re-enables
-        # after disable().
-        if self._registry.enabled:
-            counter = self.tx.get(msg_type)
-            if counter is None:
-                counter = self._registry.counter(
-                    f"{self._prefix}.tx.{msg_type._name_.lower()}"
-                )
-                self.tx[msg_type] = counter
-            counter.value += 1
+        counter = self.tx.get(msg_type)
+        if counter is None:
+            counter = self.tx[msg_type] = self._registry.counter(
+                f"{self._prefix}.tx.{msg_type._name_.lower()}"
+            )
+        counter.value += 1
 
     def count_received(self, msg_type: MessageType) -> None:
-        if self._registry.enabled:
-            counter = self.rx.get(msg_type)
-            if counter is None:
-                counter = self._registry.counter(
-                    f"{self._prefix}.rx.{msg_type._name_.lower()}"
-                )
-                self.rx[msg_type] = counter
-            counter.value += 1
+        counter = self.rx.get(msg_type)
+        if counter is None:
+            counter = self.rx[msg_type] = self._registry.counter(
+                f"{self._prefix}.rx.{msg_type._name_.lower()}"
+            )
+        counter.value += 1
 
     @property
     def sent(self) -> Dict[str, int]:
@@ -201,13 +192,13 @@ class CBTProtocol:
         self._loop_count: Dict[IPv4Address, int] = {}
 
         # Telemetry: counters live in the scheduler-wide registry under
-        # this router's name; events mirror onto the shared trace bus.
+        # this router's name; events also go onto the shared trace bus.
         telemetry = router.scheduler.telemetry
         self.telemetry = telemetry
         registry = telemetry.registry
         prefix = f"cbt.router.{router.name}"
         self.stats = ControlStats(registry, prefix)
-        self.events = EventLog(telemetry.bus)
+        self.events: List[ProtocolEvent] = []
         self._event_counters: Dict[str, Counter] = {}
         self._join_latency = registry.histogram(f"{prefix}.join_latency")
         self._c_joins_completed = registry.counter(f"{prefix}.joins_completed")
@@ -1880,15 +1871,15 @@ class CBTProtocol:
     # -- bookkeeping ---------------------------------------------------------
 
     def _record(self, kind: str, group: IPv4Address, detail: str = "") -> None:
-        self.events.append(
-            ProtocolEvent(
-                time=self.router.scheduler.now,
-                kind=kind,
-                group=group,
-                detail=detail,
-                router=self.router.name,
-            )
+        event = ProtocolEvent(
+            time=self.router.scheduler.now,
+            kind=kind,
+            group=group,
+            detail=detail,
+            router=self.router.name,
         )
+        self.events.append(event)
+        self.telemetry.bus.publish(event)
         counter = self._event_counters.get(kind)
         if counter is None:
             counter = self.telemetry.registry.counter(

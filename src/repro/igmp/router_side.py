@@ -133,10 +133,6 @@ class IGMPRouterAgent:
         # per IGMP message kind plus membership/querier transitions.
         self.telemetry = router.scheduler.telemetry
         registry = self.telemetry.registry
-        #: Whether the counters below are real: the two a query bumps
-        #: are added to directly, which the shared null counter of a
-        #: registry that was off from the start does not take.
-        self._counting = registry.enabled
         prefix = f"igmp.router.{router.name}"
         self._c_tx_query = registry.counter(f"{prefix}.tx.query")
         self._c_rx_query = registry.counter(f"{prefix}.rx.query")
@@ -208,8 +204,7 @@ class IGMPRouterAgent:
         message = datagram.payload
         kind = type(message)
         if kind is MembershipQuery:
-            if self._counting:
-                self._c_rx_query.value += 1
+            self._c_rx_query.value += 1
             self._handle_query(interface, datagram.src)
         elif kind is MembershipReport:
             self._c_rx_report.inc()
@@ -294,8 +289,7 @@ class IGMPRouterAgent:
 
     def _send_query(self, interface: Interface, group: Optional[IPv4Address]) -> None:
         self.queries_sent += 1
-        if self._counting:
-            self._c_tx_query.value += 1
+        self._c_tx_query.value += 1
         if group is None:
             destination = ALL_SYSTEMS
             max_response = self.config.query_response_interval
@@ -329,16 +323,14 @@ class IGMPRouterAgent:
 
     def _notify_membership(self, interface: Interface, group: IPv4Address, present: bool) -> None:
         (self._c_gains if present else self._c_losses).inc()
-        bus = self.telemetry.bus
-        if bus.enabled:
-            bus.publish(
-                MembershipEvent(
-                    time=self.router.scheduler.now,
-                    router=self.router.name,
-                    vif=interface.vif,
-                    group=group,
-                    present=present,
-                )
+        self.telemetry.bus.publish(
+            MembershipEvent(
+                time=self.router.scheduler.now,
+                router=self.router.name,
+                vif=interface.vif,
+                group=group,
+                present=present,
             )
+        )
         for listener in self._membership_listeners:
             listener(interface, group, present)

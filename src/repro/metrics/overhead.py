@@ -41,27 +41,6 @@ def cbt_control_overhead(domain, exclude_hello: bool = True) -> Dict[str, int]:
     return totals
 
 
-def registry_control_overhead(domain, exclude_hello: bool = True) -> Dict[str, int]:
-    """Per-message-type totals derived from the metrics registry.
-
-    Reads the ``cbt.router.<name>.tx.<type>`` counters directly; the
-    conservation suite pins that this agrees with
-    :func:`cbt_control_overhead` (same numbers, two code paths) before
-    the stats-based one can ever be retired.
-    """
-    registry = domain.telemetry.registry
-    totals: Dict[str, int] = {}
-    for name in domain.protocols:
-        prefix = f"cbt.router.{name}.tx."
-        for counter_name, value in registry.matching(prefix + "*").items():
-            msg_type = counter_name[len(prefix):].upper()
-            if exclude_hello and msg_type == "HELLO":
-                continue
-            if value:
-                totals[msg_type] = totals.get(msg_type, 0) + int(value)
-    return totals
-
-
 def trace_overhead(trace: PacketTrace, data_protos=(PROTO_UDP,)) -> OverheadReport:
     """Split a trace's transmissions into CBT control vs data.
 

@@ -132,7 +132,7 @@ class Scheduler:
         sched.run(until=10.0)
     """
 
-    def __init__(self, telemetry_enabled: bool = True) -> None:
+    def __init__(self) -> None:
         self._queue: List[Tuple[float, int, Timer]] = []
         self._seq = itertools.count()
         self._now = 0.0
@@ -155,7 +155,7 @@ class Scheduler:
         self.events_cancelled = 0
         #: Observability bundle shared by everything holding this
         #: scheduler (links, routers, protocols, IGMP agents).
-        self.telemetry = Telemetry(enabled=telemetry_enabled)
+        self.telemetry = Telemetry()
         self.telemetry.registry.gauge_attrs(
             "netsim.scheduler.",
             self,

@@ -297,9 +297,9 @@ class FaultSchedule:
 
     def _fire(self, scheduler, description: str, action) -> None:
         self.applied.append((scheduler.now, description))
-        bus = scheduler.telemetry.bus
-        if bus.enabled:
-            bus.publish(TraceFaultEvent(time=scheduler.now, description=description))
+        scheduler.telemetry.bus.publish(
+            TraceFaultEvent(time=scheduler.now, description=description)
+        )
         action()
 
 

@@ -105,16 +105,14 @@ class Link:
         # Wire-level conservation instruments (see
         # repro.telemetry.conservation): attempts == tx_packets +
         # pre-wire drops; fanout >= rx_packets + late drops.  The wire
-        # statistics are counted natively (plain int attributes, same
-        # cost with telemetry on or off) and exposed through
-        # attribute-bound gauges, so the hot path pays nothing extra
-        # for them; only the per-payload-label counters cost an add,
-        # behind one enabled check.
+        # statistics are counted natively (plain int attributes) and
+        # exposed through attribute-bound gauges, so the hot path pays
+        # nothing extra for them; only the per-payload-label counters
+        # cost an add.
         self._telemetry = scheduler.telemetry
         self._registry = scheduler.telemetry.registry
         # Shared (msg_type or payload class) -> and protocol number ->
-        # MsgCounters caches (disable() clears them in place, so the
-        # references never go stale).
+        # MsgCounters caches.
         self._msg_by_key = scheduler.telemetry._msg_by_key
         self._msg_by_proto = scheduler.telemetry._msg_by_proto
         self._drop_counters: Dict[str, Counter] = {}
@@ -208,30 +206,27 @@ class Link:
         self.tx_count += 1
         self.tx_bytes += size
         self.fanout_count += fanout
-        msg: Optional[MsgCounters] = None
-        if self._registry.enabled:
-            # One lookup by what decides the payload label: a control
-            # message's ``msg_type``, the protocol number over raw
-            # bytes, else the payload's class (every IGMP message,
-            # CBTDataPacket).
-            inner = datagram.payload
-            if type(inner) is UDPDatagram:
-                inner = inner.payload
-            cache = self._msg_by_key
-            key = getattr(inner, "msg_type", None)
-            if key is None:
-                key = type(inner)
-                if key is bytes:
-                    cache, key = self._msg_by_proto, datagram.proto
-            msg = cache.get(key)
-            if msg is None:
-                label = payload_label(datagram)
-                msg = self._telemetry.msg(label)
-                if key is not type(inner) or label == key.__name__:
-                    # (A tunnelled datagram labels by what it carries.)
-                    cache[key] = msg
-            msg.tx.value += 1
-            msg.sched.value += fanout
+        # One lookup by what decides the payload label: a control
+        # message's ``msg_type``, the protocol number over raw bytes,
+        # else the payload's class (every IGMP message, CBTDataPacket).
+        inner = datagram.payload
+        if type(inner) is UDPDatagram:
+            inner = inner.payload
+        cache = self._msg_by_key
+        key = getattr(inner, "msg_type", None)
+        if key is None:
+            key = type(inner)
+            if key is bytes:
+                cache, key = self._msg_by_proto, datagram.proto
+        msg = cache.get(key)
+        if msg is None:
+            label = payload_label(datagram)
+            msg = self._telemetry.msg(label)
+            if key is not type(inner) or label == key.__name__:
+                # (A tunnelled datagram labels by what it carries.)
+                cache[key] = msg
+        msg.tx.value += 1
+        msg.sched.value += fanout
         if self.trace.enabled:
             self._record("tx", sender, datagram)
         extra_delay = 0.0
@@ -279,30 +274,17 @@ class Link:
             )
 
     def deliver(
-        self,
-        receiver: Interface,
-        datagram: IPDatagram,
-        msg: Optional[MsgCounters] = None,
+        self, receiver: Interface, datagram: IPDatagram, msg: MsgCounters
     ) -> None:
         """Scheduled by :meth:`transmit` with its arguments riding on
         the event; the counter bundle resolved at transmit time comes
         along so delivery accounting is a single attribute add."""
         if not self.up or not receiver._up:
             self._record("drop", receiver, datagram, note="down at delivery")
-            if msg is not None:
-                # registry.counter() degrades to the null counter if
-                # telemetry was disabled since transmit time.
-                self._telemetry.msg_dropped(msg.label, "late")
-                self._registry.counter(
-                    f"netsim.link.{self.name}.drop.late"
-                ).inc()
+            self._count_drop(datagram, "late")
             return
         self.rx_count += 1
-        if msg is not None:
-            # Resolved at transmit time, so this counts even if the
-            # registry was disabled in between (matching the registry's
-            # "existing instruments keep counting" contract).
-            msg.rx.value += 1
+        msg.rx.value += 1
         if self.trace.enabled:
             self.trace.record(
                 TraceRecord(
@@ -312,28 +294,23 @@ class Link:
         receiver.node.receive(receiver, datagram)
 
     def deliver_batch(
-        self,
-        receivers: List[Interface],
-        datagram: IPDatagram,
-        msg: Optional[MsgCounters] = None,
+        self, receivers: List[Interface], datagram: IPDatagram, msg: MsgCounters
     ) -> None:
         """Deliver one transmission's same-tick fan-out in attach order."""
         for receiver in receivers:
             self.deliver(receiver, datagram, msg)
 
     def _count_drop(self, datagram: IPDatagram, reason: str) -> None:
-        """Count a pre-wire drop against the link and the payload label
-        (label lookup only happens on the drop; per-reason counters are
+        """Count a drop against the link and the payload label (label
+        lookup only happens on the drop; per-reason counters are
         cached — convergence produces a steady trickle of drops)."""
-        if self._registry.enabled:
-            self._telemetry.msg_dropped(payload_label(datagram), reason)
-            counter = self._drop_counters.get(reason)
-            if counter is None:
-                counter = self._registry.counter(
-                    f"netsim.link.{self.name}.drop.{reason}"
-                )
-                self._drop_counters[reason] = counter
-            counter.value += 1
+        self._telemetry.msg_dropped(payload_label(datagram), reason)
+        counter = self._drop_counters.get(reason)
+        if counter is None:
+            counter = self._drop_counters[reason] = self._registry.counter(
+                f"netsim.link.{self.name}.drop.{reason}"
+            )
+        counter.value += 1
 
     def _record(
         self, kind: str, interface: Interface, datagram: IPDatagram, note: str = ""

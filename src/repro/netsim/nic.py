@@ -91,10 +91,9 @@ class Interface:
             raise RuntimeError(f"{self!r} is not attached to a link")
         if not self._up:
             telemetry = self.node.scheduler.telemetry
-            if telemetry.enabled:
-                telemetry.msg_dropped(payload_label(datagram), "iface_down")
-                telemetry.registry.counter(
-                    f"netsim.node.{self.node.name}.drop.iface_down"
-                ).inc()
+            telemetry.msg_dropped(payload_label(datagram), "iface_down")
+            telemetry.registry.counter(
+                f"netsim.node.{self.node.name}.drop.iface_down"
+            ).inc()
             return
         self.link.transmit(self, datagram, link_dst)

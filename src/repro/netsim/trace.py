@@ -4,6 +4,16 @@ Every transmission on every link can be recorded into a
 :class:`PacketTrace`.  Tests assert on message sequences; metrics
 modules derive link loads, control-message counts, and delivery
 latencies from the same records.
+
+This stays beside the telemetry trace bus (decided in PR 23,
+ROADMAP "Retire the parallel paths" (b)): a record here keeps the
+datagram *object*, which ``metrics/{overhead,latency}.py``,
+``analysis/inspect.py`` and experiment E10 read, where a bus
+``PacketEvent`` is the flattened export made from it on demand; and
+``enabled`` has two values in real use — on for the hand-built
+experiment topologies, off for generated ones
+(``topology.generators.realise``), where nobody reads per-packet
+records and keeping every datagram alive would dominate memory.
 """
 
 from __future__ import annotations

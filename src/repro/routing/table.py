@@ -304,11 +304,10 @@ class RoutedNode(Node):
         if route is None:
             # No route: dropped, like a real router — but counted.
             telemetry = self.scheduler.telemetry
-            if telemetry.enabled:
-                telemetry.msg_dropped(_payload_label(datagram), "no_route")
-                telemetry.registry.counter(
-                    f"netsim.node.{self.name}.drop.no_route"
-                ).inc()
+            telemetry.msg_dropped(_payload_label(datagram), "no_route")
+            telemetry.registry.counter(
+                f"netsim.node.{self.name}.drop.no_route"
+            ).inc()
             return
         link_dst = route.next_hop if route.next_hop is not None else datagram.dst
         route.interface.send(datagram, link_dst=link_dst)
@@ -420,11 +419,8 @@ class Router(RoutedNode):
         if datagram.ttl <= 1:
             # TTL expired — counted as a reasoned drop.
             telemetry = self.scheduler.telemetry
-            if telemetry.enabled:
-                telemetry.msg_dropped(_payload_label(datagram), "ttl")
-                telemetry.registry.counter(
-                    f"netsim.node.{self.name}.drop.ttl"
-                ).inc()
+            telemetry.msg_dropped(_payload_label(datagram), "ttl")
+            telemetry.registry.counter(f"netsim.node.{self.name}.drop.ttl").inc()
             return
         self.forwarded_count += 1
         self._transmit_unicast(datagram.decremented())

@@ -22,18 +22,15 @@ from repro.telemetry.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
 )
 from repro.telemetry.tracebus import (
-    EventLog,
     FaultEvent,
     MembershipEvent,
     PacketEvent,
     ProtocolEvent,
     TRACE_SCHEMA,
     TraceBus,
+    TraceFormatError,
     dump_jsonl,
     dumps_jsonl,
     load_jsonl,
@@ -65,9 +62,6 @@ class MsgCounters:
         self.rx = rx
 
 
-_NULL_MSG = MsgCounters("", NULL_COUNTER, NULL_COUNTER, NULL_COUNTER)
-
-
 class Telemetry:
     """Per-scheduler observability bundle (registry + trace bus)."""
 
@@ -75,10 +69,9 @@ class Telemetry:
         "registry", "bus", "_msg", "_msg_by_key", "_msg_by_proto", "_msg_drops"
     )
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.registry = MetricsRegistry(enabled=enabled)
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
         self.bus = TraceBus()
-        self.bus.enabled = enabled
         self._msg: Dict[str, MsgCounters] = {}
         #: Shortcuts for the transmit hot path (no label string
         #: resolution): the bundle by what decides a payload's label —
@@ -88,28 +81,10 @@ class Telemetry:
         self._msg_by_proto: Dict[int, MsgCounters] = {}
         self._msg_drops: Dict[tuple, Counter] = {}
 
-    @property
-    def enabled(self) -> bool:
-        return self.registry.enabled
-
-    def disable(self) -> None:
-        """Switch to null instruments and stop bus capture.  Call
-        before components pre-resolve their counters (the
-        ``Network(telemetry_enabled=False)`` path) for a true
-        zero-bookkeeping baseline."""
-        self.registry.disable()
-        self.bus.enabled = False
-        self._msg.clear()
-        self._msg_by_key.clear()
-        self._msg_by_proto.clear()
-        self._msg_drops.clear()
-
     def msg(self, label: str) -> MsgCounters:
         """Cached per-payload-label wire counter bundle."""
         counters = self._msg.get(label)
         if counters is None:
-            if not self.registry.enabled:
-                return _NULL_MSG
             base = f"netsim.msg.{label}"
             counters = MsgCounters(
                 label,
@@ -128,32 +103,27 @@ class Telemetry:
         key = (label, reason)
         counter = self._msg_drops.get(key)
         if counter is None:
-            counter = self.registry.counter(f"netsim.msg.{label}.drop.{reason}")
-            if not self.registry.enabled:
-                counter.inc(amount)
-                return
-            self._msg_drops[key] = counter
+            counter = self._msg_drops[key] = self.registry.counter(
+                f"netsim.msg.{label}.drop.{reason}"
+            )
         counter.inc(amount)
 
 
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
-    "EventLog",
     "FaultEvent",
     "Gauge",
     "Histogram",
     "MembershipEvent",
     "MetricsRegistry",
     "MsgCounters",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
     "PacketEvent",
     "ProtocolEvent",
     "TRACE_SCHEMA",
     "Telemetry",
     "TraceBus",
+    "TraceFormatError",
     "dump_jsonl",
     "dumps_jsonl",
     "load_jsonl",

@@ -300,8 +300,7 @@ def check_conservation(network, domain: Optional[object] = None) -> List[str]:
     """Run every applicable law; returns all violations (empty = good).
 
     ``network`` needs ``.scheduler.telemetry``; ``domain`` (optional)
-    supplies protocols for the FIB and membership laws.  With telemetry
-    disabled the counter laws are vacuous (no counters exist).
+    supplies protocols for the FIB and membership laws.
     """
     telemetry = network.scheduler.telemetry
     registry = telemetry.registry

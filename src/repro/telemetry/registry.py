@@ -27,12 +27,9 @@ Determinism: nothing here reads wall-clock time or has any other
 hidden input — every value is a pure function of the simulation, so a
 snapshot of a deterministic run is byte-for-byte reproducible.
 
-Disabled mode: a registry created with ``enabled=False`` (or disabled
-before instruments are handed out) returns shared *null* instruments
-whose mutators are no-ops.  Hot paths therefore always call
-``counter.inc()`` unconditionally — the cost of the disabled path is
-one no-op method call, which is what the perf harness's telemetry-off
-baseline measures against.
+There is no disabled mode: the protocol's own statistics are registry
+counters, so every instrument handed out counts (docs/PERFORMANCE.md,
+"Decision record: telemetry has one mode").
 """
 
 from __future__ import annotations
@@ -234,49 +231,6 @@ class Histogram:
         return f"Histogram({self.name} n={self.count} sum={self.sum:g})"
 
 
-class _NullCounter:
-    """Shared no-op counter handed out by a disabled registry."""
-
-    __slots__ = ()
-    name = "<null>"
-    value: Number = 0
-
-    def inc(self, amount: Number = 1) -> None:
-        pass
-
-
-class _NullGauge:
-    __slots__ = ()
-    name = "<null>"
-    callback = None
-
-    def set(self, value: Number) -> None:
-        pass
-
-    def bind(self, obj: Any, attr: str) -> None:
-        pass
-
-    def read(self) -> Number:
-        return 0
-
-
-class _NullHistogram:
-    __slots__ = ()
-    name = "<null>"
-    bounds: Tuple[float, ...] = ()
-    bucket_counts: List[int] = []
-    count = 0
-    sum = 0.0
-
-    def observe(self, value: Number) -> None:
-        pass
-
-
-NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
-NULL_HISTOGRAM = _NullHistogram()
-
-
 class MetricsRegistry:
     """Instrument factory + snapshot surface.
 
@@ -286,8 +240,7 @@ class MetricsRegistry:
     hot paths.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
@@ -298,17 +251,9 @@ class MetricsRegistry:
         #: noted that no read has built yet.
         self._unbuilt: Dict[str, Tuple[Any, Sequence[Tuple[str, str]]]] = {}
 
-    def disable(self) -> None:
-        """Hand out null instruments from now on (existing ones keep
-        counting; disable before wiring for a true zero-cost run)."""
-        self._built_gauges()
-        self.enabled = False
-
     # -- instrument factories -------------------------------------------
 
     def counter(self, name: str) -> Counter:
-        if not self.enabled:
-            return NULL_COUNTER  # type: ignore[return-value]
         counter = self._counters.get(name)
         if counter is None:
             counter = Counter(name)
@@ -318,8 +263,6 @@ class MetricsRegistry:
     def gauge(
         self, name: str, callback: Optional[Callable[[], Number]] = None
     ) -> Gauge:
-        if not self.enabled:
-            return NULL_GAUGE  # type: ignore[return-value]
         gauge = self._find_gauge(name)
         if gauge is None:
             gauge = Gauge(name, callback)
@@ -330,8 +273,6 @@ class MetricsRegistry:
 
     def gauge_attr(self, name: str, obj: Any, attr: str) -> Gauge:
         """Gauge ``name`` reading ``getattr(obj, attr)`` at query time."""
-        if not self.enabled:
-            return NULL_GAUGE  # type: ignore[return-value]
         gauge = self._find_gauge(name)
         if gauge is None:
             gauge = self._gauges[name] = Gauge(name, None, obj, attr)
@@ -347,9 +288,8 @@ class MetricsRegistry:
         deferred: one dict entry until a gauge of the family is read or
         looked up, or a pattern queried.  A link has six and most runs
         read none; built eagerly they were the dearest part of wiring
-        it (docs/PERFORMANCE.md, "The telemetry overhead budget")."""
-        if self.enabled:
-            self._unbuilt[prefix] = (obj, metrics)
+        it."""
+        self._unbuilt[prefix] = (obj, metrics)
 
     def _build(self, prefix: str) -> None:
         obj, metrics = self._unbuilt.pop(prefix)
@@ -372,8 +312,6 @@ class MetricsRegistry:
     def histogram(
         self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS
     ) -> Histogram:
-        if not self.enabled:
-            return NULL_HISTOGRAM  # type: ignore[return-value]
         histogram = self._histograms.get(name)
         if histogram is None:
             histogram = Histogram(name, bounds)

@@ -14,15 +14,15 @@ live, and the whole stream serialises to a stable JSONL schema,
 * parsers ignore unknown fields (and unknown record types), so later
   schema revisions can add fields without breaking old readers.
 
-Memory: the bus defaults to unbounded capture; construct with (or
-switch to) a ``capacity`` to run as a ring buffer keeping only the
-most recent records — long soak runs stay bounded.
+A stream that cannot be read — a line that is not a JSON object, a
+known record type missing a required field or holding a malformed
+address, a missing or foreign header — raises :class:`TraceFormatError`
+naming the 1-based line.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from ipaddress import IPv4Address
 from typing import (
@@ -239,29 +239,14 @@ RECORD_TYPES: Dict[str, type] = {
 
 
 class TraceBus:
-    """Pub/sub hub for typed trace records.
+    """Pub/sub hub for typed trace records: keeps every record in
+    publication order and hands each to the live subscribers."""
 
-    ``capacity=None`` captures everything; an integer capacity turns
-    the store into a ring buffer of the most recent records (live
-    subscribers still see every record as it is published).
-    """
-
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        self.enabled = True
-        self._records: deque = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self._records: List[TraceRecordType] = []
         self._subscribers: List[Callable[[TraceRecordType], None]] = []
 
-    @property
-    def capacity(self) -> Optional[int]:
-        return self._records.maxlen
-
-    def set_capacity(self, capacity: Optional[int]) -> None:
-        """Switch ring-buffer size, keeping the most recent records."""
-        self._records = deque(self._records, maxlen=capacity)
-
     def publish(self, record: TraceRecordType) -> None:
-        if not self.enabled:
-            return
         self._records.append(record)
         for subscriber in self._subscribers:
             subscriber(record)
@@ -294,48 +279,6 @@ class TraceBus:
         self._records.clear()
 
 
-class EventLog:
-    """List-like per-producer event log that mirrors appends onto a bus.
-
-    Protocol instances keep their familiar ``.events`` sequence (tests
-    iterate, index, and compare them), while every appended record also
-    reaches the shared bus for cross-router analysis and export.
-    """
-
-    __slots__ = ("_items", "bus")
-
-    def __init__(self, bus: Optional[TraceBus] = None) -> None:
-        self._items: List[TraceRecordType] = []
-        self.bus = bus
-
-    def append(self, record: TraceRecordType) -> None:
-        self._items.append(record)
-        if self.bus is not None:
-            self.bus.publish(record)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self) -> Iterator[TraceRecordType]:
-        return iter(self._items)
-
-    def __getitem__(self, index):
-        return self._items[index]
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, EventLog):
-            return self._items == other._items
-        if isinstance(other, list):
-            return self._items == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"EventLog({self._items!r})"
-
-
 # -- JSONL serialisation -------------------------------------------------
 
 
@@ -346,14 +289,39 @@ def record_to_json(record: TraceRecordType) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+class TraceFormatError(ValueError):
+    """A ``repro-trace/1`` line or stream that cannot be read."""
+
+
+def _json_object(line: str) -> Dict[str, Any]:
+    try:
+        payload = json.loads(line)
+    except ValueError as exc:
+        raise TraceFormatError(f"not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise TraceFormatError(
+            f"expected a JSON object, got {type(payload).__name__}"
+        )
+    return payload
+
+
 def record_from_json(line: str) -> Optional[TraceRecordType]:
     """Parse one JSONL line; None for unknown record types (forward
-    compatibility).  Unknown fields inside known types are ignored."""
-    payload = json.loads(line)
-    cls = RECORD_TYPES.get(payload.get("type"))
+    compatibility).  Unknown fields inside known types are ignored;
+    anything else unreadable raises :class:`TraceFormatError`."""
+    payload = _json_object(line)
+    kind = payload.get("type")
+    cls = RECORD_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         return None
-    return cls.from_payload(payload)
+    try:
+        return cls.from_payload(payload)
+    except KeyError as exc:
+        raise TraceFormatError(
+            f"{kind} record is missing field {exc.args[0]!r}"
+        ) from None
+    except ValueError as exc:
+        raise TraceFormatError(f"{kind} record: {exc}") from None
 
 
 def dump_jsonl(records: Iterable[TraceRecordType], fh: IO[str]) -> int:
@@ -376,20 +344,31 @@ def dumps_jsonl(records: Iterable[TraceRecordType]) -> str:
 
 
 def load_jsonl(fh: IO[str]) -> List[TraceRecordType]:
-    """Parse a ``repro-trace/1`` stream; raises ValueError on a missing
-    or mismatched schema header."""
-    lines = [line for line in fh.read().splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty trace stream (missing schema header)")
-    header = json.loads(lines[0])
-    schema = header.get("schema")
-    if schema != TRACE_SCHEMA:
-        raise ValueError(f"unsupported trace schema {schema!r}; want {TRACE_SCHEMA!r}")
-    out = []
-    for line in lines[1:]:
-        record = record_from_json(line)
+    """Parse a ``repro-trace/1`` stream; raises
+    :class:`TraceFormatError` (a ``ValueError``) naming the 1-based
+    line on a missing or mismatched schema header or an unreadable
+    record."""
+    out: List[TraceRecordType] = []
+    header_seen = False
+    for lineno, line in enumerate(fh.read().splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            if header_seen:
+                record = record_from_json(line)
+            else:
+                schema = _json_object(line).get("schema")
+                if schema != TRACE_SCHEMA:
+                    raise TraceFormatError(
+                        f"unsupported trace schema {schema!r}; want {TRACE_SCHEMA!r}"
+                    )
+                header_seen, record = True, None
+        except TraceFormatError as exc:
+            raise TraceFormatError(f"line {lineno}: {exc}") from None
         if record is not None:
             out.append(record)
+    if not header_seen:
+        raise TraceFormatError("empty trace stream (missing schema header)")
     return out
 
 

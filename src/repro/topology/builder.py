@@ -41,14 +41,8 @@ class Network:
         net.run()
     """
 
-    def __init__(
-        self, trace_enabled: bool = True, telemetry_enabled: bool = True
-    ) -> None:
-        # telemetry_enabled=False builds the whole network against null
-        # instruments (the perf harness's zero-bookkeeping baseline);
-        # it must be decided here, before any component pre-resolves
-        # its counters.
-        self.scheduler = Scheduler(telemetry_enabled=telemetry_enabled)
+    def __init__(self, trace_enabled: bool = True) -> None:
+        self.scheduler = Scheduler()
         self.telemetry = self.scheduler.telemetry
         self.trace = PacketTrace(enabled=trace_enabled)
         self.allocator = AddressAllocator()

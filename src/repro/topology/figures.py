@@ -53,14 +53,9 @@ FIGURE1_HOSTS = {
 FIGURE1_MEMBERS = ["A", "C", "B", "D", "E2", "F", "E", "G", "I", "H", "J", "K"]
 
 
-def build_figure1(telemetry_enabled: bool = True) -> Network:
-    """Build the Figure-1 network (12 routers, 15 subnets, 12 hosts).
-
-    ``telemetry_enabled=False`` constructs the network with null
-    instruments from the start (useful for overhead baselines), which
-    is cheaper than disabling telemetry after construction.
-    """
-    net = Network(telemetry_enabled=telemetry_enabled)
+def build_figure1() -> Network:
+    """Build the Figure-1 network (12 routers, 15 subnets, 12 hosts)."""
+    net = Network()
     routers = {name: net.add_router(name) for name in (
         "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10", "R11", "R12",
     )}

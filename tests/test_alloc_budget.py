@@ -329,7 +329,7 @@ def test_event_loop_makes_no_cyclic_garbage(leg):
 
 
 def test_no_collection_starts_inside_run():
-    sched = Scheduler(telemetry_enabled=False)
+    sched = Scheduler()
     live = []
     totals = []  # read by the first and the last event, so inside run()
 

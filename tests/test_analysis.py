@@ -90,22 +90,6 @@ class TestTimeline:
         domain, group = figure1_domain
         assert "(no events)" in event_timeline(domain, group=group)
 
-    def test_bus_and_fallback_paths_agree(self, figure1_full_tree):
-        # The timeline now reads the shared trace bus; with the bus off
-        # it falls back to the per-protocol event logs.  Both paths must
-        # render byte-identical output (the migration regression pin).
-        domain, group = figure1_full_tree
-        bus = domain.network.scheduler.telemetry.bus
-        assert bus.enabled
-        from_bus = event_timeline(domain, group=group)
-        bus.enabled = False
-        try:
-            from_logs = event_timeline(domain, group=group)
-        finally:
-            bus.enabled = True
-        assert from_bus == from_logs
-        assert "joined" in from_bus
-
 
 class TestControlCensus:
     def test_totals_row(self, figure1_full_tree):

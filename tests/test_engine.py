@@ -611,7 +611,7 @@ def conservation_gap(scheduler):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_OPERATION, max_size=40))
 def test_engine_is_indistinguishable_from_a_sorted_list(script):
-    real = ScriptedWorld(Scheduler(telemetry_enabled=False))
+    real = ScriptedWorld(Scheduler())
     model = ScriptedWorld(ReferenceScheduler())
     # Run on, then cancel whatever is still re-arming itself and drain.
     drain = [("run", 20.0, None)]

@@ -151,6 +151,48 @@ def test_scheduled_callbacks_are_not_closures():
     assert found == set()
 
 
+# -- telemetry has one mode -----------------------------------------------------
+#
+# The protocol's own statistics are registry counters, so "telemetry
+# off" was never a configuration of the system (docs/PERFORMANCE.md,
+# "Decision record: telemetry has one mode").  The only ``enabled``
+# left in ``src/repro`` is the packet trace's, which has two values in
+# real use.
+
+
+def _telemetry_switches(path):
+    """``file:line what`` for every ``telemetry_enabled`` parameter or
+    keyword and every ``.enabled`` read that is not a packet trace's."""
+    rel = path.relative_to(SRC).as_posix()
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.arg, ast.keyword)):
+            if node.arg == "telemetry_enabled":
+                found.add(f"{rel}:{node.lineno} telemetry_enabled")
+        elif isinstance(node, ast.Attribute) and node.attr == "enabled":
+            owner = node.value
+            owner_name = getattr(owner, "attr", getattr(owner, "id", None))
+            if owner_name == "trace":
+                continue
+            if rel == "netsim/trace.py" and owner_name == "self":
+                continue  # PacketTrace's own attribute
+            found.add(f"{rel}:{node.lineno} {ast.unparse(node)}")
+    return found
+
+
+def test_no_telemetry_switch_in_the_source():
+    found = set().union(
+        *(_telemetry_switches(path) for path in sorted(SRC.rglob("*.py")))
+    )
+    assert found == set()
+    import repro.telemetry
+
+    assert [
+        name for name in repro.telemetry.__all__
+        if name.startswith("NULL_") or name == "EventLog"
+    ] == []
+
+
 # -- the per-packet path copies and fans out without re-deriving ------------------
 #
 # A forwarded packet is copied once per hop and fanned out from the

@@ -88,6 +88,27 @@ class TestSubnetDelivery:
         net.run()
         assert not nodes[1].received
 
+    def test_down_at_delivery_counts_a_late_drop(self):
+        # The link fails while the datagram is in flight: a "late" drop
+        # on the link and on the payload label — twice, so the second
+        # one goes through the cached per-reason counter.
+        net, subnet, nodes = build_lan(2)
+        registry = net.telemetry.registry
+        sender = nodes[0].interfaces[0]
+        for expected in (1, 2):
+            subnet.set_up(True)
+            sender.send(
+                IPDatagram(src=sender.address, dst=GROUP, proto=PROTO_UDP, payload=b"")
+            )
+            subnet.set_up(False)
+            net.run()
+            assert registry.value("netsim.link.LAN.drop.late") == expected
+            assert registry.value(f"netsim.msg.proto{PROTO_UDP}.drop.late") == expected
+        assert not nodes[1].received
+        assert registry.value(f"netsim.msg.proto{PROTO_UDP}.tx") == 2
+        assert registry.value(f"netsim.msg.proto{PROTO_UDP}.rx") == 0
+        assert [r.note for r in net.trace.drops()] == ["down at delivery"] * 2
+
     def test_down_interface_does_not_receive(self):
         net, subnet, nodes = build_lan(3)
         nodes[2].interfaces[0].up = False

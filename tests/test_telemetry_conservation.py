@@ -13,11 +13,11 @@ import json
 import pytest
 
 from repro.chaos.scenarios import SCENARIOS as CHAOS_SCENARIOS, ChaosContext
-from repro.core.bootstrap import CBTDomain
+from repro.core.messages import MessageType
 from repro.explore.scenarios import SCENARIOS as EXPLORE_SCENARIOS
 from repro.harness.campaign import TOPOLOGIES
 from repro.harness.scenarios import FAST_TIMERS, build_cbt_group
-from repro.metrics.overhead import cbt_control_overhead, registry_control_overhead
+from repro.metrics.overhead import cbt_control_overhead, trace_overhead
 from repro.telemetry.conservation import check_conservation
 from tests import reference_sweeps
 
@@ -105,22 +105,6 @@ class TestWalkthroughConservation:
             for finding in check_conservation(net, domain)
         )
 
-    def test_telemetry_off_is_vacuous(self):
-        from repro.topology.builder import Network
-
-        network = Network(telemetry_enabled=False)
-        r1, r2 = network.add_router("R1"), network.add_router("R2")
-        s1 = network.add_subnet("S1", [r1])
-        network.add_subnet("S2", [r2])
-        network.add_p2p("L12", r1, r2)
-        network.add_host("A", s1)
-        domain = CBTDomain(network, timers=FAST_TIMERS)
-        domain.start()
-        network.run(until=5.0)
-        assert not network.telemetry.enabled
-        assert network.telemetry.registry.snapshot() == {}
-        assert check_conservation(network, domain) == []
-
 
 class TestControlCountAgreement:
     """The control counts summed from the ``ControlStats`` counters
@@ -142,13 +126,44 @@ class TestControlCountAgreement:
 
     def test_per_type_overheads_agree(self):
         domain = self._domain_after_faults()
-        for exclude_hello in (True, False):
-            stats_path = cbt_control_overhead(domain, exclude_hello=exclude_hello)
-            registry_path = registry_control_overhead(
-                domain, exclude_hello=exclude_hello
-            )
-            assert stats_path == registry_path
-        assert cbt_control_overhead(domain)  # non-trivial totals
+        registry = domain.telemetry.registry
+        by_name = {}
+        for name in domain.protocols:
+            prefix = f"cbt.router.{name}.tx."
+            for counter_name, value in registry.matching(prefix + "*").items():
+                msg_type = counter_name[len(prefix):].upper()
+                if value:
+                    by_name[msg_type] = by_name.get(msg_type, 0) + value
+        assert cbt_control_overhead(domain, exclude_hello=False) == by_name
+        by_name.pop("HELLO")
+        assert cbt_control_overhead(domain) == by_name
+        assert by_name  # non-trivial totals
+
+    def test_walkthrough_count_matches_the_wire_records(self):
+        # The paper's control count, read by an observer that shares
+        # nothing with the counters: the packet trace's tx records.
+        from repro.cli import _run_figure1
+
+        net, domain, _group, _members = _run_figure1()
+        sent = sum(cbt_control_overhead(domain, exclude_hello=False).values())
+        assert sent > 0
+        assert check_conservation(net, domain) == []
+        assert trace_overhead(net.trace).control_messages == sent
+
+    def test_wire_records_match_label_counters_under_faults(self):
+        # Under link_flap pre-wire drops pull protocol sends and wire
+        # transmissions apart; the trace must side with the wire.
+        network, domain, schedule = _chaos_cell("link_flap")
+        network.run(until=schedule.last_time + 10.0)
+        registry = network.telemetry.registry
+        on_wire = sum(
+            registry.value(f"netsim.msg.{msg_type.name}.tx")
+            for msg_type in MessageType
+        )
+        assert trace_overhead(network.trace).control_messages == on_wire
+        assert on_wire < sum(
+            cbt_control_overhead(domain, exclude_hello=False).values()
+        )
 
 
 class TestSnapshotDeterminism:

@@ -11,9 +11,6 @@ from repro.telemetry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
 )
 
 
@@ -101,36 +98,6 @@ class TestRegistry:
         assert MetricsRegistry.diff({"a": 1}, {"a": 1}) == {}
 
 
-class TestDisabledRegistry:
-    def test_disabled_hands_out_nulls(self):
-        registry = MetricsRegistry(enabled=False)
-        assert registry.counter("x") is NULL_COUNTER
-        assert registry.gauge("g") is NULL_GAUGE
-        assert registry.histogram("h") is NULL_HISTOGRAM
-
-    def test_null_instruments_are_inert(self):
-        NULL_COUNTER.inc(5)
-        NULL_GAUGE.set(5)
-        NULL_HISTOGRAM.observe(5)
-        assert NULL_COUNTER.value == 0
-        assert NULL_GAUGE.read() == 0
-        assert NULL_HISTOGRAM.count == 0
-
-    def test_disabled_snapshot_empty(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.counter("x").inc()
-        assert registry.snapshot() == {}
-        assert registry.total("*") == 0
-
-    def test_disable_after_creation(self):
-        registry = MetricsRegistry()
-        live = registry.counter("x")
-        registry.disable()
-        assert registry.counter("y") is NULL_COUNTER
-        live.inc()  # pre-existing instruments keep counting
-        assert live.value == 1
-
-
 class TestAttributeBoundGauge:
     def test_reads_the_live_attribute(self):
         class Wire:
@@ -145,11 +112,6 @@ class TestAttributeBoundGauge:
         assert registry.value("netsim.link.L.tx_packets") == 5
         assert registry.total("netsim.link.*.tx_packets") == 5
         assert registry.snapshot()["netsim.link.L.tx_packets"] == 5
-
-    def test_disabled_registry_binds_nothing(self):
-        registry = MetricsRegistry(enabled=False)
-        assert registry.gauge_attr("g", object(), "missing") is NULL_GAUGE
-        assert NULL_GAUGE.read() == 0
 
 
 class TestDeferredGaugeFamilies:
@@ -189,22 +151,6 @@ class TestDeferredGaugeFamilies:
         gauge = registry.gauge("netsim.link.A.attempts")
         assert gauge.read() == 4 and gauge is registry.gauge("netsim.link.A.attempts")
         assert registry.gauge("netsim.link.A.elsewhere").read() == 0  # a new gauge
-
-    def test_disabled_registry_notes_nothing(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.gauge_attrs("netsim.link.A.", self.Wire(1), self.METRICS)
-        assert registry.snapshot() == {} and not registry._unbuilt
-
-    def test_families_noted_before_disable_keep_reading(self):
-        registry = MetricsRegistry()
-        wire = self.Wire(1)
-        registry.gauge_attrs("netsim.link.A.", wire, self.METRICS)
-        registry.disable()
-        wire.attempt_count = 9
-        assert registry.value("netsim.link.A.attempts") == 9
-        assert registry.snapshot() == {
-            "netsim.link.A.attempts": 9, "netsim.link.A.tx_packets": 10
-        }
 
     @given(
         families=st.lists(st.integers(0, 5), max_size=8),

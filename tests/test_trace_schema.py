@@ -6,15 +6,16 @@ import os
 from ipaddress import IPv4Address
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.telemetry import (
-    EventLog,
     FaultEvent,
     MembershipEvent,
     PacketEvent,
     ProtocolEvent,
     TRACE_SCHEMA,
     TraceBus,
+    TraceFormatError,
     dump_jsonl,
     dumps_jsonl,
     load_jsonl,
@@ -114,6 +115,47 @@ class TestTolerance:
             loads_jsonl(stream)
 
 
+HEADER = json.dumps({"schema": TRACE_SCHEMA})
+
+#: Lines that are JSON but not a record a reader can build.
+MALFORMED_LINES = [
+    "[1,2]",
+    '"repro-trace/1"',
+    "3",
+    "null",
+    '{"type":"packet"}',
+    '{"type":"fault","time":1.0}',
+    '{"type":"protocol","time":1.0,"kind":"joined","group":"not-an-address"}',
+    '{"type":"packet"',
+]
+
+
+class TestMalformedInput:
+    """Unreadable input raises ``TraceFormatError`` — never the
+    ``AttributeError`` / ``KeyError`` of the parser's own internals."""
+
+    @pytest.mark.parametrize("line", MALFORMED_LINES)
+    def test_bad_record_line_names_its_line(self, line):
+        with pytest.raises(TraceFormatError):
+            record_from_json(line)
+        stream = "\n".join([HEADER, record_to_json(SAMPLE_RECORDS[3]), "", line])
+        with pytest.raises(TraceFormatError, match=r"^line 4: "):
+            loads_jsonl(stream)
+
+    @pytest.mark.parametrize("line", ["[1,2]", '"repro-trace/1"', "3", "{"])
+    def test_bad_header_line_names_its_line(self, line):
+        with pytest.raises(TraceFormatError, match=r"^line 2: "):
+            loads_jsonl("\n" + line + "\n" + record_to_json(SAMPLE_RECORDS[0]))
+
+    def test_unhashable_type_is_an_unknown_type(self):
+        assert record_from_json('{"type":["packet"]}') is None
+
+    def test_error_is_a_value_error(self):
+        assert issubclass(TraceFormatError, ValueError)
+        with pytest.raises(TraceFormatError, match="empty trace stream"):
+            loads_jsonl("\n\n")
+
+
 class TestTraceBus:
     def test_publish_and_filter(self):
         bus = TraceBus()
@@ -131,30 +173,6 @@ class TestTraceBus:
         unsubscribe()
         bus.publish(SAMPLE_RECORDS[1])
         assert seen == [SAMPLE_RECORDS[0]]
-
-    def test_ring_buffer_keeps_most_recent(self):
-        bus = TraceBus(capacity=2)
-        for record in SAMPLE_RECORDS:
-            bus.publish(record)
-        assert bus.records() == SAMPLE_RECORDS[-2:]
-        bus.set_capacity(None)
-        bus.publish(SAMPLE_RECORDS[0])
-        assert len(bus) == 3
-
-    def test_disabled_bus_drops_everything(self):
-        bus = TraceBus()
-        bus.enabled = False
-        bus.publish(SAMPLE_RECORDS[0])
-        assert bus.records() == []
-
-    def test_event_log_mirrors_to_bus(self):
-        bus = TraceBus()
-        log = EventLog(bus)
-        log.append(SAMPLE_RECORDS[0])
-        assert log == [SAMPLE_RECORDS[0]]
-        assert bus.records() == [SAMPLE_RECORDS[0]]
-        assert log[0] is SAMPLE_RECORDS[0]
-        assert len(log) == 1 and bool(log)
 
 
 class TestGoldenFigure1:
@@ -176,6 +194,20 @@ class TestGoldenFigure1:
             golden = fh.read()
         assert self._walkthrough_stream() == golden
 
+    def test_protocol_events_are_the_bus_records(self):
+        # A protocol's ``events`` is a plain list; what it records is
+        # published to the bus by the same call, as the same object.
+        from repro.cli import _run_figure1
+
+        net, domain, _group, _members = _run_figure1()
+        on_bus = net.telemetry.bus.records("protocol")
+        assert on_bus
+        for name, protocol in domain.protocols.items():
+            assert type(protocol.events) is list
+            mine = [r for r in on_bus if r.router == name]
+            assert len(mine) == len(protocol.events)
+            assert all(a is b for a, b in zip(mine, protocol.events))
+
     def test_golden_trace_parses(self):
         with open(os.path.join(GOLDEN_DIR, "figure1.jsonl")) as fh:
             records = load_jsonl(fh)
@@ -185,3 +217,40 @@ class TestGoldenFigure1:
         # Every joined member produced a membership gain somewhere.
         joined = [r for r in records if r.RECORD_TYPE == "protocol" and r.kind == "joined"]
         assert joined
+
+
+class TestGoldenFuzz:
+    """Damage to the golden trace is rejected typed, like the codecs
+    (tests/test_codec_robustness.py): nothing but a ``ValueError``
+    subclass escapes ``load_jsonl``."""
+
+    with open(os.path.join(GOLDEN_DIR, "figure1.jsonl"), "rb") as _fh:
+        GOLDEN = _fh.read()
+
+    @staticmethod
+    def _load(data: bytes):
+        return load_jsonl(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+
+    def test_intact_file_round_trips_byte_identically(self):
+        assert dumps_jsonl(self._load(self.GOLDEN)).encode() == self.GOLDEN
+
+    @given(cut=st.integers(0, len(GOLDEN)))
+    @settings(max_examples=300, deadline=None)
+    def test_truncations(self, cut):
+        intact = self._load(self.GOLDEN)
+        try:
+            records = self._load(self.GOLDEN[:cut])
+        except ValueError:
+            return
+        # Cut between lines: what parsed is a prefix of the stream.
+        assert records == intact[: len(records)]
+
+    @given(index=st.integers(0, len(GOLDEN) - 1), value=st.integers(0, 255))
+    @settings(max_examples=600, deadline=None)
+    def test_byte_flips(self, index, value):
+        damaged = bytearray(self.GOLDEN)
+        damaged[index] = value
+        try:
+            self._load(bytes(damaged))
+        except ValueError:
+            pass
