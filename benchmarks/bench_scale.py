@@ -12,8 +12,14 @@ import time
 
 from benchmarks.conftest import publish
 from repro.harness.experiment import Experiment
-from repro.harness.scenarios import build_cbt_group, pick_members, send_data
+from repro.harness.scenarios import (
+    build_cbt_group,
+    delivered_copies,
+    pick_members,
+    send_data,
+)
 from repro.metrics.state import cbt_entry_census
+from repro.netsim.engine import cell
 from repro.topology.generators import waxman_network
 
 SEED = 17
@@ -28,29 +34,27 @@ ALPHA_BY_SIZE = {1000: 0.02, 10000: 0.002}
 
 def scale_run(size: int) -> tuple:
     wall_start = time.perf_counter()
-    net = waxman_network(size, alpha=ALPHA_BY_SIZE.get(size, 0.25), seed=SEED)
-    members = pick_members(net, max(4, size // 8), seed=SEED)
-    domain, group = build_cbt_group(net, members, cores=["N0"])
-    domain.assert_tree_consistent(group)
-    census = cbt_entry_census(domain)
-    control = domain.control_messages_sent()
-    uid = send_data(net, members[0], group, count=1)[0]
-    delivered = sum(
-        1
-        for m in members[1:]
-        if any(d.uid == uid for d in net.host(m).delivered)
-    )
-    wall = time.perf_counter() - wall_start
-    events = net.scheduler.events_processed
-    return (
-        len(members),
-        census.max_router,
-        census.routers_with_state,
-        control,
-        f"{delivered}/{len(members) - 1}",
-        events,
-        round(events / wall) if wall > 0 else 0,
-    )
+    with cell(
+        waxman_network, size, alpha=ALPHA_BY_SIZE.get(size, 0.25), seed=SEED
+    ) as net:
+        members = pick_members(net, max(4, size // 8), seed=SEED)
+        domain, group = build_cbt_group(net, members, cores=["N0"])
+        domain.assert_tree_consistent(group)
+        census = cbt_entry_census(domain)
+        control = domain.control_messages_sent()
+        uid = send_data(net, members[0], group, count=1)[0]
+        delivered = sum(1 for m in members[1:] if delivered_copies(net, m)[uid])
+        wall = time.perf_counter() - wall_start
+        events = net.scheduler.events_processed
+        return (
+            len(members),
+            census.max_router,
+            census.routers_with_state,
+            control,
+            f"{delivered}/{len(members) - 1}",
+            events,
+            round(events / wall) if wall > 0 else 0,
+        )
 
 
 def run_experiment() -> Experiment:

@@ -357,12 +357,12 @@ def bench_scale_smoke(quick: bool) -> Dict[str, Metric]:
     t0 = time.perf_counter()
     row = scale_run(1000)
     wall = time.perf_counter() - t0
-    # Informational: how much the cell keeps resident (objects tracked
+    # Informational: how much the cell leaves resident (objects tracked
     # when the run returns, garbage included) and how many collections
-    # ran *outside* the event loop — during the build and between
-    # ``run()`` calls; ``Scheduler.run`` pauses the collector, so none
-    # starts inside it (docs/PERFORMANCE.md, "Allocation and the
-    # collector").
+    # ran while it did.  The cell closes its network and runs paused
+    # from build to close, so both read next to nothing; a network
+    # that stopped freeing itself would read ~360,000 / ~780 here
+    # (docs/PERFORMANCE.md, "a network closes").
     tracked = len(gc.get_objects()) - tracked_before
     collections = sum(gen["collections"] for gen in gc.get_stats())
     return {

@@ -59,6 +59,7 @@ class MulticastSender:
         self.ttl = ttl
         self.sequence = 0
         self._ticker: Optional[PeriodicTimer] = None
+        host.scheduler.register(self)
 
     def send(self, count: int = 1) -> List[int]:
         """Send ``count`` packets now; returns their sequence numbers."""

@@ -140,6 +140,7 @@ class DVMRPProtocol:
         router.register_handler(PROTO_DVMRP, self._handle_control)
         router.multicast_forwarder = self
         self.igmp.on_membership_change(self._on_membership_change)
+        router.scheduler.register(self)
 
     # -- lifecycle -------------------------------------------------------
 

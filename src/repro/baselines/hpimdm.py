@@ -229,6 +229,7 @@ class HPIMDMProtocol:
         router.register_handler(PROTO_HPIM, self._handle_control)
         router.multicast_forwarder = self
         self.igmp.on_membership_change(self._on_membership_change)
+        router.scheduler.register(self)
 
     # -- lifecycle -------------------------------------------------------
 

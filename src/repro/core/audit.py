@@ -477,6 +477,7 @@ class InvariantAuditor:
         self._first_seen: Dict[Tuple, float] = {}
         self._timer = None
         self._running = False
+        domain.network.scheduler.register(self)
 
     # -- lifecycle ------------------------------------------------------
 

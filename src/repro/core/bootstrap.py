@@ -23,6 +23,7 @@ from repro.core.router import CBTProtocol
 from repro.core.timers import CBTTimers, DEFAULT_TIMERS
 from repro.igmp.host import IGMPHostAgent
 from repro.igmp.router_side import IGMPConfig
+from repro.netsim.engine import collector_paused
 from repro.routing.table import Host, Router
 from repro.topology.builder import Network
 
@@ -116,28 +117,34 @@ class CBTDomain:
             list(cbt_routers) if cbt_routers is not None else list(network.routers)
         )
         host_names = list(hosts) if hosts is not None else list(network.hosts)
-        for name in names:
-            router = network.router(name)
-            self.protocols[name] = CBTProtocol(
-                router,
-                timers=timers,
-                mode=mode,
-                coordinator=self.coordinator,
-                igmp_config=igmp_config,
-                use_cbt_multicast=use_cbt_multicast,
-                aggregate_echoes=aggregate_echoes,
-                enable_proxy_ack=enable_proxy_ack,
-                wire_format=wire_format,
-            )
-        for name in host_names:
-            self.host_agents[name] = IGMPHostAgent(network.hosts[name])
+        # Paused like ``realise``: every engine and agent built here is
+        # reachable from the domain, so a collection finds nothing.
+        with collector_paused():
+            for name in names:
+                router = network.router(name)
+                self.protocols[name] = CBTProtocol(
+                    router,
+                    timers=timers,
+                    mode=mode,
+                    coordinator=self.coordinator,
+                    igmp_config=igmp_config,
+                    use_cbt_multicast=use_cbt_multicast,
+                    aggregate_echoes=aggregate_echoes,
+                    enable_proxy_ack=enable_proxy_ack,
+                    wire_format=wire_format,
+                )
+            for name in host_names:
+                self.host_agents[name] = IGMPHostAgent(network.hosts[name])
         self._router_of: Dict[IPv4Address, str] = {}
         self._indexed_interfaces = 0
 
     def start(self) -> None:
-        """Start every protocol instance (IGMP elections, HELLOs, timers)."""
-        for protocol in self.protocols.values():
-            protocol.start()
+        """Start every protocol instance (IGMP elections, HELLOs, timers):
+        a burst of pending events and in-flight datagrams, all reachable
+        from the scheduler, so it runs with the collector paused."""
+        with collector_paused():
+            for protocol in self.protocols.values():
+                protocol.start()
 
     def protocol(self, router_name: str) -> CBTProtocol:
         return self.protocols[router_name]

@@ -38,17 +38,20 @@ class FIBEntry:
     #: written only by the four mutators below, each of which
     #: recompiles it.
     kernel: KernelEntry = field(init=False, repr=False, compare=False)
-    #: The owning table, which counts the downloads (none yet while
-    #: the entry is being constructed).
-    _fib: Optional["FIB"] = field(default=None, init=False, repr=False, compare=False)
+    #: The owning table's download count (none yet while the entry is
+    #: being constructed).  The counter, not the table: an entry that
+    #: pointed back at its table would be a reference cycle per group.
+    _downloads: Optional[Counter] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self._download()
 
     def _download(self) -> None:
         self.kernel = KernelEntry.from_user_entry(self)
-        if self._fib is not None:
-            self._fib.downloads += 1
+        if self._downloads is not None:
+            self._downloads.value += 1
 
     @property
     def has_parent(self) -> bool:
@@ -113,7 +116,7 @@ class FIB:
 
     def __init__(self) -> None:
         self._entries: Dict[IPv4Address, FIBEntry] = {}
-        self.downloads = 0
+        self._downloads = Counter("fib_downloads")
         self.deletions = 0
         self._adds = Counter("fib_adds")
         self._removes = Counter("fib_removes")
@@ -122,6 +125,10 @@ class FIB:
         """Attach add/remove counters (the owning protocol does this)."""
         self._adds = adds
         self._removes = removes
+
+    @property
+    def downloads(self) -> int:
+        return self._downloads.value
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -139,7 +146,7 @@ class FIB:
         entry = self._entries.get(group)
         if entry is None:
             entry = FIBEntry(group=group)
-            entry._fib = self
+            entry._downloads = self._downloads
             self._entries[group] = entry
             self._adds.inc()
         return entry
@@ -147,7 +154,7 @@ class FIB:
     def remove(self, group: IPv4Address) -> None:
         entry = self._entries.pop(group, None)
         if entry is not None:
-            entry._fib = None
+            entry._downloads = None
             self._removes.inc()
             self.deletions += 1
 

@@ -136,6 +136,7 @@ class LegacyDRExtension:
         self.messages_sent = 0
         self._saved_handler = protocol._handle_udp
         protocol.router.register_handler(PROTO_UDP, self._handle_udp)
+        protocol.router.scheduler.register(self)
 
     # -- dispatch ----------------------------------------------------------
 
@@ -335,6 +336,7 @@ class LegacyHostAgent:
         self.messages_sent = 0
         self._saved = host._handlers.get(PROTO_UDP)
         host.register_handler(PROTO_UDP, self)
+        host.scheduler.register(self)
 
     # -- API --------------------------------------------------------------------
 

@@ -214,6 +214,7 @@ class MigrationCoordinator:
         self._ticker = None
         scheduler = domain.network.scheduler
         self._scheduler = scheduler
+        scheduler.register(self)
         registry = domain.telemetry.registry
         self._registry = registry
         self._c_migrations = registry.counter("cbt.migration.handovers")

@@ -231,34 +231,44 @@ class CBTProtocol:
         self.igmp.on_core_report(self._on_core_report)
         if coordinator is not None:
             coordinator.register(self)
+        router.scheduler.register(self)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Begin IGMP querier duty, HELLOs, and maintenance timers."""
+        """Begin IGMP querier duty, HELLOs, and maintenance timers; after
+        :meth:`stop`, re-announce and re-arm the maintenance timers."""
         if self._started:
             return
         self._started = True
-        self.igmp.start()
+        if not self._tickers:
+            # First start.  IGMP is not ours to stop, so it starts once.
+            self.igmp.start()
+            scheduler = self.router.scheduler
+            self._tickers = [
+                PeriodicTimer(scheduler, interval, tick)
+                for interval, tick in (
+                    (self.hello_interval, self._hello_tick),
+                    (self.timers.echo_interval, self._echo_tick),
+                    (self.timers.child_assert_interval, self._child_assert_tick),
+                    (self.timers.iff_scan_interval, self._iff_scan_tick),
+                )
+            ]
         # Two quick HELLOs so neighbours learn us fast, then periodic.
         self._send_hellos()
         self.router.scheduler.call_later(1.0, self._send_hellos)
-        for interval, tick in (
-            (self.hello_interval, self._hello_tick),
-            (self.timers.echo_interval, self._echo_tick),
-            (self.timers.child_assert_interval, self._child_assert_tick),
-            (self.timers.iff_scan_interval, self._iff_scan_tick),
-        ):
-            ticker = PeriodicTimer(self.router.scheduler, interval, tick)
+        for ticker in self._tickers:
             ticker.start()
-            self._tickers.append(ticker)
 
     def stop(self) -> None:
+        """Silence the maintenance timers (HELLO, echo, child-assert,
+        interface scan) until the next :meth:`start`; IGMP keeps
+        running."""
         for ticker in self._tickers:
             ticker.stop()
-        self._tickers.clear()
+        self._started = False
 
     # ------------------------------------------------------------------
     # public queries

@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.explore.fingerprint import domain_fingerprint
 from repro.explore.oracle import convergence_findings, transition_findings
+from repro.netsim.engine import cell, collector_paused
 
 #: Gate-eligible CBT control message types: the tree-building and
 #: teardown handshakes whose loss the §6 machinery must survive.
@@ -410,67 +411,67 @@ def run_schedule(
     """Execute one scenario run under ``schedule``; see module docs."""
     if limit is None:
         limit = max(options.max_decisions, len(schedule))
-    world = scenario.build()
-    network = world.network
-    scheduler = network.scheduler
-    controller = _Controller(
-        world,
-        options,
-        schedule,
-        limit=limit,
-        visited=visited,
-        check_loops=options.check_loops and scenario.check_loops,
-        transition_fn=getattr(scenario, "transition_oracle", None),
-        fingerprint_fn=getattr(scenario, "state_fingerprint", None),
-    )
-    scheduler.choice_hook = controller.scheduler_choice
-    for link in network.links.values():
-        link.gate = controller.gate
-    start = scheduler.now
-    violation: Optional[Violation] = None
-    try:
-        if scenario.fault_candidates is not None:
-            controller.choose_fault(scenario.fault_candidates(world))
-        for offset, action in world.actions:
-            scheduler.call_at(start + offset, action)
-        network.run(until=start + scenario.window)
-        controller.observe_state(final=True)
-    except _ViolationSignal as signal:
-        violation = signal.violation
-    finally:
-        scheduler.choice_hook = None
+    with cell(scenario.build) as world:
+        network = world.network
+        scheduler = network.scheduler
+        controller = _Controller(
+            world,
+            options,
+            schedule,
+            limit=limit,
+            visited=visited,
+            check_loops=options.check_loops and scenario.check_loops,
+            transition_fn=getattr(scenario, "transition_oracle", None),
+            fingerprint_fn=getattr(scenario, "state_fingerprint", None),
+        )
+        scheduler.choice_hook = controller.scheduler_choice
         for link in network.links.values():
-            link.gate = None
-    if violation is None:
-        network.run(until=start + scenario.window + scenario.settle)
-        convergence = getattr(scenario, "convergence_oracle", None)
-        if convergence is not None:
-            findings = [str(finding) for finding in convergence(world)]
-        else:
-            findings = [
-                str(finding)
-                for finding in convergence_findings(
-                    world.domain, world.group, world.members
+            link.gate = controller.gate
+        start = scheduler.now
+        violation: Optional[Violation] = None
+        try:
+            if scenario.fault_candidates is not None:
+                controller.choose_fault(scenario.fault_candidates(world))
+            for offset, action in world.actions:
+                scheduler.call_at(start + offset, action)
+            network.run(until=start + scenario.window)
+            controller.observe_state(final=True)
+        except _ViolationSignal as signal:
+            violation = signal.violation
+        finally:
+            scheduler.choice_hook = None
+            for link in network.links.values():
+                link.gate = None
+        if violation is None:
+            network.run(until=start + scenario.window + scenario.settle)
+            convergence = getattr(scenario, "convergence_oracle", None)
+            if convergence is not None:
+                findings = [str(finding) for finding in convergence(world)]
+            else:
+                findings = [
+                    str(finding)
+                    for finding in convergence_findings(
+                        world.domain, world.group, world.members
+                    )
+                ]
+            if scenario.extra_oracle is not None:
+                findings.extend(scenario.extra_oracle(world))
+            if findings:
+                violation = Violation(
+                    stage="final", time=scheduler.now, findings=findings
                 )
-            ]
-        if scenario.extra_oracle is not None:
-            findings.extend(scenario.extra_oracle(world))
-        if findings:
-            violation = Violation(
-                stage="final", time=scheduler.now, findings=findings
-            )
-    if violation is not None:
-        violation.scenario = scenario.name
-        controller.narrative.append(violation.describe())
-    return RunOutcome(
-        schedule=tuple(schedule),
-        decisions=controller.decisions,
-        violation=violation,
-        fingerprints=controller.fingerprints,
-        narrative=controller.narrative,
-        suppressed_decisions=controller.suppressed,
-        pruned=controller.pruned,
-    )
+        if violation is not None:
+            violation.scenario = scenario.name
+            controller.narrative.append(violation.describe())
+        return RunOutcome(
+            schedule=tuple(schedule),
+            decisions=controller.decisions,
+            violation=violation,
+            fingerprints=controller.fingerprints,
+            narrative=controller.narrative,
+            suppressed_decisions=controller.suppressed,
+            pruned=controller.pruned,
+        )
 
 
 def _expansions(
@@ -497,6 +498,9 @@ def _normalise(schedule: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
+# A search is a run of cells: every run closes its network, so the loop
+# leaves the collector as little to find as one run does.
+@collector_paused()
 def explore(
     scenario,
     options: ExploreOptions = ExploreOptions(),
@@ -592,6 +596,7 @@ class FrontierShard:
     visited_digest: str
 
 
+@collector_paused()  # as ``explore``
 def explore_frontier_shard(
     scenario,
     options: ExploreOptions,

@@ -38,6 +38,10 @@ class ExploreWorld:
     #: ``(offset_from_window_start, action)`` pairs the runner schedules.
     actions: List[Tuple[float, Callable[[], None]]]
 
+    def close(self) -> None:
+        """The world ends with its network (``netsim.engine.cell``)."""
+        self.network.close()
+
 
 @dataclass(frozen=True)
 class ExploreScenario:

@@ -47,6 +47,7 @@ from repro.harness.scenarios import (
     build_dvmrp_group,
     build_hpimdm_group,
 )
+from repro.netsim.engine import cell, collector_paused
 from repro.netsim.faults import FaultSchedule
 
 #: Chaos scenarios that replay onto non-CBT protocols: everything in
@@ -176,6 +177,7 @@ def _shift_schedule(schedule: FaultSchedule, base: float, new_base: float) -> Fa
     return shifted
 
 
+@collector_paused()  # one pause over the three legs
 def run_baseline_compare_cell(
     scenario: str,
     topology: str = "figure1",
@@ -195,55 +197,55 @@ def run_baseline_compare_cell(
     window = max(timers.echo_interval, timers.pend_join_interval * 2)
 
     # -- CBT leg: derives the schedule everyone else replays ----------
-    network, members, cores = TOPOLOGIES[topology].build(seed)
-    domain, group = build_cbt_group(network, members, cores, timers=timers)
-    before = _probe_delivery(network, members, group)
-    context = ChaosContext(
-        network=network,
-        domain=domain,
-        group=group,
-        members=members,
-        cores=cores,
-        seed=seed,
-        timers=timers,
-        start=network.scheduler.now + 1.0,
-    )
-    schedule = build_schedule(context)
-    base = network.scheduler.now
-    signature = _relative_signature(schedule, base)
-    digest = stable_digest(scenario, topology, seed, signature)
-    schedule.apply(network)
-    control_start = domain.control_messages_sent()
-    network.run(until=schedule.last_time + 1e-6)
-    recovered, recovery_time = run_to_quiescence(
-        network,
-        schedule.last_time,
-        window,
-        activity=domain.events_total,
-        settled=lambda: not check_invariants(domain),
-    )
-    result = BaselineCompareResult(
-        scenario=scenario,
-        topology=topology,
-        seed=seed,
-        schedule_digest=digest,
-        faults=[(round(at - base, 6), what) for at, what in schedule.applied],
-    )
-    result.outcomes.append(
-        ProtocolOutcome(
-            protocol="cbt",
-            recovered=recovered,
-            recovery_time=recovery_time,
-            control_cost=domain.control_messages_sent() - control_start,
-            delivery_before=before,
-            delivery_after=(
-                _probe_delivery(network, members, group) if recovered else 0.0
-            ),
-            state_total=domain.total_fib_state(),
-            routers_with_state=len(domain.on_tree_routers(group)),
-            findings=[str(f) for f in check_invariants(domain)],
+    with cell(TOPOLOGIES[topology].build, seed) as (network, members, cores):
+        domain, group = build_cbt_group(network, members, cores, timers=timers)
+        before = _probe_delivery(network, members, group)
+        context = ChaosContext(
+            network=network,
+            domain=domain,
+            group=group,
+            members=members,
+            cores=cores,
+            seed=seed,
+            timers=timers,
+            start=network.scheduler.now + 1.0,
         )
-    )
+        schedule = build_schedule(context)
+        base = network.scheduler.now
+        signature = _relative_signature(schedule, base)
+        digest = stable_digest(scenario, topology, seed, signature)
+        schedule.apply(network)
+        control_start = domain.control_messages_sent()
+        network.run(until=schedule.last_time + 1e-6)
+        recovered, recovery_time = run_to_quiescence(
+            network,
+            schedule.last_time,
+            window,
+            activity=domain.events_total,
+            settled=lambda: not check_invariants(domain),
+        )
+        result = BaselineCompareResult(
+            scenario=scenario,
+            topology=topology,
+            seed=seed,
+            schedule_digest=digest,
+            faults=[(round(at - base, 6), what) for at, what in schedule.applied],
+        )
+        result.outcomes.append(
+            ProtocolOutcome(
+                protocol="cbt",
+                recovered=recovered,
+                recovery_time=recovery_time,
+                control_cost=domain.control_messages_sent() - control_start,
+                delivery_before=before,
+                delivery_after=(
+                    _probe_delivery(network, members, group) if recovered else 0.0
+                ),
+                state_total=domain.total_fib_state(),
+                routers_with_state=len(domain.on_tree_routers(group)),
+                findings=[str(f) for f in check_invariants(domain)],
+            )
+        )
 
     # -- comparator legs: identical topology, replayed schedule -------
     for protocol_name in ("dvmrp", "hpimdm"):
@@ -274,78 +276,78 @@ def _run_comparator_leg(
     base: float,
     digest: str,
 ) -> ProtocolOutcome:
-    network, members, _cores = TOPOLOGIES[topology].build(seed)
-    if protocol_name == "dvmrp":
-        # Soft state: prune lifetime on the order of CBT's reconnect
-        # timeout, so decay-driven re-flooding happens inside the cell.
-        domain, group = build_dvmrp_group(
-            network, members, prune_lifetime=timers.reconnect_timeout * 2
-        )
-        activity: Callable[[], int] = lambda: (
-            domain.control_messages() + domain.data_forwards()
-        )
-        settled: Callable[[], bool] = lambda: True
-        findings: Callable[[], List[str]] = lambda: []
-    else:
-        # Hard state: failure detection tuned to the same §9 budget CBT
-        # uses (hellos at the ECHO interval, hold at the ECHO timeout).
-        domain, group = build_hpimdm_group(
-            network,
-            members,
-            hello_interval=timers.echo_interval,
-            neighbour_hold=timers.echo_timeout,
-            rtx_interval=timers.pend_join_interval / 2,
-        )
-        activity = domain.events_total
-        settled = lambda: (  # noqa: E731 - tiny leg-local closures
-            domain.pending_total() == 0 and not domain.election_findings()
-        )
-        findings = lambda: list(domain.election_findings())  # noqa: E731
+    with cell(TOPOLOGIES[topology].build, seed) as (network, members, _cores):
+        if protocol_name == "dvmrp":
+            # Soft state: prune lifetime on the order of CBT's reconnect
+            # timeout, so decay-driven re-flooding happens inside the cell.
+            domain, group = build_dvmrp_group(
+                network, members, prune_lifetime=timers.reconnect_timeout * 2
+            )
+            activity: Callable[[], int] = lambda: (
+                domain.control_messages() + domain.data_forwards()
+            )
+            settled: Callable[[], bool] = lambda: True
+            findings: Callable[[], List[str]] = lambda: []
+        else:
+            # Hard state: failure detection tuned to the same §9 budget CBT
+            # uses (hellos at the ECHO interval, hold at the ECHO timeout).
+            domain, group = build_hpimdm_group(
+                network,
+                members,
+                hello_interval=timers.echo_interval,
+                neighbour_hold=timers.echo_timeout,
+                rtx_interval=timers.pend_join_interval / 2,
+            )
+            activity = domain.events_total
+            settled = lambda: (  # noqa: E731 - tiny leg-local closures
+                domain.pending_total() == 0 and not domain.election_findings()
+            )
+            findings = lambda: list(domain.election_findings())  # noqa: E731
 
-    before = _probe_delivery(network, members, group)
-    replayed = _shift_schedule(schedule, base, network.scheduler.now)
-    replay_signature = _relative_signature(replayed, network.scheduler.now)
-    replay_digest = stable_digest(scenario, topology, seed, replay_signature)
-    if replay_digest != digest:
-        raise AssertionError(
-            f"replayed schedule drifted on the {protocol_name} leg: "
-            f"{replay_digest} != {digest}"
+        before = _probe_delivery(network, members, group)
+        replayed = _shift_schedule(schedule, base, network.scheduler.now)
+        replay_signature = _relative_signature(replayed, network.scheduler.now)
+        replay_digest = stable_digest(scenario, topology, seed, replay_signature)
+        if replay_digest != digest:
+            raise AssertionError(
+                f"replayed schedule drifted on the {protocol_name} leg: "
+                f"{replay_digest} != {digest}"
+            )
+        replayed.apply(network)
+        control_start = domain.control_messages()
+        network.run(until=replayed.last_time + 1e-6)
+        recovered, recovery_time = run_to_quiescence(
+            network, replayed.last_time, window, activity=activity, settled=settled
         )
-    replayed.apply(network)
-    control_start = domain.control_messages()
-    network.run(until=replayed.last_time + 1e-6)
-    recovered, recovery_time = run_to_quiescence(
-        network, replayed.last_time, window, activity=activity, settled=settled
-    )
-    return ProtocolOutcome(
-        protocol=protocol_name,
-        recovered=recovered,
-        recovery_time=recovery_time,
-        control_cost=domain.control_messages() - control_start,
-        delivery_before=before,
-        delivery_after=(
-            _probe_delivery(network, members, group) if recovered else 0.0
-        ),
-        state_total=domain.total_state(),
-        routers_with_state=domain.routers_with_state(),
-        findings=findings(),
-    )
+        return ProtocolOutcome(
+            protocol=protocol_name,
+            recovered=recovered,
+            recovery_time=recovery_time,
+            control_cost=domain.control_messages() - control_start,
+            delivery_before=before,
+            delivery_after=(
+                _probe_delivery(network, members, group) if recovered else 0.0
+            ),
+            state_total=domain.total_state(),
+            routers_with_state=domain.routers_with_state(),
+            findings=findings(),
+        )
 
 
-def run_baseline_comparison(
-    scenarios: Optional[Tuple[str, ...]] = None,
-    topologies: Tuple[str, ...] = ("figure1",),
-    seeds: Tuple[int, ...] = (0,),
-    timers: CBTTimers = FAST_TIMERS,
-) -> List[BaselineCompareResult]:
-    """Sweep comparison cells deterministically (campaign ordering)."""
-    cells: List[BaselineCompareResult] = []
-    for topology in topologies:
-        for scenario in scenarios or BASELINE_SCENARIOS:
-            for seed in seeds:
-                cells.append(
-                    run_baseline_compare_cell(
-                        scenario, topology=topology, seed=seed, timers=timers
+    def run_baseline_comparison(
+        scenarios: Optional[Tuple[str, ...]] = None,
+        topologies: Tuple[str, ...] = ("figure1",),
+        seeds: Tuple[int, ...] = (0,),
+        timers: CBTTimers = FAST_TIMERS,
+    ) -> List[BaselineCompareResult]:
+        """Sweep comparison cells deterministically (campaign ordering)."""
+        cells: List[BaselineCompareResult] = []
+        for topology in topologies:
+            for scenario in scenarios or BASELINE_SCENARIOS:
+                for seed in seeds:
+                    cells.append(
+                        run_baseline_compare_cell(
+                            scenario, topology=topology, seed=seed, timers=timers
+                        )
                     )
-                )
-    return cells
+        return cells

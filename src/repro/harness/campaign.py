@@ -31,7 +31,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.audit import InvariantAuditor, InvariantViolation, check_invariants
 from repro.core.timers import CBTTimers
-from repro.harness.scenarios import FAST_TIMERS, build_cbt_group, pick_members, send_data
+from repro.harness.scenarios import (
+    FAST_TIMERS,
+    build_cbt_group,
+    delivered_copies,
+    pick_members,
+    send_data,
+)
+from repro.netsim.engine import cell
 from repro.netsim.faults import derive_seed
 from repro.topology.builder import Network
 
@@ -187,9 +194,10 @@ def _probe_delivery(network: Network, members: Sequence[str], group, count: int 
         return 1.0
     uids = send_data(network, members[0], group, count=count, spacing=0.05)
     hits = 0
-    for uid in uids:
-        for member in receivers:
-            if sum(1 for d in network.host(member).delivered if d.uid == uid) == 1:
+    for member in receivers:
+        copies = delivered_copies(network, member)
+        for uid in uids:
+            if copies[uid] == 1:
                 hits += 1
     return hits / (len(uids) * len(receivers))
 
@@ -205,71 +213,71 @@ def run_scenario(
     from repro.chaos.scenarios import SCENARIOS, ChaosContext
 
     build_schedule = SCENARIOS[scenario]
-    network, members, cores = TOPOLOGIES[topology].build(seed)
-    domain, group = build_cbt_group(network, members, cores, timers=timers)
-    auditor = InvariantAuditor(
-        domain,
-        interval=audit_interval
-        if audit_interval is not None
-        else timers.pend_join_interval,
-    )
-    auditor.start()
-
-    delivery_before = _probe_delivery(network, members, group)
-
-    context = ChaosContext(
-        network=network,
-        domain=domain,
-        group=group,
-        members=members,
-        cores=cores,
-        seed=seed,
-        timers=timers,
-        start=network.scheduler.now + 1.0,
-    )
-    schedule = build_schedule(context)
-    schedule.apply(network)
-    control_before = domain.control_messages_sent()
-    faults_end = schedule.last_time
-
-    window = max(timers.echo_interval, timers.pend_join_interval * 2)
-    recovered = False
-    recovery_time = float("inf")
-    violations: List[str] = []
-    trace: List[str] = []
-    try:
-        network.run(until=faults_end + 1e-6)
-        recovered, recovery_time = run_to_quiescence(
-            network,
-            faults_end,
-            window,
-            activity=domain.events_total,
-            settled=lambda: not check_invariants(domain),
+    with cell(TOPOLOGIES[topology].build, seed) as (network, members, cores):
+        domain, group = build_cbt_group(network, members, cores, timers=timers)
+        auditor = InvariantAuditor(
+            domain,
+            interval=audit_interval
+            if audit_interval is not None
+            else timers.pend_join_interval,
         )
-    except InvariantViolation as violation:
-        violations = [str(f) for f in violation.findings]
-        trace = list(violation.trace)
-    control_cost = domain.control_messages_sent() - control_before
-    delivery_after = (
-        _probe_delivery(network, members, group) if recovered else 0.0
-    )
-    auditor.stop()
-    telemetry_snapshot = dict(network.telemetry.registry.snapshot())
-    return ScenarioResult(
-        scenario=scenario,
-        topology=topology,
-        seed=seed,
-        recovered=recovered,
-        recovery_time=recovery_time,
-        control_cost=control_cost,
-        delivery_before=delivery_before,
-        delivery_after=delivery_after,
-        faults=list(schedule.applied),
-        violations=violations,
-        trace=trace,
-        audit_checks=auditor.checks_run,
-        metrics=telemetry_snapshot,
-    )
+        auditor.start()
+
+        delivery_before = _probe_delivery(network, members, group)
+
+        context = ChaosContext(
+            network=network,
+            domain=domain,
+            group=group,
+            members=members,
+            cores=cores,
+            seed=seed,
+            timers=timers,
+            start=network.scheduler.now + 1.0,
+        )
+        schedule = build_schedule(context)
+        schedule.apply(network)
+        control_before = domain.control_messages_sent()
+        faults_end = schedule.last_time
+
+        window = max(timers.echo_interval, timers.pend_join_interval * 2)
+        recovered = False
+        recovery_time = float("inf")
+        violations: List[str] = []
+        trace: List[str] = []
+        try:
+            network.run(until=faults_end + 1e-6)
+            recovered, recovery_time = run_to_quiescence(
+                network,
+                faults_end,
+                window,
+                activity=domain.events_total,
+                settled=lambda: not check_invariants(domain),
+            )
+        except InvariantViolation as violation:
+            violations = [str(f) for f in violation.findings]
+            trace = list(violation.trace)
+        control_cost = domain.control_messages_sent() - control_before
+        delivery_after = (
+            _probe_delivery(network, members, group) if recovered else 0.0
+        )
+        auditor.stop()
+        telemetry_snapshot = dict(network.telemetry.registry.snapshot())
+        return ScenarioResult(
+            scenario=scenario,
+            topology=topology,
+            seed=seed,
+            recovered=recovered,
+            recovery_time=recovery_time,
+            control_cost=control_cost,
+            delivery_before=delivery_before,
+            delivery_after=delivery_after,
+            faults=list(schedule.applied),
+            violations=violations,
+            trace=trace,
+            audit_checks=auditor.checks_run,
+            metrics=telemetry_snapshot,
+        )
 
 
 def run_campaign(

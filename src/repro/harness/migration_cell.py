@@ -33,6 +33,7 @@ from repro.harness.campaign import (
     run_to_quiescence,
 )
 from repro.harness.scenarios import FAST_TIMERS, build_cbt_group
+from repro.netsim.engine import cell
 from repro.netsim.faults import derive_seed
 
 
@@ -130,84 +131,84 @@ def run_migration_cell(
     config: Optional[MigrationConfig] = None,
 ) -> MigrationCellResult:
     """Run one before/after migration measurement under the auditor."""
-    network, members, cores = TOPOLOGIES[topology].build(
-        derive_seed(seed, "migration", topology)
-    )
-    domain, group = build_cbt_group(network, members, cores, timers=timers)
-    graph = network_graph(network)
-    if config is None:
-        config = MigrationConfig(stretch_threshold=1.05)
-    coordinator = MigrationCoordinator(domain, group, config=config, graph=graph)
-    auditor = InvariantAuditor(domain, interval=timers.pend_join_interval)
-    auditor.start()
+    with cell(
+        TOPOLOGIES[topology].build, derive_seed(seed, "migration", topology)
+    ) as (network, members, cores):
+        domain, group = build_cbt_group(network, members, cores, timers=timers)
+        graph = network_graph(network)
+        if config is None:
+            config = MigrationConfig(stretch_threshold=1.05)
+        coordinator = MigrationCoordinator(domain, group, config=config, graph=graph)
+        auditor = InvariantAuditor(domain, interval=timers.pend_join_interval)
+        auditor.start()
 
-    quality_before = tree_quality(domain, graph, group, coordinator.member_routers())
-    delivery_before = _probe_delivery(network, members, group)
-    old_primary = (coordinator.core_routers() or [""])[0]
+        quality_before = tree_quality(domain, graph, group, coordinator.member_routers())
+        delivery_before = _probe_delivery(network, members, group)
+        old_primary = (coordinator.core_routers() or [""])[0]
 
-    # Deterministic churn: skew the membership away from the primary.
-    leave, join = _plan_churn(network, graph, list(members), old_primary, seed)
-    now = network.scheduler.now
-    for offset, host in enumerate(leave):
-        network.scheduler.call_at(
-            now + 0.1 + offset * 0.05, domain.leave_host, host, group
+        # Deterministic churn: skew the membership away from the primary.
+        leave, join = _plan_churn(network, graph, list(members), old_primary, seed)
+        now = network.scheduler.now
+        for offset, host in enumerate(leave):
+            network.scheduler.call_at(
+                now + 0.1 + offset * 0.05, domain.leave_host, host, group
+            )
+        for offset, host in enumerate(join):
+            network.scheduler.call_at(
+                now + 0.3 + offset * 0.05, domain.join_host, host, group
+            )
+        current_members = [m for m in members if m not in leave] + list(join)
+        network.run(until=now + 3.0)
+
+        # Drift-gated evaluation; force only if the threshold said "stay"
+        # (the cell must exercise a handover either way to measure it).
+        control_before = domain.control_messages_sent()
+        record = coordinator.check()
+        if record is None:
+            record = coordinator.evaluate(force=True)
+
+        # Run to quiescence under the auditor, campaign-style.
+        window = max(timers.echo_interval, timers.pend_join_interval * 2)
+        recovered = False
+        violations: List[str] = []
+
+        try:
+            recovered, _ = run_to_quiescence(
+                network,
+                network.scheduler.now,
+                window,
+                activity=domain.events_total,
+                settled=lambda: not check_invariants(domain),
+            )
+        except InvariantViolation as violation:
+            violations = [str(f) for f in violation.findings]
+
+        quality_after = tree_quality(domain, graph, group, coordinator.member_routers())
+        delivery_after = (
+            _probe_delivery(network, sorted(current_members), group) if recovered else 0.0
         )
-    for offset, host in enumerate(join):
-        network.scheduler.call_at(
-            now + 0.3 + offset * 0.05, domain.join_host, host, group
+        auditor.stop()
+        coordinator.stop()
+        new_primary = (coordinator.core_routers() or [""])[0]
+        migration_cost = (
+            record.control_cost
+            if record is not None and record.control_cost is not None
+            else domain.control_messages_sent() - control_before
         )
-    current_members = [m for m in members if m not in leave] + list(join)
-    network.run(until=now + 3.0)
-
-    # Drift-gated evaluation; force only if the threshold said "stay"
-    # (the cell must exercise a handover either way to measure it).
-    control_before = domain.control_messages_sent()
-    record = coordinator.check()
-    if record is None:
-        record = coordinator.evaluate(force=True)
-
-    # Run to quiescence under the auditor, campaign-style.
-    window = max(timers.echo_interval, timers.pend_join_interval * 2)
-    recovered = False
-    violations: List[str] = []
-
-    try:
-        recovered, _ = run_to_quiescence(
-            network,
-            network.scheduler.now,
-            window,
-            activity=domain.events_total,
-            settled=lambda: not check_invariants(domain),
+        return MigrationCellResult(
+            topology=topology,
+            seed=seed,
+            migrated=record is not None and record.completed,
+            recovered=recovered,
+            old_primary=old_primary,
+            new_primary=new_primary,
+            churn_left=tuple(leave),
+            churn_joined=tuple(join),
+            quality_before=quality_before,
+            quality_after=quality_after,
+            delivery_before=delivery_before,
+            delivery_after=delivery_after,
+            migration_control_cost=migration_cost,
+            violations=violations,
+            metrics=dict(network.telemetry.registry.snapshot()),
         )
-    except InvariantViolation as violation:
-        violations = [str(f) for f in violation.findings]
-
-    quality_after = tree_quality(domain, graph, group, coordinator.member_routers())
-    delivery_after = (
-        _probe_delivery(network, sorted(current_members), group) if recovered else 0.0
-    )
-    auditor.stop()
-    coordinator.stop()
-    new_primary = (coordinator.core_routers() or [""])[0]
-    migration_cost = (
-        record.control_cost
-        if record is not None and record.control_cost is not None
-        else domain.control_messages_sent() - control_before
-    )
-    return MigrationCellResult(
-        topology=topology,
-        seed=seed,
-        migrated=record is not None and record.completed,
-        recovered=recovered,
-        old_primary=old_primary,
-        new_primary=new_primary,
-        churn_left=tuple(leave),
-        churn_joined=tuple(join),
-        quality_before=quality_before,
-        quality_after=quality_after,
-        delivery_before=delivery_before,
-        delivery_after=delivery_after,
-        migration_control_cost=migration_cost,
-        violations=violations,
-        metrics=dict(network.telemetry.registry.snapshot()),
-    )

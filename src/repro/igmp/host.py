@@ -39,6 +39,7 @@ class IGMPHostAgent:
     def __init__(self, host) -> None:
         self.host = host
         host.register_handler(PROTO_IGMP, self)
+        host.scheduler.register(self)
         #: group -> ordered core list (None when the host only knows the group)
         self.memberships: Dict[IPv4Address, Optional[Tuple[IPv4Address, ...]]] = {}
         self._pending_responses: Dict[IPv4Address, Timer] = {}

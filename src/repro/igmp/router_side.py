@@ -143,6 +143,7 @@ class IGMPRouterAgent:
         self._c_losses = registry.counter(f"{prefix}.membership_losses")
         self._c_querier_transitions = registry.counter(f"{prefix}.querier_transitions")
         router.register_handler(PROTO_IGMP, self)
+        router.scheduler.register(self)
 
     # -- lifecycle -----------------------------------------------------------
 

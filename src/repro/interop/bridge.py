@@ -46,6 +46,7 @@ class MulticastBridge(Node):
         self.suppressed = 0
         self.register_handler(PROTO_IGMP, self._handle_igmp)
         self.register_default_handler(self._handle_data)
+        scheduler.register(self)
 
     # -- configuration ----------------------------------------------------
 

@@ -35,10 +35,18 @@ Performance notes (see docs/PERFORMANCE.md):
   n=1000 tens of thousands of deliveries and timers are in flight,
   and a closure is a function, a cell per variable and a tuple where
   an args tuple is one object.
-* ``run()`` pauses the cyclic collector and hands it back as found:
-  the loop leaves nothing unreachable (``tests/test_alloc_budget.py``)
-  and the pending population is middle-aged, the shape a generational
-  collector re-walks at a per-event cost no heap diet lowers.
+* ``run()`` pauses the cyclic collector and hands it back as found
+  (:class:`collector_paused`): the loop leaves nothing unreachable
+  (``tests/test_alloc_budget.py``) and the pending population is
+  middle-aged, the shape a generational collector re-walks at a
+  per-event cost no heap diet lowers.
+* A scheduler has an end.  :meth:`Scheduler.close` empties the queue
+  and makes every component that :attr:`Scheduler.register`-ed itself
+  let go of what it holds, so a finished simulation is freed by
+  refcount when it is dropped instead of being left for the collector
+  — which is what lets whole cells and builds run inside
+  :class:`collector_paused` too (docs/PERFORMANCE.md, "a network
+  closes").
 
 Choice-point hook layer (systematic exploration):
 
@@ -59,7 +67,8 @@ from __future__ import annotations
 import gc
 import heapq
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from contextlib import ContextDecorator, contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.telemetry import Telemetry
 
@@ -71,7 +80,57 @@ _INV_GRANULARITY = 1.0 / _WHEEL_GRANULARITY
 
 
 class SchedulerError(Exception):
-    """Raised on invalid scheduler operations (e.g. scheduling in the past)."""
+    """Raised on invalid scheduler operations (e.g. scheduling in the
+    past, or anything at all on a closed scheduler)."""
+
+
+class collector_paused(ContextDecorator):
+    """``with collector_paused():`` — the cyclic collector is off inside
+    the block and handed back *as found*, so blocks nest (a cell that
+    pauses calls ``Scheduler.run()``, which pauses) and the outermost
+    one is the one that switches it back on.  ``@collector_paused()``
+    on a function pauses each call of it.
+
+    The one pause in ``src/repro`` (``tests/test_hermetic_source.py``).
+    It is safe round code that leaves no unreachable cycles behind:
+    the event loop, a build, and a :func:`cell`.  Nothing is collected
+    on the way out — what the block allocated and still holds is
+    simply young again.
+    """
+
+    def _recreate_cm(self) -> "collector_paused":
+        return collector_paused()  # one per call: each remembers its own
+
+    def __enter__(self) -> None:
+        self._collecting = collecting = gc.isenabled()
+        if collecting:
+            gc.disable()
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._collecting:
+            gc.enable()
+
+
+@contextmanager
+def cell(build: Callable[..., Any], *args: Any, **kwargs: Any) -> Iterator[Any]:
+    """``with cell(build, *args) as world:`` — one simulation from
+    build to close.  ``build(*args, **kwargs)`` returns the network (anything
+    with ``close()``) or a tuple that starts with it; the block gets
+    what ``build`` returned, and the network is closed on the way out,
+    also when the block raises.  So nothing the cell built is left for
+    the cyclic collector, which is what makes it safe to run all of it
+    — the build included — with the collector paused.
+
+    The shape of every cell runner (``harness/``, ``workloads/cell``,
+    ``explore.run_schedule``, ``benchmarks/bench_scale``).
+    """
+    with collector_paused():
+        world = build(*args, **kwargs)
+        network = world[0] if isinstance(world, tuple) else world
+        try:
+            yield world
+        finally:
+            network.close()
 
 
 class Timer:
@@ -175,6 +234,66 @@ class Scheduler:
         #: the queue unchanged, so the resolver is asked again until
         #: the group drains (enumerating a full ordering).
         self.choice_hook: Optional[Callable[[float, List[Optional[Tuple]]], int]] = None
+        #: Components that end with this scheduler, and how they say
+        #: so: ``scheduler.register(component)`` — :meth:`close` empties
+        #: the component's attribute dict.  Anything that is handed the
+        #: scheduler and is referred back to by what it holds (a
+        #: protocol engine whose timers and tickers call its own
+        #: methods, an agent with listener callbacks, an auditor that
+        #: re-arms itself) registers from its constructor.  That is the
+        #: whole contract, so ``close`` needs to know no component
+        #: class; a closed component is an empty shell — any use of it
+        #: raises ``AttributeError`` — and must therefore be a plain
+        #: dict-backed object (no ``__slots__``:
+        #: ``tests/test_hermetic_source.py``).  (The bound
+        #: ``append``, not a method round it: a cell of sixteen routers
+        #: registers fifty components and lives for 800 events.)
+        self._components: List[Any] = []
+        self.register: Callable[[Any], None] = self._components.append
+        self._running = False
+        #: True once :meth:`close` has run.
+        self.closed = False
+
+    # -- lifetime ----------------------------------------------------------
+
+    def close(self) -> None:
+        """Stop for good and break every reference cycle through this
+        scheduler, so that whatever was built on it is freed by
+        refcount the moment it is dropped.
+
+        Pending events are dropped unfired and forget their callbacks
+        (a ticker and its arm refer to each other), registered
+        components are emptied, the tie-break hook and the telemetry
+        bundle are let go (the bundle's gauges read this object).  The
+        counters keep their last values: ``events_processed`` and the
+        registry gauges bound to this scheduler read after ``close()``
+        what they read before it.  Idempotent; scheduling or running
+        afterwards raises :class:`SchedulerError`.
+        """
+        if self.closed:
+            return
+        if self._running:
+            raise SchedulerError(
+                "close() called from inside a running callback; "
+                "close after run() has returned"
+            )
+        self.closed = True
+        for component in self._components:
+            component.__dict__ = {}
+        del self._components[:]
+        for _time, _seq, timer in itertools.chain(
+            self._queue, *self._wheel.values()
+        ):
+            timer.cancelled = True
+            timer.callback = None
+            timer.args = ()
+        self._queue.clear()
+        self._wheel.clear()
+        self._wheel_buckets.clear()
+        self._wheel_next_start = float("inf")
+        self._tagged.clear()
+        self.choice_hook = None
+        self.telemetry = None
 
     @property
     def now(self) -> float:
@@ -206,6 +325,8 @@ class Scheduler:
         resident memory the build's collections walk (docs/PERFORMANCE.md)."""
         if delay < 0:
             raise SchedulerError(f"cannot schedule {delay}s in the past")
+        if self.closed:
+            raise SchedulerError("cannot schedule: the scheduler is closed")
         return self._schedule(self._now + delay, callback, args, tag)
 
     def call_at(
@@ -220,6 +341,8 @@ class Scheduler:
             raise SchedulerError(
                 f"cannot schedule at t={time}; current time is t={self._now}"
             )
+        if self.closed:
+            raise SchedulerError("cannot schedule: the scheduler is closed")
         return self._schedule(time, callback, args, tag)
 
     def _schedule(
@@ -302,46 +425,47 @@ class Scheduler:
         build reference cycles per event keeps them until ``run``
         returns, so such a caller steps ``run(until=...)``.
         """
+        if self.closed:
+            raise SchedulerError("cannot run: the scheduler is closed")
         processed = 0
         heappop = heapq.heappop
         queue = self._queue
-        collecting = gc.isenabled()
-        gc.disable()
+        running, self._running = self._running, True
         try:
-            while True:
-                if not queue:
-                    if self._wheel_next_start == float("inf"):
+            with collector_paused():
+                while True:
+                    if not queue:
+                        if self._wheel_next_start == float("inf"):
+                            break
+                        self._flush_wheel(self._wheel_next_start)
+                        continue
+                    time, _seq, timer = queue[0]
+                    if time >= self._wheel_next_start:
+                        self._flush_wheel(time)
+                        continue
+                    if timer.cancelled:
+                        heappop(queue)
+                        continue
+                    if until is not None and time > until:
                         break
-                    self._flush_wheel(self._wheel_next_start)
-                    continue
-                time, _seq, timer = queue[0]
-                if time >= self._wheel_next_start:
-                    self._flush_wheel(time)
-                    continue
-                if timer.cancelled:
-                    heappop(queue)
-                    continue
-                if until is not None and time > until:
-                    break
-                if self.choice_hook is not None:
-                    timer = self._pop_tied(time)
-                else:
-                    heappop(queue)
-                timer.fired = True
-                self._pending -= 1
-                self._events_processed += 1
-                self._now = time
-                if timer.tag is not None:
-                    self._tagged.pop(timer, None)
-                timer.callback(*timer.args)
-                processed += 1
-                if processed >= max_events:
-                    raise SchedulerError(
-                        f"exceeded max_events={max_events}; likely a protocol loop"
-                    )
+                    if self.choice_hook is not None:
+                        timer = self._pop_tied(time)
+                    else:
+                        heappop(queue)
+                    timer.fired = True
+                    self._pending -= 1
+                    self._events_processed += 1
+                    self._now = time
+                    if timer.tag is not None:
+                        self._tagged.pop(timer, None)
+                    timer.callback(*timer.args)
+                    processed += 1
+                    if processed >= max_events:
+                        raise SchedulerError(
+                            f"exceeded max_events={max_events}; likely a protocol loop"
+                        )
         finally:
-            if collecting:
-                gc.enable()
+            self._running = running
         if until is not None and until > self._now:
             self._now = until
         return self._now

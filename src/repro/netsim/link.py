@@ -122,6 +122,20 @@ class Link:
         #: routing registers here to invalidate its caches.
         self._topology_observers: List[Callable[[], None]] = []
 
+    def close(self) -> None:
+        """``Network.close()``: detach every attached interface from
+        this link and from its node (the two back-references that tie
+        nodes, links and routes into cycles; a detached interface
+        refuses to send) and let go of the scheduler, the registry —
+        whose gauges read this link — and every installed hook.  The
+        wire statistics stay, so those gauges read what they read
+        before."""
+        for interface in self.interfaces:
+            interface.node = interface.link = None
+        self.scheduler = self._telemetry = self._registry = None
+        self.gate = self.loss = self.jitter = None
+        self._topology_observers = []
+
     def add_topology_observer(self, callback: Callable[[], None]) -> None:
         """Register ``callback`` to run on any topology-relevant change."""
         self._topology_observers.append(callback)

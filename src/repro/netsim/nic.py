@@ -10,6 +10,7 @@ from __future__ import annotations
 from ipaddress import IPv4Address, IPv4Network
 from typing import TYPE_CHECKING, Optional
 
+from repro.netsim.engine import SchedulerError
 from repro.telemetry import payload_label
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -47,8 +48,9 @@ class Interface:
         self._up = True
 
     def __repr__(self) -> str:
+        owner = self.node.name if self.node is not None else "(closed)"
         return (
-            f"Interface({self.node.name}#{self.vif} {self.address}/"
+            f"Interface({owner}#{self.vif} {self.address}/"
             f"{self.network.prefixlen} {self.mode})"
         )
 
@@ -88,6 +90,10 @@ class Interface:
         other interfaces on the link.
         """
         if self.link is None:
+            if self.node is None:
+                raise SchedulerError(
+                    f"cannot send from {self.address}: the network is closed"
+                )
             raise RuntimeError(f"{self!r} is not attached to a link")
         if not self._up:
             telemetry = self.node.scheduler.telemetry

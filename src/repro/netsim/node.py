@@ -58,6 +58,12 @@ class Node:
         link.attach(interface)
         return interface
 
+    def close(self) -> None:
+        """``Network.close()``: unhook the protocols, each of which
+        refers back to this node."""
+        self._handlers = {}
+        self._default_handler = None
+
     def interface_for_vif(self, vif: int) -> Interface:
         return self.interfaces[vif]
 

@@ -16,15 +16,15 @@ by ``recompute``/``path``/``distance``.  Invalidation is explicit and
 event-driven: ``add_router``/``add_link`` invalidate directly, and
 every known link carries a topology observer that invalidates on
 up/down flips, interface flips, and new attachments, so the caches can
-never serve a stale topology.  Cost overrides invalidate only the
-distance cache (adjacency is cost-independent).
+never serve a stale topology.  Cost overrides drop only what is
+derived from costs (adjacency is cost-independent).
 """
 
 from __future__ import annotations
 
 import heapq
 from ipaddress import IPv4Address
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.netsim.link import Link
 from repro.netsim.nic import Interface
@@ -162,23 +162,27 @@ class LinkStateRouting:
         #: per-destination resolvers over a shared reverse-SPF plan
         #: instead of a full per-router Dijkstra + table install.
         self.ondemand = False
-        # -- caches (None/empty = needs rebuild) --------------------------
-        self._adjacency: Optional[Dict[str, List[Tuple[str, Link]]]] = None
-        # adjacency with per-edge costs (overrides applied) baked in:
-        # router name -> [(neighbour name, cost, link)]
-        self._adjacency_costed: Optional[
-            Dict[str, List[Tuple[str, float, Link]]]
-        ] = None
-        self._routers_by_name: Optional[Dict[str, Router]] = None
-        self._routers_by_address: Optional[Dict[IPv4Address, Router]] = None
-        # router name -> {id(link) -> interface on that link}
-        self._iface_by_link: Optional[Dict[str, Dict[int, Interface]]] = None
-        # [(id(link), link, (int(net addr), prefixlen), [(router name, iface)])]
-        self._link_seq: Optional[
-            List[Tuple[int, Link, Tuple[int, int], List[Tuple[str, Interface]]]]
-        ] = None
-        # source router name -> full Dijkstra distance map
-        self._dist_cache: Dict[str, Dict[str, float]] = {}
+        #: Everything derived from the topology, by name — built on
+        #: first use, gone when the topology changes:
+        #: ``"adjacency"``  router name -> [(neighbour name, link)]
+        #: ``"costed"``     the same with per-edge costs (overrides
+        #:                  applied): name -> [(neighbour, cost, link)]
+        #: ``"by_name"`` / ``"by_address"``  the router maps
+        #: ``"iface_maps"`` (router name -> {id(link) -> interface},
+        #:                  [(id(link), link, (int(net addr), prefixlen),
+        #:                    [(router name, iface)])])
+        #: ``"dist"``       source router name -> Dijkstra distance map
+        self._derived: Dict[str, Any] = {}
+        #: Drop every topology-derived cache.  Called from
+        #: ``add_router`` / ``add_link`` and by every link (it is their
+        #: topology observer) on up/down and attachment changes; safe
+        #: and cheap to call by hand after out-of-band topology surgery.
+        #: The dict's own ``clear``, so what the links hold is the
+        #: caches and not this object: nothing in the topology refers
+        #: to its routing substrate, which therefore sits outside every
+        #: reference cycle and is finalised when its last holder lets
+        #: go (see :meth:`close`).
+        self.invalidate_topology: Callable[[], None] = self._derived.clear
         for link in self.links:
             link.add_topology_observer(self.invalidate_topology)
 
@@ -198,29 +202,42 @@ class LinkStateRouting:
         if cost <= 0:
             raise ValueError(f"cost must be positive, got {cost}")
         self._cost_overrides[(router.name, link.name)] = cost
-        self._adjacency_costed = None
-        self._dist_cache.clear()
+        self._forget_costs()
 
     def clear_overrides(self) -> None:
         self._cost_overrides.clear()
-        self._adjacency_costed = None
-        self._dist_cache.clear()
+        self._forget_costs()
 
-    def invalidate_topology(self) -> None:
-        """Drop every topology-derived cache.
+    def _forget_costs(self) -> None:
+        """Adjacency is cost-independent; what is derived from costs is not."""
+        self._derived.pop("costed", None)
+        self._derived.pop("dist", None)
 
-        Called automatically from ``add_router``/``add_link`` and from
-        link observers on up/down and attachment changes; safe (and
-        cheap) to call manually after out-of-band topology surgery.
+    def close(self) -> None:
+        """End the topology this object routes over: withdraw what
+        ``recompute`` installed in the routers' tables (providers and
+        resolvers hold the links and interfaces), detach every
+        interface from its link and its node (:meth:`Link.close`) and
+        forget the routers and links.  Those are the cycles that tie a
+        topology together, so what is left is freed by refcount.
+
+        ``Network.close()`` calls this, and so does ``__del__``: the
+        topology lives as long as its routing substrate does, so a
+        caller that keeps ``network.routing`` and drops the network
+        still has routers, links and tables to ``recompute`` over, and
+        the topology ends when that last reference goes.  Idempotent.
         """
-        self._adjacency = None
-        self._adjacency_costed = None
-        self._routers_by_name = None
-        self._routers_by_address = None
-        self._iface_by_link = None
-        self._link_seq = None
-        if self._dist_cache:
-            self._dist_cache.clear()
+        for router in self.routers:
+            router.table.clear()
+        for link in self.links:
+            link.close()
+        self.routers = []
+        self.links = []
+        self.invalidate_topology()
+
+    def __del__(self) -> None:
+        if "invalidate_topology" in self.__dict__:  # else the constructor raised
+            self.close()
 
     def _link_cost(self, router: Router, link: Link) -> float:
         return self._cost_overrides.get((router.name, link.name), link.cost)
@@ -228,35 +245,33 @@ class LinkStateRouting:
     # -- cached views --------------------------------------------------------
 
     def routers_by_name(self) -> Dict[str, Router]:
-        cached = self._routers_by_name
-        if cached is None:
-            cached = self._routers_by_name = {
-                router.name: router for router in self.routers
-            }
-        return cached
+        derived = self._derived
+        if "by_name" not in derived:
+            derived["by_name"] = {router.name: router for router in self.routers}
+        return derived["by_name"]
 
     def routers_by_address(self) -> Dict[IPv4Address, Router]:
-        cached = self._routers_by_address
-        if cached is None:
-            cached = self._routers_by_address = {
+        derived = self._derived
+        if "by_address" not in derived:
+            derived["by_address"] = {
                 interface.address: router
                 for router in self.routers
                 for interface in router.interfaces
             }
-        return cached
+        return derived["by_address"]
 
     def adjacency(self) -> Dict[str, List[Tuple[str, Link]]]:
-        cached = self._adjacency
-        if cached is None:
-            cached = self._adjacency = self._build_adjacency()
-        return cached
+        derived = self._derived
+        if "adjacency" not in derived:
+            derived["adjacency"] = self._build_adjacency()
+        return derived["adjacency"]
 
     def _costed_adjacency(self) -> Dict[str, List[Tuple[str, float, Link]]]:
         """Adjacency with per-edge costs (overrides applied) baked in."""
-        cached = self._adjacency_costed
-        if cached is None:
+        derived = self._derived
+        if "costed" not in derived:
             overrides = self._cost_overrides
-            cached = self._adjacency_costed = {
+            derived["costed"] = {
                 name: [
                     (
                         neighbour,
@@ -269,7 +284,7 @@ class LinkStateRouting:
                 ]
                 for name, edges in self.adjacency().items()
             }
-        return cached
+        return derived["costed"]
 
     def _iface_maps(
         self,
@@ -278,7 +293,8 @@ class LinkStateRouting:
         List[Tuple[int, Link, Tuple[int, int], List[Tuple[str, Interface]]]],
     ]:
         """Per-router {link -> interface} map and the link scan sequence."""
-        if self._iface_by_link is None or self._link_seq is None:
+        derived = self._derived
+        if "iface_maps" not in derived:
             by_link: Dict[str, Dict[int, Interface]] = {}
             router_names = set(self.routers_by_name())
             for router in self.routers:
@@ -304,9 +320,8 @@ class LinkStateRouting:
                         ],
                     )
                 )
-            self._iface_by_link = by_link
-            self._link_seq = link_seq
-        return self._iface_by_link, self._link_seq
+            derived["iface_maps"] = (by_link, link_seq)
+        return derived["iface_maps"]
 
     # -- computation ---------------------------------------------------------
 
@@ -382,8 +397,8 @@ class LinkStateRouting:
                         adjacency[a.node.name].append((b.node.name, link))
         return adjacency
 
+    @staticmethod
     def _dijkstra(
-        self,
         source: Router,
         adjacency: Dict[str, List[Tuple[str, float, Link]]],
         track_first_hop: bool = False,
@@ -421,18 +436,22 @@ class LinkStateRouting:
                     heappush(heap, (nd, neighbour))
         return dist, first_hop
 
+    @staticmethod
     def _compute_for(
-        self,
         source: Router,
         adjacency: Dict[str, List[Tuple[str, float, Link]]],
         iface_by_link: Dict[str, Dict[int, Interface]],
         link_seq: List[Tuple[int, Link, Tuple[int, int], List[Tuple[str, Interface]]]],
     ) -> None:
-        dist, first_hop = self._dijkstra(source, adjacency, track_first_hop=True)
-        self._install_routes(source, dist, first_hop, iface_by_link, link_seq)
+        dist, first_hop = LinkStateRouting._dijkstra(
+            source, adjacency, track_first_hop=True
+        )
+        LinkStateRouting._install_routes(
+            source, dist, first_hop, iface_by_link, link_seq
+        )
 
+    @staticmethod
     def _install_routes(
-        self,
         source: Router,
         dist: Dict[str, float],
         first_hop: Dict[str, Tuple[Link, str]],
@@ -520,8 +539,11 @@ class LinkStateRouting:
         """
         if src is dst or src.name == dst.name:
             return 0.0
-        dist = self._dist_cache.get(src.name)
+        derived = self._derived
+        if "dist" not in derived:
+            derived["dist"] = {}
+        dist = derived["dist"].get(src.name)
         if dist is None:
             dist, _ = self._dijkstra(src, self._costed_adjacency())
-            self._dist_cache[src.name] = dist
+            derived["dist"][src.name] = dist
         return dist.get(dst.name, float("inf"))

@@ -225,10 +225,10 @@ class RoutingTable:
         # sequence (populate, then clear) also ends with an empty table.
         self._provider = None
         self._resolver = None
-        self._routes.clear()
-        self._by_prefixlen.clear()
+        self._routes = {}
+        self._by_prefixlen = {}
         self._prefixlens = []
-        self._invalidate_memo()
+        self._lookup_cache = {}
 
     def lookup(self, destination: IPv4Address) -> Optional[Route]:
         """Best route for ``destination`` (longest prefix wins)."""
@@ -390,6 +390,10 @@ class Router(RoutedNode):
             Callable[["Router", Interface, IPDatagram], bool]
         ] = None
         self.forwarded_count = 0
+
+    def close(self) -> None:
+        super().close()
+        self.multicast_forwarder = self.unicast_interceptor = None
 
     def receive(self, interface: Interface, datagram: IPDatagram) -> None:
         self.rx_count += 1

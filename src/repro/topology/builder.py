@@ -39,6 +39,15 @@ class Network:
         net.converge()          # compute unicast routing
         ...schedule protocol actions...
         net.run()
+        ...read results...
+        net.close()             # or just drop it: ``__del__`` closes
+
+    A network has an end.  :meth:`close` breaks every reference cycle
+    the network owns (scheduler queue, protocol components, nodes,
+    interfaces, links, routing), so the whole simulation is freed by
+    refcount when the object is dropped rather than left for the cyclic
+    collector — which a process running hundreds of short simulations
+    would otherwise pay again and again.
     """
 
     def __init__(self, trace_enabled: bool = True) -> None:
@@ -143,6 +152,43 @@ class Network:
         return min(addresses) if addresses else None
 
     # -- lifecycle ---------------------------------------------------------
+
+    def close(self) -> None:
+        """End the simulation and break every reference cycle the
+        network owns, so it is freed by refcount when dropped.
+
+        The scheduler empties its queue and every component registered
+        with it (protocol engines, agents, tickers, auditors, probes)
+        lets go of what it holds; the nodes unhook their protocols; the
+        routing substrate ends the topology (interfaces, links and
+        tables let go of each other).  Afterwards scheduling, running
+        and sending raise :class:`~repro.netsim.engine.SchedulerError`;
+        ``scheduler.events_processed`` and ``telemetry.registry`` read
+        what they read before.  Idempotent.
+
+        A network that is simply dropped ends the same way, in two
+        steps that happen at the same instant when nothing else is
+        held: ``__del__`` ends the simulation, and the routing
+        substrate this object then releases ends the topology from its
+        own ``__del__``.  Both objects sit outside the cycles they own,
+        so neither waits for the collector — and a caller that kept
+        ``network.routing`` keeps a whole topology with it.
+        """
+        self._end_simulation()
+        self.routing.close()
+
+    def _end_simulation(self) -> None:
+        if self.scheduler.closed:
+            return
+        self.scheduler.close()
+        for node in self.routers.values():
+            node.close()
+        for node in self.hosts.values():
+            node.close()
+
+    def __del__(self) -> None:
+        if "routing" in self.__dict__:  # else the constructor raised
+            self._end_simulation()
 
     def converge(self) -> None:
         """(Re)compute unicast routing over the current topology."""

@@ -20,6 +20,7 @@ import math
 import random
 from typing import Dict, List, Optional, Tuple
 
+from repro.netsim.engine import collector_paused
 from repro.topology.builder import Network
 from repro.topology.graph import Graph
 
@@ -240,27 +241,33 @@ def realise(graph: Graph, with_hosts: bool = True) -> Network:
     the edge's cost and (scaled) delay.  With ``with_hosts``, every
     router also gets a stub LAN ``LAN_<node>`` carrying one host
     ``H_<node>`` so protocol workloads can join/send anywhere.
+
+    Built with the collector paused: everything allocated here is
+    reachable from the network returned, so a collection in here only
+    re-walks the half-built network (817 of them at n=1000) and frees
+    nothing.
     """
-    net = Network(trace_enabled=False)
-    for node in graph.nodes:
-        net.add_router(node)
-    for edge in graph.edges:
-        net.add_p2p(
-            f"L_{edge.u}_{edge.v}",
-            net.router(edge.u),
-            net.router(edge.v),
-            cost=edge.cost,
-            delay=max(edge.delay * DELAY_SCALE, 1e-6),
-        )
-    if with_hosts:
+    with collector_paused():
+        net = Network(trace_enabled=False)
         for node in graph.nodes:
-            subnet = net.add_subnet(f"LAN_{node}", [net.router(node)])
-            net.add_host(f"H_{node}", subnet)
-    if len(graph.nodes) >= BULK_TOPOLOGY_MIN:
-        # Bulk topologies: per-destination reverse-SPF resolution
-        # instead of a full Dijkstra + table install per router.
-        net.routing.ondemand = True
-    net.converge()
+            net.add_router(node)
+        for edge in graph.edges:
+            net.add_p2p(
+                f"L_{edge.u}_{edge.v}",
+                net.router(edge.u),
+                net.router(edge.v),
+                cost=edge.cost,
+                delay=max(edge.delay * DELAY_SCALE, 1e-6),
+            )
+        if with_hosts:
+            for node in graph.nodes:
+                subnet = net.add_subnet(f"LAN_{node}", [net.router(node)])
+                net.add_host(f"H_{node}", subnet)
+        if len(graph.nodes) >= BULK_TOPOLOGY_MIN:
+            # Bulk topologies: per-destination reverse-SPF resolution
+            # instead of a full Dijkstra + table install per router.
+            net.routing.ondemand = True
+        net.converge()
     return net
 
 

@@ -35,6 +35,7 @@ from repro.core.timers import CBTTimers
 from repro.harness.campaign import TOPOLOGIES, run_to_quiescence
 from repro.harness.scenarios import FAST_TIMERS, build_cbt_group, pick_members
 from repro.harness.workload import ChurnSchedule
+from repro.netsim.engine import cell
 from repro.netsim.faults import derive_seed
 from repro.telemetry.conservation import check_conservation
 from repro.workloads.flashcrowd import FlashCrowdConfig, generate_flash_crowd
@@ -227,117 +228,117 @@ def run_flash_crowd_cell(
 ) -> FlashCrowdCellResult:
     """One bootcast flash crowd under the full audit regime."""
     cell_seed = derive_seed(seed, "workload", "flash-crowd", topology)
-    network, pool, cores = _build_topology(topology, cell_seed)
-    n_clients = clients if clients is not None else (32 if quick else 160)
-    if n_clients + 1 > len(pool):
-        n_clients = len(pool) - 1
-    config = FlashCrowdConfig(
-        ramp=3.0 if quick else 8.0,
-        hold=5.0 if quick else 10.0,
-        segment_spacing=0.5,
-        seed=derive_seed(cell_seed, "crowd"),
-    )
-    picked = pick_members(
-        network, n_clients + 1, seed=derive_seed(cell_seed, "clients")
-    )
-    source, client_hosts = picked[0], picked[1:]
+    with cell(_build_topology, topology, cell_seed) as (network, pool, cores):
+        n_clients = clients if clients is not None else (32 if quick else 160)
+        if n_clients + 1 > len(pool):
+            n_clients = len(pool) - 1
+        config = FlashCrowdConfig(
+            ramp=3.0 if quick else 8.0,
+            hold=5.0 if quick else 10.0,
+            segment_spacing=0.5,
+            seed=derive_seed(cell_seed, "crowd"),
+        )
+        picked = pick_members(
+            network, n_clients + 1, seed=derive_seed(cell_seed, "clients")
+        )
+        source, client_hosts = picked[0], picked[1:]
 
-    domain, group = build_cbt_group(network, [], cores, timers=timers)
-    auditor = InvariantAuditor(domain, interval=timers.pend_join_interval)
-    auditor.start()
-    probe = QualityProbe(
-        domain, group, source_host=source, interval=probe_interval
-    )
-    probe.start()
+        domain, group = build_cbt_group(network, [], cores, timers=timers)
+        auditor = InvariantAuditor(domain, interval=timers.pend_join_interval)
+        auditor.start()
+        probe = QualityProbe(
+            domain, group, source_host=source, interval=probe_interval
+        )
+        probe.start()
 
-    start = network.scheduler.now + 0.5
-    crowd = generate_flash_crowd(client_hosts, config, start=start)
-    _schedule_membership(network, domain, group, crowd.schedule, probe)
-    sent: List[Tuple[float, int]] = []
-    sender = _make_segment_sender(network, source, group, sent, probe)
-    for at in crowd.segments:
-        network.scheduler.call_at(at, sender)
+        start = network.scheduler.now + 0.5
+        crowd = generate_flash_crowd(client_hosts, config, start=start)
+        _schedule_membership(network, domain, group, crowd.schedule, probe)
+        sent: List[Tuple[float, int]] = []
+        sender = _make_segment_sender(network, source, group, sent, probe)
+        for at in crowd.segments:
+            network.scheduler.call_at(at, sender)
 
-    snapshots: Dict[str, List[str]] = {}
-    violations: List[str] = []
-    recovered = False
-    try:
-        # Mid-burst snapshot: the conservation laws are valid at any
-        # instant (the invariant sweep is not — joins are in flight,
-        # and the always-on auditor already covers it with its grace
-        # window), so only they are checked here.
-        network.run(until=crowd.mid_burst_time)
-        snapshots["mid-burst"] = list(check_conservation(network, domain))
-        network.run(until=crowd.drain_time)
-        recovered, violations = _quiesce(network, domain, timers)
-        if recovered:
-            # Drain snapshot: quiesced, so the full sweep applies.
-            snapshots["drain"] = [
-                str(f) for f in check_invariants(domain)
-            ] + list(check_conservation(network, domain))
-    except InvariantViolation as violation:
-        violations = [str(f) for f in violation.findings]
-    probe.stop()
-    auditor.stop()
+        snapshots: Dict[str, List[str]] = {}
+        violations: List[str] = []
+        recovered = False
+        try:
+            # Mid-burst snapshot: the conservation laws are valid at any
+            # instant (the invariant sweep is not — joins are in flight,
+            # and the always-on auditor already covers it with its grace
+            # window), so only they are checked here.
+            network.run(until=crowd.mid_burst_time)
+            snapshots["mid-burst"] = list(check_conservation(network, domain))
+            network.run(until=crowd.drain_time)
+            recovered, violations = _quiesce(network, domain, timers)
+            if recovered:
+                # Drain snapshot: quiesced, so the full sweep applies.
+                snapshots["drain"] = [
+                    str(f) for f in check_invariants(domain)
+                ] + list(check_conservation(network, domain))
+        except InvariantViolation as violation:
+            violations = [str(f) for f in violation.findings]
+        probe.stop()
+        auditor.stop()
 
-    expected_pairs = delivered_pairs = duplicate_pairs = 0
-    missing: List[Tuple[str, float]] = []
-    for host, (arrival, leave) in sorted(crowd.sessions.items()):
-        counts = Counter(d.uid for d in network.host(host).delivered)
-        for sent_at, uid in sent:
-            copies = counts.get(uid, 0)
-            if copies > 1:
-                duplicate_pairs += 1
-            if arrival + JOIN_MARGIN <= sent_at <= leave - LEAVE_MARGIN:
-                expected_pairs += 1
-                if copies >= 1:
-                    delivered_pairs += 1
-                else:
-                    missing.append((host, round(sent_at, 6)))
+        expected_pairs = delivered_pairs = duplicate_pairs = 0
+        missing: List[Tuple[str, float]] = []
+        for host, (arrival, leave) in sorted(crowd.sessions.items()):
+            counts = Counter(d.uid for d in network.host(host).delivered)
+            for sent_at, uid in sent:
+                copies = counts.get(uid, 0)
+                if copies > 1:
+                    duplicate_pairs += 1
+                if arrival + JOIN_MARGIN <= sent_at <= leave - LEAVE_MARGIN:
+                    expected_pairs += 1
+                    if copies >= 1:
+                        delivered_pairs += 1
+                    else:
+                        missing.append((host, round(sent_at, 6)))
 
-    on_tree = len(domain.on_tree_routers(group))
-    drained = recovered and not probe.members and on_tree <= len(cores)
-    last = probe.samples[-1] if probe.samples else None
-    sim_events = network.scheduler.events_processed
-    result = FlashCrowdCellResult(
-        topology=topology,
-        seed=seed,
-        quick=quick,
-        clients=len(client_hosts),
-        source=source,
-        joins=crowd.schedule.joins,
-        leaves=crowd.schedule.leaves,
-        segments=len(sent),
-        expected_pairs=expected_pairs,
-        delivered_pairs=delivered_pairs,
-        duplicate_pairs=duplicate_pairs,
-        continuity=(
-            delivered_pairs / expected_pairs if expected_pairs else 1.0
-        ),
-        join_p50=last.join_p50 if last else 0.0,
-        join_p95=last.join_p95 if last else 0.0,
-        join_p99=last.join_p99 if last else 0.0,
-        control_cbt=domain.control_messages_sent(),
-        control_dvmrp_model=(
-            last.control_dvmrp_model if last else 0
-        ),
-        control_mospf_model=(
-            last.control_mospf_model if last else 0
-        ),
-        final_on_tree=on_tree,
-        cores=len(cores),
-        recovered=recovered,
-        drained=drained,
-        sim_events=sim_events,
-        snapshots=snapshots,
-        missing=missing,
-        violations=violations,
-        sample_fingerprints=tuple(s.fingerprint() for s in probe.samples),
-        metrics=_cell_metrics(
-            "flash-crowd", sim_events, expected_pairs, delivered_pairs
-        ),
-    )
-    return result
+        on_tree = len(domain.on_tree_routers(group))
+        drained = recovered and not probe.members and on_tree <= len(cores)
+        last = probe.samples[-1] if probe.samples else None
+        sim_events = network.scheduler.events_processed
+        result = FlashCrowdCellResult(
+            topology=topology,
+            seed=seed,
+            quick=quick,
+            clients=len(client_hosts),
+            source=source,
+            joins=crowd.schedule.joins,
+            leaves=crowd.schedule.leaves,
+            segments=len(sent),
+            expected_pairs=expected_pairs,
+            delivered_pairs=delivered_pairs,
+            duplicate_pairs=duplicate_pairs,
+            continuity=(
+                delivered_pairs / expected_pairs if expected_pairs else 1.0
+            ),
+            join_p50=last.join_p50 if last else 0.0,
+            join_p95=last.join_p95 if last else 0.0,
+            join_p99=last.join_p99 if last else 0.0,
+            control_cbt=domain.control_messages_sent(),
+            control_dvmrp_model=(
+                last.control_dvmrp_model if last else 0
+            ),
+            control_mospf_model=(
+                last.control_mospf_model if last else 0
+            ),
+            final_on_tree=on_tree,
+            cores=len(cores),
+            recovered=recovered,
+            drained=drained,
+            sim_events=sim_events,
+            snapshots=snapshots,
+            missing=missing,
+            violations=violations,
+            sample_fingerprints=tuple(s.fingerprint() for s in probe.samples),
+            metrics=_cell_metrics(
+                "flash-crowd", sim_events, expected_pairs, delivered_pairs
+            ),
+        )
+        return result
 
 
 @dataclass
@@ -405,74 +406,74 @@ def run_churn_cell(
             f"unknown churn process {process!r}; known: poisson, pareto"
         )
     cell_seed = derive_seed(seed, "workload", process, topology)
-    network, pool, cores = _build_topology(topology, cell_seed)
-    source, churners = pool[0], pool[1:]
-    duration = 30.0 if quick else 90.0
+    with cell(_build_topology, topology, cell_seed) as (network, pool, cores):
+        source, churners = pool[0], pool[1:]
+        duration = 30.0 if quick else 90.0
 
-    domain, group = build_cbt_group(network, [], cores, timers=timers)
-    auditor = InvariantAuditor(domain, interval=timers.pend_join_interval)
-    auditor.start()
-    probe = QualityProbe(
-        domain, group, source_host=source, interval=probe_interval
-    )
-    probe.start()
+        domain, group = build_cbt_group(network, [], cores, timers=timers)
+        auditor = InvariantAuditor(domain, interval=timers.pend_join_interval)
+        auditor.start()
+        probe = QualityProbe(
+            domain, group, source_host=source, interval=probe_interval
+        )
+        probe.start()
 
-    start = network.scheduler.now + 0.5
-    generate = poisson_churn if process == "poisson" else pareto_onoff_churn
-    schedule: ChurnSchedule = generate(
-        churners,
-        duration,
-        mean_off=6.0,
-        mean_hold=10.0,
-        seed=derive_seed(cell_seed, "schedule"),
-        start=start,
-    )
-    _schedule_membership(network, domain, group, schedule, probe)
-    sent: List[Tuple[float, int]] = []
-    sender = _make_segment_sender(network, source, group, sent, probe)
-    at = start
-    while at < start + duration:
-        network.scheduler.call_at(at, sender)
-        at += 2.0
+        start = network.scheduler.now + 0.5
+        generate = poisson_churn if process == "poisson" else pareto_onoff_churn
+        schedule: ChurnSchedule = generate(
+            churners,
+            duration,
+            mean_off=6.0,
+            mean_hold=10.0,
+            seed=derive_seed(cell_seed, "schedule"),
+            start=start,
+        )
+        _schedule_membership(network, domain, group, schedule, probe)
+        sent: List[Tuple[float, int]] = []
+        sender = _make_segment_sender(network, source, group, sent, probe)
+        at = start
+        while at < start + duration:
+            network.scheduler.call_at(at, sender)
+            at += 2.0
 
-    violations: List[str] = []
-    recovered = False
-    final_findings: List[str] = []
-    try:
-        network.run(until=start + duration)
-        recovered, violations = _quiesce(network, domain, timers)
-        if recovered:
-            final_findings = [
-                str(f) for f in check_invariants(domain)
-            ] + list(check_conservation(network, domain))
-    except InvariantViolation as violation:
-        violations = [str(f) for f in violation.findings]
-    probe.stop()
-    auditor.stop()
+        violations: List[str] = []
+        recovered = False
+        final_findings: List[str] = []
+        try:
+            network.run(until=start + duration)
+            recovered, violations = _quiesce(network, domain, timers)
+            if recovered:
+                final_findings = [
+                    str(f) for f in check_invariants(domain)
+                ] + list(check_conservation(network, domain))
+        except InvariantViolation as violation:
+            violations = [str(f) for f in violation.findings]
+        probe.stop()
+        auditor.stop()
 
-    last = probe.samples[-1] if probe.samples else None
-    sim_events = network.scheduler.events_processed
-    return ChurnCellResult(
-        topology=topology,
-        process=process,
-        seed=seed,
-        quick=quick,
-        hosts=len(churners),
-        joins=schedule.joins,
-        leaves=schedule.leaves,
-        control_cbt=domain.control_messages_sent(),
-        control_dvmrp_model=last.control_dvmrp_model if last else 0,
-        control_mospf_model=last.control_mospf_model if last else 0,
-        join_p95=last.join_p95 if last else 0.0,
-        recovered=recovered,
-        sim_events=sim_events,
-        final_findings=final_findings,
-        violations=violations,
-        sample_fingerprints=tuple(s.fingerprint() for s in probe.samples),
-        metrics=_cell_metrics(
-            process, sim_events, schedule.joins, schedule.leaves
-        ),
-    )
+        last = probe.samples[-1] if probe.samples else None
+        sim_events = network.scheduler.events_processed
+        return ChurnCellResult(
+            topology=topology,
+            process=process,
+            seed=seed,
+            quick=quick,
+            hosts=len(churners),
+            joins=schedule.joins,
+            leaves=schedule.leaves,
+            control_cbt=domain.control_messages_sent(),
+            control_dvmrp_model=last.control_dvmrp_model if last else 0,
+            control_mospf_model=last.control_mospf_model if last else 0,
+            join_p95=last.join_p95 if last else 0.0,
+            recovered=recovered,
+            sim_events=sim_events,
+            final_findings=final_findings,
+            violations=violations,
+            sample_fingerprints=tuple(s.fingerprint() for s in probe.samples),
+            metrics=_cell_metrics(
+                process, sim_events, schedule.joins, schedule.leaves
+            ),
+        )
 
 
 def _cell_metrics(kind: str, sim_events: int, a: int, b: int) -> Dict[str, float]:

@@ -138,6 +138,7 @@ class QualityProbe:
         self._n_routers = len(network.routers)
         self._timer = None
         self._stopped = False
+        network.scheduler.register(self)
         # host -> serving router (lowest-named router on the host LAN).
         self._host_router: Dict[str, Optional[str]] = {}
         for host_name in sorted(network.hosts):

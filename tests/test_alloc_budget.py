@@ -22,16 +22,26 @@ held to the size of the tree rather than of the domain.
 """
 
 import collections
+import contextlib
 import gc
 import sys
 import types
+import weakref
 
 import pytest
 
-from repro.core.audit import check_invariants
+from repro.chaos.scenarios import SCENARIOS as CHAOS_SCENARIOS
+from repro.core import audit
+from repro.core.audit import Finding, InvariantAuditor, check_invariants
 from repro.core.bootstrap import CBTDomain
 from repro.core.forwarding import DataPlane
 from repro.core.legacy import LegacyDRExtension, LegacyHostAgent
+from repro.explore import explore, get_scenario, scenario_options
+from repro.explore.engine import run_schedule
+from repro.explore.scenarios import SCENARIOS as EXPLORE_SCENARIOS
+from repro.harness.baseline_cell import run_baseline_compare_cell
+from repro.harness.campaign import TOPOLOGIES, run_scenario
+from repro.harness.migration_cell import run_migration_cell
 from repro.harness.scenarios import (
     FAST_IGMP,
     FAST_TIMERS,
@@ -47,6 +57,7 @@ from repro.netsim.link import Link
 from repro.telemetry.conservation import check_conservation
 from repro.topology.figures import FIGURE1_MEMBERS, build_figure1
 from repro.topology.generators import waxman_network
+from repro.workloads.cell import run_churn_cell, run_flash_crowd_cell
 from repro.workloads.probe import QualityProbe
 from tests.test_wire_format import make_wire_domain
 
@@ -180,8 +191,8 @@ def test_tracked_objects_per_link_under_ceiling(world):
 
 # -- the loop runs with the collector paused: it must leave it no work ----------
 #
-# Each leg builds its world, then returns the callable that drives it;
-# only the drive is held to "no cyclic garbage".
+# Each leg builds its world, then returns the network and the callable
+# that drives it; only the drive is held to "no cyclic garbage".
 
 
 def _run_for(net, seconds):
@@ -227,7 +238,7 @@ def _cbt_leg(net, domain):
         _run_for(net, 6.0)
         assert "quit" in kinds() and domain.on_tree_routers(group)
 
-    return drive
+    return net, drive
 
 
 def cbt_n120():
@@ -254,7 +265,7 @@ def dvmrp_prune_graft():
         domain.leave_host("H_N9", group)
         _run_for(net, 5.0)
 
-    return drive
+    return net, drive
 
 
 def hpimdm_election():
@@ -273,7 +284,7 @@ def hpimdm_election():
         _run_for(net, 12.0)
         assert domain.election_findings() == []
 
-    return drive
+    return net, drive
 
 
 def legacy_join_path():
@@ -297,10 +308,10 @@ def legacy_join_path():
         _run_for(net, 8.0)
         assert all(agent.is_complete(group) for agent in agents.values())
 
-    return drive
+    return net, drive
 
 
-@pytest.mark.parametrize(
+LEGS = pytest.mark.parametrize(
     "leg",
     [
         cbt_n120,
@@ -311,21 +322,176 @@ def legacy_join_path():
     ],
     ids=lambda leg: leg.__name__,
 )
-def test_event_loop_makes_no_cyclic_garbage(leg):
-    drive = leg()
+
+
+@contextlib.contextmanager
+def collector_off():
+    """The collector disabled for the block; yields the function that
+    ends it with one full ``DEBUG_SAVEALL`` collection and returns the
+    census of what that found unreachable (empty: nothing)."""
     flags = gc.get_debug()
     gc.collect()
     gc.disable()
-    try:
-        drive()
+
+    def census():
         gc.set_debug(gc.DEBUG_SAVEALL)
-        unreachable = gc.collect()
-        census = collections.Counter(type(obj).__name__ for obj in gc.garbage)
-        assert unreachable == 0, census.most_common(12)
+        gc.collect()
+        return dict(
+            collections.Counter(type(obj).__name__ for obj in gc.garbage)
+        )
+
+    try:
+        yield census
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
         gc.enable()
+
+
+@LEGS
+def test_event_loop_makes_no_cyclic_garbage(leg):
+    _net, drive = leg()
+    with collector_off() as census:
+        drive()
+        assert census() == {}
+
+
+# -- a network ends: closed or dropped, it leaves the collector no work --------
+#
+# ``Network.close()`` breaks every cycle the network owns, so a finished
+# network is freed by refcount; that is what lets cells and builds run
+# with the collector paused.  No allow-list: zero objects, every leg,
+# every cell runner.
+
+
+@LEGS
+def test_closed_network_leaves_nothing_for_the_collector(leg):
+    with collector_off() as census:
+        net, drive = leg()
+        drive()
+        net.close()
+        del net, drive
+        assert census() == {}
+
+
+def _explore(name):
+    scenario = get_scenario(name)
+    return lambda: run_schedule(
+        scenario, (), scenario_options(scenario, max_decisions=3)
+    )
+
+
+CELL_RUNNERS = {
+    "chaos_core_crash_waxman16": lambda: run_scenario(
+        "core_crash", topology="waxman16", seed=3
+    ),
+    "baseline_compare": lambda: run_baseline_compare_cell(
+        "router_crash", topology="figure1", seed=1
+    ),
+    "migration": lambda: run_migration_cell("figure1", seed=0),
+    # Every explorer scenario: a whole search runs as one paused cell of
+    # cells, so a cycle any one world left would pile up for max_runs.
+    **{f"explore_{name}": _explore(name) for name in EXPLORE_SCENARIOS},
+    # A whole search (6 runs).
+    "explore_search_quit_race": lambda: explore(
+        get_scenario("quit-race"),
+        scenario_options(get_scenario("quit-race"), max_decisions=2),
+    ),
+    "flash_crowd_quick": lambda: run_flash_crowd_cell(
+        "waxman16", seed=1, quick=True
+    ),
+    "churn_quick": lambda: run_churn_cell(
+        "poisson", "waxman16", seed=1, quick=True
+    ),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(CELL_RUNNERS))
+def test_cell_runner_leaves_nothing_for_the_collector(runner):
+    with collector_off() as census:
+        result = CELL_RUNNERS[runner]()
+        assert census() == {}
+    if runner == "chaos_core_crash_waxman16":
+        # The cell that stands for the rest did inject faults, under
+        # the auditor, and came back.
+        assert result.faults and result.audit_checks > 0 and result.recovered
+
+
+def test_dropped_network_frees_itself():
+    """No ``close()`` call: the ``Network`` object sits outside the
+    cycles it owns, so dropping it runs ``__del__`` -> ``close()`` at
+    that instant, with the collector off."""
+    with collector_off() as census:
+        net, members, cores = TOPOLOGIES["waxman16"].build(3)
+        domain, group = build_cbt_group(net, members, cores)
+        send_data(net, members[0], group, count=2)
+        watched = [
+            weakref.ref(obj)
+            for obj in (
+                net,
+                net.router("N0"),
+                net.link("LAN_N0"),
+                domain.protocol("N0"),
+                net.scheduler,
+            )
+        ]
+        del net, domain
+        assert [ref() for ref in watched] == [None] * len(watched)
+        assert census() == {}
+
+
+@pytest.mark.parametrize("world", ["figure1_cell", "started_domain_120"])
+def test_counters_read_the_same_after_close(world):
+    if world == "figure1_cell":
+        net = build_figure1()
+        domain, group = build_cbt_group(net, FIGURE1_MEMBERS, ["R4", "R9"])
+        send_data(net, "A", group, count=2)
+        auditor = InvariantAuditor(domain, interval=0.5)
+        auditor.start()
+        net.fail_link("L_R3_R4")
+        net.run(until=net.scheduler.now + 5.0)
+    else:
+        net, domain = started_domain(120)
+    events = net.scheduler.events_processed
+    snapshot = net.telemetry.registry.snapshot()
+    assert events > 0 and snapshot["netsim.scheduler.pending_events"] > 0
+    net.close()
+    assert net.scheduler.events_processed == events
+    assert net.telemetry.registry.snapshot() == snapshot
+
+
+def test_cell_whose_auditor_trips_still_closes_and_hands_the_collector_back(
+    monkeypatch,
+):
+    finding = Finding("error", "R1", None, "forced for the test")
+    monkeypatch.setattr(audit, "check_invariants", lambda domain, now=None: [finding])
+    built = []
+    build = TOPOLOGIES["figure1"].build
+    monkeypatch.setattr(
+        TOPOLOGIES["figure1"],
+        "build",
+        lambda seed: built.append(build(seed)) or built[-1],
+    )
+    cell = run_scenario("link_flap", topology="figure1", seed=1)
+    assert cell.violations == [str(finding)]
+    (net, _members, _cores), = built
+    assert net.scheduler.closed
+    assert gc.isenabled()
+
+
+def test_cell_that_raises_still_closes_and_hands_the_collector_back(monkeypatch):
+    built = []
+    build = TOPOLOGIES["figure1"].build
+    monkeypatch.setattr(
+        TOPOLOGIES["figure1"],
+        "build",
+        lambda seed: built.append(build(seed)) or built[-1],
+    )
+    monkeypatch.setitem(CHAOS_SCENARIOS, "link_flap", lambda context: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        run_scenario("link_flap", topology="figure1", seed=1)
+    assert built[0][0].scheduler.closed
+    assert gc.isenabled()
 
 
 def test_no_collection_starts_inside_run():

@@ -468,6 +468,102 @@ class TestCollectorHandBack:
         assert gc.isenabled()
 
 
+class TestClose:
+    """A scheduler has an end: ``close()`` drops what is pending,
+    empties the components registered with it, keeps its counters, and
+    refuses work afterwards — typed and loudly, never silently."""
+
+    def test_scheduling_and_running_on_a_closed_scheduler_raise(self):
+        sched = Scheduler()
+        sched.close()
+        assert sched.closed
+        for refused in (
+            lambda: sched.call_later(1.0, print),
+            lambda: sched.call_at(1.0, print),
+            sched.run,
+            sched.run_until_idle,
+        ):
+            with pytest.raises(SchedulerError, match="closed"):
+                refused()
+
+    def test_pending_events_are_dropped_unfired_and_forget_their_callback(self):
+        sched = Scheduler()
+        fired = []
+        near = sched.call_later(0.1, fired.append, "near")  # heap resident
+        far = sched.call_later(60.0, fired.append, "far")  # parked in the wheel
+        sched.close()
+        assert fired == []
+        for timer in (near, far):
+            assert not timer.pending
+            assert timer.callback is None and timer.args == ()
+        assert sched._queue == [] and sched._wheel == {}
+
+    def test_counters_read_the_same_after_close(self):
+        sched = Scheduler()
+        registry = sched.telemetry.registry
+        sched.call_later(1.0, lambda: None)
+        sched.call_later(2.0, lambda: None).cancel()
+        sched.call_later(90.0, lambda: None)
+        sched.run(until=5.0)
+        before = (sched.events_processed, sched.pending_events, sched.now)
+        snapshot = registry.snapshot()
+        assert snapshot["netsim.scheduler.pending_events"] == 1
+        sched.close()
+        assert (sched.events_processed, sched.pending_events, sched.now) == before
+        assert registry.snapshot() == snapshot
+
+    def test_registered_components_are_emptied(self):
+        class Component:
+            def __init__(self, sched):
+                self.sched = sched
+                self.timer = sched.call_later(1.0, self.tick)
+                sched.register(self)
+
+            def tick(self):
+                pass
+
+        sched = Scheduler()
+        component = Component(sched)
+        sched.close()
+        assert vars(component) == {}
+
+    def test_second_close_is_a_noop(self):
+        sched = Scheduler()
+        sched.close()
+        sched.close()
+        assert sched.closed
+
+    def test_close_from_inside_a_running_callback_raises(self):
+        sched = Scheduler()
+        later = []
+        sched.call_later(1.0, sched.close)
+        sched.call_later(2.0, later.append, "still pending")
+        with pytest.raises(SchedulerError, match="running callback"):
+            sched.run_until_idle()
+        # The heap was not pulled out from under ``run()``: the
+        # scheduler is intact and finishes when asked again.
+        assert not sched.closed
+        sched.run_until_idle()
+        assert later == ["still pending"]
+        sched.close()
+
+    def test_a_closed_ticker_chain_is_freed_by_refcount(self):
+        sched = Scheduler()
+        ticker = PeriodicTimer(sched, 1.0, lambda: None)
+        ticker.start()
+        sched.run(until=3.5)
+        # ticker -> its arm -> the bound ``_tick`` -> ticker: a cycle
+        # until ``close()`` makes the pending arm forget its callback.
+        gone = weakref.ref(ticker)
+        gc.disable()
+        try:
+            sched.close()
+            del ticker
+            assert gone() is None
+        finally:
+            gc.enable()
+
+
 # -- the fast path against a slow reference -----------------------------------
 
 

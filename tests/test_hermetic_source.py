@@ -151,6 +151,82 @@ def test_scheduled_callbacks_are_not_closures():
     assert found == set()
 
 
+# -- what registers with the scheduler can be emptied ---------------------------
+#
+# ``Scheduler.close()`` ends a registered component by clearing its
+# ``__dict__``.  A class with ``__slots__`` has none: ``close()`` would
+# raise on it — and a ``close()`` reached through ``__del__`` would only
+# print that.  Refused here instead, where the class is written.
+
+
+def _slotted_registrants(path):
+    rel = path.relative_to(SRC).as_posix()
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        registers = any(
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "register"
+            and [getattr(arg, "id", None) for arg in call.args] == ["self"]
+            for call in ast.walk(node)
+        )
+        slotted = any(
+            isinstance(stmt, ast.Assign)
+            and any(getattr(target, "id", None) == "__slots__" for target in stmt.targets)
+            for stmt in node.body
+        )
+        if registers and slotted:
+            found.add(f"{rel}: {node.name}")
+    return found
+
+
+def test_no_registered_component_has_slots():
+    found = set().union(
+        *(_slotted_registrants(path) for path in sorted(SRC.rglob("*.py")))
+    )
+    assert found == set()
+
+
+# -- the collector is paused by one mechanism -----------------------------------
+#
+# ``repro.netsim.engine.collector_paused`` is the only thing in
+# ``src/repro`` that touches the cyclic collector: it pauses, and hands
+# back as found.  A second ``gc.disable()`` somewhere else would be a
+# pause nothing hands back; a ``gc.collect()`` / ``freeze()`` /
+# ``set_threshold()`` would be a tuning knob standing in for a network
+# that was not closed (docs/PERFORMANCE.md, "a network closes").
+
+_COLLECTOR_CALLS = {"disable", "enable", "freeze", "set_threshold", "collect"}
+
+
+def _collector_calls(path):
+    rel = path.relative_to(SRC).as_posix()
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module == "gc":
+            found.update(f"{rel}: from gc import {a.name}" for a in node.names)
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in _COLLECTOR_CALLS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "gc"
+        ):
+            found.add(f"{rel}: gc.{node.attr}")
+    return found
+
+
+def test_only_the_engine_touches_the_collector():
+    found = set().union(
+        *(_collector_calls(path) for path in sorted(SRC.rglob("*.py")))
+    )
+    assert found == {
+        "netsim/engine.py: gc.disable",
+        "netsim/engine.py: gc.enable",
+    }
+
+
 # -- telemetry has one mode -----------------------------------------------------
 #
 # The protocol's own statistics are registry counters, so "telemetry

@@ -254,3 +254,32 @@ class TestRebaseline:
         assert self.stored(baselines)["fake_ops_per_sec"] == 5.0
         assert main(["--rebaseline", "--only", "fake", "--quick"]) == 0
         assert self.stored(baselines)["fake_ops_per_sec"] == 1000.0
+
+
+class TestE2EKernels:
+    """``benchmarks/e2e/kernels.py`` is frozen source that nothing in
+    tier 1 runs; a kernel whose world emptied itself would go on
+    reporting a (very good) number."""
+
+    def test_spf_kernel_recomputes_over_a_whole_topology(self, monkeypatch):
+        """It keeps ``waxman_network(120).routing`` and drops the
+        network: the topology has to outlive the ``Network`` object."""
+        from benchmarks.e2e import kernels
+        from repro.routing.linkstate import LinkStateRouting
+
+        seen = []
+        recompute = LinkStateRouting.recompute
+
+        def spy(routing):
+            recompute(routing)
+            seen.append((len(routing.routers), len(routing.links)))
+
+        def once(batch, seconds=0.0):
+            batch()
+            return 1.0
+
+        monkeypatch.setattr(LinkStateRouting, "recompute", spy)
+        monkeypatch.setattr(kernels, "_best", once)
+        kernels.spf_recompute()
+        (routers, links), = set(seen)
+        assert routers == 120 and links > routers
