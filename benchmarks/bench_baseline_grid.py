@@ -126,9 +126,7 @@ def steady_state_row(protocol: str) -> tuple:
 
 def recovery_rows(scenario: str) -> list:
     result = run_baseline_compare_cell(scenario, "figure1", seed=0)
-    assert result.ok, [
-        (o.protocol, o.recovered, o.findings) for o in result.outcomes
-    ]
+    assert result.clean, result.findings()
     return [
         (
             scenario,

@@ -35,7 +35,7 @@ def migration_run(topology: str) -> tuple:
         round(cell.quality_after.get("concentration_max", 0.0), 3),
         f"{cell.delivery_before:.2f}/{cell.delivery_after:.2f}",
         cell.migration_control_cost,
-        cell.clean and cell.migrated,
+        cell.clean,
     )
 
 

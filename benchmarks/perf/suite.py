@@ -397,8 +397,7 @@ def bench_chaos(quick: bool) -> Dict[str, Metric]:
         raise AssertionError(
             "chaos campaign failed: "
             + "; ".join(
-                f"{r.topology}/{r.scenario} seed={r.seed} "
-                f"(recovered={r.recovered}, violations={len(r.violations)})"
+                f"{r.topology}/{r.scenario} seed={r.seed} {r.findings()}"
                 for r in failures
             )
         )
@@ -558,21 +557,14 @@ def bench_workloads(quick: bool) -> Dict[str, Metric]:
     flash = run_flash_crowd_cell(topology="bulk1000", seed=17, quick=quick)
     flash_wall = time.perf_counter() - t0
     if not flash.clean:
-        raise AssertionError(
-            f"flash-crowd cell not clean: drained={flash.drained} "
-            f"missing={len(flash.missing)} dups={flash.duplicate_pairs} "
-            f"violations={flash.violations[:3]}"
-        )
+        raise AssertionError(f"flash-crowd cell not clean: {flash.findings()[:5]}")
     churn_events = 0
     t0 = time.perf_counter()
     for process in ("poisson", "pareto"):
         churn = run_churn_cell(process, topology="waxman16", seed=17, quick=quick)
         if not churn.clean:
             raise AssertionError(
-                f"{process} churn cell not clean: "
-                f"recovered={churn.recovered} "
-                f"violations={churn.violations[:3]} "
-                f"findings={churn.final_findings[:3]}"
+                f"{process} churn cell not clean: {churn.findings()[:5]}"
             )
         churn_events += churn.sim_events
     churn_wall = time.perf_counter() - t0

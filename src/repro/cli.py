@@ -331,10 +331,8 @@ def cmd_workload(args: argparse.Namespace) -> int:
     print(control)
     for name, findings in sorted(getattr(result, "snapshots", {}).items()):
         print(f"snapshot {name}: {'clean' if not findings else 'FINDINGS'}")
-        for line in findings[:10]:
-            print(f"  {line}")
-    for line in result.violations[:10]:
-        print(f"violation: {line}")
+    for line in result.findings():
+        print(f"  {line}")
     print("clean" if result.clean else "NOT CLEAN")
     return 0 if result.clean else 1
 
@@ -450,7 +448,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             return 2
 
     def progress(result) -> None:
-        status = "ok" if result.recovered and not result.violations else "FAIL"
+        status = "ok" if result.clean else "FAIL"
         print(
             f"  {result.topology:10s} {result.scenario:14s} seed={result.seed}  {status}"
         )
@@ -813,6 +811,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.workloads.cell import WORKLOADS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Core Based Trees (CBT) multicast reproduction toolkit",
@@ -964,7 +964,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     workload.add_argument(
         "workload",
-        choices=["flash-crowd", "poisson", "pareto"],
+        choices=WORKLOADS,
         help="flash-crowd: bootcast burst; poisson/pareto: session churn",
     )
     workload.add_argument(

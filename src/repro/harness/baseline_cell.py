@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.core.audit import check_invariants
 from repro.core.timers import CBTTimers
 from repro.harness.campaign import (
     TOPOLOGIES,
+    CellResult,
     _probe_delivery,
     run_to_quiescence,
 )
@@ -109,8 +110,10 @@ class ProtocolOutcome:
 
 
 @dataclass
-class BaselineCompareResult:
+class BaselineCompareResult(CellResult):
     """One (scenario, topology, seed) comparison across all protocols."""
+
+    ci_name = "baseline"
 
     scenario: str
     topology: str
@@ -122,9 +125,24 @@ class BaselineCompareResult:
     faults: List[Tuple[float, str]] = field(default_factory=list)
     outcomes: List[ProtocolOutcome] = field(default_factory=list)
 
+    def findings(self) -> List[str]:
+        """Why this cell is not clean: one line per protocol leg that
+        did not recover or ended with findings (empty when clean)."""
+        return [
+            f"{o.protocol}: recovered={o.recovered} " + "; ".join(o.findings[:5])
+            for o in self.outcomes
+            if not o.recovered or o.findings
+        ]
+
     @property
-    def ok(self) -> bool:
-        return all(o.recovered and not o.findings for o in self.outcomes)
+    def telemetry(self) -> Dict[str, float]:
+        """Per protocol leg: control cost, and recovery time if any."""
+        metrics: Dict[str, float] = {}
+        for o in self.outcomes:
+            if o.recovered:
+                metrics[f"ci.baseline.{o.protocol}.recovery_time"] = o.recovery_time
+            metrics[f"ci.baseline.{o.protocol}.control_cost"] = o.control_cost
+        return metrics
 
     def outcome(self, protocol: str) -> ProtocolOutcome:
         for outcome in self.outcomes:
@@ -194,7 +212,6 @@ def run_baseline_compare_cell(
             f"choose from {', '.join(BASELINE_SCENARIOS)}"
         )
     build_schedule = SCENARIOS[scenario]
-    window = max(timers.echo_interval, timers.pend_join_interval * 2)
 
     # -- CBT leg: derives the schedule everyone else replays ----------
     with cell(TOPOLOGIES[topology].build, seed) as (network, members, cores):
@@ -220,7 +237,7 @@ def run_baseline_compare_cell(
         recovered, recovery_time = run_to_quiescence(
             network,
             schedule.last_time,
-            window,
+            timers,
             activity=domain.events_total,
             settled=lambda: not check_invariants(domain),
         )
@@ -256,7 +273,6 @@ def run_baseline_compare_cell(
                 topology,
                 seed,
                 timers,
-                window,
                 schedule,
                 base,
                 digest,
@@ -271,7 +287,6 @@ def _run_comparator_leg(
     topology: str,
     seed: int,
     timers: CBTTimers,
-    window: float,
     schedule: FaultSchedule,
     base: float,
     digest: str,
@@ -317,7 +332,7 @@ def _run_comparator_leg(
         control_start = domain.control_messages()
         network.run(until=replayed.last_time + 1e-6)
         recovered, recovery_time = run_to_quiescence(
-            network, replayed.last_time, window, activity=activity, settled=settled
+            network, replayed.last_time, timers, activity=activity, settled=settled
         )
         return ProtocolOutcome(
             protocol=protocol_name,
@@ -332,22 +347,3 @@ def _run_comparator_leg(
             routers_with_state=domain.routers_with_state(),
             findings=findings(),
         )
-
-
-    def run_baseline_comparison(
-        scenarios: Optional[Tuple[str, ...]] = None,
-        topologies: Tuple[str, ...] = ("figure1",),
-        seeds: Tuple[int, ...] = (0,),
-        timers: CBTTimers = FAST_TIMERS,
-    ) -> List[BaselineCompareResult]:
-        """Sweep comparison cells deterministically (campaign ordering)."""
-        cells: List[BaselineCompareResult] = []
-        for topology in topologies:
-            for scenario in scenarios or BASELINE_SCENARIOS:
-                for seed in seeds:
-                    cells.append(
-                        run_baseline_compare_cell(
-                            scenario, topology=topology, seed=seed, timers=timers
-                        )
-                    )
-        return cells

@@ -52,18 +52,21 @@ MAX_WINDOWS = 40
 def run_to_quiescence(
     network: Network,
     since: float,
-    window: float,
+    timers: CBTTimers,
     activity: Callable[[], int],
     settled: Callable[[], bool],
 ) -> Tuple[bool, float]:
     """The one quiescence loop every cell runner and protocol leg uses.
 
-    Runs ``network`` in fixed ``window`` steps until ``activity()``
-    stays flat and ``settled()`` holds for :data:`QUIET_WINDOWS`
-    consecutive windows.  Returns ``(recovered, recovery_time)``:
-    sim seconds from ``since`` to the start of the quiet windows, or
-    ``(False, inf)`` after :data:`MAX_WINDOWS`.
+    Runs ``network`` in fixed windows — the longer of one ECHO interval
+    and two pending-join retransmits under ``timers`` — until
+    ``activity()`` stays flat and ``settled()`` holds for
+    :data:`QUIET_WINDOWS` consecutive windows.  Returns
+    ``(recovered, recovery_time)``: sim seconds from ``since`` to the
+    start of the quiet windows, or ``(False, inf)`` after
+    :data:`MAX_WINDOWS`.
     """
+    window = max(timers.echo_interval, timers.pend_join_interval * 2)
     quiet = 0
     last = activity()
     for _ in range(MAX_WINDOWS):
@@ -126,9 +129,42 @@ TOPOLOGIES: Dict[str, Topology] = {
 }
 
 
+class CellResult:
+    """What a cell's result states about itself — all the CI layer
+    reads: ``fingerprint()`` (its deterministic identity), ``findings()``
+    (why it is not clean; empty when it is) and ``metrics`` (its own
+    ``telemetry`` plus ``ci.<ci_name>.cells`` and ``.clean``)."""
+
+    ci_name = ""
+
+    def findings(self) -> List[str]:
+        raise NotImplementedError
+
+    @property
+    def clean(self) -> bool:
+        return not self.findings()
+
+    @property
+    def metrics(self) -> Dict[str, float]:
+        return {
+            **self.telemetry,
+            f"ci.{self.ci_name}.cells": 1,
+            f"ci.{self.ci_name}.clean": int(self.clean),
+        }
+
+    def _audit_findings(self, state: str, settled: bool) -> List[str]:
+        """The ``state`` line unless ``settled``, then one line per
+        auditor violation (ten at most)."""
+        return ([] if settled else [state]) + [
+            f"violation: {line}" for line in self.violations[:10]
+        ]
+
+
 @dataclass
-class ScenarioResult:
+class ScenarioResult(CellResult):
     """Outcome of one (scenario, seed, topology) campaign cell."""
+
+    ci_name = "chaos"
 
     scenario: str
     topology: str
@@ -151,9 +187,11 @@ class ScenarioResult:
     trace: List[str] = field(default_factory=list)
     audit_checks: int = 0
     #: End-of-run telemetry snapshot (deterministic for a deterministic
-    #: cell).  Excluded from :meth:`fingerprint`; the parallel CI layer
-    #: folds these with :meth:`MetricsRegistry.merge`.
-    metrics: Dict[str, float] = field(default_factory=dict)
+    #: cell).  Excluded from :meth:`fingerprint`.
+    telemetry: Dict[str, float] = field(default_factory=dict)
+
+    def findings(self) -> List[str]:
+        return self._audit_findings("recovered=False", self.recovered)
 
     def fingerprint(self) -> Tuple:
         """Deterministic identity of the run (no wall-clock anywhere)."""
@@ -177,13 +215,13 @@ class CampaignResult:
 
     @property
     def ok(self) -> bool:
-        return all(r.recovered and not r.violations for r in self.results)
+        return not self.failures()
 
     def fingerprint(self) -> Tuple:
         return tuple(r.fingerprint() for r in self.results)
 
     def failures(self) -> List[ScenarioResult]:
-        return [r for r in self.results if not r.recovered or r.violations]
+        return [r for r in self.results if not r.clean]
 
 
 def _probe_delivery(network: Network, members: Sequence[str], group, count: int = 2) -> float:
@@ -240,7 +278,6 @@ def run_scenario(
         control_before = domain.control_messages_sent()
         faults_end = schedule.last_time
 
-        window = max(timers.echo_interval, timers.pend_join_interval * 2)
         recovered = False
         recovery_time = float("inf")
         violations: List[str] = []
@@ -250,7 +287,7 @@ def run_scenario(
             recovered, recovery_time = run_to_quiescence(
                 network,
                 faults_end,
-                window,
+                timers,
                 activity=domain.events_total,
                 settled=lambda: not check_invariants(domain),
             )
@@ -262,7 +299,6 @@ def run_scenario(
             _probe_delivery(network, members, group) if recovered else 0.0
         )
         auditor.stop()
-        telemetry_snapshot = dict(network.telemetry.registry.snapshot())
         return ScenarioResult(
             scenario=scenario,
             topology=topology,
@@ -276,7 +312,7 @@ def run_scenario(
             violations=violations,
             trace=trace,
             audit_checks=auditor.checks_run,
-            metrics=telemetry_snapshot,
+            telemetry=dict(network.telemetry.registry.snapshot()),
         )
 
 

@@ -29,6 +29,7 @@ from repro.core.migration import (
 from repro.core.timers import CBTTimers
 from repro.harness.campaign import (
     TOPOLOGIES,
+    CellResult,
     _probe_delivery,
     run_to_quiescence,
 )
@@ -38,8 +39,10 @@ from repro.netsim.faults import derive_seed
 
 
 @dataclass
-class MigrationCellResult:
+class MigrationCellResult(CellResult):
     """Outcome of one migration experiment cell."""
+
+    ci_name = "migration"
 
     topology: str
     seed: int
@@ -57,11 +60,15 @@ class MigrationCellResult:
     #: CBT control messages spent on the handover itself.
     migration_control_cost: int = 0
     violations: List[str] = field(default_factory=list)
-    metrics: Dict[str, float] = field(default_factory=dict)
+    #: End-of-run telemetry snapshot; excluded from :meth:`fingerprint`.
+    telemetry: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def clean(self) -> bool:
-        return self.recovered and not self.violations
+    def findings(self) -> List[str]:
+        """A cell that did not complete its handover is not clean."""
+        return self._audit_findings(
+            f"migrated={self.migrated} recovered={self.recovered}",
+            self.migrated and self.recovered,
+        )
 
     def fingerprint(self) -> Tuple:
         """Deterministic identity (no wall-clock, rounded floats)."""
@@ -168,7 +175,6 @@ def run_migration_cell(
             record = coordinator.evaluate(force=True)
 
         # Run to quiescence under the auditor, campaign-style.
-        window = max(timers.echo_interval, timers.pend_join_interval * 2)
         recovered = False
         violations: List[str] = []
 
@@ -176,7 +182,7 @@ def run_migration_cell(
             recovered, _ = run_to_quiescence(
                 network,
                 network.scheduler.now,
-                window,
+                timers,
                 activity=domain.events_total,
                 settled=lambda: not check_invariants(domain),
             )
@@ -210,5 +216,5 @@ def run_migration_cell(
             delivery_after=delivery_after,
             migration_control_cost=migration_cost,
             violations=violations,
-            metrics=dict(network.telemetry.registry.snapshot()),
+            telemetry=dict(network.telemetry.registry.snapshot()),
         )

@@ -3,7 +3,7 @@
 The repository's heavy workloads — chaos, comparator, migration and
 workload cells, explorer cells and frontier shards, perf-benchmark
 modules, and pytest test groups — are all *independent deterministic
-work units* (one executor per kind in :data:`EXECUTORS`): each derives
+work units* (one row per kind in :data:`UNIT_KINDS`): each derives
 every bit of randomness from its own pinned seed (via
 :func:`repro.netsim.faults.derive_seed`), touches no shared state, and
 produces a machine-checkable result; no unit is a part of a simulation.
@@ -41,6 +41,7 @@ The tier catalogue and the ``repro-ci-report/1`` document live in
 from __future__ import annotations
 
 import hashlib
+import importlib
 import os
 import subprocess
 import sys
@@ -48,7 +49,8 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 #: Repository root (src/repro/harness/parallel.py -> up four levels).
 REPO_ROOT = os.path.dirname(
@@ -56,24 +58,6 @@ REPO_ROOT = os.path.dirname(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     )
 )
-
-#: Default per-unit timeouts (wall seconds), by unit kind.  Generous:
-#: the timeout is a hang detector, not a perf gate (perf gates compare
-#: sim-time and paired-ratio quantities only — see docs/PERFORMANCE.md).
-DEFAULT_TIMEOUTS: Dict[str, float] = {
-    "chaos": 120.0,
-    "baseline-compare": 600.0,
-    "explore": 600.0,
-    "explore-frontier": 900.0,
-    "explore-deep": 900.0,
-    "migration": 300.0,
-    "workload": 900.0,
-    "bench": 1800.0,
-    "pytest": 1800.0,
-    "lint": 600.0,
-    "coverage": 2400.0,
-    "selftest": 60.0,
-}
 
 #: Statuses that count as success for gating purposes.
 OK_STATUSES = ("ok", "skipped")
@@ -104,14 +88,17 @@ class WorkUnit:
         timeout: Optional[float] = None,
         retries: int = 1,
     ) -> "WorkUnit":
-        items = tuple(sorted((params or {}).items()))
+        """A unit of a :data:`UNIT_KINDS` kind (``ValueError`` for any
+        other), timed out at the kind's default unless ``timeout``."""
+        if kind not in UNIT_KINDS:
+            raise ValueError(
+                f"unknown unit kind {kind!r}; known: {', '.join(UNIT_KINDS)}"
+            )
         return cls(
             kind=kind,
             unit_id=unit_id,
-            params=items,
-            timeout=timeout
-            if timeout is not None
-            else DEFAULT_TIMEOUTS.get(kind, 600.0),
+            params=tuple(sorted((params or {}).items())),
+            timeout=UNIT_KINDS[kind].timeout if timeout is None else timeout,
             retries=retries,
         )
 
@@ -192,151 +179,52 @@ def _subprocess_env() -> Dict[str, str]:
     return env
 
 
-def _execute_chaos(params: Dict[str, object]) -> Dict[str, object]:
-    from repro.harness.campaign import run_scenario
-
-    result = run_scenario(
-        str(params["scenario"]),
-        topology=str(params["topology"]),
-        seed=int(params["seed"]),
-    )
-    ok = result.recovered and not result.violations
-    detail = [] if ok else (
-        [f"recovered={result.recovered}"]
-        + [f"violation: {line}" for line in result.violations[:10]]
-    )
-    metrics = dict(result.metrics)
-    metrics["ci.chaos.cells"] = 1
-    metrics["ci.chaos.recovered"] = 1 if result.recovered else 0
+def _execute_cell(
+    kind: str, runner: str, params: Dict[str, object]
+) -> Dict[str, object]:
+    """Any simulation cell: ``runner`` (a dotted ``module.function``,
+    imported here because ``baseline_cell`` imports this module) is
+    called with the unit's params and returns a result that states its
+    own verdict — ``findings()`` (empty when clean), ``fingerprint()``
+    and the ``metrics`` it reports."""
+    module, name = runner.rsplit(".", 1)
+    params.pop("attempt", None)
+    result = getattr(importlib.import_module(module), name)(**params)
+    findings = result.findings()
     return {
-        "status": "ok" if ok else "failed",
-        "fingerprint": stable_digest("chaos", result.fingerprint()),
-        "detail": detail,
-        "metrics": metrics,
+        "status": "failed" if findings else "ok",
+        "fingerprint": stable_digest(kind, result.fingerprint()),
+        "detail": findings,
+        "metrics": result.metrics,
     }
 
 
-def _execute_baseline_compare(params: Dict[str, object]) -> Dict[str, object]:
-    """One CBT-vs-DVMRP-vs-HPIM-DM cell under an identical fault
-    schedule (see ``repro.harness.baseline_cell``).  The fingerprint
-    covers the shared schedule digest and every protocol's outcome
-    tuple, so the workers=1 vs workers=8 byte-identity audit also
-    proves the three legs replayed the very same faults."""
-    from repro.harness.baseline_cell import run_baseline_compare_cell
-
-    result = run_baseline_compare_cell(
-        str(params["scenario"]),
-        topology=str(params["topology"]),
-        seed=int(params["seed"]),
-    )
-    detail = [] if result.ok else [
-        f"{o.protocol}: recovered={o.recovered} "
-        + "; ".join(o.findings[:5])
-        for o in result.outcomes
-        if not o.recovered or o.findings
-    ]
-    metrics: Dict[str, float] = {
-        "ci.baseline.cells": 1,
-        "ci.baseline.clean": 1 if result.ok else 0,
-    }
-    for outcome in result.outcomes:
-        if outcome.recovered:
-            metrics[f"ci.baseline.{outcome.protocol}.recovery_time"] = (
-                outcome.recovery_time
-            )
-        metrics[f"ci.baseline.{outcome.protocol}.control_cost"] = (
-            outcome.control_cost
-        )
-    return {
-        "status": "ok" if result.ok else "failed",
-        "fingerprint": stable_digest("baseline-compare", result.fingerprint()),
-        "detail": detail,
-        "metrics": metrics,
-    }
-
-
-def _execute_migration(params: Dict[str, object]) -> Dict[str, object]:
-    from repro.harness.migration_cell import run_migration_cell
-
-    result = run_migration_cell(
-        topology=str(params["topology"]), seed=int(params["seed"])
-    )
-    ok = result.clean and result.migrated
-    detail = [] if ok else (
-        [f"migrated={result.migrated} recovered={result.recovered}"]
-        + [f"violation: {line}" for line in result.violations[:10]]
-    )
-    metrics = dict(result.metrics)
-    metrics["ci.migration.cells"] = 1
-    metrics["ci.migration.clean"] = 1 if result.clean else 0
-    return {
-        "status": "ok" if ok else "failed",
-        "fingerprint": stable_digest("migration", result.fingerprint()),
-        "detail": detail,
-        "metrics": metrics,
-    }
-
-
-def _execute_workload(params: Dict[str, object]) -> Dict[str, object]:
-    from repro.workloads.cell import run_workload_cell
-
-    result = run_workload_cell(
-        str(params["workload"]),
-        topology=str(params["topology"]),
-        seed=int(params["seed"]),
-        quick=bool(params.get("quick", True)),
-    )
-    ok = result.clean
-    detail = [] if ok else (
-        [f"recovered={result.recovered}"]
-        + [f"violation: {line}" for line in result.violations[:10]]
-        + [
-            f"finding: {line}"
-            for lines in getattr(result, "snapshots", {}).values()
-            for line in lines[:5]
-        ]
-        + [
-            f"finding: {line}"
-            for line in getattr(result, "final_findings", [])[:5]
-        ]
-        + [
-            f"missed segment: {host} @ t={at}"
-            for host, at in getattr(result, "missing", [])[:10]
-        ]
-    )
-    metrics = dict(result.metrics)
-    metrics["ci.workload.cells"] = 1
-    metrics["ci.workload.clean"] = 1 if result.clean else 0
-    return {
-        "status": "ok" if ok else "failed",
-        "fingerprint": stable_digest("workload", result.fingerprint()),
-        "detail": detail,
-        "metrics": metrics,
-    }
-
-
-def _execute_explore(params: Dict[str, object]) -> Dict[str, object]:
-    from repro.explore.engine import explore
+def _explore_options(params: Dict[str, object], **extra: object):
+    """The ``(scenario, options)`` an explore unit's params name."""
     from repro.explore.scenarios import get_scenario, scenario_options
 
     scenario = get_scenario(str(params["scenario"]))
-    options = scenario_options(
+    return scenario, scenario_options(
         scenario,
         max_decisions=int(params["depth"]),
         max_alternatives=int(params.get("max_alternatives", 4)),
         drop_budget=int(params.get("drop_budget", 1)),
+        **extra,
     )
+
+
+def _execute_explore(params: Dict[str, object]) -> Dict[str, object]:
+    from repro.explore.engine import explore
+
+    scenario, options = _explore_options(params)
     result = explore(scenario, options)
-    detail: List[str] = []
-    status = "ok"
     if result.counterexample is not None:
-        status = "failed"
-        detail.append(
-            "counterexample: " + result.counterexample.summary()
-        )
+        detail = ["counterexample: " + result.counterexample.summary()]
     elif not result.exhausted:
-        status = "failed"
-        detail.append("exploration did not exhaust its bounded space")
+        detail = ["exploration did not exhaust its bounded space"]
+    else:
+        detail = []
+    status = "failed" if detail else "ok"
     stats = result.stats
     return {
         "status": status,
@@ -371,16 +259,8 @@ def _execute_explore_frontier(params: Dict[str, object]) -> Dict[str, object]:
     that is byte-identical for any worker count.
     """
     from repro.explore.engine import explore_frontier_shard
-    from repro.explore.scenarios import get_scenario, scenario_options
 
-    scenario = get_scenario(str(params["scenario"]))
-    options = scenario_options(
-        scenario,
-        max_decisions=int(params["depth"]),
-        max_alternatives=int(params.get("max_alternatives", 4)),
-        drop_budget=int(params.get("drop_budget", 1)),
-        deepening=False,
-    )
+    scenario, options = _explore_options(params, deepening=False)
     seed = params.get("seed")
     shard = explore_frontier_shard(
         scenario,
@@ -389,14 +269,10 @@ def _execute_explore_frontier(params: Dict[str, object]) -> Dict[str, object]:
         shard_count=int(params["shard_count"]),
         seed=int(seed) if seed is not None else None,
     )
-    detail: List[str] = []
-    status = "ok"
-    for counterexample in shard.counterexamples:
-        status = "failed"
-        detail.append("counterexample: " + counterexample.summary())
+    detail = ["counterexample: " + c.summary() for c in shard.counterexamples]
     if not shard.exhausted:
-        status = "failed"
         detail.append("shard did not exhaust its bounded subtree slice")
+    status = "failed" if detail else "ok"
     schedules = tuple(
         tuple(c.schedule) for c in shard.counterexamples
     )
@@ -458,11 +334,8 @@ def _execute_explore_deep(params: Dict[str, object]) -> Dict[str, object]:
         limit=int(params.get("limit", 64)),
         seed=int(params.get("seed", 0)),
     )
-    detail: List[str] = []
-    status = "ok"
-    for counterexample in result.counterexamples:
-        status = "failed"
-        detail.append("counterexample: " + counterexample.summary())
+    detail = ["counterexample: " + c.summary() for c in result.counterexamples]
+    status = "failed" if detail else "ok"
     stats = result.stats
     schedules = tuple(
         (c.predicate, tuple(c.schedule)) for c in result.counterexamples
@@ -521,9 +394,8 @@ def _execute_bench(params: Dict[str, object]) -> Dict[str, object]:
     quick = bool(params.get("quick", True))
     output_dir = params.get("output_dir")
     output_dir = str(output_dir) if output_dir else None
-    fn = BENCHMARKS[name]
     try:
-        metrics = fn(quick)
+        metrics = BENCHMARKS[name](quick)
     except AssertionError as exc:
         return {
             "status": "failed",
@@ -563,13 +435,11 @@ def _execute_pytest(params: Dict[str, object]) -> Dict[str, object]:
         text=True,
     )
     ok = proc.returncode == 0
-    tail = proc.stdout.strip().splitlines()[-20:]
+    status = "ok" if ok else "failed"
     return {
-        "status": "ok" if ok else "failed",
-        "fingerprint": stable_digest(
-            "pytest", tuple(paths), "ok" if ok else "failed"
-        ),
-        "detail": [] if ok else tail,
+        "status": status,
+        "fingerprint": stable_digest("pytest", tuple(paths), status),
+        "detail": [] if ok else proc.stdout.strip().splitlines()[-20:],
         "metrics": {
             "ci.pytest.groups": 1,
             "ci.pytest.failed_groups": 0 if ok else 1,
@@ -655,9 +525,8 @@ def _execute_coverage(params: Dict[str, object]) -> Dict[str, object]:
             data = _json.load(fh)
     finally:
         os.unlink(json_path)
-        for leftover in (env["COVERAGE_FILE"],):
-            if os.path.exists(leftover):
-                os.unlink(leftover)
+        if os.path.exists(env["COVERAGE_FILE"]):
+            os.unlink(env["COVERAGE_FILE"])
     detail: List[str] = []
     metrics: Dict[str, float] = {}
     status = "ok"
@@ -711,35 +580,48 @@ def _execute_selftest(params: Dict[str, object]) -> Dict[str, object]:
     }
 
 
-EXECUTORS: Dict[str, Callable[[Dict[str, object]], Dict[str, object]]] = {
-    "chaos": _execute_chaos,
-    "baseline-compare": _execute_baseline_compare,
-    "migration": _execute_migration,
-    "workload": _execute_workload,
-    "explore": _execute_explore,
-    "explore-frontier": _execute_explore_frontier,
-    "explore-deep": _execute_explore_deep,
-    "bench": _execute_bench,
-    "pytest": _execute_pytest,
-    "lint": _execute_lint,
-    "coverage": _execute_coverage,
-    "selftest": _execute_selftest,
+class UnitKind(NamedTuple):
+    """One row of :data:`UNIT_KINDS`."""
+
+    execute: Callable[[Dict[str, object]], Dict[str, object]]
+    #: Default wall-clock timeout (s).  Generous: a hang detector, not
+    #: a perf gate (perf gates compare sim-time and paired-ratio
+    #: quantities only — see docs/PERFORMANCE.md).
+    timeout: float
+
+
+def _cell(kind: str, runner: str, timeout: float) -> UnitKind:
+    return UnitKind(partial(_execute_cell, kind, runner), timeout)
+
+
+#: Every unit kind: what runs it and how long it may take.
+UNIT_KINDS: Dict[str, UnitKind] = {
+    "chaos": _cell("chaos", "repro.harness.campaign.run_scenario", 120.0),
+    "baseline-compare": _cell(
+        "baseline-compare",
+        "repro.harness.baseline_cell.run_baseline_compare_cell",
+        600.0,
+    ),
+    "migration": _cell(
+        "migration", "repro.harness.migration_cell.run_migration_cell", 300.0
+    ),
+    "workload": _cell("workload", "repro.workloads.cell.run_workload_cell", 900.0),
+    "explore": UnitKind(_execute_explore, 600.0),
+    "explore-frontier": UnitKind(_execute_explore_frontier, 900.0),
+    "explore-deep": UnitKind(_execute_explore_deep, 900.0),
+    "bench": UnitKind(_execute_bench, 1800.0),
+    "pytest": UnitKind(_execute_pytest, 1800.0),
+    "lint": UnitKind(_execute_lint, 600.0),
+    "coverage": UnitKind(_execute_coverage, 2400.0),
+    "selftest": UnitKind(_execute_selftest, 60.0),
 }
 
 
 def execute_unit(unit_dict: Dict[str, object]) -> Dict[str, object]:
     """Dispatch one unit; exceptions are contained as ``error``."""
     kind = str(unit_dict["kind"])
-    executor = EXECUTORS.get(kind)
-    if executor is None:
-        return {
-            "status": "error",
-            "fingerprint": stable_digest("unknown-kind", kind),
-            "detail": [f"unknown unit kind {kind!r}"],
-            "metrics": {},
-        }
     try:
-        return executor(dict(unit_dict.get("params", {})))
+        return UNIT_KINDS[kind].execute(dict(unit_dict.get("params", {})))
     except Exception:
         return {
             "status": "error",

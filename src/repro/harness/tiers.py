@@ -118,19 +118,14 @@ def _chaos_units(seed: int, reps: Dict[str, int]) -> List[WorkUnit]:
 
 
 def _chaos_quick_units(seed: int) -> List[WorkUnit]:
+    """The first ``figure1`` cell of each quick scenario."""
     from repro.chaos.scenarios import QUICK_SCENARIOS
 
     return [
-        WorkUnit.make(
-            "chaos",
-            f"chaos/figure1/{scenario}/0",
-            {
-                "topology": "figure1",
-                "scenario": scenario,
-                "seed": derive_seed(seed, "chaos", "figure1", scenario, 0),
-            },
-        )
-        for scenario in sorted(QUICK_SCENARIOS)
+        unit
+        for unit in _chaos_units(seed, {})
+        if unit.param_dict["topology"] == "figure1"
+        and unit.param_dict["scenario"] in QUICK_SCENARIOS
     ]
 
 
@@ -321,30 +316,20 @@ def _pytest_units(tag: str, groups: Sequence[Sequence[str]]) -> List[WorkUnit]:
     ]
 
 
-def _lint_unit() -> WorkUnit:
-    return WorkUnit.make("lint", "lint", {})
-
-
-def _coverage_unit() -> WorkUnit:
-    return WorkUnit.make("coverage", "coverage", {})
-
-
 def build_tier(
     tier: str, seed: int = 0, bench_dir: Optional[str] = None
 ) -> List[WorkUnit]:
     """Construct the unit list for a named tier (sorted by unit_id)."""
     if tier == "lint":
-        units = [_lint_unit()]
+        units = [WorkUnit.make("lint", "lint", {})]
     elif tier == "smoke":
         units = (
             _chaos_quick_units(seed)
             + _baseline_compare_units(seed, quick=True)
             + [
-                WorkUnit.make(
-                    "explore",
-                    "explore/joins-race/d4",
-                    {"scenario": "joins-race", "depth": 4, "drop_budget": 1},
-                )
+                unit
+                for unit in _explore_units(depth=4)
+                if unit.unit_id == "explore/joins-race/d4"
             ]
             + _pytest_units("smoke", [list(SMOKE_PYTEST_FILES)])
         )
@@ -358,24 +343,21 @@ def build_tier(
     elif tier == "explore":
         units = _explore_units(depth=4)
     elif tier == "tier1":
-        units = _pytest_units("tier1", pytest_groups()) + [_coverage_unit()]
+        units = _pytest_units("tier1", pytest_groups()) + [
+            WorkUnit.make("coverage", "coverage", {})
+        ]
     elif tier == "bench":
         units = _bench_units(quick=True, bench_dir=bench_dir)
     elif tier == "full":
-        units = (
-            [_lint_unit()]
-            + _chaos_units(seed, {"figure1": 3, "grid9": 2, "waxman16": 2})
-            + _baseline_compare_units(seed, quick=True)
-            + _migration_units(seed)
-            + _workload_units(seed, quick=True)
-            + _explore_units(depth=4)
-            + _pytest_units("tier1", pytest_groups())
-            + [_coverage_unit()]
-            + _bench_units(quick=True, bench_dir=bench_dir)
-        )
+        units = [
+            unit
+            for part in ("lint", "chaos", "explore", "tier1", "bench")
+            for unit in build_tier(part, seed, bench_dir)
+        ]
     elif tier == "nightly":
         units = (
-            [_lint_unit()]
+            build_tier("lint")
+            + build_tier("tier1")
             + _chaos_units(seed, {"figure1": 5, "grid9": 3, "waxman16": 3})
             + _baseline_compare_units(seed, quick=False)
             + _migration_units(seed, reps=2)
@@ -383,8 +365,6 @@ def build_tier(
             + _explore_units(depth=5)
             + _frontier_units(seed, depth=5)
             + _explore_deep_units(seed)
-            + _pytest_units("tier1", pytest_groups())
-            + [_coverage_unit()]
             + _bench_units(quick=False, bench_dir=bench_dir)
         )
     else:
@@ -543,12 +523,19 @@ def write_report(report: Dict[str, object], path: str) -> str:
 
 
 def load_report(path: str) -> Dict[str, object]:
-    with open(path, encoding="utf-8") as handle:
-        report = json.load(handle)
-    if report.get("schema") != REPORT_SCHEMA:
+    """The report at ``path``; ``ValueError`` naming the file when it
+    is missing, not JSON, or not a ``repro-ci-report/1`` document."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            report = json.load(handle)
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read report ({exc.strerror})") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a JSON document ({exc})") from exc
+    schema = report.get("schema") if isinstance(report, dict) else None
+    if schema != REPORT_SCHEMA:
         raise ValueError(
-            f"{path}: unsupported schema {report.get('schema')!r} "
-            f"(expected {REPORT_SCHEMA})"
+            f"{path}: unsupported schema {schema!r} (expected {REPORT_SCHEMA})"
         )
     return report
 
@@ -571,8 +558,13 @@ def run_ci(
 def replay_unit(
     report_path: str, unit_id: str
 ) -> Tuple[Optional[UnitResult], Optional[str]]:
-    """Re-run one unit from a report inline; ``(result, error)``."""
-    report = load_report(report_path)
+    """Re-run one unit from a report inline; ``(result, error)``, where
+    the error names the report and what is wrong with it (unreadable,
+    not a report, no such unit, a unit kind this code does not run)."""
+    try:
+        report = load_report(report_path)
+    except ValueError as exc:
+        return None, str(exc)
     record = next(
         (u for u in report["units"] if u["unit_id"] == unit_id), None
     )
@@ -581,11 +573,9 @@ def replay_unit(
         return None, f"unit {unit_id!r} not in report (units: {known})"
     if "params" not in record:
         return None, f"report record for {unit_id!r} carries no params"
-    unit = WorkUnit.make(
-        kind=str(record["kind"]),
-        unit_id=str(record["unit_id"]),
-        params=dict(record["params"]),
-        timeout=float(record.get("timeout", 600.0)),
-    )
+    try:
+        unit = WorkUnit.from_dict(record)
+    except ValueError as exc:
+        return None, f"{report_path}: {exc}"
     results = run_units([unit], workers=0)
     return results[0], None

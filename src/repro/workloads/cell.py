@@ -32,7 +32,7 @@ from repro.core.audit import (
     check_invariants,
 )
 from repro.core.timers import CBTTimers
-from repro.harness.campaign import TOPOLOGIES, run_to_quiescence
+from repro.harness.campaign import TOPOLOGIES, CellResult, run_to_quiescence
 from repro.harness.scenarios import FAST_TIMERS, build_cbt_group, pick_members
 from repro.harness.workload import ChurnSchedule
 from repro.netsim.engine import cell
@@ -87,7 +87,7 @@ def _quiesce(network, domain, timers) -> Tuple[bool, List[str]]:
         recovered, _ = run_to_quiescence(
             network,
             network.scheduler.now,
-            max(timers.echo_interval, timers.pend_join_interval * 2),
+            timers,
             activity=domain.events_total,
             settled=lambda: not check_invariants(domain),
         )
@@ -137,8 +137,10 @@ def _make_segment_sender(network, source_host: str, group, sent, probe):
 
 
 @dataclass
-class FlashCrowdCellResult:
+class FlashCrowdCellResult(CellResult):
     """Outcome of one flash-crowd cell."""
+
+    ci_name = "workload"
 
     topology: str
     seed: int
@@ -174,18 +176,30 @@ class FlashCrowdCellResult:
     missing: List[Tuple[str, float]] = field(default_factory=list)
     violations: List[str] = field(default_factory=list)
     sample_fingerprints: Tuple = ()
-    metrics: Dict[str, float] = field(default_factory=dict)
+
+    def findings(self) -> List[str]:
+        """Beyond the audit: an undrained tree, snapshot findings, and
+        duplicate or missed deliveries."""
+        lines = self._audit_findings(
+            f"recovered={self.recovered} drained={self.drained}",
+            self.recovered and self.drained,
+        )
+        lines += [
+            f"{name} snapshot: {line}"
+            for name, found in sorted(self.snapshots.items())
+            for line in found[:5]
+        ]
+        if self.duplicate_pairs:
+            lines.append(f"duplicate deliveries: {self.duplicate_pairs} pairs")
+        return lines + [
+            f"missed segment: {host} @ t={at}" for host, at in self.missing[:10]
+        ]
 
     @property
-    def clean(self) -> bool:
-        return (
-            self.recovered
-            and self.drained
-            and not self.violations
-            and not self.missing
-            and self.duplicate_pairs == 0
-            and all(not findings for findings in self.snapshots.values())
-        )
+    def telemetry(self) -> Dict[str, float]:
+        """Aggregates only: the n=1000 cell deliberately does not fold
+        its per-router telemetry snapshot into CI metrics."""
+        return _cell_metrics("flash-crowd", self.sim_events)
 
     def fingerprint(self) -> Tuple:
         return (
@@ -299,8 +313,7 @@ def run_flash_crowd_cell(
         on_tree = len(domain.on_tree_routers(group))
         drained = recovered and not probe.members and on_tree <= len(cores)
         last = probe.samples[-1] if probe.samples else None
-        sim_events = network.scheduler.events_processed
-        result = FlashCrowdCellResult(
+        return FlashCrowdCellResult(
             topology=topology,
             seed=seed,
             quick=quick,
@@ -329,21 +342,19 @@ def run_flash_crowd_cell(
             cores=len(cores),
             recovered=recovered,
             drained=drained,
-            sim_events=sim_events,
+            sim_events=network.scheduler.events_processed,
             snapshots=snapshots,
             missing=missing,
             violations=violations,
             sample_fingerprints=tuple(s.fingerprint() for s in probe.samples),
-            metrics=_cell_metrics(
-                "flash-crowd", sim_events, expected_pairs, delivered_pairs
-            ),
         )
-        return result
 
 
 @dataclass
-class ChurnCellResult:
+class ChurnCellResult(CellResult):
     """Outcome of one churn-process cell."""
+
+    ci_name = "workload"
 
     topology: str
     process: str
@@ -361,15 +372,16 @@ class ChurnCellResult:
     final_findings: List[str] = field(default_factory=list)
     violations: List[str] = field(default_factory=list)
     sample_fingerprints: Tuple = ()
-    metrics: Dict[str, float] = field(default_factory=dict)
+
+    def findings(self) -> List[str]:
+        """Beyond the audit: end-of-run invariant/conservation findings."""
+        return self._audit_findings("recovered=False", self.recovered) + [
+            f"finding: {line}" for line in self.final_findings[:5]
+        ]
 
     @property
-    def clean(self) -> bool:
-        return (
-            self.recovered
-            and not self.violations
-            and not self.final_findings
-        )
+    def telemetry(self) -> Dict[str, float]:
+        return _cell_metrics(self.process, self.sim_events)
 
     def fingerprint(self) -> Tuple:
         return (
@@ -452,7 +464,6 @@ def run_churn_cell(
         auditor.stop()
 
         last = probe.samples[-1] if probe.samples else None
-        sim_events = network.scheduler.events_processed
         return ChurnCellResult(
             topology=topology,
             process=process,
@@ -466,19 +477,14 @@ def run_churn_cell(
             control_mospf_model=last.control_mospf_model if last else 0,
             join_p95=last.join_p95 if last else 0.0,
             recovered=recovered,
-            sim_events=sim_events,
+            sim_events=network.scheduler.events_processed,
             final_findings=final_findings,
             violations=violations,
             sample_fingerprints=tuple(s.fingerprint() for s in probe.samples),
-            metrics=_cell_metrics(
-                process, sim_events, schedule.joins, schedule.leaves
-            ),
         )
 
 
-def _cell_metrics(kind: str, sim_events: int, a: int, b: int) -> Dict[str, float]:
-    """Aggregate cell metrics (the n=1000 cell deliberately does not
-    fold the full per-router telemetry snapshot into CI metrics)."""
+def _cell_metrics(kind: str, sim_events: int) -> Dict[str, float]:
     return {
         f"ci.workload.{kind}.sim_events": sim_events,
         f"ci.workload.{kind}.cells": 1,

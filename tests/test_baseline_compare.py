@@ -69,9 +69,7 @@ class TestRecovery:
     @pytest.mark.parametrize("scenario,topology", QUICK_BASELINE_CELLS)
     def test_quick_cells_recover_cleanly(self, scenario, topology):
         result = run_baseline_compare_cell(scenario, topology, seed=0)
-        assert result.ok, [
-            (o.protocol, o.recovered, o.findings) for o in result.outcomes
-        ]
+        assert result.clean, result.findings()
         for outcome in result.outcomes:
             assert outcome.delivery_after == pytest.approx(1.0), (
                 outcome.protocol,
@@ -111,9 +109,9 @@ class TestCIWiring:
         assert len(units) == len(BASELINE_SCENARIOS) * len(TOPOLOGIES)
 
     def test_executor_reports_protocol_metrics(self):
-        from repro.harness.parallel import EXECUTORS
+        from repro.harness.parallel import UNIT_KINDS
 
-        payload = EXECUTORS["baseline-compare"](
+        payload = UNIT_KINDS["baseline-compare"].execute(
             {"scenario": "link_flap", "topology": "figure1", "seed": 0}
         )
         assert payload["status"] == "ok"

@@ -19,7 +19,7 @@ exercised:
 """
 
 from repro.core.audit import check_invariants
-from repro.harness.migration_cell import run_migration_cell
+from repro.harness.migration_cell import MigrationCellResult, run_migration_cell
 from repro.harness.scenarios import FAST_TIMERS, build_cbt_group
 from repro.igmp.messages import CoreReport
 from repro.topology.figures import build_figure1
@@ -132,6 +132,15 @@ class TestMigrationCell:
         assert cell.quality_before and cell.quality_after
         assert cell.migration_control_cost > 0
 
+    def test_cell_without_handover_is_not_clean(self):
+        cell = MigrationCellResult(
+            topology="figure1", seed=0, migrated=False, recovered=True,
+            old_primary="R4", new_primary="R4", churn_left=(), churn_joined=(),
+        )
+        assert cell.findings() == ["migrated=False recovered=True"]
+        assert not cell.clean
+        assert cell.metrics["ci.migration.clean"] == 0
+
     def test_cell_fingerprint_deterministic(self):
         first = run_migration_cell("figure1", seed=0)
         second = run_migration_cell("figure1", seed=0)
@@ -165,7 +174,7 @@ class TestRegistration:
                 assert isinstance(unit.param_dict["seed"], int)
 
     def test_migration_executor_registered(self):
-        from repro.harness.parallel import DEFAULT_TIMEOUTS, EXECUTORS
+        from repro.harness.parallel import UNIT_KINDS
 
-        assert "migration" in EXECUTORS
-        assert DEFAULT_TIMEOUTS["migration"] > 0
+        assert "migration" in UNIT_KINDS
+        assert UNIT_KINDS["migration"].timeout > 0

@@ -16,6 +16,7 @@ import pytest
 from repro.cli import main
 from repro.harness import parallel
 from repro.harness.parallel import (
+    UNIT_KINDS,
     UnitResult,
     WorkUnit,
     merge_metrics,
@@ -56,6 +57,15 @@ class TestWorkUnit:
     def test_default_timeouts_by_kind(self):
         assert WorkUnit.make("chaos", "c", {}).timeout == 120.0
         assert WorkUnit.make("selftest", "s", {}).timeout == 60.0
+
+    def test_unknown_kind_rejected_at_make(self):
+        with pytest.raises(ValueError, match="unknown unit kind 'chaoss'"):
+            WorkUnit.make("chaoss", "c", {})
+
+    def test_every_tier_kind_has_a_row(self):
+        for tier in TIERS:
+            for unit in build_tier(tier):
+                assert unit.kind in UNIT_KINDS, (tier, unit.unit_id)
 
     def test_duplicate_unit_ids_rejected(self):
         units = [selftest("dup"), selftest("dup")]
@@ -375,6 +385,35 @@ class TestWorkerCountDeterminism:
         assert serial / parallel >= 3.0, (serial, parallel)
 
 
+class TestPinnedFingerprints:
+    """Per-unit CI fingerprints of one unit of each cell kind, recorded
+    before the four cell adapters became one.  Worker-count equality
+    alone would not notice a change that moved every fingerprint the
+    same way."""
+
+    PINNED = {
+        "chaos/figure1/link_flap/0": ("smoke", "77df63bb9d63b806"),
+        "baseline-compare/figure1/link_flap/0": ("smoke", "9e344ac6ea3e2617"),
+        "migration/figure1/0": ("chaos", "14bbe9c4cc288fb9"),
+        "workload/poisson/waxman16/0": ("chaos", "42862446e8a47692"),
+    }
+
+    def test_one_unit_per_cell_kind_matches_its_pin(self):
+        units = [
+            unit
+            for unit_id, (tier, _) in self.PINNED.items()
+            for unit in build_tier(tier, seed=0)
+            if unit.unit_id == unit_id
+        ]
+        results = run_units(units, workers=0)
+        assert {
+            r.unit_id: (r.status, r.fingerprint) for r in results
+        } == {
+            unit_id: ("ok", fingerprint)
+            for unit_id, (_, fingerprint) in self.PINNED.items()
+        }
+
+
 class TestTiers:
     def test_tier_catalogue(self):
         for tier in TIERS:
@@ -511,6 +550,60 @@ class TestReplayShard:
         result, error = replay_unit(path, "nope")
         assert result is None
         assert "not in report" in error
+
+
+class TestReplayShardBadReport:
+    """``repro ci --replay-shard`` on a report it cannot use: one stderr
+    line naming the file (or the unit kind) and the problem, exit 2."""
+
+    def _report(self, tmp_path):
+        units = [selftest("s/ok")]
+        report = build_report(
+            "smoke", 0, 1, (0, 1), units, run_units(units, workers=0)
+        )
+        return write_report(report, str(tmp_path / "report.json"))
+
+    def _replay(self, path, capsys):
+        code = main(["ci", "--replay-shard", "s/ok", "--report", str(path)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err.splitlines()
+
+    def test_missing_report(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        code, err = self._replay(path, capsys)
+        assert code == 2
+        assert len(err) == 1 and str(path) in err[0]
+        assert "No such file" in err[0]
+
+    def test_truncated_report(self, tmp_path, capsys):
+        path = self._report(tmp_path)
+        with open(path) as handle:
+            text = handle.read()
+        with open(path, "w") as handle:
+            handle.write(text[: len(text) // 2])
+        code, err = self._replay(path, capsys)
+        assert code == 2
+        assert len(err) == 1 and path in err[0]
+        assert "not a JSON document" in err[0]
+
+    def test_not_a_ci_report(self, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        path.write_text('{"schema": "repro-trace/1"}')
+        code, err = self._replay(path, capsys)
+        assert code == 2
+        assert len(err) == 1 and str(path) in err[0]
+        assert "unsupported schema 'repro-trace/1'" in err[0]
+
+    def test_unknown_unit_kind(self, tmp_path, capsys):
+        path = self._report(tmp_path)
+        with open(path) as handle:
+            report = json.load(handle)
+        report["units"][0]["kind"] = "chaoss"
+        write_report(report, path)
+        code, err = self._replay(path, capsys)
+        assert code == 2
+        assert len(err) == 1 and "unknown unit kind 'chaoss'" in err[0]
 
 
 class TestRunCI:

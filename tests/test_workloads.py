@@ -275,9 +275,9 @@ class TestCiWiring:
         assert outcome["metrics"]["ci.workload.poisson.sim_events"] > 0
 
     def test_workload_timeout_registered(self):
-        from repro.harness.parallel import DEFAULT_TIMEOUTS, WorkUnit
+        from repro.harness.parallel import UNIT_KINDS, WorkUnit
 
-        assert DEFAULT_TIMEOUTS["workload"] == 900.0
+        assert UNIT_KINDS["workload"].timeout == 900.0
         assert WorkUnit.make("workload", "w", {}).timeout == 900.0
 
     def test_bench_suite_registered_with_gated_baseline(self):
