@@ -24,8 +24,9 @@ and source keys are host addresses rather than source subnets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from ipaddress import IPv4Address
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple
 
 from repro.igmp.host import IGMPHostAgent
 from repro.igmp.router_side import IGMPConfig, IGMPRouterAgent
@@ -361,28 +362,22 @@ class DVMRPProtocol:
         )
 
 
-class DVMRPDomain:
-    """A Network (or a named subset of it) running flood-and-prune."""
+class DenseModeDomain:
+    """What DVMRP and HPIM-DM share: a Network (or a named subset of
+    it) running ``engine(router)`` on every router and an IGMP agent on
+    every host, and the census and cost readers over the engines."""
 
     def __init__(
         self,
         network: Network,
-        prune_lifetime: float = DEFAULT_PRUNE_LIFETIME,
-        igmp_config: Optional[IGMPConfig] = None,
+        engine: Callable[[Router], Any],
         routers: Optional[Sequence[str]] = None,
         hosts: Optional[Sequence[str]] = None,
     ) -> None:
         self.network = network
         router_names = list(routers) if routers is not None else list(network.routers)
         host_names = list(hosts) if hosts is not None else list(network.hosts)
-        self.protocols: Dict[str, DVMRPProtocol] = {
-            name: DVMRPProtocol(
-                network.routers[name],
-                prune_lifetime=prune_lifetime,
-                igmp_config=igmp_config,
-            )
-            for name in router_names
-        }
+        self.protocols = {name: engine(network.routers[name]) for name in router_names}
         self.host_agents: Dict[str, IGMPHostAgent] = {
             name: IGMPHostAgent(network.hosts[name]) for name in host_names
         }
@@ -391,7 +386,7 @@ class DVMRPDomain:
         for protocol in self.protocols.values():
             protocol.start()
 
-    def protocol(self, name: str) -> DVMRPProtocol:
+    def protocol(self, name: str):
         return self.protocols[name]
 
     def join_host(self, host_name: str, group: IPv4Address) -> None:
@@ -411,3 +406,18 @@ class DVMRPDomain:
 
     def data_forwards(self) -> int:
         return sum(p.stats.data_forwards for p in self.protocols.values())
+
+
+class DVMRPDomain(DenseModeDomain):
+    """A Network (or a named subset of it) running flood-and-prune."""
+
+    def __init__(
+        self,
+        network: Network,
+        prune_lifetime: float = DEFAULT_PRUNE_LIFETIME,
+        igmp_config: Optional[IGMPConfig] = None,
+        routers: Optional[Sequence[str]] = None,
+        hosts: Optional[Sequence[str]] = None,
+    ) -> None:
+        engine = partial(DVMRPProtocol, prune_lifetime=prune_lifetime, igmp_config=igmp_config)
+        super().__init__(network, engine, routers, hosts)

@@ -50,10 +50,11 @@ upstream winner (data enters the LAN directly).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from ipaddress import IPv4Address
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.igmp.host import IGMPHostAgent
+from repro.baselines.dvmrp import DenseModeDomain
 from repro.igmp.router_side import IGMPConfig, IGMPRouterAgent
 from repro.netsim.engine import PeriodicTimer
 from repro.netsim.nic import Interface
@@ -752,7 +753,7 @@ class HPIMDMProtocol:
             interface.send(datagram)
 
 
-class HPIMDMDomain:
+class HPIMDMDomain(DenseModeDomain):
     """A Network (or a named subset) running hard-state dense mode."""
 
     def __init__(
@@ -765,50 +766,17 @@ class HPIMDMDomain:
         routers: Optional[Sequence[str]] = None,
         hosts: Optional[Sequence[str]] = None,
     ) -> None:
-        self.network = network
-        router_names = list(routers) if routers is not None else list(network.routers)
-        host_names = list(hosts) if hosts is not None else list(network.hosts)
-        self.protocols: Dict[str, HPIMDMProtocol] = {
-            name: HPIMDMProtocol(
-                network.routers[name],
-                hello_interval=hello_interval,
-                neighbour_hold=neighbour_hold,
-                rtx_interval=rtx_interval,
-                igmp_config=igmp_config,
-            )
-            for name in router_names
-        }
-        self.host_agents: Dict[str, IGMPHostAgent] = {
-            name: IGMPHostAgent(network.hosts[name]) for name in host_names
-        }
-
-    def start(self) -> None:
-        for protocol in self.protocols.values():
-            protocol.start()
-
-    def protocol(self, name: str) -> HPIMDMProtocol:
-        return self.protocols[name]
-
-    def join_host(self, host_name: str, group: IPv4Address) -> None:
-        self.host_agents[host_name].join(group)
-
-    def leave_host(self, host_name: str, group: IPv4Address) -> None:
-        self.host_agents[host_name].leave(group)
-
-    def total_state(self) -> int:
-        return sum(p.state_size() for p in self.protocols.values())
-
-    def routers_with_state(self) -> int:
-        return sum(1 for p in self.protocols.values() if p.entries)
-
-    def control_messages(self) -> int:
-        return sum(p.stats.control_messages() for p in self.protocols.values())
+        engine = partial(
+            HPIMDMProtocol,
+            hello_interval=hello_interval,
+            neighbour_hold=neighbour_hold,
+            rtx_interval=rtx_interval,
+            igmp_config=igmp_config,
+        )
+        super().__init__(network, engine, routers, hosts)
 
     def hello_messages(self) -> int:
         return sum(p.stats.hellos_sent for p in self.protocols.values())
-
-    def data_forwards(self) -> int:
-        return sum(p.stats.data_forwards for p in self.protocols.values())
 
     def events_total(self) -> int:
         """Length of all state-change logs; the quiescence counter."""

@@ -18,7 +18,7 @@ repair the tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from ipaddress import IPv4Address
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -422,14 +422,6 @@ class InvariantViolation(AssertionError):
         super().__init__("\n".join(lines))
 
 
-@dataclass
-class AuditSample:
-    """One auditor tick: the findings observed at ``time``."""
-
-    time: float
-    findings: List[Finding] = field(default_factory=list)
-
-
 class InvariantAuditor:
     """Checks :func:`check_invariants` at intervals during a run.
 
@@ -444,7 +436,7 @@ class InvariantAuditor:
 
         auditor = InvariantAuditor(domain, interval=0.5)
         auditor.start()
-        net.run(until=...)          # raises InvariantViolation on failure
+        net.run(until=...)          # raises InvariantViolation (and stops)
         auditor.assert_clean()      # final end-of-run check
     """
 
@@ -453,8 +445,6 @@ class InvariantAuditor:
         domain,
         interval: float = 1.0,
         grace: Optional[float] = None,
-        strict: bool = True,
-        trace_events: int = 40,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
@@ -468,12 +458,7 @@ class InvariantAuditor:
                 + timers.pend_join_interval
             )
         self.grace = grace
-        self.strict = strict
-        self.trace_events = trace_events
         self.checks_run = 0
-        self.samples: List[AuditSample] = []
-        #: Violations collected when ``strict`` is False.
-        self.violations: List[InvariantViolation] = []
         self._first_seen: Dict[Tuple, float] = {}
         self._timer = None
         self._running = False
@@ -503,7 +488,6 @@ class InvariantAuditor:
         now = self.domain.network.scheduler.now
         findings = check_invariants(self.domain, now=now)
         self.checks_run += 1
-        self.samples.append(AuditSample(time=now, findings=findings))
         fingerprints = {}
         for finding in findings:
             key = (finding.router, finding.group, finding.message)
@@ -529,7 +513,7 @@ class InvariantAuditor:
             self._fail(overdue)
 
     def event_trace(self) -> List[str]:
-        """The domain's most recent protocol events, merged and sorted."""
+        """The domain's 40 most recent protocol events, merged and sorted."""
         events = [
             (event.time, name, event)
             for name, protocol in self.domain.protocols.items()
@@ -539,7 +523,7 @@ class InvariantAuditor:
         return [
             f"t={time:.3f} {name} {event.kind} group={event.group}"
             + (f" {event.detail}" if event.detail else "")
-            for time, name, event in events[-self.trace_events :]
+            for time, name, event in events[-40:]
         ]
 
     def _tick(self) -> None:
@@ -555,7 +539,5 @@ class InvariantAuditor:
 
     def _fail(self, overdue: List[Finding]) -> None:
         violation = InvariantViolation(overdue, self.event_trace())
-        if self.strict:
-            self.stop()
-            raise violation
-        self.violations.append(violation)
+        self.stop()
+        raise violation

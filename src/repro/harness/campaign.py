@@ -1,7 +1,9 @@
 """Deterministic fault-injection campaign runner.
 
-A campaign sweeps chaos scenarios × seeds × topologies.  Each cell
-builds a fresh network, stands up a CBT tree, attaches the always-on
+A protocol is one :class:`Leg` row of :data:`LEGS`, and one leg run
+(:func:`leg_run`) puts any row under faults.  A campaign sweeps chaos
+scenarios × seeds × topologies; each cell is the CBT row run alone: it
+builds a fresh network, stands up a CBT tree under the always-on
 :class:`~repro.core.audit.InvariantAuditor`, applies the scenario's
 :class:`~repro.netsim.faults.FaultSchedule`, and runs the simulation
 to quiescence, recording:
@@ -26,20 +28,27 @@ the merged protocol event trace leading up to them.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from ipaddress import IPv4Address
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.baselines.dvmrp import DenseModeDomain
+from repro.baselines.hpimdm import HPIMDMDomain
 from repro.core.audit import InvariantAuditor, InvariantViolation, check_invariants
+from repro.core.bootstrap import CBTDomain
 from repro.core.timers import CBTTimers
 from repro.harness.scenarios import (
     FAST_TIMERS,
     build_cbt_group,
+    build_dvmrp_group,
+    build_hpimdm_group,
     delivered_copies,
     pick_members,
     send_data,
 )
 from repro.netsim.engine import cell
-from repro.netsim.faults import derive_seed
+from repro.netsim.faults import FaultSchedule, derive_seed
 from repro.topology.builder import Network
 
 #: Consecutive event-free audit windows required to declare quiescence.
@@ -49,30 +58,105 @@ QUIET_WINDOWS = 2
 MAX_WINDOWS = 40
 
 
-def run_to_quiescence(
-    network: Network,
-    since: float,
-    timers: CBTTimers,
-    activity: Callable[[], int],
-    settled: Callable[[], bool],
-) -> Tuple[bool, float]:
+@dataclass(frozen=True)
+class Leg:
+    """One protocol as a cell runs it.  ``build(network, members,
+    cores, timers)`` stands its group up and returns ``(domain,
+    group)``; every other field reads that domain: ``activity`` (a
+    counter flat while the protocol is quiet), ``settled`` (its own
+    convergence oracle), ``findings`` (why a settled run is still
+    wrong), ``control`` (control messages sent, keepalives excluded)
+    and ``census(domain, group) -> (state_total, routers_with_state)``."""
+
+    build: Callable[..., Tuple[Any, IPv4Address]]
+    activity: Callable[[Any], int]
+    settled: Callable[[Any], bool]
+    findings: Callable[[Any], List[str]]
+    control: Callable[[Any], int]
+    census: Callable[[Any, IPv4Address], Tuple[int, int]]
+
+
+def _audited_cbt_group(network, members, cores, timers):
+    """``build_cbt_group`` under a started :class:`InvariantAuditor`,
+    which the domain holds as ``auditor``."""
+    domain, group = build_cbt_group(network, members, cores, timers=timers)
+    domain.auditor = InvariantAuditor(domain, interval=timers.pend_join_interval)
+    domain.auditor.start()
+    return domain, group
+
+
+def _dense_census(domain: DenseModeDomain, group) -> Tuple[int, int]:
+    return domain.total_state(), domain.routers_with_state()
+
+
+#: The protocol legs, in the order a baseline-compare cell runs them
+#: (the first derives the fault schedule the others replay).  A new
+#: protocol is one row.
+LEGS: Dict[str, Leg] = {
+    "cbt": Leg(
+        build=_audited_cbt_group,
+        activity=CBTDomain.events_total,
+        settled=lambda domain: not check_invariants(domain),
+        findings=lambda domain: [str(f) for f in check_invariants(domain)],
+        control=CBTDomain.control_messages_sent,
+        census=lambda domain, group: (
+            domain.total_fib_state(), len(domain.on_tree_routers(group))
+        ),
+    ),
+    # Soft state, its prune lifetime on the order of CBT's reconnect
+    # timeout so decay-driven re-flooding happens inside the cell; no
+    # convergence obligation beyond silence.
+    "dvmrp": Leg(
+        build=lambda network, members, cores, timers: build_dvmrp_group(
+            network, members, prune_lifetime=timers.reconnect_timeout * 2
+        ),
+        activity=lambda domain: domain.control_messages() + domain.data_forwards(),
+        settled=lambda domain: True,
+        findings=lambda domain: [],
+        control=DenseModeDomain.control_messages,
+        census=_dense_census,
+    ),
+    # Hard state, failure detection tuned to CBT's §9 budget (hellos at
+    # the ECHO interval, hold at the ECHO timeout); settled once the
+    # election census is clean and every advertisement acknowledged.
+    "hpimdm": Leg(
+        build=lambda network, members, cores, timers: build_hpimdm_group(
+            network,
+            members,
+            hello_interval=timers.echo_interval,
+            neighbour_hold=timers.echo_timeout,
+            rtx_interval=timers.pend_join_interval / 2,
+        ),
+        activity=HPIMDMDomain.events_total,
+        settled=lambda domain: (
+            domain.pending_total() == 0 and not domain.election_findings()
+        ),
+        findings=lambda domain: list(domain.election_findings()),
+        control=DenseModeDomain.control_messages,
+        census=_dense_census,
+    ),
+}
+
+
+def run_to_quiescence(leg: Leg, domain, since: float, timers: CBTTimers) -> Tuple[bool, float]:
     """The one quiescence loop every cell runner and protocol leg uses.
 
-    Runs ``network`` in fixed windows — the longer of one ECHO interval
-    and two pending-join retransmits under ``timers`` — until
-    ``activity()`` stays flat and ``settled()`` holds for
+    Runs the domain's network in fixed windows — the longer of one
+    ECHO interval and two pending-join retransmits under ``timers`` —
+    until ``leg.activity`` stays flat and ``leg.settled`` holds for
     :data:`QUIET_WINDOWS` consecutive windows.  Returns
     ``(recovered, recovery_time)``: sim seconds from ``since`` to the
     start of the quiet windows, or ``(False, inf)`` after
     :data:`MAX_WINDOWS`.
     """
+    network = domain.network
     window = max(timers.echo_interval, timers.pend_join_interval * 2)
     quiet = 0
-    last = activity()
+    last = leg.activity(domain)
     for _ in range(MAX_WINDOWS):
         network.run(until=network.scheduler.now + window)
-        count = activity()
-        if count == last and settled():
+        count = leg.activity(domain)
+        if count == last and leg.settled(domain):
             quiet += 1
             if quiet >= QUIET_WINDOWS:
                 # The quiet windows are settle margin, not recovery work.
@@ -240,79 +324,128 @@ def _probe_delivery(network: Network, members: Sequence[str], group, count: int 
     return hits / (len(uids) * len(receivers))
 
 
+@dataclass
+class ProtocolOutcome:
+    """One protocol leg's measurements under its fault schedule."""
+
+    protocol: str
+    recovered: bool
+    #: Sim seconds from the last fault action to quiescence.
+    recovery_time: float
+    #: Control messages sent from first fault until quiescence
+    #: (periodic keepalives — ECHOs, probes, hellos — excluded by each
+    #: engine's own accounting).
+    control_cost: int
+    delivery_before: float
+    delivery_after: float
+    #: Post-recovery state census (entries + synchronised records).
+    state_total: int
+    routers_with_state: int
+    #: Auditor violations, else the leg's convergence findings (empty
+    #: when clean).
+    findings: List[str] = field(default_factory=list)
+
+    def fingerprint(self) -> Tuple:
+        return (
+            self.protocol,
+            self.recovered,
+            round(self.recovery_time, 6),
+            self.control_cost,
+            round(self.delivery_before, 6),
+            round(self.delivery_after, 6),
+            self.state_total,
+            self.routers_with_state,
+            tuple(self.findings),
+        )
+
+
+@dataclass
+class LegRun:
+    """What the block of :func:`leg_run` sees: the outcome, the domain
+    (its network still open), the schedule the leg applied (planned at
+    sim time ``base``), and any auditor violations with their trace."""
+
+    outcome: ProtocolOutcome
+    domain: Any
+    schedule: FaultSchedule
+    base: float
+    violations: List[str]
+    trace: List[str]
+
+
+@contextmanager
+def leg_run(
+    name: str, topology: str, seed: int, timers: CBTTimers, plan: Callable
+) -> Iterator[LegRun]:
+    """``with leg_run(...) as run:`` — the ``LEGS[name]`` protocol
+    through one fault cell: build ``topology`` at ``seed``, stand the
+    group up, probe, apply ``plan(ChaosContext)`` (faults from 1 s on),
+    run past the last fault and to quiescence, probe, take the census.
+    An auditor violation ends the run unrecovered, its findings the
+    outcome's.  The network closes when the block ends."""
+    from repro.chaos.scenarios import ChaosContext
+
+    leg = LEGS[name]
+    with cell(TOPOLOGIES[topology].build, seed) as (network, members, cores):
+        domain, group = leg.build(network, members, cores, timers)
+        delivery_before = _probe_delivery(network, members, group)
+        base = network.scheduler.now
+        schedule = plan(
+            ChaosContext(network, domain, group, members, cores, seed, timers, base + 1.0)
+        )
+        schedule.apply(network)
+        control_start = leg.control(domain)
+        recovered, recovery_time = False, float("inf")
+        violations: List[str] = []
+        trace: List[str] = []
+        try:
+            network.run(until=schedule.last_time + 1e-6)
+            recovered, recovery_time = run_to_quiescence(leg, domain, schedule.last_time, timers)
+        except InvariantViolation as violation:
+            violations = [str(f) for f in violation.findings]
+            trace = list(violation.trace)
+        control_cost = leg.control(domain) - control_start
+        delivery_after = _probe_delivery(network, members, group) if recovered else 0.0
+        outcome = ProtocolOutcome(
+            name,
+            recovered,
+            recovery_time,
+            control_cost,
+            delivery_before,
+            delivery_after,
+            *leg.census(domain, group),
+            findings=violations or leg.findings(domain),
+        )
+        yield LegRun(outcome, domain, schedule, base, violations, trace)
+
+
 def run_scenario(
     scenario: str,
     topology: str = "figure1",
     seed: int = 0,
     timers: CBTTimers = FAST_TIMERS,
-    audit_interval: Optional[float] = None,
 ) -> ScenarioResult:
-    """Run one campaign cell to quiescence under the auditor."""
-    from repro.chaos.scenarios import SCENARIOS, ChaosContext
+    """Run one campaign cell: the CBT leg alone, under its auditor."""
+    from repro.chaos.scenarios import SCENARIOS
 
-    build_schedule = SCENARIOS[scenario]
-    with cell(TOPOLOGIES[topology].build, seed) as (network, members, cores):
-        domain, group = build_cbt_group(network, members, cores, timers=timers)
-        auditor = InvariantAuditor(
-            domain,
-            interval=audit_interval
-            if audit_interval is not None
-            else timers.pend_join_interval,
-        )
-        auditor.start()
-
-        delivery_before = _probe_delivery(network, members, group)
-
-        context = ChaosContext(
-            network=network,
-            domain=domain,
-            group=group,
-            members=members,
-            cores=cores,
-            seed=seed,
-            timers=timers,
-            start=network.scheduler.now + 1.0,
-        )
-        schedule = build_schedule(context)
-        schedule.apply(network)
-        control_before = domain.control_messages_sent()
-        faults_end = schedule.last_time
-
-        recovered = False
-        recovery_time = float("inf")
-        violations: List[str] = []
-        trace: List[str] = []
-        try:
-            network.run(until=faults_end + 1e-6)
-            recovered, recovery_time = run_to_quiescence(
-                network,
-                faults_end,
-                timers,
-                activity=domain.events_total,
-                settled=lambda: not check_invariants(domain),
-            )
-        except InvariantViolation as violation:
-            violations = [str(f) for f in violation.findings]
-            trace = list(violation.trace)
-        control_cost = domain.control_messages_sent() - control_before
-        delivery_after = (
-            _probe_delivery(network, members, group) if recovered else 0.0
-        )
+    with leg_run("cbt", topology, seed, timers, SCENARIOS[scenario]) as run:
+        auditor = run.domain.auditor
         auditor.stop()
+        o = run.outcome
         return ScenarioResult(
-            scenario=scenario,
-            topology=topology,
-            seed=seed,
-            recovered=recovered,
-            recovery_time=recovery_time,
-            control_cost=control_cost,
-            delivery_before=delivery_before,
-            delivery_after=delivery_after,
-            faults=list(schedule.applied),
-            violations=violations,
-            trace=trace,
+            scenario,
+            topology,
+            seed,
+            o.recovered,
+            o.recovery_time,
+            o.control_cost,
+            o.delivery_before,
+            o.delivery_after,
+            faults=list(run.schedule.applied),
+            violations=run.violations,
+            trace=run.trace,
             audit_checks=auditor.checks_run,
-            telemetry=dict(network.telemetry.registry.snapshot()),
+            telemetry=dict(run.domain.network.telemetry.registry.snapshot()),
         )
 
 

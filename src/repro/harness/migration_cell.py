@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.audit import InvariantAuditor, InvariantViolation, check_invariants
+from repro.core.audit import InvariantViolation
 from repro.core.migration import (
     MigrationConfig,
     MigrationCoordinator,
@@ -28,12 +28,13 @@ from repro.core.migration import (
 )
 from repro.core.timers import CBTTimers
 from repro.harness.campaign import (
+    LEGS,
     TOPOLOGIES,
     CellResult,
     _probe_delivery,
     run_to_quiescence,
 )
-from repro.harness.scenarios import FAST_TIMERS, build_cbt_group
+from repro.harness.scenarios import FAST_TIMERS
 from repro.netsim.engine import cell
 from repro.netsim.faults import derive_seed
 
@@ -105,21 +106,20 @@ def _host_router(network, host_name: str) -> Optional[str]:
 
 
 def _plan_churn(
-    network, graph, members: List[str], primary: str, seed: int
+    network, graph, members: List[str], primary: str
 ) -> Tuple[List[str], List[str]]:
-    """Deterministic churn skewing membership away from ``primary``.
+    """Deterministic, rank-based churn skewing membership from ``primary``.
 
     Leaves the member host closest to the current primary and joins up
     to two non-member hosts farthest from it, so the locality placement
     has a genuinely better core to find.
     """
-    del seed  # reserved for future randomised variants; churn is rank-based
+    dist, _ = graph.dijkstra(primary, weight="delay")
 
     def distance(host: str) -> float:
         router = _host_router(network, host)
         if router is None or router not in graph.nodes:
             return float("inf")
-        dist, _ = graph.dijkstra(primary, weight="delay")
         return dist.get(router, float("inf"))
 
     leave = [min(members, key=lambda h: (distance(h), h))] if len(members) > 2 else []
@@ -141,20 +141,19 @@ def run_migration_cell(
     with cell(
         TOPOLOGIES[topology].build, derive_seed(seed, "migration", topology)
     ) as (network, members, cores):
-        domain, group = build_cbt_group(network, members, cores, timers=timers)
+        cbt = LEGS["cbt"]
+        domain, group = cbt.build(network, members, cores, timers)
         graph = network_graph(network)
         if config is None:
             config = MigrationConfig(stretch_threshold=1.05)
         coordinator = MigrationCoordinator(domain, group, config=config, graph=graph)
-        auditor = InvariantAuditor(domain, interval=timers.pend_join_interval)
-        auditor.start()
 
         quality_before = tree_quality(domain, graph, group, coordinator.member_routers())
         delivery_before = _probe_delivery(network, members, group)
         old_primary = (coordinator.core_routers() or [""])[0]
 
         # Deterministic churn: skew the membership away from the primary.
-        leave, join = _plan_churn(network, graph, list(members), old_primary, seed)
+        leave, join = _plan_churn(network, graph, list(members), old_primary)
         now = network.scheduler.now
         for offset, host in enumerate(leave):
             network.scheduler.call_at(
@@ -179,13 +178,7 @@ def run_migration_cell(
         violations: List[str] = []
 
         try:
-            recovered, _ = run_to_quiescence(
-                network,
-                network.scheduler.now,
-                timers,
-                activity=domain.events_total,
-                settled=lambda: not check_invariants(domain),
-            )
+            recovered, _ = run_to_quiescence(cbt, domain, network.scheduler.now, timers)
         except InvariantViolation as violation:
             violations = [str(f) for f in violation.findings]
 
@@ -193,7 +186,7 @@ def run_migration_cell(
         delivery_after = (
             _probe_delivery(network, sorted(current_members), group) if recovered else 0.0
         )
-        auditor.stop()
+        domain.auditor.stop()
         coordinator.stop()
         new_primary = (coordinator.core_routers() or [""])[0]
         migration_cost = (

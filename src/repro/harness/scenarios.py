@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from functools import partial
 from ipaddress import IPv4Address
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -68,20 +69,8 @@ def build_cbt_group(
     Returns the (domain, group address) pair.  Pass an existing
     ``domain`` to add another group to a running domain.
     """
-    if group is None:
-        group = group_address(0)
-    if domain is None:
-        domain = CBTDomain(network, timers=timers, mode=mode, igmp_config=FAST_IGMP)
-        domain.start()
-        settle(network, until=settle_time)
-    domain.create_group(group, cores=list(cores))
-    start = network.scheduler.now
-    for offset, member in enumerate(members):
-        network.scheduler.call_at(
-            start + offset * join_spacing, domain.join_host, member, group
-        )
-    network.run(until=start + len(members) * join_spacing + 2.0)
-    return domain, group
+    make = partial(CBTDomain, network, timers=timers, mode=mode, igmp_config=FAST_IGMP)
+    return _stand_up(domain, make, members, group, settle_time, join_spacing, cores)
 
 
 def build_dvmrp_group(
@@ -93,21 +82,10 @@ def build_dvmrp_group(
     domain: Optional[DVMRPDomain] = None,
 ) -> Tuple[DVMRPDomain, IPv4Address]:
     """Stand up a DVMRP domain and join ``members`` (no cores needed)."""
-    if group is None:
-        group = group_address(0)
-    if domain is None:
-        domain = DVMRPDomain(
-            network, prune_lifetime=prune_lifetime, igmp_config=FAST_IGMP
-        )
-        domain.start()
-        settle(network, until=settle_time)
-    start = network.scheduler.now
-    for offset, member in enumerate(members):
-        network.scheduler.call_at(
-            start + offset * 0.05, domain.join_host, member, group
-        )
-    network.run(until=start + len(members) * 0.05 + 2.0)
-    return domain, group
+    make = partial(
+        DVMRPDomain, network, prune_lifetime=prune_lifetime, igmp_config=FAST_IGMP
+    )
+    return _stand_up(domain, make, members, group, settle_time)
 
 
 def build_hpimdm_group(
@@ -126,24 +104,37 @@ def build_hpimdm_group(
     discovery completes inside the standard settle window; tree state
     itself is hard and never expires, so no further scaling is needed.
     """
+    make = partial(
+        HPIMDMDomain,
+        network,
+        hello_interval=hello_interval,
+        neighbour_hold=neighbour_hold,
+        rtx_interval=rtx_interval,
+        igmp_config=FAST_IGMP,
+    )
+    return _stand_up(domain, make, members, group, settle_time)
+
+
+def _stand_up(domain, make, members, group, settle_time, join_spacing=0.05, cores=None):
+    """The one start / settle / staggered-join / run loop: when no
+    ``domain`` is given, ``make()`` one, start it and settle; announce
+    ``cores`` for the group when given (CBT); join ``members``
+    ``join_spacing`` apart and run 2 s past the last join."""
     if group is None:
         group = group_address(0)
     if domain is None:
-        domain = HPIMDMDomain(
-            network,
-            hello_interval=hello_interval,
-            neighbour_hold=neighbour_hold,
-            rtx_interval=rtx_interval,
-            igmp_config=FAST_IGMP,
-        )
+        domain = make()
         domain.start()
-        settle(network, until=settle_time)
+        settle(domain.network, until=settle_time)
+    network = domain.network
+    if cores is not None:
+        domain.create_group(group, cores=list(cores))
     start = network.scheduler.now
     for offset, member in enumerate(members):
         network.scheduler.call_at(
-            start + offset * 0.05, domain.join_host, member, group
+            start + offset * join_spacing, domain.join_host, member, group
         )
-    network.run(until=start + len(members) * 0.05 + 2.0)
+    network.run(until=start + len(members) * join_spacing + 2.0)
     return domain, group
 
 

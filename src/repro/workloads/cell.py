@@ -26,14 +26,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.audit import (
-    InvariantAuditor,
-    InvariantViolation,
-    check_invariants,
-)
+from repro.core.audit import InvariantViolation
 from repro.core.timers import CBTTimers
-from repro.harness.campaign import TOPOLOGIES, CellResult, run_to_quiescence
-from repro.harness.scenarios import FAST_TIMERS, build_cbt_group, pick_members
+from repro.harness.campaign import LEGS, TOPOLOGIES, CellResult, run_to_quiescence
+from repro.harness.scenarios import FAST_TIMERS, pick_members
 from repro.harness.workload import ChurnSchedule
 from repro.netsim.engine import cell
 from repro.netsim.faults import derive_seed
@@ -79,21 +75,6 @@ def _build_topology(name: str, seed: int):
         f"unknown workload topology {name!r}; "
         f"known: {', '.join(WORKLOAD_TOPOLOGIES)}"
     )
-
-
-def _quiesce(network, domain, timers) -> Tuple[bool, List[str]]:
-    """Campaign-style quiescence; ``(recovered, violations)``."""
-    try:
-        recovered, _ = run_to_quiescence(
-            network,
-            network.scheduler.now,
-            timers,
-            activity=domain.events_total,
-            settled=lambda: not check_invariants(domain),
-        )
-    except InvariantViolation as violation:
-        return False, [str(f) for f in violation.findings]
-    return recovered, []
 
 
 def _schedule_membership(network, domain, group, schedule, probe) -> None:
@@ -257,9 +238,8 @@ def run_flash_crowd_cell(
         )
         source, client_hosts = picked[0], picked[1:]
 
-        domain, group = build_cbt_group(network, [], cores, timers=timers)
-        auditor = InvariantAuditor(domain, interval=timers.pend_join_interval)
-        auditor.start()
+        cbt = LEGS["cbt"]
+        domain, group = cbt.build(network, [], cores, timers)
         probe = QualityProbe(
             domain, group, source_host=source, interval=probe_interval
         )
@@ -284,16 +264,16 @@ def run_flash_crowd_cell(
             network.run(until=crowd.mid_burst_time)
             snapshots["mid-burst"] = list(check_conservation(network, domain))
             network.run(until=crowd.drain_time)
-            recovered, violations = _quiesce(network, domain, timers)
+            recovered, _ = run_to_quiescence(cbt, domain, network.scheduler.now, timers)
             if recovered:
                 # Drain snapshot: quiesced, so the full sweep applies.
-                snapshots["drain"] = [
-                    str(f) for f in check_invariants(domain)
-                ] + list(check_conservation(network, domain))
+                snapshots["drain"] = cbt.findings(domain) + list(
+                    check_conservation(network, domain)
+                )
         except InvariantViolation as violation:
             violations = [str(f) for f in violation.findings]
         probe.stop()
-        auditor.stop()
+        domain.auditor.stop()
 
         expected_pairs = delivered_pairs = duplicate_pairs = 0
         missing: List[Tuple[str, float]] = []
@@ -422,9 +402,8 @@ def run_churn_cell(
         source, churners = pool[0], pool[1:]
         duration = 30.0 if quick else 90.0
 
-        domain, group = build_cbt_group(network, [], cores, timers=timers)
-        auditor = InvariantAuditor(domain, interval=timers.pend_join_interval)
-        auditor.start()
+        cbt = LEGS["cbt"]
+        domain, group = cbt.build(network, [], cores, timers)
         probe = QualityProbe(
             domain, group, source_host=source, interval=probe_interval
         )
@@ -453,15 +432,15 @@ def run_churn_cell(
         final_findings: List[str] = []
         try:
             network.run(until=start + duration)
-            recovered, violations = _quiesce(network, domain, timers)
+            recovered, _ = run_to_quiescence(cbt, domain, network.scheduler.now, timers)
             if recovered:
-                final_findings = [
-                    str(f) for f in check_invariants(domain)
-                ] + list(check_conservation(network, domain))
+                final_findings = cbt.findings(domain) + list(
+                    check_conservation(network, domain)
+                )
         except InvariantViolation as violation:
             violations = [str(f) for f in violation.findings]
         probe.stop()
-        auditor.stop()
+        domain.auditor.stop()
 
         last = probe.samples[-1] if probe.samples else None
         return ChurnCellResult(

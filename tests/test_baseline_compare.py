@@ -9,22 +9,26 @@ are rejected, and the CI wiring exposes the cells with pinned seeds.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.core.audit import InvariantAuditor
 from repro.harness.baseline_cell import (
     BASELINE_SCENARIOS,
-    PROTOCOLS,
     QUICK_BASELINE_CELLS,
     _relative_signature,
     run_baseline_compare_cell,
 )
+from repro.harness.campaign import LEGS, run_scenario
+from repro.harness.scenarios import build_dvmrp_group
 from repro.netsim.faults import FaultSchedule, LinkFlap, NodeOutage
 
 
 class TestScheduleIdentity:
     def test_all_legs_share_one_schedule_digest(self):
         result = run_baseline_compare_cell("link_flap", "figure1", seed=0)
-        assert [o.protocol for o in result.outcomes] == list(PROTOCOLS)
+        assert tuple(o.protocol for o in result.outcomes) == tuple(LEGS)
         assert result.schedule_digest
         assert result.faults  # the schedule actually did something
 
@@ -116,5 +120,64 @@ class TestCIWiring:
         )
         assert payload["status"] == "ok"
         assert payload["metrics"]["ci.baseline.cells"] == 1
-        for protocol in PROTOCOLS:
+        for protocol in tuple(LEGS):
             assert f"ci.baseline.{protocol}.control_cost" in payload["metrics"]
+
+
+class TestOneLegRun:
+    """Every leg is a ``LEGS`` row through the one leg run, so the CBT
+    leg *is* the chaos cell, a new protocol is one row, and the CBT leg
+    is audited."""
+
+    @pytest.mark.parametrize("scenario", ["link_flap", "router_crash"])
+    def test_cbt_leg_measures_what_the_chaos_cell_measures(self, scenario):
+        chaos = run_scenario(scenario, "figure1", 0)
+        cbt = run_baseline_compare_cell(scenario, "figure1", 0).outcome("cbt")
+        assert (
+            cbt.recovered,
+            cbt.recovery_time,
+            cbt.control_cost,
+            cbt.delivery_before,
+            cbt.delivery_after,
+        ) == (
+            chaos.recovered,
+            chaos.recovery_time,
+            chaos.control_cost,
+            chaos.delivery_before,
+            chaos.delivery_after,
+        )
+
+    def test_a_new_protocol_is_one_row(self, monkeypatch):
+        from repro.harness.parallel import UNIT_KINDS
+
+        plain = run_baseline_compare_cell("link_flap", "figure1", 0)
+        long_prunes = dataclasses.replace(
+            LEGS["dvmrp"],
+            build=lambda network, members, cores, timers: build_dvmrp_group(
+                network, members, prune_lifetime=600.0
+            ),
+        )
+        monkeypatch.setitem(LEGS, "dvmrp_long", long_prunes)
+        result = run_baseline_compare_cell("link_flap", "figure1", 0)
+        assert [o.protocol for o in result.outcomes] == [
+            "cbt",
+            "dvmrp",
+            "hpimdm",
+            "dvmrp_long",
+        ]
+        assert result.schedule_digest == plain.schedule_digest
+        assert result.outcomes[:3] == plain.outcomes
+        assert result.outcome("dvmrp_long").recovered
+        payload = UNIT_KINDS["baseline-compare"].execute(
+            {"scenario": "link_flap", "topology": "figure1", "seed": 0}
+        )
+        assert "ci.baseline.dvmrp_long.control_cost" in payload["metrics"]
+
+    def test_the_cbt_leg_runs_under_one_auditor(self, monkeypatch):
+        started = []
+        start = InvariantAuditor.start
+        monkeypatch.setattr(
+            InvariantAuditor, "start", lambda self: started.append(self) or start(self)
+        )
+        run_baseline_compare_cell("router_crash", "figure1", 0)
+        assert len(started) == 1

@@ -91,6 +91,12 @@ class TestOpenFindings:
         assert any("parent pointers form a loop" in v for v in loop.violations)
         restless = run_scenario("core_crash", topology="waxman16", seed=29)
         assert not restless.recovered and not restless.violations
+        # The baseline cell's CBT leg is the same leg run, audited: it
+        # fails by the same auditor finding.
+        from repro.harness.baseline_cell import run_baseline_compare_cell
+
+        cbt = run_baseline_compare_cell("core_crash", "waxman16", seed=17).outcome("cbt")
+        assert not cbt.recovered and cbt.findings == loop.violations
 
 
 class TestAuditor:

@@ -470,3 +470,55 @@ def test_link_transmit_schedules_directly_and_builds_no_closure():
         node for node in ast.walk(transmit)
         if isinstance(node, (ast.Lambda, ast.FunctionDef)) and node is not transmit
     ]
+
+
+# -- a protocol is a row, not a branch ----------------------------------------------
+#
+# The cell runners reach CBT, DVMRP and HPIM-DM through the rows of
+# ``repro.harness.campaign.LEGS`` and one leg run, so adding a protocol
+# is one row.  A comparison against a protocol's name in ``harness/`` or
+# ``workloads/`` is the per-protocol branch coming back, and the CBT
+# row is the one place a cell stands an auditor up.
+
+_CELL_PACKAGES = ("harness", "workloads")
+_PROTOCOL_NAMES = {"cbt", "dvmrp", "hpimdm"}
+
+
+def _cell_sources():
+    for package in _CELL_PACKAGES:
+        for path in sorted((SRC / package).rglob("*.py")):
+            yield path.relative_to(SRC).as_posix(), ast.parse(
+                path.read_text(encoding="utf-8")
+            )
+
+
+def _names_a_protocol(operand):
+    elements = operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set)) else [operand]
+    return any(
+        isinstance(e, ast.Constant) and e.value in _PROTOCOL_NAMES for e in elements
+    )
+
+
+def test_no_cell_runner_branches_on_a_protocol_name():
+    found = {
+        f"{rel}:{node.lineno}"
+        for rel, tree in _cell_sources()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(map(_names_a_protocol, [node.left, *node.comparators]))
+    }
+    assert found == set()
+
+
+def test_one_place_constructs_the_auditor():
+    found = []
+    for rel, tree in _cell_sources():
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                found += [
+                    f"{rel}::{function.name}"
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "InvariantAuditor"
+                ]
+    assert found == ["harness/campaign.py::_audited_cbt_group"]
