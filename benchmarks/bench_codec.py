@@ -5,9 +5,6 @@ Times the byte-level encode/decode paths of the control header
 (Figure 10), and verifies the fixed sizes the spec's layouts imply.
 """
 
-from ipaddress import IPv4Address
-
-
 from benchmarks.conftest import publish
 from repro.core.constants import JoinSubcode, MessageType
 from repro.core.messages import (
@@ -20,6 +17,7 @@ from repro.core.messages import (
 )
 from repro.harness.formatting import format_table
 from repro.igmp.messages import CoreReport, decode_igmp
+from repro.netsim.address import IPv4Address
 
 GROUP = IPv4Address("239.1.2.3")
 CORES = (IPv4Address("10.0.0.1"), IPv4Address("10.0.1.1"), IPv4Address("10.0.2.1"))

@@ -35,7 +35,6 @@ import json
 import os
 import sys
 import time
-from ipaddress import IPv4Address, IPv4Network
 from typing import Callable, Dict, List, Optional
 
 REPO_ROOT = os.path.dirname(
@@ -93,6 +92,7 @@ def _time_ops(fn: Callable[[], object], min_seconds: float = 0.2) -> float:
 
 def bench_route_lookup(quick: bool) -> Dict[str, Metric]:
     """Indexed + memoized RoutingTable.lookup vs the naive linear scan."""
+    from repro.netsim.address import IPv4Address, IPv4Network
     from repro.routing.table import Route, RoutingTable
     from repro.topology.builder import Network
 
@@ -203,6 +203,7 @@ def bench_codec(quick: bool) -> Dict[str, Metric]:
         decode_data_header,
     )
     from repro.igmp.messages import CoreReport, decode_igmp
+    from repro.netsim.address import IPv4Address
 
     group = IPv4Address("239.1.2.3")
     cores = (
@@ -244,7 +245,7 @@ def bench_records(quick: bool) -> Dict[str, Metric]:
     from repro.core.constants import CBT_PORT, MessageType
     from repro.core.messages import CBTControlMessage, CBTDataPacket
     from repro.igmp.messages import MembershipQuery
-    from repro.netsim.address import ALL_CBT_ROUTERS, ALL_SYSTEMS
+    from repro.netsim.address import ALL_CBT_ROUTERS, ALL_SYSTEMS, IPv4Address
     from repro.netsim.packet import (
         PROTO_CBT,
         PROTO_IGMP,

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from ipaddress import IPv4Address
 from typing import Dict, List
 
+from repro.netsim.address import IPv4Address
 from repro.netsim.link import PointToPointLink
 
 

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from ipaddress import IPv4Address
 from typing import List, Optional
 
 from repro.harness.formatting import format_table
+from repro.netsim.address import IPv4Address
 
 
 def event_timeline(

@@ -16,10 +16,10 @@ compute everything locally — no global bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from ipaddress import IPv4Address
 from typing import Dict, List, Optional, Sequence
 
 from repro.igmp.host import IGMPHostAgent
+from repro.netsim.address import IPv4Address
 from repro.netsim.engine import PeriodicTimer
 from repro.netsim.packet import IPDatagram, PROTO_UDP, UDPDatagram
 from repro.routing.table import Host

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from ipaddress import IPv4Address
 from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple
 
 from repro.igmp.host import IGMPHostAgent
 from repro.igmp.router_side import IGMPConfig, IGMPRouterAgent
+from repro.netsim.address import IPv4Address
 from repro.netsim.engine import PeriodicTimer
 from repro.netsim.nic import Interface
 from repro.netsim.node import Node

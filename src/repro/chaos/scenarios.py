@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from ipaddress import IPv4Address
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.bootstrap import CBTDomain
 from repro.core.timers import CBTTimers
+from repro.netsim.address import IPv4Address
 from repro.netsim.faults import (
     FaultEvent,
     FaultSchedule,

@@ -19,8 +19,9 @@ repair the tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ipaddress import IPv4Address
 from typing import Dict, List, Optional, Set, Tuple
+
+from repro.netsim.address import IPv4Address
 
 
 @dataclass(frozen=True)

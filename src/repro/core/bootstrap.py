@@ -16,13 +16,13 @@ tests, and benchmarks: it instantiates IGMP + CBT on every router of a
 
 from __future__ import annotations
 
-from ipaddress import IPv4Address
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.router import CBTProtocol
 from repro.core.timers import CBTTimers, DEFAULT_TIMERS
 from repro.igmp.host import IGMPHostAgent
 from repro.igmp.router_side import IGMPConfig
+from repro.netsim.address import IPv4Address
 from repro.netsim.engine import collector_paused
 from repro.routing.table import Host, Router
 from repro.topology.builder import Network

@@ -21,9 +21,9 @@ later added HELLO, which we follow).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from ipaddress import IPv4Address
 from typing import Dict
 
+from repro.netsim.address import IPv4Address
 from repro.netsim.nic import Interface
 
 #: Seconds between HELLO beacons on each interface.

@@ -15,10 +15,10 @@ recompiles, as it occurs, the immutable
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from ipaddress import IPv4Address
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.kernel import KernelEntry
+from repro.netsim.address import IPv4Address
 from repro.telemetry import Counter
 
 

@@ -26,12 +26,12 @@ it entirely (the forwarding benchmark measures both).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ipaddress import IPv4Address
 from typing import Optional
 
 from repro.core.constants import OFF_TREE
 from repro.core.kernel import KernelEntry
 from repro.core.messages import CBTDataPacket
+from repro.netsim.address import IPv4Address
 from repro.netsim.nic import Interface
 from repro.netsim.packet import (
     IPDatagram,

@@ -18,8 +18,9 @@ spec's update-traffic quantity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ipaddress import IPv4Address
 from typing import Dict, FrozenSet, List, Optional, Tuple
+
+from repro.netsim.address import IPv4Address
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,7 @@ class KernelEntry:
     group: IPv4Address
     parent_address: Optional[IPv4Address]
     parent_vif: Optional[int]
-    #: (address, vif) pairs by ascending ``int(address)``.
+    #: (address, vif) pairs by ascending address.
     children: Tuple[Tuple[IPv4Address, int], ...]
     #: Every on-tree vif (parent + children).
     tree_vifs: FrozenSet[int]
@@ -42,7 +43,7 @@ class KernelEntry:
 
     @classmethod
     def from_user_entry(cls, entry) -> "KernelEntry":
-        children = tuple(sorted(entry.children.items(), key=lambda kv: int(kv[0])))
+        children = tuple(sorted(entry.children.items()))
         targets = children
         if entry.parent_address is not None:
             targets = ((entry.parent_address, entry.parent_vif),) + children

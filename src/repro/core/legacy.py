@@ -31,11 +31,10 @@ UDP port.
 
 from __future__ import annotations
 
-from ipaddress import IPv4Address
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.constants import CBT_AUX_PORT, JoinSubcode
-from repro.netsim.address import ALL_CBT_ROUTERS, ALL_SYSTEMS
+from repro.netsim.address import ALL_CBT_ROUTERS, ALL_SYSTEMS, IPv4Address
 from repro.netsim.nic import Interface
 from repro.netsim.packet import IPDatagram, PROTO_UDP, Record, make_udp
 

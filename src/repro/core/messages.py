@@ -21,7 +21,6 @@ sizes feed bandwidth accounting.
 from __future__ import annotations
 
 import struct
-from ipaddress import IPv4Address
 from typing import Any, Optional, Sequence, Tuple
 
 from repro.core.constants import (
@@ -34,6 +33,7 @@ from repro.core.constants import (
     ON_TREE,
 )
 from repro.igmp.messages import internet_checksum
+from repro.netsim.address import IPv4Address
 from repro.netsim.packet import Record, nominal_size
 
 #: Byte sizes of the two headers.

@@ -38,10 +38,10 @@ seed — which is what lets the chaos tier fingerprint them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from ipaddress import IPv4Address
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.placement import locality_cores
+from repro.netsim.address import IPv4Address
 from repro.topology.graph import Graph, Tree
 
 

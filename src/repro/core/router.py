@@ -20,7 +20,6 @@ Data-plane behaviour (§4, §5, §7) lives in
 
 from __future__ import annotations
 
-from ipaddress import IPv4Address
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.constants import (
@@ -46,7 +45,7 @@ from repro.core.state import CachedJoin, PendingJoin, RejoinAttempt
 from repro.core.timers import CBTTimers, DEFAULT_TIMERS
 from repro.igmp.messages import CoreReport
 from repro.igmp.router_side import IGMPConfig, IGMPRouterAgent
-from repro.netsim.address import ALL_CBT_ROUTERS
+from repro.netsim.address import ALL_CBT_ROUTERS, IPv4Address
 from repro.netsim.engine import PeriodicTimer, Timer
 from repro.netsim.nic import Interface
 from repro.netsim.node import Node

@@ -14,10 +14,10 @@ failure recovery (§6.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from ipaddress import IPv4Address
 from typing import List, Optional, Tuple
 
 from repro.core.constants import JoinSubcode
+from repro.netsim.address import IPv4Address
 from repro.netsim.engine import Timer
 
 

@@ -15,9 +15,9 @@ routing for cores that have rankings configured.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ipaddress import IPv4Address
 from typing import Dict, List, Optional, Sequence
 
+from repro.netsim.address import IPv4Address
 from repro.netsim.nic import Interface
 
 

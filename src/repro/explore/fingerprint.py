@@ -45,13 +45,11 @@ def protocol_state(name: str, protocol) -> Tuple:
             bool(pend.retransmit_timer is not None and pend.retransmit_timer.pending),
             bool(pend.expiry_timer is not None and pend.expiry_timer.pending),
         )
-        for group, pend in sorted(protocol.pending.items(), key=lambda kv: int(kv[0]))
+        for group, pend in sorted(protocol.pending.items())
     )
     rejoin_part = tuple(
         (str(group), attempt.core_index, attempt.attempts)
-        for group, attempt in sorted(
-            protocol.rejoins.items(), key=lambda kv: int(kv[0])
-        )
+        for group, attempt in sorted(protocol.rejoins.items())
     )
     quit_timers = getattr(protocol, "_quit_timers", {})
     quit_part = tuple(
@@ -63,9 +61,7 @@ def protocol_state(name: str, protocol) -> Tuple:
                 and quit_timers[group].pending
             ),
         )
-        for group, retries in sorted(
-            protocol._quitting.items(), key=lambda kv: int(kv[0])
-        )
+        for group, retries in sorted(protocol._quitting.items())
     )
     igmp_part = tuple(
         (

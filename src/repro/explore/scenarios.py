@@ -14,13 +14,12 @@ applied against ``members``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ipaddress import IPv4Address
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.baselines.hpimdm import HPIMDMDomain
 from repro.core.bootstrap import CBTDomain
 from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS, SETTLE_TIME
-from repro.netsim.address import group_address
+from repro.netsim.address import IPv4Address, group_address
 from repro.netsim.faults import LinkFlap, NodeOutage
 from repro.topology.builder import Network
 from repro.topology.figures import build_figure1

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from ipaddress import IPv4Address
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.baselines.dvmrp import DenseModeDomain
@@ -47,6 +46,7 @@ from repro.harness.scenarios import (
     pick_members,
     send_data,
 )
+from repro.netsim.address import IPv4Address
 from repro.netsim.engine import cell
 from repro.netsim.faults import FaultSchedule, derive_seed
 from repro.topology.builder import Network

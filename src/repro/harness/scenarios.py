@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from functools import partial
-from ipaddress import IPv4Address
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bootstrap import CBTDomain
@@ -18,7 +17,7 @@ from repro.core.timers import CBTTimers
 from repro.baselines.dvmrp import DVMRPDomain
 from repro.baselines.hpimdm import HPIMDMDomain
 from repro.igmp.router_side import IGMPConfig
-from repro.netsim.address import group_address
+from repro.netsim.address import IPv4Address, group_address
 from repro.netsim.packet import IPDatagram, PROTO_UDP, UDPDatagram
 from repro.topology.builder import Network
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from ipaddress import IPv4Address
 from typing import List, Sequence
 
+from repro.netsim.address import IPv4Address
 from repro.topology.builder import Network
 
 #: The only membership actions a schedule may carry.

@@ -10,10 +10,9 @@ all-routers group.
 
 from __future__ import annotations
 
-from ipaddress import IPv4Address
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.netsim.address import ALL_ROUTERS
+from repro.netsim.address import ALL_ROUTERS, IPv4Address
 from repro.netsim.engine import Timer
 from repro.netsim.nic import Interface
 from repro.netsim.node import Node

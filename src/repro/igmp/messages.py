@@ -14,9 +14,9 @@ corrupted bytes — tests exercise both directions.
 from __future__ import annotations
 
 import struct
-from ipaddress import IPv4Address
 from typing import Optional, Tuple, Union
 
+from repro.netsim.address import IPv4Address
 from repro.netsim.packet import Record
 
 IGMP_QUERY = 0x11

@@ -19,10 +19,9 @@ changes and core reports via listener callbacks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ipaddress import IPv4Address
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.netsim.address import ALL_SYSTEMS
+from repro.netsim.address import ALL_SYSTEMS, IPv4Address
 from repro.netsim.engine import PeriodicTimer, Timer
 from repro.netsim.nic import Interface
 from repro.netsim.node import Node
@@ -79,9 +78,9 @@ class MembershipDatabase:
 
     def __init__(self) -> None:
         self._by_interface: Dict[int, set] = {}
-        #: int(group) -> vifs with presence, in ``_by_interface`` order;
+        #: group -> vifs with presence, in ``_by_interface`` order;
         #: rebuilt for one group by each write, read per data packet.
-        self._by_group: Dict[int, Tuple[int, ...]] = {}
+        self._by_group: Dict[IPv4Address, Tuple[int, ...]] = {}
 
     def groups_on(self, interface: Interface) -> set:
         return set(self._by_interface.get(interface.vif, set()))
@@ -90,10 +89,10 @@ class MembershipDatabase:
         return group in self._by_interface.get(interface.vif, set())
 
     def interfaces_with(self, group: IPv4Address) -> Tuple[int, ...]:
-        return self._by_group.get(int(group), ())
+        return self._by_group.get(group, ())
 
     def _index(self, group: IPv4Address) -> None:
-        self._by_group[int(group)] = tuple(
+        self._by_group[group] = tuple(
             vif for vif, groups in self._by_interface.items() if group in groups
         )
 

@@ -19,10 +19,10 @@ checks should compare, not datagram uids.
 from __future__ import annotations
 
 from collections import OrderedDict
-from ipaddress import IPv4Address
 from typing import Sequence, Tuple
 
 from repro.igmp.messages import CoreReport, MembershipQuery, MembershipReport
+from repro.netsim.address import IPv4Address
 from repro.netsim.engine import Scheduler
 from repro.netsim.nic import Interface
 from repro.netsim.node import Node

@@ -19,9 +19,9 @@ populations at n=1000, so neither gets a closure
 
 from __future__ import annotations
 
-from ipaddress import IPv4Address, IPv4Network
 from typing import Callable, Dict, List, Optional
 
+from repro.netsim.address import IPv4Address, IPv4Network
 from repro.netsim.engine import Scheduler, SchedulerError
 from repro.netsim.nic import Interface
 from repro.netsim.packet import IPDatagram, UDPDatagram

@@ -7,9 +7,9 @@ the spec's FIB layout (Figure 4).
 
 from __future__ import annotations
 
-from ipaddress import IPv4Address, IPv4Network
 from typing import TYPE_CHECKING, Optional
 
+from repro.netsim.address import IPv4Address, IPv4Network
 from repro.netsim.engine import SchedulerError
 from repro.telemetry import payload_label
 

@@ -11,9 +11,9 @@ lives in subclasses (:class:`repro.routing.table.RoutedNode`,
 
 from __future__ import annotations
 
-from ipaddress import IPv4Address, IPv4Network
 from typing import Callable, Dict, List, Optional
 
+from repro.netsim.address import IPv4Address, IPv4Network
 from repro.netsim.engine import Scheduler
 from repro.netsim.link import Link
 from repro.netsim.nic import Interface
@@ -33,7 +33,7 @@ class Node:
         # Memo caches over the interface list (hot on every unicast
         # transmit/receive); interface addresses and networks are fixed
         # at creation, so adding an interface is the only invalidation.
-        self._toward_cache: Dict[int, Optional[Interface]] = {}
+        self._toward_cache: Dict[IPv4Address, Optional[Interface]] = {}
         self._own_addresses: Optional[frozenset] = None
 
     def __repr__(self) -> str:
@@ -76,8 +76,7 @@ class Node:
 
     def interface_toward(self, address: IPv4Address) -> Optional[Interface]:
         """The directly connected interface whose subnet contains ``address``."""
-        key = int(address)
-        cached = self._toward_cache.get(key, False)
+        cached = self._toward_cache.get(address, False)
         if cached is not False:
             return cached  # type: ignore[return-value]
         found: Optional[Interface] = None
@@ -85,16 +84,14 @@ class Node:
             if interface.on_same_network(address):
                 found = interface
                 break
-        self._toward_cache[key] = found
+        self._toward_cache[address] = found
         return found
 
     def owns_address(self, address: IPv4Address) -> bool:
         owned = self._own_addresses
         if owned is None:
-            owned = self._own_addresses = frozenset(
-                int(i.address) for i in self.interfaces
-            )
-        return int(address) in owned
+            owned = self._own_addresses = frozenset(i.address for i in self.interfaces)
+        return address in owned
 
     @property
     def primary_address(self) -> IPv4Address:

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from ipaddress import IPv4Address
 from typing import Any, Optional
+
+from repro.netsim.address import IPv4Address
 
 #: IP protocol numbers used in the simulation.
 PROTO_IGMP = 2
@@ -142,7 +143,7 @@ class IPDatagram(Record):
             raise ValueError(f"TTL out of range: {ttl}")
         if uid is None:
             uid = _next_packet_id()
-        return _new(cls, (src, dst, proto, payload, ttl, uid, int(dst) >> 28 == 0xE))
+        return _new(cls, (src, dst, proto, payload, ttl, uid, dst >> 28 == 0xE))
 
     def decremented(self) -> "IPDatagram":
         """Copy with TTL reduced by one (same uid)."""

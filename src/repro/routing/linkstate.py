@@ -23,12 +23,12 @@ derived from costs (adjacency is cost-independent).
 from __future__ import annotations
 
 import heapq
-from ipaddress import IPv4Address
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.netsim.address import NETMASKS, IPv4Address
 from repro.netsim.link import Link
 from repro.netsim.nic import Interface
-from repro.routing.table import _MASKS, Route, Router
+from repro.routing.table import Route, Router
 
 
 class _OndemandPlan:
@@ -87,7 +87,7 @@ class _OndemandPlan:
         prefix_key = None
         hit = None
         for plen in self._plens:
-            key = (dest_int & _MASKS[plen], plen)
+            key = (dest_int & NETMASKS[plen], plen)
             hit = self._prefix_map.get(key)
             if hit is not None:
                 prefix_key = key

@@ -10,7 +10,6 @@ the capability set the spec assumes of end systems.
 
 from __future__ import annotations
 
-from ipaddress import IPv4Address, IPv4Network
 from typing import (
     Callable,
     Dict,
@@ -23,7 +22,13 @@ from typing import (
     Tuple,
 )
 
-from repro.netsim.address import LINK_LOCAL_HIGH_BITS, is_link_local_multicast
+from repro.netsim.address import (
+    LINK_LOCAL_HIGH_BITS,
+    NETMASKS,
+    IPv4Address,
+    IPv4Network,
+    is_link_local_multicast,
+)
 from repro.netsim.engine import Scheduler
 from repro.netsim.nic import Interface
 from repro.netsim.node import Node
@@ -75,9 +80,6 @@ class Route:
     def is_direct(self) -> bool:
         return self.next_hop is None
 
-
-#: Netmask (as an int) for every prefix length; index by prefixlen.
-_MASKS = tuple((0xFFFFFFFF << (32 - p)) & 0xFFFFFFFF if p else 0 for p in range(33))
 
 #: Bound on the per-destination memo cache; cleared wholesale when hit
 #: so a scan over a huge address space cannot grow memory unboundedly.
@@ -247,7 +249,7 @@ class RoutingTable:
         if self._provider is not None:
             self._materialise()
         for plen in self._prefixlens:
-            route = self._by_prefixlen[plen].get(dest_int & _MASKS[plen])
+            route = self._by_prefixlen[plen].get(dest_int & NETMASKS[plen])
             if route is not None:
                 return route
         if self._resolver is not None:
@@ -402,8 +404,8 @@ class Router(RoutedNode):
             handler = self._handlers.get(datagram.proto, self._default_handler)
             if handler is not None:
                 handler(self, interface, datagram)
-            if (  # is_link_local_multicast(), inlined: one per HELLO and query heard
-                int(datagram.dst) >> 8 != LINK_LOCAL_HIGH_BITS
+            if (
+                datagram.dst >> 8 != LINK_LOCAL_HIGH_BITS
                 and self.multicast_forwarder is not None
             ):
                 self.multicast_forwarder.forward_multicast(self, interface, datagram)

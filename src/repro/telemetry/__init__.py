@@ -7,9 +7,10 @@ same registry and bus without extra plumbing.  See
 docs/OBSERVABILITY.md for the naming conventions and the conservation
 laws the counters satisfy.
 
-This package imports nothing from the rest of ``repro`` — the
-dependency arrow points strictly inward (netsim/core/igmp import
-telemetry, never the reverse).
+This package imports nothing from the rest of ``repro`` when it loads
+— the dependency arrow points strictly inward (netsim/core/igmp import
+telemetry, never the reverse); the trace reader reaches
+``repro.netsim.address`` only when it parses a record.
 """
 
 from __future__ import annotations

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from ipaddress import IPv4Address
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -36,6 +36,9 @@ from typing import (
     Optional,
     Union,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - see _address
+    from repro.netsim.address import IPv4Address
 
 #: Schema identifier written to (and required from) JSONL trace files.
 TRACE_SCHEMA = "repro-trace/1"
@@ -67,8 +70,16 @@ def payload_label(datagram: Any) -> str:
     return f"proto{datagram.proto}"
 
 
-def _opt_address(value: Optional[str]) -> Optional[IPv4Address]:
-    return IPv4Address(value) if value is not None else None
+def _address(value: Any) -> IPv4Address:
+    """The address a trace field holds.  Imported here, not at the top:
+    ``repro.netsim`` imports this package, never the reverse."""
+    from repro.netsim.address import IPv4Address
+
+    return IPv4Address(value)
+
+
+def _opt_address(value: Any) -> Optional[IPv4Address]:
+    return _address(value) if value is not None else None
 
 
 def _opt_str(value: Optional[IPv4Address]) -> Optional[str]:
@@ -171,8 +182,8 @@ class PacketEvent:
             link=payload["link"],
             node=payload["node"],
             label=payload["label"],
-            src=IPv4Address(payload["src"]),
-            dst=IPv4Address(payload["dst"]),
+            src=_address(payload["src"]),
+            dst=_address(payload["dst"]),
             proto=payload["proto"],
             size=payload["size"],
             uid=payload.get("uid", 0),

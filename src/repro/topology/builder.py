@@ -9,10 +9,9 @@ stay deterministic and uniformly wired.
 
 from __future__ import annotations
 
-from ipaddress import IPv4Address
 from typing import Dict, List, Optional, Sequence
 
-from repro.netsim.address import AddressAllocator
+from repro.netsim.address import AddressAllocator, IPv4Address
 from repro.netsim.engine import Scheduler
 from repro.netsim.link import (
     DEFAULT_LAN_DELAY,

@@ -11,11 +11,11 @@ live ones, so ``repr`` texts compare byte for byte.
 
 import itertools
 from dataclasses import dataclass, field
-from ipaddress import IPv4Address
 from typing import Any, Optional, Tuple
 
 from repro.core.constants import CBT_VERSION, MAX_CORES, MessageType, OFF_TREE, ON_TREE
 from repro.igmp.messages import CORE_REPORT_CODE_CBT, DEFAULT_MAX_RESPONSE_TIME
+from repro.netsim.address import IPv4Address
 from repro.netsim.packet import DEFAULT_TTL, PROTO_UDP
 
 _ZERO = IPv4Address("0.0.0.0")

@@ -18,10 +18,10 @@ holds more than one.
 
 from __future__ import annotations
 
-from ipaddress import IPv4Address
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.audit import Finding
+from repro.netsim.address import IPv4Address
 from repro.telemetry.conservation import LATE_REASON
 from repro.telemetry.registry import MetricsRegistry
 

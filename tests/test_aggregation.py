@@ -1,13 +1,12 @@
 """Tests for §8.4 group-range aggregation (covering prefixes + masks)."""
 
-from ipaddress import IPv4Address
-
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.messages import covering_prefix, in_masked_range
 from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS
 from repro import CBTDomain, group_address
+from repro.netsim.address import IPv4Address
 from repro.netsim.address import group_address as ga
 
 

@@ -86,43 +86,47 @@ TRACKED_PER_LINK_CEILING = 66.0
 #: Python calls the data plane may make per transmission (a tree
 #: forward or a member-LAN delivery), counted from its entry points
 #: down through the link and the scheduler.  Forwarding from the
-#: downloaded kernel entry, copying tuple records and scheduling
-#: straight from ``Link.transmit``, this tree measures 22.2 in CBT mode
-#: and 20.7 native (26.1 / 24.7 with dataclass packets and a
-#: ``call_later`` / ``_record`` frame per transmission; 35.6 / 34.8 when
-#: every packet also re-derived its fan-out and copied headers through
-#: ``dataclasses.replace``); the ceiling is that plus 10 %.
-DATA_PATH_CALLS_PER_TRANSMISSION_CEILING = {"cbt": 24.4, "native": 22.8}
+#: downloaded kernel entry, copying tuple records, scheduling straight
+#: from ``Link.transmit`` and hashing addresses as ints, this tree
+#: measures 18.8 in CBT mode and 18.5 native (22.2 / 20.7 with the
+#: standard library's address type; 26.1 / 24.7 with dataclass packets
+#: and a ``call_later`` / ``_record`` frame per transmission; 35.6 /
+#: 34.8 when every packet also re-derived its fan-out and copied headers
+#: through ``dataclasses.replace``); the ceiling is that plus 10 %.
+DATA_PATH_CALLS_PER_TRANSMISSION_CEILING = {"cbt": 20.7, "native": 20.4}
 
 #: Python calls one keepalive may make from its sender's tick to its
 #: receivers' handlers (tick -> ``transmit`` -> ``deliver`` ->
 #: ``_recv_hello`` / ``_handle_query``), per message sent, on the
 #: 120-router world below with every neighbour already known.  Built as
-#: tuple records and sent without pass-through frames this tree
-#: measures 20.9 per HELLO and 23.2 per general query (33.2 / 30.9 when
-#: each was three frozen dataclasses built through ``make_udp`` /
-#: keywords and scheduled through ``call_later``); the ceiling is that
-#: plus 10 %.
-CONTROL_CALLS_PER_MESSAGE_CEILING = {"hello": 23.0, "query": 25.6}
+#: tuple records, sent without pass-through frames and keyed by int
+#: addresses this tree measures 17.7 per HELLO and 18.0 per general
+#: query (20.9 / 23.2 with the standard library's address type; 33.2 /
+#: 30.9 when each was three frozen dataclasses built through
+#: ``make_udp`` / keywords and scheduled through ``call_later``); the
+#: ceiling is that plus 10 %.
+CONTROL_CALLS_PER_MESSAGE_CEILING = {"hello": 19.5, "query": 19.8}
 
 #: Python calls one look may cost on a settled 120-router domain
 #: (``waxman_network(120, alpha=0.1)``, 398 links) carrying one
 #: 15-member group on a 28-router tree.  Reading the domain's address
 #: index, visiting only routers that hold state and summing the
-#: counters ``ControlStats`` holds, this tree measures 839 / 971 /
-#: 10,362 (2,948 / 3,872 / 17,812 when every look re-walked every
-#: interface, re-ran Dijkstra and pattern-queried the registry per
-#: router and per link); the ceiling is that plus 10 %.
+#: counters ``ControlStats`` holds, this tree measures 594 / 886 /
+#: 10,318 (839 / 971 / 10,362 with the standard library's address type;
+#: 2,948 / 3,872 / 17,812 when every look re-walked every interface,
+#: re-ran Dijkstra and pattern-queried the registry per router and per
+#: link); the ceiling is that plus 10 %.
 OBSERVER_CALLS_CEILING = {
-    "check_invariants": 923,
-    "sample": 1068,
-    "check_conservation": 11398,
+    "check_invariants": 653,
+    "sample": 975,
+    "check_conservation": 11350,
 }
 
 #: ``check_invariants`` on 240 routers (1,439 links, a 36-router tree
 #: for the same 15 members) against the 120-router count: the cost
-#: follows the tree, not the domain (measured 1,213 / 839 = 1.45, of
-#: which 1.29 is the tree itself; 8,024 / 2,948 = 2.72 before).
+#: follows the tree, not the domain (measured 873 / 594 = 1.47, of
+#: which 1.29 is the tree itself; 1,213 / 839 = 1.45 with the standard
+#: library's address type, 8,024 / 2,948 = 2.72 before).
 OBSERVER_CALLS_DOUBLING_CEILING = 1.5
 
 

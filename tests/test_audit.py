@@ -60,7 +60,7 @@ class TestDetections:
         domain, group = figure1_domain
         from repro.core.state import PendingJoin
         from repro.core.constants import JoinSubcode
-        from ipaddress import IPv4Address
+        from repro.netsim.address import IPv4Address
 
         p1 = domain.protocol("R1")
         p1.pending[group] = PendingJoin(

@@ -1,12 +1,11 @@
 """Tests for GroupCoordinator and CBTDomain assembly."""
 
-from ipaddress import IPv4Address
-
 import pytest
 
 from repro import CBTDomain, group_address
 from repro.core.bootstrap import GroupCoordinator
 from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS
+from repro.netsim.address import IPv4Address
 
 
 class TestGroupCoordinator:

@@ -1,7 +1,5 @@
 """Tests for CBT packet codecs (spec §8), including property roundtrips."""
 
-from ipaddress import IPv4Address
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +13,7 @@ from repro.core.messages import (
     decode_control,
     decode_data_header,
 )
+from repro.netsim.address import IPv4Address
 
 GROUP = IPv4Address("239.1.2.3")
 ORIGIN = IPv4Address("10.0.0.1")

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 import struct
-from ipaddress import IPv4Address
 
 import pytest
 
@@ -53,6 +52,7 @@ from repro.igmp.messages import (
     decode_igmp,
     internet_checksum,
 )
+from repro.netsim.address import IPv4Address
 
 SEED = 0xCB7
 CASES = 25  # randomised instances per message type

@@ -1,10 +1,9 @@
 """DR election tests (spec §2.3)."""
 
-from ipaddress import IPv4Address
-
 from repro import CBTDomain, group_address
 from repro.core.dr import NeighbourTable
 from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS
+from repro.netsim.address import IPv4Address
 from repro.topology.builder import Network
 
 

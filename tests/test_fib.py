@@ -1,11 +1,9 @@
 """Tests for the FIB (spec Figure 4) and transient join state."""
 
-from ipaddress import IPv4Address
-
 from repro.core.constants import JoinSubcode
 from repro.core.fib import FIB, FIBEntry
 from repro.core.state import CachedJoin, PendingJoin, RejoinAttempt
-from repro.netsim.address import group_address
+from repro.netsim.address import IPv4Address, group_address
 
 GROUP = group_address(0)
 PARENT = IPv4Address("10.0.0.1")

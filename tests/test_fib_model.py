@@ -5,13 +5,11 @@ model (dicts and sets) and checks the two stay equivalent — the
 classic way to catch bookkeeping drift in state containers.
 """
 
-from ipaddress import IPv4Address
-
 from hypothesis import given, settings, strategies as st
 
 from repro.core.fib import FIB
 from repro.core.kernel import KernelEntry
-from repro.netsim.address import group_address
+from repro.netsim.address import IPv4Address, group_address
 
 GROUPS = [group_address(i) for i in range(4)]
 ADDRESSES = [IPv4Address(f"10.0.0.{i}") for i in range(1, 6)]

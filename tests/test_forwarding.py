@@ -92,8 +92,8 @@ class TestOnTreeBit:
     ):
         """§7: on-tree-marked packets arriving over a non-tree
         interface are dropped immediately."""
-        from ipaddress import IPv4Address
         from repro.core.messages import CBTDataPacket
+        from repro.netsim.address import IPv4Address
         from repro.netsim.packet import IPDatagram, PROTO_UDP, UDPDatagram
 
         domain, group = figure1_full_tree
@@ -130,8 +130,8 @@ class TestOnTreeBit:
     ):
         """§7: a not-yet-on-tree packet is left alone by off-tree
         routers (it is tunnelling toward the core)."""
-        from ipaddress import IPv4Address
         from repro.core.messages import CBTDataPacket
+        from repro.netsim.address import IPv4Address
         from repro.netsim.packet import IPDatagram, PROTO_UDP, UDPDatagram
 
         domain, group = figure1_full_tree

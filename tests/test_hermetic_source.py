@@ -522,3 +522,44 @@ def test_one_place_constructs_the_auditor():
                     and getattr(node.func, "id", None) == "InvariantAuditor"
                 ]
     assert found == ["harness/campaign.py::_audited_cbt_group"]
+
+
+# -- an address is an int ------------------------------------------------------------
+#
+# ``repro.netsim.address`` defines the address and prefix types, and a
+# standard library address compares unequal to one of them without
+# raising, so a module that still builds the stdlib type mixes the two
+# silently.  The reference test compares against ``ipaddress`` on
+# purpose; ``benchmarks/e2e`` is frozen source that passes stdlib
+# addresses through the public API, which accepts them.
+
+REPO = SRC.parents[1]
+
+#: Files allowed to import ``ipaddress``, relative to the repository.
+IPADDRESS_IMPORTERS = {
+    "src/repro/netsim/address.py": "the address types parse text through it",
+    "tests/test_address.py": "the reference the address types are held to",
+}
+
+
+def _imports_ipaddress(path):
+    return any(
+        isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "ipaddress" for alias in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "ipaddress"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    )
+
+
+def test_only_the_address_module_imports_ipaddress():
+    paths = [
+        path
+        for root in ("src/repro", "tests", "examples", "benchmarks")
+        for path in sorted((REPO / root).rglob("*.py"))
+        if "e2e" not in path.relative_to(REPO).parts
+    ]
+    found = {
+        path.relative_to(REPO).as_posix() for path in paths if _imports_ipaddress(path)
+    }
+    assert found == set(IPADDRESS_IMPORTERS)

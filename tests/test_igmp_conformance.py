@@ -4,11 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.igmp.host import IGMPHostAgent, _response_delay
 from repro.igmp.router_side import IGMPConfig, IGMPRouterAgent
-from repro.netsim.address import group_address
 from repro.netsim.engine import Scheduler
 from repro.topology.builder import Network
 
-from ipaddress import IPv4Address
+from repro.netsim.address import IPv4Address, group_address
 
 GROUP = group_address(0)
 

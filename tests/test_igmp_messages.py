@@ -1,7 +1,5 @@
 """Tests for IGMP message codecs, including property-based roundtrips."""
 
-from ipaddress import IPv4Address
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +12,7 @@ from repro.igmp.messages import (
     decode_igmp,
     internet_checksum,
 )
+from repro.netsim.address import IPv4Address
 
 GROUP = IPv4Address("239.1.2.3")
 CORES = (IPv4Address("10.0.0.1"), IPv4Address("10.0.1.1"))

@@ -1,12 +1,10 @@
 """Tests for host- and router-side IGMP behaviour."""
 
-from ipaddress import IPv4Address
-
 from hypothesis import given, settings, strategies as st
 
 from repro.igmp.host import IGMPHostAgent
 from repro.igmp.router_side import IGMPConfig, IGMPRouterAgent
-from repro.netsim.address import group_address
+from repro.netsim.address import IPv4Address, group_address
 from repro.topology.builder import Network
 
 GROUP = group_address(0)

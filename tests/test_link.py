@@ -1,9 +1,8 @@
 """Tests for subnets, point-to-point links, and delivery semantics."""
 
-from ipaddress import IPv4Address
-
 import pytest
 
+from repro.netsim.address import IPv4Address
 from repro.netsim.engine import Scheduler
 from repro.netsim.link import Subnet
 from repro.netsim.node import Node

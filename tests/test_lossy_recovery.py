@@ -7,9 +7,8 @@ link failures.  All loss here flows through
 :class:`repro.netsim.faults.SeededLoss`, so every run is replayable.
 """
 
-from ipaddress import IPv4Address
-
 from repro.harness.scenarios import send_data
+from repro.netsim.address import IPv4Address
 from repro.netsim.faults import SeededJitter, SeededLoss, derive_seed
 from repro.netsim.packet import IPDatagram, PROTO_UDP
 from tests.conftest import join_members

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.netsim.address import IPv4Address
 from repro.netsim.engine import PeriodicTimer, Scheduler
 from repro.netsim.packet import IPDatagram, PROTO_UDP
 from repro.topology.builder import Network
 
-from ipaddress import IPv4Address
 
 GROUP = IPv4Address("239.0.0.9")
 
@@ -66,7 +66,7 @@ class TestNodeEdgeCases:
     def test_send_on_detached_interface_raises(self):
         from repro.netsim.nic import Interface
         from repro.netsim.node import Node
-        from ipaddress import IPv4Network
+        from repro.netsim.address import IPv4Network
 
         net = Network()
         node = Node("n", net.scheduler)

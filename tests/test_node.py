@@ -1,9 +1,8 @@
 """Tests for node basics: interfaces, dispatch, identity."""
 
-from ipaddress import IPv4Address
-
 import pytest
 
+from repro.netsim.address import IPv4Address
 from repro.netsim.node import Node
 from repro.netsim.packet import IPDatagram, PROTO_IGMP, PROTO_UDP
 from repro.topology.builder import Network

@@ -15,8 +15,6 @@ findings' schedules, hand-corrupted trees with the offender live and
 crashed, and a live domain that gains interfaces.
 """
 
-from ipaddress import IPv4Address
-
 import pytest
 
 from repro.chaos import SCENARIOS, run_scenario
@@ -26,6 +24,7 @@ from repro.core.constants import JoinSubcode
 from repro.core.state import PendingJoin
 from repro.explore.oracle import convergence_findings, transition_findings
 from repro.harness import campaign
+from repro.netsim.address import IPv4Address
 from repro.telemetry.conservation import check_conservation, link_conservation
 from tests import reference_sweeps
 from tests.reference_sweeps import FromScratchIndex

@@ -1,10 +1,9 @@
 """Tests for the IP/UDP datagram model."""
 
-from ipaddress import IPv4Address
-
 import pytest
 from hypothesis import example, given, strategies as st
 
+from repro.netsim.address import IPv4Address
 from repro.netsim.packet import (
     DEFAULT_TTL,
     IPDatagram,

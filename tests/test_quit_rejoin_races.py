@@ -12,11 +12,10 @@ building the chaos campaigns:
   driver instead of stranding the group in rejoin state forever.
 """
 
-from ipaddress import IPv4Address
-
 from repro.core.constants import MessageType
 from repro.core.messages import CBTControlMessage
 from repro.harness.scenarios import send_data
+from repro.netsim.address import IPv4Address
 from tests.conftest import join_members
 
 

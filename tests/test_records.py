@@ -16,7 +16,6 @@ what the harness relies on (pickling, deep copies, immutability).
 import copy
 import dataclasses
 import pickle
-from ipaddress import IPv4Address
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +25,7 @@ from repro.core import legacy, messages as cbt_messages
 from repro.core.constants import MessageType
 from repro.igmp import messages as igmp_messages
 from repro.netsim import packet, trace
+from repro.netsim.address import IPv4Address
 from repro.netsim.packet import IPDatagram, Record
 from tests import reference_records as reference
 

@@ -1,9 +1,8 @@
 """Tests for routing tables, SPF computation, and unicast forwarding."""
 
-from ipaddress import IPv4Address
-
 import pytest
 
+from repro.netsim.address import IPv4Address
 from repro.netsim.packet import PROTO_UDP, make_udp
 from repro.topology.builder import Network
 from repro.topology.figures import FIGURE1_MEMBERS
@@ -223,7 +222,7 @@ class TestUnicastForwarding:
 class TestRoutingTable:
     def test_longest_prefix_match(self):
         from repro.routing.table import Route, RoutingTable
-        from ipaddress import IPv4Network
+        from repro.netsim.address import IPv4Network
 
         net, routers, hosts = line_of_routers(2)
         iface = routers[0].interfaces[0]
@@ -237,7 +236,7 @@ class TestRoutingTable:
 
     def test_remove_and_clear(self):
         from repro.routing.table import Route, RoutingTable
-        from ipaddress import IPv4Network
+        from repro.netsim.address import IPv4Network
 
         net, routers, hosts = line_of_routers(2)
         iface = routers[0].interfaces[0]
@@ -268,7 +267,7 @@ class TestLookupAgreesWithLinearScan:
     @staticmethod
     def _probes(prefixes):
         """Addresses worth checking: on-prefix, boundary, and misses."""
-        from ipaddress import IPv4Network
+        from repro.netsim.address import IPv4Network
 
         probes = [IPv4Address("203.0.113.9"), IPv4Address("0.0.0.1")]
         for prefix in prefixes:
@@ -293,8 +292,8 @@ class TestLookupAgreesWithLinearScan:
     def test_randomized_tables(self):
         from hypothesis import given, settings
         from hypothesis import strategies as st
-        from ipaddress import IPv4Network
 
+        from repro.netsim.address import IPv4Network
         from repro.routing.table import Route, RoutingTable
 
         iface = self._iface()
@@ -375,8 +374,7 @@ class TestLookupAgreesWithLinearScan:
     def test_memo_overflow_still_agrees(self, monkeypatch):
         """The memo is bounded: past ``_LOOKUP_CACHE_MAX`` it is dropped
         wholesale, and answers before, at and after the wrap are right."""
-        from ipaddress import IPv4Network
-
+        from repro.netsim.address import IPv4Network
         from repro.routing import table as table_module
         from repro.routing.table import Route, RoutingTable
 
@@ -395,8 +393,8 @@ class TestLookupAgreesWithLinearScan:
 
     def test_lookup_linear_reference_semantics(self):
         # Sanity-check the reference itself: longest prefix wins.
-        from ipaddress import IPv4Network
 
+        from repro.netsim.address import IPv4Network
         from repro.routing.table import Route, RoutingTable
 
         iface = self._iface()

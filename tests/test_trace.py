@@ -1,7 +1,6 @@
 """Tests for packet trace capture and queries."""
 
-from ipaddress import IPv4Address
-
+from repro.netsim.address import IPv4Address
 from repro.netsim.packet import IPDatagram, PROTO_UDP, make_udp
 from repro.netsim.trace import PacketTrace, TraceRecord
 from repro.topology.builder import Network

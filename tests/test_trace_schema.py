@@ -3,11 +3,11 @@
 import io
 import json
 import os
-from ipaddress import IPv4Address
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.netsim.address import IPv4Address
 from repro.telemetry import (
     FaultEvent,
     MembershipEvent,
@@ -254,3 +254,36 @@ class TestGoldenFuzz:
             self._load(bytes(damaged))
         except ValueError:
             pass
+
+    #: Any JSON value: numbers out of an address's range, floats
+    #: (NaN included), lists, objects, and strings near a dotted quad.
+    JSON_VALUES = st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers(-(2**40), 2**40)
+        | st.floats()
+        | st.text(max_size=20)
+        | st.lists(st.integers(0, 300), min_size=3, max_size=5).map(
+            lambda octets: ".".join(map(str, octets))
+        ),
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(st.text(max_size=4), children, max_size=3),
+        max_leaves=6,
+    )
+
+    @given(
+        field=st.sampled_from([(1, "src"), (1, "dst"), (0, "group"), (2, "group")]),
+        value=JSON_VALUES,
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_address_fields_take_any_json_value(self, field, value):
+        index, name = field
+        payload = json.loads(record_to_json(SAMPLE_RECORDS[index]))
+        payload[name] = value
+        try:
+            record = record_from_json(json.dumps(payload))
+        except TraceFormatError:
+            return
+        assert type(record) is type(SAMPLE_RECORDS[index])
+        address = getattr(record, name)
+        assert address is None or type(address) is IPv4Address

@@ -1,10 +1,9 @@
 """Tests for tunnel configuration and ranked backups (spec §5.2)."""
 
-from ipaddress import IPv4Address
-
 import pytest
 
 from repro.core.tunnels import TunnelEntry, TunnelTable
+from repro.netsim.address import IPv4Address
 from repro.topology.builder import Network
 
 CORE_A = IPv4Address("128.16.8.117")

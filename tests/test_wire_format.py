@@ -130,10 +130,9 @@ class TestCorruptionHandling:
         assert domain.protocol("R1").is_on_tree(group)
 
     def test_version_mismatch_rejected(self, figure1_network):
-        from ipaddress import IPv4Address
-
         from repro.core.constants import JoinSubcode, MessageType
         from repro.core.messages import CBTControlMessage
+        from repro.netsim.address import IPv4Address
         from repro.netsim.packet import make_udp
 
         domain, group = make_wire_domain(figure1_network)
@@ -185,9 +184,9 @@ class TestCorruptionHandling:
         self, figure1_network
     ):
         import enum
-        from ipaddress import IPv4Address
 
         from repro.core.messages import CBTControlMessage
+        from repro.netsim.address import IPv4Address
         from repro.netsim.packet import make_udp
 
         class FutureType(enum.IntEnum):
