@@ -470,8 +470,7 @@ def bench_telemetry(quick: bool) -> Dict[str, Metric]:
     from repro.netsim.address import group_address
     from repro.topology.figures import build_figure1
 
-    net = build_figure1()
-    net.trace.enabled = False
+    net = build_figure1(trace_enabled=False)
     domain = CBTDomain(net, timers=FAST_TIMERS, igmp_config=FAST_IGMP)
     group = group_address(0)
     domain.create_group(group, cores=["R4", "R9"])

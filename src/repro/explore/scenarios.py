@@ -81,8 +81,9 @@ class ExploreScenario:
 
 def _stand_up(pre_members: List[str]) -> Tuple[Network, CBTDomain, IPv4Address]:
     """Figure-1 domain with elections settled and ``pre_members`` joined
-    (staggered, defaults, outside the explored window)."""
-    network = build_figure1()
+    (staggered, defaults, outside the explored window).  No packet
+    trace: nothing in a search reads it."""
+    network = build_figure1(trace_enabled=False)
     domain = CBTDomain(network, timers=FAST_TIMERS, igmp_config=FAST_IGMP)
     domain.start()
     network.run(until=SETTLE_TIME)
@@ -225,7 +226,7 @@ def _build_hpimdm_elections() -> ExploreWorld:
     # elections the explorer then perturbs: G and H join concurrently,
     # so interest propagation races the elections themselves.  A is
     # pre-joined outside the window for a stable baseline branch.
-    network = build_figure1()
+    network = build_figure1(trace_enabled=False)
     domain = HPIMDMDomain(
         network,
         hello_interval=1.0,

@@ -180,7 +180,8 @@ class Topology:
 def _figure1(seed: int) -> Tuple[Network, List[str], List[str]]:
     from repro.topology.figures import build_figure1
 
-    return build_figure1(), ["A", "B", "D", "G", "H"], ["R4", "R9"]
+    # A cell reads counters and host logs, never the packet trace.
+    return build_figure1(trace_enabled=False), ["A", "B", "D", "G", "H"], ["R4", "R9"]
 
 
 def _waxman16(seed: int) -> Tuple[Network, List[str], List[str]]:

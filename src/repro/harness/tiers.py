@@ -21,7 +21,8 @@ chaos     the full chaos campaign, one unit per (topology, scenario, cell),
           production-workload cells (quick flash crowd on the n=1000
           bulk topology, Poisson and Pareto on/off churn on waxman16)
 explore   every explorer scenario at full depth, one unit per scenario
-tier1     the whole pytest suite in round-robin file groups + coverage floors
+tier1     the whole pytest suite in round-robin file groups, the
+          benchmarks/e2e self-test + coverage floors
 bench     the perf-regression suite, one unit per benchmark module
 full      chaos + explore + tier1 + bench (quick) + lint
 nightly   full with deeper exploration, more chaos cells, the full
@@ -344,7 +345,11 @@ def build_tier(
         units = _explore_units(depth=4)
     elif tier == "tier1":
         units = _pytest_units("tier1", pytest_groups()) + [
-            WorkUnit.make("coverage", "coverage", {})
+            # The frozen end-to-end benchmark's self-test (scaled-down
+            # workloads, seconds): fails when a change breaks a name
+            # ``benchmarks/e2e`` imports from ``src/repro``.
+            WorkUnit.make("pytest", "pytest/tier1/e2e", {"paths": ["benchmarks/e2e"]}),
+            WorkUnit.make("coverage", "coverage", {}),
         ]
     elif tier == "bench":
         units = _bench_units(quick=True, bench_dir=bench_dir)

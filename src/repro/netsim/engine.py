@@ -52,14 +52,16 @@ Choice-point hook layer (systematic exploration):
 
 Events scheduled for the same instant normally fire in FIFO order.
 Installing a ``choice_hook`` hands that tie-breaking decision to an
-external resolver: before firing, the scheduler gathers every pending
-event with the head timestamp (the *tie group*) and asks the hook
-which fires first.  The state-space explorer (:mod:`repro.explore`)
-uses this to enumerate message-delivery and timer-firing orders; with
-no hook installed the fast path is a single attribute check.  Events
-may carry an optional ``tag`` describing what firing them means
-(links tag deliveries) so resolvers can tell deliveries from opaque
-timer callbacks.
+external resolver: every pending event with the head timestamp (the
+*tie group*) leaves the heap once and waits in FIFO order, and before
+each firing the hook is asked which of the waiting events goes next;
+events the group schedules for the same instant join at the end.  A
+group of k costs k heap pops.  The state-space explorer
+(:mod:`repro.explore`) uses this to enumerate message-delivery and
+timer-firing orders; with no hook installed the fast path is a single
+attribute check.  Events may carry an optional ``tag`` describing
+what firing them means (links tag deliveries) so resolvers can tell
+deliveries from opaque timer callbacks.
 """
 
 from __future__ import annotations
@@ -230,9 +232,10 @@ class Scheduler:
         #: by this callable instead of FIFO order.  It receives
         #: ``(time, [tag, ...])`` — one entry per tied event, in FIFO
         #: order, ``None`` for untagged events — and returns the index
-        #: of the event to fire first.  Remaining tied events re-enter
-        #: the queue unchanged, so the resolver is asked again until
-        #: the group drains (enumerating a full ordering).
+        #: of the event to fire first.  The rest keep waiting in FIFO
+        #: order, joined by what the group schedules for the same
+        #: instant, and the resolver is asked again until the group
+        #: drains (enumerating a full ordering).
         self.choice_hook: Optional[Callable[[float, List[Optional[Tuple]]], int]] = None
         #: Components that end with this scheduler, and how they say
         #: so: ``scheduler.register(component)`` — :meth:`close` empties
@@ -261,10 +264,12 @@ class Scheduler:
         scheduler, so that whatever was built on it is freed by
         refcount the moment it is dropped.
 
-        Pending events are dropped unfired and forget their callbacks
-        (a ticker and its arm refer to each other), registered
-        components are emptied, the tie-break hook and the telemetry
-        bundle are let go (the bundle's gauges read this object).  The
+        Pending events — a tie group cut short included, since
+        ``run()`` puts it back on the heap — are dropped unfired and
+        forget their callbacks (a ticker and its arm refer to each
+        other), registered components are emptied, the tie-break hook
+        and the telemetry bundle are let go (the bundle's gauges read
+        this object).  The
         counters keep their last values: ``events_processed`` and the
         registry gauges bound to this scheduler read after ``close()``
         what they read before it.  Idempotent; scheduling or running
@@ -449,9 +454,9 @@ class Scheduler:
                     if until is not None and time > until:
                         break
                     if self.choice_hook is not None:
-                        timer = self._pop_tied(time)
-                    else:
-                        heappop(queue)
+                        processed = self._run_tied(time, processed, max_events)
+                        continue
+                    heappop(queue)
                     timer.fired = True
                     self._pending -= 1
                     self._events_processed += 1
@@ -470,30 +475,60 @@ class Scheduler:
             self._now = until
         return self._now
 
-    def _pop_tied(self, time: float) -> Timer:
-        """Remove and return the event to fire at ``time``, consulting
-        ``choice_hook`` when several pending events tie at that instant.
+    def _run_tied(self, time: float, processed: int, max_events: int) -> int:
+        """Fire the tie group due at ``time`` under ``choice_hook``: the
+        hook picks which live member goes next whenever two or more
+        wait.  Returns ``processed`` plus the events fired.
 
-        The unchosen events keep their original ``(time, seq)`` keys,
-        so FIFO order among them is preserved for the next round.
+        The group leaves the heap once: each member is popped when it
+        becomes due and waits in ``tied`` in ``(time, seq)`` order, so a
+        group of k costs k pops, not a fresh draw per member.  Events a
+        member schedules for the same instant carry later sequence
+        numbers and join at the end; members cancelled meanwhile drop
+        out.  The hook therefore sees the lists, in the order, that
+        drawing the group afresh for every member would give it.
+
+        Whatever has not fired when the group ends early — the hook
+        raised or returned an index out of range, a callback raised,
+        ``max_events`` tripped, or a callback took the hook away — goes
+        back on the heap under its own key: it stays pending and fires
+        in FIFO order next.
         """
-        tied: List[Tuple[float, int, Timer]] = []
         queue = self._queue
-        while queue and queue[0][0] == time:
-            entry = heapq.heappop(queue)
-            if not entry[2].cancelled:
-                tied.append(entry)
-        if len(tied) == 1:
-            return tied[0][2]
-        index = self.choice_hook(time, [entry[2].tag for entry in tied])
-        if not 0 <= index < len(tied):
-            raise SchedulerError(
-                f"choice hook returned {index} for a tie of {len(tied)}"
-            )
-        chosen = tied.pop(index)
-        for entry in tied:
-            heapq.heappush(queue, entry)
-        return chosen[2]
+        heappop = heapq.heappop
+        tied: List[Tuple[float, int, Timer]] = []
+        try:
+            while True:
+                while queue and queue[0][0] == time:
+                    entry = heappop(queue)
+                    if not entry[2].cancelled:
+                        tied.append(entry)
+                tied = [entry for entry in tied if not entry[2].cancelled]
+                if not tied or self.choice_hook is None:
+                    return processed
+                index = 0
+                if len(tied) > 1:
+                    index = self.choice_hook(time, [entry[2].tag for entry in tied])
+                    if not 0 <= index < len(tied):
+                        raise SchedulerError(
+                            f"choice hook returned {index} for a tie of {len(tied)}"
+                        )
+                timer = tied.pop(index)[2]
+                timer.fired = True
+                self._pending -= 1
+                self._events_processed += 1
+                self._now = time
+                if timer.tag is not None:
+                    self._tagged.pop(timer, None)
+                timer.callback(*timer.args)
+                processed += 1
+                if processed >= max_events:
+                    raise SchedulerError(
+                        f"exceeded max_events={max_events}; likely a protocol loop"
+                    )
+        finally:
+            for entry in tied:
+                heapq.heappush(queue, entry)
 
     def run_until_idle(self, max_events: int = 10_000_000) -> float:
         """Run until no events remain; returns the final simulation time."""

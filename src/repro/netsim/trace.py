@@ -10,10 +10,15 @@ ROADMAP "Retire the parallel paths" (b)): a record here keeps the
 datagram *object*, which ``metrics/{overhead,latency}.py``,
 ``analysis/inspect.py`` and experiment E10 read, where a bus
 ``PacketEvent`` is the flattened export made from it on demand; and
-``enabled`` has two values in real use — on for the hand-built
-experiment topologies, off for generated ones
-(``topology.generators.realise``), where nobody reads per-packet
-records and keeping every datagram alive would dominate memory.
+``enabled`` has two values in real use.  The trace is recorded where
+it is read: on for the hand-built topologies of the experiments,
+walkthroughs and golden-trace tests (``build_figure1()``); off for
+generated topologies (``topology.generators.realise``) and for every
+cell and explorer world, Figure 1 included
+(``build_figure1(trace_enabled=False)``), which observe through
+counters and host logs — there a record per transmission and delivery
+would cost calls per event and keep every datagram alive until the
+network closes, for nothing.
 """
 
 from __future__ import annotations

@@ -53,9 +53,13 @@ FIGURE1_HOSTS = {
 FIGURE1_MEMBERS = ["A", "C", "B", "D", "E2", "F", "E", "G", "I", "H", "J", "K"]
 
 
-def build_figure1() -> Network:
-    """Build the Figure-1 network (12 routers, 15 subnets, 12 hosts)."""
-    net = Network()
+def build_figure1(trace_enabled: bool = True) -> Network:
+    """Build the Figure-1 network (12 routers, 15 subnets, 12 hosts).
+
+    The packet trace is on by default: the experiments, walkthroughs
+    and trace-reading metrics use it.  Cells and explorer worlds, which
+    never read it, build with ``trace_enabled=False``."""
+    net = Network(trace_enabled=trace_enabled)
     routers = {name: net.add_router(name) for name in (
         "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10", "R11", "R12",
     )}

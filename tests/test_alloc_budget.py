@@ -12,13 +12,14 @@ by refcount: the last two tests drive each protocol leg with the
 collector off and require that a full collection afterwards finds
 nothing, and that no collection starts inside ``run()`` at all.
 
-Beside the heap, three call budgets counted with ``sys.setprofile``:
+Beside the heap, four call budgets counted with ``sys.setprofile``:
 what the data plane may spend per transmission, what the two messages
 an idle control plane consists of — the HELLO and the IGMP general
-query — may spend from send to handler, and what one look by each
+query — may spend from send to handler, what one look by each
 periodic observer — the invariant sweep, the quality probe, the
 conservation laws — may spend on a settled domain, with the sweep also
-held to the size of the tree rather than of the domain.
+held to the size of the tree rather than of the domain, and what an
+explorer search may spend per simulated event.
 """
 
 import collections
@@ -121,6 +122,15 @@ OBSERVER_CALLS_CEILING = {
     "sample": 975,
     "check_conservation": 11350,
 }
+
+#: Profiled calls (Python and C, as ``cProfile`` counts them) one search
+#: may make per simulated event: ``explore`` of ``joins-race`` at
+#: ``max_decisions=3`` (53 runs, 28,768 events), counted warm.  With
+#: Figure 1 built untraced and each tie group drawn from the heap once
+#: this tree measures 50.12 (61.45 when every world kept a packet trace
+#: and every firing re-drew and re-pushed its whole tie group); the
+#: ceiling is that plus 10 %.
+EXPLORE_CALLS_PER_EVENT_CEILING = 55.1
 
 #: ``check_invariants`` on 240 routers (1,439 links, a 36-router tree
 #: for the same 15 members) against the 120-router count: the cost
@@ -315,12 +325,43 @@ def legacy_join_path():
     return net, drive
 
 
+def explorer_world_cut_mid_tie_group():
+    """The ``joins-race`` world under a choice hook that raises the
+    second time it is asked about one instant: the run stops with one
+    member of that tie group fired and the rest set aside."""
+    world = get_scenario("joins-race").build()
+    net = world.network
+    scheduler = net.scheduler
+    asked = []
+
+    def hook(time, tags):
+        if asked and asked[-1] == time:
+            raise RuntimeError("cut inside the tie group")
+        asked.append(time)
+        return len(tags) - 1
+
+    def drive():
+        scheduler.choice_hook = hook
+        for offset, action in world.actions:
+            scheduler.call_at(scheduler.now + offset, action)
+        try:
+            net.run(until=scheduler.now + 5.0)
+        except RuntimeError:
+            pass
+        # The members that did not fire are pending again, on the heap.
+        cut = [timer for time, _seq, timer in scheduler._queue if time == asked[-1]]
+        assert len([timer for timer in cut if timer.pending]) >= 2
+
+    return net, drive
+
+
 LEGS = pytest.mark.parametrize(
     "leg",
     [
         cbt_n120,
         cbt_wire_format_figure1,
         dvmrp_prune_graft,
+        explorer_world_cut_mid_tie_group,
         hpimdm_election,
         legacy_join_path,
     ],
@@ -697,3 +738,37 @@ def test_invariant_sweep_costs_the_tree_not_the_domain(looks_n120):
     small = _python_calls(looks_n120["check_invariants"])
     large = _python_calls(_observed_domain(240)["check_invariants"])
     assert large < OBSERVER_CALLS_DOUBLING_CEILING * small, (small, large)
+
+
+# -- a search's call budget ---------------------------------------------------------
+#
+# Every backward-search candidate is confirmed by a forward run, so what
+# a run costs per event bounds how far the verification line can search
+# (docs/PERFORMANCE.md, "Decision record: a verification run pays for
+# what it reads").
+
+
+def test_explore_calls_per_event_under_ceiling():
+    scenario = get_scenario("joins-race")
+    options = scenario_options(scenario, max_decisions=3)
+    explore(scenario, options)  # lazy imports and caches land first
+    gc.collect()  # a world some earlier test dropped closes now, not below
+    close = Scheduler.close.__code__
+    calls = events = 0
+
+    def count(frame, event, _arg):
+        nonlocal calls, events
+        if event == "call" or event == "c_call":
+            calls += 1
+            if frame.f_code is close and event == "call":  # one per world
+                events += frame.f_locals["self"].events_processed
+
+    sys.setprofile(count)
+    try:
+        result = explore(scenario, options)
+    finally:
+        sys.setprofile(None)
+    assert result.exhausted and result.ok and result.stats.runs == 53
+    assert events == 28_768
+    per_event = calls / events
+    assert per_event < EXPLORE_CALLS_PER_EVENT_CEILING, per_event

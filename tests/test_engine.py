@@ -2,10 +2,11 @@
 
 import gc
 import sys
+import types
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.netsim.engine import PeriodicTimer, Scheduler, SchedulerError
 from repro.netsim.node import Node
@@ -301,6 +302,86 @@ class TestSchedulerInternals:
         assert sched.pending_events == 0
 
 
+class TestChoiceHook:
+    """A tie group under ``choice_hook`` leaves the heap once, and a
+    group the hook cannot resolve stays pending."""
+
+    @staticmethod
+    def three_tied():
+        sched = Scheduler()
+        fired = []
+        for name in ("a", "b", "c"):
+            sched.call_at(1.0, fired.append, name, tag=("t", name))
+        return sched, fired
+
+    def assert_still_pending_then_fifo(self, sched, fired):
+        sched.choice_hook = None
+        assert fired == []
+        assert sched.pending_events == 3
+        assert sched.pending_tags() == [("t", "a"), ("t", "b"), ("t", "c")]
+        assert conservation_gap(sched) == 0
+        sched.run_until_idle()
+        assert fired == ["a", "b", "c"]
+        assert sched.pending_events == 0 and sched._queue == []
+
+    def test_a_raising_hook_leaves_its_group_pending(self):
+        sched, fired = self.three_tied()
+
+        def hook(time, tags):
+            raise RuntimeError("resolver failed")
+
+        sched.choice_hook = hook
+        with pytest.raises(RuntimeError, match="resolver failed"):
+            sched.run_until_idle()
+        self.assert_still_pending_then_fifo(sched, fired)
+
+    def test_an_out_of_range_choice_leaves_its_group_pending(self):
+        sched, fired = self.three_tied()
+        sched.choice_hook = lambda time, tags: 7
+        with pytest.raises(SchedulerError, match="returned 7 for a tie of 3"):
+            sched.run_until_idle()
+        self.assert_still_pending_then_fifo(sched, fired)
+
+    def test_a_group_of_k_costs_k_pops(self, monkeypatch):
+        import heapq
+
+        from repro.netsim import engine
+
+        counts = {"heappop": 0, "heappush": 0}
+
+        def counted(name):
+            real = getattr(heapq, name)
+
+            def call(*args):
+                counts[name] += 1
+                return real(*args)
+
+            return call
+
+        monkeypatch.setattr(
+            engine,
+            "heapq",
+            types.SimpleNamespace(
+                heappop=counted("heappop"), heappush=counted("heappush")
+            ),
+        )
+        sched = Scheduler()
+        fired = []
+        for index in range(20):  # 0.1 s ahead: straight onto the heap
+            sched.call_at(0.1, fired.append, index, tag=("t", index))
+        asked = []
+
+        def last(time, tags):
+            asked.append(len(tags))
+            return len(tags) - 1
+
+        sched.choice_hook = last
+        sched.run_until_idle()
+        assert fired == list(range(19, -1, -1))
+        assert asked == list(range(20, 1, -1))
+        assert counts == {"heappop": 20, "heappush": 20}
+
+
 class TestEventArgs:
     """``call_later(delay, f, *args, tag=t)``: args ride on the event
     record and behave, in every queue state, as an arg-less callback
@@ -547,6 +628,26 @@ class TestClose:
         assert later == ["still pending"]
         sched.close()
 
+    def test_a_tie_group_cut_short_is_dropped_by_close(self):
+        sched = Scheduler()
+        fired = []
+        timers = [sched.call_at(1.0, fired.append, name, tag=(name,)) for name in "abc"]
+
+        def hook(time, tags):
+            if len(tags) < 3:
+                raise RuntimeError("stop inside the group")
+            return 0
+
+        sched.choice_hook = hook
+        with pytest.raises(RuntimeError):
+            sched.run_until_idle()
+        assert fired == ["a"]
+        sched.close()
+        for timer in timers[1:]:
+            assert not timer.pending
+            assert timer.callback is None and timer.args == ()
+        assert sched._queue == []
+
     def test_a_closed_ticker_chain_is_freed_by_refcount(self):
         sched = Scheduler()
         ticker = PeriodicTimer(sched, 1.0, lambda: None)
@@ -568,8 +669,9 @@ class TestClose:
 
 
 class ReferenceTimer:
-    def __init__(self, model, key, callback, args):
+    def __init__(self, model, key, callback, args, tag):
         self.model, self.key, self.callback, self.args = model, key, callback, args
+        self.tag = tag
 
     @property
     def pending(self):
@@ -582,55 +684,91 @@ class ReferenceTimer:
 
     def restart(self, delay):
         self.cancel()
-        return self.model.call_later(delay, self.callback, *self.args)
+        return self.model.call_later(delay, self.callback, *self.args, tag=self.tag)
 
 
 class ReferenceScheduler:
     """What the engine must be indistinguishable from: every pending
     event in one list sorted by ``(time, seq)``, a cancel removes the
-    event on the spot — no wheel, no lazy deletion."""
+    event on the spot — no wheel, no lazy deletion — and under a
+    ``choice_hook`` every firing asks it about the whole list prefix
+    due at the head time, read afresh."""
 
     def __init__(self):
         self.now = 0.0
         self.queue = []
         self.events_scheduled = self.events_cancelled = self.events_processed = 0
+        self.choice_hook = None
 
     @property
     def pending_events(self):
         return len(self.queue)
 
-    def call_at(self, time, callback, *args):
-        timer = ReferenceTimer(self, (time, self.events_scheduled), callback, args)
+    def pending_tags(self):
+        return sorted(timer.tag for timer in self.queue if timer.tag is not None)
+
+    def call_at(self, time, callback, *args, tag=None):
+        timer = ReferenceTimer(self, (time, self.events_scheduled), callback, args, tag)
         self.events_scheduled += 1
         self.queue.append(timer)
         self.queue.sort(key=lambda t: t.key)
         return timer
 
-    def call_later(self, delay, callback, *args):
-        return self.call_at(self.now + delay, callback, *args)
+    def call_later(self, delay, callback, *args, tag=None):
+        return self.call_at(self.now + delay, callback, *args, tag=tag)
 
-    def run(self, until):
+    def run(self, until, max_events=10_000_000):
+        processed = 0
         while self.queue and self.queue[0].key[0] <= until:
-            timer = self.queue.pop(0)
-            self.now = timer.key[0]
-            timer.callback(*timer.args)
+            time = self.queue[0].key[0]
+            tied = [timer for timer in self.queue if timer.key[0] == time]
+            index = 0
+            if self.choice_hook is not None and len(tied) > 1:
+                index = self.choice_hook(time, [timer.tag for timer in tied])
+            timer = tied[index]
+            self.queue.remove(timer)
+            self.now = time
             self.events_processed += 1
+            timer.callback(*timer.args)
+            processed += 1
+            if processed >= max_events:
+                raise SchedulerError(f"exceeded max_events={max_events}")
         self.now = max(self.now, until)
 
 
 class ScriptedWorld:
     """Applies one script of operations to a scheduler and records
-    everything observable; an event's callback logs ``(label, now)``
-    and then performs its own follow-up operation, so cancels,
-    restarts and schedules also happen from inside callbacks."""
+    everything observable; an event's callback logs its label, the
+    clock and what is pending, then performs its own follow-up
+    operation, so cancels, restarts and schedules also happen from
+    inside callbacks.  With ``picks`` a choice hook is installed that
+    logs every question and answers from ``picks`` in turn."""
 
-    def __init__(self, scheduler):
+    def __init__(self, scheduler, picks=None):
         self.scheduler = scheduler
         self.timers = []
         self.fired = []
+        self.choices = []
+        self.stopped = 0
+        self.picks = picks
+        if picks is not None:
+            scheduler.choice_hook = self.choose
+
+    def choose(self, time, tags):
+        self.choices.append((time, list(tags)))
+        return self.picks[len(self.choices) % len(self.picks)] % len(tags)
 
     def fire(self, label, then):
-        self.fired.append((label, self.scheduler.now))
+        scheduler = self.scheduler
+        self.fired.append(
+            (
+                label,
+                scheduler.now,
+                scheduler.pending_events,
+                scheduler.pending_tags(),
+                conservation_gap(scheduler),
+            )
+        )
         # A restarted event carries its follow-up along, so a chain of
         # restarts need never end; both worlds cut it at the same point.
         if then is not None and len(self.fired) <= 100:
@@ -638,21 +776,28 @@ class ScriptedWorld:
 
     def apply(self, op):
         """``(kind, value, extra)``: ``later``/``at`` take a span and
-        the new event's follow-up op, ``run`` a span, ``cancel`` and
-        ``restart`` an index into the handles made so far (``restart``
-        with its delay as ``extra``)."""
+        the new event's follow-up op, ``run`` a span and a
+        ``max_events`` (None: no limit), ``cancel`` and ``restart`` an
+        index into the handles made so far (``restart`` with its delay
+        as ``extra``).  Every event is tagged with its index."""
         kind, value, extra = op
         scheduler = self.scheduler
+        tag = ("e", len(self.timers))
         if kind == "run":
-            scheduler.run(until=scheduler.now + value)
+            try:
+                scheduler.run(
+                    until=scheduler.now + value, max_events=extra or 10_000_000
+                )
+            except SchedulerError:
+                self.stopped += 1
         elif kind == "later":
             self.timers.append(
-                scheduler.call_later(value, self.fire, len(self.timers), extra)
+                scheduler.call_later(value, self.fire, len(self.timers), extra, tag=tag)
             )
         elif kind == "at":
             self.timers.append(
                 scheduler.call_at(
-                    max(value, scheduler.now), self.fire, len(self.timers), extra
+                    max(value, scheduler.now), self.fire, len(self.timers), extra, tag=tag
                 )
             )
         elif self.timers:
@@ -666,8 +811,11 @@ class ScriptedWorld:
         scheduler = self.scheduler
         return (
             self.fired,
+            self.choices,
+            self.stopped,
             scheduler.now,
             scheduler.pending_events,
+            scheduler.pending_tags(),
             scheduler.events_scheduled,
             scheduler.events_cancelled,
             scheduler.events_processed,
@@ -692,8 +840,11 @@ _OPERATION = st.one_of(
     st.tuples(st.just("at"), _SPANS.map(lambda span: span * 4), _FOLLOW_UP),
     st.tuples(st.just("cancel"), _INDEX, st.none()),
     st.tuples(st.just("restart"), _INDEX, _SPANS),
-    st.tuples(st.just("run"), _SPANS, st.none()),
+    # A small ``max_events`` stops a run part-way, also inside a tie group.
+    st.tuples(st.just("run"), _SPANS, st.none() | st.integers(min_value=1, max_value=4)),
 )
+#: No hook, or one answering from a drawn list of picks.
+_PICKS = st.none() | st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=8)
 
 
 def conservation_gap(scheduler):
@@ -704,11 +855,28 @@ def conservation_gap(scheduler):
     )
 
 
+_FOUR_TIED = [("later", 1.0, None)] * 4
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_OPERATION, max_size=40))
-def test_engine_is_indistinguishable_from_a_sorted_list(script):
-    real = ScriptedWorld(Scheduler())
-    model = ScriptedWorld(ReferenceScheduler())
+@given(st.lists(_OPERATION, max_size=40), _PICKS)
+# Tie groups under the hook, made sure of: members that schedule
+# zero-delay peers, members that cancel tied peers, and a ``max_events``
+# that stops the run with the group half fired.
+@example(
+    [("later", 1.0, ("later", 0.0, None))] * 2 + _FOUR_TIED + [("run", 2.0, None)],
+    [1, 0, 2, 5],
+)
+@example(
+    [("later", 1.0, ("cancel", 3, None)), ("later", 1.0, ("cancel", 5, None))]
+    + _FOUR_TIED
+    + [("run", 2.0, None)],
+    [3, 1, 2],
+)
+@example(_FOUR_TIED + [("run", 2.0, 2), ("run", 2.0, 1), ("run", 2.0, None)], [2, 1])
+def test_engine_is_indistinguishable_from_a_sorted_list(script, picks):
+    real = ScriptedWorld(Scheduler(), picks)
+    model = ScriptedWorld(ReferenceScheduler(), picks)
     # Run on, then cancel whatever is still re-arming itself and drain.
     drain = [("run", 20.0, None)]
     drain += [("cancel", index, None) for index in range(64)]

@@ -25,6 +25,7 @@ from repro.harness.parallel import (
     shard_units,
 )
 from repro.harness.tiers import (
+    PYTEST_GROUPS,
     REPORT_SCHEMA,
     TIERS,
     build_report,
@@ -438,6 +439,15 @@ class TestTiers:
         )
         assert sorted(files) == expected
         assert "tests/test_parallel_ci.py" in files
+
+    def test_tier1_runs_every_test_group_and_the_e2e_self_test(self):
+        units = build_tier("tier1")
+        assert [u.unit_id for u in units] == ["coverage", "pytest/tier1/e2e"] + [
+            f"pytest/tier1/g{index}" for index in range(PYTEST_GROUPS)
+        ]
+        e2e = units[1]
+        assert (e2e.kind, e2e.param_dict) == ("pytest", {"paths": ["benchmarks/e2e"]})
+        assert e2e in build_tier("full") and e2e in build_tier("nightly")
 
     def test_tier_units_pinned_before_workers_exist(self):
         # Unit identity (including derived seeds) is a pure function of

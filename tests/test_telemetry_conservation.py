@@ -22,10 +22,15 @@ from repro.telemetry.conservation import check_conservation
 from tests import reference_sweeps
 
 
-def _chaos_cell(scenario_name: str, seed: int = 0, topology: str = "figure1"):
+def _chaos_cell(
+    scenario_name: str, seed: int = 0, topology: str = "figure1", trace: bool = False
+):
     """Stand up a tree, apply the scenario's fault schedule, and return
-    (network, domain, schedule) without running past the faults."""
+    (network, domain, schedule) without running past the faults.  The
+    cells' worlds record no packet trace; ``trace`` switches it on
+    before the first packet moves, for a test that reads it."""
     network, members, cores = TOPOLOGIES[topology].build(seed)
+    network.trace.enabled = trace
     domain, group = build_cbt_group(network, members, cores, timers=FAST_TIMERS)
     context = ChaosContext(
         network=network,
@@ -153,7 +158,7 @@ class TestControlCountAgreement:
     def test_wire_records_match_label_counters_under_faults(self):
         # Under link_flap pre-wire drops pull protocol sends and wire
         # transmissions apart; the trace must side with the wire.
-        network, domain, schedule = _chaos_cell("link_flap")
+        network, domain, schedule = _chaos_cell("link_flap", trace=True)
         network.run(until=schedule.last_time + 10.0)
         registry = network.telemetry.registry
         on_wire = sum(

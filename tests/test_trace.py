@@ -1,5 +1,7 @@
 """Tests for packet trace capture and queries."""
 
+import pytest
+
 from repro.netsim.address import IPv4Address
 from repro.netsim.packet import IPDatagram, PROTO_UDP, make_udp
 from repro.netsim.trace import PacketTrace, TraceRecord
@@ -104,3 +106,59 @@ class TestTraceIntegration:
         net.run()
         # The inner packet's uid is findable inside the encapsulation.
         assert net.trace.deliveries_of(inner.uid)
+
+
+class TestWhereTheTraceIsRecorded:
+    """The packet trace is recorded where it is read: the experiments
+    and walkthroughs build Figure 1 with it, the cells and explorer
+    worlds — which read counters and host logs — without it."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every network constructed during the test."""
+        networks = []
+        init = Network.__init__
+
+        def recording_init(network, *args, **kwargs):
+            init(network, *args, **kwargs)
+            networks.append(network)
+
+        monkeypatch.setattr(Network, "__init__", recording_init)
+        return networks
+
+    @staticmethod
+    def records(networks):
+        return [(network.trace.enabled, len(network.trace)) for network in networks]
+
+    def test_build_figure1_records(self):
+        from repro.topology.figures import build_figure1
+
+        net = build_figure1()
+        host = net.host("A")
+        host.originate(make_udp(host.interface.address, GROUP, 1, 1, b""))
+        net.run()
+        assert net.trace.enabled and net.trace.transmissions()
+
+    def test_a_figure1_chaos_cell_records_nothing(self, built):
+        from repro.harness.campaign import run_scenario
+
+        cell = run_scenario("link_flap", topology="figure1", seed=1)
+        assert cell.faults and cell.recovered
+        assert self.records(built) == [(False, 0)]
+
+    def test_each_baseline_compare_leg_records_nothing(self, built):
+        from repro.harness.baseline_cell import run_baseline_compare_cell
+
+        cell = run_baseline_compare_cell("link_flap", topology="figure1", seed=1)
+        assert len(cell.outcomes) == 3
+        assert self.records(built) == [(False, 0)] * 3
+
+    @pytest.mark.parametrize("name", ["joins-race", "hpimdm-elections"])
+    def test_an_explorer_world_records_nothing(self, built, name):
+        from repro.explore import get_scenario, scenario_options
+        from repro.explore.engine import run_schedule
+
+        scenario = get_scenario(name)
+        outcome = run_schedule(scenario, (), scenario_options(scenario, max_decisions=3))
+        assert outcome.decisions
+        assert self.records(built) == [(False, 0)]
