@@ -36,14 +36,15 @@ no violation); freshly exported counterexamples carry
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from repro.explore.engine import ExploreOptions, RunOutcome, run_schedule
-from repro.explore.scenarios import get_scenario
+from repro.explore.scenarios import SCENARIOS, get_scenario
 
 FORMAT = "repro-explore-schedule/2"
 
 _SOURCES = ("forward", "backward", "frontier")
+_EXPECTS = ("clean", "violation")
 
 
 class ScheduleFormatError(ValueError):
@@ -61,7 +62,7 @@ def schedule_payload(
     predicate: str = "",
 ) -> Dict[str, object]:
     """Build the JSON-serialisable schedule document (format v2)."""
-    if expect not in ("clean", "violation"):
+    if expect not in _EXPECTS:
         raise ValueError(f"expect must be 'clean' or 'violation', got {expect!r}")
     if source not in _SOURCES:
         raise ValueError(f"source must be one of {_SOURCES}, got {source!r}")
@@ -82,11 +83,45 @@ def dump_schedule(payload: Dict[str, object]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def load_schedule(text: str) -> Dict[str, object]:
-    """Parse and validate a schedule document."""
+def _natural(value: object) -> bool:
+    """A JSON integer ``>= 0`` (``true`` is not one)."""
+    return type(value) is int and value >= 0
+
+
+def _check_options(options: object) -> None:
+    """Every known ``ExploreOptions`` field has its default's type:
+    a non-negative int, a bool, or a list of strings.  Unknown keys are
+    ignored, as :meth:`ExploreOptions.from_dict` ignores them."""
+    if not isinstance(options, dict):
+        raise ScheduleFormatError("options must be a JSON object")
+    defaults = ExploreOptions()
+    for key, value in options.items():
+        if key not in ExploreOptions.__dataclass_fields__:
+            continue
+        default = getattr(defaults, key)
+        if isinstance(default, tuple):
+            valid = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        elif isinstance(default, bool):
+            valid = isinstance(value, bool)
+        else:
+            valid = _natural(value)
+        if not valid:
+            raise ScheduleFormatError(
+                f"options.{key} must be like {default!r}, got {value!r}"
+            )
+
+
+def load_schedule(text: Union[str, bytes]) -> Dict[str, object]:
+    """Parse and validate a schedule document (text, or UTF-8 bytes).
+    Anything a replay could not run raises :class:`ScheduleFormatError`."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ScheduleFormatError(f"not UTF-8: {exc}") from exc
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ScheduleFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ScheduleFormatError("schedule document must be a JSON object")
@@ -98,18 +133,29 @@ def load_schedule(text: str) -> Dict[str, object]:
     for key in ("scenario", "options", "schedule"):
         if key not in payload:
             raise ScheduleFormatError(f"missing required key {key!r}")
-    schedule = payload["schedule"]
-    if not isinstance(schedule, list) or not all(
-        isinstance(value, int) and value >= 0 for value in schedule
-    ):
-        raise ScheduleFormatError("schedule must be a list of non-negative ints")
-    source = payload.get("source", "forward")
-    if source not in _SOURCES:
+    scenario = payload["scenario"]
+    if not isinstance(scenario, str) or scenario not in SCENARIOS:
         raise ScheduleFormatError(
-            f"source must be one of {_SOURCES}, got {source!r}"
+            f"unknown scenario {scenario!r}; known: {', '.join(sorted(SCENARIOS))}"
         )
+    _check_options(payload["options"])
+    schedule = payload["schedule"]
+    if not isinstance(schedule, list) or not all(map(_natural, schedule)):
+        raise ScheduleFormatError("schedule must be a list of non-negative ints")
+    for key, allowed, default in (
+        ("expect", _EXPECTS, "clean"),
+        ("source", _SOURCES, "forward"),
+    ):
+        value = payload.get(key, default)
+        if not isinstance(value, str) or value not in allowed:
+            raise ScheduleFormatError(
+                f"{key} must be one of {allowed}, got {value!r}"
+            )
+    for key in ("note", "predicate"):
+        if not isinstance(payload.get(key, ""), str):
+            raise ScheduleFormatError(f"{key} must be a string")
     seed = payload.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and type(seed) is not int:
         raise ScheduleFormatError("seed must be an int or null")
     return payload
 
@@ -125,7 +171,7 @@ def replay_payload(payload: Dict[str, object]) -> RunOutcome:
 
 def replay_file(path: str) -> RunOutcome:
     """Load a schedule document from ``path`` and replay it."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         payload = load_schedule(handle.read())
     return replay_payload(payload)
 

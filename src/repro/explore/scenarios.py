@@ -296,19 +296,17 @@ def _hpim_convergence(world: ExploreWorld) -> List[str]:
         findings.append(
             f"{pending} advertisements still unacknowledged after settle"
         )
-    from repro.harness.scenarios import send_data
+    from repro.harness.scenarios import delivered_copies, send_data
 
-    uids = set(send_data(network, "B", world.group, count=2, spacing=0.05))
+    uids = send_data(network, "B", world.group, count=2, spacing=0.05)
     for member in sorted(world.members):
-        got = sum(
-            1
-            for datagram in network.host(member).delivered
-            if datagram.uid in uids
-        )
-        if got != len(uids):
+        copies = delivered_copies(network, member)
+        counts = [copies[uid] for uid in uids]
+        if any(count != 1 for count in counts):
             findings.append(
-                f"member {member} received {got}/{len(uids)} probe packets "
-                f"(loss or duplicate delivery after election convergence)"
+                f"member {member} received {counts} copies of the "
+                f"{len(uids)} probe packets (each must arrive exactly once "
+                f"after election convergence)"
             )
     return findings
 

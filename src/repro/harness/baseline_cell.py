@@ -102,16 +102,6 @@ class BaselineCompareResult(CellResult):
                 return outcome
         raise KeyError(protocol)
 
-    def fingerprint(self) -> Tuple:
-        return (
-            self.scenario,
-            self.topology,
-            self.seed,
-            self.schedule_digest,
-            tuple((round(at, 6), what) for at, what in self.faults),
-            tuple(o.fingerprint() for o in self.outcomes),
-        )
-
 
 def _relative_signature(schedule: FaultSchedule, base: float) -> Tuple:
     """Protocol-independent identity of a schedule: event type + fields

@@ -1,6 +1,9 @@
 """Deterministic fault-injection campaign runner.
 
-A protocol is one :class:`Leg` row of :data:`LEGS`, and one leg run
+A protocol is one :class:`Leg` row of :data:`LEGS`.  Every cell — chaos,
+baseline-compare, migration, flash crowd, churn — has one body,
+:func:`cell_run`: build, stand the row's group up, catch the auditor's
+violation in one place and quiesce through one loop.  One leg run
 (:func:`leg_run`) puts any row under faults.  A campaign sweeps chaos
 scenarios × seeds × topologies; each cell is the CBT row run alone: it
 builds a fresh network, stands up a CBT tree under the always-on
@@ -37,6 +40,7 @@ from repro.baselines.hpimdm import HPIMDMDomain
 from repro.core.audit import InvariantAuditor, InvariantViolation, check_invariants
 from repro.core.bootstrap import CBTDomain
 from repro.core.timers import CBTTimers
+from repro.harness.parallel import Fingerprinted
 from repro.harness.scenarios import (
     FAST_TIMERS,
     build_cbt_group,
@@ -139,7 +143,7 @@ LEGS: Dict[str, Leg] = {
 
 
 def run_to_quiescence(leg: Leg, domain, since: float, timers: CBTTimers) -> Tuple[bool, float]:
-    """The one quiescence loop every cell runner and protocol leg uses.
+    """The one quiescence loop, behind :meth:`CellRun.quiesce`.
 
     Runs the domain's network in fixed windows — the longer of one
     ECHO interval and two pending-join retransmits under ``timers`` —
@@ -214,11 +218,12 @@ TOPOLOGIES: Dict[str, Topology] = {
 }
 
 
-class CellResult:
+class CellResult(Fingerprinted):
     """What a cell's result states about itself — all the CI layer
-    reads: ``fingerprint()`` (its deterministic identity), ``findings()``
-    (why it is not clean; empty when it is) and ``metrics`` (its own
-    ``telemetry`` plus ``ci.<ci_name>.cells`` and ``.clean``)."""
+    reads: ``fingerprint()`` (its deterministic identity: its own
+    fields), ``findings()`` (why it is not clean; empty when it is) and
+    ``metrics`` (its own ``telemetry`` plus ``ci.<ci_name>.cells`` and
+    ``.clean``)."""
 
     ci_name = ""
 
@@ -250,6 +255,7 @@ class ScenarioResult(CellResult):
     """Outcome of one (scenario, seed, topology) campaign cell."""
 
     ci_name = "chaos"
+    unfingerprinted = ("trace", "audit_checks", "telemetry")
 
     scenario: str
     topology: str
@@ -272,26 +278,11 @@ class ScenarioResult(CellResult):
     trace: List[str] = field(default_factory=list)
     audit_checks: int = 0
     #: End-of-run telemetry snapshot (deterministic for a deterministic
-    #: cell).  Excluded from :meth:`fingerprint`.
+    #: cell).
     telemetry: Dict[str, float] = field(default_factory=dict)
 
     def findings(self) -> List[str]:
         return self._audit_findings("recovered=False", self.recovered)
-
-    def fingerprint(self) -> Tuple:
-        """Deterministic identity of the run (no wall-clock anywhere)."""
-        return (
-            self.scenario,
-            self.topology,
-            self.seed,
-            self.recovered,
-            round(self.recovery_time, 6),
-            self.control_cost,
-            round(self.delivery_before, 6),
-            round(self.delivery_after, 6),
-            tuple((round(at, 6), what) for at, what in self.faults),
-            tuple(self.violations),
-        )
 
 
 @dataclass
@@ -326,7 +317,7 @@ def _probe_delivery(network: Network, members: Sequence[str], group, count: int 
 
 
 @dataclass
-class ProtocolOutcome:
+class ProtocolOutcome(Fingerprinted):
     """One protocol leg's measurements under its fault schedule."""
 
     protocol: str
@@ -346,78 +337,111 @@ class ProtocolOutcome:
     #: when clean).
     findings: List[str] = field(default_factory=list)
 
-    def fingerprint(self) -> Tuple:
-        return (
-            self.protocol,
-            self.recovered,
-            round(self.recovery_time, 6),
-            self.control_cost,
-            round(self.delivery_before, 6),
-            round(self.delivery_after, 6),
-            self.state_total,
-            self.routers_with_state,
-            tuple(self.findings),
-        )
-
 
 @dataclass
-class LegRun:
-    """What the block of :func:`leg_run` sees: the outcome, the domain
-    (its network still open), the schedule the leg applied (planned at
-    sim time ``base``), and any auditor violations with their trace."""
+class CellRun:
+    """One cell as :func:`cell_run` stood it up — the leg row, the open
+    network, the domain and group, and the build's members (a workload
+    build's host pool) and cores — plus what the run learns:
+    ``recovered`` / ``recovery_time`` from :meth:`quiesce`,
+    ``violations`` / ``trace`` from :meth:`audited`.  :func:`leg_run`
+    adds its ``outcome``, the ``schedule`` it applied and the sim time
+    ``base`` it planned that schedule at."""
 
-    outcome: ProtocolOutcome
+    leg: Leg
+    timers: CBTTimers
+    network: Network
     domain: Any
-    schedule: FaultSchedule
-    base: float
-    violations: List[str]
-    trace: List[str]
+    group: IPv4Address
+    members: List[str]
+    cores: List[str]
+    recovered: bool = False
+    recovery_time: float = float("inf")
+    violations: List[str] = field(default_factory=list)
+    trace: List[str] = field(default_factory=list)
+    outcome: Optional[ProtocolOutcome] = None
+    schedule: Optional[FaultSchedule] = None
+    base: float = 0.0
+
+    @contextmanager
+    def audited(self) -> Iterator[None]:
+        """``with run.audited():`` — the one place a cell meets the
+        auditor's :class:`InvariantViolation`: it ends the block, and
+        the run keeps its findings and event trace."""
+        try:
+            yield
+        except InvariantViolation as violation:
+            self.violations = [str(f) for f in violation.findings]
+            self.trace = list(violation.trace)
+
+    def quiesce(self, since: float) -> bool:
+        """Run to quiescence (:func:`run_to_quiescence`, recovery time
+        counted from ``since``); returns ``recovered``."""
+        self.recovered, self.recovery_time = run_to_quiescence(
+            self.leg, self.domain, since, self.timers
+        )
+        return self.recovered
+
+
+@contextmanager
+def cell_run(
+    name: str,
+    timers: CBTTimers,
+    build: Callable,
+    *args: Any,
+    members: Optional[Sequence[str]] = None,
+) -> Iterator[CellRun]:
+    """``with cell_run(name, timers, build, *args) as run:`` — the one
+    cell body.  ``build(*args)`` returns ``(network, members, cores)``;
+    the ``LEGS[name]`` group stands up on it, joined by ``members`` when
+    given, else by the build's.  The network closes when the block
+    ends."""
+    leg = LEGS[name]
+    with cell(build, *args) as (network, built, cores):
+        domain, group = leg.build(
+            network, built if members is None else members, cores, timers
+        )
+        yield CellRun(leg, timers, network, domain, group, built, cores)
 
 
 @contextmanager
 def leg_run(
     name: str, topology: str, seed: int, timers: CBTTimers, plan: Callable
-) -> Iterator[LegRun]:
+) -> Iterator[CellRun]:
     """``with leg_run(...) as run:`` — the ``LEGS[name]`` protocol
     through one fault cell: build ``topology`` at ``seed``, stand the
     group up, probe, apply ``plan(ChaosContext)`` (faults from 1 s on),
-    run past the last fault and to quiescence, probe, take the census.
-    An auditor violation ends the run unrecovered, its findings the
-    outcome's.  The network closes when the block ends."""
+    run past the last fault and to quiescence, probe, take the census
+    into ``run.outcome``.  An auditor violation ends the run
+    unrecovered, its findings the outcome's."""
     from repro.chaos.scenarios import ChaosContext
 
-    leg = LEGS[name]
-    with cell(TOPOLOGIES[topology].build, seed) as (network, members, cores):
-        domain, group = leg.build(network, members, cores, timers)
+    with cell_run(name, timers, TOPOLOGIES[topology].build, seed) as run:
+        network, domain, group, members = run.network, run.domain, run.group, run.members
+        leg = run.leg
         delivery_before = _probe_delivery(network, members, group)
-        base = network.scheduler.now
-        schedule = plan(
-            ChaosContext(network, domain, group, members, cores, seed, timers, base + 1.0)
+        run.base = network.scheduler.now
+        run.schedule = schedule = plan(
+            ChaosContext(
+                network, domain, group, members, run.cores, seed, timers, run.base + 1.0
+            )
         )
         schedule.apply(network)
         control_start = leg.control(domain)
-        recovered, recovery_time = False, float("inf")
-        violations: List[str] = []
-        trace: List[str] = []
-        try:
+        with run.audited():
             network.run(until=schedule.last_time + 1e-6)
-            recovered, recovery_time = run_to_quiescence(leg, domain, schedule.last_time, timers)
-        except InvariantViolation as violation:
-            violations = [str(f) for f in violation.findings]
-            trace = list(violation.trace)
-        control_cost = leg.control(domain) - control_start
-        delivery_after = _probe_delivery(network, members, group) if recovered else 0.0
-        outcome = ProtocolOutcome(
+            run.quiesce(schedule.last_time)
+        run.outcome = ProtocolOutcome(
             name,
-            recovered,
-            recovery_time,
-            control_cost,
+            run.recovered,
+            run.recovery_time,
+            leg.control(domain) - control_start,
             delivery_before,
-            delivery_after,
+            _probe_delivery(network, members, group) if run.recovered else 0.0,
             *leg.census(domain, group),
-            findings=violations or leg.findings(domain),
+            findings=run.violations or leg.findings(domain),
         )
-        yield LegRun(outcome, domain, schedule, base, violations, trace)
+        yield run
 
 
 def run_scenario(
@@ -446,7 +470,7 @@ def run_scenario(
             violations=run.violations,
             trace=run.trace,
             audit_checks=auditor.checks_run,
-            telemetry=dict(run.domain.network.telemetry.registry.snapshot()),
+            telemetry=dict(run.network.telemetry.registry.snapshot()),
         )
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.audit import InvariantViolation
 from repro.core.migration import (
     MigrationConfig,
     MigrationCoordinator,
@@ -27,15 +26,8 @@ from repro.core.migration import (
     tree_quality,
 )
 from repro.core.timers import CBTTimers
-from repro.harness.campaign import (
-    LEGS,
-    TOPOLOGIES,
-    CellResult,
-    _probe_delivery,
-    run_to_quiescence,
-)
-from repro.harness.scenarios import FAST_TIMERS
-from repro.netsim.engine import cell
+from repro.harness.campaign import TOPOLOGIES, CellResult, _probe_delivery, cell_run
+from repro.harness.scenarios import FAST_TIMERS, serving_router
 from repro.netsim.faults import derive_seed
 
 
@@ -44,6 +36,7 @@ class MigrationCellResult(CellResult):
     """Outcome of one migration experiment cell."""
 
     ci_name = "migration"
+    unfingerprinted = ("telemetry",)
 
     topology: str
     seed: int
@@ -61,7 +54,7 @@ class MigrationCellResult(CellResult):
     #: CBT control messages spent on the handover itself.
     migration_control_cost: int = 0
     violations: List[str] = field(default_factory=list)
-    #: End-of-run telemetry snapshot; excluded from :meth:`fingerprint`.
+    #: End-of-run telemetry snapshot.
     telemetry: Dict[str, float] = field(default_factory=dict)
 
     def findings(self) -> List[str]:
@@ -70,39 +63,6 @@ class MigrationCellResult(CellResult):
             f"migrated={self.migrated} recovered={self.recovered}",
             self.migrated and self.recovered,
         )
-
-    def fingerprint(self) -> Tuple:
-        """Deterministic identity (no wall-clock, rounded floats)."""
-        return (
-            self.topology,
-            self.seed,
-            self.migrated,
-            self.recovered,
-            self.old_primary,
-            self.new_primary,
-            self.churn_left,
-            self.churn_joined,
-            tuple(sorted((k, round(v, 6)) for k, v in self.quality_before.items())),
-            tuple(sorted((k, round(v, 6)) for k, v in self.quality_after.items())),
-            round(self.delivery_before, 6),
-            round(self.delivery_after, 6),
-            self.migration_control_cost,
-            tuple(self.violations),
-        )
-
-
-def _host_router(network, host_name: str) -> Optional[str]:
-    """Name of a router on the host's LAN (lowest name on multi-router
-    LANs — deterministic and good enough for distance ranking)."""
-    link = network.host(host_name).interface.link
-    if link is None:
-        return None
-    routers = sorted(
-        interface.node.name
-        for interface in link.interfaces
-        if interface.node.name in network.routers
-    )
-    return routers[0] if routers else None
 
 
 def _plan_churn(
@@ -117,7 +77,7 @@ def _plan_churn(
     dist, _ = graph.dijkstra(primary, weight="delay")
 
     def distance(host: str) -> float:
-        router = _host_router(network, host)
+        router = serving_router(network, host)
         if router is None or router not in graph.nodes:
             return float("inf")
         return dist.get(router, float("inf"))
@@ -138,11 +98,10 @@ def run_migration_cell(
     config: Optional[MigrationConfig] = None,
 ) -> MigrationCellResult:
     """Run one before/after migration measurement under the auditor."""
-    with cell(
-        TOPOLOGIES[topology].build, derive_seed(seed, "migration", topology)
-    ) as (network, members, cores):
-        cbt = LEGS["cbt"]
-        domain, group = cbt.build(network, members, cores, timers)
+    with cell_run(
+        "cbt", timers, TOPOLOGIES[topology].build, derive_seed(seed, "migration", topology)
+    ) as run:
+        network, domain, group, members = run.network, run.domain, run.group, run.members
         graph = network_graph(network)
         if config is None:
             config = MigrationConfig(stretch_threshold=1.05)
@@ -174,17 +133,12 @@ def run_migration_cell(
             record = coordinator.evaluate(force=True)
 
         # Run to quiescence under the auditor, campaign-style.
-        recovered = False
-        violations: List[str] = []
-
-        try:
-            recovered, _ = run_to_quiescence(cbt, domain, network.scheduler.now, timers)
-        except InvariantViolation as violation:
-            violations = [str(f) for f in violation.findings]
+        with run.audited():
+            run.quiesce(network.scheduler.now)
 
         quality_after = tree_quality(domain, graph, group, coordinator.member_routers())
         delivery_after = (
-            _probe_delivery(network, sorted(current_members), group) if recovered else 0.0
+            _probe_delivery(network, sorted(current_members), group) if run.recovered else 0.0
         )
         domain.auditor.stop()
         coordinator.stop()
@@ -198,7 +152,7 @@ def run_migration_cell(
             topology=topology,
             seed=seed,
             migrated=record is not None and record.completed,
-            recovered=recovered,
+            recovered=run.recovered,
             old_primary=old_primary,
             new_primary=new_primary,
             churn_left=tuple(leave),
@@ -208,6 +162,6 @@ def run_migration_cell(
             delivery_before=delivery_before,
             delivery_after=delivery_after,
             migration_control_cost=migration_cost,
-            violations=violations,
+            violations=run.violations,
             telemetry=dict(network.telemetry.registry.snapshot()),
         )

@@ -48,9 +48,9 @@ import sys
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 #: Repository root (src/repro/harness/parallel.py -> up four levels).
 REPO_ROOT = os.path.dirname(
@@ -67,6 +67,38 @@ def stable_digest(*parts: object) -> str:
     """16-hex digest of the parts' canonical text (no wall-clock)."""
     text = "\x1f".join(str(p) for p in parts)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def canonical(value: object) -> object:
+    """The one form a fingerprint takes: floats rounded to 6 places,
+    mappings as key-sorted pairs, sequences as tuples, and a nested
+    :class:`Fingerprinted` by its own ``fingerprint()``."""
+    if isinstance(value, float):
+        return round(value, 6)
+    if isinstance(value, dict):
+        return tuple(sorted((key, canonical(item)) for key, item in value.items()))
+    if isinstance(value, (list, tuple)):
+        return tuple(canonical(item) for item in value)
+    if isinstance(value, Fingerprinted):
+        return value.fingerprint()
+    return value
+
+
+class Fingerprinted:
+    """A dataclass whose deterministic identity is its own fields:
+    ``fingerprint()`` is every field, in declaration order, in
+    :func:`canonical` form — except the ones ``unfingerprinted`` names
+    (a trace, a telemetry snapshot: what a run reports beside its
+    identity)."""
+
+    unfingerprinted: Tuple[str, ...] = ()
+
+    def fingerprint(self) -> Tuple:
+        return tuple(
+            canonical(getattr(self, f.name))
+            for f in fields(self)
+            if f.name not in self.unfingerprinted
+        )
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,20 @@ def pick_members(network: Network, count: int, seed: int = 0) -> List[str]:
     return sorted(rng.sample(hosts, count))
 
 
+def serving_router(network: Network, host_name: str) -> Optional[str]:
+    """The router serving ``host_name``: the lowest-named router on its
+    LAN (deterministic on multi-router LANs), None when it has none."""
+    link = network.host(host_name).interface.link
+    return min(
+        (
+            interface.node.name
+            for interface in (link.interfaces if link is not None else ())
+            if interface.node.name in network.routers
+        ),
+        default=None,
+    )
+
+
 def settle(network: Network, until: float = SETTLE_TIME) -> None:
     """Run elections/HELLOs for ``until`` seconds of simulated time."""
     network.run(until=until)

@@ -15,24 +15,26 @@ Two cell families, both derived entirely from ``(topology, seed)``:
   auditor/probe/conservation regime, quiesced campaign-style at the
   end.
 
-Fingerprints contain only sim-deterministic quantities (event counts,
-membership totals, rounded probe samples, finding texts) so merged CI
-fingerprints are byte-identical for any worker count.
+Both are one :func:`~repro.harness.campaign.cell_run` with no member
+joined at build, driven by one :func:`_drive`.  Fingerprints contain
+only sim-deterministic quantities (event counts, membership totals,
+rounded probe samples, finding texts) so merged CI fingerprints are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import accumulate, repeat, takewhile
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.audit import InvariantViolation
 from repro.core.timers import CBTTimers
-from repro.harness.campaign import LEGS, TOPOLOGIES, CellResult, run_to_quiescence
+from repro.harness.campaign import TOPOLOGIES, CellResult, CellRun, cell_run
 from repro.harness.scenarios import FAST_TIMERS, pick_members
 from repro.harness.workload import ChurnSchedule
-from repro.netsim.engine import cell
 from repro.netsim.faults import derive_seed
+from repro.netsim.packet import IPDatagram, PROTO_UDP, UDPDatagram
 from repro.telemetry.conservation import check_conservation
 from repro.workloads.flashcrowd import FlashCrowdConfig, generate_flash_crowd
 from repro.workloads.probe import QualityProbe
@@ -77,15 +79,6 @@ def _build_topology(name: str, seed: int):
     )
 
 
-def _schedule_membership(network, domain, group, schedule, probe) -> None:
-    """Schedule every join/leave, keeping the probe's books in step."""
-    for event in schedule.events:
-        action = _member_join if event.action == "join" else _member_leave
-        network.scheduler.call_at(
-            event.time, action, probe, domain, event.host, group
-        )
-
-
 def _member_join(probe, domain, host: str, group) -> None:
     probe.note_join(host)
     domain.join_host(host, group)
@@ -96,25 +89,65 @@ def _member_leave(probe, domain, host: str, group) -> None:
     domain.leave_host(host, group)
 
 
-def _make_segment_sender(network, source_host: str, group, sent, probe):
-    """Closure originating one content segment from the cast source."""
-    from repro.netsim.packet import IPDatagram, PROTO_UDP, UDPDatagram
+def _send_segment(network, host, group, sent, probe) -> None:
+    """Originate one content segment from the cast source ``host``."""
+    datagram = IPDatagram(
+        src=host.interface.address,
+        dst=group,
+        proto=PROTO_UDP,
+        payload=UDPDatagram(sport=40000, dport=5000, payload=b"x" * 64),
+        ttl=64,
+    )
+    sent.append((network.scheduler.now, datagram.uid))
+    probe.note_first_transmit()
+    host.originate(datagram)
 
-    host = network.host(source_host)
 
-    def send() -> None:
-        datagram = IPDatagram(
-            src=host.interface.address,
-            dst=group,
-            proto=PROTO_UDP,
-            payload=UDPDatagram(sport=40000, dport=5000, payload=b"x" * 64),
-            ttl=64,
-        )
-        sent.append((network.scheduler.now, datagram.uid))
-        probe.note_first_transmit()
-        host.originate(datagram)
+def _drive(
+    run: CellRun,
+    source: str,
+    schedule: ChurnSchedule,
+    segments: Iterable[float],
+    until: float,
+    probe_interval: float,
+    midway: Sequence[Tuple[str, float]] = (),
+) -> Tuple[QualityProbe, List[Tuple[float, int]], Dict[str, List[str]]]:
+    """Run one workload cell: sample with a :class:`QualityProbe`, play
+    ``schedule``'s joins and leaves (keeping the probe's books in step),
+    send a segment from ``source`` at each of ``segments``, run to
+    ``until`` taking a conservation snapshot at each ``midway`` (name,
+    time), then quiesce and take the ``"drain"`` snapshot — the full
+    invariant sweep plus conservation.  Returns the stopped probe, the
+    ``(send time, uid)`` of every segment sent, and the snapshots."""
+    network, domain, group = run.network, run.domain, run.group
+    call_at = network.scheduler.call_at
+    probe = QualityProbe(domain, group, source_host=source, interval=probe_interval)
+    probe.start()
+    for event in schedule.events:
+        action = _member_join if event.action == "join" else _member_leave
+        call_at(event.time, action, probe, domain, event.host, group)
+    sent: List[Tuple[float, int]] = []
+    host = network.host(source)
+    for at in segments:
+        call_at(at, _send_segment, network, host, group, sent, probe)
 
-    return send
+    snapshots: Dict[str, List[str]] = {}
+    with run.audited():
+        # The conservation laws are valid at any instant (the invariant
+        # sweep is not — joins are in flight, and the always-on auditor
+        # already covers it with its grace window), so only they are
+        # checked midway.
+        for name, at in midway:
+            network.run(until=at)
+            snapshots[name] = list(check_conservation(network, domain))
+        network.run(until=until)
+        if run.quiesce(network.scheduler.now):
+            snapshots["drain"] = run.leg.findings(domain) + list(
+                check_conservation(network, domain)
+            )
+    probe.stop()
+    domain.auditor.stop()
+    return probe, sent, snapshots
 
 
 @dataclass
@@ -122,6 +155,7 @@ class FlashCrowdCellResult(CellResult):
     """Outcome of one flash-crowd cell."""
 
     ci_name = "workload"
+    unfingerprinted = ("cores",)
 
     topology: str
     seed: int
@@ -182,36 +216,6 @@ class FlashCrowdCellResult(CellResult):
         its per-router telemetry snapshot into CI metrics."""
         return _cell_metrics("flash-crowd", self.sim_events)
 
-    def fingerprint(self) -> Tuple:
-        return (
-            self.topology,
-            self.seed,
-            self.quick,
-            self.clients,
-            self.source,
-            self.joins,
-            self.leaves,
-            self.segments,
-            self.expected_pairs,
-            self.delivered_pairs,
-            self.duplicate_pairs,
-            round(self.continuity, 6),
-            round(self.join_p50, 6),
-            round(self.join_p95, 6),
-            round(self.join_p99, 6),
-            self.control_cbt,
-            self.control_dvmrp_model,
-            self.control_mospf_model,
-            self.final_on_tree,
-            self.recovered,
-            self.drained,
-            self.sim_events,
-            tuple(sorted((k, tuple(v)) for k, v in self.snapshots.items())),
-            tuple(self.missing),
-            tuple(self.violations),
-            self.sample_fingerprints,
-        )
-
 
 def run_flash_crowd_cell(
     topology: str = "bulk1000",
@@ -223,7 +227,10 @@ def run_flash_crowd_cell(
 ) -> FlashCrowdCellResult:
     """One bootcast flash crowd under the full audit regime."""
     cell_seed = derive_seed(seed, "workload", "flash-crowd", topology)
-    with cell(_build_topology, topology, cell_seed) as (network, pool, cores):
+    with cell_run(
+        "cbt", timers, _build_topology, topology, cell_seed, members=()
+    ) as run:
+        network, domain, pool, cores = run.network, run.domain, run.members, run.cores
         n_clients = clients if clients is not None else (32 if quick else 160)
         if n_clients + 1 > len(pool):
             n_clients = len(pool) - 1
@@ -237,43 +244,18 @@ def run_flash_crowd_cell(
             network, n_clients + 1, seed=derive_seed(cell_seed, "clients")
         )
         source, client_hosts = picked[0], picked[1:]
-
-        cbt = LEGS["cbt"]
-        domain, group = cbt.build(network, [], cores, timers)
-        probe = QualityProbe(
-            domain, group, source_host=source, interval=probe_interval
+        crowd = generate_flash_crowd(
+            client_hosts, config, start=network.scheduler.now + 0.5
         )
-        probe.start()
-
-        start = network.scheduler.now + 0.5
-        crowd = generate_flash_crowd(client_hosts, config, start=start)
-        _schedule_membership(network, domain, group, crowd.schedule, probe)
-        sent: List[Tuple[float, int]] = []
-        sender = _make_segment_sender(network, source, group, sent, probe)
-        for at in crowd.segments:
-            network.scheduler.call_at(at, sender)
-
-        snapshots: Dict[str, List[str]] = {}
-        violations: List[str] = []
-        recovered = False
-        try:
-            # Mid-burst snapshot: the conservation laws are valid at any
-            # instant (the invariant sweep is not — joins are in flight,
-            # and the always-on auditor already covers it with its grace
-            # window), so only they are checked here.
-            network.run(until=crowd.mid_burst_time)
-            snapshots["mid-burst"] = list(check_conservation(network, domain))
-            network.run(until=crowd.drain_time)
-            recovered, _ = run_to_quiescence(cbt, domain, network.scheduler.now, timers)
-            if recovered:
-                # Drain snapshot: quiesced, so the full sweep applies.
-                snapshots["drain"] = cbt.findings(domain) + list(
-                    check_conservation(network, domain)
-                )
-        except InvariantViolation as violation:
-            violations = [str(f) for f in violation.findings]
-        probe.stop()
-        domain.auditor.stop()
+        probe, sent, snapshots = _drive(
+            run,
+            source,
+            crowd.schedule,
+            crowd.segments,
+            crowd.drain_time,
+            probe_interval,
+            midway=[("mid-burst", crowd.mid_burst_time)],
+        )
 
         expected_pairs = delivered_pairs = duplicate_pairs = 0
         missing: List[Tuple[str, float]] = []
@@ -290,8 +272,8 @@ def run_flash_crowd_cell(
                     else:
                         missing.append((host, round(sent_at, 6)))
 
-        on_tree = len(domain.on_tree_routers(group))
-        drained = recovered and not probe.members and on_tree <= len(cores)
+        on_tree = len(domain.on_tree_routers(run.group))
+        drained = run.recovered and not probe.members and on_tree <= len(cores)
         last = probe.samples[-1] if probe.samples else None
         return FlashCrowdCellResult(
             topology=topology,
@@ -320,12 +302,12 @@ def run_flash_crowd_cell(
             ),
             final_on_tree=on_tree,
             cores=len(cores),
-            recovered=recovered,
+            recovered=run.recovered,
             drained=drained,
             sim_events=network.scheduler.events_processed,
             snapshots=snapshots,
             missing=missing,
-            violations=violations,
+            violations=run.violations,
             sample_fingerprints=tuple(s.fingerprint() for s in probe.samples),
         )
 
@@ -363,26 +345,6 @@ class ChurnCellResult(CellResult):
     def telemetry(self) -> Dict[str, float]:
         return _cell_metrics(self.process, self.sim_events)
 
-    def fingerprint(self) -> Tuple:
-        return (
-            self.topology,
-            self.process,
-            self.seed,
-            self.quick,
-            self.hosts,
-            self.joins,
-            self.leaves,
-            self.control_cbt,
-            self.control_dvmrp_model,
-            self.control_mospf_model,
-            round(self.join_p95, 6),
-            self.recovered,
-            self.sim_events,
-            tuple(self.final_findings),
-            tuple(self.violations),
-            self.sample_fingerprints,
-        )
-
 
 def run_churn_cell(
     process: str,
@@ -398,18 +360,14 @@ def run_churn_cell(
             f"unknown churn process {process!r}; known: poisson, pareto"
         )
     cell_seed = derive_seed(seed, "workload", process, topology)
-    with cell(_build_topology, topology, cell_seed) as (network, pool, cores):
+    with cell_run(
+        "cbt", timers, _build_topology, topology, cell_seed, members=()
+    ) as run:
+        network, pool = run.network, run.members
         source, churners = pool[0], pool[1:]
         duration = 30.0 if quick else 90.0
-
-        cbt = LEGS["cbt"]
-        domain, group = cbt.build(network, [], cores, timers)
-        probe = QualityProbe(
-            domain, group, source_host=source, interval=probe_interval
-        )
-        probe.start()
-
         start = network.scheduler.now + 0.5
+        end = start + duration
         generate = poisson_churn if process == "poisson" else pareto_onoff_churn
         schedule: ChurnSchedule = generate(
             churners,
@@ -419,28 +377,11 @@ def run_churn_cell(
             seed=derive_seed(cell_seed, "schedule"),
             start=start,
         )
-        _schedule_membership(network, domain, group, schedule, probe)
-        sent: List[Tuple[float, int]] = []
-        sender = _make_segment_sender(network, source, group, sent, probe)
-        at = start
-        while at < start + duration:
-            network.scheduler.call_at(at, sender)
-            at += 2.0
-
-        violations: List[str] = []
-        recovered = False
-        final_findings: List[str] = []
-        try:
-            network.run(until=start + duration)
-            recovered, _ = run_to_quiescence(cbt, domain, network.scheduler.now, timers)
-            if recovered:
-                final_findings = cbt.findings(domain) + list(
-                    check_conservation(network, domain)
-                )
-        except InvariantViolation as violation:
-            violations = [str(f) for f in violation.findings]
-        probe.stop()
-        domain.auditor.stop()
+        # A segment every 2 s from ``start`` (summed, as sent) until ``end``.
+        segments = takewhile(lambda at: at < end, accumulate(repeat(2.0), initial=start))
+        probe, _sent, snapshots = _drive(
+            run, source, schedule, segments, end, probe_interval
+        )
 
         last = probe.samples[-1] if probe.samples else None
         return ChurnCellResult(
@@ -451,14 +392,14 @@ def run_churn_cell(
             hosts=len(churners),
             joins=schedule.joins,
             leaves=schedule.leaves,
-            control_cbt=domain.control_messages_sent(),
+            control_cbt=run.domain.control_messages_sent(),
             control_dvmrp_model=last.control_dvmrp_model if last else 0,
             control_mospf_model=last.control_mospf_model if last else 0,
             join_p95=last.join_p95 if last else 0.0,
-            recovered=recovered,
+            recovered=run.recovered,
             sim_events=network.scheduler.events_processed,
-            final_findings=final_findings,
-            violations=violations,
+            final_findings=snapshots.get("drain", []),
+            violations=run.violations,
             sample_fingerprints=tuple(s.fingerprint() for s in probe.samples),
         )
 

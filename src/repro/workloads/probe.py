@@ -30,10 +30,12 @@ samples participate in cell fingerprints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.baselines.trees import shortest_path_tree
 from repro.core.migration import network_graph, protocol_tree
+from repro.harness.parallel import Fingerprinted
+from repro.harness.scenarios import serving_router
 from repro.metrics.delay import summarise_stretch
 
 
@@ -75,7 +77,7 @@ def histogram_percentile(histograms: Sequence, quantile: float) -> float:
 
 
 @dataclass(frozen=True)
-class QualitySample:
+class QualitySample(Fingerprinted):
     """One probe observation (all fields sim-deterministic)."""
 
     time: float
@@ -91,23 +93,6 @@ class QualitySample:
     join_p50: float
     join_p95: float
     join_p99: float
-
-    def fingerprint(self) -> Tuple:
-        return (
-            round(self.time, 6),
-            self.members,
-            self.on_tree_routers,
-            round(self.tree_cost_cbt, 6),
-            round(self.tree_cost_spt, 6),
-            round(self.stretch_mean, 6),
-            round(self.stretch_max, 6),
-            self.control_cbt,
-            self.control_dvmrp_model,
-            self.control_mospf_model,
-            round(self.join_p50, 6),
-            round(self.join_p95, 6),
-            round(self.join_p99, 6),
-        )
 
 
 @dataclass
@@ -139,16 +124,9 @@ class QualityProbe:
         self._timer = None
         self._stopped = False
         network.scheduler.register(self)
-        # host -> serving router (lowest-named router on the host LAN).
-        self._host_router: Dict[str, Optional[str]] = {}
-        for host_name in sorted(network.hosts):
-            link = network.host(host_name).interface.link
-            routers = sorted(
-                interface.node.name
-                for interface in (link.interfaces if link else ())
-                if interface.node.name in network.routers
-            )
-            self._host_router[host_name] = routers[0] if routers else None
+        self._host_router: Dict[str, Optional[str]] = {
+            host: serving_router(network, host) for host in sorted(network.hosts)
+        }
         self.source_router = self._host_router.get(self.source_host)
         # Hop counts from the source router (the graft/prune path
         # length in the DVMRP model), precomputed once.

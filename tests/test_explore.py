@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import json
 import os
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.explore.engine import ExploreOptions, explore, run_schedule
@@ -256,6 +258,121 @@ def test_v1_documents_rejected_naming_the_supported_format():
 def test_malformed_schedule_documents_rejected(text):
     with pytest.raises(ScheduleFormatError):
         load_schedule(text)
+
+
+def _document(**changes):
+    """A valid schedule document as JSON text, with ``changes`` applied
+    (``options_<field>`` sets one options field)."""
+    scenario = get_scenario("joins-race")
+    payload = schedule_payload(
+        "joins-race", scenario_options(scenario, max_decisions=2), (0, 1)
+    )
+    for key, value in changes.items():
+        if key.startswith("options_"):
+            payload["options"][key[len("options_"):]] = value
+        else:
+            payload[key] = value
+    return dump_schedule(payload)
+
+
+#: Documents a replay cannot run — each once raised KeyError /
+#: TypeError / UnicodeDecodeError from deep inside the replay, or
+#: loaded as something it is not (a pin that never fails, bools as
+#: choice indices).
+UNRUNNABLE_DOCUMENTS = {
+    "unknown-scenario": _document(scenario="no-such-scenario").encode(),
+    "options-not-an-object": _document(options=3).encode(),
+    "options-field-mistyped": _document(options_max_decisions="x").encode(),
+    "not-utf8": b'{"format": "\xff\xfe"}',
+    "expect-unknown": _document(expect="maybe").encode(),
+    "schedule-of-bools": _document(schedule=[True, False]).encode(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNRUNNABLE_DOCUMENTS))
+def test_unrunnable_documents_fail_typed(name, tmp_path, capsys):
+    with pytest.raises(ScheduleFormatError):
+        load_schedule(UNRUNNABLE_DOCUMENTS[name])
+    path = tmp_path / "doc.schedule.json"
+    path.write_bytes(UNRUNNABLE_DOCUMENTS[name])
+    with pytest.raises(ScheduleFormatError):
+        replay_file(str(path))
+    assert main(["explore", "--replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_the_valid_base_document_loads():
+    assert load_schedule(_document().encode())["scenario"] == "joins-race"
+
+
+def _assert_replayable(payload):
+    """What a replay reads from a loaded document is all there and of
+    the type the engine runs on."""
+    get_scenario(payload["scenario"])
+    options = ExploreOptions.from_dict(payload["options"])
+    for field in dataclasses.fields(ExploreOptions):
+        value, default = getattr(options, field.name), field.default
+        assert type(value) is type(default), field.name
+        if isinstance(default, int) and not isinstance(default, bool):
+            assert value >= 0, field.name
+        if isinstance(default, tuple):
+            assert all(isinstance(item, str) for item in value), field.name
+    assert all(type(v) is int and v >= 0 for v in payload["schedule"])
+    assert payload.get("expect", "clean") in ("clean", "violation")
+
+
+class TestScheduleReaderFuzz:
+    """The schedule reader takes anything and either returns a document
+    a replay can run or raises :class:`ScheduleFormatError`."""
+
+    JSON_VALUES = st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers(-(2**40), 2**40)
+        | st.floats()
+        | st.text(max_size=12)
+        | st.sampled_from(["joins-race", "clean", "violation", "forward"]),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+        max_leaves=12,
+    )
+
+    KEYS = [
+        "format", "scenario", "options", "schedule", "expect", "note",
+        "source", "seed", "predicate",
+    ] + [f"options_{f.name}" for f in dataclasses.fields(ExploreOptions)]
+
+    @staticmethod
+    def _read(data):
+        try:
+            payload = load_schedule(data)
+        except ScheduleFormatError:
+            return
+        _assert_replayable(payload)
+
+    @given(key=st.sampled_from(KEYS), value=JSON_VALUES)
+    @settings(max_examples=800, deadline=None)
+    def test_any_json_value_in_any_field(self, key, value):
+        self._read(_document(**{key: value}))
+
+    @given(value=JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_document(self, value):
+        self._read(json.dumps(value))
+
+    @given(data=st.binary(max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bytes(self, data):
+        self._read(data)
+
+    @given(index=st.integers(0, 400), value=st.integers(0, 255))
+    @settings(max_examples=300, deadline=None)
+    def test_byte_flips(self, index, value):
+        damaged = bytearray(_document().encode())
+        damaged[index % len(damaged)] = value
+        self._read(bytes(damaged))
 
 
 def test_verify_payload_detects_expectation_mismatch():

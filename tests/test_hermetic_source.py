@@ -104,16 +104,23 @@ def _scheduled_closures(path):
     found = set()
 
     def nested_callables(function):
-        """Names a ``def`` or ``name = lambda`` binds inside ``function``."""
-        names = set()
+        """Name -> reason, for each name a ``def``, a ``name = lambda``
+        or a ``name = factory(...)`` binds inside ``function``."""
+        names = {}
         for node in ast.walk(function):
             if node is function:
                 continue
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                names.add(node.name)
-            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda):
+                names[node.name] = "nested def"
+            elif isinstance(node, ast.Assign) and isinstance(
+                node.value, (ast.Lambda, ast.Call)
+            ):
+                reason = (
+                    "nested def" if isinstance(node.value, ast.Lambda)
+                    else "bound from a call"
+                )
                 names.update(
-                    target.id for target in node.targets
+                    (target.id, reason) for target in node.targets
                     if isinstance(target, ast.Name)
                 )
         return names
@@ -121,7 +128,7 @@ def _scheduled_closures(path):
     def visit(node, function, local_callables):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-            local_callables = local_callables | nested_callables(node)
+            local_callables = {**local_callables, **nested_callables(node)}
         if isinstance(node, ast.Call):
             callee = getattr(node.func, "attr", getattr(node.func, "id", None))
             position = _CALLBACK_POSITION.get(callee)
@@ -134,13 +141,13 @@ def _scheduled_closures(path):
                         callback = keyword.value
             if isinstance(callback, ast.Name):
                 if callback.id in local_callables:
-                    found.add(f"{rel}::{function}: nested def")
+                    found.add(f"{rel}::{function}: {local_callables[callback.id]}")
             elif not isinstance(callback, (ast.Attribute, type(None))):
                 found.add(f"{rel}::{function}: {type(callback).__name__}")
         for child in ast.iter_child_nodes(node):
             visit(child, function, local_callables)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>", frozenset())
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>", {})
     return found
 
 
@@ -522,6 +529,59 @@ def test_one_place_constructs_the_auditor():
                     and getattr(node.func, "id", None) == "InvariantAuditor"
                 ]
     assert found == ["harness/campaign.py::_audited_cbt_group"]
+
+
+# A cell is one body (``campaign.cell_run``): ``CellRun.audited`` is the
+# one place a cell catches the auditor's violation, ``CellRun.quiesce``
+# the one caller of the quiescence loop.  A result's fingerprint is its
+# own fields (``parallel.Fingerprinted``); a hand-written one drifts from
+# the fields the next time one is added.
+
+
+def _function_sites(predicate):
+    """``file::function`` for each node under ``harness/`` or
+    ``workloads/`` that ``predicate`` accepts."""
+    found = []
+
+    def visit(node, rel, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if predicate(node):
+            found.append(f"{rel}::{function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, rel, function)
+
+    for rel, tree in _cell_sources():
+        visit(tree, rel, "<module>")
+    return found
+
+
+def test_one_cell_body_catches_violations_and_quiesces():
+    assert _function_sites(
+        lambda node: isinstance(node, ast.ExceptHandler)
+        and "InvariantViolation" in ast.unparse(node.type or ast.Constant(None))
+    ) == ["harness/campaign.py::audited"]
+    assert _function_sites(
+        lambda node: isinstance(node, ast.Call) and _callee(node) == "run_to_quiescence"
+    ) == ["harness/campaign.py::quiesce"]
+
+
+def test_no_result_writes_its_fingerprint_by_hand():
+    found = [
+        f"{rel}::{node.name}"
+        for rel, tree in _cell_sources()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(item, ast.FunctionDef) and item.name == "fingerprint"
+            for item in node.body
+        )
+    ]
+    # The rule itself, and a campaign's aggregate of its cells.
+    assert sorted(found) == [
+        "harness/campaign.py::CampaignResult",
+        "harness/parallel.py::Fingerprinted",
+    ]
 
 
 # -- an address is an int ------------------------------------------------------------

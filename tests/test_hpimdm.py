@@ -10,6 +10,8 @@ the comparison with CBT).
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.baselines.hpimdm import INFINITE_METRIC
@@ -265,6 +267,34 @@ class TestExplorerScenario:
         assert scenario.convergence_oracle is not None
         assert scenario.state_fingerprint is not None
         assert "HpimHello" in scenario.quiet_types
+
+    def test_convergence_oracle_wants_each_probe_exactly_once(self, monkeypatch):
+        """A member that gets one probe twice and the other never has
+        as many copies as probes, and is still wrong."""
+        import repro.harness.scenarios as harness_scenarios
+        from repro.explore.scenarios import get_scenario
+
+        scenario = get_scenario("hpimdm-elections")
+        world = scenario.build()
+        uids = [-1, -2]
+
+        def send_data(network, sender, group, count, spacing):
+            for member in world.members:
+                got = [uids[0], uids[0]] if member == "G" else uids
+                network.host(member).delivered.extend(
+                    SimpleNamespace(uid=uid) for uid in got
+                )
+            return list(uids)
+
+        monkeypatch.setattr(harness_scenarios, "send_data", send_data)
+        try:
+            findings = scenario.convergence_oracle(world)
+        finally:
+            world.close()
+        assert [f for f in findings if f.startswith("member ")] == [
+            "member G received [2, 0] copies of the 2 probe packets "
+            "(each must arrive exactly once after election convergence)"
+        ]
 
     def test_bounded_exploration_is_clean(self):
         from repro.explore.engine import explore

@@ -388,15 +388,18 @@ class TestWorkerCountDeterminism:
 
 class TestPinnedFingerprints:
     """Per-unit CI fingerprints of one unit of each cell kind, recorded
-    before the four cell adapters became one.  Worker-count equality
-    alone would not notice a change that moved every fingerprint the
-    same way."""
+    before the four cell adapters became one, plus the flash-crowd and
+    Pareto churn units, recorded before the workload cells moved onto
+    the one cell body.  Worker-count equality alone would not notice a
+    change that moved every fingerprint the same way."""
 
     PINNED = {
         "chaos/figure1/link_flap/0": ("smoke", "77df63bb9d63b806"),
         "baseline-compare/figure1/link_flap/0": ("smoke", "9e344ac6ea3e2617"),
         "migration/figure1/0": ("chaos", "14bbe9c4cc288fb9"),
         "workload/poisson/waxman16/0": ("chaos", "42862446e8a47692"),
+        "workload/flash-crowd/bulk1000/0": ("chaos", "ad7b01a63f3a091f"),
+        "workload/pareto/waxman16/0": ("chaos", "3a17f812ffe1954b"),
     }
 
     def test_one_unit_per_cell_kind_matches_its_pin(self):

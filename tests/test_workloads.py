@@ -15,8 +15,9 @@ from repro.workloads.cell import (
     WORKLOAD_TOPOLOGIES,
     WORKLOADS,
     _build_topology,
-    _make_segment_sender,
-    _schedule_membership,
+    _member_join,
+    _member_leave,
+    _send_segment,
     run_churn_cell,
     run_flash_crowd_cell,
     run_workload_cell,
@@ -356,11 +357,14 @@ def golden_flash_records():
     crowd = generate_flash_crowd(
         hosts[1:9], config, start=network.scheduler.now + 0.5
     )
-    _schedule_membership(network, domain, group, crowd.schedule, probe)
+    call_at = network.scheduler.call_at
+    for event in crowd.schedule.events:
+        action = _member_join if event.action == "join" else _member_leave
+        call_at(event.time, action, probe, domain, event.host, group)
     sent = []
-    sender = _make_segment_sender(network, hosts[0], group, sent, probe)
+    source = network.host(hosts[0])
     for at in crowd.segments:
-        network.scheduler.call_at(at, sender)
+        call_at(at, _send_segment, network, source, group, sent, probe)
     network.run(until=crowd.drain_time + 8.0)
     return network.telemetry.bus.records()
 
