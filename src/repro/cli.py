@@ -547,8 +547,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
     if args.backward:
         return _explore_backward(args, names)
-    if args.shards:
-        return _explore_sharded(args, names)
 
     depth = args.depth if args.depth is not None else (5 if args.smoke else 3)
     failed = False
@@ -670,67 +668,6 @@ def _explore_backward(args: argparse.Namespace, names) -> int:
             )
             for kind in ("schedule", "narrative", "test"):
                 print(f"  exported {kind}: {paths[kind]}")
-    return 1 if failed else 0
-
-
-def _explore_sharded(args: argparse.Namespace, names) -> int:
-    """``repro explore --shards N``: partitioned forward frontier via
-    the CI fan-out engine, merged deterministically."""
-    import time
-
-    from repro.explore.engine import merge_frontier_payloads
-    from repro.harness.parallel import WorkUnit, run_units
-    from repro.netsim.faults import derive_seed
-
-    depth = args.depth if args.depth is not None else (5 if args.smoke else 3)
-    failed = False
-    for name in names:
-        units = [
-            WorkUnit.make(
-                "explore-frontier",
-                f"explore-frontier/{name}/d{depth}/s{i}of{args.shards}",
-                {
-                    "scenario": name,
-                    "depth": depth,
-                    "shard_index": i,
-                    "shard_count": args.shards,
-                    "max_alternatives": args.max_alternatives,
-                    "drop_budget": args.drop_budget,
-                    "seed": derive_seed(
-                        args.seed, "explore-frontier", name, depth, i
-                    ),
-                },
-            )
-            for i in range(args.shards)
-        ]
-        started = time.monotonic()
-        results = run_units(units, workers=args.workers)
-        elapsed = time.monotonic() - started
-        errors = [r for r in results if r.status in ("error", "crashed", "timeout")]
-        if errors:
-            for r in errors:
-                print(f"  {r.unit_id}: {r.status}", file=sys.stderr)
-                for line in r.detail[:5]:
-                    print(f"    {line}", file=sys.stderr)
-            return 2
-        merged = merge_frontier_payloads([r.extra for r in results])
-        status = "ok" if not merged["counterexamples"] else "VIOLATION"
-        print(
-            f"{name:12s} {status:9s} shards={args.shards} "
-            f"visited={merged['states_visited']} "
-            f"depth<={depth} "
-            f"exhausted={'yes' if merged['exhausted'] else 'no'} "
-            f"digest={merged['visited_digest']} ({elapsed:.1f}s)"
-        )
-        for schedule in merged["counterexamples"]:
-            failed = True
-            print(f"  counterexample schedule: {schedule}")
-        if args.verbose:
-            for r in results:
-                print(
-                    f"  {r.unit_id}: {r.status} "
-                    f"runs={r.metrics.get('ci.explore.frontier.runs', 0):g}"
-                )
     return 1 if failed else 0
 
 
@@ -1064,27 +1001,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="pre-state chain length bound for --backward (default: 3)",
     )
     explore.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "partition the forward frontier into N deterministic "
-            "shards and fan them out (merged report is byte-identical "
-            "for any --workers count)"
-        ),
-    )
-    explore.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for --shards (0 = inline; default: 1)",
-    )
-    explore.add_argument(
         "--seed",
         type=int,
         default=0,
-        help="base seed for --backward ordering / --shards sub-seeds",
+        help="base seed for --backward ordering",
     )
     explore.set_defaults(func=cmd_explore)
 

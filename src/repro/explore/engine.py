@@ -127,7 +127,7 @@ class Violation:
     time: float
     findings: List[str]
     #: Scenario the run belonged to — threaded through so narratives
-    #: stay unambiguous when violations from many shards are merged.
+    #: stay unambiguous when violations from many searches are read together.
     scenario: str = ""
 
     def describe(self) -> str:
@@ -172,12 +172,13 @@ class Counterexample:
     scenario: str
     schedule: Tuple[int, ...]
     outcome: RunOutcome
-    #: Sub-seed of the search cell that found it (None = unseeded
-    #: single-process search); pins provenance across shards.
+    #: Seed of the search that found it (None = the unseeded forward
+    #: search).
     seed: Optional[int] = None
     #: Goal predicate a backward search confirmed ("" = forward find).
     predicate: str = ""
-    #: Which engine produced it: "forward" | "frontier" | "backward".
+    #: Which engine produced it: "forward" | "backward" ("frontier" in
+    #: documents exported before the sharded forward search was removed).
     source: str = "forward"
 
     def summary(self) -> str:
@@ -566,243 +567,3 @@ def explore(
         visited_digest=digest,
     )
 
-
-# -- frontier sharding -------------------------------------------------------
-
-
-def _visited_digest(visited: Dict[str, int]) -> str:
-    return hashlib.sha1(repr(sorted(visited.items())).encode()).hexdigest()[:16]
-
-
-@dataclass
-class FrontierShard:
-    """One shard's slice of a partitioned forward search.
-
-    The root run's child schedules are partitioned round-robin
-    (``child_index % shard_count == shard_index``), so the shards are
-    disjoint, their union covers the whole frontier, and each shard is
-    a self-contained deterministic unit: identity is fixed by
-    ``(scenario, options, shard_index, shard_count)`` alone, never by
-    worker count or completion order.
-    """
-
-    scenario: str
-    shard_index: int
-    shard_count: int
-    stats: ExploreStats
-    counterexamples: List[Counterexample]
-    visited: Dict[str, int]
-    exhausted: bool
-    visited_digest: str
-
-
-@collector_paused()  # as ``explore``
-def explore_frontier_shard(
-    scenario,
-    options: ExploreOptions,
-    shard_index: int,
-    shard_count: int,
-    seed: Optional[int] = None,
-    max_counterexamples: int = 3,
-    progress: Optional[Callable[[int, int], None]] = None,
-) -> FrontierShard:
-    """Explore one deterministic shard of the scenario's DFS frontier.
-
-    Every shard replays the root (all-defaults) schedule to discover
-    the frontier, then explores only the subtrees under its own slice
-    of root children.  Shard 0 additionally owns the root itself (its
-    states, and any root violation).  Unlike :func:`explore`, the
-    search does not stop at the first violation: it keeps draining its
-    subtrees (collecting up to ``max_counterexamples``) so the merged
-    counterexample list is a property of the frontier, not of worker
-    scheduling.  Iterative deepening is disabled — the limit is
-    ``options.max_decisions`` throughout, so the partition of children
-    is identical in every shard.
-    """
-    if shard_count < 1:
-        raise ValueError("shard_count must be >= 1")
-    if not 0 <= shard_index < shard_count:
-        raise ValueError(
-            f"shard_index {shard_index} outside 0..{shard_count - 1}"
-        )
-    limit = options.max_decisions
-    stats = ExploreStats()
-    counterexamples: List[Counterexample] = []
-    visited: Dict[str, int] = {}
-    exhausted = True
-
-    root = run_schedule(
-        scenario, (), options, limit=limit,
-        visited=visited if shard_index == 0 else None,
-    )
-    if shard_index == 0:
-        stats.runs += 1
-        stats.depth_reached = 0
-        if root.violation is not None:
-            stats.violations_seen += 1
-            counterexamples.append(
-                Counterexample(
-                    scenario=scenario.name,
-                    schedule=_normalise(root.chosen()),
-                    outcome=root,
-                    seed=seed,
-                    source="frontier",
-                )
-            )
-
-    children = _expansions((), root, limit)
-    pending: List[Tuple[int, ...]] = [
-        child
-        for index, child in enumerate(children)
-        if index % shard_count == shard_index
-    ]
-    stats.decisions_expanded += len(pending)
-    pending.reverse()
-
-    while pending:
-        schedule = pending.pop()
-        outcome = run_schedule(
-            scenario, schedule, options, limit=limit, visited=visited
-        )
-        stats.runs += 1
-        stats.depth_reached = max(stats.depth_reached, len(schedule))
-        if outcome.pruned:
-            stats.states_pruned += 1
-        if progress is not None:
-            progress(stats.runs, len(pending))
-        if outcome.violation is not None:
-            stats.violations_seen += 1
-            if len(counterexamples) < max_counterexamples:
-                counterexamples.append(
-                    Counterexample(
-                        scenario=scenario.name,
-                        schedule=_normalise(outcome.chosen()),
-                        outcome=outcome,
-                        seed=seed,
-                        source="frontier",
-                    )
-                )
-            else:
-                exhausted = False  # capped: subtree not fully reported
-            continue
-        grandchildren = _expansions(schedule, outcome, limit)
-        stats.decisions_expanded += len(grandchildren)
-        pending.extend(reversed(grandchildren))
-        if stats.runs >= options.max_runs:
-            exhausted = False
-            break
-
-    stats.states_visited = len(visited)
-    return FrontierShard(
-        scenario=scenario.name,
-        shard_index=shard_index,
-        shard_count=shard_count,
-        stats=stats,
-        counterexamples=counterexamples,
-        visited=visited,
-        exhausted=exhausted,
-        visited_digest=_visited_digest(visited),
-    )
-
-
-@dataclass
-class FrontierMerge:
-    """Deterministic fold of every shard of one frontier."""
-
-    scenario: str
-    shard_count: int
-    stats: ExploreStats
-    counterexamples: List[Counterexample]
-    visited: Dict[str, int]
-    exhausted: bool
-    visited_digest: str
-
-
-def merge_frontier_payloads(
-    payloads: Sequence[Dict[str, object]],
-) -> Dict[str, object]:
-    """Fold the ``extra`` payloads of ``explore-frontier`` work units
-    (see :mod:`repro.harness.parallel`) into one deterministic summary.
-
-    Same fold as :func:`merge_frontier_shards`, but over the
-    JSON-compatible shard payloads that ride back from worker
-    processes: min-depth union of visited fingerprints, sorted
-    counterexample schedules, and the same digest convention — so the
-    merged digest is byte-identical for any worker count.
-    """
-    if not payloads:
-        raise ValueError("no shard payloads to merge")
-    names = {str(p["scenario"]) for p in payloads}
-    if len(names) != 1:
-        raise ValueError(
-            f"cannot merge payloads of different scenarios: {names}"
-        )
-    visited: Dict[str, int] = {}
-    counterexamples: List[List[int]] = []
-    exhausted = True
-    for payload in sorted(payloads, key=lambda p: int(p["shard_index"])):
-        for fingerprint, depth in dict(payload["visited"]).items():
-            depth = int(depth)
-            known = visited.get(fingerprint)
-            if known is None or depth < known:
-                visited[fingerprint] = depth
-        counterexamples.extend(
-            [int(v) for v in schedule]
-            for schedule in payload.get("counterexamples", [])
-        )
-        exhausted = exhausted and bool(payload.get("exhausted", True))
-    counterexamples.sort()
-    return {
-        "scenario": names.pop(),
-        "shard_count": int(payloads[0]["shard_count"]),
-        "states_visited": len(visited),
-        "visited": visited,
-        "visited_digest": _visited_digest(visited),
-        "counterexamples": counterexamples,
-        "exhausted": exhausted,
-    }
-
-
-def merge_frontier_shards(shards: Sequence[FrontierShard]) -> FrontierMerge:
-    """Union the shards: visited fingerprints keep their minimum
-    depth, counterexamples sort by schedule, stats sum.  The merged
-    digest is byte-identical for any worker count or completion order
-    because every input shard is itself deterministic and the fold is
-    order-insensitive."""
-    if not shards:
-        raise ValueError("no shards to merge")
-    names = {shard.scenario for shard in shards}
-    if len(names) != 1:
-        raise ValueError(f"cannot merge shards of different scenarios: {names}")
-    counts = {shard.shard_count for shard in shards}
-    if len(counts) != 1:
-        raise ValueError("cannot merge shards with differing shard_count")
-    visited: Dict[str, int] = {}
-    stats = ExploreStats()
-    counterexamples: List[Counterexample] = []
-    exhausted = True
-    for shard in sorted(shards, key=lambda s: s.shard_index):
-        for fingerprint, depth in shard.visited.items():
-            known = visited.get(fingerprint)
-            if known is None or depth < known:
-                visited[fingerprint] = depth
-        stats.runs += shard.stats.runs
-        stats.states_pruned += shard.stats.states_pruned
-        stats.decisions_expanded += shard.stats.decisions_expanded
-        stats.violations_seen += shard.stats.violations_seen
-        stats.depth_reached = max(
-            stats.depth_reached, shard.stats.depth_reached
-        )
-        counterexamples.extend(shard.counterexamples)
-        exhausted = exhausted and shard.exhausted
-    stats.states_visited = len(visited)
-    counterexamples.sort(key=lambda c: (c.schedule, c.source))
-    return FrontierMerge(
-        scenario=shards[0].scenario,
-        shard_count=shards[0].shard_count,
-        stats=stats,
-        counterexamples=counterexamples,
-        visited=visited,
-        exhausted=exhausted,
-        visited_digest=_visited_digest(visited),
-    )

@@ -16,16 +16,17 @@ Format (``repro-explore-schedule/2``)::
       "schedule": [0, 2, 1],
       "expect": "clean" | "violation",
       "note": "free-form provenance",
-      "source": "forward" | "backward" | "frontier",
+      "source": "forward" | "backward",
       "seed": 7 | null,
       "predicate": "member-stranded" | ""
     }
 
 The provenance trio (``source``, ``seed``, ``predicate``) lets a
-schedule exported by one shard of a parallel run — or by the backward
-search — name which engine produced it, under which pinned sub-seed,
-chasing which goal predicate.  This is the only accepted format: any
-other ``format`` value is rejected with :class:`ScheduleFormatError`.
+schedule name which search produced it, under which seed, chasing
+which goal predicate.  ``"frontier"`` (the sharded forward search,
+since removed) is still read, so documents exported by it load.  This
+is the only accepted format: any other ``format`` value is rejected
+with :class:`ScheduleFormatError`.
 
 ``expect`` is what the *pinned* behaviour is: regression schedules
 exported after a fix carry ``"clean"`` (replaying them must produce

@@ -1,7 +1,7 @@
 """Parallel run orchestration: whole work units across worker processes.
 
 The repository's heavy workloads — chaos, comparator, migration and
-workload cells, explorer cells and frontier shards, perf-benchmark
+workload cells, explorer and backward-search cells, perf-benchmark
 modules, and pytest test groups — are all *independent deterministic
 work units* (one row per kind in :data:`UNIT_KINDS`): each derives
 every bit of randomness from its own pinned seed (via
@@ -45,6 +45,7 @@ import importlib
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import traceback
 from collections import deque
@@ -170,10 +171,6 @@ class UnitResult:
     fingerprint: str = ""
     detail: List[str] = field(default_factory=list)
     metrics: Dict[str, float] = field(default_factory=dict)
-    #: Structured executor payload (an explore-frontier shard's visited
-    #: map); passed back to in-process drivers, never serialised into
-    #: the ``repro-ci-report/1`` document.
-    extra: Dict[str, object] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -231,24 +228,17 @@ def _execute_cell(
     }
 
 
-def _explore_options(params: Dict[str, object], **extra: object):
-    """The ``(scenario, options)`` an explore unit's params name."""
+def _execute_explore(params: Dict[str, object]) -> Dict[str, object]:
+    from repro.explore.engine import explore
     from repro.explore.scenarios import get_scenario, scenario_options
 
     scenario = get_scenario(str(params["scenario"]))
-    return scenario, scenario_options(
+    options = scenario_options(
         scenario,
         max_decisions=int(params["depth"]),
         max_alternatives=int(params.get("max_alternatives", 4)),
         drop_budget=int(params.get("drop_budget", 1)),
-        **extra,
     )
-
-
-def _execute_explore(params: Dict[str, object]) -> Dict[str, object]:
-    from repro.explore.engine import explore
-
-    scenario, options = _explore_options(params)
     result = explore(scenario, options)
     if result.counterexample is not None:
         detail = ["counterexample: " + result.counterexample.summary()]
@@ -276,66 +266,6 @@ def _execute_explore(params: Dict[str, object]) -> Dict[str, object]:
             "ci.explore.runs": stats.runs,
             "ci.explore.states_visited": stats.states_visited,
             "ci.explore.states_pruned": stats.states_pruned,
-        },
-    }
-
-
-def _execute_explore_frontier(params: Dict[str, object]) -> Dict[str, object]:
-    """One deterministic shard of a partitioned forward frontier.
-
-    Unit identity (scenario, depth, ``shard_index``/``shard_count``,
-    pinned sub-seed) is fixed at tier-build time; the shard's visited
-    map and counterexample list ride back in ``extra`` so the driver
-    can fold every shard through
-    :func:`repro.explore.engine.merge_frontier_shards` into a report
-    that is byte-identical for any worker count.
-    """
-    from repro.explore.engine import explore_frontier_shard
-
-    scenario, options = _explore_options(params, deepening=False)
-    seed = params.get("seed")
-    shard = explore_frontier_shard(
-        scenario,
-        options,
-        shard_index=int(params["shard_index"]),
-        shard_count=int(params["shard_count"]),
-        seed=int(seed) if seed is not None else None,
-    )
-    detail = ["counterexample: " + c.summary() for c in shard.counterexamples]
-    if not shard.exhausted:
-        detail.append("shard did not exhaust its bounded subtree slice")
-    status = "failed" if detail else "ok"
-    schedules = tuple(
-        tuple(c.schedule) for c in shard.counterexamples
-    )
-    stats = shard.stats
-    return {
-        "status": status,
-        "fingerprint": stable_digest(
-            "explore-frontier",
-            scenario.name,
-            params["depth"],
-            f"{shard.shard_index}/{shard.shard_count}",
-            shard.visited_digest,
-            stats.runs,
-            schedules,
-            status,
-        ),
-        "detail": detail,
-        "metrics": {
-            "ci.explore.frontier.shards": 1,
-            "ci.explore.frontier.runs": stats.runs,
-            "ci.explore.frontier.states_visited": stats.states_visited,
-            "ci.explore.frontier.counterexamples": len(shard.counterexamples),
-        },
-        "extra": {
-            "scenario": scenario.name,
-            "shard_index": shard.shard_index,
-            "shard_count": shard.shard_count,
-            "visited": dict(shard.visited),
-            "visited_digest": shard.visited_digest,
-            "counterexamples": [list(s) for s in schedules],
-            "exhausted": shard.exhausted,
         },
     }
 
@@ -400,14 +330,6 @@ def _execute_explore_deep(params: Dict[str, object]) -> Dict[str, object]:
             "ci.explore.backward.max_depth": stats.max_depth_reached,
             "ci.explore.backward.runs": stats.runs,
         },
-        "extra": {
-            "scenario": scenario.name,
-            "stats": stats.to_dict(),
-            "counterexamples": [
-                {"predicate": p, "schedule": list(s)} for p, s in schedules
-            ],
-            "exhausted": result.exhausted,
-        },
     }
 
 
@@ -456,16 +378,22 @@ def _execute_bench(params: Dict[str, object]) -> Dict[str, object]:
 
 
 def _execute_pytest(params: Dict[str, object]) -> Dict[str, object]:
+    """A pytest run over ``paths``.  Experiment tables it publishes go to
+    a fresh directory (``REPRO_RESULTS_DIR``, read by
+    ``benchmarks/conftest.py``), never over the committed copies."""
     paths = [str(p) for p in params["paths"]]
     args = [str(a) for a in params.get("args", [])]
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", *args, *paths],
-        cwd=REPO_ROOT,
-        env=_subprocess_env(),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
+    env = _subprocess_env()
+    with tempfile.TemporaryDirectory() as scratch:
+        env["REPRO_RESULTS_DIR"] = scratch
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", *args, *paths],
+            cwd=REPO_ROOT,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
     ok = proc.returncode == 0
     status = "ok" if ok else "failed"
     return {
@@ -533,7 +461,6 @@ def _execute_coverage(params: Dict[str, object]) -> Dict[str, object]:
             "metrics": {},
         }
     import json as _json
-    import tempfile
 
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as handle:
         json_path = handle.name
@@ -639,7 +566,6 @@ UNIT_KINDS: Dict[str, UnitKind] = {
     ),
     "workload": _cell("workload", "repro.workloads.cell.run_workload_cell", 900.0),
     "explore": UnitKind(_execute_explore, 600.0),
-    "explore-frontier": UnitKind(_execute_explore_frontier, 900.0),
     "explore-deep": UnitKind(_execute_explore_deep, 900.0),
     "bench": UnitKind(_execute_bench, 1800.0),
     "pytest": UnitKind(_execute_pytest, 1800.0),
@@ -870,7 +796,6 @@ def _payload_to_result(
         metrics={
             str(k): v for k, v in dict(payload.get("metrics", {})).items()
         },
-        extra=dict(payload.get("extra", {})),
     )
 
 

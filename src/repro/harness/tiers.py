@@ -22,15 +22,14 @@ chaos     the full chaos campaign, one unit per (topology, scenario, cell),
           bulk topology, Poisson and Pareto on/off churn on waxman16)
 explore   every explorer scenario at full depth, one unit per scenario
 tier1     the whole pytest suite in round-robin file groups, the
-          benchmarks/e2e self-test + coverage floors
+          benchmarks/e2e self-test, every experiment table compared
+          with its committed copy + coverage floors
 bench     the perf-regression suite, one unit per benchmark module
 full      chaos + explore + tier1 + bench (quick) + lint
 nightly   full with deeper exploration, more chaos cells, the full
           baseline-compare matrix (every replayable scenario × every
           topology), full-size benches and workload cells (160-client
-          flash crowd), the
-          sharded forward frontier (``explore-frontier`` cells, one per
-          (scenario, shard)), and the budgeted backward search
+          flash crowd), and the budgeted backward search
           (``explore-deep`` cells, one per (scenario, predicate) with
           pinned sub-seeds; stats surface as ``ci.explore.backward.*``
           in the merged metrics)
@@ -81,16 +80,19 @@ SMOKE_PYTEST_FILES = (
 PYTEST_GROUPS = 8
 
 
+def _files(directory: str, prefix: str) -> List[str]:
+    """The ``prefix*.py`` files of a repository directory, sorted."""
+    return sorted(
+        f"{directory}/{name}"
+        for name in os.listdir(os.path.join(REPO_ROOT, directory))
+        if name.startswith(prefix) and name.endswith(".py")
+    )
+
+
 def pytest_groups(group_count: int = PYTEST_GROUPS) -> List[List[str]]:
     """Round-robin the sorted test files into ``group_count`` groups."""
-    tests_dir = os.path.join(REPO_ROOT, "tests")
-    files = sorted(
-        f"tests/{name}"
-        for name in os.listdir(tests_dir)
-        if name.startswith("test_") and name.endswith(".py")
-    )
     groups: List[List[str]] = [[] for _ in range(group_count)]
-    for index, name in enumerate(files):
+    for index, name in enumerate(_files("tests", "test_")):
         groups[index % group_count].append(name)
     return [group for group in groups if group]
 
@@ -230,38 +232,6 @@ def _explore_units(depth: int, drop_budget: int = 1) -> List[WorkUnit]:
 #: migration handover and the quit/join races).
 DEEP_SCENARIOS = ("joins-race", "migration-race", "quit-race")
 
-#: Shard count for the partitioned forward frontier.  Fixed at build
-#: time (not a function of ``--workers``) so unit identity and the
-#: merged fingerprint are independent of the worker count.
-FRONTIER_SHARDS = 4
-
-
-def _frontier_units(
-    seed: int,
-    depth: int,
-    scenarios: Sequence[str] = ("joins-race", "migration-race"),
-    shard_count: int = FRONTIER_SHARDS,
-) -> List[WorkUnit]:
-    """One unit per (scenario, frontier shard), pinned sub-seeds."""
-    return [
-        WorkUnit.make(
-            "explore-frontier",
-            f"explore-frontier/{name}/d{depth}/s{index}of{shard_count}",
-            {
-                "scenario": name,
-                "depth": depth,
-                "shard_index": index,
-                "shard_count": shard_count,
-                "seed": derive_seed(
-                    seed, "explore-frontier", name, depth, index
-                ),
-            },
-        )
-        for name in sorted(scenarios)
-        for index in range(shard_count)
-    ]
-
-
 def _explore_deep_units(
     seed: int,
     budget: int = 250,
@@ -349,6 +319,20 @@ def build_tier(
             # workloads, seconds): fails when a change breaks a name
             # ``benchmarks/e2e`` imports from ``src/repro``.
             WorkUnit.make("pytest", "pytest/tier1/e2e", {"paths": ["benchmarks/e2e"]}),
+            # Every experiment table, regenerated into the run's fresh
+            # results directory: ``benchmarks/conftest.py`` fails the run
+            # on any byte that differs from ``benchmarks/results/`` or
+            # from RESULTS.md.
+            WorkUnit.make(
+                "pytest",
+                "pytest/tier1/experiments",
+                {
+                    "paths": _files("benchmarks", "bench_"),
+                    # One run per bench, no timing table: the tables
+                    # are the result, and a drift line stays in view.
+                    "args": ["--benchmark-disable"],
+                },
+            ),
             WorkUnit.make("coverage", "coverage", {}),
         ]
     elif tier == "bench":
@@ -368,7 +352,6 @@ def build_tier(
             + _migration_units(seed, reps=2)
             + _workload_units(seed, quick=False)
             + _explore_units(depth=5)
-            + _frontier_units(seed, depth=5)
             + _explore_deep_units(seed)
             + _bench_units(quick=False, bench_dir=bench_dir)
         )

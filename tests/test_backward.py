@@ -2,11 +2,10 @@
 
 Covers the inverse-rule catalogue, plan derivation, the guided
 confirmation search (stats accounting, determinism, confirm-by-replay
-provenance), the frontier sharding fold, and the ISSUE-8 acceptance
-demonstration: with a known bug temporarily re-introduced, the
-backward search confirms a violation at a schedule depth strictly
-beyond what the forward ``--depth`` default can reach, on a budget
-the forward DFS would burn below depth 6.
+provenance), and the acceptance demonstration: with a known bug
+temporarily re-introduced, the backward search confirms a violation at
+a schedule depth strictly beyond what the forward ``--depth`` default
+can reach, on a budget the forward DFS would burn below depth 6.
 
 The re-introduced bug is bug 11 (the stale-cached-join livelock found
 *by* this machinery and fixed in ``CBTProtocol._nack_stale_cached``):
@@ -30,12 +29,7 @@ from repro.explore.backward import (
     derive_plan,
     rules_for,
 )
-from repro.explore.engine import (
-    explore_frontier_shard,
-    merge_frontier_payloads,
-    merge_frontier_shards,
-    run_schedule,
-)
+from repro.explore.engine import run_schedule
 from repro.explore.predicates import PREDICATES, classify, get_predicate
 from repro.explore.scenarios import get_scenario, scenario_options
 
@@ -301,78 +295,6 @@ def test_violation_describe_names_the_scenario():
     assert "[migration-race]" in violation.describe()
 
 
-# -- frontier sharding ------------------------------------------------------
-
-
-def test_frontier_shards_partition_and_merge_deterministically():
-    scenario = get_scenario("joins-race")
-    options = scenario_options(
-        scenario, max_decisions=3, deepening=False
-    )
-    single = merge_frontier_shards(
-        [explore_frontier_shard(scenario, options, 0, 1)]
-    )
-    split = merge_frontier_shards(
-        [explore_frontier_shard(scenario, options, i, 4) for i in range(4)]
-    )
-    assert single.visited_digest == split.visited_digest
-    assert single.visited == split.visited
-    assert [c.schedule for c in single.counterexamples] == [
-        c.schedule for c in split.counterexamples
-    ]
-    assert single.exhausted and split.exhausted
-
-
-def test_frontier_shard_validates_bounds():
-    scenario = get_scenario("joins-race")
-    options = scenario_options(scenario, max_decisions=2)
-    with pytest.raises(ValueError):
-        explore_frontier_shard(scenario, options, 2, 2)
-    with pytest.raises(ValueError):
-        explore_frontier_shard(scenario, options, 0, 0)
-
-
-def test_merge_rejects_mixed_scenarios():
-    joins = get_scenario("joins-race")
-    quits = get_scenario("quit-race")
-    shard_a = explore_frontier_shard(
-        joins, scenario_options(joins, max_decisions=1), 0, 1
-    )
-    shard_b = explore_frontier_shard(
-        quits, scenario_options(quits, max_decisions=1), 0, 1
-    )
-    with pytest.raises(ValueError, match="different scenarios"):
-        merge_frontier_shards([shard_a, shard_b])
-    with pytest.raises(ValueError, match="no shards"):
-        merge_frontier_shards([])
-
-
-def test_merge_frontier_payloads_matches_object_merge():
-    scenario = get_scenario("joins-race")
-    options = scenario_options(
-        scenario, max_decisions=3, deepening=False
-    )
-    shards = [
-        explore_frontier_shard(scenario, options, i, 2) for i in range(2)
-    ]
-    merged = merge_frontier_shards(shards)
-    payloads = [
-        {
-            "scenario": shard.scenario,
-            "shard_index": shard.shard_index,
-            "shard_count": shard.shard_count,
-            "visited": dict(shard.visited),
-            "counterexamples": [list(c.schedule) for c in shard.counterexamples],
-            "exhausted": shard.exhausted,
-        }
-        for shard in shards
-    ]
-    folded = merge_frontier_payloads(payloads)
-    assert folded["visited_digest"] == merged.visited_digest
-    assert folded["states_visited"] == merged.stats.states_visited
-    assert folded["exhausted"] == merged.exhausted
-
-
 # -- CLI --------------------------------------------------------------------
 
 
@@ -441,21 +363,10 @@ def test_cli_backward_exports_confirmed_counterexample(tmp_path):
     assert "predicate: member-stranded" in narrative
 
 
-def test_cli_sharded_explore_smoke():
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = main(
-            [
-                "explore",
-                "--shards",
-                "2",
-                "--workers",
-                "0",
-                "--scenario",
-                "joins-race",
-                "--depth",
-                "2",
-            ]
-        )
-    assert code == 0
-    assert "digest=" in out.getvalue()
+def test_cli_explore_has_no_shards_flag(capsys):
+    """The sharded forward search is gone with its two flags: argparse
+    rejects them (exit 2) rather than ignoring them."""
+    with pytest.raises(SystemExit) as exc:
+        main(["explore", "--shards", "2", "--workers", "0", "--scenario", "joins-race"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --shards 2 --workers 0" in capsys.readouterr().err

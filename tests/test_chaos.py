@@ -19,6 +19,7 @@ from repro.chaos import (  # noqa: E402
     run_campaign,
     run_scenario,
 )
+from benchmarks.bench_core_redundancy import redundancy_run  # noqa: E402
 from repro.cli import main  # noqa: E402
 from repro.core.constants import JoinSubcode  # noqa: E402
 from repro.core.audit import (  # noqa: E402
@@ -69,8 +70,9 @@ class TestQuickCampaign:
 class TestOpenFindings:
     """Known protocol findings (docs/ROBUSTNESS.md, "Open findings"),
     pinned so tier-1 sees them: ``strict`` xfail, so the fix that makes
-    either cell recover flips its test to a failure until the marker —
-    and the seed exclusion in ``benchmarks/e2e`` — is removed."""
+    a cell recover flips its test to a failure until the marker — and,
+    for the two chaos seeds, the seed exclusion in ``benchmarks/e2e`` —
+    is removed."""
 
     @pytest.mark.xfail(strict=True, reason="core_crash/waxman16 seed 17: parent loop")
     def test_core_crash_waxman16_seed17_recovers(self):
@@ -83,6 +85,11 @@ class TestOpenFindings:
         result = run_scenario("core_crash", topology="waxman16", seed=29)
         assert not result.violations, result.violations
         assert result.recovered
+
+    @pytest.mark.xfail(strict=True, reason="E16: two cores, N0 killed: 0/5 served")
+    def test_two_cores_rehome_when_the_primary_dies(self):
+        # waxman_network(24, seed=21), cores N0 and N9, N0 killed.
+        assert redundancy_run(2)[3]
 
     def test_the_findings_are_still_what_the_doc_says(self):
         # Not an xfail: if the failure *mode* changes, the doc entry is
@@ -97,6 +104,8 @@ class TestOpenFindings:
 
         cbt = run_baseline_compare_cell("core_crash", "waxman16", seed=17).outcome("cbt")
         assert not cbt.recovered and cbt.findings == loop.violations
+        # E16: a router rejoins after ~13 s, yet no survivor is served.
+        assert redundancy_run(2)[1:3] == ("0/5", 13.1)
 
 
 class TestAuditor:

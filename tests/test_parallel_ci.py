@@ -301,31 +301,20 @@ class TestWorkerCountDeterminism:
         assert merged_fingerprint(whole) == merged_fingerprint(parts)
 
     @pytest.mark.parametrize("scenario", ["joins-race", "migration-race"])
-    def test_frontier_workers_1_vs_8_byte_identical(self, scenario):
-        """ISSUE-8 determinism audit: the sharded forward frontier
-        merges to byte-identical visited-fingerprint sets and
-        identical counterexample lists whatever the worker count."""
-        from repro.explore.engine import merge_frontier_payloads
-        from repro.harness.tiers import _frontier_units
+    def test_nightly_forward_search_workers_1_vs_8_identical(self, scenario):
+        """The nightly depth-5 search of each scenario the sharded
+        frontier once split runs whole, to one fingerprint for any
+        worker count."""
+        from repro.harness.tiers import _explore_units
 
-        units = _frontier_units(0, depth=3, scenarios=[scenario])
+        units = [
+            u for u in _explore_units(depth=5)
+            if u.unit_id == f"explore/{scenario}/d5"
+        ]
         serial = run_units(units, workers=1)
         parallel = run_units(units, workers=8)
-        assert all(r.status in ("ok", "failed") for r in serial + parallel)
+        assert [r.status for r in serial] == ["ok"]
         assert merged_fingerprint(serial) == merged_fingerprint(parallel)
-        merged_serial = merge_frontier_payloads([r.extra for r in serial])
-        merged_parallel = merge_frontier_payloads(
-            [r.extra for r in parallel]
-        )
-        assert merged_serial["visited"] == merged_parallel["visited"]
-        assert (
-            merged_serial["visited_digest"]
-            == merged_parallel["visited_digest"]
-        )
-        assert (
-            merged_serial["counterexamples"]
-            == merged_parallel["counterexamples"]
-        )
 
     def test_explore_deep_workers_1_vs_8_identical(self):
         from repro.harness.tiers import _explore_deep_units
@@ -400,6 +389,10 @@ class TestPinnedFingerprints:
         "workload/poisson/waxman16/0": ("chaos", "42862446e8a47692"),
         "workload/flash-crowd/bulk1000/0": ("chaos", "ad7b01a63f3a091f"),
         "workload/pareto/waxman16/0": ("chaos", "3a17f812ffe1954b"),
+        # The two explore executors, recorded before the sharded
+        # forward search was removed from beside them.
+        "explore/joins-race/d4": ("smoke", "90e7b96acd455a64"),
+        "explore-deep/joins-race/forwarding-loop": ("nightly", "78ef82a17fb2a87e"),
     }
 
     def test_one_unit_per_cell_kind_matches_its_pin(self):
@@ -445,12 +438,24 @@ class TestTiers:
 
     def test_tier1_runs_every_test_group_and_the_e2e_self_test(self):
         units = build_tier("tier1")
-        assert [u.unit_id for u in units] == ["coverage", "pytest/tier1/e2e"] + [
-            f"pytest/tier1/g{index}" for index in range(PYTEST_GROUPS)
-        ]
+        assert [u.unit_id for u in units] == [
+            "coverage", "pytest/tier1/e2e", "pytest/tier1/experiments"
+        ] + [f"pytest/tier1/g{index}" for index in range(PYTEST_GROUPS)]
         e2e = units[1]
         assert (e2e.kind, e2e.param_dict) == ("pytest", {"paths": ["benchmarks/e2e"]})
         assert e2e in build_tier("full") and e2e in build_tier("nightly")
+
+    def test_one_forward_search_per_scenario_and_depth(self):
+        # A forward search is a unit naming a scenario and a depth; a
+        # tier that ran the same one twice (whole, and again split up)
+        # would pay twice for the same visited states.
+        for tier in TIERS:
+            searches = [
+                (u.param_dict["scenario"], u.param_dict["depth"])
+                for u in build_tier(tier)
+                if "depth" in u.param_dict
+            ]
+            assert len(searches) == len(set(searches)), tier
 
     def test_tier_units_pinned_before_workers_exist(self):
         # Unit identity (including derived seeds) is a pure function of
@@ -576,8 +581,8 @@ class TestReplayShardBadReport:
         )
         return write_report(report, str(tmp_path / "report.json"))
 
-    def _replay(self, path, capsys):
-        code = main(["ci", "--replay-shard", "s/ok", "--report", str(path)])
+    def _replay(self, path, capsys, unit_id="s/ok"):
+        code = main(["ci", "--replay-shard", unit_id, "--report", str(path)])
         captured = capsys.readouterr()
         assert captured.out == ""
         return code, captured.err.splitlines()
@@ -617,6 +622,24 @@ class TestReplayShardBadReport:
         code, err = self._replay(path, capsys)
         assert code == 2
         assert len(err) == 1 and "unknown unit kind 'chaoss'" in err[0]
+
+    def test_report_from_before_the_sharded_search_was_removed(self, tmp_path, capsys):
+        path = self._report(tmp_path)
+        with open(path) as handle:
+            report = json.load(handle)
+        unit_id = "explore-frontier/joins-race/d5/s0of4"
+        report["units"][0].update(
+            unit_id=unit_id,
+            kind="explore-frontier",
+            params={
+                "scenario": "joins-race", "depth": 5,
+                "shard_index": 0, "shard_count": 4, "seed": 1,
+            },
+        )
+        write_report(report, path)
+        code, err = self._replay(path, capsys, unit_id)
+        assert code == 2
+        assert len(err) == 1 and "unknown unit kind 'explore-frontier'" in err[0]
 
 
 class TestRunCI:

@@ -2,8 +2,11 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
-
+from benchmarks.conftest import results_drift
 from repro.harness.report import (
     build_report,
     collect_results,
@@ -12,6 +15,9 @@ from repro.harness.report import (
     write_report,
 )
 from repro.harness.scenarios import send_data
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+COMMITTED = REPO / "benchmarks" / "results"
 
 
 class TestReportAssembly:
@@ -72,3 +78,50 @@ class TestTraceExport:
         assert len(lines) == 5
         record = json.loads(lines[0])
         assert {"time", "kind", "link", "node", "proto"} <= set(record)
+
+
+class TestCommittedTables:
+    """A benchmark run redirected by ``REPRO_RESULTS_DIR`` is a check
+    (``benchmarks/conftest.py``): a table that differs from its committed
+    copy fails the run, and so does a RESULTS.md the committed tables do
+    not rebuild."""
+
+    def _publish(self, tmp_path, text):
+        """A pytest run, under the benchmarks' session hook, whose one
+        test publishes ``text`` as the E9 table."""
+        (tmp_path / "test_publish.py").write_text(
+            "from benchmarks.conftest import publish\n\n\n"
+            f"def test_publish():\n    publish('E9_codec', {text!r})\n"
+        )
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([str(REPO / "src"), str(REPO)]),
+            REPRO_RESULTS_DIR=str(tmp_path / "out"),
+        )
+        return subprocess.run(
+            [
+                sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                "-p", "benchmarks.conftest", "test_publish.py",
+            ],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+
+    def test_the_committed_table_passes(self, tmp_path):
+        table = (COMMITTED / "E9_codec.txt").read_text()
+        proc = self._publish(tmp_path, table[:-1])
+        assert proc.returncode == 0, proc.stdout
+
+    def test_a_tampered_table_fails_the_run(self, tmp_path):
+        table = (COMMITTED / "E9_codec.txt").read_text()
+        proc = self._publish(tmp_path, table[:-1].replace("0", "1", 1))
+        assert proc.returncode == 1
+        assert "RESULTS DRIFT E9_codec.txt: line " in proc.stdout
+
+    def test_results_md_must_rebuild_from_the_committed_tables(self, tmp_path):
+        assert results_drift(str(COMMITTED), ["E9_codec"]) == []
+        stale = tmp_path / "RESULTS.md"
+        stale.write_text((REPO / "RESULTS.md").read_text().replace("E9", "E0", 1))
+        assert results_drift(str(COMMITTED), [], results_md=str(stale)) == [
+            "RESULTS.md: differs from `python -m repro report` over the "
+            "committed tables"
+        ]
