@@ -301,10 +301,10 @@ class TestWorkerCountDeterminism:
         assert merged_fingerprint(whole) == merged_fingerprint(parts)
 
     @pytest.mark.parametrize("scenario", ["joins-race", "migration-race"])
-    def test_nightly_forward_search_workers_1_vs_8_identical(self, scenario):
+    def test_frontier_workers_1_vs_8_byte_identical(self, scenario):
         """The nightly depth-5 search of each scenario the sharded
-        frontier once split runs whole, to one fingerprint for any
-        worker count."""
+        frontier once split runs whole, to one byte-identical
+        fingerprint for any worker count."""
         from repro.harness.tiers import _explore_units
 
         units = [
