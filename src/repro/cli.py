@@ -517,10 +517,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
     import time
 
     from repro.explore.engine import explore
-    from repro.explore.export import export_counterexample, narrative_text
     from repro.explore.replay import ScheduleFormatError, replay_file
     from repro.explore.scenarios import SCENARIOS, scenario_options
-    from repro.explore.shrink import shrink
 
     if args.replay:
         try:
@@ -578,25 +576,35 @@ def cmd_explore(args: argparse.Namespace) -> int:
         if result.counterexample is None:
             continue
         failed = True
-        counterexample = result.counterexample
-        shrunk = shrink(scenario, counterexample.schedule, options)
-        if shrunk is not None:
-            print(
-                f"  shrunk {list(counterexample.schedule)} -> "
-                f"{list(shrunk.schedule)} "
-                f"({shrunk.runs_used} replays)"
-            )
-        print(narrative_text(counterexample, shrunk), end="")
-        paths = export_counterexample(
+        _report_counterexample(
             args.export_dir,
-            counterexample,
+            scenario,
+            result.counterexample,
             options,
-            shrunk=shrunk,
             note=f"repro explore --scenario {name} --depth {depth}",
         )
-        for kind in ("schedule", "narrative", "test"):
-            print(f"  exported {kind}: {paths[kind]}")
     return 1 if failed else 0
+
+
+def _report_counterexample(export_dir, scenario, counterexample, options, note) -> None:
+    """Shrink a counterexample, print its narrative and export it (the
+    schedule, the narrative and a pytest file) to ``export_dir``."""
+    from repro.explore.export import export_counterexample, narrative_text
+    from repro.explore.shrink import shrink
+
+    shrunk = shrink(scenario, counterexample.schedule, options)
+    if shrunk is not None:
+        print(
+            f"  shrunk {list(counterexample.schedule)} -> "
+            f"{list(shrunk.schedule)} "
+            f"({shrunk.runs_used} replays)"
+        )
+    print(narrative_text(counterexample, shrunk), end="")
+    paths = export_counterexample(
+        export_dir, counterexample, options, shrunk=shrunk, note=note
+    )
+    for kind in ("schedule", "narrative", "test"):
+        print(f"  exported {kind}: {paths[kind]}")
 
 
 def _explore_backward(args: argparse.Namespace, names) -> int:
@@ -605,10 +613,8 @@ def _explore_backward(args: argparse.Namespace, names) -> int:
     import time
 
     from repro.explore.backward import backward_search
-    from repro.explore.export import export_counterexample, narrative_text
     from repro.explore.predicates import get_predicate
     from repro.explore.scenarios import SCENARIOS, scenario_options
-    from repro.explore.shrink import shrink
 
     try:
         predicates = (
@@ -646,28 +652,17 @@ def _explore_backward(args: argparse.Namespace, names) -> int:
         )
         for counterexample in result.counterexamples:
             failed = True
-            options = scenario_options(scenario, max_decisions=0)
-            shrunk = shrink(scenario, counterexample.schedule, options)
-            if shrunk is not None:
-                print(
-                    f"  shrunk {list(counterexample.schedule)} -> "
-                    f"{list(shrunk.schedule)} "
-                    f"({shrunk.runs_used} replays)"
-                )
-            print(narrative_text(counterexample, shrunk), end="")
-            paths = export_counterexample(
+            _report_counterexample(
                 args.export_dir,
+                scenario,
                 counterexample,
-                options,
-                shrunk=shrunk,
+                scenario_options(scenario, max_decisions=0),
                 note=(
                     f"repro explore --backward --scenario {name} "
                     f"--predicate {counterexample.predicate} "
                     f"--seed {args.seed}"
                 ),
             )
-            for kind in ("schedule", "narrative", "test"):
-                print(f"  exported {kind}: {paths[kind]}")
     return 1 if failed else 0
 
 

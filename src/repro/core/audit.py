@@ -1,5 +1,9 @@
 """Domain auditing: a protocol ``fsck`` for CBT deployments.
 
+This module is the one place a CBT tree is checked: every reader
+below walks parent pointers with :func:`_parent_loops` and shares one
+copy of each per-router hard check.
+
 ``audit_domain`` sweeps every router and reports findings — conditions
 that are either invariant violations (parent/child disagreement, tree
 loops) or operational smells (stale pending joins, stranded member
@@ -14,12 +18,24 @@ interval and fails loudly — :class:`InvariantViolation` carrying the
 recent protocol event trace — when a violation outlives its grace
 window, i.e. when the §6 recovery machinery demonstrably failed to
 repair the tree.
+
+The systematic explorer (:mod:`repro.explore`) checks at two moments.
+:func:`transition_findings` runs after every explored transition,
+mid-convergence, so only *hard* invariants apply: no self-reference,
+no transient state without its driving timer, and no loop unless a
+repair is in flight.  Soft conditions with legitimate transient
+windows (asymmetry while a QUIT or JOIN_ACK is in flight, age bounds)
+would drown the explorer's short windows in false alarms.
+:func:`convergence_findings` runs once the schedule is spent and the
+simulation settled: the full :func:`check_invariants` sweep, every
+member LAN served, every parent chain rooted at a core, and data
+deliverable from a core over child pointers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.netsim.address import IPv4Address
 
@@ -45,7 +61,12 @@ def audit_domain(domain, now: Optional[float] = None) -> List[Finding]:
         now = domain.network.scheduler.now
 
     findings.extend(_check_relationships(domain))
-    findings.extend(_check_loops(domain))
+    groups = {
+        entry.group
+        for protocol in domain.protocols.values()
+        for entry in protocol.fib
+    }
+    findings.extend(_parent_loops(domain, domain.protocols, groups))
     findings.extend(_check_transients(domain, now))
     findings.extend(_check_lan_service(domain))
     return findings
@@ -105,37 +126,6 @@ def _check_relationships(domain) -> List[Finding]:
                             "(stale child; CHILD-ASSERT will expire it)",
                         )
                     )
-    return out
-
-
-def _check_loops(domain) -> List[Finding]:
-    out: List[Finding] = []
-    groups = {
-        entry.group
-        for protocol in domain.protocols.values()
-        for entry in protocol.fib
-    }
-    for group in groups:
-        for start in domain.protocols:
-            seen = set()
-            current = start
-            while current is not None and current not in seen:
-                seen.add(current)
-                entry = domain.protocols[current].fib.get(group)
-                if entry is None or not entry.has_parent:
-                    current = None
-                else:
-                    current = domain.router_of(entry.parent_address)
-            if current is not None:
-                out.append(
-                    Finding(
-                        "error",
-                        current,
-                        group,
-                        "parent pointers form a loop",
-                    )
-                )
-                break
     return out
 
 
@@ -216,6 +206,108 @@ def _crashed(protocol) -> bool:
     return all(not interface.up for interface in protocol.router.interfaces)
 
 
+def _live(domain) -> Dict[str, object]:
+    """Routers that hold state (a FIB entry, a pending join, a quit or
+    a rejoin in progress) and are not crashed.  Only these can break
+    an invariant; the rest of the domain costs one emptiness test each."""
+    return {
+        name: protocol
+        for name, protocol in domain.protocols.items()
+        if (
+            protocol.fib
+            or protocol.pending
+            or protocol._quitting
+            or protocol.rejoins
+        )
+        and not _crashed(protocol)
+    }
+
+
+def _self_references(name: str, owns, entry) -> List[Finding]:
+    """An entry naming one of its own router's addresses (``owns``) as
+    parent or child.  Self-references satisfy the symmetry check (the
+    router vouches for itself), so they are rejected explicitly: a join
+    delivered back to its sender welds exactly this."""
+    group = entry.group
+    out: List[Finding] = []
+    if entry.has_parent and owns(entry.parent_address):
+        out.append(Finding("error", name, group, "lists itself as parent"))
+    for child in filter(owns, entry.children):
+        out.append(Finding("error", name, group, f"lists itself ({child}) as a child"))
+    return out
+
+
+def _stuck_pending(name: str, protocol, now: Optional[float] = None) -> List[Finding]:
+    """Pending joins with no live expiry timer; given ``now``, also
+    those that outlived EXPIRE-PENDING-JOIN by more than two
+    retransmission intervals."""
+    out: List[Finding] = []
+    timers = protocol.timers
+    bound = timers.expire_pending_join + 2 * timers.pend_join_interval
+    for group, pend in protocol.pending.items():
+        if now is not None and now - pend.created_at > bound:
+            age = now - pend.created_at
+            message = f"pending join is {age:.1f}s old (bound {bound:.1f}s)"
+            out.append(Finding("error", name, group, message))
+        if pend.expiry_timer is None or not pend.expiry_timer.pending:
+            message = "pending join has no live expiry timer (stuck transient state)"
+            out.append(Finding("error", name, group, message))
+    return out
+
+
+def _stuck_quits(name: str, protocol) -> List[Finding]:
+    """Groups marked quitting with no live retry timer driving them."""
+    quit_timers = getattr(protocol, "_quit_timers", {})
+    return [
+        Finding("error", name, group, "quit in progress with no live retry timer")
+        for group in protocol._quitting
+        if group not in quit_timers or not quit_timers[group].pending
+    ]
+
+
+def _parent_loops(domain, walkable, groups: Iterable) -> List[Finding]:
+    """The parent-pointer loop walker; at most one finding per group.
+
+    For each group in address order, walks parent pointers from every
+    router of ``walkable`` (name -> protocol).  A walk ends at a root,
+    at a parent no CBT router owns, at a router outside ``walkable``,
+    or where an earlier walk of the group already went on to a root.
+    A walk that revisits a router reports a loop there and ends the
+    group.  So does a walk that runs into a crashed router outside
+    ``walkable``: it is reported as a loop at that router, although
+    the crash, not a cycle, may be what stopped it.
+    """
+    out: List[Finding] = []
+    for group in sorted(groups, key=int):
+        rooted: Set[str] = set()
+        for start in walkable:
+            seen = set()
+            current = start
+            while (
+                current is not None
+                and current not in seen
+                and current not in rooted
+            ):
+                seen.add(current)
+                protocol = walkable.get(current)
+                if protocol is None:
+                    if not _crashed(domain.protocols[current]):
+                        current = None
+                    break
+                entry = protocol.fib.get(group)
+                if entry is None or not entry.has_parent:
+                    current = None
+                else:
+                    current = domain.router_of(entry.parent_address)
+            if current is not None and current in seen:
+                out.append(
+                    Finding("error", current, group, "parent pointers form a loop")
+                )
+                break
+            rooted |= seen
+    return out
+
+
 def check_invariants(domain, now: Optional[float] = None) -> List[Finding]:
     """Error-only invariant sweep for a (possibly mid-fault) domain.
 
@@ -240,169 +332,179 @@ def check_invariants(domain, now: Optional[float] = None) -> List[Finding]:
     if now is None:
         now = domain.network.scheduler.now
     findings: List[Finding] = []
-    # Only a router holding state can break an invariant; the rest of
-    # the domain costs one emptiness test each.
-    live: Dict[str, object] = {
-        name: protocol
-        for name, protocol in domain.protocols.items()
-        if (protocol.fib or protocol.pending or protocol._quitting)
-        and not _crashed(protocol)
-    }
+    live = _live(domain)
 
     for name, protocol in live.items():
-        timers = protocol.timers
         owns = protocol.router.owns_address
         for entry in protocol.fib:
             group = entry.group
-            # Self-references satisfy the symmetry check below (the
-            # router vouches for itself), so reject them explicitly: a
-            # join delivered back to its sender welds exactly this.
-            if entry.has_parent and owns(entry.parent_address):
-                findings.append(
-                    Finding("error", name, group, "lists itself as parent")
-                )
-            for child in filter(owns, entry.children):
-                findings.append(
-                    Finding(
-                        "error", name, group, f"lists itself ({child}) as a child"
-                    )
-                )
+            findings.extend(_self_references(name, owns, entry))
+            message = None
             if entry.has_parent:
                 parent_name = domain.router_of(entry.parent_address)
                 if parent_name is None:
-                    findings.append(
-                        Finding(
-                            "error",
-                            name,
-                            group,
-                            f"parent {entry.parent_address} is not a known "
-                            "CBT router",
-                        )
-                    )
-                elif parent_name in live or not _crashed(
-                    domain.protocols[parent_name]
-                ):
+                    message = f"parent {entry.parent_address} is not a known CBT router"
+                elif parent_name in live or not _crashed(domain.protocols[parent_name]):
                     parent_entry = domain.protocols[parent_name].fib.get(group)
-                    if parent_entry is None or not any(
-                        map(owns, parent_entry.children)
-                    ):
-                        findings.append(
-                            Finding(
-                                "error",
-                                name,
-                                group,
-                                f"parent {parent_name} does not list this "
-                                "router as a child",
-                            )
-                        )
-            else:
-                in_repair = (
-                    group in protocol.pending
-                    or group in protocol.rejoins
-                    or group in protocol._quitting
-                )
-                if not protocol.is_core_for(group) and not in_repair:
-                    if entry.has_children or protocol.igmp.any_member_subnet(
-                        group
-                    ):
-                        findings.append(
-                            Finding(
-                                "error",
-                                name,
-                                group,
-                                "stranded subtree root: no parent, not a "
-                                "core, and no re-attachment in progress",
-                            )
-                        )
-                    else:
-                        findings.append(
-                            Finding(
-                                "error",
-                                name,
-                                group,
-                                "orphaned FIB entry: no parent, children, "
-                                "members, or core role",
-                            )
-                        )
-        bound = timers.expire_pending_join + 2 * timers.pend_join_interval
-        for group, pend in protocol.pending.items():
-            age = now - pend.created_at
-            if age > bound:
-                findings.append(
-                    Finding(
-                        "error",
-                        name,
-                        group,
-                        f"pending join is {age:.1f}s old (bound {bound:.1f}s)",
+                    if parent_entry is None or not any(map(owns, parent_entry.children)):
+                        message = f"parent {parent_name} does not list this router as a child"
+            elif not protocol.is_core_for(group) and not (
+                group in protocol.pending
+                or group in protocol.rejoins
+                or group in protocol._quitting
+            ):
+                if entry.has_children or protocol.igmp.any_member_subnet(group):
+                    message = (
+                        "stranded subtree root: no parent, not a core, and no "
+                        "re-attachment in progress"
                     )
-                )
-            if pend.expiry_timer is None or not pend.expiry_timer.pending:
-                findings.append(
-                    Finding(
-                        "error",
-                        name,
-                        group,
-                        "pending join has no live expiry timer (stuck "
-                        "transient state)",
+                else:
+                    message = (
+                        "orphaned FIB entry: no parent, children, members, or core role"
                     )
-                )
-        quit_timers = getattr(protocol, "_quit_timers", {})
-        for group in protocol._quitting:
-            timer = quit_timers.get(group)
-            if timer is None or not timer.pending:
-                findings.append(
-                    Finding(
-                        "error",
-                        name,
-                        group,
-                        "quit in progress with no live retry timer",
-                    )
-                )
+            if message is not None:
+                findings.append(Finding("error", name, group, message))
+        if protocol.pending:
+            findings.extend(_stuck_pending(name, protocol, now))
+        if protocol._quitting:
+            findings.extend(_stuck_quits(name, protocol))
 
-    findings.extend(_check_live_loops(domain, live))
+    groups = {entry.group for protocol in live.values() for entry in protocol.fib}
+    findings.extend(_parent_loops(domain, live, groups))
     return findings
 
 
-def _check_live_loops(domain, live) -> List[Finding]:
-    """Parent-pointer loop detection restricted to live routers.
+# -- the explorer's two oracles ----------------------------------------------
 
-    ``live`` holds the live routers with state.  Walks start only
-    there — a router with no entry for the group ends its own walk at
-    once — and stop where an earlier walk already went on to a root.
-    A walk that runs into a crashed router is reported at that router.
+
+def transition_findings(domain, check_loops: bool = True) -> List[Finding]:
+    """Hard invariants that must hold between any two events.
+
+    Loops are checked only with ``check_loops`` and only for groups
+    with no repair in flight (a pending join or rejoin anywhere): a
+    §6.3 loop may legitimately exist until detection breaks it.
     """
-    out: List[Finding] = []
-    groups = {
-        entry.group for protocol in live.values() for entry in protocol.fib
+    findings: List[Finding] = []
+    live = _live(domain)
+    for name, protocol in live.items():
+        owns = protocol.router.owns_address
+        for entry in protocol.fib:
+            findings.extend(_self_references(name, owns, entry))
+        if protocol.pending:
+            findings.extend(_stuck_pending(name, protocol))
+        if protocol._quitting:
+            findings.extend(_stuck_quits(name, protocol))
+
+    if check_loops:
+        groups = {
+            entry.group for protocol in live.values() for entry in protocol.fib
+        }
+        for protocol in live.values():
+            groups.difference_update(protocol.rejoins)
+            groups.difference_update(protocol.pending)
+        findings.extend(_parent_loops(domain, live, groups))
+    return findings
+
+
+def convergence_findings(domain, group, members) -> List[Finding]:
+    """End-state oracle: invariants + member service + core-rooted tree."""
+    findings = list(check_invariants(domain))
+    on_tree = {
+        name: protocol
+        for name, protocol in _live(domain).items()
+        if protocol.fib.get(group) is not None
     }
-    for group in sorted(groups, key=int):
-        rooted: Set[str] = set()
-        for start in live:
-            seen = set()
-            current = start
-            while (
-                current is not None
-                and current not in seen
-                and current not in rooted
-            ):
-                seen.add(current)
-                protocol = live.get(current)
-                if protocol is None and _crashed(domain.protocols[current]):
-                    break
-                entry = protocol.fib.get(group) if protocol is not None else None
-                if entry is None or not entry.has_parent:
-                    current = None
-                else:
-                    current = domain.router_of(entry.parent_address)
-            if current is not None and current in seen:
-                out.append(
+    serving = {}
+    for member in members:
+        subnet = domain.network.host(member).interface.network
+        serving[member] = subnet, [
+            name
+            for name, protocol in on_tree.items()
+            if any(
+                interface.network == subnet
+                for interface in protocol.router.interfaces
+            )
+        ]
+
+    # Every member host's LAN must have an attached on-tree router.
+    for member in members:
+        subnet, routers = serving[member]
+        if not routers:
+            findings.append(
+                Finding(
+                    "error",
+                    member,
+                    group,
+                    f"member LAN {subnet} has no attached on-tree router",
+                )
+            )
+
+    # Every on-tree router must reach a core via parent pointers (the
+    # tree the unicast-routed joins built must root at a core).
+    for name in on_tree:
+        current, hops = name, 0
+        while True:
+            walker = domain.protocols[current]
+            if _crashed(walker):
+                break  # frozen state; the invariant sweep covers it
+            if walker.is_core_for(group):
+                break
+            entry = walker.fib.get(group)
+            if entry is None or not entry.has_parent:
+                findings.append(
                     Finding(
-                        "error", current, group, "parent pointers form a loop"
+                        "error",
+                        name,
+                        group,
+                        f"parent chain ends at non-core {current}",
                     )
                 )
                 break
-            rooted |= seen
-    return out
+            nxt = domain.router_of(entry.parent_address)
+            hops += 1
+            if nxt is None or hops > len(domain.protocols):
+                break  # unknown parent / loop: already reported above
+            current = nxt
+
+    # Data must be able to arrive.  Members with no serving router at
+    # all are skipped: the member-LAN check above owns that failure.
+    reachable = _downstream_of_cores(domain, group, on_tree)
+    for member in sorted(members):
+        subnet, routers = serving[member]
+        if routers and reachable.isdisjoint(routers):
+            findings.append(
+                Finding(
+                    "error",
+                    member,
+                    group,
+                    f"data can never arrive: no on-tree router on member "
+                    f"LAN {subnet} is reachable from a core over child "
+                    f"links",
+                )
+            )
+    return findings
+
+
+def _downstream_of_cores(domain, group, on_tree) -> Set[str]:
+    """The on-tree routers a data packet can reach from a core.
+
+    Data flows *down* the tree: a core forwards over its child
+    pointers, each child over its own, until the member LAN.  The
+    parent-chain check walks the opposite direction, so it cannot see
+    a hop whose parent pointer is intact but whose upstream's matching
+    *child* pointer is gone — packets stop there while every JOIN-side
+    invariant still holds.  So flood downstream from every on-tree
+    core over child pointers.
+    """
+    queue = [name for name, protocol in on_tree.items() if protocol.is_core_for(group)]
+    reachable = set(queue)
+    while queue:
+        for child_address in on_tree[queue.pop()].fib.get(group).children:
+            child = domain.router_of(child_address)
+            if child in on_tree and child not in reachable:
+                reachable.add(child)
+                queue.append(child)
+    return reachable
 
 
 class InvariantViolation(AssertionError):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core.audit import _parent_loops
 from repro.core.router import CBTProtocol
 from repro.core.timers import CBTTimers, DEFAULT_TIMERS
 from repro.igmp.host import IGMPHostAgent
@@ -270,14 +271,5 @@ class CBTDomain:
             assert my_addresses & set(parent_entry.children), (
                 f"{name}: parent {parent_name} does not list it as a child"
             )
-        # Loop check: walk parent pointers from every on-tree router.
-        for name in holding:
-            seen = set()
-            current = name
-            while current is not None:
-                assert current not in seen, f"tree loop through {current}"
-                seen.add(current)
-                entry = self.protocols[current].fib.get(group)
-                if entry is None or not entry.has_parent:
-                    break
-                current = self.router_of(entry.parent_address)
+        loops = _parent_loops(self, self.protocols, (group,))
+        assert not loops, f"tree loop through {loops[0].router}"

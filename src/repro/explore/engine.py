@@ -20,7 +20,7 @@ testing and VeriSoft-style stateless search:
   (:func:`repro.explore.fingerprint.domain_fingerprint`) already seen
   at the same or shallower depth.
 
-The oracle (:mod:`repro.explore.oracle`) is consulted after every
+The oracle (:mod:`repro.core.audit`) is consulted after every
 explored transition (hard invariants) and once the schedule has run
 out and the simulation settled (full invariant sweep + convergence).
 Replay is exact because the simulator itself is deterministic: the
@@ -33,8 +33,8 @@ import hashlib
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.audit import convergence_findings, transition_findings
 from repro.explore.fingerprint import domain_fingerprint
-from repro.explore.oracle import convergence_findings, transition_findings
 from repro.netsim.engine import cell, collector_paused
 
 #: Gate-eligible CBT control message types: the tree-building and
@@ -77,9 +77,6 @@ class ExploreOptions:
     branch_fanout: bool = False
     #: Branch tie groups containing only untagged (timer) events.
     branch_untagged: bool = False
-    #: Apply the hard loop check at every transition (disable for
-    #: scenarios whose faults make transient §6.3 loops legitimate).
-    check_loops: bool = True
     #: Runaway guard on total runs across the whole exploration.
     max_runs: int = 20_000
 
@@ -421,7 +418,7 @@ def run_schedule(
             schedule,
             limit=limit,
             visited=visited,
-            check_loops=options.check_loops and scenario.check_loops,
+            check_loops=scenario.check_loops,
             transition_fn=getattr(scenario, "transition_oracle", None),
             fingerprint_fn=getattr(scenario, "state_fingerprint", None),
         )

@@ -6,12 +6,11 @@ search (:mod:`repro.explore.backward`) tries to reach by inverting
 protocol transitions.  A predicate carries three things:
 
 * ``markers`` — the finding phrases the existing oracle
-  (:mod:`repro.explore.oracle`, :mod:`repro.core.audit`, the
-  conservation laws) emits for this violation class.  ``holds``
-  evaluates the predicate by running the oracle over the domain and
-  filtering by these markers, so a predicate flags *exactly* the
-  states the oracle flags — pinned by the soundness test in
-  ``tests/test_backward_properties.py``.
+  (:mod:`repro.core.audit`, the conservation laws) emits for this
+  violation class.  ``holds`` evaluates the predicate by running the
+  oracle over the domain and filtering by these markers, so a
+  predicate flags *exactly* the states the oracle flags — pinned by
+  the soundness test in ``tests/test_backward_properties.py``.
 * ``triggers`` — the control-message types named by the predicate's
   inverse-transition rules (:data:`repro.explore.backward.INVERSE_RULES`).
   The guided confirmation search branches only at decision points
@@ -31,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.explore.oracle import convergence_findings, transition_findings
+from repro.core.audit import convergence_findings
 
 
 @dataclass(frozen=True)
@@ -64,18 +63,16 @@ class Predicate:
         Runs the same oracle sweep the explorer applies at the end of
         a run and keeps this predicate's findings — by construction the
         predicate can never flag a state the oracle would not.  The
-        ``conservation-broken`` predicate additionally runs the
-        telemetry conservation laws (its goal includes counter-level
-        books balancing, which the structural oracle does not audit).
+        sweep holds every per-transition finding too, since it runs
+        the full invariant sweep.  The ``conservation-broken``
+        predicate additionally runs the telemetry conservation laws
+        (its goal includes counter-level books balancing, which the
+        structural oracle does not audit).
         """
         findings = [
             str(finding)
             for finding in convergence_findings(domain, group, members)
         ]
-        findings.extend(
-            str(finding)
-            for finding in transition_findings(domain, check_loops=True)
-        )
         if self.name == "conservation-broken":
             from repro.telemetry.conservation import check_conservation
 

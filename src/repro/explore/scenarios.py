@@ -68,11 +68,11 @@ class ExploreScenario:
     #: tuned for CBT keepalives).
     quiet_types: Optional[Tuple[str, ...]] = None
     #: Per-transition hard-invariant oracle (None = the CBT
-    #: :func:`repro.explore.oracle.transition_findings`).  Receives the
+    #: :func:`repro.core.audit.transition_findings`).  Receives the
     #: world, returns finding strings; any finding aborts the run.
     transition_oracle: Optional[Callable[[ExploreWorld], List[str]]] = None
     #: End-state oracle replacing the CBT convergence sweep (None = the
-    #: CBT :func:`repro.explore.oracle.convergence_findings`).
+    #: CBT :func:`repro.core.audit.convergence_findings`).
     convergence_oracle: Optional[Callable[[ExploreWorld], List[str]]] = None
     #: State fingerprint for pruning (None = the CBT
     #: :func:`repro.explore.fingerprint.domain_fingerprint`).

@@ -28,9 +28,9 @@ try:
 except ImportError:  # pragma: no cover - hypothesis ships in the image
     HAVE_HYPOTHESIS = False
 
+from repro.core.audit import convergence_findings, transition_findings
 from repro.core.router import CBTProtocol
 from repro.explore.backward import backward_search
-from repro.explore.oracle import convergence_findings, transition_findings
 from repro.explore.predicates import PREDICATES, classify, get_predicate
 from repro.explore.scenarios import get_scenario
 from repro.telemetry.conservation import check_conservation
@@ -182,9 +182,9 @@ def test_predicates_select_exactly_the_oracle_findings_when_violating():
 
 
 #: One representative finding per message template the oracle stack
-#: (oracle.py invariants, core/audit.py sweep, telemetry conservation
-#: laws) can emit.  The partition pin below fails loudly when a new
-#: oracle finding is added without an owning predicate — extend the
+#: (the ``repro.core.audit`` sweeps, telemetry conservation laws) can
+#: emit.  The partition pin below fails loudly when a new oracle
+#: finding is added without an owning predicate — extend the
 #: catalogue (or this vocabulary) in the same change.
 ORACLE_VOCABULARY = (
     "router R1 group 239.0.0.1: lists itself as parent",

@@ -406,6 +406,40 @@ def test_cli_explore_smoke_exits_zero(tmp_path):
     assert os.listdir(str(tmp_path)) == []  # nothing exported when clean
 
 
+def test_cli_explore_exports_forward_counterexample(
+    tmp_path, monkeypatch, seeded_scenario
+):
+    """The forward search's find goes through the same shrink, narrative
+    and export report as the backward search's."""
+    monkeypatch.setitem(SCENARIOS, "joins-race", seeded_scenario)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(
+            [
+                "explore",
+                "--scenario",
+                "joins-race",
+                "--depth",
+                "2",
+                "--export-dir",
+                str(tmp_path),
+            ]
+        )
+    assert code == 1
+    text = out.getvalue()
+    assert "VIOLATION" in text and "  shrunk [" in text
+    exported = sorted(os.listdir(str(tmp_path)))
+    for kind in ("schedule", "narrative", "test"):
+        assert f"  exported {kind}: " in text
+    schedule = next(name for name in exported if name.endswith(".schedule.json"))
+    with open(os.path.join(str(tmp_path), schedule)) as handle:
+        payload = load_schedule(handle.read())
+    assert payload["scenario"] == "joins-race"
+    assert payload["source"] == "forward"
+    assert payload["note"] == "repro explore --scenario joins-race --depth 2"
+    assert "check_loops" not in payload["options"]
+
+
 def test_cli_explore_replays_golden_schedule():
     golden = os.path.join(
         os.path.dirname(__file__),

@@ -623,3 +623,47 @@ def test_only_the_address_module_imports_ipaddress():
         path.relative_to(REPO).as_posix() for path in paths if _imports_ipaddress(path)
     }
     assert found == set(IPADDRESS_IMPORTERS)
+
+
+# -- a tree is checked in one place ------------------------------------------
+#
+# ``core/audit.py`` is the one module that checks a CBT tree: the
+# auditor's sweep, ``audit_domain`` and the explorer's two oracles share
+# one parent-pointer loop walker (``_parent_loops``) and one copy of each
+# per-router hard check.  A second copy of a finding's text is a second
+# checker that the next fix has to find.
+
+#: Finding texts that one function each emits.
+ONE_EMITTER = {
+    "parent pointers form a loop": "core/audit.py::_parent_loops",
+    "lists itself as parent": "core/audit.py::_self_references",
+    "quit in progress with no live retry timer": "core/audit.py::_stuck_quits",
+}
+
+
+def _string_sites(text):
+    """``file::function`` of each string literal holding ``text``, bar
+    docstrings and the goal predicates' markers, which match findings
+    rather than emit them."""
+    found = []
+
+    def visit(node, rel, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            return
+        if isinstance(node, ast.Constant) and text in str(node.value):
+            found.append(f"{rel}::{function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, rel, function)
+
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel != "explore/predicates.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), rel, "<module>")
+    return found
+
+
+@pytest.mark.parametrize("text", sorted(ONE_EMITTER))
+def test_one_place_emits_each_tree_finding(text):
+    assert _string_sites(text) == [ONE_EMITTER[text]]

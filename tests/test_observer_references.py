@@ -7,6 +7,9 @@ state (docs/PERFORMANCE.md, "Decision record: observers read what
 exists").  Findings are the contract: on every state visited here the
 lists they return equal — texts and order — what
 ``tests/reference_sweeps.py`` returns, which is the code they replaced.
+``audit_domain`` and the explorer's two oracles have no reference
+there; on the hand-corrupted trees their findings are pinned as text
+(``PINNED_FINDINGS``).
 
 States visited: every auditor tick of every chaos scenario on three
 topologies (crashed routers, flapped links and half-finished repairs
@@ -19,10 +22,14 @@ import pytest
 
 from repro.chaos import SCENARIOS, run_scenario
 from repro.core import audit
-from repro.core.audit import audit_domain, check_invariants
+from repro.core.audit import (
+    audit_domain,
+    check_invariants,
+    convergence_findings,
+    transition_findings,
+)
 from repro.core.constants import JoinSubcode
 from repro.core.state import PendingJoin
-from repro.explore.oracle import convergence_findings, transition_findings
 from repro.harness import campaign
 from repro.netsim.address import IPv4Address
 from repro.telemetry.conservation import check_conservation, link_conservation
@@ -36,6 +43,12 @@ def _tree_consistency(check, *args):
     except AssertionError as error:
         return str(error)
     return None
+
+
+def _members(domain, group):
+    return sorted(
+        name for name, agent in domain.host_agents.items() if agent.is_member(group)
+    )
 
 
 def assert_matches_reference(domain, now=None):
@@ -58,11 +71,7 @@ def assert_matches_reference(domain, now=None):
         ) == _tree_consistency(
             reference_sweeps.assert_tree_consistent, domain, group
         )
-        members = sorted(
-            name
-            for name, agent in domain.host_agents.items()
-            if agent.is_member(group)
-        )
+        members = _members(domain, group)
         assert convergence_findings(domain, group, members) == (
             convergence_findings(reference, group, members)
         )
@@ -79,11 +88,18 @@ def assert_matches_reference(domain, now=None):
 def ticks(monkeypatch):
     """Shadow every ``check_invariants`` the campaign makes — auditor
     ticks and the quiescence test — with the reference comparison.
-    Yields one ``(crashed routers holding state, findings)`` per call."""
+    Yields one ``(crashed routers holding state, findings)`` per call.
+    ``convergence_findings`` calls ``check_invariants`` from its own
+    module, so the original stands there while the shadow runs."""
     seen = []
+    original = audit.check_invariants
 
     def shadowed(domain, now=None):
-        findings = assert_matches_reference(domain, now=now)
+        audit.check_invariants = original
+        try:
+            findings = assert_matches_reference(domain, now=now)
+        finally:
+            audit.check_invariants = shadowed
         crashed = sum(
             1
             for protocol in domain.protocols.values()
@@ -209,6 +225,208 @@ CORRUPTIONS = [
 ]
 
 
+def oracle_findings(domain, group):
+    """``audit_domain`` and the explorer's oracles on ``domain``, spelt
+    as in ``PINNED_FINDINGS``: the group left out, empty results too."""
+    results = {
+        "audit_domain": audit_domain(domain),
+        "transition_true": transition_findings(domain, True),
+        "transition_false": transition_findings(domain, False),
+        "convergence": convergence_findings(domain, group, _members(domain, group)),
+    }
+    return {
+        name: [str(finding).replace(f" group={group}", "") for finding in findings]
+        for name, findings in results.items()
+        if findings
+    }
+
+
+#: What the three oracles with no reference sweep report on each
+#: hand-corrupted tree, offender live and then crashed.  A crashed
+#: router that a parent walk reaches is reported as a loop
+#: (``child_of_a_crashed_parent``, ``parent_is_a_stateless_router``),
+#: as the reference's loop walker reports it.
+PINNED_FINDINGS = {
+    ("self_parent", "live"): {
+        "audit_domain": [
+            "[error] R8: parent R8 does not list this router as a child",
+            "[error] R8: parent pointers form a loop",
+        ],
+        "transition_true": [
+            "[error] R8: lists itself as parent",
+            "[error] R8: parent pointers form a loop",
+        ],
+        "transition_false": [
+            "[error] R8: lists itself as parent",
+        ],
+        "convergence": [
+            "[error] R8: lists itself as parent",
+            "[error] R8: parent R8 does not list this router as a child",
+            "[error] R8: parent pointers form a loop",
+        ],
+    },
+    ("self_parent", "crashed"): {
+        "audit_domain": [
+            "[error] R8: parent R8 does not list this router as a child",
+            "[error] R8: parent pointers form a loop",
+        ],
+        "transition_true": [
+            "[error] R8: parent pointers form a loop",
+        ],
+        "convergence": [
+            "[error] R8: parent pointers form a loop",
+            "[error] G: member LAN 10.0.7.0/24 has no attached on-tree router",
+            "[error] I: member LAN 10.0.8.0/24 has no attached on-tree router",
+            "[error] K: data can never arrive: no on-tree router on member LAN 10.0.12.0/24 "
+            "is reachable from a core over child links",
+        ],
+    },
+    ("parent_forgets_child", "live"): {
+        "audit_domain": [
+            "[error] R1: parent R3 does not list this router as a child",
+        ],
+        "convergence": [
+            "[error] R1: parent R3 does not list this router as a child",
+            "[error] A: data can never arrive: no on-tree router on member LAN 10.0.0.0/24 is "
+            "reachable from a core over child links",
+            "[error] C: data can never arrive: no on-tree router on member LAN 10.0.1.0/24 is "
+            "reachable from a core over child links",
+        ],
+    },
+    ("parent_forgets_child", "crashed"): {
+        "audit_domain": [
+            "[error] R1: parent R3 does not list this router as a child",
+        ],
+        "convergence": [
+            "[error] A: member LAN 10.0.0.0/24 has no attached on-tree router",
+            "[error] C: member LAN 10.0.1.0/24 has no attached on-tree router",
+        ],
+    },
+    ("loop_with_stateless_neighbour", "live"): {
+        "audit_domain": [
+            "[error] R5: parent R11 does not list this router as a child",
+            "[error] R11: parent R5 does not list this router as a child",
+            "[error] R5: parent pointers form a loop",
+            "[warning] R2,R5: member LAN 10.0.2.0/24 served by multiple on-tree routers "
+            "(duplicate delivery risk)",
+        ],
+        "transition_true": [
+            "[error] R5: parent pointers form a loop",
+        ],
+        "convergence": [
+            "[error] R5: parent R11 does not list this router as a child",
+            "[error] R11: parent R5 does not list this router as a child",
+            "[error] R5: parent pointers form a loop",
+        ],
+    },
+    ("loop_with_stateless_neighbour", "crashed"): {
+        "audit_domain": [
+            "[error] R5: parent R11 does not list this router as a child",
+            "[error] R11: parent R5 does not list this router as a child",
+            "[error] R5: parent pointers form a loop",
+            "[warning] R2,R5: member LAN 10.0.2.0/24 served by multiple on-tree routers "
+            "(duplicate delivery risk)",
+        ],
+        "transition_true": [
+            "[error] R11: parent pointers form a loop",
+        ],
+        "convergence": [
+            "[error] R11: parent pointers form a loop",
+        ],
+    },
+    ("parent_is_a_stateless_router", "live"): {
+        "audit_domain": [
+            "[error] R7: parent R11 does not list this router as a child",
+        ],
+        "convergence": [
+            "[error] R7: parent R11 does not list this router as a child",
+            "[error] R7: parent chain ends at non-core R11",
+        ],
+    },
+    ("parent_is_a_stateless_router", "crashed"): {
+        "audit_domain": [
+            "[error] R7: parent R11 does not list this router as a child",
+        ],
+        "transition_true": [
+            "[error] R11: parent pointers form a loop",
+        ],
+        "convergence": [
+            "[error] R11: parent pointers form a loop",
+        ],
+    },
+    ("parent_is_not_a_router", "live"): {
+        "audit_domain": [
+            "[error] R12: parent 10.0.0.2 is not a known CBT router",
+        ],
+        "convergence": [
+            "[error] R12: parent 10.0.0.2 is not a known CBT router",
+        ],
+    },
+    ("parent_is_not_a_router", "crashed"): {
+        "audit_domain": [
+            "[error] R12: parent 10.0.0.2 is not a known CBT router",
+        ],
+        "convergence": [
+            "[error] K: member LAN 10.0.12.0/24 has no attached on-tree router",
+        ],
+    },
+    ("stale_pending_join", "live"): {
+        "audit_domain": [
+            "[warning] R11: pending join is 1005.6s old (exceeds EXPIRE-PENDING-JOIN)",
+        ],
+        "transition_true": [
+            "[error] R11: pending join has no live expiry timer (stuck transient state)",
+        ],
+        "transition_false": [
+            "[error] R11: pending join has no live expiry timer (stuck transient state)",
+        ],
+        "convergence": [
+            "[error] R11: pending join is 1005.6s old (bound 11.0s)",
+            "[error] R11: pending join has no live expiry timer (stuck transient state)",
+        ],
+    },
+    ("stale_pending_join", "crashed"): {
+        "audit_domain": [
+            "[warning] R11: pending join is 1005.6s old (exceeds EXPIRE-PENDING-JOIN)",
+        ],
+    },
+    ("quit_with_no_timer", "live"): {
+        "audit_domain": [
+            "[warning] R11: quit still outstanding",
+        ],
+        "transition_true": [
+            "[error] R11: quit in progress with no live retry timer",
+        ],
+        "transition_false": [
+            "[error] R11: quit in progress with no live retry timer",
+        ],
+        "convergence": [
+            "[error] R11: quit in progress with no live retry timer",
+        ],
+    },
+    ("quit_with_no_timer", "crashed"): {
+        "audit_domain": [
+            "[warning] R11: quit still outstanding",
+        ],
+    },
+    ("child_of_a_crashed_parent", "live"): {},
+    ("child_of_a_crashed_parent", "crashed"): {
+        "transition_true": [
+            "[error] R3: parent pointers form a loop",
+        ],
+        "convergence": [
+            "[error] R3: parent pointers form a loop",
+            "[error] A: data can never arrive: no on-tree router on member LAN 10.0.0.0/24 is "
+            "reachable from a core over child links",
+            "[error] B: data can never arrive: no on-tree router on member LAN 10.0.2.0/24 is "
+            "reachable from a core over child links",
+            "[error] C: data can never arrive: no on-tree router on member LAN 10.0.1.0/24 is "
+            "reachable from a core over child links",
+        ],
+    },
+}
+
+
 class TestHandCorruptedDomains:
     @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__[1:])
     def test_offender_live_then_crashed(
@@ -217,11 +435,14 @@ class TestHandCorruptedDomains:
         domain, group = figure1_full_tree
         assert assert_matches_reference(domain) == []
         offender = corrupt(figure1_network, domain, group)
+        name = corrupt.__name__[1:]
         live = assert_matches_reference(domain)
+        assert oracle_findings(domain, group) == PINNED_FINDINGS[name, "live"]
         if corrupt is not _child_of_a_crashed_parent:
             assert live, "the corruption is a finding while its router is up"
         figure1_network.fail_router(offender, reconverge=False)
         crashed = assert_matches_reference(domain)
+        assert oracle_findings(domain, group) == PINNED_FINDINGS[name, "crashed"]
         assert crashed != live
         figure1_network.restore_router(offender, reconverge=False)
         assert assert_matches_reference(domain) == live
