@@ -555,7 +555,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
             max_decisions=depth,
             max_alternatives=args.max_alternatives,
             drop_budget=args.drop_budget,
-            deepening=not args.no_deepening,
         )
         started = time.monotonic()
         progress = None
@@ -569,7 +568,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         status = "ok" if result.ok else "VIOLATION"
         print(
             f"{name:12s} {status:9s} runs={stats.runs} "
-            f"visited={stats.states_visited} pruned={stats.states_pruned} "
+            f"sims={stats.simulations} visited={stats.states_visited} pruned={stats.states_pruned} "
             f"depth<={depth} exhausted={'yes' if result.exhausted else 'no'} "
             f"digest={result.visited_digest} ({elapsed:.1f}s)"
         )
@@ -947,11 +946,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help="alternatives considered per decision point (default: 4)",
-    )
-    explore.add_argument(
-        "--no-deepening",
-        action="store_true",
-        help="search only at the full depth bound (skip iterative deepening)",
     )
     explore.add_argument(
         "--export-dir",

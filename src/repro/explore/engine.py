@@ -13,12 +13,19 @@ testing and VeriSoft-style stateless search:
   prefix and taking defaults beyond it, while recording every
   decision point it passes and the alternatives available there;
 * the **search** expands recorded decision points depth-first,
-  bounded by ``max_decisions`` positions, optionally iterating the
-  bound upward (iterative deepening) so shallow counterexamples are
-  found first;
+  bounded by ``max_decisions`` positions, iterating the bound upward
+  (iterative deepening) so shallow counterexamples are found first;
 * **state-hash pruning** cuts runs that reach a state fingerprint
   (:func:`repro.explore.fingerprint.domain_fingerprint`) already seen
   at the same or shallower depth.
+
+The bound does not change what a run simulates — beyond it every
+decision takes its default — only where the oracle looks and which
+decisions are recorded.  A search therefore simulates each schedule
+once, at full depth, and reads every shallower pass's outcome from
+that run (:func:`_at_limit`); only a run that violates is simulated
+again at the pass's own bound, so a counterexample is exactly what
+that pass reports.
 
 The oracle (:mod:`repro.core.audit`) is consulted after every
 explored transition (hard invariants) and once the schedule has run
@@ -30,7 +37,7 @@ same scenario + schedule always reproduces the same run.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.audit import convergence_findings, transition_findings
@@ -70,14 +77,13 @@ class ExploreOptions:
     #: periodic keepalive storm (every router HELLOs at the same tick)
     #: floods the decision budget with meaningless orderings.
     quiet_types: Tuple[str, ...] = ("HELLO", "ECHO_REQUEST", "ECHO_REPLY")
-    #: Iterate the depth bound 1..max_decisions (shortest first).
-    deepening: bool = True
     #: Branch same-instant deliveries that are pure broadcast fan-out
     #: of a single transmission (same datagram uid).
     branch_fanout: bool = False
     #: Branch tie groups containing only untagged (timer) events.
     branch_untagged: bool = False
-    #: Runaway guard on total runs across the whole exploration.
+    #: Runaway guard on total runs (``ExploreStats.runs``) across the
+    #: whole exploration.
     max_runs: int = 20_000
 
     def to_dict(self) -> Dict[str, object]:
@@ -145,6 +151,10 @@ class RunOutcome:
     #: Decision points resolved to defaults beyond the depth bound.
     suppressed_decisions: int = 0
     pruned: bool = False
+    #: ``(position, time)`` of each entry in ``fingerprints``: the
+    #: decisions taken and the simulated time when the state was read.
+    #: A clean run's last entry is the window-end observation.
+    observed_at: List[Tuple[int, float]] = field(default_factory=list)
 
     def chosen(self) -> Tuple[int, ...]:
         return tuple(decision.chosen for decision in self.decisions)
@@ -154,7 +164,11 @@ class RunOutcome:
 class ExploreStats:
     """Counts reported by an exploration (all sim-derived, no wall clock)."""
 
+    #: Schedule evaluations: one per schedule per deepening pass.
     runs: int = 0
+    #: Simulations actually run (each schedule once, plus one per
+    #: evaluation of a schedule whose full-depth run violates).
+    simulations: int = 0
     states_visited: int = 0
     states_pruned: int = 0
     decisions_expanded: int = 0
@@ -242,12 +256,12 @@ class _Controller:
         self.fingerprint_fn = fingerprint_fn
         self.decisions: List[Decision] = []
         self.fingerprints: List[str] = []
+        self.observed_at: List[Tuple[int, float]] = []
         self.narrative: List[str] = []
         self.suppressed = 0
         self.drops_used = 0
         self.frozen = False
         self.pruned = False
-        self.prune_hits = 0
 
     # -- oracle + pruning ----------------------------------------------
 
@@ -255,7 +269,8 @@ class _Controller:
         """Check the transition oracle and fingerprint the state the
         previous transition produced (also called, with ``final``, at
         window end — where reaching a known state cuts nothing, so it
-        is recorded but not counted as a prune)."""
+        is recorded but not counted as a prune).  :func:`_at_limit`
+        replays this rule over a recorded run — keep the two in step."""
         domain = self.world.domain
         if self.transition_fn is not None:
             findings = self.transition_fn(self.world)
@@ -274,10 +289,11 @@ class _Controller:
             fingerprint = self.fingerprint_fn(self.world)
         else:
             fingerprint = domain_fingerprint(domain)
+        depth = len(self.decisions)
         self.fingerprints.append(fingerprint)
+        self.observed_at.append((depth, now))
         if self.visited is None or self.frozen:
             return
-        depth = len(self.decisions)
         if depth < len(self.schedule):
             # Still replaying the prescribed prefix: the parent run
             # already observed (and recorded) these states — stateless
@@ -288,11 +304,7 @@ class _Controller:
             if not final:
                 self.frozen = True
                 self.pruned = True
-                self.prune_hits += 1
-                self.narrative.append(
-                    f"t={now:.3f} pruned: state {fingerprint} already "
-                    f"expanded at depth {seen_at}"
-                )
+                self.narrative.append(_pruned_line(now, fingerprint, seen_at))
         elif seen_at is None or depth < seen_at:
             self.visited[fingerprint] = depth
 
@@ -391,6 +403,13 @@ class _Controller:
             candidates[choice - 1][1]()
 
 
+def _pruned_line(now: float, fingerprint: str, seen_at: int) -> str:
+    return (
+        f"t={now:.3f} pruned: state {fingerprint} already "
+        f"expanded at depth {seen_at}"
+    )
+
+
 def _tag_label(tag: Optional[Tuple]) -> str:
     if tag is None:
         return "timer"
@@ -469,7 +488,63 @@ def run_schedule(
             narrative=controller.narrative,
             suppressed_decisions=controller.suppressed,
             pruned=controller.pruned,
+            observed_at=controller.observed_at,
         )
+
+
+def _at_limit(full: RunOutcome, limit: int, visited: Dict[str, int]) -> RunOutcome:
+    """What ``run_schedule(..., limit=limit, visited=visited)`` reports,
+    read from ``full``: the same schedule's clean run at a bound of at
+    least ``limit`` with no visited map (``len(full.schedule) <= limit``).
+
+    Below the bound the two runs take the same decisions; beyond it
+    both take defaults, so they simulate the same events.  The shallow
+    run keeps the first ``limit`` decisions, reads the state only at
+    those positions and at window end, and applies
+    :meth:`_Controller.observe_state`'s prune rule there — updating
+    ``visited`` as it would.
+    """
+    *inner, (end, end_time) = full.observed_at
+    points = [
+        (position, now, fingerprint, False)
+        for (position, now), fingerprint in zip(inner, full.fingerprints)
+        if position < limit
+    ]
+    points.append((min(end, limit), end_time, full.fingerprints[-1], True))
+    fingerprints: List[str] = []
+    observed_at: List[Tuple[int, float]] = []
+    prune: Optional[Tuple[int, str]] = None
+    for position, now, fingerprint, final in points:
+        fingerprints.append(fingerprint)
+        observed_at.append((position, now))
+        if prune is not None or position < len(full.schedule):
+            continue
+        seen_at = visited.get(fingerprint)
+        if seen_at is not None and seen_at <= position:
+            if not final:
+                prune = (position, _pruned_line(now, fingerprint, seen_at))
+        elif seen_at is None or position < seen_at:
+            visited[fingerprint] = position
+    decisions = full.decisions[:limit]
+    narrative = [decision.describe() for decision in decisions]
+    if prune is not None:
+        frozen_from, line = prune
+        decisions = decisions[:frozen_from] + [
+            replace(decision, expandable=False) for decision in decisions[frozen_from:]
+        ]
+        narrative.insert(frozen_from, line)
+    return RunOutcome(
+        schedule=full.schedule,
+        decisions=decisions,
+        violation=None,
+        fingerprints=fingerprints,
+        narrative=narrative,
+        suppressed_decisions=full.suppressed_decisions
+        + len(full.decisions)
+        - len(decisions),
+        pruned=prune is not None,
+        observed_at=observed_at,
+    )
 
 
 def _expansions(
@@ -508,25 +583,43 @@ def explore(
 
     Returns when the space is exhausted or the first violating
     schedule is found (the caller may then hand it to the shrinker).
-    ``progress`` is called as ``(runs_so_far, frontier_size)``.
+    The bound is deepened 1..``max_decisions`` (shortest first); each
+    schedule is simulated once, at full depth, and every pass reads it
+    through :func:`_at_limit`.  ``progress`` is called as
+    ``(runs_so_far, frontier_size)``.
     """
     stats = ExploreStats()
     counterexample: Optional[Counterexample] = None
     exhausted = True
     visited: Dict[str, int] = {}
-    limits = (
-        list(range(1, options.max_decisions + 1))
-        if options.deepening and options.max_decisions > 0
-        else [options.max_decisions]
-    )
-    for limit in limits:
+    full_runs: Dict[Tuple[int, ...], RunOutcome] = {}
+
+    def evaluate(
+        schedule: Tuple[int, ...], limit: int, visited: Dict[str, int]
+    ) -> RunOutcome:
+        full = full_runs.get(schedule)
+        if full is None:
+            full = run_schedule(
+                scenario, schedule, options, limit=options.max_decisions
+            )
+            full_runs[schedule] = full
+            stats.simulations += 1
+        if full.violation is None:
+            return _at_limit(full, limit, visited)
+        # A violation is never derived: the pass's own run decides
+        # whether (and where) its shallower oracle sees it.
+        stats.simulations += 1
+        return run_schedule(scenario, schedule, options, limit=limit, visited=visited)
+
+    for limit in range(1, options.max_decisions + 1) or [0]:
         visited = {}
         pending: List[Tuple[int, ...]] = [()]
         while pending:
+            if stats.runs >= options.max_runs:
+                exhausted = False
+                break
             schedule = pending.pop()
-            outcome = run_schedule(
-                scenario, schedule, options, limit=limit, visited=visited
-            )
+            outcome = evaluate(schedule, limit, visited)
             stats.runs += 1
             stats.depth_reached = max(stats.depth_reached, len(schedule))
             if outcome.pruned:
@@ -540,16 +633,12 @@ def explore(
                     schedule=_normalise(outcome.chosen()),
                     outcome=outcome,
                 )
+                exhausted = False
                 break
             children = _expansions(schedule, outcome, limit)
             stats.decisions_expanded += len(children)
             pending.extend(reversed(children))
-            if stats.runs >= options.max_runs:
-                exhausted = False
-                break
-        if counterexample is not None or not exhausted:
-            if counterexample is not None:
-                exhausted = False
+        if not exhausted:
             break
     stats.states_visited = len(visited)
     digest = hashlib.sha1(

@@ -264,6 +264,7 @@ def _execute_explore(params: Dict[str, object]) -> Dict[str, object]:
         "metrics": {
             "ci.explore.cells": 1,
             "ci.explore.runs": stats.runs,
+            "ci.explore.simulations": stats.simulations,
             "ci.explore.states_visited": stats.states_visited,
             "ci.explore.states_pruned": stats.states_pruned,
         },

@@ -129,7 +129,9 @@ OBSERVER_CALLS_CEILING = {
 #: Figure 1 built untraced and each tie group drawn from the heap once
 #: this tree measures 50.12 (61.45 when every world kept a packet trace
 #: and every firing re-drew and re-pushed its whole tie group); the
-#: ceiling is that plus 10 %.
+#: ceiling is that plus 10 %.  Since a search simulates each schedule
+#: once (37 simulations for the 53 runs) it reads 20,090 events at 49.04
+#: calls per event; the ceiling stays.
 EXPLORE_CALLS_PER_EVENT_CEILING = 55.1
 
 #: ``check_invariants`` on 240 routers (1,439 links, a 36-router tree
@@ -769,6 +771,6 @@ def test_explore_calls_per_event_under_ceiling():
     finally:
         sys.setprofile(None)
     assert result.exhausted and result.ok and result.stats.runs == 53
-    assert events == 28_768
+    assert events == 20_090
     per_event = calls / events
     assert per_event < EXPLORE_CALLS_PER_EVENT_CEILING, per_event

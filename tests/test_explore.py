@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
+from repro.explore import engine
 from repro.explore.engine import ExploreOptions, explore, run_schedule
 from repro.explore.export import export_counterexample
 from repro.explore.replay import (
@@ -112,6 +113,130 @@ def test_run_schedule_is_deterministic():
     assert first.chosen() == second.chosen()
     assert first.fingerprints == second.fingerprints
     assert first.narrative == second.narrative
+
+
+def test_a_search_that_ends_on_its_budget_is_exhausted():
+    scenario = get_scenario("quit-race")
+    # The depth-3 space is 15 runs: a budget of exactly 15 enumerates it.
+    for budget, exhausted in ((14, False), (15, True), (16, True)):
+        options = scenario_options(scenario, max_decisions=3, max_runs=budget)
+        result = explore(scenario, options)
+        assert result.exhausted is exhausted, budget
+        assert result.stats.runs == min(budget, 15)
+    assert result.visited_digest == "a5a65673211f3a6c"
+
+
+# -- one simulation per schedule --------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_derived_pass_equals_a_run_at_the_pass_limit(name, monkeypatch):
+    """Every (schedule, pass) a depth-3 search reads from its full-depth
+    run reports what simulating it at the pass limit reports, against
+    the same visited map."""
+    scenario = get_scenario(name)
+    options = scenario_options(scenario, max_decisions=3)
+    derive = engine._at_limit
+    checked = []
+
+    def checked_derive(full, limit, visited):
+        before = dict(visited)
+        derived = derive(full, limit, visited)
+        real = run_schedule(scenario, full.schedule, options, limit=limit, visited=before)
+        assert derived.decisions == real.decisions  # with ``expandable``
+        assert derived.fingerprints == real.fingerprints
+        assert derived.observed_at == real.observed_at
+        assert derived.pruned == real.pruned
+        assert derived.narrative == real.narrative
+        assert derived.suppressed_decisions == real.suppressed_decisions
+        assert visited == before
+        checked.append((full.schedule, limit))
+        return derived
+
+    monkeypatch.setattr(engine, "_at_limit", checked_derive)
+    result = explore(scenario, options)
+    assert result.ok and result.exhausted
+    assert len(checked) == result.stats.runs
+
+
+# (runs, states_visited, states_pruned, visited_digest) recorded when
+# every pass re-simulated every schedule; ``simulations`` is the count
+# of distinct schedules.
+SEARCH_PINS = [
+    ("flap-join", 3, (28, 6, 0, "d9a0e73fe624a134"), 16),
+    ("hpimdm-elections", 3, (30, 7, 0, "5b34bd5767f7fd50"), 22),
+    ("joins-race", 3, (53, 11, 1, "fa8d6ba39d5d39ad"), 37),
+    ("lan-proxy", 3, (59, 13, 3, "31e2a4d33ff5b5db"), 41),
+    ("migration-race", 3, (17, 6, 0, "d0cbc1a0ba0999d6"), 10),
+    ("quit-race", 3, (15, 4, 1, "a5a65673211f3a6c"), 9),
+    ("flap-join", 4, (52, 6, 0, "d9a0e73fe624a134"), 24),
+    ("hpimdm-elections", 4, (98, 22, 6, "7af8c0ad4a16370e"), 68),
+    ("joins-race", 4, (145, 26, 12, "8d62cd7782059299"), 92),
+    ("lan-proxy", 4, (160, 31, 20, "cabf7666a8712bab"), 101),
+    ("migration-race", 4, (37, 12, 4, "34a4641369b882a1"), 20),
+    ("quit-race", 4, (35, 11, 3, "6c81ad1c5649233a"), 20),
+    ("joins-race", 5, (322, 59, 55, "1272a471de1aae8d"), 177),
+    ("migration-race", 5, (72, 25, 9, "1049850f4fd2de5c"), 35),
+    ("hpimdm-elections", 5, (272, 57, 38, "416c0eaf3e3f548a"), 174),
+]
+
+
+@pytest.mark.parametrize(
+    "name, depth, pinned, simulations",
+    SEARCH_PINS,
+    ids=[f"{name}-d{depth}" for name, depth, _, _ in SEARCH_PINS],
+)
+def test_search_pins_hold_with_one_simulation_per_schedule(
+    name, depth, pinned, simulations, monkeypatch
+):
+    scenario = get_scenario(name)
+    calls = []
+
+    def counted(scenario, schedule, *args, **kwargs):
+        calls.append(tuple(schedule))
+        return run_schedule(scenario, schedule, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "run_schedule", counted)
+    result = explore(scenario, scenario_options(scenario, max_decisions=depth))
+    stats = result.stats
+    assert result.ok and result.exhausted
+    assert (
+        stats.runs, stats.states_visited, stats.states_pruned, result.visited_digest
+    ) == pinned
+    assert len(calls) == len(set(calls)) == stats.simulations == simulations
+
+
+def _quit_overlap(world):
+    """Flags two routers quitting at once — transient in the default
+    run (R9 quits as it acks R10), so it shows only where the oracle
+    looks between those two events."""
+    quitting = sorted(n for n, p in world.domain.protocols.items() if p._quitting)
+    return [f"{', '.join(quitting)} quitting at once"] if len(quitting) >= 2 else []
+
+
+def test_a_transition_violation_is_what_its_pass_reports():
+    """The full-depth run sees the oracle fire at a position shallower
+    passes do not look at; the search still reports the counterexample
+    its own pass finds, recorded when every pass re-simulated."""
+    scenario = dataclasses.replace(
+        get_scenario("quit-race"), transition_oracle=_quit_overlap
+    )
+    options = scenario_options(scenario, max_decisions=4)
+    full = run_schedule(scenario, (), options)
+    assert full.violation is not None and len(full.decisions) >= 2
+    result = explore(scenario, options)
+    assert result.stats.runs == 11 and not result.exhausted
+    counterexample = result.counterexample
+    assert counterexample.schedule == (0, 1)
+    violation = counterexample.outcome.violation
+    assert (violation.stage, violation.time) == ("transition", pytest.approx(9.18))
+    assert violation.findings == ["R10, R8, R9 quitting at once"]
+    assert counterexample.outcome.narrative == [
+        "#0 t=9.151 drop: deliver QUIT_REQUEST on L_R9_R10 [1/2]",
+        "#1 t=9.161 drop: drop QUIT_ACK on L_R9_R10 [2/2]",
+        "transition violation [quit-race] at t=9.180:\n"
+        "  R10, R8, R9 quitting at once",
+    ]
 
 
 # -- counterexample pipeline ------------------------------------------------
@@ -403,7 +528,19 @@ def test_cli_explore_smoke_exits_zero(tmp_path):
     text = out.getvalue()
     assert "joins-race" in text
     assert "visited=" in text and "pruned=" in text
+    assert "runs=53 sims=37 " in text
     assert os.listdir(str(tmp_path)) == []  # nothing exported when clean
+
+
+def test_cli_explore_has_no_deepening_switch():
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exit_info:
+        main(["explore", "--smoke", "--no-deepening"])
+    assert exit_info.value.code == 2
+    assert "--no-deepening" in err.getvalue()
+    assert "deepening" not in ExploreOptions.__dataclass_fields__
+    # Documents written while the knob existed still load.
+    assert ExploreOptions.from_dict({"deepening": True}) == ExploreOptions()
 
 
 def test_cli_explore_exports_forward_counterexample(
