@@ -9,7 +9,9 @@ conservation-clean state at the mid-burst and drain snapshots, and a
 tree that drains back to the core when the last client leaves.  The
 quality probe reports join-latency percentiles and control overhead
 against the modeled DVMRP/MOSPF baselines under the identical
-schedule (see docs/WORKLOADS.md for the modeling assumptions).
+schedule (see docs/WORKLOADS.md for the modeling assumptions).  The
+simulated event count of each cell is a determinism datum, compared
+byte for byte with the committed table.
 """
 
 from benchmarks.conftest import publish
@@ -54,6 +56,7 @@ def run_experiment(quick: bool = False) -> Experiment:
                 result.control_mospf_model,
                 "yes" if result.drained else "NO",
                 "yes" if result.clean else "NO",
+                result.sim_events,
             )
         )
     exp.run_sweep(
@@ -69,6 +72,7 @@ def run_experiment(quick: bool = False) -> Experiment:
             "ctl mospf*",
             "drained",
             "clean",
+            "sim events",
         ],
         rows,
         lambda r: r,

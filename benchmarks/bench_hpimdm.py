@@ -1,13 +1,13 @@
-"""HPIM-DM comparator benchmark: hard-state convergence and recovery.
+"""E22 — HPIM-DM comparator: hard-state convergence and recovery.
 
 Measures the two costs the CBT-vs-dense-mode argument turns on, as
-drift-immune sim-time counts (gated in the perf suite) plus
-informational wall-clock:
+deterministic sim-time counts:
 
 * **convergence** — standing up the Figure-1 domain, flooding one
   source, and reaching full synchronisation: total control messages
   (asserts + interests + acks + retransmissions; hellos excluded) and
-  protocol state-change events;
+  protocol state-change events; the same on a 16-router Waxman
+  topology;
 * **quiescence** — the no-re-flood property as a number: control
   messages over a long settled window (must be exactly zero);
 * **recovery** — a transit-LAN outage longer than the neighbour hold
@@ -15,14 +15,16 @@ informational wall-clock:
   and re-synchronising the affected elections.
 
 Every phase asserts correctness (clean election census, nothing
-unacknowledged, exactly-once delivery) and raises on violation, so the
-benchmark doubles as a smoke gate wherever the perf suite runs.
+unacknowledged, exactly-once delivery), and the committed table pins
+every count byte for byte.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
 
+from benchmarks.conftest import publish
+from repro.harness.experiment import Experiment
 from repro.harness.scenarios import build_hpimdm_group, send_data
 from repro.topology.figures import build_figure1
 from repro.topology.generators import waxman_network
@@ -42,19 +44,15 @@ def _delivered(network, members, uids) -> Dict[str, int]:
 
 def _require_clean(domain, network, members, uids, expect, where: str) -> None:
     findings = domain.election_findings()
-    if findings:
-        raise AssertionError(f"{where}: election findings: {findings[:3]}")
-    if domain.pending_total():
-        raise AssertionError(
-            f"{where}: {domain.pending_total()} advertisements unacknowledged"
-        )
+    assert not findings, f"{where}: election findings: {findings[:3]}"
+    pending = domain.pending_total()
+    assert not pending, f"{where}: {pending} advertisements unacknowledged"
     counts = _delivered(network, members, uids)
     wrong = {m: c for m, c in counts.items() if c != expect}
-    if wrong:
-        raise AssertionError(
-            f"{where}: delivery not exactly-once per packet: {wrong} "
-            f"(expected {expect} each)"
-        )
+    assert not wrong, (
+        f"{where}: delivery not exactly-once per packet: {wrong} "
+        f"(expected {expect} each)"
+    )
 
 
 def figure1_run() -> Tuple[int, int, int, int, int]:
@@ -78,11 +76,6 @@ def figure1_run() -> Tuple[int, int, int, int, int]:
     # cost zero hard-state control messages.
     network.run(until=network.scheduler.now + 60.0)
     quiescent_control = domain.control_messages() - converge_control
-    if quiescent_control:
-        raise AssertionError(
-            f"quiescence: {quiescent_control} control messages in a "
-            f"settled window (the no-re-flood property is broken)"
-        )
 
     # Recovery: S2 (R1/R2/R3) outage past the hold time, then return.
     recovery_start = domain.control_messages()
@@ -118,17 +111,39 @@ def waxman_run(size: int = 16, seed: int = 7) -> Tuple[int, int]:
     return domain.control_messages(), network.scheduler.events_processed
 
 
-def main() -> None:
+def run_experiment() -> Experiment:
+    exp = Experiment(
+        exp_id="E22",
+        title="HPIM-DM hard-state convergence, quiescence and recovery",
+        paper_expectation=(
+            "a hard-state dense-mode protocol converges once and then "
+            "stays silent: zero control messages in a settled window, "
+            "and a reactive, bounded cost to re-synchronise after an "
+            "outage"
+        ),
+    )
     converge, events, quiet, recovery, sim_events = figure1_run()
-    print("figure1: convergence control msgs:", converge)
-    print("figure1: convergence protocol events:", events)
-    print("figure1: quiescent-window control msgs:", quiet)
-    print("figure1: recovery control msgs:", recovery)
-    print("figure1: sim events processed:", sim_events)
     control, wax_events = waxman_run()
-    print("waxman16: control msgs:", control)
-    print("waxman16: sim events processed:", wax_events)
+    exp.run_sweep(
+        [
+            "topology",
+            "conv ctl msgs",
+            "conv events",
+            "quiet ctl msgs",
+            "recovery ctl msgs",
+            "sim events",
+        ],
+        [
+            ("figure1", converge, events, quiet, recovery, sim_events),
+            ("waxman16", control, "-", "-", "-", wax_events),
+        ],
+        lambda row: row,
+    )
+    return exp
 
 
-if __name__ == "__main__":
-    main()
+def test_hpimdm(benchmark):
+    exp = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    publish("E22_hpimdm", exp.report())
+    quiet = exp.result.column("quiet ctl msgs")[0]
+    assert quiet == 0, "a settled window sent control: the no-re-flood property broke"

@@ -8,7 +8,6 @@ Commands:
 * ``compare``      — CBT vs DVMRP state/overhead on a random topology;
 * ``topology``     — generate a topology, build a group, show the tree;
 * ``experiments``  — list the experiment index (benchmarks);
-* ``bench``        — run the perf-regression suite (``BENCH_*.json``);
 * ``ci``           — parallel sharded CI tiers (``repro-ci-report/1``);
 * ``stats``        — metrics-registry snapshot after the Figure-1 run;
 * ``trace``        — structured trace records (``repro-trace/1`` JSONL).
@@ -44,7 +43,7 @@ EXPERIMENTS = [
     ("E11", "bench_keepalive.py", "echo aggregation ablation (§8.4)"),
     ("E12", "bench_churn.py", "control traffic under membership churn"),
     ("E13", "bench_packet_stretch.py", "packet-level vs model delay stretch"),
-    ("E14", "bench_scale.py", "scale sweep: 25-200 routers"),
+    ("E14", "bench_scale.py", "scale sweep: 25-10,000 routers"),
     ("E15", "bench_interop.py", "CBT <-> DVMRP bridge (§10)"),
     ("E16", "bench_core_redundancy.py", "core redundancy ablation"),
     ("E17", "bench_pim_comparison.py", "CBT vs PIM-SM (RP tree / SPT switchover)"),
@@ -52,6 +51,7 @@ EXPERIMENTS = [
     ("E19", "bench_core_migration.py", "core migration: locality handover"),
     ("E20", "bench_flash_crowd.py", "bootcast flash crowd on the n=1000 bulk topology"),
     ("E21", "bench_baseline_grid.py", "CBT vs DVMRP vs MOSPF vs HPIM-DM grid"),
+    ("E22", "bench_hpimdm.py", "HPIM-DM hard-state convergence and recovery"),
 ]
 
 
@@ -225,25 +225,6 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        from benchmarks.perf import run_suite
-    except ImportError:
-        print(
-            "the perf harness (benchmarks/perf) is not importable; run from a "
-            "repository checkout with the benchmarks/ directory on sys.path",
-            file=sys.stderr,
-        )
-        return 2
-    return run_suite(
-        quick=args.quick,
-        only=args.only,
-        profile=args.profile,
-        check=not args.no_check,
-        output_dir=args.output_dir,
-    )
-
-
 def cmd_workload(args: argparse.Namespace) -> int:
     from repro.harness.formatting import format_table
     from repro.workloads.cell import WORKLOAD_TOPOLOGIES, run_workload_cell
@@ -340,6 +321,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
 def cmd_ci(args: argparse.Namespace) -> int:
     import os
 
+    from repro.harness.parallel import shard_units
     from repro.harness.tiers import (
         TIERS,
         build_tier,
@@ -370,17 +352,14 @@ def cmd_ci(args: argparse.Namespace) -> int:
     except ValueError:
         print(f"--shard must look like i/n, got {args.shard!r}", file=sys.stderr)
         return 2
-    if not 0 <= shard_index < shard_count:
-        print(
-            f"--shard index {shard_index} outside 0..{shard_count - 1}",
-            file=sys.stderr,
-        )
+    try:
+        shard_units((), shard_index, shard_count)
+    except ValueError as exc:
+        print(f"--shard {args.shard}: {exc}", file=sys.stderr)
         return 2
 
     if args.list:
-        units = build_tier(args.tier, seed=args.seed, bench_dir=args.bench_dir)
-        from repro.harness.parallel import shard_units
-
+        units = build_tier(args.tier, seed=args.seed)
         for unit in shard_units(units, shard_index, shard_count):
             print(f"  {unit.unit_id:40s} timeout={unit.timeout:g}s")
         return 0
@@ -400,7 +379,6 @@ def cmd_ci(args: argparse.Namespace) -> int:
         workers=workers,
         shard=(shard_index, shard_count),
         seed=args.seed,
-        bench_dir=args.bench_dir,
         progress=progress if args.verbose else None,
     )
     write_report(report, args.report)
@@ -731,13 +709,25 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    import os
+
     from repro.harness.report import build_report, write_report
 
-    if args.output:
-        write_report(args.results_dir, args.output)
-        print(f"report written to {args.output}")
-    else:
-        print(build_report(args.results_dir))
+    if not os.path.isdir(args.results_dir):
+        print(f"{args.results_dir}: no such results directory", file=sys.stderr)
+        return 2
+    try:
+        if args.output:
+            write_report(args.results_dir, args.output)
+            print(f"report written to {args.output}")
+        else:
+            print(build_report(args.results_dir))
+    except OSError as exc:
+        print(f"{exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     return 0
 
 
@@ -785,26 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiments = sub.add_parser("experiments", help="list the experiment index")
     experiments.set_defaults(func=cmd_experiments)
 
-    bench = sub.add_parser(
-        "bench", help="run the perf-regression suite (writes BENCH_*.json)"
-    )
-    bench.add_argument(
-        "--quick", action="store_true", help="smaller sizes, <60s total"
-    )
-    bench.add_argument(
-        "--only", action="append", metavar="NAME", help="run a subset (repeatable)"
-    )
-    bench.add_argument(
-        "--profile", action="store_true", help="cProfile each benchmark"
-    )
-    bench.add_argument(
-        "--no-check", action="store_true", help="skip the regression gate"
-    )
-    bench.add_argument(
-        "--output-dir", help="artifact directory (default: bench-artifacts/)"
-    )
-    bench.set_defaults(func=cmd_bench)
-
     ci = sub.add_parser(
         "ci",
         help="run a named CI tier across parallel shards "
@@ -813,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
     ci.add_argument(
         "--tier",
         default="smoke",
-        help="lint | smoke | chaos | explore | tier1 | bench | full | nightly",
+        help="lint | smoke | chaos | explore | tier1 | full | nightly",
     )
     ci.add_argument(
         "--workers",
@@ -835,12 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="repro-ci-report.json",
         metavar="PATH",
         help="where the repro-ci-report/1 JSON is written",
-    )
-    ci.add_argument(
-        "--bench-dir",
-        default=None,
-        metavar="DIR",
-        help="BENCH_*.json output directory (default: bench-artifacts/)",
     )
     ci.add_argument(
         "--list", action="store_true", help="print the shard's units and exit"

@@ -484,9 +484,8 @@ def run_campaign(
 ) -> CampaignResult:
     """Sweep scenarios × seeds × topologies deterministically.
 
-    ``quick`` shrinks the sweep to the smoke set used by the perf/CI
-    harness: :data:`~repro.chaos.scenarios.QUICK_SCENARIOS` × 1 seed on
-    Figure 1.
+    ``quick`` shrinks the sweep to the smoke set used by CI:
+    :data:`~repro.chaos.scenarios.QUICK_SCENARIOS` × 1 seed on Figure 1.
     """
     from repro.chaos.scenarios import QUICK_SCENARIOS, SCENARIOS
 

@@ -1,12 +1,12 @@
 """Parallel run orchestration: whole work units across worker processes.
 
 The repository's heavy workloads — chaos, comparator, migration and
-workload cells, explorer and backward-search cells, perf-benchmark
-modules, and pytest test groups — are all *independent deterministic
-work units* (one row per kind in :data:`UNIT_KINDS`): each derives
-every bit of randomness from its own pinned seed (via
-:func:`repro.netsim.faults.derive_seed`), touches no shared state, and
-produces a machine-checkable result; no unit is a part of a simulation.
+workload cells, explorer and backward-search cells, and pytest test
+groups — are all *independent deterministic work units* (one row per
+kind in :data:`UNIT_KINDS`): each derives every bit of randomness from
+its own pinned seed (via :func:`repro.netsim.faults.derive_seed`),
+touches no shared state, and produces a machine-checkable result; no
+unit is a part of a simulation.
 This module fans such units across N worker processes and folds the
 results back together deterministically:
 
@@ -334,50 +334,6 @@ def _execute_explore_deep(params: Dict[str, object]) -> Dict[str, object]:
     }
 
 
-def _execute_bench(params: Dict[str, object]) -> Dict[str, object]:
-    if REPO_ROOT not in sys.path:
-        sys.path.insert(0, REPO_ROOT)
-    from benchmarks.perf.suite import (
-        BENCHMARKS,
-        check_regressions,
-        load_artifact,
-        load_baseline,
-        write_artifact,
-    )
-
-    name = str(params["name"])
-    quick = bool(params.get("quick", True))
-    output_dir = params.get("output_dir")
-    output_dir = str(output_dir) if output_dir else None
-    try:
-        metrics = BENCHMARKS[name](quick)
-    except AssertionError as exc:
-        return {
-            "status": "failed",
-            "fingerprint": stable_digest("bench", name, "failed"),
-            "detail": [str(exc)],
-            "metrics": {"ci.bench.failed": 1},
-        }
-    baseline = load_artifact(name, output_dir) or load_baseline(name)
-    failures = check_regressions(baseline, metrics)
-    write_artifact(name, metrics, quick, output_dir)
-    status = "failed" if failures else "ok"
-    merged: Dict[str, float] = {"ci.bench.modules": 1}
-    for key, metric in metrics.items():
-        if metric.get("gated", False):
-            merged[f"ci.bench.{name}.{key}"] = float(metric["value"])
-    return {
-        "status": status,
-        # Metric *names* and the gate verdict are deterministic; raw
-        # wall-clock values are not, and stay out of the fingerprint.
-        "fingerprint": stable_digest(
-            "bench", name, sorted(metrics), status
-        ),
-        "detail": [f"REGRESSION {line}" for line in failures],
-        "metrics": merged,
-    }
-
-
 def _execute_pytest(params: Dict[str, object]) -> Dict[str, object]:
     """A pytest run over ``paths``.  Experiment tables it publishes go to
     a fresh directory (``REPRO_RESULTS_DIR``, read by
@@ -545,8 +501,7 @@ class UnitKind(NamedTuple):
 
     execute: Callable[[Dict[str, object]], Dict[str, object]]
     #: Default wall-clock timeout (s).  Generous: a hang detector, not
-    #: a perf gate (perf gates compare sim-time and paired-ratio
-    #: quantities only — see docs/PERFORMANCE.md).
+    #: a perf gate (no gate reads a timing — see docs/PERFORMANCE.md).
     timeout: float
 
 
@@ -568,7 +523,6 @@ UNIT_KINDS: Dict[str, UnitKind] = {
     "workload": _cell("workload", "repro.workloads.cell.run_workload_cell", 900.0),
     "explore": UnitKind(_execute_explore, 600.0),
     "explore-deep": UnitKind(_execute_explore_deep, 900.0),
-    "bench": UnitKind(_execute_bench, 1800.0),
     "pytest": UnitKind(_execute_pytest, 1800.0),
     "lint": UnitKind(_execute_lint, 600.0),
     "coverage": UnitKind(_execute_coverage, 2400.0),
@@ -612,7 +566,7 @@ def shard_units(
     sorted ``unit_id`` order.  Shards are disjoint and their union is
     complete, independent of the input order."""
     if count < 1:
-        raise ValueError("shard count must be >= 1")
+        raise ValueError(f"shard count must be at least 1, got {count}")
     if not 0 <= index < count:
         raise ValueError(f"shard index {index} outside 0..{count - 1}")
     ordered = sorted(units, key=lambda u: u.unit_id)

@@ -16,15 +16,22 @@ from repro.netsim.trace import PacketTrace
 
 
 def collect_results(results_dir: str) -> Dict[str, str]:
-    """Read every ``<exp>.txt`` artefact into {exp_id: text}."""
+    """Read every ``<exp>.txt`` artefact into {exp_id: text};
+    ``ValueError`` naming the file when one is not UTF-8 text."""
     out: Dict[str, str] = {}
     if not os.path.isdir(results_dir):
         return out
     for name in sorted(os.listdir(results_dir)):
         if not name.endswith(".txt"):
             continue
-        with open(os.path.join(results_dir, name)) as f:
-            out[name[: -len(".txt")]] = f.read().rstrip("\n")
+        path = os.path.join(results_dir, name)
+        try:
+            with open(path, encoding="utf-8") as f:
+                out[name[: -len(".txt")]] = f.read().rstrip("\n")
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from exc
     return out
 
 
@@ -52,7 +59,7 @@ def build_report(
 def write_report(results_dir: str, output_path: str) -> str:
     """Build and write the report; returns the markdown text."""
     text = build_report(results_dir)
-    with open(output_path, "w") as f:
+    with open(output_path, "w", encoding="utf-8") as f:
         f.write(text + "\n")
     return text
 

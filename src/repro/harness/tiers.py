@@ -24,12 +24,11 @@ explore   every explorer scenario at full depth, one unit per scenario
 tier1     the whole pytest suite in round-robin file groups, the
           benchmarks/e2e self-test, every experiment table compared
           with its committed copy + coverage floors
-bench     the perf-regression suite, one unit per benchmark module
-full      chaos + explore + tier1 + bench (quick) + lint
-nightly   full with deeper exploration, more chaos cells, the full
-          baseline-compare matrix (every replayable scenario × every
-          topology), full-size benches and workload cells (160-client
-          flash crowd), and the budgeted backward search
+full      chaos + explore + tier1 + lint
+nightly   tier1 + lint with deeper exploration, more chaos cells, the
+          full baseline-compare matrix (every replayable scenario ×
+          every topology), full-size workload cells (160-client flash
+          crowd), and the budgeted backward search
           (``explore-deep`` cells, one per (scenario, predicate) with
           pinned sub-seeds; stats surface as ``ci.explore.backward.*``
           in the merged metrics)
@@ -62,9 +61,6 @@ from repro.harness.parallel import (
 from repro.netsim.faults import derive_seed
 
 REPORT_SCHEMA = "repro-ci-report/1"
-
-#: Default bench-artifact directory for CI runs (gitignored).
-DEFAULT_BENCH_DIR = os.path.join(REPO_ROOT, "bench-artifacts")
 
 #: Fast pytest files used by the smoke tier: end-to-end protocol
 #: integration, the determinism pin, and the CLI surface.
@@ -257,25 +253,6 @@ def _explore_deep_units(
     ]
 
 
-def _bench_units(quick: bool, bench_dir: Optional[str]) -> List[WorkUnit]:
-    if REPO_ROOT not in sys.path:
-        sys.path.insert(0, REPO_ROOT)
-    from benchmarks.perf.suite import BENCHMARKS
-
-    return [
-        WorkUnit.make(
-            "bench",
-            f"bench/{name}",
-            {
-                "name": name,
-                "quick": quick,
-                "output_dir": bench_dir or DEFAULT_BENCH_DIR,
-            },
-        )
-        for name in sorted(BENCHMARKS)
-    ]
-
-
 def _pytest_units(tag: str, groups: Sequence[Sequence[str]]) -> List[WorkUnit]:
     return [
         WorkUnit.make(
@@ -287,9 +264,7 @@ def _pytest_units(tag: str, groups: Sequence[Sequence[str]]) -> List[WorkUnit]:
     ]
 
 
-def build_tier(
-    tier: str, seed: int = 0, bench_dir: Optional[str] = None
-) -> List[WorkUnit]:
+def build_tier(tier: str, seed: int = 0) -> List[WorkUnit]:
     """Construct the unit list for a named tier (sorted by unit_id)."""
     if tier == "lint":
         units = [WorkUnit.make("lint", "lint", {})]
@@ -335,13 +310,11 @@ def build_tier(
             ),
             WorkUnit.make("coverage", "coverage", {}),
         ]
-    elif tier == "bench":
-        units = _bench_units(quick=True, bench_dir=bench_dir)
     elif tier == "full":
         units = [
             unit
-            for part in ("lint", "chaos", "explore", "tier1", "bench")
-            for unit in build_tier(part, seed, bench_dir)
+            for part in ("lint", "chaos", "explore", "tier1")
+            for unit in build_tier(part, seed)
         ]
     elif tier == "nightly":
         units = (
@@ -353,7 +326,6 @@ def build_tier(
             + _workload_units(seed, quick=False)
             + _explore_units(depth=5)
             + _explore_deep_units(seed)
-            + _bench_units(quick=False, bench_dir=bench_dir)
         )
     else:
         raise KeyError(
@@ -368,7 +340,6 @@ TIERS: Tuple[str, ...] = (
     "chaos",
     "explore",
     "tier1",
-    "bench",
     "full",
     "nightly",
 )
@@ -421,30 +392,6 @@ def evaluate_gates(results: Sequence[UnitResult]) -> List[Gate]:
                 passed=not bad,
                 skipped=False,
                 detail="clean" if not bad else "; ".join(bad[0].detail[:5]),
-            )
-        )
-    bench = [r for r in results if r.kind == "bench"]
-    if bench:
-        regressions = [
-            line
-            for r in bench
-            for line in r.detail
-            if line.startswith("REGRESSION")
-        ]
-        bad = [r for r in bench if not r.ok]
-        gates.append(
-            Gate(
-                name="bench-regression",
-                passed=not bad,
-                skipped=False,
-                detail=(
-                    "every exact count equals its baseline; no paired "
-                    "ratio regressed beyond the 3x factor"
-                    if not bad
-                    else "; ".join(regressions[:10])
-                    or "bench unit failed: "
-                    + ", ".join(r.unit_id for r in bad)
-                ),
             )
         )
     coverage = [r for r in results if r.kind == "coverage"]
@@ -533,11 +480,10 @@ def run_ci(
     workers: int = 1,
     shard: Tuple[int, int] = (0, 1),
     seed: int = 0,
-    bench_dir: Optional[str] = None,
     progress: Optional[Callable[[WorkUnit, UnitResult], None]] = None,
 ) -> Dict[str, object]:
     """Build the tier, shard it, fan it out, and return the report."""
-    units = build_tier(tier, seed=seed, bench_dir=bench_dir)
+    units = build_tier(tier, seed=seed)
     selected = shard_units(units, shard[0], shard[1])
     results = run_units(selected, workers=workers, progress=progress)
     return build_report(tier, seed, workers, shard, selected, results)

@@ -4,9 +4,10 @@ Kept verbatim — fields, defaults, ``__post_init__`` validation and the
 per-hop copy helpers; the codec and ``size_bytes`` methods, which did
 not change, are left out — as the reference ``tests/test_records.py``
 holds every record to (``repr``, ``==`` / ``hash`` outcomes, the
-``ValueError`` messages) and ``benchmarks/perf``'s ``records``
-benchmark pairs every build and copy against.  Class names match the
-live ones, so ``repr`` texts compare byte for byte.
+``ValueError`` messages) and the block count
+``tests/test_alloc_budget.py`` keeps every live build and copy under.
+Class names match the live ones, so ``repr`` texts compare byte for
+byte.
 """
 
 import itertools

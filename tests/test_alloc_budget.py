@@ -20,12 +20,18 @@ periodic observer — the invariant sweep, the quality probe, the
 conservation laws — may spend on a settled domain, with the sweep also
 held to the size of the tree rather than of the domain, and what an
 explorer search may spend per simulated event.
+
+Last, three fast paths held against their slow references by counts
+that do not drift with the host: route lookup and registry totals by
+Python calls that must not grow with the table or the registry, and
+the per-packet records by the blocks one build allocates.
 """
 
 import collections
 import contextlib
 import gc
 import sys
+import tracemalloc
 import types
 import weakref
 
@@ -140,6 +146,30 @@ EXPLORE_CALLS_PER_EVENT_CEILING = 55.1
 #: which 1.29 is the tree itself; 1,213 / 839 = 1.45 with the standard
 #: library's address type, 8,024 / 2,948 = 2.72 before).
 OBSERVER_CALLS_DOUBLING_CEILING = 1.5
+
+#: Python calls 256 distinct route lookups may make, first on a cold
+#: memo and then warm, on a table of /24 routes.  The prefix-length
+#: index and the memo cost the same at 256 and 4,096 routes (513 / 257
+#: measured at both); ``lookup_linear``, the reference scan, makes
+#: 66,049 at 256 routes and grows with the table.  The ceiling is the
+#: measurement plus 10 %.
+ROUTE_LOOKUP_CALLS_CEILING = {"cold": 565, "warm": 283}
+
+#: Python calls one ``total("cbt.router.*.k3")`` may make, warm, on a
+#: registry holding eight counters for each of 500 routers: the
+#: literal-tail index visits the 500 matching names only (1,023
+#: measured, with or without 9,000 non-matching names beside them; the
+#: ``fnmatchcase`` scan over every name costs in proportion to the
+#: registry).  The ceiling is the measurement plus 10 %.
+REGISTRY_TOTAL_CALLS_CEILING = 1125
+
+#: Allocated blocks (``tracemalloc``) one build of a record may leave
+#: behind: the HELLO and the IGMP general query an idle domain sends,
+#: and a data packet's per-hop copy.  As tuple records these measure
+#: 3.75 / 3.0 / 3.0 per build; the frozen dataclasses they replaced
+#: (``tests/reference_records``) 6.75 / 5.0 / 5.0.  The ceiling is the
+#: measurement plus 10 %, below the reference.
+RECORD_BLOCKS_CEILING = {"hello": 4.1, "query": 3.3, "hop_copy": 3.3}
 
 
 def started_domain(size, seed=5):
@@ -774,3 +804,144 @@ def test_explore_calls_per_event_under_ceiling():
     assert events == 20_090
     per_event = calls / events
     assert per_event < EXPLORE_CALLS_PER_EVENT_CEILING, per_event
+
+
+# -- fast paths against their references ------------------------------------------
+#
+# A timed ratio to the reference drifts with the host; a count that stays
+# flat as the table or registry grows, or a per-build block count below
+# the reference's, does not.
+
+
+def _route_lookup_calls(routes):
+    """Python calls of 256 distinct lookups, cold then warm, on a table
+    of ``routes`` /24 prefixes."""
+    from repro.netsim.address import IPv4Address, IPv4Network
+    from repro.routing.table import Route, RoutingTable
+    from repro.topology.builder import Network
+
+    net = Network(trace_enabled=False)
+    router = net.add_router("r")
+    net.add_subnet("lan", [router])
+    interface = router.interfaces[0]
+    table = RoutingTable()
+    base = int(IPv4Address("10.0.0.0"))
+    for index in range(routes):
+        table.install(Route(IPv4Network((base + (index << 8), 24)), interface, None, 1.0))
+    targets = [
+        IPv4Address(base + 7 + ((index * 37 % routes) << 8)) for index in range(256)
+    ]
+
+    def lookups():
+        for target in targets:
+            table.lookup(target)
+
+    return {"cold": _python_calls(lookups), "warm": _python_calls(lookups)}
+
+
+def test_route_lookup_calls_do_not_grow_with_the_table():
+    small, large = _route_lookup_calls(256), _route_lookup_calls(4096)
+    assert small == large
+    for kind, calls in large.items():
+        assert calls < ROUTE_LOOKUP_CALLS_CEILING[kind], (kind, calls)
+
+
+def test_registry_total_calls_follow_the_matches_not_the_registry():
+    from repro.telemetry import MetricsRegistry
+
+    registry = MetricsRegistry()
+    for router in range(500):
+        for kind in range(8):
+            registry.counter(f"cbt.router.N{router}.k{kind}").inc(router)
+
+    def total():
+        assert registry.total("cbt.router.*.k3") == sum(range(500))
+
+    total()  # the index is built by the first query
+    alone = _python_calls(total)
+    for router in range(1000):
+        for kind in range(8):
+            registry.counter(f"cbt.router.N{router}.j{kind}").inc()
+        registry.gauge(f"netsim.link.L{router}.tx_packets").set(router)
+    total()
+    crowded = _python_calls(total)
+    assert alone == crowded < REGISTRY_TOTAL_CALLS_CEILING, (alone, crowded)
+
+
+def _record_builds():
+    """name -> (live build, reference build), each returning its record."""
+    from repro.core.constants import CBT_PORT, MessageType
+    from repro.core.messages import CBTControlMessage, CBTDataPacket
+    from repro.igmp.messages import MembershipQuery
+    from repro.netsim.address import ALL_CBT_ROUTERS, ALL_SYSTEMS, IPv4Address
+    from repro.netsim.packet import (
+        PROTO_CBT,
+        PROTO_IGMP,
+        PROTO_UDP,
+        IPDatagram,
+        UDPDatagram,
+    )
+    from tests import reference_records as was
+
+    here, there = IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2")
+    any_group, group = IPv4Address("0.0.0.0"), IPv4Address("239.0.0.1")
+    packet = CBTDataPacket(group, there, here, b"x" * 64, ip_ttl=32)
+    packet_was = was.CBTDataPacket(group, there, here, b"x" * 64, ip_ttl=32)
+
+    def hello():  # CBTProtocol._send_hello
+        message = CBTControlMessage(MessageType.HELLO, 0, any_group, here, cores=())
+        udp = UDPDatagram(CBT_PORT, CBT_PORT, message)
+        return IPDatagram(here, ALL_CBT_ROUTERS, PROTO_UDP, udp, 1)
+
+    def hello_was():
+        message = was.CBTControlMessage(
+            msg_type=MessageType.HELLO, code=0, group=any_group, origin=here, cores=()
+        )
+        return was.make_udp(
+            src=here, dst=ALL_CBT_ROUTERS, sport=CBT_PORT, dport=CBT_PORT,
+            payload=message, ttl=1,
+        )
+
+    def query():  # IGMPRouterAgent._send_query
+        return IPDatagram(here, ALL_SYSTEMS, PROTO_IGMP, MembershipQuery(None, 3.0), 1)
+
+    def query_was():
+        return was.IPDatagram(
+            src=here, dst=ALL_SYSTEMS, proto=PROTO_IGMP,
+            payload=was.MembershipQuery(group=None, max_response_time=3.0), ttl=1,
+        )
+
+    def hop_copy():  # DataPlane._receive_cbt + _send_cbt
+        return IPDatagram(here, there, PROTO_CBT, packet.decremented())
+
+    def hop_copy_was():
+        return was.IPDatagram(
+            src=here, dst=there, proto=PROTO_CBT, payload=packet_was.decremented()
+        )
+
+    return {
+        "hello": (hello, hello_was),
+        "query": (query, query_was),
+        "hop_copy": (hop_copy, hop_copy_was),
+    }
+
+
+def _blocks_per_build(build, builds=1000):
+    """Blocks still allocated per record after ``builds`` kept builds."""
+    build()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        kept = [build() for _ in range(builds)]
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == builds
+    return sum(stat.count_diff for stat in after.compare_to(before, "filename")) / builds
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_BLOCKS_CEILING))
+def test_record_builds_allocate_less_than_the_dataclasses(name):
+    live, reference = _record_builds()[name]
+    ceiling = RECORD_BLOCKS_CEILING[name]
+    assert _blocks_per_build(live) < ceiling < _blocks_per_build(reference)

@@ -1,8 +1,9 @@
 """Tests for the chaos subsystem: injectors, campaigns, auditor, CLI.
 
-The quick campaign here is the same sweep ``repro chaos --quick`` and
-the perf harness run, so a regression in any fault scenario fails the
-ordinary test suite too.
+The quick campaign here is the same sweep ``repro chaos --quick``
+runs, so a regression in any fault scenario fails the ordinary test
+suite too, and every cell of the full Figure-1 and grid9 campaign is
+pinned by its recovery time and control cost.
 """
 
 import os
@@ -178,15 +179,48 @@ class TestCLI:
         assert main(["chaos", "--scenario", "meteor_strike"]) == 2
 
 
-class TestPerfHarnessWiring:
-    def test_chaos_benchmark_is_registered(self):
-        from benchmarks.perf.suite import BENCHMARKS
+#: ``(recovery_time, control_cost)`` of seeds 0, 1 and 2 of every cell
+#: the full campaign runs on Figure 1 and grid9.  Sim-time counts, so
+#: compared for equality: a moved number means a scenario recovers
+#: differently, faster or slower.
+CELL_COSTS = {
+    "figure1/lossy_links": ((1e-06, 59), (1e-06, 57), (1e-06, 58)),
+    "figure1/link_flap": ((3.000001, 109), (6.000001, 120), (6.000001, 149)),
+    "figure1/partition": ((3.000001, 96), (6.000001, 122), (3.000001, 111)),
+    "figure1/blackout": ((3.000001, 132), (3.000001, 134), (3.000001, 134)),
+    "figure1/router_crash": ((6.000001, 112), (3.000001, 96), (3.000001, 126)),
+    "figure1/core_crash": ((6.000001, 145), (6.000001, 145), (6.000001, 145)),
+    "figure1/jitter_storm": ((1e-06, 72), (1e-06, 72), (1e-06, 72)),
+    "figure1/migration_churn": ((3.000001, 64), (3.000001, 74), (3.000001, 62)),
+    "figure1/migration_partition": ((3.000001, 138), (3.000001, 164), (3.000001, 128)),
+    "grid9/lossy_links": ((1e-06, 37), (1e-06, 48), (1e-06, 49)),
+    "grid9/link_flap": ((9.000001, 98), (6.000001, 90), (6.000001, 104)),
+    "grid9/partition": ((6.000001, 72), (6.000001, 90), (6.000001, 90)),
+    "grid9/blackout": ((1e-06, 88), (1e-06, 130), (3.000001, 152)),
+    "grid9/router_crash": ((6.000001, 72), (6.000001, 92), (6.000001, 96)),
+    "grid9/core_crash": ((6.000001, 179), (3.000001, 199), (3.000001, 180)),
+    "grid9/jitter_storm": ((1e-06, 48), (1e-06, 60), (1e-06, 60)),
+    "grid9/migration_churn": ((3.000001, 47), (3.000001, 53), (3.000001, 67)),
+    "grid9/migration_partition": ((9.000001, 113), (3.000001, 89), (1e-06, 87)),
+}
 
-        assert "chaos" in BENCHMARKS
 
-    def test_chaos_benchmark_quick_runs(self):
-        from benchmarks.perf.suite import bench_chaos
-
-        metrics = bench_chaos(quick=True)
-        assert metrics["cells_per_sec_quick"]["value"] > 0
-        assert metrics["max_recovery_quick"]["higher_is_better"] is False
+class TestPinnedCellCosts:
+    @pytest.mark.parametrize(
+        "quick, topologies, cells",
+        [(True, ("figure1",), 5), (False, ("figure1", "grid9"), 54)],
+    )
+    def test_every_cell_costs_what_it_did(self, quick, topologies, cells):
+        campaign = run_campaign(quick=quick, topologies=topologies)
+        assert not campaign.failures()
+        costs = {
+            (f"{r.topology}/{r.scenario}", r.seed): (
+                round(r.recovery_time, 6),
+                r.control_cost,
+            )
+            for r in campaign.results
+        }
+        assert len(costs) == cells
+        assert costs == {
+            (cell, seed): CELL_COSTS[cell][seed] for cell, seed in costs
+        }

@@ -478,7 +478,6 @@ class TestTiers:
             "explore",
             "pytest",
             "coverage",
-            "bench",
             "baseline-compare",
         }
 
@@ -510,18 +509,6 @@ class TestGatesAndReport:
         gates = {g.name: g for g in evaluate_gates(results)}
         assert gates["coverage-floors"].passed
         assert gates["coverage-floors"].skipped
-
-    def test_bench_gate_surfaces_regressions(self):
-        results = [
-            UnitResult(
-                unit_id="bench/x", kind="bench", status="failed",
-                fingerprint="f",
-                detail=["REGRESSION m: 1 ops/s vs baseline 10 (>3x slower)"],
-            )
-        ]
-        gates = {g.name: g for g in evaluate_gates(results)}
-        assert not gates["bench-regression"].passed
-        assert "REGRESSION" in gates["bench-regression"].detail
 
     def test_report_schema_roundtrip(self, tmp_path):
         units = [selftest("s/ok"), selftest("s/fail", action="fail")]
@@ -641,6 +628,21 @@ class TestReplayShardBadReport:
         assert code == 2
         assert len(err) == 1 and "unknown unit kind 'explore-frontier'" in err[0]
 
+    def test_report_from_before_the_bench_tier_was_removed(self, tmp_path, capsys):
+        path = self._report(tmp_path)
+        with open(path) as handle:
+            report = json.load(handle)
+        unit_id = "bench/route_lookup"
+        report["units"][0].update(
+            unit_id=unit_id,
+            kind="bench",
+            params={"name": "route_lookup", "quick": True, "output_dir": "bench-artifacts"},
+        )
+        write_report(report, path)
+        code, err = self._replay(path, capsys, unit_id)
+        assert code == 2
+        assert len(err) == 1 and "unknown unit kind 'bench'" in err[0]
+
 
 class TestRunCI:
     def test_run_ci_lint_tier(self, tmp_path):
@@ -673,6 +675,24 @@ class TestCLI:
     def test_ci_rejects_bad_shard(self, capsys):
         assert main(["ci", "--tier", "lint", "--shard", "2x3"]) == 2
         assert main(["ci", "--tier", "lint", "--shard", "3/3"]) == 2
+        capsys.readouterr()
+        assert main(["ci", "--tier", "lint", "--shard", "1/0"]) == 2
+        assert capsys.readouterr().err == (
+            "--shard 1/0: shard count must be at least 1, got 0\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["bench", "--quick"], "invalid choice: 'bench'"),
+            (["ci", "--bench-dir", "x"], "unrecognized arguments: --bench-dir x"),
+        ],
+    )
+    def test_the_removed_bench_surface_is_an_unknown_argument(self, argv, error, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert error in capsys.readouterr().err
 
     def test_ci_smoke_shard_end_to_end(self, tmp_path, capsys):
         # One shard of the smoke tier (chaos cells only land in this

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 from benchmarks.conftest import results_drift
+from repro.cli import main
 from repro.harness.report import (
     build_report,
     collect_results,
@@ -55,6 +56,42 @@ class TestReportAssembly:
         results_dir = os.path.join("benchmarks", "results")
         report = build_report(results_dir)
         assert report.startswith("# ")
+
+
+class TestReportFailsTyped:
+    """``repro report`` on a path it cannot use: one stderr line naming
+    the path, exit 2, nothing on stdout."""
+
+    def _report(self, capsys, *argv):
+        code = main(["report", *argv])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err.splitlines()
+
+    def test_table_that_is_not_utf8(self, tmp_path, capsys):
+        (tmp_path / "E1.txt").write_bytes(b"\xff\xfe table\n")
+        code, err = self._report(capsys, "--results-dir", str(tmp_path))
+        assert code == 2
+        assert err == [f"{tmp_path / 'E1.txt'}: not UTF-8 text (invalid start byte at byte 0)"]
+
+    def test_missing_results_dir(self, tmp_path, capsys):
+        missing = tmp_path / "absent"
+        code, err = self._report(capsys, "--results-dir", str(missing))
+        assert code == 2
+        assert err == [f"{missing}: no such results directory"]
+
+    def test_output_in_a_missing_directory(self, tmp_path, capsys):
+        (tmp_path / "E1.txt").write_text("x\n")
+        target = tmp_path / "absent" / "RESULTS.md"
+        code, err = self._report(
+            capsys, "--results-dir", str(tmp_path), "--output", str(target)
+        )
+        assert code == 2
+        assert err == [f"{target}: No such file or directory"]
+
+    def test_an_empty_results_dir_is_not_an_error(self, tmp_path, capsys):
+        assert main(["report", "--results-dir", str(tmp_path)]) == 0
+        assert "_No results found" in capsys.readouterr().out
 
 
 class TestTraceExport:

@@ -406,3 +406,32 @@ class TestLookupAgreesWithLinearScan:
         assert table.lookup_linear(IPv4Address("10.0.1.5")) is narrow
         assert table.lookup_linear(IPv4Address("10.0.2.5")) is broad
         assert table.lookup_linear(IPv4Address("11.0.0.1")) is None
+
+
+class TestE2EKernels:
+    """``benchmarks/e2e/kernels.py`` is frozen source that nothing in
+    tier 1 runs; a kernel whose world emptied itself would go on
+    reporting a (very good) number."""
+
+    def test_spf_kernel_recomputes_over_a_whole_topology(self, monkeypatch):
+        """It keeps ``waxman_network(120).routing`` and drops the
+        network: the topology has to outlive the ``Network`` object."""
+        from benchmarks.e2e import kernels
+        from repro.routing.linkstate import LinkStateRouting
+
+        seen = []
+        recompute = LinkStateRouting.recompute
+
+        def spy(routing):
+            recompute(routing)
+            seen.append((len(routing.routers), len(routing.links)))
+
+        def once(batch, seconds=0.0):
+            batch()
+            return 1.0
+
+        monkeypatch.setattr(LinkStateRouting, "recompute", spy)
+        monkeypatch.setattr(kernels, "_best", once)
+        kernels.spf_recompute()
+        (routers, links), = set(seen)
+        assert routers == 120 and links > routers

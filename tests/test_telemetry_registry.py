@@ -292,3 +292,26 @@ class TestConservationThroughTheIndex:
         monkeypatch.setattr(registry_module, "_plain_prefix", lambda pattern: None)
         monkeypatch.setattr(registry_module, "_literal_tail", lambda pattern: None)
         assert check_conservation(net, domain) == indexed
+
+
+class TestFigure1Registry:
+    def test_instrument_count_is_pinned(self):
+        """What a Figure-1 domain registers once four members joined
+        through cores R4 and R9: compared for equality, so an
+        instrument added or lost on any layer shows here."""
+        from repro.core.bootstrap import CBTDomain
+        from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS
+        from repro.netsim.address import group_address
+        from repro.topology.figures import build_figure1
+
+        net = build_figure1(trace_enabled=False)
+        domain = CBTDomain(net, timers=FAST_TIMERS, igmp_config=FAST_IGMP)
+        group = group_address(0)
+        domain.create_group(group, cores=["R4", "R9"])
+        domain.start()
+        net.run(until=3.0)
+        start = net.scheduler.now
+        for index, member in enumerate(["A", "B", "G", "H"]):
+            net.scheduler.call_at(start + 0.05 * index, domain.join_host, member, group)
+        net.run(until=start + 8.0)
+        assert len(net.telemetry.registry.snapshot()) == 625
