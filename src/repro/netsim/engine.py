@@ -1,33 +1,44 @@
 """Deterministic discrete-event scheduler.
 
-The scheduler is a priority queue keyed on ``(time, sequence)`` so that
-events scheduled for the same instant fire in the order they were
-scheduled.  Determinism matters: protocol traces captured by the tests
-must be byte-for-byte reproducible across runs.
+The scheduler is a priority queue of *instants*: each distinct pending
+time sits on the heap once, and its events wait in a FIFO slot in the
+order they were scheduled, so events scheduled for the same instant
+fire in that order.  Determinism matters: protocol traces captured by
+the tests must be byte-for-byte reproducible across runs.
 
 Performance notes (see docs/PERFORMANCE.md):
 
 * One object per scheduled event: the :class:`Timer` that
-  ``call_later`` returns *is* the record in the queue (``__slots__``,
-  queued as ``(time, seq, timer)``).  Nothing is recycled, so a handle
-  can never observe another event's state and a fired or cancelled
-  record is freed by refcount as soon as its caller lets go of it.
+  ``call_later`` returns *is* the record in the queue (``__slots__``).
+  Nothing is recycled, so a handle can never observe another event's
+  state and a fired or cancelled record is freed by refcount as soon
+  as its caller lets go of it.
+* The heap holds instants, not events (docs/PERFORMANCE.md, "the queue
+  holds instants").  Keepalives tick in step, so at scale one instant
+  holds thousands of events: ``_slots`` maps an instant to a ``deque``
+  of its timers, an event joins its instant's deque, and only a new
+  instant is pushed.  A tie group costs one heap push and one pop, and
+  the heap compares bare floats: the deque's order *is* the scheduling
+  order, so no sequence number is needed to break ties.
 * Far-future events (keepalive, retry, and hello timers — the bulk of
   the pending population at scale) park in a coarse timer wheel
-  instead of the heap.  Wheel entries keep their original
-  ``(time, seq)`` keys and every bucket is flushed into the heap
-  strictly before it can contain the head event, so pop order is
-  *identical* to the pure-heap engine — the wheel is invisible to
-  traces.  The flush drops cancelled entries, so a cancelled parked
-  timer never touches the heap, which is the win for churny keepalives
-  that re-arm and cancel far more often than they fire.
+  instead of the queue, unless their instant already has a slot (then
+  they join it).  Every bucket is flushed into the queue strictly
+  before it can contain the head instant, and a flushed entry goes
+  *in front of* its instant's existing slot entries, which by that
+  rule are all younger than it — so firing order is *identical* to a
+  single list sorted by ``(time, scheduling order)`` and the wheel is
+  invisible to traces.  The flush drops cancelled entries, so a
+  cancelled parked timer never reaches a slot, which is the win for
+  churny keepalives that re-arm and cancel far more often than they
+  fire.
 * Cancelling is one flag wherever the event lives.  Only events fewer
-  than two wheel buckets (0.5 s) ahead are heap-pushed directly, so a
-  cancelled heap resident is popped and skipped within 0.5 simulated
-  seconds by construction: lazy deletion at pop is the only cancel
-  path the heap needs.
+  than two wheel buckets (0.5 s) ahead, or joining an instant that is
+  queued already, are queued directly, so a cancelled slot resident is
+  met and skipped soon by construction: lazy deletion at drain is the
+  only cancel path the queue needs.
 * ``pending_events`` is a live counter and ``pending_tags()`` reads a
-  live tag index — neither scans the heap.
+  live tag index — neither scans the queue.
 * An event carries its callback's arguments (``call_later(delay, f,
   *args)``; the loop calls ``f(*args)``), so callers schedule a bound
   method plus a tuple instead of building a closure per event.  What
@@ -52,11 +63,11 @@ Choice-point hook layer (systematic exploration):
 
 Events scheduled for the same instant normally fire in FIFO order.
 Installing a ``choice_hook`` hands that tie-breaking decision to an
-external resolver: every pending event with the head timestamp (the
-*tie group*) leaves the heap once and waits in FIFO order, and before
-each firing the hook is asked which of the waiting events goes next;
-events the group schedules for the same instant join at the end.  A
-group of k costs k heap pops.  The state-space explorer
+external resolver: the instant's slot is the *tie group*, and before
+each firing the hook is asked which of its waiting events goes next;
+events the group schedules for the same instant join at the end.  The
+hook indexes into the slot, so nothing leaves the queue until it
+fires.  The state-space explorer
 (:mod:`repro.explore`) uses this to enumerate message-delivery and
 timer-firing orders; with no hook installed the fast path is a single
 attribute check.  Events may carry an optional ``tag`` describing
@@ -68,9 +79,9 @@ from __future__ import annotations
 
 import gc
 import heapq
-import itertools
+from collections import deque
 from contextlib import ContextDecorator, contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.telemetry import Telemetry
 
@@ -79,6 +90,7 @@ from repro.telemetry import Telemetry
 #: deliveries are milliseconds) go straight to the heap.
 _WHEEL_GRANULARITY = 0.25
 _INV_GRANULARITY = 1.0 / _WHEEL_GRANULARITY
+_INF = float("inf")
 
 
 class SchedulerError(Exception):
@@ -184,7 +196,7 @@ class Timer:
 
 
 class Scheduler:
-    """Priority-queue discrete-event loop.
+    """Instant-keyed priority-queue discrete-event loop.
 
     Usage::
 
@@ -194,20 +206,23 @@ class Scheduler:
     """
 
     def __init__(self) -> None:
-        self._queue: List[Tuple[float, int, Timer]] = []
-        self._seq = itertools.count()
+        # The heap holds each pending instant once; its timers wait in
+        # ``_slots[instant]`` in scheduling order.  An instant is on the
+        # heap exactly while it has a slot.
+        self._queue: List[float] = []
+        self._slots: Dict[float, Deque[Timer]] = {}
         self._now = 0.0
         self._events_processed = 0
         self._pending = 0
-        # Timer wheel: bucket index -> unsorted entry list, plus a
+        # Timer wheel: bucket index -> unsorted timer list, plus a
         # bucket-index heap for "earliest bucket" and a cached start
         # time of that bucket (inf when the wheel is empty) so the run
         # loop pays one float compare per event in the common case.
-        self._wheel: Dict[int, List[Tuple[float, int, Timer]]] = {}
+        self._wheel: Dict[int, List[Timer]] = {}
         self._wheel_buckets: List[int] = []
-        self._wheel_next_start = float("inf")
+        self._wheel_next_start = _INF
         # Live index of pending tagged events (tag lookups must not
-        # scan the heap): timer -> tag.
+        # scan the queue): timer -> tag.
         self._tagged: Dict[Timer, Tuple] = {}
         #: Engine accounting (always on — plain integer bumps): these
         #: obey scheduled == processed + cancelled + pending, checked
@@ -264,8 +279,8 @@ class Scheduler:
         scheduler, so that whatever was built on it is freed by
         refcount the moment it is dropped.
 
-        Pending events — a tie group cut short included, since
-        ``run()`` puts it back on the heap — are dropped unfired and
+        Pending events — a tie group cut short included, since what
+        has not fired stays in its slot — are dropped unfired and
         forget their callbacks (a ticker and its arm refer to each
         other), registered components are emptied, the tie-break hook
         and the telemetry bundle are let go (the bundle's gauges read
@@ -286,16 +301,16 @@ class Scheduler:
         for component in self._components:
             component.__dict__ = {}
         del self._components[:]
-        for _time, _seq, timer in itertools.chain(
-            self._queue, *self._wheel.values()
-        ):
-            timer.cancelled = True
-            timer.callback = None
-            timer.args = ()
+        for timers in (*self._slots.values(), *self._wheel.values()):
+            for timer in timers:
+                timer.cancelled = True
+                timer.callback = None
+                timer.args = ()
         self._queue.clear()
+        self._slots.clear()
         self._wheel.clear()
         self._wheel_buckets.clear()
-        self._wheel_next_start = float("inf")
+        self._wheel_next_start = _INF
         self._tagged.clear()
         self.choice_hook = None
         self.telemetry = None
@@ -328,8 +343,12 @@ class Scheduler:
         in a closure: an args tuple is one object, a closure is a
         function plus a cell per variable, and pending events are
         resident memory the build's collections walk (docs/PERFORMANCE.md)."""
-        if delay < 0:
-            raise SchedulerError(f"cannot schedule {delay}s in the past")
+        if not 0 <= delay < _INF:
+            if delay < 0:
+                raise SchedulerError(f"cannot schedule {delay}s in the past")
+            raise SchedulerError(
+                f"cannot schedule after a delay of {delay!r}: not a finite number"
+            )
         if self.closed:
             raise SchedulerError("cannot schedule: the scheduler is closed")
         return self._schedule(self._now + delay, callback, args, tag)
@@ -342,10 +361,12 @@ class Scheduler:
         tag: Optional[Tuple] = None,
     ) -> Timer:
         """Schedule ``callback(*args)`` to run at absolute simulation ``time``."""
-        if time < self._now:
-            raise SchedulerError(
-                f"cannot schedule at t={time}; current time is t={self._now}"
-            )
+        if not self._now <= time < _INF:
+            if time < self._now:
+                raise SchedulerError(
+                    f"cannot schedule at t={time}; current time is t={self._now}"
+                )
+            raise SchedulerError(f"cannot schedule at t={time!r}: not a finite time")
         if self.closed:
             raise SchedulerError("cannot schedule: the scheduler is closed")
         return self._schedule(time, callback, args, tag)
@@ -358,22 +379,30 @@ class Scheduler:
         tag: Optional[Tuple],
     ) -> Timer:
         timer = Timer(self, time, callback, args, tag)
-        bucket = int(time * _INV_GRANULARITY)
-        if bucket > int(self._now * _INV_GRANULARITY) + 1:
-            # Far enough out to park in the wheel: the bucket's start
-            # lies strictly in the future, so it will be flushed into
-            # the heap before simulation time can reach any of its
-            # events.
-            entries = self._wheel.get(bucket)
-            if entries is None:
-                entries = self._wheel[bucket] = []
-                heapq.heappush(self._wheel_buckets, bucket)
-                start = bucket * _WHEEL_GRANULARITY
-                if start < self._wheel_next_start:
-                    self._wheel_next_start = start
-            entries.append((time, next(self._seq), timer))
+        slots = self._slots
+        if time in slots:
+            # The instant is queued already: join it, never the wheel,
+            # so every parked entry of an instant is older than every
+            # entry in its slot (what lets the flush put it in front).
+            slots[time].append(timer)
         else:
-            heapq.heappush(self._queue, (time, next(self._seq), timer))
+            bucket = int(time * _INV_GRANULARITY)
+            if bucket > int(self._now * _INV_GRANULARITY) + 1:
+                # Far enough out to park in the wheel: the bucket's
+                # start lies strictly in the future, so it will be
+                # flushed into the queue before simulation time can
+                # reach any of its events.
+                entries = self._wheel.get(bucket)
+                if entries is None:
+                    entries = self._wheel[bucket] = []
+                    heapq.heappush(self._wheel_buckets, bucket)
+                    start = bucket * _WHEEL_GRANULARITY
+                    if start < self._wheel_next_start:
+                        self._wheel_next_start = start
+                entries.append(timer)
+            else:
+                slots[time] = deque((timer,))
+                heapq.heappush(self._queue, time)
         self._pending += 1
         self.events_scheduled += 1
         if tag is not None:
@@ -382,21 +411,30 @@ class Scheduler:
 
     def _flush_wheel(self, head_time: float) -> None:
         """Move wheel buckets whose span could precede ``head_time``
-        into the heap.  Entries keep their original ``(time, seq)``
-        keys, so heap ordering is exactly what a heap-only engine
-        would have produced; cancelled entries are dropped here and
-        never touch the heap."""
+        into the queue, grouped by instant.  A parked entry is older
+        than anything its instant's slot already holds (``_schedule``
+        parks nothing whose instant has a slot), so it goes in front:
+        walking the bucket backwards and prepending keeps each
+        instant's parked entries in their own order, ahead of the
+        slot.  Firing order is therefore exactly what a wheel-less
+        queue would have produced; cancelled entries are dropped here
+        and never reach a slot."""
         wheel = self._wheel
         buckets = self._wheel_buckets
-        heappush = heapq.heappush
+        slots = self._slots
         queue = self._queue
         while buckets and buckets[0] * _WHEEL_GRANULARITY <= head_time:
-            bucket = heapq.heappop(buckets)
-            for entry in wheel.pop(bucket):
-                if not entry[2].cancelled:
-                    heappush(queue, entry)
+            for timer in reversed(wheel.pop(heapq.heappop(buckets))):
+                if timer.cancelled:
+                    continue
+                time = timer.fires_at
+                if time in slots:
+                    slots[time].appendleft(timer)
+                else:
+                    slots[time] = deque((timer,))
+                    heapq.heappush(queue, time)
         self._wheel_next_start = (
-            buckets[0] * _WHEEL_GRANULARITY if buckets else float("inf")
+            buckets[0] * _WHEEL_GRANULARITY if buckets else _INF
         )
 
     def pending_tags(self) -> List[Tuple]:
@@ -404,7 +442,7 @@ class Scheduler:
         return sorted(self._tagged.values())
 
     def _cancel(self, timer: Timer) -> None:
-        """Flag ``timer`` cancelled; the wheel flush or the heap pop
+        """Flag ``timer`` cancelled; the wheel flush or the slot drain
         that next meets it drops it."""
         if timer.cancelled or timer.fired:
             return
@@ -432,103 +470,110 @@ class Scheduler:
         """
         if self.closed:
             raise SchedulerError("cannot run: the scheduler is closed")
+        if until != until:
+            raise SchedulerError(f"cannot run until t={until!r}: not a number")
         processed = 0
         heappop = heapq.heappop
         queue = self._queue
+        slots = self._slots
         running, self._running = self._running, True
         try:
             with collector_paused():
                 while True:
                     if not queue:
-                        if self._wheel_next_start == float("inf"):
+                        if self._wheel_next_start == _INF:
                             break
                         self._flush_wheel(self._wheel_next_start)
                         continue
-                    time, _seq, timer = queue[0]
+                    time = queue[0]
                     if time >= self._wheel_next_start:
                         self._flush_wheel(time)
                         continue
-                    if timer.cancelled:
-                        heappop(queue)
-                        continue
                     if until is not None and time > until:
                         break
+                    # Drain the instant; what it schedules for itself
+                    # joins the same deque.  A raising callback, a
+                    # ``max_events`` stop or a hook a callback installs
+                    # leaves the rest in the slot.
+                    slot = slots[time]
                     if self.choice_hook is not None:
-                        processed = self._run_tied(time, processed, max_events)
-                        continue
-                    heappop(queue)
-                    timer.fired = True
-                    self._pending -= 1
-                    self._events_processed += 1
-                    self._now = time
-                    if timer.tag is not None:
-                        self._tagged.pop(timer, None)
-                    timer.callback(*timer.args)
-                    processed += 1
-                    if processed >= max_events:
-                        raise SchedulerError(
-                            f"exceeded max_events={max_events}; likely a protocol loop"
-                        )
+                        processed = self._run_tied(time, slot, processed, max_events)
+                    while slot and self.choice_hook is None:
+                        timer = slot.popleft()
+                        if timer.cancelled:
+                            continue
+                        timer.fired = True
+                        self._pending -= 1
+                        self._events_processed += 1
+                        self._now = time
+                        if timer.tag is not None:
+                            self._tagged.pop(timer, None)
+                        timer.callback(*timer.args)
+                        processed += 1
+                        if processed >= max_events:
+                            raise SchedulerError(
+                                f"exceeded max_events={max_events}; likely a protocol loop"
+                            )
+                    # Spent: off the queue — unless a callback that ran
+                    # this scheduler itself did that already (and maybe
+                    # opened the instant afresh).
+                    if not slot and time in slots and slots[time] is slot:
+                        del slots[time]
+                        heappop(queue)
         finally:
             self._running = running
         if until is not None and until > self._now:
             self._now = until
         return self._now
 
-    def _run_tied(self, time: float, processed: int, max_events: int) -> int:
-        """Fire the tie group due at ``time`` under ``choice_hook``: the
-        hook picks which live member goes next whenever two or more
-        wait.  Returns ``processed`` plus the events fired.
+    def _run_tied(
+        self, time: float, slot: Deque[Timer], processed: int, max_events: int
+    ) -> int:
+        """Fire the tie group due at ``time``, the instant's ``slot``,
+        under ``choice_hook``: the hook picks which live member goes
+        next whenever two or more wait.  Returns ``processed`` plus the
+        events fired; the slot is empty when the group has drained.
 
-        The group leaves the heap once: each member is popped when it
-        becomes due and waits in ``tied`` in ``(time, seq)`` order, so a
-        group of k costs k pops, not a fresh draw per member.  Events a
-        member schedules for the same instant carry later sequence
-        numbers and join at the end; members cancelled meanwhile drop
-        out.  The hook therefore sees the lists, in the order, that
-        drawing the group afresh for every member would give it.
+        The group is the slot: the hook's index picks from its live
+        members in FIFO order and only the chosen one leaves it.
+        Events a member schedules for the same instant join at the
+        end; members cancelled meanwhile drop out.  The hook therefore
+        sees the lists, in the order, that drawing the group afresh
+        for every member would give it.
 
         Whatever has not fired when the group ends early — the hook
         raised or returned an index out of range, a callback raised,
-        ``max_events`` tripped, or a callback took the hook away — goes
-        back on the heap under its own key: it stays pending and fires
-        in FIFO order next.
+        ``max_events`` tripped, or a callback took the hook away — is
+        still in the slot: it stays pending and fires in FIFO order
+        next.
         """
-        queue = self._queue
-        heappop = heapq.heappop
-        tied: List[Tuple[float, int, Timer]] = []
-        try:
-            while True:
-                while queue and queue[0][0] == time:
-                    entry = heappop(queue)
-                    if not entry[2].cancelled:
-                        tied.append(entry)
-                tied = [entry for entry in tied if not entry[2].cancelled]
-                if not tied or self.choice_hook is None:
-                    return processed
-                index = 0
-                if len(tied) > 1:
-                    index = self.choice_hook(time, [entry[2].tag for entry in tied])
-                    if not 0 <= index < len(tied):
-                        raise SchedulerError(
-                            f"choice hook returned {index} for a tie of {len(tied)}"
-                        )
-                timer = tied.pop(index)[2]
-                timer.fired = True
-                self._pending -= 1
-                self._events_processed += 1
-                self._now = time
-                if timer.tag is not None:
-                    self._tagged.pop(timer, None)
-                timer.callback(*timer.args)
-                processed += 1
-                if processed >= max_events:
+        while self.choice_hook is not None:
+            tied = [timer for timer in slot if not timer.cancelled]
+            if not tied:
+                slot.clear()
+                break
+            index = 0
+            if len(tied) > 1:
+                index = self.choice_hook(time, [timer.tag for timer in tied])
+                if not 0 <= index < len(tied):
                     raise SchedulerError(
-                        f"exceeded max_events={max_events}; likely a protocol loop"
+                        f"choice hook returned {index} for a tie of {len(tied)}"
                     )
-        finally:
-            for entry in tied:
-                heapq.heappush(queue, entry)
+            timer = tied[index]
+            slot.remove(timer)
+            timer.fired = True
+            self._pending -= 1
+            self._events_processed += 1
+            self._now = time
+            if timer.tag is not None:
+                self._tagged.pop(timer, None)
+            timer.callback(*timer.args)
+            processed += 1
+            if processed >= max_events:
+                raise SchedulerError(
+                    f"exceeded max_events={max_events}; likely a protocol loop"
+                )
+        return processed
 
     def run_until_idle(self, max_events: int = 10_000_000) -> float:
         """Run until no events remain; returns the final simulation time."""

@@ -280,7 +280,7 @@ class Link:
             # Batched fan-out: one scheduled event delivers to every
             # receiver, in attach order.  Order is indistinguishable
             # from per-receiver events — those would occupy consecutive
-            # (time, seq) slots with nothing able to fire between them,
+            # places in their instant's FIFO, nothing able to fire between,
             # exactly like one loop body — but the scheduler handles a
             # LAN-wide broadcast as a single event instead of N.
             scheduler._schedule(

@@ -216,7 +216,8 @@ def test_pending_delivery_is_a_bound_method_plus_args(world):
     domain.join_host(pick_members(net, 1, seed=5)[0], group)
     deliveries = [
         timer
-        for _time, _seq, timer in net.scheduler._queue
+        for slot in net.scheduler._slots.values()
+        for timer in slot
         if getattr(timer.callback, "__func__", None)
         in (Link.deliver, Link.deliver_batch)
     ]
@@ -380,8 +381,10 @@ def explorer_world_cut_mid_tie_group():
             net.run(until=scheduler.now + 5.0)
         except RuntimeError:
             pass
-        # The members that did not fire are pending again, on the heap.
-        cut = [timer for time, _seq, timer in scheduler._queue if time == asked[-1]]
+        # The members that did not fire are still pending, in their
+        # instant's slot, and the instant is still on the heap.
+        cut = scheduler._slots[asked[-1]]
+        assert asked[-1] in scheduler._queue
         assert len([timer for timer in cut if timer.pending]) >= 2
 
     return net, drive

@@ -65,6 +65,26 @@ class TestScheduler:
         with pytest.raises(SchedulerError):
             sched.call_at(1.0, lambda: None)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_times_are_rejected_typed(self, value):
+        sched = Scheduler()
+        with pytest.raises(SchedulerError, match=f"delay of {value}: not a finite"):
+            sched.call_later(value, print)
+        with pytest.raises(SchedulerError, match=f"t={value}: not a finite"):
+            sched.call_at(value, print)
+        assert sched.events_scheduled == 0 and sched.pending_events == 0
+        assert sched._queue == [] and sched._slots == {} and sched._wheel == {}
+
+    def test_running_until_nan_is_rejected_and_fires_nothing(self):
+        sched = Scheduler()
+        fired = []
+        sched.call_later(1.0, fired.append, "due at t=1.0")
+        with pytest.raises(SchedulerError, match="until t=nan: not a number"):
+            sched.run(until=float("nan"))
+        assert fired == [] and sched.now == 0.0 and sched.pending_events == 1
+        sched.run_until_idle()
+        assert fired == ["due at t=1.0"]
+
     def test_events_scheduled_during_run_are_processed(self):
         sched = Scheduler()
         fired = []
@@ -76,6 +96,62 @@ class TestScheduler:
         sched.call_later(1.0, first)
         sched.run_until_idle()
         assert fired == ["first", "second"]
+
+    @staticmethod
+    def run_nested(choice_hook=None):
+        """Two tie groups whose middle member runs the scheduler itself:
+        at t=1.0 on to t=1.5, at t=1.2 for its own instant only, and
+        each then schedules for its own instant again."""
+        sched = Scheduler()
+        fired = []
+
+        def nested(span):
+            fired.append(("nested", sched.now))
+            sched.run(until=sched.now + span)
+            fired.append(("back", sched.now))
+            sched.call_later(0.0, fired.append, ("again", sched.now))
+
+        sched.call_at(1.0, fired.append, "a")
+        sched.call_at(1.0, nested, 0.5)
+        sched.call_at(1.0, fired.append, "c")
+        sched.call_at(1.2, fired.append, "d")
+        sched.call_at(1.2, nested, 0.0)
+        sched.call_at(1.2, fired.append, "f")
+        sched.call_at(3.0, fired.append, "g")
+        sched.choice_hook = choice_hook
+        sched.run_until_idle()
+        assert sched.now == 3.0 and sched.pending_events == 0
+        assert sched.events_processed == sched.events_scheduled == 9
+        assert sched._queue == []
+        return fired
+
+    #: The nested loop fires the rest of the instant it was called from
+    #: and runs on to its own ``until``; the outer loop then carries on
+    #: from there, firing nothing twice and losing nothing — also when
+    #: the callback schedules for its own instant again after the
+    #: nested loop has finished with it.
+    NESTED_ORDER = [
+        "a",
+        ("nested", 1.0),
+        "c",
+        "d",
+        ("nested", 1.2),
+        "f",
+        ("back", 1.2),
+        ("again", 1.2),
+        ("back", 1.5),
+        ("again", 1.5),
+        "g",
+    ]
+
+    def test_a_callback_may_run_its_own_scheduler(self):
+        assert self.run_nested() == self.NESTED_ORDER
+
+    def test_a_callback_may_run_its_own_scheduler_under_the_hook(self):
+        # The tie group is the slot, so the nested loop sees the rest of
+        # it too: the hook (FIFO here) picks from the same members and
+        # the clock never goes back to an instant already left.
+        assert self.run_nested(lambda time, tags: 0) == self.NESTED_ORDER
 
     def test_max_events_guard_trips_on_livelock(self):
         sched = Scheduler()
@@ -303,8 +379,9 @@ class TestSchedulerInternals:
 
 
 class TestChoiceHook:
-    """A tie group under ``choice_hook`` leaves the heap once, and a
-    group the hook cannot resolve stays pending."""
+    """A tie group under ``choice_hook`` is its instant's slot: it is
+    on the heap once, and a group the hook cannot resolve stays
+    pending in it."""
 
     @staticmethod
     def three_tied():
@@ -322,7 +399,8 @@ class TestChoiceHook:
         assert conservation_gap(sched) == 0
         sched.run_until_idle()
         assert fired == ["a", "b", "c"]
-        assert sched.pending_events == 0 and sched._queue == []
+        assert sched.pending_events == 0
+        assert sched._queue == [] and sched._slots == {}
 
     def test_a_raising_hook_leaves_its_group_pending(self):
         sched, fired = self.three_tied()
@@ -342,7 +420,7 @@ class TestChoiceHook:
             sched.run_until_idle()
         self.assert_still_pending_then_fifo(sched, fired)
 
-    def test_a_group_of_k_costs_k_pops(self, monkeypatch):
+    def test_a_tie_group_costs_one_heap_pop_and_one_push(self, monkeypatch):
         import heapq
 
         from repro.netsim import engine
@@ -379,7 +457,7 @@ class TestChoiceHook:
         sched.run_until_idle()
         assert fired == list(range(19, -1, -1))
         assert asked == list(range(20, 1, -1))
-        assert counts == {"heappop": 20, "heappush": 20}
+        assert counts == {"heappop": 1, "heappush": 1}
 
 
 class TestEventArgs:
@@ -433,7 +511,7 @@ class TestEventArgs:
         sched.run_until_idle()
         survivors = [i for i in range(500) if i % 5 == 0]
         assert fired == sorted(survivors, key=lambda i: (i % 50, i))
-        assert sched._queue == []
+        assert sched._queue == [] and sched._slots == {}
 
     def test_handle_is_the_queued_record_and_spent_records_are_freed(self):
         class Payload:
@@ -447,10 +525,15 @@ class TestEventArgs:
         far = sched.call_later(30.0, ignore, payloads[1])
         dropped_near = sched.call_later(0.2, ignore, payloads[2])
         dropped_far = sched.call_later(40.0, ignore, payloads[3])
-        assert [entry[2] for entry in sorted(sched._queue)] == [near, dropped_near]
-        assert [
-            entry[2] for bucket in sorted(sched._wheel) for entry in sched._wheel[bucket]
-        ] == [far, dropped_far]
+        assert sorted(sched._queue) == [0.1, 0.2]
+        assert {time: list(slot) for time, slot in sched._slots.items()} == {
+            0.1: [near],
+            0.2: [dropped_near],
+        }
+        assert {bucket: list(timers) for bucket, timers in sched._wheel.items()} == {
+            120: [far],
+            160: [dropped_far],
+        }
         dropped_near.cancel()
         dropped_far.cancel()
         del payloads[:]
@@ -577,7 +660,7 @@ class TestClose:
         for timer in (near, far):
             assert not timer.pending
             assert timer.callback is None and timer.args == ()
-        assert sched._queue == [] and sched._wheel == {}
+        assert sched._queue == [] and sched._slots == {} and sched._wheel == {}
 
     def test_counters_read_the_same_after_close(self):
         sched = Scheduler()
@@ -646,7 +729,7 @@ class TestClose:
         for timer in timers[1:]:
             assert not timer.pending
             assert timer.callback is None and timer.args == ()
-        assert sched._queue == []
+        assert sched._queue == [] and sched._slots == {}
 
     def test_a_closed_ticker_chain_is_freed_by_refcount(self):
         sched = Scheduler()
@@ -874,6 +957,23 @@ _FOUR_TIED = [("later", 1.0, None)] * 4
     [3, 1, 2],
 )
 @example(_FOUR_TIED + [("run", 2.0, 2), ("run", 2.0, 1), ("run", 2.0, None)], [2, 1])
+# Instants against the wheel.  A run with nothing near flushes the first
+# bucket early; a second far event at that instant must then join the
+# slot behind the first, not park and later come out in front of it,
+# also with a near event queued in between.
+@example([("at", 1.0, None), ("run", 0.0, None), ("at", 1.0, None)], None)
+@example(
+    [("at", 1.0, None), ("run", 0.0, None), ("later", 0.1, None), ("at", 1.0, None)],
+    None,
+)
+# A near event opens the slot of an instant that still has an older
+# event parked: the flush must put the parked one in front.
+@example(
+    [("at", 0.8, None), ("at", 1.0, None), ("run", 0.79, None), ("at", 1.0, None)],
+    None,
+)
+# ``max_events`` stops the run in the middle of a 1,000-event instant.
+@example([("later", 0.1, None)] * 1000 + [("run", 1.0, 500)], None)
 def test_engine_is_indistinguishable_from_a_sorted_list(script, picks):
     real = ScriptedWorld(Scheduler(), picks)
     model = ScriptedWorld(ReferenceScheduler(), picks)
@@ -889,7 +989,8 @@ def test_engine_is_indistinguishable_from_a_sorted_list(script, picks):
         assert conservation_gap(scheduler) == 0
     if len(real.timers) <= 64:  # every handle was reachable by the cancels
         assert scheduler.pending_events == 0
-        assert scheduler._queue == [] and scheduler._wheel == {}
+        assert scheduler._queue == [] and scheduler._slots == {}
+        assert scheduler._wheel == {}
 
 
 def test_conservation_law_holds_when_read_from_inside_a_callback():
