@@ -325,6 +325,7 @@ def cmd_ci(args: argparse.Namespace) -> int:
     from repro.harness.tiers import (
         TIERS,
         build_tier,
+        check_report_path,
         replay_unit,
         run_ci,
         write_report,
@@ -363,6 +364,12 @@ def cmd_ci(args: argparse.Namespace) -> int:
         for unit in shard_units(units, shard_index, shard_count):
             print(f"  {unit.unit_id:40s} timeout={unit.timeout:g}s")
         return 0
+
+    try:
+        check_report_path(args.report)
+    except OSError as exc:
+        print(f"--report {args.report}: cannot write ({exc.strerror})", file=sys.stderr)
+        return 2
 
     workers = args.workers
     if workers is None:
@@ -687,8 +694,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
         if args.jsonl == "-":
             count = dump_jsonl(records, sys.stdout)
         else:
-            with open(args.jsonl, "w", encoding="utf-8") as fh:
-                count = dump_jsonl(records, fh)
+            try:
+                with open(args.jsonl, "w", encoding="utf-8") as fh:
+                    count = dump_jsonl(records, fh)
+            except OSError as exc:
+                print(f"{exc.filename}: {exc.strerror}", file=sys.stderr)
+                return 2
             print(f"wrote {count} records to {args.jsonl}")
         return 0
     shown = records if args.limit <= 0 else records[: args.limit]

@@ -447,6 +447,19 @@ def build_report(
     }
 
 
+def check_report_path(path: str) -> None:
+    """Raise the ``OSError`` :func:`write_report` would raise on
+    ``path`` (its parent is a file, it is a directory, ...), before a
+    tier spends minutes on the report.  Makes the directory as
+    :func:`write_report` does; an existing report is left as it is."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    existed = os.path.exists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def write_report(report: Dict[str, object], path: str) -> str:
     directory = os.path.dirname(os.path.abspath(path))
     if directory:

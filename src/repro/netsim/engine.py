@@ -1,7 +1,7 @@
 """Deterministic discrete-event scheduler.
 
 The scheduler is a priority queue of *instants*: each distinct pending
-time sits on the heap once, and its events wait in a FIFO slot in the
+time sits on the heap once, and its events wait in its slot in the
 order they were scheduled, so events scheduled for the same instant
 fire in that order.  Determinism matters: protocol traces captured by
 the tests must be byte-for-byte reproducible across runs.
@@ -13,30 +13,21 @@ Performance notes (see docs/PERFORMANCE.md):
   Nothing is recycled, so a handle can never observe another event's
   state and a fired or cancelled record is freed by refcount as soon
   as its caller lets go of it.
-* The heap holds instants, not events (docs/PERFORMANCE.md, "the queue
-  holds instants").  Keepalives tick in step, so at scale one instant
-  holds thousands of events: ``_slots`` maps an instant to a ``deque``
-  of its timers, an event joins its instant's deque, and only a new
-  instant is pushed.  A tie group costs one heap push and one pop, and
-  the heap compares bare floats: the deque's order *is* the scheduling
-  order, so no sequence number is needed to break ties.
-* Far-future events (keepalive, retry, and hello timers — the bulk of
-  the pending population at scale) park in a coarse timer wheel
-  instead of the queue, unless their instant already has a slot (then
-  they join it).  Every bucket is flushed into the queue strictly
-  before it can contain the head instant, and a flushed entry goes
-  *in front of* its instant's existing slot entries, which by that
-  rule are all younger than it — so firing order is *identical* to a
-  single list sorted by ``(time, scheduling order)`` and the wheel is
-  invisible to traces.  The flush drops cancelled entries, so a
-  cancelled parked timer never reaches a slot, which is the win for
-  churny keepalives that re-arm and cancel far more often than they
-  fire.
-* Cancelling is one flag wherever the event lives.  Only events fewer
-  than two wheel buckets (0.5 s) ahead, or joining an instant that is
-  queued already, are queued directly, so a cancelled slot resident is
-  met and skipped soon by construction: lazy deletion at drain is the
-  only cancel path the queue needs.
+* The heap holds instants, not events, and there is one queue for
+  every event, near or far (docs/PERFORMANCE.md, "the queue holds
+  instants" and "one queue, no wheel").  ``_slots`` maps a pending
+  instant to its slot: the :class:`Timer` itself while it is alone
+  there, a FIFO ``deque`` of its timers once a second one joins.
+  Keepalives tick in step, so at scale one instant holds thousands of
+  events, and only a new instant is pushed: a tie group costs one heap
+  push and one pop, and the heap compares bare floats — the deque's
+  order *is* the scheduling order, so no sequence number is needed to
+  break ties.  The far-future keepalive, retry and hello timers that
+  make up most of what is pending spread over thousands of instants
+  with one event each, and there the slot is no container at all (a
+  one-element ``deque`` is 760 bytes).
+* Cancelling is one flag: the run loop meets a cancelled timer at its
+  instant and drops it, the only cancel path the queue needs.
 * ``pending_events`` is a live counter and ``pending_tags()`` reads a
   live tag index — neither scans the queue.
 * An event carries its callback's arguments (``call_later(delay, f,
@@ -63,16 +54,16 @@ Choice-point hook layer (systematic exploration):
 
 Events scheduled for the same instant normally fire in FIFO order.
 Installing a ``choice_hook`` hands that tie-breaking decision to an
-external resolver: the instant's slot is the *tie group*, and before
-each firing the hook is asked which of its waiting events goes next;
-events the group schedules for the same instant join at the end.  The
-hook indexes into the slot, so nothing leaves the queue until it
-fires.  The state-space explorer
-(:mod:`repro.explore`) uses this to enumerate message-delivery and
-timer-firing orders; with no hook installed the fast path is a single
-attribute check.  Events may carry an optional ``tag`` describing
-what firing them means (links tag deliveries) so resolvers can tell
-deliveries from opaque timer callbacks.
+external resolver: the instant's ``deque`` is the *tie group*, and
+before each firing the hook is asked which of its waiting events goes
+next; events the group schedules for the same instant join at the
+end.  The hook indexes into the deque, so nothing leaves the queue
+until it fires.  A one-event instant is no tie and asks nothing.  The
+state-space explorer (:mod:`repro.explore`) uses this to enumerate
+message-delivery and timer-firing orders; with no hook installed the
+fast path is a single attribute check.  Events may carry an optional
+``tag`` describing what firing them means (links tag deliveries) so
+resolvers can tell deliveries from opaque timer callbacks.
 """
 
 from __future__ import annotations
@@ -81,15 +72,10 @@ import gc
 import heapq
 from collections import deque
 from contextlib import ContextDecorator, contextmanager
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.telemetry import Telemetry
 
-#: Timer-wheel bucket width in simulation seconds.  Events at least two
-#: buckets in the future park in the wheel; nearer events (packet
-#: deliveries are milliseconds) go straight to the heap.
-_WHEEL_GRANULARITY = 0.25
-_INV_GRANULARITY = 1.0 / _WHEEL_GRANULARITY
 _INF = float("inf")
 
 
@@ -206,21 +192,15 @@ class Scheduler:
     """
 
     def __init__(self) -> None:
-        # The heap holds each pending instant once; its timers wait in
-        # ``_slots[instant]`` in scheduling order.  An instant is on the
-        # heap exactly while it has a slot.
+        # The heap holds each pending instant once; ``_slots[instant]``
+        # is its one timer, or a deque of its timers in scheduling order
+        # once it has two.  An instant is on the heap exactly while it
+        # has a slot.
         self._queue: List[float] = []
-        self._slots: Dict[float, Deque[Timer]] = {}
+        self._slots: Dict[float, Union[Timer, Deque[Timer]]] = {}
         self._now = 0.0
         self._events_processed = 0
         self._pending = 0
-        # Timer wheel: bucket index -> unsorted timer list, plus a
-        # bucket-index heap for "earliest bucket" and a cached start
-        # time of that bucket (inf when the wheel is empty) so the run
-        # loop pays one float compare per event in the common case.
-        self._wheel: Dict[int, List[Timer]] = {}
-        self._wheel_buckets: List[int] = []
-        self._wheel_next_start = _INF
         # Live index of pending tagged events (tag lookups must not
         # scan the queue): timer -> tag.
         self._tagged: Dict[Timer, Tuple] = {}
@@ -301,16 +281,13 @@ class Scheduler:
         for component in self._components:
             component.__dict__ = {}
         del self._components[:]
-        for timers in (*self._slots.values(), *self._wheel.values()):
-            for timer in timers:
+        for slot in self._slots.values():
+            for timer in (slot,) if slot.__class__ is Timer else slot:
                 timer.cancelled = True
                 timer.callback = None
                 timer.args = ()
         self._queue.clear()
         self._slots.clear()
-        self._wheel.clear()
-        self._wheel_buckets.clear()
-        self._wheel_next_start = _INF
         self._tagged.clear()
         self.choice_hook = None
         self.telemetry = None
@@ -380,70 +357,28 @@ class Scheduler:
     ) -> Timer:
         timer = Timer(self, time, callback, args, tag)
         slots = self._slots
-        if time in slots:
-            # The instant is queued already: join it, never the wheel,
-            # so every parked entry of an instant is older than every
-            # entry in its slot (what lets the flush put it in front).
-            slots[time].append(timer)
+        slot = slots.get(time)
+        if slot is None:
+            # A new instant: the timer is its slot until a second joins.
+            slots[time] = timer
+            heapq.heappush(self._queue, time)
+        elif slot.__class__ is Timer:
+            slots[time] = deque((slot, timer))
         else:
-            bucket = int(time * _INV_GRANULARITY)
-            if bucket > int(self._now * _INV_GRANULARITY) + 1:
-                # Far enough out to park in the wheel: the bucket's
-                # start lies strictly in the future, so it will be
-                # flushed into the queue before simulation time can
-                # reach any of its events.
-                entries = self._wheel.get(bucket)
-                if entries is None:
-                    entries = self._wheel[bucket] = []
-                    heapq.heappush(self._wheel_buckets, bucket)
-                    start = bucket * _WHEEL_GRANULARITY
-                    if start < self._wheel_next_start:
-                        self._wheel_next_start = start
-                entries.append(timer)
-            else:
-                slots[time] = deque((timer,))
-                heapq.heappush(self._queue, time)
+            slot.append(timer)
         self._pending += 1
         self.events_scheduled += 1
         if tag is not None:
             self._tagged[timer] = tag
         return timer
 
-    def _flush_wheel(self, head_time: float) -> None:
-        """Move wheel buckets whose span could precede ``head_time``
-        into the queue, grouped by instant.  A parked entry is older
-        than anything its instant's slot already holds (``_schedule``
-        parks nothing whose instant has a slot), so it goes in front:
-        walking the bucket backwards and prepending keeps each
-        instant's parked entries in their own order, ahead of the
-        slot.  Firing order is therefore exactly what a wheel-less
-        queue would have produced; cancelled entries are dropped here
-        and never reach a slot."""
-        wheel = self._wheel
-        buckets = self._wheel_buckets
-        slots = self._slots
-        queue = self._queue
-        while buckets and buckets[0] * _WHEEL_GRANULARITY <= head_time:
-            for timer in reversed(wheel.pop(heapq.heappop(buckets))):
-                if timer.cancelled:
-                    continue
-                time = timer.fires_at
-                if time in slots:
-                    slots[time].appendleft(timer)
-                else:
-                    slots[time] = deque((timer,))
-                    heapq.heappush(queue, time)
-        self._wheel_next_start = (
-            buckets[0] * _WHEEL_GRANULARITY if buckets else _INF
-        )
-
     def pending_tags(self) -> List[Tuple]:
         """Sorted tags of pending tagged events (exploration fingerprints)."""
         return sorted(self._tagged.values())
 
     def _cancel(self, timer: Timer) -> None:
-        """Flag ``timer`` cancelled; the wheel flush or the slot drain
-        that next meets it drops it."""
+        """Flag ``timer`` cancelled; the run loop drops it when it
+        reaches its instant."""
         if timer.cancelled or timer.fired:
             return
         timer.cancelled = True
@@ -479,23 +414,37 @@ class Scheduler:
         running, self._running = self._running, True
         try:
             with collector_paused():
-                while True:
-                    if not queue:
-                        if self._wheel_next_start == _INF:
-                            break
-                        self._flush_wheel(self._wheel_next_start)
-                        continue
+                while queue:
                     time = queue[0]
-                    if time >= self._wheel_next_start:
-                        self._flush_wheel(time)
-                        continue
                     if until is not None and time > until:
                         break
-                    # Drain the instant; what it schedules for itself
-                    # joins the same deque.  A raising callback, a
-                    # ``max_events`` stop or a hook a callback installs
-                    # leaves the rest in the slot.
                     slot = slots[time]
+                    if slot.__class__ is Timer:
+                        # A one-event instant is off the queue before it
+                        # fires: what it schedules for this instant opens
+                        # the instant afresh, and a nested ``run()``
+                        # never sees it.
+                        heappop(queue)
+                        del slots[time]
+                        if slot.cancelled:
+                            continue
+                        slot.fired = True
+                        self._pending -= 1
+                        self._events_processed += 1
+                        self._now = time
+                        if slot.tag is not None:
+                            self._tagged.pop(slot, None)
+                        slot.callback(*slot.args)
+                        processed += 1
+                        if processed >= max_events:
+                            raise SchedulerError(
+                                f"exceeded max_events={max_events}; likely a protocol loop"
+                            )
+                        continue
+                    # Drain a tie group; what it schedules for its own
+                    # instant joins the same deque.  A raising callback,
+                    # a ``max_events`` stop or a hook a callback installs
+                    # leaves the rest in the slot.
                     if self.choice_hook is not None:
                         processed = self._run_tied(time, slot, processed, max_events)
                     while slot and self.choice_hook is None:
@@ -601,8 +550,10 @@ class PeriodicTimer:
         callback: Callable[..., None],
         *args: Any,
     ) -> None:
-        if interval <= 0:
-            raise SchedulerError(f"interval must be positive, got {interval}")
+        if not 0 < interval < _INF:
+            raise SchedulerError(
+                f"interval must be a positive finite number, got {interval!r}"
+            )
         self._scheduler = scheduler
         self._interval = interval
         self._callback = callback

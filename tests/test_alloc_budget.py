@@ -24,7 +24,8 @@ explorer search may spend per simulated event.
 Last, three fast paths held against their slow references by counts
 that do not drift with the host: route lookup and registry totals by
 Python calls that must not grow with the table or the registry, and
-the per-packet records by the blocks one build allocates.
+the per-packet records by the blocks one build allocates; and the
+bytes a pending one-event instant costs the scheduler.
 """
 
 import collections
@@ -59,7 +60,7 @@ from repro.harness.scenarios import (
     send_data,
 )
 from repro.netsim.address import group_address
-from repro.netsim.engine import Scheduler
+from repro.netsim.engine import Scheduler, Timer
 from repro.netsim.link import Link
 from repro.telemetry.conservation import check_conservation
 from repro.topology.figures import FIGURE1_MEMBERS, build_figure1
@@ -171,6 +172,14 @@ REGISTRY_TOTAL_CALLS_CEILING = 1125
 #: measurement plus 10 %, below the reference.
 RECORD_BLOCKS_CEILING = {"hello": 4.1, "query": 3.3, "hop_copy": 3.3}
 
+#: Bytes (``tracemalloc``) one pending one-event instant may cost, its
+#: ``Timer`` included: the record, its float key, a ``_slots`` entry, a
+#: heap entry and the test's own handle.  159 measured over 5,000 far
+#: instants; wrapping each in a one-element ``deque`` costs 760 bytes
+#: more (docs/PERFORMANCE.md, "one queue, no wheel").  The ceiling is
+#: the measurement plus a quarter.
+ONE_EVENT_INSTANT_BYTES_CEILING = 200
+
 
 def started_domain(size, seed=5):
     net = waxman_network(size, seed=seed)
@@ -217,7 +226,7 @@ def test_pending_delivery_is_a_bound_method_plus_args(world):
     deliveries = [
         timer
         for slot in net.scheduler._slots.values()
-        for timer in slot
+        for timer in ((slot,) if isinstance(slot, Timer) else slot)
         if getattr(timer.callback, "__func__", None)
         in (Link.deliver, Link.deliver_batch)
     ]
@@ -948,3 +957,22 @@ def test_record_builds_allocate_less_than_the_dataclasses(name):
     live, reference = _record_builds()[name]
     ceiling = RECORD_BLOCKS_CEILING[name]
     assert _blocks_per_build(live) < ceiling < _blocks_per_build(reference)
+
+
+def test_a_pending_one_event_instant_holds_no_container():
+    # Far keepalives spread over thousands of instants with one event
+    # each; the slot of such an instant is its ``Timer``, nothing more.
+    scheduler = Scheduler()
+    scheduler.call_later(1.0, print)  # the heap and the slot map exist
+    instants = 5000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        timers = [scheduler.call_later(10.0 + i * 0.001, print) for i in range(instants)]
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert all(scheduler._slots[timer.fires_at] is timer for timer in timers)
+    size = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    assert size / instants < ONE_EVENT_INSTANT_BYTES_CEILING, size / instants
+    scheduler.close()

@@ -97,6 +97,13 @@ class TestCLI:
         assert records
         assert {r.RECORD_TYPE for r in records} >= {"protocol", "membership"}
 
+    def test_trace_jsonl_into_a_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "absent" / "trace.jsonl"
+        assert main(["trace", "--jsonl", str(target)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"{target}: No such file or directory"]
+        assert not target.parent.exists()
+
     def test_trace_jsonl_stdout(self, capsys):
         assert main(["trace", "--jsonl", "-"]) == 0
         out = capsys.readouterr().out

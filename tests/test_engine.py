@@ -73,7 +73,7 @@ class TestScheduler:
         with pytest.raises(SchedulerError, match=f"t={value}: not a finite"):
             sched.call_at(value, print)
         assert sched.events_scheduled == 0 and sched.pending_events == 0
-        assert sched._queue == [] and sched._slots == {} and sched._wheel == {}
+        assert sched._queue == [] and sched._slots == {}
 
     def test_running_until_nan_is_rejected_and_fires_nothing(self):
         sched = Scheduler()
@@ -285,6 +285,13 @@ class TestPeriodicTimer:
         with pytest.raises(SchedulerError):
             PeriodicTimer(Scheduler(), 0.0, lambda: None)
 
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_interval_rejected_by_the_constructor(self, interval):
+        sched = Scheduler()
+        with pytest.raises(SchedulerError, match=f"interval must be .*, got {interval}"):
+            PeriodicTimer(sched, interval, lambda: None)
+        assert sched.events_scheduled == 0
+
     def test_tick_callback_receives_args(self):
         sched = Scheduler()
         ticks = []
@@ -343,8 +350,9 @@ class TestSchedulerInternals:
         assert sched.pending_events == 1
 
     def test_mass_cancel_of_parked_timers_preserves_order(self):
-        # Cancel four fifths of the wheel's residents (delays 1-50 s),
-        # then check survivors still fire in exact (time, FIFO) order.
+        # Cancel four fifths of the far-future timers (delays 1-50 s,
+        # ten to an instant), then check survivors still fire in exact
+        # (time, FIFO) order.
         sched = Scheduler()
         fired = []
         timers = []
@@ -363,6 +371,8 @@ class TestSchedulerInternals:
         assert fired == expected
 
     def test_cancel_of_parked_timers_during_run(self):
+        # Two hundred far one-event instants, all but one cancelled from
+        # a callback: each is dropped when the loop reaches it.
         sched = Scheduler()
         fired = []
         later = [sched.call_later(10.0 + i * 0.01, lambda: fired.append("late"))
@@ -445,7 +455,7 @@ class TestChoiceHook:
         )
         sched = Scheduler()
         fired = []
-        for index in range(20):  # 0.1 s ahead: straight onto the heap
+        for index in range(20):  # one instant: pushed once, then upgraded
             sched.call_at(0.1, fired.append, index, tag=("t", index))
         asked = []
 
@@ -479,8 +489,8 @@ class TestEventArgs:
     def test_cancelled_event_with_args_never_fires(self):
         sched = Scheduler()
         fired = []
-        near = sched.call_later(0.1, fired.append, "near")  # heap resident
-        far = sched.call_later(30.0, fired.append, "far")  # wheel resident
+        near = sched.call_later(0.1, fired.append, "near")  # one-event instant
+        far = sched.call_later(30.0, fired.append, "far")  # far, and alone too
         sched.call_later(0.2, fired.append, "kept")
         near.cancel()
         far.cancel()
@@ -489,6 +499,7 @@ class TestEventArgs:
         assert sched.pending_events == 0
 
     def test_parked_event_keeps_its_args_through_the_wheel(self):
+        # Far-future one-event instants keep their args until they fire.
         sched = Scheduler()
         fired = []
         for i in range(5):
@@ -497,7 +508,7 @@ class TestEventArgs:
         assert fired == [0, 1, 2, 3, 4]
 
     def test_mass_cancel_of_heap_residents_preserves_args_and_order(self):
-        # Delays of 1-50 ms are heap-pushed directly; the cancelled
+        # Fifty instants of ten events each, 1-50 ms out; the cancelled
         # four fifths are skipped as they are popped, none is left over.
         sched = Scheduler()
         fired = []
@@ -525,14 +536,13 @@ class TestEventArgs:
         far = sched.call_later(30.0, ignore, payloads[1])
         dropped_near = sched.call_later(0.2, ignore, payloads[2])
         dropped_far = sched.call_later(40.0, ignore, payloads[3])
-        assert sorted(sched._queue) == [0.1, 0.2]
-        assert {time: list(slot) for time, slot in sched._slots.items()} == {
-            0.1: [near],
-            0.2: [dropped_near],
-        }
-        assert {bucket: list(timers) for bucket, timers in sched._wheel.items()} == {
-            120: [far],
-            160: [dropped_far],
+        # Near or far, a one-event instant's slot is the record itself.
+        assert sorted(sched._queue) == [0.1, 0.2, 30.0, 40.0]
+        assert sched._slots == {
+            0.1: near,
+            0.2: dropped_near,
+            30.0: far,
+            40.0: dropped_far,
         }
         dropped_near.cancel()
         dropped_far.cancel()
@@ -653,14 +663,14 @@ class TestClose:
     def test_pending_events_are_dropped_unfired_and_forget_their_callback(self):
         sched = Scheduler()
         fired = []
-        near = sched.call_later(0.1, fired.append, "near")  # heap resident
-        far = sched.call_later(60.0, fired.append, "far")  # parked in the wheel
+        near = sched.call_later(0.1, fired.append, "near")
+        far = sched.call_later(60.0, fired.append, "far")
         sched.close()
         assert fired == []
         for timer in (near, far):
             assert not timer.pending
             assert timer.callback is None and timer.args == ()
-        assert sched._queue == [] and sched._slots == {} and sched._wheel == {}
+        assert sched._queue == [] and sched._slots == {}
 
     def test_counters_read_the_same_after_close(self):
         sched = Scheduler()
@@ -773,7 +783,7 @@ class ReferenceTimer:
 class ReferenceScheduler:
     """What the engine must be indistinguishable from: every pending
     event in one list sorted by ``(time, seq)``, a cancel removes the
-    event on the spot — no wheel, no lazy deletion — and under a
+    event on the spot — no lazy deletion — and under a
     ``choice_hook`` every firing asks it about the whole list prefix
     due at the head time, read afresh."""
 
@@ -906,8 +916,9 @@ class ScriptedWorld:
         )
 
 
-#: Both sides of the 0.5 s heap/wheel boundary, exact 0.25 s bucket
-#: edges, and values that leave ``now`` off the bucket grid.
+#: Zero (a follow-up at its own instant), spans short and long enough to
+#: put several events on one instant or spread them over many, and
+#: values that leave ``now`` off any round grid.
 _SPANS = st.sampled_from(
     [0.0, 0.001, 0.1, 0.25, 0.3, 0.4999, 0.5, 0.5001, 0.75, 1.0, 1.7, 2.5, 7.0]
 ) | st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
@@ -957,23 +968,47 @@ _FOUR_TIED = [("later", 1.0, None)] * 4
     [3, 1, 2],
 )
 @example(_FOUR_TIED + [("run", 2.0, 2), ("run", 2.0, 1), ("run", 2.0, None)], [2, 1])
-# Instants against the wheel.  A run with nothing near flushes the first
-# bucket early; a second far event at that instant must then join the
-# slot behind the first, not park and later come out in front of it,
-# also with a near event queued in between.
+# One instant scheduled across a run that stops short of it: the second
+# event upgrades the first's bare ``Timer`` slot to a deque behind it,
+# also with another instant queued in between.
 @example([("at", 1.0, None), ("run", 0.0, None), ("at", 1.0, None)], None)
 @example(
     [("at", 1.0, None), ("run", 0.0, None), ("later", 0.1, None), ("at", 1.0, None)],
     None,
 )
-# A near event opens the slot of an instant that still has an older
-# event parked: the flush must put the parked one in front.
+# The same after a run that stops just before an earlier instant.
 @example(
     [("at", 0.8, None), ("at", 1.0, None), ("run", 0.79, None), ("at", 1.0, None)],
     None,
 )
 # ``max_events`` stops the run in the middle of a 1,000-event instant.
 @example([("later", 0.1, None)] * 1000 + [("run", 1.0, 500)], None)
+# A one-event instant is off the queue before it fires: a follow-up at
+# delay 0 opens its instant afresh, with and without the hook (which a
+# one-event instant never asks).
+@example([("later", 1.0, ("later", 0.0, None)), ("run", 2.0, None)], None)
+@example(
+    [("later", 1.0, ("later", 0.0, None)), ("later", 1.0, None), ("run", 2.0, None)],
+    None,
+)
+@example([("later", 1.0, ("later", 0.0, None)), ("run", 2.0, None)], [0, 1])
+@example(
+    [("later", 1.0, ("later", 0.0, None))] + _FOUR_TIED[:1] + [("run", 2.0, None)],
+    [1, 0],
+)
+# A one-event instant whose callback runs its own scheduler: the nested
+# loop never sees the event that called it, fires a tie group further
+# on, and the outer loop carries on from where it stopped.
+@example(
+    [("later", 1.0, ("run", 0.5, None)), ("later", 1.2, None), ("later", 1.2, None)]
+    + [("later", 1.7, None), ("run", 2.0, None)],
+    None,
+)
+@example(
+    [("later", 1.0, ("run", 0.5, None)), ("later", 1.2, None), ("later", 1.2, None)]
+    + [("later", 1.7, None), ("run", 2.0, None)],
+    [1, 0],
+)
 def test_engine_is_indistinguishable_from_a_sorted_list(script, picks):
     real = ScriptedWorld(Scheduler(), picks)
     model = ScriptedWorld(ReferenceScheduler(), picks)
@@ -990,7 +1025,6 @@ def test_engine_is_indistinguishable_from_a_sorted_list(script, picks):
     if len(real.timers) <= 64:  # every handle was reachable by the cancels
         assert scheduler.pending_events == 0
         assert scheduler._queue == [] and scheduler._slots == {}
-        assert scheduler._wheel == {}
 
 
 def test_conservation_law_holds_when_read_from_inside_a_callback():

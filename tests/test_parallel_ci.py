@@ -30,6 +30,7 @@ from repro.harness.tiers import (
     TIERS,
     build_report,
     build_tier,
+    check_report_path,
     evaluate_gates,
     load_report,
     pytest_groups,
@@ -693,6 +694,33 @@ class TestCLI:
             main(argv)
         assert exc.value.code == 2
         assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "where, reason",
+        [("file/report.json", "File exists"), ("directory", "Is a directory")],
+    )
+    def test_ci_report_path_that_cannot_be_written_fails_before_the_tier(
+        self, where, reason, tmp_path, capsys, monkeypatch
+    ):
+        (tmp_path / "file").write_text("not a directory\n")
+        (tmp_path / "directory").mkdir()
+        ran = []
+        monkeypatch.setattr(
+            "repro.harness.tiers.run_ci", lambda *args, **kwargs: ran.append(args)
+        )
+        path = tmp_path / where
+        assert main(["ci", "--tier", "lint", "--report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert ran == [] and captured.out == ""
+        assert captured.err == f"--report {path}: cannot write ({reason})\n"
+
+    def test_ci_report_path_check_leaves_an_existing_report_alone(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("{}\n")
+        check_report_path(str(path))
+        assert path.read_text() == "{}\n"
+        check_report_path(str(tmp_path / "new" / "report.json"))
+        assert os.listdir(tmp_path / "new") == []
 
     def test_ci_smoke_shard_end_to_end(self, tmp_path, capsys):
         # One shard of the smoke tier (chaos cells only land in this
