@@ -56,8 +56,7 @@ def modern_join(host_name: str) -> tuple:
     net.run(until=start + 8.0)
     joined = [
         event
-        for protocol in domain.protocols.values()
-        for event in protocol.events
+        for event in domain.telemetry.bus.records("protocol")
         if event.kind in ("joined", "proxied") and event.time >= start
     ]
     assert joined, f"modern join of {host_name} never completed"

@@ -42,7 +42,9 @@ def act_one_parent_failure() -> None:
     net.fail_link("L_R3_R4")
     net.run(until=45.0)
     print(f"tree after recovery: {domain.tree_edges(group)}")
-    for event in domain.protocol("R3").events:
+    for event in net.telemetry.bus.records("protocol"):
+        if event.router != "R3":
+            continue
         print(f"  R3 t={event.time:6.1f}s  {event.kind}  {event.detail}")
 
     uid = send_data(net, "D", group, count=1)[0]

@@ -38,7 +38,7 @@ def main() -> None:
     domain.join_host("B", group)
     net.run(until=9.0)
     print(f"on-tree routers: {', '.join(domain.on_tree_routers(group))}")
-    r6_events = [e.kind for e in domain.protocol("R6").events]
+    r6_events = [e.kind for e in net.telemetry.bus.records("protocol") if e.router == "R6"]
     print(f"R6 (the D-DR) events: {r6_events}  <- proxy-acked, keeps no state")
     print(f"R2 is the G-DR, parent: present={domain.protocol('R2').is_on_tree(group)}")
 

@@ -223,8 +223,8 @@ class HPIMDMProtocol:
         #: (vif, kind, source, group) -> _Pending (unacked advertisement).
         self._pending: Dict[Tuple[int, str, IPv4Address, IPv4Address], _Pending] = {}
         self._seq = 0
-        #: State-change log; quiescence detection counts its length.
-        self.events: List[Tuple[float, str]] = []
+        #: State changes so far; the quiescence counter.
+        self.state_changes = 0
         self._hello_ticker: Optional[PeriodicTimer] = None
         self._rtx_ticker: Optional[PeriodicTimer] = None
         router.register_handler(PROTO_HPIM, self._handle_control)
@@ -251,9 +251,6 @@ class HPIMDMProtocol:
 
     def state_size(self) -> int:
         return sum(entry.state_size() for entry in self.entries.values())
-
-    def _log(self, what: str) -> None:
-        self.events.append((self.router.scheduler.now, what))
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -306,7 +303,7 @@ class HPIMDMProtocol:
 
     def _neighbour_down(self, vif: int, addr: IPv4Address) -> None:
         """Flush a dead neighbour everywhere: claims, interests, acks."""
-        self._log(f"neighbour-down vif={vif} {addr}")
+        self.state_changes += 1
         for key in sorted(self._pending, key=str):
             pending = self._pending[key]
             if pending.vif == vif:
@@ -359,7 +356,7 @@ class HPIMDMProtocol:
             # Restarted neighbour: its synchronised state is gone.
             self._neighbour_down(arrival.vif, src)
         table[src] = Neighbour(gen_id=hello.gen_id, last_seen=now)
-        self._log(f"neighbour-up vif={arrival.vif} {src}")
+        self.state_changes += 1
         self._sync_link(arrival.vif, src)
 
     def _sync_link(self, vif: int, addr: IPv4Address) -> None:
@@ -391,10 +388,7 @@ class HPIMDMProtocol:
         # sequence number so a reordered older claim cannot resurrect
         # the neighbour; the election filters them out.
         table[src] = (message.metric, message.seq)
-        self._log(
-            f"assert vif={arrival.vif} {src} metric={message.metric} "
-            f"g={message.group}"
-        )
+        self.state_changes += 1
         self._reevaluate(entry)
 
     def _recv_interest(
@@ -411,10 +405,7 @@ class HPIMDMProtocol:
         if known is not None and known[1] >= message.seq:
             return
         table[src] = (message.interested, message.seq)
-        self._log(
-            f"interest vif={arrival.vif} {src} interested={message.interested} "
-            f"g={message.group}"
-        )
+        self.state_changes += 1
         self._reevaluate(entry)
 
     def _recv_ack(
@@ -507,7 +498,7 @@ class HPIMDMProtocol:
         only: Optional[Set[IPv4Address]] = None,
     ) -> None:
         entry.my_assert[vif] = metric
-        self._log(f"advertise-assert vif={vif} metric={metric} g={entry.group}")
+        self.state_changes += 1
         self._advertise(
             entry,
             vif,
@@ -529,9 +520,7 @@ class HPIMDMProtocol:
         only: Optional[Set[IPv4Address]] = None,
     ) -> None:
         entry.my_interest[vif] = interested
-        self._log(
-            f"advertise-interest vif={vif} interested={interested} g={entry.group}"
-        )
+        self.state_changes += 1
         self._advertise(
             entry,
             vif,
@@ -566,7 +555,7 @@ class HPIMDMProtocol:
             if interface is None or not interface.up:
                 continue  # audience will age out via the hold time
             self.stats.retransmissions += 1
-            self._log(f"retransmit vif={pending.vif} {key[1]} g={key[3]}")
+            self.state_changes += 1
             interface.send(
                 IPDatagram(
                     src=interface.address,
@@ -650,9 +639,7 @@ class HPIMDMProtocol:
         state advertises nothing)."""
         upstream = self._rpf_vif(entry.source)
         if upstream != entry.upstream_vif:
-            self._log(
-                f"upstream-move {entry.upstream_vif}->{upstream} g={entry.group}"
-            )
+            self.state_changes += 1
             entry.upstream_vif = upstream
         metric = self._route_metric(entry.source)
         for interface in self.router.interfaces:
@@ -700,7 +687,7 @@ class HPIMDMProtocol:
                 return None
             entry = TreeEntry(source=source, group=group, upstream_vif=upstream)
             self.entries[key] = entry
-            self._log(f"entry-create s={source} g={group}")
+            self.state_changes += 1
             self._reevaluate(entry)
         return entry
 
@@ -709,9 +696,7 @@ class HPIMDMProtocol:
     ) -> None:
         for entry in list(self.entries.values()):
             if entry.group == group:
-                self._log(
-                    f"membership vif={interface.vif} present={present} g={group}"
-                )
+                self.state_changes += 1
                 self._reevaluate(entry)
 
     # -- data plane --------------------------------------------------------
@@ -779,8 +764,8 @@ class HPIMDMDomain(DenseModeDomain):
         return sum(p.stats.hellos_sent for p in self.protocols.values())
 
     def events_total(self) -> int:
-        """Length of all state-change logs; the quiescence counter."""
-        return sum(len(p.events) for p in self.protocols.values())
+        """State changes domain-wide; the quiescence counter."""
+        return sum(p.state_changes for p in self.protocols.values())
 
     def pending_total(self) -> int:
         """Unacked advertisements across the domain (0 when synchronised)."""

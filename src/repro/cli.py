@@ -150,9 +150,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from repro.metrics.state import cbt_entry_census, dvmrp_entry_census
     from repro.topology.generators import waxman_network
 
-    def one_side(kind: str):
+    def world():
         net = waxman_network(args.size, seed=args.seed)
-        members = pick_members(net, args.members, seed=args.seed)
+        return net, pick_members(net, args.members, seed=args.seed)
+
+    if args.senders < 0:
+        print(f"--senders must be >= 0, got {args.senders}", file=sys.stderr)
+        return 2
+    try:
+        first = world()
+    except ValueError as exc:
+        print(f"repro compare: {exc}", file=sys.stderr)
+        return 2
+
+    def one_side(kind: str, net, members):
         if kind == "cbt":
             domain, group = build_cbt_group(net, members, cores=["N0"])
             control = domain.control_messages_sent()
@@ -163,8 +174,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             send_data(net, sender, group, count=1)
         return domain, control
 
-    cbt_domain, cbt_control = one_side("cbt")
-    dvmrp_domain, dvmrp_control = one_side("dvmrp")
+    cbt_domain, cbt_control = one_side("cbt", *first)
+    dvmrp_domain, dvmrp_control = one_side("dvmrp", *world())
     cbt_census = cbt_entry_census(cbt_domain)
     dvmrp_census = dvmrp_entry_census(dvmrp_domain)
     print(
@@ -206,11 +217,15 @@ def cmd_topology(args: argparse.Namespace) -> int:
         "transit-stub": lambda: transit_stub_network(seed=args.seed),
         "figure1": build_figure1,
     }
-    net = builders[args.kind]()
+    try:
+        net = builders[args.kind]()
+        members = pick_members(net, min(args.members, len(net.hosts)), seed=args.seed)
+    except ValueError as exc:
+        print(f"repro topology: {exc}", file=sys.stderr)
+        return 2
     print(render_topology(net))
     if args.kind == "figure1":
         return 0
-    members = pick_members(net, min(args.members, len(net.hosts)), seed=args.seed)
     core = sorted(net.routers)[0]
     domain, group = build_cbt_group(net, members, cores=[core])
     print()
@@ -357,6 +372,9 @@ def cmd_ci(args: argparse.Namespace) -> int:
         shard_units((), shard_index, shard_count)
     except ValueError as exc:
         print(f"--shard {args.shard}: {exc}", file=sys.stderr)
+        return 2
+    if args.workers is not None and args.workers < 0:
+        print(f"--workers must be >= 0 (0 = inline), got {args.workers}", file=sys.stderr)
         return 2
 
     if args.list:
@@ -535,12 +553,16 @@ def cmd_explore(args: argparse.Namespace) -> int:
     failed = False
     for name in names:
         scenario = SCENARIOS[name]
-        options = scenario_options(
-            scenario,
-            max_decisions=depth,
-            max_alternatives=args.max_alternatives,
-            drop_budget=args.drop_budget,
-        )
+        try:
+            options = scenario_options(
+                scenario,
+                max_decisions=depth,
+                max_alternatives=args.max_alternatives,
+                drop_budget=args.drop_budget,
+            )
+        except ValueError as exc:
+            print(f"repro explore: {exc}", file=sys.stderr)
+            return 2
         started = time.monotonic()
         progress = None
         if args.verbose:
@@ -596,7 +618,7 @@ def _explore_backward(args: argparse.Namespace, names) -> int:
     predicates, every report confirmed by forward replay."""
     import time
 
-    from repro.explore.backward import backward_search
+    from repro.explore.backward import backward_search, check_bounds
     from repro.explore.predicates import get_predicate
     from repro.explore.scenarios import SCENARIOS, scenario_options
 
@@ -608,6 +630,11 @@ def _explore_backward(args: argparse.Namespace, names) -> int:
         )
     except KeyError as exc:
         print(str(exc.args[0]), file=sys.stderr)
+        return 2
+    try:
+        check_bounds(max_deviations=args.max_deviations, budget=args.budget)
+    except ValueError as exc:
+        print(f"repro explore --backward: {exc}", file=sys.stderr)
         return 2
 
     failed = False
@@ -685,11 +712,27 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    """Structured trace records from the Figure-1 walkthrough run."""
-    from repro.telemetry import dump_jsonl
+    """Structured trace records from the Figure-1 walkthrough run: the
+    trace bus and the packet trace as one ``repro-trace/1`` stream.
+
+    The two sources are merged by time.  At one instant the bus records
+    come first, then the packet records; each source keeps its own
+    order (both are appended as the simulation clock advances).
+    """
+    from heapq import merge
+    from operator import attrgetter
+
+    from repro.telemetry import PacketEvent, dump_jsonl
 
     net, _domain, _group, _members = _run_figure1(args.all_members)
-    records = net.telemetry.bus.records(args.type)
+    packets = (
+        map(PacketEvent.from_trace_record, net.trace)
+        if args.type in (None, "packet")
+        else ()
+    )
+    records = list(
+        merge(net.telemetry.bus.records(args.type), packets, key=attrgetter("time"))
+    )
     if args.jsonl is not None:
         if args.jsonl == "-":
             count = dump_jsonl(records, sys.stdout)

@@ -616,17 +616,20 @@ class InvariantAuditor:
             self._fail(overdue)
 
     def event_trace(self) -> List[str]:
-        """The domain's 40 most recent protocol events, merged and sorted."""
+        """The domain's 40 most recent protocol events from the trace
+        bus, by time; at one instant in the domain's router order, each
+        router's own in the order it recorded them."""
+        rank = {name: index for index, name in enumerate(self.domain.protocols)}
         events = [
-            (event.time, name, event)
-            for name, protocol in self.domain.protocols.items()
-            for event in protocol.events
+            event
+            for event in self.domain.telemetry.bus.records("protocol")
+            if event.router in rank
         ]
-        events.sort(key=lambda item: item[0])
+        events.sort(key=lambda event: (event.time, rank[event.router]))
         return [
-            f"t={time:.3f} {name} {event.kind} group={event.group}"
+            f"t={event.time:.3f} {event.router} {event.kind} group={event.group}"
             + (f" {event.detail}" if event.detail else "")
-            for time, name, event in events[-40:]
+            for event in events[-40:]
         ]
 
     def _tick(self) -> None:

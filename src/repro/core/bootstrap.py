@@ -240,8 +240,17 @@ class CBTDomain:
         return total
 
     def events_total(self) -> int:
-        """Length of all state-change logs; the quiescence counter."""
-        return sum(len(p.events) for p in self.protocols.values())
+        """Protocol milestones recorded domain-wide; the quiescence
+        counter.  Sums the ``cbt.router.<name>.event.<kind>`` counters
+        each protocol's ``_record`` holds, as
+        :meth:`control_messages_sent` sums the tx counters — the bus
+        also carries membership and fault records, so its length is not
+        this count."""
+        return sum(
+            counter.value
+            for protocol in self.protocols.values()
+            for counter in protocol.event_counters.values()
+        )
 
     def assert_tree_consistent(self, group: IPv4Address) -> None:
         """Raise AssertionError if parent/child views disagree or loop.

@@ -293,9 +293,7 @@ class LegacyDRExtension:
     def _maybe_emit_host_join_ack(self) -> None:
         for group, vif in list(self._pending_tags.items()):
             if self.protocol.is_on_tree(group) or any(
-                event.kind == "proxied"
-                for event in self.protocol.events
-                if event.group == group
+                event.group == group for event in self.protocol.events_of("proxied")
             ):
                 self._emit_host_join_ack(vif, group)
 

@@ -60,10 +60,10 @@ class ControlStats:
 
     Backed by the telemetry registry: each message type resolves to a
     ``cbt.router.<name>.tx.<type>`` / ``.rx.<type>`` counter, so the
-    per-router MIB, the CLI ``repro stats`` view, and the conservation
-    laws all read the same numbers.  The historical ``sent`` /
-    ``received`` dict views (UPPERCASE message-type keys, insertion
-    order, zero counts omitted) are preserved as properties.
+    CLI ``repro stats`` view and the conservation laws read the same
+    numbers.  The historical ``sent`` / ``received`` dict views
+    (UPPERCASE message-type keys, insertion order, zero counts omitted)
+    are preserved as properties.
     """
 
     __slots__ = ("_registry", "_prefix", "tx", "rx")
@@ -191,14 +191,15 @@ class CBTProtocol:
         self._loop_count: Dict[IPv4Address, int] = {}
 
         # Telemetry: counters live in the scheduler-wide registry under
-        # this router's name; events also go onto the shared trace bus.
+        # this router's name; events go onto the shared trace bus only.
         telemetry = router.scheduler.telemetry
         self.telemetry = telemetry
         registry = telemetry.registry
         prefix = f"cbt.router.{router.name}"
         self.stats = ControlStats(registry, prefix)
-        self.events: List[ProtocolEvent] = []
-        self._event_counters: Dict[str, Counter] = {}
+        #: kind -> its ``cbt.router.<name>.event.<kind>`` counter, in
+        #: first-use order; :meth:`CBTDomain.events_total` sums them.
+        self.event_counters: Dict[str, Counter] = {}
         self._join_latency = registry.histogram(f"{prefix}.join_latency")
         self._c_joins_completed = registry.counter(f"{prefix}.joins_completed")
         self._c_quit_retries = registry.counter(f"{prefix}.quit_retries")
@@ -423,7 +424,13 @@ class CBTProtocol:
         )
 
     def events_of(self, kind: str) -> List[ProtocolEvent]:
-        return [e for e in self.events if e.kind == kind]
+        """This router's ``kind`` milestones, read from the trace bus."""
+        name = self.router.name
+        return [
+            e
+            for e in self.telemetry.bus.records("protocol")
+            if e.router == name and e.kind == kind
+        ]
 
     # ------------------------------------------------------------------
     # IGMP-driven behaviour (spec §2.2, §2.5, §2.7)
@@ -1880,21 +1887,21 @@ class CBTProtocol:
     # -- bookkeeping ---------------------------------------------------------
 
     def _record(self, kind: str, group: IPv4Address, detail: str = "") -> None:
-        event = ProtocolEvent(
-            time=self.router.scheduler.now,
-            kind=kind,
-            group=group,
-            detail=detail,
-            router=self.router.name,
+        self.telemetry.bus.publish(
+            ProtocolEvent(
+                time=self.router.scheduler.now,
+                kind=kind,
+                group=group,
+                detail=detail,
+                router=self.router.name,
+            )
         )
-        self.events.append(event)
-        self.telemetry.bus.publish(event)
-        counter = self._event_counters.get(kind)
+        counter = self.event_counters.get(kind)
         if counter is None:
             counter = self.telemetry.registry.counter(
                 f"cbt.router.{self.router.name}.event.{kind}"
             )
-            self._event_counters[kind] = counter
+            self.event_counters[kind] = counter
         counter.inc()
 
 

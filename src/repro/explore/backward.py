@@ -54,6 +54,7 @@ from repro.explore.engine import (
     ExploreOptions,
     RunOutcome,
     _normalise,
+    natural,
     run_schedule,
 )
 from repro.explore.predicates import PREDICATES, Predicate
@@ -301,6 +302,21 @@ def _vector(deviations: Dict[int, int]) -> Tuple[int, ...]:
     return tuple(deviations.get(index, 0) for index in range(width))
 
 
+#: :func:`backward_search` bound -> its least value: below it the
+#: search would never reach the stop that bound sets.
+_LEAST_BOUND = {"max_deviations": 0, "budget": 0, "limit": 1}
+
+
+def check_bounds(**bounds: int) -> None:
+    """Raise ``ValueError`` on a :func:`backward_search` bound that is
+    not an int or is below its least value (``limit`` >= 1, the rest
+    >= 0)."""
+    for name, value in bounds.items():
+        least = _LEAST_BOUND[name]
+        if not natural(value) or value < least:
+            raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 def backward_search(
     scenario,
     predicates: Optional[Sequence[Predicate]] = None,
@@ -319,9 +335,12 @@ def backward_search(
     (deliberately far past any forward depth bound); ``seed``
     deterministically permutes sibling expansion order, so distinct
     sub-seeds (one per nightly cell) diversify which chains are
-    explored first without breaking replayability.
+    explored first without breaking replayability.  Bounds are checked
+    first (:func:`check_bounds`).
     """
     from repro.explore.scenarios import scenario_options
+
+    check_bounds(max_deviations=max_deviations, budget=budget, limit=limit)
 
     chosen = list(predicates) if predicates is not None else [
         PREDICATES[name] for name in sorted(PREDICATES)

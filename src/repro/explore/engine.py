@@ -37,7 +37,7 @@ same scenario + schedule always reproduces the same run.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.audit import convergence_findings, transition_findings
@@ -56,6 +56,12 @@ DEFAULT_GATE_TYPES = (
     "QUIT_ACK",
     "FLUSH_TREE",
 )
+
+
+def natural(value: object) -> bool:
+    """An int ``>= 0`` (``True`` is not one): what every count bound of
+    a search, and every schedule entry, must be."""
+    return type(value) is int and value >= 0
 
 
 @dataclass(frozen=True)
@@ -85,6 +91,15 @@ class ExploreOptions:
     #: Runaway guard on total runs (``ExploreStats.runs``) across the
     #: whole exploration.
     max_runs: int = 20_000
+
+    def __post_init__(self) -> None:
+        # A negative bound would silently disable the stop it sets.
+        for option in fields(self):
+            value = getattr(self, option.name)
+            if type(option.default) is int and not natural(value):
+                raise ValueError(
+                    f"{option.name} must be a non-negative int, got {value!r}"
+                )
 
     def to_dict(self) -> Dict[str, object]:
         data = asdict(self)

@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Optional, Tuple, Union
 
-from repro.explore.engine import ExploreOptions, RunOutcome, run_schedule
+from repro.explore.engine import ExploreOptions, RunOutcome, natural, run_schedule
 from repro.explore.scenarios import SCENARIOS, get_scenario
 
 FORMAT = "repro-explore-schedule/2"
@@ -84,11 +84,6 @@ def dump_schedule(payload: Dict[str, object]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _natural(value: object) -> bool:
-    """A JSON integer ``>= 0`` (``true`` is not one)."""
-    return type(value) is int and value >= 0
-
-
 def _check_options(options: object) -> None:
     """Every known ``ExploreOptions`` field has its default's type:
     a non-negative int, a bool, or a list of strings.  Unknown keys are
@@ -105,7 +100,7 @@ def _check_options(options: object) -> None:
         elif isinstance(default, bool):
             valid = isinstance(value, bool)
         else:
-            valid = _natural(value)
+            valid = natural(value)
         if not valid:
             raise ScheduleFormatError(
                 f"options.{key} must be like {default!r}, got {value!r}"
@@ -141,7 +136,7 @@ def load_schedule(text: Union[str, bytes]) -> Dict[str, object]:
         )
     _check_options(payload["options"])
     schedule = payload["schedule"]
-    if not isinstance(schedule, list) or not all(map(_natural, schedule)):
+    if not isinstance(schedule, list) or not all(map(natural, schedule)):
         raise ScheduleFormatError("schedule must be a list of non-negative ints")
     for key, allowed, default in (
         ("expect", _EXPECTS, "clean"),

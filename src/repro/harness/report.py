@@ -2,17 +2,14 @@
 
 Collects the artefacts each benchmark writes under
 ``benchmarks/results/`` into one markdown report — the machine-built
-companion to EXPERIMENTS.md.  Also provides trace export to JSON lines
-for offline analysis of individual runs.
+companion to EXPERIMENTS.md.  A run's records are exported by
+``repro trace --jsonl`` (``repro-trace/1``), not here.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Dict, List, Optional
-
-from repro.netsim.trace import PacketTrace
+from typing import Dict, List
 
 
 def collect_results(results_dir: str) -> Dict[str, str]:
@@ -62,42 +59,3 @@ def write_report(results_dir: str, output_path: str) -> str:
     with open(output_path, "w", encoding="utf-8") as f:
         f.write(text + "\n")
     return text
-
-
-def export_trace(trace: PacketTrace, output_path: str, limit: Optional[int] = None) -> int:
-    """Dump a packet trace as JSON lines; returns records written."""
-    written = 0
-    with open(output_path, "w") as f:
-        for record in trace:
-            if limit is not None and written >= limit:
-                break
-            f.write(
-                json.dumps(
-                    {
-                        "time": record.time,
-                        "kind": record.kind,
-                        "link": record.link_name,
-                        "node": record.node_name,
-                        "proto": record.datagram.proto,
-                        "src": str(record.datagram.src),
-                        "dst": str(record.datagram.dst),
-                        "ttl": record.datagram.ttl,
-                        "uid": record.datagram.uid,
-                        "bytes": record.datagram.size_bytes(),
-                        "note": record.note,
-                    }
-                )
-            )
-            f.write("\n")
-            written += 1
-    return written
-
-
-def load_trace_summary(path: str) -> Dict[str, int]:
-    """Re-read an exported trace; per-kind record counts (sanity tool)."""
-    counts: Dict[str, int] = {}
-    with open(path) as f:
-        for line in f:
-            record = json.loads(line)
-            counts[record["kind"]] = counts.get(record["kind"], 0) + 1
-    return counts

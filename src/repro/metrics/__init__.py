@@ -9,8 +9,9 @@ Each module maps to one axis of the paper's evaluation:
   concentration under multiple senders (E5);
 * :mod:`repro.metrics.state` — router state census, CBT vs
   source-based schemes (E1);
-* :mod:`repro.metrics.overhead` — control-message and off-tree data
-  overhead (E2).
+* :mod:`repro.metrics.overhead` — control and data transmissions as
+  the packet trace saw them (E2); per-type control counts are the
+  registry's (``ControlStats``).
 """
 
 from repro.metrics.concentration import link_loads, traffic_concentration
@@ -20,13 +21,12 @@ from repro.metrics.latency import (
     delivery_latency,
     latency_summary,
 )
-from repro.metrics.overhead import cbt_control_overhead, trace_overhead
+from repro.metrics.overhead import trace_overhead
 from repro.metrics.state import StateCensus, cbt_state_census, dvmrp_state_census
 from repro.metrics.tree import tree_cost, tree_cost_ratio
 
 __all__ = [
     "StateCensus",
-    "cbt_control_overhead",
     "cbt_state_census",
     "delay_stretch",
     "delivery_latencies",

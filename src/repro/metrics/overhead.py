@@ -2,14 +2,14 @@
 
 Flood-and-prune pushes *data* onto links with no receivers behind them
 and answers with prune-state control traffic; CBT's explicit joins
-touch only the path between a new member and the tree.  These helpers
-extract both quantities from domains and packet traces.
+touch only the path between a new member and the tree.  This reads
+both quantities from a packet trace; the per-type control counts are
+the registry's ``cbt.router.<name>.tx.*`` counters (``ControlStats``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
 
 from repro.core.constants import CBT_AUX_PORT, CBT_PORT
 from repro.netsim.packet import PROTO_UDP
@@ -28,17 +28,6 @@ class OverheadReport:
     @property
     def total_bytes(self) -> int:
         return self.control_bytes + self.data_bytes
-
-
-def cbt_control_overhead(domain, exclude_hello: bool = True) -> Dict[str, int]:
-    """Per-message-type totals across a CBT domain (sent side)."""
-    totals: Dict[str, int] = {}
-    for protocol in domain.protocols.values():
-        for name, count in protocol.stats.sent.items():
-            if exclude_hello and name == "HELLO":
-                continue
-            totals[name] = totals.get(name, 0) + count
-    return totals
 
 
 def trace_overhead(trace: PacketTrace, data_protos=(PROTO_UDP,)) -> OverheadReport:
@@ -69,18 +58,3 @@ def trace_overhead(trace: PacketTrace, data_protos=(PROTO_UDP,)) -> OverheadRepo
         data_transmissions=data_transmissions,
         data_bytes=data_bytes,
     )
-
-
-def deliveries_per_packet(trace: PacketTrace, uid: int, member_hosts) -> int:
-    """How many member hosts received packet ``uid`` (delivery check)."""
-    count = 0
-    for host in member_hosts:
-        if any(d.uid == uid or _inner_uid(d) == uid for d in host.delivered):
-            count += 1
-    return count
-
-
-def _inner_uid(datagram) -> Optional[int]:
-    payload = getattr(datagram, "payload", None)
-    inner = getattr(payload, "inner", None)
-    return getattr(inner, "uid", None)

@@ -7,9 +7,10 @@ latencies from the same records.
 
 This stays beside the telemetry trace bus (decided in PR 23,
 ROADMAP "Retire the parallel paths" (b)): a record here keeps the
-datagram *object*, which ``metrics/{overhead,latency}.py``,
-``analysis/inspect.py`` and experiment E10 read, where a bus
-``PacketEvent`` is the flattened export made from it on demand; and
+datagram *object*, which ``metrics/{overhead,latency}.py`` and
+experiment E10 read, where a bus ``PacketEvent`` is the flattened
+export made from it on demand (``repro trace`` merges those into the
+``repro-trace/1`` stream); and
 ``enabled`` has two values in real use.  The trace is recorded where
 it is read: on for the hand-built topologies of the experiments,
 walkthroughs and golden-trace tests (``build_figure1()``); off for

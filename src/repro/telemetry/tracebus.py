@@ -1,12 +1,13 @@
 """Structured trace bus: typed records, subscribers, JSONL export.
 
-The bus replaces the protocols' informal per-instance ``events`` lists
-as the canonical event stream: every producer publishes typed records
-(protocol milestones, membership transitions, fault injections —
-link-level packet events are converted on demand from the existing
-:class:`repro.netsim.trace.PacketTrace`), subscribers observe them
-live, and the whole stream serialises to a stable JSONL schema,
-``repro-trace/1``:
+The bus is the one store of a run's events: every producer publishes
+typed records (protocol milestones, membership transitions, fault
+injections), subscribers observe them live, and readers filter it —
+``CBTProtocol.events_of`` is a view over its ``protocol`` records, not
+a copy.  Link-level packet events are converted on demand from the
+:class:`repro.netsim.trace.PacketTrace` (:meth:`PacketEvent.from_trace_record`);
+``repro trace`` merges them with the bus by time.  The whole stream
+serialises to one stable JSONL schema, ``repro-trace/1``:
 
 * line 1 is a header object ``{"schema": "repro-trace/1"}``;
 * every following line is one record: ``{"type": <record type>,

@@ -265,7 +265,7 @@ def _cbt_leg(net, domain):
     domain.create_group(group, cores=[core])
 
     def kinds():
-        return {e.kind for p in domain.protocols.values() for e in p.events}
+        return {e.kind for e in domain.telemetry.bus.records("protocol")}
 
     def drive():
         for member in members[:5]:

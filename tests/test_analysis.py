@@ -5,9 +5,7 @@ from repro.analysis import (
     event_timeline,
     render_topology,
     render_tree,
-    trace_summary,
 )
-from repro.harness.scenarios import send_data
 from tests.conftest import join_members
 
 
@@ -102,20 +100,3 @@ class TestControlCensus:
         domain, group = figure1_full_tree
         assert "hello" not in control_census(domain)
         assert "hello" in control_census(domain, exclude_hello=False)
-
-
-class TestTraceSummary:
-    def test_sections_present(self, figure1_full_tree, figure1_network):
-        domain, group = figure1_full_tree
-        send_data(figure1_network, "G", group, count=1)
-        text = trace_summary(figure1_network.trace)
-        assert "transmissions by protocol" in text
-        assert "busiest links" in text
-        assert "udp" in text
-        assert "cbt" in text
-
-    def test_empty_trace(self):
-        from repro.netsim.trace import PacketTrace
-
-        text = trace_summary(PacketTrace())
-        assert "transmissions by protocol" in text

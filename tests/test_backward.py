@@ -156,6 +156,44 @@ def test_backward_search_clean_scenario_confirms_nothing():
     assert stats.candidates_tried == stats.runs
 
 
+@pytest.mark.parametrize(
+    "bound",
+    [
+        {"max_deviations": -2},
+        {"budget": -1},
+        {"limit": 0},
+        {"limit": -5},
+        {"max_deviations": True},
+        {"budget": 1.5},
+    ],
+)
+def test_backward_search_rejects_a_bound_it_could_never_reach(bound):
+    """The search's stops are ``left == 0`` and ``runs >= budget``: a
+    bound that can never reach its stop fails typed before any replay."""
+    with mock.patch("repro.explore.backward.run_schedule") as replay:
+        with pytest.raises(ValueError, match=next(iter(bound))):
+            backward_search(get_scenario("joins-race"), **bound)
+    replay.assert_not_called()
+
+
+def test_backward_search_accepts_zero_bounds():
+    result = backward_search(get_scenario("joins-race"), max_deviations=0, budget=0)
+    assert result.stats.runs == 0
+
+
+@pytest.mark.parametrize(
+    "field", ["max_decisions", "max_alternatives", "drop_budget", "max_runs"]
+)
+def test_explore_options_reject_a_negative_bound(field):
+    """Construction applies the schedule-file rule (a non-negative int,
+    not a bool) to every count bound."""
+    scenario = get_scenario("joins-race")
+    for bad in (-1, True, 2.0):
+        with pytest.raises(ValueError, match=field):
+            scenario_options(scenario, **{field: bad})
+    assert getattr(scenario_options(scenario, **{field: 0}), field) == 0
+
+
 def test_backward_search_is_deterministic_per_seed():
     kwargs = dict(max_deviations=2, budget=30, seed=11)
     first = backward_search(get_scenario("joins-race"), **kwargs)

@@ -181,3 +181,21 @@ class TestOneLegRun:
         )
         run_baseline_compare_cell("router_crash", "figure1", 0)
         assert len(started) == 1
+
+
+class TestHPIMStateChanges:
+    def test_quick_cell_state_change_count_is_pinned(self, monkeypatch):
+        """HPIM-DM's quiescence counter is a plain count of its state
+        changes; the count a quick cell ends on is pinned by equality."""
+        readings = []
+        leg = LEGS["hpimdm"]
+
+        def activity(domain):
+            readings.append(leg.activity(domain))
+            return readings[-1]
+
+        monkeypatch.setitem(LEGS, "hpimdm", dataclasses.replace(leg, activity=activity))
+        result = run_baseline_compare_cell("link_flap", "figure1", seed=1)
+        assert result.outcome("hpimdm").recovered
+        assert readings[-1] == 288
+        assert readings == sorted(readings)

@@ -109,6 +109,35 @@ class TestCLI:
         out = capsys.readouterr().out
         assert out.startswith('{"schema": "repro-trace/1"}')
 
+    def test_trace_packet_jsonl_round_trips_the_packet_trace(self, tmp_path):
+        # Packets ride the one repro-trace/1 stream: one PacketEvent per
+        # record of the walkthrough's packet trace, in trace order.
+        from dataclasses import replace
+
+        from repro.cli import _run_figure1
+        from repro.telemetry import PacketEvent, load_jsonl
+
+        target = tmp_path / "packets.jsonl"
+        assert main(["trace", "--type", "packet", "--jsonl", str(target)]) == 0
+        with open(target) as fh:
+            records = load_jsonl(fh)
+        # The same deterministic run; datagram uids count per process.
+        trace = _run_figure1()[0].trace
+        assert len(records) == len(trace) > 0
+        assert all(type(r) is PacketEvent for r in records)
+        assert [replace(r, uid=0) for r in records] == [
+            replace(PacketEvent.from_trace_record(r), uid=0) for r in trace
+        ]
+
+    def test_trace_stream_merges_packets_after_bus_records_by_time(self, capsys):
+        from repro.telemetry import loads_jsonl
+
+        assert main(["trace", "--jsonl", "-"]) == 0
+        records = loads_jsonl(capsys.readouterr().out)
+        assert {r.RECORD_TYPE for r in records} >= {"protocol", "membership", "packet"}
+        keys = [(r.time, r.RECORD_TYPE == "packet") for r in records]
+        assert keys == sorted(keys)
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -116,3 +145,51 @@ class TestCLI:
     def test_no_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+def _one_line_exit_2(capsys, argv):
+    """``argv`` is refused with one stderr line, exit 2, no traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0], err
+    return err[0]
+
+
+class TestNumericInputsFailTyped:
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["compare", "--size", "5", "--members", "50"], "only 5 hosts"),
+            (["compare", "--size", "1"], "at least 2 nodes"),
+            (["compare", "--members", "-1"], "negative"),
+            (["compare", "--senders", "-1"], "--senders"),
+            (["topology", "--kind", "waxman", "--size", "0"], "at least 2 nodes"),
+            (["topology", "--kind", "ba", "--size", "1"], "n > m"),
+            (["ci", "--workers", "-1"], "--workers"),
+        ],
+    )
+    def test_rejected(self, capsys, tmp_path, argv, needle):
+        if argv[0] == "ci":
+            argv = argv + ["--report", str(tmp_path / "report.json")]
+        assert needle in _one_line_exit_2(capsys, argv)
+        assert not (tmp_path / "report.json").exists()
+
+
+class TestExplorerBoundsFailTyped:
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["--depth", "-1"], "max_decisions"),
+            (["--drop-budget", "-1"], "drop_budget"),
+            (["--max-alternatives", "-3"], "max_alternatives"),
+            (["--backward", "--max-deviations", "-2"], "max_deviations"),
+            (["--backward", "--budget", "-1"], "budget"),
+        ],
+    )
+    def test_rejected(self, capsys, tmp_path, argv, needle):
+        line = _one_line_exit_2(
+            capsys,
+            ["explore", "--scenario", "joins-race", "--export-dir", str(tmp_path)] + argv,
+        )
+        assert needle in line
+        assert not list(tmp_path.iterdir())

@@ -38,11 +38,14 @@ def trace_signature(net):
 
 
 def event_signature(domain):
-    out = []
-    for name in sorted(domain.protocols):
-        for event in domain.protocols[name].events:
-            out.append((name, round(event.time, 9), event.kind, event.detail))
-    return out
+    # Every router's milestones, read from the one event stream.
+    records = domain.telemetry.bus.records("protocol")
+    return [
+        (event.router, round(event.time, 9), event.kind, event.detail)
+        for name in sorted(domain.protocols)
+        for event in records
+        if event.router == name
+    ]
 
 
 class TestDeterminism:

@@ -283,7 +283,7 @@ def _parent_lost_and_rejoined(network, domain, group):
     r3 = domain.protocol("R3")
     network.fail_link("L_R3_R4")
     network.run(until=network.scheduler.now + 2 * FAST_TIMERS.echo_timeout)
-    assert "parent_lost" in {event.kind for event in r3.events}
+    assert r3.events_of("parent_lost")
     network.restore_link("L_R3_R4")
     network.run(until=network.scheduler.now + 5.0)
     assert r3.tree_parent(group) is not None

@@ -1,14 +1,10 @@
-"""Tests for the overhead metrics and the packet log renderer."""
+"""Tests for the overhead metrics and the packet listing
+(``repro trace --type packet``)."""
 
 
-from repro.analysis import packet_log
+from repro.cli import main
 from repro.harness.scenarios import send_data
-from repro.metrics.overhead import (
-    cbt_control_overhead,
-    deliveries_per_packet,
-    trace_overhead,
-)
-from repro.netsim.packet import PROTO_UDP
+from repro.metrics.overhead import trace_overhead
 from tests.conftest import join_members
 
 
@@ -33,48 +29,48 @@ class TestTraceOverhead:
         assert report.data_transmissions == 0
 
     def test_cbt_control_overhead_by_type(self, figure1_full_tree):
+        # Per-type control counts are the registry's tx counters.
         domain, group = figure1_full_tree
-        totals = cbt_control_overhead(domain)
-        assert totals.get("JOIN_REQUEST", 0) >= 8
-        assert totals.get("JOIN_ACK", 0) >= 8
-        assert "HELLO" not in totals
-        with_hello = cbt_control_overhead(domain, exclude_hello=False)
-        assert with_hello.get("HELLO", 0) > 0
-
-    def test_deliveries_per_packet(self, figure1_full_tree, figure1_network):
-        domain, group = figure1_full_tree
-        uid = send_data(figure1_network, "G", group, count=1)[0]
-        hosts = [figure1_network.host(n) for n in ("A", "B", "H")]
-        assert deliveries_per_packet(figure1_network.trace, uid, hosts) == 3
+        registry = domain.telemetry.registry
+        assert registry.total("cbt.router.*.tx.join_request") >= 8
+        assert registry.total("cbt.router.*.tx.join_ack") >= 8
+        assert registry.total("cbt.router.*.tx.hello") > 0
+        assert domain.control_messages_sent(exclude_hello=False) == (
+            domain.control_messages_sent() + registry.total("cbt.router.*.tx.hello")
+        )
 
 
 class TestPacketLog:
-    def test_lists_transmissions(self, figure1_full_tree, figure1_network):
-        domain, group = figure1_full_tree
-        figure1_network.trace.clear()
-        send_data(figure1_network, "G", group, count=1)
-        log = packet_log(figure1_network.trace)
-        assert "tx" in log
-        assert "ttl=" in log and "len=" in log
+    """The packet listing is ``repro trace --type packet``: the
+    walkthrough's packet trace as ``repro-trace/1`` records."""
 
-    def test_proto_filter(self, figure1_full_tree, figure1_network):
-        domain, group = figure1_full_tree
-        figure1_network.trace.clear()
-        send_data(figure1_network, "G", group, count=1)
-        udp_only = packet_log(figure1_network.trace, protos=(PROTO_UDP,))
-        assert " cbt " not in udp_only
+    @staticmethod
+    def _listing(capsys, *argv):
+        assert main(["trace", *argv]) == 0
+        return capsys.readouterr().out.splitlines()
 
-    def test_limit_and_overflow_note(self, figure1_full_tree, figure1_network):
-        domain, group = figure1_full_tree
-        send_data(figure1_network, "G", group, count=3)
-        log = packet_log(figure1_network.trace, limit=3)
-        assert "more records" in log
-        assert len([l for l in log.splitlines() if l.endswith(")") or "ttl=" in l]) >= 3
+    def test_lists_transmissions(self, capsys):
+        lines = self._listing(capsys, "--type", "packet", "--limit", "0")
+        tx = [line for line in lines if "kind=tx" in line]
+        assert tx and len(tx) < len(lines)  # rx records are listed too
+        assert all("src=" in line and "dst=" in line and "size=" in line for line in tx)
+        assert any("label=JOIN_REQUEST" in line for line in tx)
 
-    def test_empty(self):
-        from repro.netsim.trace import PacketTrace
+    def test_proto_filter(self, capsys):
+        packets = self._listing(capsys, "--type", "packet", "--limit", "0")
+        assert packets and all(" packet " in line for line in packets)
+        protocol = self._listing(capsys, "--type", "protocol", "--limit", "0")
+        assert protocol and not any(" packet " in line for line in protocol)
 
-        assert "(no matching records)" in packet_log(PacketTrace())
+    def test_limit_and_overflow_note(self, capsys):
+        lines = self._listing(capsys, "--type", "packet", "--limit", "3")
+        assert len(lines) == 4
+        assert all("kind=" in line for line in lines[:3])
+        assert "more records" in lines[3]
+
+    def test_empty(self, capsys):
+        # The walkthrough injects no faults.
+        assert self._listing(capsys, "--type", "fault") == ["(no records)"]
 
 
 class TestDVMRPEdges:

@@ -1,4 +1,4 @@
-"""Tests for report assembly and trace export."""
+"""Tests for report assembly and run export."""
 
 import json
 import os
@@ -11,11 +11,8 @@ from repro.cli import main
 from repro.harness.report import (
     build_report,
     collect_results,
-    export_trace,
-    load_trace_summary,
     write_report,
 )
-from repro.harness.scenarios import send_data
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 COMMITTED = REPO / "benchmarks" / "results"
@@ -95,26 +92,20 @@ class TestReportFailsTyped:
 
 
 class TestTraceExport:
-    def test_roundtrip(self, tmp_path, figure1_full_tree, figure1_network):
-        domain, group = figure1_full_tree
-        send_data(figure1_network, "G", group, count=1)
-        out = tmp_path / "trace.jsonl"
-        written = export_trace(figure1_network.trace, str(out))
-        assert written == len(figure1_network.trace)
-        counts = load_trace_summary(str(out))
-        assert counts.get("tx", 0) > 0
-        assert counts.get("rx", 0) > 0
+    def test_roundtrip(self, tmp_path):
+        # A run exports as repro-trace/1: the bus records and every
+        # packet-trace record, read back in full by load_jsonl.
+        from repro.cli import _run_figure1
+        from repro.telemetry import load_jsonl
 
-    def test_limit(self, tmp_path, figure1_full_tree, figure1_network):
-        domain, group = figure1_full_tree
         out = tmp_path / "trace.jsonl"
-        written = export_trace(figure1_network.trace, str(out), limit=5)
-        assert written == 5
+        assert main(["trace", "--jsonl", str(out)]) == 0
         with open(out) as f:
-            lines = f.readlines()
-        assert len(lines) == 5
-        record = json.loads(lines[0])
-        assert {"time", "kind", "link", "node", "proto"} <= set(record)
+            records = load_jsonl(f)
+        net = _run_figure1()[0]  # the same deterministic run
+        assert len(records) == len(net.telemetry.bus) + len(net.trace)
+        kinds = {r.kind for r in records if r.RECORD_TYPE == "packet"}
+        assert {"tx", "rx"} <= kinds
 
 
 class TestCommittedTables:

@@ -17,7 +17,7 @@ from repro.core.messages import MessageType
 from repro.explore.scenarios import SCENARIOS as EXPLORE_SCENARIOS
 from repro.harness.campaign import TOPOLOGIES
 from repro.harness.scenarios import FAST_TIMERS, build_cbt_group
-from repro.metrics.overhead import cbt_control_overhead, trace_overhead
+from repro.metrics.overhead import trace_overhead
 from repro.telemetry.conservation import check_conservation
 from tests import reference_sweeps
 
@@ -139,9 +139,13 @@ class TestControlCountAgreement:
                 msg_type = counter_name[len(prefix):].upper()
                 if value:
                     by_name[msg_type] = by_name.get(msg_type, 0) + value
-        assert cbt_control_overhead(domain, exclude_hello=False) == by_name
+        sent = {}
+        for protocol in domain.protocols.values():
+            for msg_type, count in protocol.stats.sent.items():
+                sent[msg_type] = sent.get(msg_type, 0) + count
+        assert sent == by_name
         by_name.pop("HELLO")
-        assert cbt_control_overhead(domain) == by_name
+        assert sum(by_name.values()) == domain.control_messages_sent()
         assert by_name  # non-trivial totals
 
     def test_walkthrough_count_matches_the_wire_records(self):
@@ -150,7 +154,7 @@ class TestControlCountAgreement:
         from repro.cli import _run_figure1
 
         net, domain, _group, _members = _run_figure1()
-        sent = sum(cbt_control_overhead(domain, exclude_hello=False).values())
+        sent = domain.control_messages_sent(exclude_hello=False)
         assert sent > 0
         assert check_conservation(net, domain) == []
         assert trace_overhead(net.trace).control_messages == sent
@@ -166,9 +170,7 @@ class TestControlCountAgreement:
             for msg_type in MessageType
         )
         assert trace_overhead(network.trace).control_messages == on_wire
-        assert on_wire < sum(
-            cbt_control_overhead(domain, exclude_hello=False).values()
-        )
+        assert on_wire < domain.control_messages_sent(exclude_hello=False)
 
 
 class TestSnapshotDeterminism:

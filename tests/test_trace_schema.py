@@ -178,9 +178,14 @@ class TestTraceBus:
 class TestGoldenFigure1:
     """The Figure-1 walkthrough trace is pinned byte-for-byte.
 
-    Regenerate after an intentional behaviour change with::
+    The pinned stream is the trace bus alone (``repro trace --jsonl``
+    adds the packet records).  Regenerate after an intentional
+    behaviour change with::
 
-        PYTHONPATH=src python -m repro trace --jsonl tests/traces/figure1.jsonl
+        PYTHONPATH=src python -c "import sys; from repro.cli import _run_figure1; \
+        from repro.telemetry import dump_jsonl; \
+        dump_jsonl(_run_figure1()[0].telemetry.bus.records(), sys.stdout)" \
+        > tests/traces/figure1.jsonl
     """
 
     def _walkthrough_stream(self) -> str:
@@ -195,18 +200,51 @@ class TestGoldenFigure1:
         assert self._walkthrough_stream() == golden
 
     def test_protocol_events_are_the_bus_records(self):
-        # A protocol's ``events`` is a plain list; what it records is
-        # published to the bus by the same call, as the same object.
+        # The bus is the one store of protocol milestones: a router's
+        # ``events_of`` is a view over it, and the domain's quiescence
+        # counter (the per-kind counters) counts exactly its records.
         from repro.cli import _run_figure1
 
         net, domain, _group, _members = _run_figure1()
         on_bus = net.telemetry.bus.records("protocol")
         assert on_bus
+        assert not hasattr(domain.protocol("R4"), "events")
+        assert domain.events_total() == len(on_bus)
         for name, protocol in domain.protocols.items():
-            assert type(protocol.events) is list
             mine = [r for r in on_bus if r.router == name]
-            assert len(mine) == len(protocol.events)
-            assert all(a is b for a, b in zip(mine, protocol.events))
+            for kind in {r.kind for r in mine}:
+                view = protocol.events_of(kind)
+                expected = [r for r in mine if r.kind == kind]
+                assert len(view) == len(expected)
+                assert all(a is b for a, b in zip(view, expected))
+
+    def test_events_total_counts_a_chaos_cells_protocol_records(self, monkeypatch):
+        # At every quiescence reading of a chaos cell — faults, rejoins
+        # and flushes included — the counter equals the domain's
+        # protocol records on the bus (membership and fault records,
+        # also on the bus, are not counted).
+        import dataclasses
+
+        from repro.harness import campaign
+
+        readings = []
+        leg = campaign.LEGS["cbt"]
+
+        def activity(domain):
+            names = set(domain.protocols)
+            bus = domain.telemetry.bus
+            records = [r for r in bus.records("protocol") if r.router in names]
+            readings.append((leg.activity(domain), len(records), len(bus)))
+            return readings[-1][0]
+
+        monkeypatch.setitem(
+            campaign.LEGS, "cbt", dataclasses.replace(leg, activity=activity)
+        )
+        result = campaign.run_scenario("core_crash", topology="waxman16", seed=3)
+        assert result.recovered and len(readings) > 2
+        assert all(total == records for total, records, _ in readings)
+        assert any(records < on_bus for _, records, on_bus in readings)
+        assert readings[-1][0] > readings[0][0]
 
     def test_golden_trace_parses(self):
         with open(os.path.join(GOLDEN_DIR, "figure1.jsonl")) as fh:

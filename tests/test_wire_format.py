@@ -211,7 +211,7 @@ class TestCorruptionHandling:
         def state():
             return (
                 p3.decode_errors,
-                len(p3.events),
+                domain.events_total(),
                 dict(p3.stats.sent),
                 figure1_network.scheduler.events_scheduled,
             )
