@@ -184,6 +184,3 @@ class MulticastReceiver:
 
     def stats_for(self, stream_id: str) -> StreamStats:
         return self.streams.setdefault(stream_id, StreamStats())
-
-    def total_received(self) -> int:
-        return sum(s.received for s in self.streams.values())

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.baselines.dvmrp import DenseModeDomain
 from repro.igmp.router_side import IGMPConfig, IGMPRouterAgent
@@ -870,8 +870,3 @@ class HPIMDMDomain(DenseModeDomain):
                                 f"neighbour {addr} on vif {vif}"
                             )
         return findings
-
-
-def iter_messages() -> Iterable[type]:
-    """The control-message classes (telemetry label registration)."""
-    return (HpimHello, HpimAssert, HpimInterest, HpimAck)

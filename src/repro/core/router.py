@@ -378,8 +378,7 @@ class CBTProtocol:
         pend = self.pending.pop(group, None)
         if entry is None and pend is None and group not in self.rejoins:
             return  # never touched this group: nothing to shed
-        self.rejoins.pop(group, None)
-        self._cancel_rejoin_timer(group)
+        self._drop_rejoin(group)
         self._cancel_quit(group)
         if pend is not None:
             pend.cancel_timers()
@@ -415,13 +414,7 @@ class CBTProtocol:
         self._cancel_quit(group)
         self._record("graft", group, detail=str(cores[0]))
         self._flush_child_on_path(group, cores[0])
-        return self._join_or_arm_retry(
-            group,
-            cores=cores,
-            target_core=cores[0],
-            subcode=JoinSubcode.REJOIN_ACTIVE,
-            origin=self.address,
-        )
+        return self._join_primary(group, cores, cores[0])
 
     def events_of(self, kind: str) -> List[ProtocolEvent]:
         """This router's ``kind`` milestones, read from the trace bus."""
@@ -489,33 +482,59 @@ class CBTProtocol:
         if not cores:
             self._want_join[group] = interface.vif
             return
-        if self.is_primary_core_for(group):
-            # The primary core is the tree root; a member subnet on it
-            # needs no join at all.
-            self.fib.get_or_create(group)
-            self._record("joined", group, detail="primary core root")
-            return
-        if self.is_core_for(group):
-            # A secondary core with local members joins the primary.
-            self.fib.get_or_create(group)
-            self._join_or_arm_retry(
-                group,
-                cores=cores,
-                target_core=cores[0],
-                subcode=JoinSubcode.REJOIN_ACTIVE,
-                origin=self.address,
-            )
-            return
         # Honour the target core the local RP/Core-Report named (the
         # appendix's "target core" field); default to the primary.
         target_index = self._target_core_index.get(group, 0)
         target = cores[target_index] if target_index < len(cores) else cores[0]
+        self._attach(group, cores, target, interface.address)
+
+    def _attach(
+        self,
+        group: IPv4Address,
+        cores: Tuple[IPv4Address, ...],
+        target: IPv4Address,
+        origin: IPv4Address,
+    ) -> None:
+        """Join ``group``'s tree as this router's role directs.
+
+        The primary core is the tree root (§2.1): a member subnet on it
+        needs no join at all, and "joining toward cores[0]" would
+        target its own address, whose no-route fallback then grafts
+        the primary under a secondary.  A secondary core joins the
+        primary (§2.5).  Any other router joins ``target`` on behalf
+        of the member subnet at ``origin``.
+        """
+        if self.is_primary_core_for(group):
+            self.fib.get_or_create(group)
+            self._record("joined", group, detail="primary core root")
+            return
+        if self.is_core_for(group):
+            self.fib.get_or_create(group)
+            self._join_primary(group, cores, cores[0])
+            return
         self._join_or_arm_retry(
             group,
             cores=cores,
             target_core=target,
             subcode=JoinSubcode.ACTIVE_JOIN,
-            origin=interface.address,
+            origin=origin,
+        )
+
+    def _join_primary(
+        self,
+        group: IPv4Address,
+        cores: Tuple[IPv4Address, ...],
+        primary: IPv4Address,
+    ) -> bool:
+        """The active rejoin toward ``primary`` from this router's own
+        address: a secondary core's (§2.5), a grafting old primary's,
+        and a quitting router's that gained a child."""
+        return self._join_or_arm_retry(
+            group,
+            cores=cores,
+            target_core=primary,
+            subcode=JoinSubcode.REJOIN_ACTIVE,
+            origin=self.address,
         )
 
     # ------------------------------------------------------------------
@@ -627,82 +646,106 @@ class CBTProtocol:
         )
 
     def _expire_pending(self, group: IPv4Address, originator: bool) -> None:
-        pend = self.pending.get(group)
+        pend = self.pending.pop(group, None)
         if pend is None:
             return
         if originator:
-            self._join_attempt_failed(group)
+            self._join_attempt_failed(pend)
         else:
             # Transit router: silently drop the transient state
             # (spec §9 EXPIRE-PENDING-JOIN).
             pend.cancel_timers()
-            del self.pending[group]
 
-    def _join_attempt_failed(self, group: IPv4Address) -> None:
-        """A join attempt timed out or was NACKed: try an alternate core."""
-        pend = self.pending.pop(group, None)
-        if pend is None:
-            return
+    def _join_attempt_failed(self, pend: PendingJoin) -> None:
+        """Our join ``pend`` (already out of ``self.pending``) timed out
+        or was NACKed: try an alternate core."""
+        group = pend.group
         pend.cancel_timers()
         self._nack_cached(pend)
-        if self.is_primary_core_for(group):
-            # Promoted to primary while this join was in flight (core
-            # re-announcement): the primary is the root and must not
-            # chase foreign cores.  Stand as root.
-            self.rejoins.pop(group, None)
-            self._cancel_rejoin_timer(group)
-            self.fib.get_or_create(group)
-            return
-        attempt = self.rejoins.get(group)
-        now = self.router.scheduler.now
-        if attempt is None:
-            attempt = RejoinAttempt(
+        if group not in self.rejoins:
+            self.rejoins[group] = RejoinAttempt(
                 group=group,
                 started_at=pend.created_at,
                 cores=pend.cores,
                 core_index=self._core_index(pend.cores, pend.target_core),
             )
-            self.rejoins[group] = attempt
-        if attempt.expired(
-            now, self.timers.reconnect_timeout
-        ) and not self.is_core_for(group):
-            # Non-core: flush and let descendants re-home.  A core
-            # stays a legitimate root for its partition (§6.1).
-            self._give_up(group)
+        self._retry_next_core(group, pend.cores, pend.subcode, pend.origin)
+
+    def _retry_next_core(
+        self,
+        group: IPv4Address,
+        cores: Tuple[IPv4Address, ...],
+        subcode: JoinSubcode,
+        origin: IPv4Address,
+    ) -> None:
+        """Retry a failed join toward the rejoin attempt's next core,
+        with the failed join's cores, subcode and origin."""
+        attempt = self.rejoins.get(group)
+        if attempt is None or group in self.pending:
+            return  # settled, or joining again, since this retry was armed
+        core = self._next_rejoin_core(group, attempt)
+        if core is None:
             return
-        next_core = self._next_foreign_core(attempt)
-        if next_core is None:
-            # Every listed core is local: we are the only core left —
-            # stand as the partition root instead of joining ourselves.
-            self.rejoins.pop(group, None)
-            self._cancel_rejoin_timer(group)
-            return
-        self._record("retry", group, detail=str(next_core))
-        self._flush_child_on_path(group, next_core)
+        self._record("retry", group, detail=str(core))
+        self._flush_child_on_path(group, core)
         started = self._originate_join(
-            group,
-            cores=pend.cores,
-            target_core=next_core,
-            subcode=pend.subcode,
-            origin=pend.origin,
+            group, cores=cores, target_core=core, subcode=subcode, origin=origin
         )
         if not started:
-            # No route to this core either; re-enter failure handling
-            # after a retransmission interval rather than recursing.
+            # No route to this core either; retry after a
+            # retransmission interval rather than recursing.
             self._rejoin_timers[group] = self.router.scheduler.call_later(
                 self.timers.pend_join_interval,
-                self._retry_failed_join,
+                self._retry_next_core,
                 group,
-                pend,
+                cores,
+                subcode,
+                origin,
             )
 
-    def _retry_failed_join(self, group: IPv4Address, pend: PendingJoin) -> None:
-        if group in self.pending or group not in self.rejoins:
-            return
-        self.pending[group] = pend  # re-seed so failure logic re-runs
-        self._join_attempt_failed(group)
+    def _next_rejoin_core(
+        self, group: IPv4Address, attempt: RejoinAttempt
+    ) -> Optional[IPv4Address]:
+        """The core ``attempt`` tries next (§6.1), or ``None`` when the
+        attempt ends here instead.
 
-    def _cancel_rejoin_timer(self, group: IPv4Address) -> None:
+        A primary core (promoted by a core re-announcement while the
+        attempt ran) is the root and must not chase foreign cores: it
+        stands as root.  A non-core past the reconnect deadline gives
+        up, flushing so its descendants re-home; a core stays a
+        legitimate root for its partition and keeps retrying until
+        the topology heals.  The core cycle skips addresses this router
+        owns; when every listed core is local, this router is the only
+        core left and stands as the partition root.
+        """
+        if self.is_primary_core_for(group):
+            self._drop_rejoin(group)
+            self.fib.get_or_create(group)
+            return None
+        if attempt.expired(
+            self.router.scheduler.now, self.timers.reconnect_timeout
+        ) and not self.is_core_for(group):
+            self._give_up(group)
+            return None
+        for _ in range(len(attempt.cores)):
+            core = attempt.advance_core()
+            if not self.router.owns_address(core):
+                return core
+        self._drop_rejoin(group)
+        return None
+
+    def _arm_rejoin(self, group: IPv4Address) -> None:
+        """(Re)arm the retry timer that drives ``group``'s rejoin."""
+        timer = self._rejoin_timers.get(group)
+        if timer is not None:
+            timer.cancel()
+        self._rejoin_timers[group] = self.router.scheduler.call_later(
+            self.timers.pend_join_interval, self._retry_rejoin, group
+        )
+
+    def _drop_rejoin(self, group: IPv4Address) -> None:
+        """End ``group``'s rejoin attempt and its retry timer."""
+        self.rejoins.pop(group, None)
         timer = self._rejoin_timers.pop(group, None)
         if timer is not None:
             timer.cancel()
@@ -737,24 +780,8 @@ class CBTProtocol:
                     cores=cores,
                     core_index=self._core_index(cores, target_core),
                 )
-            self._cancel_rejoin_timer(group)
-            self._rejoin_timers[group] = self.router.scheduler.call_later(
-                self.timers.pend_join_interval, self._retry_rejoin, group
-            )
+            self._arm_rejoin(group)
         return started
-
-    def _next_foreign_core(self, attempt: RejoinAttempt) -> Optional[IPv4Address]:
-        """Advance the attempt's core cycle, skipping addresses we own.
-
-        Returns ``None`` when every listed core is local — this router
-        is the only core, so it stays root rather than rejoining.
-        """
-        core = attempt.advance_core()
-        for _ in range(len(attempt.cores)):
-            if not self.router.owns_address(core):
-                return core
-            core = attempt.advance_core()
-        return None
 
     @staticmethod
     def _core_index(cores: Tuple[IPv4Address, ...], core: IPv4Address) -> int:
@@ -765,8 +792,7 @@ class CBTProtocol:
 
     def _give_up(self, group: IPv4Address) -> None:
         """Reconnect timeout exhausted (§6.1): flush downstream, clear."""
-        self.rejoins.pop(group, None)
-        self._cancel_rejoin_timer(group)
+        self._drop_rejoin(group)
         entry = self.fib.get(group)
         if entry is not None and entry.has_children:
             self._send_flush_downstream(entry)
@@ -787,13 +813,7 @@ class CBTProtocol:
         if not member_vifs or not cores:
             return
         origin = self.router.interface_for_vif(member_vifs[0]).address
-        self._join_or_arm_retry(
-            group,
-            cores=cores,
-            target_core=cores[0],
-            subcode=JoinSubcode.ACTIVE_JOIN,
-            origin=origin,
-        )
+        self._attach(group, cores, cores[0], origin)
 
     def _flush_child_on_path(self, group: IPv4Address, core: IPv4Address) -> None:
         """§2.7: tear down a downstream branch that lies on the join path."""
@@ -1000,13 +1020,7 @@ class CBTProtocol:
         if primary is not None and not self.router.owns_address(primary):
             # Secondary core: ack first, then join the primary (§2.5).
             self._record("core_activated", group, detail="secondary")
-            self._join_or_arm_retry(
-                group,
-                cores=message.cores,
-                target_core=primary,
-                subcode=JoinSubcode.REJOIN_ACTIVE,
-                origin=self.address,
-            )
+            self._join_primary(group, message.cores, primary)
         else:
             self._record("core_activated", group, detail="primary")
 
@@ -1102,13 +1116,7 @@ class CBTProtocol:
             return
         entry.clear_parent()
         self._parent_last_reply.pop(group, None)
-        self._join_or_arm_retry(
-            group,
-            cores=cores,
-            target_core=cores[0],
-            subcode=JoinSubcode.REJOIN_ACTIVE,
-            origin=self.address,
-        )
+        self._join_primary(group, cores, cores[0])
 
     def _has_other_cbt_router(
         self, interface: Interface, origin: IPv4Address
@@ -1158,15 +1166,11 @@ class CBTProtocol:
                         started_at=self.router.scheduler.now,
                         cores=pend.cores,
                     )
-                self._cancel_rejoin_timer(group)
-                self._rejoin_timers[group] = self.router.scheduler.call_later(
-                    self.timers.pend_join_interval, self._retry_rejoin, group
-                )
+                self._arm_rejoin(group)
                 return
             # Childless: the G-DR covers our LAN members; any leftover
             # parentless entry would be a stranded root.
-            self.rejoins.pop(group, None)
-            self._cancel_rejoin_timer(group)
+            self._drop_rejoin(group)
             if entry is not None:
                 self._clear_group(group)
                 self._record("yield_lan", group, detail=str(src))
@@ -1199,8 +1203,7 @@ class CBTProtocol:
             self._c_joins_completed.inc()
             self._record("joined", group, detail=f"{latency:.4f}")
         if group in self.rejoins:
-            self.rejoins.pop(group, None)
-            self._cancel_rejoin_timer(group)
+            self._drop_rejoin(group)
             self._record("rejoined", group)
         self._nack_stale_cached(pend)
         self._replay_cached(pend)
@@ -1294,8 +1297,7 @@ class CBTProtocol:
             self._nack_cached(pend)
             return
         # We originated the join: try an alternate core (§6.1).
-        self.pending[group] = pend  # _join_attempt_failed pops it again
-        self._join_attempt_failed(group)
+        self._join_attempt_failed(pend)
 
     # -- NACTIVE rejoin loop detection (§6.3) -----------------------------------------
 
@@ -1376,9 +1378,7 @@ class CBTProtocol:
         if attempt.expired(self.router.scheduler.now, self.timers.reconnect_timeout):
             self._give_up(group)
             return
-        self._rejoin_timers[group] = self.router.scheduler.call_later(
-            self.timers.pend_join_interval, self._retry_rejoin, group
-        )
+        self._arm_rejoin(group)
 
     def _retry_rejoin(self, group: IPv4Address) -> None:
         attempt = self.rejoins.get(group)
@@ -1387,29 +1387,20 @@ class CBTProtocol:
         entry = self.fib.get(group)
         if entry is not None and entry.has_parent:
             return  # already reattached
-        if self.is_primary_core_for(group):
-            # A core-list re-announcement can promote us to primary
-            # while a rejoin attempt (seeded when we were ordinary)
-            # is still armed.  The primary is the root: cycling on
-            # to a foreign core would graft the root under its own
-            # tree.  Stand as root and drop the attempt.
-            self.rejoins.pop(group, None)
-            self._cancel_rejoin_timer(group)
-            self.fib.get_or_create(group)
-            return
-        if attempt.expired(
-            self.router.scheduler.now, self.timers.reconnect_timeout
-        ) and not self.is_core_for(group):
-            # Non-core: flush and let descendants re-home.  A core
-            # stays a legitimate root for its partition and keeps
-            # retrying until the topology heals (§6.1).
-            self._give_up(group)
-            return
-        core = self._next_foreign_core(attempt)
-        if core is None:
-            self.rejoins.pop(group, None)
-            self._cancel_rejoin_timer(group)
-            return  # we are the only core: nothing to rejoin to
+        core = self._next_rejoin_core(group, attempt)
+        if core is not None:
+            self._rejoin_toward(group, entry, attempt.cores, core)
+
+    def _rejoin_toward(
+        self,
+        group: IPv4Address,
+        entry: Optional[FIBEntry],
+        cores: Tuple[IPv4Address, ...],
+        core: IPv4Address,
+    ) -> None:
+        """Rejoin toward ``core`` from this router's own address (§6.1):
+        actively when a subtree hangs below us, after flushing the
+        child that lies on the path."""
         subcode = (
             JoinSubcode.REJOIN_ACTIVE
             if entry is not None and entry.has_children
@@ -1417,20 +1408,14 @@ class CBTProtocol:
         )
         self._flush_child_on_path(group, core)
         started = self._originate_join(
-            group,
-            cores=attempt.cores,
-            target_core=core,
-            subcode=subcode,
-            origin=self.address,
+            group, cores=cores, target_core=core, subcode=subcode, origin=self.address
         )
         if not started:
-            # No route to this core right now (e.g. mid-partition):
-            # keep the retry chain alive instead of stranding the
-            # group in rejoin state forever; the reconnect deadline
-            # above still bounds the loop.
-            self._rejoin_timers[group] = self.router.scheduler.call_later(
-                self.timers.pend_join_interval, self._retry_rejoin, group
-            )
+            # No route to this core right now (it may sit behind the
+            # failure itself, or mid-partition): keep the retry chain
+            # alive instead of stranding the group in rejoin state
+            # forever; the reconnect deadline still bounds the loop.
+            self._arm_rejoin(group)
 
     # -- QUIT (§2.7) -------------------------------------------------------------------
 
@@ -1563,34 +1548,8 @@ class CBTProtocol:
         if member_vifs:
             cores = self.cores_for(group)
             if cores:
-                if self.is_primary_core_for(group):
-                    # The re-join must mirror _maybe_join's core logic:
-                    # the primary IS the root, so "rejoin toward
-                    # cores[0]" would target our own address — and the
-                    # no-route fallback then arms a retry that grafts
-                    # the primary under a *secondary*, inverting the
-                    # tree (found by the migration chaos scenarios).
-                    self.fib.get_or_create(group)
-                    self._record("joined", group, detail="primary core root")
-                    return
-                if self.is_core_for(group):
-                    self.fib.get_or_create(group)
-                    self._join_or_arm_retry(
-                        group,
-                        cores=cores,
-                        target_core=cores[0],
-                        subcode=JoinSubcode.REJOIN_ACTIVE,
-                        origin=self.address,
-                    )
-                    return
                 origin = self.router.interface_for_vif(member_vifs[0]).address
-                self._join_or_arm_retry(
-                    group,
-                    cores=cores,
-                    target_core=cores[0],
-                    subcode=JoinSubcode.ACTIVE_JOIN,
-                    origin=origin,
-                )
+                self._attach(group, cores, cores[0], origin)
 
     def _clear_group(self, group: IPv4Address) -> None:
         entry = self.fib.get(group)
@@ -1601,8 +1560,7 @@ class CBTProtocol:
         self._parent_last_reply.pop(group, None)
         self._loop_count.pop(group, None)
         self._cancel_quit(group)
-        self.rejoins.pop(group, None)
-        self._cancel_rejoin_timer(group)
+        self._drop_rejoin(group)
         pend = self.pending.pop(group, None)
         if pend is not None:
             pend.cancel_timers()
@@ -1774,27 +1732,7 @@ class CBTProtocol:
             group=group, started_at=self.router.scheduler.now, cores=cores
         )
         self.rejoins[group] = attempt
-        subcode = (
-            JoinSubcode.REJOIN_ACTIVE
-            if entry.has_children
-            else JoinSubcode.ACTIVE_JOIN
-        )
-        core = attempt.current_core()
-        self._flush_child_on_path(group, core)
-        started = self._originate_join(
-            group,
-            cores=cores,
-            target_core=core,
-            subcode=subcode,
-            origin=self.address,
-        )
-        if not started:
-            # No route to the first-choice core (it may sit behind the
-            # failure itself): without a live retry the group would be
-            # stranded in rejoin state forever.
-            self._rejoin_timers[group] = self.router.scheduler.call_later(
-                self.timers.pend_join_interval, self._retry_rejoin, group
-            )
+        self._rejoin_toward(group, entry, cores, attempt.current_core())
 
     # -- HELLO / neighbour discovery ----------------------------------------
 

@@ -57,8 +57,10 @@ class PendingJoin:
     retransmit_timer: Optional[Timer] = None
     expiry_timer: Optional[Timer] = None
     retransmissions: int = 0
-    #: Index into ``cores`` of the core currently being tried; failure
-    #: recovery advances this when a core proves unreachable (§6.1).
+    #: Always 0: nothing advances it.  Failure recovery advances
+    #: :attr:`RejoinAttempt.core_index` instead (§6.1).  Kept because
+    #: ``explore.fingerprint.protocol_state`` reads it, so dropping it
+    #: would move every visited-state digest.
     core_index: int = 0
 
     @property

@@ -83,11 +83,6 @@ class ExploreOptions:
     #: periodic keepalive storm (every router HELLOs at the same tick)
     #: floods the decision budget with meaningless orderings.
     quiet_types: Tuple[str, ...] = ("HELLO", "ECHO_REQUEST", "ECHO_REPLY")
-    #: Branch same-instant deliveries that are pure broadcast fan-out
-    #: of a single transmission (same datagram uid).
-    branch_fanout: bool = False
-    #: Branch tie groups containing only untagged (timer) events.
-    branch_untagged: bool = False
     #: Runaway guard on total runs (``ExploreStats.runs``) across the
     #: whole exploration.
     max_runs: int = 20_000
@@ -363,11 +358,10 @@ class _Controller:
             for tag in tagged
             if tag[0] != "deliver" or tag[1] not in self.options.quiet_types
         ]
-        if not interesting and not self.options.branch_untagged:
+        if not interesting:
             return 0
         if (
-            not self.options.branch_fanout
-            and len(tagged) == len(tags)
+            len(tagged) == len(tags)
             and all(tag[0] == "deliver" for tag in tagged)
             and len({tag[-1] for tag in tagged}) == 1
         ):

@@ -86,7 +86,7 @@ def dump_schedule(payload: Dict[str, object]) -> str:
 
 def _check_options(options: object) -> None:
     """Every known ``ExploreOptions`` field has its default's type:
-    a non-negative int, a bool, or a list of strings.  Unknown keys are
+    a non-negative int or a list of strings.  Unknown keys are
     ignored, as :meth:`ExploreOptions.from_dict` ignores them."""
     if not isinstance(options, dict):
         raise ScheduleFormatError("options must be a JSON object")
@@ -97,8 +97,6 @@ def _check_options(options: object) -> None:
         default = getattr(defaults, key)
         if isinstance(default, tuple):
             valid = isinstance(value, list) and all(isinstance(v, str) for v in value)
-        elif isinstance(default, bool):
-            valid = isinstance(value, bool)
         else:
             valid = natural(value)
         if not valid:

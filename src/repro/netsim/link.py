@@ -164,9 +164,6 @@ class Link:
         interface.attach(self)
         self.notify_topology_changed()
 
-    def interface_by_address(self, address: IPv4Address) -> Optional[Interface]:
-        return self._by_address.get(address)
-
     def set_up(self, up: bool) -> None:
         """Administratively raise or fail the link."""
         if up != self.up:

@@ -239,9 +239,6 @@ class LinkStateRouting:
         if "invalidate_topology" in self.__dict__:  # else the constructor raised
             self.close()
 
-    def _link_cost(self, router: Router, link: Link) -> float:
-        return self._cost_overrides.get((router.name, link.name), link.cost)
-
     # -- cached views --------------------------------------------------------
 
     def routers_by_name(self) -> Dict[str, Router]:

@@ -122,7 +122,6 @@ class Figure5:
     """
 
     network: Network
-    core_name: str = "R1"
 
     def isolate_chain(self) -> None:
         for name in FIGURE5_SHORTCUTS:

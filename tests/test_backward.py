@@ -46,6 +46,22 @@ def _disable_bug11_fix():
     )
 
 
+# -- inverse-rule catalogue ---------------------------------------------------
+
+
+def test_every_rule_transition_names_a_router_handler():
+    """A rule's ``transition`` is free text: each ``/``-separated name in
+    it must still be a :class:`CBTProtocol` method, so code moving
+    between handlers keeps the catalogue in step."""
+    missing = [
+        (rule.predicate, name)
+        for rule in INVERSE_RULES
+        for name in (part.strip() for part in rule.transition.split("/"))
+        if not callable(getattr(CBTProtocol, name, None))
+    ]
+    assert missing == []
+
+
 # -- predicate catalogue ----------------------------------------------------
 
 

@@ -667,3 +667,73 @@ def _string_sites(text):
 @pytest.mark.parametrize("text", sorted(ONE_EMITTER))
 def test_one_place_emits_each_tree_finding(text):
     assert _string_sites(text) == [ONE_EMITTER[text]]
+
+
+# -- one attach rule ----------------------------------------------------------------
+#
+# ``core/router.py`` states who roots a group's tree once: ``_attach``
+# picks a router's join by its role (the primary joins nothing, a
+# secondary core joins the primary), ``_join_primary`` is the one active
+# rejoin toward the primary, and ``_arm_rejoin`` the one place a rejoin's
+# retry timer is armed.  A second copy is a site the next fix misses.
+
+
+def _router_sites(predicate):
+    """Name of the ``core/router.py`` function around each node
+    ``predicate`` accepts."""
+    tree = ast.parse((SRC / "core" / "router.py").read_text(encoding="utf-8"))
+    return [
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if predicate(node)
+    ]
+
+
+def _keyword(node, arg, matches):
+    return isinstance(node, ast.keyword) and node.arg == arg and matches(node.value)
+
+
+def test_one_place_stands_the_primary_as_root():
+    def primary_root(node):
+        return _keyword(
+            node,
+            "detail",
+            lambda value: isinstance(value, ast.Constant)
+            and value.value == "primary core root",
+        )
+
+    assert _router_sites(primary_root) == ["_attach"]
+
+
+def test_one_place_rejoins_toward_the_primary():
+    def rejoin_active(node):
+        return _keyword(
+            node,
+            "subcode",
+            lambda value: isinstance(value, ast.Attribute)
+            and getattr(value.value, "id", None) == "JoinSubcode"
+            and value.attr == "REJOIN_ACTIVE",
+        )
+
+    assert _router_sites(rejoin_active) == ["_join_primary"]
+
+
+def test_one_place_arms_the_rejoin_retry():
+    def arms_retry_rejoin(node):
+        return (
+            isinstance(node, ast.Assign)
+            and any(
+                isinstance(target, ast.Subscript)
+                and getattr(target.value, "attr", None) == "_rejoin_timers"
+                for target in node.targets
+            )
+            and isinstance(node.value, ast.Call)
+            and any(
+                getattr(arg, "attr", None) == "_retry_rejoin"
+                for arg in node.value.args
+            )
+        )
+
+    assert _router_sites(arms_retry_rejoin) == ["_arm_rejoin"]
