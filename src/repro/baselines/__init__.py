@@ -18,8 +18,9 @@ source-based families of the day:
   (`repro.baselines.trees.shortest_path_tree`) — static tree
   construction used for the tree-cost (E3), delay (E4) and traffic
   concentration (E5) comparisons, alongside
-  :func:`repro.baselines.trees.shared_tree` (the CBT shape) and the
-  KMB Steiner heuristic the paper cites as the quality yardstick.
+  :func:`repro.baselines.trees.shared_tree` (a static model of the CBT
+  shape) and the KMB Steiner heuristic the paper cites as the quality
+  yardstick.
 """
 
 from repro.baselines.dvmrp import DVMRPDomain, DVMRPProtocol

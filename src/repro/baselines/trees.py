@@ -4,9 +4,9 @@ Three tree families, matching the paper's evaluation axes:
 
 * :func:`shortest_path_tree` — the per-source tree DVMRP/MOSPF build:
   the union of shortest paths from the source to each member.
-* :func:`shared_tree` — the CBT shape: the union of shortest paths
-  from each member *to the core* (joins follow unicast routing toward
-  the core, so this is exactly the tree the protocol builds).
+* :func:`shared_tree` — the static model of the CBT shape: the union
+  of shortest paths between the core and each member (the live tree,
+  built by joins, can differ from it; see its docstring).
 * :func:`kmb_steiner_tree` — the Kou-Markowsky-Berman 2-approximation
   of the Steiner minimal tree, the cost yardstick the shared-tree
   literature compares against.
@@ -44,27 +44,16 @@ def shortest_path_tree(
 def shared_tree(
     graph: Graph, core: str, members: Sequence[str], weight: str = "cost"
 ) -> Tree:
-    """The CBT tree: members join along their shortest path to the core.
+    """The static model of a CBT tree: the union of shortest paths
+    between the core and every member.
 
-    Join order does not matter for the resulting edge set because each
-    member's join follows its own unicast shortest path until it meets
-    the existing tree, and the union of those paths is order
-    independent when paths are deterministic (Dijkstra with stable
-    tie-breaks) — the protocol-level integration tests cross-check
-    this equivalence against trees the real CBT engine builds.
+    This is *not* the tree the protocol builds.  A live join follows
+    the member's own unicast next hop toward the core and stops at the
+    first on-tree router, so the live tree depends on routing
+    tie-breaks and join order, and can differ from this one in cost.
+    No test compares the two.
     """
-    tree = Tree(graph=graph, root=core)
-    dist, prev = graph.dijkstra(core, weight=weight)
-    for member in members:
-        if member == core:
-            continue
-        if member not in dist:
-            raise ValueError(f"{member} unreachable from {core}")
-        path = [member]
-        while path[-1] != core:
-            path.append(prev[path[-1]])
-        tree.add_path(path)
-    return tree
+    return shortest_path_tree(graph, core, members, weight)
 
 
 def kmb_steiner_tree(

@@ -3,7 +3,7 @@
 Commands:
 
 * ``walkthrough``  — replay the spec's Figure-1 story with rendered
-  trees and an event timeline;
+  trees and an event timeline; exits 1 if the audit finds an error;
 * ``loop``         — replay the Figure-5 rejoin-loop episode (§6.3);
 * ``compare``      — CBT vs DVMRP state/overhead on a random topology;
 * ``topology``     — generate a topology, build a group, show the tree;
@@ -94,7 +94,7 @@ def cmd_walkthrough(args: argparse.Namespace) -> int:
     )
     print()
     print(control_census(domain))
-    from repro.core.audit import audit_domain
+    from repro.core.audit import audit_domain, errors
 
     findings = audit_domain(domain)
     if findings:
@@ -106,7 +106,7 @@ def cmd_walkthrough(args: argparse.Namespace) -> int:
     if args.timeline:
         print()
         print(event_timeline(domain, group=group))
-    return 0
+    return 1 if errors(findings) else 0
 
 
 def cmd_loop(args: argparse.Namespace) -> int:

@@ -1,23 +1,26 @@
 """Domain auditing: a protocol ``fsck`` for CBT deployments.
 
-This module is the one place a CBT tree is checked: every reader
-below walks parent pointers with :func:`_parent_loops` and shares one
-copy of each per-router hard check.
+This module is the one place a CBT tree is checked.
+:func:`check_invariants` is the one whole-domain sweep, and every
+other whole-domain check builds on it; every reader below walks
+parent pointers with :func:`_parent_loops` and shares one copy of each
+per-router hard check.
 
-``audit_domain`` sweeps every router and reports findings — conditions
-that are either invariant violations (parent/child disagreement, tree
-loops) or operational smells (stale pending joins, stranded member
-LANs, double-served LANs).  Tests use it as a one-call health check;
-operators would run it from the CLI after incidents.
+:func:`check_invariants` reports errors only: conditions that must
+hold at any quiescent instant and may only appear transiently while
+the protocol converges.  The always-on :class:`InvariantAuditor`
+samples a running domain at a configurable interval and fails loudly
+— :class:`InvariantViolation` carrying the recent protocol event trace
+— when a violation outlives its grace window, i.e. when the §6
+recovery machinery demonstrably failed to repair the tree.
+``CBTDomain.assert_tree_consistent`` raises on its findings for one
+group.
 
-:func:`check_invariants` is the strict, error-only subset used by the
-always-on :class:`InvariantAuditor`: conditions that must hold at any
-quiescent instant and may only appear transiently while the protocol
-converges.  The auditor samples a running domain at a configurable
-interval and fails loudly — :class:`InvariantViolation` carrying the
-recent protocol event trace — when a violation outlives its grace
-window, i.e. when the §6 recovery machinery demonstrably failed to
-repair the tree.
+``audit_domain`` is :func:`check_invariants` plus the operational
+smells no invariant covers: a child no CBT router owns or that holds
+no state for the group (a stale child), and a member LAN served by no
+on-tree router or by several.  Tests use it as a one-call health
+check; ``repro walkthrough`` prints it and fails on any error.
 
 The systematic explorer (:mod:`repro.explore`) checks at two moments.
 :func:`transition_findings` runs after every explored transition,
@@ -55,99 +58,33 @@ class Finding:
 
 
 def audit_domain(domain, now: Optional[float] = None) -> List[Finding]:
-    """Audit every group on every router of a CBT domain."""
-    findings: List[Finding] = []
-    if now is None:
-        now = domain.network.scheduler.now
-
-    findings.extend(_check_relationships(domain))
-    groups = {
-        entry.group
-        for protocol in domain.protocols.values()
-        for entry in protocol.fib
-    }
-    findings.extend(_parent_loops(domain, domain.protocols, groups))
-    findings.extend(_check_transients(domain, now))
+    """Audit every group on every router of a CBT domain: the
+    :func:`check_invariants` errors, then the smells no invariant
+    covers (unknown or stale children, unserved or double-served
+    member LANs)."""
+    findings = check_invariants(domain, now)
+    findings.extend(_check_children(domain))
     findings.extend(_check_lan_service(domain))
     return findings
 
 
-def _check_relationships(domain) -> List[Finding]:
+def _check_children(domain) -> List[Finding]:
+    """Children that no CBT router owns, or whose router holds no
+    state for the group (stale; CHILD-ASSERT expires them)."""
     out: List[Finding] = []
-    for name, protocol in domain.protocols.items():
+    for name, protocol in _live(domain).items():
         for entry in protocol.fib:
-            if entry.has_parent:
-                parent_name = domain.router_of(entry.parent_address)
-                if parent_name is None:
-                    out.append(
-                        Finding(
-                            "error",
-                            name,
-                            entry.group,
-                            f"parent {entry.parent_address} is not a known CBT router",
-                        )
-                    )
-                    continue
-                parent_entry = domain.protocols[parent_name].fib.get(entry.group)
-                my_addresses = {
-                    i.address for i in protocol.router.interfaces
-                }
-                if parent_entry is None or not (
-                    my_addresses & set(parent_entry.children)
-                ):
-                    out.append(
-                        Finding(
-                            "error",
-                            name,
-                            entry.group,
-                            f"parent {parent_name} does not list this router as a child",
-                        )
-                    )
             for child_address in entry.children:
                 child_name = domain.router_of(child_address)
                 if child_name is None:
-                    out.append(
-                        Finding(
-                            "error",
-                            name,
-                            entry.group,
-                            f"child {child_address} is not a known CBT router",
-                        )
+                    message = f"child {child_address} is not a known CBT router"
+                    out.append(Finding("error", name, entry.group, message))
+                elif domain.protocols[child_name].fib.get(entry.group) is None:
+                    message = (
+                        f"child {child_name} holds no state for the group "
+                        "(stale child; CHILD-ASSERT will expire it)"
                     )
-                    continue
-                child_entry = domain.protocols[child_name].fib.get(entry.group)
-                if child_entry is None:
-                    out.append(
-                        Finding(
-                            "warning",
-                            name,
-                            entry.group,
-                            f"child {child_name} holds no state for the group "
-                            "(stale child; CHILD-ASSERT will expire it)",
-                        )
-                    )
-    return out
-
-
-def _check_transients(domain, now: float) -> List[Finding]:
-    out: List[Finding] = []
-    for name, protocol in domain.protocols.items():
-        for group, pend in protocol.pending.items():
-            age = now - pend.created_at
-            if age > protocol.timers.expire_pending_join:
-                out.append(
-                    Finding(
-                        "warning",
-                        name,
-                        group,
-                        f"pending join is {age:.1f}s old "
-                        "(exceeds EXPIRE-PENDING-JOIN)",
-                    )
-                )
-        for group in protocol._quitting:
-            out.append(
-                Finding("warning", name, group, "quit still outstanding")
-            )
+                    out.append(Finding("warning", name, entry.group, message))
     return out
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.audit import _parent_loops
+from repro.core.audit import check_invariants
 from repro.core.router import CBTProtocol
 from repro.core.timers import CBTTimers, DEFAULT_TIMERS
 from repro.igmp.host import IGMPHostAgent
@@ -253,32 +253,8 @@ class CBTDomain:
         )
 
     def assert_tree_consistent(self, group: IPv4Address) -> None:
-        """Raise AssertionError if parent/child views disagree or loop.
-
-        Invariant checks used by tests and property-based scenarios:
-        every non-root on-tree router has a parent that lists it as a
-        child, and following parent links never revisits a router.
-        """
-        holding = {
-            name: protocol for name, protocol in self.protocols.items() if protocol.fib
-        }
-        for name, protocol in holding.items():
-            entry = protocol.fib.get(group)
-            if entry is None or not entry.has_parent:
-                continue
-            parent_name = self.router_of(entry.parent_address)
-            assert parent_name is not None, (
-                f"{name}: parent {entry.parent_address} is not a CBT router"
-            )
-            parent_entry = self.protocols[parent_name].fib.get(group)
-            assert parent_entry is not None, (
-                f"{name}: parent {parent_name} has no FIB entry for {group}"
-            )
-            my_addresses = {
-                i.address for i in protocol.router.interfaces
-            }
-            assert my_addresses & set(parent_entry.children), (
-                f"{name}: parent {parent_name} does not list it as a child"
-            )
-        loops = _parent_loops(self, self.protocols, (group,))
-        assert not loops, f"tree loop through {loops[0].router}"
+        """Raise AssertionError if :func:`check_invariants` reports
+        anything for ``group``; the message is those findings."""
+        findings = [f for f in check_invariants(self) if f.group == group]
+        if findings:
+            raise AssertionError("\n".join(map(str, findings)))

@@ -447,8 +447,8 @@ def run_schedule(
             limit=limit,
             visited=visited,
             check_loops=scenario.check_loops,
-            transition_fn=getattr(scenario, "transition_oracle", None),
-            fingerprint_fn=getattr(scenario, "state_fingerprint", None),
+            transition_fn=scenario.transition_oracle,
+            fingerprint_fn=scenario.state_fingerprint,
         )
         scheduler.choice_hook = controller.scheduler_choice
         for link in network.links.values():
@@ -470,7 +470,7 @@ def run_schedule(
                 link.gate = None
         if violation is None:
             network.run(until=start + scenario.window + scenario.settle)
-            convergence = getattr(scenario, "convergence_oracle", None)
+            convergence = scenario.convergence_oracle
             if convergence is not None:
                 findings = [str(finding) for finding in convergence(world)]
             else:
@@ -480,8 +480,6 @@ def run_schedule(
                         world.domain, world.group, world.members
                     )
                 ]
-            if scenario.extra_oracle is not None:
-                findings.extend(scenario.extra_oracle(world))
             if findings:
                 violation = Violation(
                     stage="final", time=scheduler.now, findings=findings

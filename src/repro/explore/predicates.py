@@ -158,7 +158,6 @@ PREDICATES: Dict[str, Predicate] = {
             markers=(
                 "pending join",
                 "quit in progress with no live retry timer",
-                "quit still outstanding",
                 "orphaned FIB entry",
                 "not a known CBT router",
                 "does not list this router as a child",

@@ -62,8 +62,6 @@ class ExploreScenario:
     #: Hard loop check per transition (off when faults legitimise
     #: transient §6.3 loops mid-window).
     check_loops: bool = True
-    #: Extra end-state findings (strings), mainly for tests.
-    extra_oracle: Optional[Callable[[ExploreWorld], List[str]]] = None
     #: Delivery types never worth branching (None = engine default,
     #: tuned for CBT keepalives).
     quiet_types: Optional[Tuple[str, ...]] = None

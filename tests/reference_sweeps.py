@@ -264,48 +264,6 @@ def tree_edges(domain, group: IPv4Address) -> List[Tuple[str, str]]:
     return sorted(edges)
 
 
-def assert_tree_consistent(domain, group: IPv4Address) -> None:
-    """Raise AssertionError if parent/child views disagree or loop.
-
-    Invariant checks used by tests and property-based scenarios:
-    every non-root on-tree router has a parent that lists it as a
-    child, and following parent links never revisits a router.
-    """
-    by_address = {}
-    for name, protocol in domain.protocols.items():
-        for interface in protocol.router.interfaces:
-            by_address[interface.address] = name
-    for name, protocol in domain.protocols.items():
-        entry = protocol.fib.get(group)
-        if entry is None or not entry.has_parent:
-            continue
-        parent_name = by_address.get(entry.parent_address)
-        assert parent_name is not None, (
-            f"{name}: parent {entry.parent_address} is not a CBT router"
-        )
-        parent_entry = domain.protocols[parent_name].fib.get(group)
-        assert parent_entry is not None, (
-            f"{name}: parent {parent_name} has no FIB entry for {group}"
-        )
-        my_addresses = {
-            i.address for i in protocol.router.interfaces
-        }
-        assert my_addresses & set(parent_entry.children), (
-            f"{name}: parent {parent_name} does not list it as a child"
-        )
-    # Loop check: walk parent pointers from every on-tree router.
-    for name, protocol in domain.protocols.items():
-        seen = set()
-        current = name
-        while current is not None:
-            assert current not in seen, f"tree loop through {current}"
-            seen.add(current)
-            entry = domain.protocols[current].fib.get(group)
-            if entry is None or not entry.has_parent:
-                break
-            current = by_address.get(entry.parent_address)
-
-
 # -- telemetry/conservation.py -----------------------------------------------------
 
 

@@ -75,7 +75,8 @@ class TestDetections:
         )
         findings = audit_domain(domain)
         assert any(
-            "EXPIRE-PENDING-JOIN" in f.message for f in warnings(findings)
+            f.router == "R1" and f.message.startswith("pending join is")
+            for f in errors(findings)
         )
 
     def test_unserved_member_lan_detected(self, figure1_domain, figure1_network):

@@ -199,7 +199,6 @@ ORACLE_VOCABULARY = (
     "router R5 group 239.0.0.1: pending join is 12.0s old",
     "router R5 group 239.0.0.1: pending join has no live expiry timer",
     "router R6 group 239.0.0.1: quit in progress with no live retry timer",
-    "router R6 group 239.0.0.1: quit still outstanding",
     "router R7 group 239.0.0.1: orphaned FIB entry: no parent, children, "
     "members, or core role",
     "router R8 group 239.0.0.1: parent 10.0.9.9 is not a known CBT router",

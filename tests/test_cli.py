@@ -18,6 +18,14 @@ class TestCLI:
         assert "R4 (primary core)" in out
         assert "delivered to 3/3 other members" in out
 
+    def test_walkthrough_fails_on_an_audit_error(self, capsys, monkeypatch):
+        from repro.core import audit
+
+        planted = audit.Finding("error", "R4", None, "planted")
+        monkeypatch.setattr(audit, "audit_domain", lambda domain: [planted])
+        assert main(["walkthrough"]) == 1
+        assert "[error] R4: planted" in capsys.readouterr().out
+
     def test_walkthrough_timeline(self, capsys):
         assert main(["walkthrough", "--timeline"]) == 0
         out = capsys.readouterr().out

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
+from repro.core.audit import convergence_findings
 from repro.explore import engine
 from repro.explore.engine import ExploreOptions, explore, run_schedule
 from repro.explore.export import export_counterexample
@@ -47,11 +48,16 @@ def _retransmit_oracle(world):
     return findings
 
 
+def _convergence_or_retransmit(world):
+    findings = convergence_findings(world.domain, world.group, world.members)
+    return [str(finding) for finding in findings] + _retransmit_oracle(world)
+
+
 @pytest.fixture()
 def seeded_scenario():
     """joins-race variant whose oracle rejects retransmissions."""
     return dataclasses.replace(
-        get_scenario("joins-race"), extra_oracle=_retransmit_oracle
+        get_scenario("joins-race"), convergence_oracle=_convergence_or_retransmit
     )
 
 

@@ -628,16 +628,20 @@ def test_only_the_address_module_imports_ipaddress():
 # -- a tree is checked in one place ------------------------------------------
 #
 # ``core/audit.py`` is the one module that checks a CBT tree: the
-# auditor's sweep, ``audit_domain`` and the explorer's two oracles share
-# one parent-pointer loop walker (``_parent_loops``) and one copy of each
-# per-router hard check.  A second copy of a finding's text is a second
-# checker that the next fix has to find.
+# auditor's sweep (``check_invariants``), which ``audit_domain`` and
+# ``CBTDomain.assert_tree_consistent`` read, and the explorer's two
+# oracles share one parent-pointer loop walker (``_parent_loops``) and
+# one copy of each per-router hard check.  A second copy of a finding's
+# text is a second checker that the next fix has to find; an import of
+# ``_parent_loops`` elsewhere is a second walk.
 
 #: Finding texts that one function each emits.
 ONE_EMITTER = {
     "parent pointers form a loop": "core/audit.py::_parent_loops",
     "lists itself as parent": "core/audit.py::_self_references",
     "quit in progress with no live retry timer": "core/audit.py::_stuck_quits",
+    "does not list this router as a child": "core/audit.py::check_invariants",
+    "pending join is": "core/audit.py::_stuck_pending",
 }
 
 
@@ -667,6 +671,22 @@ def _string_sites(text):
 @pytest.mark.parametrize("text", sorted(ONE_EMITTER))
 def test_one_place_emits_each_tree_finding(text):
     assert _string_sites(text) == [ONE_EMITTER[text]]
+
+
+def _reaches_loop_walker(node):
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "_parent_loops" for alias in node.names)
+    return isinstance(node, ast.Attribute) and node.attr == "_parent_loops"
+
+
+def test_only_the_audit_module_walks_parent_pointers():
+    readers = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _reaches_loop_walker(node)
+    ]
+    assert readers == []
 
 
 # -- one attach rule ----------------------------------------------------------------
