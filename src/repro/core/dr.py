@@ -15,7 +15,11 @@ The rules, verbatim from the spec:
 CBT routers learn which neighbours are CBT-capable from HELLO beacons
 (the -02/-03 draft requires routers to "keep track of their immediate
 CBT neighbouring routers" without giving a message; CBTv2/RFC 2189
-later added HELLO, which we follow).
+later added HELLO, which we follow).  HELLOs go on multi-access links
+only (``Link.multi_access``): everything this module answers is a LAN
+question, and a router-to-router point-to-point link has no LAN to
+elect for — its parent/child pair is kept alive by ECHOs (§6.1).  So
+the neighbour table holds LAN peers only.
 """
 
 from __future__ import annotations

@@ -1737,7 +1737,7 @@ class CBTProtocol:
     # -- HELLO / neighbour discovery ----------------------------------------
 
     def _hello_tick(self) -> None:
-        now = self.router.scheduler.now
+        now = self.router.scheduler._now
         self.neighbours.expire(now, self.hello_hold)
         # Forget G-DRs that stopped sending HELLOs: the LAN may need a
         # fresh join from us (the IFF scan picks that up).
@@ -1746,26 +1746,26 @@ class CBTProtocol:
                 del self._gdr_known[(vif, group)]
         self._send_hellos()
 
-    def _send_hellos(self) -> None:
+    def _send_hellos(self, interfaces: Optional[Sequence[Interface]] = None) -> None:
+        """HELLOs out of every up interface in ``interfaces`` (default:
+        all) whose link is multi-access: every reader of a HELLO is a
+        LAN concern, and ECHO keeps a point-to-point parent/child
+        alive."""
         # Announce every group we are on-tree for: LAN peers use the
         # announcements to avoid double-serving member subnets (a
         # CBTv2-style extension; the -02/-03 draft leaves the
         # mechanism open).  Groups ride in the five core slots, so
         # large FIBs take several HELLOs.
-        on_tree_groups = self.fib.groups()
-        chunks: List[Tuple[IPv4Address, ...]] = [
-            tuple(on_tree_groups[i : i + 5])
-            for i in range(0, len(on_tree_groups), 5)
-        ] or [()]
-        for interface in self.router.interfaces:
-            if interface._up:
+        groups = self.fib.groups()
+        chunks = (
+            [tuple(groups)]
+            if len(groups) <= 5
+            else [tuple(groups[i : i + 5]) for i in range(0, len(groups), 5)]
+        )
+        for interface in self.router.interfaces if interfaces is None else interfaces:
+            if interface._up and interface.link.multi_access:
                 for chunk in chunks:
                     self._send_hello(interface, chunk)
-
-    def _send_hello_on(self, interface: Interface) -> None:
-        """Immediate single-interface HELLO (new-neighbour introduction)."""
-        if interface._up:
-            self._send_hello(interface, tuple(self.fib.groups()[:5]))
 
     def _send_hello(self, interface: Interface, groups: Tuple[IPv4Address, ...]) -> None:
         """One HELLO out of ``interface`` (which is up), built field by
@@ -1786,9 +1786,9 @@ class CBTProtocol:
     ) -> None:
         groups = message.cores
         if self.neighbours.heard(arrival.vif, src, self.router.scheduler._now, groups):
-            # Introduce ourselves (and our tree announcements) right
+            # Introduce ourselves (and every tree announcement) right
             # away so a restarted neighbour learns the LAN state fast.
-            self._send_hello_on(arrival)
+            self._send_hellos((arrival,))
         if groups:
             self._maybe_yield_lan(arrival, src, groups)
 

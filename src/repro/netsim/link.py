@@ -53,6 +53,12 @@ class Link:
     deciding, per datagram, whether it is dropped in flight.
     """
 
+    #: True where any number of nodes share the wire (a LAN, which
+    #: hosts join); False on a two-router link.  CBT sends its HELLO
+    #: beacons only on multi-access links, the one place a reader of
+    #: them (D-DR election, tree announcements, proxy-ack) can be.
+    multi_access = True
+
     def __init__(
         self,
         name: str,
@@ -351,6 +357,8 @@ class PointToPointLink(Link):
     Enforces at most two attached interfaces; useful for WAN hops and
     CBT tunnels.
     """
+
+    multi_access = False
 
     def __init__(self, *args, **kwargs) -> None:
         kwargs.setdefault("delay", DEFAULT_P2P_DELAY)

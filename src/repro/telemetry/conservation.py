@@ -101,24 +101,29 @@ def _per_link(registry: MetricsRegistry, metric: str) -> Dict[str, Number]:
 def link_conservation(registry: MetricsRegistry) -> List[str]:
     """Per link: every transmit attempt is a wire tx or a reasoned drop,
     and every scheduled delivery is delivered, late-dropped, or still
-    in flight (never negative)."""
+    in flight (never negative).  Each link's wire statistics are read
+    from the link itself (no gauge is built) and its drops from the
+    drop counters that exist."""
     violations = []
     pre_wire: Dict[str, Number] = {}
     for reason in PRE_WIRE_REASONS:
         for link, count in _per_link(registry, f"drop.{reason}").items():
             pre_wire[link] = pre_wire.get(link, 0) + count
     late_drops = _per_link(registry, f"drop.{LATE_REASON}")
-    for link, attempts in sorted(_per_link(registry, "attempts").items()):
-        base = f"netsim.link.{link}"
-        tx = registry.value(f"{base}.tx_packets")
+    head = "netsim.link."
+    wires = {
+        prefix[len(head) : -1]: wire for prefix, wire in registry.families(head).items()
+    }
+    for link in sorted(wires):
+        wire = wires[link]
+        attempts, tx = wire["attempts"], wire["tx_packets"]
         pre_drops = pre_wire.get(link, 0)
         if attempts != tx + pre_drops:
             violations.append(
                 f"link {link}: attempts {attempts} != "
                 f"tx {tx} + pre-wire drops {pre_drops}"
             )
-        fanout = registry.value(f"{base}.fanout")
-        rx = registry.value(f"{base}.rx_packets")
+        fanout, rx = wire["fanout"], wire["rx_packets"]
         late = late_drops.get(link, 0)
         in_flight = fanout - rx - late
         if in_flight < 0:

@@ -37,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fnmatch import fnmatchcase
 from itertools import islice
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 Number = Union[int, float]
 
@@ -54,6 +54,15 @@ def _plain_prefix(pattern: str) -> Optional[str]:
         if not any(ch in head for ch in "*?["):
             return head
     return None
+
+
+def _literal_head(pattern: str) -> str:
+    """``pattern`` up to its first wildcard: every name it matches
+    starts with this (``cbt.router.*.tx.hello`` gives ``cbt.router.``)."""
+    for index, ch in enumerate(pattern):
+        if ch in "*?[":
+            return pattern[:index]
+    return pattern
 
 
 def _literal_tail(pattern: str) -> Optional[str]:
@@ -248,8 +257,13 @@ class MetricsRegistry:
         self._gauge_names = _NameIndex(self._gauges)
         self._histogram_names = _NameIndex(self._histograms)
         #: prefix -> (object, metrics) of each family :meth:`gauge_attrs`
-        #: noted that no read has built yet.
+        #: noted, and of those no read has built yet.
+        self._families: Dict[str, Tuple[Any, Sequence[Tuple[str, str]]]] = {}
+        self._family_names = _NameIndex(self._families)
         self._unbuilt: Dict[str, Tuple[Any, Sequence[Tuple[str, str]]]] = {}
+        #: Every metric some family has: a pattern whose literal last
+        #: segment is none of them can match no family's gauge.
+        self._family_metrics: Set[str] = set()
 
     # -- instrument factories -------------------------------------------
 
@@ -285,11 +299,13 @@ class MetricsRegistry:
     ) -> None:
         """One :meth:`gauge_attr` ``prefix + metric`` (``prefix`` ends in
         a dot, ``metric`` holds none) per ``(metric, attr)`` pair,
-        deferred: one dict entry until a gauge of the family is read or
-        looked up, or a pattern queried.  A link has six and most runs
-        read none; built eagerly they were the dearest part of wiring
-        it."""
-        self._unbuilt[prefix] = (obj, metrics)
+        deferred: until a gauge of the family is read or looked up, or
+        a pattern one of them could match is queried (a snapshot
+        matches all).  A link has six and most runs read none; built
+        eagerly they were the dearest part of wiring it, and
+        :meth:`families` reads them without building."""
+        self._families[prefix] = self._unbuilt[prefix] = (obj, metrics)
+        self._family_metrics.update(dict(metrics))  # the metric names
 
     def _build(self, prefix: str) -> None:
         obj, metrics = self._unbuilt.pop(prefix)
@@ -302,12 +318,36 @@ class MetricsRegistry:
             self._build(name[: name.rfind(".") + 1])
         return self._gauges.get(name)
 
-    def _built_gauges(self) -> Dict[str, Gauge]:
-        """``_gauges`` with every noted family built: what a pattern
-        query or a snapshot reads."""
-        for prefix in list(self._unbuilt):
-            self._build(prefix)
+    def _built_gauges(self, pattern: str = "*") -> Dict[str, Gauge]:
+        """``_gauges`` with every noted family a name matching
+        ``pattern`` could belong to built (all of them for a snapshot):
+        the families under the pattern's literal head, found in the
+        sorted family index, and the one the head ends inside (a
+        metric holds no dot, so no other prefix of the head can
+        reach) — none when the pattern's literal last segment is no
+        family's metric."""
+        unbuilt = self._unbuilt
+        tail = _literal_tail(pattern)
+        if unbuilt and (tail is None or tail in self._family_metrics):
+            head = _literal_head(pattern)
+            reach = [p for p in self._family_names.select(head + "*") if p in unbuilt]
+            inside = head[: head.rfind(".") + 1]
+            if inside != head and inside in unbuilt:
+                reach.append(inside)
+            for prefix in reach:
+                self._build(prefix)
         return self._gauges
+
+    def families(self, head: str) -> Dict[str, Dict[str, Number]]:
+        """``prefix -> {metric: value}`` of every :meth:`gauge_attrs`
+        family whose prefix starts with ``head``, sorted by prefix,
+        each value read from its object: nothing is built."""
+        families = self._families
+        out = {}
+        for prefix in self._family_names.select(head + "*"):
+            obj, metrics = families[prefix]
+            out[prefix] = {metric: getattr(obj, attr) for metric, attr in metrics}
+        return out
 
     def histogram(
         self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS
@@ -344,7 +384,7 @@ class MetricsRegistry:
         wildcard (other than a pure prefix ``a.b.*``) scans every name
         — see :class:`_NameIndex`."""
         counters = self._counters
-        gauges = self._built_gauges()
+        gauges = self._built_gauges(pattern)
         return sum(
             counters[name].value for name in self._counter_names.select(pattern)
         ) + sum(gauges[name].read() for name in self._gauge_names.select(pattern))
@@ -353,7 +393,7 @@ class MetricsRegistry:
         """Counter and gauge values whose names match ``pattern``,
         sorted by name (the counter wins a shared name)."""
         counters = self._counters
-        gauges = self._built_gauges()
+        gauges = self._built_gauges(pattern)
         out: Dict[str, Number] = {
             name: gauges[name].read() for name in self._gauge_names.select(pattern)
         }

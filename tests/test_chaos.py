@@ -182,9 +182,13 @@ class TestCLI:
 #: ``(recovery_time, control_cost)`` of seeds 0, 1 and 2 of every cell
 #: the full campaign runs on Figure 1 and grid9.  Sim-time counts, so
 #: compared for equality: a moved number means a scenario recovers
-#: differently, faster or slower.
+#: differently, faster or slower.  Since HELLOs stay off point-to-point
+#: links, grid9 seed 0 no longer has N2 proxy-ack N5 across one (and N5
+#: yield the LAN) after the fault: N5 rejoins itself, and link_flap
+#: recovers in 6 s (was 9), migration_partition at once (was 9 s).  The
+#: lossy cells draw their losses in a different packet order.
 CELL_COSTS = {
-    "figure1/lossy_links": ((1e-06, 59), (1e-06, 57), (1e-06, 58)),
+    "figure1/lossy_links": ((1e-06, 60), (1e-06, 58), (1e-06, 57)),
     "figure1/link_flap": ((3.000001, 109), (6.000001, 120), (6.000001, 149)),
     "figure1/partition": ((3.000001, 96), (6.000001, 122), (3.000001, 111)),
     "figure1/blackout": ((3.000001, 132), (3.000001, 134), (3.000001, 134)),
@@ -193,15 +197,15 @@ CELL_COSTS = {
     "figure1/jitter_storm": ((1e-06, 72), (1e-06, 72), (1e-06, 72)),
     "figure1/migration_churn": ((3.000001, 64), (3.000001, 74), (3.000001, 62)),
     "figure1/migration_partition": ((3.000001, 138), (3.000001, 164), (3.000001, 128)),
-    "grid9/lossy_links": ((1e-06, 37), (1e-06, 48), (1e-06, 49)),
-    "grid9/link_flap": ((9.000001, 98), (6.000001, 90), (6.000001, 104)),
+    "grid9/lossy_links": ((1e-06, 37), (1e-06, 47), (1e-06, 49)),
+    "grid9/link_flap": ((6.000001, 100), (6.000001, 90), (6.000001, 104)),
     "grid9/partition": ((6.000001, 72), (6.000001, 90), (6.000001, 90)),
     "grid9/blackout": ((1e-06, 88), (1e-06, 130), (3.000001, 152)),
     "grid9/router_crash": ((6.000001, 72), (6.000001, 92), (6.000001, 96)),
     "grid9/core_crash": ((6.000001, 179), (3.000001, 199), (3.000001, 180)),
     "grid9/jitter_storm": ((1e-06, 48), (1e-06, 60), (1e-06, 60)),
     "grid9/migration_churn": ((3.000001, 47), (3.000001, 53), (3.000001, 67)),
-    "grid9/migration_partition": ((9.000001, 113), (3.000001, 89), (1e-06, 87)),
+    "grid9/migration_partition": ((1e-06, 87), (3.000001, 89), (1e-06, 87)),
 }
 
 

@@ -4,13 +4,17 @@ HELLOs carry the sender's on-tree groups in the control header's five
 core slots; LAN peers use them to (a) suppress redundant joins when an
 attached router already serves the LAN, (b) yield a double-served LAN
 to its D-DR, and (c) introduce themselves immediately to new
-neighbours.
+neighbours.  Every reader is on a multi-access LAN, so HELLOs go there
+only: never onto a router-to-router point-to-point link.
 """
 
 import pytest
 
 from repro import CBTDomain, group_address
+from repro.harness.campaign import run_scenario
 from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS, send_data
+from repro.netsim.link import PointToPointLink, Subnet
+from repro.telemetry import payload_label
 from repro.topology.builder import Network
 from tests.conftest import join_members
 
@@ -70,6 +74,30 @@ class TestAnnouncements:
             assert ry.neighbours.tree_announcers(
                 lan_vif, g, net.scheduler.now, ry.hello_hold
             ), g
+
+    def test_introduction_carries_every_on_tree_group(self):
+        """A neighbour RX has not heard from gets every group RX is on
+        tree for at once, not only the first five slots' worth."""
+        net, domain, group0 = build_shared_lan()
+        groups = [group0] + [group_address(i) for i in range(1, 7)]
+        for g in groups[1:]:
+            domain.create_group(g, cores=["CORE"])
+        for g in groups:
+            join_members(net, domain, g, ["M"], settle=0.5)
+        p_rx, p_ry = domain.protocol("RX"), domain.protocol("RY")
+        assert len(p_rx.fib) == 7
+        lan = net.link("member_lan").network
+        rx_lan, ry_lan = net.router("RX").interface_on(lan), net.router("RY").interface_on(lan)
+        # RY restarts its view of the LAN: the two forget each other,
+        # then RY's HELLO makes it a new neighbour of RX.
+        p_rx.neighbours.forget(rx_lan.vif, ry_lan.address)
+        p_ry.neighbours.forget(ry_lan.vif, rx_lan.address)
+        p_ry._send_hello(ry_lan, ())
+        net.run(until=net.scheduler.now + 0.01)  # well inside a hello interval
+        for g in groups:
+            assert p_ry.neighbours.tree_announcers(
+                ry_lan.vif, g, net.scheduler.now, p_ry.hello_hold
+            ) == [rx_lan.address], g
 
     def test_hello_hold_scales_with_timer_profile(self):
         net, domain, group = build_shared_lan()
@@ -177,3 +205,38 @@ class TestYield:
         net.run(until=net.scheduler.now + p_ry.hello_interval * 3)
         assert p_ry.is_on_tree(group)  # still serving its private LAN
         assert not p_ry.events_of("yield_lan")
+
+
+class TestHellosStayOnLans:
+    def test_figure1_hellos_cross_every_lan_and_no_p2p_link(
+        self, figure1_domain, figure1_network
+    ):
+        """A started and settled Figure-1 world, its packet trace on."""
+        domain, _ = figure1_domain
+        net = figure1_network
+        hellos = {
+            (record.node_name, record.link_name)
+            for record in net.trace.transmissions()
+            if payload_label(record.datagram) == "HELLO"
+        }
+        p2p = {name for name, link in net.links.items() if isinstance(link, PointToPointLink)}
+        assert p2p and not p2p & {link for _, link in hellos}
+        lan_interfaces = {
+            (name, interface.link.name)
+            for name, protocol in domain.protocols.items()
+            for interface in protocol.router.interfaces
+            if isinstance(interface.link, Subnet)
+        }
+        assert lan_interfaces and lan_interfaces <= hellos
+
+    def test_no_proxy_ack_or_lan_yield_across_a_p2p_link(self):
+        """``partition`` on grid9 at seed 53 had N5 proxy-acked and then
+        yielding a LAN it never shared: a neighbour learned over a
+        point-to-point link."""
+        result = run_scenario("partition", topology="grid9", seed=53)
+        assert result.recovered
+        assert not {
+            name: value
+            for name, value in result.telemetry.items()
+            if name.endswith((".event.proxied", ".event.yield_lan")) and value
+        }

@@ -387,9 +387,12 @@ class TestPinnedFingerprints:
         "chaos/figure1/link_flap/0": ("smoke", "77df63bb9d63b806"),
         "baseline-compare/figure1/link_flap/0": ("smoke", "9e344ac6ea3e2617"),
         "migration/figure1/0": ("chaos", "14bbe9c4cc288fb9"),
-        "workload/poisson/waxman16/0": ("chaos", "42862446e8a47692"),
-        "workload/flash-crowd/bulk1000/0": ("chaos", "ad7b01a63f3a091f"),
-        "workload/pareto/waxman16/0": ("chaos", "3a17f812ffe1954b"),
+        # The three workload units moved when HELLOs left point-to-point
+        # links: their ``sim_events`` fell (2401 / 143089 / 2496 ->
+        # 2101 / 82021 / 2196), every other field is unchanged.
+        "workload/poisson/waxman16/0": ("chaos", "b0ceb9d783166301"),
+        "workload/flash-crowd/bulk1000/0": ("chaos", "5d0267f5499b624d"),
+        "workload/pareto/waxman16/0": ("chaos", "5a94da4b2d95788d"),
         # The two explore executors, recorded before the sharded
         # forward search was removed from beside them.
         "explore/joins-race/d4": ("smoke", "90e7b96acd455a64"),
