@@ -219,11 +219,9 @@ def migration_churn(ctx: ChaosContext) -> FaultSchedule:
     """Core migration overlapping membership churn: a member's quit is
     in flight when the new core list is announced, and a fresh join
     races the old primary's retirement."""
-    from repro.core.migration import MigrationConfig, MigrationCoordinator
+    from repro.core.migration import MigrationCoordinator
 
-    coordinator = MigrationCoordinator(
-        ctx.domain, ctx.group, config=MigrationConfig(stretch_threshold=1.0)
-    )
+    coordinator = MigrationCoordinator(ctx.domain, ctx.group, stretch_threshold=1.0)
     rng = ctx.rng("migration_churn")
     leaver = rng.choice(sorted(ctx.members))
     outsiders = sorted(set(ctx.network.hosts) - set(ctx.members))
@@ -261,11 +259,9 @@ def migration_churn(ctx: ChaosContext) -> FaultSchedule:
 def migration_partition(ctx: ChaosContext) -> FaultSchedule:
     """Core migration with a tree link cut mid-handover: the graft must
     retry across the cut and the handover complete after it heals."""
-    from repro.core.migration import MigrationConfig, MigrationCoordinator
+    from repro.core.migration import MigrationCoordinator
 
-    coordinator = MigrationCoordinator(
-        ctx.domain, ctx.group, config=MigrationConfig(stretch_threshold=1.0)
-    )
+    coordinator = MigrationCoordinator(ctx.domain, ctx.group, stretch_threshold=1.0)
     name = ctx.rng("migration_partition").choice(ctx.tree_links())
     step = ctx.timers.pend_join_interval
     down = ctx.timers.echo_timeout + ctx.timers.reconnect_timeout * 0.5

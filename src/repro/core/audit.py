@@ -153,7 +153,7 @@ def _live(domain) -> Dict[str, object]:
         if (
             protocol.fib
             or protocol.pending
-            or protocol._quitting
+            or protocol.quits
             or protocol.rejoins
         )
         and not _crashed(protocol)
@@ -194,11 +194,10 @@ def _stuck_pending(name: str, protocol, now: Optional[float] = None) -> List[Fin
 
 def _stuck_quits(name: str, protocol) -> List[Finding]:
     """Groups marked quitting with no live retry timer driving them."""
-    quit_timers = getattr(protocol, "_quit_timers", {})
     return [
         Finding("error", name, group, "quit in progress with no live retry timer")
-        for group in protocol._quitting
-        if group not in quit_timers or not quit_timers[group].pending
+        for group, record in protocol.quits.items()
+        if record.retry_timer is None or not record.retry_timer.pending
     ]
 
 
@@ -288,7 +287,7 @@ def check_invariants(domain, now: Optional[float] = None) -> List[Finding]:
             elif not protocol.is_core_for(group) and not (
                 group in protocol.pending
                 or group in protocol.rejoins
-                or group in protocol._quitting
+                or group in protocol.quits
             ):
                 if entry.has_children or protocol.igmp.any_member_subnet(group):
                     message = (
@@ -303,7 +302,7 @@ def check_invariants(domain, now: Optional[float] = None) -> List[Finding]:
                 findings.append(Finding("error", name, group, message))
         if protocol.pending:
             findings.extend(_stuck_pending(name, protocol, now))
-        if protocol._quitting:
+        if protocol.quits:
             findings.extend(_stuck_quits(name, protocol))
 
     groups = {entry.group for protocol in live.values() for entry in protocol.fib}
@@ -329,7 +328,7 @@ def transition_findings(domain, check_loops: bool = True) -> List[Finding]:
             findings.extend(_self_references(name, owns, entry))
         if protocol.pending:
             findings.extend(_stuck_pending(name, protocol))
-        if protocol._quitting:
+        if protocol.quits:
             findings.extend(_stuck_quits(name, protocol))
 
     if check_loops:

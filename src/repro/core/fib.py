@@ -34,6 +34,17 @@ class FIBEntry:
     parent_vif: Optional[int] = None
     #: child address -> vif index of the interface leading to it.
     children: Dict[IPv4Address, int] = field(default_factory=dict)
+    #: §6 keepalive clocks: the parent's last ECHO_REPLY time and each
+    #: child's last ECHO_REQUEST time.  The protocol writes them as
+    #: replies and requests arrive; :meth:`clear_parent` and
+    #: :meth:`remove_child` drop them with the relation.  Not part of
+    #: the downloaded entry.
+    parent_replied_at: Optional[float] = field(
+        default=None, repr=False, compare=False
+    )
+    child_heard_at: Dict[IPv4Address, float] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     #: The downloaded entry (§3).  ``children`` / ``parent_*`` are
     #: written only by the four mutators below, each of which
     #: recompiles it.
@@ -69,6 +80,7 @@ class FIBEntry:
     def remove_child(self, address: IPv4Address) -> bool:
         if self.children.pop(address, None) is None:
             return False
+        self.child_heard_at.pop(address, None)
         self._download()
         return True
 
@@ -79,6 +91,7 @@ class FIBEntry:
             self._download()
 
     def clear_parent(self) -> None:
+        self.parent_replied_at = None
         if self.parent_address is not None:
             self.parent_address = None
             self.parent_vif = None

@@ -131,22 +131,12 @@ def tree_quality(
     }
 
 
-@dataclass(frozen=True)
-class MigrationConfig:
-    """Tunables for the migration coordinator."""
-
-    #: Migrate when the current primary's total-delay objective exceeds
-    #: the best candidate's by this factor (the stretch-degradation
-    #: threshold).  1.0 migrates on any improvement.
-    stretch_threshold: float = 1.2
-    #: Cores announced per group (primary + locality secondaries).
-    core_count: int = 2
-    #: Graft-confirmation poll interval; defaults to twice the domain's
-    #: PEND-JOIN interval when None.
-    poll_interval: Optional[float] = None
-    #: Polls before an unconfirmed graft is abandoned (the transition
-    #: core list — a safe steady state — then stays announced).
-    graft_polls: int = 40
+#: Cores announced per group (primary + locality secondaries).
+CORE_COUNT = 2
+#: Graft-confirmation polls before an unconfirmed graft is abandoned
+#: (the transition core list — a safe steady state — then stays
+#: announced).  One poll every two PEND-JOIN intervals.
+GRAFT_POLLS = 40
 
 
 @dataclass
@@ -194,24 +184,26 @@ class MigrationCoordinator:
     ``joined``/``quit``/``flushed`` event counters), re-evaluates the
     locality placement when the membership changed, and executes the
     make-before-break handover described in the module docstring.
+    It migrates when the current primary's total-delay objective
+    exceeds the best candidate's by ``stretch_threshold`` (the
+    stretch-degradation threshold); 1.0 migrates on any improvement.
     """
 
     def __init__(
         self,
         domain,
         group: IPv4Address,
-        config: MigrationConfig = MigrationConfig(),
+        stretch_threshold: float,
         graph: Optional[Graph] = None,
     ) -> None:
         self.domain = domain
         self.group = group
-        self.config = config
+        self.stretch_threshold = stretch_threshold
         self.graph = graph if graph is not None else network_graph(domain.network)
         self.records: List[MigrationRecord] = []
         self._active: Optional[MigrationRecord] = None
         self._polls_left = 0
         self._drift_mark: Optional[float] = None
-        self._ticker = None
         scheduler = domain.network.scheduler
         self._scheduler = scheduler
         scheduler.register(self)
@@ -219,28 +211,6 @@ class MigrationCoordinator:
         self._registry = registry
         self._c_migrations = registry.counter("cbt.migration.handovers")
         self._c_abandoned = registry.counter("cbt.migration.abandoned")
-
-    # -- lifecycle ------------------------------------------------------
-
-    def start(self, interval: Optional[float] = None) -> None:
-        """Periodic drift monitoring (chaos cells schedule :meth:`check`
-        explicitly instead, for pinned fingerprints)."""
-        from repro.netsim.engine import PeriodicTimer
-
-        if self._ticker is not None:
-            return
-        if interval is None:
-            interval = self._timers().echo_interval
-        self._ticker = PeriodicTimer(self._scheduler, interval, self.check)
-        self._ticker.start()
-
-    def stop(self) -> None:
-        if self._ticker is not None:
-            self._ticker.stop()
-            self._ticker = None
-
-    def _timers(self):
-        return next(iter(self.domain.protocols.values())).timers
 
     # -- membership and placement ---------------------------------------
 
@@ -294,9 +264,7 @@ class MigrationCoordinator:
         members = self.member_routers()
         if not members:
             return None
-        ranked = locality_cores(
-            self.graph, members, count=self.config.core_count
-        )
+        ranked = locality_cores(self.graph, members, count=CORE_COUNT)
         current = self.core_routers()
         if not current or ranked[0] == current[0]:
             return None
@@ -306,7 +274,7 @@ class MigrationCoordinator:
             if best <= 0.0:
                 stale = now_cost > 0.0
             else:
-                stale = now_cost / best >= self.config.stretch_threshold
+                stale = now_cost / best >= self.stretch_threshold
             if not stale:
                 return None
         return self.migrate(ranked, forced=force)
@@ -348,14 +316,13 @@ class MigrationCoordinator:
         self._c_migrations.inc()
         # Phase 2 — graft the old primary under the new one.
         self._graft()
-        self._polls_left = self.config.graft_polls
+        self._polls_left = GRAFT_POLLS
         self._scheduler.call_later(self._poll_interval(), self._check_graft)
         return record
 
     def _poll_interval(self) -> float:
-        if self.config.poll_interval is not None:
-            return self.config.poll_interval
-        return self._timers().pend_join_interval * 2
+        timers = next(iter(self.domain.protocols.values())).timers
+        return timers.pend_join_interval * 2
 
     def _old_primary_protocol(self):
         record = self._active

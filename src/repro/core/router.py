@@ -28,7 +28,6 @@ from repro.core.constants import (
     JoinAckSubcode,
     JoinSubcode,
     MessageType,
-    QUIT_RETRY_LIMIT,
 )
 from repro.core.dr import DRElection, HELLO_HOLD_TIME, HELLO_INTERVAL, NeighbourTable
 from repro.core.fib import FIB, FIBEntry
@@ -41,12 +40,12 @@ from repro.core.messages import (
     decode_control,
     in_masked_range,
 )
-from repro.core.state import CachedJoin, PendingJoin, RejoinAttempt
+from repro.core.state import CachedJoin, PendingJoin, QuitAttempt, RejoinAttempt
 from repro.core.timers import CBTTimers, DEFAULT_TIMERS
 from repro.igmp.messages import CoreReport
 from repro.igmp.router_side import IGMPConfig, IGMPRouterAgent
 from repro.netsim.address import ALL_CBT_ROUTERS, IPv4Address
-from repro.netsim.engine import PeriodicTimer, Timer
+from repro.netsim.engine import PeriodicTimer
 from repro.netsim.nic import Interface
 from repro.netsim.node import Node
 from repro.netsim.packet import IPDatagram, PROTO_CBT, PROTO_IPIP, PROTO_UDP, UDPDatagram
@@ -163,30 +162,13 @@ class CBTProtocol:
         self._announced_cores: Dict[IPv4Address, Tuple[IPv4Address, ...]] = {}
         self.pending: Dict[IPv4Address, PendingJoin] = {}
         self.rejoins: Dict[IPv4Address, RejoinAttempt] = {}
+        self.quits: Dict[IPv4Address, QuitAttempt] = {}
         #: groups we want to join as soon as core information arrives.
         self._want_join: Dict[IPv4Address, int] = {}
         #: group -> index of the core the local RP/Core-Report targeted.
         self._target_core_index: Dict[IPv4Address, int] = {}
         #: (vif, group) -> G-DR address learnt from a proxy-ack (§2.6).
         self._gdr_known: Dict[Tuple[int, IPv4Address], IPv4Address] = {}
-        #: (group, child address) -> last echo-request time.
-        self._child_last_heard: Dict[Tuple[IPv4Address, IPv4Address], float] = {}
-        #: group -> last echo-reply time from the parent.
-        self._parent_last_reply: Dict[IPv4Address, float] = {}
-        #: group -> remaining quit retries (present while quitting).
-        self._quitting: Dict[IPv4Address, int] = {}
-        #: group -> the parent the outstanding quit was sent to.
-        self._quit_parent: Dict[IPv4Address, IPv4Address] = {}
-        #: group -> live retry timer driving an in-progress rejoin
-        #: whenever no pending join exists for it.  The invariant
-        #: auditor checks this: a rejoin with neither a pending join
-        #: nor a live retry timer is stuck forever.
-        self._rejoin_timers: Dict[IPv4Address, Timer] = {}
-        #: group -> live retry timer for the outstanding quit.  Held so
-        #: a completed or cancelled quit tears down its rearming chain
-        #: instead of leaving a stale callback to fire into a later
-        #: quit (or a new parent) for the same group.
-        self._quit_timers: Dict[IPv4Address, Timer] = {}
         #: group -> consecutive loop detections; bounds loop-break retries.
         self._loop_count: Dict[IPv4Address, int] = {}
 
@@ -386,7 +368,6 @@ class CBTProtocol:
         if entry.has_parent:
             self._send_quit_to(group, entry.parent_address)
             entry.clear_parent()
-            self._parent_last_reply.pop(group, None)
         self._record("core_promoted", group)
         if pend is not None:
             # Downstream joins cached behind our own join: we are the
@@ -458,7 +439,7 @@ class CBTProtocol:
 
     def _maybe_join(self, group: IPv4Address, interface: Interface) -> None:
         """Originate a join for ``group`` if this D-DR should (§2.5)."""
-        if group in self._quitting and self.dr_election.is_default_dr(interface):
+        if group in self.quits and self.dr_election.is_default_dr(interface):
             # A local member appeared while our own quit is in flight.
             # The FIB entry still exists, but the parent may already
             # have processed the quit (or be about to when the retry
@@ -694,7 +675,7 @@ class CBTProtocol:
         if not started:
             # No route to this core either; retry after a
             # retransmission interval rather than recursing.
-            self._rejoin_timers[group] = self.router.scheduler.call_later(
+            attempt.retry_timer = self.router.scheduler.call_later(
                 self.timers.pend_join_interval,
                 self._retry_next_core,
                 group,
@@ -736,19 +717,18 @@ class CBTProtocol:
 
     def _arm_rejoin(self, group: IPv4Address) -> None:
         """(Re)arm the retry timer that drives ``group``'s rejoin."""
-        timer = self._rejoin_timers.get(group)
-        if timer is not None:
-            timer.cancel()
-        self._rejoin_timers[group] = self.router.scheduler.call_later(
+        attempt = self.rejoins[group]
+        if attempt.retry_timer is not None:
+            attempt.retry_timer.cancel()
+        attempt.retry_timer = self.router.scheduler.call_later(
             self.timers.pend_join_interval, self._retry_rejoin, group
         )
 
     def _drop_rejoin(self, group: IPv4Address) -> None:
         """End ``group``'s rejoin attempt and its retry timer."""
-        self.rejoins.pop(group, None)
-        timer = self._rejoin_timers.pop(group, None)
-        if timer is not None:
-            timer.cancel()
+        attempt = self.rejoins.pop(group, None)
+        if attempt is not None and attempt.retry_timer is not None:
+            attempt.retry_timer.cancel()
 
     def _join_or_arm_retry(
         self,
@@ -1083,10 +1063,8 @@ class CBTProtocol:
         subcode = JoinAckSubcode.PROXY_ACK if proxy else JoinAckSubcode.NORMAL
         if not proxy:
             entry.add_child(downstream, downstream_vif)
-            self._child_last_heard[(entry.group, downstream)] = (
-                self.router.scheduler.now
-            )
-            if entry.group in self._quitting:
+            entry.child_heard_at[downstream] = self.router.scheduler.now
+            if entry.group in self.quits:
                 # A new downstream arrived while our own quit was in
                 # flight: we must stay on-tree.  The parent may already
                 # have processed the quit and dropped us, so abandon
@@ -1115,7 +1093,6 @@ class CBTProtocol:
         if not cores:
             return
         entry.clear_parent()
-        self._parent_last_reply.pop(group, None)
         self._join_primary(group, cores, cores[0])
 
     def _has_other_cbt_router(
@@ -1176,13 +1153,13 @@ class CBTProtocol:
                 self._record("yield_lan", group, detail=str(src))
             return
         entry = self.fib.get_or_create(group)
-        if group in self._quitting:
+        if group in self.quits:
             # The parent is changing: the old quit (and its retry
             # chain) no longer applies; a late QUIT_ACK from the old
             # parent must not clear the fresh attachment.
             self._cancel_quit(group)
         entry.set_parent(pend.upstream_address, pend.upstream_vif)
-        self._parent_last_reply[group] = self.router.scheduler.now
+        entry.parent_replied_at = self.router.scheduler.now
         if pend.downstream_address is not None:
             self._ack_join(
                 entry,
@@ -1429,7 +1406,7 @@ class CBTProtocol:
         if self.is_primary_core_for(group):
             return  # the primary core is the permanent tree root; the
             # core tree to secondaries is (re)built on demand (§1)
-        if group in self._quitting:
+        if group in self.quits:
             return
         if not entry.has_parent:
             self._clear_group(group)
@@ -1437,18 +1414,17 @@ class CBTProtocol:
         self._start_quit(group, entry.parent_address)
 
     def _start_quit(self, group: IPv4Address, parent: IPv4Address) -> None:
-        self._quitting[group] = QUIT_RETRY_LIMIT
-        self._quit_parent[group] = parent
+        quit_attempt = QuitAttempt(group=group, parent=parent)
+        self.quits[group] = quit_attempt
         self._send_quit_to(group, parent)
-        self._arm_quit_retry(group, parent)
+        self._arm_quit_retry(quit_attempt)
 
     def _cancel_quit(self, group: IPv4Address) -> None:
-        """Tear down quit state *and* its retry chain (stale-callback fix)."""
-        self._quitting.pop(group, None)
-        self._quit_parent.pop(group, None)
-        timer = self._quit_timers.pop(group, None)
-        if timer is not None:
-            timer.cancel()
+        """End ``group``'s quit *and* its retry chain, so no stale
+        callback fires into a later quit (or a new parent)."""
+        quit_attempt = self.quits.pop(group, None)
+        if quit_attempt is not None and quit_attempt.retry_timer is not None:
+            quit_attempt.retry_timer.cancel()
 
     def _send_quit_to(self, group: IPv4Address, parent: IPv4Address) -> None:
         self._send_control(
@@ -1461,27 +1437,28 @@ class CBTProtocol:
             parent,
         )
 
-    def _arm_quit_retry(self, group: IPv4Address, parent: IPv4Address) -> None:
-        self._quit_timers[group] = self.router.scheduler.call_later(
-            self.timers.pend_join_interval, self._quit_retry, group, parent
+    def _arm_quit_retry(self, quit_attempt: QuitAttempt) -> None:
+        quit_attempt.retry_timer = self.router.scheduler.call_later(
+            self.timers.pend_join_interval,
+            self._quit_retry,
+            quit_attempt.group,
+            quit_attempt.parent,
         )
 
     def _quit_retry(self, group: IPv4Address, parent: IPv4Address) -> None:
-        remaining = self._quitting.get(group)
-        if remaining is None:
-            return
-        if self._quit_parent.get(group) != parent:
-            return  # quit re-targeted since this timer was armed
-        if remaining <= 1:
+        quit_attempt = self.quits.get(group)
+        if quit_attempt is None or quit_attempt.parent != parent:
+            return  # quit ended, or re-targeted, since this timer was armed
+        if quit_attempt.retries_left <= 1:
             # Parent unresponsive: drop parent state unilaterally.
             self._cancel_quit(group)
             self._clear_group(group)
             self._record("quit_forced", group)
             return
-        self._quitting[group] = remaining - 1
+        quit_attempt.retries_left -= 1
         self._c_quit_retries.inc()
         self._send_quit_to(group, parent)
-        self._arm_quit_retry(group, parent)
+        self._arm_quit_retry(quit_attempt)
 
     def _recv_quit_request(
         self, arrival: Interface, src: IPv4Address, message: CBTControlMessage
@@ -1499,7 +1476,6 @@ class CBTProtocol:
         if entry is None:
             return
         if entry.remove_child(src):
-            self._child_last_heard.pop((message.group, src), None)
             # §2.7: the parent checks whether it can now quit in turn.
             self._maybe_quit(message.group)
 
@@ -1507,9 +1483,10 @@ class CBTProtocol:
         self, arrival: Interface, src: IPv4Address, message: CBTControlMessage
     ) -> None:
         group = message.group
-        if group not in self._quitting:
+        quit_attempt = self.quits.get(group)
+        if quit_attempt is None:
             return
-        if self._quit_parent.get(group) != src:
+        if quit_attempt.parent != src:
             return  # stale ack from a previous quit's parent
         self._cancel_quit(group)
         self._clear_group(group)
@@ -1552,12 +1529,7 @@ class CBTProtocol:
                 self._attach(group, cores, cores[0], origin)
 
     def _clear_group(self, group: IPv4Address) -> None:
-        entry = self.fib.get(group)
-        if entry is not None:
-            for child in list(entry.children):
-                self._child_last_heard.pop((group, child), None)
         self.fib.remove(group)
-        self._parent_last_reply.pop(group, None)
         self._loop_count.pop(group, None)
         self._cancel_quit(group)
         self._drop_rejoin(group)
@@ -1628,7 +1600,7 @@ class CBTProtocol:
                 if src in entry.children and in_masked_range(
                     entry.group, message.group, message.group_mask
                 ):
-                    self._child_last_heard[(entry.group, src)] = now
+                    entry.child_heard_at[src] = now
         else:
             entry = self.fib.get(message.group)
             if entry is None or src not in entry.children:
@@ -1646,7 +1618,7 @@ class CBTProtocol:
                     src,
                 )
                 return
-            self._child_last_heard[(message.group, src)] = now
+            entry.child_heard_at[src] = now
         self._send_control(
             CBTControlMessage(
                 msg_type=MessageType.ECHO_REPLY,
@@ -1669,31 +1641,28 @@ class CBTProtocol:
                 if entry.parent_address == src and in_masked_range(
                     entry.group, message.group, message.group_mask
                 ):
-                    self._parent_last_reply[entry.group] = now
+                    entry.parent_replied_at = now
         else:
             entry = self.fib.get(message.group)
             if entry is not None and entry.parent_address == src:
-                self._parent_last_reply[message.group] = now
+                entry.parent_replied_at = now
 
     def _check_parents(self) -> None:
         now = self.router.scheduler.now
         for entry in list(self.fib):
             if not entry.has_parent:
                 continue
-            last = self._parent_last_reply.get(entry.group, now)
-            if now - last > self.timers.echo_timeout:
+            replied = entry.parent_replied_at
+            if replied is not None and now - replied > self.timers.echo_timeout:
                 self._parent_failed(entry.group)
 
     def _child_assert_tick(self) -> None:
         now = self.router.scheduler.now
         for entry in list(self.fib):
             for child in list(entry.children):
-                last = self._child_last_heard.get((entry.group, child))
-                if last is None:
-                    continue
-                if now - last > self.timers.child_assert_expire:
+                heard = entry.child_heard_at.get(child)
+                if heard is not None and now - heard > self.timers.child_assert_expire:
                     entry.remove_child(child)
-                    self._child_last_heard.pop((entry.group, child), None)
                     self._record("child_expired", entry.group, detail=str(child))
             self._maybe_quit(entry.group)
 
@@ -1720,7 +1689,6 @@ class CBTProtocol:
             return
         self._record("parent_lost", group, detail=str(entry.parent_address))
         entry.clear_parent()
-        self._parent_last_reply.pop(group, None)
         if not entry.has_children and not self.igmp.any_member_subnet(group):
             self._clear_group(group)
             return
@@ -1728,8 +1696,14 @@ class CBTProtocol:
         if not cores:
             self._clear_group(group)
             return
+        # A fresh attempt, but the retry timer of one still running
+        # carries over: it drives the group until the next re-arm.
+        previous = self.rejoins.get(group)
         attempt = RejoinAttempt(
-            group=group, started_at=self.router.scheduler.now, cores=cores
+            group=group,
+            started_at=self.router.scheduler.now,
+            cores=cores,
+            retry_timer=previous.retry_timer if previous is not None else None,
         )
         self.rejoins[group] = attempt
         self._rejoin_toward(group, entry, cores, attempt.current_core())
@@ -1819,7 +1793,7 @@ class CBTProtocol:
             if member_vifs and not member_vifs <= {arrival.vif}:
                 continue  # we serve other LANs too; stay
             self._record("yield_lan", group, detail=str(announcer))
-            if group not in self._quitting:
+            if group not in self.quits:
                 self._start_quit(group, entry.parent_address)
 
     # -- bookkeeping ---------------------------------------------------------

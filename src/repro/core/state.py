@@ -7,8 +7,11 @@ for a join it forwarded or originated it is in **pending-join state**:
 it must not acknowledge further joins for the group, instead caching
 them until its own ack arrives.
 
-This module holds those records plus the rejoin bookkeeping used by
-failure recovery (§6.1).
+This module holds those records plus the two other per-group
+procedures a router runs: the failure-recovery rejoin (§6.1) and the
+quit (§2.7).  Each record owns the timer that drives it; the timer's
+arguments name the group, never the record, so no record and timer
+refer to each other.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.core.constants import JoinSubcode
+from repro.core.constants import QUIT_RETRY_LIMIT, JoinSubcode
 from repro.netsim.address import IPv4Address
 from repro.netsim.engine import Timer
 
@@ -57,11 +60,6 @@ class PendingJoin:
     retransmit_timer: Optional[Timer] = None
     expiry_timer: Optional[Timer] = None
     retransmissions: int = 0
-    #: Always 0: nothing advances it.  Failure recovery advances
-    #: :attr:`RejoinAttempt.core_index` instead (§6.1).  Kept because
-    #: ``explore.fingerprint.protocol_state`` reads it, so dropping it
-    #: would move every visited-state digest.
-    core_index: int = 0
 
     @property
     def originated_here(self) -> bool:
@@ -86,7 +84,9 @@ class RejoinAttempt:
     A rejoining router cycles through alternate cores until a JOIN_ACK
     arrives or ``reconnect_timeout`` elapses, at which point it gives
     up and flushes its downstream branch so descendants re-attach
-    independently.
+    independently.  ``retry_timer`` drives the attempt whenever no
+    pending join exists for the group: a rejoin with neither is stuck
+    for good.
     """
 
     group: IPv4Address
@@ -94,6 +94,7 @@ class RejoinAttempt:
     cores: Tuple[IPv4Address, ...]
     core_index: int = 0
     attempts: int = 0
+    retry_timer: Optional[Timer] = None
 
     def current_core(self) -> IPv4Address:
         return self.cores[self.core_index % len(self.cores)]
@@ -106,3 +107,19 @@ class RejoinAttempt:
 
     def expired(self, now: float, reconnect_timeout: float) -> bool:
         return now - self.started_at >= reconnect_timeout
+
+
+@dataclass
+class QuitAttempt:
+    """An outstanding quit for one group on one router (spec §2.7).
+
+    The QUIT_REQUEST went to ``parent``; ``retry_timer`` resends it
+    until a QUIT_ACK from that parent arrives, and when
+    ``retries_left`` runs out the router drops its parent state
+    unilaterally.
+    """
+
+    group: IPv4Address
+    parent: IPv4Address
+    retries_left: int = QUIT_RETRY_LIMIT
+    retry_timer: Optional[Timer] = None

@@ -39,7 +39,7 @@ def protocol_state(name: str, protocol) -> Tuple:
             str(group),
             str(pend.target_core),
             pend.retransmissions,
-            pend.core_index,
+            0,  # a retired field's slot: every visited-state digest hashes it
             len(pend.cached),
             pend.originated_here,
             bool(pend.retransmit_timer is not None and pend.retransmit_timer.pending),
@@ -51,17 +51,13 @@ def protocol_state(name: str, protocol) -> Tuple:
         (str(group), attempt.core_index, attempt.attempts)
         for group, attempt in sorted(protocol.rejoins.items())
     )
-    quit_timers = getattr(protocol, "_quit_timers", {})
     quit_part = tuple(
         (
             str(group),
-            retries,
-            bool(
-                quit_timers.get(group) is not None
-                and quit_timers[group].pending
-            ),
+            record.retries_left,
+            record.retry_timer is not None and record.retry_timer.pending,
         )
-        for group, retries in sorted(protocol._quitting.items())
+        for group, record in sorted(protocol.quits.items())
     )
     igmp_part = tuple(
         (

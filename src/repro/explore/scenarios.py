@@ -148,12 +148,10 @@ def _build_migration_race() -> ExploreWorld:
     # parent-shedding path), and J's join lands in the window where the
     # old primary R4 retires.  The explorer perturbs delivery order and
     # loss of the racing JOIN/QUIT handshakes across all three phases.
-    from repro.core.migration import MigrationConfig, MigrationCoordinator
+    from repro.core.migration import MigrationCoordinator
 
     network, domain, group = _stand_up(["A", "B", "H"])
-    coordinator = MigrationCoordinator(
-        domain, group, config=MigrationConfig(stretch_threshold=1.0)
-    )
+    coordinator = MigrationCoordinator(domain, group, stretch_threshold=1.0)
     actions = [
         (0.0, _leave(domain, "H", group)),
         (4.05, lambda: coordinator.migrate(["R9", "R2"])),

@@ -17,14 +17,9 @@ fingerprint is byte-identical across runs and across CI worker counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.migration import (
-    MigrationConfig,
-    MigrationCoordinator,
-    network_graph,
-    tree_quality,
-)
+from repro.core.migration import MigrationCoordinator, network_graph, tree_quality
 from repro.core.timers import CBTTimers
 from repro.harness.campaign import TOPOLOGIES, CellResult, _probe_delivery, cell_run
 from repro.harness.scenarios import FAST_TIMERS, serving_router
@@ -95,7 +90,6 @@ def run_migration_cell(
     topology: str = "figure1",
     seed: int = 0,
     timers: CBTTimers = FAST_TIMERS,
-    config: Optional[MigrationConfig] = None,
 ) -> MigrationCellResult:
     """Run one before/after migration measurement under the auditor."""
     with cell_run(
@@ -103,9 +97,9 @@ def run_migration_cell(
     ) as run:
         network, domain, group, members = run.network, run.domain, run.group, run.members
         graph = network_graph(network)
-        if config is None:
-            config = MigrationConfig(stretch_threshold=1.05)
-        coordinator = MigrationCoordinator(domain, group, config=config, graph=graph)
+        coordinator = MigrationCoordinator(
+            domain, group, stretch_threshold=1.05, graph=graph
+        )
 
         quality_before = tree_quality(domain, graph, group, coordinator.member_routers())
         delivery_before = _probe_delivery(network, members, group)
@@ -141,7 +135,6 @@ def run_migration_cell(
             _probe_delivery(network, sorted(current_members), group) if run.recovered else 0.0
         )
         domain.auditor.stop()
-        coordinator.stop()
         new_primary = (coordinator.core_routers() or [""])[0]
         migration_cost = (
             record.control_cost

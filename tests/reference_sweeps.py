@@ -153,7 +153,7 @@ def check_invariants(domain, now: Optional[float] = None) -> List[Finding]:
                 in_repair = (
                     group in protocol.pending
                     or group in protocol.rejoins
-                    or group in protocol._quitting
+                    or group in protocol.quits
                 )
                 if not protocol.is_core_for(group) and not in_repair:
                     if entry.has_children or protocol.igmp.any_member_subnet(
@@ -200,9 +200,8 @@ def check_invariants(domain, now: Optional[float] = None) -> List[Finding]:
                         "transient state)",
                     )
                 )
-        quit_timers = getattr(protocol, "_quit_timers", {})
-        for group in protocol._quitting:
-            timer = quit_timers.get(group)
+        for group, record in protocol.quits.items():
+            timer = record.retry_timer
             if timer is None or not timer.pending:
                 findings.append(
                     Finding(

@@ -120,7 +120,7 @@ class TestMaskScopedKeepalives:
         p3 = domain.protocol("R3")
         r1_addr = next(iter(p3.fib.get(groups[0]).children))
         # Forge an aggregate echo from R1 covering a disjoint range.
-        before = dict(p3._child_last_heard)
+        before = {g: dict(p3.fib.get(g).child_heard_at) for g in groups}
         figure1_network.run(until=figure1_network.scheduler.now + 0.5)
         p3._recv_echo_request(
             figure1_network.router("R3").interfaces[0],
@@ -135,7 +135,7 @@ class TestMaskScopedKeepalives:
             ),
         )
         for g in groups:
-            assert p3._child_last_heard[(g, r1_addr)] == before[(g, r1_addr)]
+            assert p3.fib.get(g).child_heard_at[r1_addr] == before[g][r1_addr]
 
     def test_aggregated_keepalives_cover_real_groups(self, figure1_network):
         from tests.conftest import join_members

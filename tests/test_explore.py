@@ -216,7 +216,7 @@ def _quit_overlap(world):
     """Flags two routers quitting at once — transient in the default
     run (R9 quits as it acks R10), so it shows only where the oracle
     looks between those two events."""
-    quitting = sorted(n for n, p in world.domain.protocols.items() if p._quitting)
+    quitting = sorted(n for n, p in world.domain.protocols.items() if p.quits)
     return [f"{', '.join(quitting)} quitting at once"] if len(quitting) >= 2 else []
 
 

@@ -740,20 +740,26 @@ def test_one_place_rejoins_toward_the_primary():
     assert _router_sites(rejoin_active) == ["_join_primary"]
 
 
-def test_one_place_arms_the_rejoin_retry():
-    def arms_retry_rejoin(node):
+def _arms_retry_timer(callback):
+    """A predicate for ``<record>.retry_timer = <call>(..., self.<callback>, ...)``."""
+
+    def arms(node):
         return (
             isinstance(node, ast.Assign)
             and any(
-                isinstance(target, ast.Subscript)
-                and getattr(target.value, "attr", None) == "_rejoin_timers"
+                isinstance(target, ast.Attribute) and target.attr == "retry_timer"
                 for target in node.targets
             )
             and isinstance(node.value, ast.Call)
-            and any(
-                getattr(arg, "attr", None) == "_retry_rejoin"
-                for arg in node.value.args
-            )
+            and any(getattr(arg, "attr", None) == callback for arg in node.value.args)
         )
 
-    assert _router_sites(arms_retry_rejoin) == ["_arm_rejoin"]
+    return arms
+
+
+def test_one_place_arms_the_rejoin_retry():
+    assert _router_sites(_arms_retry_timer("_retry_rejoin")) == ["_arm_rejoin"]
+
+
+def test_one_place_arms_the_quit_retry():
+    assert _router_sites(_arms_retry_timer("_quit_retry")) == ["_arm_quit_retry"]

@@ -1,6 +1,10 @@
 """Keepalive tests: echo request/reply, child expiry, aggregation (§6, §8.4)."""
 
+import pytest
+
 from repro import CBTDomain, group_address
+from repro.chaos.scenarios import SCENARIOS
+from repro.harness.campaign import TOPOLOGIES, leg_run
 from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS
 from tests.conftest import join_members
 
@@ -138,3 +142,26 @@ class TestEchoAggregation:
         )
         lost = domain.protocol("R1").events_of("parent_lost")
         assert len(lost) >= len(groups)
+
+
+class TestStateLivesWithItsRelation:
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    def test_no_clock_or_quit_outlives_what_it_belongs_to(self, topology):
+        """Every chaos scenario at seed 0, checked at quiescence: a FIB
+        entry holds a keepalive clock for exactly its relations, and
+        every outstanding quit still has a live retry timer."""
+        stale = []
+        for scenario, plan in SCENARIOS.items():
+            with leg_run("cbt", topology, 0, FAST_TIMERS, plan) as run:
+                for name, protocol in run.domain.protocols.items():
+                    where = f"{scenario}/{name}"
+                    for entry in protocol.fib:
+                        if set(entry.child_heard_at) != set(entry.children):
+                            stale.append(f"{where} {entry.group}: child clocks")
+                        if (entry.parent_replied_at is None) == entry.has_parent:
+                            stale.append(f"{where} {entry.group}: parent clock")
+                    for group, record in protocol.quits.items():
+                        timer = record.retry_timer
+                        if timer is None or not timer.pending:
+                            stale.append(f"{where} {group}: quit without a timer")
+        assert stale == []

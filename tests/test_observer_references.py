@@ -30,7 +30,7 @@ from repro.core.audit import (
     transition_findings,
 )
 from repro.core.constants import JoinSubcode
-from repro.core.state import PendingJoin
+from repro.core.state import PendingJoin, QuitAttempt
 from repro.harness import campaign
 from repro.netsim.address import IPv4Address
 from repro.telemetry.conservation import check_conservation, link_conservation
@@ -193,7 +193,9 @@ def _stale_pending_join(network, domain, group):
 
 def _quit_with_no_timer(network, domain, group):
     name, *_ = _neighbour_pair(network, domain, group, on_tree=True)
-    domain.protocol(name)._quitting[group] = 1
+    domain.protocol(name).quits[group] = QuitAttempt(
+        group=group, parent=IPv4Address("10.0.13.3"), retries_left=1
+    )
     return name
 
 

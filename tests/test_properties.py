@@ -54,7 +54,7 @@ def test_quiescent_state_invariants(scenario):
     # Invariant 2: no lingering transient state.
     for name, protocol in domain.protocols.items():
         assert not protocol.pending, f"{name} still pending"
-        assert not protocol._quitting, f"{name} still quitting"
+        assert not protocol.quits, f"{name} still quitting"
 
     # Invariant 3: exactly-once delivery to remaining members.
     remaining = members[leave_count:]

@@ -50,8 +50,8 @@ class TestQuitRetryChain:
         run_quiet(figure1_network, 30.0)
         p2 = domain.protocol("R2")
         assert p2.events_of("quit")
-        assert group not in p2._quitting
-        assert not p2._quit_timers
+        assert group not in p2.quits
+        assert not p2.quits
         # A stale chain would resend QUIT_REQUEST on its next firing.
         sent_before = p2.stats.sent.get("QUIT_REQUEST", 0)
         run_quiet(figure1_network, p2.timers.pend_join_interval * 4)
@@ -73,10 +73,10 @@ class TestQuitRetryChain:
         domain.leave_host("H", group)
         # IGMP leave latency dominates; poll until the quit is pending.
         for _ in range(60):
-            if group in p10._quitting:
+            if group in p10.quits:
                 break
             run_quiet(figure1_network, 0.1)
-        assert group in p10._quitting
+        assert group in p10.quits
         stray = CBTControlMessage(
             msg_type=MessageType.QUIT_ACK,
             code=0,
@@ -84,10 +84,10 @@ class TestQuitRetryChain:
             origin=IPv4Address("10.99.99.99"),
         )
         p10._recv_quit_ack(None, IPv4Address("10.99.99.99"), stray)
-        assert group in p10._quitting, "stale ack cleared a live quit"
+        assert group in p10.quits, "stale ack cleared a live quit"
         p10._recv_quit_ack(None, parent, stray)
-        assert group not in p10._quitting
-        assert not p10._quit_timers
+        assert group not in p10.quits
+        assert not p10.quits
 
 
 class TestJoinWhileQuitting:
@@ -108,14 +108,14 @@ class TestJoinWhileQuitting:
         # IGMP leave latency dominates; poll until the cascade reaches
         # R8 and its (unackable) quit toward R4 is outstanding.
         for _ in range(80):
-            if group in p8._quitting:
+            if group in p8.quits:
                 break
             run_quiet(figure1_network, 0.1)
-        assert group in p8._quitting
+        assert group in p8.quits
         domain.join_host("H", group)
         run_quiet(figure1_network, 15.0)
         assert p8.events_of("quit_cancelled")
-        assert group not in p8._quitting
+        assert group not in p8.quits
         for name in ("R8", "R9", "R10"):
             assert domain.protocol(name).is_on_tree(group), name
         domain.assert_tree_consistent(group)
@@ -148,7 +148,7 @@ class TestRejoinNoRoute:
         if group in p10.rejoins:
             assert (
                 group in p10.pending
-                or p10._rejoin_timers.get(group) is not None
+                or p10.rejoins[group].retry_timer is not None
             ), "rejoin stranded with no retry driver"
         figure1_network.restore_link("L_R9_R10")
         run_quiet(
