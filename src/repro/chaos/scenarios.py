@@ -136,8 +136,9 @@ def blackout(ctx: ChaosContext) -> FaultSchedule:
 
 
 def router_crash(ctx: ChaosContext) -> FaultSchedule:
-    """A non-core on-tree router freezes past the echo timeout; its
-    neighbours must route around it and reconcile when it thaws."""
+    """A non-core on-tree router loses every interface past the echo
+    timeout, keeping its state and timers (:class:`NodeOutage`); its
+    neighbours must route around it and reconcile when it returns."""
     routers = ctx.on_tree_routers(exclude_cores=True)
     if not routers:
         routers = ctx.on_tree_routers(exclude_cores=False)
@@ -149,8 +150,9 @@ def router_crash(ctx: ChaosContext) -> FaultSchedule:
 
 
 def core_crash(ctx: ChaosContext) -> FaultSchedule:
-    """The primary core freezes long enough that branches fail over to
-    an alternate core (§6.1/§6.2), then returns."""
+    """The primary core loses every interface, keeping its state and
+    timers (:class:`NodeOutage`), long enough that branches fail over
+    to an alternate core (§6.1/§6.2), then returns."""
     name = ctx.cores[0]
     down = ctx.timers.echo_timeout + ctx.timers.reconnect_timeout * 2
     return FaultSchedule().add(

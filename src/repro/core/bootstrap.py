@@ -56,10 +56,10 @@ class GroupCoordinator:
     ) -> Tuple[IPv4Address, ...]:
         """Re-announce a group's core list (migration handover).
 
-        Replaces the recorded list and pushes a cache invalidation plus
-        the fresh list to every registered protocol, so no router keeps
-        serving the pre-announcement answer out of its ``group_cores``
-        cache.
+        Replaces the recorded list, the one every registered protocol
+        reads, then tells each protocol in registration order through
+        :meth:`CBTProtocol.reannounced`, so a router that owns the new
+        primary stands as root.
         """
         if group not in self._groups:
             raise KeyError(f"group {group} was never created")
@@ -70,8 +70,7 @@ class GroupCoordinator:
             return ordered
         self._groups[group] = ordered
         for protocol in self._protocols:
-            protocol.invalidate_cores(group)
-            protocol.learn_cores(group, ordered, announced=True)
+            protocol.reannounced(group)
         return ordered
 
     def cores_for(self, group: IPv4Address) -> Tuple[IPv4Address, ...]:
@@ -104,7 +103,6 @@ class CBTDomain:
         igmp_config: Optional[IGMPConfig] = None,
         use_cbt_multicast: bool = False,
         aggregate_echoes: bool = False,
-        enable_proxy_ack: bool = True,
         wire_format: bool = False,
         cbt_routers: Optional[Sequence[str]] = None,
         hosts: Optional[Sequence[str]] = None,
@@ -125,13 +123,12 @@ class CBTDomain:
                 router = network.router(name)
                 self.protocols[name] = CBTProtocol(
                     router,
+                    self.coordinator,
                     timers=timers,
                     mode=mode,
-                    coordinator=self.coordinator,
                     igmp_config=igmp_config,
                     use_cbt_multicast=use_cbt_multicast,
                     aggregate_echoes=aggregate_echoes,
-                    enable_proxy_ack=enable_proxy_ack,
                     wire_format=wire_format,
                 )
             for name in host_names:

@@ -17,9 +17,10 @@ This module closes the loop for a running domain:
 
   1. **announce** — the coordinator re-announces the core list with
      the new primary first *while keeping every old core listed*, so
-     the old primary stays a legitimate root throughout.  The
-     re-announcement invalidates every router's ``group_cores`` cache
-     (:meth:`~repro.core.router.CBTProtocol.invalidate_cores`).
+     the old primary stays a legitimate root throughout.  Routers
+     read the core list from the coordinator and keep no copy, so
+     every router sees the re-announcement at once; each hears of it
+     through :meth:`~repro.core.router.CBTProtocol.reannounced`.
   2. **graft** — the old primary, now a secondary, re-homes its root
      under the new primary (:meth:`~repro.core.router.CBTProtocol.graft_toward`,
      an active rejoin preceded by the §2.7 flush-child-on-path rule).

@@ -120,13 +120,12 @@ class CBTProtocol:
     def __init__(
         self,
         router,
+        coordinator,
         timers: CBTTimers = DEFAULT_TIMERS,
         mode: str = "cbt",
-        coordinator=None,
         igmp_config: Optional[IGMPConfig] = None,
         use_cbt_multicast: bool = False,
         aggregate_echoes: bool = False,
-        enable_proxy_ack: bool = True,
         wire_format: bool = False,
     ) -> None:
         if mode not in ("cbt", "native"):
@@ -137,7 +136,6 @@ class CBTProtocol:
         self.coordinator = coordinator
         self.use_cbt_multicast = use_cbt_multicast
         self.aggregate_echoes = aggregate_echoes
-        self.enable_proxy_ack = enable_proxy_ack
         #: When True, control messages cross the network as encoded
         #: §8 bytes and are decoded (checksum-verified) per hop.
         self.wire_format = wire_format
@@ -149,17 +147,10 @@ class CBTProtocol:
         self.dr_election = DRElection(self.igmp, self.neighbours)
         self.data_plane = DataPlane(self)
 
-        #: group -> ordered core list (primary first), learnt from core
-        #: reports, passing joins, or the coordinator.
-        self.group_cores: Dict[IPv4Address, Tuple[IPv4Address, ...]] = {}
-        #: group -> the core list as announced by the coordinator (the
-        #: stand-in for the external core advertisement protocol).  An
-        #: announced list is ground truth: core lists riding protocol
-        #: messages that were in flight *before* a re-announcement must
-        #: not clobber it — otherwise a migration's final core list can
-        #: be overwritten by a pre-handover join retransmit and leave
-        #: the new primary believing it is not a core at all.
-        self._announced_cores: Dict[IPv4Address, Tuple[IPv4Address, ...]] = {}
+        #: group -> ordered core list (primary first) learnt from core
+        #: reports or passing joins, for a group the coordinator does
+        #: not announce; an announced list is read from the coordinator.
+        self._learned_cores: Dict[IPv4Address, Tuple[IPv4Address, ...]] = {}
         self.pending: Dict[IPv4Address, PendingJoin] = {}
         self.rejoins: Dict[IPv4Address, RejoinAttempt] = {}
         self.quits: Dict[IPv4Address, QuitAttempt] = {}
@@ -211,8 +202,7 @@ class CBTProtocol:
         router.unicast_interceptor = self.data_plane.intercept_unicast
         self.igmp.on_membership_change(self._on_membership_change)
         self.igmp.on_core_report(self._on_core_report)
-        if coordinator is not None:
-            coordinator.register(self)
+        coordinator.register(self)
         router.scheduler.register(self)
 
     # ------------------------------------------------------------------
@@ -272,34 +262,7 @@ class CBTProtocol:
         return sorted(entry.children) if entry else []
 
     def cores_for(self, group: IPv4Address) -> Tuple[IPv4Address, ...]:
-        cores = self.group_cores.get(group)
-        if cores:
-            return cores
-        if self.coordinator is not None:
-            cores = self.coordinator.cores_for(group)
-            if cores:
-                # Cached until :meth:`invalidate_cores` — the
-                # coordinator pushes an invalidation whenever the
-                # group's core list is re-announced, so the cache can
-                # no longer serve a pre-migration answer forever.  The
-                # coordinator is the advertisement ground truth, so
-                # this read is also an announcement (stale message-
-                # borne lists must not overwrite it).
-                self.group_cores[group] = cores
-                self._announced_cores[group] = cores
-                return cores
-        return ()
-
-    def invalidate_cores(self, group: IPv4Address) -> None:
-        """Drop cached core knowledge for ``group``.
-
-        Called on core re-announcement (coordinator update, migration
-        handover): the next :meth:`cores_for` re-reads the coordinator,
-        and any target-core index into the stale list is discarded.
-        """
-        self.group_cores.pop(group, None)
-        self._announced_cores.pop(group, None)
-        self._target_core_index.pop(group, None)
+        return self.coordinator.cores_for(group) or self._learned_cores.get(group, ())
 
     def is_core_for(self, group: IPv4Address) -> bool:
         return any(self.router.owns_address(c) for c in self.cores_for(group))
@@ -311,37 +274,34 @@ class CBTProtocol:
     def has_gdr(self, vif: int, group: IPv4Address) -> bool:
         return (vif, group) in self._gdr_known
 
-    def learn_cores(
-        self,
-        group: IPv4Address,
-        cores: Sequence[IPv4Address],
-        announced: bool = False,
-    ) -> None:
-        """Record the ordered core list for ``group``.
+    def learn_cores(self, group: IPv4Address, cores: Sequence[IPv4Address]) -> None:
+        """Record the ordered core list a message carried for ``group``.
 
-        ``announced`` marks the coordinator's push on (re-)announcement
-        — ground truth that replaces anything cached.  Unannounced
-        lists (riding joins, acks, core reports) fill gaps but must not
-        overwrite an announced list with a different one: a pre-
-        handover message still in flight would otherwise roll the
+        The coordinator (the stand-in for the external core
+        advertisement protocol) is ground truth: a list riding a join,
+        ack or core report counts only for a group it does not
+        announce.  A different list for an announced group is a pre-
+        handover message still in flight, which must not roll the
         migration's re-announcement back on whichever routers it
-        crosses.  Ignored rollbacks are counted, not evented, so a late
-        straggler cannot break quiescence detection.
+        crosses; it is counted, not evented, so a late straggler cannot
+        break quiescence detection.
         """
         if not cores:
             return
-        ordered = tuple(cores)
+        announced = self.coordinator.cores_for(group)
         if announced:
-            self.group_cores[group] = ordered
-            self._announced_cores[group] = ordered
-            if self.router.owns_address(ordered[0]):
-                self._promote_to_primary_root(group)
+            if tuple(cores) != announced:
+                self._c_stale_cores.inc()
             return
-        current = self._announced_cores.get(group)
-        if current is not None and ordered != current:
-            self._c_stale_cores.inc()
-            return
-        self.group_cores[group] = ordered
+        self._learned_cores[group] = tuple(cores)
+
+    def reannounced(self, group: IPv4Address) -> None:
+        """The coordinator re-announced ``group``'s core list: any
+        target-core index into the old list is discarded, and a router
+        that owns the new primary stands as the tree root."""
+        self._target_core_index.pop(group, None)
+        if self.router.owns_address(self.coordinator.cores_for(group)[0]):
+            self._promote_to_primary_root(group)
 
     def _promote_to_primary_root(self, group: IPv4Address) -> None:
         """A core re-announcement just made this router the primary.
@@ -1053,8 +1013,7 @@ class CBTProtocol:
         """Acknowledge a join, applying the §2.6 proxy-ack rule."""
         interface = self.router.interface_for_vif(downstream_vif)
         proxy = (
-            self.enable_proxy_ack
-            and JoinSubcode(message.code) == JoinSubcode.ACTIVE_JOIN
+            JoinSubcode(message.code) == JoinSubcode.ACTIVE_JOIN
             and message.origin == downstream
             and interface.on_same_network(message.origin)
             and interface.address != message.origin

@@ -172,10 +172,11 @@ class Partition(FaultEvent):
 
 @dataclass(frozen=True)
 class NodeOutage(FaultEvent):
-    """Crash a node (all interfaces down) and restart it after
-    ``duration``.  State survives the outage — the freeze/restart fault
-    model; a state-wiping restart is a protocol-layer concern the
-    campaign runner can layer on via ``on_restart``."""
+    """Crash a node and restart it after ``duration``.  The crash only
+    takes every interface down: the node's protocol state is kept and
+    its timers keep firing (its sends go nowhere), so this is neither a
+    freeze nor a wipe.  A state-wiping restart is a protocol-layer
+    concern the campaign runner can layer on via ``on_restart``."""
 
     node: str = ""
     duration: float = 1.0

@@ -87,7 +87,7 @@ class TestDetections:
         # Remove the coordinator mapping so R6 cannot resolve cores.
         domain.coordinator._groups.clear()
         for protocol in domain.protocols.values():
-            protocol.group_cores.clear()
+            protocol._learned_cores.clear()
         figure1_network.run(until=figure1_network.scheduler.now + 3.0)
         findings = audit_domain(domain)
         assert any(

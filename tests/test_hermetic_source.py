@@ -763,3 +763,18 @@ def test_one_place_arms_the_rejoin_retry():
 
 def test_one_place_arms_the_quit_retry():
     assert _router_sites(_arms_retry_timer("_quit_retry")) == ["_arm_quit_retry"]
+
+
+def test_one_place_stores_a_learned_core_list():
+    def stores_learned(node):
+        return (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, ast.Store)
+            and getattr(node.value, "attr", None) == "_learned_cores"
+        )
+
+    def assigns(node):
+        return isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.NamedExpr))
+
+    assert _router_sites(stores_learned) == ["learn_cores"]
+    assert "cores_for" not in _router_sites(assigns)

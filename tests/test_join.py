@@ -1,7 +1,9 @@
 """Tree-joining tests against the spec's §2.5/§2.6 walk-throughs."""
 
+from unittest import mock
 
 from repro import CBTDomain, group_address
+from repro.core.router import CBTProtocol
 from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS
 
 
@@ -103,21 +105,18 @@ class TestProxyAck:
 
     def test_proxy_ack_disabled_keeps_d_dr_on_tree(self, figure1_network):
         """Ablation: without §2.6, the D-DR R6 keeps a redundant FIB
-        entry and the branch roots one LAN hop too early."""
-        domain = CBTDomain(
-            figure1_network,
-            timers=FAST_TIMERS,
-            igmp_config=FAST_IGMP,
-            enable_proxy_ack=False,
-        )
+        entry and the branch roots one LAN hop too early.  The proxy
+        rule is switched off through its last, pure conjunct."""
+        domain = CBTDomain(figure1_network, timers=FAST_TIMERS, igmp_config=FAST_IGMP)
         group = group_address(0)
         domain.create_group(group, cores=["R4", "R9"])
-        domain.start()
-        figure1_network.run(until=3.0)
-        domain.join_host("A", group)
-        figure1_network.run(until=6.0)
-        domain.join_host("B", group)
-        figure1_network.run(until=9.0)
+        with mock.patch.object(CBTProtocol, "_has_other_cbt_router", return_value=False):
+            domain.start()
+            figure1_network.run(until=3.0)
+            domain.join_host("A", group)
+            figure1_network.run(until=6.0)
+            domain.join_host("B", group)
+            figure1_network.run(until=9.0)
         assert domain.protocol("R6").is_on_tree(group)
         assert ("R6", "R2") in domain.tree_edges(group)
 

@@ -1,5 +1,5 @@
-"""Core migration: locality placement handover, cache invalidation,
-promotion-to-root, and the experiment cell.
+"""Core migration: locality placement handover, one owner for the core
+list, promotion-to-root, and the experiment cell.
 
 The migration subsystem (``repro.core.migration``) re-announces a
 group's core list when membership drifts away from the announced
@@ -7,9 +7,12 @@ primary and executes a make-before-break handover.  These tests pin
 the protocol-level contracts the chaos scenarios and the explorer
 exercised:
 
-* ``update_group`` invalidates every router's ``group_cores`` cache
-  (the permanent-cache bug class);
-* stale core lists riding in-flight messages cannot roll back a
+* every router reads an announced core list from the coordinator and
+  keeps no copy of it, so neither ``update_group`` nor a later
+  ``create_group`` can leave a router serving an old list (the
+  permanent-cache bug class);
+* a core list riding a message counts only for a group the
+  coordinator does not announce: a stale one cannot roll back a
   re-announcement (counted, not evented);
 * a router promoted to primary sheds its stale upstream parent and
   stands as root (the promoted-primary loop class);
@@ -22,6 +25,7 @@ from repro.core.audit import check_invariants
 from repro.harness.migration_cell import MigrationCellResult, run_migration_cell
 from repro.harness.scenarios import FAST_TIMERS, build_cbt_group
 from repro.igmp.messages import CoreReport
+from repro.netsim.address import group_address
 from repro.topology.figures import build_figure1
 
 
@@ -63,6 +67,35 @@ class TestCoreCacheInvalidation:
         announced = protocol.cores_for(group)
         protocol.learn_cores(group, announced)  # echo of the truth: fine
         assert protocol.cores_for(group) == announced
+
+    def test_no_router_copies_the_announced_list(self):
+        network, domain, group = _stand_up(["A", "H"], ["R4", "R9"])
+        for name, protocol in domain.protocols.items():
+            assert protocol.cores_for(group), name
+            assert group not in protocol._learned_cores, name
+
+    def test_announcement_overrides_a_learned_list(self):
+        network, domain, group = _stand_up(["A"], ["R4", "R9"])
+        other = group_address(1)
+        protocol = domain.protocols["R1"]
+        learned = (network.router("R4").primary_address,)
+        protocol.learn_cores(other, learned)
+        assert protocol.cores_for(other) == learned
+        announced = domain.create_group(other, ["R9", "R4"])
+        assert protocol.cores_for(other) == announced
+
+    def test_unannounced_group_serves_the_learned_list(self):
+        network, domain, group = _stand_up(["A"], ["R4", "R9"])
+        other = group_address(1)
+        protocol = domain.protocols["R1"]
+        learned = (
+            network.router("R9").primary_address,
+            network.router("R4").primary_address,
+        )
+        assert protocol.cores_for(other) == ()
+        protocol.learn_cores(other, learned)
+        assert protocol.cores_for(other) == learned
+        assert domain.protocols["R2"].cores_for(other) == ()
 
 
 class TestPromotionToRoot:
