@@ -140,7 +140,10 @@ def warnings(findings: List[Finding]) -> List[Finding]:
 def _crashed(protocol) -> bool:
     """A node with every interface down is frozen mid-crash; its state
     is unreachable and deliberately excluded from invariant checks."""
-    return all(not interface.up for interface in protocol.router.interfaces)
+    for interface in protocol.router.interfaces:
+        if interface._up:
+            return False
+    return True
 
 
 def _live(domain) -> Dict[str, object]:
@@ -151,7 +154,7 @@ def _live(domain) -> Dict[str, object]:
         name: protocol
         for name, protocol in domain.protocols.items()
         if (
-            protocol.fib
+            protocol.fib.by_group
             or protocol.pending
             or protocol.quits
             or protocol.rejoins
@@ -230,7 +233,7 @@ def _parent_loops(domain, walkable, groups: Iterable) -> List[Finding]:
                     if not _crashed(domain.protocols[current]):
                         current = None
                     break
-                entry = protocol.fib.get(group)
+                entry = protocol.fib.by_group.get(group)
                 if entry is None or not entry.has_parent:
                     current = None
                 else:
@@ -272,7 +275,7 @@ def check_invariants(domain, now: Optional[float] = None) -> List[Finding]:
 
     for name, protocol in live.items():
         owns = protocol.router.owns_address
-        for entry in protocol.fib:
+        for entry in protocol.fib.by_group.values():
             group = entry.group
             findings.extend(_self_references(name, owns, entry))
             message = None
@@ -281,7 +284,7 @@ def check_invariants(domain, now: Optional[float] = None) -> List[Finding]:
                 if parent_name is None:
                     message = f"parent {entry.parent_address} is not a known CBT router"
                 elif parent_name in live or not _crashed(domain.protocols[parent_name]):
-                    parent_entry = domain.protocols[parent_name].fib.get(group)
+                    parent_entry = domain.protocols[parent_name].fib.by_group.get(group)
                     if parent_entry is None or not any(map(owns, parent_entry.children)):
                         message = f"parent {parent_name} does not list this router as a child"
             elif not protocol.is_core_for(group) and not (
@@ -305,7 +308,7 @@ def check_invariants(domain, now: Optional[float] = None) -> List[Finding]:
         if protocol.quits:
             findings.extend(_stuck_quits(name, protocol))
 
-    groups = {entry.group for protocol in live.values() for entry in protocol.fib}
+    groups = {group for protocol in live.values() for group in protocol.fib.by_group}
     findings.extend(_parent_loops(domain, live, groups))
     return findings
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.audit import check_invariants
+from repro.core.messages import MessageType
 from repro.core.router import CBTProtocol
 from repro.core.timers import CBTTimers, DEFAULT_TIMERS
 from repro.igmp.host import IGMPHostAgent
@@ -185,9 +186,11 @@ class CBTDomain:
 
     def on_tree_routers(self, group: IPv4Address) -> List[str]:
         return sorted(
-            name
-            for name, protocol in self.protocols.items()
-            if protocol.fib and protocol.is_on_tree(group)
+            [
+                name
+                for name, protocol in self.protocols.items()
+                if group in protocol.fib.by_group
+            ]
         )
 
     def router_of(self, address: IPv4Address) -> Optional[str]:
@@ -213,7 +216,7 @@ class CBTDomain:
         """(child, parent) router-name pairs for the group's tree."""
         edges = []
         for name, protocol in self.protocols.items():
-            parent = protocol.tree_parent(group) if protocol.fib else None
+            parent = protocol.tree_parent(group) if protocol.fib.by_group else None
             if parent is not None:
                 edges.append((name, self.router_of(parent) or str(parent)))
         return sorted(edges)
@@ -231,9 +234,12 @@ class CBTDomain:
         overhead, ``repro stats``) reads the same numbers without a
         pattern query per router.
         """
+        skip = MessageType.HELLO if exclude_hello else None
         total = 0
         for protocol in self.protocols.values():
-            total += protocol.stats.total_sent(exclude_hello)
+            for msg_type, counter in protocol.stats.tx.items():
+                if msg_type is not skip:
+                    total += counter.value
         return total
 
     def events_total(self) -> int:

@@ -128,7 +128,10 @@ class FIB:
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[IPv4Address, FIBEntry] = {}
+        #: group -> entry.  Read-only outside this class; observers that
+        #: sweep every router test it (truth, ``in``) directly, one C
+        #: call where ``len(fib)`` / ``group in fib`` are Python calls.
+        self.by_group: Dict[IPv4Address, FIBEntry] = {}
         self._downloads = Counter("fib_downloads")
         self.deletions = 0
         self._adds = Counter("fib_adds")
@@ -144,47 +147,47 @@ class FIB:
         return self._downloads.value
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.by_group)
 
     def __iter__(self) -> Iterator[FIBEntry]:
-        return iter(self._entries.values())
+        return iter(self.by_group.values())
 
     def __contains__(self, group: IPv4Address) -> bool:
-        return group in self._entries
+        return group in self.by_group
 
     def get(self, group: IPv4Address) -> Optional[FIBEntry]:
-        return self._entries.get(group)
+        return self.by_group.get(group)
 
     def get_or_create(self, group: IPv4Address) -> FIBEntry:
-        entry = self._entries.get(group)
+        entry = self.by_group.get(group)
         if entry is None:
             entry = FIBEntry(group=group)
             entry._downloads = self._downloads
-            self._entries[group] = entry
+            self.by_group[group] = entry
             self._adds.inc()
         return entry
 
     def remove(self, group: IPv4Address) -> None:
-        entry = self._entries.pop(group, None)
+        entry = self.by_group.pop(group, None)
         if entry is not None:
             entry._downloads = None
             self._removes.inc()
             self.deletions += 1
 
     def groups(self) -> List[IPv4Address]:
-        return sorted(self._entries, key=int)
+        return sorted(self.by_group, key=int)
 
     def entries(self) -> List[FIBEntry]:
-        return [self._entries[g] for g in self.groups()]
+        return [self.by_group[g] for g in self.groups()]
 
     def total_state(self) -> int:
         """Total stored relationships across groups (E1 state metric)."""
-        return sum(entry.state_size() for entry in self._entries.values())
+        return sum(entry.state_size() for entry in self.by_group.values())
 
     def parent_child_pairs(self) -> List[Tuple[IPv4Address, IPv4Address, IPv4Address]]:
         """(group, parent, child) triples; diagnostic/metrics helper."""
         out = []
-        for entry in self._entries.values():
+        for entry in self.by_group.values():
             for child in entry.children:
                 parent = entry.parent_address
                 out.append((entry.group, parent, child))

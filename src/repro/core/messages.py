@@ -280,11 +280,8 @@ class CBTDataPacket(Record):
         )
 
     def size_bytes(self) -> int:
-        inner = self.inner
-        try:
-            return DATA_HEADER_SIZE + inner.size_bytes()
-        except AttributeError:
-            return DATA_HEADER_SIZE + nominal_size(inner)
+        size = getattr(self.inner, "size_bytes", None)
+        return DATA_HEADER_SIZE + (size() if size is not None else nominal_size(self.inner))
 
     def encode_header(self) -> bytes:
         """Serialise the 32-byte Figure-7 header."""

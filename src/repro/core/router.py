@@ -106,13 +106,6 @@ class ControlStats:
     def received(self) -> Dict[str, int]:
         return {k.name: c.value for k, c in self.rx.items() if c.value}
 
-    def total_sent(self, exclude_hello: bool = True) -> int:
-        total = 0
-        for msg_type, counter in self.tx.items():
-            if not (exclude_hello and msg_type is MessageType.HELLO):
-                total += counter.value
-        return total
-
 
 class CBTProtocol:
     """CBT control and data plane for one router."""
@@ -1499,6 +1492,8 @@ class CBTProtocol:
     # -- keepalives (§6) --------------------------------------------------------------------
 
     def _echo_tick(self) -> None:
+        if not self.fib.by_group:
+            return  # no parent to keep alive or to check
         if self.aggregate_echoes:
             # §8.4: one echo per parent, covering the aggregated groups
             # as a (base, mask) range.
@@ -1512,7 +1507,7 @@ class CBTProtocol:
                 base, mask = covering_prefix(groups)
                 self._send_echo(parent, group=base, aggregate=True, mask=mask)
         else:
-            for entry in list(self.fib):
+            for entry in list(self.fib.by_group.values()):
                 if entry.has_parent:
                     self._send_echo(entry.parent_address, group=entry.group)
         self._check_parents()
@@ -1608,7 +1603,7 @@ class CBTProtocol:
 
     def _check_parents(self) -> None:
         now = self.router.scheduler.now
-        for entry in list(self.fib):
+        for entry in list(self.fib.by_group.values()):
             if not entry.has_parent:
                 continue
             replied = entry.parent_replied_at
@@ -1617,7 +1612,7 @@ class CBTProtocol:
 
     def _child_assert_tick(self) -> None:
         now = self.router.scheduler.now
-        for entry in list(self.fib):
+        for entry in list(self.fib.by_group.values()):
             for child in list(entry.children):
                 heard = entry.child_heard_at.get(child)
                 if heard is not None and now - heard > self.timers.child_assert_expire:
@@ -1627,7 +1622,7 @@ class CBTProtocol:
 
     def _iff_scan_tick(self) -> None:
         # §9 IFF-SCAN-INTERVAL: periodically re-check leaf status.
-        for entry in list(self.fib):
+        for entry in list(self.fib.by_group.values()):
             self._maybe_quit(entry.group)
         # Coverage scan: a member LAN whose serving router died (G-DR
         # failure) needs a fresh join from its D-DR; _maybe_join
@@ -1681,9 +1676,9 @@ class CBTProtocol:
 
     def _send_hellos(self, interfaces: Optional[Sequence[Interface]] = None) -> None:
         """HELLOs out of every up interface in ``interfaces`` (default:
-        all) whose link is multi-access: every reader of a HELLO is a
-        LAN concern, and ECHO keeps a point-to-point parent/child
-        alive."""
+        the router's ``lan_interfaces``) whose link is multi-access:
+        every reader of a HELLO is a LAN concern, and ECHO keeps a
+        point-to-point parent/child alive."""
         # Announce every group we are on-tree for: LAN peers use the
         # announcements to avoid double-serving member subnets (a
         # CBTv2-style extension; the -02/-03 draft leaves the
@@ -1695,7 +1690,9 @@ class CBTProtocol:
             if len(groups) <= 5
             else [tuple(groups[i : i + 5]) for i in range(0, len(groups), 5)]
         )
-        for interface in self.router.interfaces if interfaces is None else interfaces:
+        if interfaces is None:
+            interfaces = self.router.lan_interfaces
+        for interface in interfaces:
             if interface._up and interface.link.multi_access:
                 for chunk in chunks:
                     self._send_hello(interface, chunk)

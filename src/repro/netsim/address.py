@@ -27,7 +27,7 @@ mask-and-compare.  Text parsing of both types is delegated to
 from __future__ import annotations
 
 import ipaddress
-from typing import Iterator
+from typing import Dict, Iterator
 
 #: Netmask (as an int) for every prefix length; index by prefixlen.
 NETMASKS = tuple((0xFFFFFFFF << (32 - p)) & 0xFFFFFFFF for p in range(33))
@@ -100,9 +100,12 @@ class IPv4Network:
         if not self.prefixlen <= new_prefix <= 32:
             raise ValueError(f"new prefix /{new_prefix} is invalid for {self}")
         step = 1 << (32 - new_prefix)
+        netmask = IPv4Address(NETMASKS[new_prefix])
         for base in range(self.network_address, self.broadcast_address + 1, step):
             subnet = object.__new__(IPv4Network)
-            subnet._set(base, new_prefix)
+            subnet.network_address = IPv4Address(base)
+            subnet.netmask = netmask
+            subnet.prefixlen = new_prefix
             yield subnet
 
     def hosts(self) -> Iterator[IPv4Address]:
@@ -190,7 +193,10 @@ class AddressAllocator:
         self._subnets: Iterator[IPv4Network] = self._base.subnets(
             new_prefix=prefix_len
         )
-        self._next_host_index: dict = {}
+        #: Allocated subnet's base address -> index of its next host.
+        #: Every allocated subnet has ``prefix_len``, so the base names
+        #: it, and an int key hashes in C.
+        self._next_host_index: Dict[int, int] = {}
 
     def next_subnet(self) -> IPv4Network:
         """Allocate the next unused subnet prefix."""
@@ -198,16 +204,17 @@ class AddressAllocator:
             subnet = next(self._subnets)
         except StopIteration:
             raise ValueError(f"address space {self._base} exhausted") from None
-        self._next_host_index[subnet] = 1
+        self._next_host_index[subnet.network_address] = 1
         return subnet
 
     def next_host(self, subnet: IPv4Network) -> IPv4Address:
         """Allocate the next unused host address within ``subnet``."""
-        if subnet not in self._next_host_index:
+        base = subnet.network_address
+        index = self._next_host_index.get(base)
+        if index is None or subnet.prefixlen != self._prefix_len:
             raise ValueError(f"{subnet} was not allocated by this allocator")
-        index = self._next_host_index[subnet]
-        address = IPv4Address(subnet.network_address + index)
-        if address >= subnet.broadcast_address:
+        # The broadcast address is ``base`` plus the host mask.
+        if index >= subnet.netmask ^ 0xFFFFFFFF:
             raise ValueError(f"subnet {subnet} host space exhausted")
-        self._next_host_index[subnet] = index + 1
-        return address
+        self._next_host_index[base] = index + 1
+        return IPv4Address(base + index)

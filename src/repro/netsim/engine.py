@@ -10,9 +10,11 @@ Performance notes (see docs/PERFORMANCE.md):
 
 * One object per scheduled event: the :class:`Timer` that
   ``call_later`` returns *is* the record in the queue (``__slots__``).
-  Nothing is recycled, so a handle can never observe another event's
-  state and a fired or cancelled record is freed by refcount as soon
-  as its caller lets go of it.
+  No record is handed to a second caller, so a handle can never
+  observe another event's state and a fired or cancelled record is
+  freed by refcount as soon as its caller lets go of it; a
+  :class:`PeriodicTimer` queues its own private arm again after each
+  tick.
 * The heap holds instants, not events, and there is one queue for
   every event, near or far (docs/PERFORMANCE.md, "the queue holds
   instants" and "one queue, no wheel").  ``_slots`` maps a pending
@@ -328,7 +330,7 @@ class Scheduler:
             )
         if self.closed:
             raise SchedulerError("cannot schedule: the scheduler is closed")
-        return self._schedule(self._now + delay, callback, args, tag)
+        return self._schedule(Timer(self, self._now + delay, callback, args, tag))
 
     def call_at(
         self,
@@ -346,16 +348,12 @@ class Scheduler:
             raise SchedulerError(f"cannot schedule at t={time!r}: not a finite time")
         if self.closed:
             raise SchedulerError("cannot schedule: the scheduler is closed")
-        return self._schedule(time, callback, args, tag)
+        return self._schedule(Timer(self, time, callback, args, tag))
 
-    def _schedule(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        args: Tuple,
-        tag: Optional[Tuple],
-    ) -> Timer:
-        timer = Timer(self, time, callback, args, tag)
+    def _schedule(self, timer: Timer) -> Timer:
+        """Queue ``timer`` (new, or a ticker's arm that has fired) at
+        its ``fires_at``; returns it."""
+        time = timer.fires_at
         slots = self._slots
         slot = slots.get(time)
         if slot is None:
@@ -368,8 +366,8 @@ class Scheduler:
             slot.append(timer)
         self._pending += 1
         self.events_scheduled += 1
-        if tag is not None:
-            self._tagged[timer] = tag
+        if timer.tag is not None:
+            self._tagged[timer] = timer.tag
         return timer
 
     def pending_tags(self) -> List[Tuple]:
@@ -576,4 +574,9 @@ class PeriodicTimer:
         arm = self._timer
         self._callback(*self._args)
         if self._timer is arm:
-            self._timer = self._scheduler.call_later(self._interval, self._tick)
+            # The arm that fired is queued again: one ``Timer`` per
+            # ticker, not one per tick.
+            scheduler = self._scheduler
+            arm.fires_at = scheduler._now + self._interval
+            arm.fired = False
+            scheduler._schedule(arm)

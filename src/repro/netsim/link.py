@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.netsim.address import IPv4Address, IPv4Network
-from repro.netsim.engine import Scheduler, SchedulerError
+from repro.netsim.engine import Scheduler, SchedulerError, Timer
 from repro.netsim.nic import Interface
 from repro.netsim.packet import IPDatagram, UDPDatagram
 from repro.netsim.trace import PacketTrace, TraceRecord
@@ -272,13 +272,18 @@ class Link:
             label = payload_label(datagram)
             for receiver in receivers:
                 scheduler._schedule(
-                    when,
-                    self.deliver,
-                    (receiver, datagram, msg),
-                    ("deliver", label, self.name, receiver.node.name, datagram.uid),
+                    Timer(
+                        scheduler,
+                        when,
+                        self.deliver,
+                        (receiver, datagram, msg),
+                        ("deliver", label, self.name, receiver.node.name, datagram.uid),
+                    )
                 )
         elif fanout == 1:
-            scheduler._schedule(when, self.deliver, (receivers[0], datagram, msg), None)
+            scheduler._schedule(
+                Timer(scheduler, when, self.deliver, (receivers[0], datagram, msg), None)
+            )
         elif fanout:
             # Batched fan-out: one scheduled event delivers to every
             # receiver, in attach order.  Order is indistinguishable
@@ -287,7 +292,7 @@ class Link:
             # exactly like one loop body — but the scheduler handles a
             # LAN-wide broadcast as a single event instead of N.
             scheduler._schedule(
-                when, self.deliver_batch, (receivers, datagram, msg), None
+                Timer(scheduler, when, self.deliver_batch, (receivers, datagram, msg), None)
             )
 
     def deliver(

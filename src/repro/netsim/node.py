@@ -35,6 +35,10 @@ class Node:
         # at creation, so adding an interface is the only invalidation.
         self._toward_cache: Dict[IPv4Address, Optional[Interface]] = {}
         self._own_addresses: Optional[frozenset] = None
+        self._primary_address: Optional[IPv4Address] = None
+        #: The interfaces on multi-access links (``Link.multi_access``),
+        #: in vif order.
+        self.lan_interfaces: List[Interface] = []
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name})"
@@ -53,8 +57,11 @@ class Node:
             mode=mode,
         )
         self.interfaces.append(interface)
+        if link.multi_access:
+            self.lan_interfaces.append(interface)
         self._toward_cache = {}
         self._own_addresses = None
+        self._primary_address = None
         link.attach(interface)
         return interface
 
@@ -100,9 +107,12 @@ class Node:
         The spec breaks DR/querier ties on "lowest address", so the
         identity must be stable and comparable.
         """
-        if not self.interfaces:
-            raise RuntimeError(f"{self.name} has no interfaces")
-        return min(i.address for i in self.interfaces)
+        primary = self._primary_address
+        if primary is None:
+            if not self.interfaces:
+                raise RuntimeError(f"{self.name} has no interfaces")
+            primary = self._primary_address = min(i.address for i in self.interfaces)
+        return primary
 
     # -- protocol dispatch ------------------------------------------------
 

@@ -170,10 +170,8 @@ class IPDatagram(Record):
         if type(payload) is UDPDatagram:
             payload = payload.payload
             header = 28
-        try:
-            return header + payload.size_bytes()
-        except AttributeError:
-            return header + nominal_size(payload)
+        size = getattr(payload, "size_bytes", None)  # bytes have none
+        return header + (size() if size is not None else nominal_size(payload))
 
 
 def nominal_size(payload: Any) -> int:

@@ -27,7 +27,6 @@ from repro.netsim.address import (
     NETMASKS,
     IPv4Address,
     IPv4Network,
-    is_link_local_multicast,
 )
 from repro.netsim.engine import Scheduler
 from repro.netsim.nic import Interface
@@ -353,7 +352,10 @@ class Host(RoutedNode):
                 PROTO_CBT,  # hosts do not recognise the CBT payload type (§5)
             ):
                 self.delivered.append(datagram)
-            if datagram.dst in self.joined_groups or is_link_local_multicast(datagram.dst):
+            if (
+                datagram.dst in self.joined_groups
+                or datagram.dst >> 8 == LINK_LOCAL_HIGH_BITS
+            ):
                 # Dispatched, not retained: joined-group data is already
                 # in ``delivered`` and a host hears a HELLO or an IGMP
                 # query on its LAN for as long as the network runs.

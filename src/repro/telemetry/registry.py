@@ -21,7 +21,9 @@ aggregate with shell-style wildcards.  Pattern queries are indexed by
 shape (:class:`_NameIndex`): a pure prefix bisects the sorted names, a
 pattern whose last dotted segment is literal — every pattern the
 conservation laws use — matches only the names sharing that segment,
-and only the remaining shapes scan the whole registry.
+and only the remaining shapes scan the whole registry.  A scan is the
+pattern's compiled expression filtered over the names in one C loop,
+the ``fnmatchcase`` test without a Python call per name.
 
 Determinism: nothing here reads wall-clock time or has any other
 hidden input — every value is a pure function of the simulation, so a
@@ -34,9 +36,11 @@ counters, so every instrument handed out counts (docs/PERFORMANCE.md,
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
-from fnmatch import fnmatchcase
+from fnmatch import translate
 from itertools import islice
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 Number = Union[int, float]
@@ -79,6 +83,12 @@ def _literal_tail(pattern: str) -> Optional[str]:
     return tail
 
 
+def _matcher(pattern: str) -> Callable[[str], Any]:
+    """``fnmatchcase(name, pattern)`` as one compiled match, so a
+    filter over names tests each in C."""
+    return re.compile(translate(pattern)).match
+
+
 class _NameIndex:
     """Query indexes over one ``name -> instrument`` dict.
 
@@ -93,16 +103,20 @@ class _NameIndex:
 
     Instruments are never deleted and dicts keep insertion order, so a
     length check detects staleness and the names added since the last
-    query are exactly the dict's tail.
+    query are exactly the dict's tail.  For the same reason a
+    literal-tail pattern keeps its matches: asked again, it tests only
+    the names its tail list gained since.
     """
 
-    __slots__ = ("_source", "_sorted", "_tails", "_tailed")
+    __slots__ = ("_source", "_sorted", "_tails", "_tailed", "_matched")
 
     def __init__(self, source: Mapping[str, Any]) -> None:
         self._source = source
         self._sorted: List[str] = []
         self._tails: Dict[str, List[str]] = {}
         self._tailed = 0
+        #: literal-tail pattern -> (names of its tail list tested, matches)
+        self._matched: Dict[str, Tuple[int, List[str]]] = {}
 
     def select(self, pattern: str) -> List[str]:
         """Names matching the shell-style ``pattern``: sorted for a
@@ -113,21 +127,27 @@ class _NameIndex:
             if len(self._sorted) != len(source):
                 self._sorted = sorted(source)
             keys = self._sorted
-            start = stop = bisect_left(keys, prefix)
-            while stop < len(keys) and keys[stop].startswith(prefix):
-                stop += 1
-            return keys[start:stop]
+            if not prefix:
+                return keys[:]
+            # The names starting with ``prefix`` are exactly those from
+            # ``prefix`` up to the prefix with its last character bumped.
+            bumped = prefix[:-1] + chr(ord(prefix[-1]) + 1)
+            return keys[bisect_left(keys, prefix) : bisect_left(keys, bumped)]
         tail = _literal_tail(pattern)
         if tail is None:
-            return [name for name in source if fnmatchcase(name, pattern)]
+            return list(filter(_matcher(pattern), source))
         if self._tailed != len(source):
             tails = self._tails
             for name in islice(source, self._tailed, None):
                 tails.setdefault(name.rpartition(".")[2], []).append(name)
             self._tailed = len(source)
-        return [
-            name for name in self._tails.get(tail, ()) if fnmatchcase(name, pattern)
-        ]
+        candidates = self._tails.get(tail, ())
+        tested, matches = self._matched.get(pattern, (0, []))
+        if tested != len(candidates):
+            fresh = filter(_matcher(pattern), islice(candidates, tested, None))
+            matches = matches + list(fresh)
+            self._matched[pattern] = (len(candidates), matches)
+        return matches
 
 
 #: Default histogram bucket upper bounds, in simulation seconds.
@@ -256,14 +276,19 @@ class MetricsRegistry:
         self._counter_names = _NameIndex(self._counters)
         self._gauge_names = _NameIndex(self._gauges)
         self._histogram_names = _NameIndex(self._histograms)
-        #: prefix -> (object, metrics) of each family :meth:`gauge_attrs`
-        #: noted, and of those no read has built yet.
-        self._families: Dict[str, Tuple[Any, Sequence[Tuple[str, str]]]] = {}
+        #: prefix -> (object, its kind) of each family :meth:`gauge_attrs`
+        #: noted, and prefix -> (object, metrics) of those no read has
+        #: built yet.
+        self._families: Dict[str, Tuple[Any, Tuple[Tuple[str, ...], Callable]]] = {}
         self._family_names = _NameIndex(self._families)
         self._unbuilt: Dict[str, Tuple[Any, Sequence[Tuple[str, str]]]] = {}
         #: Every metric some family has: a pattern whose literal last
         #: segment is none of them can match no family's gauge.
         self._family_metrics: Set[str] = set()
+        #: Each distinct ``metrics`` sequence :meth:`gauge_attrs` saw ->
+        #: its kind: the metric names and one ``attrgetter`` of the
+        #: attributes, which :meth:`families` reads every family with.
+        self._family_kinds: Dict[Sequence[Tuple[str, str]], Tuple[Tuple[str, ...], Callable]] = {}
 
     # -- instrument factories -------------------------------------------
 
@@ -304,8 +329,16 @@ class MetricsRegistry:
         matches all).  A link has six and most runs read none; built
         eagerly they were the dearest part of wiring it, and
         :meth:`families` reads them without building."""
-        self._families[prefix] = self._unbuilt[prefix] = (obj, metrics)
-        self._family_metrics.update(dict(metrics))  # the metric names
+        self._unbuilt[prefix] = (obj, metrics)
+        kind = self._family_kinds.get(metrics)
+        if kind is None:  # every link has the same six: one reader for all
+            names = tuple(metric for metric, _ in metrics)
+            kind = self._family_kinds[metrics] = (
+                names,
+                attrgetter(*(attr for _, attr in metrics)),
+            )
+            self._family_metrics.update(names)
+        self._families[prefix] = (obj, kind)
 
     def _build(self, prefix: str) -> None:
         obj, metrics = self._unbuilt.pop(prefix)
@@ -345,8 +378,11 @@ class MetricsRegistry:
         families = self._families
         out = {}
         for prefix in self._family_names.select(head + "*"):
-            obj, metrics = families[prefix]
-            out[prefix] = {metric: getattr(obj, attr) for metric, attr in metrics}
+            obj, (names, values) = families[prefix]
+            if len(names) == 1:  # a one-name ``attrgetter`` returns no tuple
+                out[prefix] = {names[0]: values(obj)}
+            else:
+                out[prefix] = dict(zip(names, values(obj)))
         return out
 
     def histogram(

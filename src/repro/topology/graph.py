@@ -63,10 +63,9 @@ class Graph:
         if u == v:
             raise ValueError(f"self-loop on {u}")
         edge = Edge(u=u, v=v, cost=cost, delay=delay)
-        self.add_node(u)
-        self.add_node(v)
-        self._adjacency[u][v] = edge
-        self._adjacency[v][u] = edge
+        adjacency = self._adjacency
+        adjacency.setdefault(u, {})[v] = edge
+        adjacency.setdefault(v, {})[u] = edge
         self._paths.clear()
         return edge
 
@@ -78,15 +77,15 @@ class Graph:
 
     @property
     def edges(self) -> List[Edge]:
-        seen: Set[Tuple[str, str]] = set()
-        out: List[Edge] = []
-        for node in sorted(self._adjacency):
-            for edge in self._adjacency[node].values():
-                key = edge.key()
-                if key not in seen:
-                    seen.add(key)
-                    out.append(edge)
-        return out
+        """Each edge once, where the walk over the sorted nodes first
+        meets it: at its lower endpoint."""
+        adjacency = self._adjacency
+        return [
+            edge
+            for node in sorted(adjacency)
+            for other, edge in adjacency[node].items()
+            if node <= other
+        ]
 
     def __len__(self) -> int:
         return len(self._adjacency)

@@ -30,7 +30,7 @@ samples participate in cell fingerprints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.trees import shortest_path_tree
 from repro.core.migration import network_graph, protocol_tree
@@ -50,11 +50,20 @@ def histogram_percentile(histograms: Sequence, quantile: float) -> float:
     finite bound (the histogram cannot resolve beyond it).  Returns
     0.0 when no observations exist.
     """
-    if not 0.0 < quantile <= 1.0:
-        raise ValueError(f"quantile must be in (0, 1], got {quantile}")
+    return histogram_percentiles(histograms, (quantile,))[0]
+
+
+def histogram_percentiles(
+    histograms: Sequence, quantiles: Sequence[float]
+) -> Tuple[float, ...]:
+    """:func:`histogram_percentile` for each of ``quantiles``, from one
+    merge of the bucket counts."""
+    for quantile in quantiles:
+        if not 0.0 < quantile <= 1.0:
+            raise ValueError(f"quantile must be in (0, 1], got {quantile}")
     histograms = [h for h in histograms if getattr(h, "count", 0)]
     if not histograms:
-        return 0.0
+        return tuple(0.0 for _ in quantiles)
     bounds = histograms[0].bounds
     merged = [0] * (len(bounds) + 1)
     total = 0
@@ -67,7 +76,12 @@ def histogram_percentile(histograms: Sequence, quantile: float) -> float:
         for index, count in enumerate(histogram.bucket_counts):
             merged[index] += count
         total += histogram.count
-    threshold = quantile * total
+    return tuple(_bucket_bound(bounds, merged, quantile * total) for quantile in quantiles)
+
+
+def _bucket_bound(bounds: Sequence[float], merged: List[int], threshold: float) -> float:
+    """Upper bound of the first non-empty bucket where the cumulative
+    count of ``merged`` reaches ``threshold``."""
     cumulative = 0
     for index, count in enumerate(merged):
         cumulative += count
@@ -229,8 +243,9 @@ class QualityProbe:
                 ).cost()
 
         registry = domain.network.telemetry.registry
-        latency_histograms = registry.histograms_matching(
-            "cbt.router.*.join_latency"
+        join_p50, join_p95, join_p99 = histogram_percentiles(
+            registry.histograms_matching("cbt.router.*.join_latency"),
+            (0.50, 0.95, 0.99),
         )
         sample = QualitySample(
             time=now,
@@ -243,9 +258,9 @@ class QualityProbe:
             control_cbt=domain.control_messages_sent(),
             control_dvmrp_model=self._dvmrp_control,
             control_mospf_model=self._mospf_control,
-            join_p50=histogram_percentile(latency_histograms, 0.50),
-            join_p95=histogram_percentile(latency_histograms, 0.95),
-            join_p99=histogram_percentile(latency_histograms, 0.99),
+            join_p50=join_p50,
+            join_p95=join_p95,
+            join_p99=join_p99,
         )
         self.samples.append(sample)
         return sample
