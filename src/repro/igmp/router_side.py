@@ -6,7 +6,9 @@ The CBT spec leans on two IGMP behaviours (§2.3, §2.7):
   multicast router on each subnet and sends a few queries in short
   succession; the lowest-addressed router wins querier duty.  In CBT
   the querier *is* the default designated router (D-DR), so this
-  election carries no extra protocol overhead.
+  election carries no extra protocol overhead.  A subnet here is a
+  multi-access link: a router-to-router point-to-point link has no
+  host to answer a query and no D-DR to elect, so it gets none.
 * **Leave processing** — a leave triggers a group-specific query; if
   no member responds within the last-member interval, membership on
   the subnet expires, which is what ultimately lets a CBT router send
@@ -128,6 +130,7 @@ class IGMPRouterAgent:
         self._membership_listeners: List[MembershipListener] = []
         self._core_report_listeners: List[CoreReportListener] = []
         self.queries_sent = 0
+        self._started = False
         # Protocol-level telemetry (see docs/OBSERVABILITY.md): tx/rx
         # per IGMP message kind plus membership/querier transitions.
         self.telemetry = router.scheduler.telemetry
@@ -147,8 +150,18 @@ class IGMPRouterAgent:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        """Begin querier duty on every interface (spec §2.3 start-up)."""
+        """Begin querier duty (spec §2.3 start-up) on every interface
+        whose link is multi-access: hosts live on LANs only, and the
+        one reader of querier state, the D-DR election
+        (:mod:`repro.core.dr`), is a LAN question too.  A
+        router-to-router point-to-point link gets no query.  A second
+        call does nothing."""
+        if self._started:
+            return
+        self._started = True
         for interface in self.router.interfaces:
+            if not interface.link.multi_access:
+                continue
             state = self._state_for(interface)
             for i in range(self.config.startup_query_count):
                 self.router.scheduler.call_later(

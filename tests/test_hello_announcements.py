@@ -240,3 +240,28 @@ class TestHellosStayOnLans:
             for name, value in result.telemetry.items()
             if name.endswith((".event.proxied", ".event.yield_lan")) and value
         }
+
+
+class TestQueriesStayOnLans:
+    def test_figure1_queries_cross_every_lan_and_no_p2p_link(
+        self, figure1_domain, figure1_network
+    ):
+        """The IGMP general queries of a started Figure-1 world go out
+        of every router's LAN interfaces and never onto a
+        point-to-point link, where no host could answer one."""
+        domain, _ = figure1_domain
+        net = figure1_network
+        queries = {
+            (record.node_name, record.link_name)
+            for record in net.trace.transmissions()
+            if payload_label(record.datagram) == "MembershipQuery"
+        }
+        p2p = {name for name, link in net.links.items() if isinstance(link, PointToPointLink)}
+        assert p2p and not p2p & {link for _, link in queries}
+        lan_interfaces = {
+            (name, interface.link.name)
+            for name, protocol in domain.protocols.items()
+            for interface in protocol.router.interfaces
+            if isinstance(interface.link, Subnet)
+        }
+        assert lan_interfaces and lan_interfaces <= queries

@@ -778,3 +778,52 @@ def test_one_place_stores_a_learned_core_list():
 
     assert _router_sites(stores_learned) == ["learn_cores"]
     assert "cores_for" not in _router_sites(assigns)
+
+
+# -- an IGMP query goes only where a host can hear it -----------------------------
+#
+# Querier duty (the start-up burst and the periodic query ticker) is
+# granted in one place, ``IGMPRouterAgent.start``, and only on an
+# interface whose link is multi-access: the test ``_send_hellos``
+# applies to HELLOs.  A second grant would be a site that sends queries
+# down router-to-router links again.
+
+
+def test_one_place_grants_querier_duty_and_it_reads_multi_access():
+    tree = ast.parse((SRC / "igmp" / "router_side.py").read_text(encoding="utf-8"))
+
+    def grants(node):
+        # A ``PeriodicTimer`` or a general query (``group`` None) armed.
+        return isinstance(node, ast.Call) and (
+            _callee(node) == "PeriodicTimer"
+            or any(getattr(arg, "attr", None) == "_periodic_query" for arg in node.args)
+            or (
+                any(getattr(arg, "attr", None) == "_send_query" for arg in node.args)
+                and isinstance(node.args[-1], ast.Constant)
+                and node.args[-1].value is None
+            )
+        )
+
+    sites = {
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if grants(node)
+    }
+    assert sites == {"start"}
+    start = next(
+        node for node in ast.walk(_class_body(tree, "IGMPRouterAgent"))
+        if isinstance(node, ast.FunctionDef) and node.name == "start"
+    )
+    assert "multi_access" in {
+        node.attr for node in ast.walk(start) if isinstance(node, ast.Attribute)
+    }
+    # Nothing else in the source arms IGMP query duty.
+    others = [
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        if path.name != "router_side.py"
+        and "_periodic_query" in path.read_text(encoding="utf-8")
+    ]
+    assert others == []

@@ -202,3 +202,92 @@ class TestDatabaseQueries:
         host_agents[0].leave(other)
         net.run(until=12.0)
         assert agents[0].groups_on(iface) == {GROUP}
+
+
+def line_with_lans():
+    """``r0 — r1 — r2`` over point-to-point links; a LAN with two hosts
+    hangs off ``r0`` and one with a host off ``r2``, ``r1`` has none."""
+    net = Network()
+    routers = [net.add_router(f"r{i}") for i in range(3)]
+    net.add_p2p("p01", routers[0], routers[1])
+    net.add_p2p("p12", routers[1], routers[2])
+    lan0 = net.add_subnet("lan0", [routers[0]])
+    lan2 = net.add_subnet("lan2", [routers[2]])
+    agents = [IGMPRouterAgent(r, config=FAST) for r in routers]
+    hosts = [net.add_host("h0", lan0), net.add_host("h1", lan0), net.add_host("h2", lan2)]
+    host_agents = [IGMPHostAgent(h) for h in hosts]
+    net.converge()
+    for agent in agents:
+        agent.start()
+    return net, routers, agents, host_agents
+
+
+class TestQueriesOnlyWhereHostsHear:
+    """A router is querier on its multi-access links only: no IGMP query
+    crosses a router-to-router point-to-point link."""
+
+    def test_no_query_on_a_point_to_point_link(self):
+        net, routers, agents, _ = line_with_lans()
+        net.run(until=FAST.query_interval * 3 + 1.0)
+        registry = net.telemetry.registry
+        assert registry.value("igmp.router.r1.tx.query") == 0
+        for name in ("p01", "p12"):
+            assert net.link(name).attempt_count == 0, name
+        # Each LAN got the start-up burst and one query per interval.
+        general = FAST.startup_query_count + 3
+        for index in (0, 2):
+            assert registry.value(f"igmp.router.r{index}.tx.query") == general
+            assert agents[index].queries_sent == general
+        assert registry.value("igmp.router.r1.rx.query") == 0
+        # Querier state exists for the LAN interfaces alone.
+        assert [sorted(agent._states) for agent in agents] == [
+            [routers[0].lan_interfaces[0].vif],
+            [],
+            [routers[2].lan_interfaces[0].vif],
+        ]
+        assert agents[0].is_querier(routers[0].lan_interfaces[0])
+
+    def test_lan_join_leave_and_expiry_behave_as_before(self):
+        net, routers, agents, host_agents = line_with_lans()
+        registry = net.telemetry.registry
+        lan = routers[0].lan_interfaces[0]
+        net.run(until=3.0)
+        host_agents[0].join(GROUP)
+        host_agents[1].join(GROUP)
+        net.run(until=4.0)
+        assert agents[0].database.has_members(lan, GROUP)
+        # One member leaves: the querier sends its group-specific
+        # queries on the LAN and the other member keeps the group.
+        before = registry.value("igmp.router.r0.tx.query")
+        host_agents[0].leave(GROUP)
+        net.run(until=4.0 + FAST.last_member_query_interval * 2 + 0.1)
+        assert (
+            registry.value("igmp.router.r0.tx.query") - before
+            == FAST.last_member_query_count
+        )
+        net.run(until=12.0)
+        assert agents[0].database.has_members(lan, GROUP)
+        # The last member goes silent: membership expires.
+        host_agents[1].host.interfaces[0].up = False
+        net.run(until=12.0 + FAST.membership_timeout + 2.0)
+        assert not agents[0].database.has_members(lan, GROUP)
+        for name in ("p01", "p12"):
+            assert net.link(name).attempt_count == 0, name
+
+
+class TestStartIsIdempotent:
+    def test_a_second_start_sends_no_second_burst_and_arms_no_second_ticker(self):
+        def run(starts):
+            net, routers, agents, hosts, host_agents = lan_with_routers()
+            state = agents[0]._states[routers[0].interfaces[0].vif]
+            ticker = state.query_timer
+            for _ in range(starts - 1):
+                agents[0].start()
+            net.run(until=FAST.query_interval * 2 + 1.0)
+            # The interface's one ticker is still the one the first call armed.
+            assert state.query_timer is ticker
+            return agents[0].queries_sent, net.scheduler.pending_events
+
+        once = run(1)
+        assert once[0] == FAST.startup_query_count + 2
+        assert run(2) == once

@@ -147,6 +147,7 @@ class TestDeferredGaugeFamilies:
     def test_a_pattern_builds_only_the_families_its_head_reaches(self):
         from repro.core.bootstrap import CBTDomain
         from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS
+        from repro.netsim.packet import IPDatagram, PROTO_UDP, UDPDatagram
         from repro.telemetry.conservation import check_conservation
         from repro.topology.figures import build_figure1
 
@@ -167,7 +168,20 @@ class TestDeferredGaugeFamilies:
         assert check_conservation(net, domain) == []
         assert unbuilt_links() == links
         assert registry.total("netsim.link.S4.*") > 0  # S4 alone
-        assert registry.value("netsim.link.L_R3_R4.attempts") > 0
+        # An idle domain sends nothing over a router-to-router link (no
+        # HELLO, no IGMP query), so the test puts one datagram on it.
+        link = net.link("L_R3_R4")
+        sender = link.interfaces[0]
+        sender.send(
+            IPDatagram(
+                sender.address,
+                link.peer_of(sender).address,
+                PROTO_UDP,
+                UDPDatagram(9, 9, b"x"),
+                1,
+            )
+        )
+        assert registry.value("netsim.link.L_R3_R4.attempts") == 1
         assert unbuilt_links() == links - {"netsim.link.S4.", "netsim.link.L_R3_R4."}
         assert registry.total("netsim.link.S1*.tx_packets") > 0  # S1, S10..S15
         assert {p for p in links - unbuilt_links()} == {
