@@ -137,7 +137,10 @@ class DVMRPProtocol:
         #: vif -> {neighbour address -> last probe time}
         self.neighbours: Dict[int, Dict[IPv4Address, float]] = {}
         self.stats = DVMRPStats()
-        self._probe_ticker: Optional[PeriodicTimer] = None
+        self._probe_ticker = PeriodicTimer(
+            router.scheduler, PROBE_INTERVAL, self._send_probes
+        )
+        self._started = False
         router.register_handler(PROTO_DVMRP, self._handle_control)
         router.multicast_forwarder = self
         self.igmp.on_membership_change(self._on_membership_change)
@@ -146,16 +149,18 @@ class DVMRPProtocol:
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
+        """Probe now and every ``PROBE_INTERVAL``; a second call does
+        nothing until :meth:`stop`."""
+        if self._started:
+            return
+        self._started = True
         self.igmp.start()
         self._send_probes()
-        self._probe_ticker = PeriodicTimer(
-            self.router.scheduler, PROBE_INTERVAL, self._send_probes
-        )
         self._probe_ticker.start()
 
     def stop(self) -> None:
-        if self._probe_ticker is not None:
-            self._probe_ticker.stop()
+        self._probe_ticker.stop()
+        self._started = False
 
     def state_size(self) -> int:
         """(S,G) entries + prune records — the E1 router-state metric."""

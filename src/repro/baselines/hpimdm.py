@@ -225,7 +225,10 @@ class HPIMDMProtocol:
         self._seq = 0
         #: State changes so far; the quiescence counter.
         self.state_changes = 0
-        self._hello_ticker: Optional[PeriodicTimer] = None
+        self._hello_ticker = PeriodicTimer(
+            router.scheduler, hello_interval, self._on_hello_tick
+        )
+        self._started = False
         self._rtx_ticker: Optional[PeriodicTimer] = None
         router.register_handler(PROTO_HPIM, self._handle_control)
         router.multicast_forwarder = self
@@ -235,16 +238,18 @@ class HPIMDMProtocol:
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
+        """HELLO now and every ``hello_interval``; a second call does
+        nothing until :meth:`stop`."""
+        if self._started:
+            return
+        self._started = True
         self.igmp.start()
         self._send_hellos()
-        self._hello_ticker = PeriodicTimer(
-            self.router.scheduler, self.hello_interval, self._on_hello_tick
-        )
         self._hello_ticker.start()
 
     def stop(self) -> None:
-        if self._hello_ticker is not None:
-            self._hello_ticker.stop()
+        self._hello_ticker.stop()
+        self._started = False
         if self._rtx_ticker is not None:
             self._rtx_ticker.stop()
             self._rtx_ticker = None

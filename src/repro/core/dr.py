@@ -20,6 +20,16 @@ only (``Link.multi_access``): everything this module answers is a LAN
 question, and a router-to-router point-to-point link has no LAN to
 elect for — its parent/child pair is kept alive by ECHOs (§6.1).  So
 the neighbour table holds LAN peers only.
+
+The D-DR itself is the IGMP querier and needs no HELLO; every reader
+of one is another CBT router on the LAN.  So a router HELLOs an up LAN
+interface (a) every interval while a CBT neighbour is live there
+(:meth:`NeighbourTable.has_live`), (b) at the first tick after the
+interface was down or did not exist, and (c) otherwise once per hold
+time — ``CBTProtocol._hello_tick`` is the one place that decides.  A
+LAN holding only hosts gets the start-up pair and then one HELLO per
+hold time, enough for a router that joins it, or whose start-up HELLOs
+were lost, to be found within one hold time.
 """
 
 from __future__ import annotations
@@ -92,6 +102,16 @@ class NeighbourTable:
 
     def on_vif(self, vif: int) -> Dict[IPv4Address, float]:
         return dict(self._neighbours.get(vif, {}))
+
+    def has_live(
+        self, vif: int, now: float, hold_time: float = HELLO_HOLD_TIME
+    ) -> bool:
+        """True when some CBT neighbour on ``vif`` was heard within
+        ``hold_time``."""
+        for heard_at in self._neighbours.get(vif, {}).values():
+            if now - heard_at <= hold_time:
+                return True
+        return False
 
     def is_cbt_capable(self, vif: int, address: IPv4Address) -> bool:
         return address in self._neighbours.get(vif, {})

@@ -186,6 +186,13 @@ class CBTProtocol:
         scale = timers.echo_interval / DEFAULT_TIMERS.echo_interval
         self.hello_interval = HELLO_INTERVAL * scale
         self.hello_hold = HELLO_HOLD_TIME * scale
+        #: What :meth:`_hello_tick`'s rule reads besides the neighbour
+        #: table: HELLO ticks since the last once-a-hold tick, and a
+        #: mask with bit ``i`` set when ``router.lan_interfaces[i]`` was
+        #: up at the previous tick (ints, so a router holds no container
+        #: for them).
+        self._hello_ticks = 0
+        self._lans_up = 0
 
         # Wire ourselves into the router.
         router.register_handler(PROTO_UDP, self._handle_udp)
@@ -224,6 +231,10 @@ class CBTProtocol:
         # Two quick HELLOs so neighbours learn us fast, then periodic.
         self._send_hellos()
         self.router.scheduler.call_later(1.0, self._send_hellos)
+        self._hello_ticks = 0
+        self._lans_up = sum(
+            1 << index for index, i in enumerate(self.router.lan_interfaces) if i._up
+        )
         for ticker in self._tickers:
             ticker.start()
 
@@ -1665,14 +1676,41 @@ class CBTProtocol:
     # -- HELLO / neighbour discovery ----------------------------------------
 
     def _hello_tick(self) -> None:
+        """Expire silent neighbours, then HELLO out of each up LAN
+        interface that (a) has a live CBT neighbour or (b) was down or
+        did not exist at the previous tick, and (c) once per
+        ``hello_hold`` (every third tick) out of every up LAN interface.
+        Every reader of a HELLO is another CBT router on the LAN, so a
+        LAN holding only hosts gets one HELLO per hold time: enough for
+        a peer that missed the start-up pair to be found within one."""
         now = self.router.scheduler._now
-        self.neighbours.expire(now, self.hello_hold)
+        neighbours = self.neighbours
+        neighbours.expire(now, self.hello_hold)
         # Forget G-DRs that stopped sending HELLOs: the LAN may need a
         # fresh join from us (the IFF scan picks that up).
         for (vif, group), address in list(self._gdr_known.items()):
-            if not self.neighbours.is_cbt_capable(vif, address):
+            if not neighbours.is_cbt_capable(vif, address):
                 del self._gdr_known[(vif, group)]
-        self._send_hellos()
+        self._hello_ticks = (self._hello_ticks + 1) % round(
+            self.hello_hold / self.hello_interval
+        )
+        every_lan = self._hello_ticks == 0
+        up_before = self._lans_up
+        up = 0
+        due = []
+        for index, interface in enumerate(self.router.lan_interfaces):
+            if interface._up:
+                bit = 1 << index
+                up |= bit
+                if (
+                    every_lan
+                    or not up_before & bit
+                    or neighbours.has_live(interface.vif, now, self.hello_hold)
+                ):
+                    due.append(interface)
+        self._lans_up = up
+        if due:
+            self._send_hellos(due)
 
     def _send_hellos(self, interfaces: Optional[Sequence[Interface]] = None) -> None:
         """HELLOs out of every up interface in ``interfaces`` (default:

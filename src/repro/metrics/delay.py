@@ -11,16 +11,21 @@ per-pair stretch ratios.
 from __future__ import annotations
 
 from statistics import mean
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.topology.graph import Graph, Tree
 
 
 def tree_delays(
-    tree: Tree, sender: str, receivers: Sequence[str]
+    tree: Tree,
+    sender: str,
+    receivers: Sequence[str],
+    dist: Optional[Dict[str, float]] = None,
 ) -> Dict[str, float]:
-    """Delay from ``sender`` to each receiver along tree edges."""
-    dist = tree.delay_from(sender)
+    """Delay from ``sender`` to each receiver along tree edges; ``dist``
+    is ``tree.delay_from(sender)`` when the caller holds it already."""
+    if dist is None:
+        dist = tree.delay_from(sender)
     out: Dict[str, float] = {}
     for receiver in receivers:
         if receiver == sender:
@@ -32,10 +37,15 @@ def tree_delays(
 
 
 def delay_stretch(
-    graph: Graph, tree: Tree, sender: str, receivers: Sequence[str]
+    graph: Graph,
+    tree: Tree,
+    sender: str,
+    receivers: Sequence[str],
+    dist: Optional[Dict[str, float]] = None,
 ) -> Dict[str, float]:
-    """Per-receiver ratio: tree delay / unicast shortest-path delay."""
-    on_tree = tree_delays(tree, sender, receivers)
+    """Per-receiver ratio: tree delay / unicast shortest-path delay
+    (``dist`` as for :func:`tree_delays`)."""
+    on_tree = tree_delays(tree, sender, receivers, dist)
     shortest, _ = graph.dijkstra(sender, weight="delay")
     out: Dict[str, float] = {}
     for receiver, tree_delay in on_tree.items():
@@ -51,11 +61,15 @@ def summarise_stretch(
     tree: Tree,
     senders: Sequence[str],
     receivers: Sequence[str],
+    dists: Optional[Dict[str, Dict[str, float]]] = None,
 ) -> Tuple[float, float]:
-    """(mean, max) stretch across all sender-receiver pairs."""
+    """(mean, max) stretch across all sender-receiver pairs; ``dists``
+    maps a sender to ``tree.delay_from(sender)`` where the caller holds
+    it already."""
     ratios: List[float] = []
     for sender in senders:
-        ratios.extend(delay_stretch(graph, tree, sender, receivers).values())
+        dist = dists.get(sender) if dists else None
+        ratios.extend(delay_stretch(graph, tree, sender, receivers, dist).values())
     if not ratios:
         return (1.0, 1.0)
     return (mean(ratios), max(ratios))

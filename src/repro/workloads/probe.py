@@ -225,11 +225,11 @@ class QualityProbe:
         cost_cbt = tree.cost() if tree is not None else 0.0
         stretch_mean = stretch_max = 0.0
         if tree is not None and member_routers:
-            reachable = set(tree.delay_from(tree.root))
-            spanned = [r for r in member_routers if r in reachable]
+            dist = tree.delay_from(tree.root)
+            spanned = [r for r in member_routers if r in dist]
             if spanned:
                 stretch_mean, stretch_max = summarise_stretch(
-                    self.graph, tree, [tree.root], spanned
+                    self.graph, tree, [tree.root], spanned, {tree.root: dist}
                 )
 
         cost_spt = 0.0

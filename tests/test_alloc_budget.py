@@ -64,7 +64,7 @@ from repro.netsim.engine import Scheduler, Timer
 from repro.netsim.link import Link
 from repro.telemetry.conservation import check_conservation
 from repro.topology.figures import FIGURE1_MEMBERS, build_figure1
-from repro.topology.generators import waxman_network
+from repro.topology.generators import realise, waxman_graph, waxman_network
 from repro.workloads.cell import run_churn_cell, run_flash_crowd_cell
 from repro.workloads.probe import QualityProbe
 from tests.test_wire_format import make_wire_domain
@@ -113,9 +113,15 @@ DATA_PATH_CALLS_PER_TRANSMISSION_CEILING = {"cbt": 20.7, "native": 20.4}
 #: 30.9 when each was three frozen dataclasses built through
 #: ``make_udp`` / keywords and scheduled through ``call_later``); the
 #: ceiling is that plus 10 %.  Since a HELLO goes on multi-access links
-#: only, a round sends 120 of them instead of 676, so each carries its
+#: only, a round sends 120 of them instead of 676, so each carried its
 #: router's whole tick (neighbour expiry, the chunked announcement):
-#: 19.06 per HELLO, under the same ceiling.
+#: 19.06 per HELLO, under the same ceiling.  Since a LAN with no CBT
+#: neighbour gets one HELLO per hold time, a tick on the host-only LANs
+#: of that world sends none, so the HELLO round is driven through the
+#: sender ``_send_hellos`` on a world whose LANs each join two routers
+#: and no host, every HELLO read by a CBT peer: 18.05 per HELLO (a
+#: whole tick there reads 21.05: the expiry and the rule are per tick,
+#: not per message).
 CONTROL_CALLS_PER_MESSAGE_CEILING = {"hello": 19.5, "query": 19.8}
 
 #: Python calls one look may cost on a settled 120-router domain
@@ -146,7 +152,8 @@ OBSERVER_CALLS_CEILING = {
 #: calls per event; the ceiling stays.  With no HELLO on a
 #: point-to-point link it reads 17,870 events at 48.04, and with no
 #: IGMP query there either 15,206 events at 49.35 (the queries were
-#: cheap events).
+#: cheap events), and with one HELLO per hold time on a LAN no CBT
+#: router shares 14,392 events at 49.92.
 EXPLORE_CALLS_PER_EVENT_CEILING = 55.1
 
 #: ``check_invariants`` on 240 routers (1,439 links, a 36-router tree
@@ -679,17 +686,32 @@ def test_data_path_calls_per_transmission_under_ceiling(mode):
 # neighbour and every querier election is settled.
 
 
-@pytest.fixture(scope="module")
-def idle_n120():
-    net = waxman_network(120, alpha=0.1, seed=5)
+def _idle(net):
     net.trace.enabled = False
     domain = CBTDomain(net, timers=FAST_TIMERS, igmp_config=FAST_IGMP)
     return net, list(domain.protocols.values())
 
 
+@pytest.fixture(scope="module")
+def idle_n120():
+    return _idle(waxman_network(120, alpha=0.1, seed=5))
+
+
+@pytest.fixture(scope="module")
+def paired_lans_n120():
+    """The same 120 routers, with ``N0``/``N1``, ``N2``/``N3``, ...
+    sharing one LAN each in place of the host LANs: every HELLO has a
+    CBT reader."""
+    net = realise(waxman_graph(120, alpha=0.1, seed=5), with_hosts=False)
+    for pair in range(60):
+        net.add_subnet(f"LAN_{pair}", [net.router(f"N{2 * pair + i}") for i in (0, 1)])
+    net.converge()
+    return _idle(net)
+
+
 def _hello_round(protocols):
     for protocol in protocols:
-        protocol._hello_tick()
+        protocol._send_hellos()
 
 
 def _query_round(protocols):
@@ -698,15 +720,17 @@ def _query_round(protocols):
             protocol.igmp._send_query(interface, None)
 
 
-#: kind -> (send one round, messages sent so far, whether a round
-#: sends one on a given link).
+#: kind -> (world, send one round, messages sent so far, whether a
+#: round sends one on a given link).
 _CONTROL_ROUNDS = {
     "hello": (
+        "paired_lans_n120",
         _hello_round,
         lambda protocols: sum(p.stats.sent.get("HELLO", 0) for p in protocols),
         lambda link: link.multi_access,
     ),
     "query": (
+        "idle_n120",
         _query_round,
         lambda protocols: sum(p.igmp.queries_sent for p in protocols),
         lambda link: True,
@@ -715,9 +739,9 @@ _CONTROL_ROUNDS = {
 
 
 @pytest.mark.parametrize("kind", sorted(CONTROL_CALLS_PER_MESSAGE_CEILING))
-def test_control_calls_per_message_under_ceiling(idle_n120, kind):
-    net, protocols = idle_n120
-    send, sent, sends_on = _CONTROL_ROUNDS[kind]
+def test_control_calls_per_message_under_ceiling(request, kind):
+    world, send, sent, sends_on = _CONTROL_ROUNDS[kind]
+    net, protocols = request.getfixturevalue(world)
 
     def one_round():
         send(protocols)
@@ -828,7 +852,7 @@ def test_explore_calls_per_event_under_ceiling():
     finally:
         sys.setprofile(None)
     assert result.exhausted and result.ok and result.stats.runs == 53
-    assert events == 15_206
+    assert events == 14_392
     per_event = calls / events
     assert per_event < EXPLORE_CALLS_PER_EVENT_CEILING, per_event
 

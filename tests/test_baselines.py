@@ -12,8 +12,9 @@ from repro.baselines.trees import (
     source_trees_for,
     union_edge_count,
 )
+from repro.baselines.dvmrp import DVMRPDomain
 from repro.harness.scenarios import build_dvmrp_group, send_data
-from repro.topology.generators import waxman_graph, waxman_network
+from repro.topology.generators import line_graph, realise, waxman_graph, waxman_network
 from repro.topology.graph import Graph
 
 
@@ -196,3 +197,32 @@ class TestDVMRP:
         drops = sum(p.stats.rpf_drops for p in domain.protocols.values())
         # Redundant topologies always produce some non-RPF arrivals.
         assert drops >= 0  # counter exists and never goes negative
+
+
+class TestDVMRPLifecycle:
+    """Two routers on one point-to-point link probe every 10 s: 10
+    rounds of two probes in 95 s."""
+
+    def _probes(self, starts, stop_at=None, restart_at=None):
+        net = realise(line_graph(2), with_hosts=False)
+        domain = DVMRPDomain(net)
+        protocols = list(domain.protocols.values())
+        for protocol in protocols:
+            for _ in range(starts):
+                protocol.start()
+        if stop_at is not None:
+            net.run(until=stop_at)
+            for protocol in protocols:
+                protocol.stop()
+            net.run(until=restart_at)
+            for protocol in protocols:
+                protocol.start()
+        net.run(until=95.0)
+        return sum(protocol.stats.probes_sent for protocol in protocols)
+
+    def test_a_second_start_does_nothing(self):
+        assert self._probes(starts=1) == self._probes(starts=2) == 20
+
+    def test_start_after_stop_rearms(self):
+        # Probes at 0, 10, 20, 30; silent until 60; then 60, 70, 80, 90.
+        assert self._probes(starts=2, stop_at=35.0, restart_at=60.0) == 16

@@ -5,7 +5,9 @@ core slots; LAN peers use them to (a) suppress redundant joins when an
 attached router already serves the LAN, (b) yield a double-served LAN
 to its D-DR, and (c) introduce themselves immediately to new
 neighbours.  Every reader is on a multi-access LAN, so HELLOs go there
-only: never onto a router-to-router point-to-point link.
+only: never onto a router-to-router point-to-point link.  And every
+reader is another CBT router, so a LAN keeps the full HELLO rate only
+while one is there to hear it (``TestHelloRule``).
 """
 
 import pytest
@@ -265,3 +267,104 @@ class TestQueriesStayOnLans:
             if isinstance(interface.link, Subnet)
         }
         assert lan_interfaces and lan_interfaces <= queries
+
+
+def _hello_times(net, router, link):
+    """When ``router`` sent a HELLO onto ``link``, from the packet trace."""
+    return [
+        record.time
+        for record in net.trace.transmissions()
+        if record.node_name == router
+        and record.link_name == link
+        and payload_label(record.datagram) == "HELLO"
+    ]
+
+
+def _knows(domain, net, router, peer, link="member_lan"):
+    """Whether ``router`` lists ``peer`` as a CBT neighbour on ``link``."""
+    network = net.link(link).network
+    vif = net.router(router).interface_on(network).vif
+    peer_address = net.router(peer).interface_on(network).address
+    return domain.protocol(router).neighbours.is_cbt_capable(vif, peer_address)
+
+
+class TestHelloRule:
+    """``_hello_tick`` HELLOs a LAN (a) at every tick while a CBT
+    neighbour is live there, (b) at the first tick after the interface
+    was down or absent, and (c) otherwise once per hold time."""
+
+    def test_lonely_lan_gets_the_startup_pair_then_one_hello_per_hold(self):
+        net = Network()
+        router = net.add_router("R")
+        lan = net.add_subnet("lan", [router])
+        net.add_host("H", lan)
+        net.converge()
+        domain = CBTDomain(net, timers=FAST_TIMERS, igmp_config=FAST_IGMP)
+        domain.start()
+        p = domain.protocol("R")
+        net.run(until=4 * p.hello_hold + 1.0)
+        assert _hello_times(net, "R", "lan") == pytest.approx(
+            [0.0, 1.0] + [k * p.hello_hold for k in range(1, 5)]
+        )
+
+    def test_shared_lan_keeps_the_full_rate_on_both_routers(self):
+        net, domain, _ = build_shared_lan()
+        interval = domain.protocol("RX").hello_interval
+        net.run(until=4 * domain.protocol("RX").hello_hold + 1.0)
+        ticks = pytest.approx([k * interval for k in range(1, 13)])
+        for router in ("RX", "RY"):
+            assert [t for t in _hello_times(net, router, "member_lan") if t > 1.5] == ticks
+
+    def test_peers_that_lost_every_startup_hello_meet_within_a_hold(self):
+        net = Network()
+        rx, ry = net.add_router("RX"), net.add_router("RY")
+        lan = net.add_subnet("member_lan", [rx, ry])
+        net.add_host("M", lan)
+        net.converge()
+        # The start-up pairs (t=0 and t=1) never arrive.
+        lan.gate = lambda link, sender, datagram: not (
+            net.scheduler.now < 1.5 and payload_label(datagram) == "HELLO"
+        )
+        domain = CBTDomain(net, timers=FAST_TIMERS, igmp_config=FAST_IGMP)
+        domain.start()
+        hold = domain.protocol("RX").hello_hold
+        net.run(until=hold - 1.0)
+        assert not _knows(domain, net, "RX", "RY")
+        assert not _knows(domain, net, "RY", "RX")
+        net.run(until=hold + 0.1)
+        assert _knows(domain, net, "RX", "RY") and _knows(domain, net, "RY", "RX")
+
+    def test_an_interface_back_up_after_a_hold_is_helloed_at_the_next_tick(self):
+        net, domain, _ = build_shared_lan()
+        p = domain.protocol("RY")
+        interface = net.router("RY").interface_on(net.link("member_lan").network)
+        interface.up = False
+        # Down from t=3 for longer than a hold, back up half an interval
+        # before the 7th tick, which is not one of the once-a-hold ticks.
+        back = net.scheduler.now + p.hello_hold + 3 * p.hello_interval
+        net.run(until=back)
+        assert not _knows(domain, net, "RX", "RY")
+        assert not _knows(domain, net, "RY", "RX")
+        interface.up = True
+        net.run(until=back + p.hello_interval)
+        assert _knows(domain, net, "RX", "RY") and _knows(domain, net, "RY", "RX")
+        assert [t for t in _hello_times(net, "RY", "member_lan") if t > back][:1] == (
+            pytest.approx([back + p.hello_interval / 2])
+        )
+
+    def test_a_lan_that_gains_a_second_router_mid_run(self):
+        net = Network()
+        rx, ry = net.add_router("RX"), net.add_router("RY")
+        net.add_p2p("uplink", rx, ry)
+        lan = net.add_subnet("member_lan", [rx])
+        net.add_host("M", lan)
+        net.converge()
+        domain = CBTDomain(net, timers=FAST_TIMERS, igmp_config=FAST_IGMP)
+        domain.start()
+        p = domain.protocol("RY")
+        net.run(until=p.hello_hold + p.hello_interval / 2)
+        attached = net.scheduler.now
+        net.attach(ry, lan)
+        net.converge()
+        net.run(until=attached + p.hello_interval)
+        assert _knows(domain, net, "RX", "RY") and _knows(domain, net, "RY", "RX")

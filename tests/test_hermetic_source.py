@@ -9,6 +9,7 @@ exception is listed with its reason.
 
 import ast
 import pathlib
+import re
 import sys
 
 import pytest
@@ -825,5 +826,37 @@ def test_one_place_grants_querier_duty_and_it_reads_multi_access():
         for path in SRC.rglob("*.py")
         if path.name != "router_side.py"
         and "_periodic_query" in path.read_text(encoding="utf-8")
+    ]
+    assert others == []
+
+
+# -- a HELLO goes only where another CBT router can hear it -------------------------
+#
+# ``_hello_tick`` is the one place that decides which LANs a periodic
+# HELLO goes out of (a live CBT neighbour, an interface back up, or a
+# hold time of quiet), and ``_send_hellos`` the one sender.  A second
+# site would be a HELLO that skips the rule.
+
+
+def _refers_to(name):
+    return lambda node: isinstance(node, ast.Attribute) and node.attr == name
+
+
+def test_one_place_decides_where_a_periodic_hello_goes():
+    assert _router_sites(_refers_to("_send_hello")) == ["_send_hellos"]
+    # The start-up pair, the introduction to a new neighbour, the tick.
+    assert sorted(set(_router_sites(_refers_to("_send_hellos")))) == [
+        "_hello_tick",
+        "_recv_hello",
+        "start",
+    ]
+    assert _router_sites(_refers_to("has_live")) == ["_hello_tick"]
+    for state in ("_hello_ticks", "_lans_up"):
+        assert set(_router_sites(_refers_to(state))) == {"__init__", "start", "_hello_tick"}
+    others = [
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        if path.name != "router.py"
+        and re.search(r"\b(_send_hello|_hello_ticks|_lans_up)\b", path.read_text(encoding="utf-8"))
     ]
     assert others == []

@@ -14,14 +14,14 @@ from types import SimpleNamespace
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.baselines.hpimdm import INFINITE_METRIC
+from repro.baselines.hpimdm import INFINITE_METRIC, HPIMDMDomain
 from repro.harness.scenarios import (
     build_hpimdm_group,
     pick_members,
     send_data,
 )
 from repro.topology.figures import build_figure1
-from repro.topology.generators import waxman_network
+from repro.topology.generators import line_graph, realise, waxman_network
 
 
 def delivered_counts(network, members, uids):
@@ -305,3 +305,32 @@ class TestExplorerScenario:
         result = explore(scenario, options)
         assert result.ok, result.counterexample.summary()
         assert result.exhausted
+
+
+class TestLifecycle:
+    """Two routers on one point-to-point link HELLO every 5 s: 20
+    rounds of two HELLOs in 95 s."""
+
+    def _hellos(self, starts, stop_at=None, restart_at=None):
+        net = realise(line_graph(2), with_hosts=False)
+        domain = HPIMDMDomain(net)
+        protocols = list(domain.protocols.values())
+        for protocol in protocols:
+            for _ in range(starts):
+                protocol.start()
+        if stop_at is not None:
+            net.run(until=stop_at)
+            for protocol in protocols:
+                protocol.stop()
+            net.run(until=restart_at)
+            for protocol in protocols:
+                protocol.start()
+        net.run(until=95.0)
+        return domain.hello_messages()
+
+    def test_a_second_start_does_nothing(self):
+        assert self._hellos(starts=1) == self._hellos(starts=2) == 40
+
+    def test_start_after_stop_rearms(self):
+        # HELLOs at 0, 5, ..., 35; silent until 60; then 60, 65, ..., 95.
+        assert self._hellos(starts=2, stop_at=37.5, restart_at=60.0) == 32

@@ -202,8 +202,8 @@ class TestWorkloadCells:
     @pytest.mark.parametrize(
         "quick, events",
         [
-            (True, {"poisson": 1885, "pareto": 1880}),
-            (False, {"poisson": 4835, "pareto": 5024}),
+            (True, {"poisson": 1805, "pareto": 1800}),
+            (False, {"poisson": 4643, "pareto": 4832}),
         ],
     )
     def test_churn_sim_events_are_pinned(self, quick, events):
@@ -211,7 +211,9 @@ class TestWorkloadCells:
         compared for equality: any change means churn behaves
         differently.  (2515 / 2545 and 5933 / 6183 while HELLOs also
         crossed point-to-point links, 2155 / 2165 and 5213 / 5423 while
-        IGMP queries did; control messages are unchanged.)"""
+        IGMP queries did, 1885 / 1880 and 4835 / 5024 while a LAN with
+        no CBT peer got a HELLO every interval; control messages are
+        unchanged.)"""
         for process, expected in events.items():
             result = run_churn_cell(process, topology="waxman16", seed=17, quick=quick)
             assert result.clean, (process, result.findings()[:5])
