@@ -235,12 +235,14 @@ class CBTDomain:
         pattern query per router.
         """
         skip = MessageType.HELLO if exclude_hello else None
-        total = 0
-        for protocol in self.protocols.values():
-            for msg_type, counter in protocol.stats.tx.items():
-                if msg_type is not skip:
-                    total += counter.value
-        return total
+        return sum(
+            [
+                counter.value
+                for protocol in self.protocols.values()
+                for msg_type, counter in protocol.stats.tx.items()
+                if msg_type is not skip
+            ]
+        )
 
     def events_total(self) -> int:
         """Protocol milestones recorded domain-wide; the quiescence

@@ -119,10 +119,11 @@ class FIBEntry:
 class FIB:
     """All of one router's group entries.
 
-    Entry creation/removal is counted — against the registry counters
-    the owning protocol binds via :meth:`bind_counters`, private ones
-    until then — so ``adds - removes == len(fib)`` is a
-    checkable conservation law.  ``downloads`` / ``deletions`` count
+    Entry creation/removal is counted in :attr:`fib_adds` /
+    :attr:`fib_removes`, so ``adds - removes == len(fib)`` is a
+    checkable conservation law; the registry reads them, with
+    :attr:`fib_entries` and :attr:`fib_state`, as statistics of the
+    owning router (``TreeStats``).  ``downloads`` / ``deletions`` count
     the §3 kernel updates: one download per entry change, one deletion
     per removed entry.
     """
@@ -134,17 +135,20 @@ class FIB:
         self.by_group: Dict[IPv4Address, FIBEntry] = {}
         self._downloads = Counter("fib_downloads")
         self.deletions = 0
-        self._adds = Counter("fib_adds")
-        self._removes = Counter("fib_removes")
-
-    def bind_counters(self, adds: Counter, removes: Counter) -> None:
-        """Attach add/remove counters (the owning protocol does this)."""
-        self._adds = adds
-        self._removes = removes
+        self.fib_adds = 0
+        self.fib_removes = 0
 
     @property
     def downloads(self) -> int:
         return self._downloads.value
+
+    @property
+    def fib_entries(self) -> int:
+        return len(self.by_group)
+
+    @property
+    def fib_state(self) -> int:
+        return self.total_state()
 
     def __len__(self) -> int:
         return len(self.by_group)
@@ -164,14 +168,14 @@ class FIB:
             entry = FIBEntry(group=group)
             entry._downloads = self._downloads
             self.by_group[group] = entry
-            self._adds.inc()
+            self.fib_adds += 1
         return entry
 
     def remove(self, group: IPv4Address) -> None:
         entry = self.by_group.pop(group, None)
         if entry is not None:
             entry._downloads = None
-            self._removes.inc()
+            self.fib_removes += 1
             self.deletions += 1
 
     def groups(self) -> List[IPv4Address]:

@@ -51,27 +51,30 @@ def network_graph(network) -> Graph:
 
     Routers become nodes; every link contributes pairwise edges (with
     the link's propagation delay) between the routers attached to it,
-    so multi-access LANs appear as cliques.  Host-only stub LANs add no
-    edges.  The result feeds the same placement/stretch/concentration
-    machinery the static experiments (E3-E5) use.
+    so multi-access LANs appear as cliques; of two links joining the
+    same routers, the one of lower delay gives the edge.  Host-only
+    stub LANs add no edges.  One pass over the links picks the edges,
+    in the order the graph then adds them.  The result feeds the same
+    placement/stretch/concentration machinery the static experiments
+    (E3-E5) use.
     """
+    routers = network.routers
+    links = network.links
+    #: (lower, higher router name) -> (cost, delay), in first-seen order.
+    chosen: Dict[Tuple[str, str], Tuple[float, float]] = {}
+    for link_name in sorted(links):
+        link = links[link_name]
+        names = sorted({i.node.name for i in link.interfaces if i.node.name in routers})
+        for index, a in enumerate(names):
+            for b in names[index + 1 :]:
+                kept = chosen.get((a, b))
+                if kept is None or link.delay < kept[1]:
+                    chosen[a, b] = (link.cost, link.delay)
     graph = Graph()
-    for name in sorted(network.routers):
+    for name in sorted(routers):
         graph.add_node(name)
-    for link_name in sorted(network.links):
-        link = network.links[link_name]
-        routers = sorted(
-            {
-                interface.node.name
-                for interface in link.interfaces
-                if interface.node.name in network.routers
-            }
-        )
-        for i, a in enumerate(routers):
-            for b in routers[i + 1 :]:
-                existing = graph.edge_between(a, b)
-                if existing is None or link.delay < existing.delay:
-                    graph.add_edge(a, b, cost=link.cost, delay=link.delay)
+    for (a, b), (cost, delay) in chosen.items():
+        graph.add_edge(a, b, cost=cost, delay=delay)
     return graph
 
 

@@ -53,6 +53,35 @@ from repro.telemetry import Counter, MetricsRegistry, ProtocolEvent
 
 _ANY_GROUP = IPv4Address("0.0.0.0")
 
+#: A router's tree statistics, registered as the attribute family
+#: ``cbt.router.<name>.``: metric -> attribute of its :class:`TreeStats`.
+_TREE_STATS = (
+    ("joins_completed", "joins_completed"),
+    ("quit_retries", "quit_retries"),
+    ("stale_cores_ignored", "stale_cores_ignored"),
+    ("fib_adds", "fib.fib_adds"),
+    ("fib_removes", "fib.fib_removes"),
+    ("fib_entries", "fib.fib_entries"),
+    ("fib_state", "fib.fib_state"),
+)
+
+
+class TreeStats:
+    """A router's tree-building milestones (plain ints) and its FIB,
+    whose add / remove / size counts the registry reads with them as
+    the family ``cbt.router.<name>.``.  Apart from the protocol, which
+    a closed world empties, so its registry reads them still; and
+    holding nothing that refers back to the registry."""
+
+    __slots__ = ("fib", "joins_completed", "quit_retries", "stale_cores_ignored")
+
+    def __init__(self, fib: FIB) -> None:
+        self.fib = fib
+        self.joins_completed = 0
+        self.quit_retries = 0
+        #: Core lists that disagreed with the coordinator's (ignored).
+        self.stale_cores_ignored = 0
+
 
 class ControlStats:
     """Control-plane message counters (spec message type granularity).
@@ -156,26 +185,20 @@ class CBTProtocol:
         #: group -> consecutive loop detections; bounds loop-break retries.
         self._loop_count: Dict[IPv4Address, int] = {}
 
-        # Telemetry: counters live in the scheduler-wide registry under
-        # this router's name; events go onto the shared trace bus only.
+        # Telemetry: this router's statistics (``ControlStats``,
+        # ``TreeStats``) are read under its name in the scheduler-wide
+        # registry; events go onto the shared trace bus only.
         telemetry = router.scheduler.telemetry
         self.telemetry = telemetry
         registry = telemetry.registry
         prefix = f"cbt.router.{router.name}"
         self.stats = ControlStats(registry, prefix)
+        self.tree_stats = TreeStats(self.fib)
+        registry.gauge_attrs(prefix + ".", self.tree_stats, _TREE_STATS)
         #: kind -> its ``cbt.router.<name>.event.<kind>`` counter, in
         #: first-use order; :meth:`CBTDomain.events_total` sums them.
         self.event_counters: Dict[str, Counter] = {}
         self._join_latency = registry.histogram(f"{prefix}.join_latency")
-        self._c_joins_completed = registry.counter(f"{prefix}.joins_completed")
-        self._c_quit_retries = registry.counter(f"{prefix}.quit_retries")
-        self._c_stale_cores = registry.counter(f"{prefix}.stale_cores_ignored")
-        self.fib.bind_counters(
-            registry.counter(f"{prefix}.fib_adds"),
-            registry.counter(f"{prefix}.fib_removes"),
-        )
-        registry.gauge(f"{prefix}.fib_entries", self.fib.__len__)
-        registry.gauge(f"{prefix}.fib_state", self.fib.total_state)
         self._tickers: List[PeriodicTimer] = []
         self._started = False
         #: §5.2 tunnel configuration: when set, per-core interface
@@ -295,7 +318,7 @@ class CBTProtocol:
         announced = self.coordinator.cores_for(group)
         if announced:
             if tuple(cores) != announced:
-                self._c_stale_cores.inc()
+                self.tree_stats.stale_cores_ignored += 1
             return
         self._learned_cores[group] = tuple(cores)
 
@@ -1140,7 +1163,7 @@ class CBTProtocol:
         else:
             latency = self.router.scheduler.now - pend.created_at
             self._join_latency.observe(latency)
-            self._c_joins_completed.inc()
+            self.tree_stats.joins_completed += 1
             self._record("joined", group, detail=f"{latency:.4f}")
         if group in self.rejoins:
             self._drop_rejoin(group)
@@ -1419,7 +1442,7 @@ class CBTProtocol:
             self._record("quit_forced", group)
             return
         quit_attempt.retries_left -= 1
-        self._c_quit_retries.inc()
+        self.tree_stats.quit_retries += 1
         self._send_quit_to(group, parent)
         self._arm_quit_retry(quit_attempt)
 

@@ -32,6 +32,29 @@ def _response_delay(address: IPv4Address, max_response_time: float) -> float:
     return (int(address) % 97) / 97.0 * max_response_time
 
 
+#: A host agent's statistics as registry metrics (under
+#: ``igmp.host.<name>.``) -> the :class:`IGMPHostStats` attribute.
+_HOST_STATS = (
+    ("tx.report", "reports_sent"),
+    ("tx.leave", "leaves_sent"),
+    ("tx.core_report", "core_reports_sent"),
+    ("rx.query", "queries_heard"),
+)
+
+
+class IGMPHostStats:
+    """A host agent's protocol-level statistics (see
+    docs/OBSERVABILITY.md), registered as the family
+    ``igmp.host.<name>.``; apart from the agent, which a closed world
+    empties."""
+
+    __slots__ = ("reports_sent", "leaves_sent", "core_reports_sent", "queries_heard")
+
+    def __init__(self) -> None:
+        self.reports_sent = self.leaves_sent = self.core_reports_sent = 0
+        self.queries_heard = 0
+
+
 class IGMPHostAgent:
     """Attach to a :class:`repro.routing.table.Host` to manage membership."""
 
@@ -42,15 +65,10 @@ class IGMPHostAgent:
         #: group -> ordered core list (None when the host only knows the group)
         self.memberships: Dict[IPv4Address, Optional[Tuple[IPv4Address, ...]]] = {}
         self._pending_responses: Dict[IPv4Address, Timer] = {}
-        self.reports_sent = 0
-        self.core_reports_sent = 0
-        # Protocol-level telemetry (see docs/OBSERVABILITY.md).
-        registry = host.scheduler.telemetry.registry
-        prefix = f"igmp.host.{host.name}"
-        self._c_tx_report = registry.counter(f"{prefix}.tx.report")
-        self._c_tx_leave = registry.counter(f"{prefix}.tx.leave")
-        self._c_tx_core_report = registry.counter(f"{prefix}.tx.core_report")
-        self._c_rx_query = registry.counter(f"{prefix}.rx.query")
+        self.stats = IGMPHostStats()
+        host.scheduler.telemetry.registry.gauge_attrs(
+            f"igmp.host.{host.name}.", self.stats, _HOST_STATS
+        )
 
     # -- application API --------------------------------------------------
 
@@ -71,11 +89,9 @@ class IGMPHostAgent:
         self.host.joined_groups.add(group)
         if core_tuple:
             self._send(group, CoreReport(group=group, cores=core_tuple, target_core=target_core))
-            self.core_reports_sent += 1
-            self._c_tx_core_report.inc()
+            self.stats.core_reports_sent += 1
         self._send(group, MembershipReport(group=group))
-        self.reports_sent += 1
-        self._c_tx_report.inc()
+        self.stats.reports_sent += 1
 
     def leave(self, group: IPv4Address) -> None:
         """Leave ``group``; sends an IGMP leave to 224.0.0.2 (spec §2.7)."""
@@ -87,7 +103,7 @@ class IGMPHostAgent:
         if pending is not None:
             pending.cancel()
         self._send(ALL_ROUTERS, Leave(group=group))
-        self._c_tx_leave.inc()
+        self.stats.leaves_sent += 1
 
     def is_member(self, group: IPv4Address) -> bool:
         return group in self.memberships
@@ -97,7 +113,7 @@ class IGMPHostAgent:
     def handle(self, node: Node, interface: Interface, datagram: IPDatagram) -> None:
         message = datagram.payload
         if isinstance(message, MembershipQuery):
-            self._c_rx_query.inc()
+            self.stats.queries_heard += 1
             self._handle_query(message)
 
     def _handle_query(self, query: MembershipQuery) -> None:
@@ -125,11 +141,9 @@ class IGMPHostAgent:
             # Spec §2.5: core reports are also sent in response to
             # queries, and prior to the membership report.
             self._send(group, CoreReport(group=group, cores=cores))
-            self.core_reports_sent += 1
-            self._c_tx_core_report.inc()
+            self.stats.core_reports_sent += 1
         self._send(group, MembershipReport(group=group))
-        self.reports_sent += 1
-        self._c_tx_report.inc()
+        self.stats.reports_sent += 1
 
     def _send(self, destination: IPv4Address, message: IGMPMessage) -> None:
         self.host.originate(

@@ -118,6 +118,44 @@ class MembershipDatabase:
 MembershipListener = Callable[[Interface, IPv4Address, bool], None]
 CoreReportListener = Callable[[Interface, CoreReport], None]
 
+#: An agent's statistics as registry metrics (under
+#: ``igmp.router.<name>.``) -> the :class:`IGMPStats` attribute.
+_AGENT_STATS = (
+    ("tx.query", "queries_sent"),
+    ("rx.query", "queries_heard"),
+    ("rx.report", "reports_heard"),
+    ("rx.leave", "leaves_heard"),
+    ("rx.core_report", "core_reports_heard"),
+    ("membership_gains", "membership_gains"),
+    ("membership_losses", "membership_losses"),
+    ("querier_transitions", "querier_transitions"),
+)
+
+
+class IGMPStats:
+    """A router agent's protocol-level statistics (see
+    docs/OBSERVABILITY.md): tx/rx per IGMP message kind plus
+    membership and querier transitions, registered as the family
+    ``igmp.router.<name>.``.  Apart from the agent, which a closed
+    world empties, so its registry reads them still."""
+
+    __slots__ = (
+        "queries_sent",
+        "queries_heard",
+        "reports_heard",
+        "leaves_heard",
+        "core_reports_heard",
+        "membership_gains",
+        "membership_losses",
+        "querier_transitions",
+    )
+
+    def __init__(self) -> None:
+        self.queries_sent = self.queries_heard = self.reports_heard = 0
+        self.leaves_heard = self.core_reports_heard = 0
+        self.membership_gains = self.membership_losses = 0
+        self.querier_transitions = 0
+
 
 class IGMPRouterAgent:
     """IGMP speaker for a router: one agent covers all its interfaces."""
@@ -129,21 +167,12 @@ class IGMPRouterAgent:
         self._states: Dict[int, _InterfaceState] = {}
         self._membership_listeners: List[MembershipListener] = []
         self._core_report_listeners: List[CoreReportListener] = []
-        self.queries_sent = 0
         self._started = False
-        # Protocol-level telemetry (see docs/OBSERVABILITY.md): tx/rx
-        # per IGMP message kind plus membership/querier transitions.
         self.telemetry = router.scheduler.telemetry
-        registry = self.telemetry.registry
-        prefix = f"igmp.router.{router.name}"
-        self._c_tx_query = registry.counter(f"{prefix}.tx.query")
-        self._c_rx_query = registry.counter(f"{prefix}.rx.query")
-        self._c_rx_report = registry.counter(f"{prefix}.rx.report")
-        self._c_rx_leave = registry.counter(f"{prefix}.rx.leave")
-        self._c_rx_core_report = registry.counter(f"{prefix}.rx.core_report")
-        self._c_gains = registry.counter(f"{prefix}.membership_gains")
-        self._c_losses = registry.counter(f"{prefix}.membership_losses")
-        self._c_querier_transitions = registry.counter(f"{prefix}.querier_transitions")
+        self.stats = IGMPStats()
+        self.telemetry.registry.gauge_attrs(
+            f"igmp.router.{router.name}.", self.stats, _AGENT_STATS
+        )
         router.register_handler(PROTO_IGMP, self)
         router.scheduler.register(self)
 
@@ -217,16 +246,16 @@ class IGMPRouterAgent:
         message = datagram.payload
         kind = type(message)
         if kind is MembershipQuery:
-            self._c_rx_query.value += 1
+            self.stats.queries_heard += 1
             self._handle_query(interface, datagram.src)
         elif kind is MembershipReport:
-            self._c_rx_report.inc()
+            self.stats.reports_heard += 1
             self._handle_report(interface, message.group)
         elif kind is Leave:
-            self._c_rx_leave.inc()
+            self.stats.leaves_heard += 1
             self._handle_leave(interface, message.group)
         elif kind is CoreReport:
-            self._c_rx_core_report.inc()
+            self.stats.core_reports_heard += 1
             self._handle_core_report(interface, message)
 
     def _handle_query(self, interface: Interface, source: IPv4Address) -> None:
@@ -237,7 +266,7 @@ class IGMPRouterAgent:
             # Lower-addressed querier wins (spec §2.3); never replace a
             # known querier with a higher-addressed one.
             if state.querier:
-                self._c_querier_transitions.inc()
+                self.stats.querier_transitions += 1
             state.querier = False
             if state.querier_address is None or source <= state.querier_address:
                 state.querier_address = source
@@ -252,7 +281,7 @@ class IGMPRouterAgent:
     def _resume_querier(self, interface: Interface) -> None:
         state = self._state_for(interface)
         if not state.querier:
-            self._c_querier_transitions.inc()
+            self.stats.querier_transitions += 1
         state.querier = True
         state.querier_address = None
 
@@ -301,8 +330,7 @@ class IGMPRouterAgent:
         return state
 
     def _send_query(self, interface: Interface, group: Optional[IPv4Address]) -> None:
-        self.queries_sent += 1
-        self._c_tx_query.value += 1
+        self.stats.queries_sent += 1
         if group is None:
             destination = ALL_SYSTEMS
             max_response = self.config.query_response_interval
@@ -335,7 +363,10 @@ class IGMPRouterAgent:
             self._notify_membership(interface, group, present=False)
 
     def _notify_membership(self, interface: Interface, group: IPv4Address, present: bool) -> None:
-        (self._c_gains if present else self._c_losses).inc()
+        if present:
+            self.stats.membership_gains += 1
+        else:
+            self.stats.membership_losses += 1
         self.telemetry.bus.publish(
             MembershipEvent(
                 time=self.router.scheduler.now,

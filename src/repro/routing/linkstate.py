@@ -64,19 +64,13 @@ class _OndemandPlan:
         self,
         reverse_adjacency: Dict[str, List[Tuple[str, float, Link]]],
         iface_by_link: Dict[str, Dict[int, Interface]],
-        link_seq: List[Tuple[int, Link, Tuple[int, int], List[Tuple[str, Interface]]]],
+        prefix_map: Dict[Tuple[int, int], Tuple[Link, List[Tuple[str, Interface]]]],
+        plens: List[int],
     ) -> None:
         self._radj = reverse_adjacency
         self._iface_by_link = iface_by_link
-        prefix_map: Dict[
-            Tuple[int, int], Tuple[Link, List[Tuple[str, Interface]]]
-        ] = {}
-        plens: set = set()
-        for _link_id, link, (net_int, plen), attached in link_seq:
-            prefix_map[(net_int, plen)] = (link, attached)
-            plens.add(plen)
         self._prefix_map = prefix_map
-        self._plens = sorted(plens, reverse=True)
+        self._plens = plens
         # (net int, plen) -> (dist by router name, pred by router name)
         self._trees: Dict[
             Tuple[int, int],
@@ -171,7 +165,13 @@ class LinkStateRouting:
         #: ``"iface_maps"`` (router name -> {id(link) -> interface},
         #:                  [(id(link), link, (int(net addr), prefixlen),
         #:                    [(router name, iface)])])
+        #: ``"plain"``      the costed adjacency with no override applied
+        #: ``"prefixes"``   ((int(net addr), prefixlen) -> (link,
+        #:                  [(router name, iface)]), prefix lengths
+        #:                  longest first) for the on-demand plan
         #: ``"dist"``       source router name -> Dijkstra distance map
+        #: The first five come from one pass over the links
+        #: (:meth:`_scan_links`).
         self._derived: Dict[str, Any] = {}
         #: Drop every topology-derived cache.  Called from
         #: ``add_router`` / ``add_link`` and by every link (it is their
@@ -258,9 +258,11 @@ class LinkStateRouting:
         return derived["by_address"]
 
     def adjacency(self) -> Dict[str, List[Tuple[str, Link]]]:
+        """router name -> [(neighbour router name, connecting link)]
+        over the up links and interfaces."""
         derived = self._derived
         if "adjacency" not in derived:
-            derived["adjacency"] = self._build_adjacency()
+            self._scan_links()
         return derived["adjacency"]
 
     def _costed_adjacency(self) -> Dict[str, List[Tuple[str, float, Link]]]:
@@ -268,19 +270,18 @@ class LinkStateRouting:
         derived = self._derived
         if "costed" not in derived:
             overrides = self._cost_overrides
-            derived["costed"] = {
-                name: [
-                    (
-                        neighbour,
-                        overrides.get((name, link.name), link.cost)
-                        if overrides
-                        else link.cost,
-                        link,
-                    )
-                    for neighbour, link in edges
-                ]
-                for name, edges in self.adjacency().items()
-            }
+            if not overrides:
+                if "plain" not in derived:
+                    self._scan_links()
+                derived["costed"] = derived["plain"]
+            else:
+                derived["costed"] = {
+                    name: [
+                        (neighbour, overrides.get((name, link.name), link.cost), link)
+                        for neighbour, link in edges
+                    ]
+                    for name, edges in self.adjacency().items()
+                }
         return derived["costed"]
 
     def _iface_maps(
@@ -292,33 +293,57 @@ class LinkStateRouting:
         """Per-router {link -> interface} map and the link scan sequence."""
         derived = self._derived
         if "iface_maps" not in derived:
-            by_link: Dict[str, Dict[int, Interface]] = {}
-            router_names = set(self.routers_by_name())
-            for router in self.routers:
-                by_link[router.name] = {
-                    id(interface.link): interface
-                    for interface in router.interfaces
-                    if interface.link is not None
-                }
-            link_seq: List[
-                Tuple[int, Link, Tuple[int, int], List[Tuple[str, Interface]]]
-            ] = []
-            for link in self.links:
-                network = link.network
-                link_seq.append(
-                    (
-                        id(link),
-                        link,
-                        (int(network.network_address), network.prefixlen),
-                        [
-                            (interface.node.name, interface)
-                            for interface in link.interfaces
-                            if interface.node.name in router_names
-                        ],
-                    )
-                )
-            derived["iface_maps"] = (by_link, link_seq)
+            self._scan_links()
         return derived["iface_maps"]
+
+    def _scan_links(self) -> None:
+        """Derive, in one pass over the links, the adjacency, the
+        plain-cost adjacency, the interface maps and the prefix map.
+
+        A router's adjacency lists its up neighbours link by link, each
+        link's attached routers in attachment order; the interface map
+        holds each router's interface on every link it is attached to.
+        """
+        by_link: Dict[str, Dict[int, Interface]] = {
+            router.name: {} for router in self.routers
+        }
+        adjacency: Dict[str, List[Tuple[str, Link]]] = {name: [] for name in by_link}
+        plain: Dict[str, List[Tuple[str, float, Link]]] = {name: [] for name in by_link}
+        link_seq: List[
+            Tuple[int, Link, Tuple[int, int], List[Tuple[str, Interface]]]
+        ] = []
+        prefix_map: Dict[Tuple[int, int], Tuple[Link, List[Tuple[str, Interface]]]] = {}
+        for link in self.links:
+            link_id = id(link)
+            attached: List[Tuple[str, Interface]] = []
+            for interface in link.interfaces:
+                name = interface.node.name
+                own = by_link.get(name)
+                if own is not None:
+                    own[link_id] = interface
+                    attached.append((name, interface))
+            network = link.network
+            prefix_key = (int(network.network_address), network.prefixlen)
+            link_seq.append((link_id, link, prefix_key, attached))
+            prefix_map[prefix_key] = (link, attached)
+            if link.up and len(attached) > 1:
+                up = [(name, interface) for name, interface in attached if interface.up]
+                cost = link.cost
+                for name, interface in up:
+                    edges = adjacency[name]
+                    costed = plain[name]
+                    for other, peer in up:
+                        if peer is not interface:
+                            edges.append((other, link))
+                            costed.append((other, cost, link))
+        derived = self._derived
+        derived["adjacency"] = adjacency
+        derived["plain"] = plain
+        derived["iface_maps"] = (by_link, link_seq)
+        derived["prefixes"] = (
+            prefix_map,
+            sorted({plen for _, plen in prefix_map}, reverse=True),
+        )
 
     # -- computation ---------------------------------------------------------
 
@@ -349,50 +374,29 @@ class LinkStateRouting:
 
     def _recompute_ondemand(self) -> None:
         """Install per-destination resolvers over a shared reverse plan."""
-        iface_by_link, link_seq = self._iface_maps()
+        iface_by_link = self._iface_maps()[0]
+        derived = self._derived
         overrides = self._cost_overrides
-        # Reverse-costed adjacency: edge u -> v carries the cost *v*
-        # (the forwarding router, one hop farther from the destination)
-        # pays to cross the link, so overrides keep forward semantics.
-        radj: Dict[str, List[Tuple[str, float, Link]]] = {
-            name: [
-                (
-                    neighbour,
-                    overrides.get((neighbour, link.name), link.cost)
-                    if overrides
-                    else link.cost,
-                    link,
-                )
-                for neighbour, link in edges
-            ]
-            for name, edges in self.adjacency().items()
-        }
-        plan = _OndemandPlan(radj, iface_by_link, link_seq)
+        if not overrides:
+            radj = derived["plain"]
+        else:
+            # Reverse-costed adjacency: edge u -> v carries the cost *v*
+            # (the forwarding router, one hop farther from the
+            # destination) pays to cross the link, so overrides keep
+            # forward semantics.
+            radj = {
+                name: [
+                    (neighbour, overrides.get((neighbour, link.name), link.cost), link)
+                    for neighbour, link in edges
+                ]
+                for name, edges in self.adjacency().items()
+            }
+        plan = _OndemandPlan(radj, iface_by_link, *derived["prefixes"])
         route_for = plan.route_for
         for router in self.routers:
             router.table.set_resolver(
                 lambda dest_int, name=router.name: route_for(name, dest_int)
             )
-
-    def _build_adjacency(self) -> Dict[str, List[Tuple[str, Link]]]:
-        """router name -> [(neighbour router name, connecting link)]."""
-        adjacency: Dict[str, List[Tuple[str, Link]]] = {
-            router.name: [] for router in self.routers
-        }
-        router_names = set(adjacency)
-        for link in self.links:
-            if not link.up:
-                continue
-            attached = [
-                interface
-                for interface in link.interfaces
-                if interface.node.name in router_names and interface.up
-            ]
-            for a in attached:
-                for b in attached:
-                    if a is not b:
-                        adjacency[a.node.name].append((b.node.name, link))
-        return adjacency
 
     @staticmethod
     def _dijkstra(

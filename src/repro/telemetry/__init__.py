@@ -20,6 +20,7 @@ from typing import Dict, Union
 from repro.telemetry.registry import (
     Counter,
     DEFAULT_BUCKETS,
+    FamilyNameError,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -113,6 +114,7 @@ class Telemetry:
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
+    "FamilyNameError",
     "FaultEvent",
     "Gauge",
     "Histogram",

@@ -13,13 +13,15 @@ The functions return a list of human-readable violation strings
 quiescence: in-flight messages are computed from the counters
 themselves (``sched - rx - late``), so tests can snapshot mid-run.
 
-Everything here is duck-typed over plain counter names — this module
-imports nothing from the rest of ``repro``.
+Everything here is duck-typed over registry names and families and,
+for the FIB and membership laws, the attributes of the protocols they
+are handed — this module imports nothing from the rest of ``repro``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.telemetry.registry import MetricsRegistry
 
@@ -42,19 +44,22 @@ UNICAST_CBT_TYPES = (
 
 ALL_CBT_TYPES = UNICAST_CBT_TYPES + ("HELLO",)
 
-#: payload label -> protocol-level tx counter pattern for IGMP.
-IGMP_TX_PATTERNS = {
-    "MembershipQuery": "igmp.router.*.tx.query",
-    "MembershipReport": "igmp.host.*.tx.report",
-    "Leave": "igmp.host.*.tx.leave",
-    "CoreReport": "igmp.host.*.tx.core_report",
+#: payload label -> the IGMP agent statistics counting its protocol-level
+#: sends, as (family head, metric): the families ``igmp.router.<name>.``
+#: / ``igmp.host.<name>.`` register them.
+IGMP_TX = {
+    "MembershipQuery": (("igmp.router.", "tx.query"),),
+    "MembershipReport": (("igmp.host.", "tx.report"),),
+    "Leave": (("igmp.host.", "tx.leave"),),
+    "CoreReport": (("igmp.host.", "tx.core_report"),),
 }
 
-IGMP_RX_PATTERNS = {
-    "MembershipQuery": "igmp.*.rx.query",
-    "MembershipReport": "igmp.router.*.rx.report",
-    "Leave": "igmp.router.*.rx.leave",
-    "CoreReport": "igmp.router.*.rx.core_report",
+#: The same for receipts (routers and hosts both hear queries).
+IGMP_RX = {
+    "MembershipQuery": (("igmp.router.", "rx.query"), ("igmp.host.", "rx.query")),
+    "MembershipReport": (("igmp.router.", "rx.report"),),
+    "Leave": (("igmp.router.", "rx.leave"),),
+    "CoreReport": (("igmp.router.", "rx.core_report"),),
 }
 
 #: Drop reasons counted before anything touches the wire (in
@@ -89,11 +94,11 @@ def msg_in_flight(registry: MetricsRegistry, label: str) -> Number:
 
 
 def _per_link(registry: MetricsRegistry, metric: str) -> Dict[str, Number]:
-    """``link -> value`` over the links that have the instrument
-    ``netsim.link.<link>.<metric>`` (a drop counter exists only on a
-    link that dropped for that reason)."""
+    """``netsim.link.<link>.`` -> value over the links that have the
+    instrument ``netsim.link.<link>.<metric>`` (a drop counter exists
+    only on a link that dropped for that reason)."""
     return {
-        name.split(".")[2]: value
+        name[: -len(metric)]: value
         for name, value in registry.matching(f"netsim.link.*.{metric}").items()
     }
 
@@ -102,36 +107,42 @@ def link_conservation(registry: MetricsRegistry) -> List[str]:
     """Per link: every transmit attempt is a wire tx or a reasoned drop,
     and every scheduled delivery is delivered, late-dropped, or still
     in flight (never negative).  Each link's wire statistics are read
-    from the link itself (no gauge is built) and its drops from the
-    drop counters that exist."""
-    violations = []
+    from the link in one ``attrgetter`` call (:meth:`MetricsRegistry.
+    columns`, in link-prefix order) and its drops from the drop
+    counters that exist; violations come sorted by link."""
     pre_wire: Dict[str, Number] = {}
     for reason in PRE_WIRE_REASONS:
-        for link, count in _per_link(registry, f"drop.{reason}").items():
-            pre_wire[link] = pre_wire.get(link, 0) + count
+        for prefix, count in _per_link(registry, f"drop.{reason}").items():
+            pre_wire[prefix] = pre_wire.get(prefix, 0) + count
     late_drops = _per_link(registry, f"drop.{LATE_REASON}")
     head = "netsim.link."
-    wires = {
-        prefix[len(head) : -1]: wire for prefix, wire in registry.families(head).items()
-    }
-    for link in sorted(wires):
-        wire = wires[link]
-        attempts, tx = wire["attempts"], wire["tx_packets"]
-        pre_drops = pre_wire.get(link, 0)
+    found = []
+    for prefix, (attempts, tx, fanout, rx) in registry.columns(
+        head, "attempts", "tx_packets", "fanout", "rx_packets"
+    ).items():
+        pre_drops = pre_wire.get(prefix, 0)
         if attempts != tx + pre_drops:
-            violations.append(
-                f"link {link}: attempts {attempts} != "
-                f"tx {tx} + pre-wire drops {pre_drops}"
+            link = prefix[len(head) : -1]
+            found.append(
+                (
+                    link,
+                    f"link {link}: attempts {attempts} != "
+                    f"tx {tx} + pre-wire drops {pre_drops}",
+                )
             )
-        fanout, rx = wire["fanout"], wire["rx_packets"]
-        late = late_drops.get(link, 0)
+        late = late_drops.get(prefix, 0)
         in_flight = fanout - rx - late
         if in_flight < 0:
-            violations.append(
-                f"link {link}: negative in-flight ({fanout} scheduled, "
-                f"{rx} delivered, {late} late drops)"
+            link = prefix[len(head) : -1]
+            found.append(
+                (
+                    link,
+                    f"link {link}: negative in-flight ({fanout} scheduled, "
+                    f"{rx} delivered, {late} late drops)",
+                )
             )
-    return violations
+    found.sort(key=itemgetter(0))  # stable: a link's two laws keep their order
+    return [violation for _, violation in found]
 
 
 def label_conservation(registry: MetricsRegistry) -> List[str]:
@@ -185,12 +196,29 @@ def cbt_conservation(registry: MetricsRegistry) -> List[str]:
     return violations
 
 
+def _igmp_totals(registry: MetricsRegistry) -> Dict[Tuple[str, str], Number]:
+    """``(family head, metric) -> sum over the families`` of every
+    statistic :data:`IGMP_TX` / :data:`IGMP_RX` name: one
+    :meth:`MetricsRegistry.columns` read per head."""
+    wanted: Dict[str, List[str]] = {}
+    for stats in (*IGMP_TX.values(), *IGMP_RX.values()):
+        for head, metric in stats:
+            wanted.setdefault(head, []).append(metric)
+    totals: Dict[Tuple[str, str], Number] = {}
+    for head, metrics in wanted.items():
+        rows = registry.columns(head, *metrics).values()  # a tuple each
+        sums = [sum(column) for column in zip(*rows)] or [0] * len(metrics)
+        totals.update(zip(((head, metric) for metric in metrics), sums))
+    return totals
+
+
 def igmp_conservation(registry: MetricsRegistry) -> List[str]:
     """IGMP tx-side accounting (all IGMP is link-local multicast, so
     the rx side is bounded by wire deliveries rather than equal)."""
     violations = []
-    for label, pattern in IGMP_TX_PATTERNS.items():
-        proto_tx = registry.total(pattern)
+    totals = _igmp_totals(registry)
+    for label, sent in IGMP_TX.items():
+        proto_tx = sum(totals[stat] for stat in sent)
         wire_tx = _msg_value(registry, label, "tx")
         unwired = _msg_drops(registry, label, PRE_WIRE_REASONS + NODE_REASONS)
         if proto_tx != wire_tx + unwired:
@@ -198,7 +226,7 @@ def igmp_conservation(registry: MetricsRegistry) -> List[str]:
                 f"{label}: protocol tx {proto_tx} != wire tx {wire_tx} "
                 f"+ pre-wire/node drops {unwired}"
             )
-        proto_rx = registry.total(IGMP_RX_PATTERNS[label])
+        proto_rx = sum(totals[stat] for stat in IGMP_RX[label])
         wire_rx = _msg_value(registry, label, "rx")
         if proto_rx > wire_rx:
             violations.append(
@@ -211,20 +239,21 @@ def fib_conservation(registry: MetricsRegistry, protocols: Dict) -> List[str]:
     """Per router: FIB adds − removes == live entries, and every live
     entry's downloaded kernel entry equals a fresh compile of it — a
     write that bypassed the mutators shows here (CBT protocols only —
-    comparator engines keep their own non-FIB state)."""
+    comparator engines keep their own non-FIB state).  The counts are
+    the FIB's own attributes, which its router's registry family
+    reads."""
     violations = []
     for name, protocol in sorted(protocols.items()):
         if not hasattr(protocol, "fib"):
             continue
-        adds = registry.value(f"cbt.router.{name}.fib_adds")
-        removes = registry.value(f"cbt.router.{name}.fib_removes")
-        live = len(protocol.fib)
+        fib = protocol.fib
+        adds, removes, live = fib.fib_adds, fib.fib_removes, len(fib.by_group)
         if adds - removes != live:
             violations.append(
                 f"router {name}: fib adds {adds} - removes {removes} "
                 f"!= live entries {live}"
             )
-        for entry in protocol.fib:
+        for entry in fib.by_group.values():
             if entry.kernel != type(entry.kernel).from_user_entry(entry):
                 violations.append(
                     f"router {name}: group {entry.group} forwards from a "
@@ -243,9 +272,10 @@ def histogram_conservation(registry: MetricsRegistry) -> List[str]:
                 f"histogram {histogram.name}: bucket sum "
                 f"{sum(histogram.bucket_counts)} != count {histogram.count}"
             )
+    joins_completed = registry.columns("cbt.router.", "joins_completed")
     for histogram in registry.histograms_matching("cbt.router.*.join_latency"):
-        router = histogram.name.split(".")[2]
-        completed = registry.value(f"cbt.router.{router}.joins_completed")
+        prefix = histogram.name[: -len("join_latency")]
+        completed = joins_completed.get(prefix, 0)
         if histogram.count != completed:
             violations.append(
                 f"histogram {histogram.name}: count {histogram.count} "
@@ -256,25 +286,24 @@ def histogram_conservation(registry: MetricsRegistry) -> List[str]:
 
 def membership_conservation(registry: MetricsRegistry, protocols: Dict) -> List[str]:
     """Per router: membership gains − losses == live (vif, group) pairs,
-    and the group index the data plane reads agrees with them."""
+    and the group index the data plane reads agrees with them.  The
+    counts are the IGMP agent's own attributes, which its registry
+    family reads."""
     violations = []
     for name, protocol in sorted(protocols.items()):
         agent = getattr(protocol, "igmp", None)
         if agent is None:
             continue
-        gains = registry.value(f"igmp.router.{name}.membership_gains")
-        losses = registry.value(f"igmp.router.{name}.membership_losses")
-        live = sum(
-            len(groups) for groups in agent.database._by_interface.values()
-        )
+        gains, losses = agent.stats.membership_gains, agent.stats.membership_losses
+        database = agent.database
+        by_interface = database._by_interface
+        live = sum(map(len, by_interface.values()))
         if gains - losses != live:
             violations.append(
                 f"router {name}: membership gains {gains} - losses {losses} "
                 f"!= live memberships {live}"
             )
-        database = agent.database
-        by_interface = database._by_interface
-        for group in sorted(set().union(*by_interface.values())):
+        for group in sorted(set().union(*by_interface.values())) if live else ():
             scan = tuple(vif for vif, on in by_interface.items() if group in on)
             if database.interfaces_with(group) != scan:
                 violations.append(

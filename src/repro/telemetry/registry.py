@@ -4,16 +4,23 @@ Three instrument kinds, modelled on the conventional MIB/metrics
 split real router implementations expose:
 
 * :class:`Counter` — monotonically increasing event count (messages
-  sent, FIB adds, drops by reason).
+  sent by type, drops by reason).
 * :class:`Gauge` — point-in-time value: set explicitly, read lazily
-  through a callable (live FIB size), or bound to ``(object,
-  attribute)`` and read with ``getattr`` (natively counted link and
-  scheduler statistics).  Lazy gauges cost nothing on the hot path;
-  the attribute-bound form also costs no closure per gauge, which
-  matters when there are six per link.
+  through a callable, or bound to ``(object, attribute)`` and read
+  with ``getattr``.
 * :class:`Histogram` — fixed bucket boundaries chosen at creation
   (join latencies).  Fixed boundaries keep snapshots mergeable:
   bucket-wise addition is exact, unlike quantile sketches.
+
+Beside them, attribute *families*: an entity that counts its own
+statistics as plain int attributes (a link's wire counts, a router's
+joins completed, an IGMP agent's messages) registers them once with
+:meth:`MetricsRegistry.gauge_attrs` under a name prefix.  A family is
+one dict entry, not an instrument per statistic, and every read
+(``value``, ``total``, ``matching``, ``columns``, ``snapshot``) reads
+the attributes in place: no query builds a
+:class:`Gauge`, and the names exist only in what a read returns
+(docs/OBSERVABILITY.md, "Attribute families").
 
 Names are hierarchical dotted paths (``cbt.router.R4.tx.join_request``)
 so snapshots group naturally and :meth:`MetricsRegistry.total` can
@@ -23,15 +30,17 @@ pattern whose last dotted segment is literal — every pattern the
 conservation laws use — matches only the names sharing that segment,
 and only the remaining shapes scan the whole registry.  A scan is the
 pattern's compiled expression filtered over the names in one C loop,
-the ``fnmatchcase`` test without a Python call per name.
+the ``fnmatchcase`` test without a Python call per name.  A family
+statistic is tested only if its family's prefix lies under the
+pattern's literal head and its last segment can match.
 
 Determinism: nothing here reads wall-clock time or has any other
 hidden input — every value is a pure function of the simulation, so a
 snapshot of a deterministic run is byte-for-byte reproducible.
 
 There is no disabled mode: the protocol's own statistics are registry
-counters, so every instrument handed out counts (docs/PERFORMANCE.md,
-"Decision record: telemetry has one mode").
+instruments or families, so every one handed out counts
+(docs/PERFORMANCE.md, "Decision record: telemetry has one mode").
 """
 
 from __future__ import annotations
@@ -260,13 +269,61 @@ class Histogram:
         return f"Histogram({self.name} n={self.count} sum={self.sum:g})"
 
 
+class FamilyNameError(ValueError):
+    """An instrument was asked for under a name a
+    :meth:`MetricsRegistry.gauge_attrs` family owns: the family's
+    attribute *is* that statistic, so a second instrument of the same
+    name would count apart from it."""
+
+
+class _Kind:
+    """One shape of :meth:`MetricsRegistry.gauge_attrs` family: its
+    metric names and the attributes (dotted for an attribute of an
+    attribute) they are read from.  Like ``attrgetter``, a reader of
+    one attribute returns the value and a reader of several a tuple."""
+
+    __slots__ = ("names", "attrs", "read", "one", "tails", "_readers")
+
+    def __init__(self, metrics: Sequence[Tuple[str, str]]) -> None:
+        self.names = names = tuple(metric for metric, _ in metrics)
+        self.attrs = attrs = tuple(attr for _, attr in metrics)
+        self.read = attrgetter(*attrs)
+        #: metric -> the reader of that one metric.
+        self.one: Dict[str, Callable] = {
+            name: attrgetter(attr) for name, attr in zip(names, attrs)
+        }
+        #: last dotted segment -> the metrics ending in it.
+        self.tails: Dict[str, Tuple[str, ...]] = {}
+        for name in names:
+            tail = name.rpartition(".")[2]
+            self.tails[tail] = self.tails.get(tail, ()) + (name,)
+        self._readers: Dict[Tuple[str, ...], Optional[Callable]] = {}
+
+    def values(self, obj: Any) -> Tuple[Number, ...]:
+        """Every metric's value, in :attr:`names` order."""
+        values = self.read(obj)
+        return values if len(self.names) > 1 else (values,)
+
+    def reader(self, metrics: Tuple[str, ...]) -> Optional[Callable]:
+        """One reader of ``metrics`` (a value for one, a tuple for
+        several), or ``None`` when this kind lacks one of them."""
+        if metrics not in self._readers:
+            reader = None
+            if all(metric in self.one for metric in metrics):
+                attrs, names = self.attrs, self.names
+                reader = attrgetter(*(attrs[names.index(metric)] for metric in metrics))
+            self._readers[metrics] = reader
+        return self._readers[metrics]
+
+
 class MetricsRegistry:
     """Instrument factory + snapshot surface.
 
     Instruments are created on first request and shared thereafter
     (same name → same object), so callers can pre-resolve them at
     construction time and pay only an attribute access + ``inc()`` on
-    hot paths.
+    hot paths.  Attribute families (:meth:`gauge_attrs`) are read in
+    place by every query.
     """
 
     def __init__(self) -> None:
@@ -276,25 +333,26 @@ class MetricsRegistry:
         self._counter_names = _NameIndex(self._counters)
         self._gauge_names = _NameIndex(self._gauges)
         self._histogram_names = _NameIndex(self._histograms)
-        #: prefix -> (object, its kind) of each family :meth:`gauge_attrs`
-        #: noted, and prefix -> (object, metrics) of those no read has
-        #: built yet.
-        self._families: Dict[str, Tuple[Any, Tuple[Tuple[str, ...], Callable]]] = {}
+        #: prefix -> (object, its kind) of every :meth:`gauge_attrs`
+        #: family.
+        self._families: Dict[str, Tuple[Any, _Kind]] = {}
         self._family_names = _NameIndex(self._families)
-        self._unbuilt: Dict[str, Tuple[Any, Sequence[Tuple[str, str]]]] = {}
-        #: Every metric some family has: a pattern whose literal last
-        #: segment is none of them can match no family's gauge.
-        self._family_metrics: Set[str] = set()
         #: Each distinct ``metrics`` sequence :meth:`gauge_attrs` saw ->
-        #: its kind: the metric names and one ``attrgetter`` of the
-        #: attributes, which :meth:`families` reads every family with.
-        self._family_kinds: Dict[Sequence[Tuple[str, str]], Tuple[Tuple[str, ...], Callable]] = {}
+        #: its kind (every link has the same six: one reader for all).
+        self._kinds: Dict[Sequence[Tuple[str, str]], _Kind] = {}
+        #: The last segment of every family metric: a pattern whose
+        #: literal last segment is none of them matches no family.
+        self._family_tails: Set[str] = set()
+        #: The most dots any family metric holds (``tx.query`` one), so
+        #: how far before a name's last dot its family prefix can end.
+        self._family_depth = 0
 
     # -- instrument factories -------------------------------------------
 
     def counter(self, name: str) -> Counter:
         counter = self._counters.get(name)
         if counter is None:
+            self._refuse_family_name(name)
             counter = Counter(name)
             self._counters[name] = counter
         return counter
@@ -302,8 +360,9 @@ class MetricsRegistry:
     def gauge(
         self, name: str, callback: Optional[Callable[[], Number]] = None
     ) -> Gauge:
-        gauge = self._find_gauge(name)
+        gauge = self._gauges.get(name)
         if gauge is None:
+            self._refuse_family_name(name)
             gauge = Gauge(name, callback)
             self._gauges[name] = gauge
         elif callback is not None:
@@ -312,77 +371,106 @@ class MetricsRegistry:
 
     def gauge_attr(self, name: str, obj: Any, attr: str) -> Gauge:
         """Gauge ``name`` reading ``getattr(obj, attr)`` at query time."""
-        gauge = self._find_gauge(name)
+        gauge = self._gauges.get(name)
         if gauge is None:
+            self._refuse_family_name(name)
             gauge = self._gauges[name] = Gauge(name, None, obj, attr)
         else:
             gauge.bind(obj, attr)
         return gauge
 
+    def _refuse_family_name(self, name: str) -> None:
+        """No instrument is made under a family statistic's name."""
+        if self._owner(name) is not None:
+            raise FamilyNameError(f"{name} is an attribute family's statistic")
+
     def gauge_attrs(
         self, prefix: str, obj: Any, metrics: Sequence[Tuple[str, str]]
     ) -> None:
-        """One :meth:`gauge_attr` ``prefix + metric`` (``prefix`` ends in
-        a dot, ``metric`` holds none) per ``(metric, attr)`` pair,
-        deferred: until a gauge of the family is read or looked up, or
-        a pattern one of them could match is queried (a snapshot
-        matches all).  A link has six and most runs read none; built
-        eagerly they were the dearest part of wiring it, and
-        :meth:`families` reads them without building."""
-        self._unbuilt[prefix] = (obj, metrics)
-        kind = self._family_kinds.get(metrics)
-        if kind is None:  # every link has the same six: one reader for all
-            names = tuple(metric for metric, _ in metrics)
-            kind = self._family_kinds[metrics] = (
-                names,
-                attrgetter(*(attr for _, attr in metrics)),
+        """Register ``obj``'s statistics as the family ``prefix``: the
+        statistic ``prefix + metric`` is ``obj``'s attribute ``attr``
+        for each ``(metric, attr)`` pair (``prefix`` ends in a dot; a
+        metric may hold dots, ``tx.query``; an attr may too, read as an
+        attribute of an attribute).  One entry for the family, whatever
+        its size; registering ``prefix`` again re-binds it.  Pass the
+        same ``metrics`` object for every family of a kind.  Every read
+        reads ``obj``, after ``Scheduler.close`` too: register what
+        closing leaves intact (a link, a small stats object), not a
+        scheduler component, whose attributes closing empties."""
+        kind = self._kinds.get(metrics)
+        if kind is None:
+            kind = self._kinds[metrics] = _Kind(metrics)
+            self._family_tails.update(kind.tails)
+            self._family_depth = max(
+                self._family_depth, *(name.count(".") for name in kind.names)
             )
-            self._family_metrics.update(names)
         self._families[prefix] = (obj, kind)
 
-    def _build(self, prefix: str) -> None:
-        obj, metrics = self._unbuilt.pop(prefix)
-        for metric, attr in metrics:
-            self.gauge_attr(prefix + metric, obj, attr)
+    def _owner(self, name: str) -> Optional[Tuple[Any, _Kind, str]]:
+        """``(object, kind, metric)`` of the family statistic ``name``,
+        or ``None``: its last segment ends a family metric, and its
+        prefix ends at one of the name's last dots."""
+        if name[name.rfind(".") + 1 :] not in self._family_tails:
+            return None
+        families = self._families
+        end = len(name)
+        for _ in range(self._family_depth + 1):
+            dot = name.rfind(".", 0, end)
+            if dot < 0:
+                break
+            family = families.get(name[: dot + 1])
+            if family is not None and name[dot + 1 :] in family[1].one:
+                return family[0], family[1], name[dot + 1 :]
+            end = dot
+        return None
 
-    def _find_gauge(self, name: str) -> Optional[Gauge]:
-        """Gauge ``name``, its noted family built first."""
-        if self._unbuilt and name[: name.rfind(".") + 1] in self._unbuilt:
-            self._build(name[: name.rfind(".") + 1])
-        return self._gauges.get(name)
-
-    def _built_gauges(self, pattern: str = "*") -> Dict[str, Gauge]:
-        """``_gauges`` with every noted family a name matching
-        ``pattern`` could belong to built (all of them for a snapshot):
-        the families under the pattern's literal head, found in the
-        sorted family index, and the one the head ends inside (a
-        metric holds no dot, so no other prefix of the head can
-        reach) — none when the pattern's literal last segment is no
-        family's metric."""
-        unbuilt = self._unbuilt
+    def _family_values(self, pattern: str) -> List[Tuple[str, Number]]:
+        """``(name, value)`` of every family statistic matching
+        ``pattern``.  The candidates are the families under the
+        pattern's literal head, found in the sorted family index, and
+        those whose prefix the head runs past into a metric — none when
+        the pattern's literal last segment ends no family metric."""
+        families = self._families
+        if not families:
+            return []
         tail = _literal_tail(pattern)
-        if unbuilt and (tail is None or tail in self._family_metrics):
-            head = _literal_head(pattern)
-            reach = [p for p in self._family_names.select(head + "*") if p in unbuilt]
-            inside = head[: head.rfind(".") + 1]
-            if inside != head and inside in unbuilt:
-                reach.append(inside)
-            for prefix in reach:
-                self._build(prefix)
-        return self._gauges
+        if tail is not None and tail not in self._family_tails:
+            return []
+        head = _literal_head(pattern)
+        prefixes = self._family_names.select(head + "*")
+        end = len(head)
+        for _ in range(self._family_depth + 1):
+            dot = head.rfind(".", 0, end)
+            if dot < 0:
+                break
+            inside = head[: dot + 1]
+            if inside != head and inside in families:
+                prefixes.append(inside)
+            end = dot
+        match = _matcher(pattern)
+        out = []
+        for prefix in prefixes:
+            obj, kind = families[prefix]
+            for metric in kind.names if tail is None else kind.tails.get(tail, ()):
+                name = prefix + metric
+                if match(name):
+                    out.append((name, kind.one[metric](obj)))
+        return out
 
-    def families(self, head: str) -> Dict[str, Dict[str, Number]]:
-        """``prefix -> {metric: value}`` of every :meth:`gauge_attrs`
-        family whose prefix starts with ``head``, sorted by prefix,
-        each value read from its object: nothing is built."""
+    def columns(self, head: str, *metrics: str) -> Dict[str, Any]:
+        """``prefix -> value`` of ``metrics[0]`` (``prefix -> tuple`` of
+        the values when several are named) for every family under
+        ``head`` that has them all, sorted by prefix: one ``attrgetter``
+        call per family, no dict per family."""
         families = self._families
         out = {}
+        last_kind = last_reader = None
         for prefix in self._family_names.select(head + "*"):
-            obj, (names, values) = families[prefix]
-            if len(names) == 1:  # a one-name ``attrgetter`` returns no tuple
-                out[prefix] = {names[0]: values(obj)}
-            else:
-                out[prefix] = dict(zip(names, values(obj)))
+            obj, kind = families[prefix]
+            if kind is not last_kind:
+                last_kind, last_reader = kind, kind.reader(metrics)
+            if last_reader is not None:
+                out[prefix] = last_reader(obj)
         return out
 
     def histogram(
@@ -401,38 +489,42 @@ class MetricsRegistry:
         return {name: c.value for name, c in self._counters.items()}
 
     def value(self, name: str) -> Number:
-        """Current value of counter or gauge ``name`` (0 if never
-        created).  Gauges participate so hot-path components may expose
-        natively-counted statistics through callback gauges instead of
-        paying per-event counter increments."""
+        """Current value of counter, gauge or family statistic ``name``
+        (0 if there is none)."""
         counter = self._counters.get(name)
         if counter is not None:
             return counter.value
         gauge = self._gauges.get(name)
-        if gauge is None and self._unbuilt:
-            gauge = self._find_gauge(name)
-        return gauge.read() if gauge is not None else 0
+        if gauge is not None:
+            return gauge.read()
+        owner = self._owner(name)
+        if owner is not None:
+            obj, kind, metric = owner
+            return kind.one[metric](obj)
+        return 0
 
     def total(self, pattern: str) -> Number:
-        """Sum of counter and gauge values whose names match the
-        shell-style ``pattern`` (``fnmatch``; ``*`` does cross ``.``
-        boundaries).  Only a pattern whose last dotted segment holds a
-        wildcard (other than a pure prefix ``a.b.*``) scans every name
-        — see :class:`_NameIndex`."""
+        """Sum of counter, gauge and family values whose names match
+        the shell-style ``pattern`` (``fnmatch``; ``*`` does cross
+        ``.`` boundaries).  Only a pattern whose last dotted segment
+        holds a wildcard (other than a pure prefix ``a.b.*``) scans
+        every name — see :class:`_NameIndex`."""
         counters = self._counters
-        gauges = self._built_gauges(pattern)
-        return sum(
-            counters[name].value for name in self._counter_names.select(pattern)
-        ) + sum(gauges[name].read() for name in self._gauge_names.select(pattern))
+        gauges = self._gauges
+        return (
+            sum(counters[name].value for name in self._counter_names.select(pattern))
+            + sum(gauges[name].read() for name in self._gauge_names.select(pattern))
+            + sum(value for _, value in self._family_values(pattern))
+        )
 
     def matching(self, pattern: str) -> Dict[str, Number]:
-        """Counter and gauge values whose names match ``pattern``,
-        sorted by name (the counter wins a shared name)."""
+        """Counter, gauge and family values whose names match
+        ``pattern``, sorted by name (the counter wins a shared name)."""
         counters = self._counters
-        gauges = self._built_gauges(pattern)
-        out: Dict[str, Number] = {
-            name: gauges[name].read() for name in self._gauge_names.select(pattern)
-        }
+        gauges = self._gauges
+        out: Dict[str, Number] = dict(self._family_values(pattern))
+        for name in self._gauge_names.select(pattern):
+            out[name] = gauges[name].read()
         for name in self._counter_names.select(pattern):
             out[name] = counters[name].value
         return dict(sorted(out.items()))
@@ -452,13 +544,16 @@ class MetricsRegistry:
 
         Histograms expand to ``<name>.count``, ``<name>.sum`` and one
         ``<name>.le_<bound>`` entry per bucket (``le_inf`` for the
-        overflow bucket).  Callback gauges are evaluated here.
+        overflow bucket).  Callback gauges and families are read here.
         """
         out: Dict[str, Number] = {}
         for name, counter in self._counters.items():
             out[name] = counter.value
-        for name, gauge in self._built_gauges().items():
+        for name, gauge in self._gauges.items():
             out[name] = gauge.read()
+        for prefix, (obj, kind) in self._families.items():
+            for metric, value in zip(kind.names, kind.values(obj)):
+                out[prefix + metric] = value
         for name, histogram in self._histograms.items():
             out[f"{name}.count"] = histogram.count
             out[f"{name}.sum"] = histogram.sum

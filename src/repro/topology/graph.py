@@ -18,10 +18,13 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.netsim.packet import Record
 
-@dataclass(frozen=True)
-class Edge:
-    """Undirected weighted edge."""
+
+class Edge(Record):
+    """Undirected weighted edge, a tuple record
+    (:class:`repro.netsim.packet.Record`): built in one frame, compared
+    and hashed by its fields."""
 
     u: str
     v: str
@@ -62,7 +65,7 @@ class Graph:
     def add_edge(self, u: str, v: str, cost: float = 1.0, delay: float = 1.0) -> Edge:
         if u == v:
             raise ValueError(f"self-loop on {u}")
-        edge = Edge(u=u, v=v, cost=cost, delay=delay)
+        edge = Edge(u, v, cost, delay)
         adjacency = self._adjacency
         adjacency.setdefault(u, {})[v] = edge
         adjacency.setdefault(v, {})[u] = edge

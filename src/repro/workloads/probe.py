@@ -137,6 +137,11 @@ class QualityProbe:
         self._n_routers = len(network.routers)
         self._timer = None
         self._stopped = False
+        #: Every router's join-latency histogram, found once: a router
+        #: makes its one when its protocol is built.
+        self._join_latency = network.telemetry.registry.histograms_matching(
+            "cbt.router.*.join_latency"
+        )
         network.scheduler.register(self)
         self._host_router: Dict[str, Optional[str]] = {
             host: serving_router(network, host) for host in sorted(network.hosts)
@@ -242,10 +247,8 @@ class QualityProbe:
                     self.graph, self.source_router, reachable_members
                 ).cost()
 
-        registry = domain.network.telemetry.registry
         join_p50, join_p95, join_p99 = histogram_percentiles(
-            registry.histograms_matching("cbt.router.*.join_latency"),
-            (0.50, 0.95, 0.99),
+            self._join_latency, (0.50, 0.95, 0.99)
         )
         sample = QualitySample(
             time=now,

@@ -20,10 +20,24 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.baselines.trees import shortest_path_tree
 from repro.core.audit import Finding
+from repro.core.migration import protocol_tree
+from repro.metrics.delay import summarise_stretch
 from repro.netsim.address import IPv4Address
-from repro.telemetry.conservation import LATE_REASON
+from repro.telemetry.conservation import (
+    LATE_REASON,
+    NODE_REASONS,
+    PRE_WIRE_REASONS,
+    _msg_drops,
+    _msg_value,
+    cbt_conservation,
+    label_conservation,
+    scheduler_conservation,
+)
 from repro.telemetry.registry import MetricsRegistry
+from repro.topology.graph import Graph
+from repro.workloads.probe import QualitySample, histogram_percentiles
 
 
 def from_scratch_index(domain) -> Dict[IPv4Address, str]:
@@ -296,3 +310,232 @@ def link_conservation(registry: MetricsRegistry) -> List[str]:
                 f"{rx} delivered, {late} late drops)"
             )
     return violations
+
+
+# -- the statistics read by name and pattern, as before they were attributes ---------
+#
+# Until the per-entity statistics became attribute families, every law
+# below read them through registry names and pattern queries, the quality
+# probe built its graph link by link and asked the registry for its
+# histograms at every sample.  ``tests/test_observer_references.py``
+# holds ``check_conservation`` and ``QualityProbe.sample`` to these.
+
+
+#: payload label -> protocol-level tx counter pattern for IGMP.
+IGMP_TX_PATTERNS = {
+    "MembershipQuery": "igmp.router.*.tx.query",
+    "MembershipReport": "igmp.host.*.tx.report",
+    "Leave": "igmp.host.*.tx.leave",
+    "CoreReport": "igmp.host.*.tx.core_report",
+}
+
+IGMP_RX_PATTERNS = {
+    "MembershipQuery": "igmp.*.rx.query",
+    "MembershipReport": "igmp.router.*.rx.report",
+    "Leave": "igmp.router.*.rx.leave",
+    "CoreReport": "igmp.router.*.rx.core_report",
+}
+
+def igmp_conservation(registry: MetricsRegistry) -> List[str]:
+    """IGMP tx-side accounting (all IGMP is link-local multicast, so
+    the rx side is bounded by wire deliveries rather than equal)."""
+    violations = []
+    for label, pattern in IGMP_TX_PATTERNS.items():
+        proto_tx = registry.total(pattern)
+        wire_tx = _msg_value(registry, label, "tx")
+        unwired = _msg_drops(registry, label, PRE_WIRE_REASONS + NODE_REASONS)
+        if proto_tx != wire_tx + unwired:
+            violations.append(
+                f"{label}: protocol tx {proto_tx} != wire tx {wire_tx} "
+                f"+ pre-wire/node drops {unwired}"
+            )
+        proto_rx = registry.total(IGMP_RX_PATTERNS[label])
+        wire_rx = _msg_value(registry, label, "rx")
+        if proto_rx > wire_rx:
+            violations.append(
+                f"{label}: protocol rx {proto_rx} exceeds wire deliveries {wire_rx}"
+            )
+    return violations
+
+
+def fib_conservation(registry: MetricsRegistry, protocols: Dict) -> List[str]:
+    """Per router: FIB adds − removes == live entries, and every live
+    entry's downloaded kernel entry equals a fresh compile of it — a
+    write that bypassed the mutators shows here (CBT protocols only —
+    comparator engines keep their own non-FIB state)."""
+    violations = []
+    for name, protocol in sorted(protocols.items()):
+        if not hasattr(protocol, "fib"):
+            continue
+        adds = registry.value(f"cbt.router.{name}.fib_adds")
+        removes = registry.value(f"cbt.router.{name}.fib_removes")
+        live = len(protocol.fib)
+        if adds - removes != live:
+            violations.append(
+                f"router {name}: fib adds {adds} - removes {removes} "
+                f"!= live entries {live}"
+            )
+        for entry in protocol.fib:
+            if entry.kernel != type(entry.kernel).from_user_entry(entry):
+                violations.append(
+                    f"router {name}: group {entry.group} forwards from a "
+                    f"stale download ({entry.kernel} for {entry})"
+                )
+    return violations
+
+
+def histogram_conservation(registry: MetricsRegistry) -> List[str]:
+    """Bucket counts sum to the observation count, and join-latency
+    observations match the joins-completed counter."""
+    violations = []
+    for histogram in registry.histograms_matching("*"):
+        if sum(histogram.bucket_counts) != histogram.count:
+            violations.append(
+                f"histogram {histogram.name}: bucket sum "
+                f"{sum(histogram.bucket_counts)} != count {histogram.count}"
+            )
+    for histogram in registry.histograms_matching("cbt.router.*.join_latency"):
+        router = histogram.name.split(".")[2]
+        completed = registry.value(f"cbt.router.{router}.joins_completed")
+        if histogram.count != completed:
+            violations.append(
+                f"histogram {histogram.name}: count {histogram.count} "
+                f"!= joins_completed {completed}"
+            )
+    return violations
+
+
+def membership_conservation(registry: MetricsRegistry, protocols: Dict) -> List[str]:
+    """Per router: membership gains − losses == live (vif, group) pairs,
+    and the group index the data plane reads agrees with them."""
+    violations = []
+    for name, protocol in sorted(protocols.items()):
+        agent = getattr(protocol, "igmp", None)
+        if agent is None:
+            continue
+        gains = registry.value(f"igmp.router.{name}.membership_gains")
+        losses = registry.value(f"igmp.router.{name}.membership_losses")
+        live = sum(
+            len(groups) for groups in agent.database._by_interface.values()
+        )
+        if gains - losses != live:
+            violations.append(
+                f"router {name}: membership gains {gains} - losses {losses} "
+                f"!= live memberships {live}"
+            )
+        database = agent.database
+        by_interface = database._by_interface
+        for group in sorted(set().union(*by_interface.values())):
+            scan = tuple(vif for vif, on in by_interface.items() if group in on)
+            if database.interfaces_with(group) != scan:
+                violations.append(
+                    f"router {name}: group {group} member index "
+                    f"{database.interfaces_with(group)} != {scan}"
+                )
+        if sum(map(len, database._by_group.values())) != live:
+            violations.append(f"router {name}: member index holds a dead group")
+    return violations
+
+
+def check_conservation(network, domain=None) -> List[str]:
+    """``check_conservation`` with every changed law read as above; the
+    label, CBT and scheduler laws are the live ones (they did not
+    change)."""
+    registry = network.scheduler.telemetry.registry
+    violations = []
+    violations += link_conservation(registry)
+    violations += label_conservation(registry)
+    violations += cbt_conservation(registry)
+    violations += igmp_conservation(registry)
+    violations += histogram_conservation(registry)
+    violations += scheduler_conservation(network.scheduler)
+    if domain is not None:
+        protocols = getattr(domain, "protocols", {})
+        violations += fib_conservation(registry, protocols)
+        violations += membership_conservation(registry, protocols)
+    return violations
+
+
+def network_graph(network) -> Graph:
+    """Abstract metric graph of a realised network's router mesh.
+
+    Routers become nodes; every link contributes pairwise edges (with
+    the link's propagation delay) between the routers attached to it,
+    so multi-access LANs appear as cliques.  Host-only stub LANs add no
+    edges.  The result feeds the same placement/stretch/concentration
+    machinery the static experiments (E3-E5) use.
+    """
+    graph = Graph()
+    for name in sorted(network.routers):
+        graph.add_node(name)
+    for link_name in sorted(network.links):
+        link = network.links[link_name]
+        routers = sorted(
+            {
+                interface.node.name
+                for interface in link.interfaces
+                if interface.node.name in network.routers
+            }
+        )
+        for i, a in enumerate(routers):
+            for b in routers[i + 1 :]:
+                existing = graph.edge_between(a, b)
+                if existing is None or link.delay < existing.delay:
+                    graph.add_edge(a, b, cost=link.cost, delay=link.delay)
+    return graph
+
+
+def probe_sample(probe) -> QualitySample:
+    """What ``probe.sample()`` returns now, computed on a graph this
+    function built (and keeps on the probe) with the join latencies
+    pattern-queried and the control count read per router by name;
+    appends nothing to ``probe.samples``."""
+    graph = probe.__dict__.get("_reference_graph")
+    if graph is None:
+        graph = probe.__dict__["_reference_graph"] = network_graph(probe.domain.network)
+    domain, group = probe.domain, probe.group
+    now = domain.network.scheduler.now
+    member_routers = probe.member_routers()
+    on_tree = len(domain.on_tree_routers(group))
+
+    tree = protocol_tree(domain, graph, group)
+    cost_cbt = tree.cost() if tree is not None else 0.0
+    stretch_mean = stretch_max = 0.0
+    if tree is not None and member_routers:
+        dist = tree.delay_from(tree.root)
+        spanned = [r for r in member_routers if r in dist]
+        if spanned:
+            stretch_mean, stretch_max = summarise_stretch(
+                graph, tree, [tree.root], spanned, {tree.root: dist}
+            )
+
+    cost_spt = 0.0
+    if probe.source_router is not None and member_routers:
+        reachable_members = [
+            r for r in member_routers if r in probe._hops_from_source
+        ]
+        if reachable_members:
+            cost_spt = shortest_path_tree(
+                graph, probe.source_router, reachable_members
+            ).cost()
+
+    registry = domain.network.telemetry.registry
+    join_p50, join_p95, join_p99 = histogram_percentiles(
+        registry.histograms_matching("cbt.router.*.join_latency"),
+        (0.50, 0.95, 0.99),
+    )
+    return QualitySample(
+        time=now,
+        members=len(probe._members),
+        on_tree_routers=on_tree,
+        tree_cost_cbt=cost_cbt,
+        tree_cost_spt=cost_spt,
+        stretch_mean=stretch_mean,
+        stretch_max=stretch_max,
+        control_cbt=control_messages_sent(domain),
+        control_dvmrp_model=probe._dvmrp_control,
+        control_mospf_model=probe._mospf_control,
+        join_p50=join_p50,
+        join_p95=join_p95,
+        join_p99=join_p99,
+    )

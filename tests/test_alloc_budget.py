@@ -62,9 +62,12 @@ from repro.harness.scenarios import (
 from repro.netsim.address import group_address
 from repro.netsim.engine import Scheduler, Timer
 from repro.netsim.link import Link
+from repro.telemetry import FamilyNameError
+from repro.telemetry import registry as registry_module
 from repro.telemetry.conservation import check_conservation
 from repro.topology.figures import FIGURE1_MEMBERS, build_figure1
 from repro.topology.generators import realise, waxman_graph, waxman_network
+from repro.topology.graph import Graph
 from repro.workloads.cell import run_churn_cell, run_flash_crowd_cell
 from repro.workloads.probe import QualityProbe
 from tests.test_wire_format import make_wire_domain
@@ -83,13 +86,17 @@ CLOSURE_FREE = (
 
 #: GC-tracked objects a started n=120 domain may cost per link.  With
 #: one record per scheduled event, and a link's six wire gauges one
-#: ``gauge_attrs`` entry until something reads them, this tree measures
+#: ``gauge_attrs`` entry until something reads them, this tree measured
 #: 60.0 / 59.9 (seeds 5 / 17; 65.0 / 64.9 with six ``Gauge`` objects
 #: per link from the start, 75.2 with an event record plus a handle;
 #: packets in flight are tracked tuples where they were tracked
-#: instances, so the tuple records did not move it); the ceiling is
-#: that plus 10 %.
-TRACKED_PER_LINK_CEILING = 66.0
+#: instances, so the tuple records did not move it), and 31.9 / 31.7
+#: once HELLOs and IGMP queries went on multi-access links only.  With
+#: every router's, IGMP agent's and IGMP host's statistics plain
+#: attributes of one small stats object each, read as one registry
+#: family, where each was a registry ``Counter``, it measures
+#: 29.9 / 29.7; the ceiling is that plus 10 %.
+TRACKED_PER_LINK_CEILING = 32.9
 
 #: Python calls the data plane may make per transmission (a tree
 #: forward or a member-LAN delivery), counted from its entry points
@@ -134,11 +141,17 @@ CONTROL_CALLS_PER_MESSAGE_CEILING = {"hello": 19.5, "query": 19.8}
 #: re-ran Dijkstra and pattern-queried the registry per router and per
 #: link); the ceiling is that plus 10 %.  Since conservation reads each
 #: link's wire statistics from the link and only the drop counters that
-#: exist, building no gauge, it measures 7,816.
+#: exist, building no gauge, it measures 7,816, and 309 / 296 / 4,415
+#: with no HELLO or IGMP query on a point-to-point link.  With the
+#: per-router statistics read as attributes (the IGMP and histogram
+#: laws by ``MetricsRegistry.columns``, the FIB and membership laws off
+#: the FIB and the IGMP agent, no name built per router) and the
+#: probe's histograms found once, ``sample`` and ``check_conservation``
+#: measure 287 / 2,227; their ceilings are that plus 10 %.
 OBSERVER_CALLS_CEILING = {
     "check_invariants": 653,
-    "sample": 975,
-    "check_conservation": 8600,
+    "sample": 316,
+    "check_conservation": 2450,
 }
 
 #: Profiled calls (Python and C, as ``cProfile`` counts them) one search
@@ -260,6 +273,50 @@ def test_tracked_objects_per_link_under_ceiling(world):
     net, _, tracked = world
     per_link = tracked / len(net.links)
     assert per_link < TRACKED_PER_LINK_CEILING, per_link
+
+
+def test_started_domain_holds_no_per_router_counter(world):
+    """A router's and an IGMP agent's statistics are attributes of a
+    small stats object each (``TreeStats``, ``IGMPStats``,
+    ``IGMPHostStats``), registered as one family: the only ``Counter``
+    objects under a router's name are the message and event counts made
+    on first use (``ControlStats``, ``_record``)."""
+    net, domain, _ = world
+    counters = net.telemetry.registry.counters()
+    assert [name for name in counters if name.startswith("igmp.")] == []
+    made_on_use = ("tx", "rx", "event")
+    assert [
+        name
+        for name in counters
+        if name.startswith("cbt.router.") and name.split(".")[3] not in made_on_use
+    ] == []
+    snapshot = net.telemetry.registry.snapshot()
+    for name, protocol in domain.protocols.items():
+        assert snapshot[f"cbt.router.{name}.fib_adds"] == protocol.fib.fib_adds
+        assert snapshot[f"cbt.router.{name}.joins_completed"] == (
+            protocol.tree_stats.joins_completed
+        )
+        assert snapshot[f"igmp.router.{name}.tx.query"] == protocol.igmp.stats.queries_sent
+
+
+def test_counter_refuses_a_family_statistic_name(world):
+    net, domain, _ = world
+    registry = net.telemetry.registry
+    router, host = sorted(domain.protocols)[0], sorted(domain.host_agents)[0]
+    link = sorted(net.links)[0]
+    for name in (
+        f"cbt.router.{router}.fib_adds",
+        f"cbt.router.{router}.joins_completed",
+        f"igmp.router.{router}.rx.report",
+        f"igmp.host.{host}.tx.leave",
+        f"netsim.link.{link}.attempts",
+        "netsim.scheduler.events_processed",
+    ):
+        with pytest.raises(FamilyNameError):
+            registry.counter(name)
+        assert name not in registry.counters()
+    # A name beside a family's statistics is a counter like any other.
+    assert registry.counter(f"igmp.router.{router}.rx.other").value == 0
 
 
 # -- the loop runs with the collector paused: it must leave it no work ----------
@@ -732,7 +789,7 @@ _CONTROL_ROUNDS = {
     "query": (
         "idle_n120",
         _query_round,
-        lambda protocols: sum(p.igmp.queries_sent for p in protocols),
+        lambda protocols: sum(p.igmp.stats.queries_sent for p in protocols),
         lambda link: True,
     ),
 }
@@ -800,6 +857,7 @@ def _observed_domain(size):
         "check_invariants": lambda: check_invariants(domain),
         "sample": probe.sample,
         "check_conservation": lambda: check_conservation(net, domain),
+        "snapshot": net.telemetry.registry.snapshot,
     }
     assert looks["check_invariants"]() == [] == looks["check_conservation"]()
     assert looks["sample"]().members == 15
@@ -815,6 +873,44 @@ def looks_n120():
 def test_observer_calls_under_ceiling(looks_n120, look):
     calls = _python_calls(looks_n120[look])
     assert calls < OBSERVER_CALLS_CEILING[look], calls
+
+
+def test_observers_build_no_gauge(looks_n120, monkeypatch):
+    """The conservation laws, a probe sample and a registry snapshot
+    read every attribute family in place."""
+    built = []
+
+    class CountedGauge(registry_module.Gauge):
+        __slots__ = ()
+
+        def __init__(self, name, *args, **kwargs):
+            built.append(name)
+            super().__init__(name, *args, **kwargs)
+
+    monkeypatch.setattr(registry_module, "Gauge", CountedGauge)
+    assert looks_n120["check_conservation"]() == []
+    looks_n120["sample"]()
+    assert len(looks_n120["snapshot"]()) > 0
+    assert built == []
+
+
+def test_probe_samples_after_the_first_compute_no_dijkstra(looks_n120, monkeypatch):
+    """The probe's graph and the tree's root stand still, so every
+    shortest-path map a sample reads after the first comes from the
+    graph's memo (``Graph._paths``)."""
+    asked, computed = [], []
+    dijkstra = Graph.dijkstra
+
+    def counted(graph, source, weight="cost"):
+        asked.append((source, weight))
+        if (source, weight) not in graph._paths:
+            computed.append((source, weight))
+        return dijkstra(graph, source, weight)
+
+    monkeypatch.setattr(Graph, "dijkstra", counted)
+    for _ in range(3):
+        assert looks_n120["sample"]().stretch_max >= 1.0
+    assert len(asked) >= 6 and computed == []
 
 
 def test_invariant_sweep_costs_the_tree_not_the_domain(looks_n120):

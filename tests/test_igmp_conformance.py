@@ -59,13 +59,13 @@ class TestLeaveRace:
         net.run(until=1.0)
         host_agents[0].join(GROUP)
         net.run(until=2.0)
-        reports_before = host_agents[0].reports_sent
+        reports_before = host_agents[0].stats.reports_sent
         # Trigger a general query, then leave before the response fires.
         agent._send_query(router.interfaces[0], group=None)
         host_agents[0].leave(GROUP)
         net.run(until=net.scheduler.now + FAST.query_response_interval + 1.0)
         # The only extra traffic is the leave itself, not a report.
-        assert host_agents[0].reports_sent == reports_before
+        assert host_agents[0].stats.reports_sent == reports_before
 
     def test_rejoin_during_last_member_window(self):
         """Leave, then rejoin before the short expiry fires: membership

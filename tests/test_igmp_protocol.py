@@ -237,7 +237,7 @@ class TestQueriesOnlyWhereHostsHear:
         general = FAST.startup_query_count + 3
         for index in (0, 2):
             assert registry.value(f"igmp.router.r{index}.tx.query") == general
-            assert agents[index].queries_sent == general
+            assert agents[index].stats.queries_sent == general
         assert registry.value("igmp.router.r1.rx.query") == 0
         # Querier state exists for the LAN interfaces alone.
         assert [sorted(agent._states) for agent in agents] == [
@@ -286,7 +286,7 @@ class TestStartIsIdempotent:
             net.run(until=FAST.query_interval * 2 + 1.0)
             # The interface's one ticker is still the one the first call armed.
             assert state.query_timer is ticker
-            return agents[0].queries_sent, net.scheduler.pending_events
+            return agents[0].stats.queries_sent, net.scheduler.pending_events
 
         once = run(1)
         assert once[0] == FAST.startup_query_count + 2

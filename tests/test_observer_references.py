@@ -3,7 +3,11 @@
 ``check_invariants``, ``CBTDomain.tree_edges``, ``audit_domain``, the
 explorer's two oracles and ``link_conservation`` read one domain-owned
 address index and visit only routers that hold state
-(docs/PERFORMANCE.md, "Decision record: observers read what exists").
+(docs/PERFORMANCE.md, "Decision record: observers read what exists");
+``check_conservation`` and ``QualityProbe.sample`` read the per-entity
+statistics as attributes where they were registry names and patterns
+(docs/PERFORMANCE.md, "Decision record: per-entity statistics are
+attributes").
 Findings are the contract: on every state visited here the lists they
 return equal — texts and order — what ``tests/reference_sweeps.py``
 returns, which is the code they replaced.  ``audit_domain`` and the
@@ -12,7 +16,8 @@ trees their findings are pinned as text (``PINNED_FINDINGS``).
 ``CBTDomain.assert_tree_consistent`` is ``check_invariants`` for one
 group, so the comparison at every tick covers it.
 
-States visited: every auditor tick of every chaos scenario on three
+States visited: every conservation snapshot and probe sample of a
+quick flash cell, every auditor tick of every chaos scenario on three
 topologies (crashed routers, flapped links and half-finished repairs
 are where skipping a router could hide a finding), the two open
 findings' schedules, hand-corrupted trees with the offender live and
@@ -34,6 +39,9 @@ from repro.core.state import PendingJoin, QuitAttempt
 from repro.harness import campaign
 from repro.netsim.address import IPv4Address
 from repro.telemetry.conservation import check_conservation, link_conservation
+from repro.workloads import cell as workload_cell
+from repro.workloads.cell import run_flash_crowd_cell
+from repro.workloads.probe import QualityProbe
 from tests import reference_sweeps
 from tests.reference_sweeps import FromScratchIndex
 
@@ -65,6 +73,10 @@ def assert_matches_reference(domain, now=None):
         )
     registry = domain.telemetry.registry
     assert link_conservation(registry) == reference_sweeps.link_conservation(registry)
+    network = domain.network
+    assert check_conservation(network, domain) == (
+        reference_sweeps.check_conservation(network, domain)
+    )
     for exclude_hello in (True, False):
         assert domain.control_messages_sent(exclude_hello) == (
             reference_sweeps.control_messages_sent(domain, exclude_hello)
@@ -99,6 +111,37 @@ def ticks(monkeypatch):
     monkeypatch.setattr(audit, "check_invariants", shadowed)
     monkeypatch.setattr(campaign, "check_invariants", shadowed)
     return seen
+
+
+class TestEveryFlashCellSnapshot:
+    """A quick flash cell on the 1,000-router bulk topology: each
+    conservation snapshot and each probe sample equals what the
+    name-and-pattern reads give (``reference_sweeps.check_conservation``
+    / ``probe_sample``)."""
+
+    def test_quick_flash_cell(self, monkeypatch):
+        looked = {"conservation": 0, "sample": 0}
+
+        def conservation(network, domain=None):
+            found = check_conservation(network, domain)
+            assert found == reference_sweeps.check_conservation(network, domain)
+            looked["conservation"] += 1
+            return found
+
+        sample = QualityProbe.sample
+
+        def sampled(probe):
+            taken = sample(probe)
+            assert taken == reference_sweeps.probe_sample(probe)
+            looked["sample"] += 1
+            return taken
+
+        monkeypatch.setattr(workload_cell, "check_conservation", conservation)
+        monkeypatch.setattr(QualityProbe, "sample", sampled)
+        result = run_flash_crowd_cell("bulk1000", seed=1, quick=True)
+        assert result.clean
+        assert looked["conservation"] == 2 and looked["sample"] >= 5
+        assert result.sample_fingerprints and result.sample_fingerprints[-1]
 
 
 class TestEveryAuditorTick:

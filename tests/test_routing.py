@@ -208,7 +208,7 @@ class TestUnicastForwarding:
             # queries, and a member answered them.
             assert registry.value(f"igmp.host.{name}.rx.query") > 0, name
         for name in FIGURE1_MEMBERS:
-            assert domain.agent(name).reports_sent > 1, name
+            assert domain.agent(name).stats.reports_sent > 1, name
 
     def test_forwarded_count_increments(self):
         net, routers, hosts = line_of_routers(3)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.telemetry import (
     DEFAULT_BUCKETS,
     Counter,
+    FamilyNameError,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -115,10 +116,10 @@ class TestAttributeBoundGauge:
 
 
 class TestDeferredGaugeFamilies:
-    """``gauge_attrs`` notes a family of attribute gauges and builds it
-    when first read; a registry wired that way must answer every read
-    exactly as one wired with ``gauge_attr`` per gauge, which stays
-    here as the reference."""
+    """``gauge_attrs`` registers a family of attribute statistics that
+    every read reads in place, building no gauge; a registry wired that
+    way must answer every read exactly as one wired with ``gauge_attr``
+    per gauge, which stays here as the reference."""
 
     METRICS = (("attempts", "attempt_count"), ("tx_packets", "tx_count"))
 
@@ -127,24 +128,23 @@ class TestDeferredGaugeFamilies:
             self.attempt_count = seed
             self.tx_count = seed * 10
 
-    def test_nothing_is_built_until_read_and_then_only_that_family(self):
+    def test_no_read_builds_a_gauge(self):
         registry = MetricsRegistry()
         first, second = self.Wire(1), self.Wire(2)
         registry.gauge_attrs("netsim.link.A.", first, self.METRICS)
         registry.gauge_attrs("netsim.link.B.", second, self.METRICS)
-        assert registry._gauges == {}
         first.tx_count = 7
         assert registry.value("netsim.link.A.tx_packets") == 7
-        assert sorted(registry._gauges) == [
-            "netsim.link.A.attempts", "netsim.link.A.tx_packets"
-        ]
         assert registry.value("netsim.link.A.no_such_metric") == 0
         assert registry.value("netsim.link.C.attempts") == 0
-        assert len(registry._gauges) == 2
-        assert registry.total("netsim.link.*.attempts") == 3  # builds the rest
-        assert len(registry._gauges) == 4 and not registry._unbuilt
+        assert registry.total("netsim.link.*.attempts") == 3
+        assert registry.matching("netsim.link.B.*") == {
+            "netsim.link.B.attempts": 2, "netsim.link.B.tx_packets": 20
+        }
+        assert registry.snapshot()["netsim.link.A.tx_packets"] == 7
+        assert registry._gauges == {}
 
-    def test_a_pattern_builds_only_the_families_its_head_reaches(self):
+    def test_no_pattern_or_law_builds_a_gauge(self):
         from repro.core.bootstrap import CBTDomain
         from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS
         from repro.netsim.packet import IPDatagram, PROTO_UDP, UDPDatagram
@@ -156,17 +156,10 @@ class TestDeferredGaugeFamilies:
         domain.start()
         net.run(until=3.0)
         registry = net.telemetry.registry
-        links = {f"netsim.link.{name}." for name in net.links}
-
-        def unbuilt_links():
-            return links & set(registry._unbuilt)
-
-        assert unbuilt_links() == links
         assert registry.total("cbt.router.*.tx.hello") > 0
-        registry.matching("igmp.*.rx.query")
-        registry.matching("netsim.link.*.drop.late")  # no family has a "late" gauge
+        assert registry.matching("igmp.*.rx.query")
+        assert registry.matching("netsim.link.*.drop.late") == {}
         assert check_conservation(net, domain) == []
-        assert unbuilt_links() == links
         assert registry.total("netsim.link.S4.*") > 0  # S4 alone
         # An idle domain sends nothing over a router-to-router link (no
         # HELLO, no IGMP query), so the test puts one datagram on it.
@@ -182,13 +175,14 @@ class TestDeferredGaugeFamilies:
             )
         )
         assert registry.value("netsim.link.L_R3_R4.attempts") == 1
-        assert unbuilt_links() == links - {"netsim.link.S4.", "netsim.link.L_R3_R4."}
-        assert registry.total("netsim.link.S1*.tx_packets") > 0  # S1, S10..S15
-        assert {p for p in links - unbuilt_links()} == {
-            f"netsim.link.{name}." for name in net.links if name.startswith(("S1", "S4"))
-        } | {"netsim.link.L_R3_R4."}
-        registry.total("*.attempts")
-        assert not unbuilt_links()
+        assert registry.total("netsim.link.S1*.tx_packets") == sum(
+            link.tx_count for name, link in net.links.items() if name.startswith("S1")
+        )
+        assert registry.total("*.attempts") == sum(
+            link.attempt_count for link in net.links.values()
+        )
+        registry.snapshot()
+        assert registry._gauges == {}
 
     def test_families_read_without_building(self):
         registry = MetricsRegistry()
@@ -196,22 +190,72 @@ class TestDeferredGaugeFamilies:
         registry.gauge_attrs("netsim.link.B.", second, self.METRICS)
         registry.gauge_attrs("netsim.link.A.", first, self.METRICS)
         registry.gauge_attrs("netsim.scheduler.", first, self.METRICS)
-        assert registry.value("netsim.link.B.attempts") == 2  # builds B
+        assert registry.value("netsim.link.B.attempts") == 2
         first.tx_count = 7
-        assert registry.families("netsim.link.") == {
-            "netsim.link.A.": {"attempts": 1, "tx_packets": 7},
-            "netsim.link.B.": {"attempts": 2, "tx_packets": 20},
+        links = registry.columns("netsim.link.", "attempts", "tx_packets")
+        assert links == {"netsim.link.A.": (1, 7), "netsim.link.B.": (2, 20)}
+        assert list(links) == ["netsim.link.A.", "netsim.link.B."]
+        assert registry.columns("netsim.", "tx_packets", "attempts") == {
+            "netsim.link.A.": (7, 1),
+            "netsim.link.B.": (20, 2),
+            "netsim.scheduler.": (7, 1),
         }
-        assert list(registry.families("netsim.link.")) == ["netsim.link.A.", "netsim.link.B."]
-        assert set(registry._unbuilt) == {"netsim.link.A.", "netsim.scheduler."}
+        assert registry.columns("netsim.link.", "attempts") == {
+            "netsim.link.A.": 1, "netsim.link.B.": 2
+        }
+        assert registry.columns("netsim.link.", "attempts", "other") == {}
+        assert registry._gauges == {}
 
-    def test_lookup_by_name_returns_the_bound_gauge(self):
+    def test_a_family_statistic_is_no_instrument(self):
         registry = MetricsRegistry()
         wire = self.Wire(4)
         registry.gauge_attrs("netsim.link.A.", wire, self.METRICS)
-        gauge = registry.gauge("netsim.link.A.attempts")
-        assert gauge.read() == 4 and gauge is registry.gauge("netsim.link.A.attempts")
+        registry.gauge_attrs("igmp.router.R1.", wire, (("tx.query", "tx_count"),))
+        for name in ("netsim.link.A.attempts", "igmp.router.R1.tx.query"):
+            for make in (registry.counter, registry.gauge):
+                with pytest.raises(FamilyNameError):
+                    make(name)
+            with pytest.raises(FamilyNameError):
+                registry.gauge_attr(name, wire, "tx_count")
+        assert registry.value("igmp.router.R1.tx.query") == 40
         assert registry.gauge("netsim.link.A.elsewhere").read() == 0  # a new gauge
+        assert registry.counter("igmp.router.R1.tx").value == 0  # not a metric
+        assert sorted(registry.snapshot()) == [
+            "igmp.router.R1.tx",
+            "igmp.router.R1.tx.query",
+            "netsim.link.A.attempts",
+            "netsim.link.A.elsewhere",
+            "netsim.link.A.tx_packets",
+        ]
+
+    def _agrees_with_eager_wiring(self, metrics, families, reads):
+        deferred, eager = MetricsRegistry(), MetricsRegistry()
+        wires = [self.Wire(seed) for seed in range(6)]
+        for index in families:  # a repeated index re-binds, both ways
+            prefix = f"netsim.link.L{index}."
+            deferred.gauge_attrs(prefix, wires[index], metrics)
+            for metric, attr in metrics:
+                eager.gauge_attr(prefix + metric, wires[index], attr)
+        owned = {
+            f"netsim.link.L{index}.{metric}" for index in families for metric, _ in metrics
+        }
+        for kind, index, metric in reads:
+            name = f"netsim.link.L{index}.{metric}"
+            if kind == "gauge":
+                if "*" in metric:
+                    continue
+                if name in owned:  # a family statistic is read by name
+                    assert deferred.value(name) == eager.gauge(name).read()
+                else:
+                    assert deferred.gauge(name).read() == eager.gauge(name).read()
+            elif kind == "snapshot":
+                assert deferred.snapshot() == eager.snapshot()
+            else:
+                assert getattr(deferred, kind)(name) == getattr(eager, kind)(name)
+        assert deferred.snapshot() == eager.snapshot()
+        # No read builds a gauge: the registry holds only those asked for
+        # under names no family owns.
+        assert sorted(deferred._gauges) == sorted(set(eager._gauges) - owned)
 
     @given(
         families=st.lists(st.integers(0, 5), max_size=8),
@@ -225,25 +269,30 @@ class TestDeferredGaugeFamilies:
         ),
     )
     def test_every_read_agrees_with_eager_wiring(self, families, reads):
-        deferred, eager = MetricsRegistry(), MetricsRegistry()
-        wires = [self.Wire(seed) for seed in range(6)]
-        for index in families:  # a repeated index re-binds, both ways
-            prefix = f"netsim.link.L{index}."
-            deferred.gauge_attrs(prefix, wires[index], self.METRICS)
-            for metric, attr in self.METRICS:
-                eager.gauge_attr(prefix + metric, wires[index], attr)
-        for kind, index, metric in reads:
-            name = f"netsim.link.L{index}.{metric}"
-            if kind == "gauge":
-                if metric == "*":
-                    continue
-                assert deferred.gauge(name).read() == eager.gauge(name).read()
-            elif kind == "snapshot":
-                assert deferred.snapshot() == eager.snapshot()
-            else:
-                assert getattr(deferred, kind)(name) == getattr(eager, kind)(name)
-        assert deferred.snapshot() == eager.snapshot()
-        assert sorted(deferred._gauges) == sorted(eager._gauges)
+        self._agrees_with_eager_wiring(self.METRICS, families, reads)
+
+    @given(
+        families=st.lists(st.integers(0, 5), max_size=8),
+        reads=st.lists(
+            st.tuples(
+                st.sampled_from(["value", "total", "matching", "snapshot", "gauge"]),
+                st.integers(0, 6),
+                st.sampled_from(
+                    ["tx.query", "rx.query", "gains", "tx", "tx.*", "*.query", "t*", "*"]
+                ),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_dotted_metrics_agree_with_eager_wiring(self, families, reads):
+        """A metric may hold a dot: a pattern's literal head then runs
+        past the family prefix into the metric (``…L1.tx.*``)."""
+        dotted = (
+            ("tx.query", "tx_count"),
+            ("rx.query", "attempt_count"),
+            ("gains", "tx_count"),
+        )
+        self._agrees_with_eager_wiring(dotted, families, reads)
 
 
 # -- indexed reads against a linear oracle ---------------------------------
@@ -345,7 +394,7 @@ class TestConservationThroughTheIndex:
         assert check_conservation(net, domain) == []
         # Break two laws so the list compared below is not empty.
         registry.counter("cbt.router.N7.tx.join_request").inc()
-        registry.counter("igmp.router.N9.rx.report").inc(10_000)
+        domain.protocol("N9").igmp.stats.reports_heard += 10_000
         indexed = check_conservation(net, domain)
         assert len(indexed) >= 2
         # The same registry with both indexes switched off: every
