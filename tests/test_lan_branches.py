@@ -25,11 +25,13 @@ from repro.topology.builder import Network
 from tests.conftest import join_members
 
 
-def build_backbone_lan(use_cbt_multicast=False, mode="cbt"):
+def build_backbone_lan(use_cbt_multicast=False, mode="cbt", backbone_host=None):
     net = Network()
     core = net.add_router("CORE")
     ra, rb, rc = (net.add_router(n) for n in ("RA", "RB", "RC"))
-    net.add_subnet("backbone", [core, ra, rb, rc])
+    backbone = net.add_subnet("backbone", [core, ra, rb, rc])
+    if backbone_host is not None:
+        net.add_host(backbone_host, backbone)
     for name, router in (("MA", ra), ("MB", rb), ("MC", rc)):
         lan = net.add_subnet(f"lan_{name}", [router])
         net.add_host(name, lan)
