@@ -261,12 +261,6 @@ class HPIMDMProtocol:
         self._seq += 1
         return self._seq
 
-    def _interface(self, vif: int) -> Optional[Interface]:
-        for interface in self.router.interfaces:
-            if interface.vif == vif:
-                return interface
-        return None
-
     # -- neighbour discovery and failure detection -----------------------
 
     def _send_hellos(self) -> None:
@@ -460,8 +454,10 @@ class HPIMDMProtocol:
         message,
         only: Optional[Set[IPv4Address]] = None,
     ) -> None:
-        interface = self._interface(vif)
-        if interface is None or not interface.up:
+        # ``Node.add_interface`` numbers interfaces by position and none
+        # is ever removed, so a vif indexes ``router.interfaces``.
+        interface = self.router.interfaces[vif]
+        if not interface.up:
             return
         audience = self._live_neighbours(vif)
         if only is not None:
@@ -556,8 +552,8 @@ class HPIMDMProtocol:
             if not pending.waiting:
                 del self._pending[key]
                 continue
-            interface = self._interface(pending.vif)
-            if interface is None or not interface.up:
+            interface = self.router.interfaces[pending.vif]
+            if not interface.up:
                 continue  # audience will age out via the hold time
             self.stats.retransmissions += 1
             self.state_changes += 1
@@ -588,34 +584,26 @@ class HPIMDMProtocol:
         self, entry: TreeEntry, vif: int
     ) -> Optional[IPv4Address]:
         """Best (metric, address) claim on the link, ours included."""
-        interface = self._interface(vif)
+        interface = self.router.interfaces[vif]
         candidates: List[Tuple[float, IPv4Address]] = [
             (metric, addr)
             for addr, (metric, _seq) in entry.claims.get(vif, {}).items()
             if metric < INFINITE_METRIC
         ]
         my_metric = entry.my_assert.get(vif, INFINITE_METRIC)
-        if (
-            interface is not None
-            and interface.up
-            and my_metric < INFINITE_METRIC
-        ):
+        if interface.up and my_metric < INFINITE_METRIC:
             candidates.append((my_metric, interface.address))
         if not candidates:
             return None
         return min(candidates)[1]
 
     def i_am_winner(self, entry: TreeEntry, vif: int) -> bool:
-        interface = self._interface(vif)
-        return (
-            interface is not None
-            and self.election_winner(entry, vif) == interface.address
-        )
+        return self.election_winner(entry, vif) == self.router.interfaces[vif].address
 
     def _link_wants_data(self, entry: TreeEntry, vif: int) -> bool:
         """Dense-mode forwarding predicate for a downstream link."""
-        interface = self._interface(vif)
-        if interface is None or not interface.up:
+        interface = self.router.interfaces[vif]
+        if not interface.up:
             return False
         if self.igmp.database.has_members(interface, entry.group):
             return True
