@@ -34,7 +34,7 @@ from repro.core.constants import (
 )
 from repro.igmp.messages import internet_checksum
 from repro.netsim.address import IPv4Address
-from repro.netsim.packet import Record, nominal_size
+from repro.netsim.packet import Record, payload_size
 
 #: Byte sizes of the two headers.
 CONTROL_HEADER_SIZE = 56
@@ -227,6 +227,11 @@ class CBTDataPacket(Record):
     is flipped to 0xff by the first on-tree router (spec §7); once set
     it never changes, and receiving an on-tree packet over a non-tree
     interface is grounds for an immediate discard.
+
+    The per-hop copies (:meth:`decremented`, :meth:`marked_on_tree`)
+    change one header field of a packet the constructor already
+    checked, so each is one ``tuple.__new__`` that carries
+    ``wire_size`` along: ``inner`` is the same object.
     """
 
     group: IPv4Address
@@ -237,6 +242,11 @@ class CBTDataPacket(Record):
     ip_ttl: int
     flow_id: int
     version: int
+    #: Bytes on the wire, header and ``inner``; derived once per packet.
+    wire_size: int
+    _fields = (
+        "group", "core", "origin", "inner", "on_tree", "ip_ttl", "flow_id", "version"
+    )
 
     def __new__(
         cls,
@@ -255,8 +265,9 @@ class CBTDataPacket(Record):
             raise ValueError(f"ip_ttl out of range: {ip_ttl}")
         if not 0 <= flow_id <= 0xFFFFFFFF:
             raise ValueError(f"flow_id exceeds the 32-bit field: {flow_id}")
+        size = DATA_HEADER_SIZE + payload_size(inner)
         return _new(
-            cls, (group, core, origin, inner, on_tree, ip_ttl, flow_id, version)
+            cls, (group, core, origin, inner, on_tree, ip_ttl, flow_id, version, size)
         )
 
     @property
@@ -265,23 +276,24 @@ class CBTDataPacket(Record):
 
     def marked_on_tree(self) -> "CBTDataPacket":
         """Copy with the on-tree field set (first on-tree router does this)."""
-        return CBTDataPacket(
-            self.group, self.core, self.origin, self.inner,
-            ON_TREE, self.ip_ttl, self.flow_id, self.version,
+        group, core, origin, inner, _, ip_ttl, flow_id, version, size = self
+        return _new(
+            CBTDataPacket,
+            (group, core, origin, inner, ON_TREE, ip_ttl, flow_id, version, size),
         )
 
     def decremented(self) -> "CBTDataPacket":
         """Copy with the carried IP TTL reduced by one (spec §5)."""
-        if self.ip_ttl <= 0:
+        group, core, origin, inner, on_tree, ip_ttl, flow_id, version, size = self
+        if ip_ttl <= 0:
             raise ValueError("cannot decrement TTL below zero")
-        return CBTDataPacket(
-            self.group, self.core, self.origin, self.inner,
-            self.on_tree, self.ip_ttl - 1, self.flow_id, self.version,
+        return _new(
+            CBTDataPacket,
+            (group, core, origin, inner, on_tree, ip_ttl - 1, flow_id, version, size),
         )
 
     def size_bytes(self) -> int:
-        size = getattr(self.inner, "size_bytes", None)
-        return DATA_HEADER_SIZE + (size() if size is not None else nominal_size(self.inner))
+        return self.wire_size
 
     def encode_header(self) -> bytes:
         """Serialise the 32-byte Figure-7 header."""

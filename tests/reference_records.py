@@ -8,14 +8,20 @@ holds every record to (``repr``, ``==`` / ``hash`` outcomes, the
 ``tests/test_alloc_budget.py`` keeps every live build and copy under.
 Class names match the live ones, so ``repr`` texts compare byte for
 byte.
+
+:func:`size_bytes` is the recursive sizing a datagram and a CBT data
+packet did on every call before each derived its ``wire_size`` once;
+``tests/test_records.py`` holds the carried size to it.
 """
 
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
+from repro.core import messages as live_messages
 from repro.core.constants import CBT_VERSION, MAX_CORES, MessageType, OFF_TREE, ON_TREE
 from repro.igmp.messages import CORE_REPORT_CODE_CBT, DEFAULT_MAX_RESPONSE_TIME
+from repro.netsim import packet as live_packet
 from repro.netsim.address import IPv4Address
 from repro.netsim.packet import DEFAULT_TTL, PROTO_UDP
 
@@ -280,3 +286,25 @@ class TagReport:
 class HostJoinAck:
     group: IPv4Address
     core: IPv4Address
+
+
+# -- the sizing the carried ``wire_size`` replaced -------------------------------
+
+
+def size_bytes(record: Any) -> int:
+    """What ``record.size_bytes()`` returned while a live ``IPDatagram``
+    (20 bytes of header, 28 over UDP) and ``CBTDataPacket`` (its
+    32-byte header) summed their payload's size on every call; any
+    other payload answers its own ``size_bytes()``, else its length if
+    it is bytes, else a nominal 512."""
+    if type(record) is live_packet.IPDatagram:
+        payload, header = record.payload, 20
+        if type(payload) is live_packet.UDPDatagram:
+            payload, header = payload.payload, 28
+        return header + size_bytes(payload)
+    if type(record) is live_messages.CBTDataPacket:
+        return live_messages.DATA_HEADER_SIZE + size_bytes(record.inner)
+    size = getattr(record, "size_bytes", None)
+    if size is not None:
+        return size()
+    return len(record) if isinstance(record, (bytes, bytearray)) else 512

@@ -298,11 +298,9 @@ _NO_REPLACE = {
 #: ``DataPlane`` methods that run for every forwarded packet.
 _PER_PACKET = {
     "_receive_cbt",
-    "_span",
     "_handle_native",
-    "_send_cbt",
-    "_send_native_targets",
-    "_deliver_members",
+    "_forward_cbt",
+    "_forward_native",
 }
 
 _CONTAINER_BUILDERS = {"sorted", "set", "frozenset", "dict", "list"}
