@@ -350,8 +350,8 @@ class DataPlane:
             stats.native_forwards += 1
             interface.send(inner)
         for vif in self.protocol.igmp.database.interfaces_with(kernel.group):
-            if vif == arrival_vif:
-                continue
+            if vif == arrival_vif or sent_vifs >> vif & 1:
+                continue  # the LAN heard it already, or from the loop above
             interface = interfaces[vif]
             if interface.on_same_network(inner.src):
                 continue  # the origin subnet had the packet first (§5)

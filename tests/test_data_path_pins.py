@@ -145,16 +145,15 @@ PINNED = {
             MCORE=[2, 3, 4, 5], MBB=[0, 1, 2, 3, 6, 7],
         ),
     ),
-    # In native mode MBB hears every packet twice: the core's native
-    # forward onto the backbone (a tree interface) and its member
-    # delivery onto the same LAN.  That is what the data plane does
-    # today, not what §4 asks; mending it moves this pin.
+    # In native mode the backbone is a tree interface and a member LAN
+    # at once: the core's native forward onto it is MBB's one copy, so
+    # no member delivery follows on the same LAN.
     (_shared_backbone, "native"): (
-        dict(native_forwards=6, member_deliveries=32, discards_ttl=18),
-        146, 10768,
+        dict(native_forwards=6, member_deliveries=26),
+        140, 10216,
         dict(
             MA=_ALL_SHARED, MB=[0, 1, 4, 5, 6, 7], MC=_ALL_SHARED,
-            MCORE=[2, 3, 4, 5], MBB=[0, 0, 1, 1, 2, 2, 3, 3, 6, 6, 7, 7],
+            MCORE=[2, 3, 4, 5], MBB=[0, 1, 2, 3, 6, 7],
         ),
     ),
 }
