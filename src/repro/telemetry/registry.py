@@ -49,6 +49,7 @@ import re
 from bisect import bisect_left
 from fnmatch import translate
 from itertools import islice
+from math import isfinite
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -245,12 +246,19 @@ class Histogram:
     __slots__ = ("name", "bounds", "bucket_counts", "count", "sum")
 
     def __init__(self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        if bounds is not DEFAULT_BUCKETS and (
-            not bounds or list(bounds) != sorted(bounds)
+        bounds = tuple(bounds)
+        if bounds is not DEFAULT_BUCKETS and not (
+            bounds
+            and all(map(isfinite, bounds))
+            and all(low < high for low, high in zip(bounds, bounds[1:]))
         ):
-            raise ValueError(f"histogram bounds must be sorted and non-empty: {bounds}")
+            # A repeated bound would share its ``le_`` snapshot key with
+            # the first, and the snapshot would lose a bucket's count.
+            raise ValueError(
+                f"histogram bounds must be finite, strictly increasing and non-empty: {bounds}"
+            )
         self.name = name
-        self.bounds: Tuple[float, ...] = tuple(bounds)
+        self.bounds: Tuple[float, ...] = bounds
         self.bucket_counts: List[int] = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.sum: float = 0.0

@@ -42,10 +42,12 @@ class TestInstruments:
         assert histogram.sum == pytest.approx(8.0)
 
     def test_histogram_rejects_unsorted_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram("h", bounds=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            Histogram("h", bounds=())
+        # A repeated bound would share its ``le_`` snapshot key, so the
+        # snapshot's buckets would no longer sum to its count.
+        inf, nan = float("inf"), float("nan")
+        for bounds in [(2.0, 1.0), (), (1.0, 1.0, 2.0), (1.0, 2.0, 2.0), (1.0, inf), (nan,)]:
+            with pytest.raises(ValueError):
+                Histogram("h", bounds=bounds)
 
     def test_default_buckets_sorted(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
