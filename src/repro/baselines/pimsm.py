@@ -125,10 +125,6 @@ class PIMSMModel:
                 ratios.append(self.delivery_delay(sender, receiver) / baseline)
         return sum(ratios) / len(ratios) if ratios else 1.0
 
-    def rp_transit_load(self) -> int:
-        """Sender flows that must transit the RP (0 after switchover)."""
-        return 0 if self.switchover else len(self.senders)
-
     def _path_delay(self, path: List[str]) -> float:
         total = 0.0
         for u, v in zip(path, path[1:]):

@@ -18,7 +18,7 @@ All three return :class:`repro.topology.graph.Tree` objects whose
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.topology.graph import Graph, Tree
 
@@ -145,11 +145,3 @@ def source_trees_for(
         sender: shortest_path_tree(graph, sender, members, weight=weight)
         for sender in senders
     }
-
-
-def union_edge_count(trees: Iterable[Tree]) -> int:
-    """Distinct edges across a set of trees (aggregate state footprint)."""
-    edges: Set[Tuple[str, str]] = set()
-    for tree in trees:
-        edges |= tree.edges
-    return len(edges)

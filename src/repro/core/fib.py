@@ -15,7 +15,7 @@ recompiles, as it occurs, the immutable
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.core.kernel import KernelEntry
 from repro.netsim.address import IPv4Address
@@ -97,19 +97,9 @@ class FIBEntry:
             self.parent_vif = None
             self._download()
 
-    def child_vifs(self) -> List[int]:
-        """Distinct vif indices with at least one child behind them."""
-        return sorted(set(self.children.values()))
-
-    def children_on_vif(self, vif: int) -> List[IPv4Address]:
-        return sorted(a for a, v in self.children.items() if v == vif)
-
     def tree_vifs(self) -> List[int]:
         """All on-tree vif indices (parent + children)."""
         return sorted(self.kernel.tree_vifs)
-
-    def is_tree_interface(self, vif: int) -> bool:
-        return vif in self.kernel.tree_vifs
 
     def state_size(self) -> int:
         """Number of stored (address, vif) pairs — the E1 state metric."""
@@ -187,12 +177,3 @@ class FIB:
     def total_state(self) -> int:
         """Total stored relationships across groups (E1 state metric)."""
         return sum(entry.state_size() for entry in self.by_group.values())
-
-    def parent_child_pairs(self) -> List[Tuple[IPv4Address, IPv4Address, IPv4Address]]:
-        """(group, parent, child) triples; diagnostic/metrics helper."""
-        out = []
-        for entry in self.by_group.values():
-            for child in entry.children:
-                parent = entry.parent_address
-                out.append((entry.group, parent, child))
-        return out

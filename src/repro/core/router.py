@@ -284,10 +284,6 @@ class CBTProtocol:
         entry = self.fib.get(group)
         return entry.parent_address if entry else None
 
-    def tree_children(self, group: IPv4Address) -> List[IPv4Address]:
-        entry = self.fib.get(group)
-        return sorted(entry.children) if entry else []
-
     def cores_for(self, group: IPv4Address) -> Tuple[IPv4Address, ...]:
         return self.coordinator.cores_for(group) or self._learned_cores.get(group, ())
 

@@ -7,7 +7,7 @@ benchmarks sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,6 @@ class CBTTimers:
             iff_scan_interval=self.iff_scan_interval * factor,
             reconnect_timeout=self.reconnect_timeout * factor,
         )
-
-    def with_overrides(self, **kwargs: float) -> "CBTTimers":
-        """Copy with named fields replaced."""
-        return replace(self, **kwargs)
 
 
 #: The spec's recommended defaults, importable as a ready-made instance.

@@ -8,8 +8,10 @@ down, the next-ranked available one is used, and so on.  The FIB
 grows a "backup-intfs" notion to match.
 
 :class:`TunnelTable` implements that configuration table; the CBT
-router consults it (via :func:`resolve_interface`) instead of unicast
-routing for cores that have rankings configured.
+router consults it (via :meth:`TunnelTable.resolve`, the one ranked
+lookup: the highest-ranked interface that is up, which is the spec's
+backup whenever a better one is down) instead of unicast routing for
+cores that have rankings configured.
 """
 
 from __future__ import annotations
@@ -77,27 +79,6 @@ class TunnelTable:
         """
         by_vif = {interface.vif: interface for interface in interfaces}
         for vif in self._rankings.get(core, []):
-            interface = by_vif.get(vif)
-            if interface is None or not interface.up:
-                continue
-            if interface.link is not None and not interface.link.up:
-                continue
-            return self._entries[vif]
-        return None
-
-    def backup_for(
-        self, core: IPv4Address, failed_vif: int, interfaces: Sequence[Interface]
-    ) -> Optional[TunnelEntry]:
-        """Next available ranked interface after ``failed_vif`` (the
-        FIB's backup-intfs lookup)."""
-        ranking = self._rankings.get(core, [])
-        if failed_vif in ranking:
-            position = ranking.index(failed_vif)
-            rotated = ranking[position + 1 :] + ranking[:position]
-        else:
-            rotated = ranking
-        by_vif = {interface.vif: interface for interface in interfaces}
-        for vif in rotated:
             interface = by_vif.get(vif)
             if interface is None or not interface.up:
                 continue

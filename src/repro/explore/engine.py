@@ -198,8 +198,7 @@ class Counterexample:
     seed: Optional[int] = None
     #: Goal predicate a backward search confirmed ("" = forward find).
     predicate: str = ""
-    #: Which engine produced it: "forward" | "backward" ("frontier" in
-    #: documents exported before the sharded forward search was removed).
+    #: Which engine produced it: "forward" | "backward".
     source: str = "forward"
 
     def summary(self) -> str:

@@ -23,10 +23,10 @@ Format (``repro-explore-schedule/2``)::
 
 The provenance trio (``source``, ``seed``, ``predicate``) lets a
 schedule name which search produced it, under which seed, chasing
-which goal predicate.  ``"frontier"`` (the sharded forward search,
-since removed) is still read, so documents exported by it load.  This
-is the only accepted format: any other ``format`` value is rejected
-with :class:`ScheduleFormatError`.
+which goal predicate; any other ``source`` (``"frontier"``, written
+by the sharded forward search that was removed, included) is rejected
+with :class:`ScheduleFormatError`.  This is the only accepted format:
+any other ``format`` value is rejected too.
 
 ``expect`` is what the *pinned* behaviour is: regression schedules
 exported after a fix carry ``"clean"`` (replaying them must produce
@@ -44,7 +44,7 @@ from repro.explore.scenarios import SCENARIOS, get_scenario
 
 FORMAT = "repro-explore-schedule/2"
 
-_SOURCES = ("forward", "backward", "frontier")
+_SOURCES = ("forward", "backward")
 _EXPECTS = ("clean", "violation")
 
 

@@ -6,7 +6,7 @@ helpers feed EXPERIMENTS.md.
 """
 
 from repro.harness.experiment import Experiment, SweepResult
-from repro.harness.formatting import format_series, format_table
+from repro.harness.formatting import format_table
 from repro.harness.scenarios import (
     build_cbt_group,
     build_dvmrp_group,
@@ -19,7 +19,6 @@ __all__ = [
     "SweepResult",
     "build_cbt_group",
     "build_dvmrp_group",
-    "format_series",
     "format_table",
     "pick_members",
     "settle",

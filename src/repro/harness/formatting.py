@@ -35,12 +35,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[Any]], title: s
     for row in rendered_rows:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def format_series(
-    name: str, xs: Sequence[Any], ys: Sequence[Any], x_label: str = "x", y_label: str = "y"
-) -> str:
-    """A figure series as a two-column table."""
-    if len(xs) != len(ys):
-        raise ValueError(f"series length mismatch: {len(xs)} vs {len(ys)}")
-    return format_table([x_label, y_label], list(zip(xs, ys)), title=name)

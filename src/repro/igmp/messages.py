@@ -124,10 +124,6 @@ class CoreReport(Record):
         return _new(cls, (group, cores, target_core, code, version))
 
     @property
-    def target_core_address(self) -> IPv4Address:
-        return self.cores[self.target_core]
-
-    @property
     def primary_core(self) -> IPv4Address:
         return self.cores[0]
 

@@ -16,27 +16,18 @@ Each module maps to one axis of the paper's evaluation:
 
 from repro.metrics.concentration import link_loads, traffic_concentration
 from repro.metrics.delay import delay_stretch, tree_delays
-from repro.metrics.latency import (
-    delivery_latencies,
-    delivery_latency,
-    latency_summary,
-)
+from repro.metrics.latency import delivery_latency
 from repro.metrics.overhead import trace_overhead
 from repro.metrics.state import StateCensus, cbt_state_census, dvmrp_state_census
-from repro.metrics.tree import tree_cost, tree_cost_ratio
 
 __all__ = [
     "StateCensus",
     "cbt_state_census",
     "delay_stretch",
-    "delivery_latencies",
     "delivery_latency",
     "dvmrp_state_census",
-    "latency_summary",
     "link_loads",
     "traffic_concentration",
     "trace_overhead",
-    "tree_cost",
-    "tree_cost_ratio",
     "tree_delays",
 ]

@@ -73,15 +73,3 @@ def summarise_stretch(
     if not ratios:
         return (1.0, 1.0)
     return (mean(ratios), max(ratios))
-
-
-def max_tree_delay(tree: Tree, senders: Sequence[str], receivers: Sequence[str]) -> float:
-    """Worst sender-to-receiver delay over the tree (diameter-ish)."""
-    worst = 0.0
-    for sender in senders:
-        dist = tree.delay_from(sender)
-        for receiver in receivers:
-            if receiver == sender:
-                continue
-            worst = max(worst, dist.get(receiver, float("inf")))
-    return worst

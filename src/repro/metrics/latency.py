@@ -7,8 +7,7 @@ times per packet per receiver.
 
 from __future__ import annotations
 
-from statistics import mean
-from typing import Dict, Iterable, List, Optional
+from typing import Optional
 
 from repro.netsim.trace import PacketTrace, _carries_uid
 
@@ -30,31 +29,3 @@ def delivery_latency(trace: PacketTrace, uid: int, node_name: str) -> Optional[f
     if arrival is None:
         return None
     return arrival - start
-
-
-def delivery_latencies(
-    trace: PacketTrace, uid: int, node_names: Iterable[str]
-) -> Dict[str, Optional[float]]:
-    """Latency per receiver for one packet."""
-    return {name: delivery_latency(trace, uid, name) for name in node_names}
-
-
-def latency_summary(
-    trace: PacketTrace, uids: Iterable[int], node_names: List[str]
-) -> Dict[str, float]:
-    """Aggregate over many packets: delivered fraction, mean/max latency."""
-    latencies: List[float] = []
-    expected = 0
-    delivered = 0
-    for uid in uids:
-        for name in node_names:
-            expected += 1
-            latency = delivery_latency(trace, uid, name)
-            if latency is not None:
-                delivered += 1
-                latencies.append(latency)
-    return {
-        "delivered_fraction": delivered / expected if expected else 0.0,
-        "mean_latency": mean(latencies) if latencies else 0.0,
-        "max_latency": max(latencies) if latencies else 0.0,
-    }

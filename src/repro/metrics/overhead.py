@@ -25,10 +25,6 @@ class OverheadReport:
     data_transmissions: int
     data_bytes: int
 
-    @property
-    def total_bytes(self) -> int:
-        return self.control_bytes + self.data_bytes
-
 
 def trace_overhead(trace: PacketTrace, data_protos=(PROTO_UDP,)) -> OverheadReport:
     """Split a trace's transmissions into CBT control vs data.

@@ -9,7 +9,6 @@ store it in *every* router of the topology, member or not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import mean
 from typing import Dict
 
 
@@ -26,10 +25,6 @@ class StateCensus:
     @property
     def max_router(self) -> int:
         return max(self.per_router.values()) if self.per_router else 0
-
-    @property
-    def mean_router(self) -> float:
-        return mean(self.per_router.values()) if self.per_router else 0.0
 
     @property
     def routers_with_state(self) -> int:

@@ -7,14 +7,9 @@ per-source trees for DVMRP/MOSPF.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Set, Tuple
+from typing import Iterable, Set, Tuple
 
 from repro.topology.graph import Tree
-
-
-def tree_cost(tree: Tree) -> float:
-    """Sum of edge costs of one tree."""
-    return tree.cost()
 
 
 def forest_cost(trees: Iterable[Tree]) -> float:
@@ -38,26 +33,3 @@ def forest_cost(trees: Iterable[Tree]) -> float:
             raise ValueError(f"edge ({u},{v}) not in graph")
         total += edge.cost
     return total
-
-
-def total_forest_cost(trees: Iterable[Tree]) -> float:
-    """Sum of each tree's cost (counts shared links once per tree) —
-    the aggregate bandwidth cost when every source transmits once."""
-    return sum(tree.cost() for tree in trees)
-
-
-def tree_cost_ratio(shared: Tree, per_source: Sequence[Tree]) -> float:
-    """Shared-tree cost over mean per-source tree cost (paper's ratio)."""
-    if not per_source:
-        raise ValueError("need at least one per-source tree")
-    mean_source = sum(t.cost() for t in per_source) / len(per_source)
-    if mean_source == 0:
-        return float("inf") if shared.cost() > 0 else 1.0
-    return shared.cost() / mean_source
-
-
-def edges_per_group_member(tree: Tree, members: Sequence[str]) -> float:
-    """Tree edges per member — the marginal cost of membership."""
-    if not members:
-        raise ValueError("member set must not be empty")
-    return len(tree.edges) / len(members)

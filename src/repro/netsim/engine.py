@@ -265,12 +265,12 @@ class Scheduler:
         has not fired stays in its slot — are dropped unfired and
         forget their callbacks (a ticker and its arm refer to each
         other), registered components are emptied, the tie-break hook
-        and the telemetry bundle are let go (the bundle's gauges read
-        this object).  The
-        counters keep their last values: ``events_processed`` and the
-        registry gauges bound to this scheduler read after ``close()``
-        what they read before it.  Idempotent; scheduling or running
-        afterwards raises :class:`SchedulerError`.
+        and the telemetry bundle are let go (the bundle's attribute
+        family reads this object).  The counters keep their last
+        values: ``events_processed`` and the registry family bound to
+        this scheduler read after ``close()`` what they read before it.
+        Idempotent; scheduling or running afterwards raises
+        :class:`SchedulerError`.
         """
         if self.closed:
             return

@@ -12,7 +12,7 @@ A transmission schedules :meth:`Link.deliver`, bound once per link (or
 :meth:`Link.deliver_batch` for a LAN fan-out), with ``(receiver(s),
 datagram, counters)`` as the event's arguments; it reads the size the
 datagram carries (``IPDatagram.wire_size``).  The wire statistics
-are plain attributes exposed through attribute-bound gauges: deliveries
+are plain attributes registered as one attribute family: deliveries
 in flight and per-link instruments are the two largest object
 populations at n=1000, so neither gets a closure
 (docs/PERFORMANCE.md, "Allocation and the collector").
@@ -29,8 +29,8 @@ from repro.netsim.packet import IPDatagram, UDPDatagram
 from repro.netsim.trace import PacketTrace, TraceRecord
 from repro.telemetry import Counter, MsgCounters, payload_label
 
-#: ``netsim.link.<name>.<metric>`` gauge -> the attribute it reads.
-_WIRE_GAUGES = (
+#: The ``netsim.link.<name>.`` family: metric -> the attribute it reads.
+_WIRE_METRICS = (
     ("attempts", "attempt_count"),
     ("tx_packets", "tx_count"),
     ("tx_bytes", "tx_bytes"),
@@ -115,7 +115,7 @@ class Link:
         # repro.telemetry.conservation): attempts == tx_packets +
         # pre-wire drops; fanout >= rx_packets + late drops.  The wire
         # statistics are counted natively (plain int attributes) and
-        # exposed through attribute-bound gauges, so the hot path pays
+        # registered as an attribute family, so the hot path pays
         # nothing extra for them; only the per-payload-label counters
         # cost an add.
         self._telemetry = scheduler.telemetry
@@ -125,7 +125,7 @@ class Link:
         self._msg_by_key = scheduler.telemetry._msg_by_key
         self._msg_by_proto = scheduler.telemetry._msg_by_proto
         self._drop_counters: Dict[str, Counter] = {}
-        self._registry.gauge_attrs(f"netsim.link.{name}.", self, _WIRE_GAUGES)
+        self._registry.gauge_attrs(f"netsim.link.{name}.", self, _WIRE_METRICS)
         #: Callbacks fired when this link's topology-relevant state
         #: changes (attachment, up/down, interface flips).  Link-state
         #: routing registers here to invalidate its caches.
@@ -136,9 +136,9 @@ class Link:
         this link and from its node (the two back-references that tie
         nodes, links and routes into cycles; a detached interface
         refuses to send) and let go of the scheduler, the registry —
-        whose gauges read this link — and every installed hook.  The
-        wire statistics stay, so those gauges read what they read
-        before."""
+        whose attribute family reads this link — and every installed
+        hook.  The wire statistics stay, so that family reads what it
+        read before."""
         for interface in self.interfaces:
             interface.node = interface.link = None
         self.scheduler = self._telemetry = self._registry = self._deliver = None

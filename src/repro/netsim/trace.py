@@ -103,20 +103,6 @@ class PacketTrace:
             out.append(record)
         return out
 
-    def deliveries_of(self, uid: int) -> List[TraceRecord]:
-        """``rx`` records for (any encapsulation of) packet ``uid``."""
-        return [
-            r for r in self._records if r.kind == "rx" and _carries_uid(r.datagram, uid)
-        ]
-
-    def link_tx_counts(self) -> dict:
-        """Transmission count per link name (traffic-concentration input)."""
-        counts: dict = {}
-        for record in self._records:
-            if record.kind == "tx":
-                counts[record.link_name] = counts.get(record.link_name, 0) + 1
-        return counts
-
     def first_delivery_time(
         self, uid: int, node_name: str
     ) -> Optional[float]:

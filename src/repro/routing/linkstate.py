@@ -241,12 +241,6 @@ class LinkStateRouting:
 
     # -- cached views --------------------------------------------------------
 
-    def routers_by_name(self) -> Dict[str, Router]:
-        derived = self._derived
-        if "by_name" not in derived:
-            derived["by_name"] = {router.name: router for router in self.routers}
-        return derived["by_name"]
-
     def routers_by_address(self) -> Dict[IPv4Address, Router]:
         derived = self._derived
         if "by_address" not in derived:

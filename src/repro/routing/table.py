@@ -75,10 +75,6 @@ class Route:
             and self.metric == other.metric
         )
 
-    @property
-    def is_direct(self) -> bool:
-        return self.next_hop is None
-
 
 #: Bound on the per-destination memo cache; cleared wholesale when hit
 #: so a scan over a huge address space cannot grow memory unboundedly.

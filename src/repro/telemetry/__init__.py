@@ -21,7 +21,6 @@ from repro.telemetry.registry import (
     Counter,
     DEFAULT_BUCKETS,
     FamilyNameError,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "FamilyNameError",
     "FaultEvent",
-    "Gauge",
     "Histogram",
     "MembershipEvent",
     "MetricsRegistry",

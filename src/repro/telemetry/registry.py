@@ -1,13 +1,10 @@
 """Zero-dependency metrics registry (the observability layer's core).
 
-Three instrument kinds, modelled on the conventional MIB/metrics
+Two instrument kinds, modelled on the conventional MIB/metrics
 split real router implementations expose:
 
 * :class:`Counter` — monotonically increasing event count (messages
   sent by type, drops by reason).
-* :class:`Gauge` — point-in-time value: set explicitly, read lazily
-  through a callable, or bound to ``(object, attribute)`` and read
-  with ``getattr``.
 * :class:`Histogram` — fixed bucket boundaries chosen at creation
   (join latencies).  Fixed boundaries keep snapshots mergeable:
   bucket-wise addition is exact, unlike quantile sketches.
@@ -18,9 +15,10 @@ joins completed, an IGMP agent's messages) registers them once with
 :meth:`MetricsRegistry.gauge_attrs` under a name prefix.  A family is
 one dict entry, not an instrument per statistic, and every read
 (``value``, ``total``, ``matching``, ``columns``, ``snapshot``) reads
-the attributes in place: no query builds a
-:class:`Gauge`, and the names exist only in what a read returns
-(docs/OBSERVABILITY.md, "Attribute families").
+the attributes in place: no query builds an instrument, and the names
+exist only in what a read returns (docs/OBSERVABILITY.md, "Attribute
+families").  A point-in-time value is a family statistic; there is no
+gauge instrument.
 
 Names are hierarchical dotted paths (``cbt.router.R4.tx.join_request``)
 so snapshots group naturally and :meth:`MetricsRegistry.total` can
@@ -194,45 +192,6 @@ class Counter:
         return f"Counter({self.name}={self.value})"
 
 
-class Gauge:
-    """Point-in-time value: explicit via :meth:`set`, lazy via a
-    callback, or bound to ``(object, attribute)`` and read with
-    ``getattr`` — the form for exposing a natively counted statistic
-    (one reference, no closure per gauge)."""
-
-    __slots__ = ("name", "_value", "callback", "_obj", "_attr")
-
-    def __init__(
-        self,
-        name: str,
-        callback: Optional[Callable[[], Number]] = None,
-        obj: Any = None,
-        attr: Optional[str] = None,
-    ) -> None:
-        self.name = name
-        self._value: Number = 0
-        self.callback = callback
-        self._obj = obj
-        self._attr = attr
-
-    def set(self, value: Number) -> None:
-        self._value = value
-
-    def bind(self, obj: Any, attr: str) -> None:
-        self._obj = obj
-        self._attr = attr
-
-    def read(self) -> Number:
-        if self._attr is not None:
-            return getattr(self._obj, self._attr)
-        if self.callback is not None:
-            return self.callback()
-        return self._value
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name}={self.read()})"
-
-
 class Histogram:
     """Cumulative-style histogram over fixed bucket boundaries.
 
@@ -278,10 +237,10 @@ class Histogram:
 
 
 class FamilyNameError(ValueError):
-    """An instrument was asked for under a name a
+    """A counter was asked for under a name a
     :meth:`MetricsRegistry.gauge_attrs` family owns: the family's
-    attribute *is* that statistic, so a second instrument of the same
-    name would count apart from it."""
+    attribute *is* that statistic, so a counter of the same name would
+    count apart from it."""
 
 
 class _Kind:
@@ -336,10 +295,8 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._counter_names = _NameIndex(self._counters)
-        self._gauge_names = _NameIndex(self._gauges)
         self._histogram_names = _NameIndex(self._histograms)
         #: prefix -> (object, its kind) of every :meth:`gauge_attrs`
         #: family.
@@ -360,37 +317,11 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         counter = self._counters.get(name)
         if counter is None:
-            self._refuse_family_name(name)
+            if self._owner(name) is not None:
+                raise FamilyNameError(f"{name} is an attribute family's statistic")
             counter = Counter(name)
             self._counters[name] = counter
         return counter
-
-    def gauge(
-        self, name: str, callback: Optional[Callable[[], Number]] = None
-    ) -> Gauge:
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            self._refuse_family_name(name)
-            gauge = Gauge(name, callback)
-            self._gauges[name] = gauge
-        elif callback is not None:
-            gauge.callback = callback
-        return gauge
-
-    def gauge_attr(self, name: str, obj: Any, attr: str) -> Gauge:
-        """Gauge ``name`` reading ``getattr(obj, attr)`` at query time."""
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            self._refuse_family_name(name)
-            gauge = self._gauges[name] = Gauge(name, None, obj, attr)
-        else:
-            gauge.bind(obj, attr)
-        return gauge
-
-    def _refuse_family_name(self, name: str) -> None:
-        """No instrument is made under a family statistic's name."""
-        if self._owner(name) is not None:
-            raise FamilyNameError(f"{name} is an attribute family's statistic")
 
     def gauge_attrs(
         self, prefix: str, obj: Any, metrics: Sequence[Tuple[str, str]]
@@ -497,14 +428,11 @@ class MetricsRegistry:
         return {name: c.value for name, c in self._counters.items()}
 
     def value(self, name: str) -> Number:
-        """Current value of counter, gauge or family statistic ``name``
-        (0 if there is none)."""
+        """Current value of counter or family statistic ``name`` (0 if
+        there is none)."""
         counter = self._counters.get(name)
         if counter is not None:
             return counter.value
-        gauge = self._gauges.get(name)
-        if gauge is not None:
-            return gauge.read()
         owner = self._owner(name)
         if owner is not None:
             obj, kind, metric = owner
@@ -512,27 +440,21 @@ class MetricsRegistry:
         return 0
 
     def total(self, pattern: str) -> Number:
-        """Sum of counter, gauge and family values whose names match
-        the shell-style ``pattern`` (``fnmatch``; ``*`` does cross
-        ``.`` boundaries).  Only a pattern whose last dotted segment
-        holds a wildcard (other than a pure prefix ``a.b.*``) scans
-        every name — see :class:`_NameIndex`."""
+        """Sum of counter and family values whose names match the
+        shell-style ``pattern`` (``fnmatch``; ``*`` does cross ``.``
+        boundaries).  Only a pattern whose last dotted segment holds a
+        wildcard (other than a pure prefix ``a.b.*``) scans every name
+        — see :class:`_NameIndex`."""
         counters = self._counters
-        gauges = self._gauges
-        return (
-            sum(counters[name].value for name in self._counter_names.select(pattern))
-            + sum(gauges[name].read() for name in self._gauge_names.select(pattern))
-            + sum(value for _, value in self._family_values(pattern))
-        )
+        return sum(
+            counters[name].value for name in self._counter_names.select(pattern)
+        ) + sum(value for _, value in self._family_values(pattern))
 
     def matching(self, pattern: str) -> Dict[str, Number]:
-        """Counter, gauge and family values whose names match
-        ``pattern``, sorted by name (the counter wins a shared name)."""
+        """Counter and family values whose names match ``pattern``,
+        sorted by name (the counter wins a shared name)."""
         counters = self._counters
-        gauges = self._gauges
         out: Dict[str, Number] = dict(self._family_values(pattern))
-        for name in self._gauge_names.select(pattern):
-            out[name] = gauges[name].read()
         for name in self._counter_names.select(pattern):
             out[name] = counters[name].value
         return dict(sorted(out.items()))
@@ -552,13 +474,11 @@ class MetricsRegistry:
 
         Histograms expand to ``<name>.count``, ``<name>.sum`` and one
         ``<name>.le_<bound>`` entry per bucket (``le_inf`` for the
-        overflow bucket).  Callback gauges and families are read here.
+        overflow bucket).  Families are read here.
         """
         out: Dict[str, Number] = {}
         for name, counter in self._counters.items():
             out[name] = counter.value
-        for name, gauge in self._gauges.items():
-            out[name] = gauge.read()
         for prefix, (obj, kind) in self._families.items():
             for metric, value in zip(kind.names, kind.values(obj)):
                 out[prefix + metric] = value

@@ -6,7 +6,6 @@ from repro.topology.generators import (
     barabasi_albert_network,
     grid_network,
     line_network,
-    star_network,
     transit_stub_network,
     waxman_network,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "build_figure5_loop",
     "grid_network",
     "line_network",
-    "star_network",
     "transit_stub_network",
     "waxman_network",
 ]

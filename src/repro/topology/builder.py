@@ -238,21 +238,8 @@ class Network:
     def all_subnets(self) -> List[Subnet]:
         return [link for link in self.links.values() if isinstance(link, Subnet)]
 
-    def routers_on(self, link: Link) -> List[Router]:
-        return [
-            interface.node
-            for interface in link.interfaces
-            if interface.node.name in self.routers
-        ]
-
     def address_of(self, node_name: str) -> IPv4Address:
         node = self.routers.get(node_name) or self.hosts.get(node_name)
         if node is None:
             raise KeyError(node_name)
         return node.primary_address
-
-    def node_by_address(self, address: IPv4Address):
-        for node in list(self.routers.values()) + list(self.hosts.values()):
-            if node.owns_address(address):
-                return node
-        return None

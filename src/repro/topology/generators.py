@@ -289,10 +289,6 @@ def line_network(n: int) -> Network:
     return realise(line_graph(n))
 
 
-def star_network(n: int) -> Network:
-    return realise(star_graph(n))
-
-
 def transit_stub_network(
     transit_n: int = 4, stubs_per_transit: int = 3, stub_size: int = 4, seed: int = 0
 ) -> Network:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.app import APP_PORT, MulticastReceiver, MulticastSender, StreamStats
-from repro.metrics.latency import delivery_latency, latency_summary
+from repro.metrics.latency import delivery_latency
 from repro import group_address
 from repro.netsim.address import group_address as ga
 
@@ -124,8 +124,6 @@ class TestStreamStats:
 class TestLatencyMetrics:
     def test_trace_latency_matches_app_latency(self, conference, figure1_network):
         """The trace-derived latency equals what the receiver saw."""
-        from repro.harness.scenarios import send_data
-
         domain, group, receivers = conference
         figure1_network.trace.clear()
         sender = MulticastSender(figure1_network.host("A"), group)
@@ -144,16 +142,6 @@ class TestLatencyMetrics:
         uid = tx[0].datagram.uid
         trace_latency = delivery_latency(figure1_network.trace, uid, "H")
         assert trace_latency == pytest.approx(app_latency, abs=1e-9)
-
-    def test_latency_summary(self, conference, figure1_network):
-        domain, group, receivers = conference
-        from repro.harness.scenarios import send_data
-
-        figure1_network.trace.clear()
-        uids = send_data(figure1_network, "A", group, count=3)
-        summary = latency_summary(figure1_network.trace, uids, ["B", "H"])
-        assert summary["delivered_fraction"] == 1.0
-        assert 0 < summary["mean_latency"] <= summary["max_latency"]
 
     def test_lost_packet_reports_none(self, figure1_network):
         from repro.netsim.trace import PacketTrace

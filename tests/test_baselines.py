@@ -10,7 +10,6 @@ from repro.baselines.trees import (
     shared_tree,
     shortest_path_tree,
     source_trees_for,
-    union_edge_count,
 )
 from repro.baselines.dvmrp import DVMRPDomain
 from repro.harness.scenarios import build_dvmrp_group, send_data
@@ -131,14 +130,6 @@ class TestSourceTreeHelpers:
         members = sample_members(g, 5, seed=10)
         trees = source_trees_for(g, members[:2], members)
         assert set(trees) == set(members[:2])
-
-    def test_union_edge_count(self):
-        g = waxman_graph(25, seed=11)
-        members = sample_members(g, 5, seed=11)
-        trees = source_trees_for(g, members[:3], members)
-        union = union_edge_count(trees.values())
-        assert union <= sum(len(t.edges) for t in trees.values())
-        assert union >= max(len(t.edges) for t in trees.values())
 
 
 class TestDVMRP:

@@ -89,22 +89,15 @@ class TestFailureHelpers:
 
 
 class TestQueries:
-    def test_address_of_and_node_by_address(self):
+    def test_address_of(self):
         net = Network()
         r = net.add_router("r")
         s = net.add_subnet("s", [r])
         h = net.add_host("h", s)
-        assert net.node_by_address(net.address_of("r")) is r
-        assert net.node_by_address(net.address_of("h")) is h
+        assert net.address_of("r") == r.primary_address
+        assert net.address_of("h") == h.primary_address
         with pytest.raises(KeyError):
             net.address_of("missing")
-
-    def test_routers_on_excludes_hosts(self):
-        net = Network()
-        r = net.add_router("r")
-        s = net.add_subnet("s", [r])
-        net.add_host("h", s)
-        assert net.routers_on(s) == [r]
 
     def test_all_subnets_excludes_p2p(self):
         net = Network()

@@ -417,6 +417,8 @@ UNRUNNABLE_DOCUMENTS = {
     "not-utf8": b'{"format": "\xff\xfe"}',
     "expect-unknown": _document(expect="maybe").encode(),
     "schedule-of-bools": _document(schedule=[True, False]).encode(),
+    # The sharded forward search that wrote this source is gone.
+    "source-frontier": _document(source="frontier").encode(),
 }
 
 
@@ -432,6 +434,13 @@ def test_unrunnable_documents_fail_typed(name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_no_document_is_written_with_the_retired_frontier_source():
+    scenario = get_scenario("joins-race")
+    options = scenario_options(scenario, max_decisions=2)
+    with pytest.raises(ValueError, match="source"):
+        schedule_payload("joins-race", options, (0, 1), source="frontier")
 
 
 def test_the_valid_base_document_loads():

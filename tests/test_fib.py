@@ -36,20 +36,11 @@ class TestFIBEntry:
         assert not entry.remove_child(CHILD_A)  # already gone
         assert entry.children == {CHILD_B: 1}
 
-    def test_child_vifs_deduplicated(self):
-        entry = FIBEntry(group=GROUP)
-        entry.add_child(CHILD_A, 3)
-        entry.add_child(CHILD_B, 3)
-        assert entry.child_vifs() == [3]
-        assert entry.children_on_vif(3) == sorted([CHILD_A, CHILD_B])
-
     def test_tree_vifs_include_parent(self):
         entry = FIBEntry(group=GROUP)
         entry.set_parent(PARENT, 0)
         entry.add_child(CHILD_A, 1)
         assert entry.tree_vifs() == [0, 1]
-        assert entry.is_tree_interface(0)
-        assert not entry.is_tree_interface(5)
 
     def test_state_size_counts_relationships(self):
         entry = FIBEntry(group=GROUP)
@@ -90,14 +81,6 @@ class TestFIB:
         entry2.add_child(CHILD_A, 1)
         entry2.add_child(CHILD_B, 2)
         assert fib.total_state() == 3
-
-    def test_parent_child_pairs(self):
-        fib = FIB()
-        entry = fib.get_or_create(GROUP)
-        entry.set_parent(PARENT, 0)
-        entry.add_child(CHILD_A, 1)
-        pairs = fib.parent_child_pairs()
-        assert pairs == [(GROUP, PARENT, CHILD_A)]
 
 
 class TestPendingJoin:

@@ -129,7 +129,8 @@ class TestFigure1Topology:
         assert r6_next == r2_s4.address
 
     def test_s4_has_three_cbt_routers(self, figure1_network):
-        names = {r.name for r in figure1_network.routers_on(figure1_network.link("S4"))}
+        link = figure1_network.link("S4")
+        names = {i.node.name for i in link.interfaces} & set(figure1_network.routers)
         assert names == {"R2", "R5", "R6"}
 
     def test_r6_lowest_on_s4(self, figure1_network):

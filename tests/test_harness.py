@@ -3,7 +3,7 @@
 import pytest
 
 from repro.harness.experiment import Experiment, SweepResult
-from repro.harness.formatting import format_series, format_table
+from repro.harness.formatting import format_table
 from repro.harness.scenarios import (
     build_cbt_group,
     build_dvmrp_group,
@@ -33,14 +33,6 @@ class TestFormatting:
         assert "1.235" in out
         assert "1.23e+04" in out
         assert "0.0001" in out
-
-    def test_series(self):
-        out = format_series("fig", [1, 2], [10, 20], x_label="n", y_label="cost")
-        assert "fig" in out and "n" in out and "cost" in out
-
-    def test_series_length_mismatch(self):
-        with pytest.raises(ValueError):
-            format_series("fig", [1], [1, 2])
 
 
 class TestSweep:

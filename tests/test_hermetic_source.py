@@ -8,9 +8,11 @@ exception is listed with its reason.
 """
 
 import ast
+import io
 import pathlib
 import re
 import sys
+import tokenize
 
 import pytest
 
@@ -858,3 +860,150 @@ def test_one_place_decides_where_a_periodic_hello_goes():
         and re.search(r"\b(_send_hello|_hello_ticks|_lans_up)\b", path.read_text(encoding="utf-8"))
     ]
     assert others == []
+
+
+# -- every public name has a caller outside the tests -------------------------
+#
+# A public function, class, method or property in ``src/repro`` that no
+# code outside ``tests/`` names is code the product does not run.  A
+# name counts as used when its identifier appears as a word in
+# ``src/`` (its own definition, import statements and ``__all__`` do
+# not count), in ``benchmarks/**/*.py`` or in ``examples/**/*.py``.
+# What stays without such a caller is listed here with its reason.
+
+#: ``module.name`` / ``module.Class.member`` -> why it stays with no
+#: caller outside the tests.
+ALLOWLIST = {
+    # References: the independent side of a test's cross-check.
+    "routing.table.RoutingTable.lookup_linear": (
+        "linear longest-prefix scan the memoised lookup is checked against"
+    ),
+    "topology.graph.Tree.is_loop_free": (
+        "whole-tree walk the SPF and Steiner trees are checked against"
+    ),
+    "metrics.overhead.trace_overhead": (
+        "recounts transmissions from the packet trace, against the registry's counts"
+    ),
+    "metrics.latency.delivery_latency": (
+        "first-tx to first-rx latency from the packet trace, against the "
+        "application's own latency"
+    ),
+    "harness.workload.ChurnSchedule.members_at_end": (
+        "the membership a churn schedule leaves: the expected side of the "
+        "churn delivery check"
+    ),
+    "netsim.address.IPv4Network.overlaps": (
+        "the allocator's disjointness check; agrees with ipaddress"
+    ),
+    "netsim.address.is_link_local_multicast": (
+        "checks that group_address never hands out a link-local group"
+    ),
+    "topology.graph.Tree.spans": "checks that a built tree reaches every member",
+    # Test inputs for behaviour the product has.
+    "routing.linkstate.LinkStateRouting.override_cost": (
+        "asymmetric-cost worlds: SPF honours per-direction costs"
+    ),
+    "routing.linkstate.LinkStateRouting.clear_overrides": "undoes override_cost",
+    "core.router.CBTProtocol.configure_tunnels": (
+        "attaches a §5.2 tunnel table, which forwarding and the NACK path read"
+    ),
+    "core.tunnels.TunnelTable.configure": "fills the table configure_tunnels attaches",
+    "topology.generators.star_graph": (
+        "the star family the placement and family-soak tests build worlds from"
+    ),
+    # Test accessors: deleting one would only move its body into tests.
+    "app.StreamStats.max_latency": "the bound of a stream's latencies",
+    "core.audit.warnings": "the warning half of what errors() filters",
+    "igmp.host.IGMPHostAgent.is_member": "a host's membership of a group",
+    "igmp.router_side.IGMPRouterAgent.is_querier": "querier duty on one interface",
+    "netsim.link.PointToPointLink.peer_of": "the far end of a point-to-point link",
+    "netsim.node.Node.interface_on": "a node's interface on a network",
+    "routing.table.Router.next_hop_toward": "the unicast next hop toward an address",
+    "telemetry.tracebus.dumps_jsonl": "repro-trace/1 to a string (dump_jsonl writes a file)",
+    "telemetry.tracebus.loads_jsonl": "repro-trace/1 from a string (load_jsonl reads a file)",
+    "topology.builder.Network.address_of": "a node's primary address by name",
+    "topology.builder.Network.all_routers": "every router, in name order",
+    "topology.builder.Network.all_subnets": "every multi-access link",
+}
+
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+#: Tokens whose text is searched for words (an f-string's literal text
+#: is its own token from Python 3.12 on).
+_TEXT_TOKENS = {
+    tokenize.STRING, tokenize.COMMENT, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)
+}
+
+
+def _public_names(path):
+    """``(qualified name, identifier)`` of the module's public top-level
+    functions and classes and its top-level classes' public methods and
+    properties."""
+    module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(node, definitions) or node.name.startswith("_"):
+            continue
+        out.append((f"{module}.{node.name}", node.name))
+        if isinstance(node, ast.ClassDef):
+            out.extend(
+                (f"{module}.{node.name}.{member.name}", member.name)
+                for member in node.body
+                if isinstance(member, definitions[:2]) and not member.name.startswith("_")
+            )
+    return out
+
+
+def _source_words(path):
+    """The words of a ``src/`` file, leaving out every name a ``def`` or
+    ``class`` introduces and every import statement and ``__all__``."""
+    text = path.read_text(encoding="utf-8")
+    skipped = set()
+    for node in ast.walk(ast.parse(text)):
+        exported = isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        )
+        if exported or isinstance(node, (ast.Import, ast.ImportFrom)):
+            skipped.update(range(node.lineno, node.end_lineno + 1))
+    words, previous = set(), None
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.start[0] in skipped:
+            continue
+        if token.type == tokenize.NAME:
+            if previous not in ("def", "class"):
+                words.add(token.string)
+            previous = token.string
+        elif token.type in _TEXT_TOKENS:
+            words.update(_WORD.findall(token.string))
+        elif token.type == tokenize.OP:
+            previous = token.string
+    return words
+
+
+def unused_public_names(src=SRC):
+    """Qualified names of the public ``src/repro`` code that nothing
+    outside ``tests/`` names."""
+    repo = src.parents[1]
+    used = set()
+    for path in src.rglob("*.py"):
+        used |= _source_words(path)
+    for root in ("benchmarks", "examples"):
+        for path in (repo / root).rglob("*.py"):
+            used.update(_WORD.findall(path.read_text(encoding="utf-8")))
+    return {
+        qualified
+        for path in sorted(src.rglob("*.py"))
+        for qualified, name in _public_names(path)
+        if name not in used
+    }
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    unused = unused_public_names()
+    assert sorted(unused - set(ALLOWLIST)) == [], (
+        "public code only tests reach: delete it, or list it in ALLOWLIST with its reason"
+    )
+    assert sorted(set(ALLOWLIST) - unused) == [], (
+        "ALLOWLIST entries that are now used or gone: remove them"
+    )

@@ -63,7 +63,7 @@ class TestRoundtrips:
         report = CoreReport(group=GROUP, cores=CORES, target_core=1)
         decoded = decode_igmp(report.encode())
         assert decoded == report
-        assert decoded.target_core_address == CORES[1]
+        assert decoded.cores[decoded.target_core] == CORES[1]
         assert decoded.primary_core == CORES[0]
 
     @given(

@@ -31,7 +31,7 @@ class TestFigure1JoinWalkthrough:
         domain.join_host("A", group)
         figure1_network.run(until=6.0)
         assert domain.protocol("R4").tree_parent(group) is None
-        assert domain.protocol("R4").tree_children(group)
+        assert domain.protocol("R4").fib.get(group).children
 
     def test_second_join_terminates_at_on_tree_router(
         self, figure1_domain, figure1_network

@@ -60,13 +60,6 @@ class TestDelay:
         )
         assert with_switch.delivery_delay("N0", "N1") == pytest.approx(1.0)
 
-    def test_rp_transit_load(self):
-        graph, members, senders = setup(seed=4)
-        before = pim_sm_model(graph, "N0", members, senders, switchover=False)
-        after = pim_sm_model(graph, "N0", members, senders, switchover=True)
-        assert before.rp_transit_load() == len(senders)
-        assert after.rp_transit_load() == 0
-
 
 class TestState:
     def test_switchover_state_exceeds_rp_tree_state(self):

@@ -43,7 +43,7 @@ class TestSPF:
     def test_best_route_covers_direct(self):
         net, routers, hosts = line_of_routers(2)
         route = routers[0].best_route(hosts[0].interface.address)
-        assert route is not None and route.is_direct
+        assert route is not None and route.next_hop is None
 
     def test_cost_preference(self):
         net = Network()

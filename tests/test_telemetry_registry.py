@@ -1,6 +1,7 @@
 """Unit tests for the zero-dependency metrics registry."""
 
 from fnmatch import fnmatchcase
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,6 @@ from repro.telemetry import (
     DEFAULT_BUCKETS,
     Counter,
     FamilyNameError,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -21,17 +21,6 @@ class TestInstruments:
         counter.inc()
         counter.inc(3)
         assert counter.value == 4
-
-    def test_gauge_set_and_read(self):
-        gauge = Gauge("g")
-        assert gauge.read() == 0
-        gauge.set(7)
-        assert gauge.read() == 7
-
-    def test_gauge_callback_wins(self):
-        gauge = Gauge("g", callback=lambda: 42)
-        gauge.set(7)
-        assert gauge.read() == 42
 
     def test_histogram_buckets(self):
         histogram = Histogram("h", bounds=(1.0, 2.0))
@@ -57,7 +46,6 @@ class TestRegistry:
     def test_same_name_same_object(self):
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
-        assert registry.gauge("g") is registry.gauge("g")
         assert registry.histogram("h") is registry.histogram("h")
 
     def test_value_and_total(self):
@@ -79,11 +67,9 @@ class TestRegistry:
     def test_snapshot_expands_histograms(self):
         registry = MetricsRegistry()
         registry.counter("c").inc()
-        registry.gauge("g", callback=lambda: 9)
         registry.histogram("h", bounds=(1.0,)).observe(0.5)
         snap = registry.snapshot()
         assert snap["c"] == 1
-        assert snap["g"] == 9
         assert snap["h.count"] == 1
         assert snap["h.sum"] == pytest.approx(0.5)
         assert snap["h.le_1"] == 1
@@ -101,27 +87,12 @@ class TestRegistry:
         assert MetricsRegistry.diff({"a": 1}, {"a": 1}) == {}
 
 
-class TestAttributeBoundGauge:
-    def test_reads_the_live_attribute(self):
-        class Wire:
-            tx_count = 0
-
-        wire = Wire()
-        registry = MetricsRegistry()
-        gauge = registry.gauge_attr("netsim.link.L.tx_packets", wire, "tx_count")
-        assert gauge is registry.gauge("netsim.link.L.tx_packets")
-        wire.tx_count = 5
-        assert gauge.read() == 5
-        assert registry.value("netsim.link.L.tx_packets") == 5
-        assert registry.total("netsim.link.*.tx_packets") == 5
-        assert registry.snapshot()["netsim.link.L.tx_packets"] == 5
-
-
 class TestDeferredGaugeFamilies:
     """``gauge_attrs`` registers a family of attribute statistics that
-    every read reads in place, building no gauge; a registry wired that
-    way must answer every read exactly as one wired with ``gauge_attr``
-    per gauge, which stays here as the reference."""
+    every read reads in place, building no instrument; a registry wired
+    that way must answer every read exactly as the plain map of every
+    statistic's name to its attribute's value, which stays here as the
+    reference."""
 
     METRICS = (("attempts", "attempt_count"), ("tx_packets", "tx_count"))
 
@@ -144,7 +115,6 @@ class TestDeferredGaugeFamilies:
             "netsim.link.B.attempts": 2, "netsim.link.B.tx_packets": 20
         }
         assert registry.snapshot()["netsim.link.A.tx_packets"] == 7
-        assert registry._gauges == {}
 
     def test_no_pattern_or_law_builds_a_gauge(self):
         from repro.core.bootstrap import CBTDomain
@@ -184,7 +154,6 @@ class TestDeferredGaugeFamilies:
             link.attempt_count for link in net.links.values()
         )
         registry.snapshot()
-        assert registry._gauges == {}
 
     def test_families_read_without_building(self):
         registry = MetricsRegistry()
@@ -206,7 +175,6 @@ class TestDeferredGaugeFamilies:
             "netsim.link.A.": 1, "netsim.link.B.": 2
         }
         assert registry.columns("netsim.link.", "attempts", "other") == {}
-        assert registry._gauges == {}
 
     def test_a_family_statistic_is_no_instrument(self):
         registry = MetricsRegistry()
@@ -214,13 +182,10 @@ class TestDeferredGaugeFamilies:
         registry.gauge_attrs("netsim.link.A.", wire, self.METRICS)
         registry.gauge_attrs("igmp.router.R1.", wire, (("tx.query", "tx_count"),))
         for name in ("netsim.link.A.attempts", "igmp.router.R1.tx.query"):
-            for make in (registry.counter, registry.gauge):
-                with pytest.raises(FamilyNameError):
-                    make(name)
             with pytest.raises(FamilyNameError):
-                registry.gauge_attr(name, wire, "tx_count")
+                registry.counter(name)
         assert registry.value("igmp.router.R1.tx.query") == 40
-        assert registry.gauge("netsim.link.A.elsewhere").read() == 0  # a new gauge
+        assert registry.counter("netsim.link.A.elsewhere").value == 0  # a new counter
         assert registry.counter("igmp.router.R1.tx").value == 0  # not a metric
         assert sorted(registry.snapshot()) == [
             "igmp.router.R1.tx",
@@ -231,39 +196,55 @@ class TestDeferredGaugeFamilies:
         ]
 
     def _agrees_with_eager_wiring(self, metrics, families, reads):
-        deferred, eager = MetricsRegistry(), MetricsRegistry()
+        registry = MetricsRegistry()
         wires = [self.Wire(seed) for seed in range(6)]
-        for index in families:  # a repeated index re-binds, both ways
+        bound = {}
+        for index in families:  # a repeated index re-binds
             prefix = f"netsim.link.L{index}."
-            deferred.gauge_attrs(prefix, wires[index], metrics)
-            for metric, attr in metrics:
-                eager.gauge_attr(prefix + metric, wires[index], attr)
-        owned = {
-            f"netsim.link.L{index}.{metric}" for index in families for metric, _ in metrics
-        }
+            registry.gauge_attrs(prefix, wires[index], metrics)
+            bound[prefix] = wires[index]
+        counters = {}  # the counters the reads made, all still 0
+
+        def oracle():
+            values = {
+                prefix + metric: attrgetter(attr)(wire)
+                for prefix, wire in bound.items()
+                for metric, attr in metrics
+            }
+            values.update(counters)
+            return dict(sorted(values.items()))
+
         for kind, index, metric in reads:
             name = f"netsim.link.L{index}.{metric}"
-            if kind == "gauge":
+            expected = oracle()
+            if kind == "counter":
                 if "*" in metric:
                     continue
-                if name in owned:  # a family statistic is read by name
-                    assert deferred.value(name) == eager.gauge(name).read()
+                if name in expected and name not in counters:
+                    with pytest.raises(FamilyNameError):
+                        registry.counter(name)
                 else:
-                    assert deferred.gauge(name).read() == eager.gauge(name).read()
-            elif kind == "snapshot":
-                assert deferred.snapshot() == eager.snapshot()
+                    counters[name] = registry.counter(name).value
+                    assert counters[name] == 0
+            elif kind == "value":
+                assert registry.value(name) == expected.get(name, 0)
+            elif kind == "total":
+                assert registry.total(name) == sum(
+                    value for key, value in expected.items() if fnmatchcase(key, name)
+                )
+            elif kind == "matching":
+                assert registry.matching(name) == {
+                    key: value for key, value in expected.items() if fnmatchcase(key, name)
+                }
             else:
-                assert getattr(deferred, kind)(name) == getattr(eager, kind)(name)
-        assert deferred.snapshot() == eager.snapshot()
-        # No read builds a gauge: the registry holds only those asked for
-        # under names no family owns.
-        assert sorted(deferred._gauges) == sorted(set(eager._gauges) - owned)
+                assert registry.snapshot() == expected
+        assert registry.snapshot() == oracle()
 
     @given(
         families=st.lists(st.integers(0, 5), max_size=8),
         reads=st.lists(
             st.tuples(
-                st.sampled_from(["value", "total", "matching", "snapshot", "gauge"]),
+                st.sampled_from(["value", "total", "matching", "snapshot", "counter"]),
                 st.integers(0, 6),
                 st.sampled_from(["attempts", "tx_packets", "other", "*"]),
             ),
@@ -277,7 +258,7 @@ class TestDeferredGaugeFamilies:
         families=st.lists(st.integers(0, 5), max_size=8),
         reads=st.lists(
             st.tuples(
-                st.sampled_from(["value", "total", "matching", "snapshot", "gauge"]),
+                st.sampled_from(["value", "total", "matching", "snapshot", "counter"]),
                 st.integers(0, 6),
                 st.sampled_from(
                     ["tx.query", "rx.query", "gains", "tx", "tx.*", "*.query", "t*", "*"]
@@ -300,18 +281,14 @@ class TestDeferredGaugeFamilies:
 # -- indexed reads against a linear oracle ---------------------------------
 
 
-def oracle_total(counters, gauges, pattern):
-    """What ``total`` means: every counter and every gauge whose name
-    ``fnmatchcase``-matches, a shared name counted twice."""
-    return sum(v for n, v in counters.items() if fnmatchcase(n, pattern)) + sum(
-        v for n, v in gauges.items() if fnmatchcase(n, pattern)
-    )
+def oracle_total(counters, pattern):
+    """What ``total`` means: every counter whose name
+    ``fnmatchcase``-matches."""
+    return sum(v for n, v in counters.items() if fnmatchcase(n, pattern))
 
 
-def oracle_matching(counters, gauges, pattern):
-    merged = dict(gauges)
-    merged.update(counters)  # the counter wins a shared name
-    return {n: merged[n] for n in sorted(merged) if fnmatchcase(n, pattern)}
+def oracle_matching(counters, pattern):
+    return {n: counters[n] for n in sorted(counters) if fnmatchcase(n, pattern)}
 
 
 def oracle_histograms(histograms, pattern):
@@ -339,35 +316,30 @@ def _patterns():
 class TestIndexedReadsMatchLinearOracle:
     @settings(max_examples=300, deadline=None)
     @given(
-        first=st.lists(st.tuples(_names(), st.sampled_from("cgh")), max_size=12),
-        later=st.lists(st.tuples(_names(), st.sampled_from("cgh")), max_size=12),
+        first=st.lists(st.tuples(_names(), st.sampled_from("ch")), max_size=12),
+        later=st.lists(st.tuples(_names(), st.sampled_from("ch")), max_size=12),
         patterns=st.lists(_patterns(), min_size=1, max_size=6),
     )
     def test_total_matching_histograms(self, first, later, patterns):
         registry = MetricsRegistry()
-        counters, gauges, histograms = {}, {}, set()
+        counters, histograms = {}, set()
 
         def create(batch):
             for name, kind in batch:
-                value = len(counters) + len(gauges) + 1
+                value = len(counters) + 1
                 if kind == "h":
                     registry.histogram(name)
                     histograms.add(name)
                 else:
-                    # A counter and a gauge deliberately share names.
+                    # A counter and a histogram may share a name.
                     registry.counter(name).inc(value)
                     counters[name] = counters.get(name, 0) + value
-                    if kind == "g":
-                        registry.gauge(name).set(value * 1000)
-                        gauges[name] = value * 1000
 
         def check():
             for pattern in patterns:
-                assert registry.total(pattern) == oracle_total(
-                    counters, gauges, pattern
-                ), pattern
+                assert registry.total(pattern) == oracle_total(counters, pattern), pattern
                 got = registry.matching(pattern)
-                assert got == oracle_matching(counters, gauges, pattern), pattern
+                assert got == oracle_matching(counters, pattern), pattern
                 assert list(got) == sorted(got), pattern
                 assert [
                     h.name for h in registry.histograms_matching(pattern)

@@ -62,11 +62,6 @@ class TestTimerOps:
         with pytest.raises(ValueError):
             DEFAULT_TIMERS.scaled(0)
 
-    def test_with_overrides(self):
-        custom = DEFAULT_TIMERS.with_overrides(echo_interval=5.0)
-        assert custom.echo_interval == 5.0
-        assert custom.echo_timeout == DEFAULT_TIMERS.echo_timeout
-
     def test_immutable(self):
         with pytest.raises(Exception):
             DEFAULT_TIMERS.echo_interval = 1.0  # type: ignore[misc]

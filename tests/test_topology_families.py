@@ -14,14 +14,15 @@ from repro.topology.generators import (
     barabasi_albert_network,
     grid_network,
     line_network,
-    star_network,
+    realise,
+    star_graph,
     transit_stub_network,
 )
 
 FAMILIES = [
     ("grid", lambda: grid_network(4, 4), "N0"),
     ("line", lambda: line_network(12), "N0"),
-    ("star", lambda: star_network(10), "N0"),
+    ("star", lambda: realise(star_graph(10)), "N0"),
     ("ba", lambda: barabasi_albert_network(16, m=2, seed=4), "N0"),
     (
         "transit-stub",

@@ -91,21 +91,6 @@ class TestTunnelTable:
         router.interfaces[1].up = False
         assert table.resolve(CORE_A, router.interfaces) is None
 
-    def test_backup_rotates_past_failed_vif(self):
-        """§5.2's worked example: if tunnel #2 (vif 1) is down for core
-        A, the table suggests #5 (vif 4); if that is also down, wrap
-        back to #2."""
-        net, router = router_with_interfaces()
-        table = spec_example_table()
-        backup = table.backup_for(CORE_A, failed_vif=4, interfaces=router.interfaces)
-        assert backup is not None and backup.vif == 1
-
-    def test_backup_for_unranked_vif_uses_full_ranking(self):
-        net, router = router_with_interfaces()
-        table = spec_example_table()
-        backup = table.backup_for(CORE_A, failed_vif=0, interfaces=router.interfaces)
-        assert backup is not None and backup.vif == 4
-
     def test_ranking_readback(self):
         table = spec_example_table()
         assert table.ranking(CORE_A) == [4, 1]
