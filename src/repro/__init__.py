@@ -24,71 +24,15 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
-from repro.core import (
-    CBTControlMessage,
-    CBTDataPacket,
-    CBTProtocol,
-    CBTTimers,
-    FIB,
-    FIBEntry,
-    GroupCoordinator,
-    JoinAckSubcode,
-    JoinSubcode,
-    MessageType,
-)
-from repro.app import MulticastReceiver, MulticastSender
-from repro.core.audit import audit_domain
 from repro.core.bootstrap import CBTDomain
-from repro.baselines import (
-    DVMRPDomain,
-    DVMRPProtocol,
-    kmb_steiner_tree,
-    pim_sm_model,
-    shared_tree,
-    shortest_path_tree,
-)
-from repro.interop import MulticastBridge
 from repro.netsim.address import group_address
-from repro.topology import (
-    Network,
-    build_figure1,
-    build_figure5_loop,
-    waxman_network,
-)
-from repro.topology.graph import Graph, Tree
-from repro.topology.generators import realise, waxman_graph
+from repro.topology.figures import build_figure1, build_figure5_loop
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "CBTControlMessage",
-    "CBTDataPacket",
     "CBTDomain",
-    "CBTProtocol",
-    "CBTTimers",
-    "DVMRPDomain",
-    "DVMRPProtocol",
-    "FIB",
-    "FIBEntry",
-    "Graph",
-    "GroupCoordinator",
-    "JoinAckSubcode",
-    "JoinSubcode",
-    "MessageType",
-    "MulticastBridge",
-    "MulticastReceiver",
-    "MulticastSender",
-    "Network",
-    "Tree",
-    "audit_domain",
-    "pim_sm_model",
     "build_figure1",
     "build_figure5_loop",
     "group_address",
-    "kmb_steiner_tree",
-    "realise",
-    "shared_tree",
-    "shortest_path_tree",
-    "waxman_graph",
-    "waxman_network",
 ]

@@ -22,25 +22,3 @@ source-based families of the day:
   shape) and the KMB Steiner heuristic the paper cites as the quality
   yardstick.
 """
-
-from repro.baselines.dvmrp import DVMRPDomain, DVMRPProtocol
-from repro.baselines.hpimdm import HPIMDMDomain, HPIMDMProtocol
-from repro.baselines.pimsm import PIMSMModel, cbt_equivalent_state, pim_sm_model
-from repro.baselines.trees import (
-    kmb_steiner_tree,
-    shared_tree,
-    shortest_path_tree,
-)
-
-__all__ = [
-    "DVMRPDomain",
-    "DVMRPProtocol",
-    "HPIMDMDomain",
-    "HPIMDMProtocol",
-    "PIMSMModel",
-    "cbt_equivalent_state",
-    "kmb_steiner_tree",
-    "pim_sm_model",
-    "shared_tree",
-    "shortest_path_tree",
-]

@@ -12,28 +12,7 @@ Three layers, composed by the ``repro chaos`` CLI verb:
   delivery continuity.
 """
 
-from repro.chaos.scenarios import (
-    QUICK_SCENARIOS,
-    SCENARIOS,
-    ChaosContext,
-    link_between,
-)
-from repro.harness.campaign import (
-    TOPOLOGIES,
-    CampaignResult,
-    ScenarioResult,
-    run_campaign,
-    run_scenario,
-)
+from repro.chaos.scenarios import SCENARIOS
+from repro.harness.campaign import TOPOLOGIES, run_campaign
 
-__all__ = [
-    "CampaignResult",
-    "ChaosContext",
-    "QUICK_SCENARIOS",
-    "SCENARIOS",
-    "ScenarioResult",
-    "TOPOLOGIES",
-    "link_between",
-    "run_campaign",
-    "run_scenario",
-]
+__all__ = ["SCENARIOS", "TOPOLOGIES", "run_campaign"]

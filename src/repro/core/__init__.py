@@ -8,56 +8,11 @@ with keepalives, and torn down with QUIT_REQUEST / FLUSH_TREE.
 
 Public entry points:
 
-* :class:`CBTProtocol` — attach to a simulated router to make it a CBT
-  router (control plane + data plane).
-* :class:`GroupCoordinator` — stands in for the external
-  <core, group> advertisement mechanism the spec assumes.
+* :class:`repro.core.router.CBTProtocol` — attach to a simulated
+  router to make it a CBT router (control plane + data plane).
+* :class:`repro.core.bootstrap.GroupCoordinator` — stands in for the
+  external <core, group> advertisement mechanism the spec assumes.
 * :mod:`repro.core.messages` — byte-accurate packet codecs (spec §8).
 * :mod:`repro.core.placement` — core placement strategies (the spec's
   acknowledged open problem).
 """
-
-from repro.core.bootstrap import GroupCoordinator
-from repro.core.constants import (
-    CBT_AUX_PORT,
-    CBT_PORT,
-    JoinAckSubcode,
-    JoinSubcode,
-    MessageType,
-)
-from repro.core.fib import FIB, FIBEntry
-from repro.core.messages import (
-    CBTControlMessage,
-    CBTDataPacket,
-    decode_control,
-    decode_data_header,
-)
-from repro.core.placement import (
-    best_of_candidates,
-    max_degree_core,
-    random_core,
-    topology_center_core,
-)
-from repro.core.router import CBTProtocol
-from repro.core.timers import CBTTimers
-
-__all__ = [
-    "CBTControlMessage",
-    "CBTDataPacket",
-    "CBTProtocol",
-    "CBTTimers",
-    "CBT_AUX_PORT",
-    "CBT_PORT",
-    "FIB",
-    "FIBEntry",
-    "GroupCoordinator",
-    "JoinAckSubcode",
-    "JoinSubcode",
-    "MessageType",
-    "best_of_candidates",
-    "decode_control",
-    "decode_data_header",
-    "max_degree_core",
-    "random_core",
-    "topology_center_core",
-]

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.netsim.address import IPv4Address
+from repro.netsim.engine import PeriodicTimer
 
 
 @dataclass(frozen=True)
@@ -479,7 +480,7 @@ class InvariantAuditor:
         auditor = InvariantAuditor(domain, interval=0.5)
         auditor.start()
         net.run(until=...)          # raises InvariantViolation (and stops)
-        auditor.assert_clean()      # final end-of-run check
+        auditor.stop()
     """
 
     def __init__(
@@ -502,25 +503,17 @@ class InvariantAuditor:
         self.grace = grace
         self.checks_run = 0
         self._first_seen: Dict[Tuple, float] = {}
-        self._timer = None
-        self._running = False
-        domain.network.scheduler.register(self)
+        scheduler = domain.network.scheduler
+        self._ticker = PeriodicTimer(scheduler, interval, self._tick)
+        scheduler.register(self)
 
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self._timer = self.domain.network.scheduler.call_later(
-            self.interval, self._tick
-        )
+        self._ticker.start()
 
     def stop(self) -> None:
-        self._running = False
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        self._ticker.stop()
 
     # -- checking -------------------------------------------------------
 
@@ -548,12 +541,6 @@ class InvariantAuditor:
             if now - self._first_seen[key] > self.grace
         ]
 
-    def assert_clean(self) -> None:
-        """Final check: raise on any overdue finding right now."""
-        overdue = self.check_now()
-        if overdue:
-            self._fail(overdue)
-
     def event_trace(self) -> List[str]:
         """The domain's 40 most recent protocol events from the trace
         bus, by time; at one instant in the domain's router order, each
@@ -572,17 +559,8 @@ class InvariantAuditor:
         ]
 
     def _tick(self) -> None:
-        if not self._running:
-            return
         overdue = self.check_now()
         if overdue:
-            self._fail(overdue)
-        if self._running:
-            self._timer = self.domain.network.scheduler.call_later(
-                self.interval, self._tick
-            )
-
-    def _fail(self, overdue: List[Finding]) -> None:
-        violation = InvariantViolation(overdue, self.event_trace())
-        self.stop()
-        raise violation
+            violation = InvariantViolation(overdue, self.event_trace())
+            self.stop()
+            raise violation

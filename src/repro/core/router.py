@@ -551,14 +551,6 @@ class CBTProtocol:
             self._record("no_route", group, detail=str(target_core))
             return False
         upstream, upstream_vif = resolved
-        message = CBTControlMessage(
-            msg_type=MessageType.JOIN_REQUEST,
-            code=int(subcode),
-            group=group,
-            origin=origin,
-            target_core=target_core,
-            cores=cores,
-        )
         pend = PendingJoin(
             group=group,
             origin=origin,
@@ -571,7 +563,7 @@ class CBTProtocol:
         )
         self.pending[group] = pend
         self._arm_pending_timers(pend, originator=True)
-        self._send_control(message, upstream)
+        self._send_control(pend.join_request(), upstream)
         return True
 
     def _arm_pending_timers(self, pend: PendingJoin, originator: bool) -> None:
@@ -596,15 +588,7 @@ class CBTProtocol:
         if pend is None:
             return
         pend.retransmissions += 1
-        message = CBTControlMessage(
-            msg_type=MessageType.JOIN_REQUEST,
-            code=int(pend.subcode),
-            group=group,
-            origin=pend.origin,
-            target_core=pend.target_core,
-            cores=pend.cores,
-        )
-        self._send_control(message, pend.upstream_address)
+        self._send_control(pend.join_request(), pend.upstream_address)
         pend.retransmit_timer = self.router.scheduler.call_later(
             self.timers.pend_join_interval, self._retransmit_join, group
         )
@@ -914,17 +898,7 @@ class CBTProtocol:
         if pend.downstream_address == src and pend.origin == message.origin:
             # The downstream hop retransmitted the join we already
             # forwarded: push our own copy upstream again.
-            self._send_control(
-                CBTControlMessage(
-                    msg_type=MessageType.JOIN_REQUEST,
-                    code=int(pend.subcode),
-                    group=pend.group,
-                    origin=pend.origin,
-                    target_core=pend.target_core,
-                    cores=pend.cores,
-                ),
-                pend.upstream_address,
-            )
+            self._send_control(pend.join_request(), pend.upstream_address)
             return
         already = any(
             c.downstream_address == src and c.origin == message.origin
@@ -1144,17 +1118,7 @@ class CBTProtocol:
         entry.parent_replied_at = self.router.scheduler.now
         if pend.downstream_address is not None:
             self._ack_join(
-                entry,
-                pend.downstream_vif,
-                pend.downstream_address,
-                CBTControlMessage(
-                    msg_type=MessageType.JOIN_REQUEST,
-                    code=int(pend.subcode),
-                    group=group,
-                    origin=pend.origin,
-                    target_core=pend.target_core,
-                    cores=pend.cores,
-                ),
+                entry, pend.downstream_vif, pend.downstream_address, pend.join_request()
             )
         else:
             latency = self.router.scheduler.now - pend.created_at
@@ -1192,17 +1156,7 @@ class CBTProtocol:
             if cached.downstream_address != pend.upstream_address
         ]
         for cached in stale:
-            self._send_control(
-                CBTControlMessage(
-                    msg_type=MessageType.JOIN_NACK,
-                    code=0,
-                    group=pend.group,
-                    origin=cached.origin,
-                    target_core=pend.target_core,
-                    cores=pend.cores,
-                ),
-                cached.downstream_address,
-            )
+            self._send_control(pend.nack(cached), cached.downstream_address)
         self._record(
             "stale_cached_join", pend.group, detail=str(pend.upstream_address)
         )
@@ -1226,17 +1180,7 @@ class CBTProtocol:
 
     def _nack_cached(self, pend: PendingJoin) -> None:
         for cached in pend.cached:
-            self._send_control(
-                CBTControlMessage(
-                    msg_type=MessageType.JOIN_NACK,
-                    code=0,
-                    group=pend.group,
-                    origin=cached.origin,
-                    target_core=pend.target_core,
-                    cores=pend.cores,
-                ),
-                cached.downstream_address,
-            )
+            self._send_control(pend.nack(cached), cached.downstream_address)
         pend.cached.clear()
 
     # -- JOIN_NACK -----------------------------------------------------------------

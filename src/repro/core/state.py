@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.core.constants import QUIT_RETRY_LIMIT, JoinSubcode
+from repro.core.constants import QUIT_RETRY_LIMIT, JoinSubcode, MessageType
+from repro.core.messages import CBTControlMessage
 from repro.netsim.address import IPv4Address
 from repro.netsim.engine import Timer
 
@@ -68,6 +69,28 @@ class PendingJoin:
 
     def cache(self, join: CachedJoin) -> None:
         self.cached.append(join)
+
+    def join_request(self) -> CBTControlMessage:
+        """The JOIN_REQUEST this router sends (or sent) upstream."""
+        return CBTControlMessage(
+            msg_type=MessageType.JOIN_REQUEST,
+            code=int(self.subcode),
+            group=self.group,
+            origin=self.origin,
+            target_core=self.target_core,
+            cores=self.cores,
+        )
+
+    def nack(self, cached: CachedJoin) -> CBTControlMessage:
+        """The JOIN_NACK that refuses ``cached``, a join cached here."""
+        return CBTControlMessage(
+            msg_type=MessageType.JOIN_NACK,
+            code=0,
+            group=self.group,
+            origin=cached.origin,
+            target_core=self.target_core,
+            cores=self.cores,
+        )
 
     def cancel_timers(self) -> None:
         for timer in (self.retransmit_timer, self.expiry_timer):

@@ -11,27 +11,7 @@ and replay-to-pytest export.  Entry points:
 * ``repro explore`` — the CLI verb wrapping all of the above.
 """
 
-from repro.explore.engine import (
-    Counterexample,
-    ExploreOptions,
-    ExploreResult,
-    ExploreStats,
-    explore,
-    run_schedule,
-)
-from repro.explore.scenarios import SCENARIOS, get_scenario, scenario_options
-from repro.explore.shrink import ShrinkResult, shrink
+from repro.explore.engine import explore
+from repro.explore.scenarios import get_scenario, scenario_options
 
-__all__ = [
-    "Counterexample",
-    "ExploreOptions",
-    "ExploreResult",
-    "ExploreStats",
-    "SCENARIOS",
-    "ShrinkResult",
-    "explore",
-    "get_scenario",
-    "run_schedule",
-    "scenario_options",
-    "shrink",
-]
+__all__ = ["explore", "get_scenario", "scenario_options"]

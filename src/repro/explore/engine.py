@@ -43,6 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.audit import convergence_findings, transition_findings
 from repro.explore.fingerprint import domain_fingerprint
 from repro.netsim.engine import cell, collector_paused
+from repro.telemetry import payload_label
 
 #: Gate-eligible CBT control message types: the tree-building and
 #: teardown handshakes whose loss the §6 machinery must survive.
@@ -371,9 +372,7 @@ class _Controller:
     # -- link deliver/drop gate ------------------------------------------
 
     def gate(self, link, sender, datagram) -> bool:
-        from repro.netsim.link import describe_payload
-
-        label = describe_payload(datagram)
+        label = payload_label(datagram)
         if label not in self.options.gate_types:
             return True
         if self.drops_used >= self.options.drop_budget:

@@ -9,34 +9,3 @@ message formats (including the appendix's RP/Core-Report), the host
 membership state machine, and the router-side querier election and
 membership database.
 """
-
-from repro.igmp.messages import (
-    IGMP_CORE_REPORT,
-    IGMP_LEAVE,
-    IGMP_QUERY,
-    IGMP_REPORT,
-    CoreReport,
-    IGMPMessage,
-    Leave,
-    MembershipQuery,
-    MembershipReport,
-    decode_igmp,
-)
-from repro.igmp.host import IGMPHostAgent
-from repro.igmp.router_side import IGMPRouterAgent, MembershipDatabase
-
-__all__ = [
-    "CoreReport",
-    "IGMPHostAgent",
-    "IGMPMessage",
-    "IGMPRouterAgent",
-    "IGMP_CORE_REPORT",
-    "IGMP_LEAVE",
-    "IGMP_QUERY",
-    "IGMP_REPORT",
-    "Leave",
-    "MembershipDatabase",
-    "MembershipQuery",
-    "MembershipReport",
-    "decode_igmp",
-]

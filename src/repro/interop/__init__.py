@@ -13,7 +13,3 @@ CBT cloud and a flood-and-prune cloud that
 Because each side sees a standard member/sender, neither protocol
 needs modification — exactly the transparency goal of §10.
 """
-
-from repro.interop.bridge import MulticastBridge
-
-__all__ = ["MulticastBridge"]

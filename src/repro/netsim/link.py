@@ -352,12 +352,6 @@ class Link:
         )
 
 
-#: Short protocol-aware label for a datagram (duck-typed so netsim
-#: needs no knowledge of the CBT/IGMP message classes); now lives in
-#: the telemetry layer, kept under its historical name here.
-describe_payload = payload_label
-
-
 class Subnet(Link):
     """Multi-access broadcast LAN (default 1 ms delay)."""
 

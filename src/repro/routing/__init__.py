@@ -7,15 +7,3 @@ simulated topology and per-router Dijkstra, with recomputation on
 failure and optional per-router cost overrides for injecting the
 asymmetric-route scenarios the spec discusses (§2.6).
 """
-
-from repro.routing.linkstate import LinkStateRouting
-from repro.routing.table import Route, RoutingTable, RoutedNode, Host, Router
-
-__all__ = [
-    "Host",
-    "LinkStateRouting",
-    "Route",
-    "RoutedNode",
-    "Router",
-    "RoutingTable",
-]

@@ -17,28 +17,15 @@ from __future__ import annotations
 
 from typing import Dict, Union
 
-from repro.telemetry.registry import (
-    Counter,
-    DEFAULT_BUCKETS,
-    FamilyNameError,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.telemetry.registry import Counter, MetricsRegistry
 from repro.telemetry.tracebus import (
     FaultEvent,
     MembershipEvent,
     PacketEvent,
     ProtocolEvent,
-    TRACE_SCHEMA,
     TraceBus,
-    TraceFormatError,
     dump_jsonl,
-    dumps_jsonl,
-    load_jsonl,
-    loads_jsonl,
     payload_label,
-    record_from_json,
-    record_to_json,
 )
 
 Number = Union[int, float]
@@ -112,24 +99,13 @@ class Telemetry:
 
 __all__ = [
     "Counter",
-    "DEFAULT_BUCKETS",
-    "FamilyNameError",
     "FaultEvent",
-    "Histogram",
     "MembershipEvent",
     "MetricsRegistry",
     "MsgCounters",
     "PacketEvent",
     "ProtocolEvent",
-    "TRACE_SCHEMA",
     "Telemetry",
-    "TraceBus",
-    "TraceFormatError",
     "dump_jsonl",
-    "dumps_jsonl",
-    "load_jsonl",
-    "loads_jsonl",
     "payload_label",
-    "record_from_json",
-    "record_to_json",
 ]

@@ -1,10 +1,10 @@
-"""Structured trace bus: typed records, subscribers, JSONL export.
+"""Structured trace bus: typed records, JSONL export.
 
 The bus is the one store of a run's events: every producer publishes
 typed records (protocol milestones, membership transitions, fault
-injections), subscribers observe them live, and readers filter it —
-``CBTProtocol.events_of`` is a view over its ``protocol`` records, not
-a copy.  Link-level packet events are converted on demand from the
+injections) and readers filter it — ``CBTProtocol.events_of`` is a
+view over its ``protocol`` records, not a copy.  Link-level packet
+events are converted on demand from the
 :class:`repro.netsim.trace.PacketTrace` (:meth:`PacketEvent.from_trace_record`);
 ``repro trace`` merges them with the bus by time.  The whole stream
 serialises to one stable JSONL schema, ``repro-trace/1``:
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
     IO,
     Iterable,
@@ -53,8 +52,7 @@ def payload_label(datagram: Any) -> str:
 
     Duck-typed (``msg_type.name`` when present, else the payload class
     name, else ``proto<n>``) so the telemetry layer needs no knowledge
-    of the CBT/IGMP message classes; :func:`repro.netsim.link.describe_payload`
-    is an alias of this function.
+    of the CBT/IGMP message classes.
     """
     payload = datagram.payload
     inner = getattr(payload, "payload", payload)
@@ -251,30 +249,13 @@ RECORD_TYPES: Dict[str, type] = {
 
 
 class TraceBus:
-    """Pub/sub hub for typed trace records: keeps every record in
-    publication order and hands each to the live subscribers."""
+    """The run's typed trace records, in publication order."""
 
     def __init__(self) -> None:
         self._records: List[TraceRecordType] = []
-        self._subscribers: List[Callable[[TraceRecordType], None]] = []
 
     def publish(self, record: TraceRecordType) -> None:
         self._records.append(record)
-        for subscriber in self._subscribers:
-            subscriber(record)
-
-    def subscribe(
-        self, callback: Callable[[TraceRecordType], None]
-    ) -> Callable[[], None]:
-        """Register ``callback`` for every future record; returns an
-        unsubscribe function."""
-        self._subscribers.append(callback)
-
-        def unsubscribe() -> None:
-            if callback in self._subscribers:
-                self._subscribers.remove(callback)
-
-        return unsubscribe
 
     def records(self, record_type: Optional[str] = None) -> List[TraceRecordType]:
         if record_type is None:

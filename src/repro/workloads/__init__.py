@@ -18,22 +18,3 @@ churn into a workload generator for production load shapes:
 
 See docs/WORKLOADS.md for the lifecycle and the comparison table.
 """
-
-from repro.workloads.flashcrowd import (
-    FlashCrowd,
-    FlashCrowdConfig,
-    generate_flash_crowd,
-)
-from repro.workloads.processes import pareto_onoff_churn, poisson_churn
-from repro.workloads.probe import QualityProbe, QualitySample, histogram_percentile
-
-__all__ = [
-    "FlashCrowd",
-    "FlashCrowdConfig",
-    "QualityProbe",
-    "QualitySample",
-    "generate_flash_crowd",
-    "histogram_percentile",
-    "pareto_onoff_churn",
-    "poisson_churn",
-]

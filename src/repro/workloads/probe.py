@@ -37,6 +37,7 @@ from repro.core.migration import network_graph, protocol_tree
 from repro.harness.parallel import Fingerprinted
 from repro.harness.scenarios import serving_router
 from repro.metrics.delay import summarise_stretch
+from repro.netsim.engine import PeriodicTimer
 
 
 def histogram_percentile(histograms: Sequence, quantile: float) -> float:
@@ -135,8 +136,7 @@ class QualityProbe:
         self._mospf_control = 0
         self._dvmrp_flooded = False
         self._n_routers = len(network.routers)
-        self._timer = None
-        self._stopped = False
+        self._ticker = PeriodicTimer(network.scheduler, self.interval, self.sample)
         #: Every router's join-latency histogram, found once: a router
         #: makes its one when its protocol is built.
         self._join_latency = network.telemetry.registry.histograms_matching(
@@ -198,26 +198,10 @@ class QualityProbe:
     # -- sampling --------------------------------------------------------
 
     def start(self) -> None:
-        self._stopped = False
-        self._schedule_next()
+        self._ticker.start()
 
     def stop(self) -> None:
-        self._stopped = True
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def _schedule_next(self) -> None:
-        scheduler = self.domain.network.scheduler
-        self._timer = scheduler.call_at(
-            scheduler.now + self.interval, self._tick
-        )
-
-    def _tick(self) -> None:
-        if self._stopped:
-            return
-        self.sample()
-        self._schedule_next()
+        self._ticker.stop()
 
     def sample(self) -> QualitySample:
         """Take one observation now and append it to :attr:`samples`."""

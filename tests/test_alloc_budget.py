@@ -62,7 +62,7 @@ from repro.harness.scenarios import (
 from repro.netsim.address import group_address
 from repro.netsim.engine import Scheduler, Timer
 from repro.netsim.link import Link
-from repro.telemetry import FamilyNameError
+from repro.telemetry.registry import FamilyNameError
 from repro.telemetry.conservation import check_conservation
 from repro.topology.figures import FIGURE1_MEMBERS, build_figure1
 from repro.topology.generators import realise, waxman_graph, waxman_network

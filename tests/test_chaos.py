@@ -13,13 +13,9 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
 
-from repro.chaos import (  # noqa: E402
-    QUICK_SCENARIOS,
-    SCENARIOS,
-    TOPOLOGIES,
-    run_campaign,
-    run_scenario,
-)
+from repro.chaos import SCENARIOS, TOPOLOGIES, run_campaign  # noqa: E402
+from repro.chaos.scenarios import QUICK_SCENARIOS  # noqa: E402
+from repro.harness.campaign import run_scenario  # noqa: E402
 from benchmarks.bench_core_redundancy import redundancy_run  # noqa: E402
 from repro.cli import main  # noqa: E402
 from repro.core.constants import JoinSubcode  # noqa: E402

@@ -96,7 +96,7 @@ class TestCLI:
         assert "kind=joined" in out
 
     def test_trace_jsonl(self, capsys, tmp_path):
-        from repro.telemetry import load_jsonl
+        from repro.telemetry.tracebus import load_jsonl
 
         target = tmp_path / "trace.jsonl"
         assert main(["trace", "--jsonl", str(target)]) == 0
@@ -123,7 +123,8 @@ class TestCLI:
         from dataclasses import replace
 
         from repro.cli import _run_figure1
-        from repro.telemetry import PacketEvent, load_jsonl
+        from repro.telemetry import PacketEvent
+        from repro.telemetry.tracebus import load_jsonl
 
         target = tmp_path / "packets.jsonl"
         assert main(["trace", "--type", "packet", "--jsonl", str(target)]) == 0
@@ -138,7 +139,7 @@ class TestCLI:
         ]
 
     def test_trace_stream_merges_packets_after_bus_records_by_time(self, capsys):
-        from repro.telemetry import loads_jsonl
+        from repro.telemetry.tracebus import loads_jsonl
 
         assert main(["trace", "--jsonl", "-"]) == 0
         records = loads_jsonl(capsys.readouterr().out)

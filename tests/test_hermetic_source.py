@@ -8,11 +8,9 @@ exception is listed with its reason.
 """
 
 import ast
-import io
 import pathlib
 import re
 import sys
-import tokenize
 
 import pytest
 
@@ -865,14 +863,19 @@ def test_one_place_decides_where_a_periodic_hello_goes():
 # -- every public name has a caller outside the tests -------------------------
 #
 # A public function, class, method or property in ``src/repro`` that no
-# code outside ``tests/`` names is code the product does not run.  A
-# name counts as used when its identifier appears as a word in
-# ``src/`` (its own definition, import statements and ``__all__`` do
-# not count), in ``benchmarks/**/*.py`` or in ``examples/**/*.py``.
-# What stays without such a caller is listed here with its reason.
+# code outside ``tests/`` uses is code the product does not run, and so
+# is a name a package ``__init__`` re-exports that no code imports
+# through the package.  "Uses" is read off the syntax tree of every
+# ``.py`` file under ``src/``, ``benchmarks/`` and ``examples/``: an
+# ``ast.Name`` id, an ``ast.Attribute`` attr, or a dotted part of a
+# ``str`` constant (``getattr`` names, attribute families, runner
+# strings such as ``"repro.harness.campaign.run_scenario"``).  Comments,
+# docstrings, ``__all__`` and the names an import binds are not uses,
+# and ``ast`` parses an f-string the same way on 3.9, 3.11 and 3.12.
+# What stays without a caller is listed here with its reason.
 
-#: ``module.name`` / ``module.Class.member`` -> why it stays with no
-#: caller outside the tests.
+#: ``module.name`` / ``module.Class.member`` / ``repro.package.name``
+#: (a re-export) -> why it stays with no caller outside the tests.
 ALLOWLIST = {
     # References: the independent side of a test's cross-check.
     "routing.table.RoutingTable.lookup_linear": (
@@ -899,6 +902,16 @@ ALLOWLIST = {
         "checks that group_address never hands out a link-local group"
     ),
     "topology.graph.Tree.spans": "checks that a built tree reaches every member",
+    "explore.predicates.classify": (
+        "the partition oracle the backward-search tests check the catalogue against"
+    ),
+    "explore.predicates.Predicate.holds": (
+        "evaluates a goal over domain state: the soundness pin of the backward search"
+    ),
+    "netsim.address.IPv4Address.packed": "the 4-byte form checked against ipaddress",
+    "explore.replay.verify_payload": (
+        "called by the regression test export writes (named in its template text)"
+    ),
     # Test inputs for behaviour the product has.
     "routing.linkstate.LinkStateRouting.override_cost": (
         "asymmetric-cost worlds: SPF honours per-direction costs"
@@ -907,6 +920,7 @@ ALLOWLIST = {
     "core.router.CBTProtocol.configure_tunnels": (
         "attaches a §5.2 tunnel table, which forwarding and the NACK path read"
     ),
+    "core.tunnels.TunnelTable": "the §5.2 tunnel table configure_tunnels takes",
     "core.tunnels.TunnelTable.configure": "fills the table configure_tunnels attaches",
     "topology.generators.star_graph": (
         "the star family the placement and family-soak tests build worlds from"
@@ -914,6 +928,10 @@ ALLOWLIST = {
     # Test accessors: deleting one would only move its body into tests.
     "app.StreamStats.max_latency": "the bound of a stream's latencies",
     "core.audit.warnings": "the warning half of what errors() filters",
+    "core.dr.NeighbourTable.forget": (
+        "drops a neighbour, as the HELLO and DR tests need to"
+    ),
+    "core.fib.FIB.downloads": "how many kernel entries a FIB has downloaded",
     "igmp.host.IGMPHostAgent.is_member": "a host's membership of a group",
     "igmp.router_side.IGMPRouterAgent.is_querier": "querier duty on one interface",
     "netsim.link.PointToPointLink.peer_of": "the far end of a point-to-point link",
@@ -921,27 +939,31 @@ ALLOWLIST = {
     "routing.table.Router.next_hop_toward": "the unicast next hop toward an address",
     "telemetry.tracebus.dumps_jsonl": "repro-trace/1 to a string (dump_jsonl writes a file)",
     "telemetry.tracebus.loads_jsonl": "repro-trace/1 from a string (load_jsonl reads a file)",
+    "telemetry.registry.MetricsRegistry.diff": (
+        "per-key difference of two snapshots, the inverse of merge"
+    ),
     "topology.builder.Network.address_of": "a node's primary address by name",
     "topology.builder.Network.all_routers": "every router, in name order",
     "topology.builder.Network.all_subnets": "every multi-access link",
 }
 
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-#: Tokens whose text is searched for words (an f-string's literal text
-#: is its own token from Python 3.12 on).
-_TEXT_TOKENS = {
-    tokenize.STRING, tokenize.COMMENT, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)
-}
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-def _public_names(path):
+def _module_name(path, src):
+    """``core.router`` for ``src/repro/core/router.py``, ``core`` for
+    ``src/repro/core/__init__.py``."""
+    parts = path.relative_to(src).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _public_names(tree, module):
     """``(qualified name, identifier)`` of the module's public top-level
     functions and classes and its top-level classes' public methods and
     properties."""
-    module = ".".join(path.relative_to(SRC).with_suffix("").parts)
     definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     out = []
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for node in tree.body:
         if not isinstance(node, definitions) or node.name.startswith("_"):
             continue
         out.append((f"{module}.{node.name}", node.name))
@@ -954,56 +976,133 @@ def _public_names(path):
     return out
 
 
-def _source_words(path):
-    """The words of a ``src/`` file, leaving out every name a ``def`` or
-    ``class`` introduces and every import statement and ``__all__``."""
-    text = path.read_text(encoding="utf-8")
-    skipped = set()
-    for node in ast.walk(ast.parse(text)):
-        exported = isinstance(node, ast.Assign) and any(
+def _all_entries(tree):
+    """The ``__all__`` assignment of a module, or None."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__"
             for target in node.targets
-        )
-        if exported or isinstance(node, (ast.Import, ast.ImportFrom)):
-            skipped.update(range(node.lineno, node.end_lineno + 1))
-    words, previous = set(), None
-    for token in tokenize.generate_tokens(io.StringIO(text).readline):
-        if token.start[0] in skipped:
-            continue
-        if token.type == tokenize.NAME:
-            if previous not in ("def", "class"):
-                words.add(token.string)
-            previous = token.string
-        elif token.type in _TEXT_TOKENS:
-            words.update(_WORD.findall(token.string))
-        elif token.type == tokenize.OP:
-            previous = token.string
-    return words
+        ):
+            return node
+    return None
+
+
+def _dotted(node, aliases):
+    """The path an ``a.b.c`` expression names, its first part read
+    through the file's imports; None for any other expression."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id, node.id)
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value, aliases)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def _uses(tree):
+    """``(names, paths)`` the code of one parsed file uses.
+
+    ``names``: every ``ast.Name`` id, ``ast.Attribute`` attr and
+    identifier part of a dotted ``str`` constant, leaving out string
+    statements (docstrings) and ``__all__``.  ``paths``: ``module.name``
+    for each ``from module import name``, each attribute chain as a
+    dotted path (``import repro.core as c; c.FIB`` -> ``repro.core.FIB``)
+    and each such string whole."""
+    prose, aliases, names, paths = set(), {}, set(), set()
+    exported = _all_entries(tree)
+    if exported is not None:
+        prose.update(map(id, ast.walk(exported.value)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            prose.add(id(node.value))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.name if alias.asname else alias.name.split(".")[0]
+                aliases[alias.asname or bound] = bound
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                paths.add(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+            paths.add(_dotted(node, aliases))
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in prose
+        ):
+            names.update(part for part in node.value.split(".") if _IDENTIFIER.match(part))
+            paths.add(node.value)
+    return names, paths
+
+
+def _re_exports(tree, package, own_names):
+    """``package.name`` for each name an ``__init__`` imports from a
+    ``repro`` module at top level and does not itself use."""
+    return {
+        f"{package}.{alias.asname or alias.name}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+        and node.module.split(".")[0] == "repro"
+        for alias in node.names
+        if (alias.asname or alias.name) not in own_names
+    }
+
+
+def _stale_entries(tree, module):
+    """``module.__all__:name`` for each ``__all__`` entry the module
+    (``repro.core``) neither imports nor defines."""
+    exported = _all_entries(tree)
+    if exported is None:
+        return set()
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {
+        f"{module}.__all__:{entry.value}"
+        for entry in ast.walk(exported.value)
+        if isinstance(entry, ast.Constant) and entry.value not in bound
+    }
 
 
 def unused_public_names(src=SRC):
-    """Qualified names of the public ``src/repro`` code that nothing
-    outside ``tests/`` names."""
+    """Qualified names of the public ``src/repro`` code that no code
+    outside ``tests/`` uses, of the package re-exports no such code
+    imports through the package (``repro.core.FIB``), and of the
+    ``__all__`` entries a module does not bind
+    (``repro.core.__all__:FIB``)."""
     repo = src.parents[1]
-    used = set()
-    for path in src.rglob("*.py"):
-        used |= _source_words(path)
-    for root in ("benchmarks", "examples"):
-        for path in (repo / root).rglob("*.py"):
-            used.update(_WORD.findall(path.read_text(encoding="utf-8")))
-    return {
-        qualified
-        for path in sorted(src.rglob("*.py"))
-        for qualified, name in _public_names(path)
-        if name not in used
-    }
+    code = sorted(src.rglob("*.py"))
+    others = [path for root in ("benchmarks", "examples") for path in (repo / root).rglob("*.py")]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in code + others}
+    uses = {path: _uses(tree) for path, tree in trees.items()}
+    names = set().union(*(names for names, _ in uses.values()))
+    unused = set()
+    for path in code:
+        module = _module_name(path, src)
+        dotted = ".".join(filter(None, ("repro", module)))
+        unused.update(q for q, name in _public_names(trees[path], module) if name not in names)
+        unused |= _stale_entries(trees[path], dotted)
+        if path.name == "__init__.py":
+            imported = set().union(*(paths for other, (_, paths) in uses.items() if other != path))
+            unused |= _re_exports(trees[path], dotted, uses[path][0]) - imported
+    return unused
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     unused = unused_public_names()
-    assert sorted(unused - set(ALLOWLIST)) == [], (
-        "public code only tests reach: delete it, or list it in ALLOWLIST with its reason"
+    only_tests = sorted(unused - set(ALLOWLIST))
+    assert only_tests == [], (
+        f"public code only tests reach, or __all__ entries nothing binds: delete "
+        f"them, or list them in ALLOWLIST with the reason: {only_tests}"
     )
-    assert sorted(set(ALLOWLIST) - unused) == [], (
-        "ALLOWLIST entries that are now used or gone: remove them"
-    )
+    stale = sorted(set(ALLOWLIST) - unused)
+    assert stale == [], f"ALLOWLIST entries that are now used or gone: remove them: {stale}"

@@ -26,7 +26,8 @@ crashed, and a live domain that gains interfaces.
 
 import pytest
 
-from repro.chaos import SCENARIOS, run_scenario
+from repro.chaos import SCENARIOS
+from repro.harness.campaign import run_scenario
 from repro.core import audit
 from repro.core.audit import (
     audit_domain,

@@ -96,7 +96,7 @@ class TestTraceExport:
         # A run exports as repro-trace/1: the bus records and every
         # packet-trace record, read back in full by load_jsonl.
         from repro.cli import _run_figure1
-        from repro.telemetry import load_jsonl
+        from repro.telemetry.tracebus import load_jsonl
 
         out = tmp_path / "trace.jsonl"
         assert main(["trace", "--jsonl", str(out)]) == 0

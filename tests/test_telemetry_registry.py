@@ -6,13 +6,8 @@ from operator import attrgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.telemetry import (
-    DEFAULT_BUCKETS,
-    Counter,
-    FamilyNameError,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.telemetry import Counter, MetricsRegistry
+from repro.telemetry.registry import DEFAULT_BUCKETS, FamilyNameError, Histogram
 
 
 class TestInstruments:

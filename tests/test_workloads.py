@@ -9,7 +9,7 @@ import pytest
 
 from repro.cli import main
 from repro.harness.scenarios import build_cbt_group
-from repro.telemetry import dumps_jsonl
+from repro.telemetry.tracebus import dumps_jsonl
 from repro.workloads.cell import (
     WORKLOAD_TOPOLOGIES,
     WORKLOADS,
@@ -388,7 +388,7 @@ class TestGoldenFlashCrowd:
         assert live == golden
 
     def test_golden_prefix_parses_and_shows_the_lifecycle(self):
-        from repro.telemetry import load_jsonl
+        from repro.telemetry.tracebus import load_jsonl
 
         with open(os.path.join(GOLDEN_DIR, "flash_crowd.jsonl")) as fh:
             records = load_jsonl(fh)
