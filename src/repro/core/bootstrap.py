@@ -26,7 +26,7 @@ from repro.igmp.host import IGMPHostAgent
 from repro.igmp.router_side import IGMPConfig
 from repro.netsim.address import IPv4Address
 from repro.netsim.engine import collector_paused
-from repro.routing.table import Host, Router
+from repro.routing.table import Router
 from repro.topology.builder import Network
 
 CoreSpec = Union[Router, IPv4Address, str]

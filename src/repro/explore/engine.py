@@ -16,7 +16,8 @@ testing and VeriSoft-style stateless search:
   bounded by ``max_decisions`` positions, iterating the bound upward
   (iterative deepening) so shallow counterexamples are found first;
 * **state-hash pruning** cuts runs that reach a state fingerprint
-  (:func:`repro.explore.fingerprint.domain_fingerprint`) already seen
+  (the scenario leg's, e.g.
+  :func:`repro.explore.fingerprint.domain_fingerprint`) already seen
   at the same or shallower depth.
 
 The bound does not change what a run simulates — beyond it every
@@ -27,9 +28,11 @@ that run (:func:`_at_limit`); only a run that violates is simulated
 again at the pass's own bound, so a counterexample is exactly what
 that pass reports.
 
-The oracle (:mod:`repro.core.audit`) is consulted after every
-explored transition (hard invariants) and once the schedule has run
-out and the simulation settled (full invariant sweep + convergence).
+The scenario's leg (:data:`repro.explore.scenarios.EXPLORE_LEGS`)
+holds the oracle, consulted after every explored transition (hard
+invariants) and once the schedule has run out and the simulation
+settled (for CBT, :mod:`repro.core.audit`'s full invariant sweep +
+convergence).
 Replay is exact because the simulator itself is deterministic: the
 same scenario + schedule always reproduces the same run.
 """
@@ -40,8 +43,6 @@ import hashlib
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.audit import convergence_findings, transition_findings
-from repro.explore.fingerprint import domain_fingerprint
 from repro.netsim.engine import cell, collector_paused
 from repro.telemetry import payload_label
 
@@ -57,6 +58,9 @@ DEFAULT_GATE_TYPES = (
     "QUIT_ACK",
     "FLUSH_TREE",
 )
+
+#: CBT keepalives: the delivery types a CBT search never branches on.
+DEFAULT_QUIET_TYPES = ("HELLO", "ECHO_REQUEST", "ECHO_REPLY")
 
 
 def natural(value: object) -> bool:
@@ -83,7 +87,7 @@ class ExploreOptions:
     #: without consuming a decision position.  Without this filter the
     #: periodic keepalive storm (every router HELLOs at the same tick)
     #: floods the decision budget with meaningless orderings.
-    quiet_types: Tuple[str, ...] = ("HELLO", "ECHO_REQUEST", "ECHO_REPLY")
+    quiet_types: Tuple[str, ...] = DEFAULT_QUIET_TYPES
     #: Runaway guard on total runs (``ExploreStats.runs``) across the
     #: whole exploration.
     max_runs: int = 20_000
@@ -242,8 +246,8 @@ class _ViolationSignal(Exception):
 
 class _Controller:
     """Resolves decision points for one run: consumes the prescribed
-    schedule, records alternatives, checks the transition oracle, and
-    prunes against the shared visited-state map."""
+    schedule, records alternatives, checks the leg's transition oracle,
+    and prunes against the shared visited-state map."""
 
     def __init__(
         self,
@@ -253,8 +257,7 @@ class _Controller:
         limit: int,
         visited: Optional[Dict[str, int]],
         check_loops: bool,
-        transition_fn: Optional[Callable] = None,
-        fingerprint_fn: Optional[Callable] = None,
+        leg,
     ) -> None:
         self.world = world
         self.options = options
@@ -262,8 +265,7 @@ class _Controller:
         self.limit = limit
         self.visited = visited
         self.check_loops = check_loops
-        self.transition_fn = transition_fn
-        self.fingerprint_fn = fingerprint_fn
+        self.leg = leg
         self.decisions: List[Decision] = []
         self.fingerprints: List[str] = []
         self.observed_at: List[Tuple[int, float]] = []
@@ -282,10 +284,7 @@ class _Controller:
         is recorded but not counted as a prune).  :func:`_at_limit`
         replays this rule over a recorded run — keep the two in step."""
         domain = self.world.domain
-        if self.transition_fn is not None:
-            findings = self.transition_fn(self.world)
-        else:
-            findings = transition_findings(domain, check_loops=self.check_loops)
+        findings = self.leg.transition(domain, self.check_loops)
         now = domain.network.scheduler.now
         if findings:
             raise _ViolationSignal(
@@ -295,10 +294,7 @@ class _Controller:
                     findings=[str(finding) for finding in findings],
                 )
             )
-        if self.fingerprint_fn is not None:
-            fingerprint = self.fingerprint_fn(self.world)
-        else:
-            fingerprint = domain_fingerprint(domain)
+        fingerprint = self.leg.fingerprint(domain)
         depth = len(self.decisions)
         self.fingerprints.append(fingerprint)
         self.observed_at.append((depth, now))
@@ -398,16 +394,22 @@ class _Controller:
 
     # -- fault placement --------------------------------------------------
 
-    def choose_fault(
-        self, candidates: List[Tuple[str, Callable[[], None]]]
-    ) -> None:
-        if not candidates:
+    def choose_fault(self, faults: Sequence, start: float) -> None:
+        """Offer ``faults`` (``FaultEvent`` s, ``at`` an offset from the
+        window ``start``) as one decision; 0 places none."""
+        if not faults:
             return
-        labels = ["no fault"] + [label for label, _apply in candidates]
-        now = self.world.network.scheduler.now
-        choice = self._decide("fault", now, labels)
+        network = self.world.network
+        placed = [replace(event, at=start + event.at) for event in faults]
+        labels = ["no fault"] + [event.actions(network)[0][1] for event in placed]
+        choice = self._decide("fault", start, labels)
         if choice > 0:
-            candidates[choice - 1][1]()
+            # Tag the pending fault actions: they must show up in the
+            # in-flight fingerprint, or the explorer would prune the
+            # fault subtree as identical to the no-fault run before
+            # the fault ever fires (its effect is delayed).
+            for at_time, desc, action in placed[choice - 1].actions(network):
+                network.scheduler.call_at(at_time, action, tag=("fault", desc, 0))
 
 
 def _pruned_line(now: float, fingerprint: str, seen_at: int) -> str:
@@ -438,6 +440,7 @@ def run_schedule(
     with cell(scenario.build) as world:
         network = world.network
         scheduler = network.scheduler
+        leg = scenario.row
         controller = _Controller(
             world,
             options,
@@ -445,8 +448,7 @@ def run_schedule(
             limit=limit,
             visited=visited,
             check_loops=scenario.check_loops,
-            transition_fn=scenario.transition_oracle,
-            fingerprint_fn=scenario.state_fingerprint,
+            leg=leg,
         )
         scheduler.choice_hook = controller.scheduler_choice
         for link in network.links.values():
@@ -454,8 +456,7 @@ def run_schedule(
         start = scheduler.now
         violation: Optional[Violation] = None
         try:
-            if scenario.fault_candidates is not None:
-                controller.choose_fault(scenario.fault_candidates(world))
+            controller.choose_fault(scenario.faults, start)
             for offset, action in world.actions:
                 scheduler.call_at(start + offset, action)
             network.run(until=start + scenario.window)
@@ -468,16 +469,10 @@ def run_schedule(
                 link.gate = None
         if violation is None:
             network.run(until=start + scenario.window + scenario.settle)
-            convergence = scenario.convergence_oracle
-            if convergence is not None:
-                findings = [str(finding) for finding in convergence(world)]
-            else:
-                findings = [
-                    str(finding)
-                    for finding in convergence_findings(
-                        world.domain, world.group, world.members
-                    )
-                ]
+            findings = [
+                str(finding)
+                for finding in leg.convergence(world.domain, world.group, world.members)
+            ]
             if findings:
                 violation = Violation(
                     stage="final", time=scheduler.now, findings=findings

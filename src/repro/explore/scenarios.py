@@ -1,28 +1,43 @@
-"""Exploration scenarios: small, deterministic Figure-1 set-ups whose
+"""Exploration scenarios: each one a data spec on a cell's world, whose
 interesting concurrency lives inside a short *window* the explorer
 branches over.
 
-Each scenario stands the domain up (started protocols, elections
-settled, optional pre-joined members — all outside the explored
-window, with defaults, so every run starts from the identical state),
-then hands the explorer a list of same-instant *actions* (joins,
-leaves) whose message races the search enumerates.  After the window
-the run settles with no interference and the convergence oracle is
-applied against ``members``.
+A spec names a :data:`repro.harness.campaign.TOPOLOGIES` row and a leg
+(an :data:`EXPLORE_LEGS` row).  :meth:`ExploreScenario.build` makes
+its world the way a cell does: the row's network and cores, stood up
+through the :mod:`repro.harness.scenarios` stand-up (started
+protocols, elections settled, the pre-joined members joined — all
+outside the explored window, with defaults, so every run starts from
+the identical state).  The window actions are data too — ``join`` /
+``leave`` / ``send`` / ``migrate``, each at an offset from the window
+start — as are the fault candidates, :class:`FaultEvent` s the engine
+offers as the first decision.  After the window the run settles with
+no interference and the leg's convergence oracle is applied against
+``members``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from functools import partial
+from typing import Any, Callable, Dict, List, Tuple
 
-from repro.baselines.hpimdm import HPIMDMDomain
-from repro.core.bootstrap import CBTDomain
-from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS, SETTLE_TIME
-from repro.netsim.address import IPv4Address, group_address
-from repro.netsim.faults import LinkFlap, NodeOutage
+from repro.core.audit import convergence_findings, transition_findings
+from repro.core.migration import MigrationCoordinator
+from repro.explore.engine import DEFAULT_QUIET_TYPES, ExploreOptions
+from repro.explore.fingerprint import domain_fingerprint, hpim_domain_fingerprint
+from repro.harness.campaign import TOPOLOGIES
+from repro.harness.scenarios import (
+    SETTLE_TIME,
+    build_cbt_group,
+    build_hpimdm_group,
+    delivered_copies,
+    send_data,
+    send_one,
+)
+from repro.netsim.address import IPv4Address
+from repro.netsim.faults import FaultEvent, LinkFlap, NodeOutage
 from repro.topology.builder import Network
-from repro.topology.figures import build_figure1
 
 
 @dataclass
@@ -30,7 +45,7 @@ class ExploreWorld:
     """One freshly built simulation ready for a controlled window."""
 
     network: Network
-    domain: Union[CBTDomain, HPIMDMDomain]
+    domain: Any
     group: IPv4Address
     #: Hosts expected to be served members once everything settles.
     members: List[str]
@@ -43,214 +58,31 @@ class ExploreWorld:
 
 
 @dataclass(frozen=True)
-class ExploreScenario:
-    """A named, explorable situation."""
+class ExploreLeg:
+    """One protocol as the explorer searches it.  ``stand_up(network,
+    members, cores, settle_time=, join_spacing=) -> (domain, group)``;
+    ``transition(domain, check_loops)`` the hard invariants checked
+    after every explored transition, ``convergence(domain, group,
+    members)`` the end-state oracle (both return findings; any finding
+    is a violation), ``fingerprint(domain)`` the pruning hash, and
+    ``quiet_types`` the delivery types never worth branching."""
 
-    name: str
-    description: str
-    build: Callable[[], ExploreWorld]
-    #: Seconds of controlled (explored) simulation after activation.
-    window: float
-    #: Additional uncontrolled seconds before the convergence oracle.
-    settle: float
-    #: Message types eligible for drop decisions (None = engine default).
-    gate_types: Optional[Tuple[str, ...]] = None
-    #: Candidate faults offered as the first decision (index 0 = none).
-    fault_candidates: Optional[
-        Callable[[ExploreWorld], List[Tuple[str, Callable[[], None]]]]
-    ] = None
-    #: Hard loop check per transition (off when faults legitimise
-    #: transient §6.3 loops mid-window).
-    check_loops: bool = True
-    #: Delivery types never worth branching (None = engine default,
-    #: tuned for CBT keepalives).
-    quiet_types: Optional[Tuple[str, ...]] = None
-    #: Per-transition hard-invariant oracle (None = the CBT
-    #: :func:`repro.core.audit.transition_findings`).  Receives the
-    #: world, returns finding strings; any finding aborts the run.
-    transition_oracle: Optional[Callable[[ExploreWorld], List[str]]] = None
-    #: End-state oracle replacing the CBT convergence sweep (None = the
-    #: CBT :func:`repro.core.audit.convergence_findings`).
-    convergence_oracle: Optional[Callable[[ExploreWorld], List[str]]] = None
-    #: State fingerprint for pruning (None = the CBT
-    #: :func:`repro.explore.fingerprint.domain_fingerprint`).
-    state_fingerprint: Optional[Callable[[ExploreWorld], str]] = None
+    stand_up: Callable[..., Tuple[Any, IPv4Address]]
+    transition: Callable[[Any, bool], List[Any]]
+    convergence: Callable[[Any, IPv4Address, List[str]], List[Any]]
+    fingerprint: Callable[[Any], str]
+    quiet_types: Tuple[str, ...]
 
 
-def _stand_up(pre_members: List[str]) -> Tuple[Network, CBTDomain, IPv4Address]:
-    """Figure-1 domain with elections settled and ``pre_members`` joined
-    (staggered, defaults, outside the explored window).  No packet
-    trace: nothing in a search reads it."""
-    network = build_figure1(trace_enabled=False)
-    domain = CBTDomain(network, timers=FAST_TIMERS, igmp_config=FAST_IGMP)
-    domain.start()
-    network.run(until=SETTLE_TIME)
-    group = group_address(0)
-    domain.create_group(group, cores=["R4", "R9"])
-    if pre_members:
-        start = network.scheduler.now
-        for index, member in enumerate(pre_members):
-            network.scheduler.call_at(
-                start + index * 0.05, domain.join_host, member, group
-            )
-        network.run(until=start + len(pre_members) * 0.05 + 2.0)
-    return network, domain, group
-
-
-def _join(domain: CBTDomain, member: str, group: IPv4Address):
-    return lambda: domain.join_host(member, group)
-
-
-def _leave(domain: CBTDomain, member: str, group: IPv4Address):
-    return lambda: domain.leave_host(member, group)
-
-
-def _build_joins_race() -> ExploreWorld:
-    network, domain, group = _stand_up([])
-    actions = [
-        (0.0, _join(domain, member, group)) for member in ("A", "G", "H")
-    ]
-    return ExploreWorld(network, domain, group, ["A", "G", "H"], actions)
-
-
-def _build_quit_race() -> ExploreWorld:
-    # H leaves at t+0; IGMP membership expiry takes ~4.02s, after which
-    # R10 sends QUIT_REQUEST toward R9.  J joins through the same R10
-    # at t+4.03 so its membership report lands while the QUIT handshake
-    # is in flight — the §5.3 race the explorer then perturbs
-    # (orderings, QUIT/JOIN drops).
-    network, domain, group = _stand_up(["A", "B", "H"])
-    actions = [
-        (0.0, _leave(domain, "H", group)),
-        (4.03, _join(domain, "J", group)),
-    ]
-    return ExploreWorld(network, domain, group, ["A", "B", "J"], actions)
-
-
-def _build_lan_proxy() -> ExploreWorld:
-    network, domain, group = _stand_up(["A"])
-    actions = [
-        (0.0, _join(domain, "B", group)),
-        (0.0, _join(domain, "E", group)),
-    ]
-    return ExploreWorld(network, domain, group, ["A", "B", "E"], actions)
-
-
-def _build_flap_join() -> ExploreWorld:
-    network, domain, group = _stand_up(["A", "H"])
-    actions = [(0.1, _join(domain, "E", group))]
-    return ExploreWorld(network, domain, group, ["A", "H", "E"], actions)
-
-
-def _build_migration_race() -> ExploreWorld:
-    # H's leave puts a QUIT in flight just as the handover announces
-    # (promotion of the on-tree secondary R9 to primary — the stale
-    # parent-shedding path), and J's join lands in the window where the
-    # old primary R4 retires.  The explorer perturbs delivery order and
-    # loss of the racing JOIN/QUIT handshakes across all three phases.
-    from repro.core.migration import MigrationCoordinator
-
-    network, domain, group = _stand_up(["A", "B", "H"])
-    coordinator = MigrationCoordinator(domain, group, stretch_threshold=1.0)
-    actions = [
-        (0.0, _leave(domain, "H", group)),
-        (4.05, lambda: coordinator.migrate(["R9", "R2"])),
-        (6.0, _join(domain, "J", group)),
-    ]
-    return ExploreWorld(network, domain, group, ["A", "B", "J"], actions)
-
-
-def _flap_join_faults(
-    world: ExploreWorld,
-) -> List[Tuple[str, Callable[[], None]]]:
-    """One short fault on/near E's join path (R7 -> R4): flap the join
-    link, flap the established-tree link, or crash the joining DR."""
-    now = world.network.scheduler.now
-    events = [
-        LinkFlap(at=now + 0.3, link="L_R4_R7", duration=0.8),
-        LinkFlap(at=now + 0.3, link="L_R3_R4", duration=0.8),
-        NodeOutage(at=now + 0.3, node="R7", duration=0.8),
-    ]
-
-    def _apply(event) -> Callable[[], None]:
-        def apply() -> None:
-            # Tag the pending fault actions: they must show up in the
-            # in-flight fingerprint, or the explorer would prune the
-            # fault subtree as identical to the no-fault run before
-            # the fault ever fires (its effect is delayed).
-            for at_time, desc, action in event.actions(world.network):
-                world.network.scheduler.call_at(
-                    at_time, action, tag=("fault", desc, 0)
-                )
-
-        return apply
-
-    return [
-        (event.actions(world.network)[0][1], _apply(event)) for event in events
-    ]
-
-
-# -- HPIM-DM election scenario (the hard-state comparator's smoke
-# -- validation: same explorer, protocol-specific oracles) -------------------
-
-
-def _hpim_join(domain: HPIMDMDomain, member: str, group: IPv4Address):
-    return lambda: domain.join_host(member, group)
-
-
-def _hpim_send(network: Network, host_name: str, group: IPv4Address):
-    def send() -> None:
-        from repro.netsim.packet import IPDatagram, PROTO_UDP, UDPDatagram
-
-        host = network.host(host_name)
-        host.originate(
-            IPDatagram(
-                src=host.interface.address,
-                dst=group,
-                proto=PROTO_UDP,
-                payload=UDPDatagram(sport=40000, dport=5000, payload=b"x" * 32),
-                ttl=64,
-            )
-        )
-
-    return send
-
-
-def _build_hpimdm_elections() -> ExploreWorld:
-    # B's first data packet (from the multi-router LAN S4, so R2/R5/R6
-    # all see it) creates the (S, G) entries and kicks off the assert
-    # elections the explorer then perturbs: G and H join concurrently,
-    # so interest propagation races the elections themselves.  A is
-    # pre-joined outside the window for a stable baseline branch.
-    network = build_figure1(trace_enabled=False)
-    domain = HPIMDMDomain(
-        network,
-        hello_interval=1.0,
-        neighbour_hold=3.5,
-        rtx_interval=0.5,
-        igmp_config=FAST_IGMP,
-    )
-    domain.start()
-    network.run(until=SETTLE_TIME)
-    group = group_address(0)
-    domain.join_host("A", group)
-    network.run(until=network.scheduler.now + 2.0)
-    actions = [
-        (0.0, _hpim_join(domain, "G", group)),
-        (0.0, _hpim_join(domain, "H", group)),
-        (0.2, _hpim_send(network, "B", group)),
-    ]
-    return ExploreWorld(network, domain, group, ["A", "G", "H"], actions)
-
-
-def _hpim_transition(world: ExploreWorld) -> List[str]:
+def _hpim_transition(domain, check_loops: bool) -> List[str]:
     """Hard HPIM-DM invariants, valid even mid-election: a router never
     synchronises state with itself, and an unacked advertisement must
     have a live retransmit ticker driving it (the hard-state analogue
-    of CBT's stale quit-retry class)."""
+    of CBT's stale quit-retry class).  There is no parent pointer to
+    loop, so ``check_loops`` has nothing to switch."""
     findings: List[str] = []
-    for name in sorted(world.domain.protocols):
-        protocol = world.domain.protocols[name]
+    for name in sorted(domain.protocols):
+        protocol = domain.protocols[name]
         own = {interface.address for interface in protocol.router.interfaces}
         for vif, table in sorted(protocol.neighbours.items()):
             for addr in sorted(own & set(table), key=str):
@@ -277,25 +109,22 @@ def _hpim_transition(world: ExploreWorld) -> List[str]:
     return findings
 
 
-def _hpim_convergence(world: ExploreWorld) -> List[str]:
+def _hpim_convergence(domain, group: IPv4Address, members: List[str]) -> List[str]:
     """End-state oracle: elections converged (exactly one upstream
     winner per link), all advertisements acknowledged, and a fresh
     probe from the source delivered exactly once to every member —
     the same deliverability goal state the CBT sweep checks by
     walking child pointers, here measured in the data plane because
     HPIM-DM's tree *is* its per-link election outcome."""
-    domain = world.domain
-    network = world.network
+    network = domain.network
     findings = [str(finding) for finding in domain.election_findings()]
     pending = domain.pending_total()
     if pending:
         findings.append(
             f"{pending} advertisements still unacknowledged after settle"
         )
-    from repro.harness.scenarios import delivered_copies, send_data
-
-    uids = send_data(network, "B", world.group, count=2, spacing=0.05)
-    for member in sorted(world.members):
+    uids = send_data(network, "B", group, count=2, spacing=0.05)
+    for member in sorted(members):
         copies = delivered_copies(network, member)
         counts = [copies[uid] for uid in uids]
         if any(count != 1 for count in counts):
@@ -307,11 +136,106 @@ def _hpim_convergence(world: ExploreWorld) -> List[str]:
     return findings
 
 
-def _hpim_fingerprint(world: ExploreWorld) -> str:
-    from repro.explore.fingerprint import hpim_domain_fingerprint
+#: The explorer's protocol rows, keyed by the leg a spec names.
+EXPLORE_LEGS: Dict[str, ExploreLeg] = {
+    "cbt": ExploreLeg(
+        stand_up=build_cbt_group,
+        transition=transition_findings,
+        convergence=convergence_findings,
+        fingerprint=domain_fingerprint,
+        quiet_types=DEFAULT_QUIET_TYPES,
+    ),
+    # Scenario-fast 1 s hellos (the cell row ties them to CBT's ECHO
+    # interval instead).  Hellos and the IGMP chatter around the joins
+    # are not what a search branches on: the budget goes to the
+    # election handshakes.
+    "hpimdm": ExploreLeg(
+        stand_up=lambda network, members, cores, **timing: build_hpimdm_group(
+            network, members, **timing
+        ),
+        transition=_hpim_transition,
+        convergence=_hpim_convergence,
+        fingerprint=hpim_domain_fingerprint,
+        quiet_types=("HpimHello", "MembershipQuery", "MembershipReport", "Leave"),
+    ),
+}
 
-    return hpim_domain_fingerprint(world.domain)
 
+#: Window verbs, ``verb(domain, group, subject)``: ``join`` / ``leave``
+#: / ``send`` name a host, ``migrate`` the new core list (a
+#: make-before-break handover, :mod:`repro.core.migration`).
+VERBS: Dict[str, Callable[[Any, IPv4Address, Any], None]] = {
+    "join": lambda domain, group, host: domain.join_host(host, group),
+    "leave": lambda domain, group, host: domain.leave_host(host, group),
+    "send": lambda domain, group, host: send_one(
+        domain.network.host(host), group, ttl=64, uids=[]
+    ),
+    "migrate": lambda domain, group, cores: MigrationCoordinator(
+        domain, group, stretch_threshold=1.0
+    ).migrate(list(cores)),
+}
+
+
+@dataclass(frozen=True)
+class ExploreScenario:
+    """A named, explorable situation: a world and its window, as data."""
+
+    name: str
+    description: str
+    #: :data:`~repro.harness.campaign.TOPOLOGIES` row the world is
+    #: built on (its seed-0 network and cores).
+    topology: str
+    #: :data:`EXPLORE_LEGS` row: the protocol, its stand-up and oracles.
+    leg: str
+    #: Hosts joined before the window, ``join_spacing`` apart.
+    pre_members: Tuple[str, ...]
+    #: Hosts expected to be served members once everything settles.
+    members: Tuple[str, ...]
+    #: ``(offset_from_window_start, verb, subject)``, a :data:`VERBS`
+    #: entry each.
+    actions: Tuple[Tuple[float, str, Any], ...]
+    #: Seconds of controlled (explored) simulation after activation.
+    window: float
+    #: Additional uncontrolled seconds before the convergence oracle.
+    settle: float
+    #: Message types eligible for drop decisions.
+    gate_types: Tuple[str, ...]
+    #: Candidate faults offered as the first decision (index 0 = none),
+    #: ``at`` an offset from the window start.
+    faults: Tuple[FaultEvent, ...] = ()
+    #: Hard loop check per transition (off when faults legitimise
+    #: transient §6.3 loops mid-window).
+    check_loops: bool = True
+    #: Seconds of elections before the group is created; the stand-up
+    #: then runs 2 s past the last pre-join, so the window opens at
+    #: ``settle_time + len(pre_members) * join_spacing + 2``.
+    settle_time: float = SETTLE_TIME
+    join_spacing: float = 0.05
+
+    @property
+    def row(self) -> ExploreLeg:
+        return EXPLORE_LEGS[self.leg]
+
+    def build(self) -> ExploreWorld:
+        """A fresh world: the topology row's network and cores, the
+        leg's stand-up, and the window actions bound to its domain."""
+        network, _hosts, cores = TOPOLOGIES[self.topology].build(0)
+        domain, group = self.row.stand_up(
+            network,
+            self.pre_members,
+            cores,
+            settle_time=self.settle_time,
+            join_spacing=self.join_spacing,
+        )
+        actions = [
+            (offset, partial(VERBS[verb], domain, group, subject))
+            for offset, verb, subject in self.actions
+        ]
+        return ExploreWorld(network, domain, group, list(self.members), actions)
+
+
+_JOIN_GATES = ("JOIN_REQUEST", "JOIN_ACK")
+_JOIN_QUIT_GATES = ("JOIN_REQUEST", "JOIN_ACK", "QUIT_REQUEST", "QUIT_ACK")
 
 #: Registry consulted by the CLI and by schedule replay.
 SCENARIOS: Dict[str, ExploreScenario] = {
@@ -324,11 +248,23 @@ SCENARIOS: Dict[str, ExploreScenario] = {
                 "corners of Figure 1; explores delivery order and loss "
                 "of the racing JOIN_REQUEST / JOIN_ACK handshakes."
             ),
-            build=_build_joins_race,
+            topology="figure1",
+            leg="cbt",
+            pre_members=(),
+            members=("A", "G", "H"),
+            actions=((0.0, "join", "A"), (0.0, "join", "G"), (0.0, "join", "H")),
             window=4.0,
             settle=9.0,
-            gate_types=("JOIN_REQUEST", "JOIN_ACK"),
+            gate_types=_JOIN_GATES,
+            # No pre-joins: the stand-up's 2 s drain opens the window at
+            # t = 3, as for the others' settled elections.
+            settle_time=1.0,
         ),
+        # H leaves at t+0; IGMP membership expiry takes ~4.02s, after
+        # which R10 sends QUIT_REQUEST toward R9.  J joins through the
+        # same R10 at t+4.03 so its membership report lands while the
+        # QUIT handshake is in flight — the §5.3 race the explorer then
+        # perturbs (orderings, QUIT/JOIN drops).
         ExploreScenario(
             name="quit-race",
             description=(
@@ -337,15 +273,14 @@ SCENARIOS: Dict[str, ExploreScenario] = {
                 "loss of QUIT_REQUEST / QUIT_ACK (the PR-2 stale "
                 "quit-retry class)."
             ),
-            build=_build_quit_race,
+            topology="figure1",
+            leg="cbt",
+            pre_members=("A", "B", "H"),
+            members=("A", "B", "J"),
+            actions=((0.0, "leave", "H"), (4.03, "join", "J")),
             window=5.5,
             settle=9.0,
-            gate_types=(
-                "JOIN_REQUEST",
-                "JOIN_ACK",
-                "QUIT_REQUEST",
-                "QUIT_ACK",
-            ),
+            gate_types=_JOIN_QUIT_GATES,
         ),
         ExploreScenario(
             name="lan-proxy",
@@ -355,11 +290,16 @@ SCENARIOS: Dict[str, ExploreScenario] = {
                 "explores JOIN delivery order and loss on the shared "
                 "LAN (the PR-2 proxy-ack class)."
             ),
-            build=_build_lan_proxy,
+            topology="figure1",
+            leg="cbt",
+            pre_members=("A",),
+            members=("A", "B", "E"),
+            actions=((0.0, "join", "B"), (0.0, "join", "E")),
             window=4.0,
             settle=9.0,
-            gate_types=("JOIN_REQUEST", "JOIN_ACK"),
+            gate_types=_JOIN_GATES,
         ),
+        # One short fault on/near E's join path (R7 -> R4).
         ExploreScenario(
             name="flap-join",
             description=(
@@ -367,13 +307,27 @@ SCENARIOS: Dict[str, ExploreScenario] = {
                 "explored choice: flap the join-path link, flap an "
                 "established tree link, or crash the joining DR."
             ),
-            build=_build_flap_join,
+            topology="figure1",
+            leg="cbt",
+            pre_members=("A", "H"),
+            members=("A", "H", "E"),
+            actions=((0.1, "join", "E"),),
             window=6.0,
             settle=12.0,
-            gate_types=("JOIN_REQUEST", "JOIN_ACK"),
-            fault_candidates=_flap_join_faults,
+            gate_types=_JOIN_GATES,
+            faults=(
+                LinkFlap(at=0.3, link="L_R4_R7", duration=0.8),
+                LinkFlap(at=0.3, link="L_R3_R4", duration=0.8),
+                NodeOutage(at=0.3, node="R7", duration=0.8),
+            ),
             check_loops=False,
         ),
+        # H's leave puts a QUIT in flight just as the handover announces
+        # (promotion of the on-tree secondary R9 to primary — the stale
+        # parent-shedding path), and J's join lands in the window where
+        # the old primary R4 retires.  The explorer perturbs delivery
+        # order and loss of the racing JOIN/QUIT handshakes across all
+        # three phases.
         ExploreScenario(
             name="migration-race",
             description=(
@@ -383,17 +337,27 @@ SCENARIOS: Dict[str, ExploreScenario] = {
                 "and loss of the JOIN/QUIT handshakes spanning the "
                 "announce, graft, and retire phases."
             ),
-            build=_build_migration_race,
+            topology="figure1",
+            leg="cbt",
+            pre_members=("A", "B", "H"),
+            members=("A", "B", "J"),
+            actions=(
+                (0.0, "leave", "H"),
+                (4.05, "migrate", ("R9", "R2")),
+                (6.0, "join", "J"),
+            ),
             window=7.0,
             settle=12.0,
-            gate_types=(
-                "JOIN_REQUEST",
-                "JOIN_ACK",
-                "QUIT_REQUEST",
-                "QUIT_ACK",
-            ),
+            gate_types=_JOIN_QUIT_GATES,
             check_loops=False,
         ),
+        # The hard-state comparator's smoke validation: same explorer,
+        # the hpimdm leg's oracles.  B's first data packet (from the
+        # multi-router LAN S4, so R2/R5/R6 all see it) creates the
+        # (S, G) entries and kicks off the assert elections the
+        # explorer then perturbs: G and H join concurrently, so
+        # interest propagation races the elections themselves.  A is
+        # pre-joined outside the window for a stable baseline branch.
         ExploreScenario(
             name="hpimdm-elections",
             description=(
@@ -405,23 +369,16 @@ SCENARIOS: Dict[str, ExploreScenario] = {
                 "convergence, full acknowledgement, and exactly-once "
                 "probe delivery."
             ),
-            build=_build_hpimdm_elections,
+            topology="figure1",
+            leg="hpimdm",
+            pre_members=("A",),
+            members=("A", "G", "H"),
+            actions=((0.0, "join", "G"), (0.0, "join", "H"), (0.2, "send", "B")),
             window=4.0,
             settle=8.0,
             gate_types=("HpimAssert", "HpimInterest", "HpimAck"),
             check_loops=False,
-            # Hellos and the IGMP chatter around the joins are not what
-            # this scenario branches on: the budget goes to the
-            # election handshakes.
-            quiet_types=(
-                "HpimHello",
-                "MembershipQuery",
-                "MembershipReport",
-                "Leave",
-            ),
-            transition_oracle=_hpim_transition,
-            convergence_oracle=_hpim_convergence,
-            state_fingerprint=_hpim_fingerprint,
+            join_spacing=0.0,
         ),
     )
 }
@@ -435,13 +392,10 @@ def get_scenario(name: str) -> ExploreScenario:
         raise KeyError(f"unknown scenario {name!r}; known: {known}") from None
 
 
-def scenario_options(scenario: ExploreScenario, **overrides):
+def scenario_options(scenario: ExploreScenario, **overrides) -> ExploreOptions:
     """Build :class:`~repro.explore.engine.ExploreOptions` seeded with
-    the scenario's gate and quiet types; ``overrides`` win."""
-    from repro.explore.engine import ExploreOptions
-
-    if scenario.gate_types is not None:
-        overrides.setdefault("gate_types", scenario.gate_types)
-    if scenario.quiet_types is not None:
-        overrides.setdefault("quiet_types", scenario.quiet_types)
+    the scenario's gate types and its leg's quiet types; ``overrides``
+    win."""
+    overrides.setdefault("gate_types", scenario.gate_types)
+    overrides.setdefault("quiet_types", scenario.row.quiet_types)
     return ExploreOptions(**overrides)

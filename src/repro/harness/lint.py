@@ -6,7 +6,9 @@ toolchain image bakes in only the test stack) fall back to a built-in
 subset so the local command and gate semantics still exist:
 
 * syntax errors (every ``.py`` file must parse);
-* F401 unused imports (AST-based, ``# noqa`` respected);
+* F401 unused imports (AST-based, ``# noqa`` respected): a name is
+  used when code reads it, an ``__all__`` entry lists it or a string
+  annotation names it — never by a word in any other string;
 * E711/E712 comparisons to ``None``/``True``/``False``;
 * E722 bare ``except:``;
 * W191 tabs in indentation, W291/W293 trailing whitespace;
@@ -24,7 +26,7 @@ import re
 import shutil
 import subprocess
 import sys
-from typing import List, Tuple
+from typing import Iterator, List, Set, Tuple
 
 from repro.harness.parallel import REPO_ROOT
 
@@ -67,22 +69,45 @@ def _unused_imports(tree: ast.Module, lines: List[str]) -> List[Tuple[int, str]]
                 if alias.name == "*":
                     continue
                 imports.append((node.lineno, alias.asname or alias.name))
-    used = {
-        node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
-    }
-    findings = []
-    for lineno, name in imports:
-        line = lines[lineno - 1] if lineno - 1 < len(lines) else ""
-        if "noqa" in line or name in used:
-            continue
-        # Conservative fallback for names that only appear in strings,
-        # doctests, or __all__: any other whole-word occurrence clears
-        # the finding.
-        pattern = re.compile(r"\b%s\b" % re.escape(name))
-        occurrences = sum(1 for text in lines if pattern.search(text))
-        if occurrences <= 1:
-            findings.append((lineno, name))
-    return findings
+    used = _used_names(tree)
+    return [
+        (lineno, name)
+        for lineno, name in imports
+        if name not in used
+        and "noqa" not in (lines[lineno - 1] if lineno - 1 < len(lines) else "")
+    ]
+
+
+def _used_names(tree: ast.Module) -> Set[str]:
+    """What a module reads: every ``ast.Name``, every ``__all__``
+    entry, and the names inside string annotations (``"Node"``,
+    ``Optional["Link"]``).  Other strings are text, not uses."""
+    used: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            if any(getattr(target, "id", None) == "__all__" for target in targets):
+                elements = getattr(node.value, "elts", ())
+                used.update(getattr(element, "value", None) for element in elements)
+        # ``arg`` / ``AnnAssign`` annotations and ``def`` returns.
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        used.update(_annotation_names(annotation))
+    return used
+
+
+def _annotation_names(annotation) -> Iterator[str]:
+    """The names an annotation reads, those its strings spell too."""
+    for node in ast.walk(annotation) if annotation is not None else ():
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                parsed = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            yield from _annotation_names(parsed.body)
 
 
 _E711 = re.compile(r"[=!]=\s*None\b")

@@ -1,8 +1,13 @@
-"""Shared scenario builders used by tests, examples, and benchmarks.
+"""Shared scenario builders: the one stand-up behind every cell and
+every explorer world, and the tests, examples and benchmarks.
 
 All scenario helpers are deterministic given a seed, join members at
 staggered times (so DR elections and HELLOs settle first), and run the
-event loop to a quiescent point before returning.
+event loop to a quiescent point before returning.  A cell stands its
+protocol up through a :data:`repro.harness.campaign.LEGS` row, an
+explorer scenario through a :data:`repro.explore.scenarios.EXPLORE_LEGS`
+row; both rows call the ``build_*_group`` functions here, and an
+explorer window's ``send`` is :func:`send_one`, the probe's own send.
 """
 
 from __future__ import annotations
@@ -109,6 +114,7 @@ def build_hpimdm_group(
     neighbour_hold: float = 3.5,
     rtx_interval: float = 0.5,
     settle_time: float = SETTLE_TIME,
+    join_spacing: float = 0.05,
     domain: Optional[HPIMDMDomain] = None,
 ) -> Tuple[HPIMDMDomain, IPv4Address]:
     """Stand up a hard-state HPIM-DM domain and join ``members``.
@@ -125,14 +131,15 @@ def build_hpimdm_group(
         rtx_interval=rtx_interval,
         igmp_config=FAST_IGMP,
     )
-    return _stand_up(domain, make, members, group, settle_time)
+    return _stand_up(domain, make, members, group, settle_time, join_spacing)
 
 
 def _stand_up(domain, make, members, group, settle_time, join_spacing=0.05, cores=None):
     """The one start / settle / staggered-join / run loop: when no
     ``domain`` is given, ``make()`` one, start it and settle; announce
     ``cores`` for the group when given (CBT); join ``members``
-    ``join_spacing`` apart and run 2 s past the last join."""
+    ``join_spacing`` apart and run 2 s past the last join.  At a zero
+    spacing the members join now, in this call, not as events."""
     if group is None:
         group = group_address(0)
     if domain is None:
@@ -144,9 +151,12 @@ def _stand_up(domain, make, members, group, settle_time, join_spacing=0.05, core
         domain.create_group(group, cores=list(cores))
     start = network.scheduler.now
     for offset, member in enumerate(members):
-        network.scheduler.call_at(
-            start + offset * join_spacing, domain.join_host, member, group
-        )
+        if join_spacing:
+            network.scheduler.call_at(
+                start + offset * join_spacing, domain.join_host, member, group
+            )
+        else:
+            domain.join_host(member, group)
     network.run(until=start + len(members) * join_spacing + 2.0)
     return domain, group
 
@@ -165,7 +175,7 @@ def send_data(
     start = network.scheduler.now
     for i in range(count):
         network.scheduler.call_at(
-            start + i * spacing, _send_one, host, group, ttl, uids
+            start + i * spacing, send_one, host, group, ttl, uids
         )
     network.run(until=start + count * spacing + 2.0)
     return uids
@@ -184,7 +194,9 @@ def delivered_copies(network: Network, host_name: str) -> Dict[int, int]:
     return copies
 
 
-def _send_one(host, group: IPv4Address, ttl: int, uids: List[int]) -> None:
+def send_one(host, group: IPv4Address, ttl: int, uids: List[int]) -> None:
+    """Have ``host`` multicast one 64-byte UDP datagram to ``group``
+    now, appending its uid to ``uids``."""
     datagram = IPDatagram(
         src=host.interface.address,
         dst=group,

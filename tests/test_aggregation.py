@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.messages import covering_prefix, in_masked_range
 from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS
-from repro import CBTDomain, group_address
+from repro import CBTDomain
 from repro.netsim.address import IPv4Address
 from repro.netsim.address import group_address as ga
 

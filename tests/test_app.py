@@ -4,7 +4,6 @@ import pytest
 
 from repro.app import APP_PORT, MulticastReceiver, MulticastSender, StreamStats
 from repro.metrics.latency import delivery_latency
-from repro import group_address
 from repro.netsim.address import group_address as ga
 
 

@@ -34,30 +34,44 @@ from repro.explore.replay import (
     schedule_payload,
     verify_payload,
 )
-from repro.explore.scenarios import SCENARIOS, get_scenario, scenario_options
+from repro.explore.scenarios import (
+    EXPLORE_LEGS,
+    SCENARIOS,
+    get_scenario,
+    scenario_options,
+)
 from repro.explore.shrink import shrink
 
 
-def _retransmit_oracle(world):
+def _retransmit_oracle(domain):
     """Flags any join retransmission — only drop schedules trigger it."""
     findings = []
-    for name in sorted(world.domain.protocols):
-        sent = world.domain.protocols[name].stats.sent.get("JOIN_REQUEST", 0)
+    for name in sorted(domain.protocols):
+        sent = domain.protocols[name].stats.sent.get("JOIN_REQUEST", 0)
         if sent >= 2:
             findings.append(f"{name} sent {sent} JOIN_REQUESTs")
     return findings
 
 
-def _convergence_or_retransmit(world):
-    findings = convergence_findings(world.domain, world.group, world.members)
-    return [str(finding) for finding in findings] + _retransmit_oracle(world)
+def _convergence_or_retransmit(domain, group, members):
+    findings = convergence_findings(domain, group, members)
+    return [str(finding) for finding in findings] + _retransmit_oracle(domain)
+
+
+def _on_leg(monkeypatch, scenario, **oracles):
+    """``scenario`` on a copy of its leg row with ``oracles`` swapped in."""
+    leg = f"{scenario.leg}+{'+'.join(sorted(oracles))}"
+    monkeypatch.setitem(
+        EXPLORE_LEGS, leg, dataclasses.replace(scenario.row, **oracles)
+    )
+    return dataclasses.replace(scenario, leg=leg)
 
 
 @pytest.fixture()
-def seeded_scenario():
+def seeded_scenario(monkeypatch):
     """joins-race variant whose oracle rejects retransmissions."""
-    return dataclasses.replace(
-        get_scenario("joins-race"), convergence_oracle=_convergence_or_retransmit
+    return _on_leg(
+        monkeypatch, get_scenario("joins-race"), convergence=_convergence_or_retransmit
     )
 
 
@@ -212,21 +226,41 @@ def test_search_pins_hold_with_one_simulation_per_schedule(
     assert len(calls) == len(set(calls)) == stats.simulations == simulations
 
 
-def _quit_overlap(world):
+def test_a_spec_on_another_topology_row_explores():
+    """One world builder: a joins-race-shaped spec on the grid9 row
+    stands up with that row's network and cores (N4, N0) through the
+    cell stand-up and searches like the Figure-1 one."""
+    hosts = ("H_N3", "H_N5", "H_N7")
+    scenario = dataclasses.replace(
+        get_scenario("joins-race"),
+        name="joins-race-grid9",
+        topology="grid9",
+        members=hosts,
+        actions=tuple((0.0, "join", host) for host in hosts),
+    )
+    result = explore(scenario, scenario_options(scenario, max_decisions=2))
+    stats = result.stats
+    assert result.ok and result.exhausted
+    assert (
+        stats.runs, stats.states_visited, stats.states_pruned, result.visited_digest
+    ) == (16, 4, 0, "7b8560a1aa9799e6")
+    first = run_schedule(scenario, (), scenario_options(scenario, max_decisions=1))
+    assert first.narrative[0].startswith("#0 t=3.001 order: deliver CoreReport LAN_N3->N3")
+
+
+def _quit_overlap(domain, check_loops):
     """Flags two routers quitting at once — transient in the default
     run (R9 quits as it acks R10), so it shows only where the oracle
     looks between those two events."""
-    quitting = sorted(n for n, p in world.domain.protocols.items() if p.quits)
+    quitting = sorted(n for n, p in domain.protocols.items() if p.quits)
     return [f"{', '.join(quitting)} quitting at once"] if len(quitting) >= 2 else []
 
 
-def test_a_transition_violation_is_what_its_pass_reports():
+def test_a_transition_violation_is_what_its_pass_reports(monkeypatch):
     """The full-depth run sees the oracle fire at a position shallower
     passes do not look at; the search still reports the counterexample
     its own pass finds, recorded when every pass re-simulated."""
-    scenario = dataclasses.replace(
-        get_scenario("quit-race"), transition_oracle=_quit_overlap
-    )
+    scenario = _on_leg(monkeypatch, get_scenario("quit-race"), transition=_quit_overlap)
     options = scenario_options(scenario, max_decisions=4)
     full = run_schedule(scenario, (), options)
     assert full.violation is not None and len(full.decisions) >= 2

@@ -263,15 +263,16 @@ class TestExplorerScenario:
             "HpimInterest",
             "HpimAck",
         )
-        assert scenario.transition_oracle is not None
-        assert scenario.convergence_oracle is not None
-        assert scenario.state_fingerprint is not None
-        assert "HpimHello" in scenario.quiet_types
+        assert scenario.leg == "hpimdm"
+        assert scenario.row.transition is not None
+        assert scenario.row.convergence is not None
+        assert scenario.row.fingerprint is not None
+        assert "HpimHello" in scenario.row.quiet_types
 
     def test_convergence_oracle_wants_each_probe_exactly_once(self, monkeypatch):
         """A member that gets one probe twice and the other never has
         as many copies as probes, and is still wrong."""
-        import repro.harness.scenarios as harness_scenarios
+        import repro.explore.scenarios as explore_scenarios
         from repro.explore.scenarios import get_scenario
 
         scenario = get_scenario("hpimdm-elections")
@@ -286,9 +287,9 @@ class TestExplorerScenario:
                 )
             return list(uids)
 
-        monkeypatch.setattr(harness_scenarios, "send_data", send_data)
+        monkeypatch.setattr(explore_scenarios, "send_data", send_data)
         try:
-            findings = scenario.convergence_oracle(world)
+            findings = scenario.row.convergence(world.domain, world.group, world.members)
         finally:
             world.close()
         assert [f for f in findings if f.startswith("member ")] == [

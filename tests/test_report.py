@@ -1,6 +1,5 @@
 """Tests for report assembly and run export."""
 
-import json
 import os
 import pathlib
 import subprocess
