@@ -22,6 +22,7 @@ from repro.harness.experiment import Experiment
 from repro.harness.scenarios import (
     FAST_TIMERS,
     build_cbt_group,
+    judge_delivery,
     pick_members,
     send_data,
 )
@@ -47,15 +48,9 @@ def redundancy_run(core_count: int) -> tuple:
         + FAST_TIMERS.pend_join_timeout * 2
     )
     net.run(until=fail_at + horizon)
-    # Survivor members: those not directly behind the dead core.
-    survivors = [m for m in members if m.replace("H_", "") != cores[0]]
-    sender = survivors[0]
-    uid = send_data(net, sender, group, count=1)[0]
-    served = sum(
-        1
-        for m in survivors[1:]
-        if any(d.uid == uid for d in net.host(m).delivered)
-    )
+    # No member sits on the dead core's LAN: every member survives it.
+    delivery = judge_delivery(net, group, members[0], send_data(net, members[0], group))
+    served = len(delivery.served)
     rejoined_at = None
     for name, protocol in domain.protocols.items():
         for event in protocol.events_of("rejoined"):
@@ -67,9 +62,9 @@ def redundancy_run(core_count: int) -> tuple:
                 )
     return (
         core_count,
-        f"{served}/{len(survivors) - 1}",
+        f"{served}/{len(delivery.members)}",
         round(rejoined_at, 1) if rejoined_at is not None else "never",
-        served == len(survivors) - 1,
+        served == len(delivery.members),
     )
 
 

@@ -15,7 +15,7 @@ text states:
 from benchmarks.conftest import publish
 from repro import CBTDomain, build_figure1, group_address
 from repro.harness.experiment import Experiment
-from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS, send_data
+from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS, judge_delivery, send_data
 from repro.topology.figures import FIGURE1_MEMBERS
 
 
@@ -73,13 +73,8 @@ def run_walkthrough() -> Experiment:
         ("§5 full tree shape", set(domain.tree_edges(group)) == expected_edges)
     )
 
-    uid = send_data(net, "G", group, count=1)[0]
-    deliveries = all(
-        sum(1 for d in net.host(m).delivered if d.uid == uid)
-        == (0 if m == "G" else 1)
-        for m in FIGURE1_MEMBERS
-    )
-    milestones.append(("§5 G's packet: exactly-once delivery", deliveries))
+    delivery = judge_delivery(net, group, "G", send_data(net, "G", group))
+    milestones.append(("§5 G's packet: exactly-once delivery", not delivery.findings("§5")))
 
     domain.leave_host("B", group)
     net.run(until=net.scheduler.now + 30.0)

@@ -13,7 +13,7 @@ Expectation: identical delivery in both modes; native mode saves the
 from benchmarks.conftest import publish
 from repro import CBTDomain, build_figure1, group_address
 from repro.harness.experiment import Experiment
-from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS, send_data
+from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS, judge_delivery, send_data
 from repro.netsim.packet import PROTO_CBT, PROTO_UDP
 from repro.topology.figures import FIGURE1_MEMBERS
 
@@ -41,11 +41,7 @@ def run_mode(mode: str, use_cbt_multicast: bool = False) -> dict:
         )
     net.run(until=start + 4.0)
     net.trace.clear()
-    uids = send_data(net, "G", group, count=PACKETS)
-    delivered = sum(
-        sum(1 for d in net.host(m).delivered if d.uid in set(uids))
-        for m in FIGURE1_MEMBERS
-    )
+    delivery = judge_delivery(net, group, "G", send_data(net, "G", group, count=PACKETS))
     tx_bytes = sum(
         r.datagram.size_bytes()
         for r in net.trace.transmissions()
@@ -55,7 +51,9 @@ def run_mode(mode: str, use_cbt_multicast: bool = False) -> dict:
     )
     stats = [p.data_plane.stats for p in domain.protocols.values()]
     return {
-        "delivered": delivered,
+        # (member, packet) pairs delivered exactly once; a duplicate or
+        # a copy echoed back to G counts against it.
+        "delivered": len(delivery.members) * PACKETS - len(delivery.missed + delivery.duplicated),
         "tx_bytes": tx_bytes,
         "router work": sum(s.total_router_work() for s in stats),
         "encapsulations": sum(s.encapsulations for s in stats),

@@ -21,38 +21,22 @@ every count byte for byte.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 from benchmarks.conftest import publish
 from repro.harness.experiment import Experiment
-from repro.harness.scenarios import build_hpimdm_group, send_data
+from repro.harness.scenarios import build_hpimdm_group, judge_delivery, send_data
 from repro.topology.figures import build_figure1
 from repro.topology.generators import waxman_network
 
 
-def _delivered(network, members, uids) -> Dict[str, int]:
-    uid_set = set(uids)
-    return {
-        member: sum(
-            1
-            for datagram in network.host(member).delivered
-            if datagram.uid in uid_set
-        )
-        for member in members
-    }
-
-
-def _require_clean(domain, network, members, uids, expect, where: str) -> None:
+def _require_clean(domain, network, group, sender, uids, where: str) -> None:
     findings = domain.election_findings()
     assert not findings, f"{where}: election findings: {findings[:3]}"
     pending = domain.pending_total()
     assert not pending, f"{where}: {pending} advertisements unacknowledged"
-    counts = _delivered(network, members, uids)
-    wrong = {m: c for m, c in counts.items() if c != expect}
-    assert not wrong, (
-        f"{where}: delivery not exactly-once per packet: {wrong} "
-        f"(expected {expect} each)"
-    )
+    wrong = judge_delivery(network, group, sender, uids).findings(where)
+    assert not wrong, wrong
 
 
 def figure1_run() -> Tuple[int, int, int, int, int]:
@@ -68,7 +52,7 @@ def figure1_run() -> Tuple[int, int, int, int, int]:
 
     uids = send_data(network, "B", group, count=3, spacing=0.05)
     network.run(until=network.scheduler.now + 12.0)
-    _require_clean(domain, network, members, uids, 3, "convergence")
+    _require_clean(domain, network, group, "B", uids, "convergence")
     converge_control = domain.control_messages()
     converge_events = domain.events_total()
 
@@ -85,7 +69,7 @@ def figure1_run() -> Tuple[int, int, int, int, int]:
     network.run(until=network.scheduler.now + 15.0)
     probe = send_data(network, "B", group, count=2, spacing=0.05)
     network.run(until=network.scheduler.now + 12.0)
-    _require_clean(domain, network, members, probe, 2, "recovery")
+    _require_clean(domain, network, group, "B", probe, "recovery")
     recovery_control = domain.control_messages() - recovery_start
 
     return (
@@ -107,7 +91,7 @@ def waxman_run(size: int = 16, seed: int = 7) -> Tuple[int, int]:
     sender = pick_members(network, 1, seed=seed + 1)[0]
     uids = send_data(network, sender, group, count=2, spacing=0.05)
     network.run(until=network.scheduler.now + 20.0)
-    _require_clean(domain, network, members, uids, 2, f"waxman{size}")
+    _require_clean(domain, network, group, sender, uids, f"waxman{size}")
     return domain.control_messages(), network.scheduler.events_processed
 
 

@@ -13,7 +13,7 @@ from benchmarks.conftest import publish
 from repro.harness.experiment import Experiment
 from repro.harness.scenarios import (
     build_cbt_group,
-    delivered_copies,
+    judge_delivery,
     pick_members,
     send_data,
 )
@@ -40,14 +40,14 @@ def scale_run(size: int) -> tuple:
         domain.assert_tree_consistent(group)
         census = cbt_entry_census(domain)
         control = domain.control_messages_sent()
-        uid = send_data(net, members[0], group, count=1)[0]
-        delivered = sum(1 for m in members[1:] if delivered_copies(net, m)[uid])
+        sent = send_data(net, members[0], group)
+        delivery = judge_delivery(net, group, members[0], sent)
         return (
             len(members),
             census.max_router,
             census.routers_with_state,
             control,
-            f"{delivered}/{len(members) - 1}",
+            f"{len(delivery.served)}/{len(delivery.members)}",
             net.scheduler.events_processed,
         )
 

@@ -26,7 +26,7 @@ from repro.analysis import (
     render_topology,
     render_tree,
 )
-from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS, send_data
+from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS, judge_delivery, send_data
 
 EXPERIMENTS = [
     ("E1", "bench_state_scaling.py", "router state: CBT O(G) vs DVMRP O(S*G)"),
@@ -82,15 +82,11 @@ def cmd_walkthrough(args: argparse.Namespace) -> int:
     print(render_topology(net))
     print()
     print(render_tree(domain, group))
-    uid = send_data(net, members[-1], group, count=1)[0]
-    delivered = sum(
-        1
-        for member in members
-        if any(d.uid == uid for d in net.host(member).delivered)
-    )
+    sender = members[-1]
+    delivery = judge_delivery(net, group, sender, send_data(net, sender, group))
     print(
-        f"\ndata from {members[-1]}: delivered to {delivered}/{len(members) - 1} "
-        "other members"
+        f"\ndata from {sender}: delivered to "
+        f"{len(delivery.served)}/{len(delivery.members)} other members"
     )
     print()
     print(control_census(domain))
@@ -507,12 +503,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             )
             for at, what in r.faults:
                 print(f"  fault t={at:8.2f}  {what}", file=sys.stderr)
-            for line in r.violations:
-                print(f"  violation: {line}", file=sys.stderr)
+            for line in r.findings():
+                print(f"  {line}", file=sys.stderr)
             for line in r.trace:
                 print(f"  trace: {line}", file=sys.stderr)
         return 1
-    print("\nall cells recovered; auditor clean")
+    print("\nall cells recovered; auditor clean; every probe delivered once")
     return 0
 
 

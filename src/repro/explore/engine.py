@@ -469,10 +469,7 @@ def run_schedule(
                 link.gate = None
         if violation is None:
             network.run(until=start + scenario.window + scenario.settle)
-            findings = [
-                str(finding)
-                for finding in leg.convergence(world.domain, world.group, world.members)
-            ]
+            findings = [str(finding) for finding in leg.convergence(world)]
             if findings:
                 violation = Violation(
                     stage="final", time=scheduler.now, findings=findings

@@ -12,15 +12,15 @@ the identical state).  The window actions are data too — ``join`` /
 ``leave`` / ``send`` / ``migrate``, each at an offset from the window
 start — as are the fault candidates, :class:`FaultEvent` s the engine
 offers as the first decision.  After the window the run settles with
-no interference and the leg's convergence oracle is applied against
-``members``.
+no interference and the leg's convergence oracle judges the world
+(the HPIM-DM leg by a probe from the window's ``send`` host).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.audit import convergence_findings, transition_findings
 from repro.core.migration import MigrationCoordinator
@@ -31,7 +31,7 @@ from repro.harness.scenarios import (
     SETTLE_TIME,
     build_cbt_group,
     build_hpimdm_group,
-    delivered_copies,
+    judge_delivery,
     send_data,
     send_one,
 )
@@ -51,6 +51,9 @@ class ExploreWorld:
     members: List[str]
     #: ``(offset_from_window_start, action)`` pairs the runner schedules.
     actions: List[Tuple[float, Callable[[], None]]]
+    #: The window's first ``send`` host (None without one): the
+    #: HPIM-DM leg's probe source.
+    sender: Optional[str]
 
     def close(self) -> None:
         """The world ends with its network (``netsim.engine.cell``)."""
@@ -62,14 +65,15 @@ class ExploreLeg:
     """One protocol as the explorer searches it.  ``stand_up(network,
     members, cores, settle_time=, join_spacing=) -> (domain, group)``;
     ``transition(domain, check_loops)`` the hard invariants checked
-    after every explored transition, ``convergence(domain, group,
-    members)`` the end-state oracle (both return findings; any finding
-    is a violation), ``fingerprint(domain)`` the pruning hash, and
-    ``quiet_types`` the delivery types never worth branching."""
+    after every explored transition, ``convergence(world)`` the
+    end-state oracle on the settled :class:`ExploreWorld` (both return
+    findings; any finding is a violation), ``fingerprint(domain)`` the
+    pruning hash, and ``quiet_types`` the delivery types never worth
+    branching."""
 
     stand_up: Callable[..., Tuple[Any, IPv4Address]]
     transition: Callable[[Any, bool], List[Any]]
-    convergence: Callable[[Any, IPv4Address, List[str]], List[Any]]
+    convergence: Callable[[ExploreWorld], List[Any]]
     fingerprint: Callable[[Any], str]
     quiet_types: Tuple[str, ...]
 
@@ -109,31 +113,24 @@ def _hpim_transition(domain, check_loops: bool) -> List[str]:
     return findings
 
 
-def _hpim_convergence(domain, group: IPv4Address, members: List[str]) -> List[str]:
+def _hpim_convergence(world: ExploreWorld) -> List[str]:
     """End-state oracle: elections converged (exactly one upstream
-    winner per link), all advertisements acknowledged, and a fresh
-    probe from the source delivered exactly once to every member —
-    the same deliverability goal state the CBT sweep checks by
-    walking child pointers, here measured in the data plane because
+    winner per link), all advertisements acknowledged, and fresh
+    probes from the window's sender delivered exactly once to every
+    member — the same deliverability goal state the CBT sweep checks
+    by walking child pointers, here measured in the data plane because
     HPIM-DM's tree *is* its per-link election outcome."""
-    network = domain.network
+    domain, network = world.domain, world.network
     findings = [str(finding) for finding in domain.election_findings()]
     pending = domain.pending_total()
     if pending:
         findings.append(
             f"{pending} advertisements still unacknowledged after settle"
         )
-    uids = send_data(network, "B", group, count=2, spacing=0.05)
-    for member in sorted(members):
-        copies = delivered_copies(network, member)
-        counts = [copies[uid] for uid in uids]
-        if any(count != 1 for count in counts):
-            findings.append(
-                f"member {member} received {counts} copies of the "
-                f"{len(uids)} probe packets (each must arrive exactly once "
-                f"after election convergence)"
-            )
-    return findings
+    uids = send_data(network, world.sender, world.group, count=2, spacing=0.05)
+    return findings + judge_delivery(network, world.group, world.sender, uids).findings(
+        "probe after election convergence"
+    )
 
 
 #: The explorer's protocol rows, keyed by the leg a spec names.
@@ -141,7 +138,7 @@ EXPLORE_LEGS: Dict[str, ExploreLeg] = {
     "cbt": ExploreLeg(
         stand_up=build_cbt_group,
         transition=transition_findings,
-        convergence=convergence_findings,
+        convergence=lambda w: convergence_findings(w.domain, w.group, w.members),
         fingerprint=domain_fingerprint,
         quiet_types=DEFAULT_QUIET_TYPES,
     ),
@@ -231,7 +228,8 @@ class ExploreScenario:
             (offset, partial(VERBS[verb], domain, group, subject))
             for offset, verb, subject in self.actions
         ]
-        return ExploreWorld(network, domain, group, list(self.members), actions)
+        sender = next((host for _, verb, host in self.actions if verb == "send"), None)
+        return ExploreWorld(network, domain, group, list(self.members), actions, sender)
 
 
 _JOIN_GATES = ("JOIN_REQUEST", "JOIN_ACK")

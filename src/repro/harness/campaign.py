@@ -15,8 +15,9 @@ to quiescence, recording:
   protocol stops emitting events and every invariant holds;
 * **control cost** — CBT control messages sent from the first fault
   until quiescence;
-* **delivery continuity** — fraction of members reached by data probes
-  before the faults and again after recovery.
+* **delivery continuity** — the exactly-once fraction of data probes
+  (:meth:`CellRun.probe`) before the faults and again after recovery;
+  a member that missed or duplicated one is a finding.
 
 Every run is deterministic: all randomness flows from the cell's seed
 through :func:`~repro.netsim.faults.derive_seed`, so re-running a
@@ -46,7 +47,7 @@ from repro.harness.scenarios import (
     build_cbt_group,
     build_dvmrp_group,
     build_hpimdm_group,
-    delivered_copies,
+    judge_delivery,
     pick_members,
     send_data,
 )
@@ -255,7 +256,7 @@ class ScenarioResult(CellResult):
     """Outcome of one (scenario, seed, topology) campaign cell."""
 
     ci_name = "chaos"
-    unfingerprinted = ("trace", "audit_checks", "telemetry")
+    unfingerprinted = ("trace", "audit_checks", "telemetry", "delivery_findings")
 
     scenario: str
     topology: str
@@ -266,7 +267,7 @@ class ScenarioResult(CellResult):
     recovery_time: float
     #: CBT control messages sent between first fault and quiescence.
     control_cost: int
-    #: Fraction of (member, probe) pairs delivered before the faults.
+    #: Fraction of (member, probe) pairs delivered once before the faults.
     delivery_before: float
     #: Same fraction measured after recovery.
     delivery_after: float
@@ -280,9 +281,11 @@ class ScenarioResult(CellResult):
     #: End-of-run telemetry snapshot (deterministic for a deterministic
     #: cell).
     telemetry: Dict[str, float] = field(default_factory=dict)
+    #: :meth:`CellRun.probe`'s lines (the fractions fingerprint them).
+    delivery_findings: List[str] = field(default_factory=list)
 
     def findings(self) -> List[str]:
-        return self._audit_findings("recovered=False", self.recovered)
+        return self._audit_findings("recovered=False", self.recovered) + self.delivery_findings
 
 
 @dataclass
@@ -298,22 +301,6 @@ class CampaignResult:
 
     def failures(self) -> List[ScenarioResult]:
         return [r for r in self.results if not r.clean]
-
-
-def _probe_delivery(network: Network, members: Sequence[str], group, count: int = 2) -> float:
-    """Send ``count`` probes from the first member; return the fraction
-    of (other member, probe) pairs that saw exactly one copy."""
-    receivers = [m for m in members[1:]]
-    if not receivers:
-        return 1.0
-    uids = send_data(network, members[0], group, count=count, spacing=0.05)
-    hits = 0
-    for member in receivers:
-        copies = delivered_copies(network, member)
-        for uid in uids:
-            if copies[uid] == 1:
-                hits += 1
-    return hits / (len(uids) * len(receivers))
 
 
 @dataclass
@@ -333,8 +320,8 @@ class ProtocolOutcome(Fingerprinted):
     #: Post-recovery state census (entries + synchronised records).
     state_total: int
     routers_with_state: int
-    #: Auditor violations, else the leg's convergence findings (empty
-    #: when clean).
+    #: Auditor violations, else the leg's convergence findings, then
+    #: the probes' (empty when clean).
     findings: List[str] = field(default_factory=list)
 
 
@@ -344,9 +331,10 @@ class CellRun:
     network, the domain and group, and the build's members (a workload
     build's host pool) and cores — plus what the run learns:
     ``recovered`` / ``recovery_time`` from :meth:`quiesce`,
-    ``violations`` / ``trace`` from :meth:`audited`.  :func:`leg_run`
-    adds its ``outcome``, the ``schedule`` it applied and the sim time
-    ``base`` it planned that schedule at."""
+    ``violations`` / ``trace`` from :meth:`audited`,
+    ``delivery_findings`` from :meth:`probe`.  :func:`leg_run` adds its
+    ``outcome``, the ``schedule`` it applied and the sim time ``base``
+    it planned that schedule at."""
 
     leg: Leg
     timers: CBTTimers
@@ -362,6 +350,7 @@ class CellRun:
     outcome: Optional[ProtocolOutcome] = None
     schedule: Optional[FaultSchedule] = None
     base: float = 0.0
+    delivery_findings: List[str] = field(default_factory=list)
 
     @contextmanager
     def audited(self) -> Iterator[None]:
@@ -373,6 +362,16 @@ class CellRun:
         except InvariantViolation as violation:
             self.violations = [str(f) for f in violation.findings]
             self.trace = list(violation.trace)
+
+    def probe(self, sender: str, label: str) -> float:
+        """Two probes from ``sender`` through the one oracle
+        (:func:`~repro.harness.scenarios.judge_delivery`): returns their
+        exactly-once fraction and adds its ``label`` lines to
+        ``delivery_findings``."""
+        uids = send_data(self.network, sender, self.group, count=2, spacing=0.05)
+        delivery = judge_delivery(self.network, self.group, sender, uids)
+        self.delivery_findings += delivery.findings(label)
+        return delivery.fraction
 
     def quiesce(self, since: float) -> bool:
         """Run to quiescence (:func:`run_to_quiescence`, recovery time
@@ -412,14 +411,15 @@ def leg_run(
     through one fault cell: build ``topology`` at ``seed``, stand the
     group up, probe, apply ``plan(ChaosContext)`` (faults from 1 s on),
     run past the last fault and to quiescence, probe, take the census
-    into ``run.outcome``.  An auditor violation ends the run
-    unrecovered, its findings the outcome's."""
+    into ``run.outcome`` (probes from the build's first member).  An
+    auditor violation ends the run unrecovered, its findings the
+    outcome's."""
     from repro.chaos.scenarios import ChaosContext
 
     with cell_run(name, timers, TOPOLOGIES[topology].build, seed) as run:
         network, domain, group, members = run.network, run.domain, run.group, run.members
         leg = run.leg
-        delivery_before = _probe_delivery(network, members, group)
+        delivery_before = run.probe(members[0], "delivery before faults")
         run.base = network.scheduler.now
         run.schedule = schedule = plan(
             ChaosContext(
@@ -437,9 +437,9 @@ def leg_run(
             run.recovery_time,
             leg.control(domain) - control_start,
             delivery_before,
-            _probe_delivery(network, members, group) if run.recovered else 0.0,
+            run.probe(members[0], "delivery after recovery") if run.recovered else 0.0,
             *leg.census(domain, group),
-            findings=run.violations or leg.findings(domain),
+            findings=(run.violations or leg.findings(domain)) + run.delivery_findings,
         )
         yield run
 
@@ -471,6 +471,7 @@ def run_scenario(
             trace=run.trace,
             audit_checks=auditor.checks_run,
             telemetry=dict(run.network.telemetry.registry.snapshot()),
+            delivery_findings=run.delivery_findings,
         )
 
 

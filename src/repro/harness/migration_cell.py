@@ -9,7 +9,7 @@ under the always-on invariant auditor.
 
 The cell measures the paper's own trade-off axes before and after the
 handover: delay stretch and traffic concentration of the live tree
-(``repro.metrics``), delivery continuity (the campaign probe), and
+(``repro.metrics``), delivery continuity (the cell probe), and
 control cost.  Everything is derived from the cell seed, so the
 fingerprint is byte-identical across runs and across CI worker counts.
 """
@@ -21,8 +21,8 @@ from typing import Dict, List, Tuple
 
 from repro.core.migration import MigrationCoordinator, network_graph, tree_quality
 from repro.core.timers import CBTTimers
-from repro.harness.campaign import TOPOLOGIES, CellResult, _probe_delivery, cell_run
-from repro.harness.scenarios import FAST_TIMERS, serving_router
+from repro.harness.campaign import TOPOLOGIES, CellResult, cell_run
+from repro.harness.scenarios import FAST_TIMERS, joined_hosts, serving_router
 from repro.netsim.faults import derive_seed
 
 
@@ -31,7 +31,7 @@ class MigrationCellResult(CellResult):
     """Outcome of one migration experiment cell."""
 
     ci_name = "migration"
-    unfingerprinted = ("telemetry",)
+    unfingerprinted = ("telemetry", "delivery_findings")
 
     topology: str
     seed: int
@@ -51,13 +51,16 @@ class MigrationCellResult(CellResult):
     violations: List[str] = field(default_factory=list)
     #: End-of-run telemetry snapshot.
     telemetry: Dict[str, float] = field(default_factory=dict)
+    #: :meth:`~repro.harness.campaign.CellRun.probe`'s lines (the
+    #: fractions fingerprint them).
+    delivery_findings: List[str] = field(default_factory=list)
 
     def findings(self) -> List[str]:
-        """A cell that did not complete its handover is not clean."""
+        """A cell that did not hand over, recover or deliver is not clean."""
         return self._audit_findings(
             f"migrated={self.migrated} recovered={self.recovered}",
             self.migrated and self.recovered,
-        )
+        ) + self.delivery_findings
 
 
 def _plan_churn(
@@ -102,7 +105,7 @@ def run_migration_cell(
         )
 
         quality_before = tree_quality(domain, graph, group, coordinator.member_routers())
-        delivery_before = _probe_delivery(network, members, group)
+        delivery_before = run.probe(members[0], "delivery before churn")
         old_primary = (coordinator.core_routers() or [""])[0]
 
         # Deterministic churn: skew the membership away from the primary.
@@ -116,7 +119,6 @@ def run_migration_cell(
             network.scheduler.call_at(
                 now + 0.3 + offset * 0.05, domain.join_host, host, group
             )
-        current_members = [m for m in members if m not in leave] + list(join)
         network.run(until=now + 3.0)
 
         # Drift-gated evaluation; force only if the threshold said "stay"
@@ -131,9 +133,8 @@ def run_migration_cell(
             run.quiesce(network.scheduler.now)
 
         quality_after = tree_quality(domain, graph, group, coordinator.member_routers())
-        delivery_after = (
-            _probe_delivery(network, sorted(current_members), group) if run.recovered else 0.0
-        )
+        sender = joined_hosts(network, group)[0]  # the lowest-named member left
+        delivery_after = run.probe(sender, "delivery after handover") if run.recovered else 0.0
         domain.auditor.stop()
         new_primary = (coordinator.core_routers() or [""])[0]
         migration_cost = (
@@ -157,4 +158,5 @@ def run_migration_cell(
             migration_control_cost=migration_cost,
             violations=run.violations,
             telemetry=dict(network.telemetry.registry.snapshot()),
+            delivery_findings=run.delivery_findings,
         )

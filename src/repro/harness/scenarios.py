@@ -8,6 +8,7 @@ protocol up through a :data:`repro.harness.campaign.LEGS` row, an
 explorer scenario through a :data:`repro.explore.scenarios.EXPLORE_LEGS`
 row; both rows call the ``build_*_group`` functions here, and an
 explorer window's ``send`` is :func:`send_one`, the probe's own send.
+Delivery is judged in one place, :func:`judge_delivery`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.bootstrap import CBTDomain
 from repro.core.timers import CBTTimers
@@ -181,17 +184,62 @@ def send_data(
     return uids
 
 
-def delivered_copies(network: Network, host_name: str) -> Dict[int, int]:
-    """Datagram uid -> copies of it ``host_name`` was delivered (0 for
-    a uid it never saw): one pass over the host's log, however many
-    probes are then looked up.  A plain loop into a ``defaultdict``
-    and not ``Counter(d.uid for d in ...)``: that is six calls and a
-    generator resumption per datagram where this is none, on a path
-    every chaos cell takes per receiver (``calls_per_event``)."""
-    copies: Dict[int, int] = defaultdict(int)
-    for datagram in network.host(host_name).delivered:
-        copies[datagram.uid] += 1
-    return copies
+class Delivery(NamedTuple):
+    """:func:`judge_delivery`'s verdict: the eligible ``members``, the
+    ``(member, uid)`` pairs ``missed`` and ``duplicated`` (a copy back
+    to the sender is one), and the exactly-once ``fraction`` of the
+    members' (member, probe) pairs."""
+
+    members: Tuple[str, ...]
+    missed: Tuple[Tuple[str, int], ...]
+    duplicated: Tuple[Tuple[str, int], ...]
+    fraction: float
+
+    @property
+    def served(self) -> Tuple[str, ...]:
+        """Members that got every probe at least once."""
+        short = {member for member, _ in self.missed}
+        return tuple(member for member in self.members if member not in short)
+
+    def findings(self, label: str) -> List[str]:
+        """A ``label`` line per member that missed or duplicated a probe."""
+        return [
+            f"{label}: {member} {verb} {len(list(pairs))} probe(s)"
+            for verb, judged in (("missed", self.missed), ("got duplicates of", self.duplicated))
+            for member, pairs in groupby(judged, key=itemgetter(0))
+        ]
+
+
+def joined_hosts(network: Network, group: IPv4Address) -> List[str]:
+    """The group's members now, by the hosts' own IGMP state."""
+    return [name for name, host in sorted(network.hosts.items()) if group in host.joined_groups]
+
+
+def judge_delivery(
+    network: Network, group: IPv4Address, sender: str, uids: Sequence[int]
+) -> Delivery:
+    """The one delivery oracle: each probe in ``uids`` (what
+    :func:`send_data` sent from ``sender``) must reach every member of
+    ``group`` but the sender exactly once, the members being the hosts
+    joined when it judges; the sender must get no copy back.  A log is
+    counted by a plain loop into a ``defaultdict``: ``Counter(d.uid for
+    d in ...)`` costs six calls and a generator resumption per datagram
+    (``calls_per_event``)."""
+    members = tuple(name for name in joined_hosts(network, group) if name != sender)
+    missed: List[Tuple[str, int]] = []
+    duplicated: List[Tuple[str, int]] = []
+    for member in members:
+        copies: Dict[int, int] = defaultdict(int)
+        for datagram in network.host(member).delivered:
+            copies[datagram.uid] += 1
+        for uid in uids:
+            if copies[uid] != 1:
+                (duplicated if copies[uid] else missed).append((member, uid))
+    pairs = len(members) * len(uids)
+    fraction = (pairs - len(missed) - len(duplicated)) / pairs if pairs else 1.0
+    echoed = {datagram.uid for datagram in network.host(sender).delivered}
+    duplicated += [(sender, uid) for uid in uids if uid in echoed]
+    return Delivery(members, tuple(missed), tuple(duplicated), fraction)
 
 
 def send_one(host, group: IPv4Address, ttl: int, uids: List[int]) -> None:

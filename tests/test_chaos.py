@@ -39,7 +39,10 @@ class TestQuickCampaign:
     def test_recovers_clean_under_auditor(self):
         campaign = run_campaign(quick=True)
         assert len(campaign.results) == len(QUICK_SCENARIOS)
-        for result in campaign.results:
+        # Plus the handover cells whose leaver was a probe receiver:
+        # delivery is judged against the members after the churn.
+        churn = [run_scenario("migration_churn", seed=seed) for seed in (0, 1, 3)]
+        for result in campaign.results + churn:
             cell = f"{result.topology}/{result.scenario} seed={result.seed}"
             assert result.recovered, cell
             assert not result.violations, (cell, result.violations)
@@ -47,6 +50,7 @@ class TestQuickCampaign:
             assert result.faults, cell
             assert result.delivery_before == 1.0, cell
             assert result.delivery_after == 1.0, cell
+            assert result.clean, (cell, result.findings())
         assert campaign.ok
 
     def test_campaign_is_deterministic(self):
@@ -83,6 +87,11 @@ class TestOpenFindings:
         assert not result.violations, result.violations
         assert result.recovered
 
+    @pytest.mark.xfail(strict=True, reason="core_crash/waxman16 seed 45: H_N3 unserved")
+    def test_core_crash_waxman16_seed45_serves_every_member(self):
+        result = run_scenario("core_crash", topology="waxman16", seed=45)
+        assert result.clean, result.findings()
+
     @pytest.mark.xfail(strict=True, reason="E16: two cores, N0 killed: 0/5 served")
     def test_two_cores_rehome_when_the_primary_dies(self):
         # waxman_network(24, seed=21), cores N0 and N9, N0 killed.
@@ -95,6 +104,11 @@ class TestOpenFindings:
         assert any("parent pointers form a loop" in v for v in loop.violations)
         restless = run_scenario("core_crash", topology="waxman16", seed=29)
         assert not restless.recovered and not restless.violations
+        # Recovered and auditor-clean, yet the member behind the
+        # off-tree N3 misses both probes after the primary's restart.
+        unserved = run_scenario("core_crash", topology="waxman16", seed=45)
+        assert unserved.recovered and not unserved.violations
+        assert unserved.findings() == ["delivery after recovery: H_N3 missed 2 probe(s)"]
         # The baseline cell's CBT leg is the same leg run, audited: it
         # fails by the same auditor finding.
         from repro.harness.baseline_cell import run_baseline_compare_cell

@@ -31,6 +31,16 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "joined" in out
 
+    def test_chaos_prints_why_each_failed_cell_failed(self, capsys):
+        """Open findings 2 and 5: one cell never quiesces, one leaves a
+        member unserved; neither trips the auditor."""
+        argv = ["chaos", "--topology", "waxman16", "--scenario", "core_crash"]
+        assert main(argv + ["--seeds", "29", "45"]) == 1
+        err = capsys.readouterr().err
+        assert "2 cell(s) failed" in err
+        assert "  recovered=False\n" in err
+        assert "  delivery after recovery: H_N3 missed 2 probe(s)\n" in err
+
     def test_loop(self, capsys):
         assert main(["loop"]) == 0
         out = capsys.readouterr().out

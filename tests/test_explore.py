@@ -53,9 +53,9 @@ def _retransmit_oracle(domain):
     return findings
 
 
-def _convergence_or_retransmit(domain, group, members):
-    findings = convergence_findings(domain, group, members)
-    return [str(finding) for finding in findings] + _retransmit_oracle(domain)
+def _convergence_or_retransmit(world):
+    findings = convergence_findings(world.domain, world.group, world.members)
+    return [str(finding) for finding in findings] + _retransmit_oracle(world.domain)
 
 
 def _on_leg(monkeypatch, scenario, **oracles):
@@ -246,6 +246,29 @@ def test_a_spec_on_another_topology_row_explores():
     ) == (16, 4, 0, "7b8560a1aa9799e6")
     first = run_schedule(scenario, (), scenario_options(scenario, max_decisions=1))
     assert first.narrative[0].startswith("#0 t=3.001 order: deliver CoreReport LAN_N3->N3")
+
+
+def test_an_hpimdm_spec_on_another_topology_row_explores():
+    """The HPIM-DM leg probes from the spec's own ``send`` host, so an
+    hpimdm-elections-shaped spec on the grid9 row (which has no host
+    B) searches clean, and the Figure-1 spec still sends from B."""
+    world = get_scenario("hpimdm-elections").build()
+    world.close()
+    assert world.sender == "B"
+    scenario = dataclasses.replace(
+        get_scenario("hpimdm-elections"),
+        name="hpimdm-elections-grid9",
+        topology="grid9",
+        pre_members=("H_N0",),
+        members=("H_N0", "H_N4", "H_N8"),
+        actions=((0.0, "join", "H_N4"), (0.0, "join", "H_N8"), (0.2, "send", "H_N2")),
+    )
+    result = explore(scenario, scenario_options(scenario, max_decisions=2))
+    stats = result.stats
+    assert result.ok and result.exhausted
+    assert (
+        stats.runs, stats.states_visited, stats.states_pruned, result.visited_digest
+    ) == (7, 2, 0, "38f8af456a038509")
 
 
 def _quit_overlap(domain, check_loops):

@@ -7,10 +7,12 @@ from repro.harness.formatting import format_table
 from repro.harness.scenarios import (
     build_cbt_group,
     build_dvmrp_group,
+    judge_delivery,
     pick_members,
     send_data,
 )
 from repro.netsim.address import group_address
+from repro.topology.figures import build_figure1
 from repro.topology.generators import waxman_network
 
 
@@ -102,3 +104,54 @@ class TestScenarios:
         uid = send_data(net, members[0], group, count=1)[0]
         other = members[1]
         assert any(d.uid == uid for d in net.host(other).delivered)
+
+
+class TestDeliveryOracle:
+    def test_judges_against_the_members_of_the_moment(self):
+        """H left and J joined after the build: H is not expected, J
+        is; a second copy of a probe is a finding naming the member."""
+        net = build_figure1(trace_enabled=False)
+        domain, group = build_cbt_group(net, ["A", "B", "G", "H"], cores=["R4", "R9"])
+        domain.leave_host("H", group)
+        domain.join_host("J", group)
+        net.run(until=net.scheduler.now + 5.0)
+        uids = send_data(net, "A", group, count=2, spacing=0.05)
+        delivery = judge_delivery(net, group, "A", uids)
+        assert delivery.members == ("B", "G", "J")
+        assert delivery.served == ("B", "G", "J")
+        assert (delivery.missed, delivery.duplicated, delivery.fraction) == ((), (), 1.0)
+        assert not any(d.uid in uids for d in net.host("H").delivered)
+
+        log = net.host("G").delivered
+        log.append(next(d for d in log if d.uid == uids[1]))
+        delivery = judge_delivery(net, group, "A", uids)
+        assert delivery.duplicated == (("G", uids[1]),)
+        assert delivery.fraction == 5 / 6
+        assert delivery.findings("probe") == ["probe: G got duplicates of 1 probe(s)"]
+        net.close()
+
+    def test_a_miss_is_a_finding_naming_the_member(self):
+        net = build_figure1(trace_enabled=False)
+        domain, group = build_cbt_group(net, ["A", "B", "G"], cores=["R4", "R9"])
+        uids = send_data(net, "A", group, count=2, spacing=0.05)
+        net.host("B").delivered.clear()
+        delivery = judge_delivery(net, group, "A", uids)
+        assert delivery.missed == (("B", uids[0]), ("B", uids[1]))
+        assert delivery.served == ("G",)
+        assert delivery.fraction == 0.5
+        assert delivery.findings("probe") == ["probe: B missed 2 probe(s)"]
+        net.close()
+
+    def test_a_copy_back_to_the_sender_is_a_duplicate(self):
+        """The sender is no member, so an echo leaves the fraction over
+        the members at 1.0 and is still a finding naming the sender."""
+        net = build_figure1(trace_enabled=False)
+        domain, group = build_cbt_group(net, ["A", "B", "G"], cores=["R4", "R9"])
+        uids = send_data(net, "A", group, count=2, spacing=0.05)
+        net.host("A").delivered.append(next(d for d in net.host("B").delivered if d.uid == uids[0]))
+        delivery = judge_delivery(net, group, "A", uids)
+        assert delivery.members == ("B", "G")
+        assert (delivery.missed, delivery.duplicated) == ((), (("A", uids[0]),))
+        assert delivery.fraction == 1.0
+        assert delivery.findings("probe") == ["probe: A got duplicates of 1 probe(s)"]
+        net.close()

@@ -583,6 +583,37 @@ def test_no_result_writes_its_fingerprint_by_hand():
     ]
 
 
+# -- one delivery oracle -------------------------------------------------------------
+#
+# Who should get a probe is decided once: ``harness.scenarios.judge_delivery``
+# reads the members from the hosts' IGMP state and each member's
+# ``Host.delivered`` log.  The flash crowd's audit judges per-session
+# windows instead, and the ``Host`` fills the log; a third reader is a
+# second answer to "who should get this probe".
+
+
+def test_only_the_oracle_and_the_flash_crowd_read_the_delivery_log():
+    found = []
+
+    def visit(node, rel, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "delivered":
+            found.append(f"{rel}::{function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, rel, function)
+
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        visit(ast.parse(path.read_text(encoding="utf-8")), rel, "<module>")
+    assert sorted(set(found)) == [
+        "harness/scenarios.py::judge_delivery",
+        "routing/table.py::__init__",
+        "routing/table.py::receive",
+        "workloads/cell.py::run_flash_crowd_cell",
+    ]
+
+
 # -- an address is an int ------------------------------------------------------------
 #
 # ``repro.netsim.address`` defines the address and prefix types, and a
