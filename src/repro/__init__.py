@@ -24,11 +24,20 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
-from repro.core.bootstrap import CBTDomain
-from repro.netsim.address import group_address
-from repro.topology.figures import build_figure1, build_figure5_loop
+import importlib
 
 __version__ = "1.0.0"
+
+#: The package's names -> the module defining each, imported on first
+#: use (the module ``__getattr__`` below), so that importing one
+#: submodule (``repro.netsim.engine``) does not load the CBT, IGMP,
+#: routing and topology stack behind these four.
+_EXPORTS = {
+    "CBTDomain": "repro.core.bootstrap",
+    "build_figure1": "repro.topology.figures",
+    "build_figure5_loop": "repro.topology.figures",
+    "group_address": "repro.netsim.address",
+}
 
 __all__ = [
     "CBTDomain",
@@ -36,3 +45,10 @@ __all__ = [
     "build_figure5_loop",
     "group_address",
 ]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(_EXPORTS[name]), name)
+    return value

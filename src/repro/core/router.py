@@ -29,7 +29,7 @@ from repro.core.constants import (
     JoinSubcode,
     MessageType,
 )
-from repro.core.dr import DRElection, HELLO_HOLD_TIME, HELLO_INTERVAL, NeighbourTable
+from repro.core.dr import DRElection, NeighbourTable
 from repro.core.fib import FIB, FIBEntry
 from repro.core.forwarding import DataPlane
 from repro.core.constants import CBT_VERSION
@@ -94,7 +94,7 @@ class ControlStats:
     are preserved as properties.
     """
 
-    __slots__ = ("_registry", "_prefix", "tx", "rx")
+    __slots__ = ("_registry", "_prefix", "tx", "rx", "decode_errors")
 
     def __init__(
         self,
@@ -110,6 +110,8 @@ class ControlStats:
         #: calls ``count_*`` only on a miss: the first message of a type.
         self.tx: Dict[MessageType, Counter] = {}
         self.rx: Dict[MessageType, Counter] = {}
+        #: Control messages dropped as undecodable (wire-format mode).
+        self.decode_errors = 0
 
     def count_sent(self, msg_type: MessageType) -> None:
         counter = self.tx.get(msg_type)
@@ -161,7 +163,6 @@ class CBTProtocol:
         #: When True, control messages cross the network as encoded
         #: §8 bytes and are decoded (checksum-verified) per hop.
         self.wire_format = wire_format
-        self.decode_errors = 0
 
         self.fib = FIB()
         self.igmp = IGMPRouterAgent(router, config=igmp_config)
@@ -187,10 +188,13 @@ class CBTProtocol:
 
         # Telemetry: this router's statistics (``ControlStats``,
         # ``TreeStats``) are read under its name in the scheduler-wide
-        # registry; events go onto the shared trace bus only.
-        telemetry = router.scheduler.telemetry
-        self.telemetry = telemetry
-        registry = telemetry.registry
+        # registry; events go onto the shared trace bus only.  The
+        # engine keeps no reference to either (each is one read away,
+        # through the router's scheduler), nor to its join-latency
+        # histogram or the HELLO cadence (``timers.hello_interval``):
+        # at 29 attributes or fewer an instance's values sit behind
+        # its class's shared keys (docs/PERFORMANCE.md).
+        registry = router.scheduler.telemetry.registry
         prefix = f"cbt.router.{router.name}"
         self.stats = ControlStats(registry, prefix)
         self.tree_stats = TreeStats(self.fib)
@@ -198,17 +202,13 @@ class CBTProtocol:
         #: kind -> its ``cbt.router.<name>.event.<kind>`` counter, in
         #: first-use order; :meth:`CBTDomain.events_total` sums them.
         self.event_counters: Dict[str, Counter] = {}
-        self._join_latency = registry.histogram(f"{prefix}.join_latency")
+        registry.histogram(f"{prefix}.join_latency")
+        #: The four maintenance tickers, made by the first start; the
+        #: engine runs while they do.
         self._tickers: List[PeriodicTimer] = []
-        self._started = False
         #: §5.2 tunnel configuration: when set, per-core interface
         #: rankings replace unicast routing for reaching those cores.
         self.tunnel_table = None
-        # HELLO cadence scales with the timer profile so neighbour /
-        # tree-announcement liveness tracks the rest of the protocol.
-        scale = timers.echo_interval / DEFAULT_TIMERS.echo_interval
-        self.hello_interval = HELLO_INTERVAL * scale
-        self.hello_hold = HELLO_HOLD_TIME * scale
         #: What :meth:`_hello_tick`'s rule reads besides the neighbour
         #: table: HELLO ticks since the last once-a-hold tick, and a
         #: mask with bit ``i`` set when ``router.lan_interfaces[i]`` was
@@ -235,9 +235,8 @@ class CBTProtocol:
     def start(self) -> None:
         """Begin IGMP querier duty, HELLOs, and maintenance timers; after
         :meth:`stop`, re-announce and re-arm the maintenance timers."""
-        if self._started:
+        if self._tickers and self._tickers[0].running:
             return
-        self._started = True
         if not self._tickers:
             # First start.  IGMP is not ours to stop, so it starts once.
             self.igmp.start()
@@ -245,7 +244,7 @@ class CBTProtocol:
             self._tickers = [
                 PeriodicTimer(scheduler, interval, tick)
                 for interval, tick in (
-                    (self.hello_interval, self._hello_tick),
+                    (self.timers.hello_interval, self._hello_tick),
                     (self.timers.echo_interval, self._echo_tick),
                     (self.timers.child_assert_interval, self._child_assert_tick),
                     (self.timers.iff_scan_interval, self._iff_scan_tick),
@@ -267,7 +266,6 @@ class CBTProtocol:
         running."""
         for ticker in self._tickers:
             ticker.stop()
-        self._started = False
 
     # ------------------------------------------------------------------
     # public queries
@@ -385,7 +383,7 @@ class CBTProtocol:
         name = self.router.name
         return [
             e
-            for e in self.telemetry.bus.records("protocol")
+            for e in self.router.scheduler.telemetry.bus.records("protocol")
             if e.router == name and e.kind == kind
         ]
 
@@ -439,7 +437,7 @@ class CBTProtocol:
         if not self.dr_election.is_default_dr(interface):
             return
         if self.neighbours.tree_announcers(
-            interface.vif, group, self.router.scheduler.now, self.hello_hold
+            interface.vif, group, self.router.scheduler.now, self.timers.hello_hold
         ):
             return  # an attached router already serves this LAN
         cores = self.cores_for(group)
@@ -803,10 +801,10 @@ class CBTProtocol:
             try:
                 message = decode_control(bytes(message))
             except CBTDecodeError:
-                self.decode_errors += 1
+                self.stats.decode_errors += 1
                 return  # corrupted on the wire: drop silently
             if message.version != CBT_VERSION:
-                self.decode_errors += 1
+                self.stats.decode_errors += 1
                 return
         msg_type = message.msg_type
         counter = self.stats.rx.get(msg_type)
@@ -1122,7 +1120,9 @@ class CBTProtocol:
             )
         else:
             latency = self.router.scheduler.now - pend.created_at
-            self._join_latency.observe(latency)
+            self.router.scheduler.telemetry.registry.histogram(
+                f"cbt.router.{self.router.name}.join_latency"
+            ).observe(latency)
             self.tree_stats.joins_completed += 1
             self._record("joined", group, detail=f"{latency:.4f}")
         if group in self.rejoins:
@@ -1648,14 +1648,15 @@ class CBTProtocol:
         a peer that missed the start-up pair to be found within one."""
         now = self.router.scheduler._now
         neighbours = self.neighbours
-        neighbours.expire(now, self.hello_hold)
+        hold = self.timers.hello_hold
+        neighbours.expire(now, hold)
         # Forget G-DRs that stopped sending HELLOs: the LAN may need a
         # fresh join from us (the IFF scan picks that up).
         for (vif, group), address in list(self._gdr_known.items()):
             if not neighbours.is_cbt_capable(vif, address):
                 del self._gdr_known[(vif, group)]
         self._hello_ticks = (self._hello_ticks + 1) % round(
-            self.hello_hold / self.hello_interval
+            hold / self.timers.hello_interval
         )
         every_lan = self._hello_ticks == 0
         up_before = self._lans_up
@@ -1668,7 +1669,7 @@ class CBTProtocol:
                 if (
                     every_lan
                     or not up_before & bit
-                    or neighbours.has_live(interface.vif, now, self.hello_hold)
+                    or neighbours.has_live(interface.vif, now, hold)
                 ):
                     due.append(interface)
         self._lans_up = up
@@ -1756,7 +1757,8 @@ class CBTProtocol:
     # -- bookkeeping ---------------------------------------------------------
 
     def _record(self, kind: str, group: IPv4Address, detail: str = "") -> None:
-        self.telemetry.bus.publish(
+        telemetry = self.router.scheduler.telemetry
+        telemetry.bus.publish(
             ProtocolEvent(
                 time=self.router.scheduler.now,
                 kind=kind,
@@ -1767,7 +1769,7 @@ class CBTProtocol:
         )
         counter = self.event_counters.get(kind)
         if counter is None:
-            counter = self.telemetry.registry.counter(
+            counter = telemetry.registry.counter(
                 f"cbt.router.{self.router.name}.event.{kind}"
             )
             self.event_counters[kind] = counter

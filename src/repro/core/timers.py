@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.dr import HELLO_HOLD_TIME, HELLO_INTERVAL
+
 
 @dataclass(frozen=True)
 class CBTTimers:
@@ -42,6 +44,18 @@ class CBTTimers:
     #: Total time a rejoining router keeps trying alternate cores
     #: before giving up (spec §6.1: 90 s recommended).
     reconnect_timeout: float = 90.0
+
+    # HELLO cadence scales with the profile (as the echo interval does)
+    # so neighbour / tree-announcement liveness tracks the rest of the
+    # protocol.
+
+    @property
+    def hello_interval(self) -> float:
+        return HELLO_INTERVAL * (self.echo_interval / DEFAULT_TIMERS.echo_interval)
+
+    @property
+    def hello_hold(self) -> float:
+        return HELLO_HOLD_TIME * (self.echo_interval / DEFAULT_TIMERS.echo_interval)
 
     def scaled(self, factor: float) -> "CBTTimers":
         """Uniformly scaled copy — used by fast-converging test setups."""

@@ -570,6 +570,11 @@ class PeriodicTimer:
             self._timer.cancel()
             self._timer = None
 
+    @property
+    def running(self) -> bool:
+        """Between :meth:`start` and :meth:`stop`."""
+        return self._timer is not None
+
     def _tick(self) -> None:
         arm = self._timer
         self._callback(*self._args)

@@ -20,14 +20,14 @@ populations at n=1000, so neither gets a closure
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.netsim.address import IPv4Address, IPv4Network
 from repro.netsim.engine import Scheduler, SchedulerError, Timer
 from repro.netsim.nic import Interface
 from repro.netsim.packet import IPDatagram, UDPDatagram
 from repro.netsim.trace import PacketTrace, TraceRecord
-from repro.telemetry import Counter, MsgCounters, payload_label
+from repro.telemetry import MsgCounters, payload_label
 
 #: The ``netsim.link.<name>.`` family: metric -> the attribute it reads.
 _WIRE_METRICS = (
@@ -124,12 +124,14 @@ class Link:
         # MsgCounters caches.
         self._msg_by_key = scheduler.telemetry._msg_by_key
         self._msg_by_proto = scheduler.telemetry._msg_by_proto
-        self._drop_counters: Dict[str, Counter] = {}
+        # ``_drop_counters`` (reason -> Counter) is made by the first
+        # drop: most links never drop anything.
         self._registry.gauge_attrs(f"netsim.link.{name}.", self, _WIRE_METRICS)
         #: Callbacks fired when this link's topology-relevant state
         #: changes (attachment, up/down, interface flips).  Link-state
-        #: routing registers here to invalidate its caches.
-        self._topology_observers: List[Callable[[], None]] = []
+        #: routing registers here to invalidate its caches; a tuple,
+        #: since a link has one observer.
+        self._topology_observers: Tuple[Callable[[], None], ...] = ()
 
     def close(self) -> None:
         """``Network.close()``: detach every attached interface from
@@ -143,11 +145,11 @@ class Link:
             interface.node = interface.link = None
         self.scheduler = self._telemetry = self._registry = self._deliver = None
         self.gate = self.loss = self.jitter = None
-        self._topology_observers = []
+        self._topology_observers = ()
 
     def add_topology_observer(self, callback: Callable[[], None]) -> None:
         """Register ``callback`` to run on any topology-relevant change."""
-        self._topology_observers.append(callback)
+        self._topology_observers += (callback,)
 
     def notify_topology_changed(self) -> None:
         for callback in self._topology_observers:
@@ -333,9 +335,12 @@ class Link:
         lookup only happens on the drop; per-reason counters are
         cached — convergence produces a steady trickle of drops)."""
         self._telemetry.msg_dropped(payload_label(datagram), reason)
-        counter = self._drop_counters.get(reason)
+        counters = getattr(self, "_drop_counters", None)
+        if counters is None:
+            counters = self._drop_counters = {}
+        counter = counters.get(reason)
         if counter is None:
-            counter = self._drop_counters[reason] = self._registry.counter(
+            counter = counters[reason] = self._registry.counter(
                 f"netsim.link.{self.name}.drop.{reason}"
             )
         counter.value += 1

@@ -25,7 +25,11 @@ class Interface:
     ``vif`` is the node-local interface index; ``network`` is the
     subnet prefix of the attached link; ``mode`` distinguishes native
     from CBT-mode (tunnel) interfaces per spec §5.2.
+
+    Slotted: a world has about ten times as many interfaces as routers.
     """
+
+    __slots__ = ("node", "vif", "address", "network", "mode", "link", "_up")
 
     def __init__(
         self,

@@ -10,25 +10,34 @@ Asymmetry injection: per-(router, link) cost overrides let tests create
 paths where A routes to B one way and B routes back another — the
 transient-asymmetry situation §2.6 of the spec argues CBT tolerates.
 
-Caching (see docs/PERFORMANCE.md): adjacency, the name/address router
-maps, and per-router interface-by-link maps are built once and reused
-by ``recompute``/``path``/``distance``.  Invalidation is explicit and
-event-driven: ``add_router``/``add_link`` invalidate directly, and
-every known link carries a topology observer that invalidates on
-up/down flips, interface flips, and new attachments, so the caches can
-never serve a stale topology.  Cost overrides drop only what is
-derived from costs (adjacency is cost-independent).
+Caching (see docs/PERFORMANCE.md): one view of the topology — each
+router's neighbour entries and the prefix map — is built once and
+reused by ``recompute``/``path``/``distance``.  Invalidation is
+explicit and event-driven: ``add_router``/``add_link`` invalidate
+directly, and every known link carries a topology observer that
+invalidates on up/down flips, interface flips, and new attachments, so
+the caches can never serve a stale topology.  Cost overrides drop only
+what is derived from costs (the view itself is cost-independent).
 """
 
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.netsim.address import NETMASKS, IPv4Address
 from repro.netsim.link import Link
 from repro.netsim.nic import Interface
 from repro.routing.table import Route, Router
+
+#: One neighbour entry of a router: (neighbour name, cost, link, own
+#: interface on the link, the neighbour's interface on it).
+Edge = Tuple[str, float, Link, Interface, Interface]
+
+#: (int(network address), prefixlen) -> (link, its attached routers as
+#: [(router name, interface)]), in link order.
+Prefixes = Dict[Tuple[int, int], Tuple[Link, List[Tuple[str, Interface]]]]
 
 
 class _OndemandPlan:
@@ -58,23 +67,19 @@ class _OndemandPlan:
     at recompute time.
     """
 
-    __slots__ = ("_radj", "_iface_by_link", "_prefix_map", "_plens", "_trees")
+    __slots__ = ("_radj", "_prefix_map", "_plens", "_trees")
 
     def __init__(
         self,
-        reverse_adjacency: Dict[str, List[Tuple[str, float, Link]]],
-        iface_by_link: Dict[str, Dict[int, Interface]],
-        prefix_map: Dict[Tuple[int, int], Tuple[Link, List[Tuple[str, Interface]]]],
-        plens: List[int],
+        reverse_adjacency: Dict[str, List[Edge]],
+        prefix_map: Prefixes,
     ) -> None:
         self._radj = reverse_adjacency
-        self._iface_by_link = iface_by_link
         self._prefix_map = prefix_map
-        self._plens = plens
+        self._plens = sorted({plen for _, plen in prefix_map}, reverse=True)
         # (net int, plen) -> (dist by router name, pred by router name)
         self._trees: Dict[
-            Tuple[int, int],
-            Tuple[Dict[str, float], Dict[str, Tuple[str, Link]]],
+            Tuple[int, int], Tuple[Dict[str, float], Dict[str, Edge]]
         ] = {}
 
     def route_for(self, router_name: str, dest_int: int) -> Optional[Route]:
@@ -88,35 +93,32 @@ class _OndemandPlan:
                 break
         if hit is None:
             return None
-        link, _attached = hit
-        own = self._iface_by_link.get(router_name)
-        if own is None or id(link) in own:
-            return None  # directly connected; handled by interface_toward()
+        link, attached = hit
+        for name, _iface in attached:
+            if name == router_name:
+                return None  # directly connected; handled by interface_toward()
         tree = self._trees.get(prefix_key)
         if tree is None:
-            tree = self._trees[prefix_key] = self._reverse_tree(hit[1])
+            tree = self._trees[prefix_key] = self._reverse_tree(attached)
         dist, pred = tree
         hop = pred.get(router_name)
         if hop is None:
-            return None  # unreachable (or an attached seed, handled above)
-        nbr_name, hop_link = hop
-        hop_link_id = id(hop_link)
-        egress = own.get(hop_link_id)
-        if egress is None:
-            return None
+            return None  # unreachable
+        # ``hop`` is the predecessor's edge toward this router: its
+        # own interface is our next hop, its peer interface ours.
         return Route(
             prefix=link.network,
-            interface=egress,
-            next_hop=self._iface_by_link[nbr_name][hop_link_id].address,
+            interface=hop[4],
+            next_hop=hop[3].address,
             metric=dist[router_name],
         )
 
     def _reverse_tree(
         self, attached: List[Tuple[str, Interface]]
-    ) -> Tuple[Dict[str, float], Dict[str, Tuple[str, Link]]]:
+    ) -> Tuple[Dict[str, float], Dict[str, Edge]]:
         """Multi-source Dijkstra outward from a prefix's attached routers."""
         dist: Dict[str, float] = {}
-        pred: Dict[str, Tuple[str, Link]] = {}
+        pred: Dict[str, Edge] = {}
         visited: set = set()
         heap: List[Tuple[float, str]] = []
         for name, _iface in attached:
@@ -134,11 +136,12 @@ class _OndemandPlan:
             if u in visited:
                 continue
             visited.add(u)
-            for v, cost, link in radj_get(u, ()):
-                nd = d + cost
+            for edge in radj_get(u, ()):
+                v = edge[0]
+                nd = d + edge[1]
                 if nd < dist_get(v, inf):
                     dist[v] = nd
-                    pred[v] = (u, link)
+                    pred[v] = edge
                     heappush(heap, (nd, v))
         return dist, pred
 
@@ -158,20 +161,16 @@ class LinkStateRouting:
         self.ondemand = False
         #: Everything derived from the topology, by name — built on
         #: first use, gone when the topology changes:
-        #: ``"adjacency"``  router name -> [(neighbour name, link)]
-        #: ``"costed"``     the same with per-edge costs (overrides
-        #:                  applied): name -> [(neighbour, cost, link)]
-        #: ``"by_name"`` / ``"by_address"``  the router maps
-        #: ``"iface_maps"`` (router name -> {id(link) -> interface},
-        #:                  [(id(link), link, (int(net addr), prefixlen),
-        #:                    [(router name, iface)])])
-        #: ``"plain"``      the costed adjacency with no override applied
-        #: ``"prefixes"``   ((int(net addr), prefixlen) -> (link,
-        #:                  [(router name, iface)]), prefix lengths
-        #:                  longest first) for the on-demand plan
+        #: ``"neighbours"`` router name -> [:data:`Edge`] over the up
+        #:                  links and interfaces, at the link's cost
+        #: ``"prefixes"``   (int(net addr), prefixlen) -> (link,
+        #:                  [(router name, iface)]), in link order
+        #: ``"costed"``     the neighbour entries with the per-(router,
+        #:                  link) overrides applied
+        #: ``"by_address"`` interface address -> router
         #: ``"dist"``       source router name -> Dijkstra distance map
-        #: The first five come from one pass over the links
-        #: (:meth:`_scan_links`).
+        #: The first two come from one pass over the links
+        #: (:meth:`_scan_links`); every reader uses them.
         self._derived: Dict[str, Any] = {}
         #: Drop every topology-derived cache.  Called from
         #: ``add_router`` / ``add_link`` and by every link (it is their
@@ -209,7 +208,8 @@ class LinkStateRouting:
         self._forget_costs()
 
     def _forget_costs(self) -> None:
-        """Adjacency is cost-independent; what is derived from costs is not."""
+        """The topology view is cost-independent; what is derived from
+        costs is not."""
         self._derived.pop("costed", None)
         self._derived.pop("dist", None)
 
@@ -251,93 +251,65 @@ class LinkStateRouting:
             }
         return derived["by_address"]
 
-    def adjacency(self) -> Dict[str, List[Tuple[str, Link]]]:
-        """router name -> [(neighbour router name, connecting link)]
-        over the up links and interfaces."""
+    def _topology(self) -> Tuple[Dict[str, List[Edge]], Prefixes]:
+        """The neighbour entries and the prefix map (:meth:`_scan_links`)."""
         derived = self._derived
-        if "adjacency" not in derived:
+        if "neighbours" not in derived:
             self._scan_links()
-        return derived["adjacency"]
+        return derived["neighbours"], derived["prefixes"]
 
-    def _costed_adjacency(self) -> Dict[str, List[Tuple[str, float, Link]]]:
-        """Adjacency with per-edge costs (overrides applied) baked in."""
+    def _costed_adjacency(self) -> Dict[str, List[Edge]]:
+        """Neighbour entries with the overrides applied: an edge costs
+        what the router it leaves sees the link at."""
         derived = self._derived
         if "costed" not in derived:
+            neighbours = self._topology()[0]
             overrides = self._cost_overrides
-            if not overrides:
-                if "plain" not in derived:
-                    self._scan_links()
-                derived["costed"] = derived["plain"]
-            else:
-                derived["costed"] = {
+            derived["costed"] = (
+                neighbours
+                if not overrides
+                else {
                     name: [
-                        (neighbour, overrides.get((name, link.name), link.cost), link)
-                        for neighbour, link in edges
+                        (other, overrides.get((name, link.name), cost), link, own, peer)
+                        for other, cost, link, own, peer in edges
                     ]
-                    for name, edges in self.adjacency().items()
+                    for name, edges in neighbours.items()
                 }
+            )
         return derived["costed"]
 
-    def _iface_maps(
-        self,
-    ) -> Tuple[
-        Dict[str, Dict[int, Interface]],
-        List[Tuple[int, Link, Tuple[int, int], List[Tuple[str, Interface]]]],
-    ]:
-        """Per-router {link -> interface} map and the link scan sequence."""
-        derived = self._derived
-        if "iface_maps" not in derived:
-            self._scan_links()
-        return derived["iface_maps"]
-
     def _scan_links(self) -> None:
-        """Derive, in one pass over the links, the adjacency, the
-        plain-cost adjacency, the interface maps and the prefix map.
+        """Derive, in one pass over the links, the neighbour entries and
+        the prefix map.
 
-        A router's adjacency lists its up neighbours link by link, each
-        link's attached routers in attachment order; the interface map
-        holds each router's interface on every link it is attached to.
+        A router's entries list its up neighbours link by link, each
+        link's attached routers in attachment order; the prefix map
+        holds every link's attached routers, up or not.
         """
-        by_link: Dict[str, Dict[int, Interface]] = {
-            router.name: {} for router in self.routers
-        }
-        adjacency: Dict[str, List[Tuple[str, Link]]] = {name: [] for name in by_link}
-        plain: Dict[str, List[Tuple[str, float, Link]]] = {name: [] for name in by_link}
-        link_seq: List[
-            Tuple[int, Link, Tuple[int, int], List[Tuple[str, Interface]]]
-        ] = []
-        prefix_map: Dict[Tuple[int, int], Tuple[Link, List[Tuple[str, Interface]]]] = {}
+        neighbours: Dict[str, List[Edge]] = {router.name: [] for router in self.routers}
+        prefixes: Prefixes = {}
         for link in self.links:
-            link_id = id(link)
-            attached: List[Tuple[str, Interface]] = []
-            for interface in link.interfaces:
-                name = interface.node.name
-                own = by_link.get(name)
-                if own is not None:
-                    own[link_id] = interface
-                    attached.append((name, interface))
+            attached = [
+                (interface.node.name, interface)
+                for interface in link.interfaces
+                if interface.node.name in neighbours
+            ]
             network = link.network
-            prefix_key = (int(network.network_address), network.prefixlen)
-            link_seq.append((link_id, link, prefix_key, attached))
-            prefix_map[prefix_key] = (link, attached)
+            prefixes[(int(network.network_address), network.prefixlen)] = (
+                link,
+                attached,
+            )
             if link.up and len(attached) > 1:
                 up = [(name, interface) for name, interface in attached if interface.up]
                 cost = link.cost
                 for name, interface in up:
-                    edges = adjacency[name]
-                    costed = plain[name]
+                    edges = neighbours[name]
                     for other, peer in up:
                         if peer is not interface:
-                            edges.append((other, link))
-                            costed.append((other, cost, link))
+                            edges.append((other, cost, link, interface, peer))
         derived = self._derived
-        derived["adjacency"] = adjacency
-        derived["plain"] = plain
-        derived["iface_maps"] = (by_link, link_seq)
-        derived["prefixes"] = (
-            prefix_map,
-            sorted({plen for _, plen in prefix_map}, reverse=True),
-        )
+        derived["neighbours"] = neighbours
+        derived["prefixes"] = prefixes
 
     # -- computation ---------------------------------------------------------
 
@@ -345,34 +317,31 @@ class LinkStateRouting:
         """Rebuild every router's routing table from current link state.
 
         Per-router SPF is deferred: each table gets a provider closing
-        over a snapshot of the costed adjacency and interface maps, and
-        runs Dijkstra + route installation on first access.  Routers
-        whose tables are never consulted before the next reconvergence
-        pay nothing, and the snapshot keeps the eager semantics — link
-        flips after this call don't leak into the deferred results
-        until ``recompute`` runs again.
+        over a snapshot of the costed neighbour entries and the prefix
+        map, and runs Dijkstra + route installation on first access.
+        Routers whose tables are never consulted before the next
+        reconvergence pay nothing, and the snapshot keeps the eager
+        semantics — link flips after this call don't leak into the
+        deferred results until ``recompute`` runs again.
         """
         self.recompute_count += 1
         if self.ondemand:
             self._recompute_ondemand()
             return
         adjacency = self._costed_adjacency()
-        iface_by_link, link_seq = self._iface_maps()
+        prefixes = self._topology()[1]
         compute = self._compute_for
         for router in self.routers:
             router.table.set_provider(
-                lambda r=router, a=adjacency, ibl=iface_by_link, ls=link_seq: compute(
-                    r, a, ibl, ls
-                )
+                lambda r=router, a=adjacency, p=prefixes: compute(r, a, p)
             )
 
     def _recompute_ondemand(self) -> None:
         """Install per-destination resolvers over a shared reverse plan."""
-        iface_by_link = self._iface_maps()[0]
-        derived = self._derived
+        neighbours, prefixes = self._topology()
         overrides = self._cost_overrides
         if not overrides:
-            radj = derived["plain"]
+            radj = neighbours
         else:
             # Reverse-costed adjacency: edge u -> v carries the cost *v*
             # (the forwarding router, one hop farther from the
@@ -380,32 +349,29 @@ class LinkStateRouting:
             # forward semantics.
             radj = {
                 name: [
-                    (neighbour, overrides.get((neighbour, link.name), link.cost), link)
-                    for neighbour, link in edges
+                    (other, overrides.get((other, link.name), cost), link, own, peer)
+                    for other, cost, link, own, peer in edges
                 ]
-                for name, edges in self.adjacency().items()
+                for name, edges in neighbours.items()
             }
-        plan = _OndemandPlan(radj, iface_by_link, *derived["prefixes"])
-        route_for = plan.route_for
+        route_for = _OndemandPlan(radj, prefixes).route_for
         for router in self.routers:
-            router.table.set_resolver(
-                lambda dest_int, name=router.name: route_for(name, dest_int)
-            )
+            router.table.set_resolver(partial(route_for, router.name))
 
     @staticmethod
     def _dijkstra(
         source: Router,
-        adjacency: Dict[str, List[Tuple[str, float, Link]]],
+        adjacency: Dict[str, List[Edge]],
         track_first_hop: bool = False,
-    ) -> Tuple[Dict[str, float], Dict[str, Tuple[Link, str]]]:
+    ) -> Tuple[Dict[str, float], Dict[str, Edge]]:
         """Full shortest-path scan from ``source`` over costed adjacency.
 
         Returns ``(dist, first_hop)``; ``first_hop`` maps each
-        destination to ``(egress link, neighbour name)`` and is only
-        populated when ``track_first_hop`` is set.
+        destination to the source's neighbour entry it is reached
+        through, and is only populated when ``track_first_hop`` is set.
         """
         dist: Dict[str, float] = {source.name: 0.0}
-        first_hop: Dict[str, Tuple[Link, str]] = {}
+        first_hop: Dict[str, Edge] = {}
         visited: set = set()
         heap: List[Tuple[float, str]] = [(0.0, source.name)]
         source_name = source.name
@@ -419,13 +385,14 @@ class LinkStateRouting:
             if name in visited:
                 continue
             visited.add(name)
-            for neighbour, cost, link in adjacency.get(name, ()):
-                nd = d + cost
+            for edge in adjacency.get(name, ()):
+                neighbour = edge[0]
+                nd = d + edge[1]
                 if nd < dist_get(neighbour, inf):
                     dist[neighbour] = nd
                     if track_first_hop:
                         if name == source_name:
-                            first_hop[neighbour] = (link, neighbour)
+                            first_hop[neighbour] = edge
                         else:
                             first_hop[neighbour] = first_hop[name]
                     heappush(heap, (nd, neighbour))
@@ -434,68 +401,53 @@ class LinkStateRouting:
     @staticmethod
     def _compute_for(
         source: Router,
-        adjacency: Dict[str, List[Tuple[str, float, Link]]],
-        iface_by_link: Dict[str, Dict[int, Interface]],
-        link_seq: List[Tuple[int, Link, Tuple[int, int], List[Tuple[str, Interface]]]],
+        adjacency: Dict[str, List[Edge]],
+        prefixes: Prefixes,
     ) -> None:
         dist, first_hop = LinkStateRouting._dijkstra(
             source, adjacency, track_first_hop=True
         )
-        LinkStateRouting._install_routes(
-            source, dist, first_hop, iface_by_link, link_seq
-        )
+        LinkStateRouting._install_routes(source, dist, first_hop, prefixes)
 
     @staticmethod
     def _install_routes(
         source: Router,
         dist: Dict[str, float],
-        first_hop: Dict[str, Tuple[Link, str]],
-        iface_by_link: Dict[str, Dict[int, Interface]],
-        link_seq: List[Tuple[int, Link, Tuple[int, int], List[Tuple[str, Interface]]]],
+        first_hop: Dict[str, Edge],
+        prefixes: Prefixes,
     ) -> None:
         source_name = source.name
-        source_ifaces = iface_by_link[source_name]
-        own_links = set(source_ifaces)
         dist_get = dist.get
-        # Destination router -> (egress interface, next-hop address):
-        # resolved once per reachable router instead of once per route.
-        hop_info: Dict[str, Tuple[Interface, IPv4Address]] = {}
-        for dest, (egress_link, nbr_name) in first_hop.items():
-            link_id = id(egress_link)
-            hop_info[dest] = (
-                source_ifaces[link_id],
-                iface_by_link[nbr_name][link_id].address,
-            )
         entries: List[Tuple[int, int, Route]] = []
         append = entries.append
-        for link_id, link, prefix_key, attached_routers in link_seq:
-            if link_id in own_links:
-                continue  # directly connected; handled by interface_toward()
+        for (net_int, plen), (link, attached_routers) in prefixes.items():
             best_metric: Optional[float] = None
             best_attached: Optional[str] = None
             for attached, _iface in attached_routers:
+                if attached == source_name:
+                    break  # directly connected; handled by interface_toward()
                 metric = dist_get(attached)
-                if metric is None or attached == source_name:
+                if metric is None:
                     continue
                 if best_metric is not None and metric >= best_metric:
                     continue
                 best_metric = metric
                 best_attached = attached
-            if best_attached is None:
-                continue
-            egress_iface, next_hop = hop_info[best_attached]
-            append(
-                (
-                    prefix_key[0],
-                    prefix_key[1],
-                    Route(
-                        prefix=link.network,
-                        interface=egress_iface,
-                        next_hop=next_hop,
-                        metric=best_metric,
-                    ),
-                )
-            )
+            else:
+                if best_attached is not None:
+                    edge = first_hop[best_attached]
+                    append(
+                        (
+                            net_int,
+                            plen,
+                            Route(
+                                prefix=link.network,
+                                interface=edge[3],
+                                next_hop=edge[4].address,
+                                metric=best_metric,
+                            ),
+                        )
+                    )
         source.table.replace_all(entries)
 
     # -- analysis helpers ----------------------------------------------------

@@ -271,11 +271,9 @@ class RoutingTable:
 
 
 class RoutedNode(Node):
-    """Node that can originate and locally deliver IP datagrams."""
-
-    def __init__(self, name: str, scheduler: Scheduler) -> None:
-        super().__init__(name, scheduler)
-        self.table = RoutingTable()
+    """Node that can originate and locally deliver IP datagrams.  How
+    unicast leaves it is its subclass's ``_transmit_unicast``: a host
+    sends to its default gateway and holds no routing table."""
 
     # -- origination -----------------------------------------------------
 
@@ -290,24 +288,6 @@ class RoutedNode(Node):
         """Default: multicast out every interface (overridden by hosts)."""
         for interface in self.interfaces:
             interface.send(datagram)
-
-    def _transmit_unicast(self, datagram: IPDatagram) -> None:
-        # Directly connected destination?
-        direct = self.interface_toward(datagram.dst)
-        if direct is not None:
-            direct.send(datagram, link_dst=datagram.dst)
-            return
-        route = self.table.lookup(datagram.dst)
-        if route is None:
-            # No route: dropped, like a real router — but counted.
-            telemetry = self.scheduler.telemetry
-            telemetry.msg_dropped(_payload_label(datagram), "no_route")
-            telemetry.registry.counter(
-                f"netsim.node.{self.name}.drop.no_route"
-            ).inc()
-            return
-        link_dst = route.next_hop if route.next_hop is not None else datagram.dst
-        route.interface.send(datagram, link_dst=link_dst)
 
 
 class Host(RoutedNode):
@@ -381,6 +361,7 @@ class Router(RoutedNode):
 
     def __init__(self, name: str, scheduler: Scheduler) -> None:
         super().__init__(name, scheduler)
+        self.table = RoutingTable()
         # Set by the multicast protocol, if any.
         self.multicast_forwarder: Optional[MulticastForwarder] = None
         #: Optional hook called on transit unicast datagrams; returning
@@ -428,6 +409,24 @@ class Router(RoutedNode):
             return
         self.forwarded_count += 1
         self._transmit_unicast(datagram.decremented())
+
+    def _transmit_unicast(self, datagram: IPDatagram) -> None:
+        # Directly connected destination?
+        direct = self.interface_toward(datagram.dst)
+        if direct is not None:
+            direct.send(datagram, link_dst=datagram.dst)
+            return
+        route = self.table.lookup(datagram.dst)
+        if route is None:
+            # No route: dropped, like a real router — but counted.
+            telemetry = self.scheduler.telemetry
+            telemetry.msg_dropped(_payload_label(datagram), "no_route")
+            telemetry.registry.counter(
+                f"netsim.node.{self.name}.drop.no_route"
+            ).inc()
+            return
+        link_dst = route.next_hop if route.next_hop is not None else datagram.dst
+        route.interface.send(datagram, link_dst=link_dst)
 
     # -- CBT-facing helpers ----------------------------------------------
 

@@ -217,7 +217,7 @@ class TestRawUdpPayload:
         figure1_network.run(until=figure1_network.scheduler.now + 2.0)
         assert copies(figure1_network, "H", to_group.uid) == 1
         assert copies(figure1_network, "H", to_router.uid) == 0
-        assert not any(p.decode_errors for p in domain.protocols.values())
+        assert not any(p.stats.decode_errors for p in domain.protocols.values())
         domain.assert_tree_consistent(group)
 
 

@@ -48,11 +48,11 @@ class TestAnnouncements:
         join_members(net, domain, group, ["M"])
         # Advance past a hello interval so announcements circulate.
         p = domain.protocol("RX")
-        net.run(until=net.scheduler.now + p.hello_interval + 1.0)
+        net.run(until=net.scheduler.now + p.timers.hello_interval + 1.0)
         ry = domain.protocol("RY")
         lan_vif = net.router("RY").interface_on(net.link("member_lan").network).vif
         announcers = ry.neighbours.tree_announcers(
-            lan_vif, group, net.scheduler.now, ry.hello_hold
+            lan_vif, group, net.scheduler.now, ry.timers.hello_hold
         )
         rx_lan_addr = net.router("RX").interface_on(
             net.link("member_lan").network
@@ -68,13 +68,13 @@ class TestAnnouncements:
             join_members(net, domain, g, ["M"], settle=0.5)
         p_rx = domain.protocol("RX")
         assert len(p_rx.fib) == 8
-        net.run(until=net.scheduler.now + p_rx.hello_interval + 1.0)
+        net.run(until=net.scheduler.now + p_rx.timers.hello_interval + 1.0)
         ry = domain.protocol("RY")
         lan_vif = net.router("RY").interface_on(net.link("member_lan").network).vif
         # All 8 groups (> 5 slots) must be visible at the peer.
         for g in groups:
             assert ry.neighbours.tree_announcers(
-                lan_vif, g, net.scheduler.now, ry.hello_hold
+                lan_vif, g, net.scheduler.now, ry.timers.hello_hold
             ), g
 
     def test_introduction_carries_every_on_tree_group(self):
@@ -98,7 +98,7 @@ class TestAnnouncements:
         net.run(until=net.scheduler.now + 0.01)  # well inside a hello interval
         for g in groups:
             assert p_ry.neighbours.tree_announcers(
-                ry_lan.vif, g, net.scheduler.now, p_ry.hello_hold
+                ry_lan.vif, g, net.scheduler.now, p_ry.timers.hello_hold
             ) == [rx_lan.address], g
 
     def test_hello_hold_scales_with_timer_profile(self):
@@ -106,8 +106,8 @@ class TestAnnouncements:
         p = domain.protocol("RX")
         from repro.core.dr import HELLO_HOLD_TIME, HELLO_INTERVAL
 
-        assert p.hello_interval == pytest.approx(HELLO_INTERVAL * 0.1)
-        assert p.hello_hold == pytest.approx(HELLO_HOLD_TIME * 0.1)
+        assert p.timers.hello_interval == pytest.approx(HELLO_INTERVAL * 0.1)
+        assert p.timers.hello_hold == pytest.approx(HELLO_HOLD_TIME * 0.1)
 
 
 class TestJoinSuppression:
@@ -134,8 +134,8 @@ class TestJoinSuppression:
         net.fail_router("RX")
         p_ry = domain.protocol("RY")
         horizon = (
-            p_ry.hello_hold
-            + p_ry.hello_interval * 2
+            p_ry.timers.hello_hold
+            + p_ry.timers.hello_interval * 2
             + FAST_TIMERS.iff_scan_interval * 2
             + FAST_IGMP.other_querier_timeout
             + FAST_IGMP.query_interval
@@ -166,7 +166,7 @@ class TestYield:
             origin=member_iface.address,
         )
         # Within a hello interval RY hears RX's announcement and yields.
-        net.run(until=net.scheduler.now + p_ry.hello_interval * 2 + 2.0)
+        net.run(until=net.scheduler.now + p_ry.timers.hello_interval * 2 + 2.0)
         assert not p_ry.is_on_tree(group)
         assert p_ry.events_of("yield_lan")
         # Delivery is exactly-once again afterwards.
@@ -177,7 +177,7 @@ class TestYield:
         net, domain, group = build_shared_lan()
         join_members(net, domain, group, ["M"])
         p_rx = domain.protocol("RX")
-        net.run(until=net.scheduler.now + p_rx.hello_interval * 3)
+        net.run(until=net.scheduler.now + p_rx.timers.hello_interval * 3)
         assert p_rx.is_on_tree(group)
         assert not p_rx.events_of("yield_lan")
 
@@ -204,7 +204,7 @@ class TestYield:
         join_members(net, domain, group, ["MP", "MS"])
         p_ry = domain.protocol("RY")
         assert p_ry.is_on_tree(group)
-        net.run(until=net.scheduler.now + p_ry.hello_interval * 3)
+        net.run(until=net.scheduler.now + p_ry.timers.hello_interval * 3)
         assert p_ry.is_on_tree(group)  # still serving its private LAN
         assert not p_ry.events_of("yield_lan")
 
@@ -302,15 +302,15 @@ class TestHelloRule:
         domain = CBTDomain(net, timers=FAST_TIMERS, igmp_config=FAST_IGMP)
         domain.start()
         p = domain.protocol("R")
-        net.run(until=4 * p.hello_hold + 1.0)
+        net.run(until=4 * p.timers.hello_hold + 1.0)
         assert _hello_times(net, "R", "lan") == pytest.approx(
-            [0.0, 1.0] + [k * p.hello_hold for k in range(1, 5)]
+            [0.0, 1.0] + [k * p.timers.hello_hold for k in range(1, 5)]
         )
 
     def test_shared_lan_keeps_the_full_rate_on_both_routers(self):
         net, domain, _ = build_shared_lan()
-        interval = domain.protocol("RX").hello_interval
-        net.run(until=4 * domain.protocol("RX").hello_hold + 1.0)
+        interval = domain.protocol("RX").timers.hello_interval
+        net.run(until=4 * domain.protocol("RX").timers.hello_hold + 1.0)
         ticks = pytest.approx([k * interval for k in range(1, 13)])
         for router in ("RX", "RY"):
             assert [t for t in _hello_times(net, router, "member_lan") if t > 1.5] == ticks
@@ -327,7 +327,7 @@ class TestHelloRule:
         )
         domain = CBTDomain(net, timers=FAST_TIMERS, igmp_config=FAST_IGMP)
         domain.start()
-        hold = domain.protocol("RX").hello_hold
+        hold = domain.protocol("RX").timers.hello_hold
         net.run(until=hold - 1.0)
         assert not _knows(domain, net, "RX", "RY")
         assert not _knows(domain, net, "RY", "RX")
@@ -341,15 +341,15 @@ class TestHelloRule:
         interface.up = False
         # Down from t=3 for longer than a hold, back up half an interval
         # before the 7th tick, which is not one of the once-a-hold ticks.
-        back = net.scheduler.now + p.hello_hold + 3 * p.hello_interval
+        back = net.scheduler.now + p.timers.hello_hold + 3 * p.timers.hello_interval
         net.run(until=back)
         assert not _knows(domain, net, "RX", "RY")
         assert not _knows(domain, net, "RY", "RX")
         interface.up = True
-        net.run(until=back + p.hello_interval)
+        net.run(until=back + p.timers.hello_interval)
         assert _knows(domain, net, "RX", "RY") and _knows(domain, net, "RY", "RX")
         assert [t for t in _hello_times(net, "RY", "member_lan") if t > back][:1] == (
-            pytest.approx([back + p.hello_interval / 2])
+            pytest.approx([back + p.timers.hello_interval / 2])
         )
 
     def test_a_lan_that_gains_a_second_router_mid_run(self):
@@ -362,9 +362,9 @@ class TestHelloRule:
         domain = CBTDomain(net, timers=FAST_TIMERS, igmp_config=FAST_IGMP)
         domain.start()
         p = domain.protocol("RY")
-        net.run(until=p.hello_hold + p.hello_interval / 2)
+        net.run(until=p.timers.hello_hold + p.timers.hello_interval / 2)
         attached = net.scheduler.now
         net.attach(ry, lan)
         net.converge()
-        net.run(until=attached + p.hello_interval)
+        net.run(until=attached + p.timers.hello_interval)
         assert _knows(domain, net, "RX", "RY") and _knows(domain, net, "RY", "RX")

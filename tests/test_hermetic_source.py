@@ -8,8 +8,10 @@ exception is listed with its reason.
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -1069,9 +1071,27 @@ def _uses(tree):
     return names, paths
 
 
+def _lazy_exports(tree):
+    """The names a module resolves on first use through its
+    ``__getattr__``: the keys of a top-level ``{name: "repro.module"}``
+    table (``repro/__init__.py``)."""
+    return {
+        key.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+        and node.value.values
+        and all(
+            isinstance(value, ast.Constant) and str(value.value).startswith("repro.")
+            for value in node.value.values
+        )
+        for key in node.value.keys
+    }
+
+
 def _re_exports(tree, package, own_names):
     """``package.name`` for each name an ``__init__`` imports from a
-    ``repro`` module at top level and does not itself use."""
+    ``repro`` module at top level and does not itself use, or resolves
+    lazily (:func:`_lazy_exports`)."""
     return {
         f"{package}.{alias.asname or alias.name}"
         for node in tree.body
@@ -1079,7 +1099,7 @@ def _re_exports(tree, package, own_names):
         and node.module.split(".")[0] == "repro"
         for alias in node.names
         if (alias.asname or alias.name) not in own_names
-    }
+    } | {f"{package}.{name}" for name in _lazy_exports(tree)}
 
 
 def _stale_entries(tree, module):
@@ -1088,7 +1108,7 @@ def _stale_entries(tree, module):
     exported = _all_entries(tree)
     if exported is None:
         return set()
-    bound = set()
+    bound = _lazy_exports(tree)
     for node in tree.body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
@@ -1137,3 +1157,30 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     )
     stale = sorted(set(ALLOWLIST) - unused)
     assert stale == [], f"ALLOWLIST entries that are now used or gone: remove them: {stale}"
+
+
+def test_importing_a_submodule_loads_only_what_it_imports():
+    """``repro/__init__`` resolves its four names on first use, so
+    ``import repro.netsim.engine`` loads the engine and the telemetry it
+    needs, not the CBT, IGMP, routing and topology stack behind those
+    names (34 ``repro`` modules while the package imported them
+    eagerly).  A fresh interpreter, since this one has loaded them all."""
+    code = (
+        "import sys, repro.netsim.engine; "
+        "print(*sorted(m for m in sys.modules if m.startswith('repro')))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert loaded == [
+        "repro",
+        "repro.netsim",
+        "repro.netsim.engine",
+        "repro.telemetry",
+        "repro.telemetry.registry",
+        "repro.telemetry.tracebus",
+    ]

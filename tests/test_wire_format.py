@@ -124,7 +124,7 @@ class TestCorruptionHandling:
         join_members(figure1_network, domain, group, ["A"], settle=20.0)
         assert corrupted, "the corruption hook never fired"
         decode_errors = sum(
-            p.decode_errors for p in domain.protocols.values()
+            p.stats.decode_errors for p in domain.protocols.values()
         )
         assert decode_errors >= 1
         assert domain.protocol("R1").is_on_tree(group)
@@ -154,9 +154,9 @@ class TestCorruptionHandling:
             CBT_PORT,
             alien.encode(),
         )
-        before = p3.decode_errors
+        before = p3.stats.decode_errors
         p3._handle_udp(r3, r3.interfaces[0], datagram)
-        assert p3.decode_errors == before + 1
+        assert p3.stats.decode_errors == before + 1
         assert group not in p3.pending
 
     def test_dispatch_table_maps_each_message_type_to_its_method(self):
@@ -210,7 +210,7 @@ class TestCorruptionHandling:
 
         def state():
             return (
-                p3.decode_errors,
+                p3.stats.decode_errors,
                 domain.events_total(),
                 dict(p3.stats.sent),
                 figure1_network.scheduler.events_scheduled,
