@@ -34,6 +34,7 @@ from repro.netsim.engine import PeriodicTimer
 from repro.netsim.nic import Interface
 from repro.netsim.node import Node
 from repro.netsim.packet import IPDatagram, PROTO_IGMP, Record
+from repro.routing.neighbours import NeighbourTable
 from repro.routing.table import Router
 from repro.topology.builder import Network
 
@@ -113,7 +114,7 @@ class DVMRPStats:
     data_forwards: int = 0
     prunes_sent: int = 0
     grafts_sent: int = 0
-    probes_sent: int = 0
+    beacons_sent: int = 0
     rpf_drops: int = 0
     pruned_drops: int = 0
 
@@ -121,8 +122,77 @@ class DVMRPStats:
         return self.prunes_sent + self.grafts_sent
 
 
-class DVMRPProtocol:
+class DenseModeProtocol:
+    """What DVMRP and HPIM-DM share on one router: IGMP and the router
+    wiring, the (S, G) ``entries``, the neighbour table, the beacon
+    ticker and sender, and RPF.  An engine sets ``proto``, the beacon
+    ``group`` and ``stats`` (with ``beacons_sent``), and supplies its
+    control handler, membership hook, forwarding loop and any upkeep
+    its :meth:`_tick` adds to the beacon."""
+
+    def __init__(
+        self,
+        router: Router,
+        interval: float,
+        hold: float,
+        beacon: Record,
+        igmp_config: Optional[IGMPConfig],
+    ) -> None:
+        self.router = router
+        self.igmp = IGMPRouterAgent(router, config=igmp_config)
+        self.entries: Dict[Tuple[IPv4Address, IPv4Address], Any] = {}
+        self.neighbours = NeighbourTable(hold)
+        self._beacon = beacon
+        self._ticker = PeriodicTimer(router.scheduler, interval, self._tick)
+        router.register_handler(self.proto, self._handle_control)
+        router.multicast_forwarder = self
+        self.igmp.on_membership_change(self._on_membership_change)
+        router.scheduler.register(self)
+
+    def start(self) -> None:
+        """Beacon now and every interval; a second call does nothing
+        until :meth:`stop`."""
+        if self._ticker.running:
+            return
+        self.igmp.start()
+        self._send_beacons()
+        self._ticker.start()
+
+    def stop(self) -> None:
+        self._ticker.stop()
+
+    def state_size(self) -> int:
+        """Stored (S, G) items — the E1 router-state metric."""
+        return sum(entry.state_size() for entry in self.entries.values())
+
+    def _tick(self) -> None:
+        self._send_beacons()
+
+    def _send_beacons(self) -> None:
+        for interface in self.router.interfaces:
+            if not interface.up:
+                continue
+            self.stats.beacons_sent += 1
+            interface.send(
+                IPDatagram(
+                    src=interface.address,
+                    dst=self.group,
+                    proto=self.proto,
+                    payload=self._beacon,
+                    ttl=1,
+                )
+            )
+
+    def _rpf_vif(self, source: IPv4Address) -> Optional[int]:
+        route = self.router.best_route(source)
+        return route.interface.vif if route is not None else None
+
+
+class DVMRPProtocol(DenseModeProtocol):
     """Flood-and-prune engine for one router."""
+
+    proto = PROTO_DVMRP
+    group = ALL_DVMRP_ROUTERS
 
     def __init__(
         self,
@@ -130,75 +200,16 @@ class DVMRPProtocol:
         prune_lifetime: float = DEFAULT_PRUNE_LIFETIME,
         igmp_config: Optional[IGMPConfig] = None,
     ) -> None:
-        self.router = router
         self.prune_lifetime = prune_lifetime
-        self.igmp = IGMPRouterAgent(router, config=igmp_config)
-        self.entries: Dict[Tuple[IPv4Address, IPv4Address], ForwardingEntry] = {}
-        #: vif -> {neighbour address -> last probe time}
-        self.neighbours: Dict[int, Dict[IPv4Address, float]] = {}
         self.stats = DVMRPStats()
-        self._probe_ticker = PeriodicTimer(
-            router.scheduler, PROBE_INTERVAL, self._send_probes
-        )
-        self._started = False
-        router.register_handler(PROTO_DVMRP, self._handle_control)
-        router.multicast_forwarder = self
-        self.igmp.on_membership_change(self._on_membership_change)
-        router.scheduler.register(self)
-
-    # -- lifecycle -------------------------------------------------------
-
-    def start(self) -> None:
-        """Probe now and every ``PROBE_INTERVAL``; a second call does
-        nothing until :meth:`stop`."""
-        if self._started:
-            return
-        self._started = True
-        self.igmp.start()
-        self._send_probes()
-        self._probe_ticker.start()
-
-    def stop(self) -> None:
-        self._probe_ticker.stop()
-        self._started = False
-
-    def state_size(self) -> int:
-        """(S,G) entries + prune records — the E1 router-state metric."""
-        return sum(entry.state_size() for entry in self.entries.values())
-
-    # -- neighbour discovery -----------------------------------------------
-
-    def _send_probes(self) -> None:
-        for interface in self.router.interfaces:
-            if not interface.up:
-                continue
-            self.stats.probes_sent += 1
-            interface.send(
-                IPDatagram(
-                    src=interface.address,
-                    dst=ALL_DVMRP_ROUTERS,
-                    proto=PROTO_DVMRP,
-                    payload=Probe(),
-                    ttl=1,
-                )
-            )
-
-    def _live_neighbours(self, vif: int) -> Set[IPv4Address]:
-        now = self.router.scheduler.now
-        table = self.neighbours.get(vif, {})
-        stale = [a for a, t in table.items() if now - t > NEIGHBOUR_HOLD]
-        for address in stale:
-            del table[address]
-        return set(table)
+        super().__init__(router, PROBE_INTERVAL, NEIGHBOUR_HOLD, Probe(), igmp_config)
 
     # -- control messages -------------------------------------------------------
 
     def _handle_control(self, node: Node, interface: Interface, datagram: IPDatagram) -> None:
         message = datagram.payload
         if isinstance(message, Probe):
-            self.neighbours.setdefault(interface.vif, {})[datagram.src] = (
-                self.router.scheduler.now
-            )
+            self.neighbours.heard(interface.vif, datagram.src, self.router.scheduler.now)
         elif isinstance(message, Prune):
             self._recv_prune(interface, datagram.src, message)
         elif isinstance(message, Graft):
@@ -249,11 +260,12 @@ class DVMRPProtocol:
                 return
             datagram = datagram.decremented()
         now = self.router.scheduler.now
+        self.neighbours.expire(now)  # a silent neighbour is gone once read
         forwarded_anywhere = False
         for interface in self.router.interfaces:
             if interface.vif == arrival.vif or not interface.up:
                 continue
-            downstream_routers = self._live_neighbours(interface.vif)
+            downstream_routers = self.neighbours.live(interface.vif, now)
             has_members = self.igmp.database.has_members(interface, group)
             if not downstream_routers and not has_members:
                 continue  # truncated broadcast: silent leaf LAN
@@ -297,21 +309,18 @@ class DVMRPProtocol:
             self.entries[(source, group)] = entry
         return entry
 
-    def _rpf_vif(self, source: IPv4Address) -> Optional[int]:
-        route = self.router.best_route(source)
-        return route.interface.vif if route is not None else None
-
     def _maybe_prune_upstream(self, entry: ForwardingEntry) -> None:
         """Prune toward the source if nothing downstream wants data."""
         if entry.pruned_upstream or entry.upstream_vif is None:
             return
         now = self.router.scheduler.now
+        self.neighbours.expire(now)
         for interface in self.router.interfaces:
             if interface.vif == entry.upstream_vif or not interface.up:
                 continue
             if self.igmp.database.has_members(interface, entry.group):
                 return
-            downstream = self._live_neighbours(interface.vif)
+            downstream = self.neighbours.live(interface.vif, now)
             if downstream - entry.active_prunes(interface.vif, now):
                 return  # an unpruned downstream router remains
         upstream_neighbour = self._upstream_neighbour(entry)

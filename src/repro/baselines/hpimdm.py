@@ -53,8 +53,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.baselines.dvmrp import DenseModeDomain
-from repro.igmp.router_side import IGMPConfig, IGMPRouterAgent
+from repro.baselines.dvmrp import DenseModeDomain, DenseModeProtocol
+from repro.igmp.router_side import IGMPConfig
 from repro.netsim.address import IPv4Address
 from repro.netsim.engine import PeriodicTimer
 from repro.netsim.nic import Interface
@@ -130,14 +130,6 @@ class HpimAck(Record):
 
 
 @dataclass
-class Neighbour:
-    """One hello-discovered neighbour on a link."""
-
-    gen_id: int
-    last_seen: float
-
-
-@dataclass
 class TreeEntry:
     """Hard (S, G) state: upstream choice + per-link synchronised views."""
 
@@ -179,7 +171,7 @@ class _Pending:
 @dataclass
 class HPIMStats:
     data_forwards: int = 0
-    hellos_sent: int = 0
+    beacons_sent: int = 0
     asserts_sent: int = 0
     interests_sent: int = 0
     acks_sent: int = 0
@@ -198,8 +190,11 @@ class HPIMStats:
         )
 
 
-class HPIMDMProtocol:
+class HPIMDMProtocol(DenseModeProtocol):
     """Hard-state dense-mode engine for one router."""
+
+    proto = PROTO_HPIM
+    group = ALL_HPIM_ROUTERS
 
     def __init__(
         self,
@@ -210,95 +205,37 @@ class HPIMDMProtocol:
         igmp_config: Optional[IGMPConfig] = None,
         gen_id: int = 1,
     ) -> None:
-        self.router = router
-        self.hello_interval = hello_interval
-        self.neighbour_hold = neighbour_hold
         self.rtx_interval = rtx_interval
-        self.gen_id = gen_id
-        self.igmp = IGMPRouterAgent(router, config=igmp_config)
-        self.entries: Dict[Tuple[IPv4Address, IPv4Address], TreeEntry] = {}
-        #: vif -> {neighbour address -> Neighbour}
-        self.neighbours: Dict[int, Dict[IPv4Address, Neighbour]] = {}
         self.stats = HPIMStats()
         #: (vif, kind, source, group) -> _Pending (unacked advertisement).
         self._pending: Dict[Tuple[int, str, IPv4Address, IPv4Address], _Pending] = {}
         self._seq = 0
         #: State changes so far; the quiescence counter.
         self.state_changes = 0
-        self._hello_ticker = PeriodicTimer(
-            router.scheduler, hello_interval, self._on_hello_tick
-        )
-        self._started = False
         self._rtx_ticker: Optional[PeriodicTimer] = None
-        router.register_handler(PROTO_HPIM, self._handle_control)
-        router.multicast_forwarder = self
-        self.igmp.on_membership_change(self._on_membership_change)
-        router.scheduler.register(self)
-
-    # -- lifecycle -------------------------------------------------------
-
-    def start(self) -> None:
-        """HELLO now and every ``hello_interval``; a second call does
-        nothing until :meth:`stop`."""
-        if self._started:
-            return
-        self._started = True
-        self.igmp.start()
-        self._send_hellos()
-        self._hello_ticker.start()
+        super().__init__(
+            router, hello_interval, neighbour_hold, HpimHello(gen_id=gen_id), igmp_config
+        )
 
     def stop(self) -> None:
-        self._hello_ticker.stop()
-        self._started = False
+        super().stop()
         if self._rtx_ticker is not None:
             self._rtx_ticker.stop()
             self._rtx_ticker = None
-
-    def state_size(self) -> int:
-        return sum(entry.state_size() for entry in self.entries.values())
 
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
 
-    # -- neighbour discovery and failure detection -----------------------
-
-    def _send_hellos(self) -> None:
-        for interface in self.router.interfaces:
-            if not interface.up:
-                continue
-            self.stats.hellos_sent += 1
-            interface.send(
-                IPDatagram(
-                    src=interface.address,
-                    dst=ALL_HPIM_ROUTERS,
-                    proto=PROTO_HPIM,
-                    payload=HpimHello(gen_id=self.gen_id),
-                    ttl=1,
-                )
-            )
-
-    def _on_hello_tick(self) -> None:
-        self._send_hellos()
-        self._sweep_neighbours()
+    def _tick(self) -> None:
+        self._send_beacons()
+        for vif, addr in self.neighbours.expire(self.router.scheduler.now):
+            self._neighbour_down(vif, addr)
         # Hard state does not expire, but routes drift after topology
         # changes: re-evaluate every entry so metric changes and
         # upstream moves are re-advertised (changes only, no re-flood).
         for entry in list(self.entries.values()):
             self._reevaluate(entry)
-
-    def _sweep_neighbours(self) -> None:
-        now = self.router.scheduler.now
-        for vif in sorted(self.neighbours):
-            table = self.neighbours[vif]
-            stale = sorted(
-                addr
-                for addr, neighbour in table.items()
-                if now - neighbour.last_seen > self.neighbour_hold
-            )
-            for addr in stale:
-                del table[addr]
-                self._neighbour_down(vif, addr)
 
     def _neighbour_down(self, vif: int, addr: IPv4Address) -> None:
         """Flush a dead neighbour everywhere: claims, interests, acks."""
@@ -318,15 +255,6 @@ class HPIMDMProtocol:
             if changed:
                 self._reevaluate(entry)
 
-    def _live_neighbours(self, vif: int) -> Set[IPv4Address]:
-        now = self.router.scheduler.now
-        table = self.neighbours.get(vif, {})
-        return {
-            addr
-            for addr, neighbour in table.items()
-            if now - neighbour.last_seen <= self.neighbour_hold
-        }
-
     # -- control-plane receive -------------------------------------------
 
     def _handle_control(
@@ -345,18 +273,18 @@ class HPIMDMProtocol:
     def _recv_hello(
         self, arrival: Interface, src: IPv4Address, hello: HpimHello
     ) -> None:
-        table = self.neighbours.setdefault(arrival.vif, {})
-        known = table.get(src)
+        vif = arrival.vif
         now = self.router.scheduler.now
-        if known is not None and known.gen_id == hello.gen_id:
-            known.last_seen = now
-            return
-        if known is not None:
+        fresh = self.neighbours.heard(vif, src, now, hello.gen_id)
+        if fresh is None:
             # Restarted neighbour: its synchronised state is gone.
-            self._neighbour_down(arrival.vif, src)
-        table[src] = Neighbour(gen_id=hello.gen_id, last_seen=now)
+            self._neighbour_down(vif, src)
+            self.neighbours.forget(vif, src)
+            self.neighbours.heard(vif, src, now, hello.gen_id)
+        elif not fresh:
+            return
         self.state_changes += 1
-        self._sync_link(arrival.vif, src)
+        self._sync_link(vif, src)
 
     def _sync_link(self, vif: int, addr: IPv4Address) -> None:
         """A neighbour (re)appeared: re-send our full link state to it
@@ -459,9 +387,8 @@ class HPIMDMProtocol:
         interface = self.router.interfaces[vif]
         if not interface.up:
             return
-        audience = self._live_neighbours(vif)
-        if only is not None:
-            audience &= only
+        live = self.neighbours.live(vif, self.router.scheduler.now)
+        audience = live if only is None else live & only
         key = (vif, kind, entry.source, entry.group)
         previous = self._pending.get(key)
         if previous is not None:
@@ -469,7 +396,7 @@ class HPIMDMProtocol:
             # old audience still owes us an ack for the *current* state:
             # carry the still-live laggards into the new pending set so
             # a targeted re-sync (only=) cannot silently drop them.
-            audience |= previous.waiting & self._live_neighbours(vif)
+            audience |= previous.waiting & live
         if not audience:
             self._pending.pop(key, None)
             return  # loner link: nothing to synchronise with
@@ -548,7 +475,7 @@ class HPIMDMProtocol:
             pending = self._pending.get(key)
             if pending is None:
                 continue
-            pending.waiting &= self._live_neighbours(pending.vif)
+            pending.waiting &= self.neighbours.live(pending.vif, self.router.scheduler.now)
             if not pending.waiting:
                 del self._pending[key]
                 continue
@@ -571,10 +498,6 @@ class HPIMDMProtocol:
             self._rtx_ticker = None
 
     # -- election + interest evaluation ----------------------------------
-
-    def _rpf_vif(self, source: IPv4Address) -> Optional[int]:
-        route = self.router.best_route(source)
-        return route.interface.vif if route is not None else None
 
     def _route_metric(self, source: IPv4Address) -> float:
         route = self.router.best_route(source)
@@ -609,7 +532,7 @@ class HPIMDMProtocol:
             return True
         interested = entry.interests.get(vif, {})
         claims = entry.claims.get(vif, {})
-        for addr in self._live_neighbours(vif):
+        for addr in self.neighbours.live(vif, self.router.scheduler.now):
             known = interested.get(addr)
             if known is not None:
                 if known[0]:
@@ -724,7 +647,7 @@ class HPIMDMProtocol:
             if not self.i_am_winner(entry, vif):
                 continue  # another router won this link's election
             if not self._link_wants_data(entry, vif):
-                if self._live_neighbours(vif):
+                if self.neighbours.has_live(vif, self.router.scheduler.now):
                     self.stats.uninterested_drops += 1
                 continue  # hard-pruned link or silent leaf LAN
             self.stats.data_forwards += 1
@@ -754,7 +677,7 @@ class HPIMDMDomain(DenseModeDomain):
         super().__init__(network, engine, routers, hosts)
 
     def hello_messages(self) -> int:
-        return sum(p.stats.hellos_sent for p in self.protocols.values())
+        return sum(p.stats.beacons_sent for p in self.protocols.values())
 
     def events_total(self) -> int:
         """State changes domain-wide; the quiescence counter."""
@@ -851,10 +774,11 @@ class HPIMDMDomain(DenseModeDomain):
                         f"elected upstream despite capable routers "
                         f"{', '.join(sorted(capable))}"
                     )
+        now = self.network.scheduler.now
         for name in sorted(self.protocols):
             protocol = self.protocols[name]
             for vif, table in sorted(protocol.neighbours.items()):
-                live = protocol._live_neighbours(vif)
+                live = protocol.neighbours.live(vif, now)
                 for entry in protocol.entries.values():
                     for addr in entry.claims.get(vif, {}):
                         if addr not in live and addr in table:

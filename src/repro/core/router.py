@@ -29,7 +29,7 @@ from repro.core.constants import (
     JoinSubcode,
     MessageType,
 )
-from repro.core.dr import DRElection, NeighbourTable
+from repro.core.dr import CBTNeighbourTable, DRElection
 from repro.core.fib import FIB, FIBEntry
 from repro.core.forwarding import DataPlane
 from repro.core.constants import CBT_VERSION
@@ -166,7 +166,7 @@ class CBTProtocol:
 
         self.fib = FIB()
         self.igmp = IGMPRouterAgent(router, config=igmp_config)
-        self.neighbours = NeighbourTable()
+        self.neighbours = CBTNeighbourTable(timers.hello_hold)
         self.dr_election = DRElection(self.igmp, self.neighbours)
         self.data_plane = DataPlane(self)
 
@@ -436,9 +436,7 @@ class CBTProtocol:
             return
         if not self.dr_election.is_default_dr(interface):
             return
-        if self.neighbours.tree_announcers(
-            interface.vif, group, self.router.scheduler.now, self.timers.hello_hold
-        ):
+        if self.neighbours.tree_announcers(interface.vif, group, self.router.scheduler.now):
             return  # an attached router already serves this LAN
         cores = self.cores_for(group)
         if not cores:
@@ -1055,7 +1053,7 @@ class CBTProtocol:
         """Proxy-ack sanity check: the originator is a CBT router on
         this LAN distinct from us (i.e. the join took an extra LAN
         hop), not merely any same-subnet source."""
-        return self.neighbours.is_cbt_capable(interface.vif, origin)
+        return self.neighbours.knows(interface.vif, origin)
 
     # -- JOIN_ACK --------------------------------------------------------------
 
@@ -1648,15 +1646,14 @@ class CBTProtocol:
         a peer that missed the start-up pair to be found within one."""
         now = self.router.scheduler._now
         neighbours = self.neighbours
-        hold = self.timers.hello_hold
-        neighbours.expire(now, hold)
+        neighbours.expire(now)
         # Forget G-DRs that stopped sending HELLOs: the LAN may need a
         # fresh join from us (the IFF scan picks that up).
         for (vif, group), address in list(self._gdr_known.items()):
-            if not neighbours.is_cbt_capable(vif, address):
+            if not neighbours.knows(vif, address):
                 del self._gdr_known[(vif, group)]
         self._hello_ticks = (self._hello_ticks + 1) % round(
-            hold / self.timers.hello_interval
+            neighbours.hold / self.timers.hello_interval
         )
         every_lan = self._hello_ticks == 0
         up_before = self._lans_up
@@ -1669,7 +1666,7 @@ class CBTProtocol:
                 if (
                     every_lan
                     or not up_before & bit
-                    or neighbours.has_live(interface.vif, now, hold)
+                    or neighbours.has_live(interface.vif, now)
                 ):
                     due.append(interface)
         self._lans_up = up
@@ -1716,12 +1713,14 @@ class CBTProtocol:
     def _recv_hello(
         self, arrival: Interface, src: IPv4Address, message: CBTControlMessage
     ) -> None:
-        groups = message.cores
-        if self.neighbours.heard(arrival.vif, src, self.router.scheduler._now, groups):
+        now = self.router.scheduler._now
+        if self.neighbours.heard(arrival.vif, src, now):
             # Introduce ourselves (and every tree announcement) right
             # away so a restarted neighbour learns the LAN state fast.
             self._send_hellos((arrival,))
+        groups = message.cores
         if groups:
+            self.neighbours.announce(arrival.vif, src, now, groups)
             self._maybe_yield_lan(arrival, src, groups)
 
     def _maybe_yield_lan(

@@ -95,7 +95,7 @@ def hpim_protocol_state(name: str, protocol) -> Tuple:
     """Canonical tuple of one HPIM-DM router's hard state.
 
     Sequence numbers and timestamps are excluded: two states differing
-    only in seq counters or ``last_seen`` stamps make identical
+    only in seq counters or last-heard times make identical
     protocol decisions from here on (seqs only order/dedup messages),
     so folding them together is exactly the kind of equivalence the
     pruning heuristic wants.  Unacked advertisements are included by

@@ -12,6 +12,7 @@ from repro.baselines.trees import (
     source_trees_for,
 )
 from repro.baselines.dvmrp import DVMRPDomain
+from repro.baselines.hpimdm import HPIMDMDomain
 from repro.harness.scenarios import build_dvmrp_group, send_data
 from repro.topology.generators import line_graph, realise, waxman_graph, waxman_network
 from repro.topology.graph import Graph
@@ -190,13 +191,23 @@ class TestDVMRP:
         assert drops >= 0  # counter exists and never goes negative
 
 
-class TestDVMRPLifecycle:
-    """Two routers on one point-to-point link probe every 10 s: 10
-    rounds of two probes in 95 s."""
+#: engine -> (domain class, stop time, beacons in 95 s, beacons in 95 s
+#: when stopped from the stop time until t=60).
+LIFECYCLE_ENGINES = {
+    "dvmrp": (DVMRPDomain, 35.0, 20, 16),
+    "hpimdm": (HPIMDMDomain, 37.5, 40, 32),
+}
 
-    def _probes(self, starts, stop_at=None, restart_at=None):
+
+@pytest.mark.parametrize("engine", sorted(LIFECYCLE_ENGINES))
+class TestDenseModeLifecycle:
+    """Two routers on one point-to-point link beacon every interval:
+    DVMRP probes every 10 s (10 rounds of two in 95 s), HPIM-DM HELLOs
+    every 5 s (20 rounds of two)."""
+
+    def _beacons(self, engine, starts, stop_at=None, restart_at=None):
         net = realise(line_graph(2), with_hosts=False)
-        domain = DVMRPDomain(net)
+        domain = LIFECYCLE_ENGINES[engine][0](net)
         protocols = list(domain.protocols.values())
         for protocol in protocols:
             for _ in range(starts):
@@ -209,11 +220,14 @@ class TestDVMRPLifecycle:
             for protocol in protocols:
                 protocol.start()
         net.run(until=95.0)
-        return sum(protocol.stats.probes_sent for protocol in protocols)
+        return sum(protocol.stats.beacons_sent for protocol in protocols)
 
-    def test_a_second_start_does_nothing(self):
-        assert self._probes(starts=1) == self._probes(starts=2) == 20
+    def test_a_second_start_does_nothing(self, engine):
+        once = LIFECYCLE_ENGINES[engine][2]
+        assert self._beacons(engine, starts=1) == self._beacons(engine, starts=2) == once
 
-    def test_start_after_stop_rearms(self):
-        # Probes at 0, 10, 20, 30; silent until 60; then 60, 70, 80, 90.
-        assert self._probes(starts=2, stop_at=35.0, restart_at=60.0) == 16
+    def test_start_after_stop_rearms(self, engine):
+        # DVMRP probes at 0, 10, 20, 30 and HPIM-DM HELLOs at 0, 5,
+        # ..., 35; both silent until 60, then every interval to 95.
+        _, stop_at, _, rearmed = LIFECYCLE_ENGINES[engine]
+        assert self._beacons(engine, starts=2, stop_at=stop_at, restart_at=60.0) == rearmed

@@ -1,9 +1,10 @@
 """DR election tests (spec §2.3)."""
 
 from repro import CBTDomain, group_address
-from repro.core.dr import NeighbourTable
+from repro.core.dr import CBTNeighbourTable
 from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS
 from repro.netsim.address import IPv4Address
+from repro.routing.neighbours import NeighbourTable
 from repro.topology.builder import Network
 
 
@@ -134,49 +135,112 @@ class TestNonCBTQuerier:
 
 
 class TestNeighbourTable:
+    """The one neighbour table every leg keeps, its hold set at
+    construction."""
+
     def test_heard_and_expiry(self):
-        table = NeighbourTable()
+        table = NeighbourTable(hold=180.0)
         addr = IPv4Address("10.0.0.9")
         table.heard(0, addr, now=100.0)
-        assert table.is_cbt_capable(0, addr)
-        table.expire(now=100.0 + 200.0, hold_time=180.0)
-        assert not table.is_cbt_capable(0, addr)
+        assert table.knows(0, addr)
+        assert table.expire(now=100.0 + 200.0) == [(0, addr)]
+        assert not table.knows(0, addr)
 
     def test_refresh_prevents_expiry(self):
-        table = NeighbourTable()
+        table = NeighbourTable(hold=180.0)
         addr = IPv4Address("10.0.0.9")
         table.heard(0, addr, now=0.0)
         table.heard(0, addr, now=150.0)
-        table.expire(now=200.0, hold_time=180.0)
-        assert table.is_cbt_capable(0, addr)
+        assert table.expire(now=200.0) == []
+        assert table.knows(0, addr)
 
     def test_forget(self):
-        table = NeighbourTable()
+        table = NeighbourTable(hold=180.0)
         addr = IPv4Address("10.0.0.9")
         table.heard(1, addr, now=0.0)
         table.forget(1, addr)
-        assert not table.is_cbt_capable(1, addr)
+        assert not table.knows(1, addr)
 
     def test_per_vif_isolation(self):
-        table = NeighbourTable()
+        table = NeighbourTable(hold=180.0)
         addr = IPv4Address("10.0.0.9")
         table.heard(0, addr, now=0.0)
-        assert not table.is_cbt_capable(1, addr)
+        assert not table.knows(1, addr)
 
     def test_heard_returns_whether_the_neighbour_was_new(self):
         """``_recv_hello`` introduces itself back to exactly the
         neighbours ``heard`` reports as new."""
-        table = NeighbourTable()
+        table = NeighbourTable(hold=180.0)
         addr, other = IPv4Address("10.0.0.9"), IPv4Address("10.0.0.7")
-        group = IPv4Address("239.0.0.1")
         assert table.heard(0, addr, now=0.0) is True  # first HELLO
         assert table.heard(0, addr, now=60.0) is False  # refresh
-        assert table.heard(0, addr, now=61.0, groups=(group,)) is False
+        assert table.heard(0, addr, now=61.0) is False
         assert table.on_vif(0) == {addr: 61.0}  # ... and it did refresh
         assert table.heard(1, addr, now=61.0) is True  # per-vif independence
-        assert table.heard(0, other, now=61.0, groups=(group,)) is True
-        table.expire(now=61.0 + 200.0, hold_time=180.0)
+        assert table.heard(0, other, now=61.0) is True
+        table.expire(now=61.0 + 200.0)
         assert table.heard(0, addr, now=262.0) is True  # new again after expiry
         table.forget(0, addr)
         assert table.heard(0, addr, now=263.0) is True  # ... and after forget
         assert table.heard(0, addr, now=264.0) is False
+
+    def test_live_through_the_hold_and_held_until_expired(self):
+        table = NeighbourTable(hold=10.0)
+        addr = IPv4Address("10.0.0.9")
+        table.heard(0, addr, now=5.0)
+        assert table.live(0, now=15.0) == {addr} and table.has_live(0, now=15.0)
+        assert table.live(0, now=15.5) == set() and not table.has_live(0, now=15.5)
+        assert table.knows(0, addr)  # silent, but not yet expired
+        assert table.live(1, now=5.0) == set() and not table.has_live(1, now=5.0)
+
+    def test_expire_returns_what_it_dropped_in_vif_address_order(self):
+        table = NeighbourTable(hold=10.0)
+        a, b, c = (IPv4Address(f"10.0.0.{i}") for i in (9, 3, 5))
+        for vif, address, now in ((2, a, 0.0), (0, a, 0.0), (2, b, 0.0), (1, c, 5.0), (0, c, 0.0)):
+            table.heard(vif, address, now)
+        assert table.expire(now=12.0) == [(0, c), (0, a), (2, b), (2, a)]
+        # A vif stays listed once a beacon was heard on it.
+        assert dict(table.items()) == {2: {}, 0: {}, 1: {c: 5.0}}
+        assert table.expire(now=12.0) == []
+
+    def test_a_new_gen_id_is_a_restart(self):
+        """A held neighbour whose beacon carries another ``gen_id``
+        restarted: ``heard`` records nothing and answers None, so
+        HPIM-DM can flush the old record before hearing the new one."""
+        table = NeighbourTable(hold=10.0)
+        addr = IPv4Address("10.0.0.9")
+        assert table.heard(0, addr, now=0.0, gen_id=1) is True
+        assert table.heard(0, addr, now=1.0, gen_id=1) is False
+        assert table.heard(0, addr, now=2.0, gen_id=2) is None
+        assert table.on_vif(0) == {addr: 1.0}  # the old record, untouched
+        table.forget(0, addr)
+        assert table.heard(0, addr, now=2.0, gen_id=2) is True
+        assert table.heard(0, addr, now=3.0, gen_id=2) is False
+        assert table.heard(1, addr, now=3.0, gen_id=5) is True  # per vif
+        assert table.expire(now=20.0) == [(0, addr), (1, addr)]
+        assert table.heard(0, addr, now=20.0, gen_id=7) is True  # expiry forgets it
+
+
+class TestCBTNeighbourTable:
+    """The groups a CBT neighbour's HELLOs announce, on top of the table."""
+
+    def test_announcements_lapse_after_the_hold_and_with_their_neighbour(self):
+        table = CBTNeighbourTable(hold=10.0)
+        rx, ry = IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2")
+        g1, g2 = IPv4Address("239.0.0.1"), IPv4Address("239.0.0.2")
+        table.heard(0, rx, now=0.0)
+        table.announce(0, rx, 0.0, (g1, g2))
+        table.heard(0, ry, now=4.0)
+        table.announce(0, ry, 4.0, (g1,))
+        assert table.tree_announcers(0, g1, now=10.0) == [rx, ry]
+        assert table.tree_announcers(0, g1, now=10.5) == [ry]
+        assert table.tree_announcers(1, g1, now=0.0) == []
+        table.heard(0, rx, now=8.0)
+        table.announce(0, rx, 8.0, (g2,))
+        assert table.expire(now=12.0) == []
+        assert table.tree_announcers(0, g1, now=12.0) == [ry]  # rx's g1 aged out
+        assert table.tree_announcers(0, g2, now=12.0) == [rx]
+        table.forget(0, ry)
+        assert table.tree_announcers(0, g1, now=12.0) == []
+        assert table.expire(now=18.5) == [(0, rx)]
+        assert table.tree_announcers(0, g2, now=18.0) == []  # gone with rx

@@ -51,9 +51,7 @@ class TestAnnouncements:
         net.run(until=net.scheduler.now + p.timers.hello_interval + 1.0)
         ry = domain.protocol("RY")
         lan_vif = net.router("RY").interface_on(net.link("member_lan").network).vif
-        announcers = ry.neighbours.tree_announcers(
-            lan_vif, group, net.scheduler.now, ry.timers.hello_hold
-        )
+        announcers = ry.neighbours.tree_announcers(lan_vif, group, net.scheduler.now)
         rx_lan_addr = net.router("RX").interface_on(
             net.link("member_lan").network
         ).address
@@ -73,9 +71,7 @@ class TestAnnouncements:
         lan_vif = net.router("RY").interface_on(net.link("member_lan").network).vif
         # All 8 groups (> 5 slots) must be visible at the peer.
         for g in groups:
-            assert ry.neighbours.tree_announcers(
-                lan_vif, g, net.scheduler.now, ry.timers.hello_hold
-            ), g
+            assert ry.neighbours.tree_announcers(lan_vif, g, net.scheduler.now), g
 
     def test_introduction_carries_every_on_tree_group(self):
         """A neighbour RX has not heard from gets every group RX is on
@@ -97,9 +93,9 @@ class TestAnnouncements:
         p_ry._send_hello(ry_lan, ())
         net.run(until=net.scheduler.now + 0.01)  # well inside a hello interval
         for g in groups:
-            assert p_ry.neighbours.tree_announcers(
-                ry_lan.vif, g, net.scheduler.now, p_ry.timers.hello_hold
-            ) == [rx_lan.address], g
+            assert p_ry.neighbours.tree_announcers(ry_lan.vif, g, net.scheduler.now) == [
+                rx_lan.address
+            ], g
 
     def test_hello_hold_scales_with_timer_profile(self):
         net, domain, group = build_shared_lan()
@@ -108,6 +104,7 @@ class TestAnnouncements:
 
         assert p.timers.hello_interval == pytest.approx(HELLO_INTERVAL * 0.1)
         assert p.timers.hello_hold == pytest.approx(HELLO_HOLD_TIME * 0.1)
+        assert p.neighbours.hold == p.timers.hello_hold
 
 
 class TestJoinSuppression:
@@ -285,7 +282,7 @@ def _knows(domain, net, router, peer, link="member_lan"):
     network = net.link(link).network
     vif = net.router(router).interface_on(network).vif
     peer_address = net.router(peer).interface_on(network).address
-    return domain.protocol(router).neighbours.is_cbt_capable(vif, peer_address)
+    return domain.protocol(router).neighbours.knows(vif, peer_address)
 
 
 class TestHelloRule:

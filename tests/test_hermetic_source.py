@@ -961,9 +961,6 @@ ALLOWLIST = {
     # Test accessors: deleting one would only move its body into tests.
     "app.StreamStats.max_latency": "the bound of a stream's latencies",
     "core.audit.warnings": "the warning half of what errors() filters",
-    "core.dr.NeighbourTable.forget": (
-        "drops a neighbour, as the HELLO and DR tests need to"
-    ),
     "core.fib.FIB.downloads": "how many kernel entries a FIB has downloaded",
     "igmp.host.IGMPHostAgent.is_member": "a host's membership of a group",
     "igmp.router_side.IGMPRouterAgent.is_querier": "querier duty on one interface",

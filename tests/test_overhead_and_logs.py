@@ -102,5 +102,5 @@ class TestDVMRPEdges:
         p = domain.protocol("N0")
         live = set()
         for vif in range(len(net.router("N0").interfaces)):
-            live |= p._live_neighbours(vif)
+            live |= p.neighbours.live(vif, net.scheduler.now)
         assert live  # probes every 10 s keep the table warm
