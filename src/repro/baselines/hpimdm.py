@@ -499,10 +499,6 @@ class HPIMDMProtocol(DenseModeProtocol):
 
     # -- election + interest evaluation ----------------------------------
 
-    def _route_metric(self, source: IPv4Address) -> float:
-        route = self.router.best_route(source)
-        return route.metric if route is not None else INFINITE_METRIC
-
     def election_winner(
         self, entry: TreeEntry, vif: int
     ) -> Optional[IPv4Address]:
@@ -553,11 +549,14 @@ class HPIMDMProtocol(DenseModeProtocol):
         """Recompute upstream, per-link role, and interest; advertise
         only the diffs (this is the no-re-flood property: quiescent
         state advertises nothing)."""
-        upstream = self._rpf_vif(entry.source)
+        route = self.router.best_route(entry.source)
+        if route is None:
+            upstream, metric = None, INFINITE_METRIC
+        else:
+            upstream, metric = route.interface.vif, route.metric
         if upstream != entry.upstream_vif:
             self.state_changes += 1
             entry.upstream_vif = upstream
-        metric = self._route_metric(entry.source)
         for interface in self.router.interfaces:
             vif = interface.vif
             local_source = interface.on_same_network(entry.source)
