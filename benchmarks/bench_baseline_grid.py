@@ -165,8 +165,10 @@ def run_experiment() -> Experiment:
             f"tree ctl / {STEADY_WINDOW:.0f}s steady",
             f"keepalives / {STEADY_WINDOW:.0f}s",
         ],
-        ["cbt", "dvmrp", "mospf (model)", "hpimdm"],
-        steady_state_row,
+        [
+            steady_state_row(protocol)
+            for protocol in ["cbt", "dvmrp", "mospf (model)", "hpimdm"]
+        ],
     )
     recovery = SweepResult(
         headers=[

@@ -86,7 +86,6 @@ def run_experiment() -> Experiment:
             "keepalive msgs",
         ],
         rows,
-        lambda r: r,
     )
     return exp
 

@@ -92,7 +92,6 @@ def run_experiment() -> Experiment:
             "dvmrp steady ops",
         ],
         rows,
-        lambda row: row,
     )
     return exp
 

@@ -63,7 +63,6 @@ def run_experiment() -> Experiment:
             "clean",
         ],
         rows,
-        lambda r: r,
     )
     return exp
 

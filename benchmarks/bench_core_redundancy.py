@@ -81,7 +81,6 @@ def run_experiment() -> Experiment:
     exp.run_sweep(
         ["cores", "survivors served", "first rejoin s", "full recovery"],
         rows,
-        lambda r: r,
     )
     return exp
 

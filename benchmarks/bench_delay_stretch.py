@@ -68,9 +68,7 @@ def run_experiment() -> Experiment:
     for name, strategy in STRATEGIES:
         mean_stretch, max_stretch = stretch_for(strategy)
         rows.append((name, round(mean_stretch, 3), round(max_stretch, 3)))
-    exp.run_sweep(
-        ["placement", "mean stretch", "mean max-stretch"], rows, lambda r: r
-    )
+    exp.run_sweep(["placement", "mean stretch", "mean max-stretch"], rows)
     return exp
 
 

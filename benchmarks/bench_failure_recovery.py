@@ -78,7 +78,6 @@ def run_experiment() -> Experiment:
             "detection bound s",
         ],
         rows,
-        lambda r: r,
     )
     return exp
 

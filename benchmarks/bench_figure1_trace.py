@@ -88,7 +88,6 @@ def run_walkthrough() -> Experiment:
     exp.run_sweep(
         ["milestone", "reproduced"],
         [(name, "yes" if ok else "NO") for name, ok in milestones],
-        lambda r: r,
     )
     exp.all_ok = all(ok for _, ok in milestones)
     return exp

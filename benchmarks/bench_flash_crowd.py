@@ -75,7 +75,6 @@ def run_experiment(quick: bool = False) -> Experiment:
             "sim events",
         ],
         rows,
-        lambda r: r,
     )
     return exp
 

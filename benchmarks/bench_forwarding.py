@@ -90,7 +90,6 @@ def run_experiment() -> Experiment:
     exp.run_sweep(
         ["metric", "CBT mode", "CBT + LAN mcast", "native mode"],
         rows,
-        lambda r: r,
     )
     exp.modes = {"cbt": cbt, "cbt_mcast": cbt_mcast, "native": native}
     return exp

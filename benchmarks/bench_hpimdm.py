@@ -121,7 +121,6 @@ def run_experiment() -> Experiment:
             ("figure1", converge, events, quiet, recovery, sim_events),
             ("waxman16", control, "-", "-", "-", wax_events),
         ],
-        lambda row: row,
     )
     return exp
 

@@ -119,7 +119,6 @@ def run_experiment() -> Experiment:
             "dvmrp entries",
         ],
         rows,
-        lambda r: r,
     )
     return exp
 

@@ -56,7 +56,6 @@ def run_experiment() -> Experiment:
     exp.run_sweep(
         ["hops to core", "measured ms", "2x one-way ms", "ratio"],
         rows,
-        lambda r: r,
     )
     return exp
 

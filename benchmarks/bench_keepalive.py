@@ -70,7 +70,6 @@ def run_experiment() -> Experiment:
     exp.run_sweep(
         ["groups", "per-group echoes", "aggregated echoes", "saving"],
         rows,
-        lambda r: r,
     )
     return exp
 

@@ -105,7 +105,6 @@ def run_experiment() -> Experiment:
             "speedup",
         ],
         rows,
-        lambda r: r,
     )
     return exp
 

@@ -66,7 +66,6 @@ def run_loop_episode() -> Experiment:
             )),
             ("total control messages (episode)", control_total),
         ],
-        lambda r: r,
     )
     exp.loops = loops
     exp.consistent = consistent

@@ -87,7 +87,6 @@ def run_experiment() -> Experiment:
     exp.run_sweep(
         ["seed", "measured stretch", "model stretch", "measured/model"],
         rows,
-        lambda r: r,
     )
     return exp
 

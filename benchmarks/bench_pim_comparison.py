@@ -88,7 +88,6 @@ def run_experiment() -> Experiment:
             "pim+spt stretch",
         ],
         rows,
-        lambda r: r,
     )
     return exp
 

@@ -72,8 +72,7 @@ def run_experiment() -> Experiment:
             "delivered",
             "sim events",
         ],
-        (25, 50, 100, 200, 1000, 10000),
-        lambda size: (size,) + scale_run(size),
+        [(size,) + scale_run(size) for size in (25, 50, 100, 200, 1000, 10000)],
     )
     return exp
 

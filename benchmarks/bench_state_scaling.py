@@ -102,7 +102,6 @@ def run_experiment() -> Experiment:
             "dvmrp routers",
         ],
         rows,
-        lambda row: row,
     )
     return exp
 

@@ -81,7 +81,6 @@ def run_experiment() -> Experiment:
             "per-src mean load",
         ],
         rows,
-        lambda r: r,
     )
     return exp
 

@@ -89,7 +89,6 @@ def run_experiment() -> Experiment:
             "shared/steiner",
         ],
         rows,
-        lambda row: row,
     )
     return exp
 

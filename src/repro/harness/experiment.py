@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, List, Sequence
+from typing import Any, Iterable, List, Sequence
 
 from repro.harness.formatting import format_table
 
@@ -40,15 +40,12 @@ class Experiment:
     result: SweepResult = field(default_factory=lambda: SweepResult(headers=()))
 
     def run_sweep(
-        self,
-        headers: Sequence[str],
-        parameters: Iterable[Any],
-        body: Callable[[Any], Sequence[Any]],
+        self, headers: Sequence[str], rows: Iterable[Sequence[Any]]
     ) -> SweepResult:
-        """Run ``body`` per parameter; each call returns one row."""
+        """Tabulate ``rows`` under ``headers`` as this experiment's result."""
         self.result = SweepResult(headers=headers)
-        for parameter in parameters:
-            self.result.add(*body(parameter))
+        for row in rows:
+            self.result.add(*row)
         return self.result
 
     def report(self) -> str:

@@ -53,7 +53,7 @@ class TestSweep:
         exp = Experiment(
             exp_id="T1", title="demo", paper_expectation="linear"
         )
-        result = exp.run_sweep(["n", "sq"], [1, 2, 3], lambda n: (n, n * n))
+        result = exp.run_sweep(["n", "sq"], [(n, n * n) for n in [1, 2, 3]])
         assert result.column("sq") == [1, 4, 9]
         report = exp.report()
         assert "T1" in report and "linear" in report
