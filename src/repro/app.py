@@ -126,11 +126,6 @@ class StreamStats:
             self.reordered += 1
         self._highest = max(self._highest, sequence)
 
-    def lost(self, sent: int) -> int:
-        """Packets the sender sent that never arrived (needs the
-        sender's final sequence count)."""
-        return max(0, sent - self.received)
-
     @property
     def mean_latency(self) -> float:
         if not self.latencies:

@@ -77,9 +77,6 @@ class GroupCoordinator:
     def cores_for(self, group: IPv4Address) -> Tuple[IPv4Address, ...]:
         return self._groups.get(group, ())
 
-    def groups(self) -> List[IPv4Address]:
-        return sorted(self._groups, key=int)
-
 
 class CBTDomain:
     """A Network in which every router speaks CBT.

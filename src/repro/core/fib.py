@@ -97,10 +97,6 @@ class FIBEntry:
             self.parent_vif = None
             self._download()
 
-    def tree_vifs(self) -> List[int]:
-        """All on-tree vif indices (parent + children)."""
-        return sorted(self.kernel.tree_vifs)
-
     def state_size(self) -> int:
         """Number of stored (address, vif) pairs — the E1 state metric."""
         return len(self.children) + (1 if self.has_parent else 0)

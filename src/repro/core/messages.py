@@ -270,10 +270,6 @@ class CBTDataPacket(Record):
             cls, (group, core, origin, inner, on_tree, ip_ttl, flow_id, version, size)
         )
 
-    @property
-    def is_on_tree(self) -> bool:
-        return self.on_tree == ON_TREE
-
     def marked_on_tree(self) -> "CBTDataPacket":
         """Copy with the on-tree field set (first on-tree router does this)."""
         group, core, origin, inner, _, ip_ttl, flow_id, version, size = self
@@ -291,9 +287,6 @@ class CBTDataPacket(Record):
             CBTDataPacket,
             (group, core, origin, inner, on_tree, ip_ttl - 1, flow_id, version, size),
         )
-
-    def size_bytes(self) -> int:
-        return self.wire_size
 
     def encode_header(self) -> bytes:
         """Serialise the 32-byte Figure-7 header."""

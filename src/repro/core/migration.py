@@ -167,19 +167,6 @@ class MigrationRecord:
     def completed(self) -> bool:
         return self.retired_at is not None
 
-    def fingerprint(self) -> Tuple:
-        return (
-            str(self.group),
-            self.old_cores,
-            self.new_cores,
-            self.forced,
-            round(self.announced_at, 6),
-            None if self.grafted_at is None else round(self.grafted_at, 6),
-            None if self.retired_at is None else round(self.retired_at, 6),
-            self.abandoned,
-            self.control_cost,
-        )
-
 
 class MigrationCoordinator:
     """Per-group online core migration for a running :class:`CBTDomain`.

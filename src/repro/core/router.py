@@ -133,10 +133,6 @@ class ControlStats:
     def sent(self) -> Dict[str, int]:
         return {k.name: c.value for k, c in self.tx.items() if c.value}
 
-    @property
-    def received(self) -> Dict[str, int]:
-        return {k.name: c.value for k, c in self.rx.items() if c.value}
-
 
 class CBTProtocol:
     """CBT control and data plane for one router."""

@@ -52,12 +52,6 @@ class TunnelTable:
     def configure(self, entry: TunnelEntry) -> None:
         self._entries[entry.vif] = entry
 
-    def entry(self, vif: int) -> Optional[TunnelEntry]:
-        return self._entries.get(vif)
-
-    def entries(self) -> List[TunnelEntry]:
-        return [self._entries[vif] for vif in sorted(self._entries)]
-
     def rank(self, core: IPv4Address, vifs: Sequence[int]) -> None:
         """Set the ranked interface list used to reach ``core``."""
         unknown = [vif for vif in vifs if vif not in self._entries]

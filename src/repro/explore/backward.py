@@ -242,17 +242,6 @@ class BackwardStats:
     max_depth_reached: int = 0
     runs: int = 0
 
-    def to_dict(self) -> Dict[str, int]:
-        return {
-            "predicates_tried": self.predicates_tried,
-            "plans_derived": self.plans_derived,
-            "candidates_tried": self.candidates_tried,
-            "candidates_confirmed": self.candidates_confirmed,
-            "candidates_rejected": self.candidates_rejected,
-            "max_depth_reached": self.max_depth_reached,
-            "runs": self.runs,
-        }
-
 
 @dataclass
 class BackwardResult:

@@ -96,12 +96,6 @@ class BaselineCompareResult(CellResult):
             metrics[f"ci.baseline.{o.protocol}.control_cost"] = o.control_cost
         return metrics
 
-    def outcome(self, protocol: str) -> ProtocolOutcome:
-        for outcome in self.outcomes:
-            if outcome.protocol == protocol:
-                return outcome
-        raise KeyError(protocol)
-
 
 def _relative_signature(schedule: FaultSchedule, base: float) -> Tuple:
     """Protocol-independent identity of a schedule: event type + fields

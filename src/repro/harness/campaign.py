@@ -292,13 +292,6 @@ class ScenarioResult(CellResult):
 class CampaignResult:
     results: List[ScenarioResult] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures()
-
-    def fingerprint(self) -> Tuple:
-        return tuple(r.fingerprint() for r in self.results)
-
     def failures(self) -> List[ScenarioResult]:
         return [r for r in self.results if not r.clean]
 

@@ -123,10 +123,6 @@ class CoreReport(Record):
             )
         return _new(cls, (group, cores, target_core, code, version))
 
-    @property
-    def primary_core(self) -> IPv4Address:
-        return self.cores[0]
-
     def size_bytes(self) -> int:
         return 12 + 4 * len(self.cores)
 

@@ -233,9 +233,6 @@ class IGMPRouterAgent:
             return interface.address
         return state.querier_address
 
-    def groups_on(self, interface: Interface) -> set:
-        return self.database.groups_on(interface)
-
     def any_member_subnet(self, group: IPv4Address) -> bool:
         """True if any directly connected subnet has ``group`` presence."""
         return bool(self.database.interfaces_with(group))

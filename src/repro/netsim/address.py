@@ -108,14 +108,6 @@ class IPv4Network:
             subnet.prefixlen = new_prefix
             yield subnet
 
-    def hosts(self) -> Iterator[IPv4Address]:
-        """Usable host addresses: all but the network and broadcast
-        addresses, except that a /31 or /32 has no such pair."""
-        low, high = self.network_address, self.broadcast_address
-        if self.prefixlen < 31:
-            low, high = low + 1, high - 1
-        return map(IPv4Address, range(low, high + 1))
-
     def __eq__(self, other: object) -> bool:
         if type(other) is not IPv4Network:
             return NotImplemented
@@ -145,11 +137,6 @@ ALL_CBT_ROUTERS = IPv4Address("224.0.0.7")
 
 #: First administratively assignable multicast group used by workloads.
 GROUP_RANGE = IPv4Network("239.0.0.0/8")
-
-
-def is_multicast(address: IPv4Address) -> bool:
-    """True for class-D (224.0.0.0/4) destinations."""
-    return address.is_multicast
 
 
 #: 224.0.0.0 >> 8 — used for a constant-time link-local check.

@@ -174,14 +174,6 @@ class Timer:
         """Cancel the timer; safe to call at any time."""
         self._scheduler._cancel(self)
 
-    def restart(self, delay: float) -> "Timer":
-        """Cancel this timer and schedule its callback (same arguments,
-        same tag) again after ``delay``."""
-        self.cancel()
-        return self._scheduler.call_later(
-            delay, self.callback, *self.args, tag=self.tag
-        )
-
 
 class Scheduler:
     """Instant-keyed priority-queue discrete-event loop.

@@ -175,8 +175,10 @@ class NodeOutage(FaultEvent):
     """Crash a node and restart it after ``duration``.  The crash only
     takes every interface down: the node's protocol state is kept and
     its timers keep firing (its sends go nowhere), so this is neither a
-    freeze nor a wipe.  A state-wiping restart is a protocol-layer
-    concern the campaign runner can layer on via ``on_restart``."""
+    freeze nor a wipe.  Nothing sets ``on_restart``; the field stays
+    because it is part of every outage's schedule signature
+    (``harness.baseline_cell._relative_signature`` reads the fields), so
+    deleting it moves the schedule digest of every crash cell."""
 
     node: str = ""
     duration: float = 1.0
@@ -279,16 +281,6 @@ class FaultSchedule:
         """Sim time at which the final fault action fires (0 if empty)."""
         return max((event.end_time() for event in self.events), default=0.0)
 
-    def describe(self) -> List[str]:
-        """Stable human-readable action list (for logs and traces)."""
-        lines: List[str] = []
-        for event in self.events:
-            for at, description, _action in sorted(
-                event.actions(_DescribeOnly()), key=lambda item: item[0]
-            ):
-                lines.append(f"t={at:g} {description}")
-        return sorted(lines)
-
     def apply(self, network) -> None:
         """Register every action with the network's scheduler."""
         scheduler = network.scheduler
@@ -303,21 +295,3 @@ class FaultSchedule:
         )
         action()
 
-
-class _DescribeOnly:
-    """Stand-in network for :meth:`FaultSchedule.describe`: events only
-    need it to *build* their closures, never to run them."""
-
-    links: dict = {}
-
-    def fail_link(self, name):  # pragma: no cover - never called
-        raise AssertionError("describe-only network")
-
-    def restore_link(self, name):  # pragma: no cover - never called
-        raise AssertionError("describe-only network")
-
-    def fail_router(self, name):  # pragma: no cover - never called
-        raise AssertionError("describe-only network")
-
-    def restore_router(self, name):  # pragma: no cover - never called
-        raise AssertionError("describe-only network")

@@ -58,10 +58,6 @@ class PacketTrace:
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._records)
 
-    @property
-    def records(self) -> List[TraceRecord]:
-        return list(self._records)
-
     def record(self, record: TraceRecord) -> None:
         if self.enabled:
             self._records.append(record)
@@ -74,10 +70,6 @@ class PacketTrace:
     def transmissions(self) -> List[TraceRecord]:
         """All ``tx`` records."""
         return [r for r in self._records if r.kind == "tx"]
-
-    def drops(self) -> List[TraceRecord]:
-        """All ``drop`` records."""
-        return [r for r in self._records if r.kind == "drop"]
 
     def filter(
         self,

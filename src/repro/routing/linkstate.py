@@ -26,7 +26,7 @@ import heapq
 from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.netsim.address import NETMASKS, IPv4Address
+from repro.netsim.address import NETMASKS
 from repro.netsim.link import Link
 from repro.netsim.nic import Interface
 from repro.routing.table import Route, Router
@@ -167,8 +167,6 @@ class LinkStateRouting:
         #:                  [(router name, iface)]), in link order
         #: ``"costed"``     the neighbour entries with the per-(router,
         #:                  link) overrides applied
-        #: ``"by_address"`` interface address -> router
-        #: ``"dist"``       source router name -> Dijkstra distance map
         #: The first two come from one pass over the links
         #: (:meth:`_scan_links`); every reader uses them.
         self._derived: Dict[str, Any] = {}
@@ -211,7 +209,6 @@ class LinkStateRouting:
         """The topology view is cost-independent; what is derived from
         costs is not."""
         self._derived.pop("costed", None)
-        self._derived.pop("dist", None)
 
     def close(self) -> None:
         """End the topology this object routes over: withdraw what
@@ -240,16 +237,6 @@ class LinkStateRouting:
             self.close()
 
     # -- cached views --------------------------------------------------------
-
-    def routers_by_address(self) -> Dict[IPv4Address, Router]:
-        derived = self._derived
-        if "by_address" not in derived:
-            derived["by_address"] = {
-                interface.address: router
-                for router in self.routers
-                for interface in router.interfaces
-            }
-        return derived["by_address"]
 
     def _topology(self) -> Tuple[Dict[str, List[Edge]], Prefixes]:
         """The neighbour entries and the prefix map (:meth:`_scan_links`)."""
@@ -449,48 +436,3 @@ class LinkStateRouting:
                         )
                     )
         source.table.replace_all(entries)
-
-    # -- analysis helpers ----------------------------------------------------
-
-    def path(self, src: Router, dst_address: IPv4Address, max_hops: int = 64) -> List[Router]:
-        """Router-level path ``src`` would forward along toward an address.
-
-        Used by placement heuristics and tests; follows installed
-        routes, so it reflects overrides and failures after recompute.
-        """
-        routers_by_address = self.routers_by_address()
-        path = [src]
-        current = src
-        for _ in range(max_hops):
-            if current.owns_address(dst_address) or current.interface_toward(
-                dst_address
-            ):
-                return path
-            route = current.table.lookup(dst_address)
-            if route is None or route.next_hop is None:
-                return path
-            nxt = routers_by_address.get(route.next_hop)
-            if nxt is None or nxt in path:
-                return path
-            path.append(nxt)
-            current = nxt
-        return path
-
-    def distance(self, src: Router, dst: Router) -> float:
-        """Unicast metric distance between two routers (inf if cut off).
-
-        The self-distance is 0 by definition.  Results reflect the
-        *current* adjacency and cost overrides (no ``recompute`` needed)
-        and are memoized per source until the topology or an override
-        changes.
-        """
-        if src is dst or src.name == dst.name:
-            return 0.0
-        derived = self._derived
-        if "dist" not in derived:
-            derived["dist"] = {}
-        dist = derived["dist"].get(src.name)
-        if dist is None:
-            dist, _ = self._dijkstra(src, self._costed_adjacency())
-            derived["dist"][src.name] = dist
-        return dist.get(dst.name, float("inf"))

@@ -138,7 +138,7 @@ class RoutingTable:
         The large-topology SPF mode uses this so a router only ever pays
         for the destinations it actually forwards toward (typically just
         the core), instead of a full table install.  Resolved routes are
-        held by the memo cache, not ``_routes``, so ``routes()`` /
+        held by the memo cache, not ``_routes``, so ``len`` /
         iteration reflect only explicitly installed entries — acceptable
         because this mode is reserved for bulk topologies where nothing
         audits full tables.  Like providers, the resolver must snapshot
@@ -205,18 +205,6 @@ class RoutingTable:
         self._prefixlens = sorted(by_plen, reverse=True)
         self._invalidate_memo()
 
-    def remove(self, prefix: IPv4Network) -> None:
-        self._materialise()
-        net_int, plen = int(prefix.network_address), prefix.prefixlen
-        if self._routes.pop((net_int, plen), None) is None:
-            return
-        bucket = self._by_prefixlen[plen]
-        bucket.pop(net_int, None)
-        if not bucket:
-            del self._by_prefixlen[plen]
-            self._prefixlens = sorted(self._by_prefixlen, reverse=True)
-        self._invalidate_memo()
-
     def clear(self) -> None:
         # A pending provider is simply dropped: the eager-equivalent
         # sequence (populate, then clear) also ends with an empty table.
@@ -264,10 +252,6 @@ class RoutingTable:
                 if best is None or route.prefix.prefixlen > best.prefix.prefixlen:
                     best = route
         return best
-
-    def routes(self) -> List[Route]:
-        self._materialise()
-        return list(self._routes.values())
 
 
 class RoutedNode(Node):

@@ -423,10 +423,6 @@ class MetricsRegistry:
 
     # -- queries ---------------------------------------------------------
 
-    def counters(self) -> Dict[str, Number]:
-        """Live counter values by name (insertion order preserved)."""
-        return {name: c.value for name, c in self._counters.items()}
-
     def value(self, name: str) -> Number:
         """Current value of counter or family statistic ``name`` (0 if
         there is none)."""

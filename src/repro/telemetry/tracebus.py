@@ -268,9 +268,6 @@ class TraceBus:
     def __iter__(self) -> Iterator[TraceRecordType]:
         return iter(self._records)
 
-    def clear(self) -> None:
-        self._records.clear()
-
 
 # -- JSONL serialisation -------------------------------------------------
 

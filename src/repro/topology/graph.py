@@ -31,17 +31,6 @@ class Edge(Record):
     cost: float = 1.0
     delay: float = 1.0
 
-    def other(self, node: str) -> str:
-        if node == self.u:
-            return self.v
-        if node == self.v:
-            return self.u
-        raise ValueError(f"{node} is not an endpoint of {self}")
-
-    def key(self) -> Tuple[str, str]:
-        """Canonical (sorted) endpoint pair."""
-        return (self.u, self.v) if self.u <= self.v else (self.v, self.u)
-
 
 #: Shortest-path maps a graph keeps (one per ``(source, weight)``).
 _MEMO_SOURCES = 8
@@ -99,9 +88,6 @@ class Graph:
     def edge_between(self, u: str, v: str) -> Optional[Edge]:
         return self._adjacency.get(u, {}).get(v)
 
-    def neighbours(self, node: str) -> List[str]:
-        return sorted(self._adjacency.get(node, {}))
-
     def degree(self, node: str) -> int:
         return len(self._adjacency.get(node, {}))
 
@@ -153,10 +139,6 @@ class Graph:
             path.append(prev[path[-1]])
         path.reverse()
         return path
-
-    def distance(self, source: str, target: str, weight: str = "cost") -> float:
-        dist, _ = self.dijkstra(source, weight=weight)
-        return dist.get(target, float("inf"))
 
     def is_connected(self) -> bool:
         nodes = self.nodes

@@ -17,7 +17,6 @@ from repro.netsim.address import (
     IPv4Network,
     group_address,
     is_link_local_multicast,
-    is_multicast,
 )
 
 values = st.integers(0, 2**32 - 1)
@@ -132,13 +131,6 @@ class TestNetworkAgainstStdlib:
             str(n) for n in ref.subnets(new_prefix=new_prefix)
         ]
 
-    @given(values, st.integers(24, 32))
-    def test_hosts_agree(self, value, prefixlen):
-        ours = IPv4Network((value, prefixlen), strict=False)
-        ref = ipaddress.IPv4Network((value, prefixlen), strict=False)
-        assert [str(h) for h in ours.hosts()] == [str(h) for h in ref.hosts()]
-        assert all(type(h) is IPv4Address for h in ours.hosts())
-
     @pytest.mark.parametrize(
         "bad", ["10.0.0.1/24", "10.0.0.0/33", "10.0.0/24", "not-a-prefix", None, 1.5]
     )
@@ -204,7 +196,7 @@ class TestWellKnownGroups:
 
     def test_well_knowns_are_link_local(self):
         for address in (ALL_SYSTEMS, ALL_ROUTERS, ALL_CBT_ROUTERS):
-            assert is_multicast(address)
+            assert address.is_multicast
             assert is_link_local_multicast(address)
 
 
@@ -218,7 +210,7 @@ class TestGroupAddress:
 
     def test_is_routable_multicast(self):
         g = group_address(0)
-        assert is_multicast(g)
+        assert g.is_multicast
         assert not is_link_local_multicast(g)
 
     def test_negative_index_rejected(self):

@@ -389,7 +389,7 @@ def test_started_domain_holds_no_per_router_counter(world):
     objects under a router's name are the message and event counts made
     on first use (``ControlStats``, ``_record``)."""
     net, domain, _ = world
-    counters = net.telemetry.registry.counters()
+    counters = net.telemetry.registry._counters
     assert [name for name in counters if name.startswith("igmp.")] == []
     made_on_use = ("tx", "rx", "event")
     assert [
@@ -421,7 +421,7 @@ def test_counter_refuses_a_family_statistic_name(world):
     ):
         with pytest.raises(FamilyNameError):
             registry.counter(name)
-        assert name not in registry.counters()
+        assert name not in registry._counters
     # A name beside a family's statistics is a counter like any other.
     assert registry.counter(f"igmp.router.{router}.rx.other").value == 0
 

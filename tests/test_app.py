@@ -33,7 +33,6 @@ class TestSenderReceiver:
             assert stats.received == 5
             assert stats.duplicates == 0
             assert stats.reordered == 0
-            assert stats.lost(sent=5) == 0
 
     def test_sender_does_not_hear_itself(self, conference, figure1_network):
         domain, group, receivers = conference
@@ -117,7 +116,7 @@ class TestStreamStats:
         stats = StreamStats()
         stats.record(0, 0.1)
         stats.record(2, 0.1)
-        assert stats.lost(sent=4) == 2
+        assert 4 - stats.received == 2  # sequences 1 and 3 never arrived
 
 
 class TestLatencyMetrics:
@@ -212,7 +211,8 @@ class TestKernelFIB:
                 assert kernel.parent_address == entry.parent_address, name
                 assert kernel.parent_vif == entry.parent_vif, name
                 assert dict(kernel.children) == entry.children, name
-                assert sorted(kernel.tree_vifs) == entry.tree_vifs(), name
+                parent = set() if entry.parent_vif is None else {entry.parent_vif}
+                assert kernel.tree_vifs == parent | set(entry.children.values()), name
         assert on_tree >= 4
 
     def test_downloads_counted_per_change(self, figure1_domain, figure1_network):

@@ -214,7 +214,7 @@ def test_backward_search_is_deterministic_per_seed():
     kwargs = dict(max_deviations=2, budget=30, seed=11)
     first = backward_search(get_scenario("joins-race"), **kwargs)
     second = backward_search(get_scenario("joins-race"), **kwargs)
-    assert first.stats.to_dict() == second.stats.to_dict()
+    assert first.stats == second.stats
     assert [c.schedule for c in first.counterexamples] == [
         c.schedule for c in second.counterexamples
     ]

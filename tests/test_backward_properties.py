@@ -110,7 +110,7 @@ if HAVE_HYPOTHESIS:
         kwargs = dict(max_deviations=2, budget=12, seed=seed)
         first = backward_search(get_scenario("joins-race"), **kwargs)
         second = backward_search(get_scenario("joins-race"), **kwargs)
-        assert first.stats.to_dict() == second.stats.to_dict()
+        assert first.stats == second.stats
         assert [c.schedule for c in first.counterexamples] == [
             c.schedule for c in second.counterexamples
         ]

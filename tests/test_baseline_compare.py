@@ -13,6 +13,7 @@ import dataclasses
 
 import pytest
 
+from repro.chaos.scenarios import DomainEvent
 from repro.core.audit import InvariantAuditor
 from repro.harness.baseline_cell import (
     BASELINE_SCENARIOS,
@@ -23,6 +24,11 @@ from repro.harness.baseline_cell import (
 from repro.harness.campaign import LEGS, run_scenario
 from repro.harness.scenarios import build_dvmrp_group
 from repro.netsim.faults import FaultSchedule, LinkFlap, NodeOutage
+
+
+def leg_outcome(result, protocol):
+    """The outcome of one protocol leg of a baseline cell."""
+    return next(o for o in result.outcomes if o.protocol == protocol)
 
 
 class TestScheduleIdentity:
@@ -45,9 +51,7 @@ class TestScheduleIdentity:
 
     def test_callable_carrying_schedule_rejected(self):
         schedule = FaultSchedule()
-        schedule.add(
-            NodeOutage(at=1.0, node="R1", duration=1.0, on_restart=lambda n: None)
-        )
+        schedule.add(DomainEvent(at=1.0, description="x", action=lambda: None))
         with pytest.raises(ValueError, match="callable"):
             _relative_signature(schedule, 0.0)
 
@@ -82,8 +86,8 @@ class TestRecovery:
 
     def test_hpimdm_outcome_measured_from_same_faults(self):
         result = run_baseline_compare_cell("link_flap", "figure1", seed=0)
-        hpim = result.outcome("hpimdm")
-        cbt = result.outcome("cbt")
+        hpim = leg_outcome(result, "hpimdm")
+        cbt = leg_outcome(result, "cbt")
         assert hpim.recovered and cbt.recovered
         # Both legs saw the identical relative fault actions.
         assert result.faults == sorted(result.faults)
@@ -132,7 +136,7 @@ class TestOneLegRun:
     @pytest.mark.parametrize("scenario", ["link_flap", "router_crash"])
     def test_cbt_leg_measures_what_the_chaos_cell_measures(self, scenario):
         chaos = run_scenario(scenario, "figure1", 0)
-        cbt = run_baseline_compare_cell(scenario, "figure1", 0).outcome("cbt")
+        cbt = leg_outcome(run_baseline_compare_cell(scenario, "figure1", 0), "cbt")
         assert (
             cbt.recovered,
             cbt.recovery_time,
@@ -167,7 +171,7 @@ class TestOneLegRun:
         ]
         assert result.schedule_digest == plain.schedule_digest
         assert result.outcomes[:3] == plain.outcomes
-        assert result.outcome("dvmrp_long").recovered
+        assert leg_outcome(result, "dvmrp_long").recovered
         payload = UNIT_KINDS["baseline-compare"].execute(
             {"scenario": "link_flap", "topology": "figure1", "seed": 0}
         )
@@ -196,6 +200,6 @@ class TestHPIMStateChanges:
 
         monkeypatch.setitem(LEGS, "hpimdm", dataclasses.replace(leg, activity=activity))
         result = run_baseline_compare_cell("link_flap", "figure1", seed=1)
-        assert result.outcome("hpimdm").recovered
+        assert leg_outcome(result, "hpimdm").recovered
         assert readings[-1] == 288
         assert readings == sorted(readings)

@@ -23,12 +23,6 @@ class TestGroupCoordinator:
         with pytest.raises(ValueError):
             GroupCoordinator().create_group(group_address(0), [])
 
-    def test_groups_sorted(self):
-        coordinator = GroupCoordinator()
-        coordinator.create_group(group_address(2), [IPv4Address("10.0.0.1")])
-        coordinator.create_group(group_address(1), [IPv4Address("10.0.0.1")])
-        assert coordinator.groups() == [group_address(1), group_address(2)]
-
     def test_recreate_overwrites(self):
         coordinator = GroupCoordinator()
         group = group_address(0)

@@ -147,12 +147,13 @@ class TestClose:
         assert "closed" in repr(interface)
 
     def test_an_unattached_interface_is_not_mistaken_for_a_closed_one(self):
+        from repro.netsim.address import IPv4Address
         from repro.netsim.nic import Interface
 
         net = self.build()
         router = net.router("a")
         prefix = net.allocator.next_subnet()
-        loose = Interface(router, 9, next(prefix.hosts()), prefix)
+        loose = Interface(router, 9, IPv4Address(prefix.network_address + 1), prefix)
         with pytest.raises(RuntimeError, match="not attached"):
             loose.send(IPDatagram(loose.address, loose.address, PROTO_UDP, b"", 1))
 

@@ -176,9 +176,9 @@ class TestDataCodec:
 
     def test_on_tree_marking(self):
         packet = self.make_packet()
-        assert not packet.is_on_tree
+        assert packet.on_tree == OFF_TREE
         marked = packet.marked_on_tree()
-        assert marked.is_on_tree
+        assert marked.on_tree == ON_TREE
         assert decode_data_header(marked.encode()).on_tree == ON_TREE
 
     def test_invalid_on_tree_value_rejected(self):
@@ -206,7 +206,7 @@ class TestDataCodec:
 
     def test_size_accounting(self):
         packet = self.make_packet(inner=b"x" * 100)
-        assert packet.size_bytes() == DATA_HEADER_SIZE + 100
+        assert packet.wire_size == DATA_HEADER_SIZE + 100
 
     @given(
         group=addresses,
@@ -260,7 +260,7 @@ class TestDataCodec:
             group, core, origin, inner, ON_TREE, ttl, flow, version
         )
         assert marked == packet._replace(on_tree=ON_TREE)
-        assert marked.inner is inner and marked.is_on_tree
+        assert marked.inner is inner and marked.on_tree == ON_TREE
         if ttl == 0:
             with pytest.raises(ValueError):
                 packet.decremented()

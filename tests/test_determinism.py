@@ -33,7 +33,7 @@ def run_scenario():
 def trace_signature(net):
     return [
         (round(r.time, 9), r.kind, r.link_name, r.node_name, r.datagram.proto)
-        for r in net.trace.records
+        for r in net.trace
     ]
 
 
@@ -68,11 +68,11 @@ class TestDeterminism:
         for seed in range(3):
             a = waxman_graph(30, seed=seed)
             b = waxman_graph(30, seed=seed)
-            assert {e.key() for e in a.edges} == {e.key() for e in b.edges}
-            assert [
-                (e.key(), e.delay) for e in sorted(a.edges, key=lambda e: e.key())
-            ] == [
-                (e.key(), e.delay) for e in sorted(b.edges, key=lambda e: e.key())
+            assert {frozenset((e.u, e.v)) for e in a.edges} == {
+                frozenset((e.u, e.v)) for e in b.edges
+            }
+            assert [(e.u, e.v, e.delay) for e in a.edges] == [
+                (e.u, e.v, e.delay) for e in b.edges
             ]
 
     def test_churn_schedules_deterministic(self):

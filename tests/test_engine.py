@@ -15,6 +15,14 @@ from repro.telemetry.conservation import scheduler_conservation
 from repro.topology.builder import Network
 
 
+def restart(scheduler, timer, delay):
+    """Cancel ``timer`` and schedule its callback (same arguments, same
+    tag) again after ``delay``: a record keeps its call once cancelled
+    or fired."""
+    timer.cancel()
+    return scheduler.call_later(delay, timer.callback, *timer.args, tag=timer.tag)
+
+
 class TestScheduler:
     def test_starts_at_time_zero(self):
         assert Scheduler().now == 0.0
@@ -197,7 +205,7 @@ class TestTimer:
         sched = Scheduler()
         fired = []
         timer = sched.call_later(1.0, lambda: fired.append(sched.now))
-        timer.restart(5.0)
+        restart(sched, timer, 5.0)
         sched.run_until_idle()
         assert fired == [5.0]
 
@@ -206,7 +214,7 @@ class TestTimer:
         fired = []
         tag = ("deliver", "x")
         timer = sched.call_later(1.0, fired.append, "payload", tag=tag)
-        again = timer.restart(5.0)
+        again = restart(sched, timer, 5.0)
         # The cancelled original leaves the tag index; the restarted
         # event is back in it.
         assert sched.pending_tags() == [tag]
@@ -223,7 +231,7 @@ class TestTimer:
         timer = sched.call_later(1.0, fired.append, "again", tag=("t",))
         sched.run_until_idle()
         sched.call_later(0.5, fired.append, "other")
-        timer.restart(2.0)
+        restart(sched, timer, 2.0)
         assert sched.pending_tags() == [("t",)]
         sched.run_until_idle()
         assert fired == ["again", "other", "again"]
@@ -775,10 +783,6 @@ class ReferenceTimer:
             self.model.queue.remove(self)
             self.model.events_cancelled += 1
 
-    def restart(self, delay):
-        self.cancel()
-        return self.model.call_later(delay, self.callback, *self.args, tag=self.tag)
-
 
 class ReferenceScheduler:
     """What the engine must be indistinguishable from: every pending
@@ -898,7 +902,7 @@ class ScriptedWorld:
             if kind == "cancel":
                 timer.cancel()
             else:
-                self.timers.append(timer.restart(extra))
+                self.timers.append(restart(scheduler, timer, extra))
 
     def observed(self):
         scheduler = self.scheduler

@@ -40,7 +40,7 @@ class TestFIBEntry:
         entry = FIBEntry(group=GROUP)
         entry.set_parent(PARENT, 0)
         entry.add_child(CHILD_A, 1)
-        assert entry.tree_vifs() == [0, 1]
+        assert sorted(entry.kernel.tree_vifs) == [0, 1]
 
     def test_state_size_counts_relationships(self):
         entry = FIBEntry(group=GROUP)

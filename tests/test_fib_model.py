@@ -134,5 +134,5 @@ def test_fib_matches_reference_model(ops):
         expected_vifs = set(record["children"].values())
         if record["parent"] is not None:
             expected_vifs.add(record["parent"][1])
-        assert set(entry.tree_vifs()) == expected_vifs
+        assert entry.kernel.tree_vifs == expected_vifs
     assert fib.total_state() == expected_state

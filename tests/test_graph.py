@@ -45,7 +45,7 @@ class TestGraph:
         g = diamond()
         g.add_node("island")
         assert g.shortest_path("a", "island") == []
-        assert g.distance("a", "island") == float("inf")
+        assert "island" not in g.dijkstra("a")[0]
 
     def test_weight_selector(self):
         g = Graph()
@@ -81,7 +81,7 @@ class TestGraph:
     def test_degree(self):
         g = diamond()
         assert g.degree("a") == 2
-        assert g.neighbours("a") == ["b", "c"]
+        assert [n for n in g.nodes if g.has_edge("a", n)] == ["b", "c"]
 
 
 class TestTree:
@@ -144,7 +144,8 @@ class TestGraphProperties:
         g = waxman_graph(15, seed=seed)
         rng = random.Random(seed)
         a, b, c = rng.sample(g.nodes, 3)
-        assert g.distance(a, c) <= g.distance(a, b) + g.distance(b, c) + 1e-9
+        dist = {node: g.dijkstra(node)[0] for node in (a, b)}
+        assert dist[a][c] <= dist[a][b] + dist[b][c] + 1e-9
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)

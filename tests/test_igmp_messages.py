@@ -64,7 +64,7 @@ class TestRoundtrips:
         decoded = decode_igmp(report.encode())
         assert decoded == report
         assert decoded.cores[decoded.target_core] == CORES[1]
-        assert decoded.primary_core == CORES[0]
+        assert decoded.cores[0] == CORES[0]
 
     @given(
         group=multicast_addresses,

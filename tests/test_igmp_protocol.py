@@ -138,7 +138,7 @@ class TestDatabaseQueries:
         net.run(until=2.0)
         iface = routers[0].interfaces[0]
         assert agents[0].database.interfaces_with(GROUP) == (iface.vif,)
-        assert GROUP in agents[0].groups_on(iface)
+        assert GROUP in agents[0].database.groups_on(iface)
         assert agents[0].any_member_subnet(GROUP)
 
     @given(
@@ -198,10 +198,10 @@ class TestDatabaseQueries:
         host_agents[0].join(other)
         net.run(until=2.0)
         iface = routers[0].interfaces[0]
-        assert agents[0].groups_on(iface) == {GROUP, other}
+        assert agents[0].database.groups_on(iface) == {GROUP, other}
         host_agents[0].leave(other)
         net.run(until=12.0)
-        assert agents[0].groups_on(iface) == {GROUP}
+        assert agents[0].database.groups_on(iface) == {GROUP}
 
 
 def line_with_lans():

@@ -63,7 +63,7 @@ class TestRandomTopologies:
                 node = parent_of[node]
                 hops += 1
                 assert hops <= len(graph), "tree walk did not terminate"
-            assert hops == pytest.approx(graph.distance(member, "N0"))
+            assert hops == pytest.approx(graph.dijkstra(member)[0]["N0"])
 
     def test_state_only_on_tree(self, seed):
         net = waxman_network(20, seed=seed)

@@ -65,7 +65,7 @@ class TestSubnetDelivery:
         nodes[0].interfaces[0].send(d, link_dst=IPv4Address("10.9.9.9"))
         net.run()
         assert not nodes[1].received
-        assert any(r.note.startswith("no host") for r in net.trace.drops())
+        assert any(r.note.startswith("no host") for r in net.trace.filter(kind="drop"))
 
     def test_delivery_is_delayed(self):
         net, subnet, nodes = build_lan(2)
@@ -106,7 +106,7 @@ class TestSubnetDelivery:
         assert not nodes[1].received
         assert registry.value(f"netsim.msg.proto{PROTO_UDP}.tx") == 2
         assert registry.value(f"netsim.msg.proto{PROTO_UDP}.rx") == 0
-        assert [r.note for r in net.trace.drops()] == ["down at delivery"] * 2
+        assert [r.note for r in net.trace.filter(kind="drop")] == ["down at delivery"] * 2
 
     def test_down_interface_does_not_receive(self):
         net, subnet, nodes = build_lan(3)
@@ -173,7 +173,7 @@ class TestSubnetDelivery:
         nodes[0].interfaces[0].send(d, link_dst=IPv4Address("10.9.9.9"))
         net.run()
         assert (subnet.tx_count, subnet.tx_bytes) == before
-        assert any(r.note.startswith("no host") for r in net.trace.drops())
+        assert any(r.note.startswith("no host") for r in net.trace.filter(kind="drop"))
 
     def test_undeliverable_unicast_does_not_occupy_the_link(self):
         """Regression: the phantom datagram also used to serialise on a

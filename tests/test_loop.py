@@ -67,7 +67,7 @@ class TestLoopDetection:
         run_quiet(fig.network, 30.0)
         # R5 received R3's rejoin (forwarded by R6) and forwarded a
         # NACTIVE to its parent R4, which forwarded it to R3.
-        p4_received = domain.protocol("R4").stats.received.get("JOIN_REQUEST", 0)
+        p4_received = domain.telemetry.registry.value("cbt.router.R4.rx.join_request")
         assert p4_received >= 1
 
     def test_loop_broken_by_quit(self, loop_scenario):

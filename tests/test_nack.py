@@ -72,7 +72,7 @@ class TestJoinNack:
         assert p_mid.stats.sent.get("JOIN_NACK", 0) >= 1
         assert group not in p_mid.pending
         p_leaf = domain.protocol("LEAF")
-        assert p_leaf.stats.received.get("JOIN_NACK", 0) >= 1
+        assert domain.telemetry.registry.value("cbt.router.LEAF.rx.join_nack") >= 1
         assert not p_leaf.is_on_tree(group)
 
     def test_originator_retries_and_succeeds_when_route_returns(self):

@@ -66,7 +66,7 @@ def assert_matches_reference(domain, now=None):
         assert transition_findings(domain, check_loops) == transition_findings(
             reference, check_loops
         )
-    for group in domain.coordinator.groups():
+    for group in domain.coordinator._groups:
         assert domain.tree_edges(group) == reference_sweeps.tree_edges(domain, group)
         members = _members(domain, group)
         assert convergence_findings(domain, group, members) == (

@@ -83,7 +83,7 @@ class TestStrategies:
             random.Random(0),
             k=len(g.nodes) * 3,
             score=lambda graph, node, m: max(
-                graph.distance(node, t, weight="delay") for t in m
+                graph.dijkstra(node, weight="delay")[0][t] for t in m
             ),
         )
         assert core in ("N3", "N4", "N5")

@@ -37,7 +37,7 @@ class TestPacketTrace:
         trace.record(make_record(kind="rx"))
         trace.record(make_record(kind="drop"))
         assert len(trace.transmissions()) == 1
-        assert len(trace.drops()) == 1
+        assert len(trace.filter(kind="drop")) == 1
         assert len(trace.filter(kind="rx")) == 1
 
     def test_filter_by_link_and_node(self):

@@ -55,10 +55,6 @@ class TestTunnelEntry:
 
 
 class TestTunnelTable:
-    def test_entries_sorted_by_vif(self):
-        table = spec_example_table()
-        assert [e.vif for e in table.entries()] == [0, 1, 2, 3, 4]
-
     def test_rank_requires_configured_vifs(self):
         table = TunnelTable()
         with pytest.raises(ValueError):

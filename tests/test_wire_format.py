@@ -218,5 +218,5 @@ class TestCorruptionHandling:
 
         before = state()
         p3._handle_udp(r3, r3.interfaces[0], datagram)
-        assert p3.stats.received["REDIRECT"] == 1
+        assert domain.telemetry.registry.value("cbt.router.R3.rx.redirect") == 1
         assert state() == before
