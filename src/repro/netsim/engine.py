@@ -531,7 +531,14 @@ class PeriodicTimer:
     cancel it before replacing it and a tick re-arms only if the arm
     that fired is still the current one, so no sequence of calls —
     from inside the callback or not — leaves two chains ticking.
+
+    Slotted: a started n=1,000 domain holds 5,000 tickers (four per
+    CBT router, one per LAN querier), and no ticker is a registered
+    component, whose ``close()`` would swap out the instance dict.
+    ``__weakref__`` lets a test watch a closed chain go.
     """
+
+    __slots__ = ("_scheduler", "_interval", "_callback", "_args", "_timer", "__weakref__")
 
     def __init__(
         self,

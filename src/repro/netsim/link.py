@@ -20,7 +20,8 @@ populations at n=1000, so neither gets a closure
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, List, Optional
 
 from repro.netsim.address import IPv4Address, IPv4Network
 from repro.netsim.engine import Scheduler, SchedulerError, Timer
@@ -44,6 +45,12 @@ DEFAULT_LAN_DELAY = 0.001
 
 #: Default propagation delay for point-to-point / WAN links.
 DEFAULT_P2P_DELAY = 0.010
+
+
+def _call_each(callbacks: tuple) -> None:
+    """A link's observer once a second one registers: each in turn."""
+    for callback in callbacks:
+        callback()
 
 
 class Link:
@@ -103,8 +110,9 @@ class Link:
         #: :meth:`deliver`, bound once: every transmission schedules it.
         self._deliver = self.deliver
         self.up = True
+        #: Attach order; a unicast receiver is found by scanning it (two
+        #: interfaces on a point-to-point link, a few on a LAN).
         self.interfaces: List[Interface] = []
-        self._by_address: Dict[IPv4Address, Interface] = {}
         self.tx_count = 0
         self.tx_bytes = 0
         self.attempt_count = 0
@@ -127,11 +135,12 @@ class Link:
         # ``_drop_counters`` (reason -> Counter) is made by the first
         # drop: most links never drop anything.
         self._registry.gauge_attrs(f"netsim.link.{name}.", self, _WIRE_METRICS)
-        #: Callbacks fired when this link's topology-relevant state
-        #: changes (attachment, up/down, interface flips).  Link-state
-        #: routing registers here to invalidate its caches; a tuple,
-        #: since a link has one observer.
-        self._topology_observers: Tuple[Callable[[], None], ...] = ()
+        #: Called when this link's topology-relevant state changes
+        #: (attachment, up/down, interface flips).  Link-state routing
+        #: registers its ``invalidate_topology`` here, and a link has
+        #: that one observer: it is held as it is, with no container
+        #: per link (:meth:`add_topology_observer` chains a second).
+        self._topology_observer: Optional[Callable[[], None]] = None
 
     def close(self) -> None:
         """``Network.close()``: detach every attached interface from
@@ -144,16 +153,20 @@ class Link:
         for interface in self.interfaces:
             interface.node = interface.link = None
         self.scheduler = self._telemetry = self._registry = self._deliver = None
-        self.gate = self.loss = self.jitter = None
-        self._topology_observers = ()
+        self.gate = self.loss = self.jitter = self._topology_observer = None
 
     def add_topology_observer(self, callback: Callable[[], None]) -> None:
-        """Register ``callback`` to run on any topology-relevant change."""
-        self._topology_observers += (callback,)
+        """Register ``callback`` to run on any topology-relevant change,
+        after the observers registered before it."""
+        first = self._topology_observer
+        self._topology_observer = (
+            callback if first is None else partial(_call_each, (first, callback))
+        )
 
     def notify_topology_changed(self) -> None:
-        for callback in self._topology_observers:
-            callback()
+        observer = self._topology_observer
+        if observer is not None:
+            observer()
 
     def __repr__(self) -> str:
         members = ",".join(i.node.name for i in self.interfaces)
@@ -161,17 +174,16 @@ class Link:
 
     def attach(self, interface: Interface) -> None:
         """Connect an interface; its address must be unique on the link."""
-        if interface.address in self._by_address:
-            raise ValueError(
-                f"duplicate address {interface.address} on link {self.name}"
-            )
+        address = interface.address
+        for attached in self.interfaces:
+            if attached.address == address:
+                raise ValueError(f"duplicate address {address} on link {self.name}")
         if interface.network != self.network:
             raise ValueError(
                 f"interface network {interface.network} != link network "
                 f"{self.network}"
             )
         self.interfaces.append(interface)
-        self._by_address[interface.address] = interface
         interface.attach(self)
         self.notify_topology_changed()
 
@@ -215,7 +227,11 @@ class Link:
             receiver = receivers[0] if fanout == 1 else None
         else:
             target = link_dst if link_dst is not None else datagram.dst
-            receiver = self._by_address.get(target)
+            for receiver in self.interfaces:
+                if receiver.address == target:
+                    break
+            else:
+                receiver = None
             if receiver is None or not receiver._up:
                 # Undeliverable unicast: nothing was put on the wire,
                 # so it must not count as a transmission nor occupy the

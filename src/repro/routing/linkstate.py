@@ -35,9 +35,12 @@ from repro.routing.table import Route, Router
 #: interface on the link, the neighbour's interface on it).
 Edge = Tuple[str, float, Link, Interface, Interface]
 
-#: (int(network address), prefixlen) -> (link, its attached routers as
-#: [(router name, interface)]), in link order.
-Prefixes = Dict[Tuple[int, int], Tuple[Link, List[Tuple[str, Interface]]]]
+#: (network address, prefixlen) -> (link, the names of its attached
+#: routers in attach order), in link order.  The key's address is the
+#: link's own ``network_address`` (an int, so a plain-int probe finds
+#: it); no reader needs a router's interface on the link, so the map
+#: holds none.
+Prefixes = Dict[Tuple[int, int], Tuple[Link, Tuple[str, ...]]]
 
 
 class _OndemandPlan:
@@ -94,9 +97,8 @@ class _OndemandPlan:
         if hit is None:
             return None
         link, attached = hit
-        for name, _iface in attached:
-            if name == router_name:
-                return None  # directly connected; handled by interface_toward()
+        if router_name in attached:
+            return None  # directly connected; handled by interface_toward()
         tree = self._trees.get(prefix_key)
         if tree is None:
             tree = self._trees[prefix_key] = self._reverse_tree(attached)
@@ -114,14 +116,14 @@ class _OndemandPlan:
         )
 
     def _reverse_tree(
-        self, attached: List[Tuple[str, Interface]]
+        self, attached: Tuple[str, ...]
     ) -> Tuple[Dict[str, float], Dict[str, Edge]]:
         """Multi-source Dijkstra outward from a prefix's attached routers."""
         dist: Dict[str, float] = {}
         pred: Dict[str, Edge] = {}
         visited: set = set()
         heap: List[Tuple[float, str]] = []
-        for name, _iface in attached:
+        for name in attached:
             if name not in dist:
                 dist[name] = 0.0
                 heap.append((0.0, name))
@@ -163,8 +165,8 @@ class LinkStateRouting:
         #: first use, gone when the topology changes:
         #: ``"neighbours"`` router name -> [:data:`Edge`] over the up
         #:                  links and interfaces, at the link's cost
-        #: ``"prefixes"``   (int(net addr), prefixlen) -> (link,
-        #:                  [(router name, iface)]), in link order
+        #: ``"prefixes"``   :data:`Prefixes`: (net addr, prefixlen) ->
+        #:                  (link, attached router names), in link order
         #: ``"costed"``     the neighbour entries with the per-(router,
         #:                  link) overrides applied
         #: The first two come from one pass over the links
@@ -282,9 +284,9 @@ class LinkStateRouting:
                 if interface.node.name in neighbours
             ]
             network = link.network
-            prefixes[(int(network.network_address), network.prefixlen)] = (
+            prefixes[(network.network_address, network.prefixlen)] = (
                 link,
-                attached,
+                tuple([name for name, _ in attached]),
             )
             if link.up and len(attached) > 1:
                 up = [(name, interface) for name, interface in attached if interface.up]
@@ -410,7 +412,7 @@ class LinkStateRouting:
         for (net_int, plen), (link, attached_routers) in prefixes.items():
             best_metric: Optional[float] = None
             best_attached: Optional[str] = None
-            for attached, _iface in attached_routers:
+            for attached in attached_routers:
                 if attached == source_name:
                     break  # directly connected; handled by interface_toward()
                 metric = dist_get(attached)

@@ -287,8 +287,6 @@ class Host(RoutedNode):
         self.default_gateway: Optional[IPv4Address] = None
         self.joined_groups: Set[IPv4Address] = set()
         self.delivered: List[IPDatagram] = []
-        #: Unicast datagrams addressed to this host.
-        self.local_rx: List[IPDatagram] = []
 
     @property
     def interface(self) -> Interface:
@@ -322,7 +320,7 @@ class Host(RoutedNode):
                 super().receive(interface, datagram)
             return
         if self.owns_address(datagram.dst):
-            self.local_rx.append(datagram)
+            # Dispatched to the registered handlers, not retained.
             super().receive(interface, datagram)
         # Hosts never forward.
 

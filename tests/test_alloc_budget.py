@@ -103,8 +103,11 @@ CLOSURE_FREE = (
 #: bound once for every transmission to schedule, is one more: 30.9.
 #: With no drop-counter dict until a link drops, one link-state
 #: topology view (no interface maps) and no routing table per host it
-#: measures 27.5 / 27.3; the ceiling is that plus 10 %.
-TRACKED_PER_LINK_CEILING = 30.2
+#: measured 27.5 / 27.3.  With no address-to-interface dict per link,
+#: its one topology observer held without a tuple and names, not
+#: ``(name, interface)`` pairs, in the prefix map it measures
+#: 23.5 / 23.3; the ceiling is that plus 10 %.
+TRACKED_PER_LINK_CEILING = 25.8
 
 #: Bytes (``tracemalloc``) a started bulk world may hold per router and
 #: per link: ``waxman_network(600, alpha=0.02)`` (600 routers, 2,109
@@ -112,10 +115,14 @@ TRACKED_PER_LINK_CEILING = 30.2
 #: is in) built and its ``CBTDomain`` started.  With one link-state
 #: topology view, a CBT engine under the shared-key limit, slotted
 #: interfaces, no empty drop-counter dict per link and no routing table
-#: per host it measures 16,893 / 4,806 (20,308 / 5,777 with link-state
+#: per host it measured 16,893 / 4,806 (20,308 / 5,777 with link-state
 #: routing's five derived maps, a 33-attribute engine, dict-backed
-#: interfaces and those containers); the ceiling is that plus 10 %.
-BULK_WORLD_BYTES_CEILING = {"router": 18580, "link": 5290}
+#: interfaces and those containers).  With no address-to-interface dict
+#: per link, no one-observer tuple, a prefix map of router names keyed
+#: by the link's own address, slotted tickers and no unread unicast list
+#: per host it measures 15,199 / 4,324 (16,960 / 4,825 without, on the
+#: same machine); the ceiling is that plus 10 %.
+BULK_WORLD_BYTES_CEILING = {"router": 16720, "link": 4760}
 
 #: Instance attributes an object built once per router, host, link or
 #: interface may keep, unless its class is slotted.  CPython (3.11)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.netsim.address import IPv4Address
 from repro.netsim.engine import Scheduler
-from repro.netsim.link import Subnet
+from repro.netsim.link import PointToPointLink, Subnet
 from repro.netsim.node import Node
 from repro.netsim.packet import IPDatagram, PROTO_UDP
 from repro.netsim.trace import PacketTrace
@@ -13,11 +13,15 @@ from repro.topology.builder import Network
 GROUP = IPv4Address("239.0.0.1")
 
 
-def build_lan(node_count=3):
-    """A LAN with ``node_count`` plain nodes recording receptions."""
+def build_lan(node_count=3, p2p=False):
+    """A LAN (or, with ``p2p``, a point-to-point link) with
+    ``node_count`` plain nodes recording receptions."""
     net = Network()
     sched = net.scheduler
-    subnet = net.add_subnet("LAN")
+    if p2p:
+        subnet = PointToPointLink("P2P", net.allocator.next_subnet(), sched, trace=net.trace)
+    else:
+        subnet = net.add_subnet("LAN")
     nodes = []
     for i in range(node_count):
         node = Node(f"n{i}", sched)
@@ -258,7 +262,91 @@ class TestSubnetDelivery:
             )
 
 
+#: The two link shapes a unicast receiver is looked up on: a LAN of four
+#: and a point-to-point link.
+UNICAST_LINKS = pytest.mark.parametrize(
+    "count, p2p", [(4, False), (2, True)], ids=["subnet4", "p2p"]
+)
+
+
+class TestUnicastReceiver:
+    """A unicast transmission reaches the one attached interface that
+    owns its link destination, found by scanning the link's interfaces;
+    anything else is a ``no_host`` drop that puts nothing on the wire."""
+
+    @staticmethod
+    def send(node, target):
+        sender = node.interfaces[0]
+        datagram = IPDatagram(src=sender.address, dst=target, proto=PROTO_UDP, payload=b"")
+        sender.send(datagram, link_dst=target)
+        return datagram.uid
+
+    @UNICAST_LINKS
+    def test_each_attached_address_reaches_exactly_its_interface(self, count, p2p):
+        net, link, nodes = build_lan(count, p2p=p2p)
+        assert len(link.interfaces) == count
+        for sender in nodes:
+            uids = [self.send(sender, node.interfaces[0].address) for node in nodes]
+            net.run()
+            for node, uid in zip(nodes, uids):
+                assert [d.uid for d in node.received] == [uid], node.name
+                node.received.clear()
+        assert link.attempt_count == link.tx_count == link.rx_count == count * count
+
+    @UNICAST_LINKS
+    def test_absent_target_and_down_receiver_are_no_host_drops(self, count, p2p):
+        net, link, nodes = build_lan(count, p2p=p2p)
+        registry = net.telemetry.registry
+        absent = IPv4Address(int(link.network.broadcast_address) - 1)
+        assert all(i.address != absent for i in link.interfaces)
+        nodes[-1].interfaces[0].up = False
+        self.send(nodes[0], absent)
+        self.send(nodes[0], nodes[-1].interfaces[0].address)
+        self.send(nodes[0], IPv4Address("10.9.9.9"))
+        net.run()
+        assert not any(node.received for node in nodes)
+        assert (link.attempt_count, link.tx_count, link.tx_bytes) == (3, 0, 0)
+        assert registry.value(f"netsim.link.{link.name}.drop.no_host") == 3
+        notes = [r.note for r in net.trace.filter(kind="drop")]
+        assert notes == [
+            f"no host {absent}",
+            f"no host {nodes[-1].interfaces[0].address}",
+            "no host 10.9.9.9",
+        ]
+
+
+class TestTopologyObservers:
+    def test_observers_run_in_registration_order_on_each_change(self):
+        net, subnet, nodes = build_lan(2)
+        calls = []
+        for name in ("first", "second", "third"):
+            subnet.add_topology_observer(lambda name=name: calls.append(name))
+            subnet.set_up(False)
+            subnet.set_up(True)
+        one, two, three = ["first"], ["first", "second"], ["first", "second", "third"]
+        assert calls == one * 2 + two * 2 + three * 2
+        calls.clear()
+        net.attach(Node("late", net.scheduler), subnet)
+        nodes[0].interfaces[0].up = False
+        assert calls == three * 2
+
+    def test_a_closed_link_notifies_no_one(self):
+        net, subnet, nodes = build_lan(2)
+        calls = []
+        subnet.add_topology_observer(lambda: calls.append("x"))
+        subnet.close()
+        subnet.set_up(False)
+        assert calls == []
+
+
 class TestPointToPoint:
+    def test_duplicate_address_rejected(self):
+        net, link, nodes = build_lan(1, p2p=True)
+        clone = Node("clone", net.scheduler)
+        with pytest.raises(ValueError, match="duplicate address"):
+            clone.add_interface(nodes[0].interfaces[0].address, link.network, link)
+        assert link.interfaces == [nodes[0].interfaces[0]]
+
     def test_third_attachment_rejected(self):
         net = Network()
         r1, r2, r3 = (net.add_router(n) for n in ("r1", "r2", "r3"))

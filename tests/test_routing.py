@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.netsim.address import IPv4Address
-from repro.netsim.packet import PROTO_UDP, make_udp
+from repro.netsim.packet import PROTO_CBT, PROTO_IGMP, PROTO_UDP, IPDatagram, make_udp
 from repro.topology.builder import Network
 from repro.topology.figures import FIGURE1_MEMBERS
 from repro.topology.generators import waxman_network
@@ -25,6 +25,16 @@ def line_of_routers(n, lan_tails=True):
             hosts.append(net.add_host(f"h{i}", subnet))
     net.converge()
     return net, routers, hosts
+
+
+def unicast_heard(host):
+    """The uids of the UDP datagrams ``host`` is handed from now on
+    (a host dispatches unicast addressed to it and keeps none)."""
+    heard = []
+    host.register_handler(
+        PROTO_UDP, lambda node, interface, datagram: heard.append(datagram.uid)
+    )
+    return heard
 
 
 def spf_distance(routing, src, dst):
@@ -170,18 +180,20 @@ class TestUnicastForwarding:
         d = make_udp(
             hosts[0].interface.address, hosts[2].interface.address, 1234, 80, b"hi"
         )
+        heard = unicast_heard(hosts[2])
         hosts[0].originate(d)
         net.run()
-        assert any(r.uid == d.uid for r in hosts[2].local_rx)
+        assert heard == [d.uid]
 
     def test_ttl_expiry_stops_forwarding(self):
         net, routers, hosts = line_of_routers(4)
         d = make_udp(
             hosts[0].interface.address, hosts[3].interface.address, 1234, 80, b"", ttl=2
         )
+        heard = unicast_heard(hosts[3])
         hosts[0].originate(d)
         net.run()
-        assert not hosts[3].local_rx
+        assert heard == []
 
     def test_router_does_not_forward_packets_to_itself(self):
         net, routers, hosts = line_of_routers(2)
@@ -208,23 +220,32 @@ class TestUnicastForwarding:
         net, routers, hosts = line_of_routers(2)
         hosts[0].default_gateway = None
         d = make_udp(hosts[0].interface.address, hosts[1].interface.address, 1, 1, b"")
+        heard = unicast_heard(hosts[1])
         hosts[0].originate(d)
         net.run()
-        assert not hosts[1].local_rx
+        assert heard == []
 
     def test_hosts_do_not_retain_the_multicast_they_hear(
         self, figure1_full_tree, figure1_network
     ):
         """A host hears every HELLO and IGMP query on its LAN for as
         long as the network runs; it dispatches them and keeps none
-        (``local_rx`` is for unicast addressed to the host)."""
+        (the one list of datagrams it keeps, ``delivered``, is
+        joined-group data)."""
         domain, group = figure1_full_tree
         # Past the next general query (FAST_IGMP asks every 30 s).
         figure1_network.run(until=figure1_network.scheduler.now + 35.0)
         registry = figure1_network.telemetry.registry
         for name, host in figure1_network.hosts.items():
             assert host.rx_count > 0, name
-            assert not [d for d in host.local_rx if d.is_multicast], name
+            for attr, held in vars(host).items():
+                if isinstance(held, list):
+                    kept = [
+                        d
+                        for d in held
+                        if isinstance(d, IPDatagram) and d.proto in (PROTO_IGMP, PROTO_CBT)
+                    ]
+                    assert not kept, (name, attr)
             # ... and the handlers still ran: the agent counted the
             # queries, and a member answered them.
             assert registry.value(f"igmp.host.{name}.rx.query") > 0, name
