@@ -44,6 +44,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.netsim.engine import cell, collector_paused
+from repro.netsim.faults import FaultSchedule
 from repro.telemetry import payload_label
 
 #: Gate-eligible CBT control message types: the tree-building and
@@ -404,12 +405,11 @@ class _Controller:
         labels = ["no fault"] + [event.actions(network)[0][1] for event in placed]
         choice = self._decide("fault", start, labels)
         if choice > 0:
-            # Tag the pending fault actions: they must show up in the
-            # in-flight fingerprint, or the explorer would prune the
-            # fault subtree as identical to the no-fault run before
-            # the fault ever fires (its effect is delayed).
-            for at_time, desc, action in placed[choice - 1].actions(network):
-                network.scheduler.call_at(at_time, action, tag=("fault", desc, 0))
+            # The schedule tags the pending actions, so they show in the
+            # in-flight fingerprint: else the explorer would prune the
+            # fault subtree as identical to the no-fault run before the
+            # fault ever fires (its effect is delayed).
+            FaultSchedule([placed[choice - 1]]).apply(network)
 
 
 def _pruned_line(now: float, fingerprint: str, seen_at: int) -> str:

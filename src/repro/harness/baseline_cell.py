@@ -13,10 +13,10 @@ new protocol is one row; nothing here changes.
 
 Replayability is enforced, not assumed: schedules that carry
 protocol-level callables (the migration scenarios) are rejected, and
-every leg's applied schedule is reduced to a relative-time signature
-whose digest must match the first leg's.  The digest travels in the
-cell fingerprint, so the CI byte-identity audit also proves the
-schedules never drifted apart.
+every leg's schedule is reduced to a relative-time signature of what
+its events do, whose digest must match the first leg's.  The digest
+travels in the cell fingerprint, so the CI byte-identity audit also
+proves the schedules never drifted apart.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.harness.campaign import (
 from repro.harness.parallel import stable_digest
 from repro.harness.scenarios import FAST_TIMERS
 from repro.netsim.engine import collector_paused
-from repro.netsim.faults import FaultSchedule
+from repro.netsim.faults import FaultSchedule, fired_faults
 
 #: Chaos scenarios that replay onto non-CBT protocols: everything in
 #: the catalogue except the migration scenarios, whose schedules embed
@@ -98,14 +98,16 @@ class BaselineCompareResult(CellResult):
 
 
 def _relative_signature(schedule: FaultSchedule, base: float) -> Tuple:
-    """Protocol-independent identity of a schedule: event type + fields
-    + fault time relative to ``base``.  Rejects schedules that cannot
-    replay onto another protocol (callable-carrying events)."""
+    """Protocol-independent identity of a schedule: per event, its kind
+    and each action's description and time relative to ``base``, read
+    from ``actions`` (never fired, so no network), never field names.
+    A burst's seed is left out: it is ``derive_seed(cell seed, link)``,
+    fixed by the digest's cell seed and the described link, and
+    :func:`_replay` copies it.  Rejects schedules that cannot replay
+    onto another protocol (callable-carrying events)."""
     signature = []
     for event in schedule.events:
-        fields = dataclasses.asdict(event)
-        at = fields.pop("at")
-        for key, value in sorted(fields.items()):
+        for key, value in vars(event).items():
             if callable(value):
                 raise ValueError(
                     f"{type(event).__name__}.{key} is a callable: this "
@@ -114,9 +116,11 @@ def _relative_signature(schedule: FaultSchedule, base: float) -> Tuple:
                 )
         signature.append(
             (
-                round(at - base, 6),
                 type(event).__name__,
-                tuple((k, str(v)) for k, v in sorted(fields.items())),
+                tuple(
+                    (round(at - base, 6), description)
+                    for at, description, _ in event.actions(None)
+                ),
             )
         )
     return tuple(sorted(signature))
@@ -154,12 +158,13 @@ def run_baseline_compare_cell(
     for name in LEGS:
         with leg_run(name, topology, seed, timers, plan) as run:
             result.outcomes.append(run.outcome)
+            fired = fired_faults(run.network)
         signature = _relative_signature(run.schedule, run.base)
         digest = stable_digest(scenario, topology, seed, signature)
         if not result.schedule_digest:
             result.schedule_digest = digest
             result.faults = [
-                (round(at - run.base, 6), what) for at, what in run.schedule.applied
+                (round(at - run.base, 6), what) for at, what in fired
             ]
             plan = partial(_replay, run.schedule, run.base)
         elif digest != result.schedule_digest:

@@ -53,7 +53,7 @@ from repro.harness.scenarios import (
 )
 from repro.netsim.address import IPv4Address
 from repro.netsim.engine import cell
-from repro.netsim.faults import FaultSchedule, derive_seed
+from repro.netsim.faults import FaultSchedule, derive_seed, fired_faults
 from repro.topology.builder import Network
 
 #: Consecutive event-free audit windows required to declare quiescence.
@@ -271,7 +271,7 @@ class ScenarioResult(CellResult):
     delivery_before: float
     #: Same fraction measured after recovery.
     delivery_after: float
-    #: (sim time, description) log of fault actions actually applied.
+    #: (sim time, description) of each fault action fired, off the bus.
     faults: List[Tuple[float, str]] = field(default_factory=list)
     #: Formatted auditor findings, when the auditor tripped.
     violations: List[str] = field(default_factory=list)
@@ -459,7 +459,7 @@ def run_scenario(
             o.control_cost,
             o.delivery_before,
             o.delivery_after,
-            faults=list(run.schedule.applied),
+            faults=fired_faults(run.network),
             violations=run.violations,
             trace=run.trace,
             audit_checks=auditor.checks_run,

@@ -8,7 +8,12 @@ same schedule against the same network twice produces byte-identical
 simulations, which is what lets the campaign runner assert that
 recovery behaviour is deterministic per seed.
 
-Injector inventory (ISSUE-2 tentpole, part 1):
+A fault event is what its actions do, and :meth:`FaultSchedule.apply`
+is the one applier (chaos cells, baseline-compare legs, the explorer):
+each action fires tagged ``("fault", description, 0)`` and publishes a
+``fault`` record on the trace bus, the one store of fired faults.
+
+Injector inventory:
 
 * :class:`SeededLoss`    — per-link Bernoulli loss process;
 * :class:`SeededJitter`  — per-datagram extra propagation delay;
@@ -102,19 +107,21 @@ class SeededJitter:
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """One declarative fault; subclasses provide the timed actions.
+    """One declarative fault from ``at`` to ``at + duration``;
+    subclasses provide the timed actions.
 
     ``actions(network)`` returns ``(at_time, description, callable)``
     triples; the schedule registers them with the network's scheduler.
     """
 
     at: float
+    duration: float = 0.0
 
     def actions(self, network) -> List[Tuple[float, str, Callable[[], None]]]:
         raise NotImplementedError
 
     def end_time(self) -> float:
-        return self.at
+        return self.at + self.duration
 
 
 @dataclass(frozen=True)
@@ -122,7 +129,6 @@ class LinkFlap(FaultEvent):
     """Take ``link`` down at ``at`` and restore it after ``duration``."""
 
     link: str = ""
-    duration: float = 1.0
 
     def actions(self, network):
         return [
@@ -138,16 +144,12 @@ class LinkFlap(FaultEvent):
             ),
         ]
 
-    def end_time(self) -> float:
-        return self.at + self.duration
-
 
 @dataclass(frozen=True)
 class Partition(FaultEvent):
     """Down a set of links together (a cut) and heal after ``duration``."""
 
     links: Tuple[str, ...] = ()
-    duration: float = 1.0
 
     def actions(self, network):
         def cut() -> None:
@@ -166,23 +168,15 @@ class Partition(FaultEvent):
             (self.at + self.duration, f"partition heal [{names}]", heal),
         ]
 
-    def end_time(self) -> float:
-        return self.at + self.duration
-
 
 @dataclass(frozen=True)
 class NodeOutage(FaultEvent):
     """Crash a node and restart it after ``duration``.  The crash only
     takes every interface down: the node's protocol state is kept and
     its timers keep firing (its sends go nowhere), so this is neither a
-    freeze nor a wipe.  Nothing sets ``on_restart``; the field stays
-    because it is part of every outage's schedule signature
-    (``harness.baseline_cell._relative_signature`` reads the fields), so
-    deleting it moves the schedule digest of every crash cell."""
+    freeze nor a wipe."""
 
     node: str = ""
-    duration: float = 1.0
-    on_restart: Optional[Callable[[str], None]] = None
 
     def actions(self, network):
         def crash() -> None:
@@ -190,16 +184,11 @@ class NodeOutage(FaultEvent):
 
         def restart() -> None:
             network.restore_router(self.node)
-            if self.on_restart is not None:
-                self.on_restart(self.node)
 
         return [
             (self.at, f"node {self.node} crash", crash),
             (self.at + self.duration, f"node {self.node} restart", restart),
         ]
-
-    def end_time(self) -> float:
-        return self.at + self.duration
 
 
 @dataclass(frozen=True)
@@ -211,7 +200,6 @@ class LossBurst(FaultEvent):
     """
 
     link: str = ""
-    duration: float = 1.0
     rate: float = 0.3
     seed: int = 0
 
@@ -231,16 +219,12 @@ class LossBurst(FaultEvent):
             (self.at + self.duration, f"loss off {self.link}", stop),
         ]
 
-    def end_time(self) -> float:
-        return self.at + self.duration
-
 
 @dataclass(frozen=True)
 class JitterBurst(FaultEvent):
     """Seeded delay jitter on ``link`` for ``duration`` seconds."""
 
     link: str = ""
-    duration: float = 1.0
     max_delay: float = 0.05
     seed: int = 0
 
@@ -260,17 +244,12 @@ class JitterBurst(FaultEvent):
             (self.at + self.duration, f"jitter off {self.link}", stop),
         ]
 
-    def end_time(self) -> float:
-        return self.at + self.duration
-
 
 @dataclass
 class FaultSchedule:
     """A replayable set of timed faults for one campaign run."""
 
     events: List[FaultEvent] = field(default_factory=list)
-    #: (sim time, description) pairs recorded as each action fires.
-    applied: List[Tuple[float, str]] = field(default_factory=list)
 
     def add(self, event: FaultEvent) -> "FaultSchedule":
         self.events.append(event)
@@ -282,16 +261,23 @@ class FaultSchedule:
         return max((event.end_time() for event in self.events), default=0.0)
 
     def apply(self, network) -> None:
-        """Register every action with the network's scheduler."""
+        """Register every action with the network's scheduler, tagged so
+        a pending fault shows in the explorer's in-flight state."""
         scheduler = network.scheduler
         for event in self.events:
             for at, description, action in event.actions(network):
-                scheduler.call_at(at, self._fire, scheduler, description, action)
+                tag = ("fault", description, 0)
+                scheduler.call_at(at, _fire, scheduler, description, action, tag=tag)
 
-    def _fire(self, scheduler, description: str, action) -> None:
-        self.applied.append((scheduler.now, description))
-        scheduler.telemetry.bus.publish(
-            TraceFaultEvent(time=scheduler.now, description=description)
-        )
-        action()
 
+def _fire(scheduler, description: str, action) -> None:
+    scheduler.telemetry.bus.publish(
+        TraceFaultEvent(time=scheduler.now, description=description)
+    )
+    action()
+
+
+def fired_faults(network) -> List[Tuple[float, str]]:
+    """``(time, description)`` of each fault action fired so far, read
+    off the trace bus; call it before the network closes."""
+    return [(f.time, f.description) for f in network.telemetry.bus.records("fault")]

@@ -23,7 +23,19 @@ from repro.harness.baseline_cell import (
 )
 from repro.harness.campaign import LEGS, run_scenario
 from repro.harness.scenarios import build_dvmrp_group
-from repro.netsim.faults import FaultSchedule, LinkFlap, NodeOutage
+from repro.netsim.faults import (
+    FaultSchedule,
+    JitterBurst,
+    LinkFlap,
+    LossBurst,
+    NodeOutage,
+    Partition,
+)
+
+
+def _signature(event, base=0.0):
+    """The relative signature of a one-event schedule."""
+    return _relative_signature(FaultSchedule([event]), base)
 
 
 def leg_outcome(result, protocol):
@@ -48,6 +60,36 @@ class TestScheduleIdentity:
         early = _relative_signature(schedule_at(10.0), 10.0)
         late = _relative_signature(schedule_at(99.5), 99.5)
         assert early == late
+
+    def test_signature_ignores_a_field_no_action_reads(self):
+        def flap(*extra):
+            kind = dataclasses.make_dataclass(
+                "Flap", extra, bases=(LinkFlap,), frozen=True
+            )
+            return kind(at=1.0, link="L", duration=2.0)
+
+        plain = flap()
+        noted = flap(("note", str, "read by no action"))
+        assert _signature(plain) == _signature(noted)
+
+    @pytest.mark.parametrize(
+        "event, change",
+        [
+            (LinkFlap(at=1.0, link="L", duration=2.0), {"link": "M"}),
+            (LinkFlap(at=1.0, link="L", duration=2.0), {"duration": 2.5}),
+            (LinkFlap(at=1.0, link="L", duration=2.0), {"at": 1.5}),
+            (NodeOutage(at=1.0, node="R1", duration=1.0), {"node": "R2"}),
+            (Partition(at=1.0, links=("A", "B"), duration=1.0), {"links": ("A",)}),
+            (LossBurst(at=1.0, link="L", duration=1.0, rate=0.3), {"rate": 0.5}),
+            (
+                JitterBurst(at=1.0, link="L", duration=1.0, max_delay=0.05),
+                {"max_delay": 0.1},
+            ),
+        ],
+        ids=["link", "duration", "at", "node", "links", "rate", "max_delay"],
+    )
+    def test_signature_moves_with_what_an_action_does(self, event, change):
+        assert _signature(event) != _signature(dataclasses.replace(event, **change))
 
     def test_callable_carrying_schedule_rejected(self):
         schedule = FaultSchedule()

@@ -226,6 +226,31 @@ def test_search_pins_hold_with_one_simulation_per_schedule(
     assert len(calls) == len(set(calls)) == stats.simulations == simulations
 
 
+@pytest.mark.parametrize(
+    "fault, expected",
+    [(1, [(0.3, "link L_R4_R7 down"), (1.1, "link L_R4_R7 up")]), (0, [])],
+)
+def test_a_placed_fault_fires_onto_the_bus(fault, expected, monkeypatch):
+    """The explorer places its chosen fault through the one applier, so
+    each action publishes a ``fault`` record, timed from the window
+    start; choosing no fault publishes none."""
+    flap = get_scenario("flap-join")
+    fired = []
+
+    def convergence(world):
+        fired.extend(world.network.telemetry.bus.records("fault"))
+        return flap.row.convergence(world)
+
+    scenario = _on_leg(monkeypatch, flap, convergence=convergence)
+    outcome = run_schedule(scenario, (fault,), scenario_options(scenario))
+    assert outcome.violation is None
+    first = outcome.decisions[0]
+    assert first.kind == "fault" and first.chosen == fault
+    assert [
+        (round(record.time - first.time, 6), record.description) for record in fired
+    ] == expected
+
+
 def test_a_spec_on_another_topology_row_explores():
     """One world builder: a joins-race-shaped spec on the grid9 row
     stands up with that row's network and cores (N4, N0) through the

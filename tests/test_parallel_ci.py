@@ -385,7 +385,11 @@ class TestPinnedFingerprints:
 
     PINNED = {
         "chaos/figure1/link_flap/0": ("smoke", "77df63bb9d63b806"),
-        "baseline-compare/figure1/link_flap/0": ("smoke", "9e344ac6ea3e2617"),
+        # Moved (9e344ac6ea3e2617 -> 893b965cb91bd2b0) through its
+        # ``schedule_digest`` alone when the schedule signature came to
+        # read each event's actions, not its fields, and
+        # ``NodeOutage.on_restart`` went; every protocol outcome is equal.
+        "baseline-compare/figure1/link_flap/0": ("smoke", "893b965cb91bd2b0"),
         "migration/figure1/0": ("chaos", "14bbe9c4cc288fb9"),
         # The three workload units moved when HELLOs left point-to-point
         # links, again when IGMP queries did, and again when a LAN with
