@@ -28,7 +28,6 @@ from repro.harness.baseline_cell import run_baseline_compare_cell
 from repro.harness.campaign import TOPOLOGIES
 from repro.harness.experiment import Experiment, SweepResult
 from repro.harness.scenarios import (
-    FAST_TIMERS,
     build_cbt_group,
     build_dvmrp_group,
     build_hpimdm_group,
@@ -73,9 +72,7 @@ def steady_state_row(protocol: str) -> tuple:
     # compare event-driven work only — the same accounting the
     # baseline-compare recovery cells use.
     if protocol == "cbt":
-        domain, group = build_cbt_group(
-            network, members, cores, timers=FAST_TIMERS
-        )
+        domain, group = build_cbt_group(network, members, cores)
         control = lambda: (  # noqa: E731
             domain.control_messages_sent() - _cbt_echoes(domain)
         )

@@ -1,25 +1,26 @@
 """The chaos scenario catalogue.
 
-Each scenario is a deterministic function from a :class:`ChaosContext`
-(the standing tree plus a seed) to a :class:`FaultSchedule`.  Targets
-— which link flaps, which router crashes — are chosen with a
-:func:`derive_seed`-seeded RNG over *sorted* candidate lists, so the
-same (scenario, seed, topology) triple always produces the same
-schedule and therefore the same simulation.
+Each scenario is a deterministic function from a cell's
+:class:`~repro.harness.campaign.CellRun` (the standing tree, the cell
+seed and the sim time ``base`` it plans at) to a
+:class:`FaultSchedule` whose first fault fires :data:`LEAD` after
+``base``.  Targets — which link flaps, which router crashes — are
+chosen with a :func:`derive_seed`-seeded RNG over *sorted* candidate
+lists, so the same (scenario, seed, topology) triple always produces
+the same schedule and therefore the same simulation.
 
-Durations are expressed in units of the domain's §9 timers, so the
-catalogue works unchanged for real-time and scaled-timer runs.
+Durations are expressed in units of the §9 timers of
+:data:`~repro.harness.scenarios.FAST_TIMERS`, the profile every cell
+runs on.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.core.bootstrap import CBTDomain
-from repro.core.timers import CBTTimers
-from repro.netsim.address import IPv4Address
+from repro.harness.scenarios import FAST_TIMERS
 from repro.netsim.faults import (
     FaultEvent,
     FaultSchedule,
@@ -30,151 +31,126 @@ from repro.netsim.faults import (
     Partition,
     derive_seed,
 )
-from repro.topology.builder import Network
+
+if TYPE_CHECKING:  # pragma: no cover - a plan reads a cell, never imports one
+    from repro.harness.campaign import CellRun
+
+#: Sim seconds from a plan's ``run.base`` to its first fault.
+LEAD = 1.0
 
 
-@dataclass
-class ChaosContext:
-    """Everything a scenario builder may consult."""
-
-    network: Network
-    domain: CBTDomain
-    group: IPv4Address
-    members: Sequence[str]
-    cores: Sequence[str]
-    seed: int
-    timers: CBTTimers
-    #: Sim time at which the first fault fires.
-    start: float = 0.0
-
-    def rng(self, label: str) -> random.Random:
-        return random.Random(derive_seed(self.seed, label))
-
-    def tree_links(self) -> List[str]:
-        """Names of links carrying a tree edge, sorted for determinism."""
-        names = set()
-        for child, parent in self.domain.tree_edges(self.group):
-            link = link_between(self.network, child, parent)
-            if link is not None:
-                names.add(link)
-        return sorted(names)
-
-    def on_tree_routers(self, exclude_cores: bool = True) -> List[str]:
-        routers = [
-            name
-            for name, protocol in sorted(self.domain.protocols.items())
-            if protocol.is_on_tree(self.group)
-        ]
-        if exclude_cores:
-            routers = [r for r in routers if r not in set(self.cores)]
-        return routers
+def _rng(run: CellRun, label: str) -> random.Random:
+    return random.Random(derive_seed(run.seed, label))
 
 
-def link_between(network: Network, a: str, b: str) -> Optional[str]:
-    """Name of a link directly joining routers ``a`` and ``b``."""
-    for name in sorted(network.links):
-        nodes = {i.node.name for i in network.links[name].interfaces}
-        if a in nodes and b in nodes:
-            return name
-    return None
+def tree_links(run: CellRun) -> List[str]:
+    """Names of the links carrying the group's tree edges — the link
+    of each on-tree router's parent interface — sorted for
+    determinism."""
+    names = set()
+    for protocol in run.domain.protocols.values():
+        entry = protocol.fib.get(run.group)
+        if entry is not None and entry.parent_vif is not None:
+            names.add(protocol.router.interfaces[entry.parent_vif].link.name)
+    return sorted(names)
 
 
 # -- scenario builders ------------------------------------------------------
 
 
-def lossy_links(ctx: ChaosContext) -> FaultSchedule:
+def lossy_links(run: CellRun) -> FaultSchedule:
     """Heavy seeded loss on two tree links; retransmission must cope."""
-    links = ctx.tree_links()
-    rng = ctx.rng("lossy_links")
+    links = tree_links(run)
+    rng = _rng(run, "lossy_links")
     picks = rng.sample(links, min(2, len(links)))
-    duration = ctx.timers.pend_join_interval * 6
+    duration = FAST_TIMERS.pend_join_interval * 6
+    start = run.base + LEAD
     schedule = FaultSchedule()
     for index, name in enumerate(picks):
         schedule.add(
             LossBurst(
-                at=ctx.start + index * ctx.timers.pend_join_interval,
+                at=start + index * FAST_TIMERS.pend_join_interval,
                 link=name,
                 duration=duration,
                 rate=0.35,
-                seed=derive_seed(ctx.seed, "loss", name),
+                seed=derive_seed(run.seed, "loss", name),
             )
         )
     return schedule
 
 
-def link_flap(ctx: ChaosContext) -> FaultSchedule:
+def link_flap(run: CellRun) -> FaultSchedule:
     """A tree link goes down long enough to trip the echo timeout."""
-    links = ctx.tree_links()
-    name = ctx.rng("link_flap").choice(links)
-    down = ctx.timers.echo_timeout + ctx.timers.echo_interval * 2
+    links = tree_links(run)
+    name = _rng(run, "link_flap").choice(links)
+    down = FAST_TIMERS.echo_timeout + FAST_TIMERS.echo_interval * 2
     return FaultSchedule().add(
-        LinkFlap(at=ctx.start, link=name, duration=down)
+        LinkFlap(at=run.base + LEAD, link=name, duration=down)
     )
 
 
-def partition(ctx: ChaosContext) -> FaultSchedule:
+def partition(run: CellRun) -> FaultSchedule:
     """Cut a tree link for less than the reconnect timeout: rejoins
     retry across the cut (exercising no-route retry chains) and must
     succeed as soon as it heals."""
-    links = ctx.tree_links()
-    name = ctx.rng("partition").choice(links)
-    down = ctx.timers.echo_timeout + ctx.timers.reconnect_timeout * 0.6
+    links = tree_links(run)
+    name = _rng(run, "partition").choice(links)
+    down = FAST_TIMERS.echo_timeout + FAST_TIMERS.reconnect_timeout * 0.6
     return FaultSchedule().add(
-        Partition(at=ctx.start, links=(name,), duration=down)
+        Partition(at=run.base + LEAD, links=(name,), duration=down)
     )
 
 
-def blackout(ctx: ChaosContext) -> FaultSchedule:
+def blackout(run: CellRun) -> FaultSchedule:
     """Cut a tree link beyond the reconnect timeout: rejoins give up,
     downstream branches flush, and fresh joins rebuild after heal."""
-    links = ctx.tree_links()
-    name = ctx.rng("blackout").choice(links)
-    down = ctx.timers.echo_timeout + ctx.timers.reconnect_timeout * 2
+    links = tree_links(run)
+    name = _rng(run, "blackout").choice(links)
+    down = FAST_TIMERS.echo_timeout + FAST_TIMERS.reconnect_timeout * 2
     return FaultSchedule().add(
-        Partition(at=ctx.start, links=(name,), duration=down)
+        Partition(at=run.base + LEAD, links=(name,), duration=down)
     )
 
 
-def router_crash(ctx: ChaosContext) -> FaultSchedule:
+def router_crash(run: CellRun) -> FaultSchedule:
     """A non-core on-tree router loses every interface past the echo
     timeout, keeping its state and timers (:class:`NodeOutage`); its
     neighbours must route around it and reconcile when it returns."""
-    routers = ctx.on_tree_routers(exclude_cores=True)
-    if not routers:
-        routers = ctx.on_tree_routers(exclude_cores=False)
-    name = ctx.rng("router_crash").choice(routers)
-    down = ctx.timers.echo_timeout * 2
+    on_tree = run.domain.on_tree_routers(run.group)
+    routers = [name for name in on_tree if name not in run.cores] or on_tree
+    name = _rng(run, "router_crash").choice(routers)
+    down = FAST_TIMERS.echo_timeout * 2
     return FaultSchedule().add(
-        NodeOutage(at=ctx.start, node=name, duration=down)
+        NodeOutage(at=run.base + LEAD, node=name, duration=down)
     )
 
 
-def core_crash(ctx: ChaosContext) -> FaultSchedule:
+def core_crash(run: CellRun) -> FaultSchedule:
     """The primary core loses every interface, keeping its state and
     timers (:class:`NodeOutage`), long enough that branches fail over
     to an alternate core (§6.1/§6.2), then returns."""
-    name = ctx.cores[0]
-    down = ctx.timers.echo_timeout + ctx.timers.reconnect_timeout * 2
+    name = run.cores[0]
+    down = FAST_TIMERS.echo_timeout + FAST_TIMERS.reconnect_timeout * 2
     return FaultSchedule().add(
-        NodeOutage(at=ctx.start, node=name, duration=down)
+        NodeOutage(at=run.base + LEAD, node=name, duration=down)
     )
 
 
-def jitter_storm(ctx: ChaosContext) -> FaultSchedule:
+def jitter_storm(run: CellRun) -> FaultSchedule:
     """Delay jitter (reordering) on several tree links: control-plane
     state machines must tolerate out-of-order delivery."""
-    links = ctx.tree_links()
-    rng = ctx.rng("jitter_storm")
+    links = tree_links(run)
+    rng = _rng(run, "jitter_storm")
     picks = rng.sample(links, min(3, len(links)))
     schedule = FaultSchedule()
     for name in picks:
         schedule.add(
             JitterBurst(
-                at=ctx.start,
+                at=run.base + LEAD,
                 link=name,
-                duration=ctx.timers.echo_interval * 4,
-                max_delay=ctx.timers.echo_interval / 2,
-                seed=derive_seed(ctx.seed, "jitter", name),
+                duration=FAST_TIMERS.echo_interval * 4,
+                max_delay=FAST_TIMERS.echo_interval / 2,
+                seed=derive_seed(run.seed, "jitter", name),
             )
         )
     return schedule
@@ -217,30 +193,32 @@ def _force_handover(coordinator) -> None:
         coordinator.migrate(ranked[:2])
 
 
-def migration_churn(ctx: ChaosContext) -> FaultSchedule:
+def migration_churn(run: CellRun) -> FaultSchedule:
     """Core migration overlapping membership churn: a member's quit is
     in flight when the new core list is announced, and a fresh join
     races the old primary's retirement."""
     from repro.core.migration import MigrationCoordinator
 
-    coordinator = MigrationCoordinator(ctx.domain, ctx.group, stretch_threshold=1.0)
-    rng = ctx.rng("migration_churn")
-    leaver = rng.choice(sorted(ctx.members))
-    outsiders = sorted(set(ctx.network.hosts) - set(ctx.members))
+    domain, group = run.domain, run.group
+    coordinator = MigrationCoordinator(domain, group, stretch_threshold=1.0)
+    rng = _rng(run, "migration_churn")
+    leaver = rng.choice(sorted(run.members))
+    outsiders = sorted(set(run.network.hosts) - set(run.members))
     joiner = rng.choice(outsiders) if outsiders else None
-    step = ctx.timers.pend_join_interval
+    step = FAST_TIMERS.pend_join_interval
+    start = run.base + LEAD
     schedule = FaultSchedule()
     schedule.add(
         DomainEvent(
-            at=ctx.start,
+            at=start,
             description=f"leave {leaver}",
-            action=lambda: ctx.domain.leave_host(leaver, ctx.group),
+            action=lambda: domain.leave_host(leaver, group),
         )
     )
     # The leave's quit is still in flight when the handover announces.
     schedule.add(
         DomainEvent(
-            at=ctx.start + step,
+            at=start + step,
             description="migrate (forced)",
             action=lambda: _force_handover(coordinator),
         )
@@ -250,39 +228,40 @@ def migration_churn(ctx: ChaosContext) -> FaultSchedule:
         # this join races the retirement announcement.
         schedule.add(
             DomainEvent(
-                at=ctx.start + step * 2.5,
+                at=start + step * 2.5,
                 description=f"join {joiner}",
-                action=lambda: ctx.domain.join_host(joiner, ctx.group),
+                action=lambda: domain.join_host(joiner, group),
             )
         )
     return schedule
 
 
-def migration_partition(ctx: ChaosContext) -> FaultSchedule:
+def migration_partition(run: CellRun) -> FaultSchedule:
     """Core migration with a tree link cut mid-handover: the graft must
     retry across the cut and the handover complete after it heals."""
     from repro.core.migration import MigrationCoordinator
 
-    coordinator = MigrationCoordinator(ctx.domain, ctx.group, stretch_threshold=1.0)
-    name = ctx.rng("migration_partition").choice(ctx.tree_links())
-    step = ctx.timers.pend_join_interval
-    down = ctx.timers.echo_timeout + ctx.timers.reconnect_timeout * 0.5
+    coordinator = MigrationCoordinator(run.domain, run.group, stretch_threshold=1.0)
+    name = _rng(run, "migration_partition").choice(tree_links(run))
+    step = FAST_TIMERS.pend_join_interval
+    down = FAST_TIMERS.echo_timeout + FAST_TIMERS.reconnect_timeout * 0.5
+    start = run.base + LEAD
     schedule = FaultSchedule()
     schedule.add(
         DomainEvent(
-            at=ctx.start,
+            at=start,
             description="migrate (forced)",
             action=lambda: _force_handover(coordinator),
         )
     )
     # Cut while the graft is in flight (before the first confirmation
     # poll at ~2 steps); heal before the reconnect timeout gives up.
-    schedule.add(Partition(at=ctx.start + step, links=(name,), duration=down))
+    schedule.add(Partition(at=start + step, links=(name,), duration=down))
     return schedule
 
 
 #: The catalogue, in campaign order.
-SCENARIOS: Dict[str, Callable[[ChaosContext], FaultSchedule]] = {
+SCENARIOS: Dict[str, Callable[[CellRun], FaultSchedule]] = {
     "lossy_links": lossy_links,
     "link_flap": link_flap,
     "partition": partition,

@@ -452,7 +452,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             f"  {result.topology:10s} {result.scenario:14s} seed={result.seed}  {status}"
         )
 
-    campaign = run_campaign(
+    results = run_campaign(
         scenarios=scenarios,
         seeds=tuple(args.seeds),
         topologies=tuple(topologies),
@@ -460,7 +460,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         progress=progress if args.verbose else None,
     )
     rows = []
-    for r in campaign.results:
+    for r in results:
         rows.append(
             [
                 r.topology,
@@ -489,12 +489,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             ],
             rows,
             title=(
-                f"chaos campaign: {len(campaign.results)} cells"
+                f"chaos campaign: {len(results)} cells"
                 + (" (quick)" if args.quick else "")
             ),
         )
     )
-    failures = campaign.failures()
+    failures = [r for r in results if not r.clean]
     if failures:
         print(f"\n{len(failures)} cell(s) failed:", file=sys.stderr)
         for r in failures:

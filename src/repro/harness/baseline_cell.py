@@ -26,15 +26,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Tuple
 
-from repro.core.timers import CBTTimers
-from repro.harness.campaign import (
-    LEGS,
-    CellResult,
-    ProtocolOutcome,
-    leg_run,
-)
+from repro.harness.campaign import LEGS, CellResult, CellRun, ProtocolOutcome, leg_run
 from repro.harness.parallel import stable_digest
-from repro.harness.scenarios import FAST_TIMERS
 from repro.netsim.engine import collector_paused
 from repro.netsim.faults import FaultSchedule, fired_faults
 
@@ -126,22 +119,18 @@ def _relative_signature(schedule: FaultSchedule, base: float) -> Tuple:
     return tuple(sorted(signature))
 
 
-def _replay(schedule: FaultSchedule, base: float, context) -> FaultSchedule:
-    """The same events, re-timed so their offsets from ``context``'s
-    now equal the originals' offsets from ``base``."""
-    now = context.network.scheduler.now
+def _replay(schedule: FaultSchedule, base: float, run: CellRun) -> FaultSchedule:
+    """The same events, re-timed so their offsets from ``run.base``
+    equal the originals' offsets from ``base``."""
     shifted = FaultSchedule()
     for event in schedule.events:
-        shifted.add(dataclasses.replace(event, at=event.at - base + now))
+        shifted.add(dataclasses.replace(event, at=event.at - base + run.base))
     return shifted
 
 
 @collector_paused()  # one pause over every leg
 def run_baseline_compare_cell(
-    scenario: str,
-    topology: str = "figure1",
-    seed: int = 0,
-    timers: CBTTimers = FAST_TIMERS,
+    scenario: str, topology: str = "figure1", seed: int = 0
 ) -> BaselineCompareResult:
     """Run one comparison cell: every :data:`LEGS` row in table order,
     the first deriving the schedule and the rest replaying it, all
@@ -156,7 +145,7 @@ def run_baseline_compare_cell(
     result = BaselineCompareResult(scenario, topology, seed, schedule_digest="")
     plan = SCENARIOS[scenario]
     for name in LEGS:
-        with leg_run(name, topology, seed, timers, plan) as run:
+        with leg_run(name, topology, seed, plan) as run:
             result.outcomes.append(run.outcome)
             fired = fired_faults(run.network)
         signature = _relative_signature(run.schedule, run.base)

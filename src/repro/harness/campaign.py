@@ -40,7 +40,6 @@ from repro.baselines.dvmrp import DenseModeDomain
 from repro.baselines.hpimdm import HPIMDMDomain
 from repro.core.audit import InvariantAuditor, InvariantViolation, check_invariants
 from repro.core.bootstrap import CBTDomain
-from repro.core.timers import CBTTimers
 from repro.harness.parallel import Fingerprinted
 from repro.harness.scenarios import (
     FAST_TIMERS,
@@ -62,16 +61,21 @@ QUIET_WINDOWS = 2
 #: Cap on post-fault windows before declaring the cell unrecovered.
 MAX_WINDOWS = 40
 
+#: One quiescence window (sim s): the longer of one ECHO interval and
+#: two pending-join retransmits.
+WINDOW = max(FAST_TIMERS.echo_interval, FAST_TIMERS.pend_join_interval * 2)
+
 
 @dataclass(frozen=True)
 class Leg:
-    """One protocol as a cell runs it.  ``build(network, members,
-    cores, timers)`` stands its group up and returns ``(domain,
-    group)``; every other field reads that domain: ``activity`` (a
-    counter flat while the protocol is quiet), ``settled`` (its own
-    convergence oracle), ``findings`` (why a settled run is still
-    wrong), ``control`` (control messages sent, keepalives excluded)
-    and ``census(domain, group) -> (state_total, routers_with_state)``."""
+    """One protocol as a cell runs it, on :data:`FAST_TIMERS`.
+    ``build(network, members, cores)`` stands its group up and returns
+    ``(domain, group)``; every other field reads that domain:
+    ``activity`` (a counter flat while the protocol is quiet),
+    ``settled`` (its own convergence oracle), ``findings`` (why a
+    settled run is still wrong), ``control`` (control messages sent,
+    keepalives excluded) and ``census(domain, group) -> (state_total,
+    routers_with_state)``."""
 
     build: Callable[..., Tuple[Any, IPv4Address]]
     activity: Callable[[Any], int]
@@ -81,11 +85,11 @@ class Leg:
     census: Callable[[Any, IPv4Address], Tuple[int, int]]
 
 
-def _audited_cbt_group(network, members, cores, timers):
+def _audited_cbt_group(network, members, cores):
     """``build_cbt_group`` under a started :class:`InvariantAuditor`,
     which the domain holds as ``auditor``."""
-    domain, group = build_cbt_group(network, members, cores, timers=timers)
-    domain.auditor = InvariantAuditor(domain, interval=timers.pend_join_interval)
+    domain, group = build_cbt_group(network, members, cores)
+    domain.auditor = InvariantAuditor(domain, interval=FAST_TIMERS.pend_join_interval)
     domain.auditor.start()
     return domain, group
 
@@ -112,8 +116,8 @@ LEGS: Dict[str, Leg] = {
     # timeout so decay-driven re-flooding happens inside the cell; no
     # convergence obligation beyond silence.
     "dvmrp": Leg(
-        build=lambda network, members, cores, timers: build_dvmrp_group(
-            network, members, prune_lifetime=timers.reconnect_timeout * 2
+        build=lambda network, members, cores: build_dvmrp_group(
+            network, members, prune_lifetime=FAST_TIMERS.reconnect_timeout * 2
         ),
         activity=lambda domain: domain.control_messages() + domain.data_forwards(),
         settled=lambda domain: True,
@@ -125,12 +129,12 @@ LEGS: Dict[str, Leg] = {
     # the ECHO interval, hold at the ECHO timeout); settled once the
     # election census is clean and every advertisement acknowledged.
     "hpimdm": Leg(
-        build=lambda network, members, cores, timers: build_hpimdm_group(
+        build=lambda network, members, cores: build_hpimdm_group(
             network,
             members,
-            hello_interval=timers.echo_interval,
-            neighbour_hold=timers.echo_timeout,
-            rtx_interval=timers.pend_join_interval / 2,
+            hello_interval=FAST_TIMERS.echo_interval,
+            neighbour_hold=FAST_TIMERS.echo_timeout,
+            rtx_interval=FAST_TIMERS.pend_join_interval / 2,
         ),
         activity=HPIMDMDomain.events_total,
         settled=lambda domain: (
@@ -141,37 +145,6 @@ LEGS: Dict[str, Leg] = {
         census=_dense_census,
     ),
 }
-
-
-def run_to_quiescence(leg: Leg, domain, since: float, timers: CBTTimers) -> Tuple[bool, float]:
-    """The one quiescence loop, behind :meth:`CellRun.quiesce`.
-
-    Runs the domain's network in fixed windows — the longer of one
-    ECHO interval and two pending-join retransmits under ``timers`` —
-    until ``leg.activity`` stays flat and ``leg.settled`` holds for
-    :data:`QUIET_WINDOWS` consecutive windows.  Returns
-    ``(recovered, recovery_time)``: sim seconds from ``since`` to the
-    start of the quiet windows, or ``(False, inf)`` after
-    :data:`MAX_WINDOWS`.
-    """
-    network = domain.network
-    window = max(timers.echo_interval, timers.pend_join_interval * 2)
-    quiet = 0
-    last = leg.activity(domain)
-    for _ in range(MAX_WINDOWS):
-        network.run(until=network.scheduler.now + window)
-        count = leg.activity(domain)
-        if count == last and leg.settled(domain):
-            quiet += 1
-            if quiet >= QUIET_WINDOWS:
-                # The quiet windows are settle margin, not recovery work.
-                return True, max(
-                    0.0, network.scheduler.now - QUIET_WINDOWS * window - since
-                )
-        else:
-            quiet = 0
-        last = count
-    return False, float("inf")
 
 
 @dataclass
@@ -289,14 +262,6 @@ class ScenarioResult(CellResult):
 
 
 @dataclass
-class CampaignResult:
-    results: List[ScenarioResult] = field(default_factory=list)
-
-    def failures(self) -> List[ScenarioResult]:
-        return [r for r in self.results if not r.clean]
-
-
-@dataclass
 class ProtocolOutcome(Fingerprinted):
     """One protocol leg's measurements under its fault schedule."""
 
@@ -326,11 +291,11 @@ class CellRun:
     ``recovered`` / ``recovery_time`` from :meth:`quiesce`,
     ``violations`` / ``trace`` from :meth:`audited`,
     ``delivery_findings`` from :meth:`probe`.  :func:`leg_run` adds its
-    ``outcome``, the ``schedule`` it applied and the sim time ``base``
-    it planned that schedule at."""
+    ``outcome``, the ``schedule`` it applied, the sim time ``base`` it
+    planned that schedule at and the cell ``seed`` the plan draws
+    from."""
 
     leg: Leg
-    timers: CBTTimers
     network: Network
     domain: Any
     group: IPv4Address
@@ -343,6 +308,7 @@ class CellRun:
     outcome: Optional[ProtocolOutcome] = None
     schedule: Optional[FaultSchedule] = None
     base: float = 0.0
+    seed: int = 0
     delivery_findings: List[str] = field(default_factory=list)
 
     @contextmanager
@@ -367,58 +333,67 @@ class CellRun:
         return delivery.fraction
 
     def quiesce(self, since: float) -> bool:
-        """Run to quiescence (:func:`run_to_quiescence`, recovery time
-        counted from ``since``); returns ``recovered``."""
-        self.recovered, self.recovery_time = run_to_quiescence(
-            self.leg, self.domain, since, self.timers
-        )
-        return self.recovered
+        """The one quiescence loop: run the network in :data:`WINDOW`
+        steps until ``leg.activity`` stays flat and ``leg.settled``
+        holds for :data:`QUIET_WINDOWS` consecutive windows.  Sets
+        ``recovered`` and ``recovery_time`` — sim seconds from
+        ``since`` to the start of the quiet windows, or ``inf`` after
+        :data:`MAX_WINDOWS` — and returns ``recovered``."""
+        leg, domain, network = self.leg, self.domain, self.network
+        quiet = 0
+        last = leg.activity(domain)
+        for _ in range(MAX_WINDOWS):
+            network.run(until=network.scheduler.now + WINDOW)
+            count = leg.activity(domain)
+            if count == last and leg.settled(domain):
+                quiet += 1
+                if quiet >= QUIET_WINDOWS:
+                    # The quiet windows are settle margin, not recovery work.
+                    self.recovered = True
+                    self.recovery_time = max(
+                        0.0, network.scheduler.now - QUIET_WINDOWS * WINDOW - since
+                    )
+                    return True
+            else:
+                quiet = 0
+            last = count
+        self.recovered, self.recovery_time = False, float("inf")
+        return False
 
 
 @contextmanager
 def cell_run(
     name: str,
-    timers: CBTTimers,
     build: Callable,
     *args: Any,
     members: Optional[Sequence[str]] = None,
 ) -> Iterator[CellRun]:
-    """``with cell_run(name, timers, build, *args) as run:`` — the one
+    """``with cell_run(name, build, *args) as run:`` — the one
     cell body.  ``build(*args)`` returns ``(network, members, cores)``;
     the ``LEGS[name]`` group stands up on it, joined by ``members`` when
     given, else by the build's.  The network closes when the block
     ends."""
     leg = LEGS[name]
     with cell(build, *args) as (network, built, cores):
-        domain, group = leg.build(
-            network, built if members is None else members, cores, timers
-        )
-        yield CellRun(leg, timers, network, domain, group, built, cores)
+        domain, group = leg.build(network, built if members is None else members, cores)
+        yield CellRun(leg, network, domain, group, built, cores)
 
 
 @contextmanager
-def leg_run(
-    name: str, topology: str, seed: int, timers: CBTTimers, plan: Callable
-) -> Iterator[CellRun]:
+def leg_run(name: str, topology: str, seed: int, plan: Callable) -> Iterator[CellRun]:
     """``with leg_run(...) as run:`` — the ``LEGS[name]`` protocol
     through one fault cell: build ``topology`` at ``seed``, stand the
-    group up, probe, apply ``plan(ChaosContext)`` (faults from 1 s on),
-    run past the last fault and to quiescence, probe, take the census
-    into ``run.outcome`` (probes from the build's first member).  An
-    auditor violation ends the run unrecovered, its findings the
-    outcome's."""
-    from repro.chaos.scenarios import ChaosContext
-
-    with cell_run(name, timers, TOPOLOGIES[topology].build, seed) as run:
+    group up, probe, set ``run.base`` (now) and ``run.seed``, apply
+    ``plan(run)``, run past the last fault and to quiescence, probe,
+    take the census into ``run.outcome`` (probes from the build's first
+    member).  An auditor violation ends the run unrecovered, its
+    findings the outcome's."""
+    with cell_run(name, TOPOLOGIES[topology].build, seed) as run:
         network, domain, group, members = run.network, run.domain, run.group, run.members
         leg = run.leg
         delivery_before = run.probe(members[0], "delivery before faults")
-        run.base = network.scheduler.now
-        run.schedule = schedule = plan(
-            ChaosContext(
-                network, domain, group, members, run.cores, seed, timers, run.base + 1.0
-            )
-        )
+        run.base, run.seed = network.scheduler.now, seed
+        run.schedule = schedule = plan(run)
         schedule.apply(network)
         control_start = leg.control(domain)
         with run.audited():
@@ -437,16 +412,11 @@ def leg_run(
         yield run
 
 
-def run_scenario(
-    scenario: str,
-    topology: str = "figure1",
-    seed: int = 0,
-    timers: CBTTimers = FAST_TIMERS,
-) -> ScenarioResult:
+def run_scenario(scenario: str, topology: str = "figure1", seed: int = 0) -> ScenarioResult:
     """Run one campaign cell: the CBT leg alone, under its auditor."""
     from repro.chaos.scenarios import SCENARIOS
 
-    with leg_run("cbt", topology, seed, timers, SCENARIOS[scenario]) as run:
+    with leg_run("cbt", topology, seed, SCENARIOS[scenario]) as run:
         auditor = run.domain.auditor
         auditor.stop()
         o = run.outcome
@@ -472,11 +442,11 @@ def run_campaign(
     scenarios: Optional[Sequence[str]] = None,
     seeds: Sequence[int] = (0, 1, 2),
     topologies: Sequence[str] = ("figure1",),
-    timers: CBTTimers = FAST_TIMERS,
     quick: bool = False,
     progress: Optional[Callable[[ScenarioResult], None]] = None,
-) -> CampaignResult:
-    """Sweep scenarios × seeds × topologies deterministically.
+) -> List[ScenarioResult]:
+    """Sweep scenarios × seeds × topologies deterministically; returns
+    the cells' results in sweep order.
 
     ``quick`` shrinks the sweep to the smoke set used by CI:
     :data:`~repro.chaos.scenarios.QUICK_SCENARIOS` × 1 seed on Figure 1.
@@ -489,14 +459,12 @@ def run_campaign(
         topologies = ("figure1",)
     elif scenarios is None:
         scenarios = list(SCENARIOS)
-    campaign = CampaignResult()
+    results = []
     for topology in topologies:
         for scenario in scenarios:
             for seed in seeds:
-                result = run_scenario(
-                    scenario, topology=topology, seed=seed, timers=timers
-                )
-                campaign.results.append(result)
+                result = run_scenario(scenario, topology=topology, seed=seed)
+                results.append(result)
                 if progress is not None:
                     progress(result)
-    return campaign
+    return results

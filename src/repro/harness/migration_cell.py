@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.core.migration import MigrationCoordinator, network_graph, tree_quality
-from repro.core.timers import CBTTimers
 from repro.harness.campaign import TOPOLOGIES, CellResult, cell_run
-from repro.harness.scenarios import FAST_TIMERS, joined_hosts, serving_router
+from repro.harness.scenarios import joined_hosts, serving_router
 from repro.netsim.faults import derive_seed
 
 
@@ -89,14 +88,10 @@ def _plan_churn(
     return leave, ranked[:2]
 
 
-def run_migration_cell(
-    topology: str = "figure1",
-    seed: int = 0,
-    timers: CBTTimers = FAST_TIMERS,
-) -> MigrationCellResult:
+def run_migration_cell(topology: str = "figure1", seed: int = 0) -> MigrationCellResult:
     """Run one before/after migration measurement under the auditor."""
     with cell_run(
-        "cbt", timers, TOPOLOGIES[topology].build, derive_seed(seed, "migration", topology)
+        "cbt", TOPOLOGIES[topology].build, derive_seed(seed, "migration", topology)
     ) as run:
         network, domain, group, members = run.network, run.domain, run.group, run.members
         graph = network_graph(network)

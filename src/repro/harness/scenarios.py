@@ -79,7 +79,6 @@ def build_cbt_group(
     members: Sequence[str],
     cores: Sequence[str],
     group: Optional[IPv4Address] = None,
-    timers: CBTTimers = FAST_TIMERS,
     mode: str = "cbt",
     settle_time: float = SETTLE_TIME,
     join_spacing: float = 0.05,
@@ -90,7 +89,9 @@ def build_cbt_group(
     Returns the (domain, group address) pair.  Pass an existing
     ``domain`` to add another group to a running domain.
     """
-    make = partial(CBTDomain, network, timers=timers, mode=mode, igmp_config=FAST_IGMP)
+    make = partial(
+        CBTDomain, network, timers=FAST_TIMERS, mode=mode, igmp_config=FAST_IGMP
+    )
     return _stand_up(domain, make, members, group, settle_time, join_spacing, cores)
 
 

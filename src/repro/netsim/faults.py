@@ -92,10 +92,8 @@ class SeededJitter:
         self.max_delay = max_delay
         self.seed = seed
         self._rng = random.Random(seed)
-        self.applied = 0
 
     def __call__(self, datagram: IPDatagram) -> float:
-        self.applied += 1
         return self._rng.random() * self.max_delay
 
     def __repr__(self) -> str:

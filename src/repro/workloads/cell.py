@@ -29,9 +29,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate, repeat, takewhile
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.timers import CBTTimers
 from repro.harness.campaign import TOPOLOGIES, CellResult, CellRun, cell_run
-from repro.harness.scenarios import FAST_TIMERS, pick_members
+from repro.harness.scenarios import pick_members
 from repro.harness.workload import ChurnSchedule
 from repro.netsim.faults import derive_seed
 from repro.netsim.packet import IPDatagram, PROTO_UDP, UDPDatagram
@@ -55,6 +54,9 @@ WORKLOAD_TOPOLOGIES = tuple(sorted(TOPOLOGIES)) + ("bulk1000",)
 #: are not recorded once the host's IGMP state is gone).
 JOIN_MARGIN = 1.5
 LEAVE_MARGIN = 0.5
+
+#: Sim seconds between the cell's quality-probe samples.
+PROBE_INTERVAL = 2.0
 
 
 def _build_topology(name: str, seed: int):
@@ -109,19 +111,19 @@ def _drive(
     schedule: ChurnSchedule,
     segments: Iterable[float],
     until: float,
-    probe_interval: float,
     midway: Sequence[Tuple[str, float]] = (),
 ) -> Tuple[QualityProbe, List[Tuple[float, int]], Dict[str, List[str]]]:
-    """Run one workload cell: sample with a :class:`QualityProbe`, play
-    ``schedule``'s joins and leaves (keeping the probe's books in step),
-    send a segment from ``source`` at each of ``segments``, run to
-    ``until`` taking a conservation snapshot at each ``midway`` (name,
-    time), then quiesce and take the ``"drain"`` snapshot — the full
-    invariant sweep plus conservation.  Returns the stopped probe, the
-    ``(send time, uid)`` of every segment sent, and the snapshots."""
+    """Run one workload cell: sample with a :class:`QualityProbe` every
+    :data:`PROBE_INTERVAL`, play ``schedule``'s joins and leaves
+    (keeping the probe's books in step), send a segment from ``source``
+    at each of ``segments``, run to ``until`` taking a conservation
+    snapshot at each ``midway`` (name, time), then quiesce
+    (:meth:`CellRun.quiesce`) and take the ``"drain"`` snapshot — the
+    full invariant sweep plus conservation.  Returns the stopped probe,
+    the ``(send time, uid)`` of every segment sent, and the snapshots."""
     network, domain, group = run.network, run.domain, run.group
     call_at = network.scheduler.call_at
-    probe = QualityProbe(domain, group, source_host=source, interval=probe_interval)
+    probe = QualityProbe(domain, group, source_host=source, interval=PROBE_INTERVAL)
     probe.start()
     for event in schedule.events:
         action = _member_join if event.action == "join" else _member_leave
@@ -222,14 +224,10 @@ def run_flash_crowd_cell(
     seed: int = 0,
     quick: bool = False,
     clients: Optional[int] = None,
-    probe_interval: float = 2.0,
-    timers: CBTTimers = FAST_TIMERS,
 ) -> FlashCrowdCellResult:
     """One bootcast flash crowd under the full audit regime."""
     cell_seed = derive_seed(seed, "workload", "flash-crowd", topology)
-    with cell_run(
-        "cbt", timers, _build_topology, topology, cell_seed, members=()
-    ) as run:
+    with cell_run("cbt", _build_topology, topology, cell_seed, members=()) as run:
         network, domain, pool, cores = run.network, run.domain, run.members, run.cores
         n_clients = clients if clients is not None else (32 if quick else 160)
         if n_clients + 1 > len(pool):
@@ -253,7 +251,6 @@ def run_flash_crowd_cell(
             crowd.schedule,
             crowd.segments,
             crowd.drain_time,
-            probe_interval,
             midway=[("mid-burst", crowd.mid_burst_time)],
         )
 
@@ -351,8 +348,6 @@ def run_churn_cell(
     topology: str = "waxman16",
     seed: int = 0,
     quick: bool = False,
-    probe_interval: float = 2.0,
-    timers: CBTTimers = FAST_TIMERS,
 ) -> ChurnCellResult:
     """Session churn (Poisson or Pareto on/off) under the audit regime."""
     if process not in ("poisson", "pareto"):
@@ -360,9 +355,7 @@ def run_churn_cell(
             f"unknown churn process {process!r}; known: poisson, pareto"
         )
     cell_seed = derive_seed(seed, "workload", process, topology)
-    with cell_run(
-        "cbt", timers, _build_topology, topology, cell_seed, members=()
-    ) as run:
+    with cell_run("cbt", _build_topology, topology, cell_seed, members=()) as run:
         network, pool = run.network, run.members
         source, churners = pool[0], pool[1:]
         duration = 30.0 if quick else 90.0
@@ -379,9 +372,7 @@ def run_churn_cell(
         )
         # A segment every 2 s from ``start`` (summed, as sent) until ``end``.
         segments = takewhile(lambda at: at < end, accumulate(repeat(2.0), initial=start))
-        probe, _sent, snapshots = _drive(
-            run, source, schedule, segments, end, probe_interval
-        )
+        probe, _sent, snapshots = _drive(run, source, schedule, segments, end)
 
         last = probe.samples[-1] if probe.samples else None
         return ChurnCellResult(

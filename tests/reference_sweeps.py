@@ -277,6 +277,28 @@ def tree_edges(domain, group: IPv4Address) -> List[Tuple[str, str]]:
     return sorted(edges)
 
 
+# -- chaos/scenarios.py (ChaosContext.tree_links) ---------------------------------
+
+
+def link_between(network, a: str, b: str) -> Optional[str]:
+    """Name of a link directly joining routers ``a`` and ``b``."""
+    for name in sorted(network.links):
+        nodes = {i.node.name for i in network.links[name].interfaces}
+        if a in nodes and b in nodes:
+            return name
+    return None
+
+
+def tree_links(network, domain, group: IPv4Address) -> List[str]:
+    """Names of links carrying a tree edge, sorted for determinism."""
+    names = set()
+    for child, parent in domain.tree_edges(group):
+        link = link_between(network, child, parent)
+        if link is not None:
+            names.add(link)
+    return sorted(names)
+
+
 # -- telemetry/conservation.py -----------------------------------------------------
 
 

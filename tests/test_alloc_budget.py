@@ -960,9 +960,7 @@ def _observed_domain(size):
     net = waxman_network(size, alpha=0.1, seed=5)
     net.trace.enabled = False
     members = pick_members(net, 15, seed=5)
-    domain, group = build_cbt_group(
-        net, members, [sorted(net.routers)[0]], timers=FAST_TIMERS
-    )
+    domain, group = build_cbt_group(net, members, [sorted(net.routers)[0]])
     net.run(until=net.scheduler.now + 2.0)
     probe = QualityProbe(domain, group, source_host=members[0])
     for member in members:

@@ -199,7 +199,7 @@ class TestOneLegRun:
         plain = run_baseline_compare_cell("link_flap", "figure1", 0)
         long_prunes = dataclasses.replace(
             LEGS["dvmrp"],
-            build=lambda network, members, cores, timers: build_dvmrp_group(
+            build=lambda network, members, cores: build_dvmrp_group(
                 network, members, prune_lifetime=600.0
             ),
         )

@@ -532,11 +532,13 @@ def test_one_place_constructs_the_auditor():
     assert found == ["harness/campaign.py::_audited_cbt_group"]
 
 
-# A cell is one body (``campaign.cell_run``): ``CellRun.audited`` is the
-# one place a cell catches the auditor's violation, ``CellRun.quiesce``
-# the one caller of the quiescence loop.  A result's fingerprint is its
-# own fields (``parallel.Fingerprinted``); a hand-written one drifts from
-# the fields the next time one is added.
+# A cell is one body (``campaign.cell_run``) on one clock (``FAST_TIMERS``):
+# ``CellRun.audited`` is the one place a cell catches the auditor's
+# violation, ``CellRun.quiesce`` the one quiescence loop (the only reader
+# of its window constants), and no cell function takes a ``timers``
+# argument.  A result's fingerprint is its own fields
+# (``parallel.Fingerprinted``); a hand-written one drifts from the fields
+# the next time one is added.
 
 
 def _function_sites(predicate):
@@ -562,9 +564,26 @@ def test_one_cell_body_catches_violations_and_quiesces():
         lambda node: isinstance(node, ast.ExceptHandler)
         and "InvariantViolation" in ast.unparse(node.type or ast.Constant(None))
     ) == ["harness/campaign.py::audited"]
-    assert _function_sites(
-        lambda node: isinstance(node, ast.Call) and _callee(node) == "run_to_quiescence"
+    window_names = {"QUIET_WINDOWS", "MAX_WINDOWS", "WINDOW"}
+    assert sorted(
+        set(
+            _function_sites(
+                lambda node: (
+                    isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)
+                    and node.id in window_names
+                )
+                or (isinstance(node, ast.Attribute) and node.attr in window_names)
+                or (isinstance(node, ast.alias) and node.name in window_names)
+            )
+        )
     ) == ["harness/campaign.py::quiesce"]
+
+
+def test_no_cell_function_takes_timers():
+    assert _function_sites(
+        lambda node: isinstance(node, ast.arg) and node.arg == "timers"
+    ) == []
 
 
 def test_no_result_writes_its_fingerprint_by_hand():

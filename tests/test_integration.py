@@ -176,9 +176,7 @@ class TestFailureOnRandomTopology:
     def test_recovery_after_worst_link_failure(self):
         net = waxman_network(16, seed=13)
         members = pick_members(net, 5, seed=13)
-        domain, group = build_cbt_group(
-            net, members, cores=["N0", "N8"], timers=FAST_TIMERS
-        )
+        domain, group = build_cbt_group(net, members, cores=["N0", "N8"])
         # Fail the busiest tree link (most disruptive choice).
         edges = domain.tree_edges(group)
         assert edges

@@ -152,7 +152,7 @@ class TestStateLivesWithItsRelation:
         every outstanding quit still has a live retry timer."""
         stale = []
         for scenario, plan in SCENARIOS.items():
-            with leg_run("cbt", topology, 0, FAST_TIMERS, plan) as run:
+            with leg_run("cbt", topology, 0, plan) as run:
                 for name, protocol in run.domain.protocols.items():
                     where = f"{scenario}/{name}"
                     for entry in protocol.fib:

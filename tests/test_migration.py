@@ -31,7 +31,7 @@ from repro.topology.figures import build_figure1
 
 def _stand_up(members, cores):
     network = build_figure1()
-    domain, group = build_cbt_group(network, members, cores, timers=FAST_TIMERS)
+    domain, group = build_cbt_group(network, members, cores)
     return network, domain, group
 
 

@@ -21,12 +21,15 @@ quick flash cell, every auditor tick of every chaos scenario on three
 topologies (crashed routers, flapped links and half-finished repairs
 are where skipping a router could hide a finding), the two open
 findings' schedules, hand-corrupted trees with the offender live and
-crashed, and a live domain that gains interfaces.
+crashed, and a live domain that gains interfaces.  A chaos plan's tree
+links, read off the FIB, equal the per-edge link scan right after
+every stand-up of the three topology rows at seeds 0-63.
 """
 
 import pytest
 
 from repro.chaos import SCENARIOS
+from repro.chaos.scenarios import tree_links
 from repro.harness.campaign import run_scenario
 from repro.core import audit
 from repro.core.audit import (
@@ -168,6 +171,26 @@ class TestEveryAuditorTick:
         result = run_scenario("core_crash", topology="waxman16", seed=29)
         assert not result.recovered and not result.violations
         assert any(findings for _, findings in ticks)
+
+
+class TestTreeLinksFromTheFIB:
+    """A chaos plan reads its tree links off each on-tree router's
+    FIB-entry parent interface (``chaos.scenarios.tree_links``); the
+    reference looks a link up per tree edge over every link.  Right
+    after stand-up, on every topology row at seeds 0-63, both give the
+    same non-empty list."""
+
+    @pytest.mark.parametrize("topology", sorted(campaign.TOPOLOGIES))
+    def test_every_seed_right_after_stand_up(self, topology):
+        differ = []
+        for seed in range(64):
+            build = campaign.TOPOLOGIES[topology].build
+            with campaign.cell_run("cbt", build, seed) as run:
+                links = tree_links(run)
+                reference = reference_sweeps.tree_links(run.network, run.domain, run.group)
+                if not links or links != reference:
+                    differ.append((seed, links, reference))
+        assert differ == []
 
 
 def _neighbour_pair(network, domain, group, on_tree):

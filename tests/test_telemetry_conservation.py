@@ -12,11 +12,11 @@ import json
 
 import pytest
 
-from repro.chaos.scenarios import SCENARIOS as CHAOS_SCENARIOS, ChaosContext
+from repro.chaos.scenarios import SCENARIOS as CHAOS_SCENARIOS
 from repro.core.messages import MessageType
 from repro.explore.scenarios import SCENARIOS as EXPLORE_SCENARIOS
-from repro.harness.campaign import TOPOLOGIES
-from repro.harness.scenarios import FAST_TIMERS, build_cbt_group
+from repro.harness.campaign import LEGS, TOPOLOGIES, CellRun
+from repro.harness.scenarios import build_cbt_group
 from repro.metrics.overhead import trace_overhead
 from repro.telemetry.conservation import check_conservation
 from tests import reference_sweeps
@@ -31,18 +31,18 @@ def _chaos_cell(
     before the first packet moves, for a test that reads it."""
     network, members, cores = TOPOLOGIES[topology].build(seed)
     network.trace.enabled = trace
-    domain, group = build_cbt_group(network, members, cores, timers=FAST_TIMERS)
-    context = ChaosContext(
-        network=network,
-        domain=domain,
-        group=group,
-        members=members,
-        cores=cores,
+    domain, group = build_cbt_group(network, members, cores)
+    run = CellRun(
+        LEGS["cbt"],
+        network,
+        domain,
+        group,
+        members,
+        cores,
+        base=network.scheduler.now,
         seed=seed,
-        timers=FAST_TIMERS,
-        start=network.scheduler.now + 1.0,
     )
-    schedule = CHAOS_SCENARIOS[scenario_name](context)
+    schedule = CHAOS_SCENARIOS[scenario_name](run)
     schedule.apply(network)
     return network, domain, schedule
 
