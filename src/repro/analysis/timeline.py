@@ -7,17 +7,19 @@ from typing import List, Optional
 from repro.harness.formatting import format_table
 from repro.netsim.address import IPv4Address
 
+#: Lines a timeline prints before it notes how many events it left out.
+MAX_LINES = 200
+
 
 def event_timeline(
     domain,
     group: Optional[IPv4Address] = None,
     kinds: Optional[set] = None,
-    limit: int = 200,
 ) -> str:
     """Chronological merge of every router's protocol events.
 
     Filter by ``group`` and/or event ``kinds``; long timelines are
-    truncated to ``limit`` lines with a trailing note.
+    truncated to :data:`MAX_LINES` lines with a trailing note.
     """
     merged = []
     # The trace bus carries every router's ProtocolEvents (each tagged
@@ -33,24 +35,25 @@ def event_timeline(
         merged.append((event.time, event.router, event))
     merged.sort(key=lambda item: (item[0], item[1]))
     lines: List[str] = []
-    for time, name, event in merged[:limit]:
+    for time, name, event in merged[:MAX_LINES]:
         detail = f"  {event.detail}" if event.detail else ""
         lines.append(f"t={time:8.3f}s  {name:8s} {event.kind}{detail}")
-    if len(merged) > limit:
-        lines.append(f"... {len(merged) - limit} more events")
+    if len(merged) > MAX_LINES:
+        lines.append(f"... {len(merged) - MAX_LINES} more events")
     if not lines:
         lines.append("(no events)")
     return "\n".join(lines)
 
 
-def control_census(domain, exclude_hello: bool = True) -> str:
-    """Per-router table of control messages sent, by type."""
+def control_census(domain) -> str:
+    """Per-router table of control messages sent, by type, HELLOs left
+    out."""
     types: List[str] = sorted(
         {
             name
             for protocol in domain.protocols.values()
             for name in protocol.stats.sent
-            if not (exclude_hello and name == "HELLO")
+            if name != "HELLO"
         }
     )
     rows = []

@@ -49,14 +49,10 @@ class MulticastSender:
         host: Host,
         group: IPv4Address,
         stream_id: Optional[str] = None,
-        payload_size: int = 512,
-        ttl: int = 64,
     ) -> None:
         self.host = host
         self.group = group
         self.stream_id = stream_id if stream_id is not None else host.name
-        self.payload_size = payload_size
-        self.ttl = ttl
         self.sequence = 0
         self._ticker: Optional[PeriodicTimer] = None
         host.scheduler.register(self)
@@ -88,7 +84,6 @@ class MulticastSender:
             stream_id=self.stream_id,
             sequence=self.sequence,
             sent_at=self.host.scheduler.now,
-            size=self.payload_size,
         )
         self.sequence += 1
         self.host.originate(
@@ -99,7 +94,6 @@ class MulticastSender:
                 payload=UDPDatagram(
                     sport=APP_PORT, dport=APP_PORT, payload=payload
                 ),
-                ttl=self.ttl,
             )
         )
 

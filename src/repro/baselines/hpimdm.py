@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.baselines.dvmrp import DenseModeDomain, DenseModeProtocol
 from repro.igmp.router_side import IGMPConfig
@@ -203,7 +203,6 @@ class HPIMDMProtocol(DenseModeProtocol):
         neighbour_hold: float = DEFAULT_NEIGHBOUR_HOLD,
         rtx_interval: float = DEFAULT_RTX_INTERVAL,
         igmp_config: Optional[IGMPConfig] = None,
-        gen_id: int = 1,
     ) -> None:
         self.rtx_interval = rtx_interval
         self.stats = HPIMStats()
@@ -214,7 +213,7 @@ class HPIMDMProtocol(DenseModeProtocol):
         self.state_changes = 0
         self._rtx_ticker: Optional[PeriodicTimer] = None
         super().__init__(
-            router, hello_interval, neighbour_hold, HpimHello(gen_id=gen_id), igmp_config
+            router, hello_interval, neighbour_hold, HpimHello(gen_id=1), igmp_config
         )
 
     def stop(self) -> None:
@@ -663,8 +662,6 @@ class HPIMDMDomain(DenseModeDomain):
         neighbour_hold: float = DEFAULT_NEIGHBOUR_HOLD,
         rtx_interval: float = DEFAULT_RTX_INTERVAL,
         igmp_config: Optional[IGMPConfig] = None,
-        routers: Optional[Sequence[str]] = None,
-        hosts: Optional[Sequence[str]] = None,
     ) -> None:
         engine = partial(
             HPIMDMProtocol,
@@ -673,7 +670,7 @@ class HPIMDMDomain(DenseModeDomain):
             rtx_interval=rtx_interval,
             igmp_config=igmp_config,
         )
-        super().__init__(network, engine, routers, hosts)
+        super().__init__(network, engine)
 
     def hello_messages(self) -> int:
         return sum(p.stats.beacons_sent for p in self.protocols.values())

@@ -56,9 +56,7 @@ def shared_tree(
     return shortest_path_tree(graph, core, members, weight)
 
 
-def kmb_steiner_tree(
-    graph: Graph, terminals: Sequence[str], weight: str = "cost"
-) -> Tree:
+def kmb_steiner_tree(graph: Graph, terminals: Sequence[str]) -> Tree:
     """Kou-Markowsky-Berman Steiner heuristic (<= 2x optimal cost).
 
     1. Build the metric closure over the terminals.
@@ -77,7 +75,7 @@ def kmb_steiner_tree(
     paths: Dict[Tuple[str, str], List[str]] = {}
     closure: Dict[Tuple[str, str], float] = {}
     for i, u in enumerate(terminals):
-        dist, prev = graph.dijkstra(u, weight=weight)
+        dist, prev = graph.dijkstra(u)
         for v in terminals[i + 1 :]:
             if v not in dist:
                 raise ValueError(f"{v} unreachable from {u}")
@@ -135,13 +133,7 @@ def kmb_steiner_tree(
 
 
 def source_trees_for(
-    graph: Graph,
-    senders: Sequence[str],
-    members: Sequence[str],
-    weight: str = "cost",
+    graph: Graph, senders: Sequence[str], members: Sequence[str]
 ) -> Dict[str, Tree]:
     """One shortest-path tree per sender (the DVMRP/MOSPF state model)."""
-    return {
-        sender: shortest_path_tree(graph, sender, members, weight=weight)
-        for sender in senders
-    }
+    return {sender: shortest_path_tree(graph, sender, members) for sender in senders}

@@ -471,9 +471,9 @@ class InvariantAuditor:
     A finding may appear transiently while the protocol converges (a
     rejoin loop exists *by design* until §6.3 detection breaks it), so
     a violation is only raised when the same finding persists beyond
-    ``grace`` seconds.  ``grace`` defaults to the slowest legitimate
-    repair path of the domain's timer profile: child-assert expiry plus
-    one assert interval plus a join retransmission.
+    ``grace`` seconds: the slowest legitimate repair path of the
+    domain's timer profile, child-assert expiry plus one assert
+    interval plus a join retransmission.
 
     Usage::
 
@@ -483,24 +483,17 @@ class InvariantAuditor:
         auditor.stop()
     """
 
-    def __init__(
-        self,
-        domain,
-        interval: float = 1.0,
-        grace: Optional[float] = None,
-    ) -> None:
+    def __init__(self, domain, interval: float = 1.0) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
         self.domain = domain
         self.interval = interval
-        if grace is None:
-            timers = next(iter(domain.protocols.values())).timers
-            grace = (
-                timers.child_assert_expire
-                + timers.child_assert_interval
-                + timers.pend_join_interval
-            )
-        self.grace = grace
+        timers = next(iter(domain.protocols.values())).timers
+        self.grace = (
+            timers.child_assert_expire
+            + timers.child_assert_interval
+            + timers.pend_join_interval
+        )
         self.checks_run = 0
         self._first_seen: Dict[Tuple, float] = {}
         scheduler = domain.network.scheduler

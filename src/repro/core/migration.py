@@ -185,12 +185,11 @@ class MigrationCoordinator:
         domain,
         group: IPv4Address,
         stretch_threshold: float,
-        graph: Optional[Graph] = None,
     ) -> None:
         self.domain = domain
         self.group = group
         self.stretch_threshold = stretch_threshold
-        self.graph = graph if graph is not None else network_graph(domain.network)
+        self.graph = network_graph(domain.network)
         self.records: List[MigrationRecord] = []
         self._active: Optional[MigrationRecord] = None
         self._polls_left = 0

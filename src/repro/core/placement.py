@@ -23,9 +23,13 @@ experiment (E4):
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.topology.graph import Graph
+
+#: Assign-and-recompute rounds :func:`locality_cores` runs at most
+#: before it takes the medoids it has.
+MAX_ROUNDS = 8
 
 
 def random_core(graph: Graph, rng: random.Random) -> str:
@@ -33,19 +37,17 @@ def random_core(graph: Graph, rng: random.Random) -> str:
     return rng.choice(graph.nodes)
 
 
-def max_degree_core(graph: Graph, rng: Optional[random.Random] = None) -> str:
+def max_degree_core(graph: Graph) -> str:
     """Highest-degree router (ties broken by name for determinism)."""
     return max(graph.nodes, key=lambda n: (graph.degree(n), n))
 
 
-def topology_center_core(graph: Graph, rng: Optional[random.Random] = None) -> str:
+def topology_center_core(graph: Graph) -> str:
     """Router with minimum eccentricity over the whole topology."""
     return graph.center(weight="delay")
 
 
-def member_centroid_core(
-    graph: Graph, members: Sequence[str], rng: Optional[random.Random] = None
-) -> str:
+def member_centroid_core(graph: Graph, members: Sequence[str]) -> str:
     """Router minimising total delay to the member set."""
     if not members:
         raise ValueError("member set must not be empty")
@@ -60,22 +62,18 @@ def best_of_candidates(
     members: Sequence[str],
     rng: random.Random,
     k: int = 3,
-    score: Optional[Callable[[Graph, str, Sequence[str]], float]] = None,
 ) -> str:
-    """Best of ``k`` random candidates by total delay to members.
-
-    ``score`` may replace the default total-delay objective (lower is
-    better) — the ablation benchmark passes a max-delay objective.
-    """
+    """Best of ``k`` random candidates by total delay to members."""
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    if score is None:
-        score = lambda g, node, m: g.total_distance(node, m, weight="delay")
     # Sample WITHOUT replacement: k=3 must evaluate 3 distinct routers,
     # not up to 3 (choice-with-replacement silently shrank the pool).
     nodes = graph.nodes
     candidates = rng.sample(nodes, min(k, len(nodes)))
-    return min(candidates, key=lambda n: (score(graph, n, members), n))
+    return min(
+        candidates,
+        key=lambda n: (graph.total_distance(n, members, weight="delay"), n),
+    )
 
 
 def rank_cores(
@@ -93,19 +91,17 @@ def rank_cores(
 
 
 def _member_distances(
-    graph: Graph, members: Sequence[str], weight: str
+    graph: Graph, members: Sequence[str]
 ) -> Dict[str, Dict[str, float]]:
-    """Per-member shortest-path distance maps (one Dijkstra each)."""
-    return {m: graph.dijkstra(m, weight=weight)[0] for m in members}
+    """Per-member shortest-path delay maps (one Dijkstra each)."""
+    return {m: graph.dijkstra(m, weight="delay")[0] for m in members}
 
 
-def _cluster_medoid(
-    graph: Graph, cluster: Sequence[str], weight: str
-) -> str:
-    """Router minimising total distance to the cluster's members."""
+def _cluster_medoid(graph: Graph, cluster: Sequence[str]) -> str:
+    """Router minimising total delay to the cluster's members."""
     return min(
         graph.nodes,
-        key=lambda n: (graph.total_distance(n, cluster, weight=weight), n),
+        key=lambda n: (graph.total_distance(n, cluster, weight="delay"), n),
     )
 
 
@@ -113,8 +109,6 @@ def locality_cores(
     graph: Graph,
     members: Sequence[str],
     count: int = 2,
-    weight: str = "delay",
-    max_rounds: int = 8,
 ) -> List[str]:
     """Ranked multi-core list from member-locality clustering.
 
@@ -122,7 +116,7 @@ def locality_cores(
     seeded by the farthest-point heuristic (first medoid = the
     centroid member), members are assigned to their nearest medoid,
     and each cluster's medoid is recomputed until fixed point (or
-    ``max_rounds``).  Each cluster then contributes one core — the
+    :data:`MAX_ROUNDS`).  Each cluster then contributes one core — the
     router minimising total distance to that cluster — and the
     de-duplicated core set is ordered by total distance to the *whole*
     member set, so the first entry is the best single core (the
@@ -139,7 +133,7 @@ def locality_cores(
         if member not in graph.nodes:
             raise KeyError(f"member {member} is not a node of the graph")
     k = min(count, len(members))
-    dist = _member_distances(graph, members, weight)
+    dist = _member_distances(graph, members)
 
     # Seed: centroid member first, then farthest-point additions.
     seeds = [
@@ -163,7 +157,7 @@ def locality_cores(
         )
 
     medoids = list(seeds)
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         clusters: Dict[str, List[str]] = {m: [] for m in medoids}
         for member in members:
             nearest = min(
@@ -172,7 +166,7 @@ def locality_cores(
             )
             clusters[nearest].append(member)
         updated = sorted(
-            _cluster_medoid(graph, cluster, weight)
+            _cluster_medoid(graph, cluster)
             for cluster in clusters.values()
             if cluster
         )
@@ -183,7 +177,7 @@ def locality_cores(
     # One core per cluster; dedup; rank by total distance to everyone.
     cores = sorted(
         dict.fromkeys(medoids),
-        key=lambda n: (graph.total_distance(n, members, weight=weight), n),
+        key=lambda n: (graph.total_distance(n, members, weight="delay"), n),
     )
     if len(cores) < count:
         # Clustering collapsed (or count > members): pad with the next

@@ -51,7 +51,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.explore.engine import (
     Counterexample,
-    ExploreOptions,
     RunOutcome,
     _normalise,
     natural,
@@ -310,7 +309,6 @@ def backward_search(
     scenario,
     predicates: Optional[Sequence[Predicate]] = None,
     *,
-    options: Optional[ExploreOptions] = None,
     max_deviations: int = 3,
     budget: int = 600,
     limit: int = 64,
@@ -334,7 +332,7 @@ def backward_search(
     chosen = list(predicates) if predicates is not None else [
         PREDICATES[name] for name in sorted(PREDICATES)
     ]
-    base = options or scenario_options(scenario, max_decisions=0)
+    base = scenario_options(scenario, max_decisions=0)
     # The plan realises pre-states chiefly through message loss: give
     # the replay enough drop budget for every deviation to be a drop.
     base = replace(base, drop_budget=max(base.drop_budget, max_deviations))

@@ -32,6 +32,10 @@ from repro.explore.engine import (
     run_schedule,
 )
 
+#: Replays a shrink may spend; it returns the smallest schedule found
+#: when they run out.
+MAX_RUNS = 200
+
 
 @dataclass
 class ShrinkResult:
@@ -61,7 +65,6 @@ def shrink(
     scenario,
     schedule: Tuple[int, ...],
     options: ExploreOptions,
-    max_runs: int = 200,
 ) -> Optional[ShrinkResult]:
     """Minimise ``schedule``; returns None if it doesn't reproduce."""
     runs = 0
@@ -83,11 +86,11 @@ def shrink(
     deviations = _deviations(schedule)
     items: List[Tuple[int, int]] = sorted(deviations.items())
     granularity = 2
-    while len(items) >= 2 and runs < max_runs:
+    while len(items) >= 2 and runs < MAX_RUNS:
         chunk = max(1, len(items) // granularity)
         reduced = False
         for start in range(0, len(items), chunk):
-            if runs >= max_runs:
+            if runs >= MAX_RUNS:
                 break
             complement = items[:start] + items[start + chunk :]
             outcome = attempt(_to_schedule(dict(complement)))
@@ -102,7 +105,7 @@ def shrink(
                 break
             granularity = min(len(items), granularity * 2)
     # Single remaining deviation: is it needed at all?
-    if len(items) == 1 and runs < max_runs:
+    if len(items) == 1 and runs < MAX_RUNS:
         outcome = attempt(())
         if outcome is not None:
             items = []
@@ -112,7 +115,7 @@ def shrink(
     final: Dict[int, int] = dict(items)
     for pos in sorted(final):
         for lower in range(1, final[pos]):
-            if runs >= max_runs:
+            if runs >= MAX_RUNS:
                 break
             candidate = dict(final)
             candidate[pos] = lower

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.core.migration import MigrationCoordinator, network_graph, tree_quality
+from repro.core.migration import MigrationCoordinator, tree_quality
 from repro.harness.campaign import TOPOLOGIES, CellResult, cell_run
 from repro.harness.scenarios import joined_hosts, serving_router
 from repro.netsim.faults import derive_seed
@@ -94,10 +94,8 @@ def run_migration_cell(topology: str = "figure1", seed: int = 0) -> MigrationCel
         "cbt", TOPOLOGIES[topology].build, derive_seed(seed, "migration", topology)
     ) as run:
         network, domain, group, members = run.network, run.domain, run.group, run.members
-        graph = network_graph(network)
-        coordinator = MigrationCoordinator(
-            domain, group, stretch_threshold=1.05, graph=graph
-        )
+        coordinator = MigrationCoordinator(domain, group, stretch_threshold=1.05)
+        graph = coordinator.graph
 
         quality_before = tree_quality(domain, graph, group, coordinator.member_routers())
         delivery_before = run.probe(members[0], "delivery before churn")

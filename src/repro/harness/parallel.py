@@ -63,6 +63,9 @@ REPO_ROOT = os.path.dirname(
 #: Statuses that count as success for gating purposes.
 OK_STATUSES = ("ok", "skipped")
 
+#: Seconds the scheduler sleeps when no worker finished or timed out.
+POLL_INTERVAL = 0.02
+
 
 def stable_digest(*parts: object) -> str:
     """16-hex digest of the parts' canonical text (no wall-clock)."""
@@ -615,7 +618,6 @@ def run_units(
     units: Sequence[WorkUnit],
     workers: int = 1,
     progress: Optional[Callable[[WorkUnit, UnitResult], None]] = None,
-    poll_interval: float = 0.02,
 ) -> List[UnitResult]:
     """Run every unit; return results sorted by ``unit_id``.
 
@@ -726,7 +728,7 @@ def run_units(
                     )
                     made_progress = True
             if not made_progress:
-                time.sleep(poll_interval)
+                time.sleep(POLL_INTERVAL)
     finally:
         for handle in running:
             handle.process.terminate()

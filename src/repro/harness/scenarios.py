@@ -26,7 +26,7 @@ from repro.baselines.dvmrp import DVMRPDomain
 from repro.baselines.hpimdm import HPIMDMDomain
 from repro.igmp.router_side import IGMPConfig
 from repro.netsim.address import IPv4Address, group_address
-from repro.netsim.packet import IPDatagram, PROTO_UDP, UDPDatagram
+from repro.netsim.packet import DEFAULT_TTL, IPDatagram, PROTO_UDP, UDPDatagram
 from repro.topology.builder import Network
 
 #: Time (s) given to querier/DR elections and HELLOs before joins start.
@@ -79,7 +79,6 @@ def build_cbt_group(
     members: Sequence[str],
     cores: Sequence[str],
     group: Optional[IPv4Address] = None,
-    mode: str = "cbt",
     settle_time: float = SETTLE_TIME,
     join_spacing: float = 0.05,
     domain: Optional[CBTDomain] = None,
@@ -89,9 +88,7 @@ def build_cbt_group(
     Returns the (domain, group address) pair.  Pass an existing
     ``domain`` to add another group to a running domain.
     """
-    make = partial(
-        CBTDomain, network, timers=FAST_TIMERS, mode=mode, igmp_config=FAST_IGMP
-    )
+    make = partial(CBTDomain, network, timers=FAST_TIMERS, igmp_config=FAST_IGMP)
     return _stand_up(domain, make, members, group, settle_time, join_spacing, cores)
 
 
@@ -100,14 +97,13 @@ def build_dvmrp_group(
     members: Sequence[str],
     group: Optional[IPv4Address] = None,
     prune_lifetime: float = 120.0,
-    settle_time: float = SETTLE_TIME,
     domain: Optional[DVMRPDomain] = None,
 ) -> Tuple[DVMRPDomain, IPv4Address]:
     """Stand up a DVMRP domain and join ``members`` (no cores needed)."""
     make = partial(
         DVMRPDomain, network, prune_lifetime=prune_lifetime, igmp_config=FAST_IGMP
     )
-    return _stand_up(domain, make, members, group, settle_time)
+    return _stand_up(domain, make, members, group, SETTLE_TIME)
 
 
 def build_hpimdm_group(
@@ -171,7 +167,6 @@ def send_data(
     group: IPv4Address,
     count: int = 1,
     spacing: float = 0.01,
-    ttl: int = 64,
 ) -> List[int]:
     """Have a host multicast ``count`` data packets; returns their uids."""
     host = network.host(sender_host)
@@ -179,7 +174,7 @@ def send_data(
     start = network.scheduler.now
     for i in range(count):
         network.scheduler.call_at(
-            start + i * spacing, send_one, host, group, ttl, uids
+            start + i * spacing, send_one, host, group, DEFAULT_TTL, uids
         )
     network.run(until=start + count * spacing + 2.0)
     return uids

@@ -85,11 +85,11 @@ def _files(directory: str, prefix: str) -> List[str]:
     )
 
 
-def pytest_groups(group_count: int = PYTEST_GROUPS) -> List[List[str]]:
-    """Round-robin the sorted test files into ``group_count`` groups."""
-    groups: List[List[str]] = [[] for _ in range(group_count)]
+def pytest_groups() -> List[List[str]]:
+    """Round-robin the sorted test files into ``PYTEST_GROUPS`` groups."""
+    groups: List[List[str]] = [[] for _ in range(PYTEST_GROUPS)]
     for index, name in enumerate(_files("tests", "test_")):
-        groups[index % group_count].append(name)
+        groups[index % PYTEST_GROUPS].append(name)
     return [group for group in groups if group]
 
 
@@ -210,14 +210,14 @@ def _workload_units(seed: int, quick: bool = True) -> List[WorkUnit]:
     ]
 
 
-def _explore_units(depth: int, drop_budget: int = 1) -> List[WorkUnit]:
+def _explore_units(depth: int) -> List[WorkUnit]:
     from repro.explore.scenarios import SCENARIOS
 
     return [
         WorkUnit.make(
             "explore",
             f"explore/{name}/d{depth}",
-            {"scenario": name, "depth": depth, "drop_budget": drop_budget},
+            {"scenario": name, "depth": depth, "drop_budget": 1},
         )
         for name in sorted(SCENARIOS)
     ]
@@ -228,11 +228,7 @@ def _explore_units(depth: int, drop_budget: int = 1) -> List[WorkUnit]:
 #: migration handover and the quit/join races).
 DEEP_SCENARIOS = ("joins-race", "migration-race", "quit-race")
 
-def _explore_deep_units(
-    seed: int,
-    budget: int = 250,
-    scenarios: Sequence[str] = DEEP_SCENARIOS,
-) -> List[WorkUnit]:
+def _explore_deep_units(seed: int) -> List[WorkUnit]:
     """One budgeted backward-search unit per (scenario, predicate)."""
     from repro.explore.predicates import PREDICATES
 
@@ -243,12 +239,12 @@ def _explore_deep_units(
             {
                 "scenario": name,
                 "predicates": [predicate],
-                "budget": budget,
+                "budget": 250,
                 "max_deviations": 3,
                 "seed": derive_seed(seed, "explore-deep", name, predicate),
             },
         )
-        for name in sorted(scenarios)
+        for name in sorted(DEEP_SCENARIOS)
         for predicate in sorted(PREDICATES)
     ]
 

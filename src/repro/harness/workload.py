@@ -74,9 +74,9 @@ class ChurnSchedule:
     def leaves(self) -> int:
         return sum(1 for e in self.events if e.action == "leave")
 
-    def members_at_end(self, initially: Sequence[str] = ()) -> List[str]:
-        """The membership set after every event has fired."""
-        members = set(initially)
+    def members_at_end(self) -> List[str]:
+        """The membership set after every event has fired, from none."""
+        members = set()
         for event in sorted(self.events, key=lambda e: e.time):
             if event.action == "join":
                 members.add(event.host)

@@ -37,26 +37,36 @@ from repro.igmp.messages import (
 from repro.telemetry import MembershipEvent
 
 
+#: RFC 2236 Robustness Variable: the query intervals a membership or
+#: another querier outlives.
+ROBUSTNESS_VARIABLE = 2
+
+#: RFC 2236 Startup Query Count: general queries a querier sends at
+#: start-up, ``startup_query_interval`` apart.
+STARTUP_QUERY_COUNT = 3
+
+#: RFC 2236 Last Member Query Count: group-specific queries the querier
+#: sends on a Leave, ``last_member_query_interval`` apart.
+LAST_MEMBER_QUERY_COUNT = 2
+
+
 @dataclass(frozen=True)
 class IGMPConfig:
     """Tunable IGMP timing (defaults follow IGMPv2 conventions)."""
 
     query_interval: float = 125.0
     query_response_interval: float = 10.0
-    startup_query_count: int = 3
     startup_query_interval: float = 1.0
     last_member_query_interval: float = 1.0
-    last_member_query_count: int = 2
-    robustness: int = 2
 
     @property
     def membership_timeout(self) -> float:
-        return self.robustness * self.query_interval + self.query_response_interval
+        return ROBUSTNESS_VARIABLE * self.query_interval + self.query_response_interval
 
     @property
     def other_querier_timeout(self) -> float:
         return (
-            self.robustness * self.query_interval
+            ROBUSTNESS_VARIABLE * self.query_interval
             + self.query_response_interval / 2.0
         )
 
@@ -192,7 +202,7 @@ class IGMPRouterAgent:
             if not interface.link.multi_access:
                 continue
             state = self._state_for(interface)
-            for i in range(self.config.startup_query_count):
+            for i in range(STARTUP_QUERY_COUNT):
                 self.router.scheduler.call_later(
                     i * self.config.startup_query_interval,
                     self._send_query,
@@ -299,7 +309,7 @@ class IGMPRouterAgent:
         if not self.database.has_members(interface, group):
             return
         if state.querier:
-            for i in range(self.config.last_member_query_count):
+            for i in range(LAST_MEMBER_QUERY_COUNT):
                 self.router.scheduler.call_later(
                     i * self.config.last_member_query_interval,
                     self._send_query,
@@ -307,7 +317,7 @@ class IGMPRouterAgent:
                     group,
                 )
         timeout = (
-            self.config.last_member_query_count
+            LAST_MEMBER_QUERY_COUNT
             * self.config.last_member_query_interval
             + self.config.query_response_interval
         )

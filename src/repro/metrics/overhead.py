@@ -26,12 +26,10 @@ class OverheadReport:
     data_bytes: int
 
 
-def trace_overhead(trace: PacketTrace, data_protos=(PROTO_UDP,)) -> OverheadReport:
+def trace_overhead(trace: PacketTrace) -> OverheadReport:
     """Split a trace's transmissions into CBT control vs data.
 
-    UDP to the CBT ports counts as control; other configured protocol
-    numbers count as data (benchmarks pass the protocol number their
-    workload uses).
+    UDP to the CBT ports counts as control, other UDP as data.
     """
     control_messages = 0
     control_bytes = 0
@@ -45,7 +43,7 @@ def trace_overhead(trace: PacketTrace, data_protos=(PROTO_UDP,)) -> OverheadRepo
         if datagram.proto == PROTO_UDP and dport in (CBT_PORT, CBT_AUX_PORT):
             control_messages += 1
             control_bytes += size
-        elif datagram.proto in data_protos:
+        elif datagram.proto == PROTO_UDP:
             data_transmissions += 1
             data_bytes += size
     return OverheadReport(

@@ -158,8 +158,13 @@ def group_address(index: int) -> IPv4Address:
     return address
 
 
+#: Prefix length of every subnet :class:`AddressAllocator` hands out.
+SUBNET_PREFIX_LEN = 24
+
+
 class AddressAllocator:
-    """Deterministic allocator of subnet prefixes and host addresses.
+    """Deterministic allocator of /24 subnets of 10.0.0.0/8 and of host
+    addresses in them.
 
     Topology builders ask for one subnet per LAN / point-to-point link
     and one host address per attached interface::
@@ -170,19 +175,14 @@ class AddressAllocator:
         b = alloc.next_host(net)           # 10.0.0.2
     """
 
-    def __init__(self, base: str = "10.0.0.0/8", prefix_len: int = 24) -> None:
-        self._base = IPv4Network(base)
-        if prefix_len <= self._base.prefixlen or prefix_len > 30:
-            raise ValueError(
-                f"prefix_len must be in ({self._base.prefixlen}, 30], got {prefix_len}"
-            )
-        self._prefix_len = prefix_len
+    def __init__(self) -> None:
+        self._base = IPv4Network("10.0.0.0/8")
         self._subnets: Iterator[IPv4Network] = self._base.subnets(
-            new_prefix=prefix_len
+            new_prefix=SUBNET_PREFIX_LEN
         )
         #: Allocated subnet's base address -> index of its next host.
-        #: Every allocated subnet has ``prefix_len``, so the base names
-        #: it, and an int key hashes in C.
+        #: Every allocated subnet is a /24, so the base names it, and an
+        #: int key hashes in C.
         self._next_host_index: Dict[int, int] = {}
 
     def next_subnet(self) -> IPv4Network:
@@ -198,7 +198,7 @@ class AddressAllocator:
         """Allocate the next unused host address within ``subnet``."""
         base = subnet.network_address
         index = self._next_host_index.get(base)
-        if index is None or subnet.prefixlen != self._prefix_len:
+        if index is None or subnet.prefixlen != SUBNET_PREFIX_LEN:
             raise ValueError(f"{subnet} was not allocated by this allocator")
         # The broadcast address is ``base`` plus the host mask.
         if index >= subnet.netmask ^ 0xFFFFFFFF:

@@ -306,7 +306,6 @@ class Scheduler:
         delay: float,
         callback: Callable[..., None],
         *args: Any,
-        tag: Optional[Tuple] = None,
     ) -> Timer:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
@@ -322,7 +321,7 @@ class Scheduler:
             )
         if self.closed:
             raise SchedulerError("cannot schedule: the scheduler is closed")
-        return self._schedule(Timer(self, self._now + delay, callback, args, tag))
+        return self._schedule(Timer(self, self._now + delay, callback, args, None))
 
     def call_at(
         self,
@@ -514,9 +513,9 @@ class Scheduler:
                 )
         return processed
 
-    def run_until_idle(self, max_events: int = 10_000_000) -> float:
+    def run_until_idle(self) -> float:
         """Run until no events remain; returns the final simulation time."""
-        return self.run(until=None, max_events=max_events)
+        return self.run()
 
 
 class PeriodicTimer:

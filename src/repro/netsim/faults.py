@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.netsim.packet import IPDatagram
 from repro.telemetry import FaultEvent as TraceFaultEvent
@@ -45,28 +45,19 @@ def derive_seed(base: int, *labels: object) -> int:
 class SeededLoss:
     """Bernoulli loss: drop each datagram with probability ``rate``.
 
-    Usable directly as ``Link.loss``.  ``match`` optionally restricts
-    the process to a subset of datagrams (e.g. control traffic only).
+    Usable directly as ``Link.loss``.
     """
 
-    def __init__(
-        self,
-        rate: float,
-        seed: int,
-        match: Optional[Callable[[IPDatagram], bool]] = None,
-    ) -> None:
+    def __init__(self, rate: float, seed: int) -> None:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"loss rate must be in [0, 1], got {rate}")
         self.rate = rate
         self.seed = seed
-        self.match = match
         self._rng = random.Random(seed)
         self.offered = 0
         self.dropped = 0
 
     def __call__(self, datagram: IPDatagram) -> bool:
-        if self.match is not None and not self.match(datagram):
-            return False
         self.offered += 1
         if self._rng.random() < self.rate:
             self.dropped += 1

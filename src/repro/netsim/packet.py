@@ -213,7 +213,6 @@ def make_udp(
     dport: int,
     payload: Any,
     ttl: int = DEFAULT_TTL,
-    uid: Optional[int] = None,
 ) -> IPDatagram:
     """Convenience constructor for a UDP-in-IP datagram."""
-    return IPDatagram(src, dst, PROTO_UDP, UDPDatagram(sport, dport, payload), ttl, uid)
+    return IPDatagram(src, dst, PROTO_UDP, UDPDatagram(sport, dport, payload), ttl)

@@ -351,13 +351,12 @@ class LinkStateRouting:
     def _dijkstra(
         source: Router,
         adjacency: Dict[str, List[Edge]],
-        track_first_hop: bool = False,
     ) -> Tuple[Dict[str, float], Dict[str, Edge]]:
         """Full shortest-path scan from ``source`` over costed adjacency.
 
         Returns ``(dist, first_hop)``; ``first_hop`` maps each
         destination to the source's neighbour entry it is reached
-        through, and is only populated when ``track_first_hop`` is set.
+        through.
         """
         dist: Dict[str, float] = {source.name: 0.0}
         first_hop: Dict[str, Edge] = {}
@@ -379,11 +378,10 @@ class LinkStateRouting:
                 nd = d + edge[1]
                 if nd < dist_get(neighbour, inf):
                     dist[neighbour] = nd
-                    if track_first_hop:
-                        if name == source_name:
-                            first_hop[neighbour] = edge
-                        else:
-                            first_hop[neighbour] = first_hop[name]
+                    if name == source_name:
+                        first_hop[neighbour] = edge
+                    else:
+                        first_hop[neighbour] = first_hop[name]
                     heappush(heap, (nd, neighbour))
         return dist, first_hop
 
@@ -393,9 +391,7 @@ class LinkStateRouting:
         adjacency: Dict[str, List[Edge]],
         prefixes: Prefixes,
     ) -> None:
-        dist, first_hop = LinkStateRouting._dijkstra(
-            source, adjacency, track_first_hop=True
-        )
+        dist, first_hop = LinkStateRouting._dijkstra(source, adjacency)
         LinkStateRouting._install_routes(source, dist, first_hop, prefixes)
 
     @staticmethod

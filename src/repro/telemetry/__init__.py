@@ -15,7 +15,7 @@ telemetry, never the reverse); the trace reader reaches
 
 from __future__ import annotations
 
-from typing import Dict, Union
+from typing import Dict
 
 from repro.telemetry.registry import Counter, MetricsRegistry
 from repro.telemetry.tracebus import (
@@ -27,8 +27,6 @@ from repro.telemetry.tracebus import (
     dump_jsonl,
     payload_label,
 )
-
-Number = Union[int, float]
 
 
 class MsgCounters:
@@ -83,7 +81,7 @@ class Telemetry:
             self._msg[label] = counters
         return counters
 
-    def msg_dropped(self, label: str, reason: str, amount: Number = 1) -> None:
+    def msg_dropped(self, label: str, reason: str) -> None:
         """Count a per-label drop (reasons: link_down, gate, loss,
         no_host, late, no_route, ttl, iface_down).  Resolved counters
         are cached by (label, reason) — convergence-time no_host drops
@@ -94,7 +92,7 @@ class Telemetry:
             counter = self._msg_drops[key] = self.registry.counter(
                 f"netsim.msg.{label}.drop.{reason}"
             )
-        counter.inc(amount)
+        counter.inc()
 
 
 __all__ = [

@@ -185,8 +185,8 @@ class Counter:
         self.name = name
         self.value: Number = 0
 
-    def inc(self, amount: Number = 1) -> None:
-        self.value += amount
+    def inc(self) -> None:
+        self.value += 1
 
     def __repr__(self) -> str:
         return f"Counter({self.name}={self.value})"

@@ -54,6 +54,13 @@ def _euclidean(a: Tuple[float, float], b: Tuple[float, float]) -> float:
 #: byte-identical.
 BULK_TOPOLOGY_MIN = 512
 
+#: Side of the square Waxman nodes are scattered on.
+WAXMAN_SIDE = 100.0
+
+#: Waxman's ``beta``: the edge probability's distance decay, as a share
+#: of the square's diameter.
+WAXMAN_BETA = 0.4
+
 
 def _waxman_edges_dense(
     graph: Graph,
@@ -112,19 +119,14 @@ def _waxman_edges_sparse(
         j += 1
 
 
-def waxman_graph(
-    n: int,
-    alpha: float = 0.25,
-    beta: float = 0.4,
-    seed: int = 0,
-    side: float = 100.0,
-) -> Graph:
+def waxman_graph(n: int, alpha: float = 0.25, seed: int = 0) -> Graph:
     """Connected Waxman random graph with distance-proportional delays."""
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
     rng = random.Random(seed)
     positions = {
-        f"N{i}": (rng.uniform(0, side), rng.uniform(0, side)) for i in range(n)
+        f"N{i}": (rng.uniform(0, WAXMAN_SIDE), rng.uniform(0, WAXMAN_SIDE))
+        for i in range(n)
     }
     graph = Graph()
     for name in positions:
@@ -132,7 +134,7 @@ def waxman_graph(
     # Parenthesised exactly as the historical inline expression
     # ``alpha * exp(-d / (beta * scale))`` so dense-path edge decisions
     # stay bit-identical (float multiplication is not associative).
-    decay = beta * (side * math.sqrt(2))
+    decay = WAXMAN_BETA * (WAXMAN_SIDE * math.sqrt(2))
     names = sorted(positions)
     if n >= BULK_TOPOLOGY_MIN and 0.0 < alpha < 1.0:
         _waxman_edges_sparse(graph, names, positions, alpha, decay, rng)
@@ -271,14 +273,12 @@ def realise(graph: Graph, with_hosts: bool = True) -> Network:
     return net
 
 
-def waxman_network(
-    n: int, alpha: float = 0.25, beta: float = 0.4, seed: int = 0
-) -> Network:
-    return realise(waxman_graph(n, alpha=alpha, beta=beta, seed=seed))
+def waxman_network(n: int, alpha: float = 0.25, seed: int = 0) -> Network:
+    return realise(waxman_graph(n, alpha=alpha, seed=seed))
 
 
-def barabasi_albert_network(n: int, m: int = 2, seed: int = 0) -> Network:
-    return realise(barabasi_albert_graph(n, m=m, seed=seed))
+def barabasi_albert_network(n: int, seed: int = 0) -> Network:
+    return realise(barabasi_albert_graph(n, seed=seed))
 
 
 def grid_network(rows: int, cols: int) -> Network:

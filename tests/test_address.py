@@ -243,18 +243,19 @@ class TestAddressAllocator:
             alloc.next_host(IPv4Network("192.168.0.0/24"))
 
     def test_host_exhaustion_detected(self):
-        alloc = AddressAllocator(prefix_len=30)  # 2 usable hosts
-        net = alloc.next_subnet()
-        alloc.next_host(net)
-        alloc.next_host(net)
+        alloc = AddressAllocator()
+        net = alloc.next_subnet()  # a /24: 254 hosts, .1 to .254
+        hosts = [alloc.next_host(net) for _ in range(254)]
+        assert str(hosts[-1]) == "10.0.0.254"
         with pytest.raises(ValueError):
             alloc.next_host(net)
 
-    def test_invalid_prefix_len(self):
-        with pytest.raises(ValueError):
-            AddressAllocator(prefix_len=8)
-        with pytest.raises(ValueError):
-            AddressAllocator(prefix_len=31)
+    def test_subnets_are_slash_24s_of_ten_slash_8(self):
+        alloc = AddressAllocator()
+        assert [str(alloc.next_subnet()) for _ in range(2)] == [
+            "10.0.0.0/24",
+            "10.0.1.0/24",
+        ]
 
     def test_deterministic_sequence(self):
         a, b = AddressAllocator(), AddressAllocator()

@@ -6,6 +6,9 @@ from repro.analysis import (
     render_topology,
     render_tree,
 )
+from repro.analysis.timeline import MAX_LINES
+from repro.netsim.address import group_address
+from repro.topology.figures import FIGURE1_MEMBERS
 from tests.conftest import join_members
 
 
@@ -79,10 +82,19 @@ class TestTimeline:
         assert "joined" in text
         assert "gdr" not in text
 
-    def test_limit(self, figure1_full_tree):
-        domain, group = figure1_full_tree
-        text = event_timeline(domain, group=group, limit=2)
-        assert "more events" in text
+    def test_limit(self, figure1_full_tree, figure1_network):
+        # Every member joins 25 more groups: more events than one
+        # timeline prints.
+        domain, _ = figure1_full_tree
+        for index in range(1, 26):
+            group = group_address(index)
+            domain.create_group(group, cores=["R4", "R9"])
+            for member in FIGURE1_MEMBERS:
+                domain.join_host(member, group)
+        figure1_network.run(until=figure1_network.scheduler.now + 3.0)
+        lines = event_timeline(domain).splitlines()
+        assert len(lines) == MAX_LINES + 1
+        assert lines[-1].endswith(" more events")
 
     def test_empty(self, figure1_domain):
         domain, group = figure1_domain
@@ -96,7 +108,7 @@ class TestControlCensus:
         assert "TOTAL" in text
         assert "join_request" in text
 
-    def test_hello_excluded_by_default(self, figure1_full_tree):
+    def test_hello_excluded(self, figure1_full_tree):
         domain, group = figure1_full_tree
+        assert any(p.stats.sent.get("HELLO") for p in domain.protocols.values())
         assert "hello" not in control_census(domain)
-        assert "hello" in control_census(domain, exclude_hello=False)

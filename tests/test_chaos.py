@@ -130,7 +130,7 @@ class TestAuditor:
         InvariantViolation with findings and an event trace."""
         domain, group = figure1_domain
         join_members(figure1_network, domain, group, ["H"])
-        auditor = InvariantAuditor(domain, interval=0.5, grace=1.0)
+        auditor = InvariantAuditor(domain, interval=0.5)
         auditor.start()
         figure1_network.run(until=figure1_network.scheduler.now + 2.0)
         p8 = domain.protocol("R8")
@@ -138,7 +138,8 @@ class TestAuditor:
         assert entry is not None and entry.has_children
         entry.clear_parent()  # stranded subtree root, no repair state
         with pytest.raises(InvariantViolation) as exc:
-            figure1_network.run(until=figure1_network.scheduler.now + 30.0)
+            # Past the auditor's grace window, 28 s under FAST_TIMERS.
+            figure1_network.run(until=figure1_network.scheduler.now + 40.0)
         violation = exc.value
         assert any("R8" in str(f) for f in violation.findings)
         assert violation.trace

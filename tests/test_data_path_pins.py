@@ -23,7 +23,7 @@ import pytest
 
 from repro import CBTDomain, build_figure1, group_address
 from repro.core.forwarding import ForwardingStats
-from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS, send_data
+from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS, send_data, send_one
 from repro.topology.figures import FIGURE1_MEMBERS
 from tests.conftest import join_members
 from tests.test_lan_branches import MEMBERS as LAN_MEMBERS, build_backbone_lan
@@ -63,7 +63,13 @@ def _observe(world, mode):
     sent = []
     for sender in senders:
         sent += send_data(network, sender, group, count=2)
-    sent += send_data(network, senders[0], group, count=2, ttl=3)  # runs out
+    # Two TTL-3 datagrams that run out, at send_data's instants and horizon.
+    start = network.scheduler.now
+    for i in range(2):
+        network.scheduler.call_at(
+            start + i * 0.01, send_one, network.host(senders[0]), group, 3, sent
+        )
+    network.run(until=start + 2 * 0.01 + 2.0)
     position = {uid: index for index, uid in enumerate(sent)}
     stats = ForwardingStats()
     for protocol in domain.protocols.values():

@@ -20,7 +20,9 @@ def restart(scheduler, timer, delay):
     tag) again after ``delay``: a record keeps its call once cancelled
     or fired."""
     timer.cancel()
-    return scheduler.call_later(delay, timer.callback, *timer.args, tag=timer.tag)
+    return scheduler.call_at(
+        scheduler.now + delay, timer.callback, *timer.args, tag=timer.tag
+    )
 
 
 class TestScheduler:
@@ -169,7 +171,7 @@ class TestScheduler:
 
         sched.call_later(0.0, loop)
         with pytest.raises(SchedulerError):
-            sched.run_until_idle(max_events=100)
+            sched.run(max_events=100)
 
     def test_events_processed_counter(self):
         sched = Scheduler()
@@ -213,7 +215,7 @@ class TestTimer:
         sched = Scheduler()
         fired = []
         tag = ("deliver", "x")
-        timer = sched.call_later(1.0, fired.append, "payload", tag=tag)
+        timer = sched.call_at(1.0, fired.append, "payload", tag=tag)
         again = restart(sched, timer, 5.0)
         # The cancelled original leaves the tag index; the restarted
         # event is back in it.
@@ -228,7 +230,7 @@ class TestTimer:
         # event is a record of its own, so restart re-arms what fired.
         sched = Scheduler()
         fired = []
-        timer = sched.call_later(1.0, fired.append, "again", tag=("t",))
+        timer = sched.call_at(1.0, fired.append, "again", tag=("t",))
         sched.run_until_idle()
         sched.call_later(0.5, fired.append, "other")
         restart(sched, timer, 2.0)
@@ -479,7 +481,7 @@ class TestChoiceHook:
 
 
 class TestEventArgs:
-    """``call_later(delay, f, *args, tag=t)``: args ride on the event
+    """``call_at(time, f, *args, tag=t)``: args ride on the event
     record and behave, in every queue state, as an arg-less callback
     closing over the same values would."""
 
@@ -487,7 +489,7 @@ class TestEventArgs:
         sched = Scheduler()
         fired = []
         tag = ("deliver", "L", 7)
-        sched.call_later(1.0, lambda a, b: fired.append((a, b)), 1, 2, tag=tag)
+        sched.call_at(1.0, lambda a, b: fired.append((a, b)), 1, 2, tag=tag)
         sched.call_at(2.0, fired.append, "at")
         assert sched.pending_tags() == [tag]
         sched.run_until_idle()
@@ -636,7 +638,7 @@ class TestCollectorHandBack:
 
         sched.call_later(0.0, loop)
         with pytest.raises(SchedulerError):
-            sched.run_until_idle(max_events=10)
+            sched.run(max_events=10)
         assert gc.isenabled()
 
     def test_nested_run_returns_to_a_still_paused_outer_loop(self):
@@ -811,8 +813,8 @@ class ReferenceScheduler:
         self.queue.sort(key=lambda t: t.key)
         return timer
 
-    def call_later(self, delay, callback, *args, tag=None):
-        return self.call_at(self.now + delay, callback, *args, tag=tag)
+    def call_later(self, delay, callback, *args):
+        return self.call_at(self.now + delay, callback, *args)
 
     def run(self, until, max_events=10_000_000):
         processed = 0
@@ -876,7 +878,9 @@ class ScriptedWorld:
         the new event's follow-up op, ``run`` a span and a
         ``max_events`` (None: no limit), ``cancel`` and ``restart`` an
         index into the handles made so far (``restart`` with its delay
-        as ``extra``).  Every event is tagged with its index."""
+        as ``extra``).  An ``at`` event is tagged with its index; a
+        ``later`` one is untagged, as the product's delayed calls are,
+        and a restart keeps its timer's tag."""
         kind, value, extra = op
         scheduler = self.scheduler
         tag = ("e", len(self.timers))
@@ -889,7 +893,7 @@ class ScriptedWorld:
                 self.stopped += 1
         elif kind == "later":
             self.timers.append(
-                scheduler.call_later(value, self.fire, len(self.timers), extra, tag=tag)
+                scheduler.call_later(value, self.fire, len(self.timers), extra)
             )
         elif kind == "at":
             self.timers.append(

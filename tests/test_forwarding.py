@@ -5,7 +5,7 @@ from dataclasses import asdict
 import pytest
 
 from repro import CBTDomain, build_figure1, group_address
-from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS, send_data
+from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS, send_data, send_one
 from repro.netsim.packet import IPDatagram, PROTO_CBT, PROTO_UDP
 from repro.topology.figures import FIGURE1_MEMBERS
 from tests.conftest import join_members
@@ -81,7 +81,14 @@ class TestCBTModeForwarding:
     def test_ttl_limits_reach(self, figure1_full_tree, figure1_network):
         """A TTL too small to cross the tree stops mid-way."""
         domain, group = figure1_full_tree
-        uid = send_data(figure1_network, "J", group, count=1, ttl=3)[0]
+        # One TTL-3 datagram at the instant and horizon send_data uses.
+        uids = []
+        start = figure1_network.scheduler.now
+        figure1_network.scheduler.call_at(
+            start, send_one, figure1_network.host("J"), group, 3, uids
+        )
+        figure1_network.run(until=start + 1 * 0.01 + 2.0)
+        uid = uids[0]
         # J -> R10 -> R9 -> R8 -> R4 -> ... A is 6+ router hops away.
         assert copies(figure1_network, "A", uid) == 0
 

@@ -309,8 +309,13 @@ _CONTAINER_BUILDERS = {"sorted", "set", "frozenset", "dict", "list"}
 _CONTAINER_NODES = (ast.Set, ast.Dict, ast.SetComp, ast.DictComp, ast.ListComp)
 
 
+def _name_of(node):
+    """The bare name an expression reads: ``f`` of ``f`` and ``x.f``."""
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
 def _callee(node):
-    return getattr(node.func, "attr", getattr(node.func, "id", None))
+    return _name_of(node.func)
 
 
 def _class_body(tree, name):
@@ -1055,6 +1060,19 @@ def _dotted(node, aliases):
     return None
 
 
+def _prose(tree):
+    """``id``s of the string statements (docstrings) and ``__all__``
+    constants of a parsed file: text, not references."""
+    prose = set()
+    exported = _all_entries(tree)
+    if exported is not None:
+        prose.update(map(id, ast.walk(exported.value)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            prose.add(id(node.value))
+    return prose
+
+
 def _uses(tree):
     """``(attributes, names, paths)`` the code of one parsed file uses.
 
@@ -1066,14 +1084,9 @@ def _uses(tree):
     ``from module import name``, each attribute chain as a dotted path
     (``import repro.core as c; c.FIB`` -> ``repro.core.FIB``) and each
     such string whole."""
-    prose, aliases, attributes, names, paths = set(), {}, set(), set(), set()
-    exported = _all_entries(tree)
-    if exported is not None:
-        prose.update(map(id, ast.walk(exported.value)))
+    prose, aliases, attributes, names, paths = _prose(tree), {}, set(), set(), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
-            prose.add(id(node.value))
-        elif isinstance(node, ast.Import):
+        if isinstance(node, ast.Import):
             for alias in node.names:
                 bound = alias.name if alias.asname else alias.name.split(".")[0]
                 aliases[alias.asname or bound] = bound
@@ -1221,6 +1234,308 @@ def test_the_scan_credits_a_member_only_through_an_attribute(tmp_path):
         "    return make().perimeter() + area\n"
     )
     assert unused_public_names(src=package) == {"shapes.Shape.area", "use.main"}
+
+
+# -- every defaulted parameter has a caller that passes it --------------------
+#
+# A defaulted parameter that no code outside ``tests/`` passes is a
+# setting the product never changes: only its default runs, and a test
+# that varies it checks a path nothing else takes.  A parameter is
+# passed where a call in ``src/``, ``benchmarks/`` or ``examples/``
+# reaches it by position or by keyword (a ``*args`` or ``**kwargs``
+# reaches every position or keyword).  Calls are matched by the callee's
+# bare name, as the caller guard matches uses: ``f(...)``, ``x.f(...)``
+# and ``partial(f, ...)`` call ``f``; ``C(...)``, ``cls(...)`` in a
+# method of ``C`` and ``super().__init__(...)`` in a subclass of ``C``
+# call ``C``'s ``__init__`` and ``__new__``, or the ones ``C`` inherits.
+# A function read by value (a table row, a callback, ``g = f if ... else
+# h``, a dotted part of a ``str`` constant) may be called with anything,
+# so it counts as passed every parameter: the scan reports only what it
+# can see is never passed.  It reads top-level functions and the methods
+# of top-level classes, private ones too.  What stays with only tests
+# to set it is listed here with its reason.
+
+#: ``module.qualname(param)`` -> why only tests pass it.
+KNOB_ALLOWLIST = {
+    # Simulator model inputs the tests vary.
+    "topology.builder.Network.add_subnet(delay)": (
+        "a LAN's propagation delay; the serialisation tests zero it"
+    ),
+    "topology.builder.Network.add_subnet(bandwidth_bps)": (
+        "a LAN's line rate; the serialisation-delay tests set one"
+    ),
+    "topology.builder.Network.add_p2p(mode)": (
+        "a §5.2 CBT-mode tunnel; the tunnel and NACK tests build them"
+    ),
+    "topology.builder.Network.add_p2p(bandwidth_bps)": (
+        "a link's line rate; the serialisation-delay tests set one"
+    ),
+    "topology.generators.realise(with_hosts)": (
+        "a router mesh without stub LANs, for the routing and allocation tests"
+    ),
+    "topology.generators.barabasi_albert_graph(m)": (
+        "the attachment degree; the generator tests check its n > m bound"
+    ),
+    # Reference-pin hooks: the slow side of a test's cross-check.
+    "topology.builder.Network.fail_router(reconverge)": (
+        "downs a router without re-running SPF, so a test plants a stale route"
+    ),
+    "topology.builder.Network.restore_router(reconverge)": (
+        "the same for a restore"
+    ),
+    "core.audit.audit_domain(now)": (
+        "pins the audit's clock, so the observer reference is compared at one instant"
+    ),
+    # Protocol switches.
+    "core.bootstrap.CBTDomain.__init__(wire_format)": (
+        "the spec §8 wire encoding, which the codec round-trip tests switch on"
+    ),
+    # Test accessors and test-speed hooks.
+    "netsim.trace.PacketTrace.filter(link_name)": (
+        "a criterion of the allowlisted trace query the message-sequence tests read"
+    ),
+    "netsim.trace.PacketTrace.filter(node_name)": "the same, by node",
+    "netsim.trace.PacketTrace.filter(predicate)": "the same, by any test",
+    "explore.backward.backward_search(stop_on_first)": (
+        "the confirmation tests stop at the first counterexample: 7 replays "
+        "where the 250-run budget spends 160"
+    ),
+}
+
+
+def _base_names(class_node):
+    return [name for name in map(_name_of, class_node.bases) if name]
+
+
+def _calls(tree, calls, by_value):
+    """Add each call of one parsed file to ``calls`` (callee name ->
+    ``[(positional count, keywords)]``, a count of ``None`` for a
+    ``*args``, a keyword ``None`` for a ``**kwargs``) and each name it
+    reads other than as a callee to ``by_value``."""
+    prose = _prose(tree)
+    not_values = set()  # ids of callees, attribute bases, annotations, class bases
+
+    def record(name, args, keywords):
+        starred = any(isinstance(arg, ast.Starred) for arg in args)
+        calls.setdefault(name, []).append(
+            (None if starred else len(args), {keyword.arg for keyword in keywords})
+        )
+
+    def visit(node, class_node):
+        if isinstance(node, ast.ClassDef):
+            class_node = node
+        if isinstance(node, ast.Call):
+            not_values.add(id(node.func))
+            name = _name_of(node.func)
+            if name == "partial" and node.args:
+                not_values.add(id(node.args[0]))
+                record(_name_of(node.args[0]), node.args[1:], node.keywords)
+            elif (
+                name in ("__init__", "__new__")
+                and isinstance(node.func.value, ast.Call)
+                and _name_of(node.func.value.func) == "super"
+                and class_node is not None
+            ):
+                for base in _base_names(class_node):
+                    record(base, node.args, node.keywords)
+            elif name == "cls" and class_node is not None:
+                record(class_node.name, node.args, node.keywords)
+            else:
+                record(name, node.args, node.keywords)
+        for child in ast.iter_child_nodes(node):
+            visit(child, class_node)
+
+    visit(tree, None)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            not_values.add(id(node.value))
+        elif isinstance(node, ast.ClassDef):
+            not_values.update(map(id, node.bases))
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            not_values.update(map(id, ast.walk(node.annotation)))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            not_values.update(map(id, ast.walk(node.returns)))
+    for node in ast.walk(tree):
+        if id(node) in not_values:
+            continue
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            by_value.add(_name_of(node))
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and "." in node.value
+            and id(node) not in prose
+        ):
+            by_value.update(part for part in node.value.split(".") if _IDENTIFIER.match(part))
+
+
+def _constructor_names(classes):
+    """``(class name, "__init__" or "__new__")`` -> the class names whose
+    call reaches that constructor: the class and each subclass that
+    inherits it (``classes``: name -> ``ast.ClassDef``)."""
+
+    def owner(name, method, seen=()):
+        node = classes.get(name)
+        if node is None or name in seen:
+            return None
+        if any(
+            isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and member.name == method
+            for member in node.body
+        ):
+            return name
+        for base in _base_names(node):
+            found = owner(base, method, (*seen, name))
+            if found:
+                return found
+        return None
+
+    names = {}
+    for name in classes:
+        for method in ("__init__", "__new__"):
+            found = owner(name, method)
+            if found:
+                names.setdefault((found, method), set()).add(name)
+    return names
+
+
+def _defaulted(function, method):
+    """``(positional index or None, name)`` of each defaulted parameter,
+    the index counted after ``self`` / ``cls`` for a method."""
+    a = function.args
+    positional = a.posonlyargs + a.args
+    static = any(_name_of(d) == "staticmethod" for d in function.decorator_list)
+    skip = 1 if method and positional and not static else 0
+    out = [
+        (index - skip, parameter.arg)
+        for index, parameter in enumerate(positional)
+        if index >= len(positional) - len(a.defaults)
+    ]
+    out += [
+        (None, parameter.arg)
+        for parameter, default in zip(a.kwonlyargs, a.kw_defaults)
+        if default is not None
+    ]
+    return out
+
+
+def unpassed_knobs(src=SRC):
+    """``module.qualname(param)`` of each defaulted parameter of a
+    ``src/repro`` function or method that no call outside ``tests/``
+    passes, nor reads the function by value."""
+    repo = src.parents[1]
+    code = sorted(src.rglob("*.py"))
+    others = [path for root in ("benchmarks", "examples") for path in (repo / root).rglob("*.py")]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in code + others}
+    calls, by_value = {}, set()
+    for tree in trees.values():
+        _calls(tree, calls, by_value)
+    classes = {
+        node.name: node
+        for path in code
+        for node in trees[path].body
+        if isinstance(node, ast.ClassDef)
+    }
+    constructors = _constructor_names(classes)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    unpassed = set()
+    for path in code:
+        module = _module_name(path, src)
+        scopes = [(node, None) for node in trees[path].body] + [
+            (member, node.name)
+            for node in trees[path].body
+            if isinstance(node, ast.ClassDef)
+            for member in node.body
+        ]
+        for function, owner in scopes:
+            if not isinstance(function, functions):
+                continue
+            if owner and function.name in ("__init__", "__new__"):
+                callees = constructors.get((owner, function.name), {owner})
+            else:
+                callees = {function.name}
+            if callees & by_value:
+                continue
+            sites = [site for callee in callees for site in calls.get(callee, ())]
+            qualname = f"{owner}.{function.name}" if owner else function.name
+            unpassed.update(
+                f"{module}.{qualname}({name})"
+                for index, name in _defaulted(function, owner is not None)
+                if not any(
+                    name in keys
+                    or None in keys
+                    or (index is not None and (count is None or count > index))
+                    for count, keys in sites
+                )
+            )
+    return unpassed
+
+
+def test_every_knob_has_a_caller_outside_the_tests():
+    unpassed = unpassed_knobs()
+    only_tests = sorted(unpassed - set(KNOB_ALLOWLIST))
+    assert only_tests == [], (
+        f"defaulted parameters no code outside tests/ passes: delete them "
+        f"(inline the default or name it as a module constant), or list them "
+        f"in KNOB_ALLOWLIST with the reason: {only_tests}"
+    )
+    stale = sorted(set(KNOB_ALLOWLIST) - unpassed)
+    assert stale == [], f"KNOB_ALLOWLIST entries that are now passed or gone: remove them: {stale}"
+    assert all(KNOB_ALLOWLIST.values()), "every KNOB_ALLOWLIST entry needs a reason"
+
+
+def test_the_knob_scan_credits_what_a_call_can_pass(tmp_path):
+    """An unpassed default is reported; a ``partial`` keyword, a
+    ``super().__init__`` argument and a read by value credit a
+    parameter; a call only ``tests/`` makes credits nothing."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "shapes.py").write_text(
+        "from functools import partial\n"
+        "\n"
+        "\n"
+        "class Shape:\n"
+        "    def __init__(self, sides=3, colour=None):\n"
+        "        self.sides = sides\n"
+        "\n"
+        "\n"
+        "class Square(Shape):\n"
+        "    def __init__(self, size=1):\n"
+        "        super().__init__(4)\n"
+        "\n"
+        "\n"
+        "def scale(shape, factor=2, by=None):\n"
+        "    return shape\n"
+        "\n"
+        "\n"
+        "def tint(shape, colour=None):\n"
+        "    return shape\n"
+        "\n"
+        "\n"
+        "def draw(shape, width=1):\n"
+        "    return shape\n"
+        "\n"
+        "\n"
+        "def run():\n"
+        "    doubled = partial(scale, by=3)\n"
+        "    square = Square()\n"
+        "    return doubled(square), [tint]\n"
+    )
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_shapes.py").write_text(
+        "from repro.shapes import Square, draw\n"
+        "\n"
+        "\n"
+        "def test_draw():\n"
+        "    draw(Square(size=2), width=3)\n"
+    )
+    assert unpassed_knobs(src=package) == {
+        "shapes.Shape.__init__(colour)",
+        "shapes.Square.__init__(size)",
+        "shapes.scale(factor)",
+        "shapes.draw(width)",
+    }
 
 
 def test_importing_a_submodule_loads_only_what_it_imports():

@@ -3,7 +3,12 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.igmp.host import IGMPHostAgent
-from repro.igmp.router_side import IGMPConfig, IGMPRouterAgent
+from repro.igmp.router_side import (
+    LAST_MEMBER_QUERY_COUNT,
+    STARTUP_QUERY_COUNT,
+    IGMPConfig,
+    IGMPRouterAgent,
+)
 from repro.netsim.address import IPv4Address, group_address
 from repro.topology.builder import Network
 
@@ -234,7 +239,7 @@ class TestQueriesOnlyWhereHostsHear:
         for name in ("p01", "p12"):
             assert net.link(name).attempt_count == 0, name
         # Each LAN got the start-up burst and one query per interval.
-        general = FAST.startup_query_count + 3
+        general = STARTUP_QUERY_COUNT + 3
         for index in (0, 2):
             assert registry.value(f"igmp.router.r{index}.tx.query") == general
             assert agents[index].stats.queries_sent == general
@@ -263,7 +268,7 @@ class TestQueriesOnlyWhereHostsHear:
         net.run(until=4.0 + FAST.last_member_query_interval * 2 + 0.1)
         assert (
             registry.value("igmp.router.r0.tx.query") - before
-            == FAST.last_member_query_count
+            == LAST_MEMBER_QUERY_COUNT
         )
         net.run(until=12.0)
         assert agents[0].database.has_members(lan, GROUP)
@@ -289,5 +294,5 @@ class TestStartIsIdempotent:
             return agents[0].stats.queries_sent, net.scheduler.pending_events
 
         once = run(1)
-        assert once[0] == FAST.startup_query_count + 2
+        assert once[0] == STARTUP_QUERY_COUNT + 2
         assert run(2) == once

@@ -563,7 +563,7 @@ def _drop_counter(reason):
         link = _first_link(network)
         network.telemetry.registry.counter(
             f"netsim.link.{link.name}.drop.{reason}"
-        ).inc(10_000)
+        ).value += 10_000
         return f"link {link.name}:"
 
     plant.__name__ = f"planted_drop_{reason}"

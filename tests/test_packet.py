@@ -60,7 +60,7 @@ class TestIPDatagram:
     def test_multicast_flag_survives_copies(self):
         for dst in (GROUP, DST):
             a = IPDatagram(src=SRC, dst=dst, proto=PROTO_UDP, payload=b"")
-            copies = [a.decremented(), a.with_ttl(1), make_udp(SRC, dst, 1, 2, b"", uid=7)]
+            copies = [a.decremented(), a.with_ttl(1), make_udp(SRC, dst, 1, 2, b"")]
             assert [c.is_multicast for c in copies] == [dst.is_multicast] * 3
         # recomputed, not copied: ``a`` ends the loop unicast
         assert IPDatagram(a.src, GROUP, a.proto, a.payload, a.ttl, a.uid).is_multicast
@@ -90,7 +90,7 @@ class TestIPDatagram:
         uid=st.integers(min_value=1, max_value=2**40),
     )
     def test_copies_equal_dataclasses_replace(self, src, dst, proto, ttl, new_ttl, uid):
-        """``decremented`` / ``with_ttl`` / ``make_udp(uid=...)`` against a
+        """``decremented`` / ``with_ttl`` / ``make_udp`` against a
         datagram built field by field (``dataclasses.replace`` was the
         reference while datagrams were dataclasses; ``_replace`` is
         what is left of it and must agree)."""
@@ -113,12 +113,14 @@ class TestIPDatagram:
             assert a.decremented() == IPDatagram(src, dst, proto, payload, ttl - 1, uid)
             assert a.decremented() == a._replace(ttl=ttl - 1)
             assert a.decremented().is_multicast is dst.is_multicast
-        made = make_udp(src, dst, 1, 2, payload, ttl=ttl, uid=uid)
+        made = make_udp(src, dst, 1, 2, payload, ttl=ttl)
         assert made == IPDatagram(
+            src, dst, PROTO_UDP, UDPDatagram(1, 2, payload), ttl, made.uid
+        )
+        assert made._replace(uid=uid) == IPDatagram(
             src, dst, PROTO_UDP, UDPDatagram(1, 2, payload), ttl, uid
         )
-        assert made == make_udp(src, dst, 1, 2, payload, ttl=ttl)._replace(uid=uid)
-        assert made.uid == uid and made.is_multicast is dst.is_multicast
+        assert made.is_multicast is dst.is_multicast
 
     def test_default_ttl(self):
         assert IPDatagram(src=SRC, dst=DST, proto=PROTO_UDP, payload=b"").ttl == DEFAULT_TTL
@@ -152,6 +154,6 @@ class TestMakeUdp:
         assert isinstance(d.payload, UDPDatagram)
         assert d.payload.payload == "x"
 
-    def test_explicit_uid(self):
-        d = make_udp(SRC, DST, 7777, 7777, payload=None, uid=42)
-        assert d.uid == 42
+    def test_each_datagram_gets_a_fresh_uid(self):
+        a, b = (make_udp(SRC, DST, 7777, 7777, payload=None) for _ in range(2))
+        assert a.uid != b.uid

@@ -23,7 +23,7 @@ FAMILIES = [
     ("grid", lambda: grid_network(4, 4), "N0"),
     ("line", lambda: line_network(12), "N0"),
     ("star", lambda: realise(star_graph(10)), "N0"),
-    ("ba", lambda: barabasi_albert_network(16, m=2, seed=4), "N0"),
+    ("ba", lambda: barabasi_albert_network(16, seed=4), "N0"),
     (
         "transit-stub",
         lambda: transit_stub_network(

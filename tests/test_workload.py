@@ -98,7 +98,11 @@ class TestApplyChurn:
         )
         apply_churn(net, domain, group, schedule, settle_after=40.0)
         domain.assert_tree_consistent(group)
-        final_members = set(schedule.members_at_end(initially=seeds))
+        # The seeds joined before the churn began.
+        seeded = ChurnSchedule(
+            events=[ChurnEvent(0.0, seed, "join") for seed in seeds] + schedule.events
+        )
+        final_members = set(seeded.members_at_end())
         if len(final_members) >= 2:
             final = sorted(final_members)
             uid = send_data(net, final[0], group, count=1)[0]
