@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.fingerprint import igmp_state, state_digest
 from repro.igmp.host import IGMPHostAgent
 from repro.igmp.router_side import IGMPConfig, IGMPRouterAgent
 from repro.netsim.address import IPv4Address
@@ -421,6 +422,11 @@ class DenseModeDomain:
     def data_forwards(self) -> int:
         return sum(p.stats.data_forwards for p in self.protocols.values())
 
+    def convergence_findings(self) -> List[str]:
+        """Why a settled domain has not converged: soft state owes
+        nothing beyond silence."""
+        return []
+
 
 class DVMRPDomain(DenseModeDomain):
     """A Network (or a named subset of it) running flood-and-prune."""
@@ -435,3 +441,35 @@ class DVMRPDomain(DenseModeDomain):
     ) -> None:
         engine = partial(DVMRPProtocol, prune_lifetime=prune_lifetime, igmp_config=igmp_config)
         super().__init__(network, engine, routers, hosts)
+
+    def fingerprint(self) -> str:
+        """Stable hash of the domain's (S, G) entries, prunes held (by
+        neighbour, not expiry time), neighbours and IGMP membership,
+        and of the in-flight tagged deliveries
+        (:func:`repro.core.fingerprint.state_digest`)."""
+        return state_digest(self, _protocol_state)
+
+
+def neighbour_state(protocol: DenseModeProtocol) -> Tuple:
+    """A dense-mode router's neighbour addresses per vif."""
+    return tuple(
+        (vif, tuple(sorted(str(addr) for addr in table)))
+        for vif, table in sorted(protocol.neighbours.items())
+    )
+
+
+def _protocol_state(name: str, protocol: DVMRPProtocol) -> Tuple:
+    """Canonical tuple of one DVMRP router's state."""
+    entry_part = tuple(
+        (
+            str(source),
+            str(group),
+            entry.upstream_vif,
+            entry.pruned_upstream,
+            tuple(
+                (vif, tuple(sorted(map(str, table)))) for vif, table in sorted(entry.prunes.items())
+            ),
+        )
+        for (source, group), entry in sorted(protocol.entries.items())
+    )
+    return (name, entry_part, neighbour_state(protocol), igmp_state(protocol))

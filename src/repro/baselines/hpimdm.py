@@ -53,7 +53,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.baselines.dvmrp import DenseModeDomain, DenseModeProtocol
+from repro.baselines.dvmrp import DenseModeDomain, DenseModeProtocol, neighbour_state
+from repro.core.fingerprint import igmp_state, state_digest
 from repro.igmp.router_side import IGMPConfig
 from repro.netsim.address import IPv4Address
 from repro.netsim.engine import PeriodicTimer
@@ -683,6 +684,44 @@ class HPIMDMDomain(DenseModeDomain):
         """Unacked advertisements across the domain (0 when synchronised)."""
         return sum(len(p._pending) for p in self.protocols.values())
 
+    def convergence_findings(self) -> List[str]:
+        """Elections converged (:meth:`election_findings`) and every
+        advertisement acknowledged."""
+        findings = self.election_findings()
+        pending = self.pending_total()
+        if pending:
+            findings.append(f"{pending} advertisements still unacknowledged after settle")
+        return findings
+
+    def transition_findings(self, check_loops: bool) -> List[str]:
+        """Hard invariants, valid even mid-election: a router never
+        synchronises state with itself, and an unacked advertisement
+        must have a live retransmit ticker driving it (the hard-state
+        analogue of CBT's stale quit-retry class).  There is no parent
+        pointer to loop, so ``check_loops`` has nothing to switch."""
+        findings: List[str] = []
+        for name in sorted(self.protocols):
+            protocol = self.protocols[name]
+            own = {interface.address for interface in protocol.router.interfaces}
+            for vif, table in sorted(protocol.neighbours.items()):
+                for addr in sorted(own & set(table), key=str):
+                    findings.append(f"{name}: lists itself ({addr}) as a neighbour on vif {vif}")
+            for entry in protocol.entries.values():
+                for what, tables in (("assert claim", entry.claims), ("interest", entry.interests)):
+                    for vif, table in sorted(tables.items()):
+                        for addr in sorted(own & set(table), key=str):
+                            findings.append(
+                                f"{name}: stores its own {what} ({addr}) g={entry.group}"
+                            )
+            if protocol._pending and protocol._rtx_ticker is None:
+                findings.append(f"{name}: unacked advertisements with no retransmit ticker")
+        return findings
+
+    def fingerprint(self) -> str:
+        """Stable hash of the domain's hard state and in-flight tagged
+        deliveries (:func:`repro.core.fingerprint.state_digest`)."""
+        return state_digest(self, _protocol_state)
+
     # -- election census ---------------------------------------------------
 
     def _link_vifs(self) -> Dict[str, List[Tuple[str, int]]]:
@@ -783,3 +822,52 @@ class HPIMDMDomain(DenseModeDomain):
                                 f"neighbour {addr} on vif {vif}"
                             )
         return findings
+
+
+def _protocol_state(name: str, protocol: HPIMDMProtocol) -> Tuple:
+    """Canonical tuple of one HPIM-DM router's hard state.
+
+    Sequence numbers and timestamps are excluded: two states differing
+    only in seq counters or last-heard times make identical
+    protocol decisions from here on (seqs only order/dedup messages),
+    so folding them together is exactly the kind of equivalence the
+    pruning heuristic wants.  Unacked advertisements are included by
+    content and audience — a pending retransmission *does* change the
+    continuation.
+    """
+    entry_part = tuple(
+        (
+            str(entry.source),
+            str(entry.group),
+            entry.upstream_vif,
+            tuple(
+                (vif, tuple(sorted((str(a), m) for a, (m, _s) in table.items())))
+                for vif, table in sorted(entry.claims.items())
+            ),
+            tuple(
+                (vif, tuple(sorted((str(a), i) for a, (i, _s) in table.items())))
+                for vif, table in sorted(entry.interests.items())
+            ),
+            tuple(sorted(entry.my_assert.items())),
+            tuple(sorted(entry.my_interest.items())),
+        )
+        for _key, entry in sorted(
+            protocol.entries.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))
+        )
+    )
+    pending_part = tuple(
+        sorted(
+            (
+                vif,
+                kind,
+                str(source),
+                str(group),
+                type(pending.message).__name__,
+                getattr(pending.message, "metric", None),
+                getattr(pending.message, "interested", None),
+                tuple(sorted(str(addr) for addr in pending.waiting)),
+            )
+            for (vif, kind, source, group), pending in protocol._pending.items()
+        )
+    )
+    return (name, entry_part, neighbour_state(protocol), pending_part, igmp_state(protocol))

@@ -17,7 +17,7 @@ testing and VeriSoft-style stateless search:
   (iterative deepening) so shallow counterexamples are found first;
 * **state-hash pruning** cuts runs that reach a state fingerprint
   (the scenario leg's, e.g.
-  :func:`repro.explore.fingerprint.domain_fingerprint`) already seen
+  :func:`repro.core.fingerprint.domain_fingerprint`) already seen
   at the same or shallower depth.
 
 The bound does not change what a run simulates — beyond it every
@@ -28,11 +28,11 @@ that run (:func:`_at_limit`); only a run that violates is simulated
 again at the pass's own bound, so a counterexample is exactly what
 that pass reports.
 
-The scenario's leg (:data:`repro.explore.scenarios.EXPLORE_LEGS`)
-holds the oracle, consulted after every explored transition (hard
-invariants) and once the schedule has run out and the simulation
-settled (for CBT, :mod:`repro.core.audit`'s full invariant sweep +
-convergence).
+The scenario's leg — a row of :data:`repro.harness.campaign.LEGS`,
+the one protocol table cells run too — holds the oracle, consulted
+after every explored transition (hard invariants) and once the
+schedule has run out and the simulation settled (for CBT,
+:mod:`repro.core.audit`'s full invariant sweep + convergence).
 Replay is exact because the simulator itself is deterministic: the
 same scenario + schedule always reproduces the same run.
 """
@@ -43,6 +43,7 @@ import hashlib
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.fingerprint import DEFAULT_QUIET_TYPES
 from repro.netsim.engine import cell, collector_paused
 from repro.netsim.faults import FaultSchedule
 from repro.telemetry import payload_label
@@ -59,10 +60,6 @@ DEFAULT_GATE_TYPES = (
     "QUIT_ACK",
     "FLUSH_TREE",
 )
-
-#: CBT keepalives: the delivery types a CBT search never branches on.
-DEFAULT_QUIET_TYPES = ("HELLO", "ECHO_REQUEST", "ECHO_REPLY")
-
 
 def natural(value: object) -> bool:
     """An int ``>= 0`` (``True`` is not one): what every count bound of

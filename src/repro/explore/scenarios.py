@@ -3,7 +3,8 @@ interesting concurrency lives inside a short *window* the explorer
 branches over.
 
 A spec names a :data:`repro.harness.campaign.TOPOLOGIES` row and a leg
-(an :data:`EXPLORE_LEGS` row).  :meth:`ExploreScenario.build` makes
+(a :data:`repro.harness.campaign.LEGS` row, the one protocol table
+cells run too).  :meth:`ExploreScenario.build` makes
 its world the way a cell does: the row's network and cores, stood up
 through the :mod:`repro.harness.scenarios` stand-up (started
 protocols, elections settled, the pre-joined members joined — all
@@ -13,7 +14,7 @@ the identical state).  The window actions are data too — ``join`` /
 start — as are the fault candidates, :class:`FaultEvent` s the engine
 offers as the first decision.  After the window the run settles with
 no interference and the leg's convergence oracle judges the world
-(the HPIM-DM leg by a probe from the window's ``send`` host).
+(the dense-mode legs by a probe from the window's ``send`` host).
 """
 
 from __future__ import annotations
@@ -22,19 +23,10 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.audit import convergence_findings, transition_findings
 from repro.core.migration import MigrationCoordinator
-from repro.explore.engine import DEFAULT_QUIET_TYPES, ExploreOptions
-from repro.explore.fingerprint import domain_fingerprint, hpim_domain_fingerprint
-from repro.harness.campaign import TOPOLOGIES
-from repro.harness.scenarios import (
-    SETTLE_TIME,
-    build_cbt_group,
-    build_hpimdm_group,
-    judge_delivery,
-    send_data,
-    send_one,
-)
+from repro.explore.engine import ExploreOptions
+from repro.harness.campaign import LEGS, TOPOLOGIES, Leg
+from repro.harness.scenarios import SETTLE_TIME, send_one
 from repro.netsim.address import IPv4Address
 from repro.netsim.faults import FaultEvent, LinkFlap, NodeOutage
 from repro.topology.builder import Network
@@ -51,111 +43,13 @@ class ExploreWorld:
     members: List[str]
     #: ``(offset_from_window_start, action)`` pairs the runner schedules.
     actions: List[Tuple[float, Callable[[], None]]]
-    #: The window's first ``send`` host (None without one): the
-    #: HPIM-DM leg's probe source.
+    #: The window's first ``send`` host (None without one): the dense
+    #: rows' probe source.
     sender: Optional[str]
 
     def close(self) -> None:
         """The world ends with its network (``netsim.engine.cell``)."""
         self.network.close()
-
-
-@dataclass(frozen=True)
-class ExploreLeg:
-    """One protocol as the explorer searches it.  ``stand_up(network,
-    members, cores, settle_time=, join_spacing=) -> (domain, group)``;
-    ``transition(domain, check_loops)`` the hard invariants checked
-    after every explored transition, ``convergence(world)`` the
-    end-state oracle on the settled :class:`ExploreWorld` (both return
-    findings; any finding is a violation), ``fingerprint(domain)`` the
-    pruning hash, and ``quiet_types`` the delivery types never worth
-    branching."""
-
-    stand_up: Callable[..., Tuple[Any, IPv4Address]]
-    transition: Callable[[Any, bool], List[Any]]
-    convergence: Callable[[ExploreWorld], List[Any]]
-    fingerprint: Callable[[Any], str]
-    quiet_types: Tuple[str, ...]
-
-
-def _hpim_transition(domain, check_loops: bool) -> List[str]:
-    """Hard HPIM-DM invariants, valid even mid-election: a router never
-    synchronises state with itself, and an unacked advertisement must
-    have a live retransmit ticker driving it (the hard-state analogue
-    of CBT's stale quit-retry class).  There is no parent pointer to
-    loop, so ``check_loops`` has nothing to switch."""
-    findings: List[str] = []
-    for name in sorted(domain.protocols):
-        protocol = domain.protocols[name]
-        own = {interface.address for interface in protocol.router.interfaces}
-        for vif, table in sorted(protocol.neighbours.items()):
-            for addr in sorted(own & set(table), key=str):
-                findings.append(
-                    f"{name}: lists itself ({addr}) as a neighbour on vif {vif}"
-                )
-        for entry in protocol.entries.values():
-            for vif, table in sorted(entry.claims.items()):
-                for addr in sorted(own & set(table), key=str):
-                    findings.append(
-                        f"{name}: stores its own assert claim ({addr}) "
-                        f"g={entry.group}"
-                    )
-            for vif, table in sorted(entry.interests.items()):
-                for addr in sorted(own & set(table), key=str):
-                    findings.append(
-                        f"{name}: stores its own interest ({addr}) "
-                        f"g={entry.group}"
-                    )
-        if protocol._pending and protocol._rtx_ticker is None:
-            findings.append(
-                f"{name}: unacked advertisements with no retransmit ticker"
-            )
-    return findings
-
-
-def _hpim_convergence(world: ExploreWorld) -> List[str]:
-    """End-state oracle: elections converged (exactly one upstream
-    winner per link), all advertisements acknowledged, and fresh
-    probes from the window's sender delivered exactly once to every
-    member — the same deliverability goal state the CBT sweep checks
-    by walking child pointers, here measured in the data plane because
-    HPIM-DM's tree *is* its per-link election outcome."""
-    domain, network = world.domain, world.network
-    findings = [str(finding) for finding in domain.election_findings()]
-    pending = domain.pending_total()
-    if pending:
-        findings.append(
-            f"{pending} advertisements still unacknowledged after settle"
-        )
-    uids = send_data(network, world.sender, world.group, count=2, spacing=0.05)
-    return findings + judge_delivery(network, world.group, world.sender, uids).findings(
-        "probe after election convergence"
-    )
-
-
-#: The explorer's protocol rows, keyed by the leg a spec names.
-EXPLORE_LEGS: Dict[str, ExploreLeg] = {
-    "cbt": ExploreLeg(
-        stand_up=build_cbt_group,
-        transition=transition_findings,
-        convergence=lambda w: convergence_findings(w.domain, w.group, w.members),
-        fingerprint=domain_fingerprint,
-        quiet_types=DEFAULT_QUIET_TYPES,
-    ),
-    # Scenario-fast 1 s hellos (the cell row ties them to CBT's ECHO
-    # interval instead).  Hellos and the IGMP chatter around the joins
-    # are not what a search branches on: the budget goes to the
-    # election handshakes.
-    "hpimdm": ExploreLeg(
-        stand_up=lambda network, members, cores, **timing: build_hpimdm_group(
-            network, members, **timing
-        ),
-        transition=_hpim_transition,
-        convergence=_hpim_convergence,
-        fingerprint=hpim_domain_fingerprint,
-        quiet_types=("HpimHello", "MembershipQuery", "MembershipReport", "Leave"),
-    ),
-}
 
 
 #: Window verbs, ``verb(domain, group, subject)``: ``join`` / ``leave``
@@ -182,7 +76,8 @@ class ExploreScenario:
     #: :data:`~repro.harness.campaign.TOPOLOGIES` row the world is
     #: built on (its seed-0 network and cores).
     topology: str
-    #: :data:`EXPLORE_LEGS` row: the protocol, its stand-up and oracles.
+    #: :data:`~repro.harness.campaign.LEGS` row: the protocol, its
+    #: stand-up and oracles.
     leg: str
     #: Hosts joined before the window, ``join_spacing`` apart.
     pre_members: Tuple[str, ...]
@@ -210,14 +105,15 @@ class ExploreScenario:
     join_spacing: float = 0.05
 
     @property
-    def row(self) -> ExploreLeg:
-        return EXPLORE_LEGS[self.leg]
+    def row(self) -> Leg:
+        return LEGS[self.leg]
 
     def build(self) -> ExploreWorld:
         """A fresh world: the topology row's network and cores, the
-        leg's stand-up, and the window actions bound to its domain."""
+        leg's stand-up (no auditor: the leg's oracles judge the run),
+        and the window actions bound to its domain."""
         network, _hosts, cores = TOPOLOGIES[self.topology].build(0)
-        domain, group = self.row.stand_up(
+        domain, group = self.row.build(
             network,
             self.pre_members,
             cores,
@@ -350,10 +246,10 @@ SCENARIOS: Dict[str, ExploreScenario] = {
             check_loops=False,
         ),
         # The hard-state comparator's smoke validation: same explorer,
-        # the hpimdm leg's oracles.  B's first data packet (from the
-        # multi-router LAN S4, so R2/R5/R6 all see it) creates the
-        # (S, G) entries and kicks off the assert elections the
-        # explorer then perturbs: G and H join concurrently, so
+        # the hpimdm leg's oracles and timers.  B's first data packet
+        # (from the multi-router LAN S4, so R2/R5/R6 all see it)
+        # creates the (S, G) entries and kicks off the assert elections
+        # the explorer then perturbs: G and H join concurrently, so
         # interest propagation races the elections themselves.  A is
         # pre-joined outside the window for a stable baseline branch.
         ExploreScenario(

@@ -36,10 +36,17 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.baselines.dvmrp import DenseModeDomain
+from repro.baselines.dvmrp import DenseModeDomain, DVMRPDomain
 from repro.baselines.hpimdm import HPIMDMDomain
-from repro.core.audit import InvariantAuditor, InvariantViolation, check_invariants
+from repro.core.audit import (
+    InvariantAuditor,
+    InvariantViolation,
+    check_invariants,
+    convergence_findings,
+    transition_findings,
+)
 from repro.core.bootstrap import CBTDomain
+from repro.core.fingerprint import DEFAULT_QUIET_TYPES, domain_fingerprint
 from repro.harness.parallel import Fingerprinted
 from repro.harness.scenarios import (
     FAST_TIMERS,
@@ -68,42 +75,68 @@ WINDOW = max(FAST_TIMERS.echo_interval, FAST_TIMERS.pend_join_interval * 2)
 
 @dataclass(frozen=True)
 class Leg:
-    """One protocol as a cell runs it, on :data:`FAST_TIMERS`.
-    ``build(network, members, cores)`` stands its group up and returns
-    ``(domain, group)``; every other field reads that domain:
-    ``activity`` (a counter flat while the protocol is quiet),
-    ``settled`` (its own convergence oracle), ``findings`` (why a
-    settled run is still wrong), ``control`` (control messages sent,
+    """One protocol as a cell runs it, on :data:`FAST_TIMERS`, and as
+    the explorer searches it.  ``build(network, members, cores,
+    settle_time=, join_spacing=)`` stands its group up and returns
+    ``(domain, group)`` (cells take the stand-up's defaults); under
+    ``audited`` a cell runs it beside an
+    :class:`~repro.core.audit.InvariantAuditor`.  The cell fields read
+    that domain: ``activity`` (a counter flat while the protocol is
+    quiet), ``settled`` (its own convergence oracle), ``findings`` (why
+    a settled run is still wrong), ``control`` (control messages sent,
     keepalives excluded) and ``census(domain, group) -> (state_total,
-    routers_with_state)``."""
+    routers_with_state)``.  The explorer's: ``transition(domain,
+    check_loops)`` the hard invariants checked after every explored
+    transition, ``convergence(world)`` the end-state oracle on the
+    settled explorer world (both return findings; any finding is a
+    violation), ``fingerprint(domain)`` the pruning hash, and
+    ``quiet_types`` the delivery types never worth branching."""
 
     build: Callable[..., Tuple[Any, IPv4Address]]
+    audited: bool
     activity: Callable[[Any], int]
     settled: Callable[[Any], bool]
     findings: Callable[[Any], List[str]]
     control: Callable[[Any], int]
     census: Callable[[Any, IPv4Address], Tuple[int, int]]
-
-
-def _audited_cbt_group(network, members, cores):
-    """``build_cbt_group`` under a started :class:`InvariantAuditor`,
-    which the domain holds as ``auditor``."""
-    domain, group = build_cbt_group(network, members, cores)
-    domain.auditor = InvariantAuditor(domain, interval=FAST_TIMERS.pend_join_interval)
-    domain.auditor.start()
-    return domain, group
+    transition: Callable[[Any, bool], List[Any]]
+    convergence: Callable[[Any], List[Any]]
+    fingerprint: Callable[[Any], str]
+    quiet_types: Tuple[str, ...]
 
 
 def _dense_census(domain: DenseModeDomain, group) -> Tuple[int, int]:
     return domain.total_state(), domain.routers_with_state()
 
 
+def _dense_convergence(world) -> List[str]:
+    """The dense rows' end-state oracle on a settled explorer world:
+    the domain's :meth:`convergence_findings`, then two probes from the
+    window's first ``send`` host, else from the spec's first member,
+    each delivered exactly once to every member — the deliverability
+    goal the CBT sweep checks by walking child pointers, here measured
+    in the data plane because a dense-mode tree *is* its per-link
+    state."""
+    network, group = world.network, world.group
+    findings = world.domain.convergence_findings()
+    sender = world.sender or world.members[0]
+    uids = send_data(network, sender, group, count=2, spacing=0.05)
+    return findings + judge_delivery(network, group, sender, uids).findings(
+        "probe after convergence"
+    )
+
+
+#: Membership chatter around the joins: never what a dense-mode search
+#: branches on.
+_IGMP_TYPES = ("MembershipQuery", "MembershipReport", "Leave")
+
 #: The protocol legs, in the order a baseline-compare cell runs them
-#: (the first derives the fault schedule the others replay).  A new
-#: protocol is one row.
+#: (the first derives the fault schedule the others replay), keyed by
+#: the leg a cell or an explorer spec names.  A new protocol is one row.
 LEGS: Dict[str, Leg] = {
     "cbt": Leg(
-        build=_audited_cbt_group,
+        build=build_cbt_group,
+        audited=True,
         activity=CBTDomain.events_total,
         settled=lambda domain: not check_invariants(domain),
         findings=lambda domain: [str(f) for f in check_invariants(domain)],
@@ -111,38 +144,53 @@ LEGS: Dict[str, Leg] = {
         census=lambda domain, group: (
             domain.total_fib_state(), len(domain.on_tree_routers(group))
         ),
+        transition=transition_findings,
+        convergence=lambda world: convergence_findings(world.domain, world.group, world.members),
+        fingerprint=domain_fingerprint,
+        quiet_types=DEFAULT_QUIET_TYPES,
     ),
     # Soft state, its prune lifetime on the order of CBT's reconnect
     # timeout so decay-driven re-flooding happens inside the cell; no
-    # convergence obligation beyond silence.
+    # convergence obligation beyond silence, and no hard invariant to
+    # check per transition.
     "dvmrp": Leg(
-        build=lambda network, members, cores: build_dvmrp_group(
-            network, members, prune_lifetime=FAST_TIMERS.reconnect_timeout * 2
+        build=lambda network, members, cores, **timing: build_dvmrp_group(
+            network, members, prune_lifetime=FAST_TIMERS.reconnect_timeout * 2, **timing
         ),
+        audited=False,
         activity=lambda domain: domain.control_messages() + domain.data_forwards(),
         settled=lambda domain: True,
         findings=lambda domain: [],
         control=DenseModeDomain.control_messages,
         census=_dense_census,
+        transition=lambda domain, check_loops: [],
+        convergence=_dense_convergence,
+        fingerprint=DVMRPDomain.fingerprint,
+        quiet_types=("Probe",) + _IGMP_TYPES,
     ),
     # Hard state, failure detection tuned to CBT's §9 budget (hellos at
     # the ECHO interval, hold at the ECHO timeout); settled once the
     # election census is clean and every advertisement acknowledged.
+    # A search's budget goes to the election handshakes, not the hellos.
     "hpimdm": Leg(
-        build=lambda network, members, cores: build_hpimdm_group(
+        build=lambda network, members, cores, **timing: build_hpimdm_group(
             network,
             members,
             hello_interval=FAST_TIMERS.echo_interval,
             neighbour_hold=FAST_TIMERS.echo_timeout,
             rtx_interval=FAST_TIMERS.pend_join_interval / 2,
+            **timing,
         ),
+        audited=False,
         activity=HPIMDMDomain.events_total,
-        settled=lambda domain: (
-            domain.pending_total() == 0 and not domain.election_findings()
-        ),
+        settled=lambda domain: not domain.convergence_findings(),
         findings=lambda domain: list(domain.election_findings()),
         control=DenseModeDomain.control_messages,
         census=_dense_census,
+        transition=HPIMDMDomain.transition_findings,
+        convergence=_dense_convergence,
+        fingerprint=HPIMDMDomain.fingerprint,
+        quiet_types=("HpimHello",) + _IGMP_TYPES,
     ),
 }
 
@@ -371,11 +419,15 @@ def cell_run(
     """``with cell_run(name, build, *args) as run:`` — the one
     cell body.  ``build(*args)`` returns ``(network, members, cores)``;
     the ``LEGS[name]`` group stands up on it, joined by ``members`` when
-    given, else by the build's.  The network closes when the block
-    ends."""
+    given, else by the build's, and an audited row's
+    :class:`InvariantAuditor` (the domain's ``auditor``) starts.  The
+    network closes when the block ends."""
     leg = LEGS[name]
     with cell(build, *args) as (network, built, cores):
         domain, group = leg.build(network, built if members is None else members, cores)
+        if leg.audited:
+            domain.auditor = InvariantAuditor(domain, interval=FAST_TIMERS.pend_join_interval)
+            domain.auditor.start()
         yield CellRun(leg, network, domain, group, built, cores)
 
 

@@ -3,11 +3,12 @@ every explorer world, and the tests, examples and benchmarks.
 
 All scenario helpers are deterministic given a seed, join members at
 staggered times (so DR elections and HELLOs settle first), and run the
-event loop to a quiescent point before returning.  A cell stands its
-protocol up through a :data:`repro.harness.campaign.LEGS` row, an
-explorer scenario through a :data:`repro.explore.scenarios.EXPLORE_LEGS`
-row; both rows call the ``build_*_group`` functions here, and an
-explorer window's ``send`` is :func:`send_one`, the probe's own send.
+event loop to a quiescent point before returning.  Cells and explorer
+scenarios stand their protocol up through the one protocol table,
+:data:`repro.harness.campaign.LEGS`, whose rows call the
+``build_*_group`` functions here (an explorer spec passes its own
+``settle_time`` and ``join_spacing``); an explorer window's ``send``
+is :func:`send_one`, the probe's own send.
 Delivery is judged in one place, :func:`judge_delivery`.
 """
 
@@ -97,13 +98,15 @@ def build_dvmrp_group(
     members: Sequence[str],
     group: Optional[IPv4Address] = None,
     prune_lifetime: float = 120.0,
+    settle_time: float = SETTLE_TIME,
+    join_spacing: float = 0.05,
     domain: Optional[DVMRPDomain] = None,
 ) -> Tuple[DVMRPDomain, IPv4Address]:
     """Stand up a DVMRP domain and join ``members`` (no cores needed)."""
     make = partial(
         DVMRPDomain, network, prune_lifetime=prune_lifetime, igmp_config=FAST_IGMP
     )
-    return _stand_up(domain, make, members, group, SETTLE_TIME)
+    return _stand_up(domain, make, members, group, settle_time, join_spacing)
 
 
 def build_hpimdm_group(

@@ -247,6 +247,11 @@ class LinkStateRouting:
             self._scan_links()
         return derived["neighbours"], derived["prefixes"]
 
+    def link_routers(self) -> Iterable[Tuple[Link, Tuple[str, ...]]]:
+        """Each link with the names of its attached routers, up or not,
+        in attachment order: the prefix map's values, in link order."""
+        return self._topology()[1].values()
+
     def _costed_adjacency(self) -> Dict[str, List[Edge]]:
         """Neighbour entries with the overrides applied: an edge costs
         what the router it leaves sees the link at."""

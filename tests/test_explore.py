@@ -35,12 +35,12 @@ from repro.explore.replay import (
     verify_payload,
 )
 from repro.explore.scenarios import (
-    EXPLORE_LEGS,
     SCENARIOS,
     get_scenario,
     scenario_options,
 )
 from repro.explore.shrink import shrink
+from repro.harness.campaign import LEGS
 
 
 def _retransmit_oracle(domain):
@@ -61,9 +61,7 @@ def _convergence_or_retransmit(world):
 def _on_leg(monkeypatch, scenario, **oracles):
     """``scenario`` on a copy of its leg row with ``oracles`` swapped in."""
     leg = f"{scenario.leg}+{'+'.join(sorted(oracles))}"
-    monkeypatch.setitem(
-        EXPLORE_LEGS, leg, dataclasses.replace(scenario.row, **oracles)
-    )
+    monkeypatch.setitem(LEGS, leg, dataclasses.replace(scenario.row, **oracles))
     return dataclasses.replace(scenario, leg=leg)
 
 
@@ -294,6 +292,58 @@ def test_an_hpimdm_spec_on_another_topology_row_explores():
     assert (
         stats.runs, stats.states_visited, stats.states_pruned, result.visited_digest
     ) == (7, 2, 0, "38f8af456a038509")
+
+
+#: ``(runs, states_visited, states_pruned, visited_digest)`` of the
+#: depth-2 search of a joins-race-shaped spec with a sender, per row.
+ROW_PINS = {
+    "cbt": (16, 4, 0, "8996a538512020ff"),
+    "dvmrp": (6, 4, 0, "fb984d73cd9a332b"),
+    "hpimdm": (8, 2, 0, "e741df21196a0710"),
+}
+
+
+@pytest.mark.parametrize("leg", sorted(ROW_PINS))
+def test_a_spec_searches_on_every_protocol_row(leg):
+    """One protocol table: every ``LEGS`` row carries the explorer's
+    oracles, so one spec — A, G and H join at 0 s, B sends at 0.2 s,
+    each row's handshakes gated — searches clean on each of them."""
+    assert set(ROW_PINS) == set(LEGS)
+    race = get_scenario("joins-race")
+    scenario = dataclasses.replace(
+        race,
+        name=f"joins-race-send-{leg}",
+        leg=leg,
+        actions=race.actions + ((0.2, "send", "B"),),
+        gate_types=race.gate_types + ("Prune", "Graft", "HpimAssert", "HpimInterest", "HpimAck"),
+    )
+    result = explore(scenario, scenario_options(scenario, max_decisions=2))
+    stats = result.stats
+    assert result.ok and result.exhausted
+    assert (
+        stats.runs, stats.states_visited, stats.states_pruned, result.visited_digest
+    ) == ROW_PINS[leg]
+
+
+def test_a_dense_spec_that_sends_nothing_probes_from_its_first_member():
+    """With no ``send`` in the window, the dense rows' convergence
+    oracle probes from the spec's first member (A), the host a cell
+    probes from, instead of looking up a host named None."""
+    elections = get_scenario("hpimdm-elections")
+    scenario = dataclasses.replace(
+        elections,
+        name="hpimdm-elections-silent",
+        actions=tuple(action for action in elections.actions if action[1] != "send"),
+    )
+    world = scenario.build()
+    world.close()
+    assert world.sender is None
+    result = explore(scenario, scenario_options(scenario, max_decisions=1))
+    stats = result.stats
+    assert result.ok and result.exhausted
+    assert (
+        stats.runs, stats.states_visited, stats.states_pruned, result.visited_digest
+    ) == (1, 1, 0, "b6dc08f13fe56b1c")
 
 
 def _quit_overlap(domain, check_loops):

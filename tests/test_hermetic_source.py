@@ -490,8 +490,9 @@ def test_link_transmit_schedules_directly_and_builds_no_closure():
 # The cell runners reach CBT, DVMRP and HPIM-DM through the rows of
 # ``repro.harness.campaign.LEGS`` and one leg run, so adding a protocol
 # is one row.  A comparison against a protocol's name in ``harness/`` or
-# ``workloads/`` is the per-protocol branch coming back, and the CBT
-# row is the one place a cell stands an auditor up.
+# ``workloads/`` is the per-protocol branch coming back, and
+# ``cell_run`` is the one place a cell stands an auditor up (for a row
+# that is ``audited``).
 
 _CELL_PACKAGES = ("harness", "workloads")
 _PROTOCOL_NAMES = {"cbt", "dvmrp", "hpimdm"}
@@ -534,7 +535,7 @@ def test_one_place_constructs_the_auditor():
                     if isinstance(node, ast.Call)
                     and getattr(node.func, "id", None) == "InvariantAuditor"
                 ]
-    assert found == ["harness/campaign.py::_audited_cbt_group"]
+    assert found == ["harness/campaign.py::cell_run"]
 
 
 # A cell is one body (``campaign.cell_run``) on one clock (``FAST_TIMERS``):

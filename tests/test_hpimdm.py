@@ -434,8 +434,8 @@ class TestExplorerScenario:
     def test_convergence_oracle_wants_each_probe_exactly_once(self, monkeypatch):
         """A member that gets one probe twice and the other never has
         as many copies as probes, and is still wrong."""
-        import repro.explore.scenarios as explore_scenarios
         from repro.explore.scenarios import get_scenario
+        from repro.harness import campaign
 
         scenario = get_scenario("hpimdm-elections")
         world = scenario.build()
@@ -452,14 +452,14 @@ class TestExplorerScenario:
                 )
             return list(uids)
 
-        monkeypatch.setattr(explore_scenarios, "send_data", send_data)
+        monkeypatch.setattr(campaign, "send_data", send_data)
         try:
             findings = scenario.row.convergence(world)
         finally:
             world.close()
         assert [f for f in findings if f.startswith("probe ")] == [
-            "probe after election convergence: G missed 1 probe(s)",
-            "probe after election convergence: G got duplicates of 1 probe(s)",
+            "probe after convergence: G missed 1 probe(s)",
+            "probe after convergence: G got duplicates of 1 probe(s)",
         ]
 
     def test_bounded_exploration_is_clean(self):

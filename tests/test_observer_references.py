@@ -39,10 +39,12 @@ from repro.core.audit import (
     transition_findings,
 )
 from repro.core.constants import JoinSubcode
+from repro.core.migration import network_graph
 from repro.core.state import PendingJoin, QuitAttempt
 from repro.harness import campaign
 from repro.netsim.address import IPv4Address
 from repro.telemetry.conservation import check_conservation, link_conservation
+from repro.topology.generators import waxman_network
 from repro.workloads import cell as workload_cell
 from repro.workloads.cell import run_flash_crowd_cell
 from repro.workloads.probe import QualityProbe
@@ -191,6 +193,37 @@ class TestTreeLinksFromTheFIB:
                 if not links or links != reference:
                     differ.append((seed, links, reference))
         assert differ == []
+
+
+def _graph_rows():
+    for topology in sorted(campaign.TOPOLOGIES):
+        yield pytest.param(lambda t=topology: campaign.TOPOLOGIES[t].build(0)[0], id=topology)
+    yield pytest.param(
+        lambda: waxman_network(1000, alpha=0.02, seed=17), id="waxman1000"
+    )
+
+
+class TestProbeGraphFromLinkState:
+    """``migration.network_graph`` reads link-state routing's one view
+    of the links and their routers; the reference scans every link's
+    interfaces.  Both give the same nodes and edges — order, cost and
+    delay — on every topology row and the n = 1,000 flash-crowd mesh,
+    and again with every link down (the view keeps a down link's
+    routers)."""
+
+    @pytest.mark.parametrize("build", _graph_rows())
+    def test_same_edges_as_the_interface_scan(self, build):
+        network = build()
+        try:
+            for _ in range(2):
+                graph = network_graph(network)
+                reference = reference_sweeps.network_graph(network)
+                assert graph.nodes == reference.nodes
+                assert [tuple(e) for e in graph.edges] == [tuple(e) for e in reference.edges]
+                for name in network.links:
+                    network.fail_link(name, reconverge=False)
+        finally:
+            network.close()
 
 
 def _neighbour_pair(network, domain, group, on_tree):
