@@ -9,37 +9,32 @@ CBT's while its state stays per-(source, group) like DVMRP's.
 
 Two tables:
 
-* **steady state** — each live engine stood up on Figure 1 with the
+* **steady state** — each live engine stood up on Figure 1 through its
+  ``campaign.LEGS`` row (the cells' timers, the row's census) with the
   campaign membership, two senders flooding, then a 60 s window with a
   steady data trickle (flood-and-prune's re-flood tax only shows while
-  data flows): state census, convergence control, and the window's
-  control cost.  MOSPF has no live engine (see
+  data flows): state census, convergence control, the window's
+  control cost and its keepalives.  MOSPF has no live engine (see
   ``repro.workloads.probe``); its row is the standard model — every
   membership change floods one group-membership LSA to all routers,
   and every router computes every (source, group) tree.
 * **recovery** — the `baseline-compare` cells (identical replayed
   fault schedules, see ``repro.harness.baseline_cell``) for the two
   quick CI scenarios: recovery latency, reactive control cost, and
-  post-recovery delivery per live protocol.
+  post-recovery delivery per live protocol.  The reactive cost is each
+  row's ``control`` count: CBT's skips only HELLOs, so its ECHO
+  keepalives are in it; DVMRP's and HPIM-DM's skip their probes and
+  hellos.
 """
 
 from benchmarks.conftest import publish
 from repro.harness.baseline_cell import run_baseline_compare_cell
-from repro.harness.campaign import TOPOLOGIES
+from repro.harness.campaign import LEGS, TOPOLOGIES
 from repro.harness.experiment import Experiment, SweepResult
-from repro.harness.scenarios import (
-    build_cbt_group,
-    build_dvmrp_group,
-    build_hpimdm_group,
-    send_data,
-)
+from repro.harness.scenarios import send_data
 
 STEADY_WINDOW = 60.0
 TRICKLE_SPACING = 5.0
-#: Short soft-state lifetime so prune decay (and the re-flood it
-#: forces) happens inside the steady window, matching the recovery
-#: cells' ``reconnect_timeout``-scaled convention.
-DVMRP_PRUNE_LIFETIME = 20.0
 SENDERS = 2
 PACKETS = 2
 
@@ -67,38 +62,18 @@ def steady_state_row(protocol: str) -> tuple:
             0,
             "-",
         )
-    # Each protocol's periodic liveness messages (CBT echo keepalives,
-    # HPIM-DM hellos) sit in their own column so the control columns
-    # compare event-driven work only — the same accounting the
-    # baseline-compare recovery cells use.
+    # Each protocol's periodic liveness messages (CBT echoes, DVMRP
+    # probes, HPIM-DM hellos) sit in their own column so the control
+    # columns compare event-driven work only.  The CBT row's ``control``
+    # counts its echoes (it skips only HELLOs), so they come out here.
+    leg = LEGS[protocol]
+    domain, group = leg.build(network, members, cores)
     if protocol == "cbt":
-        domain, group = build_cbt_group(network, members, cores)
-        control = lambda: (  # noqa: E731
-            domain.control_messages_sent() - _cbt_echoes(domain)
-        )
         keepalives = lambda: _cbt_echoes(domain)  # noqa: E731
-        census = lambda: (  # noqa: E731
-            domain.total_fib_state(),
-            len(domain.on_tree_routers(group)),
-        )
-    elif protocol == "dvmrp":
-        domain, group = build_dvmrp_group(
-            network, members, prune_lifetime=DVMRP_PRUNE_LIFETIME
-        )
-        control = domain.control_messages
-        keepalives = lambda: 0  # noqa: E731 - flood-and-prune has none
-        census = lambda: (  # noqa: E731
-            domain.total_state(),
-            domain.routers_with_state(),
-        )
+        control = lambda: leg.control(domain) - keepalives()  # noqa: E731
     else:
-        domain, group = build_hpimdm_group(network, members)
-        control = domain.control_messages
-        keepalives = domain.hello_messages
-        census = lambda: (  # noqa: E731
-            domain.total_state(),
-            domain.routers_with_state(),
-        )
+        keepalives = domain.beacons_sent
+        control = lambda: leg.control(domain)  # noqa: E731
     for sender in members[:SENDERS]:
         send_data(network, sender, group, count=PACKETS, spacing=0.05)
         network.run(until=network.scheduler.now + 12.0)
@@ -110,7 +85,7 @@ def steady_state_row(protocol: str) -> tuple:
     for _ in range(int(STEADY_WINDOW / TRICKLE_SPACING)):
         send_data(network, members[0], group, count=1)
         network.run(until=network.scheduler.now + TRICKLE_SPACING)
-    total, holders = census()
+    total, holders = leg.census(domain, group)
     return (
         protocol,
         total,

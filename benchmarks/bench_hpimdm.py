@@ -10,9 +10,9 @@ deterministic sim-time counts:
   topology;
 * **quiescence** — the no-re-flood property as a number: control
   messages over a long settled window (must be exactly zero);
-* **recovery** — a transit-LAN outage longer than the neighbour hold
-  time, then restoration: the reactive control cost of tearing down
-  and re-synchronising the affected elections.
+* **recovery** — a transit-LAN outage 3 s longer than the neighbour
+  hold time, then restoration: the reactive control cost of tearing
+  down and re-synchronising the affected elections.
 
 Every phase asserts correctness (clean election census, nothing
 unacknowledged, exactly-once delivery), and the committed table pins
@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from benchmarks.conftest import publish
+from repro.baselines.hpimdm import NEIGHBOUR_HOLD
 from repro.harness.experiment import Experiment
 from repro.harness.scenarios import build_hpimdm_group, judge_delivery, send_data
 from repro.topology.figures import build_figure1
@@ -61,10 +62,11 @@ def figure1_run() -> Tuple[int, int, int, int, int]:
     network.run(until=network.scheduler.now + 60.0)
     quiescent_control = domain.control_messages() - converge_control
 
-    # Recovery: S2 (R1/R2/R3) outage past the hold time, then return.
+    # Recovery: S2 (R1/R2/R3) outage past the hold time, so its
+    # neighbours expire, then return.
     recovery_start = domain.control_messages()
     network.fail_link("S2")
-    network.run(until=network.scheduler.now + 6.0)
+    network.run(until=network.scheduler.now + NEIGHBOUR_HOLD + 3.0)
     network.restore_link("S2")
     network.run(until=network.scheduler.now + 15.0)
     probe = send_data(network, "B", group, count=2, spacing=0.05)

@@ -105,9 +105,11 @@ class ForwardingEntry:
             del table[address]
         return set(table)
 
-    def state_size(self) -> int:
-        """Stored items: the entry itself plus each prune record."""
-        return 1 + sum(len(t) for t in self.prunes.values())
+    def state_size(self, now: float) -> int:
+        """Stored items at ``now``: the entry itself plus each prune
+        record not yet expired (an expired one prunes nothing and goes
+        at the next read)."""
+        return 1 + sum(until > now for t in self.prunes.values() for until in t.values())
 
 
 @dataclass
@@ -151,16 +153,12 @@ class DenseModeProtocol:
         router.scheduler.register(self)
 
     def start(self) -> None:
-        """Beacon now and every interval; a second call does nothing
-        until :meth:`stop`."""
+        """Beacon now and every interval; a second call does nothing."""
         if self._ticker.running:
             return
         self.igmp.start()
         self._send_beacons()
         self._ticker.start()
-
-    def stop(self) -> None:
-        self._ticker.stop()
 
     def state_size(self) -> int:
         """Stored (S, G) items — the E1 router-state metric."""
@@ -204,6 +202,11 @@ class DVMRPProtocol(DenseModeProtocol):
         self.prune_lifetime = prune_lifetime
         self.stats = DVMRPStats()
         super().__init__(router, PROBE_INTERVAL, NEIGHBOUR_HOLD, Probe(), igmp_config)
+
+    def state_size(self) -> int:
+        """Stored (S, G) items now: entries and their unexpired prunes."""
+        now = self.router.scheduler.now
+        return sum(entry.state_size(now) for entry in self.entries.values())
 
     # -- control messages -------------------------------------------------------
 
@@ -421,6 +424,10 @@ class DenseModeDomain:
 
     def data_forwards(self) -> int:
         return sum(p.stats.data_forwards for p in self.protocols.values())
+
+    def beacons_sent(self) -> int:
+        """Keepalives sent domain-wide: DVMRP probes, HPIM-DM hellos."""
+        return sum(p.stats.beacons_sent for p in self.protocols.values())
 
     def convergence_findings(self) -> List[str]:
         """Why a settled domain has not converged: soft state owes

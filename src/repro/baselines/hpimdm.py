@@ -74,9 +74,13 @@ ALL_HPIM_ROUTERS = IPv4Address("224.0.0.13")
 #: source / I am downstream here").
 INFINITE_METRIC = float("inf")
 
-DEFAULT_HELLO_INTERVAL = 5.0
-DEFAULT_NEIGHBOUR_HOLD = 17.5
-DEFAULT_RTX_INTERVAL = 1.0
+#: The one timer profile, failure detection on CBT's §9 budget at the
+#: cells' scale (``FAST_TIMERS``): hellos at the ECHO interval, a
+#: neighbour held for the ECHO timeout, and unacked advertisements
+#: resent at half the pending-join retransmit.
+HELLO_INTERVAL = 3.0
+NEIGHBOUR_HOLD = 9.0
+RTX_INTERVAL = 0.5
 
 
 # -- control messages --------------------------------------------------------
@@ -197,15 +201,7 @@ class HPIMDMProtocol(DenseModeProtocol):
     proto = PROTO_HPIM
     group = ALL_HPIM_ROUTERS
 
-    def __init__(
-        self,
-        router: Router,
-        hello_interval: float = DEFAULT_HELLO_INTERVAL,
-        neighbour_hold: float = DEFAULT_NEIGHBOUR_HOLD,
-        rtx_interval: float = DEFAULT_RTX_INTERVAL,
-        igmp_config: Optional[IGMPConfig] = None,
-    ) -> None:
-        self.rtx_interval = rtx_interval
+    def __init__(self, router: Router, igmp_config: Optional[IGMPConfig] = None) -> None:
         self.stats = HPIMStats()
         #: (vif, kind, source, group) -> _Pending (unacked advertisement).
         self._pending: Dict[Tuple[int, str, IPv4Address, IPv4Address], _Pending] = {}
@@ -214,14 +210,8 @@ class HPIMDMProtocol(DenseModeProtocol):
         self.state_changes = 0
         self._rtx_ticker: Optional[PeriodicTimer] = None
         super().__init__(
-            router, hello_interval, neighbour_hold, HpimHello(gen_id=1), igmp_config
+            router, HELLO_INTERVAL, NEIGHBOUR_HOLD, HpimHello(gen_id=1), igmp_config
         )
-
-    def stop(self) -> None:
-        super().stop()
-        if self._rtx_ticker is not None:
-            self._rtx_ticker.stop()
-            self._rtx_ticker = None
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -465,7 +455,7 @@ class HPIMDMProtocol(DenseModeProtocol):
     def _arm_rtx(self) -> None:
         if self._rtx_ticker is None:
             self._rtx_ticker = PeriodicTimer(
-                self.router.scheduler, self.rtx_interval, self._retransmit
+                self.router.scheduler, RTX_INTERVAL, self._retransmit
             )
             self._rtx_ticker.start()
 
@@ -656,25 +646,8 @@ class HPIMDMProtocol(DenseModeProtocol):
 class HPIMDMDomain(DenseModeDomain):
     """A Network (or a named subset) running hard-state dense mode."""
 
-    def __init__(
-        self,
-        network: Network,
-        hello_interval: float = DEFAULT_HELLO_INTERVAL,
-        neighbour_hold: float = DEFAULT_NEIGHBOUR_HOLD,
-        rtx_interval: float = DEFAULT_RTX_INTERVAL,
-        igmp_config: Optional[IGMPConfig] = None,
-    ) -> None:
-        engine = partial(
-            HPIMDMProtocol,
-            hello_interval=hello_interval,
-            neighbour_hold=neighbour_hold,
-            rtx_interval=rtx_interval,
-            igmp_config=igmp_config,
-        )
-        super().__init__(network, engine)
-
-    def hello_messages(self) -> int:
-        return sum(p.stats.beacons_sent for p in self.protocols.values())
+    def __init__(self, network: Network, igmp_config: Optional[IGMPConfig] = None) -> None:
+        super().__init__(network, partial(HPIMDMProtocol, igmp_config=igmp_config))
 
     def events_total(self) -> int:
         """State changes domain-wide; the quiescence counter."""

@@ -222,8 +222,9 @@ class CBTDomain:
         """Sum of FIB state across all routers (E1 metric)."""
         return sum(p.fib.total_state() for p in self.protocols.values())
 
-    def control_messages_sent(self, exclude_hello: bool = True) -> int:
-        """Total CBT control messages sent domain-wide.
+    def control_messages_sent(self) -> int:
+        """CBT control messages sent domain-wide, HELLOs excluded (ECHO
+        keepalives included).
 
         Sums the counters each protocol's ``ControlStats`` holds —
         they *are* the registry's ``cbt.router.<name>.tx.*``
@@ -231,13 +232,12 @@ class CBTDomain:
         overhead, ``repro stats``) reads the same numbers without a
         pattern query per router.
         """
-        skip = MessageType.HELLO if exclude_hello else None
         return sum(
             [
                 counter.value
                 for protocol in self.protocols.values()
                 for msg_type, counter in protocol.stats.tx.items()
-                if msg_type is not skip
+                if msg_type is not MessageType.HELLO
             ]
         )
 

@@ -199,7 +199,7 @@ class CBTProtocol:
         #: first-use order; :meth:`CBTDomain.events_total` sums them.
         self.event_counters: Dict[str, Counter] = {}
         registry.histogram(f"{prefix}.join_latency")
-        #: The four maintenance tickers, made by the first start; the
+        #: The four maintenance tickers, made by :meth:`start`; the
         #: engine runs while they do.
         self._tickers: List[PeriodicTimer] = []
         #: §5.2 tunnel configuration: when set, per-core interface
@@ -229,39 +229,29 @@ class CBTProtocol:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Begin IGMP querier duty, HELLOs, and maintenance timers; after
-        :meth:`stop`, re-announce and re-arm the maintenance timers."""
-        if self._tickers and self._tickers[0].running:
+        """Begin IGMP querier duty, HELLOs, and maintenance timers; a
+        second call does nothing."""
+        if self._tickers:
             return
-        if not self._tickers:
-            # First start.  IGMP is not ours to stop, so it starts once.
-            self.igmp.start()
-            scheduler = self.router.scheduler
-            self._tickers = [
-                PeriodicTimer(scheduler, interval, tick)
-                for interval, tick in (
-                    (self.timers.hello_interval, self._hello_tick),
-                    (self.timers.echo_interval, self._echo_tick),
-                    (self.timers.child_assert_interval, self._child_assert_tick),
-                    (self.timers.iff_scan_interval, self._iff_scan_tick),
-                )
-            ]
+        self.igmp.start()
+        scheduler = self.router.scheduler
+        self._tickers = [
+            PeriodicTimer(scheduler, interval, tick)
+            for interval, tick in (
+                (self.timers.hello_interval, self._hello_tick),
+                (self.timers.echo_interval, self._echo_tick),
+                (self.timers.child_assert_interval, self._child_assert_tick),
+                (self.timers.iff_scan_interval, self._iff_scan_tick),
+            )
+        ]
         # Two quick HELLOs so neighbours learn us fast, then periodic.
         self._send_hellos()
-        self.router.scheduler.call_later(1.0, self._send_hellos)
-        self._hello_ticks = 0
+        scheduler.call_later(1.0, self._send_hellos)
         self._lans_up = sum(
             1 << index for index, i in enumerate(self.router.lan_interfaces) if i._up
         )
         for ticker in self._tickers:
             ticker.start()
-
-    def stop(self) -> None:
-        """Silence the maintenance timers (HELLO, echo, child-assert,
-        interface scan) until the next :meth:`start`; IGMP keeps
-        running."""
-        for ticker in self._tickers:
-            ticker.stop()
 
     # ------------------------------------------------------------------
     # public queries

@@ -84,13 +84,15 @@ class Leg:
     that domain: ``activity`` (a counter flat while the protocol is
     quiet), ``settled`` (its own convergence oracle), ``findings`` (why
     a settled run is still wrong), ``control`` (control messages sent,
-    keepalives excluded) and ``census(domain, group) -> (state_total,
-    routers_with_state)``.  The explorer's: ``transition(domain,
-    check_loops)`` the hard invariants checked after every explored
-    transition, ``convergence(world)`` the end-state oracle on the
-    settled explorer world (both return findings; any finding is a
-    violation), ``fingerprint(domain)`` the pruning hash, and
-    ``quiet_types`` the delivery types never worth branching."""
+    as each engine counts them: the cbt row skips only HELLOs, so its
+    ECHO keepalives count; the dense rows skip their probes and hellos)
+    and ``census(domain, group) -> (state_total, routers_with_state)``.
+    The explorer's: ``transition(domain, check_loops)`` the hard
+    invariants checked after every explored transition,
+    ``convergence(world)`` the end-state oracle on the settled explorer
+    world (both return findings; any finding is a violation),
+    ``fingerprint(domain)`` the pruning hash, and ``quiet_types`` the
+    delivery types never worth branching."""
 
     build: Callable[..., Tuple[Any, IPv4Address]]
     audited: bool
@@ -168,18 +170,14 @@ LEGS: Dict[str, Leg] = {
         fingerprint=DVMRPDomain.fingerprint,
         quiet_types=("Probe",) + _IGMP_TYPES,
     ),
-    # Hard state, failure detection tuned to CBT's §9 budget (hellos at
-    # the ECHO interval, hold at the ECHO timeout); settled once the
-    # election census is clean and every advertisement acknowledged.
-    # A search's budget goes to the election handshakes, not the hellos.
+    # Hard state, failure detection on CBT's §9 budget (the engine's
+    # one profile: hellos at the ECHO interval, hold at the ECHO
+    # timeout); settled once the election census is clean and every
+    # advertisement acknowledged.  A search's budget goes to the
+    # election handshakes, not the hellos.
     "hpimdm": Leg(
         build=lambda network, members, cores, **timing: build_hpimdm_group(
-            network,
-            members,
-            hello_interval=FAST_TIMERS.echo_interval,
-            neighbour_hold=FAST_TIMERS.echo_timeout,
-            rtx_interval=FAST_TIMERS.pend_join_interval / 2,
-            **timing,
+            network, members, **timing
         ),
         audited=False,
         activity=HPIMDMDomain.events_total,
@@ -317,9 +315,10 @@ class ProtocolOutcome(Fingerprinted):
     recovered: bool
     #: Sim seconds from the last fault action to quiescence.
     recovery_time: float
-    #: Control messages sent from first fault until quiescence
-    #: (periodic keepalives — ECHOs, probes, hellos — excluded by each
-    #: engine's own accounting).
+    #: Control messages sent from first fault until quiescence, the
+    #: leg row's ``control`` count: CBT's includes its ECHO keepalives
+    #: (HELLOs excluded), DVMRP's and HPIM-DM's exclude their probes
+    #: and hellos.
     control_cost: int
     delivery_before: float
     delivery_after: float

@@ -112,29 +112,18 @@ def build_dvmrp_group(
 def build_hpimdm_group(
     network: Network,
     members: Sequence[str],
-    group: Optional[IPv4Address] = None,
-    hello_interval: float = 1.0,
-    neighbour_hold: float = 3.5,
-    rtx_interval: float = 0.5,
     settle_time: float = SETTLE_TIME,
     join_spacing: float = 0.05,
-    domain: Optional[HPIMDMDomain] = None,
 ) -> Tuple[HPIMDMDomain, IPv4Address]:
     """Stand up a hard-state HPIM-DM domain and join ``members``.
 
-    The default timers are scenario-fast (1 s hellos) so neighbour
-    discovery completes inside the standard settle window; tree state
-    itself is hard and never expires, so no further scaling is needed.
+    The engine runs its one timer profile (3 s hellos, 9 s hold: CBT's
+    ECHO budget at ``FAST_TIMERS``); its first hellos go out at start,
+    so neighbour discovery completes inside the standard settle window,
+    and tree state is hard and never expires.
     """
-    make = partial(
-        HPIMDMDomain,
-        network,
-        hello_interval=hello_interval,
-        neighbour_hold=neighbour_hold,
-        rtx_interval=rtx_interval,
-        igmp_config=FAST_IGMP,
-    )
-    return _stand_up(domain, make, members, group, settle_time, join_spacing)
+    make = partial(HPIMDMDomain, network, igmp_config=FAST_IGMP)
+    return _stand_up(None, make, members, None, settle_time, join_spacing)
 
 
 def _stand_up(domain, make, members, group, settle_time, join_spacing=0.05, cores=None):

@@ -80,6 +80,10 @@ from repro.telemetry import Telemetry
 
 _INF = float("inf")
 
+#: Events one :meth:`Scheduler.run` call fires before it raises: the
+#: runaway guard against a protocol livelock.
+MAX_EVENTS = 10_000_000
+
 
 class SchedulerError(Exception):
     """Raised on invalid scheduler operations (e.g. scheduling in the
@@ -376,13 +380,13 @@ class Scheduler:
         if timer.tag is not None:
             self._tagged.pop(timer, None)
 
-    def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> float:
+    def run(self, until: Optional[float] = None) -> float:
         """Run events in time order.
 
-        Stops when the queue drains, when the next event lies beyond
-        ``until`` (time advances to ``until`` in that case), or after
-        ``max_events`` events as a runaway guard.  Returns the final
-        simulation time.
+        Stops when the queue drains or when the next event lies beyond
+        ``until`` (time advances to ``until`` in that case); raises
+        after :data:`MAX_EVENTS` events, a runaway guard.  Returns the
+        final simulation time.
 
         The cyclic collector is paused for the duration and handed back
         as it was found: the loop and the protocols it drives free
@@ -397,6 +401,7 @@ class Scheduler:
         if until != until:
             raise SchedulerError(f"cannot run until t={until!r}: not a number")
         processed = 0
+        limit = MAX_EVENTS
         heappop = heapq.heappop
         queue = self._queue
         slots = self._slots
@@ -425,17 +430,17 @@ class Scheduler:
                             self._tagged.pop(slot, None)
                         slot.callback(*slot.args)
                         processed += 1
-                        if processed >= max_events:
+                        if processed >= limit:
                             raise SchedulerError(
-                                f"exceeded max_events={max_events}; likely a protocol loop"
+                                f"exceeded MAX_EVENTS={limit}; likely a protocol loop"
                             )
                         continue
                     # Drain a tie group; what it schedules for its own
                     # instant joins the same deque.  A raising callback,
-                    # a ``max_events`` stop or a hook a callback installs
+                    # a ``MAX_EVENTS`` stop or a hook a callback installs
                     # leaves the rest in the slot.
                     if self.choice_hook is not None:
-                        processed = self._run_tied(time, slot, processed, max_events)
+                        processed = self._run_tied(time, slot, processed, limit)
                     while slot and self.choice_hook is None:
                         timer = slot.popleft()
                         if timer.cancelled:
@@ -448,9 +453,9 @@ class Scheduler:
                             self._tagged.pop(timer, None)
                         timer.callback(*timer.args)
                         processed += 1
-                        if processed >= max_events:
+                        if processed >= limit:
                             raise SchedulerError(
-                                f"exceeded max_events={max_events}; likely a protocol loop"
+                                f"exceeded MAX_EVENTS={limit}; likely a protocol loop"
                             )
                     # Spent: off the queue — unless a callback that ran
                     # this scheduler itself did that already (and maybe
@@ -465,7 +470,7 @@ class Scheduler:
         return self._now
 
     def _run_tied(
-        self, time: float, slot: Deque[Timer], processed: int, max_events: int
+        self, time: float, slot: Deque[Timer], processed: int, limit: int
     ) -> int:
         """Fire the tie group due at ``time``, the instant's ``slot``,
         under ``choice_hook``: the hook picks which live member goes
@@ -481,7 +486,7 @@ class Scheduler:
 
         Whatever has not fired when the group ends early — the hook
         raised or returned an index out of range, a callback raised,
-        ``max_events`` tripped, or a callback took the hook away — is
+        ``MAX_EVENTS`` tripped, or a callback took the hook away — is
         still in the slot: it stays pending and fires in FIFO order
         next.
         """
@@ -507,9 +512,9 @@ class Scheduler:
                 self._tagged.pop(timer, None)
             timer.callback(*timer.args)
             processed += 1
-            if processed >= max_events:
+            if processed >= limit:
                 raise SchedulerError(
-                    f"exceeded max_events={max_events}; likely a protocol loop"
+                    f"exceeded MAX_EVENTS={limit}; likely a protocol loop"
                 )
         return processed
 

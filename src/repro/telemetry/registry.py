@@ -47,7 +47,6 @@ import re
 from bisect import bisect_left
 from fnmatch import translate
 from itertools import islice
-from math import isfinite
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -193,7 +192,8 @@ class Counter:
 
 
 class Histogram:
-    """Cumulative-style histogram over fixed bucket boundaries.
+    """Cumulative-style histogram over the :data:`DEFAULT_BUCKETS`
+    boundaries.
 
     ``bucket_counts[i]`` counts observations ``<= bounds[i]`` exclusive
     of earlier buckets (i.e. per-bucket, not cumulative, in memory);
@@ -202,22 +202,12 @@ class Histogram:
     ``sum(bucket_counts) == count`` is a checkable conservation law.
     """
 
-    __slots__ = ("name", "bounds", "bucket_counts", "count", "sum")
+    __slots__ = ("name", "bucket_counts", "count", "sum")
 
-    def __init__(self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        bounds = tuple(bounds)
-        if bounds is not DEFAULT_BUCKETS and not (
-            bounds
-            and all(map(isfinite, bounds))
-            and all(low < high for low, high in zip(bounds, bounds[1:]))
-        ):
-            # A repeated bound would share its ``le_`` snapshot key with
-            # the first, and the snapshot would lose a bucket's count.
-            raise ValueError(
-                f"histogram bounds must be finite, strictly increasing and non-empty: {bounds}"
-            )
+    bounds = DEFAULT_BUCKETS
+
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.bounds: Tuple[float, ...] = bounds
         self.bucket_counts: List[int] = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.sum: float = 0.0
@@ -412,12 +402,10 @@ class MetricsRegistry:
                 out[prefix] = last_reader(obj)
         return out
 
-    def histogram(
-        self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         histogram = self._histograms.get(name)
         if histogram is None:
-            histogram = Histogram(name, bounds)
+            histogram = Histogram(name)
             self._histograms[name] = histogram
         return histogram
 

@@ -12,7 +12,7 @@ there.
   of Dynamic Multicast Routing Algorithms" (superposed over hosts,
   aggregate arrivals are Poisson).
 * :func:`pareto_onoff_churn` — Pareto OFF and ON durations
-  (``shape`` < 2 gives infinite variance): the heavy-tailed on/off
+  (tail index :data:`PARETO_SHAPE` < 2: infinite variance): the heavy-tailed on/off
   construction whose superposition is self-similar (Willinger et al.),
   i.e. burstiness persists across time scales instead of smoothing
   out.
@@ -32,6 +32,11 @@ from typing import Callable, List, Sequence
 
 from repro.harness.workload import ChurnEvent, ChurnSchedule
 from repro.netsim.faults import derive_seed
+
+#: The Pareto tail index alpha of :func:`pareto_onoff_churn`: the classic
+#: self-similar construction's ``1 < alpha < 2`` (finite mean, infinite
+#: variance).
+PARETO_SHAPE = 1.5
 
 
 def _session_churn(
@@ -103,24 +108,17 @@ def pareto_onoff_churn(
     duration: float,
     mean_off: float = 10.0,
     mean_hold: float = 20.0,
-    shape: float = 1.5,
     seed: int = 0,
     start: float = 0.0,
 ) -> ChurnSchedule:
     """Self-similar churn: Pareto OFF gaps and Pareto session holds.
 
-    ``shape`` is the Pareto tail index alpha; the classic self-similar
-    construction uses ``1 < alpha < 2`` (finite mean, infinite
-    variance), which makes the superposed membership process bursty at
-    every time scale.  The scale parameter is chosen so the mean OFF /
-    ON durations equal ``mean_off`` / ``mean_hold``, making schedules
-    directly comparable with :func:`poisson_churn` at identical
-    parameters.
+    The tail index is :data:`PARETO_SHAPE`, which makes the superposed
+    membership process bursty at every time scale.  The scale parameter
+    is chosen so the mean OFF / ON durations equal ``mean_off`` /
+    ``mean_hold``, making schedules directly comparable with
+    :func:`poisson_churn` at identical parameters.
     """
-    if not shape > 1.0:
-        raise ValueError(
-            f"shape must be > 1 for a finite mean, got {shape}"
-        )
     if mean_off <= 0 or mean_hold <= 0:
         raise ValueError(
             f"mean_off and mean_hold must be positive, got "
@@ -128,6 +126,7 @@ def pareto_onoff_churn(
         )
     # random.Random.paretovariate(a) >= 1 with mean a / (a - 1); scale
     # by x_m = mean * (a - 1) / a so the sample mean is ``mean``.
+    shape = PARETO_SHAPE
     scale_off = mean_off * (shape - 1.0) / shape
     scale_on = mean_hold * (shape - 1.0) / shape
     return _session_churn(

@@ -63,15 +63,14 @@ class FromScratchIndex:
         return getattr(self._domain, name)
 
 
-def control_messages_sent(domain, exclude_hello: bool = True) -> int:
-    """One ``cbt.router.<name>.tx.*`` pattern read per router."""
+def control_messages_sent(domain) -> int:
+    """One ``cbt.router.<name>.tx.*`` pattern read per router, less its
+    HELLOs."""
     registry = domain.telemetry.registry
     total = 0
     for name in domain.protocols:
         prefix = f"cbt.router.{name}.tx."
-        total += registry.total(prefix + "*")
-        if exclude_hello:
-            total -= registry.value(prefix + "hello")
+        total += registry.total(prefix + "*") - registry.value(prefix + "hello")
     return int(total)
 
 

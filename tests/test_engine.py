@@ -8,6 +8,7 @@ import weakref
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.netsim import engine
 from repro.netsim.engine import PeriodicTimer, Scheduler, SchedulerError
 from repro.netsim.node import Node
 from repro.netsim.packet import IPDatagram, PROTO_UDP
@@ -163,15 +164,17 @@ class TestScheduler:
         # the clock never goes back to an instant already left.
         assert self.run_nested(lambda time, tags: 0) == self.NESTED_ORDER
 
-    def test_max_events_guard_trips_on_livelock(self):
+    def test_max_events_guard_trips_on_livelock(self, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_EVENTS", 100)
         sched = Scheduler()
 
         def loop():
             sched.call_later(0.0, loop)
 
         sched.call_later(0.0, loop)
-        with pytest.raises(SchedulerError):
-            sched.run(max_events=100)
+        with pytest.raises(SchedulerError, match="MAX_EVENTS=100"):
+            sched.run()
+        assert sched.events_processed == 100
 
     def test_events_processed_counter(self):
         sched = Scheduler()
@@ -630,7 +633,8 @@ class TestCollectorHandBack:
             sched.run_until_idle()
         assert gc.isenabled()
 
-    def test_restored_when_max_events_trips(self):
+    def test_restored_when_max_events_trips(self, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_EVENTS", 10)
         sched = Scheduler()
 
         def loop():
@@ -638,7 +642,7 @@ class TestCollectorHandBack:
 
         sched.call_later(0.0, loop)
         with pytest.raises(SchedulerError):
-            sched.run(max_events=10)
+            sched.run()
         assert gc.isenabled()
 
     def test_nested_run_returns_to_a_still_paused_outer_loop(self):
@@ -816,8 +820,9 @@ class ReferenceScheduler:
     def call_later(self, delay, callback, *args):
         return self.call_at(self.now + delay, callback, *args)
 
-    def run(self, until, max_events=10_000_000):
+    def run(self, until):
         processed = 0
+        max_events = engine.MAX_EVENTS
         while self.queue and self.queue[0].key[0] <= until:
             time = self.queue[0].key[0]
             tied = [timer for timer in self.queue if timer.key[0] == time]
@@ -831,7 +836,7 @@ class ReferenceScheduler:
             timer.callback(*timer.args)
             processed += 1
             if processed >= max_events:
-                raise SchedulerError(f"exceeded max_events={max_events}")
+                raise SchedulerError(f"exceeded MAX_EVENTS={max_events}")
         self.now = max(self.now, until)
 
 
@@ -876,7 +881,7 @@ class ScriptedWorld:
     def apply(self, op):
         """``(kind, value, extra)``: ``later``/``at`` take a span and
         the new event's follow-up op, ``run`` a span and a
-        ``max_events`` (None: no limit), ``cancel`` and ``restart`` an
+        ``MAX_EVENTS`` for that run (None: the default), ``cancel`` and ``restart`` an
         index into the handles made so far (``restart`` with its delay
         as ``extra``).  An ``at`` event is tagged with its index; a
         ``later`` one is untagged, as the product's delayed calls are,
@@ -885,12 +890,14 @@ class ScriptedWorld:
         scheduler = self.scheduler
         tag = ("e", len(self.timers))
         if kind == "run":
+            default = engine.MAX_EVENTS
+            engine.MAX_EVENTS = extra or default
             try:
-                scheduler.run(
-                    until=scheduler.now + value, max_events=extra or 10_000_000
-                )
+                scheduler.run(until=scheduler.now + value)
             except SchedulerError:
                 self.stopped += 1
+            finally:
+                engine.MAX_EVENTS = default
         elif kind == "later":
             self.timers.append(
                 scheduler.call_later(value, self.fire, len(self.timers), extra)
@@ -942,7 +949,7 @@ _OPERATION = st.one_of(
     st.tuples(st.just("at"), _SPANS.map(lambda span: span * 4), _FOLLOW_UP),
     st.tuples(st.just("cancel"), _INDEX, st.none()),
     st.tuples(st.just("restart"), _INDEX, _SPANS),
-    # A small ``max_events`` stops a run part-way, also inside a tie group.
+    # A small ``MAX_EVENTS`` stops a run part-way, also inside a tie group.
     st.tuples(st.just("run"), _SPANS, st.none() | st.integers(min_value=1, max_value=4)),
 )
 #: No hook, or one answering from a drawn list of picks.
@@ -963,7 +970,7 @@ _FOUR_TIED = [("later", 1.0, None)] * 4
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_OPERATION, max_size=40), _PICKS)
 # Tie groups under the hook, made sure of: members that schedule
-# zero-delay peers, members that cancel tied peers, and a ``max_events``
+# zero-delay peers, members that cancel tied peers, and a ``MAX_EVENTS``
 # that stops the run with the group half fired.
 @example(
     [("later", 1.0, ("later", 0.0, None))] * 2 + _FOUR_TIED + [("run", 2.0, None)],
@@ -989,7 +996,7 @@ _FOUR_TIED = [("later", 1.0, None)] * 4
     [("at", 0.8, None), ("at", 1.0, None), ("run", 0.79, None), ("at", 1.0, None)],
     None,
 )
-# ``max_events`` stops the run in the middle of a 1,000-event instant.
+# ``MAX_EVENTS`` stops the run in the middle of a 1,000-event instant.
 @example([("later", 0.1, None)] * 1000 + [("run", 1.0, 500)], None)
 # A one-event instant is off the queue before it fires: a follow-up at
 # delay 0 opens its instant afresh, with and without the hook (which a

@@ -904,8 +904,10 @@ def test_one_place_decides_where_a_periodic_hello_goes():
         "start",
     ]
     assert _router_sites(_refers_to("has_live")) == ["_hello_tick"]
-    for state in ("_hello_ticks", "_lans_up"):
-        assert set(_router_sites(_refers_to(state))) == {"__init__", "start", "_hello_tick"}
+    # ``start`` runs once, so only the up-mask needs its first reading
+    # there; the tick count starts at its ``__init__`` zero.
+    assert set(_router_sites(_refers_to("_hello_ticks"))) == {"__init__", "_hello_tick"}
+    assert set(_router_sites(_refers_to("_lans_up"))) == {"__init__", "start", "_hello_tick"}
     others = [
         path.relative_to(SRC).as_posix()
         for path in SRC.rglob("*.py")
@@ -1308,11 +1310,13 @@ def _base_names(class_node):
     return [name for name in map(_name_of, class_node.bases) if name]
 
 
-def _calls(tree, calls, by_value):
+def _calls(tree, calls, by_attribute, by_name):
     """Add each call of one parsed file to ``calls`` (callee name ->
     ``[(positional count, keywords)]``, a count of ``None`` for a
-    ``*args``, a keyword ``None`` for a ``**kwargs``) and each name it
-    reads other than as a callee to ``by_value``."""
+    ``*args``, a keyword ``None`` for a ``**kwargs``), and each name it
+    reads other than as a callee to ``by_attribute`` when read as an
+    attribute (``x.name``) or a dotted part of a ``str`` constant, to
+    ``by_name`` when read as a bare name."""
     prose = _prose(tree)
     not_values = set()  # ids of callees, attribute bases, annotations, class bases
 
@@ -1359,15 +1363,17 @@ def _calls(tree, calls, by_value):
     for node in ast.walk(tree):
         if id(node) in not_values:
             continue
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
-            by_value.add(_name_of(node))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            by_name.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            by_attribute.add(node.attr)
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and "." in node.value
             and id(node) not in prose
         ):
-            by_value.update(part for part in node.value.split(".") if _IDENTIFIER.match(part))
+            by_attribute.update(part for part in node.value.split(".") if _IDENTIFIER.match(part))
 
 
 def _constructor_names(classes):
@@ -1422,14 +1428,16 @@ def _defaulted(function, method):
 def unpassed_knobs(src=SRC):
     """``module.qualname(param)`` of each defaulted parameter of a
     ``src/repro`` function or method that no call outside ``tests/``
-    passes, nor reads the function by value."""
+    passes, nor reads the function by value: a method only as an
+    attribute or a dotted string part, a module-level function or class
+    also as a bare name."""
     repo = src.parents[1]
     code = sorted(src.rglob("*.py"))
     others = [path for root in ("benchmarks", "examples") for path in (repo / root).rglob("*.py")]
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in code + others}
-    calls, by_value = {}, set()
+    calls, by_attribute, by_name = {}, set(), set()
     for tree in trees.values():
-        _calls(tree, calls, by_value)
+        _calls(tree, calls, by_attribute, by_name)
     classes = {
         node.name: node
         for path in code
@@ -1450,11 +1458,15 @@ def unpassed_knobs(src=SRC):
         for function, owner in scopes:
             if not isinstance(function, functions):
                 continue
-            if owner and function.name in ("__init__", "__new__"):
+            constructor = owner and function.name in ("__init__", "__new__")
+            if constructor:
                 callees = constructors.get((owner, function.name), {owner})
             else:
                 callees = {function.name}
-            if callees & by_value:
+            # A bare name is a module-level function or class, or a
+            # local spelled like a method: it never reads a method.
+            module_level = constructor or owner is None
+            if callees & by_attribute or (module_level and callees & by_name):
                 continue
             sites = [site for callee in callees for site in calls.get(callee, ())]
             qualname = f"{owner}.{function.name}" if owner else function.name
@@ -1487,7 +1499,9 @@ def test_every_knob_has_a_caller_outside_the_tests():
 def test_the_knob_scan_credits_what_a_call_can_pass(tmp_path):
     """An unpassed default is reported; a ``partial`` keyword, a
     ``super().__init__`` argument and a read by value credit a
-    parameter; a call only ``tests/`` makes credits nothing."""
+    parameter; a call only ``tests/`` makes credits nothing.  A method
+    is read by value only as an attribute: a local variable spelled
+    like it credits nothing."""
     package = tmp_path / "src" / "repro"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
@@ -1498,6 +1512,12 @@ def test_the_knob_scan_credits_what_a_call_can_pass(tmp_path):
         "class Shape:\n"
         "    def __init__(self, sides=3, colour=None):\n"
         "        self.sides = sides\n"
+        "\n"
+        "    def grow(self, by=1):\n"
+        "        return self\n"
+        "\n"
+        "    def paint(self, colour=None):\n"
+        "        return self\n"
         "\n"
         "\n"
         "class Square(Shape):\n"
@@ -1520,7 +1540,8 @@ def test_the_knob_scan_credits_what_a_call_can_pass(tmp_path):
         "def run():\n"
         "    doubled = partial(scale, by=3)\n"
         "    square = Square()\n"
-        "    return doubled(square), [tint]\n"
+        "    grow = 2\n"
+        "    return doubled(square), [tint], square.paint, grow\n"
     )
     tests = tmp_path / "tests"
     tests.mkdir()
@@ -1533,6 +1554,7 @@ def test_the_knob_scan_credits_what_a_call_can_pass(tmp_path):
     )
     assert unpassed_knobs(src=package) == {
         "shapes.Shape.__init__(colour)",
+        "shapes.Shape.grow(by)",
         "shapes.Square.__init__(size)",
         "shapes.scale(factor)",
         "shapes.draw(width)",

@@ -17,13 +17,17 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import group_address
 from repro.baselines.hpimdm import (
     ALL_HPIM_ROUTERS,
+    HELLO_INTERVAL,
     INFINITE_METRIC,
+    NEIGHBOUR_HOLD,
     PROTO_HPIM,
+    RTX_INTERVAL,
     HPIMDMDomain,
     HpimHello,
 )
 from repro.harness.scenarios import (
     FAST_IGMP,
+    FAST_TIMERS,
     build_hpimdm_group,
     pick_members,
     send_data,
@@ -50,6 +54,16 @@ def delivered_counts(network, members, uids):
 
 def quiesce(network, seconds=12.0):
     network.run(until=network.scheduler.now + seconds)
+
+
+def test_the_timer_profile_is_cbts_liveness_budget():
+    """The comparator's one profile is CBT's §9 ECHO budget at the
+    cells' scale, so the two protocols detect a dead neighbour on the
+    same clock: hellos at the ECHO interval, a neighbour held for the
+    ECHO timeout, retransmits at half the pending-join interval."""
+    assert HELLO_INTERVAL == FAST_TIMERS.echo_interval
+    assert NEIGHBOUR_HOLD == FAST_TIMERS.echo_timeout
+    assert RTX_INTERVAL == FAST_TIMERS.pend_join_interval / 2
 
 
 class TestDelivery:
@@ -86,11 +100,11 @@ class TestHardState:
         assert domain.pending_total() == 0
         control = domain.control_messages()
         events = domain.events_total()
-        hellos = domain.hello_messages()
+        hellos = domain.beacons_sent()
         network.run(until=network.scheduler.now + 100.0)
         assert domain.control_messages() == control
         assert domain.events_total() == events
-        assert domain.hello_messages() > hellos  # the one periodic message
+        assert domain.beacons_sent() > hellos  # the one periodic message
 
     def test_prune_then_graft(self):
         network = build_figure1()
@@ -211,9 +225,9 @@ class TestNeighbourFlap:
         domain, group = build_hpimdm_group(network, members)
         # First packet kicks the elections off...
         send_data(network, "B", group, count=1)
-        # ...then S2 (R1/R2/R3) drops for > neighbour_hold mid-flight.
+        # ...then S2 (R1/R2/R3) drops for > the hold mid-flight.
         network.fail_link("S2")
-        network.run(until=network.scheduler.now + 5.0)
+        network.run(until=network.scheduler.now + NEIGHBOUR_HOLD + 1.5)
         network.restore_link("S2")
         quiesce(network, seconds=15.0)
         assert domain.election_findings() == []
@@ -230,7 +244,7 @@ class TestNeighbourFlap:
         domain, group = build_hpimdm_group(network, members)
         send_data(network, "B", group, count=1)
         network.fail_router("R3")
-        network.run(until=network.scheduler.now + 5.0)
+        network.run(until=network.scheduler.now + NEIGHBOUR_HOLD + 1.5)
         network.restore_router("R3")
         quiesce(network, seconds=15.0)
         assert domain.election_findings() == []
@@ -256,10 +270,13 @@ class TestRestartedNeighbour:
     (T, G), and X's own assert for (S, G) goes to Y.
     """
 
+    #: When the gate goes on: right after Y's hello of that tick.
+    GATED = 2 * HELLO_INTERVAL
+
     def _world(self, gated):
         """The settled world with every ``gated`` message Y sends onto
-        ``lan`` dropped from t=5 on; returns it and when X last heard
-        Y's hello."""
+        ``lan`` dropped from :attr:`GATED` on; returns it and when X
+        last heard Y's hello."""
         network = Network()
         x, y, z = (network.add_router(name) for name in ("X", "Y", "Z"))
         network.add_host("S", network.add_subnet("s_lan", [z]))
@@ -269,26 +286,22 @@ class TestRestartedNeighbour:
         network.add_p2p("zx", z, x)
         network.add_p2p("zy", z, y)
         network.converge()
-        domain = HPIMDMDomain(
-            network,
-            hello_interval=1.0,
-            neighbour_hold=3.5,
-            rtx_interval=0.5,
-            igmp_config=FAST_IGMP,
-        )
+        domain = HPIMDMDomain(network, igmp_config=FAST_IGMP)
         domain.start()
         group = group_address(0)
-        network.run(until=3.0)
+        network.run(until=HELLO_INTERVAL)
         domain.join_host("M", group)
-        network.run(until=5.0)
+        network.run(until=self.GATED)
         y_lan = y.interface_on(lan.network)
         lan.gate = lambda link, sender, datagram: not (
             sender is y_lan and payload_label(datagram) == gated
         )
         for host in ("S", "T"):
-            network.scheduler.call_at(5.5, send_one, network.host(host), group, 64, [])
-        network.run(until=5.5)
-        heard = 5.0 + lan.delay  # Y's last hello before the gate
+            network.scheduler.call_at(
+                self.GATED + 0.5, send_one, network.host(host), group, 64, []
+            )
+        network.run(until=self.GATED + 0.5)
+        heard = self.GATED + lan.delay  # Y's last hello before the gate
         return network, domain, x.interface_on(lan.network), y_lan.address, heard
 
     def _held_from(self, protocol, address):
@@ -365,12 +378,15 @@ class TestRestartedNeighbour:
         assert self._held_from(protocol, y) == ([], [], asserts)
 
     def test_restart_after_the_hold_before_the_sweep(self):
-        # Y's hellos are dropped: at heard + 3.75 its record is past the
-        # hold but X's next sweep (heard + 4) has not run.  ``zx`` fails
-        # at the same instant, so the flush's re-evaluation moves X's
-        # upstream for S onto ``lan`` and withdraws X's assert there.
+        # Y's hellos are dropped: a quarter second past the hold its
+        # record is stale but X's next sweep (its hello tick after that)
+        # has not run.  ``zx`` fails at the same instant, so the flush's
+        # re-evaluation moves X's upstream for S onto ``lan`` and
+        # withdraws X's assert there.
         network, domain, x_lan, y, heard = self._world("HpimHello")
-        network.run(until=heard + 3.75)
+        sweep = self.GATED + (NEIGHBOUR_HOLD // HELLO_INTERVAL + 1) * HELLO_INTERVAL
+        assert heard + NEIGHBOUR_HOLD + 0.25 < sweep
+        network.run(until=heard + NEIGHBOUR_HOLD + 0.25)
         protocol = domain.protocol("X")
         s = str(network.host("S").interface.address)
         vif = x_lan.vif

@@ -17,12 +17,7 @@ leg's beacon interval and hold are sums of binary fractions, so
 import pytest
 
 from repro import CBTDomain, group_address
-from repro.baselines.dvmrp import NEIGHBOUR_HOLD, PROBE_INTERVAL, DVMRPDomain
-from repro.baselines.hpimdm import (
-    DEFAULT_HELLO_INTERVAL,
-    DEFAULT_NEIGHBOUR_HOLD,
-    HPIMDMDomain,
-)
+from repro.baselines import dvmrp, hpimdm
 from repro.harness.scenarios import FAST_IGMP, FAST_TIMERS, send_one
 from repro.telemetry import payload_label
 from repro.topology.builder import Network
@@ -49,17 +44,17 @@ LEGS = {
         _cbt_held,
     ),
     "dvmrp": (
-        lambda net: DVMRPDomain(net, igmp_config=FAST_IGMP),
+        lambda net: dvmrp.DVMRPDomain(net, igmp_config=FAST_IGMP),
         "Probe",
-        PROBE_INTERVAL,
-        NEIGHBOUR_HOLD,
+        dvmrp.PROBE_INTERVAL,
+        dvmrp.NEIGHBOUR_HOLD,
         _dense_held,
     ),
     "hpimdm": (
-        lambda net: HPIMDMDomain(net, igmp_config=FAST_IGMP),
+        lambda net: hpimdm.HPIMDMDomain(net, igmp_config=FAST_IGMP),
         "HpimHello",
-        DEFAULT_HELLO_INTERVAL,
-        DEFAULT_NEIGHBOUR_HOLD,
+        hpimdm.HELLO_INTERVAL,
+        hpimdm.NEIGHBOUR_HOLD,
         _dense_held,
     ),
 }

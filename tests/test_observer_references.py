@@ -83,10 +83,7 @@ def assert_matches_reference(domain, now=None):
     assert check_conservation(network, domain) == (
         reference_sweeps.check_conservation(network, domain)
     )
-    for exclude_hello in (True, False):
-        assert domain.control_messages_sent(exclude_hello) == (
-            reference_sweeps.control_messages_sent(domain, exclude_hello)
-        )
+    assert domain.control_messages_sent() == reference_sweeps.control_messages_sent(domain)
     return findings
 
 

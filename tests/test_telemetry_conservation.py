@@ -123,10 +123,7 @@ class TestControlCountAgreement:
 
     def test_domain_totals_agree(self):
         domain = self._domain_after_faults()
-        for exclude_hello in (True, False):
-            assert domain.control_messages_sent(
-                exclude_hello=exclude_hello
-            ) == reference_sweeps.control_messages_sent(domain, exclude_hello)
+        assert domain.control_messages_sent() == reference_sweeps.control_messages_sent(domain)
         assert domain.control_messages_sent() > 0
 
     def test_per_type_overheads_agree(self):
@@ -154,8 +151,9 @@ class TestControlCountAgreement:
         from repro.cli import _run_figure1
 
         net, domain, _group, _members = _run_figure1()
-        sent = domain.control_messages_sent(exclude_hello=False)
-        assert sent > 0
+        hellos = domain.telemetry.registry.total("cbt.router.*.tx.hello")
+        sent = domain.control_messages_sent() + hellos
+        assert sent > 0 and hellos > 0
         assert check_conservation(net, domain) == []
         assert trace_overhead(net.trace).control_messages == sent
 
@@ -170,7 +168,8 @@ class TestControlCountAgreement:
             for msg_type in MessageType
         )
         assert trace_overhead(network.trace).control_messages == on_wire
-        assert on_wire < domain.control_messages_sent(exclude_hello=False)
+        hellos = registry.total("cbt.router.*.tx.hello")
+        assert on_wire < domain.control_messages_sent() + hellos
 
 
 class TestSnapshotDeterminism:

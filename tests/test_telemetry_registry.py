@@ -18,20 +18,15 @@ class TestInstruments:
         assert counter.value == 4
 
     def test_histogram_buckets(self):
-        histogram = Histogram("h", bounds=(1.0, 2.0))
-        for value in (0.5, 1.0, 1.5, 5.0):
+        histogram = Histogram("h")
+        for value in (0.5, 1.0, 1.5, 2.5, 50.0):
             histogram.observe(value)
-        assert histogram.bucket_counts == [2, 1, 1]
-        assert histogram.count == 4
-        assert histogram.sum == pytest.approx(8.0)
-
-    def test_histogram_rejects_unsorted_bounds(self):
-        # A repeated bound would share its ``le_`` snapshot key, so the
-        # snapshot's buckets would no longer sum to its count.
-        inf, nan = float("inf"), float("nan")
-        for bounds in [(2.0, 1.0), (), (1.0, 1.0, 2.0), (1.0, 2.0, 2.0), (1.0, inf), (nan,)]:
-            with pytest.raises(ValueError):
-                Histogram("h", bounds=bounds)
+        one, two_and_a_half = DEFAULT_BUCKETS.index(1.0), DEFAULT_BUCKETS.index(2.5)
+        assert histogram.bucket_counts[one - 1 : one + 1] == [1, 1]
+        assert histogram.bucket_counts[two_and_a_half] == 2
+        assert histogram.bucket_counts[-1] == 1
+        assert sum(histogram.bucket_counts) == histogram.count == 5
+        assert histogram.sum == pytest.approx(55.5)
 
     def test_default_buckets_sorted(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
@@ -62,13 +57,14 @@ class TestRegistry:
     def test_snapshot_expands_histograms(self):
         registry = MetricsRegistry()
         registry.counter("c").inc()
-        registry.histogram("h", bounds=(1.0,)).observe(0.5)
+        registry.histogram("h").observe(0.75)
         snap = registry.snapshot()
         assert snap["c"] == 1
         assert snap["h.count"] == 1
-        assert snap["h.sum"] == pytest.approx(0.5)
+        assert snap["h.sum"] == pytest.approx(0.75)
         assert snap["h.le_1"] == 1
-        assert snap["h.le_inf"] == 0
+        assert snap["h.le_0.5"] == snap["h.le_inf"] == 0
+        assert len([key for key in snap if key.startswith("h.le_")]) == len(DEFAULT_BUCKETS) + 1
         assert list(snap) == sorted(snap)
 
     def test_diff_and_merge(self):

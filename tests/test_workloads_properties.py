@@ -39,7 +39,7 @@ except ImportError:  # pragma: no cover - hypothesis ships in the image
 
 from repro.harness.workload import VALID_ACTIONS
 from repro.workloads.flashcrowd import FlashCrowdConfig, generate_flash_crowd
-from repro.workloads.processes import pareto_onoff_churn, poisson_churn
+from repro.workloads.processes import PARETO_SHAPE, pareto_onoff_churn, poisson_churn
 
 pytestmark = pytest.mark.skipif(
     not HAVE_HYPOTHESIS, reason="hypothesis not installed"
@@ -189,7 +189,6 @@ def test_pareto_gaps_share_mean_but_sit_on_lower_median():
         duration=200.0,
         mean_off=10.0,
         mean_hold=10.0,
-        shape=1.5,
         seed=11,
     )
     gaps = _off_gaps(schedule)
@@ -200,7 +199,8 @@ def test_pareto_gaps_share_mean_but_sit_on_lower_median():
     # The sample mean converges too slowly under an infinite-variance
     # tail to pin tightly (that burstiness is the point of the
     # process), so the median carries the discrimination.
-    expected_median = (10.0 / 3.0) * 2 ** (1 / 1.5)
+    assert PARETO_SHAPE == 1.5
+    expected_median = (10.0 / 3.0) * 2 ** (1 / PARETO_SHAPE)
     assert median == pytest.approx(expected_median, rel=0.15)
     assert median < 6.0  # clearly below exponential's 6.93
     # Heavy tail: the largest draw dwarfs the median by an order of
