@@ -119,7 +119,6 @@ class DVMRPStats:
     grafts_sent: int = 0
     beacons_sent: int = 0
     rpf_drops: int = 0
-    pruned_drops: int = 0
 
     def control_messages(self) -> int:
         return self.prunes_sent + self.grafts_sent
@@ -275,7 +274,6 @@ class DVMRPProtocol(DenseModeProtocol):
                 continue  # truncated broadcast: silent leaf LAN
             pruned = entry.active_prunes(interface.vif, now)
             if downstream_routers and downstream_routers <= pruned and not has_members:
-                self.stats.pruned_drops += 1
                 continue
             self.stats.data_forwards += 1
             forwarded_anywhere = True

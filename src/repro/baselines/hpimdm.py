@@ -24,9 +24,12 @@ measure the trade-off the paper argues about:
 * **reliable synchronisation**: every Assert/Interest carries a
   per-router sequence number, is acknowledged per neighbour
   (``HpimAck``), and is retransmitted until every live neighbour has
-  acknowledged it or is declared dead.  A rebooting or newly appeared
-  neighbour (fresh generation id in its hello) triggers a full
-  re-advertisement of link state — synchronisation on neighbour *up*;
+  acknowledged it or is declared dead.  A newly appeared neighbour (one
+  the table does not hold, first heard or back after its hold expired)
+  triggers a full re-advertisement of link state — synchronisation on
+  neighbour *up*.  Hellos carry a generation id, but every router keeps
+  generation 1 for life and a crash keeps its protocol state, so a
+  restart shows only as a neighbour silent past the hold;
 * **recovery driven purely by neighbour-failure detection**: when a
   neighbour's hellos stop past the hold time its claims and interests
   are flushed, elections re-run, and interest is recomputed.  There is
@@ -90,7 +93,8 @@ RTX_INTERVAL = 0.5
 
 
 class HpimHello(Record):
-    """Neighbour keepalive; ``gen_id`` changes on restart."""
+    """Neighbour keepalive; ``gen_id`` is the wire field a restart that
+    wiped the router's state would change (always 1 here)."""
 
     gen_id: int
 
@@ -182,7 +186,6 @@ class HPIMStats:
     acks_sent: int = 0
     retransmissions: int = 0
     rpf_drops: int = 0
-    uninterested_drops: int = 0
 
     def control_messages(self) -> int:
         """Hard-state control cost; hellos (the only periodic message)
@@ -252,7 +255,7 @@ class HPIMDMProtocol(DenseModeProtocol):
     ) -> None:
         message = datagram.payload
         if isinstance(message, HpimHello):
-            self._recv_hello(interface, datagram.src, message)
+            self._recv_hello(interface, datagram.src)
         elif isinstance(message, HpimAssert):
             self._recv_assert(interface, datagram.src, message)
         elif isinstance(message, HpimInterest):
@@ -260,18 +263,9 @@ class HPIMDMProtocol(DenseModeProtocol):
         elif isinstance(message, HpimAck):
             self._recv_ack(interface, datagram.src, message)
 
-    def _recv_hello(
-        self, arrival: Interface, src: IPv4Address, hello: HpimHello
-    ) -> None:
+    def _recv_hello(self, arrival: Interface, src: IPv4Address) -> None:
         vif = arrival.vif
-        now = self.router.scheduler.now
-        fresh = self.neighbours.heard(vif, src, now, hello.gen_id)
-        if fresh is None:
-            # Restarted neighbour: its synchronised state is gone.
-            self._neighbour_down(vif, src)
-            self.neighbours.forget(vif, src)
-            self.neighbours.heard(vif, src, now, hello.gen_id)
-        elif not fresh:
+        if not self.neighbours.heard(vif, src, self.router.scheduler.now):
             return
         self.state_changes += 1
         self._sync_link(vif, src)
@@ -636,8 +630,6 @@ class HPIMDMProtocol(DenseModeProtocol):
             if not self.i_am_winner(entry, vif):
                 continue  # another router won this link's election
             if not self._link_wants_data(entry, vif):
-                if self.neighbours.has_live(vif, self.router.scheduler.now):
-                    self.stats.uninterested_drops += 1
                 continue  # hard-pruned link or silent leaf LAN
             self.stats.data_forwards += 1
             interface.send(datagram)

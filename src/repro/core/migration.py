@@ -152,7 +152,6 @@ class MigrationRecord:
     new_cores: Tuple[str, ...]
     forced: bool
     announced_at: float
-    grafted_at: Optional[float] = None
     retired_at: Optional[float] = None
     abandoned: bool = False
     #: Domain-wide control messages when the handover was announced.
@@ -352,7 +351,6 @@ class MigrationCoordinator:
         if record is None:
             return
         if self._graft_confirmed():
-            record.grafted_at = self._scheduler.now
             self._retire()
             return
         self._polls_left -= 1

@@ -184,9 +184,6 @@ class ExploreStats:
     simulations: int = 0
     states_visited: int = 0
     states_pruned: int = 0
-    decisions_expanded: int = 0
-    violations_seen: int = 0
-    depth_reached: int = 0
 
 
 @dataclass
@@ -615,13 +612,11 @@ def explore(
             schedule = pending.pop()
             outcome = evaluate(schedule, limit, visited)
             stats.runs += 1
-            stats.depth_reached = max(stats.depth_reached, len(schedule))
             if outcome.pruned:
                 stats.states_pruned += 1
             if progress is not None:
                 progress(stats.runs, len(pending))
             if outcome.violation is not None:
-                stats.violations_seen += 1
                 counterexample = Counterexample(
                     scenario=scenario.name,
                     schedule=_normalise(outcome.chosen()),
@@ -629,9 +624,7 @@ def explore(
                 )
                 exhausted = False
                 break
-            children = _expansions(schedule, outcome, limit)
-            stats.decisions_expanded += len(children)
-            pending.extend(reversed(children))
+            pending.extend(reversed(_expansions(schedule, outcome, limit)))
         if not exhausted:
             break
     stats.states_visited = len(visited)

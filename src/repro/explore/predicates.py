@@ -11,13 +11,15 @@ protocol transitions.  A predicate carries three things:
   oracle over the domain and filtering by these markers, so a
   predicate flags *exactly* the states the oracle flags — pinned by
   the soundness test in ``tests/test_backward_properties.py``.
-* ``triggers`` — the control-message types named by the predicate's
-  inverse-transition rules (:data:`repro.explore.backward.INVERSE_RULES`).
-  The guided confirmation search branches only at decision points
-  involving these types, which is what lets it reach schedule depths
-  the blind forward DFS cannot afford.
+* ``triggers`` — the control-message types whose loss or reordering
+  can establish the goal: the inverted transitions, written once.  The
+  guided confirmation search (:func:`repro.explore.backward.backward_search`)
+  branches only at decision points involving these types, which is
+  what lets it reach schedule depths the blind forward DFS cannot
+  afford.
 * the prose ``description`` tying the goal back to the §5/§6 protocol
-  machinery it stresses.
+  machinery it stresses, and naming the pre-states the triggers
+  realise.
 
 The catalogue partitions the oracle's finding space: every finding the
 oracle can emit matches exactly one predicate (also pinned by the
@@ -41,8 +43,8 @@ class Predicate:
     description: str
     #: Finding phrases identifying this class in oracle output.
     markers: Tuple[str, ...]
-    #: Message types whose decisions the guided search branches on
-    #: (derived from the predicate's inverse-transition rules).
+    #: Message types whose loss or reordering can establish the goal:
+    #: the backward search branches only at decisions naming one.
     triggers: Tuple[str, ...]
 
     def select(self, findings: Sequence[str]) -> List[str]:
@@ -92,7 +94,9 @@ PREDICATES: Dict[str, Predicate] = {
                 "Parent pointers form a cycle (or a router lists "
                 "itself as its own parent/child): the JOIN/ACK weld "
                 "class — a join terminated on a descendant of its own "
-                "origin and the §6.3 repair failed to unpick it."
+                "origin, the ACK chain welded the cycle (the orderings "
+                "let the origin's subtree state survive until "
+                "termination), and the §6.3 repair failed to unpick it."
             ),
             markers=(
                 "parent pointers form a loop",
@@ -107,7 +111,12 @@ PREDICATES: Dict[str, Predicate] = {
                 "A member LAN has no attached on-tree router: the "
                 "join-establishment chain (JOIN_REQUEST hop-by-hop "
                 "forwarding, JOIN_ACK parent install, §5.3 quit-abort, "
-                "flush re-join) was defeated and no retry recovered."
+                "flush re-join) was defeated and no retry recovered — "
+                "the JOIN_REQUESTs and their §9 retransmissions were "
+                "lost until the pending-join expiry fired, the JOIN_ACK "
+                "that would have installed the attaching router's "
+                "parent was not delivered, or the member's branch was "
+                "flushed and the §6.1 re-join was itself defeated."
             ),
             markers=("no attached on-tree router",),
             triggers=("JOIN_REQUEST", "JOIN_ACK", "FLUSH_TREE"),
@@ -116,9 +125,12 @@ PREDICATES: Dict[str, Predicate] = {
             name="non-core-root",
             description=(
                 "An on-tree subtree is not rooted at a core: a "
-                "QUIT/FLUSH severed an interior edge (or an ACK never "
-                "installed the upstream) and the orphaned subtree's "
-                "§6.1 rejoin never reached a core."
+                "QUIT/FLUSH severed an interior edge while the "
+                "downstream kept children (or an ACK never installed "
+                "the upstream) and the orphaned subtree's §6.1 rejoin "
+                "never reached a core — a flushed subtree root "
+                "exhausted its alternate-core chain without any join "
+                "completing."
             ),
             markers=(
                 "parent chain ends at non-core",
@@ -140,7 +152,9 @@ PREDICATES: Dict[str, Predicate] = {
                 "JOIN-side invariant holds (parent chain intact, LAN "
                 "served), yet the downstream data path is severed — "
                 "an upstream hop lost the matching child pointer, "
-                "typically to a QUIT/ACK crossing a JOIN_ACK install."
+                "typically to a QUIT/ACK crossing a JOIN_ACK install, "
+                "or to a QUIT_ACK confirming a removal the quitter had "
+                "already abandoned (the §5.3 quit-abort re-join)."
             ),
             markers=("data can never arrive",),
             triggers=("JOIN_ACK", "QUIT_REQUEST", "QUIT_ACK"),
@@ -150,7 +164,10 @@ PREDICATES: Dict[str, Predicate] = {
             description=(
                 "A conservation law or state-consistency invariant is "
                 "broken: transient state left behind without a live "
-                "driving timer (the PR-2 stale-state class), "
+                "driving timer (the PR-2 stale-state class: a quit "
+                "retry chain whose QUIT_ACK came after its bookkeeping "
+                "was torn down, a JOIN/NACK interleaving that strands "
+                "a pending entry), "
                 "asymmetric or dangling tree edges, duplicated LAN "
                 "service, or telemetry counter books that no longer "
                 "balance."

@@ -239,8 +239,7 @@ def _execute_explore(params: Dict[str, object]) -> Dict[str, object]:
     options = scenario_options(
         scenario,
         max_decisions=int(params["depth"]),
-        max_alternatives=int(params.get("max_alternatives", 4)),
-        drop_budget=int(params.get("drop_budget", 1)),
+        drop_budget=int(params["drop_budget"]),
     )
     result = explore(scenario, options)
     if result.counterexample is not None:
@@ -288,17 +287,12 @@ def _execute_explore_deep(params: Dict[str, object]) -> Dict[str, object]:
     from repro.explore.scenarios import get_scenario
 
     scenario = get_scenario(str(params["scenario"]))
-    names = params.get("predicates")
-    predicates = (
-        [get_predicate(str(name)) for name in names] if names else None
-    )
     result = backward_search(
         scenario,
-        predicates,
-        max_deviations=int(params.get("max_deviations", 3)),
-        budget=int(params.get("budget", 250)),
-        limit=int(params.get("limit", 64)),
-        seed=int(params.get("seed", 0)),
+        [get_predicate(str(name)) for name in params["predicates"]],
+        max_deviations=int(params["max_deviations"]),
+        budget=int(params["budget"]),
+        seed=int(params["seed"]),
     )
     detail = ["counterexample: " + c.summary() for c in result.counterexamples]
     status = "failed" if detail else "ok"
@@ -311,7 +305,7 @@ def _execute_explore_deep(params: Dict[str, object]) -> Dict[str, object]:
         "fingerprint": stable_digest(
             "explore-deep",
             scenario.name,
-            params.get("predicates") or "all",
+            params["predicates"],
             result.seed,
             stats.candidates_tried,
             stats.candidates_confirmed,

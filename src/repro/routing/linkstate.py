@@ -156,7 +156,6 @@ class LinkStateRouting:
         self.links: List[Link] = list(links)
         # (router name, link name) -> cost override
         self._cost_overrides: Dict[Tuple[str, str], float] = {}
-        self.recompute_count = 0
         #: When set (bulk topologies; see realise()), recompute installs
         #: per-destination resolvers over a shared reverse-SPF plan
         #: instead of a full per-router Dijkstra + table install.
@@ -318,7 +317,6 @@ class LinkStateRouting:
         semantics — link flips after this call don't leak into the
         deferred results until ``recompute`` runs again.
         """
-        self.recompute_count += 1
         if self.ondemand:
             self._recompute_ondemand()
             return

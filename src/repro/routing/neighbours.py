@@ -2,17 +2,16 @@
 
 CBT, DVMRP and HPIM-DM learn their neighbouring routers from a beacon
 (CBT's HELLO, DVMRP's probe, HPIM-DM's hello): per vif, each
-neighbour's last-heard time, plus the generation id HPIM-DM's hello
-carries.  A neighbour is live while ``now - heard <= hold``; it stays
-in the table, live or not, until the leg calls ``expire`` (CBT and
-HPIM-DM at their beacon tick, DVMRP before it reads who is downstream)
-or ``forget``.  A vif stays listed once a beacon was heard on it, even
-after all its neighbours expired.
+neighbour's last-heard time.  A neighbour is live while ``now - heard
+<= hold``; it stays in the table, live or not, until the leg calls
+``expire`` (CBT and HPIM-DM at their beacon tick, DVMRP before it
+reads who is downstream) or ``forget``.  A vif stays listed once a
+beacon was heard on it, even after all its neighbours expired.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.netsim.address import IPv4Address
 
@@ -22,37 +21,26 @@ _EMPTY: Dict[IPv4Address, float] = {}
 class NeighbourTable:
     """Neighbours per vif, refreshed by beacons, with one hold time."""
 
-    __slots__ = ("hold", "_heard", "_gen_ids")
+    __slots__ = ("hold", "_heard")
 
     def __init__(self, hold: float) -> None:
         self.hold = hold
         #: vif -> {neighbour address -> last heard time}
         self._heard: Dict[int, Dict[IPv4Address, float]] = {}
-        #: (vif, neighbour address) -> generation id its beacons carry
-        self._gen_ids: Dict[Tuple[int, IPv4Address], int] = {}
 
-    def heard(
-        self, vif: int, address: IPv4Address, now: float, gen_id: Optional[int] = None
-    ) -> Optional[bool]:
+    def heard(self, vif: int, address: IPv4Address, now: float) -> bool:
         """Record a beacon; True when the neighbour was not held on
-        ``vif`` before.  A held neighbour whose beacon carries another
-        ``gen_id`` than its last one has restarted: nothing is recorded
-        and the answer is None, so the caller can flush what the old
-        one held while its record still reads as it did, then
-        :meth:`forget` it and hear it afresh."""
+        ``vif`` before."""
         try:  # per beacon: no throwaway dict, no method call
             table = self._heard[vif]
         except KeyError:
             table = self._heard[vif] = {}
-        if gen_id is not None and self._gen_ids.setdefault((vif, address), gen_id) != gen_id:
-            return None
         known = len(table)
         table[address] = now
         return len(table) > known
 
     def forget(self, vif: int, address: IPv4Address) -> None:
         self._heard.get(vif, _EMPTY).pop(address, None)
-        self._gen_ids.pop((vif, address), None)
 
     def expire(self, now: float) -> List[Tuple[int, IPv4Address]]:
         """Drop every neighbour silent past the hold; returns what was
@@ -68,7 +56,6 @@ class NeighbourTable:
             dropped.sort()
             for vif, address in dropped:
                 del self._heard[vif][address]
-                self._gen_ids.pop((vif, address), None)
         return dropped
 
     def live(self, vif: int, now: float) -> Set[IPv4Address]:

@@ -43,13 +43,14 @@ from repro.netsim.engine import PeriodicTimer
 def histogram_percentile(histograms: Sequence, quantile: float) -> float:
     """Percentile estimate over merged telemetry histograms.
 
-    Merges the bucket counts of ``histograms`` (which must share
-    bounds) and returns the upper bound of the bucket where the
-    cumulative count first reaches ``quantile`` of the total — the
-    standard conservative (upper-bound) estimate for cumulative-bucket
-    histograms.  Observations in the overflow bucket report the last
-    finite bound (the histogram cannot resolve beyond it).  Returns
-    0.0 when no observations exist.
+    Merges the bucket counts of ``histograms`` (every telemetry
+    histogram has the same ``Histogram.DEFAULT_BUCKETS`` bounds) and
+    returns the upper bound of the bucket where the cumulative count
+    first reaches ``quantile`` of the total — the standard conservative
+    (upper-bound) estimate for cumulative-bucket histograms.
+    Observations in the overflow bucket report the last finite bound
+    (the histogram cannot resolve beyond it).  Returns 0.0 when no
+    observations exist.
     """
     return histogram_percentiles(histograms, (quantile,))[0]
 
@@ -69,11 +70,6 @@ def histogram_percentiles(
     merged = [0] * (len(bounds) + 1)
     total = 0
     for histogram in histograms:
-        if histogram.bounds != bounds:
-            raise ValueError(
-                f"histogram bounds differ: {histogram.name} vs "
-                f"{histograms[0].name}"
-            )
         for index, count in enumerate(histogram.bucket_counts):
             merged[index] += count
         total += histogram.count

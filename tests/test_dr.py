@@ -203,23 +203,6 @@ class TestNeighbourTable:
         assert dict(table.items()) == {2: {}, 0: {}, 1: {c: 5.0}}
         assert table.expire(now=12.0) == []
 
-    def test_a_new_gen_id_is_a_restart(self):
-        """A held neighbour whose beacon carries another ``gen_id``
-        restarted: ``heard`` records nothing and answers None, so
-        HPIM-DM can flush the old record before hearing the new one."""
-        table = NeighbourTable(hold=10.0)
-        addr = IPv4Address("10.0.0.9")
-        assert table.heard(0, addr, now=0.0, gen_id=1) is True
-        assert table.heard(0, addr, now=1.0, gen_id=1) is False
-        assert table.heard(0, addr, now=2.0, gen_id=2) is None
-        assert table.on_vif(0) == {addr: 1.0}  # the old record, untouched
-        table.forget(0, addr)
-        assert table.heard(0, addr, now=2.0, gen_id=2) is True
-        assert table.heard(0, addr, now=3.0, gen_id=2) is False
-        assert table.heard(1, addr, now=3.0, gen_id=5) is True  # per vif
-        assert table.expire(now=20.0) == [(0, addr), (1, addr)]
-        assert table.heard(0, addr, now=20.0, gen_id=7) is True  # expiry forgets it
-
 
 class TestCBTNeighbourTable:
     """The groups a CBT neighbour's HELLOs announce, on top of the table."""

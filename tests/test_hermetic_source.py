@@ -17,6 +17,7 @@ import sys
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+GUARD = pathlib.Path(__file__).resolve()
 
 _ENV_NAMES = ("environ", "environb", "getenv")
 
@@ -1559,6 +1560,139 @@ def test_the_knob_scan_credits_what_a_call_can_pass(tmp_path):
         "shapes.scale(factor)",
         "shapes.draw(width)",
     }
+
+
+# -- every stored attribute has a reader --------------------------------------
+#
+# An attribute that ``src/repro`` stores (``x.name = ...``, ``x.name +=
+# ...``) and nothing reads is state kept for no one: each store costs a
+# step and says nothing.  A read is a load of ``x.name`` anywhere in
+# ``src/``, ``benchmarks/``, ``examples/`` or ``tests/``, other than on
+# the right-hand side of an assignment to that same name (``x.peak =
+# max(x.peak, n)`` alone reads nothing); an identifier part of a
+# ``str`` constant split at its dots (a ``getattr`` table, a dotted
+# path), docstrings and this file's own tables left out; or a keyword
+# argument in ``tests/`` (a test that builds the record it compares
+# with).  Names are matched bare, as the caller guard matches members:
+# any read of a name credits every store of it.
+
+#: attribute name -> why it is stored and not read by name.
+STATE_ALLOWLIST = {
+    "decapsulations": (
+        "a ForwardingStats counter the data-path pins compare whole, through asdict"
+    ),
+}
+
+
+def _stores_and_reads(tree, stores, reads, keywords):
+    """Add the attribute names one parsed file stores to ``stores``, the
+    ones it reads (a load not fed back into its own name, an identifier
+    part of a non-docstring ``str`` constant) to ``reads``, and the keyword
+    names its calls pass to ``keywords``."""
+    prose = _prose(tree)
+    self_fed = set()  # ids of loads on the right of a store to their own name
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and node.value:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            stored = {
+                target.attr
+                for root in targets
+                for target in ast.walk(root)
+                if isinstance(target, ast.Attribute) and isinstance(target.ctx, ast.Store)
+            }
+            self_fed.update(
+                id(load)
+                for load in ast.walk(node.value)
+                if isinstance(load, ast.Attribute) and load.attr in stored
+            )
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if isinstance(node.ctx, ast.Store):
+                stores.add(node.attr)
+            elif isinstance(node.ctx, ast.Load) and id(node) not in self_fed:
+                reads.add(node.attr)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in prose
+        ):
+            reads.update(part for part in node.value.split(".") if _IDENTIFIER.match(part))
+        elif isinstance(node, ast.keyword) and node.arg:
+            keywords.add(node.arg)
+
+
+def unread_attributes(src=SRC):
+    """Each attribute name a ``src/repro`` file stores that no file in
+    ``src/``, ``benchmarks/``, ``examples/`` or ``tests/`` reads, and no
+    ``tests/`` call passes as a keyword."""
+    repo = src.parents[1]
+    stores, reads, keywords = set(), set(), set()
+    for root in ("src", "benchmarks", "examples", "tests"):
+        for path in sorted((repo / root).rglob("*.py")):
+            if path == GUARD:
+                continue  # its tables name what they exempt; naming is not reading
+            file_stores, file_keywords = set(), set()
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            _stores_and_reads(tree, file_stores, reads, file_keywords)
+            if src in path.parents:
+                stores |= file_stores
+            if root == "tests":
+                keywords |= file_keywords
+    return stores - reads - keywords
+
+
+def test_every_stored_attribute_is_read():
+    unread = unread_attributes()
+    write_only = sorted(unread - set(STATE_ALLOWLIST))
+    assert write_only == [], (
+        f"attributes src/ stores and nothing reads: delete them, or list them "
+        f"in STATE_ALLOWLIST with the reason: {write_only}"
+    )
+    stale = sorted(set(STATE_ALLOWLIST) - unread)
+    assert stale == [], f"STATE_ALLOWLIST entries that are now read or gone: remove them: {stale}"
+    assert all(STATE_ALLOWLIST.values()), "every STATE_ALLOWLIST entry needs a reason"
+
+
+def test_the_state_scan_credits_what_reads_a_name(tmp_path):
+    """A store with no read is reported, and so is one read only on the
+    right of its own assignment or passed only as a keyword outside
+    ``tests/``; a load elsewhere, a string naming it (plain or dotted),
+    a load in ``tests/`` and a keyword in ``tests/`` each credit the
+    name."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "meter.py").write_text(
+        "class Meter:\n"
+        "    def __init__(self):\n"
+        "        self.count = 0\n"
+        "        self.peak = 0\n"
+        "        self.seen = 0\n"
+        "        self.label = ''\n"
+        "        self.weight = 0\n"
+        "        self.size = 0\n"
+        "        self.mode = 0\n"
+        "        self.gauge = 0\n"
+        "\n"
+        "    def tick(self, n):\n"
+        "        self.count += 1\n"
+        "        self.peak = max(self.peak, n)\n"
+        "        return self.seen\n"
+        "\n"
+        "\n"
+        "def build():\n"
+        "    return dict(mode=1), 'meter.label', getattr(Meter(), 'gauge')\n"
+    )
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_meter.py").write_text(
+        "from repro.meter import Meter\n"
+        "\n"
+        "\n"
+        "def test_meter():\n"
+        "    assert (Meter().weight, dict(size=0))\n"
+    )
+    assert unread_attributes(src=package) == {"count", "peak", "mode"}
 
 
 def test_importing_a_submodule_loads_only_what_it_imports():
