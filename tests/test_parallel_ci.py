@@ -473,6 +473,36 @@ class TestTiers:
             ]
             assert len(searches) == len(set(searches)), tier
 
+    def test_search_units_carry_exactly_what_their_executors_read(self):
+        # The explore executors read their params by key, with no
+        # fallback value: every unit a tier builds names each of them,
+        # and nothing else.
+        reads = {
+            "explore": {"scenario", "depth", "drop_budget"},
+            "explore-deep": {"scenario", "predicates", "budget", "max_deviations", "seed"},
+        }
+        seen = set()
+        for tier in TIERS:
+            for unit in build_tier(tier):
+                if unit.kind in reads:
+                    seen.add(unit.kind)
+                    assert set(unit.param_dict) == reads[unit.kind], unit.unit_id
+        assert seen == set(reads)
+
+    @pytest.mark.parametrize(
+        "kind, missing",
+        [("explore", "drop_budget"), ("explore-deep", "budget")],
+    )
+    def test_a_search_unit_missing_a_param_fails_rather_than_defaults(self, kind, missing):
+        unit = next(u for u in build_tier("nightly") if u.kind == kind)
+        params = {k: v for k, v in unit.param_dict.items() if k != missing}
+        executor = {
+            "explore": parallel._execute_explore,
+            "explore-deep": parallel._execute_explore_deep,
+        }[kind]
+        with pytest.raises(KeyError, match=missing):
+            executor(params)
+
     def test_tier_units_pinned_before_workers_exist(self):
         # Unit identity (including derived seeds) is a pure function of
         # (tier, seed): two builds are identical, and a different base
