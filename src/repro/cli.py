@@ -647,9 +647,10 @@ def _explore_backward(args: argparse.Namespace, names) -> int:
         elapsed = time.monotonic() - started
         stats = result.stats
         status = "ok" if result.ok else "VIOLATION"
+        runs = ",".join(f"{p}:{n}" for p, n in stats.runs_by_predicate.items())
         print(
             f"{name:12s} {status:9s} "
-            f"predicates={stats.predicates_tried} "
+            f"predicates={stats.predicates_tried} runs={runs} "
             f"candidates={stats.candidates_tried} "
             f"confirmed={stats.candidates_confirmed} "
             f"rejected={stats.candidates_rejected} "

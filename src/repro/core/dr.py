@@ -81,10 +81,6 @@ class CBTNeighbourTable(NeighbourTable):
                     del table[group]
         return dropped
 
-    def forget(self, vif: int, address: IPv4Address) -> None:
-        super().forget(vif, address)
-        self._announced.get(vif, {}).pop(address, None)
-
     def tree_announcers(self, vif: int, group: IPv4Address, now: float) -> List[IPv4Address]:
         """Neighbours on ``vif`` that announced on-tree state for
         ``group`` within the hold time."""

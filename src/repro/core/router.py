@@ -69,13 +69,14 @@ _TREE_STATS = (
 class TreeStats:
     """A router's tree-building milestones (plain ints) and its FIB,
     whose add / remove / size counts the registry reads with them as
-    the family ``cbt.router.<name>.``.  Apart from the protocol, which
-    a closed world empties, so its registry reads them still; and
-    holding nothing that refers back to the registry."""
+    ``cbt.router.<name>.*``, ``name`` the router's.  Apart from the
+    protocol, which a closed world empties, so its registry reads them
+    still; and holding nothing that refers back to the registry."""
 
-    __slots__ = ("fib", "joins_completed", "quit_retries", "stale_cores_ignored")
+    __slots__ = ("name", "fib", "joins_completed", "quit_retries", "stale_cores_ignored")
 
-    def __init__(self, fib: FIB) -> None:
+    def __init__(self, name: str, fib: FIB) -> None:
+        self.name = name
         self.fib = fib
         self.joins_completed = 0
         self.quit_retries = 0
@@ -193,8 +194,8 @@ class CBTProtocol:
         registry = router.scheduler.telemetry.registry
         prefix = f"cbt.router.{router.name}"
         self.stats = ControlStats(registry, prefix)
-        self.tree_stats = TreeStats(self.fib)
-        registry.gauge_attrs(prefix + ".", self.tree_stats, _TREE_STATS)
+        self.tree_stats = TreeStats(router.name, self.fib)
+        registry.gauge_attrs("cbt.router.", self.tree_stats, _TREE_STATS)
         #: kind -> its ``cbt.router.<name>.event.<kind>`` counter, in
         #: first-use order; :meth:`CBTDomain.events_total` sums them.
         self.event_counters: Dict[str, Counter] = {}

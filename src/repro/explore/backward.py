@@ -72,6 +72,8 @@ class BackwardStats:
     candidates_rejected: int = 0
     max_depth_reached: int = 0
     runs: int = 0
+    #: Each predicate searched, in order -> the replays it ran.
+    runs_by_predicate: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -93,11 +95,11 @@ class BackwardResult:
 
 def _relevant_decisions(
     outcome: RunOutcome, triggers: Sequence[str], lo: int
-) -> List:
+) -> Tuple[List, List]:
     """Decision points a search may perturb: at/after position ``lo``,
-    expandable, and mentioning a trigger type.  Drop decisions come
-    first — the goals arise chiefly through message loss, so the loss
-    branches chain pre-states fastest — then order decisions."""
+    expandable, and mentioning a trigger type, as ``(drops, orders)``.
+    A search expands the drops first — the goals arise chiefly through
+    message loss, so the loss branches chain pre-states fastest."""
     drops, orders = [], []
     for decision in outcome.decisions:
         if decision.position < lo:
@@ -111,7 +113,7 @@ def _relevant_decisions(
         ):
             continue
         (drops if decision.kind == "drop" else orders).append(decision)
-    return drops + orders
+    return drops, orders
 
 
 def _vector(deviations: Dict[int, int]) -> Tuple[int, ...]:
@@ -143,7 +145,8 @@ def backward_search(
     """Run the backward search for ``predicates`` on ``scenario``.
 
     ``budget`` caps total forward-confirmation replays across all
-    predicates, each recording decisions out to :data:`LIMIT`;
+    predicates, each recording decisions out to :data:`LIMIT`; each
+    predicate in turn gets an even share plus what the earlier left;
     ``seed`` deterministically permutes sibling expansion order, so
     distinct sub-seeds (one per nightly cell) diversify which chains
     are explored first without breaking replayability.  Bounds are
@@ -165,13 +168,14 @@ def backward_search(
     rng = random.Random(seed)
     seen_schedules: set = set()
 
-    for predicate in chosen:
-        stats.predicates_tried += 1
+    for index, predicate in enumerate(chosen):
+        cap = budget * (index + 1) // len(chosen)
+        stats.runs_by_predicate[predicate.name] = 0
 
         def chain(deviations: Dict[int, int], lo: int, left: int) -> None:
             """Confirm the current pre-state chain by forward replay,
             then extend it one inverted transition deeper."""
-            if stats.runs >= budget:
+            if stats.runs >= cap:
                 result.exhausted = False
                 return
             if stop_on_first and result.counterexamples:
@@ -179,6 +183,7 @@ def backward_search(
             schedule = _vector(deviations)
             outcome = run_schedule(scenario, schedule, base, limit=LIMIT)
             stats.runs += 1
+            stats.runs_by_predicate[predicate.name] += 1
             stats.candidates_tried += 1
             depth = len(_normalise(outcome.chosen()))
             stats.max_depth_reached = max(stats.max_depth_reached, depth)
@@ -207,19 +212,17 @@ def backward_search(
             if left == 0:
                 stats.candidates_rejected += 1
                 return
-            candidates = _relevant_decisions(outcome, predicate.triggers, lo)
-            if not candidates:
+            drops, orders = _relevant_decisions(outcome, predicate.triggers, lo)
+            if not drops and not orders:
                 stats.candidates_rejected += 1
                 return
             # Deterministic seed-driven permutation within each kind
-            # bucket (drops stay ahead of orders).
-            drops = [d for d in candidates if d.kind == "drop"]
-            orders = [d for d in candidates if d.kind != "drop"]
+            # (drops stay ahead of orders).
             rng.shuffle(drops)
             rng.shuffle(orders)
             for decision in drops + orders:
                 for alternative in range(1, decision.alternatives):
-                    if stats.runs >= budget:
+                    if stats.runs >= cap:
                         result.exhausted = False
                         return
                     extended = dict(deviations)
@@ -230,4 +233,5 @@ def backward_search(
         if stop_on_first and result.counterexamples:
             break
 
+    stats.predicates_tried = sum(1 for runs in stats.runs_by_predicate.values() if runs)
     return result

@@ -44,13 +44,13 @@ _HOST_STATS = (
 
 class IGMPHostStats:
     """A host agent's protocol-level statistics (see
-    docs/OBSERVABILITY.md), registered as the family
-    ``igmp.host.<name>.``; apart from the agent, which a closed world
-    empties."""
+    docs/OBSERVABILITY.md), read as ``igmp.host.<name>.*``, ``name``
+    the host's; apart from the agent, which a closed world empties."""
 
-    __slots__ = ("reports_sent", "leaves_sent", "core_reports_sent", "queries_heard")
+    __slots__ = ("name", "reports_sent", "leaves_sent", "core_reports_sent", "queries_heard")
 
-    def __init__(self) -> None:
+    def __init__(self, name: str) -> None:
+        self.name = name
         self.reports_sent = self.leaves_sent = self.core_reports_sent = 0
         self.queries_heard = 0
 
@@ -65,10 +65,8 @@ class IGMPHostAgent:
         #: group -> ordered core list (None when the host only knows the group)
         self.memberships: Dict[IPv4Address, Optional[Tuple[IPv4Address, ...]]] = {}
         self._pending_responses: Dict[IPv4Address, Timer] = {}
-        self.stats = IGMPHostStats()
-        host.scheduler.telemetry.registry.gauge_attrs(
-            f"igmp.host.{host.name}.", self.stats, _HOST_STATS
-        )
+        self.stats = IGMPHostStats(host.name)
+        host.scheduler.telemetry.registry.gauge_attrs("igmp.host.", self.stats, _HOST_STATS)
 
     # -- application API --------------------------------------------------
 

@@ -145,11 +145,12 @@ _AGENT_STATS = (
 class IGMPStats:
     """A router agent's protocol-level statistics (see
     docs/OBSERVABILITY.md): tx/rx per IGMP message kind plus
-    membership and querier transitions, registered as the family
-    ``igmp.router.<name>.``.  Apart from the agent, which a closed
-    world empties, so its registry reads them still."""
+    membership and querier transitions, read as ``igmp.router.<name>.*``,
+    ``name`` the router's.  Apart from the agent, which a closed world
+    empties, so its registry reads them still."""
 
     __slots__ = (
+        "name",
         "queries_sent",
         "queries_heard",
         "reports_heard",
@@ -160,7 +161,8 @@ class IGMPStats:
         "querier_transitions",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, name: str) -> None:
+        self.name = name
         self.queries_sent = self.queries_heard = self.reports_heard = 0
         self.leaves_heard = self.core_reports_heard = 0
         self.membership_gains = self.membership_losses = 0
@@ -179,10 +181,8 @@ class IGMPRouterAgent:
         self._core_report_listeners: List[CoreReportListener] = []
         self._started = False
         self.telemetry = router.scheduler.telemetry
-        self.stats = IGMPStats()
-        self.telemetry.registry.gauge_attrs(
-            f"igmp.router.{router.name}.", self.stats, _AGENT_STATS
-        )
+        self.stats = IGMPStats(router.name)
+        self.telemetry.registry.gauge_attrs("igmp.router.", self.stats, _AGENT_STATS)
         router.register_handler(PROTO_IGMP, self)
         router.scheduler.register(self)
 

@@ -84,6 +84,16 @@ _INF = float("inf")
 #: runaway guard against a protocol livelock.
 MAX_EVENTS = 10_000_000
 
+#: A scheduler's statistics, read by the registry family ``netsim.`` as
+#: ``netsim.scheduler.<metric>`` (:attr:`Scheduler.name`).
+_ENGINE_STATS = (
+    ("events_scheduled", "events_scheduled"),
+    ("events_processed", "_events_processed"),
+    ("events_cancelled", "events_cancelled"),
+    ("pending_events", "_pending"),
+    ("sim_time", "_now"),
+)
+
 
 class SchedulerError(Exception):
     """Raised on invalid scheduler operations (e.g. scheduling in the
@@ -189,6 +199,8 @@ class Scheduler:
         sched.run(until=10.0)
     """
 
+    name = "scheduler"
+
     def __init__(self) -> None:
         # The heap holds each pending instant once; ``_slots[instant]``
         # is its one timer, or a deque of its timers in scheduling order
@@ -210,17 +222,7 @@ class Scheduler:
         #: Observability bundle shared by everything holding this
         #: scheduler (links, routers, protocols, IGMP agents).
         self.telemetry = Telemetry()
-        self.telemetry.registry.gauge_attrs(
-            "netsim.scheduler.",
-            self,
-            (
-                ("events_scheduled", "events_scheduled"),
-                ("events_processed", "_events_processed"),
-                ("events_cancelled", "events_cancelled"),
-                ("pending_events", "_pending"),
-                ("sim_time", "_now"),
-            ),
-        )
+        self.telemetry.registry.gauge_attrs("netsim.", self, _ENGINE_STATS)
         #: When set, same-instant tie groups of size >= 2 are resolved
         #: by this callable instead of FIFO order.  It receives
         #: ``(time, [tag, ...])`` — one entry per tied event, in FIFO

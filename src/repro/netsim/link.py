@@ -134,7 +134,7 @@ class Link:
         self._msg_by_proto = scheduler.telemetry._msg_by_proto
         # ``_drop_counters`` (reason -> Counter) is made by the first
         # drop: most links never drop anything.
-        self._registry.gauge_attrs(f"netsim.link.{name}.", self, _WIRE_METRICS)
+        self._registry.gauge_attrs("netsim.link.", self, _WIRE_METRICS)
         #: Called when this link's topology-relevant state changes
         #: (attachment, up/down, interface flips).  Link-state routing
         #: registers its ``invalidate_topology`` here, and a link has

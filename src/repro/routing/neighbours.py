@@ -5,8 +5,8 @@ CBT, DVMRP and HPIM-DM learn their neighbouring routers from a beacon
 neighbour's last-heard time.  A neighbour is live while ``now - heard
 <= hold``; it stays in the table, live or not, until the leg calls
 ``expire`` (CBT and HPIM-DM at their beacon tick, DVMRP before it
-reads who is downstream) or ``forget``.  A vif stays listed once a
-beacon was heard on it, even after all its neighbours expired.
+reads who is downstream).  A vif stays listed once a beacon was heard
+on it, even after all its neighbours expired.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ class NeighbourTable:
         known = len(table)
         table[address] = now
         return len(table) > known
-
-    def forget(self, vif: int, address: IPv4Address) -> None:
-        self._heard.get(vif, _EMPTY).pop(address, None)
 
     def expire(self, now: float) -> List[Tuple[int, IPv4Address]]:
         """Drop every neighbour silent past the hold; returns what was

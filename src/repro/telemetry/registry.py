@@ -11,26 +11,28 @@ split real router implementations expose:
 
 Beside them, attribute *families*: an entity that counts its own
 statistics as plain int attributes (a link's wire counts, a router's
-joins completed, an IGMP agent's messages) registers them once with
-:meth:`MetricsRegistry.gauge_attrs` under a name prefix.  A family is
-one dict entry, not an instrument per statistic, and every read
-(``value``, ``total``, ``matching``, ``columns``, ``snapshot``) reads
-the attributes in place: no query builds an instrument, and the names
-exist only in what a read returns (docs/OBSERVABILITY.md, "Attribute
-families").  A point-in-time value is a family statistic; there is no
-gauge instrument.
+joins completed, an IGMP agent's messages) joins the family of its
+class with :meth:`MetricsRegistry.gauge_attrs`: one family per head
+(``netsim.link.``), its kind and a list of objects, each statistic
+``head + obj.name + "." + metric``.  Every read (``value``, ``total``,
+``matching``, ``columns``, ``snapshot``) reads the attributes in
+place: no query builds an instrument, and the names exist only in what
+a read returns (docs/OBSERVABILITY.md, "Attribute families").  A
+point-in-time value is a family statistic; there is no gauge
+instrument.
 
 Names are hierarchical dotted paths (``cbt.router.R4.tx.join_request``)
 so snapshots group naturally and :meth:`MetricsRegistry.total` can
-aggregate with shell-style wildcards.  Pattern queries are indexed by
+aggregate with shell-style wildcards.  Counter queries are indexed by
 shape (:class:`_NameIndex`): a pure prefix bisects the sorted names, a
 pattern whose last dotted segment is literal — every pattern the
 conservation laws use — matches only the names sharing that segment,
 and only the remaining shapes scan the whole registry.  A scan is the
 pattern's compiled expression filtered over the names in one C loop,
-the ``fnmatchcase`` test without a Python call per name.  A family
-statistic is tested only if its family's prefix lies under the
-pattern's literal head and its last segment can match.
+the ``fnmatchcase`` test without a Python call per name.  A family is
+walked only if its head and the pattern's literal head can share a
+name; a literal head that runs into a member's name reads that member
+alone, found by name.
 
 Determinism: nothing here reads wall-clock time or has any other
 hidden input — every value is a pure function of the simulation, so a
@@ -239,27 +241,16 @@ class _Kind:
     attribute) they are read from.  Like ``attrgetter``, a reader of
     one attribute returns the value and a reader of several a tuple."""
 
-    __slots__ = ("names", "attrs", "read", "one", "tails", "_readers")
+    __slots__ = ("names", "attrs", "one", "_readers")
 
     def __init__(self, metrics: Sequence[Tuple[str, str]]) -> None:
         self.names = names = tuple(metric for metric, _ in metrics)
         self.attrs = attrs = tuple(attr for _, attr in metrics)
-        self.read = attrgetter(*attrs)
         #: metric -> the reader of that one metric.
         self.one: Dict[str, Callable] = {
             name: attrgetter(attr) for name, attr in zip(names, attrs)
         }
-        #: last dotted segment -> the metrics ending in it.
-        self.tails: Dict[str, Tuple[str, ...]] = {}
-        for name in names:
-            tail = name.rpartition(".")[2]
-            self.tails[tail] = self.tails.get(tail, ()) + (name,)
         self._readers: Dict[Tuple[str, ...], Optional[Callable]] = {}
-
-    def values(self, obj: Any) -> Tuple[Number, ...]:
-        """Every metric's value, in :attr:`names` order."""
-        values = self.read(obj)
-        return values if len(self.names) > 1 else (values,)
 
     def reader(self, metrics: Tuple[str, ...]) -> Optional[Callable]:
         """One reader of ``metrics`` (a value for one, a tuple for
@@ -271,6 +262,36 @@ class _Kind:
                 reader = attrgetter(*(attrs[names.index(metric)] for metric in metrics))
             self._readers[metrics] = reader
         return self._readers[metrics]
+
+
+class _Family:
+    """The objects registered under one head, all of one kind: an
+    object's statistic is ``head + obj.name + "." + metric``."""
+
+    __slots__ = ("head", "kind", "objects", "_by_name")
+
+    def __init__(self, head: str, kind: _Kind) -> None:
+        self.head, self.kind = head, kind
+        self.objects: List[Any] = []
+        #: (objects indexed, name -> object), made by a read by name.
+        self._by_name: Tuple[int, Dict[str, Any]] = (0, {})
+
+    def members(self, head: str) -> Dict[str, Any]:
+        """``prefix -> object`` of the members a name starting with
+        ``head`` can belong to, the later object winning a name."""
+        if not (self.head.startswith(head) or head.startswith(self.head)):
+            return {}
+        entity, dot, _ = head[len(self.head) :].partition(".")
+        if dot:  # ``head`` runs past this family's head into one member
+            obj = self.find(entity)
+            return {} if obj is None else {f"{self.head}{entity}.": obj}
+        return {self.head + obj.name + ".": obj for obj in self.objects}
+
+    def find(self, name: str) -> Any:
+        """The object last registered as ``name``, or ``None``."""
+        if self._by_name[0] != len(self.objects):
+            self._by_name = (len(self.objects), {obj.name: obj for obj in self.objects})
+        return self._by_name[1].get(name)
 
 
 class MetricsRegistry:
@@ -288,119 +309,93 @@ class MetricsRegistry:
         self._histograms: Dict[str, Histogram] = {}
         self._counter_names = _NameIndex(self._counters)
         self._histogram_names = _NameIndex(self._histograms)
-        #: prefix -> (object, its kind) of every :meth:`gauge_attrs`
-        #: family.
-        self._families: Dict[str, Tuple[Any, _Kind]] = {}
-        self._family_names = _NameIndex(self._families)
+        #: head -> its attribute family.
+        self._families: Dict[str, _Family] = {}
         #: Each distinct ``metrics`` sequence :meth:`gauge_attrs` saw ->
         #: its kind (every link has the same six: one reader for all).
         self._kinds: Dict[Sequence[Tuple[str, str]], _Kind] = {}
         #: The last segment of every family metric: a pattern whose
         #: literal last segment is none of them matches no family.
         self._family_tails: Set[str] = set()
-        #: The most dots any family metric holds (``tx.query`` one), so
-        #: how far before a name's last dot its family prefix can end.
-        self._family_depth = 0
 
     # -- instrument factories -------------------------------------------
 
     def counter(self, name: str) -> Counter:
         counter = self._counters.get(name)
         if counter is None:
-            if self._owner(name) is not None:
+            if self._statistic(name):
                 raise FamilyNameError(f"{name} is an attribute family's statistic")
             counter = Counter(name)
             self._counters[name] = counter
         return counter
 
     def gauge_attrs(
-        self, prefix: str, obj: Any, metrics: Sequence[Tuple[str, str]]
+        self, head: str, obj: Any, metrics: Sequence[Tuple[str, str]]
     ) -> None:
-        """Register ``obj``'s statistics as the family ``prefix``: the
-        statistic ``prefix + metric`` is ``obj``'s attribute ``attr``
-        for each ``(metric, attr)`` pair (``prefix`` ends in a dot; a
-        metric may hold dots, ``tx.query``; an attr may too, read as an
-        attribute of an attribute).  One entry for the family, whatever
-        its size; registering ``prefix`` again re-binds it.  Pass the
-        same ``metrics`` object for every family of a kind.  Every read
-        reads ``obj``, after ``Scheduler.close`` too: register what
-        closing leaves intact (a link, a small stats object), not a
-        scheduler component, whose attributes closing empties."""
+        """Add ``obj`` to the family ``head`` (ends in a dot): its
+        statistic ``head + obj.name + "." + metric`` is its attribute
+        ``attr`` for each ``(metric, attr)`` pair (a metric may hold
+        dots, ``tx.query``; an attr may too, read as an attribute of an
+        attribute); the name holds no dot, and the later object
+        registered under a name wins it.  Pass the same ``metrics``
+        object for every member.  Every read reads ``obj``, after
+        ``Scheduler.close`` too: register what closing leaves intact (a
+        link, a small stats object), not a scheduler component, whose
+        attributes closing empties."""
         kind = self._kinds.get(metrics)
         if kind is None:
             kind = self._kinds[metrics] = _Kind(metrics)
-            self._family_tails.update(kind.tails)
-            self._family_depth = max(
-                self._family_depth, *(name.count(".") for name in kind.names)
-            )
-        self._families[prefix] = (obj, kind)
+            self._family_tails.update(name.rpartition(".")[2] for name in kind.names)
+        family = self._families.get(head)
+        if family is None:
+            family = self._families[head] = _Family(head, kind)
+        if family.kind is not kind or "." in obj.name:
+            raise ValueError(f"{head}{obj.name}: a dotted name, or another kind's family")
+        family.objects.append(obj)
 
-    def _owner(self, name: str) -> Optional[Tuple[Any, _Kind, str]]:
-        """``(object, kind, metric)`` of the family statistic ``name``,
-        or ``None``: its last segment ends a family metric, and its
-        prefix ends at one of the name's last dots."""
+    def _statistic(self, name: str) -> List[Tuple[_Family, str, str]]:
+        """``(family, entity name, metric)`` for each family ``name`` has
+        the form of a statistic of, whether or not an object has that
+        name: one set lookup for most names."""
         if name[name.rfind(".") + 1 :] not in self._family_tails:
-            return None
-        families = self._families
-        end = len(name)
-        for _ in range(self._family_depth + 1):
-            dot = name.rfind(".", 0, end)
-            if dot < 0:
-                break
-            family = families.get(name[: dot + 1])
-            if family is not None and name[dot + 1 :] in family[1].one:
-                return family[0], family[1], name[dot + 1 :]
-            end = dot
-        return None
-
-    def _family_values(self, pattern: str) -> List[Tuple[str, Number]]:
-        """``(name, value)`` of every family statistic matching
-        ``pattern``.  The candidates are the families under the
-        pattern's literal head, found in the sorted family index, and
-        those whose prefix the head runs past into a metric — none when
-        the pattern's literal last segment ends no family metric."""
-        families = self._families
-        if not families:
             return []
+        found = []
+        for family in self._families.values():
+            if name.startswith(family.head):
+                entity, _, metric = name[len(family.head) :].partition(".")
+                if entity and metric in family.kind.one:
+                    found.append((family, entity, metric))
+        return found
+
+    def _family_values(self, pattern: str) -> Dict[str, Number]:
+        """``name -> value`` of every family statistic matching ``pattern``."""
         tail = _literal_tail(pattern)
         if tail is not None and tail not in self._family_tails:
-            return []
+            return {}
         head = _literal_head(pattern)
-        prefixes = self._family_names.select(head + "*")
-        end = len(head)
-        for _ in range(self._family_depth + 1):
-            dot = head.rfind(".", 0, end)
-            if dot < 0:
-                break
-            inside = head[: dot + 1]
-            if inside != head and inside in families:
-                prefixes.append(inside)
-            end = dot
         match = _matcher(pattern)
-        out = []
-        for prefix in prefixes:
-            obj, kind = families[prefix]
-            for metric in kind.names if tail is None else kind.tails.get(tail, ()):
-                name = prefix + metric
-                if match(name):
-                    out.append((name, kind.one[metric](obj)))
+        out = {}
+        for family in self._families.values():
+            kind = family.kind
+            for prefix, obj in family.members(head).items():
+                for metric in kind.names:
+                    if match(prefix + metric):
+                        out[prefix + metric] = kind.one[metric](obj)
         return out
 
     def columns(self, head: str, *metrics: str) -> Dict[str, Any]:
         """``prefix -> value`` of ``metrics[0]`` (``prefix -> tuple`` of
-        the values when several are named) for every family under
-        ``head`` that has them all, sorted by prefix: one ``attrgetter``
-        call per family, no dict per family."""
-        families = self._families
+        the values when several are named) for every family member
+        under ``head`` whose kind has them all, sorted by prefix: one
+        ``attrgetter`` call per member, no dict per member."""
         out = {}
-        last_kind = last_reader = None
-        for prefix in self._family_names.select(head + "*"):
-            obj, kind = families[prefix]
-            if kind is not last_kind:
-                last_kind, last_reader = kind, kind.reader(metrics)
-            if last_reader is not None:
-                out[prefix] = last_reader(obj)
-        return out
+        for family in self._families.values():
+            reader = family.kind.reader(metrics)
+            if reader is not None:
+                for prefix, obj in family.members(head).items():
+                    if prefix.startswith(head):
+                        out[prefix] = reader(obj)
+        return dict(sorted(out.items()))
 
     def histogram(self, name: str) -> Histogram:
         histogram = self._histograms.get(name)
@@ -417,28 +412,28 @@ class MetricsRegistry:
         counter = self._counters.get(name)
         if counter is not None:
             return counter.value
-        owner = self._owner(name)
-        if owner is not None:
-            obj, kind, metric = owner
-            return kind.one[metric](obj)
+        for family, entity, metric in self._statistic(name):
+            obj = family.find(entity)
+            if obj is not None:
+                return family.kind.one[metric](obj)
         return 0
 
     def total(self, pattern: str) -> Number:
         """Sum of counter and family values whose names match the
         shell-style ``pattern`` (``fnmatch``; ``*`` does cross ``.``
         boundaries).  Only a pattern whose last dotted segment holds a
-        wildcard (other than a pure prefix ``a.b.*``) scans every name
-        — see :class:`_NameIndex`."""
+        wildcard (other than a pure prefix ``a.b.*``) scans every
+        counter name — see :class:`_NameIndex`."""
         counters = self._counters
         return sum(
             counters[name].value for name in self._counter_names.select(pattern)
-        ) + sum(value for _, value in self._family_values(pattern))
+        ) + sum(self._family_values(pattern).values())
 
     def matching(self, pattern: str) -> Dict[str, Number]:
         """Counter and family values whose names match ``pattern``,
         sorted by name (the counter wins a shared name)."""
         counters = self._counters
-        out: Dict[str, Number] = dict(self._family_values(pattern))
+        out = self._family_values(pattern)
         for name in self._counter_names.select(pattern):
             out[name] = counters[name].value
         return dict(sorted(out.items()))
@@ -463,9 +458,13 @@ class MetricsRegistry:
         out: Dict[str, Number] = {}
         for name, counter in self._counters.items():
             out[name] = counter.value
-        for prefix, (obj, kind) in self._families.items():
-            for metric, value in zip(kind.names, kind.values(obj)):
-                out[prefix + metric] = value
+        for family in self._families.values():
+            names = family.kind.names
+            read = family.kind.reader(names)
+            for prefix, obj in family.members("").items():
+                values = read(obj)
+                for metric, value in zip(names, values if len(names) > 1 else (values,)):
+                    out[prefix + metric] = value
         for name, histogram in self._histograms.items():
             out[f"{name}.count"] = histogram.count
             out[f"{name}.sum"] = histogram.sum

@@ -22,8 +22,9 @@ held to the size of the tree rather than of the domain, and what an
 explorer search may spend per simulated event.
 
 Last, three fast paths held against their slow references by counts
-that do not drift with the host: route lookup and registry totals by
-Python calls that must not grow with the table or the registry, and
+that do not drift with the host: route lookup, registry totals and
+the registry's counter guard by Python calls that must not grow with
+the table or the registry (which holds one family per class), and
 the per-packet records by the blocks one build allocates; and the
 bytes a pending one-event instant costs the scheduler.
 """
@@ -106,8 +107,11 @@ CLOSURE_FREE = (
 #: measured 27.5 / 27.3.  With no address-to-interface dict per link,
 #: its one topology observer held without a tuple and names, not
 #: ``(name, interface)`` pairs, in the prefix map it measures
-#: 23.5 / 23.3; the ceiling is that plus 10 %.
-TRACKED_PER_LINK_CEILING = 25.8
+#: 23.5 / 23.3.  With one registry family per class, its objects in a
+#: list, where each link, router and host had a ``(object, kind)``
+#: entry under its own prefix, it measures 22.1 / 21.9; the ceiling is
+#: that plus 10 %.
+TRACKED_PER_LINK_CEILING = 24.3
 
 #: Bytes (``tracemalloc``) a started bulk world may hold per router and
 #: per link: ``waxman_network(600, alpha=0.02)`` (600 routers, 2,109
@@ -121,8 +125,12 @@ TRACKED_PER_LINK_CEILING = 25.8
 #: per link, no one-observer tuple, a prefix map of router names keyed
 #: by the link's own address, slotted tickers and no unread unicast list
 #: per host it measures 15,199 / 4,324 (16,960 / 4,825 without, on the
-#: same machine); the ceiling is that plus 10 %.
-BULK_WORLD_BYTES_CEILING = {"router": 16720, "link": 4760}
+#: same machine).  With one registry family per class, naming each
+#: member off the object, where each link, router and host had a
+#: prefix string and an ``(object, kind)`` entry, it measures
+#: 14,210 / 4,043 (15,115 / 4,300 without, on the same machine); the
+#: ceiling is that plus 10 %.
+BULK_WORLD_BYTES_CEILING = {"router": 15630, "link": 4450}
 
 #: Instance attributes an object built once per router, host, link or
 #: interface may keep, unless its class is slotted.  CPython (3.11)
@@ -1100,8 +1108,8 @@ def test_registry_total_calls_follow_the_matches_not_the_registry():
     wire_metrics = (("tx_packets", "tx_count"),)
 
     def add_link(name, tx_count):
-        wire = types.SimpleNamespace(tx_count=tx_count)
-        registry.gauge_attrs(f"netsim.link.{name}.", wire, wire_metrics)
+        wire = types.SimpleNamespace(name=name, tx_count=tx_count)
+        registry.gauge_attrs("netsim.link.", wire, wire_metrics)
 
     registry = MetricsRegistry()
     for router in range(500):
@@ -1121,6 +1129,47 @@ def test_registry_total_calls_follow_the_matches_not_the_registry():
     total()
     crowded = _python_calls(total)
     assert alone == crowded < REGISTRY_TOTAL_CALLS_CEILING, (alone, crowded)
+
+
+def test_a_started_world_registers_one_family_per_class(world):
+    """A link, router or host joins its class's family; the world's
+    size adds members, not families."""
+    net, _, _ = world
+    small, _ = started_domain(24)
+    heads = ["cbt.router.", "igmp.host.", "igmp.router.", "netsim.", "netsim.link."]
+    for registry in (small.telemetry.registry, net.telemetry.registry):
+        assert sorted(registry._families) == heads
+    assert len(small.telemetry.registry._families["netsim.link."].objects) == len(small.links)
+    small.close()
+
+
+def test_counter_guard_calls_do_not_grow_with_the_links():
+    """``counter()`` tells a fresh name from a family statistic by the
+    name's form: the same Python calls beside 10 links as beside 2,000,
+    for a counter it makes and for one it refuses."""
+    from repro.telemetry import MetricsRegistry
+
+    wire_metrics = (("attempts", "attempt_count"), ("tx_packets", "tx_count"))
+
+    def guard_calls(links):
+        registry = MetricsRegistry()
+        for index in range(links):
+            wire = types.SimpleNamespace(name=f"L{index}", attempt_count=0, tx_count=0)
+            registry.gauge_attrs("netsim.link.", wire, wire_metrics)
+        scheduler = types.SimpleNamespace(name="scheduler", n=0)
+        registry.gauge_attrs("netsim.", scheduler, (("sim_time", "n"),))
+
+        def refused():
+            with pytest.raises(FamilyNameError):
+                registry.counter("netsim.link.L3.attempts")
+
+        return [
+            _python_calls(lambda: registry.counter("netsim.link.L3.drop.late")),
+            _python_calls(lambda: registry.counter("netsim.msg.Hello.attempts")),
+            _python_calls(refused),
+        ]
+
+    assert guard_calls(10) == guard_calls(2000)
 
 
 def _record_builds():

@@ -150,16 +150,16 @@ def test_the_search_branches_only_on_its_predicates_triggers(name):
     """The trigger set a search branches on is its predicate's own
     ``triggers``: every chain expansion asks for exactly that set, and
     the decisions it may perturb are those at or past ``lo`` that are
-    expandable and name a trigger type, drops ahead of orders, the same
+    expandable and name a trigger type, as drops and orders, the same
     whatever order the triggers are listed in."""
     predicate = get_predicate(name)
     real = backward._relevant_decisions
     expansions = []
 
     def spy(outcome, triggers, lo):
-        chosen = real(outcome, triggers, lo)
-        expansions.append((outcome, triggers, lo, chosen))
-        return chosen
+        drops, orders = real(outcome, triggers, lo)
+        expansions.append((outcome, triggers, lo, drops + orders))
+        return drops, orders
 
     with mock.patch.object(backward, "_relevant_decisions", spy):
         backward_search(
@@ -180,9 +180,10 @@ def test_the_search_branches_only_on_its_predicates_triggers(name):
             and any(t in label for t in triggers for label in decision.labels)
         ]
         assert sorted(chosen, key=lambda d: d.position) == eligible
-        kinds = [decision.kind == "drop" for decision in chosen]
-        assert kinds == sorted(kinds, reverse=True)  # drops first
-        assert real(outcome, tuple(reversed(triggers)), lo) == chosen
+        drops, orders = real(outcome, tuple(reversed(triggers)), lo)
+        assert drops + orders == chosen
+        assert {decision.kind for decision in drops} <= {"drop"}
+        assert "drop" not in {decision.kind for decision in orders}
 
 
 def test_every_replay_records_out_to_the_horizon():
@@ -222,6 +223,33 @@ def test_backward_search_is_deterministic_per_seed():
     assert [c.schedule for c in first.counterexamples] == [
         c.schedule for c in second.counterexamples
     ]
+
+
+def test_every_predicate_gets_a_share_of_the_budget():
+    """Each predicate may spend an even share of ``budget`` plus what
+    the predicates before it left; a predicate counts as tried once it
+    has run a replay."""
+    result = backward_search(get_scenario("joins-race"), budget=25, seed=0)
+    assert result.stats.runs_by_predicate == {name: 5 for name in sorted(PREDICATES)}
+    assert result.stats.predicates_tried == len(PREDICATES)
+    # Three replays for five predicates: the shares are 0, 1, 0, 1, 1.
+    short = backward_search(get_scenario("joins-race"), budget=3, seed=0)
+    assert list(short.stats.runs_by_predicate.values()) == [0, 1, 0, 1, 1]
+    assert short.stats.predicates_tried == 3
+
+
+def test_an_unspent_share_passes_on_to_the_next_predicate():
+    """``packet-never-arrives`` drains its chains on ``lan-proxy`` in
+    26 of its 30 replays; the next predicate may spend the other 4."""
+    result = backward_search(
+        get_scenario("lan-proxy"),
+        [get_predicate("packet-never-arrives"), get_predicate("conservation-broken")],
+        budget=60,
+        seed=0,
+    )
+    assert result.stats.runs_by_predicate == {
+        "packet-never-arrives": 26, "conservation-broken": 34
+    }
 
 
 def test_backward_search_reaches_past_forward_depth():
@@ -373,6 +401,10 @@ def test_cli_backward_clean(tmp_path):
         )
     assert code == 0
     assert "candidates=25" in out.getvalue()
+    assert (
+        "predicates=5 runs=conservation-broken:5,forwarding-loop:5,"
+        "member-stranded:5,non-core-root:5,packet-never-arrives:5 "
+    ) in out.getvalue()
 
 
 def test_cli_backward_rejects_unknown_predicate(tmp_path, capsys):

@@ -154,11 +154,11 @@ class TestNeighbourTable:
         assert table.expire(now=200.0) == []
         assert table.knows(0, addr)
 
-    def test_forget(self):
+    def test_a_silenced_neighbour_is_gone_from_its_vif(self):
         table = NeighbourTable(hold=180.0)
         addr = IPv4Address("10.0.0.9")
         table.heard(1, addr, now=0.0)
-        table.forget(1, addr)
+        table.expire(now=181.0)
         assert not table.knows(1, addr)
 
     def test_per_vif_isolation(self):
@@ -180,9 +180,9 @@ class TestNeighbourTable:
         assert table.heard(0, other, now=61.0) is True
         table.expire(now=61.0 + 200.0)
         assert table.heard(0, addr, now=262.0) is True  # new again after expiry
-        table.forget(0, addr)
-        assert table.heard(0, addr, now=263.0) is True  # ... and after forget
-        assert table.heard(0, addr, now=264.0) is False
+        assert table.expire(now=443.0) == [(0, addr)]  # silenced again
+        assert table.heard(0, addr, now=443.0) is True  # ... and new again
+        assert table.heard(0, addr, now=444.0) is False
 
     def test_live_through_the_hold_and_held_until_expired(self):
         table = NeighbourTable(hold=10.0)
@@ -223,7 +223,7 @@ class TestCBTNeighbourTable:
         assert table.expire(now=12.0) == []
         assert table.tree_announcers(0, g1, now=12.0) == [ry]  # rx's g1 aged out
         assert table.tree_announcers(0, g2, now=12.0) == [rx]
-        table.forget(0, ry)
-        assert table.tree_announcers(0, g1, now=12.0) == []
+        assert table.expire(now=14.5) == [(0, ry)]
+        assert table.tree_announcers(0, g1, now=12.0) == []  # gone with ry
         assert table.expire(now=18.5) == [(0, rx)]
         assert table.tree_announcers(0, g2, now=18.0) == []  # gone with rx

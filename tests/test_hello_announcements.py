@@ -86,10 +86,12 @@ class TestAnnouncements:
         assert len(p_rx.fib) == 7
         lan = net.link("member_lan").network
         rx_lan, ry_lan = net.router("RX").interface_on(lan), net.router("RY").interface_on(lan)
-        # RY restarts its view of the LAN: the two forget each other,
-        # then RY's HELLO makes it a new neighbour of RX.
-        p_rx.neighbours.forget(rx_lan.vif, ry_lan.address)
-        p_ry.neighbours.forget(ry_lan.vif, rx_lan.address)
+        # RY restarts its view of the LAN: each table drops the other
+        # as silent past the hold, then RY's HELLO makes it a new
+        # neighbour of RX.
+        past_hold = net.scheduler.now + p_rx.timers.hello_hold + 1.0
+        assert p_rx.neighbours.expire(past_hold) == [(rx_lan.vif, ry_lan.address)]
+        assert p_ry.neighbours.expire(past_hold) == [(ry_lan.vif, rx_lan.address)]
         p_ry._send_hello(ry_lan, ())
         net.run(until=net.scheduler.now + 0.01)  # well inside a hello interval
         for g in groups:

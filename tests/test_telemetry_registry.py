@@ -79,24 +79,25 @@ class TestRegistry:
 
 
 class TestDeferredGaugeFamilies:
-    """``gauge_attrs`` registers a family of attribute statistics that
-    every read reads in place, building no instrument; a registry wired
-    that way must answer every read exactly as the plain map of every
-    statistic's name to its attribute's value, which stays here as the
-    reference."""
+    """``gauge_attrs`` adds an object to its class's family of attribute
+    statistics, named off the object, that every read reads in place,
+    building no instrument; a registry wired that way must answer every
+    read exactly as the plain map of every statistic's name to its
+    attribute's value, which stays here as the reference."""
 
     METRICS = (("attempts", "attempt_count"), ("tx_packets", "tx_count"))
 
     class Wire:
-        def __init__(self, seed):
+        def __init__(self, seed, name):
+            self.name = name
             self.attempt_count = seed
             self.tx_count = seed * 10
 
     def test_no_read_builds_a_gauge(self):
         registry = MetricsRegistry()
-        first, second = self.Wire(1), self.Wire(2)
-        registry.gauge_attrs("netsim.link.A.", first, self.METRICS)
-        registry.gauge_attrs("netsim.link.B.", second, self.METRICS)
+        first, second = self.Wire(1, "A"), self.Wire(2, "B")
+        registry.gauge_attrs("netsim.link.", first, self.METRICS)
+        registry.gauge_attrs("netsim.link.", second, self.METRICS)
         first.tx_count = 7
         assert registry.value("netsim.link.A.tx_packets") == 7
         assert registry.value("netsim.link.A.no_such_metric") == 0
@@ -148,12 +149,13 @@ class TestDeferredGaugeFamilies:
 
     def test_families_read_without_building(self):
         registry = MetricsRegistry()
-        first, second = self.Wire(1), self.Wire(2)
-        registry.gauge_attrs("netsim.link.B.", second, self.METRICS)
-        registry.gauge_attrs("netsim.link.A.", first, self.METRICS)
-        registry.gauge_attrs("netsim.scheduler.", first, self.METRICS)
+        first, second = self.Wire(1, "A"), self.Wire(2, "B")
+        scheduler = self.Wire(1, "scheduler")
+        registry.gauge_attrs("netsim.link.", second, self.METRICS)
+        registry.gauge_attrs("netsim.link.", first, self.METRICS)
+        registry.gauge_attrs("netsim.", scheduler, self.METRICS)
         assert registry.value("netsim.link.B.attempts") == 2
-        first.tx_count = 7
+        first.tx_count = scheduler.tx_count = 7
         links = registry.columns("netsim.link.", "attempts", "tx_packets")
         assert links == {"netsim.link.A.": (1, 7), "netsim.link.B.": (2, 20)}
         assert list(links) == ["netsim.link.A.", "netsim.link.B."]
@@ -169,9 +171,8 @@ class TestDeferredGaugeFamilies:
 
     def test_a_family_statistic_is_no_instrument(self):
         registry = MetricsRegistry()
-        wire = self.Wire(4)
-        registry.gauge_attrs("netsim.link.A.", wire, self.METRICS)
-        registry.gauge_attrs("igmp.router.R1.", wire, (("tx.query", "tx_count"),))
+        registry.gauge_attrs("netsim.link.", self.Wire(4, "A"), self.METRICS)
+        registry.gauge_attrs("igmp.router.", self.Wire(4, "R1"), (("tx.query", "tx_count"),))
         for name in ("netsim.link.A.attempts", "igmp.router.R1.tx.query"):
             with pytest.raises(FamilyNameError):
                 registry.counter(name)
@@ -187,13 +188,17 @@ class TestDeferredGaugeFamilies:
         ]
 
     def _agrees_with_eager_wiring(self, metrics, families, reads):
+        """Each index registers a fresh wire named ``L<index>`` (values
+        unlike the last one's) in the family ``netsim.link.``, where,
+        once it exists, a counter under the head named like any link's
+        statistic is refused, registered or not."""
         registry = MetricsRegistry()
-        wires = [self.Wire(seed) for seed in range(6)]
         bound = {}
-        for index in families:  # a repeated index re-binds
-            prefix = f"netsim.link.L{index}."
-            registry.gauge_attrs(prefix, wires[index], metrics)
-            bound[prefix] = wires[index]
+        for count, index in enumerate(families):  # a repeated name re-binds
+            wire = self.Wire(index, f"L{index}")
+            wire.attempt_count = 100 + count
+            registry.gauge_attrs("netsim.link.", wire, metrics)
+            bound[f"netsim.link.L{index}."] = wire
         counters = {}  # the counters the reads made, all still 0
 
         def oracle():
@@ -211,12 +216,21 @@ class TestDeferredGaugeFamilies:
             if kind == "counter":
                 if "*" in metric:
                     continue
-                if name in expected and name not in counters:
+                if families and metric in dict(metrics):
                     with pytest.raises(FamilyNameError):
                         registry.counter(name)
                 else:
                     counters[name] = registry.counter(name).value
                     assert counters[name] == 0
+            elif kind == "columns":
+                if "*" in metric:
+                    continue
+                attr = dict(metrics).get(metric)
+                assert registry.columns("netsim.link.", metric) == {
+                    prefix: attrgetter(attr)(wire)
+                    for prefix, wire in sorted(bound.items())
+                    if attr is not None
+                }
             elif kind == "value":
                 assert registry.value(name) == expected.get(name, 0)
             elif kind == "total":
@@ -235,7 +249,9 @@ class TestDeferredGaugeFamilies:
         families=st.lists(st.integers(0, 5), max_size=8),
         reads=st.lists(
             st.tuples(
-                st.sampled_from(["value", "total", "matching", "snapshot", "counter"]),
+                st.sampled_from(
+                    ["value", "total", "matching", "snapshot", "counter", "columns"]
+                ),
                 st.integers(0, 6),
                 st.sampled_from(["attempts", "tx_packets", "other", "*"]),
             ),
@@ -249,7 +265,9 @@ class TestDeferredGaugeFamilies:
         families=st.lists(st.integers(0, 5), max_size=8),
         reads=st.lists(
             st.tuples(
-                st.sampled_from(["value", "total", "matching", "snapshot", "counter"]),
+                st.sampled_from(
+                    ["value", "total", "matching", "snapshot", "counter", "columns"]
+                ),
                 st.integers(0, 6),
                 st.sampled_from(
                     ["tx.query", "rx.query", "gains", "tx", "tx.*", "*.query", "t*", "*"]
@@ -268,6 +286,36 @@ class TestDeferredGaugeFamilies:
         )
         self._agrees_with_eager_wiring(dotted, families, reads)
 
+
+    def test_a_class_family_names_its_members_off_the_objects(self):
+        """One family per head: the names come from each object's
+        ``name``, sorted by the full dotted name (``S1-x`` before
+        ``S1``, as ``-`` sorts before ``.``), and the later object
+        registered under a name wins it."""
+        registry = MetricsRegistry()
+        first = self.Wire(1, "S1")
+        for wire in (first, self.Wire(2, "S1-x"), self.Wire(3, "S1")):
+            registry.gauge_attrs("netsim.link.", wire, self.METRICS)
+        assert list(registry._families) == ["netsim.link."]
+        assert list(registry.columns("netsim.link.", "attempts")) == [
+            "netsim.link.S1-x.", "netsim.link.S1."
+        ]
+        assert registry.value("netsim.link.S1.attempts") == 3
+        assert registry.total("netsim.link.*.attempts") == 5
+        assert registry.matching("netsim.link.S1.*") == {
+            "netsim.link.S1.attempts": 3, "netsim.link.S1.tx_packets": 30
+        }
+        assert list(registry.snapshot()) == [
+            "netsim.link.S1-x.attempts",
+            "netsim.link.S1-x.tx_packets",
+            "netsim.link.S1.attempts",
+            "netsim.link.S1.tx_packets",
+        ]
+        with pytest.raises(FamilyNameError):
+            registry.counter("netsim.link.NoSuchLink.attempts")
+        assert registry.counter("netsim.link.attempts").value == 0  # no entity
+        with pytest.raises(ValueError):
+            registry.gauge_attrs("netsim.link.", first, (("attempts", "tx_count"),))
 
 # -- indexed reads against a linear oracle ---------------------------------
 
